@@ -41,7 +41,6 @@ from repro.faults import FaultInjector, FaultRule, kill_fleet_workers
 from repro.shard import (
     BreakerConfig,
     FaultPolicy,
-    ReplicatedShardedService,
     ShardedGATIndex,
     ShardedQueryService,
 )
@@ -136,7 +135,7 @@ def test_fault_tolerance_scenarios(benchmark, la_db, workload):
             config=bench_gat_config(),
             disk_factory=lambda: SimulatedDisk(fault_injector=injector),
         )
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             faulty,
             executor="thread",
             n_replicas=2,
@@ -144,12 +143,8 @@ def test_fault_tolerance_scenarios(benchmark, la_db, workload):
             fault_policy=FaultPolicy(max_retries=4),
             breaker=BreakerConfig(failure_threshold=2, probation_after_s=60.0),
         ) as replicated:
-            replica_shards = [
-                shard for bank in replicated._replica_indexes for shard in bank
-            ]
-            wall, responses = _serve(
-                replicated, workload, list(faulty.shards) + replica_shards
-            )
+            served = [engine.index for engine in replicated.placement.engines()]
+            wall, responses = _serve(replicated, workload, served)
             stats = replicated.stats()
         exact = _rankings(responses) == truth
         assert exact, "failover responses diverged from the healthy rankings"

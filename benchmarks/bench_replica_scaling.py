@@ -14,9 +14,9 @@ replica routing targets — the contention-free disk of
 ``bench_sharded_scaling.py`` would (correctly) show no replica win at
 all, because a latency-only disk already overlaps infinitely.
 
-One workload of mixed ATSQ/OATSQ queries is served by the baseline
-:class:`ShardedQueryService` (one copy per shard) and by a
-:class:`ReplicatedShardedService` at 2 replicas/shard under each router
+One workload of mixed ATSQ/OATSQ queries is served by a
+:class:`ShardedQueryService` with one copy per shard (the baseline) and
+with ``n_replicas=2`` copies per shard under each router
 strategy (round-robin / least-in-flight / power-of-two), all on the
 cold-I/O **thread** backend.  Every HICL cache is cleared before every
 timed run so no row inherits another's warm cache.  Rankings are asserted
@@ -43,7 +43,6 @@ from repro.bench.workloads import (
 from repro.core.engine import EngineConfig
 from repro.shard import (
     REPLICA_ROUTERS,
-    ReplicatedShardedService,
     ShardedGATIndex,
     ShardedQueryService,
 )
@@ -137,7 +136,7 @@ def test_replica_scaling_speedup_and_parity(benchmark, la_db, workload):
             }
         )
         for router in REPLICA_ROUTERS:
-            service = ReplicatedShardedService(
+            service = ShardedQueryService(
                 sharded,
                 engine_config=ENGINE_CONFIG,
                 executor="thread",
@@ -147,12 +146,8 @@ def test_replica_scaling_speedup_and_parity(benchmark, la_db, workload):
                 result_cache_size=0,
             )
             try:
-                replica_indexes = [
-                    shard for bank in service._replica_indexes for shard in bank
-                ]
-                wall, responses = _run(
-                    service, list(sharded.shards) + replica_indexes, workload
-                )
+                served = [engine.index for engine in service.placement.engines()]
+                wall, responses = _run(service, served, workload)
             finally:
                 service.close()
             # Exactness: whichever replicas served it, the ranking is the

@@ -36,7 +36,7 @@ from repro.obs import (
     validate_spans,
     write_spans_jsonl,
 )
-from repro.shard import FaultPolicy, ReplicatedShardedService, ShardedGATIndex
+from repro.shard import FaultPolicy, ShardedGATIndex, ShardedQueryService
 from repro.storage.disk import SimulatedDisk
 
 N_QUERIES = 6
@@ -75,7 +75,7 @@ def main() -> int:
     workload = QueryWorkloadGenerator(
         db, WorkloadConfig(n_query_points=2, n_activities_per_point=2, seed=17)
     )
-    with ReplicatedShardedService(
+    with ShardedQueryService(
         sharded,
         executor="thread",
         n_replicas=2,

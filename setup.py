@@ -1,8 +1,7 @@
-"""Legacy setup shim.
+"""Package metadata (there is no ``pyproject.toml``; this file is all of it).
 
 The execution environment ships an older setuptools without the ``wheel``
-package, so editable installs go through ``setup.py develop``.  All real
-metadata lives in ``pyproject.toml``.
+package, so editable installs go through ``setup.py develop``.
 """
 
 from setuptools import find_packages, setup
@@ -13,4 +12,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
+    # Imported unconditionally by model/columnar.py and storage/shm.py.
+    install_requires=["numpy"],
 )

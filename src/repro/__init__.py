@@ -86,7 +86,6 @@ from repro.service import QueryRequest, QueryResponse, QueryService, ServiceStat
 from repro.shard import (
     BreakerConfig,
     FaultPolicy,
-    ReplicatedShardedService,
     ShardedGATIndex,
     ShardedQueryService,
     ShardRouter,
@@ -133,7 +132,6 @@ __all__ = [
     "ShardRouter",
     "ShardedGATIndex",
     "ShardedQueryService",
-    "ReplicatedShardedService",
     "FaultPolicy",
     "BreakerConfig",
     "Observability",

@@ -169,10 +169,8 @@ class ExperimentHarness:
         obs=None,
     ) -> MethodTiming:
         """Serve the batch through a :class:`ShardedQueryService` over a
-        fresh sharded build of the harness database — or, with
-        ``n_replicas > 1``, through a
-        :class:`~repro.shard.replicas.ReplicatedShardedService` holding
-        that many copies of each shard behind *replica_router*.
+        fresh sharded build of the harness database, holding
+        *n_replicas* copies of each shard behind *replica_router*.
 
         ``n_clients > 1`` splits the workload round-robin
         (:func:`~repro.bench.workloads.shard_workload`) and submits each
@@ -183,8 +181,8 @@ class ExperimentHarness:
         :meth:`run_batch`'s GAT row and :meth:`run_service_batch`.
 
         Fault-tolerance benchmarks pass *fault_policy* (a
-        :class:`~repro.shard.resilience.FaultPolicy`, enabling the
-        supervised fan-out) and *disk_factory* (a zero-arg
+        :class:`~repro.shard.resilience.FaultPolicy` for the fan-out
+        supervisor) and *disk_factory* (a zero-arg
         ``SimulatedDisk`` factory handed to ``ShardedGATIndex.build``,
         called once per shard — e.g. disks wearing a
         :class:`~repro.faults.FaultInjector`).  Resilience
@@ -196,11 +194,7 @@ class ExperimentHarness:
         from concurrent.futures import ThreadPoolExecutor
 
         from repro.bench.workloads import shard_workload
-        from repro.shard import (
-            ReplicatedShardedService,
-            ShardedGATIndex,
-            ShardedQueryService,
-        )
+        from repro.shard import ShardedGATIndex, ShardedQueryService
 
         sharded = ShardedGATIndex.build(
             self.db,
@@ -208,19 +202,14 @@ class ExperimentHarness:
             config=self.gat_config,
             disk_factory=disk_factory,
         )
-        if n_replicas > 1:
-            service_cm = ReplicatedShardedService(
-                sharded,
-                executor=executor,
-                n_replicas=n_replicas,
-                replica_router=replica_router,
-                fault_policy=fault_policy,
-                obs=obs,
-            )
-        else:
-            service_cm = ShardedQueryService(
-                sharded, executor=executor, fault_policy=fault_policy, obs=obs
-            )
+        service_cm = ShardedQueryService(
+            sharded,
+            executor=executor,
+            n_replicas=n_replicas,
+            replica_router=replica_router,
+            fault_policy=fault_policy,
+            obs=obs,
+        )
         with service_cm as service:
             t0 = time.perf_counter()
             if n_clients <= 1:

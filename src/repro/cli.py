@@ -70,7 +70,6 @@ from repro.serving import (
 from repro.shard import (
     REPLICA_ROUTERS,
     FaultPolicy,
-    ReplicatedShardedService,
     ShardedGATIndex,
     ShardedQueryService,
 )
@@ -267,7 +266,7 @@ def _add_query_args(p_query: argparse.ArgumentParser) -> None:
         "--replicas",
         type=int,
         default=1,
-        help="copies of each shard served by the ReplicatedShardedService "
+        help="copies of each shard served by the ShardedQueryService "
         "(read scaling beyond one device per shard; 1 = unreplicated)",
     )
     p_query.add_argument(
@@ -363,9 +362,9 @@ def _fault_policy_from_args(args: argparse.Namespace) -> Optional[FaultPolicy]:
 def _build_query_service(db, args: argparse.Namespace, obs=None, result_cache_size=None):
     """The serving stack the ``query``/``trace``/``metrics``/
     ``serve-bench`` subcommands run against: a plain
-    :class:`QueryService` for ``--shards 1``, a sharded fleet otherwise —
-    replicated when ``--replicas > 1``.  ``result_cache_size`` overrides
-    each service's default (``serve-bench`` passes 0: a cycled open-loop
+    :class:`QueryService` for ``--shards 1``, a sharded fleet (of
+    ``--replicas`` copies per shard) otherwise.  ``result_cache_size``
+    overrides each service's default (``serve-bench`` passes 0: a cycled open-loop
     workload would otherwise be answered from the result cache and never
     load the backend)."""
     cache_kw = {} if result_cache_size is None else {
@@ -378,22 +377,12 @@ def _build_query_service(db, args: argparse.Namespace, obs=None, result_cache_si
             db, n_shards=args.shards, config=gat_config,
             strategy=args.shard_strategy,
         )
-        if args.replicas > 1:
-            return ReplicatedShardedService(
-                sharded,
-                engine_config=EngineConfig(kernel=args.kernel),
-                executor=args.executor,
-                n_replicas=args.replicas,
-                replica_router=args.replica_router,
-                max_workers=args.workers,  # None -> the executor's default
-                fault_policy=fault_policy,
-                obs=obs,
-                **cache_kw,
-            )
         return ShardedQueryService(
             sharded,
             engine_config=EngineConfig(kernel=args.kernel),
             executor=args.executor,
+            n_replicas=args.replicas,
+            replica_router=args.replica_router,
             max_workers=args.workers,  # None -> the executor's default
             fault_policy=fault_policy,
             obs=obs,

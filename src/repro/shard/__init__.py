@@ -11,18 +11,22 @@ The scale-out layer above the single-machine engine:
   ``store='shared'`` the trajectory data plane lives in one shared-memory
   columnar store (:mod:`repro.storage.shm`) that process workers attach
   to instead of rebuilding.
-* :class:`~repro.shard.service.ShardedQueryService` — fans each query out
-  across shards through a pluggable executor (serial / thread / process)
-  and k-way merges the ranked lists; results are byte-identical to the
-  unsharded engine.
-* :class:`~repro.shard.replicas.ReplicatedShardedService` — N copies of
-  every shard behind a pluggable :class:`~repro.shard.replicas.ReplicaRouter`
-  (round-robin / least-in-flight / power-of-two-choices), for read
-  scaling beyond one device per shard; rankings stay byte-identical.
-* :mod:`~repro.shard.resilience` — fault-tolerant serving: per-query
-  deadlines, bounded backoff'd retries, hedged attempts, per-replica
-  circuit breakers, and graceful degradation to partial coverage
-  (opt in with a :class:`~repro.shard.resilience.FaultPolicy`).
+* :class:`~repro.shard.service.ShardedQueryService` — the one sharded
+  service: fans each query out across shards through a pluggable executor
+  (serial / thread / process) and k-way merges the ranked lists; results
+  are byte-identical to the unsharded engine.
+* :mod:`~repro.shard.replicas` — ``n_replicas`` copies of every shard
+  behind a pluggable :class:`~repro.shard.replicas.ReplicaRouter`
+  (round-robin / least-in-flight / power-of-two-choices) with per-replica
+  circuit breakers, for read scaling beyond one device per shard
+  (``ShardedQueryService(..., n_replicas=2)``); rankings stay
+  byte-identical.
+* :mod:`~repro.shard.resilience` — the one fan-out: a supervisor that
+  submits every shard task and answers time and failure with per-query
+  deadlines, bounded backoff'd retries, hedged attempts, pool
+  self-healing, and graceful degradation to partial coverage (tuned with
+  a :class:`~repro.shard.resilience.FaultPolicy`; all-or-nothing without
+  one).
 """
 
 from repro.shard.executor import (
@@ -44,7 +48,6 @@ from repro.shard.replicas import (
     PowerOfTwoRouter,
     ReplicaHealth,
     ReplicaRouter,
-    ReplicatedShardedService,
     RoundRobinRouter,
     make_replica_router,
 )
@@ -62,7 +65,6 @@ __all__ = [
     "ShardRouter",
     "ShardedGATIndex",
     "ShardedQueryService",
-    "ReplicatedShardedService",
     "ReplicaRouter",
     "RoundRobinRouter",
     "LeastInFlightRouter",

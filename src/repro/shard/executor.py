@@ -1,8 +1,11 @@
 """Pluggable shard fan-out executors: serial, threads, and processes.
 
 The sharded service expresses one query as ``n_shards`` independent
-:class:`ShardTask` units and hands the whole batch to an executor; how
-they run is the deployment's choice:
+:class:`ShardTask` units; its fan-out supervisor
+(:class:`~repro.shard.resilience.FanoutSupervisor`) submits them one by
+one through the executor's ``submit(task) -> Future`` — the whole
+executor API besides ``heal`` and ``close``.  How they run is the
+deployment's choice:
 
 * :class:`SerialShardExecutor` — inline, in submission order.  The
   debugging / profiling baseline, and the reference the parity suite
@@ -72,16 +75,16 @@ class ShardTask:
     ``threshold_slot=None`` (serial/thread backends, or slot exhaustion)
     keeps the run-to-local-completion behaviour.
 
-    ``replica`` names which copy of the shard should serve the task under
-    a replicated tier (:mod:`repro.shard.replicas`).  The in-process
-    backends route dynamically at execution time (the field stays 0 and
-    the service's replica router picks a copy when a worker thread leases
-    an engine); the process backend routes at submission time — the field
-    carries the router's parent-side lease across the process boundary.
-    Worker-side it is metadata only: every worker process is already an
-    independent physical copy (own engines, own disks), so the replica
-    tier sizes the pool to ``n_shards × n_replicas`` workers rather than
-    duplicating engines inside each worker.
+    ``replica`` names which copy of the shard serves the task
+    (:mod:`repro.shard.replicas`).  The in-process backends route
+    dynamically at execution time (the field stays 0 and the service's
+    replica router picks a copy when a worker thread leases an engine);
+    the process backend routes at submission time — the field carries the
+    router's parent-side lease across the process boundary.  Worker-side
+    it is metadata only: every worker process is already an independent
+    physical copy (own engines, own disks), so the service sizes the pool
+    to ``n_shards × n_replicas`` workers rather than duplicating engines
+    inside each worker.
 
     Observability fields: ``trace`` asks the runner (in-process or a
     process-fleet worker) to build a ``shard_task`` span for this task —
@@ -403,20 +406,15 @@ class SerialShardExecutor:
         self._run_task = run_task
         self._closed = False
 
-    def run(self, tasks: Sequence[ShardTask]) -> List[ShardResult]:
-        if self._closed:
-            # No pool to leak, but a closed service's engines have shut
-            # their auxiliary io pools — serving on would silently
-            # resurrect them.  Same invariant as the pooled backends.
-            raise RuntimeError("SerialShardExecutor used after close()")
-        return [self._run_task(task) for task in tasks]
-
     def submit(self, task: ShardTask) -> Future:
         """Run *task* inline and return an already-completed future — the
         fan-out supervisor speaks one submission API across backends.
         Deadlines/hedges cannot preempt an inline task, of course; the
         serial backend is the debugging baseline, not a serving tier."""
         if self._closed:
+            # No pool to leak, but a closed service's engines have shut
+            # their auxiliary io pools — serving on would silently
+            # resurrect them.  Same invariant as the pooled backends.
             raise RuntimeError("SerialShardExecutor used after close()")
         future: Future = Future()
         try:
@@ -467,9 +465,6 @@ class ThreadShardExecutor:
                 )
             return self._pool
 
-    def run(self, tasks: Sequence[ShardTask]) -> List[ShardResult]:
-        return list(self._shared_pool().map(self._run_task, tasks))
-
     def submit(self, task: ShardTask) -> Future:
         """Submit one task to the shared pool (the supervisor's API)."""
         return self._shared_pool().submit(self._run_task, task)
@@ -506,16 +501,17 @@ class ProcessShardExecutor:
 
     Self-healing: a SIGKILLed (OOM-killed, segfaulted) worker breaks the
     whole :class:`ProcessPoolExecutor` — every in-flight future raises
-    :class:`BrokenProcessPool` and the pool is unusable forever.  Both
-    :meth:`run` and :meth:`submit` treat that as a *fleet* event, not a
-    task failure: the broken pool is retired, the next submission
-    re-initialises a fresh pool from the (cheap, shared-memory-backed)
-    spec, and :meth:`run` replays exactly the tasks whose futures died —
-    at most :attr:`max_pool_repairs` times per call, after which the
-    breakage surfaces as a :class:`ShardTaskError`.  Threshold slots are
+    :class:`BrokenProcessPool` and the pool is unusable forever.  That is
+    a *fleet* event, not a task failure: :meth:`heal` retires the broken
+    pool and the next submission re-initialises a fresh one from the
+    (cheap, shared-memory-backed) spec.  :meth:`submit` heals through
+    breakage it meets at submission; futures that die mid-flight are the
+    fan-out supervisor's to heal and resubmit — at most
+    :attr:`max_pool_repairs` times per fan-out, after which the breakage
+    surfaces as a :class:`ShardTaskError`.  Threshold slots are
     parent-owned ``mp.Value``s inherited by every pool generation, so
     leases survive a repair; a dead worker's last published threshold
-    stays a sound (real-result) upper bound for the replayed task.
+    stays a sound (real-result) upper bound for the resubmitted task.
     """
 
     kind = "process"
@@ -569,13 +565,25 @@ class ProcessShardExecutor:
             value.value = math.inf
         return slot
 
-    def release_slot(self, slot: Optional[int]) -> None:
-        """Return a leased threshold slot.  Duplicate-tolerant: failure
-        paths (supervisor cleanup racing the service's own ``finally``)
-        may release the same lease twice, and a double-append would let
-        two queries share one slot's threshold — unsound pruning."""
+    def release_slot(self, slot: Optional[int], after: Sequence[Future] = ()) -> None:
+        """Return a leased threshold slot once every future in *after* is
+        done (immediately when there is none).  *after* names the query's
+        attempts still running in workers — abandoned at a deadline, or a
+        hedge race's loser: they keep publishing the finished query's
+        k-th distance into the slot, and the free list is LIFO, so
+        handing the slot out under them would make the next query prune
+        against a foreign, too-small threshold.  Duplicate-tolerant:
+        failure paths may release the same lease twice, and a
+        double-append would let two queries share one slot."""
         if slot is None:
             return
+        for i, future in enumerate(after):
+            if not future.done():
+                # Come back for the rest when this one finishes.
+                future.add_done_callback(
+                    lambda _done: self.release_slot(slot, after[i + 1 :])
+                )
+                return
         with self._lock:
             if slot not in self._free_slots:
                 self._free_slots.append(slot)
@@ -646,7 +654,7 @@ class ProcessShardExecutor:
         (a worker killed while the pool sat idle surfaces here, not on a
         future).  The returned future can still die with
         :class:`BrokenProcessPool` if the kill lands mid-flight — that is
-        the supervisor's (or :meth:`run`'s) retry to make."""
+        the supervisor's resubmission to make."""
         last_exc: Optional[BaseException] = None
         for _ in range(self.max_pool_repairs + 1):
             pool = self._shared_pool()
@@ -656,34 +664,6 @@ class ProcessShardExecutor:
                 last_exc = exc
                 self._retire_broken(pool)
         raise ShardTaskError(task, last_exc)
-
-    def run(self, tasks: Sequence[ShardTask]) -> List[ShardResult]:
-        """Run a batch; order of results matches *tasks*.  Futures that
-        die with :class:`BrokenProcessPool` are replayed on a fresh pool
-        (bounded by :attr:`max_pool_repairs`); any other worker exception
-        is wrapped with its task's context and raised."""
-        results: List[Optional[ShardResult]] = [None] * len(tasks)
-        pending = [(i, self.submit(task)) for i, task in enumerate(tasks)]
-        repairs_left = self.max_pool_repairs
-        while pending:
-            broken: List[int] = []
-            broken_exc: Optional[BaseException] = None
-            for i, future in pending:
-                try:
-                    results[i] = future.result()
-                except BrokenProcessPool as exc:
-                    broken.append(i)
-                    broken_exc = exc
-                except Exception as exc:
-                    raise ShardTaskError(tasks[i], exc) from exc
-            if not broken:
-                break
-            if repairs_left <= 0:
-                raise ShardTaskError(tasks[broken[0]], broken_exc)
-            repairs_left -= 1
-            self.heal()
-            pending = [(i, self.submit(tasks[i])) for i in broken]
-        return results  # type: ignore[return-value]
 
     def worker_pids(self) -> List[int]:
         """Pids of the live pool's worker processes (chaos targets)."""

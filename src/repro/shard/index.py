@@ -236,8 +236,8 @@ class ShardedGATIndex:
         self, disk_factory: Optional[Callable[[], SimulatedDisk]] = None
     ) -> List[GATIndex]:
         """One fresh :class:`GATIndex` per shard over the **same**
-        trajectory subset — a read replica set for the replicated serving
-        tier (:class:`~repro.shard.replicas.ReplicatedShardedService`).
+        trajectory subset — a read replica set for the serving tier's
+        replica banks (:class:`~repro.shard.replicas.ReplicaPlacement`).
 
         Each replica is a full vertical slice of its own: the shard's
         database subset re-indexed onto its own simulated disk, with the
@@ -254,7 +254,7 @@ class ShardedGATIndex:
 
         Replicas are read-only snapshots: they carry the primary's current
         version, and a later :meth:`insert_trajectory` moves only the
-        primary's composite version.  The replicated service watches that
+        primary's composite version.  The sharded service watches that
         version and rebuilds its replica banks before serving the next
         query, so inserts must quiesce serving exactly as they already
         must for the primary.

@@ -1,9 +1,9 @@
-"""Replica-aware serving tier: N copies of every shard, load-balanced.
+"""Replica placement: N copies of every shard, load-balanced.
 
-The last serving-scale axis.  PR 1 scaled one engine across threads,
-PR 2-4 scaled the index across kernels, shards, and processes — but read
-throughput stayed capped at **one copy of each shard**: every query that
-touches shard *s* queues on shard *s*'s single disk.  This module holds
+With one copy of each shard, read throughput is capped by that copy:
+every query that touches shard *s* queues on shard *s*'s single disk.
+:class:`ReplicaPlacement` — owned by every
+:class:`~repro.shard.service.ShardedQueryService` — holds
 ``n_replicas`` complete copies of each shard (replica = its own
 :class:`~repro.index.gat.index.GATIndex`, engine, and simulated disk over
 the *same* trajectory subset; under the process backend the worker
@@ -20,7 +20,8 @@ single distributed-top-k threshold (the group-keyed merged
 ``multiprocessing.Value`` slot under the process backend) **across
 whichever replicas serve them**, so cross-shard pruning is oblivious to
 replica placement and the merged ranking stays byte-identical to the
-unreplicated :class:`~repro.shard.service.ShardedQueryService`.
+single-copy fleet's.  ``n_replicas=1`` is not a special case: a router
+over one replica always picks replica 0.
 
 Routing strategies (all thread-safe, all tracking per-``(shard,
 replica)`` in-flight depth):
@@ -63,16 +64,12 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from dataclasses import replace as dc_replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.engine import EngineConfig, GATSearchEngine
 from repro.index.gat.index import GATIndex
 from repro.model.distance import DistanceMetric
-from repro.shard.executor import ProcessShardExecutor, ShardTask
 from repro.shard.index import ShardedGATIndex
-from repro.shard.resilience import FaultPolicy
-from repro.shard.service import ShardedQueryService, _minus_cache_stats
 from repro.storage.cache import CacheStats
 from repro.storage.disk import SimulatedDisk
 
@@ -412,80 +409,44 @@ def make_replica_router(
     )
 
 
-class ReplicatedShardedService(ShardedQueryService):
-    """A :class:`ShardedQueryService` with ``n_replicas`` copies of every
-    shard behind a :class:`ReplicaRouter`.
+class ReplicaPlacement:
+    """Where a shard task runs: ``n_replicas`` engine banks over one
+    sharded index, the :class:`ReplicaRouter` that leases them, and —
+    through the router — per-replica breaker health.  Owned by the
+    :class:`~repro.shard.service.ShardedQueryService`, which passes its
+    replica parameters straight through (they are documented there).
 
-    Parameters (beyond the base service's)
-    --------------------------------------
-    n_replicas:
-        Copies of each shard.  ``1`` degenerates to the base service
-        (every router then always picks replica 0).
-    replica_router:
-        A strategy name from :data:`REPLICA_ROUTERS`, or a prebuilt
-        :class:`ReplicaRouter` (must match the fleet's shape).
-    router_seed:
-        Seed for the ``power-of-two`` sampler (reproducible dispatch
-        sequences; rankings never depend on it).
-    replica_disk_factory:
-        Called once per replica shard to create its disk.  Default:
-        every replica disk clones the primary shard disk's cost model
-        (page size, latency, ``concurrent_reads``), so a replica is
-        another copy on another identical device.  In-process backends
-        only — process workers always rebuild replica disks from the
-        spec (the primary's cost model), so passing a factory with
-        ``executor='process'`` raises rather than silently ignoring it.
-    max_workers:
-        Defaults scale with the replica tier: ``4 × n_shards ×
-        n_replicas`` threads (four queries' worth of fan-out per replica
-        fleet) or ``n_shards × n_replicas`` process workers — capacity
-        grows with the copies, which is the point of replication.
-    fault_policy:
-        Optional :class:`~repro.shard.resilience.FaultPolicy` enabling
-        deadlines / bounded retries / hedging on every fan-out (see the
-        base service).  Replication is what makes retries and hedges
-        *useful*: a retried or hedged attempt is re-routed through the
-        router, which — fed by the circuit breaker — steers it to a
-        healthy sibling copy of the same shard.
-    breaker:
-        Optional :class:`BreakerConfig` tuning the per-replica circuit
-        breaker (eject after N consecutive failures, probation probe
-        after a cool-down).  Only valid when *replica_router* is a
-        strategy name; a prebuilt router already owns its breaker.
-
-    The in-process backends (serial/thread) hold the replica engine banks
-    in this object; the process backend realises replicas as the worker
-    processes themselves (pool sized ``n_shards × n_replicas``, each
-    worker its own engines and disks) and stamps each task's replica at
-    submission purely for the router's lease accounting.
+    ``banks[r][s]`` is replica *r*'s engine for shard *s*.  Bank 0 serves
+    the primary shards of *index*; banks 1..n-1 are fresh replica slices
+    (:meth:`ShardedGATIndex.replicate`).  With ``in_process=False`` (the
+    process backend) only bank 0 is built: the worker processes are the
+    copies there, and in-process banks would double memory for engines
+    nothing ever runs on — the router then only does lease accounting
+    for replica ids stamped onto tasks at submission.
     """
 
     def __init__(
         self,
         index: ShardedGATIndex,
-        metric: Optional[DistanceMetric] = None,
-        engine_config: Optional[EngineConfig] = None,
-        executor: str = "thread",
-        n_replicas: int = 2,
-        replica_router: Union[str, ReplicaRouter] = "round-robin",
-        router_seed: Optional[int] = None,
-        replica_disk_factory: Optional[Callable[[], SimulatedDisk]] = None,
-        max_workers: Optional[int] = None,
-        result_cache_size: int = 1024,
-        mp_context=None,
-        fault_policy: Optional[FaultPolicy] = None,
-        breaker: Optional[BreakerConfig] = None,
-        obs=None,
+        *,
+        n_replicas: int,
+        replica_router: Union[str, ReplicaRouter],
+        router_seed: Optional[int],
+        replica_disk_factory: Optional[Callable[[], SimulatedDisk]],
+        breaker: Optional[BreakerConfig],
+        metric: Optional[DistanceMetric],
+        engine_config: EngineConfig,
+        in_process: bool,
+        obs,
     ) -> None:
         if n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
-        if replica_disk_factory is not None and executor == "process":
+        if replica_disk_factory is not None and not in_process:
             raise ValueError(
                 "replica_disk_factory is in-process only: process workers "
                 "rebuild replica disks from the engine spec (the primary "
                 "shards' cost model)"
             )
-        self.n_replicas = n_replicas
         if isinstance(replica_router, ReplicaRouter):
             if breaker is not None:
                 raise ValueError(
@@ -510,207 +471,44 @@ class ReplicatedShardedService(ShardedQueryService):
                 seed=router_seed,
                 breaker=breaker,
             )
-        if max_workers is None:
-            if executor == "thread":
-                max_workers = 4 * index.n_shards * n_replicas
-            elif executor == "process":
-                max_workers = index.n_shards * n_replicas
-        self._replica_disk_factory = replica_disk_factory
-        self._replica_indexes: List[List[GATIndex]] = []
-        self._banks: List[List[GATSearchEngine]] = []
-        self._bank_lock = threading.Lock()
-        super().__init__(
-            index,
-            metric=metric,
-            engine_config=engine_config,
-            executor=executor,
-            max_workers=max_workers,
-            result_cache_size=result_cache_size,
-            mp_context=mp_context,
-            fault_policy=fault_policy,
-            obs=obs,
-        )
-        # Breaker counters are monotonic on ReplicaHealth; stats() diffs
-        # them against this reset-time baseline so reset_stats() actually
-        # zeroes the reported trip counts (satellite: counters must not
-        # survive a reset).
-        self._breaker_base: Tuple[int, int, int] = (0, 0, 0)
-        # The process backend keeps its replicas worker-side; building
-        # in-process banks there would double memory for engines nothing
-        # would ever run on.
-        self._banks_in_process = not isinstance(self._executor, ProcessShardExecutor)
-        self._build_banks()
-        self._banks_version = self.index.version
-        # Re-baseline the cache deltas now that the replica banks exist
-        # (the base constructor snapshotted the primary only).
-        self._hicl_base = self._hicl_cache_stats()
-        self._apl_base = self._apl_cache_stats()
-
-    # ------------------------------------------------------------------
-    # Replica banks
-    # ------------------------------------------------------------------
-    def _build_banks(self) -> None:
-        """(Re)build the engine banks: bank 0 aliases the primary
-        engines; banks 1..n-1 are fresh replica slices."""
-        if not self._banks_in_process:
-            self._replica_indexes = []
-            self._banks = [self.engines]
-            return
-        self._replica_indexes = [
-            self.index.replicate(self._replica_disk_factory)
-            for _ in range(self.n_replicas - 1)
+        self.index = index
+        self._metric = metric
+        self._engine_config = engine_config
+        self._disk_factory = replica_disk_factory
+        self._obs = obs
+        self.banks: List[List[GATSearchEngine]] = [
+            [self._engine(shard) for shard in index.shards]
         ]
-        banks = [self.engines]
-        for replica_set in self._replica_indexes:
-            banks.append(
-                [
-                    GATSearchEngine(
-                        shard, metric=self.metric, config=self.engine_config
-                    )
-                    for shard in replica_set
-                ]
-            )
-        self._banks = banks
-        if self.obs is not None:
-            # Replica-bank disks must report into the same tracer as the
-            # primaries (bank 0 aliases the primary engines, which
-            # bind_index already covered).
-            for replica_set in self._replica_indexes:
-                for shard in replica_set:
-                    self.obs.bind_disk(shard.disk)
+        for _ in range(n_replicas - 1 if in_process else 0):
+            self.banks.append(self._replica_bank())
 
-    def _resync_banks(self) -> None:
-        """Rebuild the replica banks after the primary mutated (inserts
-        quiesce the service, so no task is mid-flight on a stale bank)."""
-        with self._bank_lock:
-            version = self.index.version
-            if version == self._banks_version:
-                return
-            old_banks = self._banks[1:]
-            discarded_hicl = [
-                shard.hicl.cache_stats()
-                for replica_set in self._replica_indexes
-                for shard in replica_set
-            ]
-            discarded_apl = [
-                engine.apl_cache_stats() for bank in old_banks for engine in bank
-            ]
-            self._build_banks()
-            self._banks_version = version
-            # The rebuilt banks' caches start at zero, so the discarded
-            # counters must leave the baselines too — otherwise stats()
-            # would diff a "now" that lost them against a "base" that
-            # still holds them and report hit rates outside [0, 1].
-            with self._lock:
-                self._hicl_base = _minus_cache_stats(
-                    self._hicl_base, discarded_hicl
-                )
-                self._apl_base = _minus_cache_stats(self._apl_base, discarded_apl)
-            for bank in old_banks:
-                for engine in bank:
-                    engine.close()
+    def _engine(self, shard: GATIndex) -> GATSearchEngine:
+        return GATSearchEngine(shard, metric=self._metric, config=self._engine_config)
 
-    def _check_version(self):
-        # Resync BEFORE the base class publishes the fresh version: a
-        # concurrent search that observes the new _index_version must
-        # never find stale replica banks behind it (it would skip the
-        # resync and lease a pre-insert engine).  _resync_banks is keyed
-        # on _banks_version under its own lock, so whichever thread gets
-        # there first rebuilds and latecomers block until the new banks
-        # are published.
-        if (
-            self._banks_in_process
-            and self.n_replicas > 1
-            and self.index.version != self._index_version
-        ):
-            self._resync_banks()
-        return super()._check_version()
+    def _replica_bank(self) -> List[GATSearchEngine]:
+        replicas = self.index.replicate(self._disk_factory)
+        if self._obs is not None:
+            # Replica disks must report into the same tracer as the
+            # primaries (which the service's bind_index covers).
+            for shard in replicas:
+                self._obs.bind_disk(shard.disk)
+        return [self._engine(shard) for shard in replicas]
 
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def _lease_engine(self, task: ShardTask):
-        """In-process dispatch: bind the task to a replica now, run it on
-        that bank's engine, release the lease when the task finishes."""
-        shard_id = task.shard_id
+    def lease(self, shard_id: int) -> Tuple[GATSearchEngine, int]:
+        """Execution-time binding: route one task of *shard_id* to a
+        replica and return ``(engine, replica)``; pair with
+        :meth:`ReplicaRouter.release` once the task finishes."""
         replica = self.router.route(shard_id)
-        try:
-            engine = self._banks[replica][shard_id]
-        except IndexError:  # pragma: no cover - defensive
-            self.router.release(shard_id, replica)
-            raise
-        return engine, lambda: self.router.release(shard_id, replica), replica
+        return self.banks[replica][shard_id], replica
 
-    def _note_task_outcome(self, task: ShardTask, replica: int, ok: bool) -> None:
-        """Feed per-task outcomes to the router's circuit breaker."""
+    def note_outcome(self, shard_id: int, replica: int, ok: bool) -> None:
+        """Feed one attempt's outcome to the router's circuit breaker."""
         if ok:
-            self.router.record_success(task.shard_id, replica)
+            self.router.record_success(shard_id, replica)
         else:
-            self.router.record_failure(task.shard_id, replica)
+            self.router.record_failure(shard_id, replica)
 
-    def _reroute_task(self, task: ShardTask) -> ShardTask:
-        """Re-route a retry/hedge attempt through the router (process
-        backend: the attempt carries a *fresh* replica lease — it joins
-        the fan-out's submitted list via the supervisor's on_submit hook
-        and is released with the rest in :meth:`_after_fanout`).
-        In-process backends bind replicas at execution time, so the task
-        rides unchanged."""
-        if self._banks_in_process:
-            return task
-        return dc_replace(task, replica=self.router.route(task.shard_id))
-
-    def _tasks_for(
-        self, request, group: int, threshold_slot: Optional[int] = None
-    ) -> List[ShardTask]:
-        tasks = super()._tasks_for(request, group, threshold_slot)
-        if self._banks_in_process:
-            return tasks  # replica bound at execution time instead
-        # Process backend: the replica must ride the task across the
-        # process boundary, so bind at submission.  The lease is released
-        # in _after_fanout once the whole fan-out returns.
-        return [
-            dc_replace(task, replica=self.router.route(task.shard_id))
-            for task in tasks
-        ]
-
-    def _after_fanout(self, tasks: Sequence[ShardTask]) -> None:
-        if self._banks_in_process:
-            return
-        for task in tasks:
-            self.router.release(task.shard_id, task.replica)
-
-    # ------------------------------------------------------------------
-    # Lifecycle / accounting
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        super().close()  # executor + primary engines
-        for bank in self._banks[1:]:
-            for engine in bank:
-                engine.close()
-
-    def stats(self):
-        # Serialized against _resync_banks (which holds _bank_lock for
-        # the whole bank swap + baseline adjustment): a concurrent poll
-        # must observe either the old banks with the old baselines or
-        # the new with the new — a torn read would diff the rebuilt
-        # zero-counter caches against the fat pre-rebuild baselines and
-        # report hit rates outside [0, 1].  Lock order everywhere is
-        # _bank_lock → _lock, so this cannot deadlock.
-        with self._bank_lock:
-            stats = super().stats()
-            ejections, restores, probes = self.router.health_counters()
-            base = self._breaker_base
-            stats.breaker_ejections = ejections - base[0]
-            stats.breaker_restores = restores - base[1]
-            stats.breaker_probes = probes - base[2]
-            return stats
-
-    def reset_stats(self) -> None:
-        with self._bank_lock:
-            super().reset_stats()
-            self._breaker_base = self.router.health_counters()
-
-    def _task_breaker_state(self, shard_id, replica) -> Optional[str]:
+    def breaker_state(self, shard_id, replica) -> Optional[str]:
         """Breaker state for a shard-task span's attributes.  Tolerant of
         malformed/missing attrs on adopted worker spans — observability
         must never take a query down."""
@@ -721,21 +519,48 @@ class ReplicatedShardedService(ShardedQueryService):
         except (IndexError, TypeError):
             return None
 
-    def _all_engines(self) -> List[GATSearchEngine]:
-        banks = self._banks
-        if not banks:
-            return self.engines  # mid-construction: primary only
-        return [engine for bank in banks for engine in bank]
+    def engines(self) -> List[GATSearchEngine]:
+        """Every in-process engine a task can be routed to."""
+        return [engine for bank in self.banks for engine in bank]
 
-    def _hicl_cache_stats(self) -> CacheStats:
-        parts = [self.index.hicl_cache_stats()]
-        for replica_set in self._replica_indexes:
-            parts.extend(shard.hicl.cache_stats() for shard in replica_set)
-        return CacheStats.combined(parts)
+    def resync(self) -> List[GATSearchEngine]:
+        """Catch the banks up with a mutated primary (inserts quiesce the
+        service, so no task is mid-flight on a stale bank) and return the
+        engines discarded on the way, for the caller to shed their cache
+        counters and close.
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ReplicatedShardedService({self.n_shards} shards × "
-            f"{self.n_replicas} replicas, router={self.router.strategy!r}, "
-            f"executor={self.executor_kind!r})"
-        )
+        Bank 0 rebinds, in place, only the engines whose
+        :class:`GATIndex` object was *replaced* — an overflow insert
+        (:meth:`ShardedGATIndex._rebuild_expanded`) swaps a new index
+        into ``index.shards[sid]``, and the old engine would otherwise
+        keep serving the orphaned pre-insert snapshot; an ordinary insert
+        mutates the shard the engine already holds.  Replica banks are
+        read-only snapshots of the primary, so they are rebuilt
+        wholesale.
+        """
+        discarded: List[GATSearchEngine] = []
+        primary = self.banks[0]
+        for sid, shard in enumerate(self.index.shards):
+            if primary[sid].index is not shard:
+                discarded.append(primary[sid])
+                primary[sid] = self._engine(shard)
+        for bank in self.banks[1:]:
+            discarded.extend(bank)
+        self.banks[1:] = [self._replica_bank() for _ in self.banks[1:]]
+        return discarded
+
+    def close(self) -> None:
+        for engine in self.engines():
+            engine.close()
+
+
+def engine_cache_stats(
+    engines: Sequence[GATSearchEngine],
+) -> Tuple[Optional[CacheStats], Optional[CacheStats]]:
+    """Combined ``(HICL, APL)`` cache accounting of *engines* — hits and
+    lookups sum without double-counting, since each lookup happened on
+    exactly one engine's caches."""
+    return (
+        CacheStats.combined([engine.index.hicl.cache_stats() for engine in engines]),
+        CacheStats.combined([engine.apl_cache_stats() for engine in engines]),
+    )

@@ -1,10 +1,10 @@
-"""Fault-tolerant fan-out: deadlines, bounded retries, hedged requests.
+"""The sharded service's fan-out: one supervised loop for every backend.
 
-The sharded service's plain fan-out (`executor.run`) is all-or-nothing:
-one failed or stalled shard task fails or hangs the whole batch.  This
-module supervises the fan-out instead.  Each query's shard tasks are
-submitted individually (every backend exposes ``submit``); a single
-event loop then waits on whatever is in flight and reacts to time:
+Each query's shard tasks are submitted individually (every backend
+exposes ``submit``); a single event loop then waits on whatever is in
+flight and reacts to time, under a :class:`FaultPolicy` (a service built
+without one runs the same loop under :data:`ALL_OR_NOTHING` — no
+retries, no hedges, any shard failure raises):
 
 * **deadline** — a per-query wall budget (:attr:`FaultPolicy.deadline_s`).
   When it expires, the query's unresolved shards are abandoned (their
@@ -13,9 +13,8 @@ event loop then waits on whatever is in flight and reacts to time:
 * **retries** — a failed attempt is retried after exponential backoff
   (:attr:`FaultPolicy.retry_backoff_s` doubling per failure), at most
   :attr:`FaultPolicy.max_retries` times per shard, never past the
-  deadline.  Under a replica tier each retry is *re-routed* — the router
-  picks a (healthier) sibling replica, which is what turns a retry into
-  failover.
+  deadline.  Each retry is *re-routed* — the replica router picks a
+  (healthier) sibling copy, which is what turns a retry into failover.
 * **hedges** — when an attempt has been running longer than the fleet's
   observed latency quantile (:class:`TaskLatencyTracker`; the fixed
   :attr:`FaultPolicy.hedge_after_s` until enough samples exist), a single
@@ -31,15 +30,21 @@ Exactness: retried and hedged attempts run the *same* frozen task against
 byte-identical replicas, and the shared top-k collector dedups offers by
 trajectory id — supervision moves latency and availability, never
 rankings.  When every shard answers, the merged result is byte-identical
-to the unsupervised path.
+to the single-index engine's.
+
+A dead worker process is a *fleet* event, not a task failure: attempts
+that die with :class:`BrokenProcessPool` are healed around and
+resubmitted without spending the retry budget (bounded per fan-out by
+``max_pool_repairs``), so a process fleet keeps answering through a
+SIGKILL even under :data:`ALL_OR_NOTHING`.
 
 The supervisor is deliberately executor-agnostic: it sees only
-``submit(task) -> Future`` plus optional hooks (``reroute`` for
-replica-failover of process-backend tasks, ``heal`` to retire a broken
-process pool, ``on_success``/``on_failure`` for router health).  The
-serial backend's inline futures degenerate it to a plain loop — correct,
-but nothing can preempt an inline task, so policies only bite under a
-concurrent backend.
+``submit(task) -> Future`` plus optional hooks (``bind`` to lease a
+replica for process-backend attempts, ``heal`` to retire a broken
+process pool, ``on_outcome`` for router health).  The serial backend's
+inline futures degenerate it to a plain loop — correct, but nothing can
+preempt an inline task, so policies only bite under a concurrent
+backend.
 """
 
 from __future__ import annotations
@@ -121,6 +126,13 @@ class FaultPolicy:
             raise ValueError("hedge_budget must be >= 0 (or None)")
 
 
+#: What a service built with ``fault_policy=None`` runs under: no retries,
+#: no hedges, and any unanswered shard raises.  (Such a service also
+#: leaves ``QueryRequest.deadline_s`` advisory — it finishes late rather
+#: than dropping a shard.)
+ALL_OR_NOTHING = FaultPolicy(max_retries=0, allow_partial=False)
+
+
 class TaskLatencyTracker:
     """Sliding window of completed shard-task latencies; the hedging
     trigger reads its quantile, so the hedge delay adapts to what the
@@ -160,6 +172,12 @@ class FanoutOutcome:
     retries: int = 0
     hedges: int = 0
     hedges_denied: int = 0
+    #: Attempts still running when the query resolved — abandoned at the
+    #: deadline, or a hedge race's loser.  Nobody reads their results,
+    #: but they keep writing to whatever the query leased for its tasks
+    #: (the process backend's threshold slot), so the lessor must wait
+    #: for them before reusing it.
+    in_flight: List[Future] = field(default_factory=list)
 
 
 @dataclass
@@ -169,7 +187,8 @@ class _ShardState:
     qi: int
     task: ShardTask
     resolved: bool = False
-    failures: int = 0
+    failures: int = 0  # dead attempts so far: the next attempt's ordinal
+    charged: int = 0  # of those, the ones that spent retry budget
     live: int = 0  # attempts currently in flight
     hedged: bool = False
     retry_due: Optional[float] = None
@@ -179,7 +198,7 @@ class _ShardState:
 @dataclass
 class _Attempt:
     state: _ShardState
-    task: ShardTask  # possibly re-routed (fresh replica lease)
+    task: ShardTask  # as submitted (attempt stamp, replica lease)
     started: float
     hedge: bool
 
@@ -194,21 +213,25 @@ class FanoutSupervisor:
     policy / tracker:
         The budget and the shared latency window (owned by the service so
         the hedge quantile learns across batches).
-    reroute:
-        Maps a task to its retry/hedge attempt — the replica tier leases a
-        fresh (preferably healthier) replica here; ``None`` reuses the
-        task unchanged (in-process backends route at execution time).
-    heal:
-        Called when an attempt dies with :class:`BrokenProcessPool`
-        (retire the broken pool so resubmission lands on a fresh fleet).
-    on_submit:
-        Observes every *re-routed* attempt task (the service releases
-        those extra replica leases after the fan-out).
-    on_success / on_failure:
-        Per-attempt health feedback ``(task) -> None`` /
-        ``(task, exc) -> None`` — the replica tier feeds its circuit
-        breaker here for process-backend attempts (in-process attempts
-        report from the task runner itself).
+    bind:
+        Leases a replica for one attempt at submission: ``task -> task``
+        stamped with the lease.  The process backend passes this — a task
+        must carry its replica across the process boundary — and it runs
+        for *every* attempt, so a retry or hedge gets a fresh (preferably
+        healthier) copy.  ``None`` submits tasks as they are (in-process
+        backends lease when a worker thread starts the task).
+    heal / max_pool_repairs:
+        *heal* is called when an attempt dies with
+        :class:`BrokenProcessPool` (retire the broken pool so
+        resubmission lands on a fresh fleet; returns whether it retired
+        one).  Such attempts are resubmitted at once without spending
+        ``max_retries`` while the run has healed at most
+        *max_pool_repairs* pools; past that they fail like any other.
+    on_outcome:
+        Per-attempt health feedback ``(task, ok) -> None`` for attempts
+        bound at submission — the service feeds its circuit breaker here
+        (in-process attempts report from the task runner itself).  Fleet
+        events are not reported: a broken pool says nothing about a copy.
     """
 
     def __init__(
@@ -216,20 +239,18 @@ class FanoutSupervisor:
         submit: Callable[[ShardTask], Future],
         policy: FaultPolicy,
         tracker: Optional[TaskLatencyTracker] = None,
-        reroute: Optional[Callable[[ShardTask], ShardTask]] = None,
+        bind: Optional[Callable[[ShardTask], ShardTask]] = None,
         heal: Optional[Callable[[], object]] = None,
-        on_submit: Optional[Callable[[ShardTask], None]] = None,
-        on_success: Optional[Callable[[ShardTask], None]] = None,
-        on_failure: Optional[Callable[[ShardTask, BaseException], None]] = None,
+        max_pool_repairs: int = 0,
+        on_outcome: Optional[Callable[[ShardTask, bool], None]] = None,
     ) -> None:
         self._submit = submit
         self._policy = policy
         self._tracker = tracker
-        self._reroute = reroute
+        self._bind = bind
         self._heal = heal
-        self._on_submit = on_submit
-        self._on_success = on_success
-        self._on_failure = on_failure
+        self._max_pool_repairs = max_pool_repairs
+        self._on_outcome = on_outcome
 
     # ------------------------------------------------------------------
     def _hedge_delay(self) -> Optional[float]:
@@ -276,18 +297,29 @@ class FanoutSupervisor:
             start + d if d is not None else math.inf for d in effective
         ]
         attempts: Dict[Future, _Attempt] = {}
+        pools_healed = 0
 
         def handle_failure(state: _ShardState, task: ShardTask, exc: BaseException) -> None:
-            if isinstance(exc, BrokenProcessPool) and self._heal is not None:
-                self._heal()
-            if self._on_failure is not None:
-                self._on_failure(task, exc)
+            nonlocal pools_healed
+            fleet_event = isinstance(exc, BrokenProcessPool) and self._heal is not None
+            if fleet_event:
+                # Every attempt in flight on the dead pool lands here;
+                # only the first finds a pool left to retire.
+                if self._heal():
+                    pools_healed += 1
+            elif self._on_outcome is not None:
+                self._on_outcome(task, False)
             if state.resolved:
                 return
             state.failures += 1
             state.last_error = exc
-            if state.failures <= policy.max_retries:
-                backoff = policy.retry_backoff_s * (2 ** (state.failures - 1))
+            if fleet_event and pools_healed <= self._max_pool_repairs:
+                outcomes[state.qi].retries += 1
+                launch(state)
+                return
+            state.charged += 1
+            if state.charged <= policy.max_retries:
+                backoff = policy.retry_backoff_s * (2 ** (state.charged - 1))
                 due = time.monotonic() + backoff
                 if due <= deadline_at[state.qi]:
                     if state.retry_due is None or due < state.retry_due:
@@ -300,18 +332,15 @@ class FanoutSupervisor:
                 state.resolved = True
                 outcomes[state.qi].failures[state.task.shard_id] = exc
 
-        def launch(state: _ShardState, *, first: bool = False, hedge: bool = False) -> None:
+        def launch(state: _ShardState, *, hedge: bool = False) -> None:
             task = state.task
-            if not first:
-                rerouted = self._reroute is not None
-                if rerouted:
-                    task = self._reroute(task)
+            if state.failures or hedge:
                 # Stamp the attempt ordinal and hedge flag so the span of
                 # whichever attempt wins says which attempt it was (both
                 # fields are trace metadata — no backend keys on them).
                 task = dc_replace(task, attempt=state.failures, hedge=hedge)
-                if rerouted and self._on_submit is not None:
-                    self._on_submit(task)
+            if self._bind is not None:
+                task = self._bind(task)
             try:
                 future = self._submit(task)
             except Exception as exc:
@@ -334,13 +363,14 @@ class FanoutSupervisor:
         # Submit after registering every state: an inline (serial) backend
         # completes each attempt synchronously inside launch().
         for state in states:
-            launch(state, first=True)
+            launch(state)
 
         while True:
             now = time.monotonic()
             # Deadline sweep: expired queries abandon their unresolved
             # shards (in-flight attempts are dropped from the wait set
-            # below; the pool finishes them, nobody listens).
+            # below and handed back in FanoutOutcome.in_flight; the pool
+            # finishes them, nobody listens).
             for qi, query_states in enumerate(by_query):
                 if now < deadline_at[qi]:
                     continue
@@ -354,7 +384,9 @@ class FanoutSupervisor:
                             else DeadlineExceeded(state.task, effective[qi])
                         )
             for future in [f for f, a in attempts.items() if a.state.resolved]:
-                attempts.pop(future).state.live -= 1
+                state = attempts.pop(future).state
+                state.live -= 1
+                outcomes[state.qi].in_flight.append(future)
             if all(state.resolved for state in states):
                 break
             # Fire due retries.
@@ -444,8 +476,8 @@ class FanoutSupervisor:
                 else:
                     if self._tracker is not None:
                         self._tracker.record(time.monotonic() - attempt.started)
-                    if self._on_success is not None:
-                        self._on_success(attempt.task)
+                    if self._on_outcome is not None:
+                        self._on_outcome(attempt.task, True)
                     if not state.resolved:
                         state.resolved = True
                         state.retry_due = None

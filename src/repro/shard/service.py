@@ -1,17 +1,20 @@
 """ShardedQueryService — parallel fan-out/merge over a ShardedGATIndex.
 
-Every query becomes ``n_shards`` independent :class:`ShardTask` units; a
+Every query becomes ``n_shards`` independent :class:`ShardTask` units; one
+:class:`~repro.shard.resilience.FanoutSupervisor` submits them through a
 pluggable executor (serial / thread / process, see
-:mod:`repro.shard.executor`) runs them, and the per-shard ranked lists are
-merged in a :class:`~repro.core.results.TopKCollector` — the same
-collector the engine itself uses, so tie-breaks (distance, then
-trajectory id) are identical and the merged ranking matches the unsharded
-engine byte-for-byte.
+:mod:`repro.shard.executor`), each to one of the ``n_replicas`` copies of
+its shard (:class:`~repro.shard.replicas.ReplicaPlacement`), and the
+per-shard ranked lists are merged in a
+:class:`~repro.core.results.TopKCollector` — the same collector the
+engine itself uses, so tie-breaks (distance, then trajectory id) are
+identical and the merged ranking matches the unsharded engine
+byte-for-byte.
 
-Batches are *flattened*: ``search_many`` submits every (query, shard)
-task into one pool, so batch-level and intra-query parallelism share the
-same worker budget and no shard sits idle while another query's slowest
-shard finishes.  Responses keep request order.
+Batches are *flattened*: ``search_many`` hands every (query, shard) task
+to one supervisor run over one pool, so batch-level and intra-query
+parallelism share the same worker budget and no shard sits idle while
+another query's slowest shard finishes.  Responses keep request order.
 
 Distributed top-k: shard tasks of one query prune and terminate against a
 cross-shard threshold on every backend — the in-process backends share a
@@ -34,10 +37,10 @@ Result cache: identical requests are memoised exactly like
 :class:`~repro.service.service.QueryService`, keyed by the same query
 signature, but invalidation watches the **composite** index version (the
 tuple of per-shard versions), so an insert into any shard drops the cache.
-With the process backend an insert additionally refreshes the worker
-snapshot: worker processes rebuild their engines from a fresh spec before
-the next query runs.  As with the single index, inserts must quiesce the
-service.
+The same version check rebinds or rebuilds the replica banks, and with the
+process backend refreshes the worker snapshot: worker processes rebuild
+their engines from a fresh spec before the next query runs.  As with the
+single index, inserts must quiesce the service.
 """
 
 from __future__ import annotations
@@ -46,10 +49,11 @@ import itertools
 import math
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import replace as dc_replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.context import SearchStats
-from repro.core.engine import EngineConfig, GATSearchEngine
+from repro.core.engine import EngineConfig
 from repro.core.query import Query
 from repro.core.results import TopKCollector
 from repro.model.distance import DistanceMetric
@@ -74,19 +78,28 @@ from repro.shard.executor import (
     run_shard_task,
 )
 from repro.shard.index import ShardedGATIndex
+from repro.shard.replicas import (
+    BreakerConfig,
+    ReplicaPlacement,
+    ReplicaRouter,
+    engine_cache_stats,
+)
 from repro.shard.resilience import (
+    ALL_OR_NOTHING,
     FanoutOutcome,
     FanoutSupervisor,
     FaultPolicy,
     TaskLatencyTracker,
 )
 from repro.storage.cache import CacheStats, LRUCache
+from repro.storage.disk import SimulatedDisk
 
 
 def _minus_cache_stats(
-    base: Optional[CacheStats], discarded: Sequence[Optional[CacheStats]]
+    base: Optional[CacheStats], gone: Optional[CacheStats]
 ) -> Optional[CacheStats]:
-    """Subtract discarded caches' counters from a baseline snapshot.
+    """Subtract discarded caches' (combined) counters from a baseline
+    snapshot.
 
     When an engine or replica bank is rebuilt its caches vanish from the
     "now" side of the service's delta-hit-rate accounting; subtracting
@@ -97,7 +110,6 @@ def _minus_cache_stats(
     [0, 1].  (The adjusted baseline's fields may go negative — that is
     fine, only differences are ever read.)
     """
-    gone = CacheStats.combined(list(discarded))
     if base is None or gone is None:
         return base
     return CacheStats(
@@ -148,26 +160,31 @@ class ShardedQueryService:
     executor:
         ``'thread'`` (default), ``'process'``, or ``'serial'``.
     max_workers:
-        Width of the fan-out pool.  Thread default is ``4 × n_shards``
-        (four queries' worth of shard tasks in flight); process default is
-        one worker per shard.  Ignored by the serial backend.
+        Width of the fan-out pool.  Thread default is ``4 × n_shards ×
+        n_replicas`` (four queries' worth of shard tasks in flight per
+        replica fleet); process default is one worker per shard copy,
+        ``n_shards × n_replicas`` — capacity grows with the copies, which
+        is the point of replication.  Ignored by the serial backend.
     result_cache_size:
         Query-signature result cache capacity (``0`` disables), shared
         across shards and invalidated on the composite index version.
     mp_context:
         Optional :mod:`multiprocessing` context for the process backend.
     fault_policy:
-        Optional :class:`~repro.shard.resilience.FaultPolicy`.  ``None``
-        (default) keeps the historical all-or-nothing fan-out — one plain
-        ``executor.run`` per batch, any shard failure raises.  With a
-        policy, every fan-out runs under a
-        :class:`~repro.shard.resilience.FanoutSupervisor`: per-query
-        deadlines, backoff'd retries, hedged attempts (replica tier), and
-        — when ``allow_partial`` — graceful degradation to partial
-        coverage instead of raising.  Rankings are byte-identical to the
-        legacy path whenever every shard answers.  Deadlines and hedges
-        need a concurrent backend; the serial executor runs tasks inline
-        where nothing can preempt them.
+        Optional :class:`~repro.shard.resilience.FaultPolicy` for the
+        fan-out supervisor: per-query deadlines, backoff'd retries,
+        hedged attempts, and — when ``allow_partial`` — graceful
+        degradation to partial coverage instead of raising.  ``None``
+        (default) means all-or-nothing
+        (:data:`~repro.shard.resilience.ALL_OR_NOTHING`: no retries, any
+        shard failure raises) with ``QueryRequest.deadline_s`` left
+        advisory.  Rankings are byte-identical whatever the policy
+        whenever every shard answers.  Replicas are what make retries and
+        hedges *useful*: a retried or hedged attempt is re-routed through
+        the router, which — fed by the circuit breaker — steers it to a
+        healthy sibling copy of the same shard.  Deadlines and hedges need
+        a concurrent backend; the serial executor runs tasks inline where
+        nothing can preempt them.
     obs:
         An optional :class:`~repro.obs.Observability` handle.  Metrics:
         every answered query feeds the registry.  Traces (handle with an
@@ -177,6 +194,35 @@ class ShardedQueryService:
         and fault events), process-fleet attempts record spans worker-side
         and ship them home in :attr:`ShardResult.spans` for re-parenting
         under the root.  ``None`` (default) = no instrumentation.
+    n_replicas:
+        Copies of each shard (default 1), load-balanced by the router —
+        see :mod:`repro.shard.replicas`.  The in-process backends
+        (serial/thread) hold the replica engine banks in this object; the
+        process backend realises replicas as the worker processes
+        themselves (each worker its own engines and disks) and stamps
+        each task's replica at submission purely for the router's lease
+        accounting.
+    replica_router:
+        A strategy name from :data:`~repro.shard.replicas.REPLICA_ROUTERS`,
+        or a prebuilt :class:`~repro.shard.replicas.ReplicaRouter` (must
+        match the fleet's shape).
+    router_seed:
+        Seed for the ``power-of-two`` sampler (reproducible dispatch
+        sequences; rankings never depend on it).
+    replica_disk_factory:
+        Called once per replica shard to create its disk.  Default:
+        every replica disk clones the primary shard disk's cost model
+        (page size, latency, ``concurrent_reads``), so a replica is
+        another copy on another identical device.  In-process backends
+        only — process workers always rebuild replica disks from the
+        spec (the primary's cost model), so passing a factory with
+        ``executor='process'`` raises rather than silently ignoring it.
+    breaker:
+        Optional :class:`~repro.shard.replicas.BreakerConfig` tuning the
+        per-replica circuit breaker (eject after N consecutive failures,
+        probation probe after a cool-down).  Only valid when
+        *replica_router* is a strategy name; a prebuilt router already
+        owns its breaker.
     """
 
     _MISS = object()
@@ -192,6 +238,11 @@ class ShardedQueryService:
         mp_context=None,
         fault_policy: Optional[FaultPolicy] = None,
         obs=None,
+        n_replicas: int = 1,
+        replica_router: Union[str, ReplicaRouter] = "round-robin",
+        router_seed: Optional[int] = None,
+        replica_disk_factory: Optional[Callable[[], SimulatedDisk]] = None,
+        breaker: Optional[BreakerConfig] = None,
     ) -> None:
         if executor not in EXECUTOR_KINDS:
             raise ValueError(
@@ -207,16 +258,34 @@ class ShardedQueryService:
         self.engine_config = (
             engine_config if engine_config is not None else EngineConfig()
         )
-        self.engines: List[GATSearchEngine] = [
-            GATSearchEngine(shard, metric=metric, config=self.engine_config)
-            for shard in index.shards
-        ]
+        # The one backend fork.  In-process backends run tasks on this
+        # object's engine banks and lease a replica when a worker thread
+        # starts the task (_run_task); the process backend's workers own
+        # the engines, so a task must carry its replica across the
+        # process boundary — leased at submission, released after the
+        # fan-out (_supervised_fanout).
+        self._in_process = executor != "process"
+        self.placement = ReplicaPlacement(
+            index,
+            n_replicas=n_replicas,
+            replica_router=replica_router,
+            router_seed=router_seed,
+            replica_disk_factory=replica_disk_factory,
+            breaker=breaker,
+            metric=metric,
+            engine_config=self.engine_config,
+            in_process=self._in_process,
+            obs=obs,
+        )
         if executor == "serial":
             self._executor = SerialShardExecutor(self._run_task)
         elif executor == "thread":
-            width = max_workers if max_workers is not None else 4 * index.n_shards
-            self._executor = ThreadShardExecutor(self._run_task, width)
+            if max_workers is None:
+                max_workers = 4 * index.n_shards * n_replicas
+            self._executor = ThreadShardExecutor(self._run_task, max_workers)
         else:
+            if max_workers is None:
+                max_workers = index.n_shards * n_replicas
             self._executor = ProcessShardExecutor(
                 self._make_spec(), max_workers=max_workers, mp_context=mp_context
             )
@@ -239,13 +308,17 @@ class ShardedQueryService:
         self._result_lookups = 0
         self._metrics = ServingMetrics()
         self.fault_policy = fault_policy
+        self._policy = fault_policy if fault_policy is not None else ALL_OR_NOTHING
         self._task_latency = TaskLatencyTracker()
         self._task_retries = 0
         self._task_hedges = 0
         self._task_hedges_denied = 0
         self._partial_responses = 0
-        self._hicl_base: CacheStats = index.hicl_cache_stats()
-        self._apl_base: Optional[CacheStats] = self._apl_cache_stats()
+        self._hicl_base, self._apl_base = engine_cache_stats(self.placement.engines())
+        # Breaker counters are monotonic on ReplicaHealth; stats() diffs
+        # them against this reset-time baseline so reset_stats() actually
+        # zeroes the reported trip counts.
+        self._breaker_base: Tuple[int, int, int] = (0, 0, 0)
 
     # ------------------------------------------------------------------
     # Executor plumbing
@@ -263,8 +336,8 @@ class ShardedQueryService:
         tasks of one query prune against their shared merged top-k.
 
         Failure contract (every backend funnels through here or through a
-        worker equivalent): the engine lease is *always* released, the
-        replica tier's health tracker hears about the outcome, and any
+        worker equivalent): the replica lease is *always* released, the
+        router's circuit breaker hears about the outcome, and any
         exception leaves wrapped in a :class:`ShardTaskError` naming the
         shard, replica, and query — never as a bare traceback from
         somewhere inside a pool.
@@ -278,19 +351,22 @@ class ShardedQueryService:
         with self._lock:
             shared = self._shared.get(task.group)
             root = self._trace_roots.get(task.group) if tracing else None
-        engine, release, replica = self._lease_engine(task)
+        placement = self.placement
+        shard_id = task.shard_id
+        engine, replica = placement.lease(shard_id)
         span = None
         if tracing:
-            attrs = {
-                "shard": task.shard_id,
-                "replica": replica,
-                "attempt": task.attempt,
-                "hedge": task.hedge,
-            }
-            breaker = self._task_breaker_state(task.shard_id, replica)
-            if breaker is not None:
-                attrs["breaker"] = breaker
-            span = obs.tracer.start_span("shard_task", parent=root, attrs=attrs)
+            span = obs.tracer.start_span(
+                "shard_task",
+                parent=root,
+                attrs={
+                    "shard": shard_id,
+                    "replica": replica,
+                    "attempt": task.attempt,
+                    "hedge": task.hedge,
+                    "breaker": placement.breaker_state(shard_id, replica),
+                },
+            )
         try:
             if shared is None:  # defensive: run standalone, still exact
                 result = run_shard_task(engine, task, trace_span=span)
@@ -305,44 +381,17 @@ class ShardedQueryService:
         except Exception as exc:
             if span is not None:
                 span.set_attr("error", f"{type(exc).__name__}: {exc}")
-            self._note_task_outcome(task, replica, ok=False)
+            placement.note_outcome(shard_id, replica, ok=False)
             if isinstance(exc, ShardTaskError):
                 raise
             raise ShardTaskError(task, exc, replica=replica) from exc
         else:
-            self._note_task_outcome(task, replica, ok=True)
+            placement.note_outcome(shard_id, replica, ok=True)
             return result
         finally:
             if span is not None:
                 span.end()
-            if release is not None:
-                release()
-
-    def _lease_engine(self, task: ShardTask):
-        """Pick the engine an in-process task runs on: ``(engine,
-        release, replica)`` where *release* (or ``None``) is called once
-        the task finishes and *replica* names the copy serving it.  The
-        base service has exactly one copy of each shard; the replicated
-        tier overrides this to route the task to a replica and to return
-        the router's lease release."""
-        return self.engines[task.shard_id], None, 0
-
-    def _note_task_outcome(self, task: ShardTask, replica: int, ok: bool) -> None:
-        """Per-attempt health feedback; the replicated tier feeds its
-        routers' circuit breakers here.  No-op for the base service."""
-
-    def _task_breaker_state(self, shard_id, replica) -> Optional[str]:
-        """Circuit-breaker state of the (shard, replica) pair serving a
-        task — trace metadata stamped onto ``shard_task`` spans.  The base
-        service has no breakers; the replica tier reports its router's
-        view (``closed`` / ``open`` / ``probing``)."""
-        return None
-
-    def _reroute_task(self, task: ShardTask) -> ShardTask:
-        """Build the retry/hedge attempt for *task*.  In-process backends
-        route at execution time, so the same task object is resubmitted;
-        the replica tier's process backend leases a fresh replica."""
-        return task
+            placement.router.release(shard_id, replica)
 
     def _make_spec(self) -> ShardEngineSpec:
         """A picklable snapshot of the current fleet for process workers.
@@ -386,49 +435,39 @@ class ShardedQueryService:
     # Cache + version handling
     # ------------------------------------------------------------------
     def _check_version(self) -> Tuple[int, ...]:
-        """Invalidate on composite-version movement; with the process
-        backend also schedule a worker-snapshot refresh.  Returns the
-        version the caller's lookups/puts are valid against."""
+        """Invalidate on composite-version movement: drop the result
+        cache, catch the engine banks up with the mutated primary, and
+        with the process backend schedule a worker-snapshot refresh — all
+        *before* the fresh version is published, so a concurrent search
+        that observes the new ``_index_version`` can never lease a
+        pre-insert engine behind it (latecomers block on the lock until
+        the new banks are in).  Returns the version the caller's
+        lookups/puts are valid against."""
         version = self.index.version
         if version != self._index_version:
             with self._lock:
                 if version != self._index_version:
                     if self._result_cache is not None:
                         self._result_cache.clear()
-                    self._refresh_engines()
-                    if isinstance(self._executor, ProcessShardExecutor):
+                    discarded = self.placement.resync()
+                    # The discarded engines' caches vanish from the "now"
+                    # side of stats()' hit-rate deltas, so their counters
+                    # must leave the baselines too — under the lock
+                    # stats() reads both sides under — or the deltas read
+                    # outside [0, 1].
+                    self._hicl_base, self._apl_base = (
+                        _minus_cache_stats(base, gone)
+                        for base, gone in zip(
+                            (self._hicl_base, self._apl_base),
+                            engine_cache_stats(discarded),
+                        )
+                    )
+                    for engine in discarded:
+                        engine.close()
+                    if not self._in_process:
                         self._executor.refresh(self._make_spec())
                     self._index_version = version
         return self._index_version
-
-    def _refresh_engines(self) -> None:
-        """Rebind per-shard engines whose underlying :class:`GATIndex`
-        object was *replaced* since construction.  An overflow insert
-        (:meth:`ShardedGATIndex._rebuild_expanded`) swaps a new index
-        into ``index.shards[sid]``; the engine built at construction
-        would otherwise keep serving the orphaned pre-insert snapshot.
-        Mutates ``self.engines`` in place so aliases of the list (the
-        replica tier's bank 0) see the rebound engines too.  Runs under
-        ``self._lock`` (from :meth:`_check_version`), which also guards
-        the baseline adjustment: the discarded engine's APL cache and the
-        orphaned index's HICL cache vanish from the "now" side of the
-        hit-rate deltas, so their counters must leave the baselines too.
-        """
-        discarded_hicl: List[CacheStats] = []
-        discarded_apl: List[Optional[CacheStats]] = []
-        for sid, shard in enumerate(self.index.shards):
-            if self.engines[sid].index is not shard:
-                old = self.engines[sid]
-                discarded_hicl.append(old.index.hicl.cache_stats())
-                discarded_apl.append(old.apl_cache_stats())
-                self.engines[sid] = GATSearchEngine(
-                    shard, metric=self.metric, config=self.engine_config
-                )
-                old.close()
-        if discarded_hicl:
-            self._hicl_base = _minus_cache_stats(self._hicl_base, discarded_hicl)
-        if discarded_apl:
-            self._apl_base = _minus_cache_stats(self._apl_base, discarded_apl)
 
     def _cache_lookup(self, request: QueryRequest) -> Optional[QueryResponse]:
         if self._result_cache is None:
@@ -471,7 +510,7 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
     # Fan-out / merge
     # ------------------------------------------------------------------
-    def _tasks_for(
+    def _fanout_tasks(
         self, request: QueryRequest, group: int, threshold_slot: Optional[int] = None
     ) -> List[ShardTask]:
         """One task per shard, **nearest shard first**: tasks are ordered
@@ -495,7 +534,7 @@ class ShardedQueryService:
         trace = (
             self.obs is not None
             and self.obs.tracer.enabled
-            and isinstance(self._executor, ProcessShardExecutor)
+            and not self._in_process
         )
         return [
             ShardTask(
@@ -511,35 +550,6 @@ class ShardedQueryService:
             for sid in order
         ]
 
-    def _after_fanout(self, tasks: Sequence[ShardTask]) -> None:
-        """Hook run after a fan-out's tasks complete (or fail), alongside
-        slot/group cleanup.  No-op here; the replicated tier releases the
-        submission-time replica leases of process-backend tasks."""
-
-    @staticmethod
-    def _merge(
-        request: QueryRequest,
-        shard_results: Sequence[ShardResult],
-        shards_total: Optional[int] = None,
-    ) -> QueryResponse:
-        """k-way merge of per-shard rankings plus stats aggregation.
-        *shards_total* stamps the coverage denominator when the merge is
-        (possibly) partial — the supervised path passes the fan-out
-        width; the legacy path always merges every shard."""
-        collector = TopKCollector(request.k)
-        for shard_result in shard_results:
-            for result in shard_result.results:
-                collector.offer(result)
-        answered = len(shard_results)
-        return QueryResponse(
-            request=request,
-            results=collector.results(),
-            stats=SearchStats.merged([r.stats for r in shard_results]),
-            latency_s=max((r.latency_s for r in shard_results), default=0.0),
-            shards_answered=answered,
-            shards_total=shards_total if shards_total is not None else answered,
-        )
-
     def _run_many(self, requests: Sequence[QueryRequest]) -> List[QueryResponse]:
         version = self._check_version()
         responses: List[Optional[QueryResponse]] = [None] * len(requests)
@@ -554,15 +564,12 @@ class ShardedQueryService:
             fanouts: List[List[ShardTask]] = []
             groups: List[int] = []
             slots: List[Optional[int]] = []
-            # Every task whose creation took a lease (submission-routed
-            # replicas) or whose slot must go back — including tasks built
-            # before a mid-batch failure and retry/hedge attempts the
-            # supervisor adds.  Inside the try so *every* failure path
-            # releases them (a half-built batch used to leak the earlier
-            # queries' slots and leases).
-            submitted: List[ShardTask] = []
-            in_process = not isinstance(self._executor, ProcessShardExecutor)
+            outcomes: List[FanoutOutcome] = []
+            in_process = self._in_process
             tracing = self.obs is not None and self.obs.tracer.enabled
+            # Everything a query registers or leases is taken inside the
+            # try so *every* failure path hands it back (a half-built
+            # batch used to leak the earlier queries' slots).
             try:
                 for i in pending:
                     group = next(self._group_ids)
@@ -588,49 +595,42 @@ class ShardedQueryService:
                         # minimum.
                         slot = self._executor.acquire_slot()
                         slots.append(slot)
-                    fanout = self._tasks_for(requests[i], group, threshold_slot=slot)
-                    fanouts.append(fanout)
-                    submitted.extend(fanout)
-                if self.fault_policy is None:
-                    # Legacy all-or-nothing fan-out: one flattened run,
-                    # byte-identical to the pre-supervision service.
-                    tasks = [task for fanout in fanouts for task in fanout]
-                    results = self._executor.run(tasks)
-                    n = self.n_shards
-                    for offset, i in enumerate(pending):
-                        shard_results = results[offset * n : (offset + 1) * n]
-                        if tracing:
-                            self._adopt_worker_spans(groups[offset], shard_results)
-                        response = self._merge(requests[i], shard_results)
-                        self._cache_put(requests[i], response, version)
-                        responses[i] = response
-                        if tracing:
-                            self._end_trace_root(groups[offset], response)
-                else:
-                    outcomes = self._supervised_fanout(
-                        fanouts,
-                        submitted,
-                        deadlines=[requests[i].deadline_s for i in pending],
+                    fanouts.append(
+                        self._fanout_tasks(requests[i], group, threshold_slot=slot)
                     )
-                    for outcome, i, fanout in zip(outcomes, pending, fanouts):
-                        if tracing:
-                            self._adopt_worker_spans(
-                                fanout[0].group, list(outcome.results.values())
-                            )
-                        response = self._assemble(requests[i], fanout, outcome)
-                        if response.complete:
-                            self._cache_put(requests[i], response, version)
-                        responses[i] = response
-                        if tracing:
-                            self._end_trace_root(fanout[0].group, response)
+                # Without a policy a request's deadline stays advisory: the
+                # query finishes late rather than dropping a shard.
+                deadlines = (
+                    [requests[i].deadline_s for i in pending]
+                    if self.fault_policy is not None
+                    else None
+                )
+                outcomes = self._supervised_fanout(fanouts, deadlines)
+                for outcome, i, fanout in zip(outcomes, pending, fanouts):
+                    if tracing:
+                        self._adopt_worker_spans(
+                            fanout[0].group, list(outcome.results.values())
+                        )
+                    response = self._assemble(requests[i], fanout, outcome)
+                    if response.complete:
+                        self._cache_put(requests[i], response, version)
+                    responses[i] = response
+                    if tracing:
+                        self._end_trace_root(fanout[0].group, response)
             finally:
                 if in_process:
                     with self._lock:
                         for group in groups:
                             self._shared.pop(group, None)
                 else:
-                    for slot in slots:
-                        self._executor.release_slot(slot)
+                    # A slot goes back only once the query's abandoned
+                    # attempts — still publishing into it from their
+                    # workers — are done (at once when the fan-out never
+                    # ran or left none behind).
+                    for slot, outcome in itertools.zip_longest(slots, outcomes):
+                        self._executor.release_slot(
+                            slot, after=outcome.in_flight if outcome else ()
+                        )
                 if tracing:
                     # Roots still registered here belong to queries that
                     # died mid-fan-out; end them so the trace buffer never
@@ -643,7 +643,6 @@ class ShardedQueryService:
                         if root is not None:
                             root.set_attr("error", True)
                             root.end()
-                self._after_fanout(submitted)
         return responses  # type: ignore[return-value]
 
     def _adopt_worker_spans(
@@ -663,7 +662,7 @@ class ShardedQueryService:
         for span in self.obs.tracer.adopt(payloads, root):
             if span.name != "shard_task":
                 continue
-            breaker = self._task_breaker_state(
+            breaker = self.placement.breaker_state(
                 span.attrs.get("shard"), span.attrs.get("replica")
             )
             if breaker is not None:
@@ -687,7 +686,6 @@ class ShardedQueryService:
     def _supervised_fanout(
         self,
         fanouts: List[List[ShardTask]],
-        submitted: List[ShardTask],
         deadlines: Optional[List[Optional[float]]] = None,
     ) -> List[FanoutOutcome]:
         """Run the batch's fan-outs under the service's fault policy.
@@ -695,32 +693,41 @@ class ShardedQueryService:
         ``fault_policy.deadline_s`` (per-request remaining budgets from
         the serving front-end)."""
         executor = self._executor
-        in_process = not isinstance(executor, ProcessShardExecutor)
-        if in_process:
-            # Execution-time routing: retries/hedges resubmit the same
-            # task, the router picks the replica when the lease happens,
+        placement = self.placement
+        # Submission-time replica leases (process backend), returned once
+        # the whole fan-out is back.
+        leased: List[ShardTask] = []
+        if self._in_process:
+            # Execution-time binding: retries/hedges resubmit the same
+            # task, the router picks the replica when _run_task leases,
             # and _run_task itself reports health.
-            reroute = on_success = on_failure = None
+            bind = on_outcome = None
+            max_pool_repairs = 0
         else:
-            reroute = self._reroute_task
 
-            def on_success(task: ShardTask) -> None:
-                self._note_task_outcome(task, task.replica, ok=True)
+            def bind(task: ShardTask) -> ShardTask:
+                task = dc_replace(task, replica=placement.router.route(task.shard_id))
+                leased.append(task)
+                return task
 
-            def on_failure(task: ShardTask, exc: BaseException) -> None:
-                self._note_task_outcome(task, task.replica, ok=False)
+            def on_outcome(task: ShardTask, ok: bool) -> None:
+                placement.note_outcome(task.shard_id, task.replica, ok)
 
+            max_pool_repairs = executor.max_pool_repairs
         supervisor = FanoutSupervisor(
             executor.submit,
-            self.fault_policy,
+            self._policy,
             self._task_latency,
-            reroute=reroute,
+            bind=bind,
             heal=executor.heal,
-            on_submit=submitted.append,
-            on_success=on_success,
-            on_failure=on_failure,
+            max_pool_repairs=max_pool_repairs,
+            on_outcome=on_outcome,
         )
-        outcomes = supervisor.run(fanouts, deadlines=deadlines)
+        try:
+            outcomes = supervisor.run(fanouts, deadlines=deadlines)
+        finally:
+            for task in leased:
+                placement.router.release(task.shard_id, task.replica)
         retries = sum(o.retries for o in outcomes)
         hedges = sum(o.hedges for o in outcomes)
         hedges_denied = sum(o.hedges_denied for o in outcomes)
@@ -735,26 +742,38 @@ class ShardedQueryService:
     def _assemble(
         self, request: QueryRequest, fanout: List[ShardTask], outcome: FanoutOutcome
     ) -> QueryResponse:
-        """Turn one supervised fan-out into a response: a full merge when
-        every shard answered (byte-identical to the legacy path), a
-        partial-coverage merge when allowed, a contextual raise when not."""
+        """Turn one fan-out into a response: a k-way merge of the
+        per-shard rankings plus stats aggregation — full when every shard
+        answered, partial-coverage when the policy allows it, a
+        contextual raise when not."""
         answered = [
             outcome.results[task.shard_id]
             for task in fanout
             if task.shard_id in outcome.results
         ]
-        if len(answered) < len(fanout) and not self.fault_policy.allow_partial:
-            for task in fanout:
-                exc = outcome.failures.get(task.shard_id)
-                if exc is not None:
-                    if isinstance(exc, ShardTaskError):
-                        raise exc
-                    raise ShardTaskError(task, exc) from exc
-            raise RuntimeError("fan-out incomplete without a recorded failure")
         if len(answered) < len(fanout):
+            if not self._policy.allow_partial:
+                for task in fanout:
+                    exc = outcome.failures.get(task.shard_id)
+                    if exc is not None:
+                        if isinstance(exc, ShardTaskError):
+                            raise exc
+                        raise ShardTaskError(task, exc) from exc
+                raise RuntimeError("fan-out incomplete without a recorded failure")
             with self._lock:
                 self._partial_responses += 1
-        return self._merge(request, answered, shards_total=len(fanout))
+        collector = TopKCollector(request.k)
+        for shard_result in answered:
+            for result in shard_result.results:
+                collector.offer(result)
+        return QueryResponse(
+            request=request,
+            results=collector.results(),
+            stats=SearchStats.merged([r.stats for r in answered]),
+            latency_s=max((r.latency_s for r in answered), default=0.0),
+            shards_answered=len(answered),
+            shards_total=len(fanout),
+        )
 
     # ------------------------------------------------------------------
     # Serving API (mirrors QueryService)
@@ -817,11 +836,10 @@ class ShardedQueryService:
         return responses
 
     def close(self) -> None:
-        """Shut down the fan-out executor and the per-shard engines'
+        """Shut down the fan-out executor and every bank's engines'
         auxiliary pools (idempotent)."""
         self._executor.close()
-        for engine in self.engines:
-            engine.close()
+        self.placement.close()
 
     def __enter__(self) -> "ShardedQueryService":
         return self
@@ -832,40 +850,28 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def _apl_cache_stats(self) -> Optional[CacheStats]:
-        return CacheStats.combined(
-            [engine.apl_cache_stats() for engine in self._all_engines()]
-        )
-
-    def _all_engines(self) -> List[GATSearchEngine]:
-        """Every in-process engine the service can route to — the replica
-        tier overrides this so cache accounting spans its replica banks."""
-        return self.engines
-
-    def _hicl_cache_stats(self) -> CacheStats:
-        """Fleet HICL cache accounting; the replica tier adds its banks."""
-        return self.index.hicl_cache_stats()
-
     _delta_hit_rate = staticmethod(delta_hit_rate)
 
     def stats(self) -> ServiceStats:
         """Fleet-wide :class:`ServiceStats`.
 
-        Cache hit rates sum hits/lookups across the per-shard HICL caches
-        and engine APL caches (each lookup happened on exactly one shard).
-        With the process backend the in-process caches are bypassed —
-        worker processes own their engines — so those rates read 0.
+        Cache hit rates sum hits/lookups across every bank's HICL caches
+        and engine APL caches (each lookup happened on exactly one copy of
+        one shard).  With the process backend the in-process caches are
+        bypassed — worker processes own their engines — so those rates
+        read 0.
         """
         with self._lock:
-            # Both sides of each delta under one lock: _refresh_engines
-            # (overflow insert) swaps zero-counter caches in and adjusts
-            # the baselines atomically under this same lock, so a reader
+            # Both sides of each delta under one lock: _check_version
+            # (insert) swaps zero-counter caches in and adjusts the
+            # baselines atomically under this same lock, so a reader
             # must never pair the new "now" with the old baseline (or
             # vice versa) — that torn diff reads outside [0, 1].
-            hicl_rate = self._delta_hit_rate(
-                self._hicl_cache_stats(), self._hicl_base
-            )
-            apl_rate = self._delta_hit_rate(self._apl_cache_stats(), self._apl_base)
+            hicl_now, apl_now = engine_cache_stats(self.placement.engines())
+            hicl_rate = self._delta_hit_rate(hicl_now, self._hicl_base)
+            apl_rate = self._delta_hit_rate(apl_now, self._apl_base)
+            ejections, restores, probes = self.placement.router.health_counters()
+            breaker_base = self._breaker_base
             result_hits = self._result_hits
             result_lookups = self._result_lookups
             task_retries = self._task_retries
@@ -881,6 +887,9 @@ class ShardedQueryService:
         stats.task_hedges = task_hedges
         stats.task_hedges_denied = task_hedges_denied
         stats.partial_responses = partial_responses
+        stats.breaker_ejections = ejections - breaker_base[0]
+        stats.breaker_restores = restores - breaker_base[1]
+        stats.breaker_probes = probes - breaker_base[2]
         return stats
 
     def reset_stats(self) -> None:
@@ -893,5 +902,7 @@ class ShardedQueryService:
             self._task_hedges = 0
             self._task_hedges_denied = 0
             self._partial_responses = 0
-            self._hicl_base = self._hicl_cache_stats()
-            self._apl_base = self._apl_cache_stats()
+            self._hicl_base, self._apl_base = engine_cache_stats(
+                self.placement.engines()
+            )
+            self._breaker_base = self.placement.router.health_counters()

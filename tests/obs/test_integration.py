@@ -24,11 +24,7 @@ from repro.faults import FaultInjector, FaultRule, kill_fleet_workers
 from repro.index.gat.index import GATConfig, GATIndex
 from repro.obs import Observability, parse_prometheus_text, validate_spans
 from repro.service import QueryService
-from repro.shard import (
-    FaultPolicy,
-    ReplicatedShardedService,
-    ShardedGATIndex,
-)
+from repro.shard import FaultPolicy, ShardedGATIndex, ShardedQueryService
 from repro.storage.disk import SimulatedDisk
 
 CONFIG = GATConfig(depth=4, memory_levels=3)
@@ -130,7 +126,7 @@ class TestShardedTracing:
             ),
         )
         with sharded:
-            with ReplicatedShardedService(
+            with ShardedQueryService(
                 sharded,
                 executor="thread",
                 n_replicas=2,
@@ -175,7 +171,7 @@ class TestShardedTracing:
     def test_obs_none_service_stays_untraced(self, db, queries):
         sharded = ShardedGATIndex.build(db, n_shards=N_SHARDS, config=CONFIG)
         with sharded:
-            with ReplicatedShardedService(
+            with ShardedQueryService(
                 sharded, executor="thread", n_replicas=2, result_cache_size=0
             ) as service:
                 response = service.search(queries[0], k=K)
@@ -192,7 +188,7 @@ class TestProcessFleetAcceptance:
             db, n_shards=N_SHARDS, config=CONFIG, store="shared"
         )
         try:
-            with ReplicatedShardedService(
+            with ShardedQueryService(
                 sharded,
                 executor="process",
                 n_replicas=2,

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.index.gat.index import GATConfig
-from repro.shard import BreakerConfig, ReplicatedShardedService, ShardedGATIndex
+from repro.shard import BreakerConfig, ShardedGATIndex, ShardedQueryService
 
 CONFIG = GATConfig(depth=4, memory_levels=3)
 N_SHARDS = 2
@@ -27,7 +27,7 @@ def service(tiny_db):
         copy.deepcopy(tiny_db), n_shards=N_SHARDS, config=CONFIG
     )
     with sharded:
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded,
             executor="serial",
             n_replicas=2,
@@ -40,15 +40,15 @@ def service(tiny_db):
 
 def test_ejections_surface_in_stats(service):
     assert service.stats().breaker_ejections == 0
-    service.router.record_failure(0, 0)  # threshold 1: instant ejection
+    service.placement.router.record_failure(0, 0)  # threshold 1: instant ejection
     stats = service.stats()
     assert stats.breaker_ejections == 1
     assert stats.breaker_restores == 0
 
 
 def test_reset_stats_zeroes_breaker_counters(service):
-    service.router.record_failure(0, 0)
-    service.router.record_failure(1, 1)
+    service.placement.router.record_failure(0, 0)
+    service.placement.router.record_failure(1, 1)
     assert service.stats().breaker_ejections == 2
 
     service.reset_stats()
@@ -59,12 +59,12 @@ def test_reset_stats_zeroes_breaker_counters(service):
     assert stats.breaker_probes == 0
 
     # New trips after the reset count from zero, not from history.
-    service.router.record_failure(0, 1)
+    service.placement.router.record_failure(0, 1)
     assert service.stats().breaker_ejections == 1
 
 
 def test_probe_and_restore_count_within_the_window(service):
-    router = service.router
+    router = service.placement.router
     router.record_failure(0, 0)  # eject replica (0, 0)
     service.reset_stats()
     time.sleep(0.06)  # probation expires

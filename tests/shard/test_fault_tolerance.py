@@ -7,15 +7,18 @@ threshold slots.
 """
 
 import copy
+import math
 
 import pytest
 
 from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
+from repro.core.context import SearchStats
+from repro.core.engine import EngineConfig, GATSearchEngine
+from repro.core.results import TopKCollector
 from repro.faults import FaultInjector, FaultRule, InjectedDiskError
-from repro.index.gat.index import GATConfig
+from repro.index.gat.index import GATConfig, GATIndex
 from repro.shard import (
     FaultPolicy,
-    ReplicatedShardedService,
     ShardedGATIndex,
     ShardedQueryService,
     ShardTaskError,
@@ -71,21 +74,87 @@ def _truth(db, queries):
 
 
 # ----------------------------------------------------------------------
-# Parity: supervision must be free when nothing fails
+# Parity: replicas, backends, and policies must be invisible when nothing
+# fails
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_supervised_parity_with_no_faults(db, queries, executor):
-    truth = _truth(db, queries)
+SCALAR = EngineConfig(kernel="scalar")
+
+
+def _scalar_oracle(db, sharded, queries):
+    """No service code involved.  Rankings: the scalar engine over one
+    single index of the whole database.  Pruning counters: a serial
+    fan-out replayed by hand — one scalar engine per shard index, nearest
+    shard first, pruning against a plain shared collector."""
+    single = GATSearchEngine(GATIndex.build(db, CONFIG), config=SCALAR)
+    rankings = [
+        [(r.trajectory_id, r.distance) for r in single.execute(query, K).ranked]
+        for query in queries
+    ]
+    engines = [GATSearchEngine(shard, config=SCALAR) for shard in sharded.shards]
+    centroids = sharded.shard_centroids
+    counters = []
+    for query in queries:
+        qx = sum(p.x for p in query) / len(query)
+        qy = sum(p.y for p in query) / len(query)
+        nearest_first = sorted(
+            range(N_SHARDS),
+            key=lambda sid: math.hypot(centroids[sid][0] - qx, centroids[sid][1] - qy),
+        )
+        merged = TopKCollector(K)
+        stats = SearchStats.merged(
+            [
+                engines[sid]
+                .execute(
+                    query,
+                    K,
+                    external_threshold=merged.kth_distance,
+                    result_sink=merged.offer,
+                )
+                .stats
+                for sid in nearest_first
+            ]
+        )
+        counters.append((stats.tas_pruned, stats.apl_pruned, stats.mib_pruned))
+    return rankings, counters
+
+
+@pytest.mark.parametrize(
+    "fault_policy",
+    [None, FaultPolicy(deadline_s=60.0, max_retries=2)],
+    ids=["no-policy", "policy"],
+)
+@pytest.mark.parametrize("n_replicas", [1, 2])
+@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+def test_supervised_parity_with_no_faults(
+    db, queries, executor, n_replicas, fault_policy
+):
     with _build(db) as sharded:
+        rankings, counters = _scalar_oracle(db, sharded, queries)
         with ShardedQueryService(
             sharded,
+            engine_config=SCALAR,
             executor=executor,
+            n_replicas=n_replicas,
             result_cache_size=0,
-            fault_policy=FaultPolicy(deadline_s=60.0, max_retries=2),
+            fault_policy=fault_policy,
         ) as service:
             responses = service.search_many(queries, k=K)
             stats = service.stats()
-    assert _rankings(responses) == truth
+            # Nothing leased or registered outlives the batch.
+            router = service.placement.router
+            for shard_id in range(N_SHARDS):
+                assert router.in_flight(shard_id) == (0,) * n_replicas
+            if executor == "process":
+                pool = service._executor
+                assert sorted(pool._free_slots) == list(range(pool.N_SLOTS))
+            assert not service._shared
+            assert not service._trace_roots
+    assert _rankings(responses) == rankings
+    if executor == "serial":
+        assert [
+            (r.stats.tas_pruned, r.stats.apl_pruned, r.stats.mib_pruned)
+            for r in responses
+        ] == counters
     assert all(r.complete for r in responses)
     assert all(
         r.shards_answered == N_SHARDS and r.shards_total == N_SHARDS
@@ -217,7 +286,7 @@ def test_hedge_fires_on_slow_replica_and_stays_exact(db, queries):
     with _build(
         db, disk_factory=lambda: SimulatedDisk(read_latency_s=0.02)
     ) as sharded:
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded,
             executor="thread",
             n_replicas=2,
@@ -241,7 +310,7 @@ def test_failover_to_clean_replicas_reaches_full_coverage(db, queries):
     with _build(
         db, disk_factory=lambda: SimulatedDisk(fault_injector=injector)
     ) as sharded:
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded,
             executor="thread",
             n_replicas=2,
@@ -263,7 +332,7 @@ def test_router_in_flight_drains_after_total_failure(db, queries):
     with _build(
         db, disk_factory=lambda: SimulatedDisk(fault_injector=injector)
     ) as sharded:
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded,
             executor="thread",
             n_replicas=2,
@@ -276,7 +345,7 @@ def test_router_in_flight_drains_after_total_failure(db, queries):
             responses = service.search_many(queries, k=K)
             assert all(r.shards_answered == 0 for r in responses)
             for shard_id in range(N_SHARDS):
-                assert service.router.in_flight(shard_id) == (0, 0)
+                assert service.placement.router.in_flight(shard_id) == (0, 0)
 
 
 def test_breaker_config_requires_strategy_name(db):
@@ -287,7 +356,7 @@ def test_breaker_config_requires_strategy_name(db):
 
     with _build(db) as sharded:
         with pytest.raises(ValueError, match="strategy name"):
-            ReplicatedShardedService(
+            ShardedQueryService(
                 sharded,
                 executor="serial",
                 n_replicas=2,
@@ -308,16 +377,16 @@ def test_failed_batch_build_releases_threshold_slots(db, queries, monkeypatch):
             sharded, executor="process", result_cache_size=0
         ) as service:
             executor = service._executor
-            real_tasks_for = service._tasks_for
+            real_fanout_tasks = service._fanout_tasks
             calls = {"n": 0}
 
-            def exploding_tasks_for(request, group, threshold_slot=None):
+            def exploding_fanout_tasks(request, group, threshold_slot=None):
                 calls["n"] += 1
                 if calls["n"] == 2:
                     raise RuntimeError("boom while building fan-out")
-                return real_tasks_for(request, group, threshold_slot)
+                return real_fanout_tasks(request, group, threshold_slot)
 
-            monkeypatch.setattr(service, "_tasks_for", exploding_tasks_for)
+            monkeypatch.setattr(service, "_fanout_tasks", exploding_fanout_tasks)
             with pytest.raises(RuntimeError, match="boom"):
                 service.search_many(queries[:2], k=K)
             assert sorted(executor._free_slots) == list(range(executor.N_SLOTS))

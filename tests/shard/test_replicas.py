@@ -1,5 +1,5 @@
-"""Replica tier: router strategies, byte-identical parity with the
-unreplicated service, replica bank lifecycle, and insert resync."""
+"""Replicas: router strategies, byte-identical parity with the
+single-copy service, replica bank lifecycle, and insert resync."""
 
 import copy
 import threading
@@ -14,7 +14,6 @@ from repro.shard import (
     REPLICA_ROUTERS,
     LeastInFlightRouter,
     PowerOfTwoRouter,
-    ReplicatedShardedService,
     RoundRobinRouter,
     ShardedGATIndex,
     ShardedQueryService,
@@ -36,6 +35,15 @@ def _rankings(responses):
     return [
         [(r.trajectory_id, r.distance) for r in resp.results] for resp in responses
     ]
+
+
+def _banks_at_primary_version(service, sharded):
+    """Every bank's engines index the primary shards' current version."""
+    return all(
+        engine.index.version == shard.version
+        for bank in service.placement.banks
+        for engine, shard in zip(bank, sharded.shards)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +130,7 @@ class TestReplicatedParity:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_rankings_byte_identical(self, reference, router, executor):
         sharded, queries, atsq, oatsq = reference
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded,
             executor=executor,
             n_replicas=2,
@@ -137,12 +145,12 @@ class TestReplicatedParity:
             )
             # Every lease taken during the fan-outs was returned.
             for sid in range(sharded.n_shards):
-                assert service.router.in_flight(sid) == (0, 0)
-            assert service.router.routed > 0
+                assert service.placement.router.in_flight(sid) == (0, 0)
+            assert service.placement.router.routed > 0
 
     def test_three_replicas_serial(self, reference):
         sharded, queries, atsq, _ = reference
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded,
             executor="serial",
             n_replicas=3,
@@ -153,7 +161,7 @@ class TestReplicatedParity:
 
     def test_batched_explain_parity(self, reference):
         sharded, queries, _, _ = reference
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded,
             executor="serial",
             n_replicas=2,
@@ -181,7 +189,7 @@ class TestReplicatedProcessBackend:
             sharded, executor="serial", result_cache_size=0
         ) as base:
             expected = _rankings(base.search_many(queries, k=3))
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded,
             executor="process",
             n_replicas=2,
@@ -192,7 +200,7 @@ class TestReplicatedProcessBackend:
             # Submission-time leases are all released once the fan-out
             # returns.
             for sid in range(sharded.n_shards):
-                assert service.router.in_flight(sid) == (0, 0)
+                assert service.placement.router.in_flight(sid) == (0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +212,7 @@ class TestReplicaMechanics:
         banks, so the replica copies' own disks must see reads."""
         sharded = ShardedGATIndex.build(tiny_db, n_shards=2, config=CONFIG)
         query = _queries(tiny_db, n=1)[0]
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded,
             executor="serial",
             n_replicas=2,
@@ -214,7 +222,7 @@ class TestReplicaMechanics:
             service.search(query, k=3)  # replica 0 (the primary bank)
             service.search(query, k=3)  # replica 1
             replica_reads = sum(
-                shard.disk.stats.reads for shard in service._replica_indexes[0]
+                engine.index.disk.stats.reads for engine in service.placement.banks[1]
             )
             assert replica_reads > 0
 
@@ -236,7 +244,7 @@ class TestReplicaMechanics:
         db = copy.deepcopy(tiny_db)
         sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG)
         query = _queries(db, n=1)[0]
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded,
             executor="serial",
             n_replicas=2,
@@ -258,12 +266,12 @@ class TestReplicaMechanics:
                 assert response.results[0].trajectory_id == tid
                 assert response.results[0].distance == 0.0
                 assert response.stats.rounds > 0  # recomputed, never stale
-            assert service._banks_version == sharded.version
+            assert _banks_at_primary_version(service, sharded)
 
     def test_result_cache_survives_replication(self, tiny_db):
         sharded = ShardedGATIndex.build(tiny_db, n_shards=2, config=CONFIG)
         query = _queries(tiny_db, n=1)[0]
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded, executor="serial", n_replicas=2
         ) as service:
             service.search(query, k=3)
@@ -276,18 +284,18 @@ class TestReplicaMechanics:
     def test_validation_errors(self, tiny_db):
         sharded = ShardedGATIndex.build(tiny_db, n_shards=2, config=CONFIG)
         with pytest.raises(ValueError):
-            ReplicatedShardedService(sharded, n_replicas=0)
+            ShardedQueryService(sharded, n_replicas=0)
         wrong_shape = RoundRobinRouter(n_shards=3, n_replicas=2)
         with pytest.raises(ValueError):
-            ReplicatedShardedService(
+            ShardedQueryService(
                 sharded, n_replicas=2, replica_router=wrong_shape
             )
         with pytest.raises(ValueError):
-            ReplicatedShardedService(
+            ShardedQueryService(
                 sharded, n_replicas=2, replica_router="random-spray"
             )
         with pytest.raises(ValueError, match="in-process only"):
-            ReplicatedShardedService(
+            ShardedQueryService(
                 sharded,
                 n_replicas=2,
                 executor="process",
@@ -301,15 +309,15 @@ class TestReplicaMechanics:
             sharded, executor="serial", result_cache_size=0
         ) as base:
             expected = _rankings(base.search_many(queries, k=3))
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded, executor="serial", n_replicas=1, result_cache_size=0
         ) as service:
             assert _rankings(service.search_many(queries, k=3)) == expected
-            assert service._replica_indexes == []
+            assert len(service.placement.banks) == 1
 
     def test_close_is_idempotent_and_closes_banks(self, tiny_db):
         sharded = ShardedGATIndex.build(tiny_db, n_shards=2, config=CONFIG)
-        service = ReplicatedShardedService(
+        service = ShardedQueryService(
             sharded, executor="thread", n_replicas=2, result_cache_size=0
         )
         service.search(_queries(tiny_db, n=1)[0], k=2)
@@ -349,13 +357,13 @@ class TestProcessCostModelCarryOver:
 class TestResyncOrdering:
     def test_banks_resync_before_version_publish(self, tiny_db):
         """Regression: the replica banks must be rebuilt *before* the
-        base class publishes the fresh _index_version — otherwise a
+        service publishes the fresh _index_version — otherwise a
         concurrent search could observe the new version, skip the
         resync, and lease a stale (pre-insert) replica engine."""
         db = copy.deepcopy(tiny_db)
         sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG)
         query = _queries(db, n=1)[0]
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded,
             executor="serial",
             n_replicas=2,
@@ -365,13 +373,13 @@ class TestResyncOrdering:
             service.search(query, k=2)
             old_version = service._index_version
             observed = []
-            original = service._resync_banks
+            original = service.placement.resync
 
             def spying_resync():
                 observed.append(service._index_version)
-                original()
+                return original()
 
-            service._resync_banks = spying_resync
+            service.placement.resync = spying_resync
             tid = max(tr.trajectory_id for tr in db) + 1
             sharded.insert_trajectory(
                 ActivityTrajectory(
@@ -387,7 +395,7 @@ class TestResyncOrdering:
             # the pre-insert version (publish comes after).
             assert observed == [old_version]
             assert service._index_version == sharded.version
-            assert service._banks_version == sharded.version
+            assert _banks_at_primary_version(service, sharded)
 
 
 class TestResyncStatsBaselines:
@@ -402,7 +410,7 @@ class TestResyncStatsBaselines:
         db = copy.deepcopy(tiny_db)
         sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG)
         queries = _queries(db)
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded,
             executor="serial",
             n_replicas=2,
@@ -438,8 +446,8 @@ class TestResyncStatsBaselines:
 class TestOverflowInsertAcrossBanks:
     def test_every_bank_serves_fresh_after_overflow_rebuild(self, tiny_db):
         """Regression: an overflow insert replaces the owning shard's
-        GATIndex object.  Bank 0 aliases the base service's engine list,
-        which must be rebound in place — otherwise round-robin would
+        GATIndex object.  Bank 0 holds the primary shards' engines,
+        which must be rebound — otherwise round-robin would
         alternate fresh (replica) and stale (primary) rankings for the
         same query."""
         from repro.core.query import Query, QueryPoint
@@ -466,7 +474,7 @@ class TestOverflowInsertAcrossBanks:
                 )
             ]
         )
-        with ReplicatedShardedService(
+        with ShardedQueryService(
             sharded,
             executor="serial",
             n_replicas=2,
@@ -482,4 +490,4 @@ class TestOverflowInsertAcrossBanks:
                 assert response.results[0].trajectory_id == tid
                 assert response.results[0].distance == 0.0
             owner = sharded.shard_of(tid)
-            assert service._banks[0][owner].index is sharded.shards[owner]
+            assert service.placement.banks[0][owner].index is sharded.shards[owner]

@@ -189,8 +189,8 @@ class TestLifecycle:
 
 class TestUseAfterClose:
     """Regression: the lazily created pools must not be silently
-    resurrected by a search() on a closed service — pre-fix, run() after
-    close() leaked a brand-new pool that nothing ever shut down."""
+    resurrected by a search() on a closed service — pre-fix, a submission
+    after close() leaked a brand-new pool that nothing ever shut down."""
 
     def test_thread_backend_raises(self, db):
         sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG)
@@ -220,7 +220,7 @@ class TestUseAfterClose:
         executor.close()
         executor.close()
         with pytest.raises(RuntimeError, match="after close"):
-            executor.run([None])
+            executor.submit(None)
 
 
 class TestSharedStateHammer:
@@ -268,33 +268,98 @@ class TestSharedStateHammer:
 
 class TestProcessSlotLifecycle:
     def test_run_failure_releases_every_leased_slot(self, db, monkeypatch):
-        """An exception inside executor.run() must travel through
-        _run_many's finally and return every leased threshold slot —
-        otherwise a crashing batch permanently shrinks the pruning-slot
-        pool."""
+        """An exception out of executor.submit() mid-batch must travel
+        through the fan-out's cleanup and return every leased threshold
+        slot and replica lease — otherwise a crashing batch permanently
+        shrinks the pruning-slot pool and skews the router."""
         from repro.shard import ProcessShardExecutor
 
         sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG)
         service = ShardedQueryService(
-            sharded, executor="process", result_cache_size=0
+            sharded, executor="process", n_replicas=2, result_cache_size=0
         )
         executor = service._executor
         assert isinstance(executor, ProcessShardExecutor)
-        leased_during_run = []
+        real_submit = executor.submit
+        leased_at_failure = []
+        calls = 0
 
-        def boom(tasks):
-            leased_during_run.append(
-                executor.N_SLOTS - len(executor._free_slots)
-            )
-            raise RuntimeError("worker pool exploded")
+        def boom_on_fourth(task):
+            nonlocal calls
+            calls += 1
+            if calls == 4:
+                leased_at_failure.append(
+                    executor.N_SLOTS - len(executor._free_slots)
+                )
+                raise RuntimeError("worker pool exploded")
+            return real_submit(task)
 
-        monkeypatch.setattr(executor, "run", boom)
+        monkeypatch.setattr(executor, "submit", boom_on_fourth)
         queries = [_query_for(db, seed=s) for s in (1, 2, 3)]
         with pytest.raises(RuntimeError, match="exploded"):
             service.search_many(queries, k=3)
-        # One slot per pending query was genuinely leased inside run()...
-        assert leased_during_run == [3]
-        # ...and every one of them came back despite the exception.
+        # One slot per pending query was genuinely leased at the failure...
+        assert leased_at_failure == [3]
+        # ...and every one of them came back despite the exception,
+        assert sorted(executor._free_slots) == list(range(executor.N_SLOTS))
+        # as did the submission-time replica leases of all six attempts.
+        assert calls == 6
+        for shard_id in range(2):
+            assert service.placement.router.in_flight(shard_id) == (0, 0)
+        service.close()
+
+    def test_slot_is_not_re_leased_under_an_abandoned_attempt(self, db):
+        """Regression: a deadline-abandoned attempt keeps running in its
+        worker and keeps publishing the *old* query's k-th distance into
+        the threshold slot.  The slot used to go back the moment the
+        fan-out returned; the free list is LIFO, so the very next query
+        leased it and pruned against a foreign, too-small threshold.
+        Gated fake futures stand in for the pool; no worker spawns."""
+        import math
+        from concurrent.futures import Future
+
+        from repro.core.context import SearchStats
+        from repro.core.results import SearchResult
+        from repro.shard import FanoutSupervisor, FaultPolicy, ShardResult, ShardTask
+        from repro.shard.executor import _SlotThreshold
+
+        sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG)
+        service = ShardedQueryService(sharded, executor="process")
+        executor = service._executor
+        answer = ShardResult(0, (), SearchStats(), 0.0)
+        stalled: Future = Future()  # shard 1's attempt: running until gated open
+
+        def submit(task):
+            if task.shard_id == 1:
+                return stalled
+            done: Future = Future()
+            done.set_result(answer)
+            return done
+
+        slot = executor.acquire_slot()
+        query = _query_for(db)
+        supervisor = FanoutSupervisor(
+            submit, FaultPolicy(deadline_s=0.05, max_retries=0)
+        )
+        (outcome,) = supervisor.run(
+            [[ShardTask(sid, query, k=1, threshold_slot=slot) for sid in (0, 1)]]
+        )
+        assert sorted(outcome.results) == [0] and sorted(outcome.failures) == [1]
+        assert outcome.in_flight == [stalled]
+        # The abandoned attempt's worker-side handle on the slot.
+        straggler = _SlotThreshold(executor._slots[slot], k=1)
+
+        executor.release_slot(slot, after=outcome.in_flight)
+        next_slot = executor.acquire_slot()
+        assert next_slot != slot  # still held under the straggler
+        straggler.offer(SearchResult(1, 0.5))
+        assert executor._slots[next_slot].value == math.inf  # new lease untouched
+
+        stalled.set_result(answer)  # the straggler finishes: now it goes back
+        assert executor.acquire_slot() == slot
+        assert executor._slots[slot].value == math.inf  # and resets on lease
+        for leased in (slot, next_slot):
+            executor.release_slot(leased)
         assert sorted(executor._free_slots) == list(range(executor.N_SLOTS))
         service.close()
 
@@ -372,15 +437,15 @@ class TestOverflowInsertEngineRefresh:
             )
             service.search(query, k=1)  # engines warm on the old indexes
             owner = sharded.shard_of(trajectory.trajectory_id)
-            old_engine = service.engines[owner]
+            old_engine = service.placement.banks[0][owner]
 
             sharded.insert_trajectory(trajectory)  # overflow rebuild
 
             response = service.search(query, k=1)
             assert response.results[0].trajectory_id == trajectory.trajectory_id
             assert response.results[0].distance == 0.0
-            assert service.engines[owner] is not old_engine
-            assert service.engines[owner].index is sharded.shards[owner]
+            assert service.placement.banks[0][owner] is not old_engine
+            assert service.placement.banks[0][owner].index is sharded.shards[owner]
 
     def test_cache_hit_rates_stay_valid_after_engine_refresh(self, db):
         """Regression: the discarded engine's APL counters (and the

@@ -20,11 +20,7 @@ from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
 from repro.core.engine import EngineConfig
 from repro.data.generator import CheckInGenerator, GeneratorConfig
 from repro.model.trajectory import ActivityTrajectory
-from repro.shard import (
-    ReplicatedShardedService,
-    ShardedGATIndex,
-    ShardedQueryService,
-)
+from repro.shard import ShardedGATIndex, ShardedQueryService
 from repro.storage import shm
 
 K = 5
@@ -60,16 +56,13 @@ def queries(module_db):
     return gen.queries(N_QUERIES)
 
 
-def _run(db, queries, store, executor, n_shards=3, n_replicas=0):
+def _run(db, queries, store, executor, n_shards=3, n_replicas=1):
     sharded = ShardedGATIndex.build(db, n_shards=n_shards, store=store)
-    service_cls = ShardedQueryService
-    kwargs = dict(executor=executor, result_cache_size=0)
-    if n_replicas:
-        service_cls = ReplicatedShardedService
-        kwargs["n_replicas"] = n_replicas
     ranked, stats = [], []
     try:
-        with service_cls(sharded, **kwargs) as service:
+        with ShardedQueryService(
+            sharded, executor=executor, result_cache_size=0, n_replicas=n_replicas
+        ) as service:
             for i, query in enumerate(queries):
                 response = service.search(query, k=K, order_sensitive=(i % 2 == 1))
                 ranked.append(
