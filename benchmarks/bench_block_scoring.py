@@ -21,9 +21,10 @@ simulated disk are byte-identical across kernels and dilute end-to-end
 ratios, which are reported alongside):
 
 * **≥2× scoring speedup** block over vectorized on the single-activity
-  workload (typical: ~2.1× at the default bench scale);
-* **≥1.15× scoring speedup** on the default mixed workload (typical:
-  ~1.4×);
+  workload (typical: ~3× at the default bench scale);
+* **≥1.5× scoring speedup** on the default mixed workload (typical:
+  ~2× since the round's block is assembled from activity columns with
+  array ops; 1.3× with the dict-walking builder it replaced);
 * **identical top-k** — same ids in the same order, distances to 1e-9
   relative (the partition cover may re-associate 3+-term sums by a last
   ulp) — and **identical pruning counters**, every
@@ -54,7 +55,7 @@ from repro.index.gat.index import GATIndex
 from repro.service import QueryRequest
 from repro.shard import ShardedGATIndex, ShardedQueryService
 
-from conftest import BENCH_SCALE, bench_gat_config, bench_scale
+from conftest import BENCH_SCALE, bench_gat_config, bench_scale, usable_cores
 
 K = 9
 N_QUERIES = 16
@@ -70,7 +71,7 @@ WORKLOAD_SHAPES = (
     ("mixed-default", dict()),
 )
 
-MIN_SCORING_SPEEDUP = {"single-activity": 2.0, "mixed-default": 1.15}
+MIN_SCORING_SPEEDUP = {"single-activity": 2.0, "mixed-default": 1.5}
 MAX_SHARD_CELL_RATIO = 0.9
 
 
@@ -229,6 +230,7 @@ def test_block_speedup_parity_and_shard_cells(benchmark, ny_db, gat_index):
     payload = {
         "bench": "block_scoring",
         "scale": BENCH_SCALE,
+        "cores": usable_cores(),
         "n_queries": N_QUERIES,
         "k": K,
         "rows": report["rows"],

@@ -35,7 +35,6 @@ identical across *all* rows of both records.
 """
 
 import json
-import os
 import pickle
 import time
 
@@ -50,7 +49,7 @@ from repro.core.engine import EngineConfig
 from repro.shard import ShardedGATIndex, ShardedQueryService
 from repro.storage.disk import SimulatedDisk
 
-from conftest import bench_gat_config, bench_scale
+from conftest import bench_gat_config, bench_scale, usable_cores
 
 #: HDD-class random 4K read (seek + half-rotation): the paper stores the
 #: APL "on hard disk".  I/O-dominant workloads also keep the speedup
@@ -78,13 +77,6 @@ CPU_SHARDS = 4
 
 BENCH_JSON = "BENCH_shards.json"
 PROCESS_JSON = "BENCH_process.json"
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +226,7 @@ def test_process_fleet_cpu_bound(benchmark, la_db):
     overhead hidden behind I/O sleeps."""
     gen = QueryWorkloadGenerator(la_db, WorkloadConfig(seed=bench_scale().seed))
     workload = mixed_order_requests(gen.queries(CPU_N_QUERIES), K)
-    cores = _usable_cores()
+    cores = usable_cores()
     report = {}
 
     def run():

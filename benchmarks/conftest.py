@@ -34,6 +34,15 @@ def bench_scale() -> ExperimentScale:
     return ExperimentScale(dataset_scale=BENCH_SCALE, n_queries=BENCH_QUERIES)
 
 
+def usable_cores() -> int:
+    """Cores this process may run on — recorded in the BENCH_*.json files
+    whose ratios depend on it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def bench_gat_config() -> GATConfig:
     return GATConfig(depth=BENCH_GAT_DEPTH, memory_levels=min(6, BENCH_GAT_DEPTH))
 

@@ -32,7 +32,7 @@ from repro.core.order_match import (
     order_feasible,
 )
 from repro.core.evaluator import MatchEvaluator
-from repro.core.kernels import HAVE_NUMPY, resolve_kernel
+from repro.core.kernels import resolve_kernel
 from repro.core.results import SearchResult, TopKCollector
 from repro.core.context import ExecutionContext, SearchStats
 from repro.core.pipeline import (
@@ -56,7 +56,6 @@ __all__ = [
     "matching_index_bounds",
     "order_feasible",
     "MatchEvaluator",
-    "HAVE_NUMPY",
     "resolve_kernel",
     "SearchResult",
     "TopKCollector",

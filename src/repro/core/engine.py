@@ -80,11 +80,13 @@ class EngineConfig:
     apl_cache_size:
         Engine-level LRU over APL posting-list fetches; ``0`` disables.
     kernel:
-        Scoring kernel: ``'auto'`` (block when NumPy is available),
-        ``'scalar'`` (the seed oracles), ``'vectorized'`` (one NumPy
-        matrix per candidate), or ``'block'`` (one padded tensor per
-        validation round, with early abandonment against the running
-        k-th threshold).  All kernels return the same rankings and
+        Scoring kernel: ``'auto'`` (means ``'block'``), ``'scalar'`` (the
+        seed oracles), ``'vectorized'`` (one NumPy matrix per
+        candidate), or ``'block'`` (one flat tensor per validation
+        round — every candidate's relevant points concatenated, no
+        padding, assembled from the trajectories' activity columns —
+        with early abandonment against the running k-th threshold).
+        All kernels return the same rankings and
         pruning counters (see :mod:`repro.core.kernels`).
     batch_io:
         Fetch all APL posting lists of one validation round in a single
@@ -314,7 +316,10 @@ class GATSearchEngine:
         duration (so disk reads and injected faults attach to it as
         events) and retrieve/validate/score stage children are emitted
         under it, each covering that stage's first entry to last exit
-        with the accumulated in-stage time as a ``busy_s`` attribute.
+        with the accumulated in-stage time as a ``busy_s`` attribute;
+        under the block kernel ``score`` gets an ``assemble`` child for
+        the rounds' block builds (``busy_s``, and ``columns`` = Σ block
+        widths).
         ``None`` — the default — skips every instrumentation branch.
         """
         ctx = ExecutionContext(
@@ -339,6 +344,9 @@ class GATSearchEngine:
                 "validate": [None, 0.0, 0.0],
                 "score": [None, 0.0, 0.0],
             }
+            # Block assembly runs inside the evaluator's batch entries:
+            # [first_entry_s, last_exit_s, busy_s, columns].
+            ctx.evaluator.assemble_clock = [None, 0.0, 0.0, 0]
         t0 = time.perf_counter()
 
         with activate(span) if span is not None else nullcontext(), self.index.disk.track() as disk:
@@ -448,6 +456,14 @@ class GATSearchEngine:
             child = span.child(stage, attrs=dict(stage_attrs[stage], busy_s=busy))
             child.start_s = first
             child.end(at=last)
+            if stage == "score":
+                first, last, busy, columns = ctx.evaluator.assemble_clock
+                if first is not None:
+                    assemble = child.child(
+                        "assemble", attrs={"busy_s": busy, "columns": columns}
+                    )
+                    assemble.start_s = first
+                    assemble.end(at=last)
 
     def _lower_bound(self, query: Query, retriever: CandidateRetriever) -> float:
         if not self.use_tight_lower_bound:

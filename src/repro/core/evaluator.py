@@ -16,9 +16,10 @@ The evaluator now fronts three interchangeable kernels:
 * ``'vectorized'`` — :mod:`repro.core.kernels`: one NumPy distance matrix
   per candidate plus array set-cover/DP scans;
 * ``'block'`` — the round-batched tensors of
-  :class:`~repro.core.kernels.CandidateBlock` (the default when NumPy is
-  importable, ``kernel='auto'``): a whole validation round is scored
-  through :meth:`MatchEvaluator.dmm_batch` / :meth:`dmom_batch` — one
+  :class:`~repro.core.kernels.CandidateBlock` (the default,
+  ``kernel='auto'``): a whole validation round is assembled from the
+  candidates' activity columns and scored through
+  :meth:`MatchEvaluator.dmm_batch` / :meth:`dmom_batch` — one
   distance evaluation, block set-cover lower bounds, and early
   per-candidate abandonment against the running k-th threshold.  The
   per-candidate entry points (:meth:`dmm` / :meth:`dmom`) remain fully
@@ -35,6 +36,7 @@ prepared once per query, not once per candidate or per metric call.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -77,8 +79,10 @@ class MatchEvaluator:
     metric:
         Distance strategy; defaults to Euclidean.
     kernel:
-        ``'auto'`` (vectorized when NumPy is available — the default),
-        ``'scalar'``, or ``'vectorized'`` (raises without NumPy).
+        ``'auto'`` (the default; means ``'block'``), ``'block'`` (one
+        flat tensor per validation round, through the ``*_batch``
+        entries), ``'vectorized'`` (one NumPy matrix per candidate), or
+        ``'scalar'`` (the seed oracles).
     """
 
     def __init__(
@@ -92,6 +96,10 @@ class MatchEvaluator:
         # of a shared evaluator can at worst rebuild redundantly, never mix
         # one query's preparation with another's.
         self._qstate: Optional[tuple] = None
+        #: ``[first_entry_s, last_exit_s, busy_s, columns]`` around the
+        #: batch entries' block assembly, set by a tracing engine run;
+        #: ``None`` — the default — reads no clock.
+        self.assemble_clock: Optional[list] = None
 
     # ------------------------------------------------------------------
     # Per-query preparation
@@ -230,6 +238,20 @@ class MatchEvaluator:
             )
         return qkernel
 
+    def _assemble(self, qkernel: QueryKernel, items) -> kernels.CandidateBlock:
+        """One round's block, timed into :attr:`assemble_clock` when set."""
+        clock = self.assemble_clock
+        if clock is None:
+            return kernels.prepare_block(qkernel, items)
+        entered = time.time()
+        block = kernels.prepare_block(qkernel, items)
+        clock[1] = time.time()
+        if clock[0] is None:
+            clock[0] = entered
+        clock[2] += clock[1] - entered
+        clock[3] += block.total
+        return block
+
     def dmm_batch(
         self,
         query: Query,
@@ -240,7 +262,8 @@ class MatchEvaluator:
         """``Dmm`` for one validation round's candidates in one shot.
 
         *items* is a sequence of ``(trajectory, posting)`` pairs (posting =
-        the candidate's batched-fetch APL record, or ``None``).  Counter
+        the candidate's batched-fetch APL record, or ``None``; scoring
+        reads only the trajectory's in-memory columns).  Counter
         semantics match calling :meth:`dmm` once per candidate exactly,
         and so do the values — the whole-round array formulations
         (:func:`~repro.core.kernels.block_dmm` /
@@ -257,7 +280,7 @@ class MatchEvaluator:
             # Order-free Dmm needs no position dedup: the duplicated
             # activity-segment layout skips block preparation entirely.
             return kernels.block_dmm_all_single(qkernel, items, self.stats).tolist()
-        block = kernels.prepare_block(qkernel, items)
+        block = self._assemble(qkernel, items)
         return kernels.block_dmm(qkernel, block, self.stats, threshold, k=k).tolist()
 
     def dmom_batch(
@@ -292,7 +315,7 @@ class MatchEvaluator:
         if not sub:
             return [INFINITY] * len(items)
         qkernel = self._block_kernel(query)
-        block = kernels.prepare_block(qkernel, sub)
+        block = self._assemble(qkernel, sub)
         values = iter(
             kernels.block_dmom(qkernel, block, self.stats, threshold, k=k).tolist()
         )

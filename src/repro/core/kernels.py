@@ -28,8 +28,9 @@ On top of the per-candidate kernels sits the *block* kernel
 admitted candidates go into one :class:`CandidateBlock` — a flat
 ``[|Q|, N]`` distance matrix over every candidate's concatenated relevant
 points, built by a **single** Euclidean/Haversine evaluation per round,
-plus a boolean relevance pattern and per-candidate column segments — and
-are scored together:
+plus a same-shape activity bitmask and per-candidate column segments,
+all assembled by :func:`prepare_block` from the candidates' point-major
+activity columns with array ops only — and are scored together:
 
 * :func:`block_dmm` computes every candidate's exact ``Dmm`` in
   whole-round array ops: per-row masked minima via one
@@ -71,8 +72,7 @@ pruning counter except on exact distance ties, which the engine-level
 parity suite checks never happens on real workloads (ids and counters
 are compared exactly, distances to 1e-9 relative).
 
-NumPy is optional: ``kernel='auto'`` silently degrades to the scalar path
-when it is missing, ``kernel='vectorized'`` raises loudly.
+NumPy is a hard dependency (``setup.py``): ``kernel='auto'`` is ``'block'``.
 
 Every coordinate access below goes through ``trajectory.coord_array()``:
 for array-backed trajectories (:meth:`ActivityTrajectory.from_arrays`,
@@ -89,6 +89,8 @@ import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.model.distance import (
     DistanceMetric,
     EuclideanDistance,
@@ -96,13 +98,6 @@ from repro.model.distance import (
     euclidean_matrix,
     haversine_matrix,
 )
-
-try:  # pragma: no cover - exercised implicitly by every kernel test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 INFINITY = math.inf
 
@@ -112,16 +107,10 @@ KERNELS = ("auto", "scalar", "vectorized", "block")
 def resolve_kernel(kernel: str) -> str:
     """Map a kernel request to the concrete implementation to run.
 
-    ``'auto'`` picks ``'block'`` when NumPy is importable and ``'scalar'``
-    otherwise; asking for ``'vectorized'`` or ``'block'`` without NumPy is
-    an error (silent fallback would invalidate benchmark claims).
+    ``'auto'`` is ``'block'``; anything outside :data:`KERNELS` raises.
     """
     if kernel == "auto":
-        return "block" if HAVE_NUMPY else "scalar"
-    if kernel in ("vectorized", "block") and not HAVE_NUMPY:
-        raise ValueError(
-            f"kernel={kernel!r} requires numpy (use 'auto' or 'scalar')"
-        )
+        return "block"
     if kernel not in ("scalar", "vectorized", "block"):
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
     return kernel
@@ -196,6 +185,8 @@ class QueryKernel:
         "n_bits",
         "bit_values",
         "all_single",
+        "sorted_activities",
+        "bit_table",
         "metric",
         "_mode",
         "_q0",
@@ -218,8 +209,16 @@ class QueryKernel:
         #: NumPy arrays (see prepare_candidate / _dmom_all_single_np).
         self.all_single = all(b == 1 for b in self.n_bits)
 
-        if not HAVE_NUMPY:
-            raise RuntimeError("QueryKernel requires numpy")
+        #: The block builder's lookup side: ``Q.Φ`` ascending (what a round's
+        #: activity occurrences are ``searchsorted`` against) and, per row,
+        #: the bit each of those activities holds there (0 = not asked for).
+        self.sorted_activities = _np.array(sorted(query.all_activities), dtype=_np.int64)
+        self.bit_table = _np.zeros((self.m, len(self.sorted_activities)), dtype=_np.int64)
+        for row, bit_values in zip(self.bit_table, self.bit_values):
+            row[_np.searchsorted(self.sorted_activities, list(bit_values))] = list(
+                bit_values.values()
+            )
+
         xs = _np.array([q.x for q in query], dtype=float)
         ys = _np.array([q.y for q in query], dtype=float)
         if type(metric) is EuclideanDistance:
@@ -588,13 +587,15 @@ class CandidateBlock:
     every candidate's relevant positions — built by a **single**
     Euclidean/Haversine evaluation per round — and ``mask`` the same-shape
     per-query-point activity-overlap bitmasks (``rel`` caches ``mask !=
-    0``).  ``seg_of``/``lengths`` map a candidate to its column segment;
-    candidates with no relevant position keep an empty segment so outputs
-    align with the input order.  ``missing_rows`` lists ``(candidate,
-    row)`` pairs where some query activity of the row never occurs in the
-    candidate — recorded during the build, where the posting lists are in
-    hand, because such a row can never be covered (Algorithm 3 returns
-    ``inf``) even when other activities give it relevant points.
+    0``).  ``seg_of``/``lengths`` map a candidate to its column segment
+    (and to its slice of ``positions``, the columns' trajectory positions
+    as one flat int array); candidates with no relevant position keep an
+    empty segment so outputs align with the input order.  ``missing_rows``
+    is a ``[K, 2]`` array of ``(candidate, row)`` pairs where some query
+    activity of the row never occurs in the candidate — recorded during
+    the build, where the candidate × activity presence matrix is in hand,
+    because such a row can never be covered (Algorithm 3 returns ``inf``)
+    even when other activities give it relevant points.
     """
 
     __slots__ = (
@@ -637,7 +638,7 @@ class CandidateBlock:
             return None
         s = self.seg_of[c]
         return CandidateArrays(
-            list(self.positions[c]),
+            self.positions[s : s + n].tolist(),
             dist_rows=self.big[:, s : s + n].tolist(),
             mask_rows=self.mask[:, s : s + n].tolist(),
         )
@@ -646,92 +647,87 @@ class CandidateBlock:
 def prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> CandidateBlock:
     """Stack one round's candidates into a :class:`CandidateBlock`.
 
-    *items* is a sequence of ``(trajectory, posting)`` pairs where
-    *posting* is the candidate's APL record from the round's batched fetch
-    (``None`` falls back to the trajectory's in-memory posting lists — the
-    APL persists exactly that mapping, so both images agree).
+    *items* is a non-empty sequence of ``(trajectory, posting)`` pairs;
+    only the trajectory is read.  *posting*, the candidate's APL record,
+    is what validation's ``covers_query`` check consumed and what the
+    counted read paid for; the block scores from the in-memory activity
+    columns (:meth:`ActivityTrajectory.activity_columns` — zero-copy views
+    for array-backed trajectories), which hold the same occurrences.
 
-    Per-candidate Python work is limited to what the per-candidate kernel
-    paid too (position unions, column resolution); the distance evaluation
-    is a single call over the concatenated relevant points, and the
-    bitmask pattern one ``bincount`` scatter for the whole round.
+    One Python step per candidate collects its columns and coordinates;
+    the rest is whole-round array work.  Every activity occurrence is
+    looked up in the query's sorted activity ids; the hits are
+    point-major, so their run boundaries are the relevant points, already
+    in position order within each candidate.
     """
-    from repro.index.gat.apl import union_positions
-
     m = qk.m
-    all_activities = qk.query.all_activities
     n_items = len(items)
-    positions: List[Tuple[int, ...]] = []
-    postings = []
-    for trajectory, posting in items:
-        if posting is None:
-            posting = trajectory.posting_lists
-        postings.append(posting)
-        positions.append(union_positions(posting, all_activities))
-    lengths = [len(p) for p in positions]
-    seg_of = [-1] * n_items
-    flat_ids: List[int] = []
-    seg_starts: List[int] = []
-    total = 0
-    for c, n in enumerate(lengths):
-        if n:
-            seg_of[c] = total
-            flat_ids.append(c)
-            seg_starts.append(total)
-            total += n
+    value_chunks, count_chunks, coord_chunks = [], [], []
+    for trajectory, _posting in items:
+        values, per_point = trajectory.activity_columns()
+        value_chunks.append(values)
+        count_chunks.append(per_point)
+        coord_chunks.append(trajectory.coord_array())
+    values = _np.concatenate(value_chunks)
+    per_point = _np.concatenate(count_chunks)
+    n_points = _np.fromiter(map(len, count_chunks), dtype=_np.intp, count=n_items)
 
-    if total == 0:
-        return CandidateBlock(
-            n_items, lengths, positions, seg_of, flat_ids, seg_starts, total,
-            _np.zeros((m, 0)), _np.zeros((m, 0), dtype=_np.int64), [],
-        )
+    # Occurrence -> query activity slot; hits keep their round-wide point.
+    slots = _np.minimum(
+        _np.searchsorted(qk.sorted_activities, values), len(qk.sorted_activities) - 1
+    )
+    hit = qk.sorted_activities[slots] == values
+    hit_slots = slots[hit]
+    hit_points = _np.repeat(_np.arange(len(per_point)), per_point)[hit]
+    # A point with an empty activity set contributes no occurrence, so it
+    # cannot open a run: boundaries are read off the hits themselves.
+    opens = _np.ones(len(hit_points), dtype=bool)
+    opens[1:] = hit_points[1:] != hit_points[:-1]
+    relevant = hit_points[opens]
+    total = len(relevant)
+
+    point_base = n_points.cumsum() - n_points
+    cand_of_column = _np.repeat(_np.arange(n_items), n_points)[relevant]
+    positions = relevant - point_base[cand_of_column]
+    counts = _np.bincount(cand_of_column, minlength=n_items)
+    starts = counts.cumsum() - counts
+    empty = counts == 0
+    starts[empty] = -1
+    # Plain lists: the scorers index these one candidate at a time.
+    lengths = counts.tolist()
+    seg_of = starts.tolist()
+    flat_ids = _np.flatnonzero(counts).tolist()
+    seg_starts = starts[flat_ids].tolist()
 
     if qk._mode == "generic":
         big = _np.empty((m, total))
         for c in flat_ids:
             s = seg_of[c]
-            big[:, s : s + lengths[c]] = qk._generic_rows(
-                items[c][0], list(positions[c])
+            n = lengths[c]
+            big[:, s : s + n] = qk._generic_rows(
+                items[c][0], positions[s : s + n].tolist()
             )
     else:
-        big = qk.distance_matrix_for(
-            _np.concatenate(
-                [items[c][0].coord_array()[list(positions[c])] for c in flat_ids]
-            )
+        big = qk.distance_matrix_for(_np.concatenate(coord_chunks)[relevant])
+
+    # Bitmask: each row sums its bit of every hit into the hit's column
+    # (a point lists an activity once, so each (row, column) sees each bit
+    # at most once and the sum equals the bitwise OR).
+    column_of_hit = opens.cumsum() - 1
+    mask = _np.empty((m, total), dtype=_np.int64)
+    for i in range(m):
+        mask[i] = _np.bincount(
+            column_of_hit, weights=qk.bit_table[i, hit_slots], minlength=total
         )
 
-    # Bitmask scatter: flat (row * N + column, bit) pairs for the whole
-    # round, combined in one bincount (each (row, column) sees each bit at
-    # most once, so summation equals the bitwise OR).
-    flat_idx: List[int] = []
-    flat_bit: List[int] = []
-    missing_rows: List[Tuple[int, int]] = []
-    for c in flat_ids:
-        posting = postings[c]
-        s = seg_of[c]
-        col_of = {p: s + j for j, p in enumerate(positions[c])}
-        # An activity shared by several query points scatters into several
-        # rows; resolve its columns once per candidate.
-        cols_of_activity: Dict[int, List[int]] = {}
-        for i, bit_values in enumerate(qk.bit_values):
-            base = i * total
-            for activity, bit in bit_values.items():
-                cols = cols_of_activity.get(activity)
-                if cols is None:
-                    ps = posting.get(activity)
-                    cols = cols_of_activity[activity] = (
-                        [col_of[p] for p in ps] if ps else []
-                    )
-                if cols:
-                    flat_idx.extend([base + col for col in cols])
-                    flat_bit.extend([bit] * len(cols))
-                else:
-                    missing_rows.append((c, i))
-    mask = _np.bincount(
-        _np.asarray(flat_idx),
-        weights=_np.asarray(flat_bit, dtype=float),
-        minlength=m * total,
-    ).astype(_np.int64).reshape(m, total)
+    # A row is missing from a candidate when one of its activities never
+    # occurs there; recorded only for candidates that have columns (the
+    # others are infeasible on their zero counts already).
+    present = _np.zeros((n_items, len(qk.sorted_activities)), dtype=bool)
+    present[cand_of_column[column_of_hit], hit_slots] = True
+    absent = ~present
+    absent[empty] = False
+    missing_rows = _np.argwhere(absent @ (qk.bit_table.T != 0))
     return CandidateBlock(
         n_items, lengths, positions, seg_of, flat_ids, seg_starts, total,
         big, mask, missing_rows,
@@ -887,8 +883,7 @@ def _block_stage(qk: QueryKernel, block: CandidateBlock, stats):
                 best = value if best is None else _np.minimum(best, value)
             rowvals[flat, i] = best
     invalid = counts == 0
-    for c, i in block.missing_rows:
-        invalid[c, i] = True
+    invalid[block.missing_rows[:, 0], block.missing_rows[:, 1]] = True
     if stats is not None:
         # Identical to the per-candidate scan, which adds each row's
         # candidate count up to and including the first infeasible row.

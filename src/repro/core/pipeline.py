@@ -319,13 +319,16 @@ class ScoringStage:
         block-kernel call (``kernel='block'``), in candidate order.
 
         Each candidate bumps the same ``validated`` / work counters as
-        :meth:`score`, and the block reuses the posting lists the APL
-        filter fetched for the round, so nothing is read twice.  The
-        running k-th threshold is sampled once at round start: a looser
-        bound than the per-candidate loop's intra-round tightening, which
-        can only turn an over-threshold ``inf`` into a finite value the
-        top-k collector rejects anyway — rankings and counters are
-        identical (the engine parity suite pins this down).
+        :meth:`score`.  The block is assembled from the trajectories'
+        in-memory activity columns; the APL record the filter fetched
+        rides along on the item but is not read again — it served
+        validation's coverage check, and its counted read is the
+        candidate's only one.  The running k-th threshold is sampled once
+        at round start: a looser bound than the per-candidate loop's
+        intra-round tightening, which can only turn an over-threshold
+        ``inf`` into a finite value the top-k collector rejects anyway —
+        rankings and counters are identical (the engine parity suite pins
+        this down).
         """
         items = []
         for candidate in candidates:

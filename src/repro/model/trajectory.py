@@ -43,6 +43,7 @@ class ActivityTrajectory:
         "_posting_lists",
         "_coord_array",
         "_posting_arrays",
+        "_activity_columns",
         "_acts",
         "_act_off",
         "_timestamps",
@@ -58,6 +59,7 @@ class ActivityTrajectory:
         self._posting_lists: Dict[int, Tuple[int, ...]] | None = None
         self._coord_array = None
         self._posting_arrays = None
+        self._activity_columns = None
         self._acts = None
         self._act_off = None
         self._timestamps = None
@@ -104,6 +106,7 @@ class ActivityTrajectory:
         self._posting_lists = None
         self._coord_array = coords
         self._posting_arrays = None
+        self._activity_columns = None
         self._acts = act_values
         self._act_off = act_offsets
         self._timestamps = timestamps
@@ -245,6 +248,34 @@ class ActivityTrajectory:
                 for a, ps in self.posting_lists.items()
             }
         return self._posting_arrays
+
+    def activity_columns(self):
+        """The point-major activity columns ``(act_values, acts_per_point)``
+        as int64 NumPy arrays (requires NumPy): point ``i`` performed the
+        next ``acts_per_point[i]`` entries of ``act_values``.
+
+        What the block scoring kernel concatenates per validation round
+        (:func:`repro.core.kernels.prepare_block`).  Array-backed
+        trajectories return a zero-copy slice of the store's
+        ``act_values`` column plus the differences of their offsets;
+        object-backed ones flatten their points once.  Cached in a slot of
+        its own: sharing :meth:`posting_arrays`'s would make the two
+        images evict each other on every alternating call.
+        """
+        if self._activity_columns is None:
+            import numpy as np
+
+            if self._points is None:
+                lo, hi = int(self._act_off[0]), int(self._act_off[-1])
+                self._activity_columns = (self._acts[lo:hi], np.diff(self._act_off))
+            else:
+                self._activity_columns = (
+                    np.array(
+                        [a for p in self._points for a in p.activities], dtype=np.int64
+                    ),
+                    np.array([len(p.activities) for p in self._points], dtype=np.int64),
+                )
+        return self._activity_columns
 
     def positions_of(self, activity: int) -> Tuple[int, ...]:
         """Positions of the points containing *activity* (possibly empty)."""

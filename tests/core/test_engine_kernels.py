@@ -13,7 +13,6 @@ import pytest
 
 from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
 from repro.core.engine import EngineConfig, GATSearchEngine
-from repro.core.kernels import HAVE_NUMPY
 from repro.index.gat.index import GATConfig, GATIndex
 from repro.storage.disk import SimulatedDisk
 
@@ -53,7 +52,6 @@ def _assert_answer_parity(a, b):
             assert math.isclose(da, db, rel_tol=1e-9, abs_tol=1e-12)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 class TestKernelParity:
     def test_scalar_vs_vectorized(self, index, queries):
         scalar_ans, scalar_stats = _run(index, queries, kernel="scalar")

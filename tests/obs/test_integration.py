@@ -70,6 +70,13 @@ class TestQueryServiceTracing:
         assert root["attrs"]["disk_reads"] == response.stats.disk_reads
         stages = {r["name"] for r in records if r["parent_id"] == root["span_id"]}
         assert {"retrieve", "validate", "score"} <= stages
+        # Block assembly nests under scoring: a part of its in-stage time.
+        (score,) = [r for r in records if r["name"] == "score"]
+        (assemble,) = [r for r in records if r["name"] == "assemble"]
+        assert assemble["parent_id"] == score["span_id"]
+        assert 0.0 < assemble["attrs"]["busy_s"] <= score["attrs"]["busy_s"]
+        assert score["start_s"] <= assemble["start_s"] <= assemble["end_s"] <= score["end_s"]
+        assert assemble["attrs"]["columns"] > 0
         disk_events = [
             ev
             for r in records
@@ -167,6 +174,14 @@ class TestShardedTracing:
         task_ids = {rec["span_id"] for rec in shard_tasks}
         stages = [r for r in records if r["name"] in ("retrieve", "validate", "score")]
         assert stages and all(r["parent_id"] in task_ids for r in stages)
+        # ... and each block-assembly span under its own task's score span.
+        by_id = {r["span_id"]: r for r in records}
+        assembles = [r for r in records if r["name"] == "assemble"]
+        assert assembles
+        for rec in assembles:
+            score = by_id[rec["parent_id"]]
+            assert score["name"] == "score"
+            assert rec["attrs"]["busy_s"] <= score["attrs"]["busy_s"]
 
     def test_obs_none_service_stays_untraced(self, db, queries):
         sharded = ShardedGATIndex.build(db, n_shards=N_SHARDS, config=CONFIG)

@@ -20,22 +20,28 @@ vectorized and scalar paths, and require:
 Threshold abandonment is also exercised directly: with a finite running
 k-th threshold, a block value may flip to ``inf`` but only when the exact
 value exceeds the threshold — never the other way around.
+
+The block *build* has an oracle of its own: ``prepare_block`` assembles
+the round from activity columns with array ops, and must equal — field by
+field — the dict-walking builder it replaced, kept verbatim in
+``dict_block_oracle.py``.
 """
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from dict_block_oracle import dict_prepare_block
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import kernels
 from repro.core.evaluator import MatchEvaluator
-from repro.core.kernels import HAVE_NUMPY, INFINITY, QueryKernel
+from repro.core.kernels import INFINITY, QueryKernel
 from repro.core.query import Query, QueryPoint
+from repro.model.columnar import arrays_to_trajectories, trajectories_to_arrays
 from repro.model.distance import EuclideanDistance, HaversineDistance
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 EUCLID = EuclideanDistance()
 
@@ -81,6 +87,77 @@ def _close(a, b):
 class _Stats:
     def __init__(self):
         self.point_match_points = 0
+
+
+# ----------------------------------------------------------------------
+# The columnar block build vs the dict-walking builder it replaced
+# ----------------------------------------------------------------------
+def _assert_same_block(got, want):
+    assert got.n == want.n
+    assert got.total == want.total
+    assert got.lengths == want.lengths
+    assert got.seg_of == want.seg_of
+    assert got.flat_ids == want.flat_ids
+    assert got.seg_starts == want.seg_starts
+    for c in range(want.n):
+        s, n = got.seg_of[c], got.lengths[c]
+        assert got.positions[s : s + n].tolist() == list(want.positions[c])
+    assert got.big.shape == want.big.shape
+    assert np.array_equal(got.big, want.big)  # bit-identical, not close
+    assert got.mask.dtype == want.mask.dtype
+    assert np.array_equal(got.mask, want.mask)
+    assert np.array_equal(got.rel, want.rel)
+    assert {(c, i) for c, i in got.missing_rows.tolist()} == set(want.missing_rows)
+
+
+def _pt(acts, x=1.0, y=2.0):
+    return (x, y, frozenset(acts))
+
+
+@given(query_st, round_st, st.booleans())
+@settings(max_examples=200, deadline=None)
+# Points with an empty activity set between and around relevant ones (an
+# offsets-``reduceat`` over points breaks on their empty slices).
+@example([_pt({1})], [[_pt(()), _pt({1}), _pt(()), _pt(()), _pt({1, 2}), _pt(())]], False)
+# A candidate with no relevant point between two that have some.
+@example([_pt({1, 2})], [[_pt({1})], [_pt({4}), _pt(())], [_pt({2, 1})]], True)
+# No candidate is relevant: total == 0.
+@example([_pt({1}), _pt({2, 3})], [[_pt({4})], [_pt(())], [_pt({5}), _pt({0})]], False)
+# One activity asked for by several query points (and one of them twice over).
+@example(
+    [_pt({1, 2}), _pt({1}, 3.0), _pt({2, 1, 3}, 4.0)],
+    [[_pt({1}), _pt({2, 3})], [_pt({3}), _pt({1, 2, 3})]],
+    True,
+)
+# Row 1's activity 3 never occurs in candidate 0, which rows 0 and 2 match.
+@example(
+    [_pt({1}), _pt({2, 3}), _pt({2})],
+    [[_pt({1}), _pt({2})], [_pt({1, 3}), _pt({2})]],
+    False,
+)
+def test_columnar_build_equals_dict_builder(qraw, raws, haversine):
+    metric = HaversineDistance() if haversine else EUCLID
+    query = _query(qraw)
+    items = _round(raws)
+    qk = QueryKernel(query, metric)
+    want = dict_prepare_block(qk, items)
+    _assert_same_block(kernels.prepare_block(qk, items), want)
+
+    # The same round as array-backed views over one columnar store: the
+    # identical block, read off the columns — no point is materialised.
+    views = arrays_to_trajectories(
+        trajectories_to_arrays([trajectory for trajectory, _p in items])
+    )
+    _assert_same_block(kernels.prepare_block(qk, [(tr, None) for tr in views]), want)
+    assert all(tr._points is None for tr in views)
+
+
+def test_columnar_build_keeps_the_generic_metric_fill(fig1):
+    """A non-stock metric has no array formula: its distances stay the
+    per-candidate Python fill, over positions from the same array build."""
+    qk = QueryKernel(fig1.query, fig1.metric)
+    items = [(fig1.tr1, None), (fig1.tr2, None)]
+    _assert_same_block(kernels.prepare_block(qk, items), dict_prepare_block(qk, items))
 
 
 # ----------------------------------------------------------------------
@@ -219,3 +296,52 @@ def test_engine_block_agreement(small_db, kernel, order_sensitive):
         for (_, da), (_, db) in zip(qa, qb):
             assert math.isclose(da, db, rel_tol=1e-9, abs_tol=1e-12)
     assert block_stats == other_stats
+
+
+@pytest.mark.parametrize("order_sensitive", [False, True])
+def test_trajectory_inserted_after_the_first_query_is_scored(tiny_db, order_sensitive):
+    """The block reads per-trajectory columns built on first use, so a
+    trajectory inserted between queries needs no cache to be refreshed:
+    it is scored — and ranked first, being an exact match — with the same
+    ids and counters as under the scalar kernel."""
+    import copy
+    from dataclasses import asdict
+
+    from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
+    from repro.core.engine import GATSearchEngine
+    from repro.index.gat.index import GATConfig, GATIndex
+
+    db = copy.deepcopy(tiny_db)
+    index = GATIndex.build(db, GATConfig(depth=4, memory_levels=3))
+    gen = QueryWorkloadGenerator(
+        db, WorkloadConfig(n_query_points=3, n_activities_per_point=2, seed=5)
+    )
+    query = gen.queries(1)[0]
+    engines = {
+        kernel: GATSearchEngine(index, apl_cache_size=0, kernel=kernel)
+        for kernel in ("block", "scalar")
+    }
+
+    distances = {}
+
+    def run():
+        out = {}
+        for kernel, engine in engines.items():
+            index.hicl.clear_cache()
+            ctx = engine.execute(query, 5, order_sensitive=order_sensitive)
+            out[kernel] = ([r.trajectory_id for r in ctx.ranked], asdict(ctx.stats))
+            distances[kernel] = [r.distance for r in ctx.ranked]
+        return out
+
+    before = run()
+    assert before["block"] == before["scalar"]
+
+    new_tid = max(tr.trajectory_id for tr in db) + 1
+    points = [TrajectoryPoint(q.x, q.y, q.activities) for q in query]
+    points.insert(1, TrajectoryPoint(query[0].x, query[0].y, frozenset()))
+    index.insert_trajectory(ActivityTrajectory(new_tid, points))
+
+    after = run()
+    assert after["block"] == after["scalar"]
+    assert after["block"][0][0] == new_tid
+    assert distances["block"][0] == distances["scalar"][0] == 0.0

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
 from repro.core.kernels import (
-    HAVE_NUMPY,
     CandidateArrays,
     QueryKernel,
     min_cover_cost,
@@ -33,8 +32,6 @@ from repro.model.distance import (
 )
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 EUCLID = EuclideanDistance()
 
