@@ -1,4 +1,4 @@
-"""Ablations of the GAT design choices DESIGN.md calls out.
+"""Ablations of the GAT design choices.
 
 Not a paper figure — this quantifies the individual contributions the
 paper argues for qualitatively:

@@ -2,8 +2,7 @@
 
 Paper sweeps δ(Q) over {5, 10, 20, 30, 50} km on a full metro area.  Our
 scaled city is sqrt(scale) as wide, so the sweep uses the same *fractions*
-of the city diagonal as the paper's values are of ~100 km (documented in
-EXPERIMENTS.md).
+of the city diagonal as the paper's values are of ~100 km.
 
 Paper shape: IL flat (no geometry in retrieval); RT/IRT/GAT all slow down
 as the query spreads (each query point's neighbourhood is disjoint, so

@@ -16,7 +16,7 @@ from repro.bench.experiments import effect_of_granularity
 from repro.bench.reporting import _render
 
 #: Depths swept.  Our benchmark city is ~1/5 the paper's extent, so these
-#: cell sizes bracket the paper's 32x32 .. 256x256 sweep (EXPERIMENTS.md).
+#: cell sizes bracket the paper's 32x32 .. 256x256 sweep.
 DEPTHS = (4, 5, 6, 7)
 
 

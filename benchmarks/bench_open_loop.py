@@ -9,8 +9,8 @@ envelope (ROADMAP "Async open-loop serving tier").  Three stages:
   time badly underestimates per-query latency under contention (GIL +
   serialized simulated disk), so capacity is measured, not derived.
 * **saturation sweep** — seeded Poisson arrivals at multiples of the
-  estimated capacity, each point one open-loop run through
-  :func:`repro.bench.harness.ExperimentHarness.run_open_loop`.  The
+  estimated capacity, each point one open-loop run against a fresh
+  index + service + front-end built from the public constructors.  The
   *sustainable* rate is the highest point that still answers ≥95 % of
   offered requests within SLO while dropping ≤5 %.
 * **overload** — 2× the sustainable rate, twice: once with SLO-aware
@@ -103,6 +103,38 @@ def _measure_capacity(service, workload) -> float:
     return completed / (time.perf_counter() - t0)
 
 
+def _fresh_service(la_db) -> ShardedQueryService:
+    """A newly built shard fleet behind a new service.  The result cache
+    is off: the cycled workload would otherwise never load the backend."""
+    index = ShardedGATIndex.build(
+        la_db,
+        n_shards=N_SHARDS,
+        config=bench_gat_config(),
+        disk_factory=_disk_factory,
+    )
+    return ShardedQueryService(
+        index,
+        executor="thread",
+        fault_policy=_fault_policy(),
+        result_cache_size=0,
+    )
+
+
+def _sweep_point(la_db, workload, config, rate_qps, slo_s, seed):
+    """One saturation-sweep point on its own fresh stack (nothing warm or
+    queued carries over from the previous rate)."""
+    with _fresh_service(la_db) as service:
+        with ServingFrontend(service, config) as frontend:
+            return run_open_loop(
+                frontend,
+                workload,
+                PoissonArrivals(rate_qps, seed=seed),
+                duration_s=SWEEP_DURATION_S,
+                slo_s=slo_s,
+                k=K,
+            )
+
+
 def _overload_run(service, workload, config, rate_qps, slo_s, prime_s):
     with ServingFrontend(service, config) as frontend:
         frontend.prime(prime_s)
@@ -132,23 +164,12 @@ def _rankings_exact(report, oracle):
 
 
 @pytest.mark.benchmark(group="open-loop-serving")
-def test_open_loop_overload_envelope(benchmark, la_db, la_harness, workload):
+def test_open_loop_overload_envelope(benchmark, la_db, workload):
     report = {}
 
     def run():
         # --- calibrate: closed-loop service time + oracle rankings ----
-        index = ShardedGATIndex.build(
-            la_db,
-            n_shards=N_SHARDS,
-            config=bench_gat_config(),
-            disk_factory=_disk_factory,
-        )
-        with ShardedQueryService(
-            index,
-            executor="thread",
-            fault_policy=_fault_policy(),
-            result_cache_size=0,
-        ) as service:
+        with _fresh_service(la_db) as service:
             for query in workload:  # warm caches once
                 service.search(as_request(query, k=K))
             oracle = [
@@ -173,34 +194,24 @@ def test_open_loop_overload_envelope(benchmark, la_db, la_harness, workload):
             rows = []
             for i, multiplier in enumerate(SWEEP_MULTIPLIERS):
                 rate = multiplier * capacity_qps
-                timing = la_harness.run_open_loop(
-                    workload,
-                    K,
-                    rate_qps=rate,
-                    duration_s=SWEEP_DURATION_S,
-                    slo_s=slo_s,
-                    seed=20130408 + i,
-                    n_shards=N_SHARDS,
-                    serving_config=shed_config,
-                    fault_policy=_fault_policy(),
-                    disk_factory=_disk_factory,
+                point = _sweep_point(
+                    la_db, workload, shed_config, rate, slo_s, seed=20130408 + i
                 )
-                extra = timing.extra
                 within = (
-                    extra["goodput_qps"] / extra["offered_qps"]
-                    if extra["offered_qps"]
+                    point.goodput_qps / point.offered_qps
+                    if point.offered_qps
                     else 0.0
                 )
                 rows.append(
                     {
                         "multiplier": multiplier,
                         "rate_qps": round(rate, 2),
-                        "offered_qps": round(extra["offered_qps"], 2),
-                        "goodput_qps": round(extra["goodput_qps"], 2),
+                        "offered_qps": round(point.offered_qps, 2),
+                        "goodput_qps": round(point.goodput_qps, 2),
                         "within_slo_frac": round(within, 4),
-                        "shed_frac": round(extra["shed_frac"], 4),
-                        "drop_frac": round(extra["drop_frac"], 4),
-                        "p95_ms": extra["p95_ms"],
+                        "shed_frac": round(point.shed_frac, 4),
+                        "drop_frac": round(point.drop_frac, 4),
+                        "p95_ms": point.row()["latency_p95_ms"],
                     }
                 )
             sustainable = [

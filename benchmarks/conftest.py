@@ -7,7 +7,7 @@ session and registers pytest-benchmark timings for the default setting.
 Scaling: datasets are generated at ``REPRO_BENCH_SCALE`` (default 0.04,
 i.e. ~1.3K LA-like / ~2K NY-like trajectories — paper-shaped but laptop
 sized) with ``REPRO_BENCH_QUERIES`` queries per sweep point (default 3; the
-paper uses 50).  EXPERIMENTS.md documents runs and deviations.
+paper uses 50).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ BENCH_QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", "3"))
 
 #: Grid depth used by benchmark GAT indexes.  The paper uses d=8 over a
 #: full metro area (~400 m cells); our scaled city is ~sqrt(scale) as wide,
-#: so d=6 gives comparable cell sizes (see EXPERIMENTS.md).
+#: so d=6 gives comparable cell sizes.
 BENCH_GAT_DEPTH = int(os.environ.get("REPRO_BENCH_GAT_DEPTH", "6"))
 
 

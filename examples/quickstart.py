@@ -61,14 +61,14 @@ print(f"database: {len(db)} trajectories, {db.n_points()} points, "
 # 2. Build the GAT index (the paper's defaults are depth=8, memory_levels=6;
 #    a toy database only needs a shallow grid).
 #
-#    The engine scores candidates through the vectorized NumPy kernels
-#    when NumPy is importable (kernel="auto"); pass kernel="scalar" for
-#    the from-the-paper reference implementations — rankings and pruning
-#    counters are identical either way, the vectorized kernel is just
+#    The engine scores candidates through the round-batched NumPy block
+#    kernel (kernel="block", the default); pass kernel="scalar" for the
+#    from-the-paper reference implementations — rankings and pruning
+#    counters are identical either way, the array kernels are just
 #    4-7x faster on paper-scale data (see benchmarks/bench_kernel_scoring.py).
 # ----------------------------------------------------------------------
 index = GATIndex.build(db, GATConfig(depth=4, memory_levels=3))
-engine = GATSearchEngine(index)  # kernel="auto" | "scalar" | "vectorized"
+engine = GATSearchEngine(index)  # kernel="block" | "vectorized" | "scalar"
 
 # ----------------------------------------------------------------------
 # 3. The tourist's plan: three locations, each with desired activities.

@@ -4,7 +4,7 @@ Each function builds (or receives) a dataset, generates the figure's
 workload, sweeps its parameter, and returns `SweepResult`s ready for
 :func:`repro.bench.reporting.format_series_table`.  Scales are configurable
 module-wide through :class:`ExperimentScale` so the same code can run a
-quick smoke pass (pytest-benchmark) or a longer EXPERIMENTS.md pass.
+quick smoke pass (pytest-benchmark) or a longer full-scale pass.
 
 Paper defaults (Table V): k = 9, |Q| = 4, |q.Φ| = 3, δ(Q) = 10 km.
 """
@@ -39,9 +39,8 @@ GRANULARITY_DEPTHS = (5, 6, 7, 8)  # 32, 64, 128, 256 partitions per side
 class ExperimentScale:
     """How big an experiment run is.
 
-    ``dataset_scale`` is the fraction of the paper's dataset sizes
-    (DESIGN.md records the substitution); ``n_queries`` is the batch per
-    sweep point (the paper uses 50).
+    ``dataset_scale`` is the fraction of the paper's dataset sizes;
+    ``n_queries`` is the batch per sweep point (the paper uses 50).
     """
 
     dataset_scale: float = 0.02

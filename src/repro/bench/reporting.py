@@ -2,7 +2,7 @@
 
 Every benchmark prints, for each figure, a table with one row per x-axis
 value and one column per method — the textual equivalent of the paper's
-line plots — so EXPERIMENTS.md can quote them directly.
+line plots.
 """
 
 from __future__ import annotations

@@ -106,11 +106,10 @@ class QueryWorkloadGenerator:
 
         Activity selection is most-popular-first (IDs are frequency
         ordered): users ask for common activity types, and this keeps
-        candidate-set sizes in the regime the paper's IL timings imply
-        (DESIGN.md discusses the calibration).  When a point carries fewer
-        than ``|q.Φ|`` eligible activities, the remainder is padded from
-        the anchor trajectory's other eligible activities — the activities
-        performed *around* that location.
+        candidate-set sizes in the regime the paper's IL timings imply.
+        When a point carries fewer than ``|q.Φ|`` eligible activities, the
+        remainder is padded from the anchor trajectory's other eligible
+        activities — the activities performed *around* that location.
         """
         nq = n_query_points or self.config.n_query_points
         na = n_activities_per_point or self.config.n_activities_per_point

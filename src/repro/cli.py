@@ -216,12 +216,11 @@ def _add_query_args(p_query: argparse.ArgumentParser) -> None:
     p_query.add_argument("--depth", type=int, default=6, help="GAT grid depth")
     p_query.add_argument(
         "--kernel",
-        choices=["auto", "scalar", "vectorized", "block"],
-        default="auto",
-        help="scoring kernel: auto (block when numpy is available), "
-        "scalar (the seed oracles), vectorized (one NumPy matrix per "
-        "candidate), or block (one tensor per validation round with "
-        "early candidate abandonment)",
+        choices=["scalar", "vectorized", "block"],
+        default="block",
+        help="scoring kernel: scalar (the seed oracles), vectorized (one "
+        "NumPy matrix per candidate), or block (the default: one tensor "
+        "per validation round with early candidate abandonment)",
     )
     p_query.add_argument("--explain", action="store_true", help="show matched points")
     p_query.add_argument(

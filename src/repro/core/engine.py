@@ -80,9 +80,9 @@ class EngineConfig:
     apl_cache_size:
         Engine-level LRU over APL posting-list fetches; ``0`` disables.
     kernel:
-        Scoring kernel: ``'auto'`` (means ``'block'``), ``'scalar'`` (the
-        seed oracles), ``'vectorized'`` (one NumPy matrix per
-        candidate), or ``'block'`` (one flat tensor per validation
+        Scoring kernel: ``'scalar'`` (the seed oracles),
+        ``'vectorized'`` (one NumPy matrix per candidate), or
+        ``'block'`` (the default: one flat tensor per validation
         round — every candidate's relevant points concatenated, no
         padding, assembled from the trajectories' activity columns —
         with early abandonment against the running k-th threshold).
@@ -105,7 +105,7 @@ class EngineConfig:
     use_tas: bool = True
     use_tight_lower_bound: bool = True
     apl_cache_size: int = 2048
-    kernel: str = "auto"
+    kernel: str = "block"
     batch_io: bool = True
     io_workers: int = 0
 

@@ -16,8 +16,8 @@ The evaluator now fronts three interchangeable kernels:
 * ``'vectorized'`` — :mod:`repro.core.kernels`: one NumPy distance matrix
   per candidate plus array set-cover/DP scans;
 * ``'block'`` — the round-batched tensors of
-  :class:`~repro.core.kernels.CandidateBlock` (the default,
-  ``kernel='auto'``): a whole validation round is assembled from the
+  :class:`~repro.core.kernels.CandidateBlock` (the default): a whole
+  validation round is assembled from the
   candidates' activity columns and scored through
   :meth:`MatchEvaluator.dmm_batch` / :meth:`dmom_batch` — one
   distance evaluation, block set-cover lower bounds, and early
@@ -79,14 +79,13 @@ class MatchEvaluator:
     metric:
         Distance strategy; defaults to Euclidean.
     kernel:
-        ``'auto'`` (the default; means ``'block'``), ``'block'`` (one
-        flat tensor per validation round, through the ``*_batch``
-        entries), ``'vectorized'`` (one NumPy matrix per candidate), or
+        ``'block'`` (the default: one flat tensor per validation round,
+        through the ``*_batch`` entries), ``'vectorized'`` (one NumPy matrix per candidate), or
         ``'scalar'`` (the seed oracles).
     """
 
     def __init__(
-        self, metric: Optional[DistanceMetric] = None, kernel: str = "auto"
+        self, metric: Optional[DistanceMetric] = None, kernel: str = "block"
     ) -> None:
         self.metric: DistanceMetric = metric or EuclideanDistance()
         self.kernel = resolve_kernel(kernel)

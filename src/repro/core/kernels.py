@@ -24,7 +24,7 @@ both with a *prepare once, scan arrays* scheme:
    O(n · 2^|q.Φ|) left-to-right scan (see :func:`dmom_prepared`).
 
 On top of the per-candidate kernels sits the *block* kernel
-(``kernel='block'``, the ``'auto'`` default): a whole validation round's
+(``kernel='block'``, the default): a whole validation round's
 admitted candidates go into one :class:`CandidateBlock` — a flat
 ``[|Q|, N]`` distance matrix over every candidate's concatenated relevant
 points, built by a **single** Euclidean/Haversine evaluation per round,
@@ -72,7 +72,7 @@ pruning counter except on exact distance ties, which the engine-level
 parity suite checks never happens on real workloads (ids and counters
 are compared exactly, distances to 1e-9 relative).
 
-NumPy is a hard dependency (``setup.py``): ``kernel='auto'`` is ``'block'``.
+NumPy is a hard dependency (``setup.py``).
 
 Every coordinate access below goes through ``trajectory.coord_array()``:
 for array-backed trajectories (:meth:`ActivityTrajectory.from_arrays`,
@@ -101,17 +101,12 @@ from repro.model.distance import (
 
 INFINITY = math.inf
 
-KERNELS = ("auto", "scalar", "vectorized", "block")
+KERNELS = ("scalar", "vectorized", "block")
 
 
 def resolve_kernel(kernel: str) -> str:
-    """Map a kernel request to the concrete implementation to run.
-
-    ``'auto'`` is ``'block'``; anything outside :data:`KERNELS` raises.
-    """
-    if kernel == "auto":
-        return "block"
-    if kernel not in ("scalar", "vectorized", "block"):
+    """Return *kernel* if it names one of :data:`KERNELS`; raise otherwise."""
+    if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
     return kernel
 

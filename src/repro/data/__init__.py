@@ -2,7 +2,7 @@
 
 The paper evaluates on crawled Foursquare check-ins for Los Angeles and New
 York (Table IV).  Those crawls are not redistributable, so this package
-synthesises the closest equivalent (see DESIGN.md, "Substitutions"):
+synthesises the closest equivalent:
 
 * venues are drawn from a mixture of Gaussian hot-spots over a city-sized
   bounding box (check-in venues are heavily clustered downtown);

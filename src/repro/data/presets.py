@@ -24,8 +24,8 @@ The key *ratios* the evaluation commentary relies on:
 
 A pure-Python reproduction cannot profitably run 50 queries x 6 sweeps over
 3 M activity occurrences, so presets take a ``scale`` in (0, 1]; the default
-benchmark scale is 0.1 (documented per experiment in EXPERIMENTS.md).  The
-preset keeps the LA-vs-NY *contrast* intact at every scale.
+benchmark scale is 0.1.  The preset keeps the LA-vs-NY *contrast* intact at
+every scale.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ intersection of posting lists) and scores every survivor.
 The set operations are the IL baseline's whole retrieval cost (its
 posting lists cover sizeable shares of the database for the head
 activities the workloads query), so both combinators run over cached
-sorted int64 arrays when NumPy is importable — ``np.intersect1d`` /
-``np.union1d`` on ``assume_unique`` inputs — with the original
-set-algebra fallback kept for NumPy-less installs and for short lists,
-where fixed NumPy call overhead loses to the C-level set operations.
+sorted int64 arrays — ``np.intersect1d`` / ``np.union1d`` on
+``assume_unique`` inputs — with the original set algebra kept for short
+lists, where fixed NumPy call overhead loses to the C-level set
+operations.
 Results are identical: both compute exact set intersection/union.
 """
 
@@ -20,12 +20,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.model.database import TrajectoryDatabase
+import numpy as _np
 
-try:  # pragma: no cover - exercised implicitly by the IL baseline tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+from repro.model.database import TrajectoryDatabase
 
 #: Below this combined size the scalar set path wins on call overhead.
 MIN_BATCH = 64
@@ -49,11 +46,9 @@ class InvertedIndex:
             for activity in trajectory.activity_union:
                 accum.setdefault(activity, []).append(tid)
         index._lists = {a: tuple(sorted(tids)) for a, tids in accum.items()}
-        if _np is not None:
-            index._arrays = {
-                a: _np.asarray(tids, dtype=_np.int64)
-                for a, tids in index._lists.items()
-            }
+        index._arrays = {
+            a: _np.asarray(tids, dtype=_np.int64) for a, tids in index._lists.items()
+        }
         return index
 
     def posting(self, activity: int) -> Tuple[int, ...]:
@@ -62,11 +57,9 @@ class InvertedIndex:
 
     def _posting_arrays(self, activities: Iterable[int]):
         """The distinct activities' posting arrays, or ``None`` when the
-        NumPy path should not run (missing NumPy, an empty posting — the
-        scalar paths short-circuit those — or inputs too small to beat
-        the per-call overhead)."""
-        if _np is None:
-            return None
+        NumPy path should not run (an empty posting — the scalar paths
+        short-circuit those — or inputs too small to beat the per-call
+        overhead)."""
         arrays = []
         total = 0
         for activity in dict.fromkeys(activities):

@@ -20,12 +20,9 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.geometry.primitives import Coord, Rect
+import numpy as _np
 
-try:  # pragma: no cover - exercised implicitly by the baseline tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+from repro.geometry.primitives import Coord, Rect
 
 DEFAULT_MAX_ENTRIES = 32
 
@@ -100,7 +97,7 @@ class RTreeNode:
         evaluator's exact distances.
         """
         children = self.children
-        if _np is None or len(children) < MIN_BATCH:
+        if len(children) < MIN_BATCH:
             if self.is_leaf:
                 x, y = point
                 return [math.hypot(x - e.x, y - e.y) for e in children]

@@ -17,7 +17,7 @@ after which updates are plain attribute arithmetic on thread-owned state
 come from ~30 integers instead of an unbounded sample list.
 
 :func:`nearest_rank` is the one shared quantile definition — the serving
-layer's ``_percentile`` and the fault supervisor's
+layer's ``ServingMetrics.fill`` and the fault supervisor's
 ``TaskLatencyTracker.quantile`` both delegate here, so the two can never
 drift apart again.
 """

@@ -1,28 +1,45 @@
-"""QueryService — batched, concurrent ATSQ/OATSQ serving.
+"""One request front, two backends.
 
-One :class:`~repro.core.engine.GATSearchEngine` is shared by all workers:
-the engine is stateless per query (each call builds its own
-:class:`~repro.core.context.ExecutionContext`), the HICL and APL caches
-are thread-safe LRUs, and disk I/O is attributed per query through
-thread-local trackers — so fan-out needs no per-worker engine copies and
-every worker warms the same caches.
+Everything a query service does *around* executing a query lives in one
+object, :class:`ServingFront`: the query-signature result cache, the
+index-version guard that invalidates it, the hit/lookup counters, the
+:class:`ServingMetrics` busy-wall / latency accounting, the observability
+feed and the closed flag.  A service hands it a list of requests and an
+``execute`` callable and gets the responses back in request order
+(:meth:`ServingFront.serve`); the front decides which requests reach
+``execute`` at all.
 
-``search_many`` preserves input order: response ``i`` always answers
-request ``i`` regardless of which worker finished first, making batched
-output bitwise-comparable with a sequential loop.
+Two backends serve through it, by composition:
 
-Repeated requests are memoised in a **query-signature result cache**
-keyed by ``(query points, k, order_sensitive, explain)``: a hot signature
-costs one LRU lookup instead of a full index search.  The cache is
-invalidated wholesale when the index's mutation counter moves
-(``GATIndex.insert_trajectory``), so a quiesce-insert-resume cycle can
-never serve pre-insert rankings.
+* :class:`QueryService` (here) runs
+  :meth:`GATSearchEngine.execute <repro.core.engine.GATSearchEngine.execute>`
+  — on the calling thread for ``search``, on a thread pool for
+  ``search_many``.  One engine is shared by all workers: the engine is
+  stateless per query (each call builds its own
+  :class:`~repro.core.context.ExecutionContext`), the HICL and APL caches
+  are thread-safe LRUs, and disk I/O is attributed per query through
+  thread-local trackers, so fan-out needs no per-worker engine copies and
+  every worker warms the same caches.
+* :class:`~repro.shard.service.ShardedQueryService` fans each request out
+  over a shard fleet, merges, and resyncs its replica banks when the
+  front reports a version move.
+
+What the front guarantees to both: response ``i`` answers request ``i``;
+a repeated request — same query points, ``k``, ``order_sensitive`` and
+``explain`` — costs one LRU lookup and comes back as a fresh list with
+zeroed :class:`~repro.core.context.SearchStats`; only complete responses
+are cached; the cache is dropped wholesale when the index's mutation
+counter moves (``insert_trajectory``), before any search can observe the
+new version, so a quiesce-insert-resume cycle can never serve pre-insert
+rankings; and a closed service refuses work instead of resurrecting its
+pools.
 
 Python threads still contend on the GIL for pure-Python compute, so the
-throughput win comes from overlapping the simulated-disk latency and from
-cache sharing; with a zero-latency disk the batched path is exercised for
-correctness, and the benchmark (``benchmarks/bench_service_throughput.py``)
-injects a realistic read latency to show the >1.5× batched speedup.
+batched throughput win comes from overlapping the simulated-disk latency
+and from cache sharing; with a zero-latency disk the batched path is
+exercised for correctness, and the benchmark
+(``benchmarks/bench_service_throughput.py``) injects a realistic read
+latency to show the >1.5× batched speedup.
 """
 
 from __future__ import annotations
@@ -32,7 +49,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.context import SearchStats
 from repro.core.engine import GATSearchEngine
@@ -154,21 +171,9 @@ class ServiceStats:
         return self.result_cache_hits / self.result_cache_lookups
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted sequence.
-
-    Thin alias over :func:`repro.obs.metrics.nearest_rank` — kept so the
-    serving layer and the fault supervisor's
-    :meth:`~repro.shard.resilience.TaskLatencyTracker.quantile` share one
-    quantile definition instead of two divergent implementations.
-    """
-    return nearest_rank(sorted_values, q)
-
-
 def as_request(item: Union[QueryRequest, Query], **defaults) -> QueryRequest:
     """Coerce a bare :class:`Query` (plus shared option defaults) into a
-    :class:`QueryRequest`; prebuilt requests pass through untouched.
-    Shared by both query services so request coercion can never diverge."""
+    :class:`QueryRequest`; prebuilt requests pass through untouched."""
     if isinstance(item, QueryRequest):
         return item
     return QueryRequest(query=item, **defaults)
@@ -184,13 +189,23 @@ def delta_hit_rate(now: Optional[CacheStats], base: Optional[CacheStats]) -> flo
     return hits / lookups if lookups > 0 else 0.0
 
 
+def engine_cache_stats(
+    engines: Sequence[GATSearchEngine],
+) -> Tuple[Optional[CacheStats], Optional[CacheStats]]:
+    """Combined ``(HICL, APL)`` cache accounting of *engines* — hits and
+    lookups sum without double-counting, since each lookup happened on
+    exactly one engine's caches."""
+    return (
+        CacheStats.combined([engine.index.hicl.cache_stats() for engine in engines]),
+        CacheStats.combined([engine.apl_cache_stats() for engine in engines]),
+    )
+
+
 def request_cache_key(request: QueryRequest) -> tuple:
-    """The query signature used by result caches: the (hashable, frozen)
-    query points plus every option that changes the answer.  Shared by
-    :class:`QueryService` and the sharded service so both layers cache —
-    and invalidate — under identical identities.  ``deadline_s`` is
-    deliberately excluded: it changes how long we are willing to wait,
-    never what the answer is."""
+    """The query signature the result cache keys on: the (hashable,
+    frozen) query points plus every option that changes the answer.
+    ``deadline_s`` is deliberately excluded: it changes how long we are
+    willing to wait, never what the answer is."""
     return (
         request.query.points,
         request.k,
@@ -200,13 +215,11 @@ def request_cache_key(request: QueryRequest) -> tuple:
 
 
 class ServingMetrics:
-    """Thread-safe serving accounting shared by the query services.
+    """Thread-safe serving accounting, owned by :class:`ServingFront`.
 
-    Owns the latency window, the query/disk-read totals, and the
+    Holds the latency window, the query/disk-read totals, and the
     busy-interval wall clock (overlapping calls must not double-count wall
-    time: ``qps = queries / busy wall``).  :class:`QueryService` and the
-    sharded :class:`~repro.shard.service.ShardedQueryService` both delegate
-    here so their ``ServiceStats`` mean the same thing.
+    time: ``qps = queries / busy wall``).
     """
 
     __slots__ = (
@@ -296,6 +309,236 @@ class ServingMetrics:
         return stats
 
 
+
+
+class ServingFront:
+    """The request front both query services serve through.
+
+    Parameters
+    ----------
+    index:
+        Whatever the backend searches — a ``GATIndex`` or a
+        ``ShardedGATIndex``; only its ``version`` is read (for the sharded
+        index the composite tuple of per-shard versions, so an insert into
+        any shard moves it).
+    engines:
+        Zero-arg callable returning the engines whose HICL/APL caches back
+        the hit rates *right now* (a sharded backend swaps engines on
+        resync).
+    result_cache_size:
+        Capacity of the query-signature result cache; ``0`` disables it.
+    obs:
+        Optional :class:`~repro.obs.Observability` handle, bound to the
+        index's disks here and fed per lookup and per answered query.
+        ``None`` costs one ``is None`` check at each of those two points.
+    shards:
+        Coverage stamped on cache hits (only full-coverage responses are
+        ever cached, so a hit is complete by construction).
+    """
+
+    #: Sentinel distinguishing "cached empty result" from "cache miss".
+    _MISS = object()
+
+    def __init__(
+        self,
+        index,
+        engines: Callable[[], Sequence[GATSearchEngine]],
+        result_cache_size: int,
+        obs=None,
+        shards: int = 1,
+    ) -> None:
+        if result_cache_size < 0:
+            raise ValueError("result_cache_size must be >= 0")
+        self.index = index
+        self.obs = obs
+        if obs is not None:
+            obs.bind_index(index)
+        self._engines = engines
+        self._shards = shards
+        self._cache: Optional[LRUCache] = (
+            LRUCache(result_cache_size) if result_cache_size > 0 else None
+        )
+        # Guards the published version, the cache sweep/put pair, the
+        # hit/lookup counters and the hit-rate baselines.  on_stale
+        # callbacks run under it, so they must not call back into the
+        # front; backends keep their own state under their own lock and
+        # never hold that one while calling serve()/stats().
+        self._lock = threading.Lock()
+        self.version = index.version
+        self._hits = 0
+        self._lookups = 0
+        self._metrics = ServingMetrics()
+        self._cache_base = engine_cache_stats(engines())
+        # Final (HICL, APL) counters of engines discarded since the last
+        # reset: their lookups happened, so they stay in the hit-rate
+        # deltas after the caches themselves are gone.
+        self._cache_retired: Tuple[Optional[CacheStats], ...] = (None, None)
+        self._closed = False
+
+    # ------------------------------------------------------------------
+    # Serving
+    # ------------------------------------------------------------------
+    def serve(
+        self,
+        requests: Sequence[QueryRequest],
+        execute: Callable[[Sequence[QueryRequest]], List[QueryResponse]],
+        on_stale: Optional[Callable[[], Sequence[GATSearchEngine]]] = None,
+    ) -> List[QueryResponse]:
+        """Answer *requests* in order: sync the index version, answer what
+        the result cache holds, hand the misses to the backend's *execute*
+        (one response per request it is given, same order), cache the
+        complete ones, then record and feed obs.
+
+        *on_stale* is the backend's reaction to a version move — rebuild
+        whatever was derived from the old index and return the engines it
+        discarded (see :meth:`_sync_version`)."""
+        if self._closed:
+            raise RuntimeError("query service used after close()")
+        metrics = self._metrics
+        metrics.enter_busy()
+        try:
+            version = self._sync_version(on_stale)
+            if self._cache is None:
+                responses = execute(requests)
+            else:
+                responses = [self._lookup(request) for request in requests]
+                misses = [i for i, hit in enumerate(responses) if hit is None]
+                if misses:
+                    executed = execute([requests[i] for i in misses])
+                    for i, response in zip(misses, executed):
+                        responses[i] = response
+                        # Partials are transient degradation, not answers
+                        # worth replaying.
+                        if response.complete:
+                            self._put(response, version)
+        finally:
+            metrics.exit_busy()
+        metrics.record((r.latency_s, r.stats.disk_reads) for r in responses)
+        obs = self.obs
+        if obs is not None:
+            for response in responses:
+                obs.observe_response(response)
+        return responses
+
+    def _sync_version(self, on_stale) -> object:
+        """Invalidate on version movement (``insert_trajectory`` bumps
+        ``index.version``): drop the result cache and let the backend
+        catch up — all *before* the fresh version is published, so a
+        concurrent search that observes the new ``version`` can never run
+        on pre-insert state behind it (latecomers block on the lock until
+        the backend is done).  Returns the version the caller's lookups
+        and puts are valid against."""
+        version = self.index.version
+        if version != self.version:
+            with self._lock:
+                if version != self.version:
+                    if self._cache is not None:
+                        self._cache.clear()
+                    if on_stale is not None:
+                        # The discarded engines' caches vanish from the
+                        # "now" side of stats()' hit-rate deltas, so their
+                        # counters must move to the retired side — under
+                        # the lock stats() reads all three under — or the
+                        # deltas read outside [0, 1].
+                        gone = engine_cache_stats(on_stale())
+                        self._cache_retired = tuple(
+                            CacheStats.combined([retired, g])
+                            for retired, g in zip(self._cache_retired, gone)
+                        )
+                    self.version = version
+        return self.version
+
+    def _lookup(self, request: QueryRequest) -> Optional[QueryResponse]:
+        t0 = time.perf_counter()
+        cached = self._cache.get(request_cache_key(request), self._MISS)
+        hit = cached is not self._MISS
+        with self._lock:
+            self._lookups += 1
+            if hit:
+                self._hits += 1
+        obs = self.obs
+        if obs is not None:
+            obs.observe_cache(hit)
+            if hit and obs.tracer.enabled:
+                obs.tracer.start_span(
+                    "query",
+                    attrs={
+                        "k": request.k,
+                        "order_sensitive": request.order_sensitive,
+                        "cache_hit": True,
+                    },
+                ).end()
+        if not hit:
+            return None
+        # A fresh list per response (callers may mutate), zeroed counters
+        # (no engine work happened).
+        return QueryResponse(
+            request=request,
+            results=list(cached),
+            stats=SearchStats(),
+            latency_s=time.perf_counter() - t0,
+            shards_answered=self._shards,
+            shards_total=self._shards,
+        )
+
+    def _put(self, response: QueryResponse, version: object) -> None:
+        # Version-guarded: an insert that landed while this query executed
+        # must not let pre-insert rankings be re-cached after the
+        # invalidation sweep.  _sync_version clears + publishes under the
+        # same lock, so the equality check linearises the put against the
+        # sweep.
+        with self._lock:
+            if self.version == version:
+                self._cache.put(
+                    request_cache_key(response.request), tuple(response.results)
+                )
+
+    def close(self) -> None:
+        """Refuse further work (idempotent).  The owning service shuts its
+        pools down after this; a later ``serve`` raises instead of
+        resurrecting them."""
+        self._closed = True
+
+    # ------------------------------------------------------------------
+    # Accounting
+    # ------------------------------------------------------------------
+    def stats(self) -> ServiceStats:
+        """Timing, volume, result-cache and HICL/APL hit-rate fields (the
+        fan-out fields stay zero; a sharded backend fills its own)."""
+        with self._lock:
+            # Every side of each delta under one lock: _sync_version swaps
+            # zero-counter caches in and retires the old ones' counters
+            # atomically under this same lock, so a reader must never pair
+            # the new "now" with the old retired totals (or vice versa) —
+            # that torn diff reads outside [0, 1].
+            hicl_rate, apl_rate = (
+                delta_hit_rate(CacheStats.combined([now, retired]), base)
+                for now, retired, base in zip(
+                    engine_cache_stats(self._engines()),
+                    self._cache_retired,
+                    self._cache_base,
+                )
+            )
+            hits, lookups = self._hits, self._lookups
+        stats = self._metrics.fill(ServiceStats())
+        stats.hicl_cache_hit_rate = hicl_rate
+        stats.apl_cache_hit_rate = apl_rate
+        stats.result_cache_hits = hits
+        stats.result_cache_lookups = lookups
+        return stats
+
+    def reset_stats(self) -> None:
+        """Zero the front's own accounting and re-baseline the engine
+        cache counters (which live on the engines/indexes and keep
+        running)."""
+        self._metrics.reset()
+        with self._lock:
+            self._hits = 0
+            self._lookups = 0
+            self._cache_base = engine_cache_stats(self._engines())
+            self._cache_retired = (None, None)
+
+
 class QueryService:
     """Batched, concurrent query serving over one shared engine.
 
@@ -321,9 +564,6 @@ class QueryService:
         default) keeps the serving path free of instrumentation.
     """
 
-    #: Sentinel distinguishing "cached empty result" from "cache miss".
-    _MISS = object()
-
     def __init__(
         self,
         engine: GATSearchEngine,
@@ -333,43 +573,21 @@ class QueryService:
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if result_cache_size < 0:
-            raise ValueError("result_cache_size must be >= 0")
         self.engine = engine
         self.obs = obs
-        if obs is not None:
-            obs.bind_index(engine.index)
         self.max_workers = max_workers
-        self._result_cache: Optional[LRUCache] = (
-            LRUCache(result_cache_size) if result_cache_size > 0 else None
+        self._front = ServingFront(
+            engine.index, lambda: (engine,), result_cache_size, obs
         )
-        self._index_version = engine.index.version
-        self._result_hits = 0
-        self._result_lookups = 0
         # One pool for the service's lifetime — per-batch pool setup and
         # teardown would rival the query work for small batches.  Created
         # lazily so a sequential-only service never spawns threads.
         self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
-        self._metrics = ServingMetrics()
-        self._hicl_base: CacheStats = engine.index.hicl.cache_stats()
-        self._apl_base: Optional[CacheStats] = engine.apl_cache_stats()
 
     # ------------------------------------------------------------------
-    # Serving
+    # Backend: engine.execute
     # ------------------------------------------------------------------
-    _cache_key = staticmethod(request_cache_key)
-
-    def _check_cache_version(self) -> None:
-        """Drop every cached result when the index has been mutated since
-        the last check (insert_trajectory bumps ``index.version``)."""
-        version = self.engine.index.version
-        if version != self._index_version:
-            with self._lock:
-                if version != self._index_version:
-                    self._result_cache.clear()
-                    self._index_version = version
-
     def _run_one(self, request: QueryRequest) -> QueryResponse:
         obs = self.obs
         span = None
@@ -378,34 +596,6 @@ class QueryService:
                 "query",
                 attrs={"k": request.k, "order_sensitive": request.order_sensitive},
             )
-        cache = self._result_cache
-        key = None
-        looked_up_version = None
-        if cache is not None:
-            self._check_cache_version()
-            looked_up_version = self._index_version
-            key = self._cache_key(request)
-            t0 = time.perf_counter()
-            cached = cache.get(key, self._MISS)
-            hit = cached is not self._MISS
-            with self._lock:
-                self._result_lookups += 1
-                if hit:
-                    self._result_hits += 1
-            if obs is not None:
-                obs.observe_cache(hit)
-            if hit:
-                if span is not None:
-                    span.set_attr("cache_hit", True)
-                    span.end()
-                # A fresh list per response (callers may mutate), zeroed
-                # counters (no engine work happened).
-                return QueryResponse(
-                    request=request,
-                    results=list(cached),
-                    stats=SearchStats(),
-                    latency_s=time.perf_counter() - t0,
-                )
         try:
             ctx = self.engine.execute(
                 request.query,
@@ -419,16 +609,6 @@ class QueryService:
                 span.set_attr("error", repr(exc))
                 span.end()
             raise
-        results = ctx.ranked if ctx.ranked is not None else []
-        if cache is not None:
-            # Version-guarded put: an insert that landed while this query
-            # executed must not let pre-insert rankings be re-cached after
-            # the invalidation sweep.  _check_cache_version clears + bumps
-            # under the same lock, so the equality check linearises the
-            # put against the sweep.
-            with self._lock:
-                if self._index_version == looked_up_version:
-                    cache.put(key, tuple(results))
         if span is not None:
             span.set_attrs(
                 latency_s=ctx.latency_s,
@@ -438,29 +618,26 @@ class QueryService:
             span.end()
         return QueryResponse(
             request=request,
-            results=results,
+            results=ctx.ranked if ctx.ranked is not None else [],
             stats=ctx.stats,
             latency_s=ctx.latency_s,
         )
 
-    def _enter_busy(self) -> None:
-        self._metrics.enter_busy()
+    def _run_inline(self, requests: Sequence[QueryRequest]) -> List[QueryResponse]:
+        return [self._run_one(request) for request in requests]
 
-    def _exit_busy(self) -> None:
-        self._metrics.exit_busy()
+    def _shared_pool(self) -> ThreadPoolExecutor:
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.max_workers,
+                    thread_name_prefix="repro-query",
+                )
+            return self._pool
 
-    def _record(self, responses: Iterable[QueryResponse]) -> None:
-        responses = (
-            responses if isinstance(responses, (list, tuple)) else list(responses)
-        )
-        self._metrics.record((r.latency_s, r.stats.disk_reads) for r in responses)
-        obs = self.obs
-        if obs is not None:
-            for response in responses:
-                obs.observe_response(response)
-
-    _as_request = staticmethod(as_request)
-
+    # ------------------------------------------------------------------
+    # Serving API
+    # ------------------------------------------------------------------
     def search(
         self,
         query: Union[QueryRequest, Query],
@@ -469,17 +646,11 @@ class QueryService:
         explain: bool = False,
     ) -> QueryResponse:
         """Answer one query (a :class:`Query` plus options, or a prebuilt
-        :class:`QueryRequest`)."""
-        request = self._as_request(
+        :class:`QueryRequest`) on the calling thread."""
+        request = as_request(
             query, k=k, order_sensitive=order_sensitive, explain=explain
         )
-        self._enter_busy()
-        try:
-            response = self._run_one(request)
-        finally:
-            self._exit_busy()
-        self._record((response,))
-        return response
+        return self._front.serve((request,), self._run_inline)[0]
 
     def search_many(
         self,
@@ -494,45 +665,39 @@ class QueryService:
 
         Bare :class:`Query` items take the shared ``k``/``order_sensitive``
         /``explain`` options; :class:`QueryRequest` items keep their own.
-        (``explain`` was once silently dropped here even though the result
-        cache keys on it — batched explain queries are first-class now.
-        It is keyword-only, as is ``max_workers``: the insertion must not
-        silently rebind an old positional worker-count argument.)
+        ``explain`` and ``max_workers`` are keyword-only.
         """
         requests = [
-            self._as_request(q, k=k, order_sensitive=order_sensitive, explain=explain)
+            as_request(q, k=k, order_sensitive=order_sensitive, explain=explain)
             for q in queries
         ]
         workers = max_workers if max_workers is not None else self.max_workers
-        self._enter_busy()
-        try:
-            if workers == 1 or len(requests) <= 1:
-                responses = [self._run_one(r) for r in requests]
-            elif workers == self.max_workers:
-                responses = list(self._shared_pool().map(self._run_one, requests))
-            else:
-                # Non-default width: a throwaway pool keeps the shared one
-                # honestly sized at max_workers.
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    responses = list(pool.map(self._run_one, requests))
-        finally:
-            self._exit_busy()
-        self._record(responses)
-        return responses
 
-    def _shared_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-query",
-                )
-            return self._pool
+        def run_pooled(misses: Sequence[QueryRequest]) -> List[QueryResponse]:
+            if workers == 1 or len(misses) <= 1:
+                return self._run_inline(misses)
+            if workers == self.max_workers:
+                return list(self._shared_pool().map(self._run_one, misses))
+            # Non-default width: a throwaway pool keeps the shared one
+            # honestly sized at max_workers.
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(self._run_one, misses))
+
+        return self._front.serve(requests, run_pooled)
+
+    def stats(self) -> ServiceStats:
+        return self._front.stats()
+
+    def reset_stats(self) -> None:
+        """Zero the service's own accounting and re-baseline the shared
+        cache counters (which live on the engine/index and keep running)."""
+        self._front.reset_stats()
 
     def close(self) -> None:
-        """Shut down the worker pool (idempotent; the service can be
-        garbage-collected without calling this, but long-running hosts
-        should close explicitly)."""
+        """Refuse further work and shut down the worker pool (idempotent;
+        the service can be garbage-collected without calling this, but
+        long-running hosts should close explicitly)."""
+        self._front.close()
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
@@ -543,34 +708,3 @@ class QueryService:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-    _delta_hit_rate = staticmethod(delta_hit_rate)
-
-    def stats(self) -> ServiceStats:
-        with self._lock:
-            hicl_base, apl_base = self._hicl_base, self._apl_base
-            result_hits = self._result_hits
-            result_lookups = self._result_lookups
-        stats = self._metrics.fill(ServiceStats())
-        stats.hicl_cache_hit_rate = self._delta_hit_rate(
-            self.engine.index.hicl.cache_stats(), hicl_base
-        )
-        stats.apl_cache_hit_rate = self._delta_hit_rate(
-            self.engine.apl_cache_stats(), apl_base
-        )
-        stats.result_cache_hits = result_hits
-        stats.result_cache_lookups = result_lookups
-        return stats
-
-    def reset_stats(self) -> None:
-        """Zero the service's own accounting and re-baseline the shared
-        cache counters (which live on the engine/index and keep running)."""
-        self._metrics.reset()
-        with self._lock:
-            self._result_hits = 0
-            self._result_lookups = 0
-            self._hicl_base = self.engine.index.hicl.cache_stats()
-            self._apl_base = self.engine.apl_cache_stats()

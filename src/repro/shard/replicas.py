@@ -64,13 +64,12 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.core.engine import EngineConfig, GATSearchEngine
 from repro.index.gat.index import GATIndex
 from repro.model.distance import DistanceMetric
 from repro.shard.index import ShardedGATIndex
-from repro.storage.cache import CacheStats
 from repro.storage.disk import SimulatedDisk
 
 REPLICA_ROUTERS = ("round-robin", "least-in-flight", "power-of-two")
@@ -552,15 +551,3 @@ class ReplicaPlacement:
     def close(self) -> None:
         for engine in self.engines():
             engine.close()
-
-
-def engine_cache_stats(
-    engines: Sequence[GATSearchEngine],
-) -> Tuple[Optional[CacheStats], Optional[CacheStats]]:
-    """Combined ``(HICL, APL)`` cache accounting of *engines* — hits and
-    lookups sum without double-counting, since each lookup happened on
-    exactly one engine's caches."""
-    return (
-        CacheStats.combined([engine.index.hicl.cache_stats() for engine in engines]),
-        CacheStats.combined([engine.apl_cache_stats() for engine in engines]),
-    )

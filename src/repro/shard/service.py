@@ -1,20 +1,25 @@
-"""ShardedQueryService — parallel fan-out/merge over a ShardedGATIndex.
+"""ShardedQueryService — the fan-out/merge backend of the request front.
 
-Every query becomes ``n_shards`` independent :class:`ShardTask` units; one
-:class:`~repro.shard.resilience.FanoutSupervisor` submits them through a
-pluggable executor (serial / thread / process, see
+One front, two backends: everything *around* executing a query — result
+cache, index-version guard, serving metrics, obs feed, use-after-close
+refusal — is the :class:`~repro.service.service.ServingFront` this service
+holds, the same one :class:`~repro.service.service.QueryService` holds.
+What lives here is what runs a cache miss (:meth:`ShardedQueryService._fan_out`)
+and what a version move must rebuild (:meth:`ShardedQueryService._resync`).
+
+Fan-out: every query becomes ``n_shards`` independent :class:`ShardTask`
+units; one :class:`~repro.shard.resilience.FanoutSupervisor` submits them
+through a pluggable executor (serial / thread / process, see
 :mod:`repro.shard.executor`), each to one of the ``n_replicas`` copies of
 its shard (:class:`~repro.shard.replicas.ReplicaPlacement`), and the
 per-shard ranked lists are merged in a
 :class:`~repro.core.results.TopKCollector` — the same collector the
 engine itself uses, so tie-breaks (distance, then trajectory id) are
 identical and the merged ranking matches the unsharded engine
-byte-for-byte.
-
-Batches are *flattened*: ``search_many`` hands every (query, shard) task
-to one supervisor run over one pool, so batch-level and intra-query
-parallelism share the same worker budget and no shard sits idle while
-another query's slowest shard finishes.  Responses keep request order.
+byte-for-byte.  Batches are *flattened*: ``search_many`` hands every
+(query, shard) task to one supervisor run over one pool, so batch-level
+and intra-query parallelism share the same worker budget and no shard
+sits idle while another query's slowest shard finishes.
 
 Distributed top-k: shard tasks of one query prune and terminate against a
 cross-shard threshold on every backend — the in-process backends share a
@@ -33,14 +38,13 @@ Per-shard work counters under a concurrent backend depend on pruning
 timing and are therefore not run-to-run deterministic (rankings always
 are).
 
-Result cache: identical requests are memoised exactly like
-:class:`~repro.service.service.QueryService`, keyed by the same query
-signature, but invalidation watches the **composite** index version (the
-tuple of per-shard versions), so an insert into any shard drops the cache.
-The same version check rebinds or rebuilds the replica banks, and with the
-process backend refreshes the worker snapshot: worker processes rebuild
-their engines from a fresh spec before the next query runs.  As with the
-single index, inserts must quiesce the service.
+Resync: the front watches the **composite** index version (the tuple of
+per-shard versions), so an insert into any shard drops the result cache
+and — before the new version is published — rebinds or rebuilds the
+replica banks and, with the process backend, refreshes the worker
+snapshot: worker processes rebuild their engines from a fresh spec before
+the next query runs.  As with the single index, inserts must quiesce the
+service.
 """
 
 from __future__ import annotations
@@ -48,12 +52,11 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-import time
 from dataclasses import replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.context import SearchStats
-from repro.core.engine import EngineConfig
+from repro.core.engine import EngineConfig, GATSearchEngine
 from repro.core.query import Query
 from repro.core.results import TopKCollector
 from repro.model.distance import DistanceMetric
@@ -61,10 +64,8 @@ from repro.service.service import (
     QueryRequest,
     QueryResponse,
     ServiceStats,
-    ServingMetrics,
+    ServingFront,
     as_request,
-    delta_hit_rate,
-    request_cache_key,
 )
 from repro.shard.executor import (
     EXECUTOR_KINDS,
@@ -82,7 +83,6 @@ from repro.shard.replicas import (
     BreakerConfig,
     ReplicaPlacement,
     ReplicaRouter,
-    engine_cache_stats,
 )
 from repro.shard.resilience import (
     ALL_OR_NOTHING,
@@ -91,33 +91,7 @@ from repro.shard.resilience import (
     FaultPolicy,
     TaskLatencyTracker,
 )
-from repro.storage.cache import CacheStats, LRUCache
 from repro.storage.disk import SimulatedDisk
-
-
-def _minus_cache_stats(
-    base: Optional[CacheStats], gone: Optional[CacheStats]
-) -> Optional[CacheStats]:
-    """Subtract discarded caches' (combined) counters from a baseline
-    snapshot.
-
-    When an engine or replica bank is rebuilt its caches vanish from the
-    "now" side of the service's delta-hit-rate accounting; subtracting
-    their final counters from the stored baseline keeps the delta
-    consistent: the surviving caches' activity since the last reset stays
-    measured, the vanished caches contribute exactly the lookups they
-    served between the reset and the rebuild, and the rate stays within
-    [0, 1].  (The adjusted baseline's fields may go negative — that is
-    fine, only differences are ever read.)
-    """
-    if base is None or gone is None:
-        return base
-    return CacheStats(
-        hits=base.hits - gone.hits,
-        misses=base.misses - gone.misses,
-        size=base.size - gone.size,
-        capacity=base.capacity - gone.capacity,
-    )
 
 
 class _SharedTopK:
@@ -225,8 +199,6 @@ class ShardedQueryService:
         owns its breaker.
     """
 
-    _MISS = object()
-
     def __init__(
         self,
         index: ShardedGATIndex,
@@ -248,13 +220,9 @@ class ShardedQueryService:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {EXECUTOR_KINDS}"
             )
-        if result_cache_size < 0:
-            raise ValueError("result_cache_size must be >= 0")
         self.index = index
         self.metric = metric
         self.obs = obs
-        if obs is not None:
-            obs.bind_index(index)
         self.engine_config = (
             engine_config if engine_config is not None else EngineConfig()
         )
@@ -277,6 +245,13 @@ class ShardedQueryService:
             in_process=self._in_process,
             obs=obs,
         )
+        self._front = ServingFront(
+            index,
+            self.placement.engines,
+            result_cache_size,
+            obs,
+            shards=index.n_shards,
+        )
         if executor == "serial":
             self._executor = SerialShardExecutor(self._run_task)
         elif executor == "thread":
@@ -289,9 +264,9 @@ class ShardedQueryService:
             self._executor = ProcessShardExecutor(
                 self._make_spec(), max_workers=max_workers, mp_context=mp_context
             )
-        self._result_cache: Optional[LRUCache] = (
-            LRUCache(result_cache_size) if result_cache_size > 0 else None
-        )
+        # Guards the fan-out state below; never held across a call into
+        # the front, and _resync (which the front calls under *its* lock)
+        # never takes it.
         self._lock = threading.Lock()
         # Per-in-flight-query shared merged top-k, keyed by task group
         # (thread/serial backends; the process backend shares thresholds
@@ -303,10 +278,6 @@ class ShardedQueryService:
         # process-fleet spans are adopted under it after the fan-out.
         self._trace_roots: Dict[int, object] = {}
         self._group_ids = itertools.count(1)
-        self._index_version: Tuple[int, ...] = index.version
-        self._result_hits = 0
-        self._result_lookups = 0
-        self._metrics = ServingMetrics()
         self.fault_policy = fault_policy
         self._policy = fault_policy if fault_policy is not None else ALL_OR_NOTHING
         self._task_latency = TaskLatencyTracker()
@@ -314,7 +285,6 @@ class ShardedQueryService:
         self._task_hedges = 0
         self._task_hedges_denied = 0
         self._partial_responses = 0
-        self._hicl_base, self._apl_base = engine_cache_stats(self.placement.engines())
         # Breaker counters are monotonic on ReplicaHealth; stats() diffs
         # them against this reset-time baseline so reset_stats() actually
         # zeroes the reported trip counts.
@@ -431,81 +401,18 @@ class ShardedQueryService:
             shard_trajectory_ids=shard_ids,
         )
 
-    # ------------------------------------------------------------------
-    # Cache + version handling
-    # ------------------------------------------------------------------
-    def _check_version(self) -> Tuple[int, ...]:
-        """Invalidate on composite-version movement: drop the result
-        cache, catch the engine banks up with the mutated primary, and
-        with the process backend schedule a worker-snapshot refresh — all
-        *before* the fresh version is published, so a concurrent search
-        that observes the new ``_index_version`` can never lease a
-        pre-insert engine behind it (latecomers block on the lock until
-        the new banks are in).  Returns the version the caller's
-        lookups/puts are valid against."""
-        version = self.index.version
-        if version != self._index_version:
-            with self._lock:
-                if version != self._index_version:
-                    if self._result_cache is not None:
-                        self._result_cache.clear()
-                    discarded = self.placement.resync()
-                    # The discarded engines' caches vanish from the "now"
-                    # side of stats()' hit-rate deltas, so their counters
-                    # must leave the baselines too — under the lock
-                    # stats() reads both sides under — or the deltas read
-                    # outside [0, 1].
-                    self._hicl_base, self._apl_base = (
-                        _minus_cache_stats(base, gone)
-                        for base, gone in zip(
-                            (self._hicl_base, self._apl_base),
-                            engine_cache_stats(discarded),
-                        )
-                    )
-                    for engine in discarded:
-                        engine.close()
-                    if not self._in_process:
-                        self._executor.refresh(self._make_spec())
-                    self._index_version = version
-        return self._index_version
-
-    def _cache_lookup(self, request: QueryRequest) -> Optional[QueryResponse]:
-        if self._result_cache is None:
-            return None
-        t0 = time.perf_counter()
-        cached = self._result_cache.get(request_cache_key(request), self._MISS)
-        hit = cached is not self._MISS
-        with self._lock:
-            self._result_lookups += 1
-            if hit:
-                self._result_hits += 1
-        if self.obs is not None:
-            self.obs.observe_cache(hit)
-        if not hit:
-            return None
-        return QueryResponse(
-            request=request,
-            results=list(cached),
-            stats=SearchStats(),
-            latency_s=time.perf_counter() - t0,
-            # Only full-coverage responses are ever cached (partials are
-            # transient degradation, not answers worth replaying).
-            shards_answered=self.n_shards,
-            shards_total=self.n_shards,
-        )
-
-    def _cache_put(
-        self, request: QueryRequest, response: QueryResponse, version: Tuple[int, ...]
-    ) -> None:
-        if self._result_cache is None:
-            return
-        # Version-guarded, like QueryService: an insert landing while the
-        # fan-out ran must not re-cache pre-insert rankings after the sweep.
-        with self._lock:
-            if self._index_version == version:
-                self._result_cache.put(
-                    request_cache_key(request), tuple(response.results)
-                )
+    def _resync(self) -> List[GATSearchEngine]:
+        """The front's ``on_stale`` callback, run under its lock before
+        the moved composite version is published: catch the engine banks
+        up with the mutated primary and, with the process backend,
+        schedule a worker-snapshot refresh.  Returns the engines it
+        discarded so the front can retire their cache counters."""
+        discarded = self.placement.resync()
+        for engine in discarded:
+            engine.close()
+        if not self._in_process:
+            self._executor.refresh(self._make_spec())
+        return discarded
 
     # ------------------------------------------------------------------
     # Fan-out / merge
@@ -550,100 +457,83 @@ class ShardedQueryService:
             for sid in order
         ]
 
-    def _run_many(self, requests: Sequence[QueryRequest]) -> List[QueryResponse]:
-        version = self._check_version()
-        responses: List[Optional[QueryResponse]] = [None] * len(requests)
-        pending: List[int] = []
-        for i, request in enumerate(requests):
-            cached = self._cache_lookup(request)
-            if cached is not None:
-                responses[i] = cached
-            else:
-                pending.append(i)
-        if pending:
-            fanouts: List[List[ShardTask]] = []
-            groups: List[int] = []
-            slots: List[Optional[int]] = []
-            outcomes: List[FanoutOutcome] = []
-            in_process = self._in_process
-            tracing = self.obs is not None and self.obs.tracer.enabled
-            # Everything a query registers or leases is taken inside the
-            # try so *every* failure path hands it back (a half-built
-            # batch used to leak the earlier queries' slots).
-            try:
-                for i in pending:
-                    group = next(self._group_ids)
-                    groups.append(group)
-                    if tracing:
-                        root = self.obs.tracer.start_span(
-                            "query",
-                            attrs={
-                                "k": requests[i].k,
-                                "shards": self.n_shards,
-                                "group": group,
-                            },
-                        )
-                        with self._lock:
-                            self._trace_roots[group] = root
-                    slot = None
-                    if in_process:
-                        with self._lock:
-                            self._shared[group] = _SharedTopK(requests[i].k)
-                    else:
-                        # Process backend: lease a shared threshold slot so
-                        # the query's shard tasks prune against the fleet
-                        # minimum.
-                        slot = self._executor.acquire_slot()
-                        slots.append(slot)
-                    fanouts.append(
-                        self._fanout_tasks(requests[i], group, threshold_slot=slot)
+    def _fan_out(self, requests: Sequence[QueryRequest]) -> List[QueryResponse]:
+        """The front's ``execute``: one flattened supervisor run over every
+        (request, shard) task, merged back into one response per request."""
+        responses: List[QueryResponse] = []
+        fanouts: List[List[ShardTask]] = []
+        groups: List[int] = []
+        slots: List[Optional[int]] = []
+        outcomes: List[FanoutOutcome] = []
+        in_process = self._in_process
+        tracing = self.obs is not None and self.obs.tracer.enabled
+        # Everything a query registers or leases is taken inside the try so
+        # *every* failure path hands it back (a half-built batch used to
+        # leak the earlier queries' slots).
+        try:
+            for request in requests:
+                group = next(self._group_ids)
+                groups.append(group)
+                if tracing:
+                    root = self.obs.tracer.start_span(
+                        "query",
+                        attrs={"k": request.k, "shards": self.n_shards, "group": group},
                     )
-                # Without a policy a request's deadline stays advisory: the
-                # query finishes late rather than dropping a shard.
-                deadlines = (
-                    [requests[i].deadline_s for i in pending]
-                    if self.fault_policy is not None
-                    else None
-                )
-                outcomes = self._supervised_fanout(fanouts, deadlines)
-                for outcome, i, fanout in zip(outcomes, pending, fanouts):
-                    if tracing:
-                        self._adopt_worker_spans(
-                            fanout[0].group, list(outcome.results.values())
-                        )
-                    response = self._assemble(requests[i], fanout, outcome)
-                    if response.complete:
-                        self._cache_put(requests[i], response, version)
-                    responses[i] = response
-                    if tracing:
-                        self._end_trace_root(fanout[0].group, response)
-            finally:
+                    with self._lock:
+                        self._trace_roots[group] = root
+                slot = None
                 if in_process:
                     with self._lock:
-                        for group in groups:
-                            self._shared.pop(group, None)
+                        self._shared[group] = _SharedTopK(request.k)
                 else:
-                    # A slot goes back only once the query's abandoned
-                    # attempts — still publishing into it from their
-                    # workers — are done (at once when the fan-out never
-                    # ran or left none behind).
-                    for slot, outcome in itertools.zip_longest(slots, outcomes):
-                        self._executor.release_slot(
-                            slot, after=outcome.in_flight if outcome else ()
-                        )
+                    # Process backend: lease a shared threshold slot so the
+                    # query's shard tasks prune against the fleet minimum.
+                    slot = self._executor.acquire_slot()
+                    slots.append(slot)
+                fanouts.append(self._fanout_tasks(request, group, threshold_slot=slot))
+            # Without a policy a request's deadline stays advisory: the
+            # query finishes late rather than dropping a shard.
+            deadlines = (
+                [request.deadline_s for request in requests]
+                if self.fault_policy is not None
+                else None
+            )
+            outcomes = self._supervised_fanout(fanouts, deadlines)
+            for outcome, request, fanout in zip(outcomes, requests, fanouts):
                 if tracing:
-                    # Roots still registered here belong to queries that
-                    # died mid-fan-out; end them so the trace buffer never
-                    # accumulates open spans.
-                    with self._lock:
-                        leftovers = [
-                            self._trace_roots.pop(group, None) for group in groups
-                        ]
-                    for root in leftovers:
-                        if root is not None:
-                            root.set_attr("error", True)
-                            root.end()
-        return responses  # type: ignore[return-value]
+                    self._adopt_worker_spans(
+                        fanout[0].group, list(outcome.results.values())
+                    )
+                response = self._assemble(request, fanout, outcome)
+                responses.append(response)
+                if tracing:
+                    self._end_trace_root(fanout[0].group, response)
+        finally:
+            if in_process:
+                with self._lock:
+                    for group in groups:
+                        self._shared.pop(group, None)
+            else:
+                # A slot goes back only once the query's abandoned attempts
+                # — still publishing into it from their workers — are done
+                # (at once when the fan-out never ran or left none behind).
+                for slot, outcome in itertools.zip_longest(slots, outcomes):
+                    self._executor.release_slot(
+                        slot, after=outcome.in_flight if outcome else ()
+                    )
+            if tracing:
+                # Roots still registered here belong to queries that died
+                # mid-fan-out; end them so the trace buffer never
+                # accumulates open spans.
+                with self._lock:
+                    leftovers = [
+                        self._trace_roots.pop(group, None) for group in groups
+                    ]
+                for root in leftovers:
+                    if root is not None:
+                        root.set_attr("error", True)
+                        root.end()
+        return responses
 
     def _adopt_worker_spans(
         self, group: int, shard_results: Sequence[ShardResult]
@@ -776,10 +666,8 @@ class ShardedQueryService:
         )
 
     # ------------------------------------------------------------------
-    # Serving API (mirrors QueryService)
+    # Serving API
     # ------------------------------------------------------------------
-    _as_request = staticmethod(as_request)
-
     def search(
         self,
         query: Union[QueryRequest, Query],
@@ -788,18 +676,10 @@ class ShardedQueryService:
         explain: bool = False,
     ) -> QueryResponse:
         """Answer one query across every shard and merge."""
-        request = self._as_request(
+        request = as_request(
             query, k=k, order_sensitive=order_sensitive, explain=explain
         )
-        self._metrics.enter_busy()
-        try:
-            response = self._run_many([request])[0]
-        finally:
-            self._metrics.exit_busy()
-        self._metrics.record([(response.latency_s, response.stats.disk_reads)])
-        if self.obs is not None:
-            self.obs.observe_response(response)
-        return response
+        return self._front.serve((request,), self._fan_out, self._resync)[0]
 
     def search_many(
         self,
@@ -819,25 +699,15 @@ class ShardedQueryService:
         silently lose their matched-point annotations.
         """
         requests = [
-            self._as_request(q, k=k, order_sensitive=order_sensitive, explain=explain)
+            as_request(q, k=k, order_sensitive=order_sensitive, explain=explain)
             for q in queries
         ]
-        self._metrics.enter_busy()
-        try:
-            responses = self._run_many(requests)
-        finally:
-            self._metrics.exit_busy()
-        self._metrics.record(
-            (r.latency_s, r.stats.disk_reads) for r in responses
-        )
-        if self.obs is not None:
-            for response in responses:
-                self.obs.observe_response(response)
-        return responses
+        return self._front.serve(requests, self._fan_out, self._resync)
 
     def close(self) -> None:
-        """Shut down the fan-out executor and every bank's engines'
-        auxiliary pools (idempotent)."""
+        """Refuse further work, then shut down the fan-out executor and
+        every bank's engines' auxiliary pools (idempotent)."""
+        self._front.close()
         self._executor.close()
         self.placement.close()
 
@@ -850,8 +720,6 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    _delta_hit_rate = staticmethod(delta_hit_rate)
-
     def stats(self) -> ServiceStats:
         """Fleet-wide :class:`ServiceStats`.
 
@@ -861,48 +729,24 @@ class ShardedQueryService:
         bypassed — worker processes own their engines — so those rates
         read 0.
         """
+        stats = self._front.stats()
         with self._lock:
-            # Both sides of each delta under one lock: _check_version
-            # (insert) swaps zero-counter caches in and adjusts the
-            # baselines atomically under this same lock, so a reader
-            # must never pair the new "now" with the old baseline (or
-            # vice versa) — that torn diff reads outside [0, 1].
-            hicl_now, apl_now = engine_cache_stats(self.placement.engines())
-            hicl_rate = self._delta_hit_rate(hicl_now, self._hicl_base)
-            apl_rate = self._delta_hit_rate(apl_now, self._apl_base)
+            stats.task_retries = self._task_retries
+            stats.task_hedges = self._task_hedges
+            stats.task_hedges_denied = self._task_hedges_denied
+            stats.partial_responses = self._partial_responses
             ejections, restores, probes = self.placement.router.health_counters()
-            breaker_base = self._breaker_base
-            result_hits = self._result_hits
-            result_lookups = self._result_lookups
-            task_retries = self._task_retries
-            task_hedges = self._task_hedges
-            task_hedges_denied = self._task_hedges_denied
-            partial_responses = self._partial_responses
-        stats = self._metrics.fill(ServiceStats())
-        stats.hicl_cache_hit_rate = hicl_rate
-        stats.apl_cache_hit_rate = apl_rate
-        stats.result_cache_hits = result_hits
-        stats.result_cache_lookups = result_lookups
-        stats.task_retries = task_retries
-        stats.task_hedges = task_hedges
-        stats.task_hedges_denied = task_hedges_denied
-        stats.partial_responses = partial_responses
-        stats.breaker_ejections = ejections - breaker_base[0]
-        stats.breaker_restores = restores - breaker_base[1]
-        stats.breaker_probes = probes - breaker_base[2]
+            stats.breaker_ejections = ejections - self._breaker_base[0]
+            stats.breaker_restores = restores - self._breaker_base[1]
+            stats.breaker_probes = probes - self._breaker_base[2]
         return stats
 
     def reset_stats(self) -> None:
         """Zero the service accounting and re-baseline the shard caches."""
-        self._metrics.reset()
+        self._front.reset_stats()
         with self._lock:
-            self._result_hits = 0
-            self._result_lookups = 0
             self._task_retries = 0
             self._task_hedges = 0
             self._task_hedges_denied = 0
             self._partial_responses = 0
-            self._hicl_base, self._apl_base = engine_cache_stats(
-                self.placement.engines()
-            )
             self._breaker_base = self.placement.router.health_counters()

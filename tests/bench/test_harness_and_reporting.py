@@ -6,7 +6,6 @@ from repro.bench.harness import ExperimentHarness, MethodTiming, SweepResult
 from repro.bench.reporting import format_series_table, format_stat_table
 from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
 from repro.index.gat.index import GATConfig
-from repro.service import QueryService
 
 
 @pytest.fixture(scope="module")
@@ -54,55 +53,6 @@ class TestHarness:
 
     def test_avg_seconds_empty(self):
         assert MethodTiming(method="X").avg_seconds == 0.0
-
-    def test_run_service_batch(self, harness, queries):
-        timing = harness.run_service_batch(queries, k=3, max_workers=4)
-        assert timing.method == "GAT×4"
-        assert timing.n_queries == len(queries)
-        assert timing.total_seconds > 0.0
-        assert {"qps", "p50_ms", "p95_ms", "hicl_hit_rate", "apl_hit_rate"} <= set(
-            timing.extra
-        )
-        # The service answers match the sequential GAT engine exactly.
-        gat = harness.searchers["GAT"]
-        service = QueryService(gat, max_workers=4)
-        service_answers = [
-            [(r.trajectory_id, r.distance) for r in resp.results]
-            for resp in service.search_many(queries, k=3)
-        ]
-        sequential = [
-            [(r.trajectory_id, r.distance) for r in gat.atsq(q, 3)] for q in queries
-        ]
-        assert service_answers == sequential
-
-    def test_run_service_batch_needs_gat(self, tiny_db, queries):
-        h = ExperimentHarness(tiny_db, methods=("IL",))
-        with pytest.raises(ValueError):
-            h.run_service_batch(queries, k=3)
-
-    @pytest.mark.parametrize("n_clients", [1, 3])
-    def test_run_sharded_batch(self, harness, queries, n_clients):
-        timing = harness.run_sharded_batch(
-            queries, k=3, n_shards=2, executor="thread", n_clients=n_clients
-        )
-        assert timing.method == "GAT/2sh×thread"
-        assert timing.n_queries == len(queries)
-        assert timing.total_seconds > 0.0
-        assert {"qps", "p50_ms", "p95_ms", "disk_reads"} <= set(timing.extra)
-
-    def test_run_sharded_batch_replicated(self, harness, queries):
-        timing = harness.run_sharded_batch(
-            queries,
-            k=3,
-            n_shards=2,
-            executor="thread",
-            n_replicas=2,
-            replica_router="least-in-flight",
-        )
-        assert timing.method == "GAT/2sh×thread×2rep"
-        assert timing.n_queries == len(queries)
-        assert timing.total_seconds > 0.0
-        assert {"qps", "p50_ms", "p95_ms", "disk_reads"} <= set(timing.extra)
 
 
 class TestReporting:

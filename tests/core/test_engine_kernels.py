@@ -105,8 +105,7 @@ class TestEngineConfig:
     def test_defaults_roundtrip(self, index):
         engine = GATSearchEngine(index)
         assert engine.config == EngineConfig()
-        # auto resolves to the block kernel when numpy is importable.
-        assert engine.kernel in ("scalar", "block")
+        assert engine.kernel == "block"
 
     def test_kwargs_override_config(self, index):
         config = EngineConfig(retrieval_batch=64, kernel="scalar")

@@ -87,20 +87,34 @@ class TestQueryServiceTracing:
         assert {r["trace_id"] for r in records} == {root["trace_id"]}
 
     def test_cache_hit_marks_the_span_and_skips_stages(self, db, queries):
-        obs = Observability.enabled()
-        index = GATIndex.build(db, CONFIG)
-        with QueryService(
-            GATSearchEngine(index), result_cache_size=8, obs=obs
-        ) as service:
-            service.search(queries[0], k=K)
-            service.search(queries[0], k=K)
-        roots = [r for r in _records(obs) if r["parent_id"] is None]
-        assert len(roots) == 2
-        assert "cache_hit" not in roots[0]["attrs"]
-        assert roots[1]["attrs"]["cache_hit"] is True
-        snap = obs.metrics_snapshot()
-        assert snap["repro_result_cache_hits_total"] == 1.0
-        assert snap["repro_result_cache_lookups_total"] == 2.0
+        """The front owns the lookup, so a request answered from the
+        result cache leaves the same ``query`` span on either service."""
+
+        def single(obs):
+            engine = GATSearchEngine(GATIndex.build(db, CONFIG))
+            return QueryService(engine, result_cache_size=8, obs=obs)
+
+        def sharded(obs):
+            index = ShardedGATIndex.build(db, n_shards=N_SHARDS, config=CONFIG)
+            return ShardedQueryService(
+                index, executor="serial", result_cache_size=8, obs=obs
+            )
+
+        for build in (single, sharded):
+            obs = Observability.enabled()
+            with build(obs) as service:
+                service.search(queries[0], k=K)
+                service.search(queries[0], k=K)
+            records = _records(obs)
+            roots = [r for r in records if r["parent_id"] is None]
+            assert len(roots) == 2, build.__name__
+            assert "cache_hit" not in roots[0]["attrs"]
+            assert roots[1]["attrs"]["cache_hit"] is True
+            assert roots[1]["attrs"]["k"] == K
+            assert not [r for r in records if r["parent_id"] == roots[1]["span_id"]]
+            snap = obs.metrics_snapshot()
+            assert snap["repro_result_cache_hits_total"] == 1.0
+            assert snap["repro_result_cache_lookups_total"] == 2.0
 
     def test_disabled_tracer_collects_metrics_but_no_spans(self, db, queries):
         obs = Observability.disabled()

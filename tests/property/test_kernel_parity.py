@@ -67,12 +67,12 @@ def _close(a, b):
 # Kernel resolution
 # ----------------------------------------------------------------------
 def test_resolve_kernel():
-    assert resolve_kernel("auto") == "block"  # numpy is present here
     assert resolve_kernel("scalar") == "scalar"
     assert resolve_kernel("vectorized") == "vectorized"
     assert resolve_kernel("block") == "block"
-    with pytest.raises(ValueError):
-        resolve_kernel("simd")
+    for unknown in ("simd", "auto"):  # the "auto" alias is gone
+        with pytest.raises(ValueError):
+            resolve_kernel(unknown)
 
 
 # ----------------------------------------------------------------------

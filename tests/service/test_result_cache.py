@@ -1,9 +1,10 @@
-"""QueryService result cache: signature keying and invalidation on insert.
+"""QueryService result cache on the batched path.
 
-The cache must be semantically invisible — a hit returns exactly what a
-fresh execution would — except in the work counters (zero engine work)
-and the service's hit-rate accounting.  Inserting a trajectory bumps the
-index version, which must drop every cached entry before the next lookup.
+What the cache guarantees — signature keying, fresh lists, invalidation
+on insert, accounting — is asserted once for both services in
+``test_service_contract.py``; what stays here is specific to
+``QueryService.search_many``: pooled workers looking a warm cache up
+concurrently, and an insert landing between two batches.
 """
 
 import pytest
@@ -56,49 +57,6 @@ def _answers(responses_or_results):
 
 
 class TestResultCacheHits:
-    def test_repeat_request_hits_cache(self, engine, query):
-        service = QueryService(engine, max_workers=2)
-        first = service.search(query, k=5)
-        second = service.search(query, k=5)
-        assert _answers(second.results) == _answers(first.results)
-        # The hit did no engine work...
-        assert second.stats.rounds == 0
-        assert second.stats.disk_reads == 0
-        assert first.stats.rounds >= 1
-        # ...and the accounting says one hit out of two lookups.
-        stats = service.stats()
-        assert stats.result_cache_hits == 1
-        assert stats.result_cache_lookups == 2
-        assert stats.result_cache_hit_rate == 0.5
-
-    def test_signature_includes_options(self, engine, query):
-        service = QueryService(engine)
-        service.search(query, k=5)
-        assert service.stats().result_cache_hits == 0
-        service.search(query, k=6)  # different k → miss
-        service.search(query, k=5, order_sensitive=True)  # different mode → miss
-        service.search(query, k=5, explain=True)  # different explain → miss
-        assert service.stats().result_cache_hits == 0
-        service.search(query, k=5)  # exact repeat → hit
-        assert service.stats().result_cache_hits == 1
-
-    def test_cached_results_are_fresh_lists(self, engine, query):
-        service = QueryService(engine)
-        first = service.search(query, k=5)
-        first.results.clear()  # caller mutation must not poison the cache
-        second = service.search(query, k=5)
-        assert len(second.results) > 0
-
-    def test_cache_disabled(self, engine, query):
-        service = QueryService(engine, result_cache_size=0)
-        a = service.search(query, k=5)
-        b = service.search(query, k=5)
-        assert _answers(a.results) == _answers(b.results)
-        assert b.stats.rounds >= 1  # really re-executed
-        stats = service.stats()
-        assert stats.result_cache_lookups == 0
-        assert stats.result_cache_hit_rate == 0.0
-
     def test_search_many_hits_warm_cache(self, engine, query):
         service = QueryService(engine, max_workers=4)
         expected = _answers(service.search(query, k=5).results)
@@ -108,15 +66,6 @@ class TestResultCacheHits:
         responses = service.search_many([QueryRequest(query, k=5)] * 6)
         assert all(_answers(r.results) == expected for r in responses)
         assert service.stats().result_cache_hits == 6
-
-    def test_reset_stats_clears_cache_accounting(self, engine, query):
-        service = QueryService(engine)
-        service.search(query, k=5)
-        service.search(query, k=5)
-        service.reset_stats()
-        stats = service.stats()
-        assert stats.result_cache_hits == 0
-        assert stats.result_cache_lookups == 0
 
 
 class TestInvalidationOnInsert:
@@ -129,26 +78,6 @@ class TestInvalidationOnInsert:
             TrajectoryPoint(q.x, q.y, frozenset(activities)) for q in query
         ]
         return ActivityTrajectory(tid, points)
-
-    def test_insert_invalidates_cached_results(self, db, index, engine, query):
-        service = QueryService(engine)
-        before = service.search(query, k=5)
-        new_tr = self._new_trajectory(db, index, query)
-
-        version = index.version
-        index.insert_trajectory(new_tr)
-        assert index.version == version + 1
-
-        after = service.search(query, k=5)
-        # The post-insert answer was recomputed (not served stale): the
-        # perfect-match trajectory now leads the ranking.
-        assert after.stats.rounds >= 1
-        assert after.results[0].trajectory_id == new_tr.trajectory_id
-        assert _answers(after.results) != _answers(before.results)
-        # And the recomputed answer is itself cached again.
-        repeat = service.search(query, k=5)
-        assert _answers(repeat.results) == _answers(after.results)
-        assert repeat.stats.rounds == 0
 
     def test_insert_between_batches(self, db, index, engine, query):
         service = QueryService(engine, max_workers=2)

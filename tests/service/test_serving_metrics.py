@@ -6,7 +6,7 @@ an idle service pays O(1), and only a recording (or reset) invalidates.
 """
 
 from repro.obs import nearest_rank
-from repro.service.service import ServiceStats, ServingMetrics, _percentile
+from repro.service.service import ServiceStats, ServingMetrics
 
 
 def _fill(metrics):
@@ -24,11 +24,6 @@ class TestQuantiles:
         assert stats.latency_p95_s == nearest_rank(ordered, 0.95)
         assert stats.latency_p99_s == nearest_rank(ordered, 0.99)
         assert stats.latency_p50_s <= stats.latency_p95_s <= stats.latency_p99_s
-
-    def test_percentile_alias_is_nearest_rank(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        for q in (0.0, 0.25, 0.5, 0.95, 1.0):
-            assert _percentile(values, q) == nearest_rank(values, q)
 
     def test_empty_window_reports_zero(self):
         stats = _fill(ServingMetrics())

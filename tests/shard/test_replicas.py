@@ -371,12 +371,12 @@ class TestResyncOrdering:
             result_cache_size=0,
         ) as service:
             service.search(query, k=2)
-            old_version = service._index_version
+            old_version = service._front.version
             observed = []
             original = service.placement.resync
 
             def spying_resync():
-                observed.append(service._index_version)
+                observed.append(service._front.version)
                 return original()
 
             service.placement.resync = spying_resync
@@ -394,7 +394,7 @@ class TestResyncOrdering:
             # The resync ran, and it ran while the service still showed
             # the pre-insert version (publish comes after).
             assert observed == [old_version]
-            assert service._index_version == sharded.version
+            assert service._front.version == sharded.version
             assert _banks_at_primary_version(service, sharded)
 
 

@@ -1,4 +1,6 @@
-"""ShardedQueryService behaviour: result cache, invalidation, stats."""
+"""ShardedQueryService behaviour: cross-shard invalidation, aggregated
+stats, executor lifecycle.  (The result-cache and use-after-close contract
+it shares with QueryService lives in tests/service/test_service_contract.py.)"""
 
 import copy
 
@@ -37,20 +39,6 @@ def _perfect_match_insert(db, query_points):
 
 
 class TestResultCache:
-    def test_repeat_is_served_from_cache(self, db):
-        sharded = ShardedGATIndex.build(db, n_shards=3, config=CONFIG)
-        with ShardedQueryService(sharded, executor="serial") as service:
-            query = _query_for(db)
-            first = service.search(query, k=4)
-            second = service.search(query, k=4)
-            assert second.stats.rounds == 0  # zero engine work
-            assert [
-                (r.trajectory_id, r.distance) for r in second.results
-            ] == [(r.trajectory_id, r.distance) for r in first.results]
-            stats = service.stats()
-            assert stats.result_cache_lookups == 2
-            assert stats.result_cache_hits == 1
-
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_insert_into_any_shard_invalidates(self, db, executor):
         """Cross-shard invalidation: the insert lands on *one* shard, yet
@@ -88,17 +76,6 @@ class TestResultCache:
             sharded.shards[owner].insert_trajectory(new_tr)
 
             assert service.search(query, k=3).stats.rounds > 0
-
-    def test_cache_disabled(self, db):
-        sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG)
-        with ShardedQueryService(
-            sharded, executor="serial", result_cache_size=0
-        ) as service:
-            query = _query_for(db)
-            service.search(query, k=3)
-            again = service.search(query, k=3)
-            assert again.stats.rounds > 0
-            assert service.stats().result_cache_lookups == 0
 
 
 class TestAggregatedStats:
@@ -469,19 +446,3 @@ class TestOverflowInsertEngineRefresh:
             stats = service.stats()
             assert 0.0 < stats.apl_cache_hit_rate <= 1.0
             assert 0.0 < stats.hicl_cache_hit_rate <= 1.0
-
-
-class TestSerialUseAfterClose:
-    def test_serial_backend_raises(self, db):
-        """The serial backend honours the same invariant as the pooled
-        ones: a closed service's engines have shut their auxiliary
-        pools, so serving on must fail loudly, not resurrect them."""
-        sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG)
-        service = ShardedQueryService(
-            sharded, executor="serial", result_cache_size=0
-        )
-        service.search(_query_for(db), k=2)
-        service.close()
-        service.close()  # still idempotent
-        with pytest.raises(RuntimeError, match="after close"):
-            service.search(_query_for(db), k=2)
