@@ -365,7 +365,7 @@ class GATSearchEngine:
                 new_candidates = retriever.retrieve(
                     self.retrieval_batch, stop_mdist=stop_mdist
                 )
-                lower = self._lower_bound(query, retriever)
+                lower = self._lower_bound(retriever)
                 if span is not None:
                     t_stage = self._stage_tick(stage_clock["retrieve"], t_stage)
                 admitted = validation.admit_batch(
@@ -465,14 +465,14 @@ class GATSearchEngine:
                     assemble.start_s = first
                     assemble.end(at=last)
 
-    def _lower_bound(self, query: Query, retriever: CandidateRetriever) -> float:
+    def _lower_bound(self, retriever: CandidateRetriever) -> float:
         if not self.use_tight_lower_bound:
             # Ablation: the loose bound the paper rejects — the smallest
             # mdist still in the queue, one per query point is not even
             # attempted; a single global queue top bounds a single Dmpm.
             return retriever.queue_top_mdist()
         return lower_bound_distance(
-            query, retriever.frontiers, self.index.hicl, self.lb_cells
+            retriever.frontiers(), retriever.bitmaps, self.lb_cells
         )
 
     def _explain(self, ctx: ExecutionContext, result: SearchResult) -> SearchResult:

@@ -26,41 +26,34 @@ Soundness at the edges (where the paper's prose is silent):
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.kernels import min_cover_cost
 from repro.core.match import INFINITY
-from repro.core.query import Query
-from repro.index.gat.hicl import HICL
+from repro.index.gat.hicl import QueryBitmaps
 
 # A frontier entry: (mdist, level, cell code).
 FrontierEntry = Tuple[float, int, int]
 
 
 class Frontier:
-    """Sorted list of not-yet-visited cells for one query point
-    (the paper's ``cellsn(q_i)``).
+    """The not-yet-visited cells of one query point (the paper's
+    ``cellsn(q_i)``), nearest first, ties by ``(level, code)``.
 
-    Kept *complete* (not truncated to ``m``): dropping far cells would make
-    the cap unsound once nearer cells are consumed.  ``m`` only limits how
-    many cells feed the virtual trajectory.
+    A per-round snapshot: ``q_i``'s frontier is exactly the best-first
+    queue's entries carrying ``q_i``, so the retriever reads it off the
+    heap when Algorithm 2 asks (:meth:`CandidateRetriever.frontiers`)
+    instead of booking every push and pop a second time.
+
+    Built from the *complete* entry set (not truncated to ``m``): dropping
+    far cells would make the cap unsound once nearer cells are consumed.
+    ``m`` only limits how many cells feed the virtual trajectory.
     """
 
     __slots__ = ("_entries",)
 
-    def __init__(self) -> None:
-        self._entries: List[FrontierEntry] = []
-
-    def add(self, mdist: float, level: int, code: int) -> None:
-        bisect.insort(self._entries, (mdist, level, code))
-
-    def remove(self, mdist: float, level: int, code: int) -> None:
-        """Remove an entry (no-op when absent, mirroring the paper's
-        'remove cellID from cellsn (if it exists)')."""
-        idx = bisect.bisect_left(self._entries, (mdist, level, code))
-        if idx < len(self._entries) and self._entries[idx] == (mdist, level, code):
-            self._entries.pop(idx)
+    def __init__(self, entries: Iterable[FrontierEntry] = ()) -> None:
+        self._entries: List[FrontierEntry] = sorted(entries)
 
     def nearest(self, m: int) -> List[FrontierEntry]:
         return self._entries[:m]
@@ -75,50 +68,35 @@ class Frontier:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
 
 def lower_bound_distance(
-    query: Query,
-    frontiers: Dict[int, Frontier],
-    hicl: HICL,
-    m: int,
+    frontiers: Sequence[Frontier], bitmaps: QueryBitmaps, m: int
 ) -> float:
     """``D_lb`` — Algorithm 2 summed over all query points.
 
     Parameters
     ----------
-    query:
-        The query whose per-point frontiers are maintained by the engine.
     frontiers:
-        ``query point index -> Frontier``.
-    hicl:
-        Supplies each cell's query-activity overlap (the virtual points'
-        activity sets, line 6 of Algorithm 2).
+        One :class:`Frontier` per query point, in query order.
+    bitmaps:
+        The query's HICL view: supplies each cell's query-activity overlap
+        (the virtual points' activity sets, line 6 of Algorithm 2) as a
+        mask over ``bitmaps.activities[qi]``.
     m:
         Number of nearest frontier cells forming the virtual trajectory.
     """
     total = 0.0
-    for qi, q in enumerate(query):
-        frontier = frontiers[qi]
+    for qi, frontier in enumerate(frontiers):
         if not frontier:
             return INFINITY  # no unseen trajectory can match q_i at all
         # The virtual trajectory's point match, via the kernel set-cover
-        # (identical values to a PointMatchTable fed the same entries).
-        activities = list(dict.fromkeys(q.activities))
-        bit_of = {a: 1 << i for i, a in enumerate(activities)}
-        entries: List[Tuple[float, int]] = []
-        for mdist, level, code in frontier.nearest(m):
-            overlap = hicl.cell_activity_overlap(code, q.activities, level)
-            if overlap:
-                mask = 0
-                for a in overlap:
-                    bit = bit_of.get(a)
-                    if bit is not None:
-                        mask |= bit
-                entries.append((mdist, mask))
-        cover = min_cover_cost(entries, len(activities))
+        # (identical values to a PointMatchTable fed the same entries;
+        # cells without overlap carry an empty mask, which it skips).
+        entries = [
+            (mdist, bitmaps.overlap_mask(qi, level, code))
+            for mdist, level, code in frontier.nearest(m)
+        ]
+        cover = min_cover_cost(entries, len(bitmaps.activities[qi]))
         contribution = min(cover, frontier.mth_distance(m))
         if contribution == INFINITY:
             return INFINITY

@@ -6,8 +6,8 @@ into the per-query :class:`~repro.core.context.ExecutionContext`:
 
 * :class:`CandidateRetriever` — the best-first priority queue over the
   HICL hierarchy and the leaf ITL lists (Section V-A).  One instance per
-  query: it owns the heap, the per-query-point frontiers that feed
-  Algorithm 2, and the seen-set.
+  query: it owns the heap — which is also the per-query-point frontiers
+  that feed Algorithm 2 — the query's HICL bitmaps, and the seen-set.
 * :class:`ValidationStage` — an ordered chain of candidate filters, each
   with its own pruning counter on :class:`SearchStats`.  The paper's
   chain is TAS (cheap superset sketch, Section V-C) → APL (exact, one
@@ -32,9 +32,9 @@ semantics, counters, and counted reads are identical to the sequential
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.context import ExecutionContext, SearchStats
@@ -43,6 +43,7 @@ from repro.core.match import INFINITY
 from repro.core.order_match import order_feasible
 from repro.core.query import Query
 from repro.index.gat.apl import APLStore, PostingLists
+from repro.index.gat.hicl import QueryBitmaps
 from repro.index.gat.index import GATIndex
 from repro.index.gat.tas import TrajectorySketch
 from repro.model.database import TrajectoryDatabase
@@ -65,41 +66,71 @@ class Candidate:
 # ----------------------------------------------------------------------
 # Stage 1 — candidate retrieval (Section V-A)
 # ----------------------------------------------------------------------
+#: Per child-occupancy nibble, ``(j, dx, dy)`` of its set bits, ascending: child
+#: ``4·code + j`` of cell ``(cx, cy)`` is cell ``(2cx + dx, 2cy + dy)`` one level down.
+_NIBBLE_CHILDREN = tuple(
+    tuple((j, j & 1, j >> 1) for j in range(4) if n >> j & 1) for n in range(16)
+)
+
+
 class CandidateRetriever:
     """Best-first traversal state for one query.
 
     A single priority queue holds ``(mdist, tiebreak, level, cell,
-    query-point index)`` entries across all query points; popping a
-    non-leaf cell expands only the children containing at least one of
+    query-point index, cx, cy)`` entries across all query points; popping
+    a non-leaf cell expands only the children containing at least one of
     that query point's activities, popping a leaf harvests its ITL lists.
     Work counters go to the per-query *stats*, never to shared state.
+
+    The per-pop work is a few integer and float operations.  The child
+    expansion is one nibble of the query's HICL view (:attr:`bitmaps`, a
+    :class:`~repro.index.gat.hicl.QueryBitmaps` — the bitmaps of ``q.Φ``
+    ORed once per (query point, level)); each surviving child's MINDIST
+    comes from the cell coordinates the entry carries
+    (:meth:`GridLevel.min_dist_cell`, bit-identical to the ``Rect`` path,
+    so heap order, ``cells_popped`` and ``rounds`` are those of the
+    per-cell ``frozenset`` walk kept in ``tests/property`` as the oracle).
+    The frontier of ``q_i`` that feeds Algorithm 2 is exactly the queue's
+    entries carrying ``qi``; :meth:`frontiers` reads it off the heap once
+    per round.  Counted HICL reads per query equal the oracle's as long
+    as the HICL list cache does not evict inside a query (see
+    :class:`~repro.index.gat.hicl.QueryBitmaps`).
     """
 
-    __slots__ = ("index", "query", "stats", "heap", "frontiers", "seen", "exhausted", "_tick")
+    __slots__ = ("index", "query", "stats", "heap", "bitmaps", "seen", "exhausted", "_tick")
 
     def __init__(self, index: GATIndex, query: Query, stats: SearchStats) -> None:
         self.index = index
         self.query = query
         self.stats = stats
-        self.heap: List[Tuple[float, int, int, int, int]] = []
-        self.frontiers: Dict[int, Frontier] = {qi: Frontier() for qi in range(len(query))}
+        self.heap: List[Tuple[float, int, int, int, int, int, int]] = []
+        self.bitmaps = QueryBitmaps(index.hicl, query)
         self.seen: Set[int] = set()
         self.exhausted = False
         self._tick = itertools.count()
+        for qi in range(len(query)):
+            self._expand(qi, 1, 0, 0, 0)  # the level-1 cells: children of the root
 
-        hicl = index.hicl
-        grid = index.grid
-        for qi, q in enumerate(query):
-            for code in hicl.cells_with_any(q.activities, 1):
-                mdist = grid.level(1).min_dist(q.coord, code)
-                self._push(mdist, 1, code, qi)
-
-    def _push(self, mdist: float, level: int, code: int, qi: int) -> None:
-        heapq.heappush(self.heap, (mdist, next(self._tick), level, code, qi))
-        self.frontiers[qi].add(mdist, level, code)
+    def _expand(self, qi: int, level: int, parent: int, px: int, py: int) -> None:
+        """Push the *level* cells under cell *parent* ``(px, py)`` that
+        contain at least one of ``q_i``'s activities."""
+        grid_level = self.index.grid.levels[level - 1]
+        coord = self.query[qi].coord
+        base, cx0, cy0 = parent << 2, px << 1, py << 1
+        for j, dx, dy in _NIBBLE_CHILDREN[self.bitmaps.child_nibble(qi, level, parent)]:
+            cx, cy = cx0 + dx, cy0 + dy
+            mdist = grid_level.min_dist_cell(coord, cx, cy)
+            heappush(self.heap, (mdist, next(self._tick), level, base + j, qi, cx, cy))
 
     def queue_top_mdist(self) -> float:
         return self.heap[0][0] if self.heap else INFINITY
+
+    def frontiers(self) -> List[Frontier]:
+        """Each query point's not-yet-visited cells, read off the queue."""
+        cells: List[list] = [[] for _ in self.query]
+        for mdist, _tick, level, code, qi, _cx, _cy in self.heap:
+            cells[qi].append((mdist, level, code))
+        return [Frontier(entries) for entries in cells]
 
     def retrieve(self, batch: int, stop_mdist: float = INFINITY) -> List[int]:
         """Pop cells best-first until ``batch`` *new* candidate trajectories
@@ -114,33 +145,27 @@ class CandidateRetriever:
         passes the cross-shard merged k-th here; the single-index path
         leaves it at ``inf`` (the paper's loop shape, untouched).
         """
-        hicl = self.index.hicl
+        heap = self.heap
         itl = self.index.itl
-        grid = self.index.grid
-        depth = grid.depth
+        depth = self.index.grid.depth
         stats = self.stats
         new_candidates: List[int] = []
 
-        while self.heap and len(new_candidates) < batch:
-            if self.heap[0][0] > stop_mdist:
+        while heap and len(new_candidates) < batch:
+            if heap[0][0] > stop_mdist:
                 break
-            mdist, _tick, level, code, qi = heapq.heappop(self.heap)
+            _mdist, _tick, level, code, qi, cx, cy = heappop(heap)
             stats.cells_popped += 1
-            q = self.query[qi]
-            self.frontiers[qi].remove(mdist, level, code)
             if level < depth:
-                child_level = grid.level(level + 1)
-                for child in hicl.children_with_any(code, level, q.activities):
-                    child_mdist = child_level.min_dist(q.coord, child)
-                    self._push(child_mdist, level + 1, child, qi)
+                self._expand(qi, level + 1, code, cx, cy)
             else:
                 stats.leaf_cells_visited += 1
-                for tid in itl.trajectories_with_any(code, q.activities):
+                for tid in itl.trajectories_with_any(code, self.query[qi].activities):
                     if tid not in self.seen:
                         self.seen.add(tid)
                         new_candidates.append(tid)
 
-        if not self.heap:
+        if not heap:
             self.exhausted = True
         stats.candidates_retrieved += len(new_candidates)
         return new_candidates

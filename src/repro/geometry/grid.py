@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-from repro.geometry.primitives import BoundingBox, Coord, Rect
+from repro.geometry.primitives import BoundingBox, Coord, Rect, min_dist_to_box
 from repro.geometry.zcurve import z_children, z_decode, z_encode, z_parent
 
 
@@ -75,7 +75,21 @@ class GridLevel:
 
     def min_dist(self, point: Coord, code: int) -> float:
         """``MINDIST`` from *point* to the cell *code* at this level."""
-        return self.rect(code).min_dist(point)
+        cx, cy = z_decode(code, self.level)
+        return self.min_dist_cell(point, cx, cy)
+
+    def min_dist_cell(self, point: Coord, cx: int, cy: int) -> float:
+        """``MINDIST`` from *point* to the cell in column *cx*, row *cy* —
+        ``rect(code).min_dist(point)`` without the Morton decode or the
+        ``Rect``: the same corner arithmetic fed to the same scalar
+        function, so the result is bit-identical (it orders the best-first
+        heap).  The four children of cell ``(cx, cy)`` are
+        ``(2cx + {0,1}, 2cy + {0,1})`` one level down, so a walk that
+        carries the coordinates never decodes.
+        """
+        min_x = self._box.min_x + cx * self._cell_w
+        min_y = self._box.min_y + cy * self._cell_h
+        return min_dist_to_box(point, min_x, min_y, min_x + self._cell_w, min_y + self._cell_h)
 
     def iter_codes(self) -> Iterator[int]:
         return iter(range(self.n_cells))

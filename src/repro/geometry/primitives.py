@@ -23,6 +23,32 @@ def euclidean(a: Coord, b: Coord) -> float:
     return math.hypot(dx, dy)
 
 
+def min_dist_to_box(
+    point: Coord, min_x: float, min_y: float, max_x: float, max_y: float
+) -> float:
+    """``MINDIST`` from *point* to the box ``[min_x, max_x] x [min_y, max_y]``
+    given as bare scalars — the one implementation behind
+    :meth:`Rect.min_dist` and the grid's object-free cell MINDIST, so the
+    two agree to the last bit (the value orders best-first heaps).
+    ``math.hypot``, not ``np.hypot``: the two differ in the last bit."""
+    x, y = point
+    dx = 0.0
+    if x < min_x:
+        dx = min_x - x
+    elif x > max_x:
+        dx = x - max_x
+    dy = 0.0
+    if y < min_y:
+        dy = min_y - y
+    elif y > max_y:
+        dy = y - max_y
+    if dx == 0.0:
+        return dy
+    if dy == 0.0:
+        return dx
+    return math.hypot(dx, dy)
+
+
 @dataclass(frozen=True, slots=True)
 class Rect:
     """An axis-aligned rectangle ``[min_x, max_x] x [min_y, max_y]``.
@@ -142,22 +168,7 @@ class Rect:
         ``MINDIST`` of Roussopoulos et al. used for best-first traversal of
         both the R-tree and the GAT cell hierarchy.
         """
-        x, y = point
-        dx = 0.0
-        if x < self.min_x:
-            dx = self.min_x - x
-        elif x > self.max_x:
-            dx = x - self.max_x
-        dy = 0.0
-        if y < self.min_y:
-            dy = self.min_y - y
-        elif y > self.max_y:
-            dy = y - self.max_y
-        if dx == 0.0:
-            return dy
-        if dy == 0.0:
-            return dx
-        return math.hypot(dx, dy)
+        return min_dist_to_box(point, self.min_x, self.min_y, self.max_x, self.max_y)
 
     def corners(self) -> Iterator[Coord]:
         yield (self.min_x, self.min_y)

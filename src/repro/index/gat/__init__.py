@@ -3,7 +3,8 @@
 Four components, mirroring Figure 2 of the paper:
 
 i.   :class:`~repro.index.gat.hicl.HICL` — Hierarchical Inverted Cell
-     List: per activity, per grid level, the set of cells containing it.
+     List: per activity, per grid level, the cells containing it (a
+     bitmap over the level's Morton codes).
 ii.  :class:`~repro.index.gat.itl.ITL` — Inverted Trajectory List: per
      leaf cell, per activity, the trajectories whose segment carries the
      activity inside the cell.

@@ -6,12 +6,25 @@ bottom-up: leaf-cell membership comes straight from the points; each higher
 level aggregates four children into their parent (a two-bit shift of the
 Morton code).
 
+Representation: each (level, activity) list is a **bitmap** over the
+level's Morton codes — a Python ``int`` whose bit ``c`` is set iff cell
+``c`` holds the activity.  Union over ``q.Φ`` is ``|``, the list length a
+popcount, and — because the four children of cell ``c`` are codes
+``4c … 4c+3`` — "which children of ``c`` hold any of these activities"
+is the four bits ``4c … 4c+3`` of the child level's bitmap: one nibble
+read instead of a set probe per activity per child (:class:`QueryBitmaps`).
+
 Memory split: "we can just keep the high levels of the structure within
 main memory and the low levels on the secondary storage".  The paper's
 default keeps levels 1-6 in memory and levels 7-8 on disk; here the split
 level is a constructor argument and the low levels live on the
 :class:`~repro.storage.disk.SimulatedDisk` (one record per (activity,
-level) inverted list) so lookups are counted as logical I/O.
+level) inverted list) so lookups are counted as logical I/O.  The disk
+record stays the list itself — a ``frozenset`` of codes under the key
+``("hicl", level, activity)``, charged by its own serialised size — so a
+counted read costs the bytes and pages the paper's I/O model charges for an
+inverted list, not for a ``4^level``-bit map; the bitmap is decoded from
+it once per cache load.
 
 The paper's memory-budget formula — the largest ``h`` with
 ``sum_{i=1..h} 4^i * C <= B`` i.e. ``h = log4(3B/(4C) + 1)`` — is exposed
@@ -21,7 +34,7 @@ as :func:`memory_level_budget`.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry.grid import HierarchicalGrid
 from repro.model.database import TrajectoryDatabase
@@ -29,9 +42,9 @@ from repro.storage.cache import CacheStats, LRUCache
 from repro.storage.disk import SimulatedDisk
 
 #: Default bound on the shared cache of disk-resident (level, activity)
-#: lists.  At ~8 bytes per cell code a full cache stays well under the
-#: in-memory levels' own footprint; the bound only matters for huge
-#: vocabularies, where LRU keeps exactly the query-hot head resident.
+#: lists.  A cached list is a bitmap of at most ``4^level / 8`` bytes (8 KB at
+#: the paper's level 8), so a full cache is a few MB to ~32 MB; the bound only
+#: matters for huge vocabularies, where LRU keeps the query-hot head resident.
 DEFAULT_CACHE_CAPACITY = 4096
 
 
@@ -65,7 +78,10 @@ class HICL:
         Bound on the shared LRU cache of disk-resident lists; ``0``
         disables caching entirely (every lookup is a counted disk read —
         the paper-faithful cold accounting, matching the engine's
-        ``apl_cache_size=0`` convention).
+        ``apl_cache_size=0`` convention).  The paper's own remedy for
+        limited memory is to "retrieve the block(s) around the query
+        location into main memory at query time"; the bounded LRU keeps
+        those lists warm across queries and across concurrent queries.
     """
 
     def __init__(
@@ -84,18 +100,13 @@ class HICL:
         self.grid = grid
         self.memory_levels = memory_levels
         self.disk = disk
-        # _memory[level][activity] -> frozenset of cell codes (levels 1-based)
-        self._memory: Dict[int, Dict[int, FrozenSet[int]]] = {}
-        # Shared cache of disk-resident lists.  The paper's own remedy for
-        # limited memory is to "retrieve the block(s) around the query
-        # location into main memory at query time"; a bounded LRU keeps the
-        # query-hot lists warm *across* queries (and across concurrent
-        # queries — the cache is thread-safe), so each (activity, level)
-        # list costs one counted read per eviction cycle, not one per
-        # query.  Cell lists are immutable frozensets, so on a static
-        # index sharing them between queries can never change a result;
-        # add_point invalidates the cache after its writes (and requires
-        # exclusive access, see its docstring).
+        # _memory[level][activity] -> bitmap of cell codes (levels 1-based)
+        self._memory: Dict[int, Dict[int, int]] = {}
+        # Shared, thread-safe LRU of disk-resident lists, held decoded (as
+        # bitmaps): query-hot lists stay warm *across* queries, so each
+        # costs one counted read per eviction cycle, not one per query.
+        # Bitmaps are immutable ints, so sharing them can never change a
+        # result; add_point invalidates the cache after its writes.
         self._cache: Optional[LRUCache] = (
             LRUCache(cache_capacity) if cache_capacity > 0 else None
         )
@@ -135,35 +146,45 @@ class HICL:
             level_sets[level] = here
 
         for level, sets in level_sets.items():
-            frozen = {activity: frozenset(codes) for activity, codes in sets.items()}
             if level <= memory_levels:
-                hicl._memory[level] = frozen
+                hicl._memory[level] = {
+                    activity: _encode(codes) for activity, codes in sets.items()
+                }
             else:
                 assert disk is not None
-                for activity, codes in frozen.items():
-                    disk.put(("hicl", level, activity), codes)
-                # An empty in-memory shell marks the level as disk-resident.
-                hicl._memory.setdefault(level, {})
+                for activity, codes in sets.items():
+                    disk.put(("hicl", level, activity), frozenset(codes))
         return hicl
 
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def cells_with_activity(self, activity: int, level: int) -> FrozenSet[int]:
-        """Cell codes at *level* containing *activity* (possibly empty)."""
+    def bitmap(self, activity: int, level: int) -> int:
+        """Bitmap of the cells at *level* containing *activity* (bit ``c`` =
+        Morton code ``c``; ``0`` when there are none).  A disk-resident
+        list is one cache lookup, and one counted read on a miss."""
         if not 1 <= level <= self.grid.depth:
             raise ValueError(f"level {level} outside [1, {self.grid.depth}]")
         if level <= self.memory_levels:
-            return self._memory.get(level, {}).get(activity, frozenset())
+            return self._memory.get(level, {}).get(activity, 0)
 
-        def _load() -> FrozenSet[int]:
+        def _load() -> int:
             assert self.disk is not None
             stored = self.disk.get_or_none(("hicl", level, activity))
-            return stored if stored is not None else frozenset()
+            return _encode(stored) if stored else 0
 
         if self._cache is None:
             return _load()
         return self._cache.get_or_load((level, activity), _load)
+
+    def cells_with_activity(self, activity: int, level: int) -> FrozenSet[int]:
+        """Cell codes at *level* containing *activity* (possibly empty) —
+        the decoded view of :meth:`bitmap`, same lookup accounting."""
+        bitmap = self.bitmap(activity, level)
+        data = bitmap.to_bytes((bitmap.bit_length() + 7) >> 3, "little")
+        return frozenset(
+            (i << 3) + j for i, byte in enumerate(data) if byte for j in range(8) if byte >> j & 1
+        )
 
     def clear_cache(self) -> None:
         """Drop the cache of disk-resident lists (forces every next lookup
@@ -199,9 +220,7 @@ class HICL:
             if level <= self.memory_levels:
                 table = self._memory.setdefault(level, {})
                 for activity in activity_list:
-                    existing = table.get(activity, frozenset())
-                    if code not in existing:
-                        table[activity] = existing | {code}
+                    table[activity] = table.get(activity, 0) | (1 << code)
             else:
                 assert self.disk is not None
                 for activity in activity_list:
@@ -212,58 +231,87 @@ class HICL:
             code >>= 2
         self.clear_cache()
 
-    def cells_with_any(self, activities: Iterable[int], level: int) -> FrozenSet[int]:
-        """Union of the per-activity cell lists (candidate regions for a
-        query point whose ``q.Φ`` is *activities*)."""
-        out: Set[int] = set()
-        for activity in activities:
-            out |= self.cells_with_activity(activity, level)
-        return frozenset(out)
-
-    def cell_has_any(self, code: int, activities: Iterable[int], level: int) -> bool:
-        """Does the cell contain at least one of *activities*?"""
-        return any(
-            code in self.cells_with_activity(activity, level) for activity in activities
-        )
-
-    def cell_activity_overlap(
-        self, code: int, activities: Iterable[int], level: int
-    ) -> FrozenSet[int]:
-        """``c.Φ ∩ activities`` — the subset of *activities* present in the
-        cell.  Used to equip Algorithm 2's virtual points."""
-        return frozenset(
-            activity
-            for activity in activities
-            if code in self.cells_with_activity(activity, level)
-        )
-
-    def children_with_any(
-        self, code: int, level: int, activities: Iterable[int]
-    ) -> List[int]:
-        """The (up to four) children of cell *code* at ``level + 1`` that
-        contain at least one of *activities* — the pruned child expansion of
-        the best-first candidate retrieval (Section V-A)."""
-        child_level = level + 1
-        activity_list = list(activities)
-        lists = [self.cells_with_activity(a, child_level) for a in activity_list]
-        base = code << 2
-        out = []
-        for child in (base, base + 1, base + 2, base + 3):
-            if any(child in cells for cells in lists):
-                out.append(child)
-        return out
-
     # ------------------------------------------------------------------
     # Sizing (Figure 8's memory-cost series)
     # ------------------------------------------------------------------
     def memory_cost_bytes(self) -> int:
-        """Rough in-memory footprint: 8 bytes per (activity, cell) entry in
-        the memory-resident levels plus dict overhead ignored — comparable
-        across granularities, which is what Figure 8 plots."""
-        total = 0
-        for level, table in self._memory.items():
-            if level > self.memory_levels:
-                continue
-            for codes in table.values():
-                total += 8 * len(codes) + 16
-        return total
+        """The paper's in-memory footprint model: 8 bytes per (activity,
+        cell) entry of the memory-resident levels (a popcount) plus 16 per
+        list — comparable across granularities, which is what Figure 8
+        plots (not the resident size of the bitmaps themselves)."""
+        return sum(
+            8 * bitmap.bit_count() + 16
+            for table in self._memory.values()
+            for bitmap in table.values()
+        )
+
+
+def _encode(codes: Collection[int]) -> int:
+    """Cell codes (at least one) -> bitmap, linear in the list's length."""
+    buf = bytearray((max(codes) >> 3) + 1)
+    for code in codes:
+        buf[code >> 3] |= 1 << (code & 7)
+    return int.from_bytes(buf, "little")
+
+
+class QueryBitmaps:
+    """One query's read view of the HICL, built per query by the retriever.
+
+    Per (query point ``q_i``, level) it holds the OR of the bitmaps of
+    ``q_i.Φ`` and each activity's own bitmap, as ``bytes`` so a probe is
+    O(1) whatever the level's size.  A level is loaded on first use — the
+    retriever asks for level ``l + 1`` when it first pops a level-``l``
+    cell of ``q_i`` — through :meth:`HICL.bitmap`, once per activity, so a
+    query makes one cache lookup per (level, activity) of each query
+    point instead of one per popped cell.
+
+    Counted reads: the (level, activity) lists a query loads are exactly
+    those the per-cell ``frozenset`` walk loaded, so as long as the list
+    cache does not evict *inside* a query (the default 4 096-entry cache,
+    every committed bench) the counted HICL reads per query are identical;
+    the cache sees the same misses and fewer hits.  Under eviction
+    pressure, or with ``cache_capacity=0``, holding the level for the
+    query's lifetime can only save reads.
+    """
+
+    __slots__ = ("hicl", "activities", "_maps")
+
+    def __init__(self, hicl: HICL, query: Sequence) -> None:
+        self.hicl = hicl
+        #: Per query point, ``q_i.Φ`` in a fixed order: bit ``j`` of an
+        #: overlap mask stands for ``activities[qi][j]``.
+        self.activities: List[Tuple[int, ...]] = [tuple(q.activities) for q in query]
+        #: ``_maps[qi][level]`` = (OR of the layers, one layer per activity).
+        self._maps: List[List[Optional[Tuple[bytes, Tuple[bytes, ...]]]]] = [
+            [None] * (hicl.grid.depth + 1) for _ in query
+        ]
+
+    def _load(self, qi: int, level: int) -> Tuple[bytes, Tuple[bytes, ...]]:
+        n_bytes = (4**level + 7) // 8
+        layers = [self.hicl.bitmap(a, level) for a in self.activities[qi]]
+        union = 0
+        for bitmap in layers:
+            union |= bitmap
+        maps = self._maps[qi][level] = (
+            union.to_bytes(n_bytes, "little"),
+            tuple(b.to_bytes(n_bytes, "little") for b in layers),
+        )
+        return maps
+
+    def child_nibble(self, qi: int, level: int, parent: int) -> int:
+        """Which of the four *level* cells under cell *parent* (at
+        ``level - 1``; ``0`` for the root) contain at least one of
+        ``q_i``'s activities: bit ``j`` stands for child ``4·parent + j`` —
+        the pruned child expansion of Section V-A in one read."""
+        union = (self._maps[qi][level] or self._load(qi, level))[0]
+        return (union[parent >> 1] >> ((parent & 1) << 2)) & 15
+
+    def overlap_mask(self, qi: int, level: int, code: int) -> int:
+        """``c.Φ ∩ q_i.Φ`` of cell *code* as a mask over
+        ``activities[qi]`` — what equips Algorithm 2's virtual points."""
+        layers = (self._maps[qi][level] or self._load(qi, level))[1]
+        byte, bit = code >> 3, code & 7
+        mask = 0
+        for j, layer in enumerate(layers):
+            mask |= ((layer[byte] >> bit) & 1) << j
+        return mask

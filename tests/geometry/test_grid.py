@@ -1,9 +1,13 @@
 """Unit tests for the hierarchical quad-grid."""
 
-import pytest
+import random
 
-from repro.geometry.grid import Cell, HierarchicalGrid
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.geometry.grid import Cell, GridLevel, HierarchicalGrid
 from repro.geometry.primitives import BoundingBox
+from repro.geometry.zcurve import z_decode
 
 
 @pytest.fixture
@@ -101,3 +105,48 @@ class TestMinDist:
     def test_cell_of_leaf_at_validates(self, grid):
         with pytest.raises(ValueError):
             grid.cell_of_leaf_at(0, 9)
+
+
+class TestMinDistCell:
+    """``min_dist_cell`` is the ``Rect`` MINDIST without the ``Rect``: equal
+    with ``==``, never ``isclose`` — it orders the best-first heap, and a
+    last-bit difference reorders pops."""
+
+    finite = st.floats(-1e4, 1e4, allow_nan=False)
+    extent = st.floats(1e-3, 1e4, allow_nan=False)
+
+    @given(
+        finite,
+        finite,
+        extent,
+        extent,
+        st.integers(1, 8),
+        st.randoms(use_true_random=False),
+        st.sampled_from(["inside", "outside", "edge"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(0.0, 0.0, 1.0, 1.0, 8, random.Random(0), "edge")
+    def test_equals_rect_min_dist_exactly(self, min_x, min_y, width, height, level, rng, where):
+        box = BoundingBox(min_x, min_y, min_x + width, min_y + height)
+        grid_level = GridLevel(box, level)
+        code = rng.randrange(grid_level.n_cells)
+        if where == "inside":
+            point = (rng.uniform(box.min_x, box.max_x), rng.uniform(box.min_y, box.max_y))
+        elif where == "outside":
+            point = (
+                box.min_x - rng.uniform(0.0, 2.0) * width,
+                box.max_y + rng.uniform(0.0, 2.0) * height,
+            )
+        else:  # a corner shared by cells: dx or dy is exactly 0 for its neighbours
+            corner = grid_level.rect(rng.randrange(grid_level.n_cells))
+            point = (corner.max_x, corner.min_y)
+        expected = grid_level.rect(code).min_dist(point)
+        assert grid_level.min_dist_cell(point, *z_decode(code, level)) == expected
+        assert grid_level.min_dist(point, code) == expected
+
+    def test_children_share_parent_coordinates(self, grid):
+        # Child 4·code + j of cell (cx, cy) sits at (2cx + (j & 1), 2cy + (j >> 1)).
+        parent = grid.locate((40.0, 10.0), 2)
+        cx, cy = z_decode(parent.code, 2)
+        for j, child in enumerate(parent.children()):
+            assert z_decode(child.code, 3) == (2 * cx + (j & 1), 2 * cy + (j >> 1))

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.geometry.grid import HierarchicalGrid
-from repro.index.gat.hicl import HICL, memory_level_budget
+from repro.core.query import Query, QueryPoint
+from repro.index.gat.hicl import HICL, QueryBitmaps, memory_level_budget
 from repro.model.database import TrajectoryDatabase
 from repro.storage.disk import SimulatedDisk
 
@@ -190,37 +191,86 @@ class TestWarmCacheAcrossQueries:
 
 
 class TestQueries:
+    """The per-query bitmap view (``QueryBitmaps``) — what the retriever
+    and Algorithm 2 read.  The ``frozenset`` walkers it replaced live in
+    ``tests/property/frozenset_hicl_oracle.py``; the differential test
+    there compares the two over whole retrievals."""
+
+    @staticmethod
+    def _view(hicl, *activity_sets):
+        return QueryBitmaps(
+            hicl, Query([QueryPoint(1.0, 1.0, frozenset(acts)) for acts in activity_sets])
+        )
+
     def test_cells_with_any_unions(self, db, grid):
         hicl = HICL.build(db, grid, memory_levels=4)
         a, b = db.vocabulary.id_of("a"), db.vocabulary.id_of("b")
-        union = hicl.cells_with_any([a, b], 4)
-        assert union == hicl.cells_with_activity(a, 4) | hicl.cells_with_activity(b, 4)
+        view = self._view(hicl, {a, b})
+        union = hicl.cells_with_activity(a, 4) | hicl.cells_with_activity(b, 4)
+        assert hicl.bitmap(a, 4) | hicl.bitmap(b, 4) == sum(1 << code for code in union)
+        # Every leaf cell shows up in its parent's nibble, and nothing else does.
+        children = {
+            (parent << 2) + j
+            for parent in range(4**3)
+            for j in range(4)
+            if view.child_nibble(0, 4, parent) >> j & 1
+        }
+        assert children == union
 
     def test_cell_activity_overlap(self, db, grid):
         hicl = HICL.build(db, grid, memory_levels=4)
         a, b = db.vocabulary.id_of("a"), db.vocabulary.id_of("b")
         leaf = grid.leaf_level.locate((1.2, 1.1))  # has a and b via Tr2
-        overlap = hicl.cell_activity_overlap(leaf, [a, b, 999], 4)
-        assert overlap == frozenset({a, b})
+        view = self._view(hicl, {a, b, 999})
+        mask = view.overlap_mask(0, 4, leaf)
+        overlap = {act for j, act in enumerate(view.activities[0]) if mask >> j & 1}
+        assert overlap == {a, b}
 
     def test_children_with_any_filters(self, db, grid):
         hicl = HICL.build(db, grid, memory_levels=4)
         a = db.vocabulary.id_of("a")
+        view = self._view(hicl, {a})
         # Walk from the level-1 cell containing (1,1) down: every level must
         # offer at least one child containing 'a'.
         cell = grid.locate((1.0, 1.0), 1)
         code, level = cell.code, cell.level
+        assert view.child_nibble(0, 1, 0) >> code & 1  # a root child itself
         while level < 4:
-            kids = hicl.children_with_any(code, level, [a])
-            assert kids
+            nibble = view.child_nibble(0, level + 1, code)
+            assert nibble
+            kids = [(code << 2) + j for j in range(4) if nibble >> j & 1]
+            assert set(kids) <= hicl.cells_with_activity(a, level + 1)
             code, level = kids[0], level + 1
 
     def test_cell_has_any(self, db, grid):
-        hicl = HICL.build(db, grid, memory_levels=4)
+        disk = SimulatedDisk()
+        hicl = HICL.build(db, grid, memory_levels=2, disk=disk)
         a = db.vocabulary.id_of("a")
         leaf = grid.leaf_level.locate((1.0, 1.0))
-        assert hicl.cell_has_any(leaf, [a], 4)
-        assert not hicl.cell_has_any(leaf, [999], 4)
+        disk.reset_stats()
+        view = self._view(hicl, {a}, {999})
+        assert view.child_nibble(0, 4, leaf >> 2) >> (leaf & 3) & 1
+        assert view.overlap_mask(0, 4, leaf) == 1
+        assert view.child_nibble(1, 4, leaf >> 2) == 0
+        assert view.overlap_mask(1, 4, leaf) == 0
+        # One lookup per (level, activity) of each query point, however
+        # many cells are probed: a's list, and a counted miss for 999.
+        assert disk.stats.reads == 2
+
+
+class TestMemoryCost:
+    """Figure 8's model — 8 bytes per (activity, cell) entry + 16 per list
+    of the memory-resident levels — read off popcounts.  The numbers are
+    what the ``frozenset`` HICL returned for this fixture."""
+
+    def test_all_levels_in_memory(self, db, grid):
+        assert HICL.build(db, grid, memory_levels=4).memory_cost_bytes() == 224
+
+    def test_disk_levels_not_charged(self, db, grid):
+        hicl = HICL.build(db, grid, memory_levels=2, disk=SimulatedDisk())
+        assert hicl.memory_cost_bytes() == 112
+        hicl.add_point(grid.leaf_level.locate((5.0, 5.0)), [0, 7])
+        assert hicl.memory_cost_bytes() == 176
 
 
 def test_memory_level_budget_formula():
