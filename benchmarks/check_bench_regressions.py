@@ -37,7 +37,7 @@ from pathlib import Path
 #: ``name[key=value,...]`` segment selects a dict from a list of dicts.
 MANIFEST = {
     "BENCH_kernels.json": {
-        "speedup": "higher",  # vectorized over scalar
+        "speedup": "higher",  # block over scalar, whole queries
     },
     "BENCH_shards.json": {
         "rows[shards=4,executor=thread].speedup_vs_1shard": "higher",
@@ -61,7 +61,7 @@ MANIFEST = {
         "rows[replicas=2,router=least-in-flight].speedup_vs_1replica": "higher",
     },
     "BENCH_block.json": {
-        "speedups.single-activity": "higher",  # block over vectorized
+        "speedups.single-activity": "higher",  # block over scalar, scoring stage
         "speedups.mixed-default": "higher",
         "sharded.cells_ratio": "lower",  # spatial/local over hash/global
     },

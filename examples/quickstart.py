@@ -65,10 +65,10 @@ print(f"database: {len(db)} trajectories, {db.n_points()} points, "
 #    kernel (kernel="block", the default); pass kernel="scalar" for the
 #    from-the-paper reference implementations — rankings and pruning
 #    counters are identical either way, the array kernels are just
-#    4-7x faster on paper-scale data (see benchmarks/bench_kernel_scoring.py).
+#    ~7x faster on paper-scale data (see benchmarks/bench_kernel_scoring.py).
 # ----------------------------------------------------------------------
 index = GATIndex.build(db, GATConfig(depth=4, memory_levels=3))
-engine = GATSearchEngine(index)  # kernel="block" | "vectorized" | "scalar"
+engine = GATSearchEngine(index)  # kernel="block" | "scalar"
 
 # ----------------------------------------------------------------------
 # 3. The tourist's plan: three locations, each with desired activities.

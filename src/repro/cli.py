@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Four subcommands cover the library's end-to-end workflow:
+Eight subcommands cover the library's end-to-end workflow:
 
 * ``generate`` — synthesise a dataset (preset or custom) to JSON-lines;
 * ``stats``    — print a dataset's Table IV statistics;
@@ -54,6 +54,7 @@ from repro.bench.experiments import (
 from repro.bench.reporting import format_series_table, format_stat_table
 from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
 from repro.core.engine import EngineConfig, GATSearchEngine
+from repro.core.kernels import KERNELS
 from repro.data.generator import CheckInGenerator, GeneratorConfig
 from repro.data.loader import load_database_jsonl, save_database_jsonl
 from repro.data.presets import dataset_from_preset
@@ -216,11 +217,10 @@ def _add_query_args(p_query: argparse.ArgumentParser) -> None:
     p_query.add_argument("--depth", type=int, default=6, help="GAT grid depth")
     p_query.add_argument(
         "--kernel",
-        choices=["scalar", "vectorized", "block"],
+        choices=KERNELS,
         default="block",
-        help="scoring kernel: scalar (the seed oracles), vectorized (one "
-        "NumPy matrix per candidate), or block (the default: one tensor "
-        "per validation round with early candidate abandonment)",
+        help="scoring kernel: block (the default: one tensor per validation "
+        "round with early candidate abandonment) or scalar (the seed oracles)",
     )
     p_query.add_argument("--explain", action="store_true", help="show matched points")
     p_query.add_argument(

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import List, Optional
@@ -65,39 +64,36 @@ __all__ = ["EngineConfig", "GATSearchEngine", "SearchStats", "ExecutionContext"]
 
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
-    """Immutable engine knobs — search parameters, ablations, and the
-    kernel/I-O strategy switches.
+    """Immutable engine knobs — search parameters, ablations, the APL
+    cache size and the scoring kernel.
 
     Attributes
     ----------
     retrieval_batch:
         ``λ`` of Algorithm 1 — minimum *new* candidates per retrieval
-        round.
+        round.  The paper leaves it unspecified; 32 balances round
+        overhead against over-retrieval (see the ablation benchmark).
     lb_cells:
         ``m`` of Algorithm 2 — frontier cells per virtual trajectory.
     use_tas / use_tight_lower_bound:
-        Ablation switches (both on = the paper's design).
+        Ablation switches (both on = the paper's design).  Disabling TAS
+        drops the sketch filter from the validation chain; disabling the
+        tight lower bound falls back to the loose queue-top bound the
+        paper rejects.
     apl_cache_size:
-        Engine-level LRU over APL posting-list fetches; ``0`` disables.
+        Capacity of the engine-level LRU over APL posting-list fetches
+        (hot trajectories skip the counted disk read).  ``0`` disables
+        it, restoring the seed behaviour of one APL read per surviving
+        candidate per query.
     kernel:
-        Scoring kernel: ``'scalar'`` (the seed oracles),
-        ``'vectorized'`` (one NumPy matrix per candidate), or
+        Scoring kernel, one of :data:`repro.core.kernels.KERNELS`:
         ``'block'`` (the default: one flat tensor per validation
         round — every candidate's relevant points concatenated, no
         padding, assembled from the trajectories' activity columns —
-        with early abandonment against the running k-th threshold).
-        All kernels return the same rankings and
-        pruning counters (see :mod:`repro.core.kernels`).
-    batch_io:
-        Fetch all APL posting lists of one validation round in a single
-        :meth:`~repro.index.gat.apl.APLStore.fetch_many` call instead of
-        one fetch per candidate.  Counted reads are identical; only the
-        I/O shape changes.
-    io_workers:
-        When > 0 and *batch_io* is on, the grouped APL read overlaps its
-        per-record simulated-disk latencies on a thread pool of this
-        width (the ROADMAP's thread-offloaded gather).  ``0`` keeps the
-        gather on the calling thread.
+        with early abandonment against the running k-th threshold) or
+        ``'scalar'`` (the seed oracles every parity suite compares
+        against).  Both return the same rankings and pruning counters
+        (see :mod:`repro.core.kernels`).
     """
 
     retrieval_batch: int = 32
@@ -106,8 +102,6 @@ class EngineConfig:
     use_tight_lower_bound: bool = True
     apl_cache_size: int = 2048
     kernel: str = "block"
-    batch_io: bool = True
-    io_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.retrieval_batch < 1:
@@ -116,9 +110,7 @@ class EngineConfig:
             raise ValueError("lb_cells (m) must be >= 1")
         if self.apl_cache_size < 0:
             raise ValueError("apl_cache_size must be >= 0")
-        if self.io_workers < 0:
-            raise ValueError("io_workers must be >= 0")
-        resolve_kernel(self.kernel)  # fail fast on bad/unavailable kernels
+        resolve_kernel(self.kernel)  # fail fast on an unknown kernel
 
 
 class GATSearchEngine:
@@ -130,58 +122,21 @@ class GATSearchEngine:
         A built GAT index (owns the database it indexes).
     metric:
         Distance strategy; defaults to the evaluator's Euclidean.
-    retrieval_batch:
-        ``λ`` of Algorithm 1 — the minimum number of *new* candidates per
-        retrieval round.  The paper leaves it unspecified; 32 balances
-        round overhead against over-retrieval (see the ablation benchmark).
-    lb_cells:
-        ``m`` of Algorithm 2 — frontier cells per virtual trajectory.
-    use_tas / use_tight_lower_bound:
-        Ablation switches (both on by default = the paper's design).
-        Disabling TAS drops the sketch filter from the validation chain;
-        disabling the tight lower bound falls back to the loose queue-top
-        bound the paper rejects.
-    apl_cache_size:
-        Capacity of the engine-level LRU over APL posting-list fetches
-        (hot trajectories skip the counted disk read).  ``0`` disables it,
-        restoring the seed behaviour of one APL read per surviving
-        candidate per query.
     config:
-        An :class:`EngineConfig` carrying all of the above plus the
-        ``kernel`` / ``batch_io`` / ``io_workers`` switches; individual
-        keyword arguments override its fields.
-    kernel / batch_io / io_workers:
-        See :class:`EngineConfig`.
+        The :class:`EngineConfig` to run under (default: its defaults).
+    **overrides:
+        :class:`EngineConfig` fields by name (``kernel="scalar"``,
+        ``apl_cache_size=0``, …) replacing *config*'s; a name that is
+        not a field raises ``TypeError``.
     """
 
     def __init__(
         self,
         index: GATIndex,
         metric: Optional[DistanceMetric] = None,
-        retrieval_batch: Optional[int] = None,
-        lb_cells: Optional[int] = None,
-        use_tas: Optional[bool] = None,
-        use_tight_lower_bound: Optional[bool] = None,
-        apl_cache_size: Optional[int] = None,
         config: Optional[EngineConfig] = None,
-        kernel: Optional[str] = None,
-        batch_io: Optional[bool] = None,
-        io_workers: Optional[int] = None,
+        **overrides,
     ) -> None:
-        overrides = {
-            name: value
-            for name, value in (
-                ("retrieval_batch", retrieval_batch),
-                ("lb_cells", lb_cells),
-                ("use_tas", use_tas),
-                ("use_tight_lower_bound", use_tight_lower_bound),
-                ("apl_cache_size", apl_cache_size),
-                ("kernel", kernel),
-                ("batch_io", batch_io),
-                ("io_workers", io_workers),
-            )
-            if value is not None
-        }
         self.config = replace(config if config is not None else EngineConfig(), **overrides)
         self.index = index
         self.db = index.db
@@ -203,8 +158,6 @@ class GATSearchEngine:
         )
         self._scoring = ScoringStage(self.db)
         self._local = threading.local()
-        self._io_executor: Optional[ThreadPoolExecutor] = None
-        self._io_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Public API
@@ -235,31 +188,6 @@ class GATSearchEngine:
         """Hit/miss accounting of the engine's APL LRU (None if disabled)."""
         return self.apl_cache.stats() if self.apl_cache is not None else None
 
-    def close(self) -> None:
-        """Shut down the lazily created APL-gather thread pool (idempotent;
-        a later query simply recreates it).  Only engines constructed with
-        ``io_workers > 0`` ever own one, but long-running hosts and
-        engine-per-sweep loops should close explicitly rather than rely on
-        interpreter-exit joins."""
-        with self._io_lock:
-            executor, self._io_executor = self._io_executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def _gather_executor(self) -> Optional[ThreadPoolExecutor]:
-        """The shared thread pool for overlapped APL gathers (lazily
-        created; ``None`` when ``io_workers`` is 0)."""
-        if self.config.io_workers <= 0:
-            return None
-        if self._io_executor is None:
-            with self._io_lock:
-                if self._io_executor is None:
-                    self._io_executor = ThreadPoolExecutor(
-                        max_workers=self.config.io_workers,
-                        thread_name_prefix="repro-apl-io",
-                    )
-        return self._io_executor
-
     # ------------------------------------------------------------------
     # Pipeline assembly
     # ------------------------------------------------------------------
@@ -270,13 +198,7 @@ class GATSearchEngine:
         filters: list = []
         if self.use_tas:
             filters.append(TASFilter(self.index.sketches))
-        filters.append(
-            APLFilter(
-                self.index.apl,
-                self.apl_cache,
-                executor=self._gather_executor() if self.config.batch_io else None,
-            )
-        )
+        filters.append(APLFilter(self.index.apl, self.apl_cache))
         if order_sensitive:
             filters.append(MIBFilter(self.db))
         return filters
@@ -369,9 +291,7 @@ class GATSearchEngine:
                 if span is not None:
                     t_stage = self._stage_tick(stage_clock["retrieve"], t_stage)
                 admitted = validation.admit_batch(
-                    ctx,
-                    [Candidate(tid) for tid in new_candidates],
-                    prefetch=self.config.batch_io,
+                    ctx, [Candidate(tid) for tid in new_candidates]
                 )
                 if span is not None:
                     t_stage = self._stage_tick(stage_clock["validate"], t_stage)
@@ -381,7 +301,7 @@ class GATSearchEngine:
                     # abandonment against the round-start k-th threshold.
                     scored = zip(admitted, self._scoring.score_batch(ctx, admitted))
                 else:
-                    # Per-candidate kernels keep the interleaved loop: each
+                    # The scalar kernel keeps the interleaved loop: each
                     # score sees the threshold tightened by the round's
                     # earlier offers (same rankings either way).
                     scored = (

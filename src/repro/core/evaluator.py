@@ -8,24 +8,23 @@ that shared tail — GAT, IL, RT and IRT all call into it, so performance
 differences between searchers are attributable to candidate retrieval and
 pruning alone.
 
-The evaluator now fronts three interchangeable kernels:
+The evaluator fronts the two kernels of
+:data:`repro.core.kernels.KERNELS`:
 
 * ``'scalar'`` — the seed implementations (Algorithm 3's sorted scan over
   :class:`~repro.core.match.PointMatchTable`, Algorithm 4's incremental
   DP), kept verbatim as the correctness oracles;
-* ``'vectorized'`` — :mod:`repro.core.kernels`: one NumPy distance matrix
-  per candidate plus array set-cover/DP scans;
-* ``'block'`` — the round-batched tensors of
-  :class:`~repro.core.kernels.CandidateBlock` (the default): a whole
-  validation round is assembled from the
-  candidates' activity columns and scored through
+* ``'block'`` — :mod:`repro.core.kernels` (the default): a whole
+  validation round is assembled from the candidates' activity columns
+  into one :class:`~repro.core.kernels.CandidateBlock` and scored through
   :meth:`MatchEvaluator.dmm_batch` / :meth:`dmom_batch` — one
   distance evaluation, block set-cover lower bounds, and early
   per-candidate abandonment against the running k-th threshold.  The
-  per-candidate entry points (:meth:`dmm` / :meth:`dmom`) remain fully
-  functional under ``'block'`` and run the vectorized per-candidate path.
+  per-candidate entry points (:meth:`dmm` / :meth:`dmom`, what RT/IRT
+  call once per pop) run the same module's one-matrix-per-candidate
+  functions.
 
-All kernels produce the same distances (to the last ulp — see the
+Both kernels produce the same distances (to the last ulp — see the
 kernels module docstring for the rounding sources) and bump the same
 counters, so they are swappable under any searcher without moving a
 benchmark's rankings or pruning numbers.  Per-query
@@ -79,9 +78,10 @@ class MatchEvaluator:
     metric:
         Distance strategy; defaults to Euclidean.
     kernel:
-        ``'block'`` (the default: one flat tensor per validation round,
-        through the ``*_batch`` entries), ``'vectorized'`` (one NumPy matrix per candidate), or
-        ``'scalar'`` (the seed oracles).
+        One of :data:`repro.core.kernels.KERNELS`: ``'block'`` (the
+        default: NumPy arrays — one flat tensor per validation round
+        through the ``*_batch`` entries, one matrix per candidate through
+        :meth:`dmm` / :meth:`dmom`) or ``'scalar'`` (the seed oracles).
     """
 
     def __init__(
@@ -106,11 +106,7 @@ class MatchEvaluator:
     def _state_for(self, query: Query) -> tuple:
         state = self._qstate
         if state is None or state[0] is not query:
-            qkernel = (
-                QueryKernel(query, self.metric)
-                if self.kernel in ("vectorized", "block")
-                else None
-            )
+            qkernel = QueryKernel(query, self.metric) if self.kernel == "block" else None
             scalar_metric = prepare_metric(self.metric, [q.coord for q in query])
             state = (query, qkernel, scalar_metric)
             self._qstate = state
@@ -199,8 +195,8 @@ class MatchEvaluator:
            ``Dmom`` can skip the expensive DP entirely;
         3. the DP's own row-level threshold early-exit (Lemma 4).
 
-        The vectorized kernel prepares the candidate's distance matrix
-        once and reuses it for both the ``Dmm`` gate and the DP.
+        The block kernel prepares the candidate's distance matrix once
+        and reuses it for both the ``Dmm`` gate and the DP.
         """
         self.stats.dmom_evaluations += 1
         if check_order and not order_feasible(trajectory, query):
@@ -231,9 +227,8 @@ class MatchEvaluator:
         _q, qkernel, _metric = self._state_for(query)
         if qkernel is None:
             raise ValueError(
-                "batch scoring requires kernel='block' or 'vectorized' "
-                f"(this evaluator runs {self.kernel!r}); call dmm/dmom per "
-                "candidate instead"
+                "batch scoring requires kernel='block' (this evaluator runs "
+                f"{self.kernel!r}); call dmm/dmom per candidate instead"
             )
         return qkernel
 
@@ -251,13 +246,7 @@ class MatchEvaluator:
         clock[3] += block.total
         return block
 
-    def dmm_batch(
-        self,
-        query: Query,
-        items,
-        threshold: float = INFINITY,
-        k: Optional[int] = None,
-    ) -> List[float]:
+    def dmm_batch(self, query: Query, items) -> List[float]:
         """``Dmm`` for one validation round's candidates in one shot.
 
         *items* is a sequence of ``(trajectory, posting)`` pairs (posting =
@@ -267,9 +256,9 @@ class MatchEvaluator:
         and so do the values — the whole-round array formulations
         (:func:`~repro.core.kernels.block_dmm` /
         :func:`~repro.core.kernels.block_dmm_all_single`) compute every
-        candidate's exact ``Dmm``, so *threshold* / *k* currently have
-        nothing left to abandon here (they gate real per-candidate work in
-        :meth:`dmom_batch`).
+        candidate's exact ``Dmm``, so there is nothing to abandon against
+        a threshold here (:meth:`dmom_batch` does gate real per-candidate
+        work).
         """
         self.stats.dmm_evaluations += len(items)
         if not items:
@@ -280,7 +269,7 @@ class MatchEvaluator:
             # activity-segment layout skips block preparation entirely.
             return kernels.block_dmm_all_single(qkernel, items, self.stats).tolist()
         block = self._assemble(qkernel, items)
-        return kernels.block_dmm(qkernel, block, self.stats, threshold, k=k).tolist()
+        return kernels.block_dmm(qkernel, block, self.stats).tolist()
 
     def dmom_batch(
         self,

@@ -1,4 +1,4 @@
-"""Vectorized scoring kernels — NumPy distance matrices feeding array DPs.
+"""Array scoring kernels — NumPy distance matrices feeding array DPs.
 
 The scalar hot path of the engine spends almost all of its time inside
 Algorithm 3's minimum-point-match and Algorithm 4's order-sensitive DP:
@@ -16,7 +16,8 @@ both with a *prepare once, scan arrays* scheme:
    vectorized NumPy call (``rel(Tr)`` being the points carrying at least
    one query activity — exactly the sub-sequence the compressed scalar DP
    runs over), plus the per-query-point activity-overlap bitmask of every
-   relevant point, built from the posting lists.
+   relevant point, scattered from the trajectory's in-memory posting
+   lists.
 3. :func:`dmm_prepared` / :func:`dmom_prepared` run the combinatorics over
    those arrays: the set-cover of Algorithm 3 becomes an in-place DP over
    ``2^|q.Φ|`` floats (|q.Φ| ≤ 5 in the paper), and Algorithm 4's row
@@ -39,8 +40,9 @@ activity columns with array ops only — and are scored together:
   optimal cover equals, over all partitions of the row's activity bits,
   the cheapest sum of per-group nearest-covering-point minima — each
   group minimum one more masked ``reduceat``).  All-single-activity
-  queries take :func:`block_dmm_all_single`, a dedup-free
-  posting-concatenation layout with no per-candidate work at all.
+  queries take :func:`block_dmm_all_single`, a dedup-free layout — one
+  column per activity occurrence, read off the same columns — with no
+  per-candidate array work at all.
 * :func:`block_dmom` gates on the block ``Dmm`` (Lemma 3) and walks the
   survivors cheapest-gate-first with a running k-th threshold, so most
   candidates are **abandoned** before the per-candidate DP; all-single-
@@ -52,8 +54,13 @@ Abandonment never moves a ranking or a counter: the values it replaces
 with ``inf`` all exceed the final k-th distance (so the top-k collector
 would reject them anyway), and every pruning counter is derived from the
 relevance pattern exactly as the per-candidate scans would have counted
-them — the block/vectorized/scalar engine parity suites compare ids and
+them — the block-vs-scalar engine parity suites compare ids and
 counters exactly.
+
+The per-candidate functions are also what :class:`MatchEvaluator`'s
+``dmm`` / ``dmom`` run under ``kernel='block'`` (RT/IRT score one
+candidate per pop) and what :func:`block_dmom`'s mixed-activity walk
+calls; ``kernel='scalar'`` bypasses this module entirely.
 
 Exactness
 ---------
@@ -77,10 +84,10 @@ NumPy is a hard dependency (``setup.py``).
 Every coordinate access below goes through ``trajectory.coord_array()``:
 for array-backed trajectories (:meth:`ActivityTrajectory.from_arrays`,
 the shared-memory store of :mod:`repro.storage.shm`) that is a zero-copy
-view into the columnar store, so the block and vectorized kernels read
-the mapped segment directly — no point objects, no per-trajectory
-coordinate copies — and a process worker scores against the same bytes
-the parent packed.
+view into the columnar store, so the round-batched and per-candidate
+paths both read the mapped segment directly — no point objects, no
+per-trajectory coordinate copies — and a process worker scores against
+the same bytes the parent packed.
 """
 
 from __future__ import annotations
@@ -101,7 +108,7 @@ from repro.model.distance import (
 
 INFINITY = math.inf
 
-KERNELS = ("scalar", "vectorized", "block")
+KERNELS = ("scalar", "block")
 
 
 def resolve_kernel(kernel: str) -> str:
@@ -169,7 +176,7 @@ class QueryKernel:
 
     Holds the per-query-point bit assignment (same iteration order as
     ``PointMatchTable`` uses, so masks are comparable in tests) and the
-    query half of the vectorized distance formula.  Metrics other than
+    query half of the array distance formula.  Metrics other than
     Euclidean/Haversine fall back to per-pair Python calls — still through
     one matrix, so the combinatorial kernels stay identical.
     """
@@ -292,11 +299,11 @@ class CandidateArrays:
       whole-array ops and a per-candidate ``tolist`` would cost more than
       the arithmetic it feeds.
 
-    Whichever shape was not built is derived lazily, so ad-hoc consumers
-    (tests, notebooks) can read either view of any candidate.
+    The pair that was not built stays ``None``; :func:`dmm_prepared` and
+    :func:`dmom_prepared` branch on ``mask_matrix``.
     """
 
-    __slots__ = ("positions", "_dist_rows", "_mask_rows", "dist_matrix", "mask_matrix")
+    __slots__ = ("positions", "dist_rows", "mask_rows", "dist_matrix", "mask_matrix")
 
     def __init__(
         self,
@@ -309,24 +316,10 @@ class CandidateArrays:
         if dist_rows is None and dist_matrix is None:
             raise ValueError("either dist_rows or dist_matrix is required")
         self.positions = positions
-        self._dist_rows = dist_rows
-        self._mask_rows = mask_rows
+        self.dist_rows = dist_rows
+        self.mask_rows = mask_rows
         self.dist_matrix = dist_matrix
         self.mask_matrix = mask_matrix
-
-    @property
-    def dist_rows(self) -> List[List[float]]:
-        if self._dist_rows is None:
-            self._dist_rows = self.dist_matrix.tolist()
-        return self._dist_rows
-
-    @property
-    def mask_rows(self) -> List[List[int]]:
-        if self._mask_rows is None:
-            # Boolean columns become bit 0 — exactly the single-activity
-            # bitmask the scalar scans expect.
-            self._mask_rows = self.mask_matrix.astype(int).tolist()
-        return self._mask_rows
 
 
 def prepare_candidate(qk: QueryKernel, trajectory) -> Optional[CandidateArrays]:
@@ -445,7 +438,8 @@ def _dmom_row_single(prev: List[float], row: List[float], mrow: List[int]) -> Li
     Covers are single points, so the cover state ``A`` collapses to
     ``(a0, best)``: ``a0`` is the running prefix-min of ``prev[1..j]``
     (the cheapest place a new segment may start) and ``best`` the best
-    ``a0 + d`` seen so far.  Kept as the oracle for the NumPy row below.
+    ``a0 + d`` seen so far.  The mixed single/multi-activity DP's row;
+    :func:`_dmom_all_single_np` is the same recurrence over arrays.
     """
     n = len(row)
     cur = [INFINITY] * (n + 1)
@@ -463,42 +457,20 @@ def _dmom_row_single(prev: List[float], row: List[float], mrow: List[int]) -> Li
     return cur
 
 
-def _dmom_row_single_np(prev: List[float], row: List[float], mrow: List[int]) -> List[float]:
-    """The same single-activity row as three NumPy array ops (the
-    ROADMAP's row-vectorized Dmom).
-
-    ``a0[j] = min(prev[1..j])`` is one ``minimum.accumulate``; the
-    candidate values ``a0 + d`` exist only where the point carries the
-    activity (``inf`` elsewhere); ``cur[j] = min over j' <= j`` is a
-    second accumulate.  Every addition and min is the one the scalar
-    recurrence performs, in the same order, so the row is bit-identical —
-    the parity suite asserts exact equality, not approximate.
-
-    This list-in/list-out form exists for the parity tests and the mixed
-    single/multi-activity DP; the hot path is :func:`_dmom_all_single_np`,
-    which keeps the whole DP in arrays (per-row list↔array conversion
-    costs more than the accumulate it feeds).
-    """
-    a0 = _np.minimum.accumulate(_np.asarray(prev[1:], dtype=float))
-    d = _np.asarray(row, dtype=float)
-    mask = _np.asarray(mrow, dtype=bool)
-    vals = _np.where(mask, a0 + d, INFINITY)
-    cur = _np.minimum.accumulate(vals).tolist()
-    cur.insert(0, INFINITY)
-    return cur
-
-
 def _dmom_all_single_np(qk: "QueryKernel", cand: "CandidateArrays", threshold: float) -> float:
     """The whole Dmom DP as array ops when *every* query point carries a
     single activity (the paper's most common query shape).
 
     The candidate is already in array form (:func:`prepare_candidate`
-    never built lists for it), and each of the ``|Q|`` rows is two
-    ``minimum.accumulate`` passes and one masked add — the
-    prefix/segment-min recurrence of :func:`_dmom_row_single_np` without
-    the per-row list round-trips.  ``prev`` holds ``G(i-1, 1..n)``; the
-    guardian row ``G(0, *) = 0`` is the initial zeros.  The Lemma-4 row
-    threshold exit is unchanged.
+    never built lists for it), and each of the ``|Q|`` rows is the
+    prefix/segment-min recurrence of :func:`_dmom_row_single` as array
+    ops: ``a0[j] = min(prev[1..j])`` is one ``minimum.accumulate``, the
+    candidate values ``a0 + d`` exist only where the point carries the
+    activity (``inf`` elsewhere), and ``cur[j] = min over j' <= j`` is a
+    second accumulate — every addition and min the scalar recurrence
+    performs, in the same order, so the result is bit-identical.  ``prev``
+    holds ``G(i-1, 1..n)``; the guardian row ``G(0, *) = 0`` is the
+    initial zeros.  The Lemma-4 row threshold exit is unchanged.
     """
     dist = cand.dist_matrix
     mask = cand.mask_matrix
@@ -535,7 +507,7 @@ def dmom_prepared(
     never beat the current k-th best, and the scan aborts.
     """
     if cand.mask_matrix is not None:
-        # Row-vectorized fast path: every row is the single-activity
+        # All-array fast path: every row is the single-activity
         # recurrence, so the whole DP stays in arrays (bit-identical to
         # the scalar fold below — the parity suite asserts exact equality).
         return _dmom_all_single_np(qk, cand, threshold)
@@ -625,7 +597,7 @@ class CandidateBlock:
 
     def candidate_arrays(self, c: int) -> Optional[CandidateArrays]:
         """The per-candidate view of candidate *c* — the list-form
-        :class:`CandidateArrays` the vectorized kernel would have built,
+        :class:`CandidateArrays` :func:`prepare_candidate` would have built,
         sliced back out of the block (``None`` for a candidate with no
         relevant points, mirroring :func:`prepare_candidate`)."""
         n = self.lengths[c]
@@ -639,23 +611,22 @@ class CandidateBlock:
         )
 
 
-def prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> CandidateBlock:
-    """Stack one round's candidates into a :class:`CandidateBlock`.
+def _round_hits(qk: QueryKernel, items: Sequence[tuple]):
+    """One round's activity occurrences looked up in ``Q.Φ`` — the first
+    step of both round builds (:func:`prepare_block`,
+    :func:`block_dmm_all_single`).
 
-    *items* is a non-empty sequence of ``(trajectory, posting)`` pairs;
-    only the trajectory is read.  *posting*, the candidate's APL record,
-    is what validation's ``covers_query`` check consumed and what the
-    counted read paid for; the block scores from the in-memory activity
+    One Python step per candidate collects its point-major activity
     columns (:meth:`ActivityTrajectory.activity_columns` — zero-copy views
-    for array-backed trajectories), which hold the same occurrences.
-
-    One Python step per candidate collects its columns and coordinates;
-    the rest is whole-round array work.  Every activity occurrence is
-    looked up in the query's sorted activity ids; the hits are
-    point-major, so their run boundaries are the relevant points, already
-    in position order within each candidate.
+    for array-backed trajectories) and coordinates; the rest is array
+    work: every occurrence is ``searchsorted`` against the query's sorted
+    activity ids.  Returns ``(hit_slots, hit_points, cand_of_point,
+    n_points, coords)``: per *hit* (an occurrence of a query activity, in
+    candidate-major, point-major order) its slot in
+    ``qk.sorted_activities`` and its round-wide point index; per
+    round-wide point its candidate; per candidate its point count; and the
+    round's concatenated ``(N, 2)`` coordinates.
     """
-    m = qk.m
     n_items = len(items)
     value_chunks, count_chunks, coord_chunks = [], [], []
     for trajectory, _posting in items:
@@ -667,13 +638,29 @@ def prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> CandidateBlock:
     per_point = _np.concatenate(count_chunks)
     n_points = _np.fromiter(map(len, count_chunks), dtype=_np.intp, count=n_items)
 
-    # Occurrence -> query activity slot; hits keep their round-wide point.
     slots = _np.minimum(
         _np.searchsorted(qk.sorted_activities, values), len(qk.sorted_activities) - 1
     )
     hit = qk.sorted_activities[slots] == values
-    hit_slots = slots[hit]
     hit_points = _np.repeat(_np.arange(len(per_point)), per_point)[hit]
+    cand_of_point = _np.repeat(_np.arange(n_items), n_points)
+    return slots[hit], hit_points, cand_of_point, n_points, _np.concatenate(coord_chunks)
+
+
+def prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> CandidateBlock:
+    """Stack one round's candidates into a :class:`CandidateBlock`.
+
+    *items* is a non-empty sequence of ``(trajectory, posting)`` pairs;
+    only the trajectory is read.  *posting*, the candidate's APL record,
+    is what validation's ``covers_query`` check consumed and what the
+    counted read paid for; the block scores from the in-memory activity
+    columns, which hold the same occurrences (:func:`_round_hits`).  The
+    hits are point-major, so their run boundaries are the relevant points,
+    already in position order within each candidate.
+    """
+    m = qk.m
+    n_items = len(items)
+    hit_slots, hit_points, cand_of_point, n_points, coords = _round_hits(qk, items)
     # A point with an empty activity set contributes no occurrence, so it
     # cannot open a run: boundaries are read off the hits themselves.
     opens = _np.ones(len(hit_points), dtype=bool)
@@ -682,7 +669,7 @@ def prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> CandidateBlock:
     total = len(relevant)
 
     point_base = n_points.cumsum() - n_points
-    cand_of_column = _np.repeat(_np.arange(n_items), n_points)[relevant]
+    cand_of_column = cand_of_point[relevant]
     positions = relevant - point_base[cand_of_column]
     counts = _np.bincount(cand_of_column, minlength=n_items)
     starts = counts.cumsum() - counts
@@ -703,7 +690,7 @@ def prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> CandidateBlock:
                 items[c][0], positions[s : s + n].tolist()
             )
     else:
-        big = qk.distance_matrix_for(_np.concatenate(coord_chunks)[relevant])
+        big = qk.distance_matrix_for(coords[relevant])
 
     # Bitmask: each row sums its bit of every hit into the hit's column
     # (a point lists an activity once, so each (row, column) sees each bit
@@ -729,76 +716,62 @@ def prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> CandidateBlock:
     )
 
 
-def block_dmm_all_single(qk: QueryKernel, items: Sequence[tuple], stats=None):
-    """``Dmm`` for one round of an all-single-activity query, without ever
-    materialising a :class:`CandidateBlock`.
-
-    ``Dmm`` is order-free, so the candidate columns need no position
-    dedup: each candidate contributes its posting arrays for the query's
-    distinct activities **concatenated as-is** (a point carrying two query
-    activities simply appears twice — duplicates never move a minimum).
-    Relevance is then a single code comparison (``row activity ==
-    column activity``) instead of a bitmask scatter, per-row candidate
-    counts are plain posting lengths (postings are distinct by
-    construction), and the per-row minima fall out of one masked
-    segment-``reduceat``.  Values and counter accounting are bit-identical
-    to the per-candidate all-single path.  (The order-sensitive DP cannot
-    ride this layout — duplicated columns break its prefix semantics — so
-    :func:`block_dmom` keeps the deduplicated block.)
-    """
-    m = qk.m
-    acts = [next(iter(bit_values)) for bit_values in qk.bit_values]
-    distinct = list(dict.fromkeys(acts))
-    code_of = {a: i for i, a in enumerate(distinct)}
-    row_codes = [code_of[a] for a in acts]
-
-    C = len(items)
-    counts_rows: List[List[int]] = []
-    pos_chunks = []
-    code_chunks = []
-    coord_chunks = []
-    flat_ids: List[int] = []
-    seg_starts: List[int] = []
-    total = 0
-    base_codes = _np.arange(len(distinct))
-    for c, (trajectory, _posting) in enumerate(items):
-        arrays = trajectory.posting_arrays()
-        parts = [arrays.get(a) for a in distinct]
-        lens = [0 if ps is None else len(ps) for ps in parts]
-        counts_rows.append([lens[code] for code in row_codes])
-        n = sum(lens)
-        if n == 0:
-            continue
-        present = [ps for ps in parts if ps is not None and len(ps)]
-        pos = present[0] if len(present) == 1 else _np.concatenate(present)
-        pos_chunks.append(pos)
-        code_chunks.append(_np.repeat(base_codes, lens))
-        coord_chunks.append(trajectory.coord_array()[pos])
-        flat_ids.append(c)
-        seg_starts.append(total)
-        total += n
-
-    counts = _np.asarray(counts_rows, dtype=_np.intp).reshape(C, m)
+def _fold_rows(rowvals, counts, invalid, stats):
+    """Per-candidate ``Dmm`` from the ``[C, |Q|]`` per-row values, plus the
+    ``point_match_points`` accounting — a pure function of the relevance
+    pattern, identical to the per-candidate scan's, which adds each row's
+    candidate count up to and including the first infeasible row."""
+    n, m = rowvals.shape
     if stats is not None:
-        invalid = counts == 0
         has_invalid = invalid.any(axis=1)
         limit = _np.where(has_invalid, invalid.argmax(axis=1), m - 1)
         cumulative = counts.cumsum(axis=1)
-        stats.point_match_points += int(cumulative[_np.arange(C), limit].sum())
-
-    rowvals = _np.full((C, m), INFINITY)
-    if total:
-        big = qk.distance_matrix_for(_np.concatenate(coord_chunks))
-        all_codes = _np.concatenate(code_chunks)
-        masked = _np.where(
-            _np.asarray(row_codes)[:, None] == all_codes[None, :], big, INFINITY
-        )
-        rowvals[flat_ids, :] = _np.minimum.reduceat(masked, seg_starts, axis=1).T
+        stats.point_match_points += int(cumulative[_np.arange(n), limit].sum())
     # Left-to-right row fold: the scalar path's float addition order.
     dmm = rowvals[:, 0].copy()
     for i in range(1, m):
         dmm = dmm + rowvals[:, i]
     return dmm
+
+
+def block_dmm_all_single(qk: QueryKernel, items: Sequence[tuple], stats=None):
+    """``Dmm`` for one round of an all-single-activity query, without ever
+    materialising a :class:`CandidateBlock`.
+
+    ``Dmm`` is order-free, so the candidate columns need no position
+    dedup: every hit of :func:`_round_hits` is a column **as-is** (a point
+    carrying two query activities simply appears once per activity —
+    duplicates never move a minimum).  Relevance is then a single slot
+    comparison (``row activity == column activity``) instead of a bitmask
+    scatter, a row's candidate count is its activity's occurrence count in
+    the candidate (a point lists an activity once), and the per-row minima
+    fall out of one masked segment-``reduceat``.  Values and counter
+    accounting are bit-identical to the per-candidate all-single path.
+    (The order-sensitive DP cannot ride this layout — duplicated columns
+    break its prefix semantics — so :func:`block_dmom` keeps the
+    deduplicated block.)
+    """
+    n_items = len(items)
+    n_slots = len(qk.sorted_activities)
+    hit_slots, hit_points, cand_of_point, _n_points, coords = _round_hits(qk, items)
+    row_slots = qk.bit_table.argmax(axis=1)  # each row asks one activity
+
+    per_activity = _np.bincount(
+        cand_of_point[hit_points] * n_slots + hit_slots, minlength=n_items * n_slots
+    ).reshape(n_items, n_slots)
+    counts = per_activity[:, row_slots]
+    columns = per_activity.sum(axis=1)
+    flat_ids = _np.flatnonzero(columns)
+    seg_starts = (columns.cumsum() - columns)[flat_ids]
+
+    masked = _np.where(
+        row_slots[:, None] == hit_slots,
+        qk.distance_matrix_for(coords[hit_points]),
+        INFINITY,
+    )
+    rowvals = _np.full((n_items, qk.m), INFINITY)
+    rowvals[flat_ids] = _np.minimum.reduceat(masked, seg_starts, axis=1).T
+    return _fold_rows(rowvals, counts, counts == 0, stats)
 
 
 def _set_partitions(n_bits: int) -> List[Tuple[int, ...]]:
@@ -824,11 +797,10 @@ def _set_partitions(n_bits: int) -> List[Tuple[int, ...]]:
 _PARTITIONS: Dict[int, List[Tuple[int, ...]]] = {}
 
 
-def _block_stage(qk: QueryKernel, block: CandidateBlock, stats):
-    """Exact per-candidate ``Dmm`` over the block, plus the
-    ``point_match_points`` accounting (a pure function of the relevance
-    pattern, identical to the per-candidate scans' counting and
-    independent of everything else).
+def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None):
+    """Exact ``Dmm`` for every block candidate, as a ``[C]`` float array
+    (``inf`` only where ``Dmm`` truly is ``inf``) — also the Lemma-3 gate
+    of :func:`block_dmom`.
 
     Single-activity rows are one masked segment-min (bit-identical to the
     per-candidate path).  Multi-activity rows use the set-partition
@@ -839,9 +811,10 @@ def _block_stage(qk: QueryKernel, block: CandidateBlock, stats):
     each bit to the point covering it, and conversely each partition's
     group minima form a cover.  Every ``M[g]`` is one masked
     segment-``reduceat``, so the whole round's covers need no
-    per-candidate work at all.  Sums over 3+ groups may re-associate
-    relative to the per-candidate scan's fold order — the same last-ulp
-    class as the documented vectorized-vs-scalar sources.
+    per-candidate work at all — and nothing would be saved by abandoning
+    candidates against a threshold here.  Sums over 3+ groups may
+    re-associate relative to the per-candidate scan's fold order — the
+    same last-ulp class as the documented array-vs-scalar sources.
     """
     m = qk.m
     C = block.n
@@ -879,40 +852,8 @@ def _block_stage(qk: QueryKernel, block: CandidateBlock, stats):
             rowvals[flat, i] = best
     invalid = counts == 0
     invalid[block.missing_rows[:, 0], block.missing_rows[:, 1]] = True
-    if stats is not None:
-        # Identical to the per-candidate scan, which adds each row's
-        # candidate count up to and including the first infeasible row.
-        has_invalid = invalid.any(axis=1)
-        limit = _np.where(has_invalid, invalid.argmax(axis=1), m - 1)
-        cumulative = counts.cumsum(axis=1)
-        stats.point_match_points += int(cumulative[_np.arange(C), limit].sum())
     rowvals[invalid] = INFINITY
-    # Left-to-right row fold: the scalar path's float addition order.
-    dmm = rowvals[:, 0].copy()
-    for i in range(1, m):
-        dmm = dmm + rowvals[:, i]
-    return dmm
-
-
-def block_dmm(
-    qk: QueryKernel,
-    block: CandidateBlock,
-    stats=None,
-    threshold: float = INFINITY,
-    k: Optional[int] = None,
-):
-    """Exact ``Dmm`` for every block candidate, as a ``[C]`` float array.
-
-    The partition-decomposed cover (see :func:`_block_stage`) computes
-    every candidate's value in whole-round array ops, so — unlike a
-    per-candidate walk — nothing is saved by abandoning candidates here
-    and every value is returned exactly as the per-candidate path would
-    (``inf`` only where ``Dmm`` truly is ``inf``).  *threshold* / *k* are
-    accepted for signature symmetry with :func:`block_dmom`, which does
-    abandon per-candidate DP work.
-    """
-    del threshold, k  # whole-round array ops: nothing to abandon
-    return _block_stage(qk, block, stats)
+    return _fold_rows(rowvals, counts, invalid, stats)
 
 
 def _block_dmom_all_single(
@@ -920,7 +861,7 @@ def _block_dmom_all_single(
 ):
     """The all-single-activity Dmom DP for every surviving candidate at
     once: each row is the two-``minimum.accumulate`` recurrence of
-    :func:`_dmom_row_single_np` over a ``[survivors, Lmax]`` matrix built
+    :func:`_dmom_all_single_np` over a ``[survivors, Lmax]`` matrix built
     from the survivors' block segments.
 
     Padding is inert: padded columns are masked out (their ``vals`` are
@@ -967,23 +908,24 @@ def block_dmom(
 ):
     """``Dmom`` for every block candidate — blockwise gate, then the DP.
 
-    The Lemma-3 gate is the whole-round block ``Dmm``; candidates whose
+    The Lemma-3 gate is the whole-round :func:`block_dmm`; candidates whose
     gate exceeds the abandonment threshold are ``inf`` before any
     per-candidate work, exactly like the per-candidate gate.
     All-single-activity queries then run the batched DP; mixed queries
     walk the survivors in ascending-gate order through the per-candidate
-    :func:`dmom_prepared` DP — the identical computation the vectorized
-    kernel performs — so that, with *k* set, the abandonment threshold
-    tightens to the k-th smallest ``Dmom`` seen so far and later
-    candidates (whose gates are lower bounds on their ``Dmom``) are
-    abandoned against it.  Tightening only ever happens on ``Dmom`` values
-    — the ranked metric — never on the ``Dmm`` gate values, whose k-th
-    could undercut the final ``Dmom`` k-th and cost a true top-k member.
+    :func:`dmom_prepared` DP — the identical computation
+    :meth:`MatchEvaluator.dmom` performs — so that, with *k* set, the
+    abandonment threshold tightens to the k-th smallest ``Dmom`` seen so
+    far and later candidates (whose gates are lower bounds on their
+    ``Dmom``) are abandoned against it.  Tightening only ever happens on
+    ``Dmom`` values — the ranked metric — never on the ``Dmm`` gate
+    values, whose k-th could undercut the final ``Dmom`` k-th and cost a
+    true top-k member.
 
     Counter accounting (``point_match_points``) covers every candidate,
     exactly as the per-candidate gate would have counted it.
     """
-    gates = _block_stage(qk, block, stats)
+    gates = block_dmm(qk, block, stats)
     if qk.all_single:
         todo = _np.nonzero(_np.isfinite(gates) & (gates <= threshold))[0]
         return _block_dmom_all_single(qk, block, todo.tolist(), threshold)

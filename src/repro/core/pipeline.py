@@ -25,9 +25,8 @@ Validation runs one retrieval round at a time
 (:meth:`ValidationStage.admit_batch`): candidates flow filter-by-filter
 so a filter exposing a ``prefetch`` hook can batch its I/O — the APL
 filter pulls the whole round's posting lists in a single
-``fetch_many`` (optionally overlapped on a thread pool).  Per-candidate
-semantics, counters, and counted reads are identical to the sequential
-:meth:`ValidationStage.admit` path.
+``fetch_many``.  Counters and counted reads are those of a
+candidate-by-candidate walk of the chain.
 """
 
 from __future__ import annotations
@@ -196,36 +195,27 @@ class APLFilter:
     Implements the batched-I/O hook: :meth:`prefetch` pulls the posting
     lists of a whole validation round through
     :meth:`~repro.index.gat.apl.APLStore.fetch_many` — one cache pass,
-    grouped simulated-disk reads, optionally overlapped on *executor* —
-    before the per-candidate checks run.  The per-candidate fetch count
-    is unchanged (one per candidate reaching this filter), so disk-read
-    accounting is identical to the unbatched path.
+    one grouped simulated-disk read — before the per-candidate checks
+    run: one counted fetch per candidate reaching this filter.
     """
 
     stat_field = "apl_pruned"
-    __slots__ = ("apl", "cache", "executor")
+    __slots__ = ("apl", "cache")
 
-    def __init__(
-        self, apl: APLStore, cache: Optional[LRUCache] = None, executor=None
-    ) -> None:
+    def __init__(self, apl: APLStore, cache: Optional[LRUCache] = None) -> None:
         self.apl = apl
         self.cache = cache
-        self.executor = executor
 
     def prefetch(self, ctx: ExecutionContext, candidates: Sequence[Candidate]) -> None:
         tids = [c.trajectory_id for c in candidates if c.posting is None]
         if not tids:
             return
-        fetched = self.apl.fetch_many(tids, self.cache, executor=self.executor)
+        fetched = self.apl.fetch_many(tids, self.cache)
         for c in candidates:
             if c.posting is None:
                 c.posting = fetched[c.trajectory_id]
 
     def admits(self, ctx: ExecutionContext, candidate: Candidate) -> bool:
-        if candidate.posting is None:
-            candidate.posting = self.apl.fetch_cached(
-                candidate.trajectory_id, self.cache
-            )
         return APLStore.covers_query(candidate.posting, ctx.query_activities)
 
 
@@ -248,9 +238,11 @@ class ValidationStage:
     """An ordered filter chain; the first rejecting filter's counter on
     ``ctx.stats`` is bumped and the candidate is dropped.
 
-    Filter protocol: ``admits(ctx, candidate) -> bool`` plus an optional
-    ``stat_field`` naming the :class:`SearchStats` counter to bump on
-    rejection (a custom filter without one simply goes uncounted).
+    Filter protocol: ``admits(ctx, candidate) -> bool``, an optional
+    ``prefetch(ctx, candidates)`` run on the round's survivors before the
+    filter's checks, and an optional ``stat_field`` naming the
+    :class:`SearchStats` counter to bump on rejection (a custom filter
+    without one simply goes uncounted).
     """
 
     __slots__ = ("filters",)
@@ -258,52 +250,32 @@ class ValidationStage:
     def __init__(self, filters: Sequence) -> None:
         self.filters = tuple(filters)
 
-    def admit(self, ctx: ExecutionContext, candidate: Candidate) -> bool:
-        for f in self.filters:
-            if not f.admits(ctx, candidate):
-                self._count_rejection(ctx, f)
-                return False
-        return True
-
     def admit_batch(
-        self,
-        ctx: ExecutionContext,
-        candidates: Sequence[Candidate],
-        prefetch: bool = True,
+        self, ctx: ExecutionContext, candidates: Sequence[Candidate]
     ) -> List[Candidate]:
         """Run one retrieval round's candidates through the chain filter by
         filter, preserving candidate order.
 
-        Functionally identical to calling :meth:`admit` per candidate —
-        the same candidates reach each filter, so every pruning counter
-        lands on the same value — but evaluating a whole round against one
-        filter at a time lets a filter exposing ``prefetch(ctx,
-        candidates)`` (the APL filter) batch its I/O for the round.
-        *prefetch=False* keeps the per-candidate fetch path (the
-        ``batch_io`` ablation).
+        The same candidates reach each filter as in a candidate-by-
+        candidate walk, so every pruning counter lands on the same value —
+        but evaluating a whole round against one filter at a time lets a
+        filter exposing ``prefetch`` (the APL filter) batch its I/O for
+        the round.
         """
         survivors = list(candidates)
         for f in self.filters:
             if not survivors:
                 break
-            if prefetch:
-                hook = getattr(f, "prefetch", None)
-                if hook is not None:
-                    hook(ctx, survivors)
-            kept: List[Candidate] = []
-            for candidate in survivors:
-                if f.admits(ctx, candidate):
-                    kept.append(candidate)
-                else:
-                    self._count_rejection(ctx, f)
+            hook = getattr(f, "prefetch", None)
+            if hook is not None:
+                hook(ctx, survivors)
+            kept = [candidate for candidate in survivors if f.admits(ctx, candidate)]
+            stat_field = getattr(f, "stat_field", None)
+            if stat_field is not None:
+                rejected = len(survivors) - len(kept)
+                setattr(ctx.stats, stat_field, getattr(ctx.stats, stat_field) + rejected)
             survivors = kept
         return survivors
-
-    @staticmethod
-    def _count_rejection(ctx: ExecutionContext, f) -> None:
-        stat_field = getattr(f, "stat_field", None)
-        if stat_field is not None:
-            setattr(ctx.stats, stat_field, getattr(ctx.stats, stat_field) + 1)
 
 
 # ----------------------------------------------------------------------
@@ -312,18 +284,17 @@ class ValidationStage:
 class ScoringStage:
     """Evaluator dispatch for validated candidates.
 
-    OATSQ calls ``dmom`` with ``check_order=False`` when (as in the
-    paper's chain) the MIB filter already established feasibility; the
-    DP itself still returns ``inf`` for infeasible candidates, so a
-    chain composed *without* the MIB filter stays correct — it only
-    loses the cheap pre-prune.
+    OATSQ calls ``dmom`` with ``check_order=False``: in the paper's
+    chain the MIB filter already established feasibility, and the DP
+    itself still returns ``inf`` for infeasible candidates, so a chain
+    composed *without* the MIB filter stays correct — it only loses the
+    cheap pre-prune.
     """
 
-    __slots__ = ("db", "check_order")
+    __slots__ = ("db",)
 
-    def __init__(self, db: TrajectoryDatabase, check_order: bool = False) -> None:
+    def __init__(self, db: TrajectoryDatabase) -> None:
         self.db = db
-        self.check_order = check_order
 
     def score(self, ctx: ExecutionContext, candidate: Candidate) -> float:
         trajectory = candidate.trajectory
@@ -333,7 +304,7 @@ class ScoringStage:
         ctx.stats.distance_computations += 1
         if ctx.order_sensitive:
             return ctx.evaluator.dmom(
-                ctx.query, trajectory, ctx.threshold(), check_order=self.check_order
+                ctx.query, trajectory, ctx.threshold(), check_order=False
             )
         return ctx.evaluator.dmm(ctx.query, trajectory)
 
@@ -348,7 +319,7 @@ class ScoringStage:
         in-memory activity columns; the APL record the filter fetched
         rides along on the item but is not read again — it served
         validation's coverage check, and its counted read is the
-        candidate's only one.  The running k-th threshold is sampled once
+        candidate's only one.  OATSQ's running k-th threshold is sampled once
         at round start: a looser bound than the per-candidate loop's
         intra-round tightening, which can only turn an over-threshold
         ``inf`` into a finite value the top-k collector rejects anyway —
@@ -365,9 +336,8 @@ class ScoringStage:
             ctx.stats.validated += 1
             ctx.stats.distance_computations += 1
             items.append((trajectory, candidate.posting))
-        threshold = ctx.threshold()
         if ctx.order_sensitive:
             return ctx.evaluator.dmom_batch(
-                ctx.query, items, threshold, check_order=self.check_order, k=ctx.k
+                ctx.query, items, ctx.threshold(), check_order=False, k=ctx.k
             )
-        return ctx.evaluator.dmm_batch(ctx.query, items, threshold, k=ctx.k)
+        return ctx.evaluator.dmm_batch(ctx.query, items)

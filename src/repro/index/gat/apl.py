@@ -59,38 +59,21 @@ class APLStore:
         """
         return self.disk.get(("apl", trajectory_id))
 
-    def fetch_cached(self, trajectory_id: int, cache: Optional[LRUCache]) -> PostingLists:
-        """Like :meth:`fetch` but served from *cache* when warm.
-
-        Posting lists are written once at build/insert time and treated as
-        immutable afterwards, so a shared cache is safe across concurrent
-        queries; a hit skips the counted disk read entirely (the engine
-        uses this for hot-trajectory fetches).  ``cache=None`` degrades to
-        a plain :meth:`fetch`.
-        """
-        if cache is None:
-            return self.fetch(trajectory_id)
-        return cache.get_or_load(
-            trajectory_id, lambda: self.fetch(trajectory_id)
-        )
-
     _MISS = object()
 
     def fetch_many(
-        self,
-        trajectory_ids: Iterable[int],
-        cache: Optional[LRUCache] = None,
-        executor=None,
+        self, trajectory_ids: Iterable[int], cache: Optional[LRUCache] = None
     ) -> Dict[int, PostingLists]:
         """Fetch a whole validation round's posting lists in one call.
 
         One pass over *cache* splits the round into hits and misses, the
         misses go to the simulated disk as a single grouped read
-        (:meth:`SimulatedDisk.get_many` — optionally overlapped on
-        *executor*), and the fresh records are cached.  Counted reads and
-        cache hit/miss accounting are identical to fetching each
-        trajectory individually; only the wall-clock shape of the I/O
-        changes.
+        (:meth:`SimulatedDisk.get_many`), and the fresh records are
+        cached.  Posting lists are written once at build/insert time and
+        treated as immutable afterwards, so a shared cache is safe across
+        concurrent queries; a hit skips the counted disk read entirely.
+        Counted reads and cache hit/miss accounting are identical to
+        fetching each trajectory individually.
         """
         out: Dict[int, PostingLists] = {}
         missing: list[int] = []
@@ -103,9 +86,7 @@ class APLStore:
                     continue
             missing.append(tid)
         if missing:
-            values = self.disk.get_many(
-                [("apl", tid) for tid in missing], executor=executor
-            )
+            values = self.disk.get_many([("apl", tid) for tid in missing])
             for tid, value in zip(missing, values):
                 out[tid] = value
                 if cache is not None:
@@ -138,10 +119,10 @@ def union_positions(posting: PostingLists, activities: Iterable[int]) -> Tuple[i
 
     Used both for one query point's candidate positions (Algorithm 3,
     line 1) and — with the whole query's activity set — for the relevant
-    sub-sequence ``rel(Tr)`` the scoring kernels compress a candidate to.
-    The block kernel builds its per-round tensors directly from the
-    batched-fetch APL records through this helper, so the engine's exact
-    validation and its scoring read the same posting-list image.
+    sub-sequence ``rel(Tr)`` the scoring kernels compress a candidate to
+    (the block kernel reads that sub-sequence off the trajectories'
+    activity columns instead; ``tests/property/dict_block_oracle.py``
+    checks the two images agree).
     """
     out: set[int] = set()
     for activity in activities:

@@ -42,7 +42,6 @@ class ActivityTrajectory:
         "_activity_union",
         "_posting_lists",
         "_coord_array",
-        "_posting_arrays",
         "_activity_columns",
         "_acts",
         "_act_off",
@@ -58,7 +57,6 @@ class ActivityTrajectory:
         self._activity_union: FrozenSet[int] | None = None
         self._posting_lists: Dict[int, Tuple[int, ...]] | None = None
         self._coord_array = None
-        self._posting_arrays = None
         self._activity_columns = None
         self._acts = None
         self._act_off = None
@@ -92,7 +90,8 @@ class ActivityTrajectory:
 
         Points, posting structures, and the activity union materialise
         lazily on first access; the coordinate matrix is the passed view
-        itself, so vectorized kernels read the shared columns directly.
+        itself, so the array scoring kernels read the shared columns
+        directly.
         """
         n = len(coords)
         if n == 0:
@@ -105,7 +104,6 @@ class ActivityTrajectory:
         self._activity_union = None
         self._posting_lists = None
         self._coord_array = coords
-        self._posting_arrays = None
         self._activity_columns = None
         self._acts = act_values
         self._act_off = act_offsets
@@ -216,7 +214,7 @@ class ActivityTrajectory:
     def coord_array(self):
         """Cached ``(n, 2)`` float64 coordinate matrix (requires NumPy).
 
-        Built lazily by the vectorized scoring kernels; like the other
+        Built lazily by the array scoring kernels; like the other
         derived structures it treats the trajectory as immutable, and a
         benign double-compute is the worst a concurrent first access can
         do.  Array-backed trajectories return their columnar view
@@ -230,37 +228,18 @@ class ActivityTrajectory:
             )
         return self._coord_array
 
-    def posting_arrays(self):
-        """The posting lists as cached int64 NumPy arrays (requires NumPy).
-
-        The array image of :attr:`posting_lists` — same keys, same
-        ascending positions — used by the block scoring kernel's
-        all-single-activity fast path, which concatenates whole posting
-        arrays instead of resolving positions one by one.  Lazily built
-        and cached under the same immutability assumption as the other
-        derived structures.
-        """
-        if self._posting_arrays is None:
-            import numpy as np
-
-            self._posting_arrays = {
-                a: np.asarray(ps, dtype=np.int64)
-                for a, ps in self.posting_lists.items()
-            }
-        return self._posting_arrays
-
     def activity_columns(self):
         """The point-major activity columns ``(act_values, acts_per_point)``
         as int64 NumPy arrays (requires NumPy): point ``i`` performed the
         next ``acts_per_point[i]`` entries of ``act_values``.
 
-        What the block scoring kernel concatenates per validation round
-        (:func:`repro.core.kernels.prepare_block`).  Array-backed
+        The array image of the activity data — :attr:`posting_lists` is
+        the dict image — and what the block scoring kernel concatenates
+        per validation round (:func:`repro.core.kernels.prepare_block`,
+        :func:`~repro.core.kernels.block_dmm_all_single`).  Array-backed
         trajectories return a zero-copy slice of the store's
         ``act_values`` column plus the differences of their offsets;
-        object-backed ones flatten their points once.  Cached in a slot of
-        its own: sharing :meth:`posting_arrays`'s would make the two
-        images evict each other on every alternating call.
+        object-backed ones flatten their points once.
         """
         if self._activity_columns is None:
             import numpy as np

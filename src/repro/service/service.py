@@ -309,8 +309,6 @@ class ServingMetrics:
         return stats
 
 
-
-
 class ServingFront:
     """The request front both query services serve through.
 

@@ -412,9 +412,8 @@ class SerialShardExecutor:
         Deadlines/hedges cannot preempt an inline task, of course; the
         serial backend is the debugging baseline, not a serving tier."""
         if self._closed:
-            # No pool to leak, but a closed service's engines have shut
-            # their auxiliary io pools — serving on would silently
-            # resurrect them.  Same invariant as the pooled backends.
+            # No pool to leak, but use-after-close raising is the serving
+            # front's contract.  Same invariant as the pooled backends.
             raise RuntimeError("SerialShardExecutor used after close()")
         future: Future = Future()
         try:

@@ -526,7 +526,7 @@ class ReplicaPlacement:
         """Catch the banks up with a mutated primary (inserts quiesce the
         service, so no task is mid-flight on a stale bank) and return the
         engines discarded on the way, for the caller to shed their cache
-        counters and close.
+        counters.
 
         Bank 0 rebinds, in place, only the engines whose
         :class:`GATIndex` object was *replaced* — an overflow insert
@@ -547,7 +547,3 @@ class ReplicaPlacement:
             discarded.extend(bank)
         self.banks[1:] = [self._replica_bank() for _ in self.banks[1:]]
         return discarded
-
-    def close(self) -> None:
-        for engine in self.engines():
-            engine.close()

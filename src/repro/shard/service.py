@@ -408,8 +408,6 @@ class ShardedQueryService:
         schedule a worker-snapshot refresh.  Returns the engines it
         discarded so the front can retire their cache counters."""
         discarded = self.placement.resync()
-        for engine in discarded:
-            engine.close()
         if not self._in_process:
             self._executor.refresh(self._make_spec())
         return discarded
@@ -705,11 +703,10 @@ class ShardedQueryService:
         return self._front.serve(requests, self._fan_out, self._resync)
 
     def close(self) -> None:
-        """Refuse further work, then shut down the fan-out executor and
-        every bank's engines' auxiliary pools (idempotent)."""
+        """Refuse further work, then shut down the fan-out executor
+        (idempotent)."""
         self._front.close()
         self._executor.close()
-        self.placement.close()
 
     def __enter__(self) -> "ShardedQueryService":
         return self

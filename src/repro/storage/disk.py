@@ -251,24 +251,16 @@ class SimulatedDisk:
         self._pay_read_latency()
         return deserialize_obj(record.payload)
 
-    def get_many(self, keys: List[Hashable], executor=None) -> List[Any]:
+    def get_many(self, keys: List[Hashable]) -> List[Any]:
         """Load several keys as one grouped I/O round.
 
         Accounting is identical to ``len(keys)`` individual :meth:`get`
-        calls — every read is counted, *on the calling thread*, so
-        per-query :meth:`track` attribution keeps working even when the
-        latency is overlapped.  With an *executor*, the per-read latencies
-        are served concurrently (wall time ≈ ``ceil(n / workers) *
-        read_latency_s`` — the thread-offloaded gather); without one the
-        latencies are paid back to back, exactly like sequential gets.
-
-        Under a bounded device (``concurrent_reads``) the two shapes
-        model different command streams, deliberately: the on-thread
-        gather holds the gate once for its whole latency train (one
-        contiguous burst, like a sequential read of a sorted batch),
-        while the offloaded gather acquires the gate per read (NCQ-style
-        independent commands that interleave with other readers).  Both
-        respect the same device concurrency bound.
+        calls — every read is counted, on the calling thread, under the
+        caller's :meth:`track` attribution — and the latencies are paid
+        back to back, exactly like sequential gets.  Under a bounded
+        device (``concurrent_reads``) the gather holds the gate once for
+        its whole latency train: one contiguous burst, like a sequential
+        read of a sorted batch.
 
         Raises
         ------
@@ -295,11 +287,7 @@ class SimulatedDisk:
             # happened) and before any latency is paid.
             for key in keys:
                 self.fault_injector.on_read(key)
-        if self.read_latency_s > 0.0 and records:
-            if executor is not None and len(records) > 1:
-                list(executor.map(lambda _r: self._pay_read_latency(), records))
-            else:
-                self._pay_read_latency(len(records))
+        self._pay_read_latency(len(records))
         return [deserialize_obj(record.payload) for record in records]
 
     def get_or_none(self, key: Hashable) -> Optional[Any]:

@@ -3,7 +3,7 @@
 Randomized trajectories and queries drive whole validation rounds through
 the round-batched block entries (``prepare_block`` + ``block_dmm`` /
 ``block_dmom`` / ``block_dmm_all_single``) and through the per-candidate
-vectorized and scalar paths, and require:
+array and scalar paths, and require:
 
 * identical ``Dmm`` / ``Dmom`` values — exact where the block performs
   the same float operations (single-activity rows, the batched DP, the
@@ -14,7 +14,7 @@ vectorized and scalar paths, and require:
   notwithstanding — the accounting is mask-derived by construction;
 * whole-engine agreement: identical top-k ids, distances, and every
   ``SearchStats`` counter (disk reads included) across
-  ``kernel='block'|'vectorized'|'scalar'``, for Euclidean and Haversine,
+  ``kernel='block'|'scalar'``, for Euclidean and Haversine,
   mixed activity sets, and ragged trajectory lengths.
 
 Threshold abandonment is also exercised directly: with a finite running
@@ -189,27 +189,41 @@ def test_block_dmm_values_and_counts(qraw, raws, haversine):
 
 @given(single_query_st, round_st)
 @settings(max_examples=150, deadline=None)
+# A point with an empty activity set between relevant ones.
+@example([(0.0, 0.0, 1)], [[_pt(()), _pt({1}), _pt(()), _pt({1, 2}, 3.0), _pt(())]])
+# A candidate carrying none of the query's activities, between two that do.
+@example([(0.0, 0.0, 1), (5.0, 5.0, 2)], [[_pt({1, 2})], [_pt({4}), _pt(())], [_pt({2}), _pt({1})]])
+# Two query rows asking the same activity.
+@example([(0.0, 0.0, 1), (9.0, 9.0, 1), (2.0, 2.0, 3)], [[_pt({1}), _pt({3, 1}, 4.0)], [_pt({1})]])
+# A point carrying two query activities: one column per activity.
+@example([(0.0, 0.0, 1), (1.0, 1.0, 2)], [[_pt({1, 2}), _pt({2}, 7.0)], [_pt({2, 1, 5}, -3.0)]])
 def test_all_single_fast_dmm_is_bit_identical(qraw, raws):
     """The duplicated-layout Dmm equals the per-candidate all-single path
-    exactly — same masked minima, same left-to-right row fold."""
+    exactly — same masked minima, same left-to-right row fold — for
+    object-backed trajectories and for the same round as zero-copy views
+    over one columnar store."""
     query = Query([QueryPoint(x, y, frozenset({a})) for x, y, a in qraw])
     items = _round(raws)
     qk = QueryKernel(query, EUCLID)
     assert qk.all_single
 
-    fast_stats = _Stats()
-    got = kernels.block_dmm_all_single(qk, items, fast_stats)
-
     cand_stats = _Stats()
-    for c, (trajectory, _p) in enumerate(items):
+    want = []
+    for trajectory, _p in items:
         cand = kernels.prepare_candidate(qk, trajectory)
-        want = (
-            INFINITY
-            if cand is None
-            else kernels.dmm_prepared(qk, cand, cand_stats)
+        want.append(
+            INFINITY if cand is None else kernels.dmm_prepared(qk, cand, cand_stats)
         )
-        assert float(got[c]) == want  # exact, not approximate
-    assert fast_stats.point_match_points == cand_stats.point_match_points
+
+    views = arrays_to_trajectories(
+        trajectories_to_arrays([trajectory for trajectory, _p in items])
+    )
+    for round_items in (items, [(tr, None) for tr in views]):
+        fast_stats = _Stats()
+        got = kernels.block_dmm_all_single(qk, round_items, fast_stats)
+        assert got.tolist() == want  # exact, not approximate
+        assert fast_stats.point_match_points == cand_stats.point_match_points
+    assert all(tr._points is None for tr in views)
 
 
 @given(query_st, round_st, threshold_st)
@@ -224,7 +238,7 @@ def test_block_dmom_matches_gated_per_candidate_path(qraw, raws, threshold):
     block_eval = MatchEvaluator(kernel="block")
     got = block_eval.dmom_batch(query, items, threshold)
 
-    cand_eval = MatchEvaluator(kernel="vectorized")
+    cand_eval = MatchEvaluator()
     for c, (trajectory, _p) in enumerate(items):
         want = cand_eval.dmom(query, trajectory, threshold=threshold)
         if _close(got[c], want):
@@ -249,7 +263,7 @@ def test_dmm_batch_counters_match_per_candidate_loop(qraw, raws):
     batch_eval = MatchEvaluator(kernel="block")
     got = batch_eval.dmm_batch(query, items)
 
-    loop_eval = MatchEvaluator(kernel="vectorized")
+    loop_eval = MatchEvaluator()
     for c, (trajectory, _p) in enumerate(items):
         want = loop_eval.dmm(query, trajectory)
         assert _close(got[c], want), (c, got[c], want)
@@ -263,7 +277,7 @@ def test_dmm_batch_counters_match_per_candidate_loop(qraw, raws):
 # Whole-engine agreement across kernels
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("order_sensitive", [False, True])
-@pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+@pytest.mark.parametrize("kernel", ["scalar"])
 def test_engine_block_agreement(small_db, kernel, order_sensitive):
     from dataclasses import fields
 

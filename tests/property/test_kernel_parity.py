@@ -1,4 +1,4 @@
-"""Property-based parity: the vectorized kernels vs the scalar oracles.
+"""Property-based parity: the array kernels vs the scalar oracles.
 
 Randomized trajectories and queries drive both implementations of every
 kernelised quantity — the pairwise distance matrices, the set-cover
@@ -66,13 +66,20 @@ def _close(a, b):
 # ----------------------------------------------------------------------
 # Kernel resolution
 # ----------------------------------------------------------------------
-def test_resolve_kernel():
+def test_resolve_kernel(capsys):
+    assert kernels.KERNELS == ("scalar", "block")
     assert resolve_kernel("scalar") == "scalar"
-    assert resolve_kernel("vectorized") == "vectorized"
     assert resolve_kernel("block") == "block"
-    for unknown in ("simd", "auto"):  # the "auto" alias is gone
-        with pytest.raises(ValueError):
+    # The "auto" alias and the per-candidate "vectorized" tier are gone.
+    for unknown in ("simd", "auto", "vectorized"):
+        with pytest.raises(ValueError, match=r"\('scalar', 'block'\)"):
             resolve_kernel(unknown)
+
+    from repro.cli import main
+
+    with pytest.raises(SystemExit):  # rejected by the parser, before any I/O
+        main(["query", "unread.jsonl", "--kernel", "vectorized"])
+    assert "choose from 'scalar', 'block'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -146,14 +153,14 @@ def test_min_cover_cost_matches_point_match_table(entries, n_bits):
 
 
 # ----------------------------------------------------------------------
-# Dmm / Dmom: vectorized evaluator vs scalar evaluator
+# Dmm / Dmom: the default evaluator's per-candidate array path vs scalar
 # ----------------------------------------------------------------------
 @given(query_st, trajectory_st)
 @settings(max_examples=150, deadline=None)
 def test_dmm_parity(qraw, traw):
     query, trajectory = _query(qraw), _trajectory(traw)
     scalar = MatchEvaluator(kernel="scalar")
-    vector = MatchEvaluator(kernel="vectorized")
+    vector = MatchEvaluator()
     a = scalar.dmm(query, trajectory)
     b = vector.dmm(query, trajectory)
     assert _close(a, b)
@@ -166,7 +173,7 @@ def test_dmm_parity(qraw, traw):
 def test_dmom_parity(qraw, traw):
     query, trajectory = _query(qraw), _trajectory(traw)
     scalar = MatchEvaluator(kernel="scalar")
-    vector = MatchEvaluator(kernel="vectorized")
+    vector = MatchEvaluator()
     a = scalar.dmom(query, trajectory)
     b = vector.dmom(query, trajectory)
     assert _close(a, b)
@@ -180,7 +187,7 @@ def test_dmom_threshold_parity(qraw, traw, threshold):
     """The Lemma-4 row early-exit fires identically under both kernels."""
     query, trajectory = _query(qraw), _trajectory(traw)
     a = MatchEvaluator(kernel="scalar").dmom(query, trajectory, threshold=threshold)
-    b = MatchEvaluator(kernel="vectorized").dmom(query, trajectory, threshold=threshold)
+    b = MatchEvaluator().dmom(query, trajectory, threshold=threshold)
     # At a threshold landing exactly on the distance the two kernels'
     # last-ulp values may fall on opposite sides; hypothesis never finds
     # such a tie with continuous floats, so equality is required.
@@ -201,42 +208,12 @@ def test_dmom_prepared_matches_scalar_dp(qraw, traw):
 
 
 # ----------------------------------------------------------------------
-# Row-vectorized Dmom (single-activity query points)
+# All-array Dmom (single-activity query points)
 # ----------------------------------------------------------------------
-finite_or_inf_st = st.one_of(
-    st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
-    st.just(INFINITY),
-)
-
-
-@given(
-    st.lists(
-        st.tuples(
-            finite_or_inf_st,
-            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-            st.booleans(),
-        ),
-        min_size=1,
-        max_size=30,
-    )
-)
-@settings(max_examples=300, deadline=None)
-def test_dmom_single_activity_row_numpy_is_bit_identical(cells):
-    """The NumPy prefix-min/segment-min row equals the scalar recurrence
-    *exactly* — same additions, same mins, same order — including inf
-    guardian values and all-masked-out rows."""
-    prev = [0.0] + [p for p, _d, _m in cells]
-    row = [d for _p, d, _m in cells]
-    mrow = [1 if m else 0 for _p, _d, m in cells]
-    assert kernels._dmom_row_single_np(prev, row, mrow) == kernels._dmom_row_single(
-        prev, row, mrow
-    )
-
-
 class _TabulatedEuclid:
     """Euclidean distance behind an opaque type: QueryKernel falls back to
     per-pair metric calls (its 'generic' mode), so the scalar DP and the
-    vectorized row scan see *identical* distances and any difference would
+    array row scan see *identical* distances and any difference would
     come from the recurrence itself."""
 
     def __call__(self, a, b):
@@ -253,7 +230,7 @@ single_act_query_st = st.lists(
 @given(single_act_query_st, trajectory_st)
 @settings(max_examples=150, deadline=None)
 def test_dmom_single_activity_queries_exact_vs_scalar_oracle(qraw, traw):
-    """End to end, a query of single-activity points (the row-vectorized
+    """End to end, a query of single-activity points (the all-array
     fast path) scores every trajectory exactly like the scalar Algorithm 4
     when both paths share per-pair distances."""
     metric = _TabulatedEuclid()
