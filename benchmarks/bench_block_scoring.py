@@ -5,15 +5,20 @@ the **Figure 7 scalability dataset** (the NY-like database at bench
 scale, the top rung of the Fig. 7 ladder).  One GAT index serves engines
 that differ only in ``EngineConfig.kernel``; every run is sequential with
 cold caches (no APL LRU, HICL cache cleared per query), so the
-measurement isolates scoring from batching and cache effects.  Two query
-shapes are swept:
+measurement isolates scoring from batching and cache effects.  Three
+query shapes are swept:
 
 * ``|q.phi| = 1`` — single-activity query points, where the whole block
   (distances, ``Dmm`` masked minima, the ``Dmom`` DP) stays in NumPy
   array ops end to end;
 * ``|q.phi| = 3`` — the workload generator's default mixed shape, where
   the block computes the per-row set covers through the partition
-  decomposition and only surviving ``Dmom`` DPs fall back per candidate.
+  decomposition and only surviving ``Dmom`` DPs fall back per candidate;
+* 6 points × ``|q.phi| = 4``, k = 20 — the shape of the end-to-end
+  benchmark's ``cpu_heavy`` workload, where the four-activity covers
+  (15 groups, 15 partitions per row) and the per-candidate mixed-activity
+  ``Dmom`` DP *are* the scoring stage; ``mixed-default`` barely exercises
+  either, so a regression in them shows here first.
 
 Asserted acceptance bars (each kernel's *scoring-stage* wall time — the
 code the kernel switch actually selects; retrieval, validation, and the
@@ -21,9 +26,12 @@ simulated disk are byte-identical across kernels and dilute the
 end-to-end ratio, which ``bench_kernel_scoring.py`` reports):
 
 * **≥4× scoring speedup** block over scalar on the single-activity
-  workload and on the default mixed workload (typical: ~11× on both at
-  the default bench scale; on the mixed shape what remains is mostly the
-  per-candidate mixed-activity ``Dmom`` DP);
+  workload and on the default mixed workload, **≥15×** on the heavy mixed
+  one, where the dense-DP, per-group-loop kernels read 11×.  The recorded
+  ratios are in ``benchmarks/baselines/BENCH_block.json``; the regression
+  gate bands them one-sidedly at 30 %, so the baseline is re-seeded
+  whenever a change moves the block side (on the mixed shapes what
+  remains is mostly the per-candidate ``Dmom`` DP);
 * **identical top-k** — same ids in the same order, distances to 1e-9
   relative (the partition cover may re-associate 3+-term sums by a last
   ulp) — and **identical pruning counters**, every
@@ -56,7 +64,6 @@ from repro.shard import ShardedGATIndex, ShardedQueryService
 
 from conftest import BENCH_SCALE, bench_gat_config, bench_scale, usable_cores
 
-K = 9
 N_QUERIES = 16
 N_SHARDS = 4
 #: Timing repetitions per (workload, kernel), interleaved scalar/block
@@ -65,12 +72,20 @@ REPS = 3
 
 JSON_PATH = os.environ.get("REPRO_BENCH_BLOCK_JSON", "BENCH_block.json")
 
+#: (name, WorkloadConfig overrides, k)
 WORKLOAD_SHAPES = (
-    ("single-activity", dict(n_activities_per_point=1)),
-    ("mixed-default", dict()),
+    ("single-activity", dict(n_activities_per_point=1), 9),
+    ("mixed-default", dict(), 9),
+    ("mixed-heavy", dict(n_query_points=6, n_activities_per_point=4), 20),
 )
+#: The sharded cell-expansion row runs the default shape.
+K = 9
 
-MIN_SCORING_SPEEDUP = {"single-activity": 4.0, "mixed-default": 4.0}
+MIN_SCORING_SPEEDUP = {
+    "single-activity": 4.0,
+    "mixed-default": 4.0,
+    "mixed-heavy": 15.0,
+}
 MAX_SHARD_CELL_RATIO = 0.9
 
 
@@ -104,26 +119,26 @@ def _stat_dict(stats):
     return {f.name: getattr(stats, f.name) for f in fields(stats)}
 
 
-def _run_sequential(index, queries, kernel):
+def _run_sequential(index, queries, kernel, k):
     """Cold-cache sequential loop; returns (scoring_s, answers, stats)."""
     engine = GATSearchEngine(index, apl_cache_size=0, kernel=kernel)
     engine._scoring = _TimedScoring(engine._scoring)
     answers, stats = [], []
     for i, q in enumerate(queries):
         index.hicl.clear_cache()
-        ctx = engine.execute(q, K, order_sensitive=(i % 2 == 1))
+        ctx = engine.execute(q, k, order_sensitive=(i % 2 == 1))
         answers.append([(r.trajectory_id, r.distance) for r in ctx.ranked])
         stats.append(_stat_dict(ctx.stats))
     return engine._scoring.seconds, answers, stats
 
 
-def _best_runs(index, queries):
+def _best_runs(index, queries, k):
     """Interleaved repetitions of both kernels; best (by scoring time)
     of each."""
     best = {}
     for _ in range(REPS):
         for kernel in ("scalar", "block"):
-            run = _run_sequential(index, queries, kernel)
+            run = _run_sequential(index, queries, kernel, k)
             if kernel not in best or run[0] < best[kernel][0]:
                 best[kernel] = run
     return best["scalar"], best["block"]
@@ -158,19 +173,20 @@ def test_block_speedup_parity_and_shard_cells(benchmark, ny_db, gat_index):
     def run():
         report["rows"].clear()
         report["speedups"].clear()
-        for name, shape in WORKLOAD_SHAPES:
+        for name, shape, k in WORKLOAD_SHAPES:
             gen = QueryWorkloadGenerator(
                 ny_db, WorkloadConfig(seed=bench_scale().seed, **shape)
             )
             queries = gen.queries(N_QUERIES)
             (s_scoring, s_ans, s_stats), (b_scoring, b_ans, b_stats) = _best_runs(
-                gat_index, queries
+                gat_index, queries, k
             )
             _assert_same_answers(s_ans, b_ans, f"{name}: block vs scalar top-k")
             assert s_stats == b_stats, f"{name}: counters must not move with the kernel"
             report["rows"].append(
                 {
                     "workload": name,
+                    "k": k,
                     "scalar_scoring_s": round(s_scoring, 4),
                     "block_scoring_s": round(b_scoring, 4),
                 }
@@ -206,10 +222,10 @@ def test_block_speedup_parity_and_shard_cells(benchmark, ny_db, gat_index):
     benchmark.pedantic(run, rounds=1, iterations=1)
 
     print(f"\nblock scoring (Fig. 7 NY dataset, {N_QUERIES} mixed ATSQ/OATSQ, "
-          f"k={K}, cold caches, scale {BENCH_SCALE}):")
+          f"cold caches, scale {BENCH_SCALE}):")
     for row in report["rows"]:
-        print(f"  {row['workload']:16s} scoring {row['scalar_scoring_s']:.3f}s -> "
-              f"{row['block_scoring_s']:.3f}s "
+        print(f"  {row['workload']:16s} k={row['k']:<3d} scoring "
+              f"{row['scalar_scoring_s']:.3f}s -> {row['block_scoring_s']:.3f}s "
               f"({report['speedups'][row['workload']]:.2f}x)")
     sh = report["sharded"]
     print(f"  shard cells       hash/global {sh['old_cells_hash_global']} -> "
@@ -221,7 +237,6 @@ def test_block_speedup_parity_and_shard_cells(benchmark, ny_db, gat_index):
         "scale": BENCH_SCALE,
         "cores": usable_cores(),
         "n_queries": N_QUERIES,
-        "k": K,
         "rows": report["rows"],
         "speedups": report["speedups"],
         "sharded": report["sharded"],

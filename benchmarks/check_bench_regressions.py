@@ -63,6 +63,7 @@ MANIFEST = {
     "BENCH_block.json": {
         "speedups.single-activity": "higher",  # block over scalar, scoring stage
         "speedups.mixed-default": "higher",
+        "speedups.mixed-heavy": "higher",  # 6 x 4 activities, k=20: covers + Dmom DP
         "sharded.cells_ratio": "lower",  # spatial/local over hash/global
     },
     "BENCH_obs.json": {

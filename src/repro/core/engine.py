@@ -298,7 +298,8 @@ class GATSearchEngine:
                 if ctx.block_scoring and admitted:
                     # Block kernel: the whole round in one scoring call —
                     # one distance evaluation, block lower bounds, early
-                    # abandonment against the round-start k-th threshold.
+                    # abandonment against the k-th threshold (read at round
+                    # start, tightened per candidate inside block_dmom).
                     scored = zip(admitted, self._scoring.score_batch(ctx, admitted))
                 else:
                     # The scalar kernel keeps the interleaved loop: each

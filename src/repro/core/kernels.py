@@ -22,7 +22,12 @@ both with a *prepare once, scan arrays* scheme:
    those arrays: the set-cover of Algorithm 3 becomes an in-place DP over
    ``2^|q.Φ|`` floats (|q.Φ| ≤ 5 in the paper), and Algorithm 4's row
    recurrence collapses from O(n²) incremental table rebuilds to a single
-   O(n · 2^|q.Φ|) left-to-right scan (see :func:`dmom_prepared`).
+   left-to-right scan — at most O(n · 2^|q.Φ|), and in practice far less:
+   a point is folded only when it could still lower the row's best cover
+   without exceeding the threshold (see :func:`dmom_prepared`).  Every
+   cover relaxation in the module — :func:`min_cover_cost`, Algorithm 3's
+   scan, the DP row, whatever the row's width — walks the same per-mask
+   transition table (:class:`_CoverSteps`).
 
 On top of the per-candidate kernels sits the *block* kernel
 (``kernel='block'``, the default): a whole validation round's
@@ -38,8 +43,10 @@ activity columns with array ops only — and are scored together:
   segment-``reduceat`` for single-activity rows, and the *set-partition
   decomposition* of the minimum cover for multi-activity rows (the
   optimal cover equals, over all partitions of the row's activity bits,
-  the cheapest sum of per-group nearest-covering-point minima — each
-  group minimum one more masked ``reduceat``).  All-single-activity
+  the cheapest sum of per-group nearest-covering-point minima — for all
+  rows of one width at once: a scatter-min per exact bitmask, a
+  superset-min transform, and the partitions summed through one padded
+  index table, :func:`_partition_covers`).  All-single-activity
   queries take :func:`block_dmm_all_single`, a dedup-free layout — one
   column per activity occurrence, read off the same columns — with no
   per-candidate array work at all.
@@ -74,10 +81,18 @@ performs the same additions in the same order as ``PointMatchTable``
 relative) discrepancy sources remain: NumPy's elementwise ``hypot``/trig
 can round differently from ``libm``'s on ~0.5% of inputs, and the
 ``Dmom`` row scan folds multi-point cover sums in ascending-position
-instead of descending-position order.  Neither moves a ranking or a
-pruning counter except on exact distance ties, which the engine-level
-parity suite checks never happens on real workloads (ids and counters
-are compared exactly, distances to 1e-9 relative).
+instead of descending-position order (the block cover's partition sums
+likewise follow their table's order, not the scan's).  Neither moves a
+ranking or a pruning counter except on exact distance ties, which the
+engine-level parity suite checks never happens on real workloads (ids
+and counters are compared exactly, distances to 1e-9 relative).
+
+The kernels' *own* shortcuts are not in that class — they are exact.
+The dense row scan :func:`dmom_prepared` ran before it skipped folds and
+the per-group loop :func:`block_dmm` ran before its covers became one
+transform live on as oracles in ``tests/property/``
+(``dense_dmom_oracle.py``, ``group_loop_dmm_oracle.py``) and are compared
+with ``==`` / ``np.array_equal``, thresholds included.
 
 NumPy is a hard dependency (``setup.py``).
 
@@ -92,6 +107,7 @@ the same bytes the parent packed.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -121,6 +137,29 @@ def resolve_kernel(kernel: str) -> str:
 # ----------------------------------------------------------------------
 # Array set-cover — the kernel equivalent of PointMatchTable
 # ----------------------------------------------------------------------
+class _CoverSteps(dict):
+    """The relaxation table over ``2^n_bits`` cover states, built mask by
+    mask on first use: ``steps[pm]`` lists the ``(t, t & ~pm)`` pairs —
+    every state ``t`` a point with overlap mask ``pm`` helps cover, beside
+    the remainder it is relaxed from — in ascending ``t``.  A remainder
+    never shares a bit with ``pm``, so no pair reads a state the same fold
+    writes, and ``steps[0]`` is empty (an irrelevant point folds nothing).
+    """
+
+    def __init__(self, n_bits: int) -> None:
+        self.size = 1 << n_bits
+
+    def __missing__(self, pm: int) -> Tuple[Tuple[int, int], ...]:
+        steps = self[pm] = tuple((t, t & ~pm) for t in range(1, self.size) if t & pm)
+        return steps
+
+
+#: One shared table per state-space size — the single transition structure
+#: behind :func:`min_cover_cost`, :func:`_mpm_scan` and the
+#: :func:`dmom_prepared` row.
+_cover_steps = functools.lru_cache(maxsize=None)(_CoverSteps)
+
+
 def min_cover_cost(entries: Sequence[Tuple[float, int]], n_bits: int) -> float:
     """Exact min-cost set cover over ``(dist, mask)`` entries.
 
@@ -130,18 +169,14 @@ def min_cover_cost(entries: Sequence[Tuple[float, int]], n_bits: int) -> float:
     performs (best remainder plus the new distance), so the result is
     bit-identical to adding the same entries to a table in the same order.
     """
-    full = (1 << n_bits) - 1
-    dp = [INFINITY] * (full + 1)
-    dp[0] = 0.0
+    steps = _cover_steps(n_bits)
+    dp = [0.0] + [INFINITY] * ((1 << n_bits) - 1)
     for dist, pm in entries:
-        if not pm:
-            continue
-        for t in range(1, full + 1):
-            if t & pm:
-                v = dp[t & ~pm] + dist
-                if v < dp[t]:
-                    dp[t] = v
-    return dp[full]
+        for t, rest in steps[pm]:
+            v = dp[rest] + dist
+            if v < dp[t]:
+                dp[t] = v
+    return dp[-1]
 
 
 def _mpm_scan(
@@ -150,21 +185,18 @@ def _mpm_scan(
     """Algorithm 3 over precomputed arrays: ascending-distance scan with the
     paper's early termination (stop as soon as the best full cover is at
     most the next unprocessed point's distance)."""
-    full = (1 << n_bits) - 1
-    dp = [INFINITY] * (full + 1)
-    dp[0] = 0.0
+    steps = _cover_steps(n_bits)
+    dp = [0.0] + [INFINITY] * ((1 << n_bits) - 1)
     best = INFINITY
     for c in order:
         d = row[c]
         if best <= d:
             break
-        pm = mrow[c]
-        for t in range(1, full + 1):
-            if t & pm:
-                v = dp[t & ~pm] + d
-                if v < dp[t]:
-                    dp[t] = v
-        best = dp[full]
+        for t, rest in steps[mrow[c]]:
+            v = dp[rest] + d
+            if v < dp[t]:
+                dp[t] = v
+        best = dp[-1]
     return best
 
 
@@ -292,8 +324,9 @@ class CandidateArrays:
 
     Two storage shapes, chosen by :func:`prepare_candidate`:
 
-    * list rows (``dist_rows`` / ``mask_rows``) — what the mixed
-      single/multi-activity scan loops index;
+    * list rows (``dist_rows`` / ``mask_rows``) — what the cover scans
+      walk, one table-driven relaxation whatever the row's width (a
+      query mixing single- and multi-activity points has no second loop);
     * NumPy matrices (``dist_matrix`` / ``mask_matrix``) — the all-single-
       activity fast path, where both ``Dmm`` and the ``Dmom`` DP run as
       whole-array ops and a per-candidate ``tolist`` would cost more than
@@ -432,38 +465,14 @@ def dmm_prepared(qk: QueryKernel, cand: CandidateArrays, stats=None) -> float:
 # ----------------------------------------------------------------------
 # Dmom — Algorithm 4 as a single left-to-right scan per row
 # ----------------------------------------------------------------------
-def _dmom_row_single(prev: List[float], row: List[float], mrow: List[int]) -> List[float]:
-    """One single-activity Dmom row as the scalar recurrence.
-
-    Covers are single points, so the cover state ``A`` collapses to
-    ``(a0, best)``: ``a0`` is the running prefix-min of ``prev[1..j]``
-    (the cheapest place a new segment may start) and ``best`` the best
-    ``a0 + d`` seen so far.  The mixed single/multi-activity DP's row;
-    :func:`_dmom_all_single_np` is the same recurrence over arrays.
-    """
-    n = len(row)
-    cur = [INFINITY] * (n + 1)
-    a0 = INFINITY
-    best = INFINITY
-    for j in range(1, n + 1):
-        pj = prev[j]
-        if pj < a0:
-            a0 = pj
-        if mrow[j - 1]:
-            v = a0 + row[j - 1]
-            if v < best:
-                best = v
-        cur[j] = best
-    return cur
-
-
 def _dmom_all_single_np(qk: "QueryKernel", cand: "CandidateArrays", threshold: float) -> float:
     """The whole Dmom DP as array ops when *every* query point carries a
     single activity (the paper's most common query shape).
 
     The candidate is already in array form (:func:`prepare_candidate`
     never built lists for it), and each of the ``|Q|`` rows is the
-    prefix/segment-min recurrence of :func:`_dmom_row_single` as array
+    two-state case of :func:`dmom_prepared`'s row — covers are single
+    points, so ``A`` collapses to a segment base and a best value — as array
     ops: ``a0[j] = min(prev[1..j])`` is one ``minimum.accumulate``, the
     candidate values ``a0 + d`` exist only where the point carries the
     activity (``inf`` elsewhere), and ``cur[j] = min over j' <= j`` is a
@@ -492,15 +501,27 @@ def dmom_prepared(
 
     The scalar Algorithm 4 evaluates ``G(i, j) = min_k G(i-1, k) +
     Dmpm(q_i, Tr[k, j])`` by rebuilding an incremental point-match table
-    per cell — O(n²) table updates per row.  Here each row is one O(n·2^b)
-    scan: ``A[t]`` is the cheapest ``G(i-1, k) + (cover of mask t by
-    points k..j)`` over all segment starts ``k ≤ j``.  Folding point ``j``
-    in updates ``A[0]`` with ``G(i-1, j)`` (the empty cover can start a
-    new segment at ``j``) and then relaxes ``A[t] ← A[t & ~mask_j] + d_j``
-    in ascending mask order; ``G(i, j)`` is ``A[full]`` after the fold.
-    This is the same min-cost-cover relaxation as the table (a point used
-    twice can never beat using it once, costs being non-negative), with
-    the segment base folded into ``A[0]`` as a running prefix minimum.
+    per cell — O(n²) table updates per row.  Here each row is one
+    left-to-right scan: ``A[t]`` is the cheapest ``G(i-1, k) + (cover of
+    mask t by points k..j)`` over all segment starts ``k ≤ j``.  Folding
+    point ``j`` in sets ``A[0]`` to ``G(i-1, j)`` (a finished row is
+    non-increasing in ``j``, so the cheapest segment start up to ``j`` is
+    the entry itself) and relaxes ``A[t] ← A[t & ~mask_j] + d_j`` along
+    the mask's :func:`_cover_steps` pairs; ``G(i, j)`` is ``A[full]``
+    after the fold.  This is the same min-cost-cover relaxation as the
+    table (a point used twice can never beat using it once, costs being
+    non-negative); a single-activity row is the two-state case, one pair.
+
+    Most folds are skipped, exactly.  Every cover through point ``j``
+    starts from a base ``≥ G(i-1, j)`` and float addition of non-negatives
+    is monotone, so everything the fold could write — and anything later
+    derived from it — is ``≥ G(i-1, j) + d_j``.  When that is not below
+    the row's best full cover so far it can never win the strict ``<``
+    into ``A[full]``; when it is above *threshold* it can only ever reach
+    the result as a value the Lemma-4 exit turns into ``inf``.  Entries of
+    ``G`` above the threshold may therefore differ from the dense scan's
+    (they stay above it); every entry at or below it — and the returned
+    value — is bit-identical (``tests/property/dense_dmom_oracle.py``).
 
     The paper's row-level threshold early-exit (Lemma 4) is preserved:
     when a finished row's last entry exceeds *threshold* the candidate can
@@ -511,37 +532,27 @@ def dmom_prepared(
         # recurrence, so the whole DP stays in arrays (bit-identical to
         # the scalar fold below — the parity suite asserts exact equality).
         return _dmom_all_single_np(qk, cand, threshold)
-    n = len(cand.positions)
-    prev = [0.0] * (n + 1)  # G(0, *) = 0 — guardian row
-    for i in range(qk.m):
-        row = cand.dist_rows[i]
-        mrow = cand.mask_rows[i]
-        if qk.n_bits[i] == 1:
-            # Covers are single points: A collapses to (prefix-min of
-            # prev, best value so far).
-            cur = _dmom_row_single(prev, row, mrow)
-        else:
-            cur = [INFINITY] * (n + 1)
-            size = 1 << qk.n_bits[i]
-            full = size - 1
-            a = [INFINITY] * size
-            for j in range(1, n + 1):
-                pj = prev[j]
-                if pj < a[0]:
-                    a[0] = pj
-                pm = mrow[j - 1]
-                if pm:
-                    d = row[j - 1]
-                    for t in range(1, size):
-                        if t & pm:
-                            v = a[t & ~pm] + d
-                            if v < a[t]:
-                                a[t] = v
-                cur[j] = a[full]
-        if cur[n] > threshold:
+    prev = [0.0] * len(cand.positions)  # G(0, *) = 0 — guardian row
+    for row, mrow, n_bits in zip(cand.dist_rows, cand.mask_rows, qk.n_bits):
+        steps = _cover_steps(n_bits)
+        a = [INFINITY] * (1 << n_bits)
+        best = INFINITY  # A[full]
+        cur = []
+        for base, d, pm in zip(prev, row, mrow):
+            if pm:
+                floor = base + d  # of every cover through this point
+                if floor < best and floor <= threshold:
+                    a[0] = base
+                    for t, rest in steps[pm]:
+                        v = a[rest] + d
+                        if v < a[t]:
+                            a[t] = v
+                    best = a[-1]
+            cur.append(best)
+        if best > threshold:
             return INFINITY
         prev = cur
-    return prev[n]
+    return prev[-1]
 
 
 # ----------------------------------------------------------------------
@@ -774,27 +785,72 @@ def block_dmm_all_single(qk: QueryKernel, items: Sequence[tuple], stats=None):
     return _fold_rows(rowvals, counts, counts == 0, stats)
 
 
-def _set_partitions(n_bits: int) -> List[Tuple[int, ...]]:
-    """All partitions of ``n_bits`` bits into non-empty groups, each group
-    a bitmask (Bell(n_bits) partitions: 1, 2, 5, 15, 52 for 1..5 bits —
-    the paper bounds ``|q.Φ|`` at 5).  Memoised; used by the block cover.
+@functools.lru_cache(maxsize=None)
+def _set_partitions(n_bits: int):
+    """All partitions of ``n_bits`` bits into non-empty groups, as a
+    ``[Bell(n_bits), n_bits]`` integer table (Bell: 1, 2, 5, 15, 52 for
+    1..5 bits — the paper bounds ``|q.Φ|`` at 5).  A row lists one
+    partition's group bitmasks in generation order, padded with 0 — the
+    slot :func:`_partition_covers` keeps all-zero, so a padded sum adds
+    ``0.0`` after the partition's own groups.  Memoised.
     """
-    cached = _PARTITIONS.get(n_bits)
-    if cached is None:
-        parts: List[List[int]] = [[]]
-        for b in range(n_bits):
-            bit = 1 << b
-            grown: List[List[int]] = []
-            for part in parts:
-                for g in range(len(part)):
-                    grown.append(part[:g] + [part[g] | bit] + part[g + 1 :])
-                grown.append(part + [bit])
-            parts = grown
-        cached = _PARTITIONS[n_bits] = [tuple(p) for p in parts]
-    return cached
+    parts: List[List[int]] = [[]]
+    for b in range(n_bits):
+        bit = 1 << b
+        grown: List[List[int]] = []
+        for part in parts:
+            for g in range(len(part)):
+                grown.append(part[:g] + [part[g] | bit] + part[g + 1 :])
+            grown.append(part + [bit])
+        parts = grown
+    padded = [part + [0] * (n_bits - len(part)) for part in parts]
+    return _np.array(padded, dtype=_np.intp)
 
 
-_PARTITIONS: Dict[int, List[Tuple[int, ...]]] = {}
+#: Element budget of one :func:`_partition_covers` temporary: columns are
+#: scattered and candidates' partitions summed in chunks of at most this many
+#: (a first round has ~10^4 columns; Bell(b) explodes past 5 activities).
+_COVER_CHUNK_ELEMENTS = 1 << 14
+
+
+def _partition_covers(mask, dist, rows, segment, n_segments: int, n_bits: int):
+    """Minimum covers of the ``n_bits``-activity *rows* of a block over
+    every column segment, as a ``[len(rows), n_segments]`` array: *mask* /
+    *dist* are the block's ``[|Q|, N]`` bitmasks and distances, *segment*
+    each column's segment index.
+
+    The cheapest point *carrying exactly* bitmask ``pm`` in each (row,
+    segment) is a scatter-``minimum.at``; ``b`` halving passes of the
+    superset-min transform (``M[g] ← min(M[g], M[g | bit])``) turn those
+    into the group minima ``M[g]`` (nearest point whose bitmask *covers*
+    ``g``) — minima are order-free, so bit-identical to one masked
+    segment-min per group, and no temporary is wider than ``2^b`` per
+    candidate.  The partitions are then summed slot by slot, left to
+    right, through :func:`_set_partitions`' padded index table: the fold
+    order of a per-partition loop, with ``x + 0.0 == x`` on the padding.
+    """
+    n_rows = len(rows)
+    size = 1 << n_bits
+    group_min = _np.full((n_rows, n_segments, size), INFINITY)
+    flat_min = group_min.reshape(-1)
+    row_base = _np.arange(n_rows)[:, None] * n_segments
+    step = max(1, _COVER_CHUNK_ELEMENTS // n_rows)
+    for lo in range(0, len(segment), step):
+        cols = slice(lo, lo + step)
+        slot = (row_base + segment[cols]) * size + mask[rows, cols]
+        _np.minimum.at(flat_min, slot.reshape(-1), dist[rows, cols].reshape(-1))
+    for bit in range(n_bits):
+        pairs = group_min.reshape(n_rows * n_segments, -1, 2, 1 << bit)
+        _np.minimum(pairs[:, :, 0], pairs[:, :, 1], out=pairs[:, :, 0])
+    group_min[:, :, 0] = 0.0  # the padding slot's addend
+    partitions = _set_partitions(n_bits)
+    covers = _np.empty((n_rows, n_segments))
+    step = max(1, _COVER_CHUNK_ELEMENTS // (n_rows * len(partitions)))
+    for lo in range(0, n_segments, step):
+        groups = _np.moveaxis(group_min[:, lo : lo + step, partitions], -1, 0)
+        value = functools.reduce(_np.add, groups)  # left fold: slot by slot
+        covers[:, lo : lo + step] = value.min(axis=2)
+    return covers
 
 
 def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None):
@@ -809,11 +865,11 @@ def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None):
     per-group minima (``M[g]`` = nearest relevant point whose bitmask
     covers group ``g``) — any cover induces the partition that assigns
     each bit to the point covering it, and conversely each partition's
-    group minima form a cover.  Every ``M[g]`` is one masked
-    segment-``reduceat``, so the whole round's covers need no
+    group minima form a cover.  Rows of equal bit-width go through one
+    :func:`_partition_covers` call, so the whole round's covers need no
     per-candidate work at all — and nothing would be saved by abandoning
     candidates against a threshold here.  Sums over 3+ groups may
-    re-associate relative to the per-candidate scan's fold order — the
+    re-associate relative to the per-candidate *scan's* fold order — the
     same last-ulp class as the documented array-vs-scalar sources.
     """
     m = qk.m
@@ -823,33 +879,23 @@ def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None):
     if block.total:
         starts = block.seg_starts
         flat = block.flat_ids
-        masked = _np.where(block.rel, block.big, INFINITY)
-        rowmins = _np.minimum.reduceat(masked, starts, axis=1)  # [m, F]
-        counts[flat, :] = _np.add.reduceat(
-            block.rel, starts, axis=1, dtype=_np.intp
-        ).T
-        for i in range(m):
-            if qk.n_bits[i] == 1:
-                rowvals[flat, i] = rowmins[i]
-                continue
-            # Group minima: M[g] = min dist over columns whose bitmask
-            # covers g; then the partition decomposition.
-            mask_row = block.mask[i]
-            dist_row = block.big[i]
-            full = (1 << qk.n_bits[i]) - 1
-            group_min = [None] * (full + 1)
-            for g in range(1, full + 1):
-                covered = (mask_row & g) == g
-                group_min[g] = _np.minimum.reduceat(
-                    _np.where(covered, dist_row, INFINITY), starts
+        counts[flat] = _np.add.reduceat(block.rel, starts, axis=1, dtype=_np.intp).T
+        if 1 in qk.n_bits:  # a single-activity row's cover: its masked segment-min
+            masked = _np.where(block.rel, block.big, INFINITY)
+            covers = _np.minimum.reduceat(masked, starts, axis=1)
+        else:
+            covers = _np.empty((m, len(flat)))
+        if not qk.all_single:
+            segment = _np.zeros(block.total, dtype=_np.intp)
+            segment[starts[1:]] = 1
+            segment = segment.cumsum()  # each column's index into ``flat``
+            widths = _np.asarray(qk.n_bits)
+            for n_bits in set(qk.n_bits) - {1}:
+                rows = _np.flatnonzero(widths == n_bits)
+                covers[rows] = _partition_covers(
+                    block.mask, block.big, rows, segment, len(flat), n_bits
                 )
-            best = None
-            for partition in _set_partitions(qk.n_bits[i]):
-                value = group_min[partition[0]]
-                for g in partition[1:]:
-                    value = value + group_min[g]
-                best = value if best is None else _np.minimum(best, value)
-            rowvals[flat, i] = best
+        rowvals[flat] = covers.T
     invalid = counts == 0
     invalid[block.missing_rows[:, 0], block.missing_rows[:, 1]] = True
     rowvals[invalid] = INFINITY

@@ -319,10 +319,14 @@ class ScoringStage:
         in-memory activity columns; the APL record the filter fetched
         rides along on the item but is not read again — it served
         validation's coverage check, and its counted read is the
-        candidate's only one.  OATSQ's running k-th threshold is sampled once
-        at round start: a looser bound than the per-candidate loop's
-        intra-round tightening, which can only turn an over-threshold
-        ``inf`` into a finite value the top-k collector rejects anyway —
+        candidate's only one.  OATSQ's running k-th threshold is read once
+        at round start and then tightened *inside* the round:
+        :func:`~repro.core.kernels.block_dmom` walks the round's survivors
+        cheapest-gate-first and lowers the abandonment threshold to the
+        k-th smallest ``Dmom`` seen so far, candidate by candidate.  Its
+        visiting order differs from the per-candidate loop's, so which
+        over-threshold candidates come back ``inf`` rather than as a
+        finite value the top-k collector rejects anyway can differ —
         rankings and counters are identical (the engine parity suite pins
         this down).
         """

@@ -24,7 +24,9 @@ value exceeds the threshold — never the other way around.
 The block *build* has an oracle of its own: ``prepare_block`` assembles
 the round from activity columns with array ops, and must equal — field by
 field — the dict-walking builder it replaced, kept verbatim in
-``dict_block_oracle.py``.
+``dict_block_oracle.py``.  So has the block ``Dmm``: ``block_dmm`` must
+equal — ``np.array_equal``, same ``point_match_points`` — the per-row /
+per-group loop it replaced, kept verbatim in ``group_loop_dmm_oracle.py``.
 """
 
 import math
@@ -32,6 +34,7 @@ import math
 import numpy as np
 import pytest
 from dict_block_oracle import dict_prepare_block
+from group_loop_dmm_oracle import loop_block_dmm
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import kernels
@@ -185,6 +188,100 @@ def test_block_dmm_values_and_counts(qraw, raws, haversine):
         )
         assert _close(float(got[c]), want), (c, float(got[c]), want)
     assert block_stats.point_match_points == cand_stats.point_match_points
+
+
+#: Rows of up to five activities (52 partitions) over points carrying up
+#: to five, from a seven-activity universe: every row width, and queries
+#: mixing them, turn up.
+wide_point_st = st.tuples(
+    coord_st, coord_st, st.frozensets(st.integers(min_value=0, max_value=6), max_size=5)
+)
+wide_round_st = st.lists(
+    st.lists(wide_point_st, min_size=1, max_size=15), min_size=1, max_size=8
+)
+wide_query_st = st.lists(
+    st.tuples(
+        coord_st,
+        coord_st,
+        st.frozensets(st.integers(min_value=0, max_value=6), min_size=1, max_size=5),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _assert_block_dmm_equals_group_loop(qraw, raws, metric=EUCLID):
+    qk = QueryKernel(_query(qraw), metric)
+    block = kernels.prepare_block(qk, _round(raws))
+    got_stats, want_stats = _Stats(), _Stats()
+    got = kernels.block_dmm(qk, block, got_stats)
+    want = loop_block_dmm(qk, block, want_stats)
+    assert np.array_equal(got, want), (got.tolist(), want.tolist())  # bits, not close
+    assert got_stats.point_match_points == want_stats.point_match_points
+    return qk, block, got
+
+
+@given(wide_query_st, wide_round_st, st.booleans())
+@settings(max_examples=200, deadline=None)
+# Two five-activity rows: 52 partitions each, sums of up to five groups.
+@example(
+    [_pt({0, 1, 2, 3, 4}, 0.5, 0.25), _pt({2, 3, 4, 5, 6}, -7.0, 3.0)],
+    [
+        [_pt({0, 1}, 1.0), _pt({2}, 2.5), _pt({3, 4, 5}, 0.1), _pt({6, 2}, 4.0), _pt({0, 1, 2, 3, 4}, 9.0)],
+        [_pt({4, 3}, -2.0), _pt({0}, 1.5), _pt({1, 2, 5, 6}, 3.5), _pt({2, 3}, 0.0)],
+        [_pt({0, 1, 2, 3, 4, 5, 6}, 30.0), _pt({5}, 0.2), _pt({6}, 0.3)],
+    ],
+    False,
+)
+# One-, two- and four-activity rows in one query: three widths, one fold.
+@example(
+    [_pt({3}, 1.0), _pt({1, 2}, 2.0), _pt({0, 1, 2, 3}, 3.0), _pt({4}, 4.0)],
+    [
+        [_pt({3, 1}), _pt({2, 0}, 5.0), _pt({4}, 6.0), _pt({1, 3}, 0.5)],
+        [_pt({0, 1, 2, 3, 4}, 2.0), _pt({2}, 1.0)],
+        [_pt({4, 3}, 1.0), _pt({1}, 2.0), _pt({2}, 3.0), _pt({0}, 4.0)],
+    ],
+    True,
+)
+# Candidates without any relevant point, first, in the middle and last.
+@example(
+    [_pt({1, 2}), _pt({2, 3}, 3.0)],
+    [[_pt({5})], [_pt({1, 2}), _pt({3}, 4.0)], [_pt(()), _pt({6})], [_pt({3, 2, 1}, 5.0)], [_pt({0})]],
+    False,
+)
+# ``missing_rows``: row 1's activity 3 never occurs in candidate 0, though
+# activity 2 gives the row relevant points there.
+@example(
+    [_pt({1}), _pt({2, 3}), _pt({2})],
+    [[_pt({1}), _pt({2})], [_pt({1, 3}), _pt({2})]],
+    False,
+)
+def test_block_dmm_equals_the_group_loop(qraw, raws, haversine):
+    """The one-transform covers against the per-group loop they replaced:
+    the same group minima, the same partition fold order, so the same
+    bits — and the same mask-derived counter."""
+    metric = HaversineDistance() if haversine else EUCLID
+    _assert_block_dmm_equals_group_loop(qraw, raws, metric)
+
+
+def test_block_dmm_wide_row_equals_the_group_loop():
+    """A nine-activity row — 511 groups, Bell(9) = 21 147 partitions —
+    beside a two-activity one: bitmasks above 255 (nothing may narrow them
+    to a byte), and the partition sums go through in candidate chunks."""
+    wide = frozenset(range(9))
+    raws = [
+        [_pt({a, (a + 4) % 9}, float(a), 1.0) for a in range(9)],
+        [_pt(wide, 2.0), _pt({8}, 0.5), _pt({0, 8}, 0.25)],
+        [_pt(range(8), 1.0)],  # never covers activity 8: a missing row
+        [_pt({9})],  # no relevant point at all
+        [_pt({8, 7}, 3.0), _pt(range(7), 4.0), _pt({10, 8}, 1.0)],
+    ] * 2
+    qraw = [_pt(wide, 0.5, 0.5), _pt({8, 0}, 1.5, -2.0)]
+    qk, block, got = _assert_block_dmm_equals_group_loop(qraw, raws)
+    assert max(qk.n_bits) == 9 and int(block.mask.max()) > 255
+    chunk = kernels._COVER_CHUNK_ELEMENTS // len(kernels._set_partitions(9))
+    assert chunk < len(block.flat_ids)  # more than one chunk of candidates
+    assert np.isfinite(got).tolist() == [True, True, False, False, True] * 2
 
 
 @given(single_query_st, round_st)

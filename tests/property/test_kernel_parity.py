@@ -12,7 +12,8 @@ Dmom scan's re-association can differ from the scalar fold.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from dense_dmom_oracle import dense_dmom_prepared
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import kernels
 from repro.core.kernels import (
@@ -205,6 +206,131 @@ def test_dmom_prepared_matches_scalar_dp(qraw, traw):
     cand = kernels.prepare_candidate(qk, trajectory)
     got = INFINITY if cand is None else kernels.dmom_prepared(qk, cand)
     assert _close(got, want)
+
+
+# ----------------------------------------------------------------------
+# The column-skipping Dmom DP vs the dense scan it replaced — exact
+# ----------------------------------------------------------------------
+#: Small integer grids beside continuous floats: repeated coordinates give
+#: zero distances and exact ``base + d == best`` ties.
+tie_coord_st = st.one_of(st.integers(min_value=-3, max_value=3).map(float), coord_st)
+dense_query_st = st.lists(
+    st.tuples(
+        tie_coord_st,
+        tie_coord_st,
+        st.frozensets(st.integers(min_value=0, max_value=5), min_size=1, max_size=4),
+    ),
+    min_size=1,
+    max_size=4,
+)
+dense_trajectory_st = st.lists(
+    st.tuples(
+        tie_coord_st,
+        tie_coord_st,
+        st.frozensets(st.integers(min_value=0, max_value=5), max_size=4),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+def _pt(x, y, *acts):
+    return (float(x), float(y), frozenset(acts))
+
+
+@given(
+    dense_query_st,
+    dense_trajectory_st,
+    st.floats(min_value=0.0, max_value=400.0, allow_nan=False),
+)
+@settings(max_examples=400, deadline=None)
+# ``base + d == best``: the second point ties the first one's full cover
+# and must not be folded (nor change anything if it were).
+@example([_pt(0, 0, 1, 2)], [_pt(3, 0, 1, 2), _pt(3, 0, 1, 2), _pt(0, 3, 2, 1)], 3.0)
+# Threshold exactly on the final value (3 + 4): the value comes back, not inf.
+@example([_pt(0, 0, 1), _pt(0, 0, 2, 3)], [_pt(3, 0, 1), _pt(0, 4, 2, 3)], 7.0)
+# Row 2's winning cover {p3, p4} (cost 0 + 1 + 2) starts only after row 1's
+# value has dropped from 5 to 0 at p2; the cover begun at p1 costs 5 + 0 + 1.
+@example(
+    [_pt(0, 0, 1), _pt(10, 0, 2, 3)],
+    [_pt(5, 0, 1), _pt(10, 0, 2), _pt(0, 0, 1), _pt(10, 1, 3), _pt(10, 2, 2)],
+    4.0,
+)
+# A single-activity row (the two-state table, one pair) between two
+# multi-activity rows.
+@example(
+    [_pt(0, 0, 1, 2), _pt(1, 1, 3), _pt(2, 2, 2, 4)],
+    [_pt(0, 1, 1), _pt(0, 2, 2, 3), _pt(1, 2, 3), _pt(2, 3, 4, 2), _pt(3, 3, 2)],
+    9.5,
+)
+# Row 2 is never coverable: activity 5 occurs nowhere.
+@example([_pt(0, 0, 1, 2), _pt(1, 0, 2, 5)], [_pt(0, 1, 1, 2), _pt(1, 1, 2), _pt(2, 1, 1)], 50.0)
+def test_dmom_prepared_equals_dense_scan_at_every_threshold(qraw, traw, arbitrary):
+    """``dmom_prepared`` leaves out the folds that cannot matter; the dense
+    scan performs them all.  The two must return ``==`` values — not close
+    ones — at every threshold: none, the value itself (which must survive),
+    one ulp either side of it, every row's own last entry and its
+    neighbours (the Lemma-4 exit's boundary), the ``Dmm`` gate the engine
+    actually passes first, zero, and an arbitrary float."""
+    query, trajectory = _query(qraw), _trajectory(traw)
+    qk = QueryKernel(query, EUCLID)
+    cand = kernels.prepare_candidate(qk, trajectory)
+    if cand is None:
+        return
+    exact = dense_dmom_prepared(qk, cand)
+    assert kernels.dmom_prepared(qk, cand) == exact
+    if exact != INFINITY:
+        assert kernels.dmom_prepared(qk, cand, exact) == exact
+
+    pivots = {exact, kernels.dmm_prepared(qk, cand), arbitrary, 0.0}
+    for rows in range(1, len(query)):  # G(i, n): where row i's exit flips
+        prefix_qk = QueryKernel(Query(query.points[:rows]), EUCLID)
+        prefix_cand = kernels.prepare_candidate(prefix_qk, trajectory)
+        if prefix_cand is not None:
+            pivots.add(dense_dmom_prepared(prefix_qk, prefix_cand))
+    thresholds = {INFINITY}
+    for pivot in pivots:
+        thresholds |= {
+            pivot,
+            math.nextafter(pivot, -INFINITY),
+            math.nextafter(pivot, INFINITY),
+        }
+    for threshold in thresholds:
+        got = kernels.dmom_prepared(qk, cand, threshold)
+        want = dense_dmom_prepared(qk, cand, threshold)
+        assert got == want, (threshold, got, want)
+
+
+def test_dmom_prepared_single_rows_in_a_mixed_query_are_the_scalar_dp():
+    """No width-1 special case is left in the mixed DP: a single-activity
+    row between multi-activity ones still scores exactly like the scalar
+    Algorithm 4 on shared distances (and a query of *only* single-activity
+    points, pushed through the list-form DP, like its array fast path)."""
+    metric = _TabulatedEuclid()
+    trajectory = _trajectory(
+        [_pt(0, 1, 1), _pt(0, 2, 2, 3), _pt(1, 2, 3), _pt(2, 3, 4, 2), _pt(3, 3, 2)]
+    )
+    mixed = _query([_pt(0, 0, 1, 2), _pt(1, 1, 3), _pt(2, 2, 2, 4)])
+    qk = QueryKernel(mixed, metric)
+    cand = kernels.prepare_candidate(qk, trajectory)
+    assert cand.mask_matrix is None and 1 in qk.n_bits
+    assert _close(
+        kernels.dmom_prepared(qk, cand),
+        minimum_order_match_distance(mixed, trajectory, metric),
+    )
+
+    single = _query([_pt(0, 0, 1), _pt(1, 1, 3), _pt(2, 2, 2)])
+    sqk = QueryKernel(single, metric)
+    array_form = kernels.prepare_candidate(sqk, trajectory)
+    assert array_form.mask_matrix is not None
+    list_form = CandidateArrays(
+        array_form.positions,
+        dist_rows=array_form.dist_matrix.tolist(),
+        mask_rows=array_form.mask_matrix.astype(int).tolist(),
+    )
+    want = minimum_order_match_distance(single, trajectory, metric)
+    assert kernels.dmom_prepared(sqk, list_form) == want
+    assert kernels.dmom_prepared(sqk, array_form) == want
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ overload.
 
 import time
 
+from repro.core.engine import EngineConfig
 from repro.storage.disk import SimulatedDisk
 from repro.serving import (
     ServingConfig,
@@ -20,10 +21,16 @@ from repro.serving import (
 from repro.shard import FaultPolicy, ShardedGATIndex, ShardedQueryService
 from repro.shard.executor import ProcessShardExecutor
 
-#: Slow enough that a tight deadline sheds hard, fast enough for CI.
-#: (Measured per-query service time on ``tiny_db``: ~40ms thread+disk,
-#: ~30ms process fleet.)
-DISK_LATENCY_S = 0.002
+#: The simulated disk's sleep *is* the service time: with the APL cache
+#: off (:data:`UNCACHED`) every request pays its 7-36 counted APL reads
+#: (both shards together, each shard sleeping through its own) however
+#: warm the stack and however fast the engine, so a request takes ~50 ms
+#: — ~10 ms of it CPU — and the burst below overloads the stack by the
+#: same factor whatever a later change does to scoring or retrieval
+#: speed.  (Sized on a warm cache, the burst stopped shedding as soon as
+#: the 8 distinct queries had been seen once: ~9 ms per request.)
+DISK_LATENCY_S = 0.004
+UNCACHED = EngineConfig(apl_cache_size=0)
 
 
 def shedding_burst(frontend, queries, deadline_s):
@@ -78,14 +85,15 @@ def test_thread_replica_burst_releases_leases_and_permits(tiny_db, workload_quer
     )
     with ShardedQueryService(
         index,
+        engine_config=UNCACHED,
         executor="thread",
         n_replicas=2,
         fault_policy=FaultPolicy(),
         result_cache_size=0,
     ) as service:
         with ServingFrontend(service, config) as frontend:
-            # ~3.7x the ~40ms service time: requests complete, but the
-            # wait estimate sheds once ~6 are queued (before the queue
+            # ~3x the ~50ms service time: requests complete, but the
+            # wait estimate sheds once ~5 are queued (before the queue
             # even fills).
             report = shedding_burst(frontend, workload_queries, deadline_s=0.15)
             stats = frontend.stats()
@@ -114,6 +122,11 @@ def test_process_backend_burst_returns_threshold_slots(tiny_db, workload_queries
     """Process fleet: after a shedding burst every mp.Value threshold
     slot is back in the free list (a leaked slot would eventually force
     the whole fleet to run unpruned)."""
+    # No sleeping disk here, and none needed: the refusals this test wants
+    # come from the cold pool, not from the service time — the first ~70
+    # arrivals land within 0.2s on workers that are still spawning, against
+    # a queue of 8 — so no engine speed-up can make them go away, and a
+    # faster engine only completes more of the rest.
     index = ShardedGATIndex.build(tiny_db, n_shards=2)
     config = ServingConfig(queue_capacity=8, max_concurrency=2)
     with ShardedQueryService(
