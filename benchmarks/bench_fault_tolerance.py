@@ -19,9 +19,8 @@ contract it exists to protect and emitting one JSON row:
   ``shards_answered/shards_total`` metadata, never an exception.
 * ``worker-kill`` — the process fleet is warmed up, its workers are
   SIGKILLed (once before the batch, once mid-batch): the executor must
-  retire the broken pools, re-initialise from the shared-memory-backed
-  spec, replay the dead futures, and still return full-coverage exact
-  rankings.
+  retire the broken pools, re-initialise from the spec, replay the dead
+  futures, and still return full-coverage exact rankings.
 
 The gate (``check_bench_regressions.py``) pins the *correctness ratios*
 (rankings-exact, completion fraction, partial coverage) — deterministic
@@ -192,36 +191,32 @@ def test_fault_tolerance_scenarios(benchmark, la_db, workload):
         rows.append(_row("shard-down", wall, responses, stats))
 
         # --- worker-kill: SIGKILL the process fleet, twice ------------
-        shared = ShardedGATIndex.build(
-            la_db, n_shards=N_SHARDS, config=bench_gat_config(), store="shared"
-        )
-        try:
-            with ShardedQueryService(
-                shared,
-                executor="process",
-                result_cache_size=0,
-                fault_policy=FaultPolicy(max_retries=4),
-            ) as fleet:
-                fleet._executor.warm_up()
-                kill_fleet_workers(fleet._executor, count=N_SHARDS, seed=1)
+        with ShardedQueryService(
+            ShardedGATIndex.build(
+                la_db, n_shards=N_SHARDS, config=bench_gat_config()
+            ),
+            executor="process",
+            result_cache_size=0,
+            fault_policy=FaultPolicy(max_retries=4),
+        ) as fleet:
+            fleet._executor.warm_up()
+            kill_fleet_workers(fleet._executor, count=N_SHARDS, seed=1)
 
-                def kill_one_quietly():
-                    try:
-                        kill_fleet_workers(fleet._executor, count=1, seed=2)
-                    except RuntimeError:
-                        pass  # fleet mid-repair: no live pids this instant
-
-                killer = threading.Timer(0.2, kill_one_quietly)
-                killer.start()
+            def kill_one_quietly():
                 try:
-                    wall, responses = _serve(fleet, workload)
-                finally:
-                    killer.cancel()
-                    killer.join()
-                stats = fleet.stats()
-                repairs = fleet._executor.pool_repairs
-        finally:
-            shared.close()
+                    kill_fleet_workers(fleet._executor, count=1, seed=2)
+                except RuntimeError:
+                    pass  # fleet mid-repair: no live pids this instant
+
+            killer = threading.Timer(0.2, kill_one_quietly)
+            killer.start()
+            try:
+                wall, responses = _serve(fleet, workload)
+            finally:
+                killer.cancel()
+                killer.join()
+            stats = fleet.stats()
+            repairs = fleet._executor.pool_repairs
         exact = _rankings(responses) == truth
         assert exact, "post-kill rankings diverged from the healthy fleet"
         assert all(r.complete for r in responses)

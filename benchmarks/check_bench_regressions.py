@@ -43,16 +43,13 @@ MANIFEST = {
         "rows[shards=4,executor=thread].speedup_vs_1shard": "higher",
     },
     "BENCH_process.json": {
-        # CPU-bound steady-state: the process fleet over the shared store
-        # vs threads.  The seeded baseline comes from a single-core
-        # machine (see the "cores" field) where this ratio cannot exceed
-        # ~1.0; the in-benchmark >=1.5x assert is the real multi-core
-        # gate, this row only catches collapses below the band.
+        # CPU-bound steady state in the production configuration (block
+        # kernel, 2 shards, best of three passes): the process fleet over
+        # thread fan-out.  Seeded on two cores (see the "cores" field);
+        # the in-benchmark >=1.5x assert is the hard gate, this row
+        # catches a slide inside it.  "process_vs_single" rides along in
+        # the record ungated.
         "process_vs_thread": "higher",
-        # Deterministic transport size: the shared-store spec (segment
-        # names + shard ID tuples) as a fraction of the pickled object
-        # snapshot.  Rises only if someone starts shipping data again.
-        "spec_bytes.shared_over_object": "lower",
     },
     "BENCH_replicas.json": {
         # The deterministic routers only; power-of-two is reported but its

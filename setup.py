@@ -12,6 +12,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # Imported unconditionally by model/columnar.py and storage/shm.py.
+    # Imported unconditionally by core/kernels.py and model/columnar.py.
     install_requires=["numpy"],
 )

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Eight subcommands cover the library's end-to-end workflow:
+Seven subcommands cover the library's end-to-end workflow:
 
 * ``generate`` — synthesise a dataset (preset or custom) to JSON-lines;
 * ``stats``    — print a dataset's Table IV statistics;
@@ -15,9 +15,7 @@ Eight subcommands cover the library's end-to-end workflow:
 * ``serve-bench`` — drive a seeded open-loop arrival process (Poisson /
   diurnal / square-wave burst) through the admission-controlled
   :class:`~repro.serving.ServingFrontend` and print the goodput /
-  shed / latency report;
-* ``shm-sweep`` — reclaim shared-memory segments orphaned by killed
-  store writers (``--dry-run`` to only report).
+  shed / latency report.
 
 Usage examples::
 
@@ -34,7 +32,6 @@ Usage examples::
     python -m repro.cli sweep la.jsonl --figure k
     python -m repro.cli serve-bench la.jsonl --rate 50 --duration 5 \
         --arrivals square --slo-ms 250 --shards 2
-    python -m repro.cli shm-sweep --dry-run
 """
 
 from __future__ import annotations
@@ -191,16 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         help="distinct workload queries cycled through the arrival stream",
-    )
-
-    p_shm = sub.add_parser(
-        "shm-sweep",
-        help="reclaim shared-memory segments orphaned by killed store writers",
-    )
-    p_shm.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="report orphaned segments without unlinking them",
     )
     return parser
 
@@ -592,20 +579,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shm_sweep(args: argparse.Namespace) -> int:
-    from repro.storage.shm import cleanup_orphans
-
-    orphans = cleanup_orphans(dry_run=args.dry_run)
-    verb = "orphaned (left in place)" if args.dry_run else "reclaimed"
-    if not orphans:
-        print("no orphaned shared-memory segments")
-        return 0
-    print(f"{len(orphans)} segment(s) {verb}:")
-    for name in orphans:
-        print(f"  {name}")
-    return 0
-
-
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.rate <= 0 or args.duration <= 0:
         print("--rate and --duration must be > 0", file=sys.stderr)
@@ -684,7 +657,6 @@ _COMMANDS = {
     "metrics": _cmd_metrics,
     "sweep": _cmd_sweep,
     "serve-bench": _cmd_serve_bench,
-    "shm-sweep": _cmd_shm_sweep,
 }
 
 

@@ -97,12 +97,10 @@ with ``==`` / ``np.array_equal``, thresholds included.
 NumPy is a hard dependency (``setup.py``).
 
 Every coordinate access below goes through ``trajectory.coord_array()``:
-for array-backed trajectories (:meth:`ActivityTrajectory.from_arrays`,
-the shared-memory store of :mod:`repro.storage.shm`) that is a zero-copy
-view into the columnar store, so the round-batched and per-candidate
-paths both read the mapped segment directly — no point objects, no
-per-trajectory coordinate copies — and a process worker scores against
-the same bytes the parent packed.
+for array-backed trajectories (:meth:`ActivityTrajectory.from_arrays`)
+that is a zero-copy view into the columnar image, so the round-batched
+and per-candidate paths both read its columns directly — no point
+objects, no per-trajectory coordinate copies.
 """
 
 from __future__ import annotations

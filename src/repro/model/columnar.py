@@ -3,16 +3,22 @@
 The object model — :class:`~repro.model.trajectory.ActivityTrajectory`
 holding tuples of frozen :class:`~repro.model.point.TrajectoryPoint`s —
 is what the paper's definitions talk about, but it is a terrible shape to
-ship across process boundaries: pickling a fleet snapshot serialises
-millions of tiny Python objects, and every worker re-materialises all of
-them.  This module defines the flat alternative: the whole trajectory set
-as seven contiguous NumPy arrays (coordinates, per-point activity
-postings, and the offset arrays that delimit trajectories and postings),
-convertible losslessly to and from the object model.
+pickle: a fleet snapshot serialises millions of tiny Python objects, and
+the receiver re-materialises all of them.  This module defines the flat
+alternative: the whole trajectory set as seven contiguous NumPy arrays
+(coordinates, per-point activity postings, and the offset arrays that
+delimit trajectories and postings), convertible losslessly to and from
+the object model.
 
-The columnar image is the unit the shared-memory store
-(:mod:`repro.storage.shm`) maps into one segment, so process workers can
-*attach* to the dataset instead of rebuilding it.
+No production path builds a database from this image today: the process
+fleet hands its workers the object snapshot, which costs nothing under
+the ``fork`` start method (the initializer's arguments are inherited, not
+pickled).  The image stays for two reasons: it is the array layout a
+database-wide CSR activity store would be built on (ROADMAP direction
+2(iii)), and it is the cheap wire format should a ``spawn`` /
+``forkserver`` platform become a target — a :class:`ColumnarArrays`
+passed by value pickles and loads in a small fraction of the object
+snapshot's time.
 
 Layout (``T`` trajectories, ``P`` points, ``A`` activity occurrences)::
 
@@ -76,8 +82,7 @@ class ColumnarArrays:
         return len(self.act_values)
 
     def field_arrays(self) -> List[Tuple[str, np.ndarray]]:
-        """``(name, array)`` pairs in declaration order (the store packs
-        and re-views segments in exactly this order)."""
+        """``(name, array)`` pairs in declaration order."""
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     def nbytes(self) -> int:

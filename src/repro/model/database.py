@@ -111,18 +111,18 @@ class TrajectoryDatabase:
     ) -> "TrajectoryDatabase":
         """Build an **array-backed** database over a columnar image
         (:class:`~repro.model.columnar.ColumnarArrays`): every trajectory
-        views the shared columns zero-copy and materialises points
+        views the image's columns zero-copy and materialises points
         lazily.  Lossless inverse of :meth:`to_arrays` — same IDs, same
-        derived structures, byte-identical query behaviour."""
+        derived structures, byte-identical query behaviour.  No production
+        caller today; see :mod:`repro.model.columnar` for why it stays."""
         from repro.model.columnar import arrays_to_trajectories
 
         return cls(arrays_to_trajectories(arrays), vocabulary, name=name)
 
     def to_arrays(self):
         """Flatten the trajectory set into one columnar image
-        (:class:`~repro.model.columnar.ColumnarArrays`) — the unit the
-        shared-memory store maps so process workers attach instead of
-        rebuilding.  See :meth:`from_arrays` for the inverse."""
+        (:class:`~repro.model.columnar.ColumnarArrays`).  See
+        :meth:`from_arrays` for the inverse."""
         from repro.model.columnar import trajectories_to_arrays
 
         return trajectories_to_arrays(self.trajectories)

@@ -13,7 +13,8 @@ structures the indexes need:
 Two construction paths share this class: the classic object path
 (``__init__`` with a point sequence) and the **array-backed** path
 (:meth:`ActivityTrajectory.from_arrays`), where the trajectory holds
-zero-copy views into a columnar store (:mod:`repro.model.columnar`) and
+zero-copy views into a columnar image (:mod:`repro.model.columnar`; it
+has no production caller today — that module says why it stays) and
 materialises :class:`TrajectoryPoint` objects only when someone iterates
 them.  Both paths expose equal derived structures — same points, same
 posting positions, same unions — so rankings and work counters cannot
@@ -80,7 +81,7 @@ class ActivityTrajectory:
         coords:
             ``(n, 2)`` float64 view — becomes :meth:`coord_array` as-is.
         act_values / act_offsets:
-            The store's *global* activity column plus this trajectory's
+            The image's *global* activity column plus this trajectory's
             ``(n+1,)`` slice of absolute offsets into it: point ``i``
             performed ``act_values[act_offsets[i]:act_offsets[i+1]]``,
             in the original frozenset iteration order (see
@@ -90,7 +91,7 @@ class ActivityTrajectory:
 
         Points, posting structures, and the activity union materialise
         lazily on first access; the coordinate matrix is the passed view
-        itself, so the array scoring kernels read the shared columns
+        itself, so the array scoring kernels read the image's columns
         directly.
         """
         n = len(coords)
@@ -218,7 +219,7 @@ class ActivityTrajectory:
         derived structures it treats the trajectory as immutable, and a
         benign double-compute is the worst a concurrent first access can
         do.  Array-backed trajectories return their columnar view
-        directly — the zero-copy read path into the shared store.
+        directly.
         """
         if self._coord_array is None:
             import numpy as np
@@ -237,7 +238,7 @@ class ActivityTrajectory:
         the dict image — and what the block scoring kernel concatenates
         per validation round (:func:`repro.core.kernels.prepare_block`,
         :func:`~repro.core.kernels.block_dmm_all_single`).  Array-backed
-        trajectories return a zero-copy slice of the store's
+        trajectories return a zero-copy slice of the image's
         ``act_values`` column plus the differences of their offsets;
         object-backed ones flatten their points once.
         """

@@ -7,10 +7,7 @@ The scale-out layer above the single-machine engine:
   top-k is exact.
 * :class:`~repro.shard.index.ShardedGATIndex` — one complete GAT index
   (own database subset, own simulated disk) per shard, with routed
-  inserts and a composite version for cache invalidation.  Built with
-  ``store='shared'`` the trajectory data plane lives in one shared-memory
-  columnar store (:mod:`repro.storage.shm`) that process workers attach
-  to instead of rebuilding.
+  inserts and a composite version for cache invalidation.
 * :class:`~repro.shard.service.ShardedQueryService` — the one sharded
   service: fans each query out across shards through a pluggable executor
   (serial / thread / process) and k-way merges the ranked lists; results
@@ -40,7 +37,7 @@ from repro.shard.executor import (
     ThreadShardExecutor,
     build_shard_engine,
 )
-from repro.shard.index import TRAJECTORY_STORES, ShardedGATIndex
+from repro.shard.index import ShardedGATIndex
 from repro.shard.replicas import (
     REPLICA_ROUTERS,
     BreakerConfig,
@@ -86,6 +83,5 @@ __all__ = [
     "ThreadShardExecutor",
     "ProcessShardExecutor",
     "EXECUTOR_KINDS",
-    "TRAJECTORY_STORES",
     "build_shard_engine",
 ]

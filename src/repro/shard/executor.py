@@ -18,8 +18,12 @@ deployment's choice:
   workers each rebuild shard engines from a picklable
   :class:`ShardEngineSpec`.  This closes the residual GIL-bound share:
   pure-Python retrieval/validation work runs truly in parallel.  Workers
-  build a shard's engine lazily on the first task that touches it, so a
-  fleet of ``n_shards`` workers converges to roughly one engine each.
+  build a shard's engine lazily on the first task that touches it, and
+  the pool hands any task to any idle worker, so a fleet of ``W`` workers
+  converges to **every** worker holding every shard's engine:
+  ``W × n_shards`` index builds (the fleet's ``setup_s``) and, once each
+  worker has touched its inherited trajectories, ``W`` copies of the
+  points (its RSS).
 
 Process-pool consistency: worker processes hold *snapshots* of the index.
 They cannot observe :meth:`ShardedGATIndex.insert_trajectory`, so the
@@ -32,9 +36,9 @@ compares equal to the live pool's costs nothing.
 
 Everything shipped across the process boundary (tasks, specs, ranked
 results, stats) is plain picklable data; engines, disks, and locks never
-cross.  Under a shared trajectory store (:mod:`repro.storage.shm`) the
-spec carries only segment names, offsets, and shard-membership IDs —
-workers attach to the one copy of the dataset instead of unpickling it.
+cross.  The spec carries each shard's trajectories by value; under the
+``fork`` start method the pool initializer's arguments are inherited
+copy-on-write, so nothing is actually pickled.
 """
 
 from __future__ import annotations
@@ -171,21 +175,12 @@ class ShardEngineSpec:
     metric rides along too (the stock metrics are stateless
     ``__slots__ = ()`` classes, so they pickle for free).
 
-    The trajectory set travels one of two ways:
+    The trajectory set travels as a snapshot: ``shard_trajectories``
+    holds per-shard tuples of :class:`ActivityTrajectory`.
 
-    * **object snapshot** — ``shard_trajectories`` holds per-shard tuples
-      of :class:`ActivityTrajectory`; the whole dataset is pickled into
-      every worker (the historical path, kept as the oracle);
-    * **shared store** — ``store_spec`` names the shared-memory segments
-      of a :class:`~repro.storage.shm.SharedTrajectoryStore` and
-      ``shard_trajectory_ids`` lists each shard's membership by ID;
-      workers *attach* to the one copy of the dataset and pickle only
-      names, offsets, and ID tuples.
-
-    Specs compare by value (trajectory tuples by element identity, store
-    specs and ID tuples structurally), which is what
-    :meth:`ProcessShardExecutor.refresh` coalesces on: an unchanged fleet
-    produces an equal spec and no pool re-init."""
+    Specs compare by value (trajectory tuples by element identity), which
+    is what :meth:`ProcessShardExecutor.refresh` coalesces on: an
+    unchanged fleet produces an equal spec and no pool re-init."""
 
     db_name: str
     vocabulary: object
@@ -200,41 +195,21 @@ class ShardEngineSpec:
     #: in-process engines (``concurrent_reads=None`` = unbounded).
     read_latency_s: float = 0.0
     concurrent_reads: Optional[int] = None
-    #: Shared-store attach recipe (:class:`~repro.storage.shm.SharedStoreSpec`)
-    #: plus per-shard membership ID tuples; ``None`` = object snapshot.
-    store_spec: Optional[object] = None
-    shard_trajectory_ids: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
     def n_shards(self) -> int:
-        if self.store_spec is not None:
-            return len(self.shard_trajectory_ids)
         return len(self.shard_trajectories)
-
-
-def _shard_database(spec: ShardEngineSpec, shard_id: int) -> TrajectoryDatabase:
-    """Materialise one shard's database from a spec — attached zero-copy
-    views under a shared store, unpickled objects otherwise."""
-    name = f"{spec.db_name}/shard{shard_id}"
-    if spec.store_spec is not None:
-        from repro.storage import shm
-
-        full = shm.attach_database(spec.store_spec, spec.vocabulary, name=spec.db_name)
-        return TrajectoryDatabase.from_trajectories(
-            [full.get(tid) for tid in spec.shard_trajectory_ids[shard_id]],
-            spec.vocabulary,
-            name=name,
-        )
-    return TrajectoryDatabase.from_trajectories(
-        spec.shard_trajectories[shard_id], spec.vocabulary, name=name
-    )
 
 
 def build_shard_engine(spec: ShardEngineSpec, shard_id: int) -> GATSearchEngine:
     """Rebuild one shard's database, GAT index, and engine from a spec."""
     from repro.storage.disk import SimulatedDisk
 
-    shard_db = _shard_database(spec, shard_id)
+    shard_db = TrajectoryDatabase.from_trajectories(
+        spec.shard_trajectories[shard_id],
+        spec.vocabulary,
+        name=f"{spec.db_name}/shard{shard_id}",
+    )
     index = GATIndex.build(
         shard_db,
         spec.gat_configs[shard_id],
@@ -503,11 +478,11 @@ class ProcessShardExecutor:
     :class:`BrokenProcessPool` and the pool is unusable forever.  That is
     a *fleet* event, not a task failure: :meth:`heal` retires the broken
     pool and the next submission re-initialises a fresh one from the
-    (cheap, shared-memory-backed) spec.  :meth:`submit` heals through
-    breakage it meets at submission; futures that die mid-flight are the
-    fan-out supervisor's to heal and resubmit — at most
-    :attr:`max_pool_repairs` times per fan-out, after which the breakage
-    surfaces as a :class:`ShardTaskError`.  Threshold slots are
+    spec (every worker then rebuilds its engines on first touch).
+    :meth:`submit` heals through breakage it meets at submission; futures
+    that die mid-flight are the fan-out supervisor's to heal and resubmit
+    — at most :attr:`max_pool_repairs` times per fan-out, after which the
+    breakage surfaces as a :class:`ShardTaskError`.  Threshold slots are
     parent-owned ``mp.Value``s inherited by every pool generation, so
     leases survive a repair; a dead worker's last published threshold
     stays a sound (real-result) upper bound for the resubmitted task.

@@ -52,7 +52,6 @@ from repro.storage.cache import CacheStats
 from repro.storage.disk import DiskStats, SimulatedDisk
 
 SHARD_BOXES = ("local", "global")
-TRAJECTORY_STORES = ("object", "shared")
 
 
 class ShardedGATIndex:
@@ -69,10 +68,6 @@ class ShardedGATIndex:
         self.db = db
         self.router = router
         self.shards = list(shards)
-        #: The shared-memory trajectory store behind ``db`` when built
-        #: with ``store='shared'`` (``None`` under the object store).
-        #: Owned here: :meth:`close` unlinks its segments.
-        self.store = None
         # Running (sum_x, sum_y, n) per shard — the locality signal behind
         # the service's nearest-shard-first fan-out ordering.  A heuristic
         # (it moves retrieval order and work, never results); inserts fold
@@ -110,7 +105,6 @@ class ShardedGATIndex:
         router: Optional[ShardRouter] = None,
         disk_factory: Optional[Callable[[], SimulatedDisk]] = None,
         shard_box: str = "local",
-        store: str = "object",
     ) -> "ShardedGATIndex":
         """Partition *db* and build one complete GAT index per shard.
 
@@ -136,18 +130,6 @@ class ShardedGATIndex:
             of just that shard.  ``'global'`` spans every grid over the
             full database box (the pre-local behaviour).  Rankings are
             identical either way.
-        store:
-            ``'object'`` (default) keeps the classic object-backed
-            database — the oracle the shared path is verified against.
-            ``'shared'`` packs the trajectory set into a
-            :class:`~repro.storage.shm.SharedTrajectoryStore` and builds
-            the fleet over the **array-backed** database viewing those
-            segments: one copy of the data for the parent, every replica,
-            and — via the sharded service's engine spec — every process
-            worker, which attaches by name instead of unpickling the
-            world.  Rankings, pruning counters, and disk accounting are
-            byte-identical either way; the owner must call :meth:`close`
-            to unlink the segments.
 
         Every shard must end up non-empty: a GAT index needs at least one
         trajectory, and an accidentally empty shard almost always means the
@@ -158,18 +140,6 @@ class ShardedGATIndex:
         if shard_box not in SHARD_BOXES:
             raise ValueError(
                 f"unknown shard_box {shard_box!r}; expected one of {SHARD_BOXES}"
-            )
-        if store not in TRAJECTORY_STORES:
-            raise ValueError(
-                f"unknown store {store!r}; expected one of {TRAJECTORY_STORES}"
-            )
-        shm_store = None
-        if store == "shared":
-            from repro.storage.shm import SharedTrajectoryStore
-
-            shm_store = SharedTrajectoryStore.for_database(db)
-            db = TrajectoryDatabase.from_arrays(
-                shm_store.base_arrays(), db.vocabulary, name=db.name
             )
         if router is None:
             router = ShardRouter.for_database(db, n_shards, strategy)
@@ -202,7 +172,6 @@ class ShardedGATIndex:
             )
         sharded = cls(db, router, shards)
         sharded._base_config = base_config
-        sharded.store = shm_store
         return sharded
 
     @staticmethod
@@ -243,10 +212,8 @@ class ShardedGATIndex:
         database subset re-indexed onto its own simulated disk, with the
         shard's exact build config and grid bounding box, so replica
         rankings are byte-identical to the primary's.  Replicas share the
-        primary's ``shard.db`` — under ``store='shared'`` that means every
-        replica's trajectories view the **same** shared-memory columns as
-        the primary's; a replica owns only its index structures, caches,
-        and disk, never another copy of the data.  Without a
+        primary's ``shard.db``: a replica owns only its index structures,
+        caches, and disk, never another copy of the data.  Without a
         *disk_factory* every replica disk inherits the primary shard
         disk's cost model (page size, read latency, and the
         ``concurrent_reads`` command depth) — a replica is another copy of
@@ -377,13 +344,10 @@ class ShardedGATIndex:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release fleet-owned shared resources (idempotent).  Under
-        ``store='shared'`` this unlinks the trajectory store's segments —
-        the fleet, its replicas, and any services over it must be done
-        first, since their array-backed trajectories view those bytes.
-        A no-op under the object store."""
-        if self.store is not None:
-            self.store.close()
+        """A no-op: the fleet owns no external resource (its shards are
+        plain in-process objects).  Kept, with the context-manager
+        protocol, so callers can scope a fleet's lifetime the same way
+        they scope the services over it."""
 
     def __enter__(self) -> "ShardedGATIndex":
         return self

@@ -49,13 +49,14 @@ as always), moves the composite version, and the next query's version
 check rebuilds the replica banks from the mutated shards — the same
 snapshot-refresh contract the process backend already follows.
 
-Memory: a replica copies index structures, caches, and its simulated
-disk — never the trajectories.  Replicas share the primary shard's
-``shard.db``; under ``ShardedGATIndex.build(..., store='shared')`` those
-trajectories are themselves zero-copy views into one shared-memory
-columnar store, so ``n_replicas × n_shards`` engines read a single copy
-of the point data (and process-backend replica workers attach to the
-same segments instead of each unpickling a fleet).
+Memory: an in-process replica copies index structures, caches, and its
+simulated disk — never the trajectories; replicas share the primary
+shard's ``shard.db``, so ``n_replicas × n_shards`` engines read a single
+copy of the point data.  The process backend is different: its pool is
+sized ``n_shards × n_replicas`` workers, every worker ends up building
+every shard's engine (any idle worker takes any task), and each holds
+its own copy-on-write copy of the trajectories it has touched — see
+:mod:`repro.shard.executor`.
 """
 
 from __future__ import annotations

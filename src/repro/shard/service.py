@@ -364,41 +364,20 @@ class ShardedQueryService:
             placement.router.release(shard_id, replica)
 
     def _make_spec(self) -> ShardEngineSpec:
-        """A picklable snapshot of the current fleet for process workers.
-
-        Under ``store='shared'`` the index's trajectory store is synced
-        (publishing any inserts since the last spec as the store's
-        cumulative delta segment) and the spec ships only the attach
-        recipe plus per-shard membership IDs — workers map the one copy
-        of the dataset instead of unpickling per-shard trajectory tuples.
-        """
+        """A picklable snapshot of the current fleet for process workers."""
         shard0 = self.index.shards[0]
-        store = getattr(self.index, "store", None)
-        if store is not None:
-            store_spec = store.sync(self.index.db)
-            shard_trajectories: tuple = ()
-            shard_ids = tuple(
-                tuple(tr.trajectory_id for tr in shard.db)
-                for shard in self.index.shards
-            )
-        else:
-            store_spec = None
-            shard_ids = None
-            shard_trajectories = tuple(
-                tuple(shard.db.trajectories) for shard in self.index.shards
-            )
         return ShardEngineSpec(
             db_name=self.index.db.name,
             vocabulary=self.index.db.vocabulary,
-            shard_trajectories=shard_trajectories,
+            shard_trajectories=tuple(
+                tuple(shard.db.trajectories) for shard in self.index.shards
+            ),
             bounding_boxes=self.index.shard_boxes,
             gat_configs=tuple(shard.config for shard in self.index.shards),
             engine_config=self.engine_config,
             metric=self.metric,
             read_latency_s=shard0.disk.read_latency_s,
             concurrent_reads=shard0.disk.concurrent_reads,
-            store_spec=store_spec,
-            shard_trajectory_ids=shard_ids,
         )
 
     def _resync(self) -> List[GATSearchEngine]:

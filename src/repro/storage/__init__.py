@@ -7,11 +7,6 @@ the disk: a :class:`~repro.storage.disk.SimulatedDisk` is a byte-serialised
 object store that counts logical page reads and writes.  Experiments can
 then report logical I/O alongside wall-clock time, which is the faithful
 signal for the paper's memory-budget discussion.
-
-:mod:`repro.storage.shm` is the real-storage exception: a zero-copy
-shared-memory trajectory store (:class:`~repro.storage.shm.SharedTrajectoryStore`)
-that lets process workers and replica banks attach to one columnar copy
-of the dataset instead of rebuilding it from pickles.
 """
 
 from repro.storage.cache import CacheStats, LRUCache
@@ -25,16 +20,4 @@ __all__ = [
     "CacheStats",
     "serialize_obj",
     "deserialize_obj",
-    "SharedTrajectoryStore",
-    "SharedStoreSpec",
-    "attach_database",
 ]
-
-try:  # the shared store needs NumPy, which stays an optional dependency
-    from repro.storage.shm import (
-        SharedStoreSpec,
-        SharedTrajectoryStore,
-        attach_database,
-    )
-except ImportError:  # pragma: no cover - NumPy-less environments
-    pass

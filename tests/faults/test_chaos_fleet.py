@@ -36,18 +36,12 @@ def queries(db):
 
 @pytest.fixture()
 def fleet(db):
-    """A process-backend service over a shared-memory store (the fleet's
-    production shape), yielding (service, executor)."""
-    sharded = ShardedGATIndex.build(
-        db, n_shards=N_SHARDS, config=CONFIG, store="shared"
-    )
-    try:
-        with ShardedQueryService(
-            sharded, executor="process", result_cache_size=0
-        ) as service:
-            yield service, service._executor
-    finally:
-        sharded.close()
+    """A process-backend service, yielding (service, executor)."""
+    sharded = ShardedGATIndex.build(db, n_shards=N_SHARDS, config=CONFIG)
+    with ShardedQueryService(
+        sharded, executor="process", result_cache_size=0
+    ) as service:
+        yield service, service._executor
 
 
 def _truth(db, queries):

@@ -1,10 +1,8 @@
 """Columnar round-trip: ``from_arrays(to_arrays(db))`` equals the original.
 
-The array image is the transport format of the shared-memory trajectory
-store, so this equivalence is what makes ``store='shared'`` safe: every
-derived structure the indexes and kernels read — points, posting lists,
-activity unions, bounding boxes, activity frequencies — must come out of
-the columnar image exactly equal to the object path's.
+Every derived structure the indexes and kernels read — points, posting
+lists, activity unions, bounding boxes, activity frequencies — must come
+out of the columnar image exactly equal to the object path's.
 """
 
 import math

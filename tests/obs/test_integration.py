@@ -213,9 +213,7 @@ class TestShardedTracing:
 class TestProcessFleetAcceptance:
     def test_killed_fleet_query_produces_one_connected_tree(self, db, queries):
         obs = Observability.enabled()
-        sharded = ShardedGATIndex.build(
-            db, n_shards=N_SHARDS, config=CONFIG, store="shared"
-        )
+        sharded = ShardedGATIndex.build(db, n_shards=N_SHARDS, config=CONFIG)
         try:
             with ShardedQueryService(
                 sharded,

@@ -1,25 +1,9 @@
-"""Serving-suite fixtures.
-
-Runs under the same autouse shared-memory leak probe as the shard suite
-(the front-end sits over sharded services whose stores may live in
-/dev/shm), plus a small deterministic query workload over ``tiny_db``.
-"""
+"""Serving-suite fixtures: a small deterministic query workload over
+``tiny_db``."""
 
 import pytest
 
 from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
-from repro.storage import shm
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_shared_memory():
-    before = shm.active_segments()
-    yield
-    leaked = [name for name in shm.active_segments() if name not in before]
-    assert not leaked, (
-        f"test leaked shared-memory segments {leaked}; close the owning "
-        "SharedTrajectoryStore / ShardedGATIndex before returning"
-    )
 
 
 @pytest.fixture(scope="module")

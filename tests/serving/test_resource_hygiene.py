@@ -2,8 +2,7 @@
 
 A burst that sheds or rejects most of the offered load must leave the
 stack exactly as it found it: admission permits restored, router leases
-released, process-pool threshold slots back in the free list, no
-shared-memory segments behind (the suite-wide autouse probe).  A single
+released, process-pool threshold slots back in the free list.  A single
 leaked unit per refusal would wedge the service within minutes of a real
 overload.
 """

@@ -331,9 +331,12 @@ class TestProcessCostModelCarryOver:
     def test_spec_ships_concurrent_reads_to_workers(self, tiny_db):
         """The bounded-device model must survive the process boundary:
         worker disks rebuilt from the spec carry the parent disks'
-        command depth, not an unbounded default."""
+        command depth, not an unbounded default — and worker engines the
+        service's ``engine_config``."""
+        from repro.core.engine import EngineConfig
         from repro.shard import build_shard_engine
 
+        scalar = EngineConfig(kernel="scalar")
         sharded = ShardedGATIndex.build(
             tiny_db,
             n_shards=2,
@@ -342,12 +345,15 @@ class TestProcessCostModelCarryOver:
                 read_latency_s=0.001, concurrent_reads=1
             ),
         )
-        service = ShardedQueryService(sharded, executor="process")
+        service = ShardedQueryService(
+            sharded, engine_config=scalar, executor="process"
+        )
         try:
             spec = service._make_spec()
             assert spec.concurrent_reads == 1
             assert spec.read_latency_s == 0.001
             worker_engine = build_shard_engine(spec, 0)
+            assert worker_engine.config == scalar
             assert worker_engine.index.disk.concurrent_reads == 1
             assert worker_engine.index.disk.read_latency_s == 0.001
         finally:

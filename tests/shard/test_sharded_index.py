@@ -140,6 +140,7 @@ class TestInsertRouting:
 
         db = copy.deepcopy(tiny_db)
         sharded = ShardedGATIndex.build(db, n_shards=3, config=CONFIG)
+        sharded.close()  # a no-op (owns no external resource): the fleet stays live
         trajectory = _fresh_trajectory(db)
         sharded.insert_trajectory(trajectory)
         query = Query(

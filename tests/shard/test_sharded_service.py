@@ -7,7 +7,8 @@ import copy
 import pytest
 
 from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
-from repro.index.gat.index import GATConfig
+from repro.core.engine import EngineConfig, GATSearchEngine
+from repro.index.gat.index import GATConfig, GATIndex
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
 from repro.core.query import Query, QueryPoint
@@ -353,6 +354,86 @@ class TestProcessSlotLifecycle:
             executor.release_slot(slot)
         assert len(executor._free_slots) == executor.N_SLOTS
         service.close()
+
+
+def _insert_burst(db, sharded, query, n=5):
+    """Insert *n* fresh trajectories one by one — copies of existing ones
+    under new ids, the last a perfect match for *query* — and return
+    their ids.  Every insert moves the composite version."""
+    inserted = []
+    for i in range(n):
+        if i == n - 1:
+            new_tr = _perfect_match_insert(db, list(query))
+        else:
+            tid = max(tr.trajectory_id for tr in db) + 1
+            new_tr = ActivityTrajectory(tid, db.trajectories[i].points)
+        sharded.insert_trajectory(new_tr)
+        inserted.append(new_tr.trajectory_id)
+    return inserted
+
+
+class TestProcessSnapshotRefresh:
+    """Process workers serve a snapshot of the fleet; a mutation reaches
+    them as a coalesced pool re-init from a fresh spec."""
+
+    def test_insert_burst_costs_one_pool_reinit(self, db):
+        """Regression test for refresh amplification: every insert bumps
+        the composite version, but the worker pool must be rebuilt
+        **once** at the next query, not once per insert."""
+        sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG)
+        query = _query_for(db)
+        with ShardedQueryService(
+            sharded, executor="process", result_cache_size=0
+        ) as service:
+            executor = service._executor
+            service.search(query, k=3)
+            assert executor.pool_inits == 1
+            _insert_burst(db, sharded, query)
+            service.search(query, k=3)
+            assert executor.pool_inits == 2
+            # Steady state: further queries with no mutation stay on the
+            # same pool.
+            service.search(query, k=3)
+            assert executor.pool_inits == 2
+
+    def test_noop_refresh_never_reinits(self, db):
+        """A refresh carrying an equal spec (nothing mutated) must not
+        tear the pool down."""
+        sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG)
+        query = _query_for(db)
+        with ShardedQueryService(
+            sharded, executor="process", result_cache_size=0
+        ) as service:
+            executor = service._executor
+            service.search(query, k=3)
+            assert executor.pool_inits == 1
+            for _ in range(3):
+                executor.refresh(service._make_spec())
+            service.search(query, k=3)
+            assert executor.pool_inits == 1
+
+    def test_post_insert_rankings_match_scalar_single_index(self, db):
+        """Workers warmed on the pre-insert snapshot must, after an insert
+        burst, rank exactly like the scalar engine over one single index
+        of the grown database."""
+        scalar = EngineConfig(kernel="scalar")
+        queries = [_query_for(db, seed=seed) for seed in (17, 18, 19, 20)]
+        sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG)
+        with ShardedQueryService(
+            sharded, engine_config=scalar, executor="process", result_cache_size=0
+        ) as service:
+            service.search(queries[0], k=5)
+            inserted = _insert_burst(db, sharded, queries[0])
+            got = [
+                [(r.trajectory_id, r.distance) for r in response.results]
+                for response in service.search_many(queries, k=5)
+            ]
+        single = GATSearchEngine(GATIndex.build(db, CONFIG), config=scalar)
+        assert got == [
+            [(r.trajectory_id, r.distance) for r in single.execute(q, 5).ranked]
+            for q in queries
+        ]
+        assert inserted[-1] in [tid for tid, _ in got[0]]
 
 
 class TestShardedBatchedExplain:
