@@ -118,7 +118,7 @@ def _filter_chain_sweep(rows, gat_index, la_queries):
     engine = GATSearchEngine(gat_index, apl_cache_size=0)
     tas = TASFilter(gat_index.sketches)
     apl = APLFilter(gat_index.apl, None)
-    mib = MIBFilter(gat_index.db)
+    mib = MIBFilter()
     chains = (
         ("TAS->APL->MIB (paper)", [tas, apl, mib]),
         ("APL->MIB (no TAS)", [apl, mib]),

@@ -39,7 +39,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.bench.experiments import (
     ExperimentScale,

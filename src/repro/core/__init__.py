@@ -37,7 +37,6 @@ from repro.core.results import SearchResult, TopKCollector
 from repro.core.context import ExecutionContext, SearchStats
 from repro.core.pipeline import (
     APLFilter,
-    Candidate,
     CandidateRetriever,
     MIBFilter,
     ScoringStage,
@@ -63,7 +62,6 @@ __all__ = [
     "GATSearchEngine",
     "SearchStats",
     "ExecutionContext",
-    "Candidate",
     "CandidateRetriever",
     "TASFilter",
     "APLFilter",

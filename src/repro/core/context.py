@@ -11,7 +11,9 @@ queries: two contexts never touch the same mutable state.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.evaluator import MatchEvaluator
 from repro.core.query import Query
@@ -98,14 +100,29 @@ class ExecutionContext:
     #: tracing; the engine then skips every stage-timing branch, keeping
     #: the untraced hot path free of instrumentation cost.
     trace_span: Optional[object] = None
+    #: ``Q.Φ`` — the union of activities over all query points — as an
+    #: ascending ``int64`` array: the columns of every validation round's
+    #: key lookup (and of the block kernel's, which sorts the same set).
+    activities: np.ndarray = field(init=False)
+    _point_slots: Optional[Tuple[np.ndarray, np.ndarray]] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         self.results = TopKCollector(self.k)
+        self.activities = np.array(sorted(self.query.all_activities), dtype=np.int64)
 
-    @property
-    def query_activities(self):
-        """The union of activities over all query points (``Q.Φ``)."""
-        return self.query.all_activities
+    def point_slots(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(slots, starts)``: the columns of :attr:`activities` holding
+        ``q_1.Φ, q_2.Φ, …`` back to back, and where each query point's run
+        starts — the ``reduceat`` layout of a per-query-point reduction
+        over a round's lookup (built on first use: only OATSQ asks)."""
+        if self._point_slots is None:
+            sizes = [len(q.activities) for q in self.query]
+            wanted = [a for q in self.query for a in q.activities]
+            self._point_slots = (
+                np.searchsorted(self.activities, wanted),
+                np.cumsum([0] + sizes[:-1]),
+            )
+        return self._point_slots
 
     @property
     def block_scoring(self) -> bool:

@@ -46,7 +46,6 @@ from repro.core.lower_bound import lower_bound_distance
 from repro.core.match import INFINITY
 from repro.core.pipeline import (
     APLFilter,
-    Candidate,
     CandidateRetriever,
     MIBFilter,
     ScoringStage,
@@ -81,16 +80,18 @@ class EngineConfig:
         tight lower bound falls back to the loose queue-top bound the
         paper rejects.
     apl_cache_size:
-        Capacity of the engine-level LRU over APL posting-list fetches
-        (hot trajectories skip the counted disk read).  ``0`` disables
-        it, restoring the seed behaviour of one APL read per surviving
-        candidate per query.
+        Capacity of the engine-level LRU of *resident* APL records: a
+        trajectory whose record was fetched recently skips the counted
+        disk read (the LRU holds residency, keyed by trajectory id — the
+        record itself is a row range of the store, never a decoded
+        copy).  ``0`` disables it, restoring the seed behaviour of one
+        APL read per surviving candidate per query.
     kernel:
         Scoring kernel, one of :data:`repro.core.kernels.KERNELS`:
         ``'block'`` (the default: one flat tensor per validation
         round — every candidate's relevant points concatenated, no
-        padding, assembled from the trajectories' activity columns —
-        with early abandonment against the running k-th threshold) or
+        padding, gathered from the APL array store — with early
+        abandonment against the running k-th threshold) or
         ``'scalar'`` (the seed oracles every parity suite compares
         against).  Both return the same rankings and pruning counters
         (see :mod:`repro.core.kernels`).
@@ -156,7 +157,7 @@ class GATSearchEngine:
             if self.config.apl_cache_size > 0
             else None
         )
-        self._scoring = ScoringStage(self.db)
+        self._scoring = ScoringStage()
         self._local = threading.local()
 
     # ------------------------------------------------------------------
@@ -200,7 +201,7 @@ class GATSearchEngine:
             filters.append(TASFilter(self.index.sketches))
         filters.append(APLFilter(self.index.apl, self.apl_cache))
         if order_sensitive:
-            filters.append(MIBFilter(self.db))
+            filters.append(MIBFilter())
         return filters
 
     # ------------------------------------------------------------------
@@ -254,7 +255,8 @@ class GATSearchEngine:
             trace_span=trace_span,
         )
         validation = ValidationStage(
-            self.filter_chain(order_sensitive) if filters is None else filters
+            self.filter_chain(order_sensitive) if filters is None else filters,
+            self.index.apl,
         )
         span = trace_span
         if span is not None:
@@ -290,28 +292,28 @@ class GATSearchEngine:
                 lower = self._lower_bound(retriever)
                 if span is not None:
                     t_stage = self._stage_tick(stage_clock["retrieve"], t_stage)
-                admitted = validation.admit_batch(
-                    ctx, [Candidate(tid) for tid in new_candidates]
-                )
+                admitted = validation.admit_batch(ctx, new_candidates)
                 if span is not None:
                     t_stage = self._stage_tick(stage_clock["validate"], t_stage)
-                if ctx.block_scoring and admitted:
+                if ctx.block_scoring:
                     # Block kernel: the whole round in one scoring call —
                     # one distance evaluation, block lower bounds, early
                     # abandonment against the k-th threshold (read at round
                     # start, tightened per candidate inside block_dmom).
-                    scored = zip(admitted, self._scoring.score_batch(ctx, admitted))
+                    distances = self._scoring.score_batch(ctx, admitted)
                 else:
-                    # The scalar kernel keeps the interleaved loop: each
-                    # score sees the threshold tightened by the round's
-                    # earlier offers (same rankings either way).
-                    scored = (
-                        (candidate, self._scoring.score(ctx, candidate))
-                        for candidate in admitted
+                    # The scalar kernel keeps the interleaved loop over the
+                    # object model: each score sees the threshold tightened
+                    # by the round's earlier offers (same rankings either
+                    # way).
+                    trajectories = self.db.trajectories
+                    distances = (
+                        self._scoring.score(ctx, trajectories[row])
+                        for row in admitted.rows.tolist()
                     )
-                for candidate, distance in scored:
+                for trajectory_id, distance in zip(admitted.ids.tolist(), distances):
                     if distance != INFINITY:
-                        result = SearchResult(candidate.trajectory_id, distance)
+                        result = SearchResult(trajectory_id, distance)
                         ctx.results.offer(result)
                         if result_sink is not None:
                             result_sink(result)

@@ -15,8 +15,9 @@ The evaluator fronts the two kernels of
   :class:`~repro.core.match.PointMatchTable`, Algorithm 4's incremental
   DP), kept verbatim as the correctness oracles;
 * ``'block'`` — :mod:`repro.core.kernels` (the default): a whole
-  validation round is assembled from the candidates' activity columns
-  into one :class:`~repro.core.kernels.CandidateBlock` and scored through
+  validation round is gathered from the candidates' rows of the APL
+  array store into one :class:`~repro.core.kernels.CandidateBlock` and
+  scored through
   :meth:`MatchEvaluator.dmm_batch` / :meth:`dmom_batch` — one
   distance evaluation, block set-cover lower bounds, and early
   per-candidate abandonment against the running k-th threshold.  The
@@ -232,13 +233,13 @@ class MatchEvaluator:
             )
         return qkernel
 
-    def _assemble(self, qkernel: QueryKernel, items) -> kernels.CandidateBlock:
+    def _assemble(self, qkernel: QueryKernel, candidates) -> kernels.CandidateBlock:
         """One round's block, timed into :attr:`assemble_clock` when set."""
         clock = self.assemble_clock
         if clock is None:
-            return kernels.prepare_block(qkernel, items)
+            return kernels.prepare_block(qkernel, candidates)
         entered = time.time()
-        block = kernels.prepare_block(qkernel, items)
+        block = kernels.prepare_block(qkernel, candidates)
         clock[1] = time.time()
         if clock[0] is None:
             clock[0] = entered
@@ -246,12 +247,14 @@ class MatchEvaluator:
         clock[3] += block.total
         return block
 
-    def dmm_batch(self, query: Query, items) -> List[float]:
+    def dmm_batch(self, query: Query, candidates) -> List[float]:
         """``Dmm`` for one validation round's candidates in one shot.
 
-        *items* is a sequence of ``(trajectory, posting)`` pairs (posting =
-        the candidate's batched-fetch APL record, or ``None``; scoring
-        reads only the trajectory's in-memory columns).  Counter
+        *candidates* is the round as a
+        :class:`~repro.index.gat.apl.PostingRound` against the query's
+        sorted activities — what validation hands on, lookup included;
+        scoring gathers the posted positions and coordinates it needs
+        from the round's APL image.  Counter
         semantics match calling :meth:`dmm` once per candidate exactly,
         and so do the values — the whole-round array formulations
         (:func:`~repro.core.kernels.block_dmm` /
@@ -260,54 +263,46 @@ class MatchEvaluator:
         a threshold here (:meth:`dmom_batch` does gate real per-candidate
         work).
         """
-        self.stats.dmm_evaluations += len(items)
-        if not items:
+        self.stats.dmm_evaluations += len(candidates)
+        if not len(candidates):
             return []
         qkernel = self._block_kernel(query)
-        if qkernel.all_single and qkernel._mode != "generic":
+        if qkernel.all_single:
             # Order-free Dmm needs no position dedup: the duplicated
             # activity-segment layout skips block preparation entirely.
-            return kernels.block_dmm_all_single(qkernel, items, self.stats).tolist()
-        block = self._assemble(qkernel, items)
+            return kernels.block_dmm_all_single(qkernel, candidates, self.stats).tolist()
+        block = self._assemble(qkernel, candidates)
         return kernels.block_dmm(qkernel, block, self.stats).tolist()
 
     def dmom_batch(
         self,
         query: Query,
-        items,
+        candidates,
         threshold: float = INFINITY,
-        check_order: bool = True,
         k: Optional[int] = None,
     ) -> List[float]:
-        """``Dmom`` for one validation round's candidates in one shot.
+        """``Dmom`` for one validation round's candidates (a
+        :class:`~repro.index.gat.apl.PostingRound`, as for
+        :meth:`dmm_batch`) in one shot.
 
-        The same three pruning layers as :meth:`dmom` — MIB feasibility
-        (when *check_order*), the Lemma-3 ``Dmm`` gate, and the DP's
-        Lemma-4 row exit — applied blockwise: the gate is one
+        The pruning layers of :meth:`dmom` after the MIB check — which is
+        the validation chain's business, and which the DP subsumes: an
+        order-infeasible candidate comes back ``inf`` either way — applied
+        blockwise: the Lemma-3 gate is one
         :func:`~repro.core.kernels.block_dmm` call whose abandonment drops
         candidates before any per-candidate DP work (the gate never
-        tightens on ``Dmm`` values — the ranked metric here is ``Dmom``).
-        Counters are identical to the per-candidate loop (the gate bumps
-        one ``Dmm`` evaluation per order-feasible candidate, exactly like
-        :meth:`dmom`).
+        tightens on ``Dmm`` values — the ranked metric here is ``Dmom``),
+        then the DP with its Lemma-4 row exit.  Counters are identical to
+        the per-candidate loop with ``check_order=False`` (the gate bumps
+        one ``Dmm`` evaluation per candidate, exactly like :meth:`dmom`).
         """
-        self.stats.dmom_evaluations += len(items)
-        if not items:
+        self.stats.dmom_evaluations += len(candidates)
+        self.stats.dmm_evaluations += len(candidates)  # the gate, one per candidate
+        if not len(candidates):
             return []
-        if check_order:
-            feasible = [order_feasible(tr, query) for tr, _posting in items]
-        else:
-            feasible = [True] * len(items)
-        sub = [item for item, ok in zip(items, feasible) if ok]
-        self.stats.dmm_evaluations += len(sub)  # the gate, one per candidate
-        if not sub:
-            return [INFINITY] * len(items)
         qkernel = self._block_kernel(query)
-        block = self._assemble(qkernel, sub)
-        values = iter(
-            kernels.block_dmom(qkernel, block, self.stats, threshold, k=k).tolist()
-        )
-        return [next(values) if ok else INFINITY for ok in feasible]
+        block = self._assemble(qkernel, candidates)
+        return kernels.block_dmom(qkernel, block, self.stats, threshold, k=k).tolist()
 
     def dmom_explained(
         self, query: Query, trajectory: ActivityTrajectory

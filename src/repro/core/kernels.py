@@ -35,8 +35,10 @@ admitted candidates go into one :class:`CandidateBlock` — a flat
 ``[|Q|, N]`` distance matrix over every candidate's concatenated relevant
 points, built by a **single** Euclidean/Haversine evaluation per round,
 plus a same-shape activity bitmask and per-candidate column segments,
-all assembled by :func:`prepare_block` from the candidates' point-major
-activity columns with array ops only — and are scored together:
+all gathered by :func:`prepare_block` from the candidates' rows of the
+APL array store (:mod:`repro.index.gat.apl`) through the key lookup
+validation already computed, with array ops only — and are scored
+together:
 
 * :func:`block_dmm` computes every candidate's exact ``Dmm`` in
   whole-round array ops: per-row masked minima via one
@@ -48,8 +50,8 @@ activity columns with array ops only — and are scored together:
   superset-min transform, and the partitions summed through one padded
   index table, :func:`_partition_covers`).  All-single-activity
   queries take :func:`block_dmm_all_single`, a dedup-free layout — one
-  column per activity occurrence, read off the same columns — with no
-  per-candidate array work at all.
+  column per posted position, the same gather — with no per-candidate
+  array work at all.
 * :func:`block_dmom` gates on the block ``Dmm`` (Lemma 3) and walks the
   survivors cheapest-gate-first with a running k-th threshold, so most
   candidates are **abandoned** before the per-candidate DP; all-single-
@@ -96,11 +98,9 @@ with ``==`` / ``np.array_equal``, thresholds included.
 
 NumPy is a hard dependency (``setup.py``).
 
-Every coordinate access below goes through ``trajectory.coord_array()``:
-for array-backed trajectories (:meth:`ActivityTrajectory.from_arrays`)
-that is a zero-copy view into the columnar image, so the round-batched
-and per-candidate paths both read its columns directly — no point
-objects, no per-trajectory coordinate copies.
+The round builds read positions and coordinates from the APL image and
+touch no trajectory object; the per-candidate functions read the object
+model (``trajectory.posting_lists``, ``trajectory.coord_array()``).
 """
 
 from __future__ import annotations
@@ -265,11 +265,14 @@ class QueryKernel:
             self._mode = "generic"
             self._q0 = self._q1 = self._q2 = None
 
+    def _pairwise_rows(self, coords: Sequence[Tuple[float, float]]) -> List[List[float]]:
+        """Per-pair metric calls — the only form a non-stock metric has."""
+        metric = self.metric
+        return [[metric(q.coord, c) for c in coords] for q in self.query]
+
     def _generic_rows(self, trajectory, positions: List[int]) -> List[List[float]]:
         pts = trajectory.points
-        metric = self.metric
-        coords = [pts[p].coord for p in positions]
-        return [[metric(q.coord, c) for c in coords] for q in self.query]
+        return self._pairwise_rows([pts[p].coord for p in positions])
 
     def distance_matrix(self, trajectory, positions: List[int]):
         """The ``|Q| x len(positions)`` distance matrix as a NumPy array
@@ -302,19 +305,19 @@ class QueryKernel:
         one elementwise NumPy call, so each entry is bit-identical to the
         per-candidate :meth:`distance_matrix` value for the same pair
         (elementwise ufuncs do not round differently with array size).
-        Only meaningful for the stock metrics — generic metrics have no
-        array formula, and the block builder keeps their per-pair Python
-        path per candidate.
+        Generic metrics have no array formula: they are called pair by
+        pair, like everywhere else.
         """
+        if self._mode == "generic":
+            rows = self._pairwise_rows(list(map(tuple, coords.tolist())))
+            return _np.asarray(rows, dtype=float).reshape(self.m, len(coords))
         px = coords[:, 0]
         py = coords[:, 1]
         if self._mode == "euclidean":
             return euclidean_matrix(self._q0, self._q1, px, py)
-        if self._mode == "haversine":
-            return haversine_matrix(
-                self._q0, self._q1, self._q2, _np.radians(px), _np.radians(py)
-            )
-        raise ValueError("distance_matrix_for requires a stock metric")
+        return haversine_matrix(
+            self._q0, self._q1, self._q2, _np.radians(px), _np.radians(py)
+        )
 
 
 class CandidateArrays:
@@ -620,107 +623,89 @@ class CandidateBlock:
         )
 
 
-def _round_hits(qk: QueryKernel, items: Sequence[tuple]):
-    """One round's activity occurrences looked up in ``Q.Φ`` — the first
-    step of both round builds (:func:`prepare_block`,
+def _gather_hits(candidates):
+    """One round's posted positions of ``Q.Φ``, gathered from the APL image
+    — the first step of both round builds (:func:`prepare_block`,
     :func:`block_dmm_all_single`).
 
-    One Python step per candidate collects its point-major activity
-    columns (:meth:`ActivityTrajectory.activity_columns` — zero-copy views
-    for array-backed trajectories) and coordinates; the rest is array
-    work: every occurrence is ``searchsorted`` against the query's sorted
-    activity ids.  Returns ``(hit_slots, hit_points, cand_of_point,
-    n_points, coords)``: per *hit* (an occurrence of a query activity, in
-    candidate-major, point-major order) its slot in
-    ``qk.sorted_activities`` and its round-wide point index; per
-    round-wide point its candidate; per candidate its point count; and the
-    round's concatenated ``(N, 2)`` coordinates.
+    *candidates* is the round as a
+    :class:`~repro.index.gat.apl.PostingRound` whose activity columns are
+    the query kernel's ``sorted_activities`` (the lookup validation
+    computed is reused as is).  A **hit** is one position of one
+    (candidate, query activity) posting list, in candidate-major,
+    activity-major, ascending-position order; a missed lookup is the
+    image's empty sentinel slice and gathers nothing.  Returns ``(lengths,
+    hit_slots, hit_points, base, shift)``: the ``[C, |Q.Φ|]`` list
+    lengths; per hit its activity's column and its point's index in the
+    round (the candidates' points — all of them — laid end to end);
+    ``base[c]`` where candidate *c*'s points start in that numbering
+    (``base[C]`` closes it); ``shift[c]`` what to add to one of its round
+    indices to get the point's row in ``image.xy``.
     """
-    n_items = len(items)
-    value_chunks, count_chunks, coord_chunks = [], [], []
-    for trajectory, _posting in items:
-        values, per_point = trajectory.activity_columns()
-        value_chunks.append(values)
-        count_chunks.append(per_point)
-        coord_chunks.append(trajectory.coord_array())
-    values = _np.concatenate(value_chunks)
-    per_point = _np.concatenate(count_chunks)
-    n_points = _np.fromiter(map(len, count_chunks), dtype=_np.intp, count=n_items)
+    image = candidates.image
+    lookup = candidates.lookup()
+    starts = image.offsets[lookup]
+    lengths = image.offsets[lookup + 1] - starts
+    n_items, n_slots = lengths.shape
+    flat_lengths = lengths.ravel()
+    ends = flat_lengths.cumsum()
+    first_point = image.point_offsets[candidates.rows]
+    base = _np.zeros(n_items + 1, dtype=_np.int64)
+    _np.cumsum(image.point_offsets[candidates.rows + 1] - first_point, out=base[1:])
+    # Hit h of list l reads positions[starts[l] + (h - first hit of l)].
+    hit_points = image.positions[
+        _np.repeat(starts.ravel() - (ends - flat_lengths), flat_lengths)
+        + _np.arange(ends[-1] if len(ends) else 0)
+    ]
+    hit_points += _np.repeat(_np.repeat(base[:-1], n_slots), flat_lengths)
+    hit_slots = _np.repeat(_np.tile(_np.arange(n_slots), n_items), flat_lengths)
+    return lengths, hit_slots, hit_points, base, first_point - base[:-1]
 
-    slots = _np.minimum(
-        _np.searchsorted(qk.sorted_activities, values), len(qk.sorted_activities) - 1
-    )
-    hit = qk.sorted_activities[slots] == values
-    hit_points = _np.repeat(_np.arange(len(per_point)), per_point)[hit]
-    cand_of_point = _np.repeat(_np.arange(n_items), n_points)
-    return slots[hit], hit_points, cand_of_point, n_points, _np.concatenate(coord_chunks)
 
-
-def prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> CandidateBlock:
+def prepare_block(qk: QueryKernel, candidates) -> CandidateBlock:
     """Stack one round's candidates into a :class:`CandidateBlock`.
 
-    *items* is a non-empty sequence of ``(trajectory, posting)`` pairs;
-    only the trajectory is read.  *posting*, the candidate's APL record,
-    is what validation's ``covers_query`` check consumed and what the
-    counted read paid for; the block scores from the in-memory activity
-    columns, which hold the same occurrences (:func:`_round_hits`).  The
-    hits are point-major, so their run boundaries are the relevant points,
-    already in position order within each candidate.
+    *candidates* is a non-empty
+    :class:`~repro.index.gat.apl.PostingRound` against
+    ``qk.sorted_activities``.  The block's columns are the round's points
+    that took at least one hit (:func:`_gather_hits`) — flagged in one
+    scatter, so they come out candidate by candidate in position order —
+    and a column's bitmask sums, per row, the bits of the activities that
+    hit it (a posting list names a point once, so the sum is the OR).
     """
-    m = qk.m
-    n_items = len(items)
-    hit_slots, hit_points, cand_of_point, n_points, coords = _round_hits(qk, items)
-    # A point with an empty activity set contributes no occurrence, so it
-    # cannot open a run: boundaries are read off the hits themselves.
-    opens = _np.ones(len(hit_points), dtype=bool)
-    opens[1:] = hit_points[1:] != hit_points[:-1]
-    relevant = hit_points[opens]
+    lengths, hit_slots, hit_points, base, shift = _gather_hits(candidates)
+    n_items, n_slots = lengths.shape
+    hit = _np.zeros(base[-1], dtype=bool)
+    hit[hit_points] = True
+    relevant = _np.flatnonzero(hit)
     total = len(relevant)
 
-    point_base = n_points.cumsum() - n_points
-    cand_of_column = cand_of_point[relevant]
-    positions = relevant - point_base[cand_of_column]
+    cand_of_column = _np.searchsorted(base, relevant, side="right") - 1
+    positions = relevant - base[cand_of_column]
     counts = _np.bincount(cand_of_column, minlength=n_items)
     starts = counts.cumsum() - counts
     empty = counts == 0
     starts[empty] = -1
     # Plain lists: the scorers index these one candidate at a time.
-    lengths = counts.tolist()
+    lengths_list = counts.tolist()
     seg_of = starts.tolist()
     flat_ids = _np.flatnonzero(counts).tolist()
     seg_starts = starts[flat_ids].tolist()
 
-    if qk._mode == "generic":
-        big = _np.empty((m, total))
-        for c in flat_ids:
-            s = seg_of[c]
-            n = lengths[c]
-            big[:, s : s + n] = qk._generic_rows(
-                items[c][0], positions[s : s + n].tolist()
-            )
-    else:
-        big = qk.distance_matrix_for(coords[relevant])
-
-    # Bitmask: each row sums its bit of every hit into the hit's column
-    # (a point lists an activity once, so each (row, column) sees each bit
-    # at most once and the sum equals the bitwise OR).
-    column_of_hit = opens.cumsum() - 1
-    mask = _np.empty((m, total), dtype=_np.int64)
-    for i in range(m):
-        mask[i] = _np.bincount(
-            column_of_hit, weights=qk.bit_table[i, hit_slots], minlength=total
-        )
+    big = qk.distance_matrix_for(candidates.image.xy[relevant + shift[cand_of_column]])
+    column_of_point = hit.cumsum() - 1
+    carries = _np.zeros((total, n_slots), dtype=_np.int64)  # column × activity
+    carries.reshape(-1)[column_of_point[hit_points] * n_slots + hit_slots] = 1
+    mask = qk.bit_table @ carries.T
 
     # A row is missing from a candidate when one of its activities never
     # occurs there; recorded only for candidates that have columns (the
     # others are infeasible on their zero counts already).
-    present = _np.zeros((n_items, len(qk.sorted_activities)), dtype=bool)
-    present[cand_of_column[column_of_hit], hit_slots] = True
-    absent = ~present
+    absent = lengths == 0
     absent[empty] = False
     missing_rows = _np.argwhere(absent @ (qk.bit_table.T != 0))
     return CandidateBlock(
-        n_items, lengths, positions, seg_of, flat_ids, seg_starts, total,
+        n_items, lengths_list, positions, seg_of, flat_ids, seg_starts, total,
         big, mask, missing_rows,
     )
 
@@ -743,40 +728,35 @@ def _fold_rows(rowvals, counts, invalid, stats):
     return dmm
 
 
-def block_dmm_all_single(qk: QueryKernel, items: Sequence[tuple], stats=None):
+def block_dmm_all_single(qk: QueryKernel, candidates, stats=None):
     """``Dmm`` for one round of an all-single-activity query, without ever
     materialising a :class:`CandidateBlock`.
 
     ``Dmm`` is order-free, so the candidate columns need no position
-    dedup: every hit of :func:`_round_hits` is a column **as-is** (a point
+    dedup: every hit of :func:`_gather_hits` is a column **as-is** (a point
     carrying two query activities simply appears once per activity —
     duplicates never move a minimum).  Relevance is then a single slot
     comparison (``row activity == column activity``) instead of a bitmask
-    scatter, a row's candidate count is its activity's occurrence count in
-    the candidate (a point lists an activity once), and the per-row minima
-    fall out of one masked segment-``reduceat``.  Values and counter
-    accounting are bit-identical to the per-candidate all-single path.
-    (The order-sensitive DP cannot ride this layout — duplicated columns
-    break its prefix semantics — so :func:`block_dmom` keeps the
-    deduplicated block.)
+    scatter, a row's candidate count is the length of its activity's
+    posting list in the candidate, and the per-row minima fall out of one
+    masked segment-``reduceat``.  Values and counter accounting are
+    bit-identical to the per-candidate all-single path.  (The
+    order-sensitive DP cannot ride this layout — duplicated columns break
+    its prefix semantics — so :func:`block_dmom` keeps the deduplicated
+    block.)
     """
-    n_items = len(items)
-    n_slots = len(qk.sorted_activities)
-    hit_slots, hit_points, cand_of_point, _n_points, coords = _round_hits(qk, items)
+    lengths, hit_slots, hit_points, _base, shift = _gather_hits(candidates)
+    n_items = len(lengths)
     row_slots = qk.bit_table.argmax(axis=1)  # each row asks one activity
 
-    per_activity = _np.bincount(
-        cand_of_point[hit_points] * n_slots + hit_slots, minlength=n_items * n_slots
-    ).reshape(n_items, n_slots)
-    counts = per_activity[:, row_slots]
-    columns = per_activity.sum(axis=1)
+    counts = lengths[:, row_slots]
+    columns = lengths.sum(axis=1)
     flat_ids = _np.flatnonzero(columns)
     seg_starts = (columns.cumsum() - columns)[flat_ids]
 
+    coords = candidates.image.xy[hit_points + _np.repeat(shift, columns)]
     masked = _np.where(
-        row_slots[:, None] == hit_slots,
-        qk.distance_matrix_for(coords[hit_points]),
-        INFINITY,
+        row_slots[:, None] == hit_slots, qk.distance_matrix_for(coords), INFINITY
     )
     rowvals = _np.full((n_items, qk.m), INFINITY)
     rowvals[flat_ids] = _np.minimum.reduceat(masked, seg_starts, axis=1).T

@@ -16,50 +16,36 @@ into the per-query :class:`~repro.core.context.ExecutionContext`:
 * :class:`ScoringStage` — the evaluator dispatch: ``Dmm`` (Algorithm 3)
   for ATSQ, ``Dmom`` (Algorithm 4, threshold-pruned) for OATSQ.
 
-Filters communicate through the per-candidate :class:`Candidate` record
-so expensive loads happen once: the APL filter leaves the fetched posting
-lists on the record, the MIB filter the materialised trajectory, and the
-scoring stage reuses both.
-
 Validation runs one retrieval round at a time
-(:meth:`ValidationStage.admit_batch`): candidates flow filter-by-filter
-so a filter exposing a ``prefetch`` hook can batch its I/O — the APL
-filter pulls the whole round's posting lists in a single
-``fetch_many``.  Counters and counted reads are those of a
-candidate-by-candidate walk of the chain.
+(:meth:`ValidationStage.admit_batch`) over the round's **rows** of the APL
+array store (:class:`~repro.index.gat.apl.PostingRound`): each filter
+answers one bool mask for the round — TAS a broadcast interval test, APL
+a key lookup, MIB a reduction over first / last positions — and the
+``[candidates, |Q.Φ|]`` lookup the APL filter computes rides along to the
+MIB filter and to block assembly.  The APL filter's I/O is one
+``fetch_many`` per round.  Counters and counted reads are those of a
+candidate-by-candidate walk of the chain (kept as the oracle in
+``tests/property/object_chain_oracle.py``).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.context import ExecutionContext, SearchStats
 from repro.core.lower_bound import Frontier
 from repro.core.match import INFINITY
-from repro.core.order_match import order_feasible
 from repro.core.query import Query
-from repro.index.gat.apl import APLStore, PostingLists
+from repro.index.gat.apl import APLStore, PostingRound
 from repro.index.gat.hicl import QueryBitmaps
 from repro.index.gat.index import GATIndex
-from repro.index.gat.tas import TrajectorySketch
-from repro.model.database import TrajectoryDatabase
+from repro.index.gat.tas import SketchTable
 from repro.model.trajectory import ActivityTrajectory
 from repro.storage.cache import LRUCache
-
-
-@dataclass(slots=True)
-class Candidate:
-    """One retrieved trajectory flowing through the validation chain.
-
-    Filters attach what they had to load so later stages don't pay twice.
-    """
-
-    trajectory_id: int
-    posting: Optional[PostingLists] = None
-    trajectory: Optional[ActivityTrajectory] = None
 
 
 # ----------------------------------------------------------------------
@@ -180,23 +166,22 @@ class TASFilter:
     stat_field = "tas_pruned"
     __slots__ = ("sketches",)
 
-    def __init__(self, sketches: Dict[int, TrajectorySketch]) -> None:
+    def __init__(self, sketches: SketchTable) -> None:
         self.sketches = sketches
 
-    def admits(self, ctx: ExecutionContext, candidate: Candidate) -> bool:
-        return self.sketches[candidate.trajectory_id].covers_all(ctx.query_activities)
+    def admits(self, ctx: ExecutionContext, candidates: PostingRound):
+        return self.sketches.covers_all(candidates.rows, candidates.activities)
 
 
 class APLFilter:
-    """Exact coverage check against the trajectory's Activity Posting
-    Lists — one counted disk read, served from the engine's LRU when the
-    trajectory is hot (Section V-C).
+    """Exact coverage check against the trajectories' Activity Posting
+    Lists — one counted disk read per candidate reaching this filter,
+    skipped when the record is resident in the engine's LRU (Section V-C).
 
-    Implements the batched-I/O hook: :meth:`prefetch` pulls the posting
-    lists of a whole validation round through
-    :meth:`~repro.index.gat.apl.APLStore.fetch_many` — one cache pass,
-    one grouped simulated-disk read — before the per-candidate checks
-    run: one counted fetch per candidate reaching this filter.
+    The reads of a whole round go through
+    :meth:`~repro.index.gat.apl.APLStore.fetch_many` — one cache pass in
+    candidate order, one grouped simulated-disk read — and coverage is
+    "no query activity missed the key lookup".
     """
 
     stat_field = "apl_pruned"
@@ -206,70 +191,68 @@ class APLFilter:
         self.apl = apl
         self.cache = cache
 
-    def prefetch(self, ctx: ExecutionContext, candidates: Sequence[Candidate]) -> None:
-        tids = [c.trajectory_id for c in candidates if c.posting is None]
-        if not tids:
-            return
-        fetched = self.apl.fetch_many(tids, self.cache)
-        for c in candidates:
-            if c.posting is None:
-                c.posting = fetched[c.trajectory_id]
-
-    def admits(self, ctx: ExecutionContext, candidate: Candidate) -> bool:
-        return APLStore.covers_query(candidate.posting, ctx.query_activities)
+    def admits(self, ctx: ExecutionContext, candidates: PostingRound):
+        self.apl.fetch_many(candidates.ids.tolist(), self.cache)
+        return (candidates.lookup() != candidates.image.n_keys).all(axis=1)
 
 
 class MIBFilter:
     """Maximum-index-based order feasibility for OATSQ (Section VI-B):
-    reject candidates that cannot match the query points in order."""
+    reject candidates that cannot match the query points in order.
+
+    ``MIB(q_i)`` is the smallest first / greatest last position over the
+    posting lists of ``q_i.Φ`` the candidate has (none → reject); the
+    candidate survives when no ``MIB(q_i).lb`` exceeds a later
+    ``MIB(q_j).ub``.
+    """
 
     stat_field = "mib_pruned"
-    __slots__ = ("db",)
+    __slots__ = ()
 
-    def __init__(self, db: TrajectoryDatabase) -> None:
-        self.db = db
-
-    def admits(self, ctx: ExecutionContext, candidate: Candidate) -> bool:
-        candidate.trajectory = self.db.get(candidate.trajectory_id)
-        return order_feasible(candidate.trajectory, ctx.query)
+    def admits(self, ctx: ExecutionContext, candidates: PostingRound):
+        slots, starts = ctx.point_slots()
+        keys = candidates.lookup()[:, slots]
+        lb = np.minimum.reduceat(candidates.image.first[keys], starts, axis=1)
+        ub = np.maximum.reduceat(candidates.image.last[keys], starts, axis=1)
+        # The largest lb before each query point: -1 before the first.
+        reached = np.maximum.accumulate(lb, axis=1)
+        feasible = (ub >= 0).all(axis=1)
+        feasible &= (reached[:, :-1] <= ub[:, 1:]).all(axis=1)
+        return feasible
 
 
 class ValidationStage:
-    """An ordered filter chain; the first rejecting filter's counter on
-    ``ctx.stats`` is bumped and the candidate is dropped.
+    """An ordered filter chain over the rows of *apl*; every candidate the
+    first rejecting filter drops bumps that filter's counter on
+    ``ctx.stats``.
 
-    Filter protocol: ``admits(ctx, candidate) -> bool``, an optional
-    ``prefetch(ctx, candidates)`` run on the round's survivors before the
-    filter's checks, and an optional ``stat_field`` naming the
-    :class:`SearchStats` counter to bump on rejection (a custom filter
-    without one simply goes uncounted).
+    Filter protocol: ``admits(ctx, candidates) -> bool mask`` over a
+    :class:`~repro.index.gat.apl.PostingRound`, and an optional
+    ``stat_field`` naming the :class:`SearchStats` counter to bump per
+    rejection (a custom filter without one simply goes uncounted).
     """
 
-    __slots__ = ("filters",)
+    __slots__ = ("filters", "apl")
 
-    def __init__(self, filters: Sequence) -> None:
+    def __init__(self, filters: Sequence, apl: APLStore) -> None:
         self.filters = tuple(filters)
+        self.apl = apl
 
     def admit_batch(
-        self, ctx: ExecutionContext, candidates: Sequence[Candidate]
-    ) -> List[Candidate]:
+        self, ctx: ExecutionContext, trajectory_ids: Sequence[int]
+    ) -> PostingRound:
         """Run one retrieval round's candidates through the chain filter by
-        filter, preserving candidate order.
+        filter, preserving candidate order; returns the survivors.
 
         The same candidates reach each filter as in a candidate-by-
-        candidate walk, so every pruning counter lands on the same value —
-        but evaluating a whole round against one filter at a time lets a
-        filter exposing ``prefetch`` (the APL filter) batch its I/O for
-        the round.
+        candidate walk, so every pruning counter and every counted read
+        lands on the same value.
         """
-        survivors = list(candidates)
+        survivors = self.apl.round(trajectory_ids, ctx.activities)
         for f in self.filters:
-            if not survivors:
+            if not len(survivors):
                 break
-            hook = getattr(f, "prefetch", None)
-            if hook is not None:
-                hook(ctx, survivors)
-            kept = [candidate for candidate in survivors if f.admits(ctx, candidate)]
+            kept = survivors.keep(f.admits(ctx, survivors))
             stat_field = getattr(f, "stat_field", None)
             if stat_field is not None:
                 rejected = len(survivors) - len(kept)
@@ -291,15 +274,11 @@ class ScoringStage:
     cheap pre-prune.
     """
 
-    __slots__ = ("db",)
+    __slots__ = ()
 
-    def __init__(self, db: TrajectoryDatabase) -> None:
-        self.db = db
-
-    def score(self, ctx: ExecutionContext, candidate: Candidate) -> float:
-        trajectory = candidate.trajectory
-        if trajectory is None:
-            trajectory = candidate.trajectory = self.db.get(candidate.trajectory_id)
+    def score(self, ctx: ExecutionContext, trajectory: ActivityTrajectory) -> float:
+        """One candidate through the per-candidate evaluator entries, from
+        the object model (``kernel='scalar'``, the oracle)."""
         ctx.stats.validated += 1
         ctx.stats.distance_computations += 1
         if ctx.order_sensitive:
@@ -308,17 +287,14 @@ class ScoringStage:
             )
         return ctx.evaluator.dmm(ctx.query, trajectory)
 
-    def score_batch(
-        self, ctx: ExecutionContext, candidates: Sequence[Candidate]
-    ) -> List[float]:
+    def score_batch(self, ctx: ExecutionContext, candidates: PostingRound) -> List[float]:
         """Score one validation round's admitted candidates in a single
         block-kernel call (``kernel='block'``), in candidate order.
 
         Each candidate bumps the same ``validated`` / work counters as
-        :meth:`score`.  The block is assembled from the trajectories'
-        in-memory activity columns; the APL record the filter fetched
-        rides along on the item but is not read again — it served
-        validation's coverage check, and its counted read is the
+        :meth:`score`.  The block is gathered from the candidates' row
+        ranges of the APL image through the lookup validation already
+        computed — the counted read each record cost there is the
         candidate's only one.  OATSQ's running k-th threshold is read once
         at round start and then tightened *inside* the round:
         :func:`~repro.core.kernels.block_dmom` walks the round's survivors
@@ -330,18 +306,8 @@ class ScoringStage:
         rankings and counters are identical (the engine parity suite pins
         this down).
         """
-        items = []
-        for candidate in candidates:
-            trajectory = candidate.trajectory
-            if trajectory is None:
-                trajectory = candidate.trajectory = self.db.get(
-                    candidate.trajectory_id
-                )
-            ctx.stats.validated += 1
-            ctx.stats.distance_computations += 1
-            items.append((trajectory, candidate.posting))
+        ctx.stats.validated += len(candidates)
+        ctx.stats.distance_computations += len(candidates)
         if ctx.order_sensitive:
-            return ctx.evaluator.dmom_batch(
-                ctx.query, items, ctx.threshold(), check_order=False, k=ctx.k
-            )
-        return ctx.evaluator.dmm_batch(ctx.query, items)
+            return ctx.evaluator.dmom_batch(ctx.query, candidates, ctx.threshold(), k=ctx.k)
+        return ctx.evaluator.dmm_batch(ctx.query, candidates)

@@ -8,19 +8,19 @@ i.   :class:`~repro.index.gat.hicl.HICL` — Hierarchical Inverted Cell
 ii.  :class:`~repro.index.gat.itl.ITL` — Inverted Trajectory List: per
      leaf cell, per activity, the trajectories whose segment carries the
      activity inside the cell.
-iii. :class:`~repro.index.gat.tas.TrajectorySketch` — Trajectory Activity
+iii. :class:`~repro.index.gat.tas.SketchTable` — Trajectory Activity
      Sketch: per trajectory, M compact ID intervals summarising its
-     activity set.
+     activity set (one ``[N, M, 2]`` array in APL row order).
 iv.  :class:`~repro.index.gat.apl.APLStore` — Activity Posting List: per
-     trajectory, per activity, the point positions, persisted on the
-     simulated disk.
+     trajectory, per activity, the point positions — one row-ordered CSR
+     array image whose per-trajectory records the simulated disk charges.
 
 :class:`~repro.index.gat.index.GATIndex` builds and owns all four.
 """
 
 from repro.index.gat.hicl import HICL
 from repro.index.gat.itl import ITL
-from repro.index.gat.tas import TrajectorySketch, optimal_intervals, build_sketches
+from repro.index.gat.tas import SketchTable, TrajectorySketch, optimal_intervals
 from repro.index.gat.apl import APLStore
 from repro.index.gat.index import GATIndex
 
@@ -29,7 +29,7 @@ __all__ = [
     "ITL",
     "TrajectorySketch",
     "optimal_intervals",
-    "build_sketches",
+    "SketchTable",
     "APLStore",
     "GATIndex",
 ]

@@ -10,13 +10,13 @@ where every sketch has two intervals).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.geometry.grid import HierarchicalGrid
 from repro.index.gat.apl import APLStore
 from repro.index.gat.hicl import HICL
 from repro.index.gat.itl import ITL
-from repro.index.gat.tas import TrajectorySketch, build_sketches, sketch_memory_bytes
+from repro.index.gat.tas import SketchTable, sketch_memory_bytes
 from repro.model.database import TrajectoryDatabase
 from repro.storage.disk import SimulatedDisk
 
@@ -47,7 +47,7 @@ class GATIndex:
         grid: HierarchicalGrid,
         hicl: HICL,
         itl: ITL,
-        sketches: Dict[int, TrajectorySketch],
+        sketches: SketchTable,
         apl: APLStore,
         config: GATConfig,
         disk: SimulatedDisk,
@@ -97,8 +97,8 @@ class GATIndex:
         )
         hicl = HICL.build(db, grid, config.memory_levels, disk)
         itl = ITL.build(db, grid)
-        sketches = build_sketches(db, config.sketch_intervals)
         apl = APLStore.build(db, disk)
+        sketches = SketchTable(apl, config.sketch_intervals)
         disk.reset_stats()
         return cls(db, grid, hicl, itl, sketches, apl, config, disk)
 
@@ -135,10 +135,8 @@ class GATIndex:
             self.hicl.add_point(code, point.activities)
             for activity in point.activities:
                 self.itl.add_posting(code, activity, tid)
-        self.sketches[tid] = TrajectorySketch.from_activities(
-            trajectory.activity_union, self.config.sketch_intervals
-        )
-        self.apl.store(trajectory)
+        self.apl.store(trajectory)  # the next row of the store …
+        self.sketches.extend()  # … and of the sketch table over it
         self.version += 1
 
     # ------------------------------------------------------------------

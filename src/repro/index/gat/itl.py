@@ -13,7 +13,7 @@ a mainstream server in most cases").
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 from repro.geometry.grid import HierarchicalGrid
 from repro.model.database import TrajectoryDatabase

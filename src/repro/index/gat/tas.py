@@ -17,13 +17,19 @@ test suite.
 Each interval costs two integers, so the paper prices the whole structure
 at ``8 * M * N`` bytes for N trajectories; :func:`sketch_memory_bytes`
 reproduces that accounting.
+
+The index holds all sketches as one ``[N, M, 2]`` array in APL row order
+(:class:`SketchTable`), so a validation round's superset test is one
+broadcast comparison; :class:`TrajectorySketch` is the one-trajectory view.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from repro.model.database import TrajectoryDatabase
+import numpy as np
+
+from repro.index.gat.apl import ACTIVITY_BITS, ACTIVITY_MASK, APLStore
 
 
 def optimal_intervals(sorted_ids: Sequence[int], m: int) -> Tuple[Tuple[int, int], ...]:
@@ -91,12 +97,78 @@ class TrajectorySketch:
         return "TrajectorySketch(" + " ".join(f"[{lo},{hi}]" for lo, hi in self.intervals) + ")"
 
 
-def build_sketches(db: TrajectoryDatabase, m: int) -> Dict[int, TrajectorySketch]:
-    """Sketch every trajectory of *db* with *m* intervals."""
-    return {
-        tr.trajectory_id: TrajectorySketch.from_activities(tr.activity_union, m)
-        for tr in db
-    }
+def row_intervals(keys, first_row: int, n_rows: int, m: int):
+    """:func:`optimal_intervals` for rows ``first_row … first_row + n_rows``
+    of an APL image at once, as an ``[n_rows, m, 2]`` array: a row's
+    distinct activity ids are already ascending in the image's sorted
+    ``(row << 32) | activity`` *keys*.  Rows with fewer than *m* intervals
+    are padded with the empty interval ``(1, 0)``."""
+    out = np.empty((n_rows, m, 2), dtype=np.int64)
+    out[:, :, 0] = 1
+    out[:, :, 1] = 0
+    keys = keys[np.searchsorted(keys, first_row << ACTIVITY_BITS) : -1]  # minus the sentinel
+    if not len(keys):
+        return out
+    rows = (keys >> ACTIVITY_BITS) - first_row
+    ids = keys & ACTIVITY_MASK
+    closes = np.ones(len(keys), dtype=bool)  # an interval ends at a row's last id …
+    closes[:-1] = rows[1:] != rows[:-1]
+    # … and after each of the row's m-1 largest gaps (earliest first on ties).
+    gap_at = np.flatnonzero(~closes)
+    gap_row = rows[gap_at]
+    ranked = gap_at[np.lexsort((gap_at, ids[gap_at] - ids[gap_at + 1], gap_row))]
+    per_row = np.bincount(gap_row, minlength=n_rows)
+    rank = np.arange(len(ranked)) - np.repeat(per_row.cumsum() - per_row, per_row)
+    closes[ranked[rank < m - 1]] = True
+    opens = np.ones(len(keys), dtype=bool)
+    opens[1:] = closes[:-1]
+    opens = np.flatnonzero(opens)
+    interval_row = rows[opens]
+    per_row = np.bincount(interval_row, minlength=n_rows)
+    nth = np.arange(len(opens)) - np.repeat(per_row.cumsum() - per_row, per_row)
+    out[interval_row, nth, 0] = ids[opens]
+    out[interval_row, nth, 1] = ids[closes]
+    return out
+
+
+class SketchTable:
+    """Every trajectory's sketch, one ``[N, M, 2]`` interval array in the
+    row order of the :class:`~repro.index.gat.apl.APLStore` it summarises."""
+
+    __slots__ = ("apl", "m", "intervals")
+
+    def __init__(self, apl: APLStore, m: int) -> None:
+        if m <= 0:
+            raise ValueError("the number of intervals must be positive")
+        self.apl = apl
+        self.m = m
+        self.intervals = np.empty((0, m, 2), dtype=np.int64)
+        self.extend()
+
+    def extend(self) -> None:
+        """Sketch the rows the store has gained (built aside, then
+        published with one assignment)."""
+        first_row = len(self.intervals)
+        n_rows = len(self.apl) - first_row
+        if n_rows:
+            fresh = row_intervals(self.apl.image.keys, first_row, n_rows, self.m)
+            self.intervals = np.concatenate([self.intervals, fresh])
+
+    def covers_all(self, rows, activities):
+        """Per row of *rows*, the superset test for *activities* (an
+        ``int64`` array): every id inside one of the row's intervals."""
+        intervals = self.intervals[rows]
+        inside = (intervals[:, :, 0, None] <= activities) & (
+            activities <= intervals[:, :, 1, None]
+        )
+        return inside.any(axis=1).all(axis=1)
+
+    def __len__(self) -> int:
+        return len(self.intervals)
+
+    def __getitem__(self, trajectory_id: int) -> TrajectorySketch:
+        intervals = self.intervals[self.apl.row_of(trajectory_id)].tolist()
+        return TrajectorySketch(tuple((lo, hi) for lo, hi in intervals if lo <= hi))
 
 
 def sketch_memory_bytes(n_trajectories: int, m: int) -> int:

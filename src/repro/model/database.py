@@ -102,31 +102,6 @@ class TrajectoryDatabase:
     ) -> "TrajectoryDatabase":
         return cls(trajectories, vocabulary, name=name)
 
-    @classmethod
-    def from_arrays(
-        cls,
-        arrays,
-        vocabulary: Vocabulary,
-        name: str = "dataset",
-    ) -> "TrajectoryDatabase":
-        """Build an **array-backed** database over a columnar image
-        (:class:`~repro.model.columnar.ColumnarArrays`): every trajectory
-        views the image's columns zero-copy and materialises points
-        lazily.  Lossless inverse of :meth:`to_arrays` — same IDs, same
-        derived structures, byte-identical query behaviour.  No production
-        caller today; see :mod:`repro.model.columnar` for why it stays."""
-        from repro.model.columnar import arrays_to_trajectories
-
-        return cls(arrays_to_trajectories(arrays), vocabulary, name=name)
-
-    def to_arrays(self):
-        """Flatten the trajectory set into one columnar image
-        (:class:`~repro.model.columnar.ColumnarArrays`).  See
-        :meth:`from_arrays` for the inverse."""
-        from repro.model.columnar import trajectories_to_arrays
-
-        return trajectories_to_arrays(self.trajectories)
-
     # ------------------------------------------------------------------
     # Lookup / iteration
     # ------------------------------------------------------------------

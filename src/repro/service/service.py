@@ -135,7 +135,15 @@ class ServiceStats:
     latency_p95_s: float = 0.0
     latency_p99_s: float = 0.0
     latency_mean_s: float = 0.0
+    #: Hits over lookups of the HICL list cache.  A lookup is one (level,
+    #: activity) list per query point — ~12 per query since retrieval went
+    #: to bitmaps (PR 16), not one per popped cell (~1 300) — so a query
+    #: run on a cleared cache reads ~0.5 (``io_cold``: 0.47, its same ~6
+    #: misses over 12 lookups) where the per-cell walk read ≈ 1.0.
     hicl_cache_hit_rate: float = 0.0
+    #: Hits over lookups of the engines' APL residency LRUs
+    #: (``EngineConfig.apl_cache_size``): one lookup per candidate
+    #: reaching the APL filter, a miss is a counted disk read.
     apl_cache_hit_rate: float = 0.0
     disk_reads: int = 0
     result_cache_hits: int = 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, Iterable, List, Optional, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,6 +100,34 @@ class LRUCache:
             self._entries[key] = value
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
+
+    def missing(self, keys: Sequence[Hashable]) -> List[Hashable]:
+        """The keys of *keys* (distinct) that are not cached, in order —
+        one :meth:`get` per key (recency refreshed, a hit or a miss
+        counted) under a single lock acquisition."""
+        with self._lock:
+            entries = self._entries
+            absent = []
+            for key in keys:
+                if key in entries:
+                    entries.move_to_end(key)
+                else:
+                    absent.append(key)
+            self._hits += len(keys) - len(absent)
+            self._misses += len(absent)
+        return absent
+
+    def put_many(self, keys: Iterable[Hashable], values: Iterable[Any]) -> None:
+        """One :meth:`put` per ``(key, value)`` pair, in order, under a
+        single lock acquisition."""
+        with self._lock:
+            entries = self._entries
+            for key, value in zip(keys, values):
+                if key in entries:
+                    entries.move_to_end(key)
+                entries[key] = value
+                if len(entries) > self.capacity:
+                    entries.popitem(last=False)
 
     _MISS = object()
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterator, List, Optional
 
 from repro.obs.trace import current_span
@@ -86,8 +86,15 @@ class DiskStats:
 
 @dataclass(slots=True)
 class _Record:
-    payload: bytes
+    #: Serialised bytes — or, for an extent (:meth:`SimulatedDisk.put_extent`),
+    #: the owner's handle, handed back as-is.
+    payload: Any
+    n_bytes: int
     n_pages: int
+    extent: bool = False
+
+    def load(self) -> Any:
+        return self.payload if self.extent else deserialize_obj(self.payload)
 
 
 class SimulatedDisk:
@@ -200,13 +207,15 @@ class SimulatedDisk:
                     del stack[i]
                     break
 
-    def _account_read(self, n_pages: int, n_bytes: int) -> None:
+    def _account_read(self, n_pages: int, n_bytes: int, n_reads: int = 1) -> None:
+        """Charge *n_reads* reads totalling *n_pages* / *n_bytes* — one
+        lock acquisition however many records a grouped read covers."""
         with self._stats_lock:
-            self.stats.reads += 1
+            self.stats.reads += n_reads
             self.stats.pages_read += n_pages
             self.stats.bytes_read += n_bytes
         for tracker in self._trackers():
-            tracker.reads += 1
+            tracker.reads += n_reads
             tracker.pages_read += n_pages
             tracker.bytes_read += n_bytes
 
@@ -226,10 +235,23 @@ class SimulatedDisk:
     def put(self, key: Hashable, value: Any) -> int:
         """Serialise and store *value* under *key*; returns pages written."""
         payload = serialize_obj(value)
-        n_pages = max(1, -(-len(payload) // self.page_size))
-        self._records[key] = _Record(payload, n_pages)
-        self._account_write(n_pages, len(payload))
-        return n_pages
+        return self._store(key, _Record(payload, len(payload), self._pages(len(payload))))
+
+    def put_extent(self, key: Hashable, handle: Any, n_bytes: int) -> int:
+        """Register under *key* a record of *n_bytes* whose content lives in
+        its owner's own image (the APL's array store): writes and reads are
+        charged exactly like a serialised record of that size, and a read
+        hands *handle* back instead of decoding bytes.  Returns pages
+        written."""
+        return self._store(key, _Record(handle, n_bytes, self._pages(n_bytes), extent=True))
+
+    def _pages(self, n_bytes: int) -> int:
+        return max(1, -(-n_bytes // self.page_size))
+
+    def _store(self, key: Hashable, record: _Record) -> int:
+        self._records[key] = record
+        self._account_write(record.n_pages, record.n_bytes)
+        return record.n_pages
 
     def get(self, key: Hashable) -> Any:
         """Load and deserialise the value stored under *key*.
@@ -240,7 +262,7 @@ class SimulatedDisk:
             If nothing was stored under *key*.
         """
         record = self._records[key]
-        self._account_read(record.n_pages, len(record.payload))
+        self._account_read(record.n_pages, record.n_bytes)
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             span = current_span()
@@ -249,7 +271,7 @@ class SimulatedDisk:
         if self.fault_injector is not None:
             self.fault_injector.on_read(key)
         self._pay_read_latency()
-        return deserialize_obj(record.payload)
+        return record.load()
 
     def get_many(self, keys: List[Hashable]) -> List[Any]:
         """Load several keys as one grouped I/O round.
@@ -268,19 +290,17 @@ class SimulatedDisk:
             If any key was never stored (before any latency is paid).
         """
         records = [self._records[key] for key in keys]
-        for record in records:
-            self._account_read(record.n_pages, len(record.payload))
+        n_pages = sum([record.n_pages for record in records])
+        self._account_read(
+            n_pages, sum([record.n_bytes for record in records]), len(records)
+        )
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             span = current_span()
             if span is not None:
                 # One event per grouped round, not per key — events are
                 # bounded per span, and the batch is the I/O unit here.
-                span.add_event(
-                    "disk_read_batch",
-                    n=len(records),
-                    pages=sum(r.n_pages for r in records),
-                )
+                span.add_event("disk_read_batch", n=len(records), pages=n_pages)
         if self.fault_injector is not None:
             # Per-key, like len(keys) individual gets — a batch aborts on
             # its first injected error, after all accounting (the seeks
@@ -288,7 +308,7 @@ class SimulatedDisk:
             for key in keys:
                 self.fault_injector.on_read(key)
         self._pay_read_latency(len(records))
-        return [deserialize_obj(record.payload) for record in records]
+        return [record.load() for record in records]
 
     def get_or_none(self, key: Hashable) -> Optional[Any]:
         """Like :meth:`get` but returns ``None`` for a missing key.
@@ -316,7 +336,7 @@ class SimulatedDisk:
     # ------------------------------------------------------------------
     def total_bytes(self) -> int:
         """Total serialised bytes currently stored."""
-        return sum(len(r.payload) for r in self._records.values())
+        return sum(r.n_bytes for r in self._records.values())
 
     def total_pages(self) -> int:
         """Total pages currently occupied."""

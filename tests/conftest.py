@@ -11,10 +11,17 @@ unit and integration tests respectively.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Tuple
 
 import pytest
+
+# The oracle modules (``*_oracle.py`` / ``*_oracles.py``: retired or
+# reference implementations the suites compare against) live beside the
+# property tests and are imported by bare name from every test directory.
+sys.path.insert(0, str(Path(__file__).parent / "property"))
 
 from repro.core.query import Query, QueryPoint
 from repro.data.generator import CheckInGenerator, GeneratorConfig

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from match_oracles import mpm_oracle_mask_dp, mpm_oracle_subset_enum
 
 from repro.core.match import (
     INFINITY,
@@ -10,8 +11,6 @@ from repro.core.match import (
     candidate_points,
     minimum_point_match,
     minimum_point_match_distance,
-    mpm_oracle_mask_dp,
-    mpm_oracle_subset_enum,
 )
 from repro.model.distance import EuclideanDistance
 from repro.model.point import TrajectoryPoint

@@ -3,13 +3,12 @@
 import math
 
 import pytest
+from order_oracles import dmom_oracle_enum, order_feasible_strict
 
 from repro.core.order_match import (
-    dmom_oracle_enum,
     minimum_order_match,
     minimum_order_match_distance,
     order_feasible,
-    order_feasible_strict,
     relevant_points,
 )
 from repro.core.query import Query, QueryPoint

@@ -4,6 +4,7 @@ the order-sensitive statements made about Figure 1 in Section VI-A."""
 import math
 
 import pytest
+from order_oracles import order_feasible_strict
 
 from repro.core.evaluator import MatchEvaluator
 from repro.core.order_match import (
@@ -11,7 +12,6 @@ from repro.core.order_match import (
     minimum_order_match,
     minimum_order_match_distance,
     order_feasible,
-    order_feasible_strict,
 )
 
 INF = math.inf

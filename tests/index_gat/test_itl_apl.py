@@ -1,5 +1,6 @@
 """Unit tests for the Inverted Trajectory List and Activity Posting List."""
 
+import numpy as np
 import pytest
 
 from repro.geometry.grid import HierarchicalGrid
@@ -101,17 +102,33 @@ class TestAPL:
         assert 0 in apl and 1 in apl and 7 not in apl
 
     def test_covers_query(self, db):
+        """The exact validation of Section V-C: a posting list must exist
+        for every query activity — no lookup may land on the sentinel."""
         apl = APLStore.build(db, SimulatedDisk())
-        posting = apl.fetch(0)
         ids = db.vocabulary
-        assert APLStore.covers_query(posting, [ids.id_of("a"), ids.id_of("b")])
-        assert not APLStore.covers_query(posting, [ids.id_of("a"), 999])
+
+        def covers(activities):
+            candidates = apl.round([0], np.array(sorted(activities)))
+            return bool((candidates.lookup() != candidates.image.n_keys).all())
+
+        assert covers([ids.id_of("a"), ids.id_of("b")])
+        assert not covers([ids.id_of("a"), 999])
 
     def test_candidate_positions_sorted_union(self, db):
+        """``CP`` for one query point: the union of the position slices its
+        activities look up (Algorithm 3, line 1)."""
         apl = APLStore.build(db, SimulatedDisk())
-        posting = apl.fetch(0)
         ids = db.vocabulary
-        got = APLStore.candidate_positions(posting, [ids.id_of("a"), ids.id_of("c")])
-        assert got == (0, 2)
-        got = APLStore.candidate_positions(posting, [ids.id_of("a"), ids.id_of("b")])
-        assert got == (0, 1, 2)
+
+        def positions(activities):
+            candidates = apl.round([0], np.array(sorted(activities)))
+            image = candidates.image
+            slices = [
+                image.positions[image.offsets[key] : image.offsets[key + 1]].tolist()
+                for key in candidates.lookup()[0]
+            ]
+            return tuple(sorted(set().union(*slices)))
+
+        assert positions([ids.id_of("a"), ids.id_of("c")]) == (0, 2)
+        assert positions([ids.id_of("a"), ids.id_of("b")]) == (0, 1, 2)
+        assert positions([999]) == ()

@@ -4,12 +4,14 @@ import itertools
 
 import pytest
 
+from repro.index.gat.apl import APLStore
 from repro.index.gat.tas import (
+    SketchTable,
     TrajectorySketch,
-    build_sketches,
     optimal_intervals,
     sketch_memory_bytes,
 )
+from repro.storage.disk import SimulatedDisk
 
 
 class TestOptimalIntervals:
@@ -118,11 +120,13 @@ class TestSketchCoverage:
 
 class TestBuildAndCost:
     def test_build_sketches_covers_unions(self, small_db):
-        sketches = build_sketches(small_db, 2)
+        sketches = SketchTable(APLStore.build(small_db, SimulatedDisk()), 2)
         assert len(sketches) == len(small_db)
         for tr in small_db:
             sketch = sketches[tr.trajectory_id]
             assert sketch.covers_all(tr.activity_union)
+            # The table's rows are the per-trajectory construction, exactly.
+            assert sketch.intervals == optimal_intervals(sorted(tr.activity_union), 2)
 
     def test_memory_cost_formula(self):
         # The paper: 8 bytes per interval, M intervals, N trajectories.

@@ -1,7 +1,8 @@
 """The dict-walking block builder ``repro.core.kernels.prepare_block`` had
-before it was rebuilt on activity columns — kept verbatim (bar the name
-and the hoisted import) as the oracle the columnar build is compared
-against, field by field, in ``test_block_kernel_parity.py``.
+before it became array work (today a gather from the APL row store) — kept
+verbatim (bar the name and the hoisted imports) as the oracle the array
+build is compared against, field by field, in
+``test_block_kernel_parity.py``.
 
 It reads the candidate's posting lists (the APL record, or the
 trajectory's in-memory image of it) and resolves positions and bitmask
@@ -14,8 +15,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as _np
 
+from object_chain_oracle import union_positions
+
 from repro.core.kernels import CandidateBlock, QueryKernel
-from repro.index.gat.apl import union_positions
 
 
 def dict_prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> CandidateBlock:

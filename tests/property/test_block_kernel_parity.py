@@ -21,8 +21,8 @@ Threshold abandonment is also exercised directly: with a finite running
 k-th threshold, a block value may flip to ``inf`` but only when the exact
 value exceeds the threshold — never the other way around.
 
-The block *build* has an oracle of its own: ``prepare_block`` assembles
-the round from activity columns with array ops, and must equal — field by
+The block *build* has an oracle of its own: ``prepare_block`` gathers the
+round from the APL row store with array ops, and must equal — field by
 field — the dict-walking builder it replaced, kept verbatim in
 ``dict_block_oracle.py``.  So has the block ``Dmm``: ``block_dmm`` must
 equal — ``np.array_equal``, same ``point_match_points`` — the per-row /
@@ -41,10 +41,11 @@ from repro.core import kernels
 from repro.core.evaluator import MatchEvaluator
 from repro.core.kernels import INFINITY, QueryKernel
 from repro.core.query import Query, QueryPoint
-from repro.model.columnar import arrays_to_trajectories, trajectories_to_arrays
+from repro.index.gat.apl import APLStore
 from repro.model.distance import EuclideanDistance, HaversineDistance
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
+from repro.storage.disk import SimulatedDisk
 
 EUCLID = EuclideanDistance()
 
@@ -79,6 +80,24 @@ def _round(raws):
 
 def _query(raw):
     return Query([QueryPoint(x, y, acts) for x, y, acts in raw])
+
+
+def _posted(query, items, grown=False):
+    """*items* as the round the engine would hand the block kernel: a
+    :class:`PostingRound` over a small store built from the raw
+    trajectories, against the query's sorted activities.  *grown* builds
+    the store from the first trajectory and inserts the rest one by one."""
+    trajectories = [trajectory for trajectory, _p in items]
+    if grown:
+        store = APLStore.build(trajectories[:1], SimulatedDisk())
+        for trajectory in trajectories[1:]:
+            store.store(trajectory)
+    else:
+        store = APLStore.build(trajectories, SimulatedDisk())
+    return store.round(
+        [trajectory.trajectory_id for trajectory in trajectories],
+        np.array(sorted(query.all_activities), dtype=np.int64),
+    )
 
 
 def _close(a, b):
@@ -144,23 +163,19 @@ def test_columnar_build_equals_dict_builder(qraw, raws, haversine):
     items = _round(raws)
     qk = QueryKernel(query, metric)
     want = dict_prepare_block(qk, items)
-    _assert_same_block(kernels.prepare_block(qk, items), want)
-
-    # The same round as array-backed views over one columnar store: the
-    # identical block, read off the columns — no point is materialised.
-    views = arrays_to_trajectories(
-        trajectories_to_arrays([trajectory for trajectory, _p in items])
-    )
-    _assert_same_block(kernels.prepare_block(qk, [(tr, None) for tr in views]), want)
-    assert all(tr._points is None for tr in views)
+    _assert_same_block(kernels.prepare_block(qk, _posted(query, items)), want)
+    _assert_same_block(kernels.prepare_block(qk, _posted(query, items, grown=True)), want)
 
 
 def test_columnar_build_keeps_the_generic_metric_fill(fig1):
-    """A non-stock metric has no array formula: its distances stay the
-    per-candidate Python fill, over positions from the same array build."""
+    """A non-stock metric has no array formula: its distances stay
+    per-pair Python calls, over positions from the same array build."""
     qk = QueryKernel(fig1.query, fig1.metric)
     items = [(fig1.tr1, None), (fig1.tr2, None)]
-    _assert_same_block(kernels.prepare_block(qk, items), dict_prepare_block(qk, items))
+    _assert_same_block(
+        kernels.prepare_block(qk, _posted(fig1.query, items)),
+        dict_prepare_block(qk, items),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +190,7 @@ def test_block_dmm_values_and_counts(qraw, raws, haversine):
     qk = QueryKernel(query, metric)
 
     block_stats = _Stats()
-    block = kernels.prepare_block(qk, items)
+    block = kernels.prepare_block(qk, _posted(query, items))
     got = kernels.block_dmm(qk, block, block_stats)
 
     cand_stats = _Stats()
@@ -211,8 +226,9 @@ wide_query_st = st.lists(
 
 
 def _assert_block_dmm_equals_group_loop(qraw, raws, metric=EUCLID):
-    qk = QueryKernel(_query(qraw), metric)
-    block = kernels.prepare_block(qk, _round(raws))
+    query = _query(qraw)
+    qk = QueryKernel(query, metric)
+    block = kernels.prepare_block(qk, _posted(query, _round(raws)))
     got_stats, want_stats = _Stats(), _Stats()
     got = kernels.block_dmm(qk, block, got_stats)
     want = loop_block_dmm(qk, block, want_stats)
@@ -296,9 +312,8 @@ def test_block_dmm_wide_row_equals_the_group_loop():
 @example([(0.0, 0.0, 1), (1.0, 1.0, 2)], [[_pt({1, 2}), _pt({2}, 7.0)], [_pt({2, 1, 5}, -3.0)]])
 def test_all_single_fast_dmm_is_bit_identical(qraw, raws):
     """The duplicated-layout Dmm equals the per-candidate all-single path
-    exactly — same masked minima, same left-to-right row fold — for
-    object-backed trajectories and for the same round as zero-copy views
-    over one columnar store."""
+    exactly — same masked minima, same left-to-right row fold — over a
+    store built in one go and over one grown row by row, back to front."""
     query = Query([QueryPoint(x, y, frozenset({a})) for x, y, a in qraw])
     items = _round(raws)
     qk = QueryKernel(query, EUCLID)
@@ -312,32 +327,29 @@ def test_all_single_fast_dmm_is_bit_identical(qraw, raws):
             INFINITY if cand is None else kernels.dmm_prepared(qk, cand, cand_stats)
         )
 
-    views = arrays_to_trajectories(
-        trajectories_to_arrays([trajectory for trajectory, _p in items])
-    )
-    for round_items in (items, [(tr, None) for tr in views]):
+    for grown in (False, True):
         fast_stats = _Stats()
-        got = kernels.block_dmm_all_single(qk, round_items, fast_stats)
+        got = kernels.block_dmm_all_single(qk, _posted(query, items, grown), fast_stats)
         assert got.tolist() == want  # exact, not approximate
         assert fast_stats.point_match_points == cand_stats.point_match_points
-    assert all(tr._points is None for tr in views)
 
 
 @given(query_st, round_st, threshold_st)
 @settings(max_examples=100, deadline=None)
 def test_block_dmom_matches_gated_per_candidate_path(qraw, raws, threshold):
-    """block_dmom vs evaluator.dmom per candidate at the same round-start
+    """block_dmom vs evaluator.dmom per candidate (``check_order=False``:
+    the MIB check is the validation chain's) at the same round-start
     threshold: identical counters always; identical values except that
     block abandonment may turn an over-threshold value into inf."""
     query = _query(qraw)
     items = _round(raws)
 
     block_eval = MatchEvaluator(kernel="block")
-    got = block_eval.dmom_batch(query, items, threshold)
+    got = block_eval.dmom_batch(query, _posted(query, items), threshold)
 
     cand_eval = MatchEvaluator()
     for c, (trajectory, _p) in enumerate(items):
-        want = cand_eval.dmom(query, trajectory, threshold=threshold)
+        want = cand_eval.dmom(query, trajectory, threshold=threshold, check_order=False)
         if _close(got[c], want):
             continue
         # Abandonment: block may report inf where the per-candidate path
@@ -358,7 +370,7 @@ def test_dmm_batch_counters_match_per_candidate_loop(qraw, raws):
     items = _round(raws)
 
     batch_eval = MatchEvaluator(kernel="block")
-    got = batch_eval.dmm_batch(query, items)
+    got = batch_eval.dmm_batch(query, _posted(query, items))
 
     loop_eval = MatchEvaluator()
     for c, (trajectory, _p) in enumerate(items):
@@ -411,10 +423,10 @@ def test_engine_block_agreement(small_db, kernel, order_sensitive):
 
 @pytest.mark.parametrize("order_sensitive", [False, True])
 def test_trajectory_inserted_after_the_first_query_is_scored(tiny_db, order_sensitive):
-    """The block reads per-trajectory columns built on first use, so a
-    trajectory inserted between queries needs no cache to be refreshed:
-    it is scored — and ranked first, being an exact match — with the same
-    ids and counters as under the scalar kernel."""
+    """The block reads the APL row store, which an insert extends by one
+    row: a trajectory inserted between queries is scored — and ranked
+    first, being an exact match — with the same ids and counters as under
+    the scalar kernel."""
     import copy
     from dataclasses import asdict
 

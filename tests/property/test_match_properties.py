@@ -3,14 +3,13 @@
 import math
 
 from hypothesis import given, settings, strategies as st
+from match_oracles import mpm_oracle_mask_dp, mpm_oracle_subset_enum
 
 from repro.core.match import (
     INFINITY,
     PointMatchTable,
     minimum_point_match,
     minimum_point_match_distance,
-    mpm_oracle_mask_dp,
-    mpm_oracle_subset_enum,
 )
 from repro.model.distance import EuclideanDistance
 from repro.model.point import TrajectoryPoint

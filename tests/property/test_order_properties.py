@@ -4,14 +4,13 @@ paper's lemmas."""
 import math
 
 from hypothesis import given, settings, strategies as st
+from order_oracles import dmom_oracle_enum, order_feasible_strict
 
 from repro.core.evaluator import MatchEvaluator
 from repro.core.match import INFINITY
 from repro.core.order_match import (
-    dmom_oracle_enum,
     minimum_order_match_distance,
     order_feasible,
-    order_feasible_strict,
 )
 from repro.core.query import Query, QueryPoint
 from repro.model.distance import EuclideanDistance

@@ -81,6 +81,27 @@ class TestAccounting:
         assert LRUCache(4).stats().hit_rate == 0.0
 
 
+class TestBatchedPass:
+    def test_missing_and_put_many_equal_the_per_key_calls(self):
+        """A round's LRU pass under one lock lands every entry, its
+        recency, and both counters where get / put per key would."""
+        import random
+
+        rng = random.Random(7)
+        batched, looped = LRUCache(5), LRUCache(5)
+        miss = object()
+        for _ in range(200):
+            keys = rng.sample(range(12), rng.randrange(0, 9))
+            want = [k for k in keys if looped.get(k, miss) is miss]
+            for k in want:
+                looped.put(k, -k)
+            got = batched.missing(keys)
+            batched.put_many(got, [-k for k in got])
+            assert got == want
+            assert list(batched._entries.items()) == list(looped._entries.items())
+            assert batched.stats() == looped.stats()
+
+
 class TestConcurrency:
     def test_parallel_mixed_operations(self):
         cache = LRUCache(64)

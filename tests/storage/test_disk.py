@@ -105,6 +105,34 @@ class TestAccounting:
         assert disk.total_bytes() > 1000
 
 
+class TestExtents:
+    def test_extent_is_charged_like_the_record_it_stands_for(self):
+        """``put_extent(key, handle, n)`` costs what ``put`` of an
+        ``n``-byte record costs — writes, reads, pages, bytes, sizing —
+        and a read hands the handle back undecoded, alone or in a group."""
+        value = {a: tuple(range(a)) for a in range(300)}
+        n_bytes = len(serialize_obj(value))
+        assert n_bytes > 4096  # more than one page
+        pickled, extent = SimulatedDisk(), SimulatedDisk()
+        pickled.put("k", value)
+        pickled.put("small", 1)
+        handle = object()
+        extent.put_extent("k", handle, n_bytes)
+        extent.put_extent("small", 7, len(serialize_obj(1)))
+        assert extent.stats == pickled.stats
+        assert (extent.total_bytes(), extent.total_pages()) == (
+            pickled.total_bytes(),
+            pickled.total_pages(),
+        )
+        with pickled.track() as want, extent.track() as got:
+            pickled.get("k")
+            pickled.get_many(["small", "k", "small"])
+            assert extent.get("k") is handle
+            assert extent.get_many(["small", "k", "small"]) == [7, handle, 7]
+        assert got == want and got.reads == 4
+        assert extent.stats == pickled.stats
+
+
 class TestPerContextTracking:
     def test_track_attributes_this_threads_io(self):
         disk = SimulatedDisk()
