@@ -14,9 +14,8 @@ from typing import List, Optional
 
 from repro.core.evaluator import MatchEvaluator
 from repro.core.match import INFINITY
-from repro.core.order_match import order_feasible
 from repro.core.query import Query
-from repro.core.results import SearchResult, TopKCollector
+from repro.core.results import SearchResult
 from repro.model.database import TrajectoryDatabase
 from repro.model.distance import DistanceMetric
 

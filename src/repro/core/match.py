@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -165,9 +164,6 @@ class PointMatchTable:
         """``H[q.Φ]`` — the minimum point match distance so far (inf if the
         points added so far cannot cover the query activities)."""
         return self._h.get(self.full_mask, INFINITY)
-
-    def best_for(self, mask: int) -> float:
-        return self._h.get(mask, INFINITY)
 
     def snapshot(self) -> Dict[FrozenSet[int], float]:
         """Current ``H`` keyed by activity-ID subsets (Table II's notation)."""

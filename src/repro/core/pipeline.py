@@ -7,7 +7,8 @@ into the per-query :class:`~repro.core.context.ExecutionContext`:
 * :class:`CandidateRetriever` — the best-first priority queue over the
   HICL hierarchy and the leaf ITL lists (Section V-A).  One instance per
   query: it owns the heap — which is also the per-query-point frontiers
-  that feed Algorithm 2 — the query's HICL bitmaps, and the seen-set.
+  that feed Algorithm 2 — the query's HICL bitmaps, and the seen-set.  It
+  hands out candidates as **rows** of the APL array store.
 * :class:`ValidationStage` — an ordered chain of candidate filters, each
   with its own pruning counter on :class:`SearchStats`.  The paper's
   chain is TAS (cheap superset sketch, Section V-C) → APL (exact, one
@@ -17,22 +18,21 @@ into the per-query :class:`~repro.core.context.ExecutionContext`:
   for ATSQ, ``Dmom`` (Algorithm 4, threshold-pruned) for OATSQ.
 
 Validation runs one retrieval round at a time
-(:meth:`ValidationStage.admit_batch`) over the round's **rows** of the APL
-array store (:class:`~repro.index.gat.apl.PostingRound`): each filter
-answers one bool mask for the round — TAS a broadcast interval test, APL
-a key lookup, MIB a reduction over first / last positions — and the
-``[candidates, |Q.Φ|]`` lookup the APL filter computes rides along to the
-MIB filter and to block assembly.  The APL filter's I/O is one
-``fetch_many`` per round.  Counters and counted reads are those of a
-candidate-by-candidate walk of the chain (kept as the oracle in
-``tests/property/object_chain_oracle.py``).
+(:meth:`ValidationStage.admit_batch`) over those rows, as they come
+(:class:`~repro.index.gat.apl.PostingRound`): each filter answers one bool
+mask for the round — TAS a broadcast interval test, APL a key lookup, MIB
+a reduction over first / last positions — and the ``[candidates, |Q.Φ|]``
+lookup the APL filter computes rides along to the MIB filter and to block
+assembly.  The APL filter's I/O is one ``fetch_many`` per round.  Counters
+and counted reads are those of a candidate-by-candidate walk of the chain
+(the oracle in ``tests/property/object_chain_oracle.py``).
 """
 
 from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -67,22 +67,22 @@ class CandidateRetriever:
     that query point's activities, popping a leaf harvests its ITL lists.
     Work counters go to the per-query *stats*, never to shared state.
 
-    The per-pop work is a few integer and float operations.  The child
+    The per-pop work is a few integer and float operations.  A child
     expansion is one nibble of the query's HICL view (:attr:`bitmaps`, a
-    :class:`~repro.index.gat.hicl.QueryBitmaps` — the bitmaps of ``q.Φ``
-    ORed once per (query point, level)); each surviving child's MINDIST
-    comes from the cell coordinates the entry carries
-    (:meth:`GridLevel.min_dist_cell`, bit-identical to the ``Rect`` path,
-    so heap order, ``cells_popped`` and ``rounds`` are those of the
-    per-cell ``frozenset`` walk kept in ``tests/property`` as the oracle).
-    The frontier of ``q_i`` that feeds Algorithm 2 is exactly the queue's
-    entries carrying ``qi``; :meth:`frontiers` reads it off the heap once
-    per round.  Counted HICL reads per query equal the oracle's as long
-    as the HICL list cache does not evict inside a query (see
-    :class:`~repro.index.gat.hicl.QueryBitmaps`).
+    :class:`~repro.index.gat.hicl.QueryBitmaps`: ``q.Φ``'s bitmaps ORed
+    once per query point and level) and one
+    :meth:`GridLevel.min_dist_cell` per surviving child, from the cell
+    coordinates the entry carries — bit-identical to the ``Rect`` path, so
+    heap order, ``cells_popped`` and ``rounds`` are those of the per-cell
+    ``frozenset`` walk kept in ``tests/property`` as the oracle (counted
+    HICL reads too, unless the list cache evicts inside a query).  The
+    frontier of ``q_i`` that feeds Algorithm 2 is the queue's entries
+    carrying ``qi``; :meth:`frontiers` reads it off the heap once a round.
     """
 
-    __slots__ = ("index", "query", "stats", "heap", "bitmaps", "seen", "exhausted", "_tick")
+    __slots__ = (
+        "index", "query", "stats", "heap", "bitmaps", "seen", "exhausted", "_tick", "_done"
+    )
 
     def __init__(self, index: GATIndex, query: Query, stats: SearchStats) -> None:
         self.index = index
@@ -90,22 +90,26 @@ class CandidateRetriever:
         self.stats = stats
         self.heap: List[Tuple[float, int, int, int, int, int, int]] = []
         self.bitmaps = QueryBitmaps(index.hicl, query)
-        self.seen: Set[int] = set()
+        self.seen: Set[int] = set()  # APL rows handed out so far
+        # Per query point: (activity, leaf codes whose list of it was harvested).
+        done: Dict[int, Set[int]] = {}
+        self._done = [
+            tuple((a, done.setdefault(a, set())) for a in acts) for acts in self.bitmaps.activities
+        ]
         self.exhausted = False
         self._tick = itertools.count()
-        for qi in range(len(query)):
-            self._expand(qi, 1, 0, 0, 0)  # the level-1 cells: children of the root
+        for qi, q in enumerate(query):  # the level-1 cells: children of the root
+            self._expand(qi, q.coord, index.grid.levels[0], 0, 0, 0)
 
-    def _expand(self, qi: int, level: int, parent: int, px: int, py: int) -> None:
-        """Push the *level* cells under cell *parent* ``(px, py)`` that
-        contain at least one of ``q_i``'s activities."""
-        grid_level = self.index.grid.levels[level - 1]
-        coord = self.query[qi].coord
+    def _expand(self, qi: int, coord, grid_level, parent: int, px: int, py: int) -> None:
+        """Push the cells of *grid_level* under cell *parent* ``(px, py)`` that
+        contain at least one of the activities of ``q_i`` (located at *coord*)."""
+        level, heap, tick = grid_level.level, self.heap, self._tick
         base, cx0, cy0 = parent << 2, px << 1, py << 1
         for j, dx, dy in _NIBBLE_CHILDREN[self.bitmaps.child_nibble(qi, level, parent)]:
             cx, cy = cx0 + dx, cy0 + dy
             mdist = grid_level.min_dist_cell(coord, cx, cy)
-            heappush(self.heap, (mdist, next(self._tick), level, base + j, qi, cx, cy))
+            heappush(heap, (mdist, next(tick), level, base + j, qi, cx, cy))
 
     def queue_top_mdist(self) -> float:
         return self.heap[0][0] if self.heap else INFINITY
@@ -119,7 +123,19 @@ class CandidateRetriever:
 
     def retrieve(self, batch: int, stop_mdist: float = INFINITY) -> List[int]:
         """Pop cells best-first until ``batch`` *new* candidate trajectories
-        have been collected (Section V-A), or the queue runs dry.
+        have been collected (Section V-A), or the queue runs dry; returns
+        their APL **rows** — leaf pops in heap order, ascending within one
+        leaf pop.  A round's candidate *set* depends only on which leaves
+        were popped, so rankings and every pruning / round counter are
+        order-free; the order does decide the APL filter's LRU pass, hence
+        counted reads and cache hit rate whenever that LRU evicts — the
+        only two order-dependent counts.
+
+        Each ITL list is read once per query: its first visit puts every
+        row in ``seen``, so another query point reaching the same (leaf,
+        activity) — two visits in three on ``cpu_heavy`` — skips it on a set
+        probe.  A first visit is one ``seen.issuperset(list)``; only a leaf
+        holding something new (under one in ten) sorts ``union − seen``.
 
         *stop_mdist* bounds the expansion: popping stops (entries stay
         queued) once the queue top's MINDIST exceeds it.  Exact whenever
@@ -131,27 +147,41 @@ class CandidateRetriever:
         leaves it at ``inf`` (the paper's loop shape, untouched).
         """
         heap = self.heap
-        itl = self.index.itl
-        depth = self.index.grid.depth
-        stats = self.stats
+        rows_with = self.index.itl.rows_with
+        harvested = self._done
+        levels = self.index.grid.levels
+        depth = len(levels)
+        coords = [q.coord for q in self.query]
+        seen = self.seen
+        all_seen = seen.issuperset
         new_candidates: List[int] = []
+        popped = leaves = 0
 
         while heap and len(new_candidates) < batch:
             if heap[0][0] > stop_mdist:
                 break
             _mdist, _tick, level, code, qi, cx, cy = heappop(heap)
-            stats.cells_popped += 1
+            popped += 1
             if level < depth:
-                self._expand(qi, level + 1, code, cx, cy)
-            else:
-                stats.leaf_cells_visited += 1
-                for tid in itl.trajectories_with_any(code, self.query[qi].activities):
-                    if tid not in self.seen:
-                        self.seen.add(tid)
-                        new_candidates.append(tid)
+                self._expand(qi, coords[qi], levels[level], code, cx, cy)
+                continue
+            leaves += 1
+            fresh: Set[int] = set()
+            for activity, done in harvested[qi]:
+                if code not in done:  # else harvested under another query point
+                    done.add(code)
+                    rows = rows_with(code, activity)
+                    if not all_seen(rows):
+                        fresh.update(rows)
+            if fresh:
+                ascending = sorted(fresh - seen)  # ``-=`` would walk all of ``seen``
+                seen.update(ascending)
+                new_candidates += ascending
 
-        if not heap:
-            self.exhausted = True
+        self.exhausted = not heap
+        stats = self.stats
+        stats.cells_popped += popped
+        stats.leaf_cells_visited += leaves
         stats.candidates_retrieved += len(new_candidates)
         return new_candidates
 
@@ -238,17 +268,15 @@ class ValidationStage:
         self.filters = tuple(filters)
         self.apl = apl
 
-    def admit_batch(
-        self, ctx: ExecutionContext, trajectory_ids: Sequence[int]
-    ) -> PostingRound:
-        """Run one retrieval round's candidates through the chain filter by
-        filter, preserving candidate order; returns the survivors.
+    def admit_batch(self, ctx: ExecutionContext, rows: Sequence[int]) -> PostingRound:
+        """Run one retrieval round's candidates (APL rows) through the chain
+        filter by filter, preserving candidate order; returns the survivors.
 
         The same candidates reach each filter as in a candidate-by-
         candidate walk, so every pruning counter and every counted read
         lands on the same value.
         """
-        survivors = self.apl.round(trajectory_ids, ctx.activities)
+        survivors = self.apl.round(rows, ctx.activities)
         for f in self.filters:
             if not len(survivors):
                 break

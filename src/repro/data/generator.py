@@ -34,8 +34,8 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.data.checkin import CheckIn, group_checkins_into_trajectories
 from repro.data.zipf import ZipfSampler
@@ -191,16 +191,6 @@ class CheckInGenerator:
             key = (int(venue.x / cell), int(venue.y / cell))
             grid.setdefault(key, []).append(venue.venue_id)
         self._venue_grid = grid
-
-    def _venues_near(self, x: float, y: float) -> List[int]:
-        """Venue IDs in the 3x3 bucket neighbourhood of ``(x, y)``."""
-        cell = max(self.config.walk_locality_km, 1e-6)
-        cx, cy = int(x / cell), int(y / cell)
-        found: List[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                found.extend(self._venue_grid.get((cx + dx, cy + dy), ()))
-        return found
 
     # ------------------------------------------------------------------
     # Check-ins

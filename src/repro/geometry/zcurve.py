@@ -48,6 +48,11 @@ def z_encode(cx: int, cy: int, depth: int) -> int:
     side = 1 << depth
     if not (0 <= cx < side and 0 <= cy < side):
         raise ValueError(f"cell ({cx}, {cy}) outside a {side}x{side} grid")
+    return z_encode_many(cx, cy)
+
+
+def z_encode_many(cx, cy):
+    """:func:`z_encode`, element by element, over two integer arrays (in range)."""
     return (_part1by1(cy) << 1) | _part1by1(cx)
 
 

@@ -6,8 +6,8 @@ i.   :class:`~repro.index.gat.hicl.HICL` — Hierarchical Inverted Cell
      List: per activity, per grid level, the cells containing it (a
      bitmap over the level's Morton codes).
 ii.  :class:`~repro.index.gat.itl.ITL` — Inverted Trajectory List: per
-     leaf cell, per activity, the trajectories whose segment carries the
-     activity inside the cell.
+     leaf cell, per activity, the trajectories (as APL rows) whose
+     segment carries the activity inside the cell.
 iii. :class:`~repro.index.gat.tas.SketchTable` — Trajectory Activity
      Sketch: per trajectory, M compact ID intervals summarising its
      activity set (one ``[N, M, 2]`` array in APL row order).

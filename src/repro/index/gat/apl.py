@@ -16,7 +16,10 @@ holds it as an extent sized like the pickled ``activity -> positions``
 mapping the seed persisted, so fetching a trajectory's APL is still one
 counted read of the same pages and bytes (Figure 8's disk series does not
 move) — but nothing is decoded on the way: validation and block assembly
-read the image by row (:class:`PostingRound`).
+read the image by row (:class:`PostingRound`).  Rows are how the whole index
+addresses a trajectory: the ITL posts them, the retriever hands a round out
+as rows (ascending within one leaf pop), and the ids — what disk keys, the
+LRU and results speak — are one gather from ``ids``.
 """
 
 from __future__ import annotations
@@ -56,11 +59,31 @@ class APLArrays(NamedTuple):
     positions: np.ndarray  #: ``(P,)`` ascending within a key
     point_offsets: np.ndarray  #: ``(N+1,)`` row r owns ``xy[point_offsets[r]:point_offsets[r+1]]``
     xy: np.ndarray  #: ``(T, 2)`` point coordinates
+    ids: np.ndarray  #: ``(N,)`` trajectory id of each row
 
     @property
     def n_keys(self) -> int:
         """``K`` — also the index of the sentinel slot."""
         return len(self.keys) - 1
+
+    def leaf_lists(self, leaf_level) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The posted positions regrouped by place: ``(codes, activities,
+        starts, rows)`` — for each (cell of *leaf_level*, a ``GridLevel``;
+        activity) pair that occurs, in lexicographic order, the slice
+        ``rows[starts[l]:starts[l + 1]]`` (to the end for the last) of the
+        distinct rows posting there, ascending: what HICL and ITL build on."""
+        keys = self.keys[:-1]
+        lengths = np.diff(self.offsets[:-1])
+        rows = np.repeat(keys >> ACTIVITY_BITS, lengths)
+        activities = np.repeat(keys & ACTIVITY_MASK, lengths)
+        codes = leaf_level.locate_many(self.xy)[self.point_offsets[rows] + self.positions]
+        order = np.lexsort((rows, activities, codes))
+        codes, activities, rows = codes[order], activities[order], rows[order]
+        new_list = np.ones(len(rows), dtype=bool)
+        new_list[1:] = (codes[1:] != codes[:-1]) | (activities[1:] != activities[:-1])
+        keep = new_list.copy()  # a trajectory's later points in a cell repeat its row
+        keep[1:] |= rows[1:] != rows[:-1]
+        return codes[new_list], activities[new_list], np.flatnonzero(new_list[keep]), rows[keep]
 
 
 def _freeze(trajectories: Sequence, first_row: int) -> APLArrays:
@@ -116,6 +139,7 @@ def _freeze(trajectories: Sequence, first_row: int) -> APLArrays:
         positions=positions,
         point_offsets=point_offsets,
         xy=np.array(coords, dtype=np.float64).reshape(-1, 2),
+        ids=np.array([t.trajectory_id for t in trajectories], dtype=np.int64),
     )
 
 
@@ -132,6 +156,7 @@ def _extend(image: APLArrays, chunk: APLArrays) -> APLArrays:
             [image.point_offsets[:-1], chunk.point_offsets + len(image.xy)]
         ),
         xy=np.concatenate([image.xy, chunk.xy]),
+        ids=np.concatenate([image.ids, chunk.ids]),
     )
 
 
@@ -146,18 +171,22 @@ class PostingRound:
     of a filter.
     """
 
-    __slots__ = ("image", "activities", "ids", "rows", "_lookup")
+    __slots__ = ("image", "activities", "rows", "_lookup")
 
-    def __init__(self, image: APLArrays, activities, ids, rows, lookup=None) -> None:
+    def __init__(self, image: APLArrays, activities, rows, lookup=None) -> None:
         self.image = image
         #: ``Q.Φ`` ascending, ``int64``.
         self.activities = activities
-        self.ids = ids
         self.rows = rows
         self._lookup = lookup
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    @property
+    def ids(self):
+        """The candidates' trajectory ids: one gather from the image."""
+        return self.image.ids[self.rows]
 
     def lookup(self):
         """``[C, |Q.Φ|]`` key indices (``image.n_keys`` = absent)."""
@@ -173,11 +202,7 @@ class PostingRound:
         """The round restricted to the candidates *mask* admits, in order."""
         lookup = self._lookup
         return PostingRound(
-            self.image,
-            self.activities,
-            self.ids[mask],
-            self.rows[mask],
-            None if lookup is None else lookup[mask],
+            self.image, self.activities, self.rows[mask], None if lookup is None else lookup[mask]
         )
 
 
@@ -269,16 +294,11 @@ class APLStore:
             if cache is not None:
                 cache.put_many(missing, rows)
 
-    def round(self, trajectory_ids: Sequence[int], activities) -> PostingRound:
-        """*trajectory_ids* as a :class:`PostingRound` against *activities*
-        (``Q.Φ`` as an ascending ``int64`` array)."""
-        n = len(trajectory_ids)
-        return PostingRound(
-            self.image,
-            activities,
-            np.fromiter(trajectory_ids, dtype=np.int64, count=n),
-            np.fromiter(map(self._row_of.__getitem__, trajectory_ids), dtype=np.int64, count=n),
-        )
+    def round(self, rows: Sequence[int], activities) -> PostingRound:
+        """The trajectories at *rows*, in that order, as a :class:`PostingRound`
+        against *activities* (``Q.Φ`` as an ascending ``int64`` array)."""
+        rows = np.fromiter(rows, dtype=np.int64, count=len(rows))
+        return PostingRound(self.image, activities, rows)
 
     def row_of(self, trajectory_id: int) -> int:
         """The trajectory's row (``KeyError`` if it was never stored)."""

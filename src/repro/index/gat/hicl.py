@@ -37,7 +37,6 @@ import math
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry.grid import HierarchicalGrid
-from repro.model.database import TrajectoryDatabase
 from repro.storage.cache import CacheStats, LRUCache
 from repro.storage.disk import SimulatedDisk
 
@@ -117,35 +116,21 @@ class HICL:
     @classmethod
     def build(
         cls,
-        db: TrajectoryDatabase,
+        leaf_codes,
+        activities,
         grid: HierarchicalGrid,
         memory_levels: int,
         disk: Optional[SimulatedDisk] = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
     ) -> "HICL":
-        """Build the full hierarchy from the database's points."""
+        """Build the full hierarchy from two parallel ``int64`` arrays: each (leaf
+        code, activity) a cell holds (:meth:`~repro.index.gat.apl.APLArrays.leaf_lists`)."""
         hicl = cls(grid, memory_levels, disk, cache_capacity)
-        depth = grid.depth
-        leaf_level = grid.leaf_level
+        sets: Dict[int, Set[int]] = {}
+        for activity, code in zip(activities.tolist(), leaf_codes.tolist()):
+            sets.setdefault(activity, set()).add(code)
 
-        leaf_sets: Dict[int, Set[int]] = {}
-        for trajectory in db:
-            for point in trajectory:
-                if not point.activities:
-                    continue
-                code = leaf_level.locate(point.coord)
-                for activity in point.activities:
-                    leaf_sets.setdefault(activity, set()).add(code)
-
-        level_sets: Dict[int, Dict[int, Set[int]]] = {depth: leaf_sets}
-        for level in range(depth - 1, 0, -1):
-            below = level_sets[level + 1]
-            here: Dict[int, Set[int]] = {}
-            for activity, codes in below.items():
-                here[activity] = {code >> 2 for code in codes}
-            level_sets[level] = here
-
-        for level, sets in level_sets.items():
+        for level in range(grid.depth, 0, -1):
             if level <= memory_levels:
                 hicl._memory[level] = {
                     activity: _encode(codes) for activity, codes in sets.items()
@@ -154,6 +139,7 @@ class HICL:
                 assert disk is not None
                 for activity, codes in sets.items():
                     disk.put(("hicl", level, activity), frozenset(codes))
+            sets = {activity: {code >> 2 for code in codes} for activity, codes in sets.items()}
         return hicl
 
     # ------------------------------------------------------------------

@@ -95,9 +95,10 @@ class GATIndex:
         grid = HierarchicalGrid(
             db.bounding_box if bounding_box is None else bounding_box, config.depth
         )
-        hicl = HICL.build(db, grid, config.memory_levels, disk)
-        itl = ITL.build(db, grid)
         apl = APLStore.build(db, disk)
+        codes, activities, starts, rows = apl.image.leaf_lists(grid.leaf_level)
+        hicl = HICL.build(codes, activities, grid, config.memory_levels, disk)
+        itl = ITL.build(codes, activities, starts, rows)
         sketches = SketchTable(apl, config.sketch_intervals)
         disk.reset_stats()
         return cls(db, grid, hicl, itl, sketches, apl, config, disk)
@@ -126,7 +127,7 @@ class GATIndex:
                     f"point {p.coord} outside the index bounding box; rebuild required"
                 )
         self.db.add(trajectory)  # validates ID freshness first
-        tid = trajectory.trajectory_id
+        row = len(self.apl)  # the row the store gives it below
         leaf = self.grid.leaf_level
         for point in trajectory:
             if not point.activities:
@@ -134,7 +135,7 @@ class GATIndex:
             code = leaf.locate(point.coord)
             self.hicl.add_point(code, point.activities)
             for activity in point.activities:
-                self.itl.add_posting(code, activity, tid)
+                self.itl.add_posting(code, activity, row)
         self.apl.store(trajectory)  # the next row of the store …
         self.sketches.extend()  # … and of the sketch table over it
         self.version += 1

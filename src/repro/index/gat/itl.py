@@ -9,87 +9,54 @@ search reaches a leaf cell for query point ``q``, the ITL yields the
 trajectories that perform one of ``q.Φ``'s activities *inside that cell*.
 It stays in main memory ("ITL can be accommodated within the main memory of
 a mainstream server in most cases").
+
+A list is one ascending tuple of APL **rows** (:mod:`repro.index.gat.apl`),
+not trajectory ids: a harvest feeds validation as it comes.  Arrays build the
+lists; the harvest stays on tuples and sets (per-leaf NumPy calls lose).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from typing import Dict, Tuple
 
-from repro.geometry.grid import HierarchicalGrid
-from repro.model.database import TrajectoryDatabase
+import numpy as np
+
+from repro.index.gat.apl import ACTIVITY_BITS
 
 
 class ITL:
-    """Leaf-cell activity -> trajectory-ID inverted lists."""
+    """``(leaf code << ACTIVITY_BITS) | activity`` -> ascending tuple of APL rows."""
 
-    __slots__ = ("_cells",)
+    __slots__ = ("_lists",)
 
     def __init__(self) -> None:
-        # cell code -> {activity -> sorted tuple of trajectory IDs}
-        self._cells: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        self._lists: Dict[int, Tuple[int, ...]] = {}
 
     @classmethod
-    def build(cls, db: TrajectoryDatabase, grid: HierarchicalGrid) -> "ITL":
+    def build(cls, codes, activities, starts, rows) -> "ITL":
+        """The lists of a database, as
+        :meth:`~repro.index.gat.apl.APLArrays.leaf_lists` groups them."""
         itl = cls()
-        leaf = grid.leaf_level
-        accum: Dict[int, Dict[int, Set[int]]] = {}
-        for trajectory in db:
-            tid = trajectory.trajectory_id
-            for point in trajectory:
-                if not point.activities:
-                    continue
-                code = leaf.locate(point.coord)
-                cell_lists = accum.setdefault(code, {})
-                for activity in point.activities:
-                    cell_lists.setdefault(activity, set()).add(tid)
-        itl._cells = {
-            code: {a: tuple(sorted(tids)) for a, tids in lists.items()}
-            for code, lists in accum.items()
-        }
+        bounds = starts.tolist() + [len(rows)]
+        # One int object per row, shared by every list that posts it.
+        flat = np.arange(rows.max(initial=-1) + 1).astype(object)[rows].tolist()
+        keys = zip(codes.tolist(), activities.tolist(), bounds, bounds[1:])
+        itl._lists = {(c << ACTIVITY_BITS) | a: tuple(flat[lo:hi]) for c, a, lo, hi in keys}
         return itl
 
-    # ------------------------------------------------------------------
-    # Lookups
-    # ------------------------------------------------------------------
-    def trajectories_with(self, code: int, activity: int) -> Tuple[int, ...]:
-        """Trajectory IDs carrying *activity* inside leaf cell *code*."""
-        return self._cells.get(code, {}).get(activity, ())
+    def rows_with(self, code: int, activity: int) -> Tuple[int, ...]:
+        """Rows carrying *activity* inside leaf cell *code*, ascending."""
+        return self._lists.get((code << ACTIVITY_BITS) | activity, ())
 
-    def trajectories_with_any(self, code: int, activities: Iterable[int]) -> Set[int]:
-        """Union over *activities* of the cell's inverted lists."""
-        out: Set[int] = set()
-        lists = self._cells.get(code)
-        if not lists:
-            return out
-        for activity in activities:
-            tids = lists.get(activity)
-            if tids:
-                out.update(tids)
-        return out
-
-    def activities_in(self, code: int) -> FrozenSet[int]:
-        """All activities present in leaf cell *code* (``c.Φ``)."""
-        return frozenset(self._cells.get(code, {}))
-
-    def has_cell(self, code: int) -> bool:
-        return code in self._cells
-
-    def n_cells(self) -> int:
-        return len(self._cells)
-
-    def add_posting(self, code: int, activity: int, trajectory_id: int) -> None:
-        """Register *trajectory_id* under (cell, activity); keeps the list
-        sorted.  Extension for dynamic insertion."""
-        lists = self._cells.setdefault(code, {})
-        existing = lists.get(activity, ())
-        if trajectory_id not in existing:
-            lists[activity] = tuple(sorted((*existing, trajectory_id)))
+    def add_posting(self, code: int, activity: int, row: int) -> None:
+        """Register *row* under (cell, activity).  Dynamic insertion only
+        posts the newest — largest — row, so appending keeps the list
+        ascending; a trajectory's second point there posts nothing."""
+        existing = self.rows_with(code, activity)
+        if not existing or existing[-1] != row:
+            self._lists[(code << ACTIVITY_BITS) | activity] = (*existing, row)
 
     def memory_cost_bytes(self) -> int:
-        """8 bytes per posted trajectory ID plus 16 per list — the ITL share
-        of Figure 8's memory series."""
-        total = 0
-        for lists in self._cells.values():
-            for tids in lists.values():
-                total += 8 * len(tids) + 16
-        return total
+        """8 bytes per posted entry plus 16 per list — the ITL share of
+        Figure 8's memory series."""
+        return sum(8 * len(rows) + 16 for rows in self._lists.values())

@@ -58,6 +58,32 @@ class TestKernelParity:
         assert scalar_stats == block_stats
 
 
+    def test_block_vs_scalar_under_lru_eviction(self, index, queries):
+        """A 2-entry APL LRU evicts inside every round, so the counted
+        reads follow the candidate *order* — ascending row within a leaf
+        pop, one retriever for both kernels: rankings, every ``SearchStats``
+        field and the disk's own counters still agree."""
+
+        def run(kernel):
+            engine = GATSearchEngine(index, apl_cache_size=2, kernel=kernel)
+            index.hicl.clear_cache()
+            index.disk.reset_stats()
+            answers, stats = [], []
+            for i, q in enumerate(queries):
+                ctx = engine.execute(q, 5, order_sensitive=(i % 2 == 1))
+                answers.append([(r.trajectory_id, r.distance) for r in ctx.ranked])
+                stats.append(_stat_dict(ctx.stats))
+            return answers, stats, _stat_dict(index.disk.stats), engine.apl_cache.stats()
+
+        scalar_ans, scalar_stats, scalar_disk, scalar_cache = run("scalar")
+        block_ans, block_stats, block_disk, block_cache = run("block")
+        _assert_answer_parity(scalar_ans, block_ans)
+        assert scalar_stats == block_stats
+        assert scalar_disk == block_disk
+        assert scalar_cache == block_cache
+        assert scalar_cache.hits and scalar_cache.misses > scalar_cache.capacity
+
+
 class TestEngineConfig:
     def test_defaults_roundtrip(self, index):
         engine = GATSearchEngine(index)

@@ -8,8 +8,7 @@ from repro.core.context import SearchStats
 from repro.core.lower_bound import Frontier, lower_bound_distance
 from repro.core.pipeline import CandidateRetriever
 from repro.core.query import Query, QueryPoint
-from repro.geometry.grid import HierarchicalGrid
-from repro.index.gat.hicl import HICL, QueryBitmaps
+from repro.index.gat.hicl import QueryBitmaps
 from repro.index.gat.index import GATConfig, GATIndex
 from repro.model.database import TrajectoryDatabase
 
@@ -73,9 +72,8 @@ class TestLowerBound:
         db = TrajectoryDatabase.from_raw(
             [[(1.0, 1.0, ["a"]), (9.0, 9.0, ["b"])]]
         )
-        grid = HierarchicalGrid(db.bounding_box, depth=3)
-        hicl = HICL.build(db, grid, memory_levels=3)
-        return db, grid, hicl
+        index = GATIndex.build(db, GATConfig(depth=3, memory_levels=3))
+        return db, index.grid, index.hicl
 
     def test_empty_frontier_is_infinite(self, setup):
         db, grid, hicl = setup

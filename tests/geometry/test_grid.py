@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -60,6 +61,44 @@ class TestLocate:
         leaf = grid.locate_leaf(p)
         for lvl in range(1, 4):
             assert grid.locate(p, lvl) == grid.cell_of_leaf_at(leaf.code, lvl)
+
+
+class TestLocateMany:
+    """``locate_many`` is ``locate`` over an array — the scalar method stays
+    the definition, and the codes are equal with ``==``: a point that lands
+    one cell off posts its trajectory under the wrong ITL list."""
+
+    finite = st.floats(-1e4, 1e4, allow_nan=False)
+    extent = st.floats(1e-3, 1e4, allow_nan=False)
+
+    @given(finite, finite, extent, extent, st.integers(1, 16), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    @example(0.0, 0.0, 1.0, 1.0, 8, random.Random(0))
+    def test_equals_locate_exactly(self, min_x, min_y, width, height, level, rng):
+        box = BoundingBox(min_x, min_y, min_x + width, min_y + height)
+        grid_level = GridLevel(box, level)
+        corner = grid_level.rect(rng.randrange(grid_level.n_cells))
+        points = [
+            (rng.uniform(box.min_x, box.max_x), rng.uniform(box.min_y, box.max_y))
+            for _ in range(20)
+        ]
+        points += [
+            # on the box edges and corners, and clamped from outside them
+            (box.min_x, box.min_y),
+            (box.max_x, box.max_y),
+            (box.max_x, box.min_y),
+            (box.min_x - 3.0 * width, box.max_y + 0.5 * height),
+            (box.max_x + 1e9, box.min_y - 1e-9),
+            # on a corner four cells share
+            (corner.max_x, corner.min_y),
+            (corner.min_x, corner.max_y),
+        ]
+        codes = grid_level.locate_many(np.array(points))
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [grid_level.locate(p) for p in points]
+
+    def test_no_points(self, grid):
+        assert grid.leaf_level.locate_many(np.empty((0, 2))).tolist() == []
 
 
 class TestHierarchyLinks:

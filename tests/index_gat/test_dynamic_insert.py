@@ -54,18 +54,9 @@ class TestInsertTrajectory:
             full.trajectories[:40], full.vocabulary, name="base"
         )
         config = GATConfig(depth=4, memory_levels=3)
-        incremental = GATIndex.build(base, config)
-        # ...but force the grid to cover the final universe (the documented
+        # ...over a grid that covers the final universe (the documented
         # insertion constraint).
-        incremental.grid = __import__(
-            "repro.geometry.grid", fromlist=["HierarchicalGrid"]
-        ).HierarchicalGrid(full.bounding_box, config.depth)
-        # Rebuild the spatial components over the corrected grid.
-        from repro.index.gat.hicl import HICL
-        from repro.index.gat.itl import ITL
-
-        incremental.hicl = HICL.build(base, incremental.grid, config.memory_levels, incremental.disk)
-        incremental.itl = ITL.build(base, incremental.grid)
+        incremental = GATIndex.build(base, config, bounding_box=full.bounding_box)
 
         for tr in full.trajectories[40:]:
             incremental.insert_trajectory(tr)

@@ -27,7 +27,7 @@ class TestBuild:
         assert index.grid.depth == 5
         assert len(index.sketches) == len(small_db)
         assert len(index.apl) == len(small_db)
-        assert index.itl.n_cells() > 0
+        assert index.itl.memory_cost_bytes() > 0
 
     def test_build_resets_disk_stats(self, small_db):
         index = GATIndex.build(small_db, GATConfig(depth=5, memory_levels=4))

@@ -4,9 +4,17 @@ import pytest
 
 from repro.geometry.grid import HierarchicalGrid
 from repro.core.query import Query, QueryPoint
+from repro.index.gat.apl import APLStore
 from repro.index.gat.hicl import HICL, QueryBitmaps, memory_level_budget
 from repro.model.database import TrajectoryDatabase
 from repro.storage.disk import SimulatedDisk
+
+
+def build_hicl(db, grid, **kwargs):
+    """``HICL.build`` over *db*'s leaf postings, as ``GATIndex.build`` feeds it."""
+    image = APLStore.build(db, SimulatedDisk()).image
+    codes, activities, _starts, _rows = image.leaf_lists(grid.leaf_level)
+    return HICL.build(codes, activities, grid, **kwargs)
 
 
 @pytest.fixture
@@ -27,7 +35,7 @@ def grid(db):
 
 class TestBuild:
     def test_all_in_memory(self, db, grid):
-        hicl = HICL.build(db, grid, memory_levels=4)
+        hicl = build_hicl(db, grid, memory_levels=4)
         a = db.vocabulary.id_of("a")
         cells = hicl.cells_with_activity(a, 4)
         assert cells  # a exists somewhere at leaf level
@@ -35,14 +43,14 @@ class TestBuild:
         assert 1 <= len(cells) <= 2
 
     def test_leaf_membership_matches_point_location(self, db, grid):
-        hicl = HICL.build(db, grid, memory_levels=4)
+        hicl = build_hicl(db, grid, memory_levels=4)
         a = db.vocabulary.id_of("a")
         leaf = grid.leaf_level.locate((1.0, 1.0))
         assert leaf in hicl.cells_with_activity(a, 4)
 
     def test_parent_aggregation(self, db, grid):
         """A cell contains alpha at level L-1 iff one of its children does."""
-        hicl = HICL.build(db, grid, memory_levels=4)
+        hicl = build_hicl(db, grid, memory_levels=4)
         for name in ("a", "b"):
             act = db.vocabulary.id_of(name)
             for level in range(1, 4):
@@ -51,7 +59,7 @@ class TestBuild:
                 assert parents == {code >> 2 for code in children}
 
     def test_empty_activity_points_ignored(self, db, grid):
-        hicl = HICL.build(db, grid, memory_levels=4)
+        hicl = build_hicl(db, grid, memory_levels=4)
         mid_leaf = grid.leaf_level.locate((5.0, 5.0))
         a = db.vocabulary.id_of("a")
         b = db.vocabulary.id_of("b")
@@ -59,11 +67,11 @@ class TestBuild:
         assert mid_leaf not in hicl.cells_with_activity(b, 4)
 
     def test_unknown_activity_empty(self, db, grid):
-        hicl = HICL.build(db, grid, memory_levels=4)
+        hicl = build_hicl(db, grid, memory_levels=4)
         assert hicl.cells_with_activity(999, 4) == frozenset()
 
     def test_level_bounds_checked(self, db, grid):
-        hicl = HICL.build(db, grid, memory_levels=4)
+        hicl = build_hicl(db, grid, memory_levels=4)
         with pytest.raises(ValueError):
             hicl.cells_with_activity(0, 0)
         with pytest.raises(ValueError):
@@ -77,8 +85,8 @@ class TestDiskResidence:
 
     def test_disk_levels_round_trip(self, db, grid):
         disk = SimulatedDisk()
-        hicl = HICL.build(db, grid, memory_levels=2, disk=disk)
-        full = HICL.build(db, grid, memory_levels=4)
+        hicl = build_hicl(db, grid, memory_levels=2, disk=disk)
+        full = build_hicl(db, grid, memory_levels=4)
         for name in ("a", "b"):
             act = db.vocabulary.id_of(name)
             for level in (3, 4):
@@ -88,7 +96,7 @@ class TestDiskResidence:
 
     def test_disk_reads_counted_once_per_query_with_cache(self, db, grid):
         disk = SimulatedDisk()
-        hicl = HICL.build(db, grid, memory_levels=2, disk=disk)
+        hicl = build_hicl(db, grid, memory_levels=2, disk=disk)
         disk.reset_stats()
         a = db.vocabulary.id_of("a")
         hicl.cells_with_activity(a, 4)
@@ -101,7 +109,7 @@ class TestDiskResidence:
 
     def test_memory_levels_do_not_touch_disk(self, db, grid):
         disk = SimulatedDisk()
-        hicl = HICL.build(db, grid, memory_levels=2, disk=disk)
+        hicl = build_hicl(db, grid, memory_levels=2, disk=disk)
         disk.reset_stats()
         hicl.cells_with_activity(db.vocabulary.id_of("a"), 1)
         hicl.cells_with_activity(db.vocabulary.id_of("a"), 2)
@@ -109,7 +117,7 @@ class TestDiskResidence:
 
     def test_cache_is_lru_bounded(self, db, grid):
         disk = SimulatedDisk()
-        hicl = HICL.build(db, grid, memory_levels=2, disk=disk, cache_capacity=1)
+        hicl = build_hicl(db, grid, memory_levels=2, disk=disk, cache_capacity=1)
         disk.reset_stats()
         a, b = db.vocabulary.id_of("a"), db.vocabulary.id_of("b")
         hicl.cells_with_activity(a, 4)  # load a
@@ -121,7 +129,7 @@ class TestDiskResidence:
         """cache_capacity=0 = every lookup is a counted read (mirrors the
         engine's apl_cache_size=0 convention)."""
         disk = SimulatedDisk()
-        hicl = HICL.build(db, grid, memory_levels=2, disk=disk, cache_capacity=0)
+        hicl = build_hicl(db, grid, memory_levels=2, disk=disk, cache_capacity=0)
         disk.reset_stats()
         a = db.vocabulary.id_of("a")
         for _ in range(3):
@@ -133,7 +141,7 @@ class TestDiskResidence:
 
     def test_cache_stats_exposed(self, db, grid):
         disk = SimulatedDisk()
-        hicl = HICL.build(db, grid, memory_levels=2, disk=disk)
+        hicl = build_hicl(db, grid, memory_levels=2, disk=disk)
         a = db.vocabulary.id_of("a")
         hicl.cells_with_activity(a, 4)
         hicl.cells_with_activity(a, 4)
@@ -203,7 +211,7 @@ class TestQueries:
         )
 
     def test_cells_with_any_unions(self, db, grid):
-        hicl = HICL.build(db, grid, memory_levels=4)
+        hicl = build_hicl(db, grid, memory_levels=4)
         a, b = db.vocabulary.id_of("a"), db.vocabulary.id_of("b")
         view = self._view(hicl, {a, b})
         union = hicl.cells_with_activity(a, 4) | hicl.cells_with_activity(b, 4)
@@ -218,7 +226,7 @@ class TestQueries:
         assert children == union
 
     def test_cell_activity_overlap(self, db, grid):
-        hicl = HICL.build(db, grid, memory_levels=4)
+        hicl = build_hicl(db, grid, memory_levels=4)
         a, b = db.vocabulary.id_of("a"), db.vocabulary.id_of("b")
         leaf = grid.leaf_level.locate((1.2, 1.1))  # has a and b via Tr2
         view = self._view(hicl, {a, b, 999})
@@ -227,7 +235,7 @@ class TestQueries:
         assert overlap == {a, b}
 
     def test_children_with_any_filters(self, db, grid):
-        hicl = HICL.build(db, grid, memory_levels=4)
+        hicl = build_hicl(db, grid, memory_levels=4)
         a = db.vocabulary.id_of("a")
         view = self._view(hicl, {a})
         # Walk from the level-1 cell containing (1,1) down: every level must
@@ -244,7 +252,7 @@ class TestQueries:
 
     def test_cell_has_any(self, db, grid):
         disk = SimulatedDisk()
-        hicl = HICL.build(db, grid, memory_levels=2, disk=disk)
+        hicl = build_hicl(db, grid, memory_levels=2, disk=disk)
         a = db.vocabulary.id_of("a")
         leaf = grid.leaf_level.locate((1.0, 1.0))
         disk.reset_stats()
@@ -264,10 +272,10 @@ class TestMemoryCost:
     what the ``frozenset`` HICL returned for this fixture."""
 
     def test_all_levels_in_memory(self, db, grid):
-        assert HICL.build(db, grid, memory_levels=4).memory_cost_bytes() == 224
+        assert build_hicl(db, grid, memory_levels=4).memory_cost_bytes() == 224
 
     def test_disk_levels_not_charged(self, db, grid):
-        hicl = HICL.build(db, grid, memory_levels=2, disk=SimulatedDisk())
+        hicl = build_hicl(db, grid, memory_levels=2, disk=SimulatedDisk())
         assert hicl.memory_cost_bytes() == 112
         hicl.add_point(grid.leaf_level.locate((5.0, 5.0)), [0, 7])
         assert hicl.memory_cost_bytes() == 176

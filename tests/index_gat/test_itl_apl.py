@@ -25,49 +25,58 @@ def grid(db):
     return HierarchicalGrid(db.bounding_box, depth=3)
 
 
+@pytest.fixture
+def itl(db, grid):
+    image = APLStore.build(db, SimulatedDisk()).image
+    return ITL.build(*image.leaf_lists(grid.leaf_level))
+
+
 class TestITL:
-    def test_trajectories_with_activity_in_cell(self, db, grid):
-        itl = ITL.build(db, grid)
+    """Lists hold APL rows; in this database row ``i`` is trajectory ``i``."""
+
+    def test_trajectories_with_activity_in_cell(self, db, grid, itl):
         a = db.vocabulary.id_of("a")
         leaf = grid.leaf_level.locate((1.0, 1.0))
-        tids = itl.trajectories_with(leaf, a)
-        assert set(tids) == {0, 1}  # both trajectories have 'a' near (1,1)
+        # both trajectories have 'a' near (1,1) — the first one twice
+        assert itl.rows_with(leaf, a) == (0, 1)
 
-    def test_lists_sorted(self, db, grid):
-        itl = ITL.build(db, grid)
+    def test_lists_sorted(self, db, grid, itl):
         a = db.vocabulary.id_of("a")
         leaf = grid.leaf_level.locate((1.0, 1.0))
-        tids = itl.trajectories_with(leaf, a)
-        assert list(tids) == sorted(tids)
+        rows = itl.rows_with(leaf, a)
+        assert list(rows) == sorted(set(rows))
 
-    def test_activity_absent_from_cell(self, db, grid):
-        itl = ITL.build(db, grid)
+    def test_activity_absent_from_cell(self, db, grid, itl):
         b = db.vocabulary.id_of("b")
         leaf = grid.leaf_level.locate((1.0, 1.0))
-        assert itl.trajectories_with(leaf, b) == ()
+        assert itl.rows_with(leaf, b) == ()
 
-    def test_trajectories_with_any(self, db, grid):
-        itl = ITL.build(db, grid)
+    def test_trajectories_with_any(self, db, grid, itl):
         a, c = db.vocabulary.id_of("a"), db.vocabulary.id_of("c")
         leaf = grid.leaf_level.locate((1.0, 1.0))
-        assert itl.trajectories_with_any(leaf, [a, c]) == {0, 1}
-        assert itl.trajectories_with_any(leaf, [999]) == set()
+        assert set(itl.rows_with(leaf, a)) | set(itl.rows_with(leaf, c)) == {0, 1}
+        assert itl.rows_with(leaf, 999) == ()
 
-    def test_activities_in_cell(self, db, grid):
-        itl = ITL.build(db, grid)
+    def test_activities_in_cell(self, db, grid, itl):
         leaf = grid.leaf_level.locate((9.0, 9.0))
-        assert itl.activities_in(leaf) == frozenset({db.vocabulary.id_of("b")})
+        present = {a for a in range(len(db.vocabulary)) if itl.rows_with(leaf, a)}
+        assert present == {db.vocabulary.id_of("b")}
 
-    def test_empty_cell(self, db, grid):
-        itl = ITL.build(db, grid)
+    def test_empty_cell(self, db, grid, itl):
         empty_leaf = grid.leaf_level.locate((5.0, 9.0))
-        assert not itl.has_cell(empty_leaf)
-        assert itl.activities_in(empty_leaf) == frozenset()
+        assert all(itl.rows_with(empty_leaf, a) == () for a in range(len(db.vocabulary)))
 
-    def test_memory_cost_positive(self, db, grid):
-        itl = ITL.build(db, grid)
-        assert itl.memory_cost_bytes() > 0
-        assert itl.n_cells() >= 2
+    def test_memory_cost_positive(self, itl):
+        # a in the (1, 1) leaf, c beside it, b at (9, 9): 8 per entry, 16 per list
+        assert len(itl._lists) == 3
+        assert itl.memory_cost_bytes() == 8 * 4 + 16 * 3
+
+    def test_add_posting_appends_the_newest_row_once(self, db, grid, itl):
+        a = db.vocabulary.id_of("a")
+        leaf = grid.leaf_level.locate((1.0, 1.0))
+        itl.add_posting(leaf, a, 2)
+        itl.add_posting(leaf, a, 2)  # a second point of row 2 in the same cell
+        assert itl.rows_with(leaf, a) == (0, 1, 2)
 
 
 class TestAPL:

@@ -13,7 +13,11 @@ What lives here and nowhere in ``src/`` any more:
   push (``insort``) and pop (``remove``);
 * :class:`OracleRetriever`, ``CandidateRetriever`` as it was: a ``Rect``
   per child MINDIST via ``GridLevel.rect(code).min_dist``, a frontier
-  update beside every heap operation (it also records its pop sequence);
+  update beside every heap operation (it also records its pop sequence),
+  and a leaf harvest that walks the id lists of ``itl_oracle.ITL`` — built
+  over the index's database when the retriever is — trajectory by
+  trajectory, emitting each leaf's new ones in ascending **row** order,
+  the order production defines;
 * :func:`oracle_lower_bound`, Algorithm 2 rebuilding its activity→bit
   table per query point per round.
 """
@@ -23,6 +27,7 @@ import heapq
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
+from itl_oracle import ITL
 from repro.core.kernels import min_cover_cost
 from repro.core.match import INFINITY
 
@@ -142,6 +147,7 @@ class OracleRetriever:
             qi: InsortFrontier() for qi in range(len(query))
         }
         self.seen: Set[int] = set()
+        self.itl = ITL.build(index.db, index.grid)
         self.exhausted = False
         self.pops: List[Tuple[float, int, int, int]] = []
         self._tick = itertools.count()
@@ -155,8 +161,9 @@ class OracleRetriever:
         self.frontiers[qi].add(mdist, level, code)
 
     def retrieve(self, batch: int, stop_mdist: float = INFINITY) -> List[int]:
+        """The round's new candidates as trajectory **ids**."""
         hicl = self.index.hicl
-        itl = self.index.itl
+        row_of = self.index.apl.row_of
         grid = self.index.grid
         new_candidates: List[int] = []
         while self.heap and len(new_candidates) < batch:
@@ -172,10 +179,9 @@ class OracleRetriever:
                     child_mdist = child_level.rect(child).min_dist(q.coord)
                     self._push(child_mdist, level + 1, child, qi)
             else:
-                for tid in itl.trajectories_with_any(code, q.activities):
-                    if tid not in self.seen:
-                        self.seen.add(tid)
-                        new_candidates.append(tid)
+                new = self.itl.trajectories_with_any(code, q.activities) - self.seen
+                self.seen |= new
+                new_candidates.extend(sorted(new, key=row_of))
         if not self.heap:
             self.exhausted = True
         return new_candidates

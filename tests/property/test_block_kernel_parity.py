@@ -95,7 +95,7 @@ def _posted(query, items, grown=False):
     else:
         store = APLStore.build(trajectories, SimulatedDisk())
     return store.round(
-        [trajectory.trajectory_id for trajectory in trajectories],
+        [store.row_of(trajectory.trajectory_id) for trajectory in trajectories],
         np.array(sorted(query.all_activities), dtype=np.int64),
     )
 

@@ -95,7 +95,7 @@ def _assert_chains_agree(raws, qraw, m, picks):
         disk.reset_stats()
         oracle_disk.reset_stats()
         stage = ValidationStage([array_filters[name] for name in chain], apl)
-        survivors = stage.admit_batch(ctx, round_ids)
+        survivors = stage.admit_batch(ctx, [ids.index(tid) for tid in round_ids])
         want_ids, want_pruned = object_admit_batch(
             [object_filters[name] for name in chain], query, round_ids
         )
@@ -108,7 +108,7 @@ def _assert_chains_agree(raws, qraw, m, picks):
         assert got_pruned == want_pruned, chain
         assert disk.stats == oracle_disk.stats, chain
         if survivors._lookup is not None:  # what block assembly will reuse
-            fresh = apl.round(want_ids, ctx.activities).lookup()
+            fresh = apl.round(survivors.rows.tolist(), ctx.activities).lookup()
             assert np.array_equal(survivors.lookup(), fresh), chain
 
 

@@ -5,10 +5,13 @@ Both sides are driven through the engine's round loop — ``retrieve`` then
 Algorithm 2 — over random databases, grids, queries and round bounds, and
 must agree on the **full pop sequence** ``(mdist, level, code, qi)``
 (``==`` on the floats: MINDIST is bit-identical or the heap order drifts),
-on every round's ``new_candidates`` list in order, on every round's
-``D_lb``, and on the counted disk reads and pages of each query.  Each
-side runs on its own freshly built index (own disk, own list cache) so the
-accounting is independent.
+on every round's ``new_candidates`` list in order (production hands out APL
+rows, the oracle the trajectory ids of its own id-keyed ITL, sorted by row
+within a leaf pop — the defined order), on every round's ``D_lb``, and on
+the counted disk reads and pages of each query.  Each side runs on its own
+freshly built index (own disk, own list cache) so the accounting is
+independent.  Trajectory ids *descend* as rows ascend, so an id-ordered or
+set-ordered harvest cannot pass for a row-ordered one.
 """
 
 import heapq
@@ -66,14 +69,19 @@ class Case(NamedTuple):
 def _build_index(case: Case, trajectories: List[List[RawPoint]]) -> GATIndex:
     vocabulary = Vocabulary(f"act{i}" for i in range(N_KNOWN))
     db = TrajectoryDatabase(
-        [_trajectory(tid, raw) for tid, raw in enumerate(trajectories)], vocabulary
+        [_trajectory(row, raw) for row, raw in enumerate(trajectories)], vocabulary
     )
     return GATIndex.build(db, GATConfig(depth=case.depth, memory_levels=case.memory_levels))
 
 
-def _trajectory(tid: int, raw: List[RawPoint]) -> ActivityTrajectory:
+def _tid(row: int) -> int:
+    """Non-contiguous, and descending where rows ascend."""
+    return 10_000 - 37 * row
+
+
+def _trajectory(row: int, raw: List[RawPoint]) -> ActivityTrajectory:
     return ActivityTrajectory(
-        tid, [TrajectoryPoint(x, y, frozenset(acts)) for x, y, acts in raw]
+        _tid(row), [TrajectoryPoint(x, y, frozenset(acts)) for x, y, acts in raw]
     )
 
 
@@ -111,6 +119,8 @@ def _drive_production(case: Case, index: GATIndex, query: Query):
             lambda: lower_bound_distance(retriever.frontiers(), retriever.bitmaps, case.m),
         )
     assert retriever.stats.cells_popped == len(pops)
+    ids = index.apl.image.ids
+    rounds = [(ids[new].tolist() if new else [], bound) for new, bound in rounds]
     return pops, rounds, (disk.reads, disk.pages_read)
 
 
@@ -214,6 +224,12 @@ def _spread(n_trajectories: int = 24, seed: int = 7) -> List[List[RawPoint]]:
 
 _SPREAD = _spread()
 _TWO_POINT_QUERY = [(10.0, 10.0, (0, 1)), (90.0, 70.0, (2,))]
+#: 70 trajectories posting activity 0 in one leaf: a list long enough that
+#: CPython's iteration order over the ``set`` of its ids — the order the
+#: retired harvest emitted — is neither ascending by id nor by row.
+_CROWD = [[(0.0, 0.0, (1,)), (100.0, 100.0, (1,))]] + [[(50.0, 50.0, (0,))] for _ in range(70)]
+_CROWD_IDS = [_tid(row) for row in range(1, len(_CROWD))]
+assert list(set(_CROWD_IDS)) not in (sorted(_CROWD_IDS), sorted(_CROWD_IDS, reverse=True))
 
 
 @given(_cases())
@@ -242,6 +258,9 @@ _TWO_POINT_QUERY = [(10.0, 10.0, (0, 1)), (90.0, 70.0, (2,))]
         insert=[(50.0, 50.0, (3, 4)), (0.0, 0.0, (4,))],
     )
 )
+# one leaf pop handing out a 70-row list (whole, and across the batch bound)
+@example(Case(_CROWD, depth=3, memory_levels=2, queries=[[(40.0, 40.0, (0,))]], batch=100))
+@example(Case(_CROWD, depth=3, memory_levels=2, queries=[[(40.0, 40.0, (0, 1))]], batch=3))
 def test_bitmap_retrieval_equals_frozenset_walk(case):
     _check(case)
 
