@@ -4,25 +4,36 @@ The unified observability layer promises pay-for-what-you-use: a service
 built with ``Observability.disabled()`` (metrics registry live, tracer a
 :class:`~repro.obs.trace.NullTracer`) must serve within 5% of the same
 service built with no ``obs`` at all.  This benchmark measures exactly
-that contract on the concurrent :class:`QueryService` hot path:
+that contract on the :class:`QueryService` hot path:
 
-* **alternating reps** — baseline and instrumented runs interleave
+* **alternating pairs** — baseline and instrumented runs interleave
   (``A B A B ...``) so thermal drift or a noisy neighbour biases both
-  arms equally;
-* **best-of-N** — the minimum wall time per arm is the least-noise
-  estimate of the true cost (the standard microbenchmark reduction);
+  arms of a pair equally;
+* **median of the per-pair ratios** — each pair is its own control, and
+  the median shrugs off the one pair a neighbour landed on (best-of-N
+  over an 8-thread pool on a 2-core box measured the scheduler: 0.57 to
+  1.14 run to run);
+* **one worker, CPU seconds** — the instrumentation's cost is CPU per
+  query, so it is measured where nothing but the queries runs (no pool,
+  no GIL hand-offs) and in ``time.process_time``, which does not see a
+  neighbour taking the core (on the shared 2-core box wall-clock
+  medians of 7 pairs still ranged 0.97 to 1.22; CPU-time medians of 15
+  pairs 1.00 to 1.06 over five runs);
 * **cold result cache** — ``result_cache_size=0``, otherwise the second
   rep would serve memoized tuples and measure nothing.
 
-The throughput ratio (disabled over baseline) is asserted ``>= 0.95``
-here and emitted as ``BENCH_obs.json`` so
-``check_bench_regressions.py`` gates it against the committed baseline.
-The emitted row also embeds the registry snapshot — the bench-integration
+The throughput ratio (baseline CPU over disabled CPU) is emitted as
+``BENCH_obs.json`` — written *before* the assert, so a failing run still
+leaves its evidence and the all-files gate never reports the file
+missing — asserted ``>= 0.95`` here, and gated by
+``check_bench_regressions.py`` against the committed baseline.  The
+emitted row also embeds the registry snapshot — the bench-integration
 path every ``BENCH_*.json`` can now use.
 """
 
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -33,12 +44,12 @@ from repro.index.gat.index import GATIndex
 from repro.obs import Observability
 from repro.service import QueryService
 
-from conftest import bench_gat_config, bench_scale
+from conftest import bench_gat_config, bench_scale, usable_cores
 
 N_QUERIES = 30
 K = 8
-REPS = 4
-MAX_WORKERS = 8
+PAIRS = 15
+MAX_WORKERS = 1
 
 JSON_PATH = os.environ.get("REPRO_BENCH_OBS_JSON", "BENCH_obs.json")
 
@@ -55,7 +66,8 @@ def test_disabled_observability_overhead(benchmark, la_db, gat_index):
     report = {}
 
     def serve_once(obs):
-        """One timed batch through a fresh service (warm-up lap first)."""
+        """CPU seconds of one batch through a fresh service (warm-up lap
+        first)."""
         service = QueryService(
             GATSearchEngine(gat_index),
             max_workers=MAX_WORKERS,
@@ -63,54 +75,52 @@ def test_disabled_observability_overhead(benchmark, la_db, gat_index):
             obs=obs,
         )
         try:
-            service.search_many(queries, k=K)  # warm caches + pool
-            t0 = time.perf_counter()
+            service.search_many(queries, k=K)  # warm caches
+            t0 = time.process_time()
             responses = service.search_many(queries, k=K)
-            wall = time.perf_counter() - t0
+            cpu_s = time.process_time() - t0
         finally:
             service.close()
         assert len(responses) == N_QUERIES
-        return wall
+        return cpu_s
 
     def run():
-        baseline_times = []
-        disabled_times = []
         obs = Observability.disabled()
-        for _ in range(REPS):
-            baseline_times.append(serve_once(None))
-            disabled_times.append(serve_once(obs))
-        best_baseline = min(baseline_times)
-        best_disabled = min(disabled_times)
-        # Throughput ratio: disabled-instrumentation over uninstrumented.
-        ratio = best_baseline / best_disabled
+        pairs = [(serve_once(None), serve_once(obs)) for _ in range(PAIRS)]
+        # Throughput ratio per pair: disabled-instrumentation over
+        # uninstrumented.
+        ratios = [baseline / disabled for baseline, disabled in pairs]
+        baseline_s = statistics.median(b for b, _ in pairs)
+        disabled_s = statistics.median(d for _, d in pairs)
         report.update(
             {
                 "n_queries": N_QUERIES,
                 "k": K,
-                "reps": REPS,
+                "pairs": PAIRS,
                 "max_workers": MAX_WORKERS,
-                "baseline_best_s": round(best_baseline, 6),
-                "disabled_best_s": round(best_disabled, 6),
-                "baseline_qps": round(N_QUERIES / best_baseline, 2),
-                "disabled_qps": round(N_QUERIES / best_disabled, 2),
-                "disabled_over_baseline": round(ratio, 4),
+                "cores": usable_cores(),
+                "baseline_cpu_ms_per_query": round(1e3 * baseline_s / N_QUERIES, 3),
+                "disabled_cpu_ms_per_query": round(1e3 * disabled_s / N_QUERIES, 3),
+                "pair_ratios": [round(r, 4) for r in ratios],
+                "disabled_over_baseline": round(statistics.median(ratios), 4),
                 # The embedding path: a registry snapshot in a bench row.
                 "metrics": obs.metrics_snapshot(),
             }
-        )
-        assert ratio >= 0.95, (
-            f"disabled observability costs more than 5% throughput "
-            f"(ratio {ratio:.3f}: baseline {best_baseline:.4f}s vs "
-            f"disabled {best_disabled:.4f}s)"
         )
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
     with open(JSON_PATH, "w") as fh:
         json.dump(report, fh, indent=2)
+    ratio = report["disabled_over_baseline"]
     print(
-        f"\nobservability overhead ({N_QUERIES} queries × {REPS} reps, "
-        f"best-of): baseline {report['baseline_qps']} QPS, "
-        f"disabled {report['disabled_qps']} QPS, "
-        f"ratio {report['disabled_over_baseline']:.3f}"
+        f"\nobservability overhead ({N_QUERIES} queries × {PAIRS} "
+        f"alternating pairs, median): baseline "
+        f"{report['baseline_cpu_ms_per_query']} CPU ms/query, disabled "
+        f"{report['disabled_cpu_ms_per_query']}, ratio {ratio:.3f} "
+        f"(pairs {report['pair_ratios']})"
+    )
+    assert ratio >= 0.95, (
+        f"disabled observability costs more than 5% throughput "
+        f"(median pair ratio {ratio:.3f})"
     )

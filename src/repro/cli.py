@@ -65,12 +65,7 @@ from repro.serving import (
     arrival_process,
     run_open_loop,
 )
-from repro.shard import (
-    REPLICA_ROUTERS,
-    FaultPolicy,
-    ShardedGATIndex,
-    ShardedQueryService,
-)
+from repro.shard import FaultPolicy, ShardedGATIndex, ShardedQueryService
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,8 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_query_args(p_query: argparse.ArgumentParser) -> None:
-    """The serving-stack flags shared by ``query``/``trace``/``metrics``
-    (they all build and drive the same stack)."""
+    """The serving-stack flags shared by ``query``/``trace``/``metrics``/
+    ``serve-bench`` (they all build and drive the same stack; each
+    validates them with :func:`_check_query_args`)."""
     p_query.add_argument("dataset", help=".jsonl dataset path")
     p_query.add_argument("--k", type=int, default=9)
     p_query.add_argument("--query-points", type=int, default=4)
@@ -252,16 +248,9 @@ def _add_query_args(p_query: argparse.ArgumentParser) -> None:
         "--replicas",
         type=int,
         default=1,
-        help="copies of each shard served by the ShardedQueryService "
-        "(read scaling beyond one device per shard; 1 = unreplicated)",
-    )
-    p_query.add_argument(
-        "--replica-router",
-        choices=list(REPLICA_ROUTERS),
-        default="round-robin",
-        help="replica load-balancing for --replicas > 1: round-robin, "
-        "least-in-flight, or power-of-two (two random choices, pick the "
-        "less loaded)",
+        help="copies of each shard served by the ShardedQueryService, "
+        "round-robin over the healthy ones (read scaling beyond one "
+        "device per shard; 1 = unreplicated)",
     )
     p_query.add_argument(
         "--deadline-ms",
@@ -328,7 +317,7 @@ def _serving_stack(args: argparse.Namespace):
         return False, ""
     label = f"{args.shards} shards/{args.executor}"
     if args.replicas > 1:
-        label += f"×{args.replicas} replicas ({args.replica_router})"
+        label += f"×{args.replicas} replicas"
     return True, label
 
 
@@ -368,7 +357,6 @@ def _build_query_service(db, args: argparse.Namespace, obs=None, result_cache_si
             engine_config=EngineConfig(kernel=args.kernel),
             executor=args.executor,
             n_replicas=args.replicas,
-            replica_router=args.replica_router,
             max_workers=args.workers,  # None -> the executor's default
             fault_policy=fault_policy,
             obs=obs,
@@ -381,27 +369,32 @@ def _build_query_service(db, args: argparse.Namespace, obs=None, result_cache_si
     )
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
-    # Validate flags before the expensive load + index build.
-    if args.batch < 0:
-        print("--batch must be >= 0", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
-    if args.replicas < 1:
-        print("--replicas must be >= 1", file=sys.stderr)
-        return 2
+def _check_query_args(args: argparse.Namespace) -> bool:
+    """Validate the :func:`_add_query_args` flags — every serving
+    subcommand calls this before the expensive load + index build and
+    exits 2 on ``False`` (the reason is on stderr)."""
     fault_flags = (args.deadline_ms, args.task_retries, args.hedge_ms)
-    if any(f is not None for f in fault_flags) and not _serving_stack(args)[0]:
-        print(
+    if args.batch < 0:
+        problem = "--batch must be >= 0"
+    elif args.workers is not None and args.workers < 1:
+        problem = "--workers must be >= 1"
+    elif args.shards < 1:
+        problem = "--shards must be >= 1"
+    elif args.replicas < 1:
+        problem = "--replicas must be >= 1"
+    elif any(f is not None for f in fault_flags) and not _serving_stack(args)[0]:
+        problem = (
             "--deadline-ms/--task-retries/--hedge-ms need the sharded stack "
-            "(--shards > 1 or --replicas > 1)",
-            file=sys.stderr,
+            "(--shards > 1 or --replicas > 1)"
         )
+    else:
+        return True
+    print(problem, file=sys.stderr)
+    return False
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
+    if not _check_query_args(args):
         return 2
     db = load_database_jsonl(args.dataset)
     service = _build_query_service(db, args)
@@ -542,6 +535,8 @@ def _print_span_tree(spans) -> None:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import Observability, validate_spans, write_spans_jsonl
 
+    if not _check_query_args(args):
+        return 2
     obs = Observability.enabled(max_spans=args.max_spans)
     n = _drive_workload(args, obs)
     payloads = [span.to_dict() for span in obs.tracer.drain()]
@@ -557,6 +552,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs import Observability
 
+    if not _check_query_args(args):
+        return 2
     obs = Observability.disabled()  # registry only; tracing stays a no-op
     _drive_workload(args, obs)
     sys.stdout.write(obs.prometheus())
@@ -582,6 +579,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.rate <= 0 or args.duration <= 0:
         print("--rate and --duration must be > 0", file=sys.stderr)
+        return 2
+    if not _check_query_args(args):
         return 2
     db = load_database_jsonl(args.dataset)
     # The sharded stack needs a FaultPolicy for per-request deadline

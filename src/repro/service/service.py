@@ -553,7 +553,7 @@ class QueryService:
     engine:
         The (stateless) search engine; shared by every worker thread.
     max_workers:
-        Default thread-pool width for :meth:`search_many`.
+        Thread-pool width for :meth:`search_many`.
     result_cache_size:
         Capacity of the query-signature result cache: identical requests
         — same query points, ``k``, ``order_sensitive`` and ``explain`` —
@@ -665,29 +665,22 @@ class QueryService:
         order_sensitive: bool = False,
         *,
         explain: bool = False,
-        max_workers: Optional[int] = None,
     ) -> List[QueryResponse]:
         """Answer a batch concurrently; response ``i`` answers request ``i``.
 
         Bare :class:`Query` items take the shared ``k``/``order_sensitive``
         /``explain`` options; :class:`QueryRequest` items keep their own.
-        ``explain`` and ``max_workers`` are keyword-only.
+        ``explain`` is keyword-only.
         """
         requests = [
             as_request(q, k=k, order_sensitive=order_sensitive, explain=explain)
             for q in queries
         ]
-        workers = max_workers if max_workers is not None else self.max_workers
 
         def run_pooled(misses: Sequence[QueryRequest]) -> List[QueryResponse]:
-            if workers == 1 or len(misses) <= 1:
+            if self.max_workers == 1 or len(misses) <= 1:
                 return self._run_inline(misses)
-            if workers == self.max_workers:
-                return list(self._shared_pool().map(self._run_one, misses))
-            # Non-default width: a throwaway pool keeps the shared one
-            # honestly sized at max_workers.
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(self._run_one, misses))
+            return list(self._shared_pool().map(self._run_one, misses))
 
         return self._front.serve(requests, run_pooled)
 

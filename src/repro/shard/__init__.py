@@ -13,10 +13,10 @@ The scale-out layer above the single-machine engine:
   (serial / thread / process) and k-way merges the ranked lists; results
   are byte-identical to the unsharded engine.
 * :mod:`~repro.shard.replicas` — ``n_replicas`` copies of every shard
-  behind a pluggable :class:`~repro.shard.replicas.ReplicaRouter`
-  (round-robin / least-in-flight / power-of-two-choices) with per-replica
-  circuit breakers, for read scaling beyond one device per shard
-  (``ShardedQueryService(..., n_replicas=2)``); rankings stay
+  behind one :class:`~repro.shard.replicas.ReplicaRouter` (round-robin
+  over the copies the per-replica circuit breakers call healthy, bound at
+  submission on every backend), for read scaling beyond one device per
+  shard (``ShardedQueryService(..., n_replicas=2)``); rankings stay
   byte-identical.
 * :mod:`~repro.shard.resilience` — the one fan-out: a supervisor that
   submits every shard task and answers time and failure with per-query
@@ -38,16 +38,7 @@ from repro.shard.executor import (
     build_shard_engine,
 )
 from repro.shard.index import ShardedGATIndex
-from repro.shard.replicas import (
-    REPLICA_ROUTERS,
-    BreakerConfig,
-    LeastInFlightRouter,
-    PowerOfTwoRouter,
-    ReplicaHealth,
-    ReplicaRouter,
-    RoundRobinRouter,
-    make_replica_router,
-)
+from repro.shard.replicas import BreakerConfig, ReplicaHealth, ReplicaRouter
 from repro.shard.resilience import (
     DeadlineExceeded,
     FanoutOutcome,
@@ -63,11 +54,6 @@ __all__ = [
     "ShardedGATIndex",
     "ShardedQueryService",
     "ReplicaRouter",
-    "RoundRobinRouter",
-    "LeastInFlightRouter",
-    "PowerOfTwoRouter",
-    "REPLICA_ROUTERS",
-    "make_replica_router",
     "BreakerConfig",
     "ReplicaHealth",
     "FaultPolicy",

@@ -44,6 +44,7 @@ copy-on-write, so nothing is actually pickled.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
@@ -80,23 +81,21 @@ class ShardTask:
     keeps the run-to-local-completion behaviour.
 
     ``replica`` names which copy of the shard serves the task
-    (:mod:`repro.shard.replicas`).  The in-process backends route
-    dynamically at execution time (the field stays 0 and the service's
-    replica router picks a copy when a worker thread leases an engine);
-    the process backend routes at submission time — the field carries the
-    router's parent-side lease across the process boundary.  Worker-side
-    it is metadata only: every worker process is already an independent
-    physical copy (own engines, own disks), so the service sizes the pool
-    to ``n_shards × n_replicas`` workers rather than duplicating engines
-    inside each worker.
+    (:mod:`repro.shard.replicas`), stamped by the
+    :class:`~repro.shard.resilience.FanoutSupervisor` as it launches each
+    attempt, on every backend.  In-process runners run the task on that
+    replica's engine bank.  In a process worker it is metadata only:
+    every worker process is already an independent physical copy (own
+    engines, own disks), so the service sizes the pool to ``n_shards ×
+    n_replicas`` workers rather than duplicating engines inside each
+    worker.
 
     Observability fields: ``trace`` asks the runner (in-process or a
     process-fleet worker) to build a ``shard_task`` span for this task —
     worker-side spans ride home serialized in :attr:`ShardResult.spans`
     and are re-parented under the query root.  ``attempt`` counts prior
     failures of this fan-out slot (0 = first launch) and ``hedge`` marks
-    a speculative duplicate; both are stamped by the
-    :class:`~repro.shard.resilience.FanoutSupervisor` at launch time so
+    a speculative duplicate; both are stamped alongside ``replica`` so
     the span of whichever attempt *wins* says which attempt it was.
     """
 
@@ -143,15 +142,10 @@ class ShardTaskError(RuntimeError):
     and ``replica`` are the fields operators (and tests) match on.
     """
 
-    def __init__(
-        self,
-        task: ShardTask,
-        original: BaseException,
-        replica: Optional[int] = None,
-    ) -> None:
+    def __init__(self, task: ShardTask, original: BaseException) -> None:
         self.task = task
         self.shard_id = task.shard_id
-        self.replica = task.replica if replica is None else replica
+        self.replica = task.replica
         self.original = original
         super().__init__(
             f"shard {self.shard_id} (replica {self.replica}) failed serving "
@@ -498,7 +492,6 @@ class ProcessShardExecutor:
         self,
         spec: ShardEngineSpec,
         max_workers: Optional[int] = None,
-        mp_context=None,
         max_pool_repairs: int = 3,
     ) -> None:
         self.max_workers = max_workers if max_workers is not None else spec.n_shards
@@ -517,14 +510,12 @@ class ProcessShardExecutor:
         #: Worker-pool initialisations so far — the refresh-coalescing
         #: regression tests count this under insert bursts.
         self.pool_inits = 0
-        self._mp_context = mp_context
         self._lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
-        import multiprocessing
-
-        ctx = mp_context if mp_context is not None else multiprocessing
-        self._slots = [ctx.Value("d", math.inf) for _ in range(self.N_SLOTS)]
+        self._slots = [
+            multiprocessing.Value("d", math.inf) for _ in range(self.N_SLOTS)
+        ]
         self._free_slots = list(range(self.N_SLOTS))
 
     def acquire_slot(self) -> Optional[int]:
@@ -584,7 +575,6 @@ class ProcessShardExecutor:
                     if self._pool is None:
                         self._pool = ProcessPoolExecutor(
                             max_workers=self.max_workers,
-                            mp_context=self._mp_context,
                             initializer=_worker_init,
                             initargs=(self._spec, self._slots),
                         )

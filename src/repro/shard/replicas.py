@@ -1,4 +1,4 @@
-"""Replica placement: N copies of every shard, load-balanced.
+"""Replica placement: N copies of every shard, round-robin over the healthy ones.
 
 With one copy of each shard, read throughput is capped by that copy:
 every query that touches shard *s* queues on shard *s*'s single disk.
@@ -8,9 +8,9 @@ every query that touches shard *s* queues on shard *s*'s single disk.
 :class:`~repro.index.gat.index.GATIndex`, engine, and simulated disk over
 the *same* trajectory subset; under the process backend the worker
 processes themselves are the copies — the pool is sized ``n_shards ×
-n_replicas`` workers, each with its own engines and disks) and routes
-every :class:`~repro.shard.executor.ShardTask` to one copy through a
-pluggable :class:`ReplicaRouter`.
+n_replicas`` workers, each with its own engines and disks) and one
+:class:`ReplicaRouter` that names the copy each
+:class:`~repro.shard.executor.ShardTask` attempt runs on.
 
 Exactness: replicas are byte-identical copies, so *which* replica serves
 a task can never change the task's ranked list — routing moves latency
@@ -23,25 +23,23 @@ replica placement and the merged ranking stays byte-identical to the
 single-copy fleet's.  ``n_replicas=1`` is not a special case: a router
 over one replica always picks replica 0.
 
-Routing strategies (all thread-safe, all tracking per-``(shard,
-replica)`` in-flight depth):
+Routing: one strategy — round-robin per shard over the copies the
+circuit breaker (:class:`ReplicaHealth`) calls routable.  It is
+perfectly balanced for uniform tasks, keeps no load table, and is the
+one setting that fails over on the *first* retry: a load-aware pick ties
+back onto the copy that just failed (its depth dropped to zero the
+moment it failed), round-robin moves on.  A retry or hedge additionally
+names the copy it replaces (``route(shard, avoid=replica)``), so two
+queries interleaving on one shard's cursor cannot wrap it back there
+while a sibling is routable.
 
-* ``round-robin`` — cycle replicas per shard; the stateless default,
-  perfectly balanced for uniform tasks.
-* ``least-in-flight`` — send the task to the replica currently serving
-  the fewest tasks of that shard (ties to the lowest replica id); adapts
-  to skewed task costs at the price of a global view.
-* ``power-of-two`` — sample two replicas, pick the less loaded (the
-  classic load-balancing result: two random choices get exponentially
-  close to least-loaded without its coordination cost).  Seedable for
-  reproducible dispatch *sequences*; results never depend on the seed.
-
-When to route: the in-process backends (serial/thread) bind a task to a
-replica at **execution** time — the moment a worker thread leases an
-engine — so in-flight depth means "executing right now".  The process
-backend binds at **submission** time (the task carries its replica id
-across the process boundary), so depth there means "dispatched, not yet
-completed"; the lease is released when the fan-out returns.
+When a replica is bound: at **submission**, on every backend.  The
+fan-out supervisor (:class:`~repro.shard.resilience.FanoutSupervisor`)
+asks the router for a copy as it launches each attempt — first launch,
+retry or hedge — and stamps it on the task; in-process runners then use
+``banks[task.replica][task.shard_id]``, process workers carry the stamp
+as span metadata.  The supervisor is also the one place outcomes flow
+back from (:meth:`ReplicaPlacement.note_outcome`).
 
 Mutation: replicas are read-only snapshots.  An insert goes through the
 primary :class:`~repro.shard.index.ShardedGATIndex` (quiesce the service,
@@ -61,20 +59,16 @@ its own copy-on-write copy of the trajectories it has touched — see
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.engine import EngineConfig, GATSearchEngine
 from repro.index.gat.index import GATIndex
 from repro.model.distance import DistanceMetric
 from repro.shard.index import ShardedGATIndex
 from repro.storage.disk import SimulatedDisk
-
-REPLICA_ROUTERS = ("round-robin", "least-in-flight", "power-of-two")
-
 
 # ----------------------------------------------------------------------
 # Per-replica health: the circuit breaker
@@ -177,8 +171,8 @@ class ReplicaHealth:
         return out
 
     def note_leased(self, shard_id: int, replica: int) -> None:
-        """A task was routed to *replica*; an expired-probation replica's
-        lease becomes its probe."""
+        """An attempt was routed to *replica*; routing an
+        expired-probation replica is its probe."""
         breaker = self._breakers[shard_id][replica]
         if breaker.state == BREAKER_OPEN:
             now = self._clock()
@@ -222,25 +216,17 @@ class ReplicaHealth:
 
 
 class ReplicaRouter:
-    """Base replica picker: thread-safe in-flight accounting, per-replica
-    health, plus a strategy-specific :meth:`_pick`.
+    """Names the replica each shard-task attempt runs on: round-robin per
+    shard over the copies :class:`ReplicaHealth` calls routable (the scan
+    continues from the shard's cursor to the next routable copy).
 
-    ``route`` leases one replica of *shard_id* (incrementing its in-flight
-    depth) and ``release`` returns the lease; the depth table is what the
-    load-aware strategies read, and what tests introspect via
-    :meth:`in_flight`.
-
-    Health: every router carries a :class:`ReplicaHealth` circuit breaker.
-    ``route`` restricts the strategy's choice to the healthy candidates
-    (falling back to all replicas when none are — health degrades routing,
-    never availability) and the serving tier reports outcomes through
-    :meth:`record_success` / :meth:`record_failure`.  While every replica
-    is healthy the candidate set is complete and each strategy's pick
-    sequence is **bit-identical** to the pre-health routers — health
-    tracking is free until something actually fails.
+    Thread-safe; the lock also serialises the breaker, which the serving
+    tier feeds through :meth:`record_success` / :meth:`record_failure`.
+    When every copy of a shard is ejected the pick falls back to all of
+    them — health degrades routing, never availability — and while every
+    copy is healthy the pick sequence is the plain cycle: health tracking
+    is free until something actually fails.
     """
-
-    strategy = "?"
 
     def __init__(
         self,
@@ -256,34 +242,24 @@ class ReplicaRouter:
         self.n_shards = n_shards
         self.n_replicas = n_replicas
         self._lock = threading.Lock()
-        self._in_flight: List[List[int]] = [
-            [0] * n_replicas for _ in range(n_shards)
-        ]
-        self._routed = 0
+        self._next = [0] * n_shards
         self.health = ReplicaHealth(n_shards, n_replicas, breaker, clock)
 
-    def route(self, shard_id: int) -> int:
-        """Lease a replica of *shard_id* for one task."""
+    def route(self, shard_id: int, avoid: Optional[int] = None) -> int:
+        """Pick a replica of *shard_id* for one attempt.  *avoid* is the
+        copy a retry or hedge replaces: it is skipped unless it is the
+        only routable one."""
         with self._lock:
             candidates = self.health.candidates(shard_id)
             if not candidates:
                 candidates = list(range(self.n_replicas))
-            replica = self._pick(shard_id, candidates)
+            if avoid is not None and len(candidates) > 1:
+                candidates = [r for r in candidates if r != avoid]
+            start = self._next[shard_id]
+            replica = min(candidates, key=lambda r: (r - start) % self.n_replicas)
+            self._next[shard_id] = (replica + 1) % self.n_replicas
             self.health.note_leased(shard_id, replica)
-            self._in_flight[shard_id][replica] += 1
-            self._routed += 1
             return replica
-
-    def release(self, shard_id: int, replica: int) -> None:
-        """Return a lease taken by :meth:`route`."""
-        with self._lock:
-            depths = self._in_flight[shard_id]
-            if depths[replica] <= 0:
-                raise RuntimeError(
-                    f"release without matching route (shard {shard_id}, "
-                    f"replica {replica})"
-                )
-            depths[replica] -= 1
 
     def record_success(self, shard_id: int, replica: int) -> None:
         """A task served by *replica* completed (breaker feedback)."""
@@ -309,110 +285,11 @@ class ReplicaRouter:
             health = self.health
             return (health.ejections, health.restores, health.probes)
 
-    def in_flight(self, shard_id: int) -> Tuple[int, ...]:
-        """Current per-replica in-flight depths of one shard."""
-        with self._lock:
-            return tuple(self._in_flight[shard_id])
-
-    @property
-    def routed(self) -> int:
-        """Total tasks routed since construction (accounting aid)."""
-        with self._lock:
-            return self._routed
-
-    def _pick(
-        self, shard_id: int, candidates: List[int]
-    ) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class RoundRobinRouter(ReplicaRouter):
-    """Cycle through a shard's replicas in order, one task each (skipping
-    unhealthy copies: the scan continues from the cursor to the next
-    routable replica)."""
-
-    strategy = "round-robin"
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._next = [0] * self.n_shards
-
-    def _pick(self, shard_id: int, candidates: List[int]) -> int:
-        start = self._next[shard_id]
-        for step in range(self.n_replicas):
-            replica = (start + step) % self.n_replicas
-            if replica in candidates:
-                self._next[shard_id] = (replica + 1) % self.n_replicas
-                return replica
-        raise RuntimeError("route() never passes an empty candidate set")
-
-
-class LeastInFlightRouter(ReplicaRouter):
-    """Send each task to the replica with the fewest in-flight tasks of
-    its shard (ties break to the lowest replica id, deterministically)."""
-
-    strategy = "least-in-flight"
-
-    def _pick(self, shard_id: int, candidates: List[int]) -> int:
-        depths = self._in_flight[shard_id]
-        return min(candidates, key=lambda replica: (depths[replica], replica))
-
-
-class PowerOfTwoRouter(ReplicaRouter):
-    """Power-of-two-choices on in-flight depth: sample two distinct
-    candidates uniformly, route to the shallower (ties to the lower id)."""
-
-    strategy = "power-of-two"
-
-    def __init__(
-        self,
-        n_shards: int,
-        n_replicas: int,
-        seed: Optional[int] = None,
-        breaker: Optional[BreakerConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        super().__init__(n_shards, n_replicas, breaker=breaker, clock=clock)
-        self._rng = random.Random(seed)
-
-    def _pick(self, shard_id: int, candidates: List[int]) -> int:
-        if len(candidates) == 1:
-            return candidates[0]
-        # With all replicas healthy `candidates` is range(n_replicas), so
-        # the seeded draw sequence matches the pre-health router exactly.
-        a, b = self._rng.sample(candidates, 2)
-        depths = self._in_flight[shard_id]
-        if depths[a] != depths[b]:
-            return a if depths[a] < depths[b] else b
-        return min(a, b)
-
-
-def make_replica_router(
-    strategy: str,
-    n_shards: int,
-    n_replicas: int,
-    seed: Optional[int] = None,
-    breaker: Optional[BreakerConfig] = None,
-    clock: Callable[[], float] = time.monotonic,
-) -> ReplicaRouter:
-    """Build a router by strategy name (see :data:`REPLICA_ROUTERS`)."""
-    if strategy == "round-robin":
-        return RoundRobinRouter(n_shards, n_replicas, breaker=breaker, clock=clock)
-    if strategy == "least-in-flight":
-        return LeastInFlightRouter(n_shards, n_replicas, breaker=breaker, clock=clock)
-    if strategy == "power-of-two":
-        return PowerOfTwoRouter(
-            n_shards, n_replicas, seed=seed, breaker=breaker, clock=clock
-        )
-    raise ValueError(
-        f"unknown replica router {strategy!r}; expected one of {REPLICA_ROUTERS}"
-    )
-
 
 class ReplicaPlacement:
     """Where a shard task runs: ``n_replicas`` engine banks over one
-    sharded index, the :class:`ReplicaRouter` that leases them, and —
-    through the router — per-replica breaker health.  Owned by the
+    sharded index, the :class:`ReplicaRouter` that picks among them, and
+    — through the router — per-replica breaker health.  Owned by the
     :class:`~repro.shard.service.ShardedQueryService`, which passes its
     replica parameters straight through (they are documented there).
 
@@ -421,8 +298,8 @@ class ReplicaPlacement:
     (:meth:`ShardedGATIndex.replicate`).  With ``in_process=False`` (the
     process backend) only bank 0 is built: the worker processes are the
     copies there, and in-process banks would double memory for engines
-    nothing ever runs on — the router then only does lease accounting
-    for replica ids stamped onto tasks at submission.
+    nothing ever runs on — the replica id stamped on a task is then a
+    label the breaker and the worker's span key on.
     """
 
     def __init__(
@@ -430,8 +307,6 @@ class ReplicaPlacement:
         index: ShardedGATIndex,
         *,
         n_replicas: int,
-        replica_router: Union[str, ReplicaRouter],
-        router_seed: Optional[int],
         replica_disk_factory: Optional[Callable[[], SimulatedDisk]],
         breaker: Optional[BreakerConfig],
         metric: Optional[DistanceMetric],
@@ -439,38 +314,13 @@ class ReplicaPlacement:
         in_process: bool,
         obs,
     ) -> None:
-        if n_replicas < 1:
-            raise ValueError("n_replicas must be >= 1")
         if replica_disk_factory is not None and not in_process:
             raise ValueError(
                 "replica_disk_factory is in-process only: process workers "
                 "rebuild replica disks from the engine spec (the primary "
                 "shards' cost model)"
             )
-        if isinstance(replica_router, ReplicaRouter):
-            if breaker is not None:
-                raise ValueError(
-                    "breaker is only valid with a strategy name; a prebuilt "
-                    "replica_router already owns its ReplicaHealth breaker"
-                )
-            if (
-                replica_router.n_shards != index.n_shards
-                or replica_router.n_replicas != n_replicas
-            ):
-                raise ValueError(
-                    "replica_router shape "
-                    f"({replica_router.n_shards}×{replica_router.n_replicas}) "
-                    f"does not match the fleet ({index.n_shards}×{n_replicas})"
-                )
-            self.router = replica_router
-        else:
-            self.router = make_replica_router(
-                replica_router,
-                index.n_shards,
-                n_replicas,
-                seed=router_seed,
-                breaker=breaker,
-            )
+        self.router = ReplicaRouter(index.n_shards, n_replicas, breaker=breaker)
         self.index = index
         self._metric = metric
         self._engine_config = engine_config
@@ -493,13 +343,6 @@ class ReplicaPlacement:
             for shard in replicas:
                 self._obs.bind_disk(shard.disk)
         return [self._engine(shard) for shard in replicas]
-
-    def lease(self, shard_id: int) -> Tuple[GATSearchEngine, int]:
-        """Execution-time binding: route one task of *shard_id* to a
-        replica and return ``(engine, replica)``; pair with
-        :meth:`ReplicaRouter.release` once the task finishes."""
-        replica = self.router.route(shard_id)
-        return self.banks[replica][shard_id], replica
 
     def note_outcome(self, shard_id: int, replica: int, ok: bool) -> None:
         """Feed one attempt's outcome to the router's circuit breaker."""

@@ -13,14 +13,15 @@ retries, no hedges, any shard failure raises):
 * **retries** — a failed attempt is retried after exponential backoff
   (:attr:`FaultPolicy.retry_backoff_s` doubling per failure), at most
   :attr:`FaultPolicy.max_retries` times per shard, never past the
-  deadline.  Each retry is *re-routed* — the replica router picks a
-  (healthier) sibling copy, which is what turns a retry into failover.
+  deadline.  Each retry is *re-routed* — bound to a fresh copy that is
+  not the one that just failed (while another is routable), which is
+  what turns a retry into failover.
 * **hedges** — when an attempt has been running longer than the fleet's
   observed latency quantile (:class:`TaskLatencyTracker`; the fixed
   :attr:`FaultPolicy.hedge_after_s` until enough samples exist), a single
-  backup attempt is launched on a re-routed lease.  First completion
-  wins; the loser's result is discarded (result offers dedup by
-  trajectory id, so a straggler finishing later is harmless).  An
+  backup attempt is launched on a sibling of the straggler's copy.  First
+  completion wins; the loser's result is discarded (result offers dedup
+  by trajectory id, so a straggler finishing later is harmless).  An
   optional global budget (:attr:`FaultPolicy.hedge_budget`) caps live
   hedges as a fraction of in-flight attempts so hedging cuts tails
   without amplifying overload; denied hedges are counted
@@ -38,10 +39,24 @@ resubmitted without spending the retry budget (bounded per fan-out by
 ``max_pool_repairs``), so a process fleet keeps answering through a
 SIGKILL even under :data:`ALL_OR_NOTHING`.
 
+Replica binding and the breaker contract.  Every attempt — first launch,
+retry, hedge, on every backend — is bound to a replica by the supervisor
+as it launches it (``bind``), and the supervisor is the only reporter of
+outcomes (``on_outcome``):
+
+* each attempt's outcome is reported **exactly once**;
+* outcomes of attempts the supervisor waited for are reported before
+  :meth:`FanoutSupervisor.run` returns, so the breaker state a caller
+  reads after ``search`` already reflects them;
+* an attempt the supervisor stopped waiting for (abandoned at the
+  deadline, a hedge race's loser) still reports — from its future's done
+  callback, whenever it finishes;
+* a :class:`BrokenProcessPool` is a fleet event and never a replica
+  failure: it is healed around and not reported.
+
 The supervisor is deliberately executor-agnostic: it sees only
-``submit(task) -> Future`` plus optional hooks (``bind`` to lease a
-replica for process-backend attempts, ``heal`` to retire a broken
-process pool, ``on_outcome`` for router health).  The serial backend's
+``submit(task) -> Future``, the ``bind`` / ``on_outcome`` pair, and an
+optional ``heal`` to retire a broken process pool.  The serial backend's
 inline futures degenerate it to a plain loop — correct, but nothing can
 preempt an inline task, so policies only bite under a concurrent
 backend.
@@ -62,7 +77,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.obs.metrics import nearest_rank
 from repro.shard.executor import ShardResult, ShardTask
 
-#: Hedge delays below this would fire backup leases faster than the pool
+#: Hedge delays below this would fire backup attempts faster than the pool
 #: can drain them on fast workloads; the quantile is floored here.
 _MIN_HEDGE_DELAY_S = 1e-3
 
@@ -176,7 +191,8 @@ class FanoutOutcome:
     #: deadline, or a hedge race's loser.  Nobody reads their results,
     #: but they keep writing to whatever the query leased for its tasks
     #: (the process backend's threshold slot), so the lessor must wait
-    #: for them before reusing it.
+    #: for them before reusing it.  Each still reports its outcome to the
+    #: breaker when it finishes.
     in_flight: List[Future] = field(default_factory=list)
 
 
@@ -193,12 +209,13 @@ class _ShardState:
     hedged: bool = False
     retry_due: Optional[float] = None
     last_error: Optional[BaseException] = None
+    failed_on: Optional[int] = None  # replica of the last dead attempt
 
 
 @dataclass
 class _Attempt:
     state: _ShardState
-    task: ShardTask  # as submitted (attempt stamp, replica lease)
+    task: ShardTask  # as submitted (replica, attempt ordinal, hedge flag)
     started: float
     hedge: bool
 
@@ -214,12 +231,16 @@ class FanoutSupervisor:
         The budget and the shared latency window (owned by the service so
         the hedge quantile learns across batches).
     bind:
-        Leases a replica for one attempt at submission: ``task -> task``
-        stamped with the lease.  The process backend passes this — a task
-        must carry its replica across the process boundary — and it runs
-        for *every* attempt, so a retry or hedge gets a fresh (preferably
-        healthier) copy.  ``None`` submits tasks as they are (in-process
-        backends lease when a worker thread starts the task).
+        ``(shard_id, avoid) -> replica``: names the copy one attempt runs
+        on (:meth:`~repro.shard.replicas.ReplicaRouter.route`).  Called
+        for *every* attempt as it launches, and the answer is stamped on
+        the submitted task.  *avoid* is the replica of the attempt being
+        replaced — the failed one for a retry, the straggler for a hedge,
+        ``None`` for a first launch or a fleet-event resubmission.
+    on_outcome:
+        ``(shard_id, replica, ok) -> None``: the breaker's feed
+        (:meth:`~repro.shard.replicas.ReplicaPlacement.note_outcome`),
+        called under the contract in the module docstring.
     heal / max_pool_repairs:
         *heal* is called when an attempt dies with
         :class:`BrokenProcessPool` (retire the broken pool so
@@ -227,30 +248,33 @@ class FanoutSupervisor:
         one).  Such attempts are resubmitted at once without spending
         ``max_retries`` while the run has healed at most
         *max_pool_repairs* pools; past that they fail like any other.
-    on_outcome:
-        Per-attempt health feedback ``(task, ok) -> None`` for attempts
-        bound at submission — the service feeds its circuit breaker here
-        (in-process attempts report from the task runner itself).  Fleet
-        events are not reported: a broken pool says nothing about a copy.
     """
 
     def __init__(
         self,
         submit: Callable[[ShardTask], Future],
         policy: FaultPolicy,
+        bind: Callable[[int, Optional[int]], int],
+        on_outcome: Callable[[int, int, bool], None],
         tracker: Optional[TaskLatencyTracker] = None,
-        bind: Optional[Callable[[ShardTask], ShardTask]] = None,
         heal: Optional[Callable[[], object]] = None,
         max_pool_repairs: int = 0,
-        on_outcome: Optional[Callable[[ShardTask, bool], None]] = None,
     ) -> None:
         self._submit = submit
         self._policy = policy
-        self._tracker = tracker
         self._bind = bind
+        self._on_outcome = on_outcome
+        self._tracker = tracker
         self._heal = heal
         self._max_pool_repairs = max_pool_repairs
-        self._on_outcome = on_outcome
+
+    def _report(self, task: ShardTask, exc: Optional[BaseException]) -> None:
+        """One attempt's outcome, to the breaker (``exc=None``: it
+        answered).  A broken pool — bare, or wrapped by an executor that
+        ran out of repairs — says nothing about a copy."""
+        if not isinstance(getattr(exc, "original", exc), BrokenProcessPool):
+            self._on_outcome(task.shard_id, task.replica, exc is None)
+
 
     # ------------------------------------------------------------------
     def _hedge_delay(self) -> Optional[float]:
@@ -301,18 +325,17 @@ class FanoutSupervisor:
 
         def handle_failure(state: _ShardState, task: ShardTask, exc: BaseException) -> None:
             nonlocal pools_healed
+            self._report(task, exc)
             fleet_event = isinstance(exc, BrokenProcessPool) and self._heal is not None
-            if fleet_event:
+            if fleet_event and self._heal():
                 # Every attempt in flight on the dead pool lands here;
                 # only the first finds a pool left to retire.
-                if self._heal():
-                    pools_healed += 1
-            elif self._on_outcome is not None:
-                self._on_outcome(task, False)
+                pools_healed += 1
             if state.resolved:
                 return
             state.failures += 1
             state.last_error = exc
+            state.failed_on = task.replica
             if fleet_event and pools_healed <= self._max_pool_repairs:
                 outcomes[state.qi].retries += 1
                 launch(state)
@@ -332,15 +355,19 @@ class FanoutSupervisor:
                 state.resolved = True
                 outcomes[state.qi].failures[state.task.shard_id] = exc
 
-        def launch(state: _ShardState, *, hedge: bool = False) -> None:
-            task = state.task
-            if state.failures or hedge:
-                # Stamp the attempt ordinal and hedge flag so the span of
-                # whichever attempt wins says which attempt it was (both
-                # fields are trace metadata — no backend keys on them).
-                task = dc_replace(task, attempt=state.failures, hedge=hedge)
-            if self._bind is not None:
-                task = self._bind(task)
+        def launch(
+            state: _ShardState, *, avoid: Optional[int] = None, hedge: bool = False
+        ) -> None:
+            # Bind the attempt to a replica, and stamp the attempt ordinal
+            # and hedge flag so the span of whichever attempt wins says
+            # which attempt it was (trace metadata — no backend keys on
+            # those two).
+            task = dc_replace(
+                state.task,
+                replica=self._bind(state.task.shard_id, avoid),
+                attempt=state.failures,
+                hedge=hedge,
+            )
             try:
                 future = self._submit(task)
             except Exception as exc:
@@ -384,9 +411,14 @@ class FanoutSupervisor:
                             else DeadlineExceeded(state.task, effective[qi])
                         )
             for future in [f for f, a in attempts.items() if a.state.resolved]:
-                state = attempts.pop(future).state
-                state.live -= 1
-                outcomes[state.qi].in_flight.append(future)
+                attempt = attempts.pop(future)
+                attempt.state.live -= 1
+                outcomes[attempt.state.qi].in_flight.append(future)
+                # Nobody waits for it any more: it reports from its done
+                # callback (at once when it already finished).
+                future.add_done_callback(
+                    lambda done, task=attempt.task: self._report(task, done.exception())
+                )
             if all(state.resolved for state in states):
                 break
             # Fire due retries.
@@ -396,7 +428,7 @@ class FanoutSupervisor:
                 if state.retry_due <= now:
                     state.retry_due = None
                     outcomes[state.qi].retries += 1
-                    launch(state)
+                    launch(state, avoid=state.failed_on)
             # Fire due hedges (one backup per shard, never hedge a hedge).
             # The global budget caps live hedge attempts at
             # hedge_budget × live attempts; a denied hedge permanently
@@ -421,7 +453,7 @@ class FanoutSupervisor:
                                 outcomes[state.qi].hedges_denied += 1
                                 continue
                         outcomes[state.qi].hedges += 1
-                        launch(state, hedge=True)
+                        launch(state, avoid=attempt.task.replica, hedge=True)
             # Next timer: earliest deadline / retry / hedge trigger.
             timers: List[float] = []
             for qi, query_states in enumerate(by_query):
@@ -476,8 +508,7 @@ class FanoutSupervisor:
                 else:
                     if self._tracker is not None:
                         self._tracker.record(time.monotonic() - attempt.started)
-                    if self._on_outcome is not None:
-                        self._on_outcome(attempt.task, True)
+                    self._report(attempt.task, None)
                     if not state.resolved:
                         state.resolved = True
                         state.retry_due = None

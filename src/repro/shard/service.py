@@ -10,8 +10,9 @@ and what a version move must rebuild (:meth:`ShardedQueryService._resync`).
 Fan-out: every query becomes ``n_shards`` independent :class:`ShardTask`
 units; one :class:`~repro.shard.resilience.FanoutSupervisor` submits them
 through a pluggable executor (serial / thread / process, see
-:mod:`repro.shard.executor`), each to one of the ``n_replicas`` copies of
-its shard (:class:`~repro.shard.replicas.ReplicaPlacement`), and the
+:mod:`repro.shard.executor`), each bound at submission to one of the
+``n_replicas`` copies of its shard
+(:class:`~repro.shard.replicas.ReplicaPlacement`), and the
 per-shard ranked lists are merged in a
 :class:`~repro.core.results.TopKCollector` — the same collector the
 engine itself uses, so tie-breaks (distance, then trajectory id) are
@@ -52,7 +53,6 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.context import SearchStats
@@ -79,11 +79,7 @@ from repro.shard.executor import (
     run_shard_task,
 )
 from repro.shard.index import ShardedGATIndex
-from repro.shard.replicas import (
-    BreakerConfig,
-    ReplicaPlacement,
-    ReplicaRouter,
-)
+from repro.shard.replicas import BreakerConfig, ReplicaPlacement
 from repro.shard.resilience import (
     ALL_OR_NOTHING,
     FanoutOutcome,
@@ -142,8 +138,6 @@ class ShardedQueryService:
     result_cache_size:
         Query-signature result cache capacity (``0`` disables), shared
         across shards and invalidated on the composite index version.
-    mp_context:
-        Optional :mod:`multiprocessing` context for the process backend.
     fault_policy:
         Optional :class:`~repro.shard.resilience.FaultPolicy` for the
         fan-out supervisor: per-query deadlines, backoff'd retries,
@@ -154,9 +148,8 @@ class ShardedQueryService:
         shard failure raises) with ``QueryRequest.deadline_s`` left
         advisory.  Rankings are byte-identical whatever the policy
         whenever every shard answers.  Replicas are what make retries and
-        hedges *useful*: a retried or hedged attempt is re-routed through
-        the router, which — fed by the circuit breaker — steers it to a
-        healthy sibling copy of the same shard.  Deadlines and hedges need
+        hedges *useful*: a retried or hedged attempt is bound to a healthy
+        sibling of the copy it replaces.  Deadlines and hedges need
         a concurrent backend; the serial executor runs tasks inline where
         nothing can preempt them.
     obs:
@@ -169,20 +162,13 @@ class ShardedQueryService:
         and ship them home in :attr:`ShardResult.spans` for re-parenting
         under the root.  ``None`` (default) = no instrumentation.
     n_replicas:
-        Copies of each shard (default 1), load-balanced by the router —
-        see :mod:`repro.shard.replicas`.  The in-process backends
-        (serial/thread) hold the replica engine banks in this object; the
-        process backend realises replicas as the worker processes
-        themselves (each worker its own engines and disks) and stamps
-        each task's replica at submission purely for the router's lease
-        accounting.
-    replica_router:
-        A strategy name from :data:`~repro.shard.replicas.REPLICA_ROUTERS`,
-        or a prebuilt :class:`~repro.shard.replicas.ReplicaRouter` (must
-        match the fleet's shape).
-    router_seed:
-        Seed for the ``power-of-two`` sampler (reproducible dispatch
-        sequences; rankings never depend on it).
+        Copies of each shard (default 1).  Every attempt is bound at
+        submission, round-robin over the copies the circuit breaker calls
+        healthy — see :mod:`repro.shard.replicas`.  The in-process
+        backends (serial/thread) hold the replica engine banks in this
+        object; the process backend realises replicas as the worker
+        processes themselves (each worker its own engines and disks), so
+        the replica stamped on a task is a label there.
     replica_disk_factory:
         Called once per replica shard to create its disk.  Default:
         every replica disk clones the primary shard disk's cost model
@@ -194,9 +180,7 @@ class ShardedQueryService:
     breaker:
         Optional :class:`~repro.shard.replicas.BreakerConfig` tuning the
         per-replica circuit breaker (eject after N consecutive failures,
-        probation probe after a cool-down).  Only valid when
-        *replica_router* is a strategy name; a prebuilt router already
-        owns its breaker.
+        probation probe after a cool-down).
     """
 
     def __init__(
@@ -207,12 +191,9 @@ class ShardedQueryService:
         executor: str = "thread",
         max_workers: Optional[int] = None,
         result_cache_size: int = 1024,
-        mp_context=None,
         fault_policy: Optional[FaultPolicy] = None,
         obs=None,
         n_replicas: int = 1,
-        replica_router: Union[str, ReplicaRouter] = "round-robin",
-        router_seed: Optional[int] = None,
         replica_disk_factory: Optional[Callable[[], SimulatedDisk]] = None,
         breaker: Optional[BreakerConfig] = None,
     ) -> None:
@@ -226,18 +207,16 @@ class ShardedQueryService:
         self.engine_config = (
             engine_config if engine_config is not None else EngineConfig()
         )
-        # The one backend fork.  In-process backends run tasks on this
-        # object's engine banks and lease a replica when a worker thread
-        # starts the task (_run_task); the process backend's workers own
-        # the engines, so a task must carry its replica across the
-        # process boundary — leased at submission, released after the
-        # fan-out (_supervised_fanout).
+        # The one backend fork, guarding only what the process boundary
+        # forces: in-process backends run tasks on this object's engine
+        # banks against a shared collector and span them directly; the
+        # process backend's workers own the engines, prune through a
+        # leased threshold slot, ship their spans home, and need their
+        # snapshot refreshed after an insert.
         self._in_process = executor != "process"
         self.placement = ReplicaPlacement(
             index,
             n_replicas=n_replicas,
-            replica_router=replica_router,
-            router_seed=router_seed,
             replica_disk_factory=replica_disk_factory,
             breaker=breaker,
             metric=metric,
@@ -262,7 +241,7 @@ class ShardedQueryService:
             if max_workers is None:
                 max_workers = index.n_shards * n_replicas
             self._executor = ProcessShardExecutor(
-                self._make_spec(), max_workers=max_workers, mp_context=mp_context
+                self._make_spec(), max_workers=max_workers
             )
         # Guards the fan-out state below; never held across a call into
         # the front, and _resync (which the front calls under *its* lock)
@@ -302,15 +281,15 @@ class ShardedQueryService:
         return self._executor.kind
 
     def _run_task(self, task: ShardTask) -> ShardResult:
-        """In-process task runner (serial and thread backends): shard
-        tasks of one query prune against their shared merged top-k.
+        """In-process task runner (serial and thread backends): runs the
+        task on the replica the supervisor bound it to; shard tasks of
+        one query prune against their shared merged top-k.
 
-        Failure contract (every backend funnels through here or through a
-        worker equivalent): the replica lease is *always* released, the
-        router's circuit breaker hears about the outcome, and any
-        exception leaves wrapped in a :class:`ShardTaskError` naming the
-        shard, replica, and query — never as a bare traceback from
-        somewhere inside a pool.
+        Failure contract: any exception leaves wrapped in a
+        :class:`ShardTaskError` naming the shard, replica, and query —
+        never as a bare traceback from somewhere inside a pool.  (The
+        breaker hears about the outcome from the supervisor, like every
+        backend's.)
         """
         obs = self.obs
         tracing = obs is not None and obs.tracer.enabled
@@ -322,46 +301,39 @@ class ShardedQueryService:
             shared = self._shared.get(task.group)
             root = self._trace_roots.get(task.group) if tracing else None
         placement = self.placement
-        shard_id = task.shard_id
-        engine, replica = placement.lease(shard_id)
+        engine = placement.banks[task.replica][task.shard_id]
         span = None
         if tracing:
             span = obs.tracer.start_span(
                 "shard_task",
                 parent=root,
                 attrs={
-                    "shard": shard_id,
-                    "replica": replica,
+                    "shard": task.shard_id,
+                    "replica": task.replica,
                     "attempt": task.attempt,
                     "hedge": task.hedge,
-                    "breaker": placement.breaker_state(shard_id, replica),
+                    "breaker": placement.breaker_state(task.shard_id, task.replica),
                 },
             )
         try:
             if shared is None:  # defensive: run standalone, still exact
-                result = run_shard_task(engine, task, trace_span=span)
-            else:
-                result = run_shard_task(
-                    engine,
-                    task,
-                    external_threshold=shared.kth_distance,
-                    result_sink=shared.offer,
-                    trace_span=span,
-                )
+                return run_shard_task(engine, task, trace_span=span)
+            return run_shard_task(
+                engine,
+                task,
+                external_threshold=shared.kth_distance,
+                result_sink=shared.offer,
+                trace_span=span,
+            )
         except Exception as exc:
             if span is not None:
                 span.set_attr("error", f"{type(exc).__name__}: {exc}")
-            placement.note_outcome(shard_id, replica, ok=False)
             if isinstance(exc, ShardTaskError):
                 raise
-            raise ShardTaskError(task, exc, replica=replica) from exc
-        else:
-            placement.note_outcome(shard_id, replica, ok=True)
-            return result
+            raise ShardTaskError(task, exc) from exc
         finally:
             if span is not None:
                 span.end()
-            placement.router.release(shard_id, replica)
 
     def _make_spec(self) -> ShardEngineSpec:
         """A picklable snapshot of the current fleet for process workers."""
@@ -560,41 +532,16 @@ class ShardedQueryService:
         ``fault_policy.deadline_s`` (per-request remaining budgets from
         the serving front-end)."""
         executor = self._executor
-        placement = self.placement
-        # Submission-time replica leases (process backend), returned once
-        # the whole fan-out is back.
-        leased: List[ShardTask] = []
-        if self._in_process:
-            # Execution-time binding: retries/hedges resubmit the same
-            # task, the router picks the replica when _run_task leases,
-            # and _run_task itself reports health.
-            bind = on_outcome = None
-            max_pool_repairs = 0
-        else:
-
-            def bind(task: ShardTask) -> ShardTask:
-                task = dc_replace(task, replica=placement.router.route(task.shard_id))
-                leased.append(task)
-                return task
-
-            def on_outcome(task: ShardTask, ok: bool) -> None:
-                placement.note_outcome(task.shard_id, task.replica, ok)
-
-            max_pool_repairs = executor.max_pool_repairs
         supervisor = FanoutSupervisor(
             executor.submit,
             self._policy,
-            self._task_latency,
-            bind=bind,
+            bind=self.placement.router.route,
+            on_outcome=self.placement.note_outcome,
+            tracker=self._task_latency,
             heal=executor.heal,
-            max_pool_repairs=max_pool_repairs,
-            on_outcome=on_outcome,
+            max_pool_repairs=0 if self._in_process else executor.max_pool_repairs,
         )
-        try:
-            outcomes = supervisor.run(fanouts, deadlines=deadlines)
-        finally:
-            for task in leased:
-                placement.router.release(task.shard_id, task.replica)
+        outcomes = supervisor.run(fanouts, deadlines=deadlines)
         retries = sum(o.retries for o in outcomes)
         hedges = sum(o.hedges for o in outcomes)
         hedges_denied = sum(o.hedges_denied for o in outcomes)

@@ -1,8 +1,8 @@
 """Resource hygiene on the refusal paths.
 
 A burst that sheds or rejects most of the offered load must leave the
-stack exactly as it found it: admission permits restored, router leases
-released, process-pool threshold slots back in the free list.  A single
+stack exactly as it found it: admission permits restored, per-query
+registrations dropped, process-pool threshold slots back in the free list.  A single
 leaked unit per refusal would wedge the service within minutes of a real
 overload.
 """
@@ -49,8 +49,8 @@ def shedding_burst(frontend, queries, deadline_s):
 
 def stragglers_drained(all_back, timeout_s=10.0):
     """Deadline-abandoned attempts finish in their pool workers after the
-    response has gone out; what they hold (a router lease, a share of a
-    threshold slot) comes back when they do.  Poll *all_back* until it
+    response has gone out; what they hold (a share of a threshold slot)
+    comes back when they do.  Poll *all_back* until it
     holds or *timeout_s* passes, and return its final verdict."""
     give_up = time.monotonic() + timeout_s
     while not all_back() and time.monotonic() < give_up:
@@ -106,15 +106,9 @@ def test_thread_replica_burst_releases_leases_and_permits(tiny_db, workload_quer
             assert frontend.admission.queue_depth == 0
             assert frontend._sem is not None
             assert frontend._sem._value == config.max_concurrency
-            # Router leases: nothing in flight on any replica.
-            router = service.placement.router
-            assert stragglers_drained(
-                lambda: all(
-                    n == 0
-                    for shard_id in range(service.n_shards)
-                    for n in router.in_flight(shard_id)
-                )
-            )
+            # Per-query registrations (the shared top-k each fan-out
+            # leases for its shard tasks): none outlives its batch.
+            assert stragglers_drained(lambda: not service._shared)
 
 
 def test_process_backend_burst_returns_threshold_slots(tiny_db, workload_queries):

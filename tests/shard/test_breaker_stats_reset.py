@@ -31,7 +31,6 @@ def service(tiny_db):
             sharded,
             executor="serial",
             n_replicas=2,
-            replica_router="round-robin",
             breaker=BreakerConfig(failure_threshold=1, probation_after_s=0.05),
             result_cache_size=0,
         ) as svc:
@@ -68,12 +67,11 @@ def test_probe_and_restore_count_within_the_window(service):
     router.record_failure(0, 0)  # eject replica (0, 0)
     service.reset_stats()
     time.sleep(0.06)  # probation expires
-    # Routing shard 0 now leases the probation candidate as its probe;
-    # round-robin's cursor may need one extra lease to land on it.
+    # Routing shard 0 onto the probation candidate is its probe;
+    # round-robin's cursor may need one extra pick to land on it.
     probed = None
     for _ in range(2):
         replica = router.route(0)
-        router.release(0, replica)
         if router.replica_state(0, replica) == "probing":
             probed = replica
             break

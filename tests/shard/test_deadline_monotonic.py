@@ -55,6 +55,13 @@ def hostile_wall_clock(monkeypatch):
     monkeypatch.setattr(time, "time", unhinged)
 
 
+#: One copy per shard and nobody listening: what a supervisor test that is
+#: not about replicas passes for the binding / breaker pair.
+UNREPLICATED = dict(
+    bind=lambda shard_id, avoid: 0, on_outcome=lambda shard_id, replica, ok: None
+)
+
+
 class TestSupervisorDeadlines:
     def test_wall_clock_jumps_cannot_expire_inflight_queries(
         self, pool, hostile_wall_clock
@@ -64,6 +71,7 @@ class TestSupervisorDeadlines:
         supervisor = FanoutSupervisor(
             submit=lambda t: pool.submit(answer, t, 0.02),
             policy=FaultPolicy(deadline_s=5.0, max_retries=0, hedge_after_s=None),
+            **UNREPLICATED,
         )
         (outcome,) = supervisor.run([[make_task(0), make_task(1)]])
         assert not outcome.failures
@@ -81,6 +89,7 @@ class TestSupervisorDeadlines:
         supervisor = FanoutSupervisor(
             submit=lambda t: pool.submit(stall, t),
             policy=FaultPolicy(deadline_s=0.05, max_retries=0, hedge_after_s=None),
+            **UNREPLICATED,
         )
         t0 = time.monotonic()
         (outcome,) = supervisor.run([[make_task(0)]])
@@ -103,6 +112,7 @@ class TestSupervisorDeadlines:
         supervisor = FanoutSupervisor(
             submit=lambda t: pool.submit(stall, t),
             policy=FaultPolicy(deadline_s=30.0, max_retries=0, hedge_after_s=None),
+            **UNREPLICATED,
         )
         (outcome,) = supervisor.run([[make_task(0)]], deadlines=[0.05])
         release.set()
@@ -122,6 +132,7 @@ class TestSupervisorDeadlines:
         supervisor = FanoutSupervisor(
             submit=lambda t: pool.submit(stall, t),
             policy=FaultPolicy(deadline_s=0.05, max_retries=0, hedge_after_s=None),
+            **UNREPLICATED,
         )
         (outcome,) = supervisor.run([[make_task(0)]], deadlines=[60.0])
         release.set()
@@ -135,6 +146,7 @@ class TestSupervisorDeadlines:
         supervisor = FanoutSupervisor(
             submit=lambda t: pool.submit(answer, t, 0.1),
             policy=FaultPolicy(deadline_s=30.0, max_retries=0, hedge_after_s=None),
+            **UNREPLICATED,
         )
         tight, roomy = supervisor.run(
             [[make_task(0)], [make_task(0)]], deadlines=[0.02, None]

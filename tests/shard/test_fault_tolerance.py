@@ -1,9 +1,9 @@
 """Supervised fan-out under injected faults: the serving-tier contract.
 
 Parity when healthy, failover on errors, graceful degradation on dead
-shards and missed deadlines, hedging on stragglers — and the leak
-regressions: every failure path must hand back its engine leases and
-threshold slots.
+shards and missed deadlines, hedging on stragglers, the breaker contract
+on the thread backend — and the leak regressions: every failure path
+must hand back its threshold slots and registrations.
 """
 
 import copy
@@ -141,9 +141,6 @@ def test_supervised_parity_with_no_faults(
             responses = service.search_many(queries, k=K)
             stats = service.stats()
             # Nothing leased or registered outlives the batch.
-            router = service.placement.router
-            for shard_id in range(N_SHARDS):
-                assert router.in_flight(shard_id) == (0,) * n_replicas
             if executor == "process":
                 pool = service._executor
                 assert sorted(pool._free_slots) == list(range(pool.N_SLOTS))
@@ -303,8 +300,8 @@ def test_hedge_fires_on_slow_replica_and_stays_exact(db, queries):
 
 def test_failover_to_clean_replicas_reaches_full_coverage(db, queries):
     """Every primary disk errors constantly; the replica bank is clean.
-    Retries re-lease through the router, so coverage must be full and
-    rankings exact."""
+    Retries are re-routed off the failed copy, so coverage must be full
+    and rankings exact."""
     truth = _truth(db, queries)
     injector = FaultInjector(FaultRule(error_rate=1.0), seed=0)
     with _build(
@@ -323,10 +320,10 @@ def test_failover_to_clean_replicas_reaches_full_coverage(db, queries):
     assert all(r.complete for r in responses)
 
 
-def test_router_in_flight_drains_after_total_failure(db, queries):
+def test_total_failure_degrades_to_zero_coverage(db, queries):
     """Both copies of every shard error on every read: the batch comes
-    back all-partial (coverage zero) and — the leak regression — every
-    router lease taken by the failed and retried attempts is back."""
+    back all-partial (coverage zero), and nothing the failed and retried
+    attempts registered outlives it."""
     injector = FaultInjector(FaultRule(error_rate=1.0), seed=0)
     replica_injector = FaultInjector(FaultRule(error_rate=1.0), seed=1)
     with _build(
@@ -344,25 +341,212 @@ def test_router_in_flight_drains_after_total_failure(db, queries):
         ) as service:
             responses = service.search_many(queries, k=K)
             assert all(r.shards_answered == 0 for r in responses)
-            for shard_id in range(N_SHARDS):
-                assert service.placement.router.in_flight(shard_id) == (0, 0)
+            assert not service._shared
+            assert not service._trace_roots
+    # Each retry moved to the sibling: both copies saw every shard's reads.
+    assert injector.errors_injected > 0 and replica_injector.errors_injected > 0
 
 
-def test_breaker_config_requires_strategy_name(db):
-    """A prebuilt router already owns its health tracker; passing a
-    BreakerConfig alongside one would silently not apply."""
+def _scripted_supervisor(policy, run_attempt):
+    """A supervisor over a real 1-shard × 2-replica router and a scripted
+    ``submit``: *run_attempt(task, future)* settles (or leaves pending)
+    each attempt's future.  Returns ``(supervisor, launched_tasks)``."""
+    from concurrent.futures import Future
+
+    from repro.shard import BreakerConfig, FanoutSupervisor, ReplicaRouter
+
+    router = ReplicaRouter(1, 2, breaker=BreakerConfig(failure_threshold=100))
+    launched = []
+
+    def submit(task):
+        launched.append(task)
+        future = Future()
+        run_attempt(task, future)
+        return future
+
+    supervisor = FanoutSupervisor(
+        submit,
+        policy,
+        bind=router.route,
+        on_outcome=lambda shard_id, replica, ok: None,
+    )
+    return supervisor, launched
+
+
+def _one_shard_queries(n):
+    from repro.core.query import Query, QueryPoint
+    from repro.shard import ShardTask
+
+    query = Query([QueryPoint(0.0, 0.0, frozenset({1}))])
+    return [[ShardTask(0, query, k=1, group=group)] for group in range(1, n + 1)]
+
+
+_ANSWER = None  # a ShardResult stand-in: the supervisor never looks inside
+
+
+def test_retry_never_lands_on_the_copy_that_just_failed():
+    """Two queries interleave on one shard's cursor: q1 → copy 0, q2 →
+    copy 1, and the cursor is back on 0 when q1's attempt there fails.
+    Plain round-robin would retry on 0 again; the retry names the copy it
+    replaces and lands on 1."""
+
+    def run_attempt(task, future):
+        if task.replica == 0:
+            future.set_exception(InjectedDiskError("copy 0 is down"))
+        else:
+            future.set_result(_ANSWER)
+
+    supervisor, launched = _scripted_supervisor(
+        FaultPolicy(max_retries=1, retry_backoff_s=0.0), run_attempt
+    )
+    first, second = supervisor.run(_one_shard_queries(2))
+    assert [(t.group, t.replica, t.attempt) for t in launched] == [
+        (1, 0, 0),
+        (2, 1, 0),
+        (1, 1, 1),
+    ]
+    assert not first.failures and not second.failures
+    assert first.retries == 1
+
+
+def test_hedge_never_lands_on_the_copy_it_backs_up():
+    """Same interleaving for hedges: both primaries straggle, and each
+    backup must run on the *other* copy than the attempt it hedges."""
+    pending = []
+
+    def run_attempt(task, future):
+        if task.hedge:
+            future.set_result(_ANSWER)
+        else:
+            pending.append(future)
+
+    supervisor, launched = _scripted_supervisor(
+        FaultPolicy(max_retries=0, hedge_after_s=0.01), run_attempt
+    )
+    outcomes = supervisor.run(_one_shard_queries(2))
+    for future in pending:  # the hedge losers finish late
+        future.set_result(_ANSWER)
+    assert all(o.hedges == 1 and 0 in o.results for o in outcomes)
+    primary = {t.group: t.replica for t in launched if not t.hedge}
+    backup = {t.group: t.replica for t in launched if t.hedge}
+    assert primary == {1: 0, 2: 1}
+    assert backup == {1: 1, 2: 0}
+
+
+# ----------------------------------------------------------------------
+# The breaker contract (shard/resilience.py), on the thread backend
+# ----------------------------------------------------------------------
+def _spy_on_outcomes(service):
+    """Record every (shard, replica, ok) the supervisor reports, still
+    feeding the real breaker."""
+    seen = []
+    real = service.placement.note_outcome
+
+    def spying(shard_id, replica, ok):
+        seen.append((shard_id, replica, ok))
+        real(shard_id, replica, ok)
+
+    service.placement.note_outcome = spying
+    return seen
+
+
+def test_each_attempt_reports_once_and_before_search_returns(db, queries):
+    """Primaries fail, siblings are clean, one failure opens a breaker:
+    every attempt — the failed first launch and its retry — reaches the
+    breaker exactly once, and the ejection is visible the moment
+    ``search`` returns."""
     from repro.shard import BreakerConfig
-    from repro.shard.replicas import RoundRobinRouter
+    from repro.shard.replicas import BREAKER_CLOSED, BREAKER_OPEN
 
-    with _build(db) as sharded:
-        with pytest.raises(ValueError, match="strategy name"):
-            ShardedQueryService(
+    injector = FaultInjector(FaultRule(error_rate=1.0), seed=0)
+    with _build(
+        db, disk_factory=lambda: SimulatedDisk(fault_injector=injector)
+    ) as sharded:
+        with ShardedQueryService(
+            sharded,
+            executor="thread",
+            n_replicas=2,
+            result_cache_size=0,
+            replica_disk_factory=SimulatedDisk,
+            breaker=BreakerConfig(failure_threshold=1, probation_after_s=60.0),
+            fault_policy=FaultPolicy(),
+        ) as service:
+            seen = _spy_on_outcomes(service)
+            response = service.search(queries[0], k=K)
+            assert response.complete
+            assert sorted(seen) == [
+                (shard_id, replica, replica == 1)
+                for shard_id in range(N_SHARDS)
+                for replica in (0, 1)
+            ]
+            router = service.placement.router
+            for shard_id in range(N_SHARDS):
+                assert router.replica_state(shard_id, 0) == BREAKER_OPEN
+                assert router.replica_state(shard_id, 1) == BREAKER_CLOSED
+            assert service.stats().breaker_ejections == N_SHARDS
+
+
+def test_abandoned_attempt_still_reports_when_it_finishes(db, queries):
+    """An attempt the supervisor stopped waiting for at the deadline is
+    not reported by ``search`` — and is, exactly once, when it ends."""
+    sharded, injector = _shard_down_build(db, FaultRule(stall_rate=1.0))
+    try:
+        with sharded:
+            with ShardedQueryService(
                 sharded,
-                executor="serial",
-                n_replicas=2,
-                replica_router=RoundRobinRouter(N_SHARDS, 2),
-                breaker=BreakerConfig(),
-            )
+                executor="thread",
+                result_cache_size=0,
+                fault_policy=FaultPolicy(
+                    deadline_s=0.25, max_retries=0, allow_partial=True
+                ),
+            ) as service:
+                seen = _spy_on_outcomes(service)
+                response = service.search(queries[0], k=K)
+                (stalled,) = set(range(N_SHARDS)) - {s for s, _, _ in seen}
+                assert response.shards_answered == N_SHARDS - 1
+                assert len(seen) == N_SHARDS - 1
+                # Resumes normally; close() waits for it, callback included.
+                injector.lift_stalls()
+        assert sorted(seen) == [(shard_id, 0, True) for shard_id in range(N_SHARDS)]
+        assert seen[-1][0] == stalled
+    finally:
+        injector.lift_stalls()
+
+
+def test_broken_pool_is_never_a_replica_failure():
+    """A future that dies with BrokenProcessPool is a fleet event: healed
+    around when a healer is given, failed otherwise — and in neither case
+    held against the copy it ran on."""
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.core.query import Query, QueryPoint
+    from repro.shard import FanoutSupervisor, ShardResult, ShardTask
+
+    query = Query([QueryPoint(0.0, 0.0, frozenset({1}))])
+    reported = []
+    futures = []
+
+    def submit(task):
+        future = Future()
+        if not futures:
+            future.set_exception(BrokenProcessPool("worker died"))
+        else:
+            future.set_result(ShardResult(0, (), SearchStats(), 0.0))
+        futures.append(future)
+        return future
+
+    supervisor = FanoutSupervisor(
+        submit,
+        FaultPolicy(max_retries=0),
+        bind=lambda shard_id, avoid: 0,
+        on_outcome=lambda *outcome: reported.append(outcome),
+        heal=lambda: True,
+        max_pool_repairs=1,
+    )
+    (outcome,) = supervisor.run([[ShardTask(0, query, k=1)]])
+    assert sorted(outcome.results) == [0] and outcome.retries == 1
+    assert reported == [(0, 0, True)]  # the resubmission; never the break
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,13 @@ def pool():
         yield executor
 
 
+#: One copy per shard and nobody listening: what a supervisor test that is
+#: not about replicas passes for the binding / breaker pair.
+UNREPLICATED = dict(
+    bind=lambda shard_id, avoid: 0, on_outcome=lambda shard_id, replica, ok: None
+)
+
+
 def slow_supervisor(pool, policy, calls=None, delay_s=0.2):
     """Every attempt takes ``delay_s`` — long past ``hedge_after_s``, so
     every primary attempt becomes hedge-eligible."""
@@ -44,7 +51,9 @@ def slow_supervisor(pool, policy, calls=None, delay_s=0.2):
             shard_id=task.shard_id, results=(), stats=SearchStats(), latency_s=delay_s
         )
 
-    return FanoutSupervisor(submit=lambda t: pool.submit(runner, t), policy=policy)
+    return FanoutSupervisor(
+        submit=lambda t: pool.submit(runner, t), policy=policy, **UNREPLICATED
+    )
 
 
 def hedge_policy(budget):

@@ -57,7 +57,13 @@ class TestWindowSemantics:
 
 
 def _supervisor(policy, tracker):
-    return FanoutSupervisor(submit=lambda task: None, policy=policy, tracker=tracker)
+    return FanoutSupervisor(
+        submit=lambda task: None,
+        policy=policy,
+        bind=lambda shard_id, avoid: 0,
+        on_outcome=lambda shard_id, replica, ok: None,
+        tracker=tracker,
+    )
 
 
 class TestHedgeDelay:

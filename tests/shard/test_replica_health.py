@@ -3,8 +3,8 @@
 All state-machine tests drive :class:`ReplicaHealth` with a fake clock —
 the eject → probation → probe → restore timeline never sleeps.  The
 router tests pin two properties: health steers routing around ejected
-replicas, and with everything healthy the pick sequences are
-bit-identical to routers with no breaker attached at all.
+replicas, and with everything healthy the pick sequence is the plain
+round-robin cycle whatever the breaker's tuning.
 """
 
 import pytest
@@ -14,10 +14,7 @@ from repro.shard.replicas import (
     BREAKER_CLOSED,
     BREAKER_OPEN,
     BREAKER_PROBING,
-    LeastInFlightRouter,
-    PowerOfTwoRouter,
-    RoundRobinRouter,
-    make_replica_router,
+    ReplicaRouter,
 )
 
 N_REPLICAS = 3
@@ -121,9 +118,9 @@ def test_probe_failure_reejects_for_another_interval(health, clock):
 
 
 def test_abandoned_probe_does_not_wedge_probing(health, clock):
-    """A probe the supervisor deadline-abandons never reports an outcome;
-    after a full probation interval the replica must become routable
-    again instead of staying PROBING forever."""
+    """A probe that stalls forever (or whose pool dies under it) never
+    reports an outcome; after a full probation interval the replica must
+    become routable again instead of staying PROBING forever."""
     _fail(health, replica=0, times=3)
     clock.advance(1.5)
     health.note_leased(0, 0)
@@ -149,7 +146,7 @@ def test_all_replicas_down_yields_empty_candidates(health):
 # Router integration
 # ----------------------------------------------------------------------
 def test_round_robin_routes_around_ejected_replica(clock):
-    router = RoundRobinRouter(
+    router = ReplicaRouter(
         1,
         N_REPLICAS,
         breaker=BreakerConfig(failure_threshold=1, probation_after_s=60.0),
@@ -162,7 +159,7 @@ def test_round_robin_routes_around_ejected_replica(clock):
 
 
 def test_router_probe_flow_restores_replica(clock):
-    router = RoundRobinRouter(
+    router = ReplicaRouter(
         1,
         2,
         breaker=BreakerConfig(failure_threshold=1, probation_after_s=1.0),
@@ -183,7 +180,7 @@ def test_router_probe_flow_restores_replica(clock):
 
 
 def test_router_serves_even_with_every_replica_ejected(clock):
-    router = LeastInFlightRouter(
+    router = ReplicaRouter(
         1,
         2,
         breaker=BreakerConfig(failure_threshold=1, probation_after_s=60.0),
@@ -191,46 +188,20 @@ def test_router_serves_even_with_every_replica_ejected(clock):
     )
     router.record_failure(0, 0)
     router.record_failure(0, 1)
-    # Health degrades routing, never availability: route still answers.
+    # Health degrades routing, never availability: route still answers,
+    # and a retry still moves off the copy it replaces.
     replica = router.route(0)
     assert replica in (0, 1)
-    router.release(0, replica)
+    assert router.route(0, avoid=replica) == 1 - replica
 
 
 # ----------------------------------------------------------------------
-# All-healthy bit-parity with the breaker attached
+# All-healthy: the breaker's tuning never moves the cycle
 # ----------------------------------------------------------------------
 def test_round_robin_sequence_unchanged_by_breaker():
-    plain = RoundRobinRouter(2, 3)
-    gated = RoundRobinRouter(2, 3, breaker=BreakerConfig())
+    plain = ReplicaRouter(2, 3)
+    gated = ReplicaRouter(2, 3, breaker=BreakerConfig(failure_threshold=1))
     for shard in (0, 1):
         assert [plain.route(shard) for _ in range(5)] == [
             gated.route(shard) for _ in range(5)
         ]
-
-
-def test_least_in_flight_sequence_unchanged_by_breaker():
-    plain = LeastInFlightRouter(1, 4)
-    gated = LeastInFlightRouter(1, 4, breaker=BreakerConfig())
-    assert [plain.route(0) for _ in range(8)] == [
-        gated.route(0) for _ in range(8)
-    ]
-
-
-def test_power_of_two_seeded_draws_unchanged_by_breaker():
-    plain = PowerOfTwoRouter(1, 4, seed=7)
-    gated = PowerOfTwoRouter(1, 4, seed=7, breaker=BreakerConfig())
-    assert [plain.route(0) for _ in range(6)] == [
-        gated.route(0) for _ in range(6)
-    ]
-
-
-def test_make_replica_router_threads_breaker_through(clock):
-    config = BreakerConfig(failure_threshold=1, probation_after_s=5.0)
-    for strategy in ("round-robin", "least-in-flight", "power-of-two"):
-        router = make_replica_router(
-            strategy, 1, 2, seed=3, breaker=config, clock=clock
-        )
-        assert router.health.config is config
-        router.record_failure(0, 0)
-        assert router.replica_state(0, 0) == BREAKER_OPEN

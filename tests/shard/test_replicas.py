@@ -1,8 +1,8 @@
-"""Replicas: router strategies, byte-identical parity with the
-single-copy service, replica bank lifecycle, and insert resync."""
+"""Replicas: the round-robin router, byte-identical parity with the
+single-copy service, first-response failover, replica bank lifecycle,
+and insert resync."""
 
 import copy
-import threading
 
 import pytest
 
@@ -10,14 +10,14 @@ from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
 from repro.index.gat.index import GATConfig
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
+from repro.core.engine import GATSearchEngine
+from repro.faults import FaultInjector, FaultRule
+from repro.index.gat.index import GATIndex
 from repro.shard import (
-    REPLICA_ROUTERS,
-    LeastInFlightRouter,
-    PowerOfTwoRouter,
-    RoundRobinRouter,
+    FaultPolicy,
+    ReplicaRouter,
     ShardedGATIndex,
     ShardedQueryService,
-    make_replica_router,
 )
 from repro.storage.disk import SimulatedDisk
 
@@ -47,68 +47,29 @@ def _banks_at_primary_version(service, sharded):
 
 
 # ----------------------------------------------------------------------
-# Routers (pure units)
+# The router (pure units; breaker integration: test_replica_health.py)
 # ----------------------------------------------------------------------
 class TestReplicaRouters:
     def test_round_robin_cycles_per_shard(self):
-        router = RoundRobinRouter(n_shards=2, n_replicas=3)
+        router = ReplicaRouter(n_shards=2, n_replicas=3)
         assert [router.route(0) for _ in range(5)] == [0, 1, 2, 0, 1]
         # Each shard cycles independently.
         assert router.route(1) == 0
-        assert router.in_flight(0) == (2, 2, 1)
 
-    def test_least_in_flight_picks_shallowest(self):
-        router = LeastInFlightRouter(n_shards=1, n_replicas=3)
+    def test_avoid_skips_the_replaced_copy(self):
+        router = ReplicaRouter(n_shards=1, n_replicas=2)
         assert router.route(0) == 0
         assert router.route(0) == 1
-        assert router.route(0) == 2
-        router.release(0, 1)  # depths now (1, 0, 1)
-        assert router.route(0) == 1
-        # Tie (1, 1, 1) breaks to the lowest replica id, deterministically.
-        assert router.route(0) == 0
+        # The cursor is back on 0 — the copy this retry replaces.
+        assert router.route(0, avoid=0) == 1
+        # ...unless it is the only copy there is.
+        assert ReplicaRouter(n_shards=1, n_replicas=1).route(0, avoid=0) == 0
 
-    def test_power_of_two_prefers_less_loaded(self):
-        router = PowerOfTwoRouter(n_shards=1, n_replicas=2, seed=5)
-        first = router.route(0)
-        # With two replicas both are always sampled, so the second task
-        # must land on the other (empty) copy, whatever the rng does.
-        assert router.route(0) == 1 - first
-        assert router.in_flight(0) == (1, 1)
-
-    def test_power_of_two_seed_reproducible(self):
-        a = PowerOfTwoRouter(n_shards=1, n_replicas=4, seed=99)
-        b = PowerOfTwoRouter(n_shards=1, n_replicas=4, seed=99)
-        assert [a.route(0) for _ in range(20)] == [b.route(0) for _ in range(20)]
-
-    def test_release_without_route_raises(self):
-        router = RoundRobinRouter(n_shards=1, n_replicas=2)
-        with pytest.raises(RuntimeError):
-            router.release(0, 0)
-
-    def test_factory_and_validation(self):
-        for strategy in REPLICA_ROUTERS:
-            router = make_replica_router(strategy, 2, 2, seed=1)
-            assert router.strategy == strategy
+    def test_rejects_an_empty_fleet(self):
         with pytest.raises(ValueError):
-            make_replica_router("random", 2, 2)
+            ReplicaRouter(n_shards=2, n_replicas=0)
         with pytest.raises(ValueError):
-            RoundRobinRouter(n_shards=2, n_replicas=0)
-
-    def test_thread_safety_of_lease_accounting(self):
-        router = LeastInFlightRouter(n_shards=1, n_replicas=4)
-
-        def worker():
-            for _ in range(200):
-                replica = router.route(0)
-                router.release(0, replica)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert router.in_flight(0) == (0, 0, 0, 0)
-        assert router.routed == 1600
+            ReplicaRouter(n_shards=0, n_replicas=2)
 
 
 # ----------------------------------------------------------------------
@@ -126,27 +87,19 @@ class TestReplicatedParity:
             oatsq = _rankings(service.search_many(queries, k=4, order_sensitive=True))
         return sharded, queries, atsq, oatsq
 
-    @pytest.mark.parametrize("router", REPLICA_ROUTERS)
     @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_rankings_byte_identical(self, reference, router, executor):
+    def test_rankings_byte_identical(self, reference, executor):
         sharded, queries, atsq, oatsq = reference
         with ShardedQueryService(
-            sharded,
-            executor=executor,
-            n_replicas=2,
-            replica_router=router,
-            router_seed=7,
-            result_cache_size=0,
+            sharded, executor=executor, n_replicas=2, result_cache_size=0
         ) as service:
             assert _rankings(service.search_many(queries, k=4)) == atsq
             assert (
                 _rankings(service.search_many(queries, k=4, order_sensitive=True))
                 == oatsq
             )
-            # Every lease taken during the fan-outs was returned.
-            for sid in range(sharded.n_shards):
-                assert service.placement.router.in_flight(sid) == (0, 0)
-            assert service.placement.router.routed > 0
+            # Nothing registered for the fan-outs outlives them.
+            assert not service._shared
 
     def test_three_replicas_serial(self, reference):
         sharded, queries, atsq, _ = reference
@@ -154,7 +107,6 @@ class TestReplicatedParity:
             sharded,
             executor="serial",
             n_replicas=3,
-            replica_router="round-robin",
             result_cache_size=0,
         ) as service:
             assert _rankings(service.search_many(queries, k=4)) == atsq
@@ -165,7 +117,6 @@ class TestReplicatedParity:
             sharded,
             executor="serial",
             n_replicas=2,
-            replica_router="round-robin",
             result_cache_size=0,
         ) as service:
             batched = service.search_many(queries[:3], k=3, explain=True)
@@ -193,18 +144,50 @@ class TestReplicatedProcessBackend:
             sharded,
             executor="process",
             n_replicas=2,
-            replica_router="least-in-flight",
             result_cache_size=0,
         ) as service:
             assert _rankings(service.search_many(queries, k=3)) == expected
-            # Submission-time leases are all released once the fan-out
-            # returns.
-            for sid in range(sharded.n_shards):
-                assert service.placement.router.in_flight(sid) == (0, 0)
+            # Every threshold-slot lease is back once the fan-out returns.
+            pool = service._executor
+            assert sorted(pool._free_slots) == list(range(pool.N_SLOTS))
+
+
+class TestFirstResponseFailover:
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_first_search_fails_over_to_clean_siblings(self, tiny_db, executor):
+        """Every primary disk errors on every read, the siblings are
+        clean, the policy is the default: the retry must land on the
+        sibling, so the *first* response is already complete — not only
+        the ones after three failures have opened the breaker — and
+        every ranking is the single-index engine's."""
+        single = GATSearchEngine(GATIndex.build(tiny_db, CONFIG))
+        queries = _queries(tiny_db, n=4)
+        injector = FaultInjector(FaultRule(error_rate=1.0), seed=0)
+        sharded = ShardedGATIndex.build(
+            tiny_db,
+            n_shards=2,
+            config=CONFIG,
+            disk_factory=lambda: SimulatedDisk(fault_injector=injector),
+        )
+        with ShardedQueryService(
+            sharded,
+            executor=executor,
+            n_replicas=2,
+            result_cache_size=0,
+            replica_disk_factory=SimulatedDisk,
+            fault_policy=FaultPolicy(),
+        ) as service:
+            for query in queries:
+                response = service.search(query, k=4)
+                assert (response.shards_answered, response.shards_total) == (2, 2)
+                assert _rankings([response]) == [
+                    [(r.trajectory_id, r.distance) for r in single.execute(query, 4).ranked]
+                ]
+        assert injector.errors_injected > 0
 
 
 # ----------------------------------------------------------------------
-# Mechanics: replicas really serve, leases drain, inserts resync
+# Mechanics: replicas really serve, inserts resync
 # ----------------------------------------------------------------------
 class TestReplicaMechanics:
     def test_replica_bank_actually_serves(self, tiny_db):
@@ -216,7 +199,6 @@ class TestReplicaMechanics:
             sharded,
             executor="serial",
             n_replicas=2,
-            replica_router="round-robin",
             result_cache_size=0,
         ) as service:
             service.search(query, k=3)  # replica 0 (the primary bank)
@@ -248,7 +230,6 @@ class TestReplicaMechanics:
             sharded,
             executor="serial",
             n_replicas=2,
-            replica_router="round-robin",
             result_cache_size=0,
         ) as service:
             service.search(query, k=3)
@@ -285,15 +266,6 @@ class TestReplicaMechanics:
         sharded = ShardedGATIndex.build(tiny_db, n_shards=2, config=CONFIG)
         with pytest.raises(ValueError):
             ShardedQueryService(sharded, n_replicas=0)
-        wrong_shape = RoundRobinRouter(n_shards=3, n_replicas=2)
-        with pytest.raises(ValueError):
-            ShardedQueryService(
-                sharded, n_replicas=2, replica_router=wrong_shape
-            )
-        with pytest.raises(ValueError):
-            ShardedQueryService(
-                sharded, n_replicas=2, replica_router="random-spray"
-            )
         with pytest.raises(ValueError, match="in-process only"):
             ShardedQueryService(
                 sharded,
@@ -373,7 +345,6 @@ class TestResyncOrdering:
             sharded,
             executor="serial",
             n_replicas=2,
-            replica_router="round-robin",
             result_cache_size=0,
         ) as service:
             service.search(query, k=2)
@@ -420,7 +391,6 @@ class TestResyncStatsBaselines:
             sharded,
             executor="serial",
             n_replicas=2,
-            replica_router="round-robin",
             result_cache_size=0,
         ) as service:
             # Heavy warm traffic so the replica caches accumulate big
@@ -484,7 +454,6 @@ class TestOverflowInsertAcrossBanks:
             sharded,
             executor="serial",
             n_replicas=2,
-            replica_router="round-robin",
             result_cache_size=0,
         ) as service:
             service.search(query, k=1)

@@ -216,13 +216,12 @@ class TestQueryReplicated:
                 "--depth", "4",
                 "--shards", "2",
                 "--replicas", "2",
-                "--replica-router", "least-in-flight",
                 "--executor", "serial",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "2 shards/serial×2 replicas (least-in-flight)" in out
+        assert "2 shards/serial×2 replicas" in out
         assert "work:" in out
 
     def test_batch_on_replicated_stack(self, dataset_path, capsys):
@@ -241,7 +240,7 @@ class TestQueryReplicated:
         assert code == 0
         out = capsys.readouterr().out
         assert "batch of 4 queries" in out
-        assert "2 replicas (round-robin)" in out
+        assert "2 shards/thread×2 replicas" in out
 
     def test_replicas_promote_single_shard_onto_sharded_stack(
         self, dataset_path, capsys
@@ -263,6 +262,32 @@ class TestQueryReplicated:
 
     def test_bad_replicas_rejected(self, dataset_path):
         assert main(["query", str(dataset_path), "--replicas", "0"]) == 2
+
+
+class TestServingFlagValidation:
+    """``query``/``trace``/``metrics``/``serve-bench`` share their serving
+    flags, so they share one validation: exit 2 before the dataset load."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--shards", "0"],
+            ["--replicas", "0"],
+            ["--workers", "0"],
+            ["--batch", "-3"],
+            ["--deadline-ms", "50"],
+            ["--task-retries", "1"],
+            ["--hedge-ms", "5"],
+        ],
+        ids=lambda flags: flags[0].lstrip("-"),
+    )
+    @pytest.mark.parametrize("command", ["query", "trace", "metrics", "serve-bench"])
+    def test_bad_flags_rejected_by_every_serving_subcommand(
+        self, tmp_path, capsys, command, flags
+    ):
+        # The path does not exist: validation must come before the load.
+        assert main([command, str(tmp_path / "never-loaded.jsonl"), *flags]) == 2
+        assert flags[0] in capsys.readouterr().err
 
 
 class TestServeBench:
