@@ -14,10 +14,15 @@ Query processing alternates two phases until the pruning condition fires:
    (Algorithm 3 / Algorithm 4 via
    :class:`~repro.core.evaluator.MatchEvaluator`).
 
-After every round the lower bound ``D_lb`` for all unseen trajectories is
-recomputed (Algorithm 2); the search stops when the current k-th best
-distance beats it.  OATSQ reuses the identical retrieval machinery because
-``Dmm`` lower-bounds ``Dmom`` (Lemma 3).
+After every round's scoring the search stops when the current k-th best
+distance beats the lower bound ``D_lb`` for all unseen trajectories
+(Algorithm 2).  The test is lazy and exact: it is skipped while the k-th
+distance is still infinite, and Algorithm 2's min-cover runs only when two
+sums read off the queue cannot decide it
+(:func:`~repro.core.lower_bound.beats_unseen`).  Nothing moves the queue
+between retrieval and the test, so ``D_lb`` is the value the paper computes
+right after retrieval.  OATSQ reuses the identical retrieval machinery
+because ``Dmm`` lower-bounds ``Dmom`` (Lemma 3).
 
 Concurrency: the engine object holds only immutable configuration and
 index references — every mutable per-query artefact (counters, heap,
@@ -42,7 +47,7 @@ from repro.obs.trace import activate
 from repro.core.context import ExecutionContext, SearchStats
 from repro.core.evaluator import MatchEvaluator
 from repro.core.kernels import resolve_kernel
-from repro.core.lower_bound import lower_bound_distance
+from repro.core.lower_bound import beats_unseen, lower_bound_distance
 from repro.core.match import INFINITY
 from repro.core.pipeline import (
     APLFilter,
@@ -237,12 +242,14 @@ class GATSearchEngine:
         *trace_span* (a :class:`repro.obs.trace.Span`) turns on per-stage
         tracing: the span becomes the thread's active span for the
         duration (so disk reads and injected faults attach to it as
-        events) and retrieve/validate/score stage children are emitted
-        under it, each covering that stage's first entry to last exit
-        with the accumulated in-stage time as a ``busy_s`` attribute;
+        events) and retrieve/validate/score/lower_bound stage children are
+        emitted under it, each covering that stage's first entry to last
+        exit with the accumulated in-stage time as a ``busy_s`` attribute;
         under the block kernel ``score`` gets an ``assemble`` child for
         the rounds' block builds (``busy_s``, and ``columns`` = Σ block
-        widths).
+        widths).  ``lower_bound`` is the termination test, present once a
+        round ran it: ``evaluated`` counts the rounds with a finite
+        threshold, ``exact`` those that ran Algorithm 2's min-cover.
         ``None`` — the default — skips every instrumentation branch.
         """
         ctx = ExecutionContext(
@@ -267,10 +274,18 @@ class GATSearchEngine:
                 "retrieve": [None, 0.0, 0.0],
                 "validate": [None, 0.0, 0.0],
                 "score": [None, 0.0, 0.0],
+                "lower_bound": [None, 0.0, 0.0, 0, 0],  # + evaluated, exact
             }
             # Block assembly runs inside the evaluator's batch entries:
             # [first_entry_s, last_exit_s, busy_s, columns].
             ctx.evaluator.assemble_clock = [None, 0.0, 0.0, 0]
+
+            def exact(*args):
+                stage_clock["lower_bound"][4] += 1
+                return lower_bound_distance(*args)
+
+        else:
+            exact = lower_bound_distance
         t0 = time.perf_counter()
 
         with activate(span) if span is not None else nullcontext(), self.index.disk.track() as disk:
@@ -289,7 +304,6 @@ class GATSearchEngine:
                 new_candidates = retriever.retrieve(
                     self.retrieval_batch, stop_mdist=stop_mdist
                 )
-                lower = self._lower_bound(retriever)
                 if span is not None:
                     t_stage = self._stage_tick(stage_clock["retrieve"], t_stage)
                 admitted = validation.admit_batch(ctx, new_candidates)
@@ -318,12 +332,21 @@ class GATSearchEngine:
                         if result_sink is not None:
                             result_sink(result)
                 if span is not None:
-                    self._stage_tick(stage_clock["score"], t_stage)
-                if ctx.threshold() < lower:
-                    break  # no unseen trajectory can beat the current top-k
+                    t_stage = self._stage_tick(stage_clock["score"], t_stage)
+                threshold = ctx.threshold()
+                if threshold != INFINITY:  # inf < D_lb never holds
+                    if self.use_tight_lower_bound:
+                        beaten = beats_unseen(threshold, retriever, self.lb_cells, exact)
+                    else:  # ablation: the loose queue-top bound the paper rejects
+                        beaten = threshold < retriever.queue_top_mdist()
+                    if span is not None:
+                        stage_clock["lower_bound"][3] += 1
+                        self._stage_tick(stage_clock["lower_bound"], t_stage)
+                    if beaten:
+                        break  # no unseen trajectory can beat the current top-k
                 if not new_candidates and retriever.exhausted:
                     break  # the whole index has been harvested
-                if shared_mode and retriever.queue_top_mdist() > ctx.threshold():
+                if shared_mode and retriever.queue_top_mdist() > threshold:
                     break  # merged-top-k bound: all undiscovered trajectories
                     # sort behind the queue top, hence behind the k-th best
 
@@ -371,12 +394,16 @@ class GATSearchEngine:
             "score": {
                 "distance_computations": stats.distance_computations,
             },
+            "lower_bound": {
+                "evaluated": stage_clock["lower_bound"][3],
+                "exact": stage_clock["lower_bound"][4],
+            },
         }
-        for stage in ("retrieve", "validate", "score"):
-            first, last, busy = stage_clock[stage]
+        for stage, attrs in stage_attrs.items():
+            first, last, busy = stage_clock[stage][:3]
             if first is None:
                 continue
-            child = span.child(stage, attrs=dict(stage_attrs[stage], busy_s=busy))
+            child = span.child(stage, attrs=dict(attrs, busy_s=busy))
             child.start_s = first
             child.end(at=last)
             if stage == "score":
@@ -387,16 +414,6 @@ class GATSearchEngine:
                     )
                     assemble.start_s = first
                     assemble.end(at=last)
-
-    def _lower_bound(self, retriever: CandidateRetriever) -> float:
-        if not self.use_tight_lower_bound:
-            # Ablation: the loose bound the paper rejects — the smallest
-            # mdist still in the queue, one per query point is not even
-            # attempted; a single global queue top bounds a single Dmpm.
-            return retriever.queue_top_mdist()
-        return lower_bound_distance(
-            retriever.frontiers(), retriever.bitmaps, self.lb_cells
-        )
 
     def _explain(self, ctx: ExecutionContext, result: SearchResult) -> SearchResult:
         trajectory = self.db.get(result.trajectory_id)

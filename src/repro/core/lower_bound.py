@@ -22,11 +22,26 @@ Soundness at the edges (where the paper's prose is silent):
   trajectories is ``+inf`` (the paper falls back to the queue-top
   ``mdist``; ``+inf`` is both sound and tighter, and makes termination on
   exhausted frontiers immediate).
+
+When Algorithm 2 runs.  Algorithm 1 reads ``D_lb`` only through its
+termination test ``τ < D_lb`` (``τ`` the current k-th best distance), so
+:func:`beats_unseen` answers that test and runs the min-cover of
+:func:`lower_bound_distance` only when cheaper bounds cannot.  An infinite
+``τ`` never stops the search.  Otherwise one pass over the queue buckets
+each query point's ``mdist`` values: an empty bucket means ``D_lb = +inf``;
+else each contribution lies between the bucket's nearest distance ``d_1``
+(a cover uses at least one cell, as ``q_i.Φ ≠ ∅``, and costs at least its
+distance; the cap is at least ``d_1`` too) and its ``m``-th ``d_m`` (the
+cap; ``+inf`` below ``m`` cells).  ``Σ d_1`` and ``Σ d_m`` are accumulated
+in query-point order, the order ``D_lb`` sums its contributions in, and
+IEEE addition is monotone, so ``Σ d_1 ≤ D_lb ≤ Σ d_m`` holds exactly for
+the computed floats: ``τ < Σ d_1`` stops the search, ``τ ≥ Σ d_m``
+continues it, and only a ``τ`` between them needs the exact value.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from repro.core.kernels import min_cover_cost
 from repro.core.match import INFINITY
@@ -102,3 +117,32 @@ def lower_bound_distance(
             return INFINITY
         total += contribution
     return total
+
+
+def beats_unseen(
+    threshold: float, retriever, m: int, exact: Callable[..., float] = lower_bound_distance
+) -> bool:
+    """``threshold < lower_bound_distance(retriever.frontiers(),
+    retriever.bitmaps, m)`` — Algorithm 1's termination test against the
+    queue of a :class:`~repro.core.pipeline.CandidateRetriever` — deciding
+    from ``Σ d_1`` / ``Σ d_m`` where they suffice (see the module notes).
+
+    *exact* is the bound called for the undecided case; the engine passes
+    its own module-level ``lower_bound_distance`` so that wrapping that
+    name (as the end-to-end benchmark's tracer does) times every exact run.
+    """
+    if threshold == INFINITY:
+        return False
+    buckets: List[List[float]] = [[] for _ in retriever.query]
+    for mdist, _tick, _level, _code, qi, _cx, _cy in retriever.heap:
+        buckets[qi].append(mdist)
+    low = high = 0.0
+    for bucket in buckets:
+        if not bucket:
+            return True  # D_lb = +inf, and threshold is finite
+        bucket.sort()
+        low += bucket[0]
+        high += bucket[m - 1] if len(bucket) >= m else INFINITY
+    return threshold < low or (
+        threshold < high and threshold < exact(retriever.frontiers(), retriever.bitmaps, m)
+    )

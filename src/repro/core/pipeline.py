@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
+from math import hypot
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -40,7 +41,7 @@ from repro.core.context import ExecutionContext, SearchStats
 from repro.core.lower_bound import Frontier
 from repro.core.match import INFINITY
 from repro.core.query import Query
-from repro.index.gat.apl import APLStore, PostingRound
+from repro.index.gat.apl import ACTIVITY_BITS, APLStore, PostingRound
 from repro.index.gat.hicl import QueryBitmaps
 from repro.index.gat.index import GATIndex
 from repro.index.gat.tas import SketchTable
@@ -67,21 +68,25 @@ class CandidateRetriever:
     that query point's activities, popping a leaf harvests its ITL lists.
     Work counters go to the per-query *stats*, never to shared state.
 
-    The per-pop work is a few integer and float operations.  A child
-    expansion is one nibble of the query's HICL view (:attr:`bitmaps`, a
-    :class:`~repro.index.gat.hicl.QueryBitmaps`: ``q.Φ``'s bitmaps ORed
-    once per query point and level) and one
-    :meth:`GridLevel.min_dist_cell` per surviving child, from the cell
-    coordinates the entry carries — bit-identical to the ``Rect`` path, so
-    heap order, ``cells_popped`` and ``rounds`` are those of the per-cell
-    ``frozenset`` walk kept in ``tests/property`` as the oracle (counted
-    HICL reads too, unless the list cache evicts inside a query).  The
-    frontier of ``q_i`` that feeds Algorithm 2 is the queue's entries
-    carrying ``qi``; :meth:`frontiers` reads it off the heap once a round.
+    The whole walk runs in :meth:`retrieve`'s one frame.  A child
+    expansion reads one nibble of the query's HICL view (:attr:`bitmaps`,
+    a :class:`~repro.index.gat.hicl.QueryBitmaps`: ``q.Φ``'s bitmaps ORed
+    once per query point and level) and, per surviving child, two entries
+    of that (query point, level)'s axis gap tables
+    (:meth:`GridLevel.axis_gaps`, built on the level's first expansion)
+    indexed by the cell coordinates the entry carries, combined the way
+    :func:`~repro.geometry.primitives.min_dist_to_box` combines them —
+    bit-identical to the ``Rect`` path, so heap order, ``cells_popped``
+    and ``rounds`` are those of the per-cell ``frozenset`` walk kept in
+    ``tests/property`` as the oracle (counted HICL reads too, unless the
+    list cache evicts inside a query).  The frontier of ``q_i`` that feeds
+    Algorithm 2 is the queue's entries carrying ``qi``; :meth:`frontiers`
+    reads it off the heap when the termination test needs the exact bound.
     """
 
     __slots__ = (
-        "index", "query", "stats", "heap", "bitmaps", "seen", "exhausted", "_tick", "_done"
+        "index", "query", "stats", "heap", "bitmaps", "seen", "exhausted", "_tick", "_done",
+        "_tables", "_parents",
     )
 
     def __init__(self, index: GATIndex, query: Query, stats: SearchStats) -> None:
@@ -96,20 +101,24 @@ class CandidateRetriever:
         self._done = [
             tuple((a, done.setdefault(a, set())) for a in acts) for acts in self.bitmaps.activities
         ]
-        self.exhausted = False
+        self._tables: List[list] = [[None] * (index.grid.depth + 1) for _ in query]
         self._tick = itertools.count()
-        for qi, q in enumerate(query):  # the level-1 cells: children of the root
-            self._expand(qi, q.coord, index.grid.levels[0], 0, 0, 0)
+        # The level-1 cells: a zero-batch walk expands each query point's root
+        # (level 0, code 0, cell (0, 0)), q_0's first, and pops nothing.
+        self._parents = [(qi, 0, 0, 0, 0) for qi in reversed(range(len(query)))]
+        self.retrieve(0)
 
-    def _expand(self, qi: int, coord, grid_level, parent: int, px: int, py: int) -> None:
-        """Push the cells of *grid_level* under cell *parent* ``(px, py)`` that
-        contain at least one of the activities of ``q_i`` (located at *coord*)."""
-        level, heap, tick = grid_level.level, self.heap, self._tick
-        base, cx0, cy0 = parent << 2, px << 1, py << 1
-        for j, dx, dy in _NIBBLE_CHILDREN[self.bitmaps.child_nibble(qi, level, parent)]:
-            cx, cy = cx0 + dx, cy0 + dy
-            mdist = grid_level.min_dist_cell(coord, cx, cy)
-            heappush(heap, (mdist, next(tick), level, base + j, qi, cx, cy))
+    def _level_tables(self, qi: int, level: int) -> tuple:
+        """Build ``_tables[qi][level]``: ``q_i``'s HICL union bytes, column
+        gaps and row gaps at *level*.  The union bytes come through the
+        view's own load path (read directly, like the ITL's lists in
+        :meth:`retrieve`, to keep method calls out of the walk), so its HICL
+        reads land exactly when a ``child_nibble`` probe would make them."""
+        bitmaps = self.bitmaps
+        union = (bitmaps._maps[qi][level] or bitmaps._load(qi, level))[0]
+        gaps = self.index.grid.levels[level - 1].axis_gaps(self.query[qi].coord)
+        tables = self._tables[qi][level] = (union, *gaps)
+        return tables
 
     def queue_top_mdist(self) -> float:
         return self.heap[0][0] if self.heap else INFINITY
@@ -146,37 +155,44 @@ class CandidateRetriever:
         passes the cross-shard merged k-th here; the single-index path
         leaves it at ``inf`` (the paper's loop shape, untouched).
         """
-        heap = self.heap
-        rows_with = self.index.itl.rows_with
+        heap, tick, tables, parents = self.heap, self._tick, self._tables, self._parents
+        lists = self.index.itl._lists.get  # ITL.rows_with without the call
         harvested = self._done
-        levels = self.index.grid.levels
-        depth = len(levels)
-        coords = [q.coord for q in self.query]
+        depth = self.index.grid.depth
         seen = self.seen
         all_seen = seen.issuperset
         new_candidates: List[int] = []
         popped = leaves = 0
 
-        while heap and len(new_candidates) < batch:
-            if heap[0][0] > stop_mdist:
+        while True:
+            if parents:  # only the roots, on the zero-batch round __init__ runs
+                qi, level, code, cx, cy = parents.pop()
+            elif heap and len(new_candidates) < batch and heap[0][0] <= stop_mdist:
+                _mdist, _tick, level, code, qi, cx, cy = heappop(heap)
+                popped += 1
+                if level == depth:
+                    leaves += 1
+                    fresh: Set[int] = set()
+                    for activity, done in harvested[qi]:
+                        if code not in done:  # else harvested under another query point
+                            done.add(code)
+                            rows = lists((code << ACTIVITY_BITS) | activity, ())
+                            if not all_seen(rows):
+                                fresh.update(rows)
+                    if fresh:
+                        ascending = sorted(fresh - seen)  # ``-=`` would walk all of ``seen``
+                        seen.update(ascending)
+                        new_candidates += ascending
+                    continue
+            else:
                 break
-            _mdist, _tick, level, code, qi, cx, cy = heappop(heap)
-            popped += 1
-            if level < depth:
-                self._expand(qi, coords[qi], levels[level], code, cx, cy)
-                continue
-            leaves += 1
-            fresh: Set[int] = set()
-            for activity, done in harvested[qi]:
-                if code not in done:  # else harvested under another query point
-                    done.add(code)
-                    rows = rows_with(code, activity)
-                    if not all_seen(rows):
-                        fresh.update(rows)
-            if fresh:
-                ascending = sorted(fresh - seen)  # ``-=`` would walk all of ``seen``
-                seen.update(ascending)
-                new_candidates += ascending
+            level += 1  # push the children holding one of q_i's activities
+            union, gx, gy = tables[qi][level] or self._level_tables(qi, level)
+            base, cx, cy = code << 2, cx << 1, cy << 1
+            for j, dx, dy in _NIBBLE_CHILDREN[(union[code >> 1] >> ((code & 1) << 2)) & 15]:
+                x, y = gx[cx + dx], gy[cy + dy]
+                mdist = y if x == 0.0 else x if y == 0.0 else hypot(x, y)
+                heappush(heap, (mdist, next(tick), level, base + j, qi, cx + dx, cy + dy))
 
         self.exhausted = not heap
         stats = self.stats

@@ -48,14 +48,18 @@ class Cell:
 class GridLevel:
     """Geometry of one level of the hierarchy: a ``2^level x 2^level`` grid."""
 
-    __slots__ = ("level", "side", "_box", "_cell_w", "_cell_h")
+    __slots__ = ("level", "side", "_box", "_columns", "_rows")
 
     def __init__(self, box: BoundingBox, level: int) -> None:
         self.level = level
         self.side = 1 << level
         self._box = box
-        self._cell_w = box.width / self.side
-        self._cell_h = box.height / self.side
+        #: Per column / row ``k``, the cell extent ``(lo, hi)`` along that
+        #: axis, ``lo = box.min + k·w``, ``hi = lo + w`` (``w`` = cell size):
+        #: the one corner arithmetic behind :meth:`rect`, :meth:`min_dist`
+        #: and :meth:`axis_gaps`.
+        self._columns = _extents(box.min_x, box.width / self.side, self.side)
+        self._rows = _extents(box.min_y, box.height / self.side, self.side)
 
     @property
     def n_cells(self) -> int:
@@ -80,27 +84,39 @@ class GridLevel:
     def rect(self, code: int) -> Rect:
         """Rectangle covered by the cell with Morton code *code*."""
         cx, cy = z_decode(code, self.level)
-        min_x = self._box.min_x + cx * self._cell_w
-        min_y = self._box.min_y + cy * self._cell_h
-        return Rect(min_x, min_y, min_x + self._cell_w, min_y + self._cell_h)
+        (min_x, max_x), (min_y, max_y) = self._columns[cx], self._rows[cy]
+        return Rect(min_x, min_y, max_x, max_y)
 
     def min_dist(self, point: Coord, code: int) -> float:
-        """``MINDIST`` from *point* to the cell *code* at this level."""
+        """``MINDIST`` from *point* to the cell *code* at this level —
+        ``rect(code).min_dist(point)`` without the ``Rect``: the same corners
+        fed to the same scalar function, so bit-identical."""
         cx, cy = z_decode(code, self.level)
-        return self.min_dist_cell(point, cx, cy)
+        (min_x, max_x), (min_y, max_y) = self._columns[cx], self._rows[cy]
+        return min_dist_to_box(point, min_x, min_y, max_x, max_y)
 
-    def min_dist_cell(self, point: Coord, cx: int, cy: int) -> float:
-        """``MINDIST`` from *point* to the cell in column *cx*, row *cy* —
-        ``rect(code).min_dist(point)`` without the Morton decode or the
-        ``Rect``: the same corner arithmetic fed to the same scalar
-        function, so the result is bit-identical (it orders the best-first
-        heap).  The four children of cell ``(cx, cy)`` are
-        ``(2cx + {0,1}, 2cy + {0,1})`` one level down, so a walk that
-        carries the coordinates never decodes.
+    def axis_gaps(self, point: Coord) -> Tuple[List[float], List[float]]:
+        """``(column gaps, row gaps)``: per column ``k``, the ``dx`` that
+        :func:`min_dist_to_box` computes from *point* to the column's extent
+        ``[lo, hi]`` (``lo - x`` left of it, ``x - hi`` right of it, ``0.0``
+        inside) — and per row the same ``dy``.
+
+        The cell in column ``cx``, row ``cy`` then has ``MINDIST`` ``dy if
+        dx == 0 else dx if dy == 0 else hypot(dx, dy)`` — the combine
+        :func:`min_dist_to_box` ends with, on the same two floats, so the
+        value is bit-identical to :meth:`min_dist` (it orders the
+        best-first heap).  A walk that carries cell coordinates reads two
+        list entries per child instead of recomputing the corners.
         """
-        min_x = self._box.min_x + cx * self._cell_w
-        min_y = self._box.min_y + cy * self._cell_h
-        return min_dist_to_box(point, min_x, min_y, min_x + self._cell_w, min_y + self._cell_h)
+        x, y = point
+        return (
+            [lo - x if x < lo else x - hi if x > hi else 0.0 for lo, hi in self._columns],
+            [lo - y if y < lo else y - hi if y > hi else 0.0 for lo, hi in self._rows],
+        )
+
+
+def _extents(origin: float, width: float, n: int) -> List[Tuple[float, float]]:
+    return [(lo, lo + width) for lo in (origin + k * width for k in range(n))]
 
 
 class HierarchicalGrid:

@@ -1,5 +1,6 @@
 """Unit tests for the hierarchical quad-grid."""
 
+import math
 import random
 
 import numpy as np
@@ -146,42 +147,69 @@ class TestMinDist:
             grid.cell_of_leaf_at(0, 9)
 
 
-class TestMinDistCell:
-    """``min_dist_cell`` is the ``Rect`` MINDIST without the ``Rect``: equal
+def _combine(dx, dy):
+    """The best-first walk's MINDIST from two gap-table reads: the combine
+    ``min_dist_to_box`` ends with."""
+    return dy if dx == 0.0 else dx if dy == 0.0 else math.hypot(dx, dy)
+
+
+class TestCellMinDist:
+    """Cell MINDIST — :meth:`GridLevel.min_dist` and the walk's
+    :meth:`GridLevel.axis_gaps` combine — is the ``Rect`` MINDIST: equal
     with ``==``, never ``isclose`` — it orders the best-first heap, and a
     last-bit difference reorders pops."""
 
     finite = st.floats(-1e4, 1e4, allow_nan=False)
     extent = st.floats(1e-3, 1e4, allow_nan=False)
+    where = st.sampled_from(["inside", "outside", "beside", "edge"])
 
-    @given(
-        finite,
-        finite,
-        extent,
-        extent,
-        st.integers(1, 8),
-        st.randoms(use_true_random=False),
-        st.sampled_from(["inside", "outside", "edge"]),
-    )
+    @staticmethod
+    def _point(box, grid_level, rng, where):
+        width, height = box.max_x - box.min_x, box.max_y - box.min_y
+        if where == "inside":
+            return (rng.uniform(box.min_x, box.max_x), rng.uniform(box.min_y, box.max_y))
+        if where == "outside":
+            return (
+                box.min_x - rng.uniform(0.0, 2.0) * width,
+                box.max_y + rng.uniform(0.0, 2.0) * height,
+            )
+        if where == "beside":  # outside along x only, on either side
+            offset = rng.uniform(0.0, 2.0) * width
+            x = rng.choice([box.min_x - offset, box.max_x + offset])
+            return (x, rng.uniform(box.min_y, box.max_y))
+        # A corner shared by cells: dx or dy is exactly 0 for its neighbours.
+        corner = grid_level.rect(rng.randrange(grid_level.n_cells))
+        return (corner.max_x, corner.min_y)
+
+    @given(finite, finite, extent, extent, st.integers(1, 8), st.randoms(use_true_random=False), where)
     @settings(max_examples=300, deadline=None)
     @example(0.0, 0.0, 1.0, 1.0, 8, random.Random(0), "edge")
     def test_equals_rect_min_dist_exactly(self, min_x, min_y, width, height, level, rng, where):
         box = BoundingBox(min_x, min_y, min_x + width, min_y + height)
         grid_level = GridLevel(box, level)
         code = rng.randrange(grid_level.n_cells)
-        if where == "inside":
-            point = (rng.uniform(box.min_x, box.max_x), rng.uniform(box.min_y, box.max_y))
-        elif where == "outside":
-            point = (
-                box.min_x - rng.uniform(0.0, 2.0) * width,
-                box.max_y + rng.uniform(0.0, 2.0) * height,
-            )
-        else:  # a corner shared by cells: dx or dy is exactly 0 for its neighbours
-            corner = grid_level.rect(rng.randrange(grid_level.n_cells))
-            point = (corner.max_x, corner.min_y)
+        point = self._point(box, grid_level, rng, where)
         expected = grid_level.rect(code).min_dist(point)
-        assert grid_level.min_dist_cell(point, *z_decode(code, level)) == expected
         assert grid_level.min_dist(point, code) == expected
+        gx, gy = grid_level.axis_gaps(point)
+        cx, cy = z_decode(code, level)
+        assert _combine(gx[cx], gy[cy]) == expected
+
+    @given(finite, finite, extent, extent, st.integers(1, 5), st.randoms(use_true_random=False), where)
+    @settings(max_examples=60, deadline=None)
+    @example(0.0, 0.0, 1.0, 1.0, 5, random.Random(0), "edge")
+    @example(-3.7, 11.1, 0.3, 1e4, 5, random.Random(1), "edge")
+    def test_axis_gaps_at_every_cell_of_every_level(self, min_x, min_y, width, height, depth, rng, where):
+        """The gap tables of each level, combined, at every one of its cells."""
+        box = BoundingBox(min_x, min_y, min_x + width, min_y + height)
+        grid = HierarchicalGrid(box, depth)
+        point = self._point(box, rng.choice(grid.levels), rng, where)
+        for grid_level in grid.levels:
+            gx, gy = grid_level.axis_gaps(point)
+            assert len(gx) == len(gy) == grid_level.side
+            for code in range(grid_level.n_cells):
+                cx, cy = z_decode(code, grid_level.level)
+                assert _combine(gx[cx], gy[cy]) == grid_level.rect(code).min_dist(point)
 
     def test_children_share_parent_coordinates(self, grid):
         # Child 4·code + j of cell (cx, cy) sits at (2cx + (j & 1), 2cy + (j >> 1)).

@@ -69,7 +69,12 @@ class TestQueryServiceTracing:
         assert root["attrs"]["rounds"] == response.stats.rounds
         assert root["attrs"]["disk_reads"] == response.stats.disk_reads
         stages = {r["name"] for r in records if r["parent_id"] == root["span_id"]}
-        assert {"retrieve", "validate", "score"} <= stages
+        assert {"retrieve", "validate", "score", "lower_bound"} <= stages
+        # The termination test: tested rounds, the min-cover runs among them.
+        (bound,) = [r for r in records if r["name"] == "lower_bound"]
+        assert 1 <= bound["attrs"]["evaluated"] <= response.stats.rounds
+        assert 0 <= bound["attrs"]["exact"] <= bound["attrs"]["evaluated"]
+        assert bound["attrs"]["busy_s"] > 0.0
         # Block assembly nests under scoring: a part of its in-stage time.
         (score,) = [r for r in records if r["name"] == "score"]
         (assemble,) = [r for r in records if r["name"] == "assemble"]
@@ -186,7 +191,9 @@ class TestShardedTracing:
         assert len(fault_events) >= 1
         # Engine stages nest under the shard tasks they ran in.
         task_ids = {rec["span_id"] for rec in shard_tasks}
-        stages = [r for r in records if r["name"] in ("retrieve", "validate", "score")]
+        stages = [
+            r for r in records if r["name"] in ("retrieve", "validate", "score", "lower_bound")
+        ]
         assert stages and all(r["parent_id"] in task_ids for r in stages)
         # ... and each block-assembly span under its own task's score span.
         by_id = {r["span_id"]: r for r in records}

@@ -150,7 +150,7 @@ class TestTrace:
         assert "1 query," in out
         # The tree renders the query root with its stage children indented.
         assert "query " in out
-        for stage in ("retrieve", "validate", "score"):
+        for stage in ("retrieve", "validate", "score", "lower_bound"):
             assert f"  {stage}" in out
 
     def test_sharded_trace_dumps_validating_jsonl(
