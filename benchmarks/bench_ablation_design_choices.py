@@ -40,12 +40,9 @@ def _run_all(engine, queries, order_sensitive=False):
     retrieved = 0
     disk_reads = 0
     for q in queries:
-        if order_sensitive:
-            engine.oatsq(q, DEFAULT_K)
-        else:
-            engine.atsq(q, DEFAULT_K)
-        retrieved += engine.stats.candidates_retrieved
-        disk_reads += engine.stats.disk_reads
+        stats = engine.execute(q, DEFAULT_K, order_sensitive=order_sensitive).stats
+        retrieved += stats.candidates_retrieved
+        disk_reads += stats.disk_reads
     elapsed = (time.perf_counter() - t0) / len(queries)
     return elapsed, retrieved // len(queries), disk_reads // len(queries)
 

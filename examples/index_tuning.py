@@ -35,10 +35,10 @@ def run_batch(engine):
     t0 = time.perf_counter()
     tas_pruned = apl_pruned = disk_reads = 0
     for q in queries:
-        engine.atsq(q, K)
-        tas_pruned += engine.stats.tas_pruned
-        apl_pruned += engine.stats.apl_pruned
-        disk_reads += engine.stats.disk_reads
+        stats = engine.execute(q, K).stats
+        tas_pruned += stats.tas_pruned
+        apl_pruned += stats.apl_pruned
+        disk_reads += stats.disk_reads
     per_query = (time.perf_counter() - t0) / len(queries)
     return per_query, tas_pruned, apl_pruned, disk_reads
 

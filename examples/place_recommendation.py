@@ -69,12 +69,10 @@ rankings = {}
 print(f"\ntop-{k} by minimum match distance:")
 for name, searcher in searchers.items():
     t0 = time.perf_counter()
-    results = searcher.atsq(query, k)
+    run = searcher.execute(query, k)
     elapsed = time.perf_counter() - t0
-    rankings[name] = [round(r.distance, 6) for r in results]
-    stats = searcher.stats
-    candidates = getattr(stats, "candidates_retrieved", "-")
-    print(f"  {name:>3}: {elapsed * 1000:7.1f} ms   candidates={candidates}")
+    rankings[name] = [round(r.distance, 6) for r in run.ranked]
+    print(f"  {name:>3}: {elapsed * 1000:7.1f} ms   candidates={run.stats.candidates_retrieved}")
 
 reference = rankings["IL"]
 for name, distances in rankings.items():

@@ -88,7 +88,8 @@ for rank, result in enumerate(engine.atsq(query, k=3, explain=True), start=1):
           f"Dmm={result.distance:.3f} matches={result.matches}")
 
 print("\nOATSQ (order-sensitive) top-3:")
-for rank, result in enumerate(engine.oatsq(query, k=3, explain=True), start=1):
+oatsq = engine.execute(query, 3, order_sensitive=True, explain=True)
+for rank, result in enumerate(oatsq.ranked, start=1):
     print(f"  #{rank}: trajectory {result.trajectory_id} "
           f"Dmom={result.distance:.3f} matches={result.matches}")
 
@@ -96,11 +97,12 @@ for rank, result in enumerate(engine.oatsq(query, k=3, explain=True), start=1):
 # covers none of the requested activities.  Trajectory 2 is activity-poor
 # AND far away.  Trajectories 0 and 1 compete on match distance.
 #
-# The work counters below belong to the OATSQ just run.  Note the disk
+# The work counters below belong to the OATSQ just run (execute() returns
+# them beside the ranking, as ``.stats``).  Note the disk
 # reads: the engine's shared LRU caches stay warm across queries, so a
 # repeat of a similar query costs little or no counted I/O — the first
 # (cold) query paid for the APL fetches.
-stats = engine.stats
+stats = oatsq.stats
 print(f"\nengine work (warm repeat query): {stats.cells_popped} cells popped, "
       f"{stats.candidates_retrieved} candidates, "
       f"{stats.tas_pruned} TAS-pruned, {stats.disk_reads} disk reads")

@@ -67,7 +67,6 @@ from repro.model import (
     TrajectoryPoint,
     Vocabulary,
     EuclideanDistance,
-    HaversineDistance,
     MatrixDistance,
 )
 from repro.core import (
@@ -111,7 +110,6 @@ __all__ = [
     "TrajectoryPoint",
     "Vocabulary",
     "EuclideanDistance",
-    "HaversineDistance",
     "MatrixDistance",
     "Query",
     "QueryPoint",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.core.evaluator import MatchEvaluator
 from repro.core.match import INFINITY
@@ -30,12 +30,13 @@ class BaselineStats:
     points_popped: int = 0
     pruned_invalid: int = 0
 
-    def reset(self) -> None:
-        self.candidates_retrieved = 0
-        self.candidates_scored = 0
-        self.nodes_accessed = 0
-        self.points_popped = 0
-        self.pruned_invalid = 0
+
+class BaselineExecution(NamedTuple):
+    """One query's ranking and work counters — the ``.ranked`` /
+    ``.stats`` pair ``GATSearchEngine.execute`` also returns."""
+
+    ranked: List[SearchResult]
+    stats: BaselineStats
 
 
 class Searcher(ABC):
@@ -49,15 +50,20 @@ class Searcher(ABC):
     # ------------------------------------------------------------------
     # Public API (same shape as GATSearchEngine)
     # ------------------------------------------------------------------
+    def execute(
+        self, query: Query, k: int, order_sensitive: bool = False, explain: bool = False
+    ) -> BaselineExecution:
+        """Run one query; ``self.stats`` is a fresh counter set per query."""
+        stats = self.stats = BaselineStats()
+        results = self._search(query, k, order_sensitive)
+        ranked = self._maybe_explain(query, results, order_sensitive, explain)
+        return BaselineExecution(ranked, stats)
+
     def atsq(self, query: Query, k: int, explain: bool = False) -> List[SearchResult]:
-        self.stats.reset()
-        results = self._search(query, k, order_sensitive=False)
-        return self._maybe_explain(query, results, False, explain)
+        return self.execute(query, k, False, explain).ranked
 
     def oatsq(self, query: Query, k: int, explain: bool = False) -> List[SearchResult]:
-        self.stats.reset()
-        results = self._search(query, k, order_sensitive=True)
-        return self._maybe_explain(query, results, True, explain)
+        return self.execute(query, k, True, explain).ranked
 
     @abstractmethod
     def _search(self, query: Query, k: int, order_sensitive: bool) -> List[SearchResult]:

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench.harness import ExperimentHarness, SweepResult
 from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
-from repro.core.query import Query
 from repro.data.presets import dataset_from_preset
 from repro.index.gat.index import GATConfig
 from repro.model.database import TrajectoryDatabase

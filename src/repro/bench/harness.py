@@ -85,18 +85,16 @@ class ExperimentHarness:
         out: Dict[str, MethodTiming] = {}
         for name in self.methods:
             searcher = self.searchers[name]
-            run: Callable = searcher.oatsq if order_sensitive else searcher.atsq
             timing = MethodTiming(method=name)
             for query in queries:
                 if name == "GAT":
                     # Seed/paper protocol: cold disk-list cache per query.
                     self.gat_index.hicl.clear_cache()
                 t0 = time.perf_counter()
-                run(query, k)
+                stats = searcher.execute(query, k, order_sensitive=order_sensitive).stats
                 timing.total_seconds += time.perf_counter() - t0
                 timing.n_queries += 1
-                stats = searcher.stats
-                timing.candidates += getattr(stats, "candidates_retrieved", 0)
+                timing.candidates += stats.candidates_retrieved
             out[name] = timing
         return out
 

@@ -7,7 +7,7 @@ line plots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.bench.harness import SweepResult
 

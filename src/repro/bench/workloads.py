@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 
 from repro.core.query import Query, QueryPoint
 from repro.model.database import TrajectoryDatabase
-from repro.model.point import TrajectoryPoint
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,22 +191,6 @@ def mixed_order_requests(queries: Sequence[Query], k: int):
         QueryRequest(q, k=k, order_sensitive=(i % 2 == 1))
         for i, q in enumerate(queries)
     ]
-
-
-def shard_workload(queries: Sequence[Query], n_slices: int) -> List[List[Query]]:
-    """Round-robin split of a query batch into *n_slices* interleaved
-    slices (slice ``i`` holds ``queries[i::n_slices]``).
-
-    Used to drive one service from several concurrent clients — each
-    client submits its slice via ``search_many`` — or to spread a workload
-    over replica services.  Round-robin (rather than contiguous chunks)
-    keeps expensive and cheap queries evenly spread across slices, so no
-    client finishes far ahead of the others and the measured wall time
-    reflects steady concurrency.
-    """
-    if n_slices < 1:
-        raise ValueError("n_slices must be >= 1")
-    return [list(queries[i::n_slices]) for i in range(n_slices)]
 
 
 def _rescale_to_diameter(query: Query, diameter: float) -> Query:

@@ -56,7 +56,6 @@ from repro.data.generator import CheckInGenerator, GeneratorConfig
 from repro.data.loader import load_database_jsonl, save_database_jsonl
 from repro.data.presets import dataset_from_preset
 from repro.index.gat.index import GATConfig, GATIndex
-from repro.model.database import TrajectoryDatabase
 from repro.service import QueryRequest, QueryService
 from repro.serving import (
     ARRIVAL_KINDS,

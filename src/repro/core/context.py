@@ -10,7 +10,7 @@ queries: two contexts never touch the same mutable state.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -36,23 +36,10 @@ class SearchStats:
     disk_reads: int = 0
     disk_pages_read: int = 0
 
-    def reset(self) -> None:
-        """Restore every counter to its declared default.
-
-        Driven by :func:`dataclasses.fields` so a newly added counter can
-        never be silently missed here (``default_factory`` fields are
-        rebuilt, not set to the MISSING sentinel).
-        """
-        for f in fields(self):
-            if f.default_factory is not MISSING:
-                setattr(self, f.name, f.default_factory())
-            else:
-                setattr(self, f.name, f.default)
-
     def merge(self, other: "SearchStats") -> None:
         """Accumulate another execution's counters into this one.
 
-        Field-driven like :meth:`reset` so new counters can never be
+        Driven by :func:`dataclasses.fields` so new counters can never be
         silently dropped from an aggregate.  Used by the sharded fan-out
         to sum per-shard work into one query-level view; each shard runs
         on its own disk and caches, so plain summation never double-counts.

@@ -30,13 +30,11 @@ frontiers, top-k collector, evaluator) lives in the
 :class:`~repro.core.context.ExecutionContext` built per call, and disk
 I/O is attributed per query via :meth:`SimulatedDisk.track`.  One engine
 can therefore serve many threads at once (see
-:class:`repro.service.QueryService`); ``engine.stats`` remains available
-as the *calling thread's* last-query counters for backward compatibility.
+:class:`repro.service.QueryService`).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -147,12 +145,7 @@ class GATSearchEngine:
         self.index = index
         self.db = index.db
         self.metric = metric
-        # Convenience instance for callers wanting ad-hoc dmm/dmom
-        # computations with the engine's metric.  The engine itself never
-        # scores through it — each ExecutionContext gets its own
-        # evaluator — so its counters stay at zero under execute().
         self.kernel = resolve_kernel(self.config.kernel)
-        self.evaluator = MatchEvaluator(metric, kernel=self.kernel)
         self.retrieval_batch = self.config.retrieval_batch
         self.lb_cells = self.config.lb_cells
         self.use_tas = self.config.use_tas
@@ -163,7 +156,6 @@ class GATSearchEngine:
             else None
         )
         self._scoring = ScoringStage()
-        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # Public API
@@ -175,20 +167,6 @@ class GATSearchEngine:
     def oatsq(self, query: Query, k: int, explain: bool = False) -> List[SearchResult]:
         """Top-k trajectories by minimum order-sensitive match distance."""
         return self.execute(query, k, order_sensitive=True, explain=explain).ranked
-
-    @property
-    def stats(self) -> SearchStats:
-        """The calling thread's most recent query counters.
-
-        Kept for the seed's ``engine.atsq(...); engine.stats`` idiom; each
-        thread sees only its own queries.  Prefer the
-        :class:`ExecutionContext` returned by :meth:`execute`.
-        """
-        stats = getattr(self._local, "stats", None)
-        if stats is None:
-            stats = SearchStats()
-            self._local.stats = stats
-        return stats
 
     def apl_cache_stats(self) -> Optional[CacheStats]:
         """Hit/miss accounting of the engine's APL LRU (None if disabled)."""
@@ -360,7 +338,6 @@ class GATSearchEngine:
         ctx.latency_s = time.perf_counter() - t0
         if span is not None:
             self._emit_stage_spans(span, ctx, stage_clock)
-        self._local.stats = ctx.stats
         return ctx
 
     @staticmethod

@@ -29,9 +29,8 @@ Both kernels produce the same distances (to the last ulp — see the
 kernels module docstring for the rounding sources) and bump the same
 counters, so they are swappable under any searcher without moving a
 benchmark's rankings or pruning numbers.  Per-query
-state (the activity→bit maps, the query-side distance precomputation, and
-— scalar path included — the Haversine radians of the query locations) is
-prepared once per query, not once per candidate or per metric call.
+state (the activity→bit maps and the query-side distance precomputation)
+is prepared once per query, not once per candidate or per metric call.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from repro.core.order_match import (
     order_feasible,
 )
 from repro.core.query import Query, QueryPoint
-from repro.model.distance import DistanceMetric, EuclideanDistance, prepare_metric
+from repro.model.distance import DistanceMetric, EuclideanDistance
 from repro.model.trajectory import ActivityTrajectory
 
 
@@ -64,11 +63,6 @@ class EvaluatorStats:
     dmm_evaluations: int = 0
     dmom_evaluations: int = 0
     point_match_points: int = 0
-
-    def reset(self) -> None:
-        self.dmm_evaluations = 0
-        self.dmom_evaluations = 0
-        self.point_match_points = 0
 
 
 class MatchEvaluator:
@@ -91,8 +85,8 @@ class MatchEvaluator:
         self.metric: DistanceMetric = metric or EuclideanDistance()
         self.kernel = resolve_kernel(kernel)
         self.stats = EvaluatorStats()
-        # (query, QueryKernel | None, prepared scalar metric) — rebuilt when
-        # the query object changes.  Stored as one tuple so concurrent use
+        # (query, QueryKernel | None) — rebuilt when the query object
+        # changes.  Stored as one tuple so concurrent use
         # of a shared evaluator can at worst rebuild redundantly, never mix
         # one query's preparation with another's.
         self._qstate: Optional[tuple] = None
@@ -104,14 +98,13 @@ class MatchEvaluator:
     # ------------------------------------------------------------------
     # Per-query preparation
     # ------------------------------------------------------------------
-    def _state_for(self, query: Query) -> tuple:
+    def _kernel_for(self, query: Query) -> Optional[QueryKernel]:
+        """The query's :class:`QueryKernel`; ``None`` under the scalar kernel."""
         state = self._qstate
         if state is None or state[0] is not query:
-            qkernel = QueryKernel(query, self.metric) if self.kernel == "block" else None
-            scalar_metric = prepare_metric(self.metric, [q.coord for q in query])
-            state = (query, qkernel, scalar_metric)
+            state = (query, QueryKernel(query, self.metric) if self.kernel == "block" else None)
             self._qstate = state
-        return state
+        return state[1]
 
     # ------------------------------------------------------------------
     # Candidate point sets (the in-memory view of the APL)
@@ -141,22 +134,18 @@ class MatchEvaluator:
         Returns ``inf`` as soon as any query point has no point match.
         """
         self.stats.dmm_evaluations += 1
-        _q, qkernel, metric = self._state_for(query)
+        qkernel = self._kernel_for(query)
         if qkernel is not None:
             cand = kernels.prepare_candidate(qkernel, trajectory)
             if cand is None:
                 return INFINITY
             return dmm_prepared(qkernel, cand, self.stats)
-        return self._dmm_scalar(query, trajectory, metric)
+        return self._dmm_scalar(query, trajectory)
 
-    def _dmm_scalar(
-        self, query: Query, trajectory: ActivityTrajectory, metric: DistanceMetric
-    ) -> float:
+    def _dmm_scalar(self, query: Query, trajectory: ActivityTrajectory) -> float:
         total = 0.0
         for q in query:
-            d = minimum_point_match_distance(
-                q.coord, q.activities, self._candidate_points(trajectory, q), metric
-            )
+            d = self.dmpm(q, trajectory)
             if d == INFINITY:
                 return INFINITY
             total += d
@@ -168,12 +157,11 @@ class MatchEvaluator:
         """``Dmm`` plus the matched positions per query point (always the
         scalar tables — reconstruction needs the parent pointers)."""
         self.stats.dmm_evaluations += 1
-        _q, _qk, metric = self._state_for(query)
         total = 0.0
         matches: List[Tuple[int, ...]] = []
         for q in query:
             d, positions = minimum_point_match(
-                q.coord, q.activities, self._candidate_points(trajectory, q), metric
+                q.coord, q.activities, self._candidate_points(trajectory, q), self.metric
             )
             if d == INFINITY:
                 return INFINITY, ()
@@ -202,7 +190,7 @@ class MatchEvaluator:
         self.stats.dmom_evaluations += 1
         if check_order and not order_feasible(trajectory, query):
             return INFINITY
-        _q, qkernel, metric = self._state_for(query)
+        qkernel = self._kernel_for(query)
         if qkernel is not None:
             cand = kernels.prepare_candidate(qkernel, trajectory)
             self.stats.dmm_evaluations += 1  # the gate is a Dmm evaluation
@@ -213,10 +201,10 @@ class MatchEvaluator:
                 return INFINITY
             return dmom_prepared(qkernel, cand, threshold)
         self.stats.dmm_evaluations += 1
-        lower = self._dmm_scalar(query, trajectory, metric)
+        lower = self._dmm_scalar(query, trajectory)
         if lower == INFINITY or lower > threshold:
             return INFINITY
-        return minimum_order_match_distance(query, trajectory, metric, threshold)
+        return minimum_order_match_distance(query, trajectory, self.metric, threshold)
 
     # ------------------------------------------------------------------
     # Block scoring — one call per validation round (kernel='block')
@@ -225,7 +213,7 @@ class MatchEvaluator:
         """The per-query :class:`QueryKernel` the batch entry points run
         on, with a clear error for the scalar kernel (the per-candidate
         :meth:`dmm`/:meth:`dmom` siblings are the scalar-capable API)."""
-        _q, qkernel, _metric = self._state_for(query)
+        qkernel = self._kernel_for(query)
         if qkernel is None:
             raise ValueError(
                 "batch scoring requires kernel='block' (this evaluator runs "
@@ -311,14 +299,13 @@ class MatchEvaluator:
         self.stats.dmom_evaluations += 1
         if not order_feasible(trajectory, query):
             return INFINITY, ()
-        _q, _qk, metric = self._state_for(query)
-        return minimum_order_match(query, trajectory, metric)
+        return minimum_order_match(query, trajectory, self.metric)
 
     def best_match_distance(self, query: Query, trajectory: ActivityTrajectory) -> float:
         """``Dbm(Q, Tr)`` — the activity-blind best match distance of the
         RT baseline (Section III-B): sum over query points of the distance
         to the nearest trajectory point.  Lower-bounds ``Dmm`` (Lemma 2)."""
-        _q, _qk, metric = self._state_for(query)
+        metric = self.metric
         total = 0.0
         for q in query:
             total += min(metric(q.coord, p.coord) for p in trajectory)

@@ -8,9 +8,9 @@ per-point ``DistanceMetric`` calls and per-``(i, j, k)``
 both with a *prepare once, scan arrays* scheme:
 
 1. :class:`QueryKernel` precomputes the per-query-point activity→bit
-   assignment and the query-side halves of the distance formula (planar
-   coordinates for Euclidean, radians + cosines for Haversine — computed
-   once per query instead of once per metric call).
+   assignment and the query-side half of the distance formula (the
+   planar coordinates, gathered once per query instead of once per metric
+   call).
 2. :func:`prepare_candidate` computes, per surviving candidate, the full
    ``|Q| x |rel(Tr)|`` query-point→trajectory-point distance matrix in one
    vectorized NumPy call (``rel(Tr)`` being the points carrying at least
@@ -33,7 +33,7 @@ On top of the per-candidate kernels sits the *block* kernel
 (``kernel='block'``, the default): a whole validation round's
 admitted candidates go into one :class:`CandidateBlock` — a flat
 ``[|Q|, N]`` distance matrix over every candidate's concatenated relevant
-points, built by a **single** Euclidean/Haversine evaluation per round,
+points, built by a **single** Euclidean evaluation per round,
 plus a same-shape activity bitmask and per-candidate column segments,
 all gathered by :func:`prepare_block` from the candidates' rows of the
 APL array store (:mod:`repro.index.gat.apl`) through the key lookup
@@ -80,7 +80,7 @@ kernels against them on randomized inputs.  The combinatorics are
 float-identical by construction: given the same distances, the cover DP
 performs the same additions in the same order as ``PointMatchTable``
 (each entry is ``best(remainder) + dist``).  Two last-ulp (≲2e-16
-relative) discrepancy sources remain: NumPy's elementwise ``hypot``/trig
+relative) discrepancy sources remain: NumPy's elementwise ``hypot``
 can round differently from ``libm``'s on ~0.5% of inputs, and the
 ``Dmom`` row scan folds multi-point cover sums in ascending-position
 instead of descending-position order (the block cover's partition sums
@@ -112,13 +112,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.model.distance import (
-    DistanceMetric,
-    EuclideanDistance,
-    HaversineDistance,
-    euclidean_matrix,
-    haversine_matrix,
-)
+from repro.model.distance import DistanceMetric, EuclideanDistance, euclidean_matrix
 
 INFINITY = math.inf
 
@@ -207,8 +201,8 @@ class QueryKernel:
     Holds the per-query-point bit assignment (same iteration order as
     ``PointMatchTable`` uses, so masks are comparable in tests) and the
     query half of the array distance formula.  Metrics other than
-    Euclidean/Haversine fall back to per-pair Python calls — still through
-    one matrix, so the combinatorial kernels stay identical.
+    Euclidean fall back to per-pair Python calls — still through one
+    matrix, so the combinatorial kernels stay identical.
     """
 
     __slots__ = (
@@ -223,7 +217,6 @@ class QueryKernel:
         "_mode",
         "_q0",
         "_q1",
-        "_q2",
     )
 
     def __init__(self, query, metric: DistanceMetric) -> None:
@@ -251,19 +244,13 @@ class QueryKernel:
                 bit_values.values()
             )
 
-        xs = _np.array([q.x for q in query], dtype=float)
-        ys = _np.array([q.y for q in query], dtype=float)
         if type(metric) is EuclideanDistance:
             self._mode = "euclidean"
-            self._q0, self._q1, self._q2 = xs, ys, None
-        elif type(metric) is HaversineDistance:
-            self._mode = "haversine"
-            lon = _np.radians(xs)
-            lat = _np.radians(ys)
-            self._q0, self._q1, self._q2 = lon, lat, _np.cos(lat)
+            self._q0 = _np.array([q.x for q in query], dtype=float)
+            self._q1 = _np.array([q.y for q in query], dtype=float)
         else:
             self._mode = "generic"
-            self._q0 = self._q1 = self._q2 = None
+            self._q0 = self._q1 = None
 
     def _pairwise_rows(self, coords: Sequence[Tuple[float, float]]) -> List[List[float]]:
         """Per-pair metric calls — the only form a non-stock metric has."""
@@ -281,13 +268,7 @@ class QueryKernel:
         if self._mode == "generic":
             return _np.asarray(self._generic_rows(trajectory, positions), dtype=float)
         sub = trajectory.coord_array()[positions]
-        px = sub[:, 0]
-        py = sub[:, 1]
-        if self._mode == "euclidean":
-            return euclidean_matrix(self._q0, self._q1, px, py)
-        return haversine_matrix(
-            self._q0, self._q1, self._q2, _np.radians(px), _np.radians(py)
-        )
+        return euclidean_matrix(self._q0, self._q1, sub[:, 0], sub[:, 1])
 
     def distance_rows(self, trajectory, positions: List[int]) -> List[List[float]]:
         """The same matrix as Python rows (list indexing is what the scan
@@ -311,13 +292,7 @@ class QueryKernel:
         if self._mode == "generic":
             rows = self._pairwise_rows(list(map(tuple, coords.tolist())))
             return _np.asarray(rows, dtype=float).reshape(self.m, len(coords))
-        px = coords[:, 0]
-        py = coords[:, 1]
-        if self._mode == "euclidean":
-            return euclidean_matrix(self._q0, self._q1, px, py)
-        return haversine_matrix(
-            self._q0, self._q1, self._q2, _np.radians(px), _np.radians(py)
-        )
+        return euclidean_matrix(self._q0, self._q1, coords[:, 0], coords[:, 1])
 
 
 class CandidateArrays:
@@ -564,7 +539,7 @@ class CandidateBlock:
 
     ``big`` is the ``[|Q|, N]`` distance matrix over the concatenation of
     every candidate's relevant positions — built by a **single**
-    Euclidean/Haversine evaluation per round — and ``mask`` the same-shape
+    Euclidean evaluation per round — and ``mask`` the same-shape
     per-query-point activity-overlap bitmasks (``rel`` caches ``mask !=
     0``).  ``seg_of``/``lengths`` map a candidate to its column segment
     (and to its slice of ``positions``, the columns' trajectory positions

@@ -37,15 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.model.distance import DistanceMetric
 from repro.model.point import TrajectoryPoint
@@ -148,15 +140,6 @@ class PointMatchTable:
                     if parent is not None:
                         parent[key] = ("combo", s, ks)
 
-    def add_point(
-        self,
-        point: TrajectoryPoint,
-        dist: float,
-        payload=None,
-    ) -> None:
-        """Convenience: compute the overlap mask of *point* and :meth:`add`."""
-        self.add(self.overlap_mask(point.activities), dist, payload)
-
     # ------------------------------------------------------------------
     # Queries on the table
     # ------------------------------------------------------------------
@@ -202,23 +185,6 @@ class PointMatchTable:
 # ----------------------------------------------------------------------
 # Algorithm 3 proper: sorted scan with early termination
 # ----------------------------------------------------------------------
-def candidate_points(
-    trajectory_points: Sequence[TrajectoryPoint],
-    query_activities: FrozenSet[int],
-) -> List[Tuple[int, TrajectoryPoint]]:
-    """``CP`` — the (position, point) pairs sharing ≥1 activity with ``q.Φ``.
-
-    In the full system this set comes from the trajectory's Activity
-    Posting Lists; this helper is the from-first-principles equivalent used
-    when the points are already in hand.
-    """
-    return [
-        (pos, p)
-        for pos, p in enumerate(trajectory_points)
-        if not p.activities.isdisjoint(query_activities)
-    ]
-
-
 def minimum_point_match_distance(
     query_coord: Coord,
     query_activities: FrozenSet[int],

@@ -15,7 +15,7 @@ user via :func:`group_checkins_into_trajectories`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List
 
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
@@ -76,8 +76,3 @@ def group_checkins_into_trajectories(
         ]
         trajectories.append(ActivityTrajectory(tid, points))
     return trajectories
-
-
-def checkin_activity_sets(checkins: Sequence[CheckIn]) -> Tuple[FrozenSet[str], ...]:
-    """Per-record activity-name sets (used to build frequency vocabularies)."""
-    return tuple(record.activities for record in checkins)

@@ -289,8 +289,3 @@ class CheckInGenerator:
 def _activity_name(rank: int) -> str:
     """Deterministic human-ish name for an activity rank."""
     return f"act{rank:05d}"
-
-
-def generate_database(config: GeneratorConfig, name: str = "synthetic") -> TrajectoryDatabase:
-    """One-call convenience wrapper around :class:`CheckInGenerator`."""
-    return CheckInGenerator(config).generate(name=name)

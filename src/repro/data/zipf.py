@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import List, Sequence
+from typing import List
 
 
 class ZipfSampler:
@@ -47,11 +47,6 @@ class ZipfSampler:
         """Draw one rank."""
         return bisect.bisect_left(self._cumulative, rng.random())
 
-    def sample_many(self, rng: random.Random, k: int) -> List[int]:
-        """Draw *k* ranks independently (duplicates possible)."""
-        cumulative = self._cumulative
-        return [bisect.bisect_left(cumulative, rng.random()) for _ in range(k)]
-
     def sample_distinct(self, rng: random.Random, k: int, max_tries: int = 64) -> List[int]:
         """Draw *k* distinct ranks, falling back to low ranks if rejection
         sampling stalls (can only happen for k close to n)."""
@@ -67,12 +62,3 @@ class ZipfSampler:
             picked.add(rank)
             rank += 1
         return sorted(picked)
-
-    def pmf(self) -> Sequence[float]:
-        """Probability of each rank (mostly for tests)."""
-        probs = []
-        prev = 0.0
-        for c in self._cumulative:
-            probs.append(c - prev)
-            prev = c
-        return probs

@@ -130,10 +130,6 @@ class FaultInjector:
         future stall draws pass through.  Idempotent; call from teardown."""
         self._stall_gate.set()
 
-    def arm_stalls(self) -> None:
-        """Re-arm stalling after :meth:`lift_stalls` (fresh test phase)."""
-        self._stall_gate.clear()
-
     # ------------------------------------------------------------------
     # The disk-side hook
     # ------------------------------------------------------------------
@@ -196,19 +192,6 @@ class FaultInjector:
             raise InjectedDiskError(f"injected read error for key {key!r}")
         if delay > 0.0:
             time.sleep(delay)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def counters(self) -> dict:
-        """Snapshot of the injected-fault counters (test observability)."""
-        with self._lock:
-            return {
-                "reads_seen": self.reads_seen,
-                "errors_injected": self.errors_injected,
-                "stalls_injected": self.stalls_injected,
-                "delays_injected": self.delays_injected,
-            }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "enabled" if self.enabled else "disabled"

@@ -7,14 +7,13 @@ and the R-tree / IR-tree baselines use the rectangle arithmetic from
 :mod:`repro.geometry.primitives`.
 """
 
-from repro.geometry.primitives import BoundingBox, Rect, min_dist_point_rect
+from repro.geometry.primitives import BoundingBox, Rect
 from repro.geometry.zcurve import z_decode, z_encode
 from repro.geometry.grid import Cell, GridLevel, HierarchicalGrid
 
 __all__ = [
     "BoundingBox",
     "Rect",
-    "min_dist_point_rect",
     "z_encode",
     "z_decode",
     "Cell",

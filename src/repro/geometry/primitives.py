@@ -2,25 +2,17 @@
 
 The paper's datasets are metropolitan-scale (Los Angeles / New York), so all
 query processing happens in a locally-projected planar coordinate system
-measured in kilometres.  :mod:`repro.model.distance` provides the projection
-from latitude/longitude; this module only deals with already-projected
-``(x, y)`` pairs.
+measured in kilometres; this module deals in those planar ``(x, y)``
+pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 Coord = Tuple[float, float]
-
-
-def euclidean(a: Coord, b: Coord) -> float:
-    """Straight-line distance between two planar points."""
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return math.hypot(dx, dy)
 
 
 def min_dist_to_box(
@@ -71,12 +63,6 @@ class Rect:
             )
 
     @classmethod
-    def from_point(cls, point: Coord) -> "Rect":
-        """Degenerate rectangle covering a single point."""
-        x, y = point
-        return cls(x, y, x, y)
-
-    @classmethod
     def from_points(cls, points: Iterable[Coord]) -> "Rect":
         """Tightest rectangle enclosing *points* (must be non-empty)."""
         it = iter(points)
@@ -106,37 +92,8 @@ class Rect:
         return self.max_y - self.min_y
 
     @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def margin(self) -> float:
-        """Half-perimeter, used by some split heuristics."""
-        return self.width + self.height
-
-    @property
     def center(self) -> Coord:
         return ((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
-
-    def contains_point(self, point: Coord) -> bool:
-        x, y = point
-        return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
-
-    def contains_rect(self, other: "Rect") -> bool:
-        return (
-            self.min_x <= other.min_x
-            and self.min_y <= other.min_y
-            and self.max_x >= other.max_x
-            and self.max_y >= other.max_y
-        )
-
-    def intersects(self, other: "Rect") -> bool:
-        return not (
-            other.min_x > self.max_x
-            or other.max_x < self.min_x
-            or other.min_y > self.max_y
-            or other.max_y < self.min_y
-        )
 
     def union(self, other: "Rect") -> "Rect":
         """Smallest rectangle enclosing both."""
@@ -147,20 +104,6 @@ class Rect:
             max(self.max_y, other.max_y),
         )
 
-    def extend_point(self, point: Coord) -> "Rect":
-        """Smallest rectangle enclosing ``self`` and *point*."""
-        x, y = point
-        return Rect(
-            min(self.min_x, x),
-            min(self.min_y, y),
-            max(self.max_x, x),
-            max(self.max_y, y),
-        )
-
-    def enlargement(self, other: "Rect") -> float:
-        """Area growth incurred by absorbing *other* (R-tree ChooseLeaf)."""
-        return self.union(other).area - self.area
-
     def min_dist(self, point: Coord) -> float:
         """Minimum Euclidean distance from *point* to this rectangle.
 
@@ -169,17 +112,6 @@ class Rect:
         both the R-tree and the GAT cell hierarchy.
         """
         return min_dist_to_box(point, self.min_x, self.min_y, self.max_x, self.max_y)
-
-    def corners(self) -> Iterator[Coord]:
-        yield (self.min_x, self.min_y)
-        yield (self.min_x, self.max_y)
-        yield (self.max_x, self.min_y)
-        yield (self.max_x, self.max_y)
-
-
-def min_dist_point_rect(point: Coord, rect: Rect) -> float:
-    """Function form of :meth:`Rect.min_dist` (handy for ``map``/partial)."""
-    return rect.min_dist(point)
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,9 +154,6 @@ class BoundingBox:
     @property
     def height(self) -> float:
         return self.max_y - self.min_y
-
-    def as_rect(self) -> Rect:
-        return Rect(self.min_x, self.min_y, self.max_x, self.max_y)
 
     def normalise(self, point: Coord) -> Coord:
         """Map *point* into ``[0, 1)^2``, clamping to the box."""

@@ -5,8 +5,8 @@
   :class:`~repro.index.gat.index.GATIndex`.
 * :mod:`repro.index.inverted` — the activity inverted list of the IL
   baseline (Section III-A).
-* :mod:`repro.index.rtree` — an R-tree built from scratch (Guttman insert
-  + STR bulk load) for the RT baseline (Section III-B).
+* :mod:`repro.index.rtree` — an R-tree built from scratch (STR bulk
+  load) for the RT baseline (Section III-B).
 * :mod:`repro.index.irtree` — the IR-tree: the R-tree augmented with
   per-node inverted activity files (Section III-C).
 """

@@ -151,10 +151,6 @@ class GATIndex:
             + sketch_memory_bytes(len(self.db), self.config.sketch_intervals)
         )
 
-    def disk_cost_bytes(self) -> int:
-        """Bytes parked on the simulated disk (low HICL levels + APL)."""
-        return self.disk.total_bytes()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"GATIndex(d={self.config.depth}, mem_levels={self.config.memory_levels}, "

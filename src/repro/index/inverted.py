@@ -99,21 +99,3 @@ class InvertedIndex:
                 break
         return result
 
-    def trajectories_with_any(self, activities: Iterable[int]) -> Set[int]:
-        """Union of posting lists."""
-        activities = list(activities)
-        arrays = self._posting_arrays(activities)
-        if arrays:
-            if len(arrays) == 1:
-                return set(arrays[0].tolist())
-            return set(_np.unique(_np.concatenate(arrays)).tolist())
-        out: Set[int] = set()
-        for activity in activities:
-            out.update(self.posting(activity))
-        return out
-
-    def n_activities(self) -> int:
-        return len(self._lists)
-
-    def memory_cost_bytes(self) -> int:
-        return sum(8 * len(tids) + 16 for tids in self._lists.values())

@@ -16,13 +16,7 @@ from repro.model.vocabulary import Vocabulary
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
 from repro.model.database import TrajectoryDatabase
-from repro.model.distance import (
-    DistanceMetric,
-    EuclideanDistance,
-    HaversineDistance,
-    MatrixDistance,
-    project_lonlat_to_km,
-)
+from repro.model.distance import DistanceMetric, EuclideanDistance, MatrixDistance
 
 __all__ = [
     "Vocabulary",
@@ -31,7 +25,5 @@ __all__ = [
     "TrajectoryDatabase",
     "DistanceMetric",
     "EuclideanDistance",
-    "HaversineDistance",
     "MatrixDistance",
-    "project_lonlat_to_km",
 ]

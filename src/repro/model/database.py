@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry.primitives import BoundingBox
 from repro.model.point import TrajectoryPoint
@@ -63,7 +63,6 @@ class TrajectoryDatabase:
         if len(self._by_id) != len(self.trajectories):
             raise ValueError("duplicate trajectory IDs in database")
         self._bounding_box: Optional[BoundingBox] = None
-        self._activity_frequencies: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -121,8 +120,8 @@ class TrajectoryDatabase:
     def add(self, trajectory: ActivityTrajectory) -> None:
         """Append one trajectory (extension for dynamic index maintenance).
 
-        The trajectory's ID must be fresh.  Cached global facts (bounding
-        box, activity frequencies) are invalidated; indexes built over the
+        The trajectory's ID must be fresh.  The cached bounding box is
+        invalidated; indexes built over the
         database are NOT updated automatically — use
         :meth:`repro.index.gat.index.GATIndex.insert_trajectory`.
         """
@@ -131,7 +130,6 @@ class TrajectoryDatabase:
         self.trajectories = (*self.trajectories, trajectory)
         self._by_id[trajectory.trajectory_id] = trajectory
         self._bounding_box = None
-        self._activity_frequencies = None
 
     def sample(self, n: int, rng) -> "TrajectoryDatabase":
         """A database over a random *n*-trajectory subset (for Figure 7's
@@ -153,17 +151,6 @@ class TrajectoryDatabase:
             coords = [p.coord for tr in self.trajectories for p in tr]
             self._bounding_box = BoundingBox.from_points(coords)
         return self._bounding_box
-
-    @property
-    def activity_frequencies(self) -> Mapping[int, int]:
-        """activity ID -> number of occurrences across all points."""
-        if self._activity_frequencies is None:
-            counts: Counter[int] = Counter()
-            for tr in self.trajectories:
-                for point in tr:
-                    counts.update(point.activities)
-            self._activity_frequencies = dict(counts)
-        return self._activity_frequencies
 
     def statistics(self) -> DatasetStatistics:
         """Table IV's row set for this database."""

@@ -2,23 +2,18 @@
 
 All match-distance algorithms (:mod:`repro.core.match`,
 :mod:`repro.core.order_match`) take a :class:`DistanceMetric` strategy
-instead of hard-coding Euclidean distance.  This buys two things:
-
-* the paper's worked examples (Figure 1, Tables II-III) supply raw distance
-  *matrices*, which :class:`MatrixDistance` reproduces exactly in tests;
-* datasets expressed in longitude/latitude can either be projected up front
-  (:func:`project_lonlat_to_km`, what our generator does) or measured with
-  :class:`HaversineDistance` directly.
+instead of hard-coding Euclidean distance: the paper's worked examples
+(Figure 1, Tables II-III) supply raw distance *matrices*, which
+:class:`MatrixDistance` reproduces exactly.  Every dataset the library
+generates is in planar kilometres, measured with :class:`EuclideanDistance`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Protocol, Sequence, Tuple
+from typing import Mapping, Protocol, Tuple
 
 Coord = Tuple[float, float]
-
-EARTH_RADIUS_KM = 6371.0088
 
 
 class DistanceMetric(Protocol):
@@ -40,82 +35,6 @@ class EuclideanDistance:
         return "EuclideanDistance()"
 
 
-class HaversineDistance:
-    """Great-circle distance in kilometres between ``(lon, lat)`` pairs."""
-
-    __slots__ = ()
-
-    def __call__(self, a: Coord, b: Coord) -> float:
-        lon1, lat1 = map(math.radians, a)
-        lon2, lat2 = map(math.radians, b)
-        dlat = lat2 - lat1
-        dlon = lon2 - lon1
-        h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-        return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
-
-    def prepare(self, coords: Sequence[Coord]) -> "PreparedHaversine":
-        """A drop-in metric with the radian conversion of *coords* (the
-        query locations) done once up front — see :class:`PreparedHaversine`."""
-        return PreparedHaversine(coords)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "HaversineDistance()"
-
-
-class PreparedHaversine:
-    """:class:`HaversineDistance` with the first argument's radian
-    conversion hoisted out of the per-call path.
-
-    Algorithm 3 and the order-sensitive DP call the metric with the *same*
-    handful of query coordinates millions of times per workload; the seed
-    implementation re-converted them (and re-took ``cos(lat)``) on every
-    call.  :meth:`HaversineDistance.prepare` builds one of these per query
-    (the engine does it once per :class:`~repro.core.context.ExecutionContext`),
-    mapping each known first-argument coordinate to its precomputed
-    ``(lon_rad, lat_rad, cos_lat)``.  The arithmetic on the precomputed
-    values is exactly the sequence the plain metric performs, so results
-    are bit-identical; unknown first arguments fall back to converting on
-    the fly, keeping the wrapper a drop-in :class:`DistanceMetric`.
-    """
-
-    __slots__ = ("_prepared",)
-
-    def __init__(self, coords: Sequence[Coord]) -> None:
-        self._prepared = {}
-        for coord in coords:
-            lon_rad = math.radians(coord[0])
-            lat_rad = math.radians(coord[1])
-            self._prepared[coord] = (lon_rad, lat_rad, math.cos(lat_rad))
-
-    def __call__(self, a: Coord, b: Coord) -> float:
-        pre = self._prepared.get(a)
-        if pre is None:
-            lon1 = math.radians(a[0])
-            lat1 = math.radians(a[1])
-            cos1 = math.cos(lat1)
-        else:
-            lon1, lat1, cos1 = pre
-        lon2, lat2 = map(math.radians, b)
-        dlat = lat2 - lat1
-        dlon = lon2 - lon1
-        h = math.sin(dlat / 2.0) ** 2 + cos1 * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-        return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"PreparedHaversine({len(self._prepared)} coords)"
-
-
-def prepare_metric(metric: DistanceMetric, coords: Sequence[Coord]) -> DistanceMetric:
-    """Per-query metric preparation hook.
-
-    Haversine gets its query-side radians precomputed (bit-identical, see
-    :class:`PreparedHaversine`); every other metric is returned unchanged.
-    """
-    if type(metric) is HaversineDistance:
-        return PreparedHaversine(coords)
-    return metric
-
-
 # ----------------------------------------------------------------------
 # NumPy fast paths (used by repro.core.kernels; numpy imported lazily so
 # the scalar library keeps working without it)
@@ -130,24 +49,6 @@ def euclidean_matrix(qx, qy, px, py):
     import numpy as np
 
     return np.hypot(qx[:, None] - px[None, :], qy[:, None] - py[None, :])
-
-
-def haversine_matrix(qlon_rad, qlat_rad, qcos_lat, plon_rad, plat_rad):
-    """Pairwise great-circle km over *radian* inputs (query radians are
-    precomputed once per query by the kernel layer).
-
-    Same formula as :class:`HaversineDistance`; NumPy's transcendentals may
-    differ from ``libm`` in the last ulp, which the parity suite bounds.
-    """
-    import numpy as np
-
-    dlat = plat_rad[None, :] - qlat_rad[:, None]
-    dlon = plon_rad[None, :] - qlon_rad[:, None]
-    h = (
-        np.sin(dlat / 2.0) ** 2
-        + qcos_lat[:, None] * np.cos(plat_rad)[None, :] * np.sin(dlon / 2.0) ** 2
-    )
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
 class MatrixDistance:
@@ -174,32 +75,3 @@ class MatrixDistance:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"MatrixDistance({len(self._table)} entries)"
-
-
-def project_lonlat_to_km(
-    coords: Sequence[Coord], ref: Coord | None = None
-) -> Tuple[Tuple[float, float], ...]:
-    """Equirectangular projection of ``(lon, lat)`` pairs to local planar km.
-
-    Adequate at metropolitan scale (the paper's datasets span single cities,
-    < ~100 km), where the error versus true great-circle distance is far
-    below the distances the queries care about.
-
-    Parameters
-    ----------
-    coords:
-        Sequence of ``(lon, lat)`` pairs in degrees.
-    ref:
-        Projection origin; defaults to the centroid of *coords*.
-    """
-    if not coords:
-        return ()
-    if ref is None:
-        ref = (
-            sum(c[0] for c in coords) / len(coords),
-            sum(c[1] for c in coords) / len(coords),
-        )
-    ref_lon, ref_lat = ref
-    k_lat = math.pi * EARTH_RADIUS_KM / 180.0
-    k_lon = k_lat * math.cos(math.radians(ref_lat))
-    return tuple(((lon - ref_lon) * k_lon, (lat - ref_lat) * k_lat) for lon, lat in coords)

@@ -37,14 +37,6 @@ class TrajectoryPoint:
     def coord(self) -> Tuple[float, float]:
         return (self.x, self.y)
 
-    def has_any(self, activity_ids: FrozenSet[int]) -> bool:
-        """True when this point shares at least one activity with the set."""
-        return not self.activities.isdisjoint(activity_ids)
-
-    def covers(self, activity_ids: FrozenSet[int]) -> bool:
-        """True when this point's activities are a superset of the set."""
-        return activity_ids <= self.activities
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         acts = ",".join(map(str, sorted(self.activities)))
         return f"TrajectoryPoint(({self.x:.3f}, {self.y:.3f}), {{{acts}}})"

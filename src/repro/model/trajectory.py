@@ -19,7 +19,7 @@ point coordinates once, at index build and on insert.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from repro.model.point import TrajectoryPoint
 
@@ -108,23 +108,3 @@ class ActivityTrajectory:
                 [(p.x, p.y) for p in self.points], dtype=float
             )
         return self._coord_array
-
-    def positions_of(self, activity: int) -> Tuple[int, ...]:
-        """Positions of the points containing *activity* (possibly empty)."""
-        return self.posting_lists.get(activity, ())
-
-    def contains_all(self, activities: Iterable[int]) -> bool:
-        """True when every activity in *activities* occurs somewhere."""
-        union = self.activity_union
-        return all(a in union for a in activities)
-
-    def sub(self, start: int, stop: int) -> Tuple[TrajectoryPoint, ...]:
-        """Points of the sub-trajectory ``Tr[start, stop]`` — both ends
-        inclusive, 0-based (paper notation ``Tr[i, j]`` is 1-based)."""
-        if start < 0 or stop >= len(self.points) or start > stop:
-            raise IndexError(f"invalid sub-trajectory [{start}, {stop}]")
-        return self.points[start : stop + 1]
-
-    def n_checkins(self) -> int:
-        """Total number of activity occurrences (Table IV's '#activity')."""
-        return sum(len(p.activities) for p in self.points)

@@ -83,10 +83,6 @@ class Vocabulary:
         """Translate a set of names to a frozenset of IDs (names must exist)."""
         return frozenset(self._id_of[name] for name in names)
 
-    def encode_adding(self, names: Iterable[str]) -> FrozenSet[int]:
-        """Like :meth:`encode` but registers unknown names on the fly."""
-        return frozenset(self.add(name) for name in names)
-
     def decode(self, ids: Iterable[int]) -> FrozenSet[str]:
         """Translate a set of IDs back to names."""
         return frozenset(self._name_of[i] for i in ids)

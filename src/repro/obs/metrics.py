@@ -132,19 +132,9 @@ class Gauge(_Metric):
         super().__init__(name, labels)
         self._value = 0.0
 
-    def _new_cell(self):  # pragma: no cover - gauges have no cells
-        raise NotImplementedError("gauges are not sharded")
-
     def set(self, value: float) -> None:
         with self._lock:
             self._value = value
-
-    def inc(self, n: float = 1.0) -> None:
-        with self._lock:
-            self._value += n
-
-    def dec(self, n: float = 1.0) -> None:
-        self.inc(-n)
 
     def value(self) -> float:
         with self._lock:
@@ -218,26 +208,6 @@ class Histogram(_Metric):
                 if cell.max > peak:
                     peak = cell.max
             return counts, count, total, peak
-
-    def count(self) -> int:
-        return self._merged()[1]
-
-    def sum(self) -> float:
-        return self._merged()[2]
-
-    def quantile(self, q: float) -> float:
-        counts, count, _total, peak = self._merged()
-        if count == 0:
-            return 0.0
-        rank = min(max(math.ceil(q * count), 1), count)
-        seen = 0
-        for i, c in enumerate(counts):
-            seen += c
-            if seen >= rank:
-                if i < len(self.bounds):
-                    return min(self.bounds[i], peak)
-                return peak
-        return peak  # pragma: no cover - rank <= count guarantees a hit
 
     def snapshot(self) -> Dict[str, float]:
         counts, count, total, peak = self._merged()

@@ -145,11 +145,6 @@ class Span:
         if self._tracer is not None:
             self._tracer._finish(self)
 
-    @property
-    def duration_s(self) -> float:
-        end = self.end_s if self.end_s is not None else time.time()
-        return end - self.start_s
-
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -182,7 +177,7 @@ class Span:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Span({self.name!r}, id={self.span_id}, parent={self.parent_id}, "
-            f"dur={self.duration_s * 1e3:.2f}ms, attrs={self.attrs})"
+            f"end={self.end_s}, attrs={self.attrs})"
         )
 
 
@@ -201,7 +196,6 @@ class _NullSpan:
     attrs: Dict[str, Any] = {}
     events: List[Dict[str, Any]] = []
     events_dropped = 0
-    duration_s = 0.0
 
     def set_attr(self, key: str, value: Any) -> None:
         pass
@@ -233,8 +227,7 @@ class Tracer:
 
     ``max_spans`` bounds memory: when the buffer is full the *oldest*
     finished spans are evicted (``spans_dropped`` counts them).  Exporters
-    read :meth:`spans` (non-destructive) or :meth:`drain` (take and
-    clear).
+    take them with :meth:`drain`.
     """
 
     enabled = True
@@ -258,25 +251,6 @@ class Tracer:
             trace_id = _new_id()
             parent_id = None
         return Span(name, trace_id=trace_id, parent_id=parent_id, attrs=attrs, tracer=self)
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        parent: Optional[Span] = None,
-        attrs: Optional[Dict[str, Any]] = None,
-    ):
-        """Start a span, make it the thread's active span, end it on exit.
-        When *parent* is omitted the current active span (if any) is the
-        parent — nested ``with tracer.span(...)`` blocks build a tree."""
-        if parent is None:
-            parent = current_span()
-        span = self.start_span(name, parent=parent, attrs=attrs)
-        try:
-            with activate(span):
-                yield span
-        finally:
-            span.end()
 
     # -- retention ------------------------------------------------------
     def _finish(self, span: Span) -> None:
@@ -306,22 +280,12 @@ class Tracer:
                 self._finished.append(span)
         return spans
 
-    def spans(self) -> List[Span]:
-        """Finished spans, oldest first (non-destructive)."""
-        with self._lock:
-            return list(self._finished)
-
     def drain(self) -> List[Span]:
         """Take every finished span and clear the buffer."""
         with self._lock:
             spans = list(self._finished)
             self._finished.clear()
             return spans
-
-    def clear(self) -> None:
-        with self._lock:
-            self._finished.clear()
-            self.spans_dropped = 0
 
 
 class NullTracer:
@@ -334,18 +298,8 @@ class NullTracer:
     def start_span(self, name, parent=None, attrs=None) -> _NullSpan:
         return NULL_SPAN
 
-    @contextmanager
-    def span(self, name, parent=None, attrs=None):
-        yield NULL_SPAN
-
     def adopt(self, payloads, parent) -> List[Span]:
-        return []
-
-    def spans(self) -> List[Span]:
         return []
 
     def drain(self) -> List[Span]:
         return []
-
-    def clear(self) -> None:
-        pass

@@ -170,14 +170,6 @@ class ServiceStats:
     def qps(self) -> float:
         return self.queries / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
-    @property
-    def result_cache_hit_rate(self) -> float:
-        """Fraction of requests answered straight from the result cache
-        (0.0 when the cache is disabled or untouched)."""
-        if self.result_cache_lookups <= 0:
-            return 0.0
-        return self.result_cache_hits / self.result_cache_lookups
-
 
 def as_request(item: Union[QueryRequest, Query], **defaults) -> QueryRequest:
     """Coerce a bare :class:`Query` (plus shared option defaults) into a

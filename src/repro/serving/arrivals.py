@@ -61,9 +61,6 @@ class ArrivalProcess:
     def peak_rate(self) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def mean_rate(self) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     # -- sampling -------------------------------------------------------
     def times(self, duration_s: float) -> List[float]:
         """All arrival offsets in ``[0, duration_s)``, ascending.
@@ -103,9 +100,6 @@ class PoissonArrivals(ArrivalProcess):
     def peak_rate(self) -> float:
         return self.rate_qps
 
-    def mean_rate(self) -> float:
-        return self.rate_qps
-
 
 class DiurnalArrivals(ArrivalProcess):
     """Raised-cosine diurnal curve: trough at ``t=0``, peak at half the
@@ -135,9 +129,6 @@ class DiurnalArrivals(ArrivalProcess):
 
     def peak_rate(self) -> float:
         return self.high_qps
-
-    def mean_rate(self) -> float:
-        return (self.low_qps + self.high_qps) / 2.0
 
 
 class SquareWaveArrivals(ArrivalProcess):
@@ -173,9 +164,6 @@ class SquareWaveArrivals(ArrivalProcess):
 
     def peak_rate(self) -> float:
         return self.high_qps
-
-    def mean_rate(self) -> float:
-        return self.duty * self.high_qps + (1.0 - self.duty) * self.low_qps
 
 
 #: Shapes the factory (and the CLI's ``--arrivals``) accepts.

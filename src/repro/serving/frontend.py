@@ -100,6 +100,7 @@ class ServingFrontend:
         self._sem: Optional[asyncio.Semaphore] = None
         self._sem_loop: Optional[asyncio.AbstractEventLoop] = None
         self._lock = threading.Lock()
+        self._closed = False
         self._submitted = 0
         self._completed = 0
         self._rejected = 0
@@ -147,8 +148,12 @@ class ServingFrontend:
         :class:`ShedError` / :class:`ExpiredError` on the refusal paths;
         returns a complete :class:`QueryResponse` otherwise.  A bare
         deadline on the *request* (``QueryRequest.deadline_s``) is used
-        when the ``deadline_s`` argument is omitted.
+        when the ``deadline_s`` argument is omitted.  After :meth:`close`
+        it raises ``RuntimeError`` before admission, counting nothing —
+        the same refusal as the backend services'.
         """
+        if self._closed:
+            raise RuntimeError("query service used after close()")
         request = as_request(
             query, k=k, order_sensitive=order_sensitive, explain=explain
         )
@@ -279,6 +284,7 @@ class ServingFrontend:
     def close(self) -> None:
         """Shut down the bridge pool (idempotent).  The backend service
         is owned by the caller and is not closed here."""
+        self._closed = True
         self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "ServingFrontend":

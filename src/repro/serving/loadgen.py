@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.query import Query
 from repro.obs.metrics import nearest_rank
@@ -92,19 +92,6 @@ class OpenLoopReport:
     @property
     def shed_frac(self) -> float:
         return self.shed / self.offered if self.offered else 0.0
-
-    @property
-    def within_slo_frac(self) -> float:
-        """Of the *offered* requests, the fraction answered within SLO."""
-        return self.completed_within_slo / self.offered if self.offered else 0.0
-
-    def rankings(self) -> Dict[int, Ranking]:
-        """Completed requests' rankings, keyed by workload index (the
-        arrival index modulo the workload size is applied by the caller
-        that knows the workload)."""
-        return {
-            o.index: o.ranking for o in self.outcomes if o.ranking is not None
-        }
 
     def row(self) -> dict:
         """A flat JSON-able summary row for ``BENCH_*.json``."""

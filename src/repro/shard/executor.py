@@ -190,10 +190,6 @@ class ShardEngineSpec:
     read_latency_s: float = 0.0
     concurrent_reads: Optional[int] = None
 
-    @property
-    def n_shards(self) -> int:
-        return len(self.shard_trajectories)
-
 
 def build_shard_engine(spec: ShardEngineSpec, shard_id: int) -> GATSearchEngine:
     """Rebuild one shard's database, GAT index, and engine from a spec."""
@@ -369,8 +365,6 @@ def _worker_search(task: ShardTask) -> ShardResult:
 class SerialShardExecutor:
     """Runs shard tasks inline on the calling thread."""
 
-    kind = "serial"
-
     def __init__(self, run_task: ShardRunner) -> None:
         self._run_task = run_task
         self._closed = False
@@ -406,8 +400,6 @@ class ThreadShardExecutor:
     so *max_workers* bounds the whole service's in-flight shard tasks —
     size it to ``n_shards × batch concurrency`` to keep every shard busy.
     """
-
-    kind = "thread"
 
     def __init__(self, run_task: ShardRunner, max_workers: int) -> None:
         if max_workers < 1:
@@ -482,8 +474,6 @@ class ProcessShardExecutor:
     stays a sound (real-result) upper bound for the resubmitted task.
     """
 
-    kind = "process"
-
     #: Shared threshold slots per executor — bounds the number of
     #: concurrently *pruning* queries, not the number of queries.
     N_SLOTS = 64
@@ -494,7 +484,7 @@ class ProcessShardExecutor:
         max_workers: Optional[int] = None,
         max_pool_repairs: int = 3,
     ) -> None:
-        self.max_workers = max_workers if max_workers is not None else spec.n_shards
+        self.max_workers = max_workers if max_workers is not None else len(spec.shard_trajectories)
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if max_pool_repairs < 0:

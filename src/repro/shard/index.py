@@ -48,8 +48,7 @@ from repro.geometry.primitives import BoundingBox
 from repro.index.gat.index import GATConfig, GATIndex
 from repro.model.database import TrajectoryDatabase
 from repro.shard.router import ShardRouter
-from repro.storage.cache import CacheStats
-from repro.storage.disk import DiskStats, SimulatedDisk
+from repro.storage.disk import SimulatedDisk
 
 SHARD_BOXES = ("local", "global")
 
@@ -250,9 +249,6 @@ class ShardedGATIndex:
     def n_shards(self) -> int:
         return self.router.n_shards
 
-    def shard_of(self, trajectory_id: int) -> int:
-        return self.router.shard_of(trajectory_id)
-
     @property
     def version(self) -> Tuple[int, ...]:
         """Composite mutation counter: the tuple of per-shard versions.
@@ -298,7 +294,7 @@ class ShardedGATIndex:
         tid = trajectory.trajectory_id
         if tid in self.db:
             raise ValueError(f"trajectory id {tid} already present")
-        sid = self.shard_of(tid)
+        sid = self.router.shard_of(tid)
         shard = self.shards[sid]
         box = shard.grid.box
         if not all(
@@ -345,15 +341,8 @@ class ShardedGATIndex:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """A no-op: the fleet owns no external resource (its shards are
-        plain in-process objects).  Kept, with the context-manager
-        protocol, so callers can scope a fleet's lifetime the same way
-        they scope the services over it."""
-
-    def __enter__(self) -> "ShardedGATIndex":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        plain in-process objects).  Kept so callers written against a
+        fleet that held resources still run."""
 
     # ------------------------------------------------------------------
     # Aggregate accounting (fleet-wide views; per-shard detail stays on
@@ -361,23 +350,6 @@ class ShardedGATIndex:
     # ------------------------------------------------------------------
     def memory_cost_bytes(self) -> int:
         return sum(shard.memory_cost_bytes() for shard in self.shards)
-
-    def disk_cost_bytes(self) -> int:
-        return sum(shard.disk_cost_bytes() for shard in self.shards)
-
-    def disk_stats(self) -> DiskStats:
-        """Summed logical-I/O counters over every shard disk."""
-        total = DiskStats()
-        for shard in self.shards:
-            total.merge(shard.disk.stats)
-        return total
-
-    def hicl_cache_stats(self) -> CacheStats:
-        """Combined HICL cell-list cache accounting across shards."""
-        return CacheStats.combined([shard.hicl.cache_stats() for shard in self.shards])
-
-    def __len__(self) -> int:
-        return sum(len(shard.db) for shard in self.shards)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = "+".join(str(len(shard.db)) for shard in self.shards)

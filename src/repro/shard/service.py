@@ -276,10 +276,6 @@ class ShardedQueryService:
     def n_shards(self) -> int:
         return self.index.n_shards
 
-    @property
-    def executor_kind(self) -> str:
-        return self._executor.kind
-
     def _run_task(self, task: ShardTask) -> ShardResult:
         """In-process task runner (serial and thread backends): runs the
         task on the replica the supervisor bound it to; shard tasks of

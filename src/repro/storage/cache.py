@@ -30,12 +30,6 @@ class CacheStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from memory (0.0 when never used)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     @classmethod
     def combined(cls, parts: "list[Optional[CacheStats]]") -> Optional["CacheStats"]:
         """Sum several caches' accounting into one snapshot.

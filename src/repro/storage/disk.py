@@ -14,8 +14,7 @@ lock, and :meth:`SimulatedDisk.track` opens a *per-context* tracker —
 a :class:`DiskStats` that accumulates only the I/O issued by the current
 thread while the ``with`` block is open.  Each query runs on one thread,
 so trackers attribute disk work to the query that caused it even when
-many queries share the disk (the old snapshot/delta protocol misattributed
-reads across concurrent queries).
+many queries share the disk.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterator, List, Optional
+from typing import Any, Dict, Hashable, List, Optional
 
 from repro.obs.trace import current_span
 from repro.storage.serialization import deserialize_obj, serialize_obj
@@ -50,38 +49,6 @@ class DiskStats:
         self.pages_written = 0
         self.bytes_read = 0
         self.bytes_written = 0
-
-    def snapshot(self) -> "DiskStats":
-        return DiskStats(
-            self.reads,
-            self.writes,
-            self.pages_read,
-            self.pages_written,
-            self.bytes_read,
-            self.bytes_written,
-        )
-
-    def delta(self, earlier: "DiskStats") -> "DiskStats":
-        """Counters accumulated since *earlier* (a snapshot)."""
-        return DiskStats(
-            self.reads - earlier.reads,
-            self.writes - earlier.writes,
-            self.pages_read - earlier.pages_read,
-            self.pages_written - earlier.pages_written,
-            self.bytes_read - earlier.bytes_read,
-            self.bytes_written - earlier.bytes_written,
-        )
-
-    def merge(self, other: "DiskStats") -> None:
-        """Accumulate another disk's counters into this one (the sharded
-        index sums its per-shard disks into one fleet-wide view; each read
-        happened on exactly one shard disk, so summing never double-counts)."""
-        self.reads += other.reads
-        self.writes += other.writes
-        self.pages_read += other.pages_read
-        self.pages_written += other.pages_written
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
 
 
 @dataclass(slots=True)
@@ -327,20 +294,6 @@ class SimulatedDisk:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def keys(self) -> Iterator[Hashable]:
-        return iter(self._records)
-
-    # ------------------------------------------------------------------
-    # Sizing
-    # ------------------------------------------------------------------
-    def total_bytes(self) -> int:
-        """Total serialised bytes currently stored."""
-        return sum(r.n_bytes for r in self._records.values())
-
-    def total_pages(self) -> int:
-        """Total pages currently occupied."""
-        return sum(r.n_pages for r in self._records.values())
 
     def reset_stats(self) -> None:
         self.stats.reset()

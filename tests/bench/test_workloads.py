@@ -105,34 +105,6 @@ class TestDiameterControl:
             assert q.diameter() == pytest.approx(2.0, rel=1e-6)
 
 
-class TestShardWorkload:
-    def test_round_robin_interleaving(self):
-        from repro.bench.workloads import shard_workload
-
-        items = list(range(10))
-        slices = shard_workload(items, 3)
-        assert slices == [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]]
-
-    def test_covers_all_queries_exactly_once(self, gen):
-        from repro.bench.workloads import shard_workload
-
-        queries = gen.queries(11)
-        slices = shard_workload(queries, 4)
-        flat = [q for s in slices for q in s]
-        assert sorted(map(id, flat)) == sorted(map(id, queries))
-
-    def test_more_slices_than_queries(self):
-        from repro.bench.workloads import shard_workload
-
-        assert shard_workload([1, 2], 5) == [[1], [2], [], [], []]
-
-    def test_rejects_bad_slice_count(self):
-        from repro.bench.workloads import shard_workload
-
-        with pytest.raises(ValueError):
-            shard_workload([1], 0)
-
-
 class TestMixedOrderRequests:
     def test_alternates_order_sensitivity(self, gen):
         queries = gen.queries(5)

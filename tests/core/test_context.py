@@ -1,29 +1,10 @@
 """Per-query execution state: SearchStats and ExecutionContext."""
 
-import dataclasses
-
 import pytest
 
-from repro.core.context import ExecutionContext, SearchStats
+from repro.core.context import ExecutionContext
 from repro.core.engine import GATSearchEngine
 from repro.index.gat.index import GATConfig, GATIndex
-
-
-class TestSearchStatsReset:
-    def test_reset_restores_every_field(self):
-        """reset() is driven by dataclasses.fields, so *every* counter —
-        including any added later — must come back to its default."""
-        stats = SearchStats()
-        for f in dataclasses.fields(stats):
-            setattr(stats, f.name, 123)
-        stats.reset()
-        for f in dataclasses.fields(stats):
-            assert getattr(stats, f.name) == f.default, f.name
-
-    def test_fresh_instance_equals_reset_instance(self):
-        dirty = SearchStats(rounds=9, tas_pruned=4, disk_reads=77)
-        dirty.reset()
-        assert dirty == SearchStats()
 
 
 class TestExecutionContext:
@@ -70,8 +51,3 @@ class TestExecutionContext:
         assert ctx1.stats.tas_pruned == ctx2.stats.tas_pruned
         assert ctx1.stats.apl_pruned == ctx2.stats.apl_pruned
         assert ctx1.stats.mib_pruned == ctx2.stats.mib_pruned
-
-    def test_engine_stats_property_mirrors_last_context(self, engine, small_db):
-        q = self._query(small_db)
-        ctx = engine.execute(q, k=2)
-        assert engine.stats is ctx.stats

@@ -90,11 +90,11 @@ class TestATSQ:
         index = GATIndex.build(small_db, GATConfig(depth=5, memory_levels=4))
         fresh = GATSearchEngine(index)
         q = _query_from(small_db, 6)
-        fresh.atsq(q, k=3)
-        assert fresh.stats.rounds >= 1
-        assert fresh.stats.cells_popped > 0
-        assert fresh.stats.candidates_retrieved > 0
-        assert fresh.stats.disk_reads > 0  # APL fetches at minimum
+        stats = fresh.execute(q, k=3).stats
+        assert stats.rounds >= 1
+        assert stats.cells_popped > 0
+        assert stats.candidates_retrieved > 0
+        assert stats.disk_reads > 0  # APL fetches at minimum
 
 
 class TestOATSQ:
@@ -154,8 +154,6 @@ class TestAblationSwitches:
         tight = GATSearchEngine(index, use_tight_lower_bound=True)
         loose = GATSearchEngine(index, use_tight_lower_bound=False)
         q = _query_from(small_db, 13)
-        tight.atsq(q, 5)
-        t_count = tight.stats.candidates_retrieved
-        loose.atsq(q, 5)
-        l_count = loose.stats.candidates_retrieved
+        t_count = tight.execute(q, 5).stats.candidates_retrieved
+        l_count = loose.execute(q, 5).stats.candidates_retrieved
         assert l_count >= t_count

@@ -8,7 +8,6 @@ from match_oracles import mpm_oracle_mask_dp, mpm_oracle_subset_enum
 from repro.core.match import (
     INFINITY,
     PointMatchTable,
-    candidate_points,
     minimum_point_match,
     minimum_point_match_distance,
 )
@@ -81,16 +80,6 @@ class TestPointMatchTable:
 
 
 class TestMinimumPointMatchDistance:
-    def test_candidate_points_filters_disjoint(self):
-        pts = [
-            TrajectoryPoint(0, 0, frozenset({1})),
-            TrajectoryPoint(1, 0, frozenset()),
-            TrajectoryPoint(2, 0, frozenset({9})),
-            TrajectoryPoint(3, 0, frozenset({1, 9})),
-        ]
-        cp = candidate_points(pts, frozenset({1}))
-        assert [pos for pos, _p in cp] == [0, 3]
-
     def test_no_points_returns_inf(self):
         assert (
             minimum_point_match_distance(ORIGIN, frozenset({1}), [], EUCLID) == INFINITY

@@ -8,6 +8,10 @@ import pytest
 from repro.data.zipf import ZipfSampler
 
 
+def _draw(z, rng, n):
+    return [z.sample(rng) for _ in range(n)]
+
+
 class TestConstruction:
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -15,18 +19,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ZipfSampler(10, exponent=-0.5)
 
-    def test_pmf_sums_to_one(self):
-        probs = ZipfSampler(100, 1.2).pmf()
-        assert sum(probs) == pytest.approx(1.0)
-
-    def test_pmf_is_decreasing(self):
-        probs = ZipfSampler(50, 1.0).pmf()
-        assert all(probs[i] >= probs[i + 1] - 1e-15 for i in range(len(probs) - 1))
-
     def test_exponent_zero_is_uniform(self):
-        probs = ZipfSampler(10, 0.0).pmf()
-        for p in probs:
-            assert p == pytest.approx(0.1)
+        counts = Counter(_draw(ZipfSampler(10, 0.0), random.Random(6), 20_000))
+        for rank in range(10):
+            assert counts[rank] / 20_000 == pytest.approx(0.1, abs=0.01)
 
 
 class TestSampling:
@@ -39,7 +35,7 @@ class TestSampling:
     def test_head_dominates(self):
         z = ZipfSampler(1000, 1.0)
         rng = random.Random(2)
-        counts = Counter(z.sample_many(rng, 20_000))
+        counts = Counter(_draw(z, rng, 20_000))
         # Rank 0 should be sampled far more than rank 500.
         assert counts[0] > 20 * max(1, counts.get(500, 0))
 
@@ -47,16 +43,18 @@ class TestSampling:
         z = ZipfSampler(10, 1.0)
         rng = random.Random(3)
         n = 50_000
-        counts = Counter(z.sample_many(rng, n))
-        probs = z.pmf()
+        counts = Counter(_draw(z, rng, n))
+        harmonic = sum(1.0 / (r + 1) for r in range(10))
         for rank in range(10):
-            assert counts[rank] / n == pytest.approx(probs[rank], abs=0.01)
+            assert counts[rank] / n == pytest.approx(1.0 / (rank + 1) / harmonic, abs=0.01)
 
     def test_sample_distinct_returns_k_unique(self):
         z = ZipfSampler(100, 1.0)
         rng = random.Random(4)
         picked = z.sample_distinct(rng, 10)
         assert len(picked) == len(set(picked)) == 10
+        assert picked == sorted(picked)
+        assert all(0 <= r < 100 for r in picked)
 
     def test_sample_distinct_whole_vocabulary(self):
         z = ZipfSampler(5, 1.0)
@@ -64,8 +62,25 @@ class TestSampling:
         assert z.sample_distinct(rng, 5) == [0, 1, 2, 3, 4]
         assert z.sample_distinct(rng, 50) == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("exponent", [0.5, 1.5, 2.0])
+    def test_empirical_matches_pmf_for_exponent(self, exponent):
+        z = ZipfSampler(6, exponent)
+        n = 40_000
+        counts = Counter(_draw(z, random.Random(7), n))
+        norm = sum(1.0 / (r + 1) ** exponent for r in range(6))
+        for rank in range(6):
+            want = 1.0 / (rank + 1) ** exponent / norm
+            assert counts[rank] / n == pytest.approx(want, abs=0.01)
+
+    def test_sample_distinct_falls_back_to_low_ranks(self):
+        """A near-zero try budget leaves rejection sampling short; the
+        remainder is filled from the lowest unused ranks."""
+        z = ZipfSampler(1000, 3.0)
+        picked = z.sample_distinct(random.Random(8), 5, max_tries=0)
+        assert picked == [0, 1, 2, 3, 4]
+
     def test_deterministic_given_seed(self):
         z = ZipfSampler(50, 1.3)
-        a = z.sample_many(random.Random(42), 100)
-        b = z.sample_many(random.Random(42), 100)
+        a = _draw(z, random.Random(42), 100)
+        b = _draw(z, random.Random(42), 100)
         assert a == b

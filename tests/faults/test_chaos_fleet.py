@@ -45,14 +45,14 @@ def fleet(db):
 
 
 def _truth(db, queries):
-    with ShardedGATIndex.build(db, n_shards=N_SHARDS, config=CONFIG) as sharded:
-        with ShardedQueryService(
-            sharded, executor="serial", result_cache_size=0
-        ) as service:
-            return [
-                [(r.trajectory_id, r.distance) for r in resp.results]
-                for resp in service.search_many(queries, k=K)
-            ]
+    sharded = ShardedGATIndex.build(db, n_shards=N_SHARDS, config=CONFIG)
+    with ShardedQueryService(
+        sharded, executor="serial", result_cache_size=0
+    ) as service:
+        return [
+            [(r.trajectory_id, r.distance) for r in resp.results]
+            for resp in service.search_many(queries, k=K)
+        ]
 
 
 def test_kill_cold_fleet_is_usage_error(fleet):

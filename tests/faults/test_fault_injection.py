@@ -203,13 +203,13 @@ def test_counters_snapshot():
     with pytest.raises(InjectedDiskError):
         disk.get(("apl", 0))
     disk.get(("apl", 0))
-    counters = injector.counters()
-    assert counters == {
-        "reads_seen": 2,
-        "errors_injected": 1,
-        "stalls_injected": 0,
-        "delays_injected": 0,
-    }
+    counters = (
+        injector.reads_seen,
+        injector.errors_injected,
+        injector.stalls_injected,
+        injector.delays_injected,
+    )
+    assert counters == (2, 1, 0, 0)
 
 
 # ----------------------------------------------------------------------

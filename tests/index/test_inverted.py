@@ -48,12 +48,6 @@ class TestIntersection:
         idx = InvertedIndex.build(db)
         assert idx.trajectories_with_all([db.vocabulary.id_of("a"), 99]) == set()
 
-    def test_with_any(self, db):
-        idx = InvertedIndex.build(db)
-        v = db.vocabulary
-        assert idx.trajectories_with_any([v.id_of("b")]) == {0, 2}
-        assert idx.trajectories_with_any([99]) == set()
-
     def test_matches_definition_on_random_db(self, small_db):
         """Intersection must equal the set of trajectories whose activity
         union covers the query set (Definition 5 prerequisite)."""
@@ -71,15 +65,10 @@ class TestIntersection:
             }
             assert idx.trajectories_with_all(acts) == want
 
-    def test_counts(self, db):
-        idx = InvertedIndex.build(db)
-        assert idx.n_activities() == 3
-        assert idx.memory_cost_bytes() > 0
-
 
 class TestVectorizedSetOps:
-    """The NumPy union/intersection path must agree exactly with the
-    scalar set algebra, above and below the batch-size cutover."""
+    """The NumPy intersection path must agree exactly with the scalar set
+    algebra, above and below the batch-size cutover."""
 
     @pytest.fixture
     def big_db(self):
@@ -92,33 +81,20 @@ class TestVectorizedSetOps:
             raw.append([(rng.random(), rng.random(), names)])
         return TrajectoryDatabase.from_raw(raw)
 
-    def _scalar_reference(self, idx, activities, op):
+    def _scalar_reference(self, idx, activities):
         postings = [set(idx.posting(a)) for a in activities]
         if not postings:
             return set()
-        if op == "all":
-            out = postings[0]
-            for p in postings[1:]:
-                out &= p
-            return out
-        out = set()
-        for p in postings:
-            out |= p
+        out = postings[0]
+        for p in postings[1:]:
+            out &= p
         return out
 
     @pytest.mark.parametrize("names", [["a"], ["a", "b"], ["a", "b", "c"], ["a", "zzz-missing"]])
     def test_with_all_matches_scalar(self, big_db, names):
         idx = InvertedIndex.build(big_db)
         acts = [big_db.vocabulary.id_of(n) if n != "zzz-missing" else 9999 for n in names]
-        assert idx.trajectories_with_all(acts) == self._scalar_reference(idx, acts, "all")
-
-    @pytest.mark.parametrize("names", [["a"], ["a", "b"], ["a", "b", "c", "d", "e"]])
-    def test_with_any_matches_scalar(self, big_db, names):
-        idx = InvertedIndex.build(big_db)
-        acts = [big_db.vocabulary.id_of(n) for n in names]
-        assert idx.trajectories_with_any(acts) == self._scalar_reference(idx, acts, "any")
-        # Results are plain Python ints either way (set membership by id).
-        assert all(type(t) is int for t in idx.trajectories_with_any(acts))
+        assert idx.trajectories_with_all(acts) == self._scalar_reference(idx, acts)
 
     def test_small_inputs_take_the_scalar_path(self, db):
         # The tiny fixture sits below MIN_BATCH; exercised for coverage of
@@ -126,4 +102,4 @@ class TestVectorizedSetOps:
         idx = InvertedIndex.build(db)
         v = db.vocabulary
         a = v.id_of("a")
-        assert idx.trajectories_with_any([a, a]) == set(idx.posting(a))
+        assert idx.trajectories_with_all([a, a]) == set(idx.posting(a))

@@ -1,12 +1,13 @@
-"""Unit tests for the from-scratch R-tree."""
+"""Unit tests for the from-scratch (STR bulk-loaded) R-tree."""
 
 import math
 import random
 
 import pytest
 
-from repro.geometry.primitives import Rect
 from repro.index.rtree import RTree
+
+from rect_oracle import contains_point, contains_rect
 
 
 def _points(n, seed=0, extent=100.0):
@@ -14,88 +15,79 @@ def _points(n, seed=0, extent=100.0):
     return [(rng.uniform(0, extent), rng.uniform(0, extent), i) for i in range(n)]
 
 
-def _brute_range(points, rect):
-    return {
-        payload
-        for x, y, payload in points
-        if rect.min_x <= x <= rect.max_x and rect.min_y <= y <= rect.max_y
-    }
+def _entries(tree):
+    stack, out = [tree.root], []
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            out.extend(node.children)
+        else:
+            stack.extend(node.children)
+    return out
+
+
+def _height(tree):
+    h, node = 1, tree.root
+    while not node.is_leaf:
+        node, h = node.children[0], h + 1
+    return h
+
+
+def _node_count(tree):
+    count, stack = 0, [tree.root]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if not node.is_leaf:
+            stack.extend(node.children)
+    return count
+
+
+def _check_invariants(tree):
+    """Every node's rect covers its children; leaves hold entries only."""
+
+    def walk(node):
+        assert node.rect is not None, "node without rect"
+        for child in node.children:
+            if node.is_leaf:
+                assert contains_point(node.rect, (child.x, child.y))
+            else:
+                assert contains_rect(node.rect, child.rect)
+                walk(child)
+
+    if tree.size:
+        walk(tree.root)
 
 
 class TestBulkLoad:
     def test_empty(self):
         tree = RTree.bulk_load([])
         assert tree.size == 0
-        assert tree.range_search(Rect(0, 0, 1, 1)) == []
+        assert _entries(tree) == []
 
     def test_single_point(self):
         tree = RTree.bulk_load([(5.0, 5.0, "p")])
         assert tree.size == 1
-        assert [e.payload for e in tree.range_search(Rect(4, 4, 6, 6))] == ["p"]
+        assert [e.payload for e in _entries(tree)] == ["p"]
 
     def test_all_entries_present(self):
         pts = _points(500)
         tree = RTree.bulk_load(pts, max_entries=16)
         assert tree.size == 500
-        assert sorted(e.payload for e in tree.iter_entries()) == list(range(500))
+        assert sorted(e.payload for e in _entries(tree)) == list(range(500))
 
     def test_invariants(self):
         tree = RTree.bulk_load(_points(300, seed=3), max_entries=8)
-        tree.check_invariants()
+        _check_invariants(tree)
 
     def test_balanced_height(self):
         tree = RTree.bulk_load(_points(1000, seed=1), max_entries=16)
         # STR packs tightly: height ~ ceil(log16(1000/16)) + 1.
-        assert tree.height() <= 4
-
-    def test_range_search_matches_bruteforce(self):
-        pts = _points(400, seed=7)
-        tree = RTree.bulk_load(pts, max_entries=12)
-        rng = random.Random(8)
-        for _ in range(25):
-            x1, x2 = sorted((rng.uniform(0, 100), rng.uniform(0, 100)))
-            y1, y2 = sorted((rng.uniform(0, 100), rng.uniform(0, 100)))
-            rect = Rect(x1, y1, x2, y2)
-            got = {e.payload for e in tree.range_search(rect)}
-            assert got == _brute_range(pts, rect)
-
-
-class TestInsert:
-    def test_insert_then_search(self):
-        tree = RTree(max_entries=4)
-        pts = _points(120, seed=2)
-        for x, y, payload in pts:
-            tree.insert(x, y, payload)
-        assert tree.size == 120
-        rect = Rect(20, 20, 70, 70)
-        got = {e.payload for e in tree.range_search(rect)}
-        assert got == _brute_range(pts, rect)
-
-    def test_insert_preserves_invariants(self):
-        tree = RTree(max_entries=4)
-        for x, y, payload in _points(200, seed=5):
-            tree.insert(x, y, payload)
-        tree.check_invariants()
-
-    def test_root_split_grows_height(self):
-        tree = RTree(max_entries=2)
-        for x, y, payload in _points(30, seed=6):
-            tree.insert(x, y, payload)
-        assert tree.height() >= 3
-        tree.check_invariants()
-
-    def test_duplicate_coordinates_ok(self):
-        tree = RTree(max_entries=4)
-        for i in range(20):
-            tree.insert(1.0, 1.0, i)
-        got = {e.payload for e in tree.range_search(Rect(1, 1, 1, 1))}
-        assert got == set(range(20))
+        assert _height(tree) <= 4
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             RTree(max_entries=1)
-        with pytest.raises(ValueError):
-            RTree(max_entries=8, min_entries=5)  # > M/2
 
 
 class TestNodeGeometry:
@@ -124,7 +116,7 @@ class TestNodeGeometry:
     def test_node_count_reasonable(self):
         tree = RTree.bulk_load(_points(256, seed=11), max_entries=16)
         # At least ceil(256/16) leaves plus internal nodes, far fewer than entries.
-        assert 17 <= tree.node_count() <= 64
+        assert 17 <= _node_count(tree) <= 64
 
     def test_child_min_dists_match_scalar(self):
         """The batched NumPy candidate distances agree with the per-child
@@ -151,3 +143,66 @@ class TestNodeGeometry:
                     walk(child)
 
         walk(tree.root)
+
+
+def _leaf_depths(tree):
+    depths, stack = set(), [(tree.root, 1)]
+    while stack:
+        node, d = stack.pop()
+        if node.is_leaf:
+            depths.add(d)
+        else:
+            stack.extend((child, d + 1) for child in node.children)
+    return depths
+
+
+class TestSTRPacking:
+    @pytest.mark.parametrize(
+        "n, max_entries",
+        [(1, 2), (7, 2), (33, 4), (100, 8), (257, 16), (1000, 32)],
+    )
+    def test_packed_tree_is_complete_balanced_and_bounded(self, n, max_entries):
+        tree = RTree.bulk_load(_points(n, seed=n), max_entries=max_entries)
+        assert tree.size == n
+        assert sorted(e.payload for e in _entries(tree)) == list(range(n))
+        _check_invariants(tree)
+        # STR packs level by level, so every leaf sits at the same depth.
+        assert len(_leaf_depths(tree)) == 1
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            assert 1 <= len(node.children) <= max_entries
+            if not node.is_leaf:
+                stack.extend(node.children)
+
+    def test_duplicate_coordinates_kept_apart(self):
+        tree = RTree.bulk_load([(1.0, 1.0, i) for i in range(20)], max_entries=4)
+        assert sorted(e.payload for e in _entries(tree)) == list(range(20))
+        assert tree.root.rect.width == tree.root.rect.height == 0.0
+
+    def test_root_rect_is_tight_over_points(self):
+        pts = _points(200, seed=21)
+        tree = RTree.bulk_load(pts, max_entries=8)
+        r = tree.root.rect
+        assert r.min_x == min(x for x, _, _ in pts)
+        assert r.max_x == max(x for x, _, _ in pts)
+        assert r.min_y == min(y for _, y, _ in pts)
+        assert r.max_y == max(y for _, y, _ in pts)
+
+
+class TestScalarChildMinDists:
+    @pytest.mark.parametrize("max_entries", [2, 4, 7])
+    def test_below_batch_threshold_uses_exact_scalar_distances(self, max_entries):
+        """Nodes narrower than the NumPy batch threshold take the scalar
+        path, which must equal ``math.hypot`` / ``Rect.min_dist`` exactly."""
+        tree = RTree.bulk_load(_points(60, seed=max_entries), max_entries=max_entries)
+        q = (130.0, -7.5)
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            got = node.child_min_dists(q)
+            if node.is_leaf:
+                assert got == [math.hypot(q[0] - e.x, q[1] - e.y) for e in node.children]
+            else:
+                assert got == [c.rect.min_dist(q) for c in node.children]
+                stack.extend(node.children)

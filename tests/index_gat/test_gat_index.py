@@ -38,17 +38,12 @@ class TestBuild:
         disk = SimulatedDisk()
         index = GATIndex.build(small_db, GATConfig(depth=5, memory_levels=4), disk=disk)
         assert index.disk is disk
-        assert disk.total_bytes() > 0
+        assert len(disk) > 0
 
     def test_memory_cost_grows_with_depth(self, small_db):
         small = GATIndex.build(small_db, GATConfig(depth=4, memory_levels=4))
         large = GATIndex.build(small_db, GATConfig(depth=6, memory_levels=6))
         assert large.memory_cost_bytes() > small.memory_cost_bytes()
-
-    def test_disk_cost_includes_apl(self, small_db):
-        index = GATIndex.build(small_db, GATConfig(depth=5, memory_levels=5))
-        # Only the APL lives on disk when every HICL level is in memory.
-        assert index.disk_cost_bytes() > 0
 
     def test_sketches_cover_unions(self, small_db):
         index = GATIndex.build(small_db, GATConfig(depth=5, memory_levels=4))

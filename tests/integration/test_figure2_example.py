@@ -80,8 +80,8 @@ class TestFigure2EndToEnd:
                 QueryPoint(4.0, 0.0, frozenset({E})),
             ]
         )
-        results = engine.atsq(query, k=3)
-        ids = [r.trajectory_id for r in results]
+        ctx = engine.execute(query, k=3)
+        ids = [r.trajectory_id for r in ctx.ranked]
         assert 3 not in ids  # Tr3 lacks a and d
         assert set(ids) <= {1, 2}
-        assert engine.stats.tas_pruned >= 1  # Tr3 died at the sketch
+        assert ctx.stats.tas_pruned >= 1  # Tr3 died at the sketch

@@ -59,11 +59,6 @@ class TestDerivedFacts:
                 assert box.min_x <= p.x <= box.max_x
                 assert box.min_y <= p.y <= box.max_y
 
-    def test_activity_frequencies(self, db):
-        freq = db.activity_frequencies
-        assert freq[db.vocabulary.id_of("food")] == 3
-        assert freq[db.vocabulary.id_of("coffee")] == 2
-
     def test_statistics_table4_fields(self, db):
         stats = db.statistics()
         assert stats.n_trajectories == 3

@@ -1,15 +1,11 @@
 """Unit tests for the distance metrics."""
 
-import math
+import random
 
+import numpy as np
 import pytest
 
-from repro.model.distance import (
-    EuclideanDistance,
-    HaversineDistance,
-    MatrixDistance,
-    project_lonlat_to_km,
-)
+from repro.model.distance import EuclideanDistance, MatrixDistance, euclidean_matrix
 
 
 class TestEuclidean:
@@ -20,26 +16,6 @@ class TestEuclidean:
         d = EuclideanDistance()
         assert d((1, 2), (4, 6)) == d((4, 6), (1, 2))
         assert d((1, 2), (1, 2)) == 0.0
-
-
-class TestHaversine:
-    def test_equator_degree(self):
-        # One degree of longitude at the equator ~ 111.19 km.
-        d = HaversineDistance()((0.0, 0.0), (1.0, 0.0))
-        assert d == pytest.approx(111.19, abs=0.2)
-
-    def test_known_city_pair(self):
-        # LA (-118.24, 34.05) to NY (-74.01, 40.71) ~ 3936 km.
-        d = HaversineDistance()((-118.24, 34.05), (-74.01, 40.71))
-        assert d == pytest.approx(3936, rel=0.01)
-
-    def test_symmetry(self):
-        d = HaversineDistance()
-        a, b = (-118.0, 34.0), (-117.5, 34.2)
-        assert d(a, b) == pytest.approx(d(b, a))
-
-    def test_zero_distance(self):
-        assert HaversineDistance()((10.0, 20.0), (10.0, 20.0)) == 0.0
 
 
 class TestMatrixDistance:
@@ -54,21 +30,24 @@ class TestMatrixDistance:
             m((0.0, 0.0), (1.0, 1.0))
 
 
-class TestProjection:
-    def test_empty(self):
-        assert project_lonlat_to_km([]) == ()
+class TestEuclideanMatrix:
+    @pytest.mark.parametrize("n_query, n_points", [(1, 1), (1, 9), (4, 1), (5, 17)])
+    def test_matches_scalar_metric(self, n_query, n_points):
+        rng = random.Random(n_query * 100 + n_points)
+        qs = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(n_query)]
+        ps = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(n_points)]
+        got = euclidean_matrix(
+            np.array([q[0] for q in qs]),
+            np.array([q[1] for q in qs]),
+            np.array([p[0] for p in ps]),
+            np.array([p[1] for p in ps]),
+        )
+        assert got.shape == (n_query, n_points)
+        d = EuclideanDistance()
+        for i, q in enumerate(qs):
+            for j, p in enumerate(ps):
+                assert got[i, j] == pytest.approx(d(q, p), rel=4e-16, abs=0.0)
 
-    def test_distances_close_to_haversine_at_city_scale(self):
-        pts = [(-118.24, 34.05), (-118.30, 34.10), (-118.10, 33.95)]
-        proj = project_lonlat_to_km(pts)
-        hav = HaversineDistance()
-        eu = EuclideanDistance()
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                d_true = hav(pts[i], pts[j])
-                d_proj = eu(proj[i], proj[j])
-                assert d_proj == pytest.approx(d_true, rel=0.01)
-
-    def test_explicit_reference_origin(self):
-        proj = project_lonlat_to_km([(10.0, 50.0)], ref=(10.0, 50.0))
-        assert proj[0] == pytest.approx((0.0, 0.0))
+    def test_empty_point_set(self):
+        got = euclidean_matrix(np.array([0.0]), np.array([0.0]), np.array([]), np.array([]))
+        assert got.shape == (1, 0)

@@ -19,18 +19,9 @@ class TestTrajectoryPoint:
         p = TrajectoryPoint(1.5, -2.0, frozenset({1}))
         assert p.coord == (1.5, -2.0)
 
-    def test_has_any_and_covers(self):
-        p = TrajectoryPoint(0, 0, frozenset({1, 2}))
-        assert p.has_any(frozenset({2, 9}))
-        assert not p.has_any(frozenset({3}))
-        assert p.covers(frozenset({1}))
-        assert p.covers(frozenset({1, 2}))
-        assert not p.covers(frozenset({1, 3}))
-
     def test_empty_activities_allowed(self):
         p = TrajectoryPoint(0, 0)
         assert p.activities == frozenset()
-        assert not p.has_any(frozenset({1}))
 
     def test_points_are_immutable(self):
         p = TrajectoryPoint(0, 0)
@@ -55,42 +46,16 @@ class TestActivityTrajectory:
 
     def test_posting_lists_positions_ascending(self):
         tr = _tr([{1}, {2, 1}, {}, {1}])
-        assert tr.positions_of(1) == (0, 1, 3)
-        assert tr.positions_of(2) == (1,)
-        assert tr.positions_of(99) == ()
+        assert tr.posting_lists.get(1, ()) == (0, 1, 3)
+        assert tr.posting_lists.get(2, ()) == (1,)
+        assert tr.posting_lists.get(99, ()) == ()
 
     def test_posting_lists_match_figure2(self):
         # Figure 2(iv), Tr1: a->p1,2  b->p1,3  c->p1,2 p1,4  d->p1,1 p1,5  e->p1,5
         a, b, c, d, e = range(5)
         tr = _tr([{d}, {a, c}, {b}, {c}, {d, e}], tid=1)
-        assert tr.positions_of(a) == (1,)
-        assert tr.positions_of(b) == (2,)
-        assert tr.positions_of(c) == (1, 3)
-        assert tr.positions_of(d) == (0, 4)
-        assert tr.positions_of(e) == (4,)
-
-    def test_contains_all(self):
-        tr = _tr([{1}, {2}])
-        assert tr.contains_all([1, 2])
-        assert tr.contains_all([])
-        assert not tr.contains_all([1, 3])
-
-    def test_sub_inclusive_bounds(self):
-        tr = _tr([{1}, {2}, {3}, {4}])
-        seg = tr.sub(1, 2)
-        assert [p.activities for p in seg] == [frozenset({2}), frozenset({3})]
-        assert len(tr.sub(0, 3)) == 4
-        assert len(tr.sub(2, 2)) == 1
-
-    def test_sub_invalid_raises(self):
-        tr = _tr([{1}, {2}])
-        with pytest.raises(IndexError):
-            tr.sub(1, 0)
-        with pytest.raises(IndexError):
-            tr.sub(0, 2)
-        with pytest.raises(IndexError):
-            tr.sub(-1, 1)
-
-    def test_n_checkins_counts_occurrences(self):
-        tr = _tr([{1, 2}, {}, {1}])
-        assert tr.n_checkins() == 3
+        assert tr.posting_lists.get(a, ()) == (1,)
+        assert tr.posting_lists.get(b, ()) == (2,)
+        assert tr.posting_lists.get(c, ()) == (1, 3)
+        assert tr.posting_lists.get(d, ()) == (0, 4)
+        assert tr.posting_lists.get(e, ()) == (4,)

@@ -64,8 +64,12 @@ class TestEncodeDecode:
         with pytest.raises(KeyError):
             v.encode(["a", "b"])
 
-    def test_encode_adding_registers(self):
-        v = Vocabulary(["a"])
-        ids = v.encode_adding(["a", "new"])
-        assert len(v) == 2
-        assert v.decode(ids) == frozenset({"a", "new"})
+    @pytest.mark.parametrize("subset", [(), ("b",), ("a", "c"), ("a", "b", "c", "d")])
+    def test_decode_inverts_encode(self, subset):
+        v = Vocabulary(["a", "b", "c", "d"])
+        assert v.decode(v.encode(subset)) == frozenset(subset)
+
+    def test_add_after_construction_extends_dense_ids(self):
+        v = Vocabulary(["a", "b"])
+        assert v.add("c") == 2
+        assert v.encode(["c", "a"]) == frozenset({0, 2})

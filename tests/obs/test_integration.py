@@ -128,7 +128,7 @@ class TestQueryServiceTracing:
             GATSearchEngine(index), result_cache_size=0, obs=obs
         ) as service:
             service.search_many(queries, k=K)
-        assert obs.tracer.spans() == []
+        assert obs.tracer.drain() == []
         samples = parse_prometheus_text(obs.prometheus())
         assert samples["repro_queries_total"] == float(len(queries))
         assert samples["repro_query_latency_seconds_count"] == float(len(queries))
@@ -151,17 +151,16 @@ class TestShardedTracing:
                 fault_injector=FaultInjector(FaultRule(error_rate=1.0, max_errors=1))
             ),
         )
-        with sharded:
-            with ShardedQueryService(
-                sharded,
-                executor="thread",
-                n_replicas=2,
-                fault_policy=FaultPolicy(max_retries=2),
-                result_cache_size=0,
-                obs=obs,
-            ) as service:
-                response = service.search(queries[0], k=K)
-                stats = service.stats()
+        with ShardedQueryService(
+            sharded,
+            executor="thread",
+            n_replicas=2,
+            fault_policy=FaultPolicy(max_retries=2),
+            result_cache_size=0,
+            obs=obs,
+        ) as service:
+            response = service.search(queries[0], k=K)
+            stats = service.stats()
         assert response.complete
         assert stats.task_retries >= 1
 
@@ -206,11 +205,10 @@ class TestShardedTracing:
 
     def test_obs_none_service_stays_untraced(self, db, queries):
         sharded = ShardedGATIndex.build(db, n_shards=N_SHARDS, config=CONFIG)
-        with sharded:
-            with ShardedQueryService(
-                sharded, executor="thread", n_replicas=2, result_cache_size=0
-            ) as service:
-                response = service.search(queries[0], k=K)
+        with ShardedQueryService(
+            sharded, executor="thread", n_replicas=2, result_cache_size=0
+        ) as service:
+            response = service.search(queries[0], k=K)
         assert response.complete  # the default path carries zero obs state
 
 

@@ -29,7 +29,7 @@ class TestSpan:
         first_end = span.end_s
         span.end(at=span.start_s + 9.0)
         assert span.end_s == first_end
-        assert len(tracer.spans()) == 1  # filed exactly once
+        assert len(tracer.drain()) == 1  # filed exactly once
 
     def test_end_clamps_to_start(self):
         span = Span("s", trace_id="t")
@@ -76,12 +76,15 @@ class TestActiveSpan:
             t.join()
         assert seen == [None]
 
-    def test_tracer_span_context_builds_a_tree(self):
+    def test_active_span_parents_the_next_span(self):
         tracer = Tracer()
-        with tracer.span("query") as root:
-            with tracer.span("stage") as stage:
-                assert stage.parent_id == root.span_id
-        names = [s.name for s in tracer.spans()]
+        root = tracer.start_span("query")
+        with activate(root):
+            stage = tracer.start_span("stage", parent=current_span())
+            assert stage.parent_id == root.span_id
+            stage.end()
+        root.end()
+        names = [s.name for s in tracer.drain()]
         assert names == ["stage", "query"]  # children end first
 
 
@@ -90,7 +93,7 @@ class TestTracerRetention:
         tracer = Tracer(max_spans=3)
         for i in range(5):
             tracer.start_span(f"s{i}").end()
-        kept = [s.name for s in tracer.spans()]
+        kept = [s.name for s in tracer.drain()]
         assert kept == ["s2", "s3", "s4"]  # oldest evicted
         assert tracer.spans_dropped == 2
 
@@ -99,7 +102,7 @@ class TestTracerRetention:
         tracer.start_span("a").end()
         drained = tracer.drain()
         assert [s.name for s in drained] == ["a"]
-        assert tracer.spans() == []
+        assert tracer.drain() == []
 
 
 class TestAdopt:
@@ -125,7 +128,7 @@ class TestAdopt:
         # The whole batch joins the parent's trace.
         assert {s.trace_id for s in adopted} == {root.trace_id}
         # Adopted spans are filed as finished.
-        assert len(parent_tracer.spans()) == 2
+        assert len(parent_tracer.drain()) == 2
 
     def test_unresolved_parent_is_rehomed(self):
         payloads = self._worker_payloads()
@@ -155,9 +158,5 @@ class TestNullTracer:
         span.add_event("disk_read")
         assert span.child("stage") is NULL_SPAN
         span.end()
-        assert tracer.spans() == [] and tracer.drain() == []
+        assert tracer.drain() == []
         assert tracer.adopt([{"name": "x"}], None) == []
-
-    def test_context_manager_yields_null_span(self):
-        with NullTracer().span("query") as span:
-            assert span is NULL_SPAN

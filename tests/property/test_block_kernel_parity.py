@@ -14,8 +14,8 @@ array and scalar paths, and require:
   notwithstanding — the accounting is mask-derived by construction;
 * whole-engine agreement: identical top-k ids, distances, and every
   ``SearchStats`` counter (disk reads included) across
-  ``kernel='block'|'scalar'``, for Euclidean and Haversine,
-  mixed activity sets, and ragged trajectory lengths.
+  ``kernel='block'|'scalar'``, for mixed activity sets and ragged
+  trajectory lengths.
 
 Threshold abandonment is also exercised directly: with a finite running
 k-th threshold, a block value may flip to ``inf`` but only when the exact
@@ -42,7 +42,7 @@ from repro.core.evaluator import MatchEvaluator
 from repro.core.kernels import INFINITY, QueryKernel
 from repro.core.query import Query, QueryPoint
 from repro.index.gat.apl import APLStore
-from repro.model.distance import EuclideanDistance, HaversineDistance
+from repro.model.distance import EuclideanDistance
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
 from repro.storage.disk import SimulatedDisk
@@ -136,32 +136,29 @@ def _pt(acts, x=1.0, y=2.0):
     return (x, y, frozenset(acts))
 
 
-@given(query_st, round_st, st.booleans())
+@given(query_st, round_st)
 @settings(max_examples=200, deadline=None)
 # Points with an empty activity set between and around relevant ones (an
 # offsets-``reduceat`` over points breaks on their empty slices).
-@example([_pt({1})], [[_pt(()), _pt({1}), _pt(()), _pt(()), _pt({1, 2}), _pt(())]], False)
+@example([_pt({1})], [[_pt(()), _pt({1}), _pt(()), _pt(()), _pt({1, 2}), _pt(())]])
 # A candidate with no relevant point between two that have some.
-@example([_pt({1, 2})], [[_pt({1})], [_pt({4}), _pt(())], [_pt({2, 1})]], True)
+@example([_pt({1, 2})], [[_pt({1})], [_pt({4}), _pt(())], [_pt({2, 1})]])
 # No candidate is relevant: total == 0.
-@example([_pt({1}), _pt({2, 3})], [[_pt({4})], [_pt(())], [_pt({5}), _pt({0})]], False)
+@example([_pt({1}), _pt({2, 3})], [[_pt({4})], [_pt(())], [_pt({5}), _pt({0})]])
 # One activity asked for by several query points (and one of them twice over).
 @example(
     [_pt({1, 2}), _pt({1}, 3.0), _pt({2, 1, 3}, 4.0)],
     [[_pt({1}), _pt({2, 3})], [_pt({3}), _pt({1, 2, 3})]],
-    True,
 )
 # Row 1's activity 3 never occurs in candidate 0, which rows 0 and 2 match.
 @example(
     [_pt({1}), _pt({2, 3}), _pt({2})],
     [[_pt({1}), _pt({2})], [_pt({1, 3}), _pt({2})]],
-    False,
 )
-def test_columnar_build_equals_dict_builder(qraw, raws, haversine):
-    metric = HaversineDistance() if haversine else EUCLID
+def test_columnar_build_equals_dict_builder(qraw, raws):
     query = _query(qraw)
     items = _round(raws)
-    qk = QueryKernel(query, metric)
+    qk = QueryKernel(query, EUCLID)
     want = dict_prepare_block(qk, items)
     _assert_same_block(kernels.prepare_block(qk, _posted(query, items)), want)
     _assert_same_block(kernels.prepare_block(qk, _posted(query, items, grown=True)), want)
@@ -181,13 +178,12 @@ def test_columnar_build_keeps_the_generic_metric_fill(fig1):
 # ----------------------------------------------------------------------
 # Block Dmm vs per-candidate Dmm
 # ----------------------------------------------------------------------
-@given(query_st, round_st, st.booleans())
+@given(query_st, round_st)
 @settings(max_examples=150, deadline=None)
-def test_block_dmm_values_and_counts(qraw, raws, haversine):
-    metric = HaversineDistance() if haversine else EUCLID
+def test_block_dmm_values_and_counts(qraw, raws):
     query = _query(qraw)
     items = _round(raws)
-    qk = QueryKernel(query, metric)
+    qk = QueryKernel(query, EUCLID)
 
     block_stats = _Stats()
     block = kernels.prepare_block(qk, _posted(query, items))
@@ -225,9 +221,9 @@ wide_query_st = st.lists(
 )
 
 
-def _assert_block_dmm_equals_group_loop(qraw, raws, metric=EUCLID):
+def _assert_block_dmm_equals_group_loop(qraw, raws):
     query = _query(qraw)
-    qk = QueryKernel(query, metric)
+    qk = QueryKernel(query, EUCLID)
     block = kernels.prepare_block(qk, _posted(query, _round(raws)))
     got_stats, want_stats = _Stats(), _Stats()
     got = kernels.block_dmm(qk, block, got_stats)
@@ -237,7 +233,7 @@ def _assert_block_dmm_equals_group_loop(qraw, raws, metric=EUCLID):
     return qk, block, got
 
 
-@given(wide_query_st, wide_round_st, st.booleans())
+@given(wide_query_st, wide_round_st)
 @settings(max_examples=200, deadline=None)
 # Two five-activity rows: 52 partitions each, sums of up to five groups.
 @example(
@@ -247,7 +243,6 @@ def _assert_block_dmm_equals_group_loop(qraw, raws, metric=EUCLID):
         [_pt({4, 3}, -2.0), _pt({0}, 1.5), _pt({1, 2, 5, 6}, 3.5), _pt({2, 3}, 0.0)],
         [_pt({0, 1, 2, 3, 4, 5, 6}, 30.0), _pt({5}, 0.2), _pt({6}, 0.3)],
     ],
-    False,
 )
 # One-, two- and four-activity rows in one query: three widths, one fold.
 @example(
@@ -257,27 +252,23 @@ def _assert_block_dmm_equals_group_loop(qraw, raws, metric=EUCLID):
         [_pt({0, 1, 2, 3, 4}, 2.0), _pt({2}, 1.0)],
         [_pt({4, 3}, 1.0), _pt({1}, 2.0), _pt({2}, 3.0), _pt({0}, 4.0)],
     ],
-    True,
 )
 # Candidates without any relevant point, first, in the middle and last.
 @example(
     [_pt({1, 2}), _pt({2, 3}, 3.0)],
     [[_pt({5})], [_pt({1, 2}), _pt({3}, 4.0)], [_pt(()), _pt({6})], [_pt({3, 2, 1}, 5.0)], [_pt({0})]],
-    False,
 )
 # ``missing_rows``: row 1's activity 3 never occurs in candidate 0, though
 # activity 2 gives the row relevant points there.
 @example(
     [_pt({1}), _pt({2, 3}), _pt({2})],
     [[_pt({1}), _pt({2})], [_pt({1, 3}), _pt({2})]],
-    False,
 )
-def test_block_dmm_equals_the_group_loop(qraw, raws, haversine):
+def test_block_dmm_equals_the_group_loop(qraw, raws):
     """The one-transform covers against the per-group loop they replaced:
     the same group minima, the same partition fold order, so the same
     bits — and the same mask-derived counter."""
-    metric = HaversineDistance() if haversine else EUCLID
-    _assert_block_dmm_equals_group_loop(qraw, raws, metric)
+    _assert_block_dmm_equals_group_loop(qraw, raws)
 
 
 def test_block_dmm_wide_row_equals_the_group_loop():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry.primitives import BoundingBox, Rect
 from repro.geometry.zcurve import z_decode, z_encode, z_parent
 from repro.index.gat.tas import TrajectorySketch, optimal_intervals
-from repro.index.rtree import RTree
+
+from rect_oracle import contains_point, contains_rect
 
 
 class TestZCurveProperties:
@@ -40,12 +41,12 @@ class TestRectProperties:
     @settings(max_examples=200, deadline=None)
     def test_union_contains_both(self, a, b):
         u = a.union(b)
-        assert u.contains_rect(a) and u.contains_rect(b)
+        assert contains_rect(u, a) and contains_rect(u, b)
 
     @given(rect_st, point_st)
     @settings(max_examples=200, deadline=None)
     def test_min_dist_zero_iff_contained(self, r, p):
-        if r.contains_point(p):
+        if contains_point(r, p):
             assert r.min_dist(p) == 0.0
         else:
             assert r.min_dist(p) > 0.0
@@ -81,42 +82,3 @@ class TestTASProperties:
             TrajectorySketch.from_activities(ids, m).total_span() for m in (1, 2, 4)
         ]
         assert spans[0] >= spans[1] >= spans[2]
-
-
-class TestRTreeProperties:
-    @given(
-        st.lists(
-            st.tuples(st.floats(0, 100), st.floats(0, 100)),
-            min_size=1,
-            max_size=60,
-        ),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_bulk_load_range_search_exact(self, coords, rng):
-        items = [(x, y, i) for i, (x, y) in enumerate(coords)]
-        tree = RTree.bulk_load(items, max_entries=4)
-        tree.check_invariants()
-        x1, x2 = sorted((rng.uniform(0, 100), rng.uniform(0, 100)))
-        y1, y2 = sorted((rng.uniform(0, 100), rng.uniform(0, 100)))
-        rect = Rect(x1, y1, x2, y2)
-        got = {e.payload for e in tree.range_search(rect)}
-        want = {i for x, y, i in items if rect.contains_point((x, y))}
-        assert got == want
-
-    @given(
-        st.lists(
-            st.tuples(st.floats(0, 100), st.floats(0, 100)),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_insert_preserves_entries_and_invariants(self, coords):
-        tree = RTree(max_entries=4)
-        for i, (x, y) in enumerate(coords):
-            tree.insert(x, y, i)
-        tree.check_invariants()
-        assert sorted(e.payload for e in tree.iter_entries()) == list(
-            range(len(coords))
-        )

@@ -26,11 +26,7 @@ from repro.core.evaluator import MatchEvaluator
 from repro.core.match import INFINITY, PointMatchTable
 from repro.core.order_match import minimum_order_match_distance
 from repro.core.query import Query, QueryPoint
-from repro.model.distance import (
-    EuclideanDistance,
-    HaversineDistance,
-    PreparedHaversine,
-)
+from repro.model.distance import EuclideanDistance
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
 
@@ -97,36 +93,6 @@ def test_euclidean_matrix_matches_metric(qraw, traw):
         for j, p in enumerate(trajectory.points):
             want = EUCLID(q.coord, p.coord)
             assert math.isclose(rows[i][j], want, rel_tol=1e-12, abs_tol=1e-12)
-
-
-@given(query_st, trajectory_st)
-@settings(max_examples=50, deadline=None)
-def test_haversine_matrix_matches_metric(qraw, traw):
-    # Coordinates are reinterpreted as (lon, lat) degrees; the strategy's
-    # [-50, 50] range keeps them legal.
-    metric = HaversineDistance()
-    query, trajectory = _query(qraw), _trajectory(traw)
-    qk = QueryKernel(query, metric)
-    positions = list(range(len(trajectory)))
-    rows = qk.distance_rows(trajectory, positions)
-    for i, q in enumerate(query):
-        for j, p in enumerate(trajectory.points):
-            want = metric(q.coord, p.coord)
-            assert math.isclose(rows[i][j], want, rel_tol=1e-9, abs_tol=1e-9)
-
-
-@given(query_st, st.lists(coord_st, min_size=1, max_size=8))
-@settings(max_examples=50, deadline=None)
-def test_prepared_haversine_is_bit_identical(qraw, xs):
-    metric = HaversineDistance()
-    coords = [(x, y) for x, y, _ in qraw]
-    prepared = PreparedHaversine(coords)
-    targets = [(x, -x / 2.0) for x in xs]
-    for a in coords:
-        for b in targets:
-            assert prepared(a, b) == metric(a, b)
-    # Unknown first arguments fall back to on-the-fly conversion.
-    assert prepared((1.25, 2.5), targets[0]) == metric((1.25, 2.5), targets[0])
 
 
 # ----------------------------------------------------------------------

@@ -104,10 +104,9 @@ class TestThreadSafety:
         def worker(i, req):
             try:
                 barrier.wait(timeout=30)
-                run = engine.oatsq if req.order_sensitive else engine.atsq
-                results = run(req.query, req.k)
-                answers[i] = [(r.trajectory_id, r.distance) for r in results]
-                stats[i] = engine.stats  # thread-local: this thread's query
+                ctx = engine.execute(req.query, req.k, order_sensitive=req.order_sensitive)
+                answers[i] = [(r.trajectory_id, r.distance) for r in ctx.ranked]
+                stats[i] = ctx.stats
             except Exception as exc:  # pragma: no cover - failure diagnostics
                 errors.append(exc)
 

@@ -118,7 +118,6 @@ def test_repeat_request_hits_cache(make_service, queries):
     # ...and the accounting says one hit out of two lookups.
     stats = service.stats()
     assert (stats.result_cache_hits, stats.result_cache_lookups) == (1, 2)
-    assert stats.result_cache_hit_rate == 0.5
     assert stats.queries == 2
 
 
@@ -162,7 +161,6 @@ def test_cache_disabled(make_service, queries):
     assert again.stats.rounds >= 1  # really re-executed
     stats = service.stats()
     assert stats.result_cache_lookups == 0
-    assert stats.result_cache_hit_rate == 0.0
 
 
 def test_negative_cache_size_rejected(make_service):

@@ -140,6 +140,24 @@ class TestAdmissionFlow:
         assert stats.failed == 1
         assert stats.queue_depth == 0
 
+    def test_submit_after_close_refused_before_admission(self, workload_queries):
+        """A closed front-end refuses like the backend services do, before
+        admission: no counter moves, no queue slot or permit stays taken,
+        and the backend is never called."""
+        backend = StubService()
+        config = ServingConfig(max_concurrency=2)
+        request = make_request(workload_queries)
+        fe = ServingFrontend(backend, config)
+        assert submit_one(fe, request).complete
+        fe.close()
+        with pytest.raises(RuntimeError, match=r"query service used after close\(\)"):
+            submit_one(fe, request)
+        stats = fe.stats()
+        assert (stats.submitted, stats.completed, stats.failed) == (1, 1, 0)
+        assert stats.queue_depth == 0
+        assert fe._sem._value == config.max_concurrency
+        assert len(backend.requests) == 1
+
     def test_survives_successive_event_loops(self, workload_queries):
         """Bench sweeps drive one frontend from successive asyncio.run
         loops; the concurrency semaphore must rebind, not explode."""

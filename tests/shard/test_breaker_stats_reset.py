@@ -26,15 +26,14 @@ def service(tiny_db):
     sharded = ShardedGATIndex.build(
         copy.deepcopy(tiny_db), n_shards=N_SHARDS, config=CONFIG
     )
-    with sharded:
-        with ShardedQueryService(
-            sharded,
-            executor="serial",
-            n_replicas=2,
-            breaker=BreakerConfig(failure_threshold=1, probation_after_s=0.05),
-            result_cache_size=0,
-        ) as svc:
-            yield svc
+    with ShardedQueryService(
+        sharded,
+        executor="serial",
+        n_replicas=2,
+        breaker=BreakerConfig(failure_threshold=1, probation_after_s=0.05),
+        result_cache_size=0,
+    ) as svc:
+        yield svc
 
 
 def test_ejections_surface_in_stats(service):

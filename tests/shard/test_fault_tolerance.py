@@ -66,11 +66,11 @@ def _rankings(responses):
 
 
 def _truth(db, queries):
-    with _build(db) as sharded:
-        with ShardedQueryService(
-            sharded, executor="serial", result_cache_size=0
-        ) as service:
-            return _rankings(service.search_many(queries, k=K))
+    sharded = _build(db)
+    with ShardedQueryService(
+        sharded, executor="serial", result_cache_size=0
+    ) as service:
+        return _rankings(service.search_many(queries, k=K))
 
 
 # ----------------------------------------------------------------------
@@ -128,24 +128,24 @@ def _scalar_oracle(db, sharded, queries):
 def test_supervised_parity_with_no_faults(
     db, queries, executor, n_replicas, fault_policy
 ):
-    with _build(db) as sharded:
-        rankings, counters = _scalar_oracle(db, sharded, queries)
-        with ShardedQueryService(
-            sharded,
-            engine_config=SCALAR,
-            executor=executor,
-            n_replicas=n_replicas,
-            result_cache_size=0,
-            fault_policy=fault_policy,
-        ) as service:
-            responses = service.search_many(queries, k=K)
-            stats = service.stats()
-            # Nothing leased or registered outlives the batch.
-            if executor == "process":
-                pool = service._executor
-                assert sorted(pool._free_slots) == list(range(pool.N_SLOTS))
-            assert not service._shared
-            assert not service._trace_roots
+    sharded = _build(db)
+    rankings, counters = _scalar_oracle(db, sharded, queries)
+    with ShardedQueryService(
+        sharded,
+        engine_config=SCALAR,
+        executor=executor,
+        n_replicas=n_replicas,
+        result_cache_size=0,
+        fault_policy=fault_policy,
+    ) as service:
+        responses = service.search_many(queries, k=K)
+        stats = service.stats()
+        # Nothing leased or registered outlives the batch.
+        if executor == "process":
+            pool = service._executor
+            assert sorted(pool._free_slots) == list(range(pool.N_SLOTS))
+        assert not service._shared
+        assert not service._trace_roots
     assert _rankings(responses) == rankings
     if executor == "serial":
         assert [
@@ -170,17 +170,17 @@ def test_transient_error_is_retried_to_full_coverage(db, queries):
     one counted retry, exact rankings, full coverage."""
     truth = _truth(db, queries)
     injector = FaultInjector(FaultRule(error_rate=1.0, max_errors=1), seed=0)
-    with _build(
+    sharded = _build(
         db, disk_factory=lambda: SimulatedDisk(fault_injector=injector)
-    ) as sharded:
-        with ShardedQueryService(
-            sharded,
-            executor="thread",
-            result_cache_size=0,
-            fault_policy=FaultPolicy(max_retries=2),
-        ) as service:
-            responses = service.search_many(queries, k=K)
-            stats = service.stats()
+    )
+    with ShardedQueryService(
+        sharded,
+        executor="thread",
+        result_cache_size=0,
+        fault_policy=FaultPolicy(max_retries=2),
+    ) as service:
+        responses = service.search_many(queries, k=K)
+        stats = service.stats()
     assert _rankings(responses) == truth
     assert all(r.complete for r in responses)
     assert stats.task_retries == 1
@@ -189,15 +189,14 @@ def test_transient_error_is_retried_to_full_coverage(db, queries):
 
 def test_dead_shard_degrades_to_partial_coverage(db, queries):
     sharded, injector = _shard_down_build(db, FaultRule(error_rate=1.0))
-    with sharded:
-        with ShardedQueryService(
-            sharded,
-            executor="thread",
-            result_cache_size=0,
-            fault_policy=FaultPolicy(max_retries=1, allow_partial=True),
-        ) as service:
-            responses = service.search_many(queries, k=K)
-            stats = service.stats()
+    with ShardedQueryService(
+        sharded,
+        executor="thread",
+        result_cache_size=0,
+        fault_policy=FaultPolicy(max_retries=1, allow_partial=True),
+    ) as service:
+        responses = service.search_many(queries, k=K)
+        stats = service.stats()
     assert all(not r.complete for r in responses)
     assert all(
         r.shards_answered == N_SHARDS - 1 and r.shards_total == N_SHARDS
@@ -209,15 +208,14 @@ def test_dead_shard_degrades_to_partial_coverage(db, queries):
 
 def test_allow_partial_false_raises_contextual_error(db, queries):
     sharded, _ = _shard_down_build(db, FaultRule(error_rate=1.0))
-    with sharded:
-        with ShardedQueryService(
-            sharded,
-            executor="thread",
-            result_cache_size=0,
-            fault_policy=FaultPolicy(max_retries=1, allow_partial=False),
-        ) as service:
-            with pytest.raises(ShardTaskError) as excinfo:
-                service.search(queries[0], k=K)
+    with ShardedQueryService(
+        sharded,
+        executor="thread",
+        result_cache_size=0,
+        fault_policy=FaultPolicy(max_retries=1, allow_partial=False),
+    ) as service:
+        with pytest.raises(ShardTaskError) as excinfo:
+            service.search(queries[0], k=K)
     err = excinfo.value
     assert err.shard_id in range(N_SHARDS)
     assert err.replica == 0
@@ -230,23 +228,22 @@ def test_partial_responses_are_never_cached(db, queries):
     """A degraded answer must not poison the result cache: once the disk
     heals, the same request gets a fresh, complete response."""
     sharded, injector = _shard_down_build(db, FaultRule(error_rate=1.0))
-    with sharded:
-        with ShardedQueryService(
-            sharded,
-            executor="thread",
-            result_cache_size=32,
-            fault_policy=FaultPolicy(max_retries=1, allow_partial=True),
-        ) as service:
-            degraded = service.search(queries[0], k=K)
-            assert not degraded.complete
-            injector.enabled = False
-            healed = service.search(queries[0], k=K)
-            assert healed.complete
-            assert healed.shards_answered == N_SHARDS
-            # And *complete* responses do cache: the third ask is a hit.
-            again = service.search(queries[0], k=K)
-            assert again.complete
-            assert service.stats().result_cache_hits >= 1
+    with ShardedQueryService(
+        sharded,
+        executor="thread",
+        result_cache_size=32,
+        fault_policy=FaultPolicy(max_retries=1, allow_partial=True),
+    ) as service:
+        degraded = service.search(queries[0], k=K)
+        assert not degraded.complete
+        injector.enabled = False
+        healed = service.search(queries[0], k=K)
+        assert healed.complete
+        assert healed.shards_answered == N_SHARDS
+        # And *complete* responses do cache: the third ask is a hit.
+        again = service.search(queries[0], k=K)
+        assert again.complete
+        assert service.stats().result_cache_hits >= 1
 
 
 # ----------------------------------------------------------------------
@@ -255,18 +252,17 @@ def test_partial_responses_are_never_cached(db, queries):
 def test_deadline_abandons_stalled_shard(db, queries):
     sharded, injector = _shard_down_build(db, FaultRule(stall_rate=1.0))
     try:
-        with sharded:
-            with ShardedQueryService(
-                sharded,
-                executor="thread",
-                result_cache_size=0,
-                fault_policy=FaultPolicy(
-                    deadline_s=0.25, max_retries=0, allow_partial=True
-                ),
-            ) as service:
-                response = service.search(queries[0], k=K)
-                # Drain the abandoned attempt before the pool shuts down.
-                injector.lift_stalls()
+        with ShardedQueryService(
+            sharded,
+            executor="thread",
+            result_cache_size=0,
+            fault_policy=FaultPolicy(
+                deadline_s=0.25, max_retries=0, allow_partial=True
+            ),
+        ) as service:
+            response = service.search(queries[0], k=K)
+            # Drain the abandoned attempt before the pool shuts down.
+            injector.lift_stalls()
         assert not response.complete
         assert response.shards_answered == N_SHARDS - 1
         assert response.shards_total == N_SHARDS
@@ -280,19 +276,19 @@ def test_deadline_abandons_stalled_shard(db, queries):
 # ----------------------------------------------------------------------
 def test_hedge_fires_on_slow_replica_and_stays_exact(db, queries):
     truth = _truth(db, queries)
-    with _build(
+    sharded = _build(
         db, disk_factory=lambda: SimulatedDisk(read_latency_s=0.02)
-    ) as sharded:
-        with ShardedQueryService(
-            sharded,
-            executor="thread",
-            n_replicas=2,
-            result_cache_size=0,
-            replica_disk_factory=lambda: SimulatedDisk(),
-            fault_policy=FaultPolicy(max_retries=2, hedge_after_s=0.005),
-        ) as service:
-            responses = service.search_many(queries, k=K)
-            stats = service.stats()
+    )
+    with ShardedQueryService(
+        sharded,
+        executor="thread",
+        n_replicas=2,
+        result_cache_size=0,
+        replica_disk_factory=lambda: SimulatedDisk(),
+        fault_policy=FaultPolicy(max_retries=2, hedge_after_s=0.005),
+    ) as service:
+        responses = service.search_many(queries, k=K)
+        stats = service.stats()
     assert _rankings(responses) == truth
     assert all(r.complete for r in responses)
     assert stats.task_hedges >= 1
@@ -304,18 +300,18 @@ def test_failover_to_clean_replicas_reaches_full_coverage(db, queries):
     and rankings exact."""
     truth = _truth(db, queries)
     injector = FaultInjector(FaultRule(error_rate=1.0), seed=0)
-    with _build(
+    sharded = _build(
         db, disk_factory=lambda: SimulatedDisk(fault_injector=injector)
-    ) as sharded:
-        with ShardedQueryService(
-            sharded,
-            executor="thread",
-            n_replicas=2,
-            result_cache_size=0,
-            replica_disk_factory=lambda: SimulatedDisk(),
-            fault_policy=FaultPolicy(max_retries=4),
-        ) as service:
-            responses = service.search_many(queries, k=K)
+    )
+    with ShardedQueryService(
+        sharded,
+        executor="thread",
+        n_replicas=2,
+        result_cache_size=0,
+        replica_disk_factory=lambda: SimulatedDisk(),
+        fault_policy=FaultPolicy(max_retries=4),
+    ) as service:
+        responses = service.search_many(queries, k=K)
     assert _rankings(responses) == truth
     assert all(r.complete for r in responses)
 
@@ -326,23 +322,23 @@ def test_total_failure_degrades_to_zero_coverage(db, queries):
     attempts registered outlives it."""
     injector = FaultInjector(FaultRule(error_rate=1.0), seed=0)
     replica_injector = FaultInjector(FaultRule(error_rate=1.0), seed=1)
-    with _build(
+    sharded = _build(
         db, disk_factory=lambda: SimulatedDisk(fault_injector=injector)
-    ) as sharded:
-        with ShardedQueryService(
-            sharded,
-            executor="thread",
-            n_replicas=2,
-            result_cache_size=0,
-            replica_disk_factory=lambda: SimulatedDisk(
-                fault_injector=replica_injector
-            ),
-            fault_policy=FaultPolicy(max_retries=1, allow_partial=True),
-        ) as service:
-            responses = service.search_many(queries, k=K)
-            assert all(r.shards_answered == 0 for r in responses)
-            assert not service._shared
-            assert not service._trace_roots
+    )
+    with ShardedQueryService(
+        sharded,
+        executor="thread",
+        n_replicas=2,
+        result_cache_size=0,
+        replica_disk_factory=lambda: SimulatedDisk(
+            fault_injector=replica_injector
+        ),
+        fault_policy=FaultPolicy(max_retries=1, allow_partial=True),
+    ) as service:
+        responses = service.search_many(queries, k=K)
+        assert all(r.shards_answered == 0 for r in responses)
+        assert not service._shared
+        assert not service._trace_roots
     # Each retry moved to the sibling: both copies saw every shard's reads.
     assert injector.errors_injected > 0 and replica_injector.errors_injected > 0
 
@@ -459,31 +455,31 @@ def test_each_attempt_reports_once_and_before_search_returns(db, queries):
     from repro.shard.replicas import BREAKER_CLOSED, BREAKER_OPEN
 
     injector = FaultInjector(FaultRule(error_rate=1.0), seed=0)
-    with _build(
+    sharded = _build(
         db, disk_factory=lambda: SimulatedDisk(fault_injector=injector)
-    ) as sharded:
-        with ShardedQueryService(
-            sharded,
-            executor="thread",
-            n_replicas=2,
-            result_cache_size=0,
-            replica_disk_factory=SimulatedDisk,
-            breaker=BreakerConfig(failure_threshold=1, probation_after_s=60.0),
-            fault_policy=FaultPolicy(),
-        ) as service:
-            seen = _spy_on_outcomes(service)
-            response = service.search(queries[0], k=K)
-            assert response.complete
-            assert sorted(seen) == [
-                (shard_id, replica, replica == 1)
-                for shard_id in range(N_SHARDS)
-                for replica in (0, 1)
-            ]
-            router = service.placement.router
-            for shard_id in range(N_SHARDS):
-                assert router.replica_state(shard_id, 0) == BREAKER_OPEN
-                assert router.replica_state(shard_id, 1) == BREAKER_CLOSED
-            assert service.stats().breaker_ejections == N_SHARDS
+    )
+    with ShardedQueryService(
+        sharded,
+        executor="thread",
+        n_replicas=2,
+        result_cache_size=0,
+        replica_disk_factory=SimulatedDisk,
+        breaker=BreakerConfig(failure_threshold=1, probation_after_s=60.0),
+        fault_policy=FaultPolicy(),
+    ) as service:
+        seen = _spy_on_outcomes(service)
+        response = service.search(queries[0], k=K)
+        assert response.complete
+        assert sorted(seen) == [
+            (shard_id, replica, replica == 1)
+            for shard_id in range(N_SHARDS)
+            for replica in (0, 1)
+        ]
+        router = service.placement.router
+        for shard_id in range(N_SHARDS):
+            assert router.replica_state(shard_id, 0) == BREAKER_OPEN
+            assert router.replica_state(shard_id, 1) == BREAKER_CLOSED
+        assert service.stats().breaker_ejections == N_SHARDS
 
 
 def test_abandoned_attempt_still_reports_when_it_finishes(db, queries):
@@ -491,22 +487,21 @@ def test_abandoned_attempt_still_reports_when_it_finishes(db, queries):
     not reported by ``search`` — and is, exactly once, when it ends."""
     sharded, injector = _shard_down_build(db, FaultRule(stall_rate=1.0))
     try:
-        with sharded:
-            with ShardedQueryService(
-                sharded,
-                executor="thread",
-                result_cache_size=0,
-                fault_policy=FaultPolicy(
-                    deadline_s=0.25, max_retries=0, allow_partial=True
-                ),
-            ) as service:
-                seen = _spy_on_outcomes(service)
-                response = service.search(queries[0], k=K)
-                (stalled,) = set(range(N_SHARDS)) - {s for s, _, _ in seen}
-                assert response.shards_answered == N_SHARDS - 1
-                assert len(seen) == N_SHARDS - 1
-                # Resumes normally; close() waits for it, callback included.
-                injector.lift_stalls()
+        with ShardedQueryService(
+            sharded,
+            executor="thread",
+            result_cache_size=0,
+            fault_policy=FaultPolicy(
+                deadline_s=0.25, max_retries=0, allow_partial=True
+            ),
+        ) as service:
+            seen = _spy_on_outcomes(service)
+            response = service.search(queries[0], k=K)
+            (stalled,) = set(range(N_SHARDS)) - {s for s, _, _ in seen}
+            assert response.shards_answered == N_SHARDS - 1
+            assert len(seen) == N_SHARDS - 1
+            # Resumes normally; close() waits for it, callback included.
+            injector.lift_stalls()
         assert sorted(seen) == [(shard_id, 0, True) for shard_id in range(N_SHARDS)]
         assert seen[-1][0] == stalled
     finally:
@@ -556,21 +551,21 @@ def test_failed_batch_build_releases_threshold_slots(db, queries, monkeypatch):
     """A mid-batch failure while *building* fan-outs used to strand the
     earlier queries' threshold slots; every acquired slot must be free
     again after the raise.  (The pool is lazy, so nothing ever spawns.)"""
-    with _build(db) as sharded:
-        with ShardedQueryService(
-            sharded, executor="process", result_cache_size=0
-        ) as service:
-            executor = service._executor
-            real_fanout_tasks = service._fanout_tasks
-            calls = {"n": 0}
+    sharded = _build(db)
+    with ShardedQueryService(
+        sharded, executor="process", result_cache_size=0
+    ) as service:
+        executor = service._executor
+        real_fanout_tasks = service._fanout_tasks
+        calls = {"n": 0}
 
-            def exploding_fanout_tasks(request, group, threshold_slot=None):
-                calls["n"] += 1
-                if calls["n"] == 2:
-                    raise RuntimeError("boom while building fan-out")
-                return real_fanout_tasks(request, group, threshold_slot)
+        def exploding_fanout_tasks(request, group, threshold_slot=None):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("boom while building fan-out")
+            return real_fanout_tasks(request, group, threshold_slot)
 
-            monkeypatch.setattr(service, "_fanout_tasks", exploding_fanout_tasks)
-            with pytest.raises(RuntimeError, match="boom"):
-                service.search_many(queries[:2], k=K)
-            assert sorted(executor._free_slots) == list(range(executor.N_SLOTS))
+        monkeypatch.setattr(service, "_fanout_tasks", exploding_fanout_tasks)
+        with pytest.raises(RuntimeError, match="boom"):
+            service.search_many(queries[:2], k=K)
+        assert sorted(executor._free_slots) == list(range(executor.N_SLOTS))

@@ -159,7 +159,7 @@ class TestOverflowInsert:
         box = sharded.shards[sid].grid.box
         anchor = next(p for tr in db for p in tr if p.activities)
         tid = max(tr.trajectory_id for tr in db) + 1
-        while sharded.shard_of(tid) != sid:
+        while sharded.router.shard_of(tid) != sid:
             tid += 1
         point = TrajectoryPoint(
             box.max_x + 1.0, box.max_y + 1.0, frozenset(anchor.activities)
@@ -224,7 +224,7 @@ class TestOverflowInsert:
         sharded = ShardedGATIndex.build(db, n_shards=3, config=CONFIG)
         anchor = db.trajectories[0]
         tid = max(tr.trajectory_id for tr in db) + 1
-        sid = sharded.shard_of(tid)
+        sid = sharded.router.shard_of(tid)
         # Anchor points may lie outside the owning shard's local box; pick
         # a point from the owning shard's own data instead.
         p = next(p for tr in sharded.shards[sid].db for p in tr if p.activities)

@@ -464,5 +464,5 @@ class TestOverflowInsertAcrossBanks:
                 response = service.search(query, k=1)
                 assert response.results[0].trajectory_id == tid
                 assert response.results[0].distance == 0.0
-            owner = sharded.shard_of(tid)
+            owner = sharded.router.shard_of(tid)
             assert service.placement.banks[0][owner].index is sharded.shards[owner]

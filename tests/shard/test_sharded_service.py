@@ -73,7 +73,7 @@ class TestResultCache:
             assert service.search(query, k=3).stats.rounds == 0
 
             new_tr = _perfect_match_insert(db, list(query))
-            owner = sharded.shard_of(new_tr.trajectory_id)
+            owner = sharded.router.shard_of(new_tr.trajectory_id)
             sharded.shards[owner].insert_trajectory(new_tr)
 
             assert service.search(query, k=3).stats.rounds > 0
@@ -494,7 +494,7 @@ class TestOverflowInsertEngineRefresh:
                 ]
             )
             service.search(query, k=1)  # engines warm on the old indexes
-            owner = sharded.shard_of(trajectory.trajectory_id)
+            owner = sharded.router.shard_of(trajectory.trajectory_id)
             old_engine = service.placement.banks[0][owner]
 
             sharded.insert_trajectory(trajectory)  # overflow rebuild

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.storage.cache import LRUCache
+from repro.storage.cache import CacheStats, LRUCache
 
 
 class TestBasics:
@@ -75,10 +75,17 @@ class TestAccounting:
         assert stats.hits == 1
         assert stats.misses == 2
         assert stats.lookups == 3
-        assert stats.hit_rate == pytest.approx(1 / 3)
 
-    def test_empty_hit_rate_is_zero(self):
-        assert LRUCache(4).stats().hit_rate == 0.0
+    def test_combined_sums_present_parts(self):
+        a = CacheStats(hits=3, misses=1, size=2, capacity=4)
+        b = CacheStats(hits=0, misses=5, size=5, capacity=8)
+        total = CacheStats.combined([a, None, b])
+        assert total == CacheStats(hits=3, misses=6, size=7, capacity=12)
+        assert total.lookups == a.lookups + b.lookups
+
+    @pytest.mark.parametrize("parts", [[], [None], [None, None]])
+    def test_combined_without_caches_is_none(self, parts):
+        assert CacheStats.combined(parts) is None
 
 
 class TestBatchedPass:
