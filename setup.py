@@ -12,6 +12,10 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # Imported unconditionally by core/kernels.py and model/columnar.py.
-    install_requires=["numpy"],
+    # The C kernels in repro/native/gat.c are compiled on first import
+    # (repro/native/build.py), so the source ships with the package.
+    package_data={"repro.native": ["gat.c"]},
+    # numpy: the array kernels; cffi (+ setuptools, which its compile step
+    # drives): the C module repro.native builds and loads.
+    install_requires=["numpy", "cffi", "setuptools"],
 )

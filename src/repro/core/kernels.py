@@ -24,10 +24,12 @@ both with a *prepare once, scan arrays* scheme:
    recurrence collapses from O(n²) incremental table rebuilds to a single
    left-to-right scan — at most O(n · 2^|q.Φ|), and in practice far less:
    a point is folded only when it could still lower the row's best cover
-   without exceeding the threshold (see :func:`dmom_prepared`).  Every
-   cover relaxation in the module — :func:`min_cover_cost`, Algorithm 3's
-   scan, the DP row, whatever the row's width — walks the same per-mask
-   transition table (:class:`_CoverSteps`).
+   without exceeding the threshold (see :func:`dmom_prepared`).  That scan
+   is C (``gat_dmom_block`` in ``repro/native/gat.c``), whatever the
+   rows' widths.  Every Python cover relaxation — :func:`min_cover_cost`,
+   Algorithm 3's scan — walks one per-mask transition table
+   (:class:`_CoverSteps`); the C fold visits the same pairs in the same
+   ascending order.
 
 On top of the per-candidate kernels sits the *block* kernel
 (``kernel='block'``, the default): a whole validation round's
@@ -52,12 +54,10 @@ together:
   queries take :func:`block_dmm_all_single`, a dedup-free layout — one
   column per posted position, the same gather — with no per-candidate
   array work at all.
-* :func:`block_dmom` gates on the block ``Dmm`` (Lemma 3) and walks the
-  survivors cheapest-gate-first with a running k-th threshold, so most
-  candidates are **abandoned** before the per-candidate DP; all-single-
-  activity queries instead run the whole DP batched — each of the
-  ``|Q|`` rows is two ``minimum.accumulate`` passes over a
-  ``[survivors, Lmax]`` matrix.
+* :func:`block_dmom` gates on the block ``Dmm`` (Lemma 3) and the C fold
+  walks the survivors cheapest-gate-first with a running k-th threshold,
+  reading their columns of the block in place, so most candidates are
+  **abandoned** before the per-candidate DP — every query shape alike.
 
 Abandonment never moves a ranking or a counter: the values it replaces
 with ``inf`` all exceed the final k-th distance (so the top-k collector
@@ -68,8 +68,9 @@ counters exactly.
 
 The per-candidate functions are also what :class:`MatchEvaluator`'s
 ``dmm`` / ``dmom`` run under ``kernel='block'`` (RT/IRT score one
-candidate per pop) and what :func:`block_dmom`'s mixed-activity walk
-calls; ``kernel='scalar'`` bypasses this module entirely.
+candidate per pop); a candidate is laid out like one segment of a block,
+so :func:`dmom_prepared` is the same C fold.  ``kernel='scalar'`` bypasses
+this module entirely.
 
 Exactness
 ---------
@@ -90,13 +91,14 @@ engine-level parity suite checks never happens on real workloads (ids
 and counters are compared exactly, distances to 1e-9 relative).
 
 The kernels' *own* shortcuts are not in that class — they are exact.
-The dense row scan :func:`dmom_prepared` ran before it skipped folds and
-the per-group loop :func:`block_dmm` ran before its covers became one
-transform live on as oracles in ``tests/property/``
-(``dense_dmom_oracle.py``, ``group_loop_dmm_oracle.py``) and are compared
+The dense row scan :func:`dmom_prepared` ran before it skipped folds, the
+Python fold it ran before the fold moved to C, and the per-group loop
+:func:`block_dmm` ran before its covers became one transform live on as
+oracles in ``tests/property/`` (``dense_dmom_oracle.py``,
+``python_fold_oracle.py``, ``group_loop_dmm_oracle.py``) and are compared
 with ``==`` / ``np.array_equal``, thresholds included.
 
-NumPy is a hard dependency (``setup.py``).
+NumPy and cffi are hard dependencies (``setup.py``).
 
 The round builds read positions and coordinates from the APL image and
 touch no trajectory object; the per-candidate functions read the object
@@ -106,13 +108,13 @@ model (``trajectory.posting_lists``, ``trajectory.coord_array()``).
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
 from repro.model.distance import DistanceMetric, EuclideanDistance, euclidean_matrix
+from repro.native import ffi, lib
 
 INFINITY = math.inf
 
@@ -146,9 +148,9 @@ class _CoverSteps(dict):
         return steps
 
 
-#: One shared table per state-space size — the single transition structure
-#: behind :func:`min_cover_cost`, :func:`_mpm_scan` and the
-#: :func:`dmom_prepared` row.
+#: One shared table per state-space size — the transition structure behind
+#: :func:`min_cover_cost` and :func:`_mpm_scan` (the C fold of
+#: :func:`dmom_prepared` loops over the same pairs in the same order).
 _cover_steps = functools.lru_cache(maxsize=None)(_CoverSteps)
 
 
@@ -214,6 +216,7 @@ class QueryKernel:
         "sorted_activities",
         "bit_table",
         "metric",
+        "fold_bits",
         "_mode",
         "_q0",
         "_q1",
@@ -230,9 +233,10 @@ class QueryKernel:
             self.n_bits.append(len(activities))
             self.bit_values.append({a: 1 << i for i, a in enumerate(activities)})
         #: Every query point carries one activity — the common query shape,
-        #: and the one whose whole candidate preparation and DP can stay in
-        #: NumPy arrays (see prepare_candidate / _dmom_all_single_np).
+        #: whose ``Dmm`` needs no position dedup (block_dmm_all_single).
         self.all_single = all(b == 1 for b in self.n_bits)
+        #: ``n_bits`` as the C fold reads it.
+        self.fold_bits = ffi.new("int32_t[]", self.n_bits)
 
         #: The block builder's lookup side: ``Q.Φ`` ascending (what a round's
         #: activity occurrences are ``searchsorted`` against) and, per row,
@@ -270,13 +274,6 @@ class QueryKernel:
         sub = trajectory.coord_array()[positions]
         return euclidean_matrix(self._q0, self._q1, sub[:, 0], sub[:, 1])
 
-    def distance_rows(self, trajectory, positions: List[int]) -> List[List[float]]:
-        """The same matrix as Python rows (list indexing is what the scan
-        loops do; one ``tolist`` beats a million boxed NumPy scalar reads)."""
-        if self._mode == "generic":
-            return self._generic_rows(trajectory, positions)
-        return self.distance_matrix(trajectory, positions).tolist()
-
     def distance_matrix_for(self, coords):
         """The ``|Q| x N`` distance matrix against a raw ``(N, 2)`` float
         array of point coordinates.
@@ -296,37 +293,16 @@ class QueryKernel:
 
 
 class CandidateArrays:
-    """Everything the kernels need about one (query, trajectory) pair.
+    """Everything the kernels need about one (query, trajectory) pair: the
+    trajectory positions of its relevant columns, the ``[|Q|, n]`` distance
+    matrix over them and the same-shape ``int64`` activity-overlap
+    bitmasks — the layout of one candidate's columns of a
+    :class:`CandidateBlock`, which the C fold reads either way."""
 
-    Two storage shapes, chosen by :func:`prepare_candidate`:
+    __slots__ = ("positions", "dist_matrix", "mask_matrix")
 
-    * list rows (``dist_rows`` / ``mask_rows``) — what the cover scans
-      walk, one table-driven relaxation whatever the row's width (a
-      query mixing single- and multi-activity points has no second loop);
-    * NumPy matrices (``dist_matrix`` / ``mask_matrix``) — the all-single-
-      activity fast path, where both ``Dmm`` and the ``Dmom`` DP run as
-      whole-array ops and a per-candidate ``tolist`` would cost more than
-      the arithmetic it feeds.
-
-    The pair that was not built stays ``None``; :func:`dmm_prepared` and
-    :func:`dmom_prepared` branch on ``mask_matrix``.
-    """
-
-    __slots__ = ("positions", "dist_rows", "mask_rows", "dist_matrix", "mask_matrix")
-
-    def __init__(
-        self,
-        positions: List[int],
-        dist_rows: Optional[List[List[float]]] = None,
-        mask_rows: Optional[List[List[int]]] = None,
-        dist_matrix=None,
-        mask_matrix=None,
-    ) -> None:
-        if dist_rows is None and dist_matrix is None:
-            raise ValueError("either dist_rows or dist_matrix is required")
+    def __init__(self, positions: List[int], dist_matrix, mask_matrix) -> None:
         self.positions = positions
-        self.dist_rows = dist_rows
-        self.mask_rows = mask_rows
         self.dist_matrix = dist_matrix
         self.mask_matrix = mask_matrix
 
@@ -349,89 +325,42 @@ def prepare_candidate(qk: QueryKernel, trajectory) -> Optional[CandidateArrays]:
         return None
     positions = sorted(pos_set)
     col_of = {p: c for c, p in enumerate(positions)}
-    n = len(positions)
-
-    if qk.all_single:
-        # All-single-activity fast path: keep the distance matrix in array
-        # form (it is born as one) and scatter the posting columns into a
-        # boolean mask matrix — no per-candidate tolist, no bitmask lists.
-        mask = _np.zeros((qk.m, n), dtype=bool)
-        for i, bit_values in enumerate(qk.bit_values):
-            for activity in bit_values:
-                ps = posting.get(activity)
-                if ps:
-                    mask[i, [col_of[p] for p in ps]] = True
-        return CandidateArrays(
-            positions,
-            dist_matrix=qk.distance_matrix(trajectory, positions),
-            mask_matrix=mask,
-        )
-
-    dist_rows = qk.distance_rows(trajectory, positions)
-
-    mask_rows: List[List[int]] = []
-    for bit_values in qk.bit_values:
-        mrow = [0] * n
+    mask = _np.zeros((qk.m, len(positions)), dtype=_np.int64)
+    for mrow, bit_values in zip(mask, qk.bit_values):
         for activity, bit in bit_values.items():
             ps = posting.get(activity)
             if ps:
-                for p in ps:
-                    mrow[col_of[p]] |= bit
-        mask_rows.append(mrow)
-    return CandidateArrays(positions, dist_rows=dist_rows, mask_rows=mask_rows)
+                mrow[[col_of[p] for p in ps]] |= bit
+    return CandidateArrays(positions, qk.distance_matrix(trajectory, positions), mask)
 
 
 # ----------------------------------------------------------------------
 # Dmm — Lemma 1 over the prepared arrays
 # ----------------------------------------------------------------------
-def _dmm_all_single_np(qk: QueryKernel, cand: CandidateArrays, stats=None) -> float:
-    """``Dmm`` over the array-form candidate: each row is one masked min.
-
-    Mirrors the scalar fold exactly, including its stats accounting — the
-    per-row candidate count is added *before* the empty-row early exit, so
-    ``point_match_points`` matches the scalar path even on misses.  ``min``
-    is order-independent for floats, so the value is bit-identical.
-    """
-    dist = cand.dist_matrix
-    mask = cand.mask_matrix
-    total = 0.0
-    for i in range(qk.m):
-        mi = mask[i]
-        count = int(mi.sum())
-        if stats is not None:
-            stats.point_match_points += count
-        if count == 0:
-            return INFINITY
-        total += float(dist[i][mi].min())
-    return total
-
-
 def dmm_prepared(qk: QueryKernel, cand: CandidateArrays, stats=None) -> float:
     """``Dmm(Q, Tr)``: per-query-point Algorithm 3 over the distance rows.
 
-    Single-activity query points (the common case) reduce to a plain
-    ``min`` over the candidate columns — no cover DP at all; when *every*
-    point is single-activity the whole computation stays in NumPy
-    (:func:`_dmm_all_single_np`).
+    Single-activity query points (the common case) reduce to a masked
+    ``min`` over the candidate columns — no cover DP at all.  Each row's
+    candidate count goes to ``point_match_points`` *before* the empty-row
+    early exit, as in the scalar fold.
     """
-    if cand.mask_matrix is not None:
-        return _dmm_all_single_np(qk, cand, stats)
     total = 0.0
-    for i in range(qk.m):
-        row = cand.dist_rows[i]
-        mrow = cand.mask_rows[i]
-        cols = [c for c, pm in enumerate(mrow) if pm]
+    for i, n_bits in enumerate(qk.n_bits):
+        mrow = cand.mask_matrix[i]
+        cols = _np.flatnonzero(mrow)
         if stats is not None:
             stats.point_match_points += len(cols)
-        if not cols:
+        if not len(cols):
             return INFINITY
-        if qk.n_bits[i] == 1:
-            d = min(row[c] for c in cols)
+        row = cand.dist_matrix[i]
+        if n_bits == 1:
+            d = float(row[cols].min())
         else:
             # Stable sort on distance keeps equal-distance columns in
             # ascending position order — the scalar (dist, pos) tie-break.
-            order = sorted(cols, key=row.__getitem__)
-            d = _mpm_scan(row, mrow, order, qk.n_bits[i])
+            order = cols[_np.argsort(row[cols], kind="stable")]
+            d = _mpm_scan(row.tolist(), mrow.tolist(), order.tolist(), n_bits)
         if d == INFINITY:
             return INFINITY
         total += d
@@ -441,39 +370,33 @@ def dmm_prepared(qk: QueryKernel, cand: CandidateArrays, stats=None) -> float:
 # ----------------------------------------------------------------------
 # Dmom — Algorithm 4 as a single left-to-right scan per row
 # ----------------------------------------------------------------------
-def _dmom_all_single_np(qk: "QueryKernel", cand: "CandidateArrays", threshold: float) -> float:
-    """The whole Dmom DP as array ops when *every* query point carries a
-    single activity (the paper's most common query shape).
+def _fold(qk, dist, mask, order, gates, seg_of, lengths, threshold, k, out) -> None:
+    """``gat_dmom_block``: the ``Dmom`` of candidates *order* (column
+    segment ``seg_of[c]``, ``lengths[c]`` long, of the ``[|Q|, N]`` *dist*
+    / *mask*) into ``out[c]``, in that order; stopping at the first gate
+    above the running threshold when *gates* is given, and tightening the
+    threshold to the k-th smallest ``Dmom`` when ``k > 0``."""
+    if not (dist.dtype == _np.float64 and mask.dtype == _np.int64 and dist.shape == mask.shape):
+        raise TypeError("the Dmom fold reads float64 distances and int64 masks of one shape")
+    status = lib.gat_dmom_block(
+        qk.m, qk.fold_bits,
+        ffi.from_buffer("double[]", dist), ffi.from_buffer("int64_t[]", mask), dist.shape[1],
+        ffi.from_buffer("int64_t[]", order), len(order),
+        ffi.NULL if gates is None else ffi.from_buffer("double[]", gates),
+        ffi.from_buffer("int64_t[]", seg_of), ffi.from_buffer("int64_t[]", lengths),
+        threshold, k, ffi.from_buffer("double[]", out, require_writable=True),
+    )
+    if status:
+        raise MemoryError("Dmom fold")
 
-    The candidate is already in array form (:func:`prepare_candidate`
-    never built lists for it), and each of the ``|Q|`` rows is the
-    two-state case of :func:`dmom_prepared`'s row — covers are single
-    points, so ``A`` collapses to a segment base and a best value — as array
-    ops: ``a0[j] = min(prev[1..j])`` is one ``minimum.accumulate``, the
-    candidate values ``a0 + d`` exist only where the point carries the
-    activity (``inf`` elsewhere), and ``cur[j] = min over j' <= j`` is a
-    second accumulate — every addition and min the scalar recurrence
-    performs, in the same order, so the result is bit-identical.  ``prev``
-    holds ``G(i-1, 1..n)``; the guardian row ``G(0, *) = 0`` is the
-    initial zeros.  The Lemma-4 row threshold exit is unchanged.
-    """
-    dist = cand.dist_matrix
-    mask = cand.mask_matrix
-    prev = _np.zeros(dist.shape[1], dtype=float)
-    for i in range(qk.m):
-        a0 = _np.minimum.accumulate(prev)
-        vals = _np.where(mask[i], a0 + dist[i], INFINITY)
-        cur = _np.minimum.accumulate(vals)
-        if cur[-1] > threshold:
-            return INFINITY
-        prev = cur
-    return float(prev[-1])
+
+_ONE_SEGMENT = _np.zeros(1, dtype=_np.int64)  # order [0], segment start 0
 
 
 def dmom_prepared(
     qk: QueryKernel, cand: CandidateArrays, threshold: float = INFINITY
 ) -> float:
-    """``Dmom(Q, Tr)`` over the prepared arrays.
+    """``Dmom(Q, Tr)`` over the prepared arrays (the C fold).
 
     The scalar Algorithm 4 evaluates ``G(i, j) = min_k G(i-1, k) +
     Dmpm(q_i, Tr[k, j])`` by rebuilding an incremental point-match table
@@ -482,11 +405,12 @@ def dmom_prepared(
     mask t by points k..j)`` over all segment starts ``k ≤ j``.  Folding
     point ``j`` in sets ``A[0]`` to ``G(i-1, j)`` (a finished row is
     non-increasing in ``j``, so the cheapest segment start up to ``j`` is
-    the entry itself) and relaxes ``A[t] ← A[t & ~mask_j] + d_j`` along
-    the mask's :func:`_cover_steps` pairs; ``G(i, j)`` is ``A[full]``
-    after the fold.  This is the same min-cost-cover relaxation as the
-    table (a point used twice can never beat using it once, costs being
-    non-negative); a single-activity row is the two-state case, one pair.
+    the entry itself) and relaxes ``A[t] ← A[t & ~mask_j] + d_j`` for every
+    ``t`` sharing a bit with the mask, in ascending ``t`` (the
+    :func:`_cover_steps` pairs); ``G(i, j)`` is ``A[full]`` after the fold.
+    This is the same min-cost-cover relaxation as the table (a point used
+    twice can never beat using it once, costs being non-negative); a
+    single-activity row is the two-state case.
 
     Most folds are skipped, exactly.  Every cover through point ``j``
     starts from a base ``≥ G(i-1, j)`` and float addition of non-negatives
@@ -497,38 +421,18 @@ def dmom_prepared(
     the result as a value the Lemma-4 exit turns into ``inf``.  Entries of
     ``G`` above the threshold may therefore differ from the dense scan's
     (they stay above it); every entry at or below it — and the returned
-    value — is bit-identical (``tests/property/dense_dmom_oracle.py``).
+    value — is bit-identical (``tests/property/dense_dmom_oracle.py``; the
+    Python fold the C one replaced is ``python_fold_oracle.py``).
 
     The paper's row-level threshold early-exit (Lemma 4) is preserved:
     when a finished row's last entry exceeds *threshold* the candidate can
     never beat the current k-th best, and the scan aborts.
     """
-    if cand.mask_matrix is not None:
-        # All-array fast path: every row is the single-activity
-        # recurrence, so the whole DP stays in arrays (bit-identical to
-        # the scalar fold below — the parity suite asserts exact equality).
-        return _dmom_all_single_np(qk, cand, threshold)
-    prev = [0.0] * len(cand.positions)  # G(0, *) = 0 — guardian row
-    for row, mrow, n_bits in zip(cand.dist_rows, cand.mask_rows, qk.n_bits):
-        steps = _cover_steps(n_bits)
-        a = [INFINITY] * (1 << n_bits)
-        best = INFINITY  # A[full]
-        cur = []
-        for base, d, pm in zip(prev, row, mrow):
-            if pm:
-                floor = base + d  # of every cover through this point
-                if floor < best and floor <= threshold:
-                    a[0] = base
-                    for t, rest in steps[pm]:
-                        v = a[rest] + d
-                        if v < a[t]:
-                            a[t] = v
-                    best = a[-1]
-            cur.append(best)
-        if best > threshold:
-            return INFINITY
-        prev = cur
-    return prev[-1]
+    out = _np.full(1, INFINITY)
+    lengths = _np.array([len(cand.positions)], dtype=_np.int64)
+    _fold(qk, cand.dist_matrix, cand.mask_matrix, _ONE_SEGMENT, None, _ONE_SEGMENT,
+          lengths, threshold, 0, out)
+    return float(out[0])
 
 
 # ----------------------------------------------------------------------
@@ -541,7 +445,8 @@ class CandidateBlock:
     every candidate's relevant positions — built by a **single**
     Euclidean evaluation per round — and ``mask`` the same-shape
     per-query-point activity-overlap bitmasks (``rel`` caches ``mask !=
-    0``).  ``seg_of``/``lengths`` map a candidate to its column segment
+    0``).  ``seg_of``/``lengths`` (``int64`` arrays; ``seg_of`` is -1 for an
+    empty segment) map a candidate to its column segment
     (and to its slice of ``positions``, the columns' trajectory positions
     as one flat int array); candidates with no relevant position keep an
     empty segment so outputs align with the input order.  ``missing_rows``
@@ -581,21 +486,6 @@ class CandidateBlock:
         self.mask = mask
         self.rel = mask != 0
         self.missing_rows = missing_rows
-
-    def candidate_arrays(self, c: int) -> Optional[CandidateArrays]:
-        """The per-candidate view of candidate *c* — the list-form
-        :class:`CandidateArrays` :func:`prepare_candidate` would have built,
-        sliced back out of the block (``None`` for a candidate with no
-        relevant points, mirroring :func:`prepare_candidate`)."""
-        n = self.lengths[c]
-        if n == 0:
-            return None
-        s = self.seg_of[c]
-        return CandidateArrays(
-            self.positions[s : s + n].tolist(),
-            dist_rows=self.big[:, s : s + n].tolist(),
-            mask_rows=self.mask[:, s : s + n].tolist(),
-        )
 
 
 def _gather_hits(candidates):
@@ -661,9 +551,6 @@ def prepare_block(qk: QueryKernel, candidates) -> CandidateBlock:
     starts = counts.cumsum() - counts
     empty = counts == 0
     starts[empty] = -1
-    # Plain lists: the scorers index these one candidate at a time.
-    lengths_list = counts.tolist()
-    seg_of = starts.tolist()
     flat_ids = _np.flatnonzero(counts).tolist()
     seg_starts = starts[flat_ids].tolist()
 
@@ -680,7 +567,7 @@ def prepare_block(qk: QueryKernel, candidates) -> CandidateBlock:
     absent[empty] = False
     missing_rows = _np.argwhere(absent @ (qk.bit_table.T != 0))
     return CandidateBlock(
-        n_items, lengths_list, positions, seg_of, flat_ids, seg_starts, total,
+        n_items, counts, positions, starts, flat_ids, seg_starts, total,
         big, mask, missing_rows,
     )
 
@@ -855,49 +742,6 @@ def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None):
     return _fold_rows(rowvals, counts, invalid, stats)
 
 
-def _block_dmom_all_single(
-    qk: QueryKernel, block: CandidateBlock, todo: List[int], threshold: float
-):
-    """The all-single-activity Dmom DP for every surviving candidate at
-    once: each row is the two-``minimum.accumulate`` recurrence of
-    :func:`_dmom_all_single_np` over a ``[survivors, Lmax]`` matrix built
-    from the survivors' block segments.
-
-    Padding is inert: padded columns are masked out (their ``vals`` are
-    ``inf``) and the running row minimum carries each candidate's last
-    valid value into ``cur[:, -1]``, so every candidate's result — and its
-    Lemma-4 row threshold exit — is bit-identical to the per-candidate DP.
-    """
-    res = _np.full(block.n, INFINITY)
-    if not todo:
-        return res
-    lmax = max(block.lengths[c] for c in todo)
-    t_count = len(todo)
-    dist = _np.full((t_count, qk.m, lmax), INFINITY)
-    nz = _np.zeros((t_count, qk.m, lmax), dtype=bool)
-    for t, c in enumerate(todo):
-        s = block.seg_of[c]
-        n = block.lengths[c]
-        dist[t, :, :n] = block.big[:, s : s + n]
-        nz[t, :, :n] = block.rel[:, s : s + n]
-    ids = _np.asarray(todo)
-    active = _np.arange(t_count)
-    prev = _np.zeros((t_count, lmax))
-    for i in range(qk.m):
-        a0 = _np.minimum.accumulate(prev, axis=1)
-        vals = _np.where(nz[active, i, :], a0 + dist[active, i, :], INFINITY)
-        cur = _np.minimum.accumulate(vals, axis=1)
-        alive = cur[:, -1] <= threshold
-        if not alive.all():
-            active = active[alive]
-            if len(active) == 0:
-                return res
-            cur = cur[alive]
-        prev = cur
-    res[ids[active]] = prev[:, -1]
-    return res
-
-
 def block_dmom(
     qk: QueryKernel,
     block: CandidateBlock,
@@ -909,11 +753,10 @@ def block_dmom(
 
     The Lemma-3 gate is the whole-round :func:`block_dmm`; candidates whose
     gate exceeds the abandonment threshold are ``inf`` before any
-    per-candidate work, exactly like the per-candidate gate.
-    All-single-activity queries then run the batched DP; mixed queries
-    walk the survivors in ascending-gate order through the per-candidate
-    :func:`dmom_prepared` DP — the identical computation
-    :meth:`MatchEvaluator.dmom` performs — so that, with *k* set, the
+    per-candidate work, exactly like the per-candidate gate.  The C fold
+    then walks the survivors in ascending-gate order, reading each one's
+    columns of ``block.big`` / ``block.mask`` in place — the computation
+    :func:`dmom_prepared` performs — so that, with *k* set, the
     abandonment threshold tightens to the k-th smallest ``Dmom`` seen so
     far and later candidates (whose gates are lower bounds on their
     ``Dmom``) are abandoned against it.  Tightening only ever happens on
@@ -925,26 +768,9 @@ def block_dmom(
     exactly as the per-candidate gate would have counted it.
     """
     gates = block_dmm(qk, block, stats)
-    if qk.all_single:
-        todo = _np.nonzero(_np.isfinite(gates) & (gates <= threshold))[0]
-        return _block_dmom_all_single(qk, block, todo.tolist(), threshold)
     out = _np.full(block.n, INFINITY)
-    order = _np.argsort(gates, kind="stable").tolist()
-    tau = threshold
-    heap: List[float] = []
-    for c in order:
-        gate = gates[c]
-        if gate > tau or gate == INFINITY:
-            break  # ascending gates: nothing further can beat the k-th
-        cand = block.candidate_arrays(c)
-        if cand is None:  # unreachable for gated candidates; stay exact
-            continue
-        value = dmom_prepared(qk, cand, tau)
-        out[c] = value
-        if k is not None and value != INFINITY:
-            heapq.heappush(heap, -value)
-            if len(heap) > k:
-                heapq.heappop(heap)
-            if len(heap) == k and -heap[0] < tau:
-                tau = -heap[0]
+    if block.total:
+        order = _np.argsort(gates, kind="stable")
+        _fold(qk, block.big, block.mask, order, gates, block.seg_of, block.lengths,
+              threshold, k or 0, out)
     return out

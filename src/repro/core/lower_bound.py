@@ -27,8 +27,9 @@ When Algorithm 2 runs.  Algorithm 1 reads ``D_lb`` only through its
 termination test ``τ < D_lb`` (``τ`` the current k-th best distance), so
 :func:`beats_unseen` answers that test and runs the min-cover of
 :func:`lower_bound_distance` only when cheaper bounds cannot.  An infinite
-``τ`` never stops the search.  Otherwise one pass over the queue buckets
-each query point's ``mdist`` values: an empty bucket means ``D_lb = +inf``;
+``τ`` never stops the search.  Otherwise one pass over the queue (in C,
+:meth:`~repro.core.pipeline.CandidateRetriever.queue_sums`) buckets each
+query point's ``mdist`` values: an empty bucket means ``D_lb = +inf``;
 else each contribution lies between the bucket's nearest distance ``d_1``
 (a cover uses at least one cell, as ``q_i.Φ ≠ ∅``, and costs at least its
 distance; the cap is at least ``d_1`` too) and its ``m``-th ``d_m`` (the
@@ -133,16 +134,10 @@ def beats_unseen(
     """
     if threshold == INFINITY:
         return False
-    buckets: List[List[float]] = [[] for _ in retriever.query]
-    for mdist, _tick, _level, _code, qi, _cx, _cy in retriever.heap:
-        buckets[qi].append(mdist)
-    low = high = 0.0
-    for bucket in buckets:
-        if not bucket:
-            return True  # D_lb = +inf, and threshold is finite
-        bucket.sort()
-        low += bucket[0]
-        high += bucket[m - 1] if len(bucket) >= m else INFINITY
+    sums = retriever.queue_sums(m)
+    if sums is None:
+        return True  # D_lb = +inf, and threshold is finite
+    low, high = sums
     return threshold < low or (
         threshold < high and threshold < exact(retriever.frontiers(), retriever.bitmaps, m)
     )

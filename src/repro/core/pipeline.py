@@ -6,9 +6,11 @@ into the per-query :class:`~repro.core.context.ExecutionContext`:
 
 * :class:`CandidateRetriever` — the best-first priority queue over the
   HICL hierarchy and the leaf ITL lists (Section V-A).  One instance per
-  query: it owns the heap — which is also the per-query-point frontiers
-  that feed Algorithm 2 — the query's HICL bitmaps, and the seen-set.  It
-  hands out candidates as **rows** of the APL array store.
+  query: it owns the walk — heap, which is also the per-query-point
+  frontiers that feed Algorithm 2, and seen-row bitmap, both in C
+  (``repro/native/gat.c``) — and the query's HICL bitmaps, which it loads
+  for the walk level by level.  It hands out candidates as **rows** of the
+  APL array store.
 * :class:`ValidationStage` — an ordered chain of candidate filters, each
   with its own pruning counter on :class:`SearchStats`.  The paper's
   chain is TAS (cheap superset sketch, Section V-C) → APL (exact, one
@@ -31,9 +33,7 @@ and counted reads are those of a candidate-by-candidate walk of the chain
 from __future__ import annotations
 
 import itertools
-from heapq import heappop, heappush
-from math import hypot
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,92 +41,130 @@ from repro.core.context import ExecutionContext, SearchStats
 from repro.core.lower_bound import Frontier
 from repro.core.match import INFINITY
 from repro.core.query import Query
-from repro.index.gat.apl import ACTIVITY_BITS, APLStore, PostingRound
+from repro.index.gat.apl import APLStore, PostingRound
 from repro.index.gat.hicl import QueryBitmaps
 from repro.index.gat.index import GATIndex
 from repro.index.gat.tas import SketchTable
 from repro.model.trajectory import ActivityTrajectory
+from repro.native import ffi, lib
 from repro.storage.cache import LRUCache
 
 
 # ----------------------------------------------------------------------
 # Stage 1 — candidate retrieval (Section V-A)
 # ----------------------------------------------------------------------
-#: Per child-occupancy nibble, ``(j, dx, dy)`` of its set bits, ascending: child
-#: ``4·code + j`` of cell ``(cx, cy)`` is cell ``(2cx + dx, 2cy + dy)`` one level down.
-_NIBBLE_CHILDREN = tuple(
-    tuple((j, j & 1, j >> 1) for j in range(4) if n >> j & 1) for n in range(16)
+#: The C walk's heap entry as a NumPy record, for reading the queue in place.
+_ENTRY = np.dtype(
+    [("mdist", "f8"), ("tick", "i8"), ("code", "i8"),
+     ("level", "i4"), ("qi", "i4"), ("cx", "i4"), ("cy", "i4")]
 )
+assert _ENTRY.itemsize == ffi.sizeof("gat_entry")
 
 
 class CandidateRetriever:
     """Best-first traversal state for one query.
 
-    A single priority queue holds ``(mdist, tiebreak, level, cell,
-    query-point index, cx, cy)`` entries across all query points; popping
-    a non-leaf cell expands only the children containing at least one of
-    that query point's activities, popping a leaf harvests its ITL lists.
-    Work counters go to the per-query *stats*, never to shared state.
+    A single priority queue holds ``(mdist, tick)``-keyed entries of
+    ``(level, cell, query-point index, cx, cy)`` across all query points;
+    popping a non-leaf cell expands only the children containing at least
+    one of that query point's activities, popping a leaf harvests its ITL
+    lists.  Work counters go to the per-query *stats*, never to shared
+    state.
 
-    The whole walk runs in :meth:`retrieve`'s one frame.  A child
-    expansion reads one nibble of the query's HICL view (:attr:`bitmaps`,
-    a :class:`~repro.index.gat.hicl.QueryBitmaps`: ``q.Φ``'s bitmaps ORed
-    once per query point and level) and, per surviving child, two entries
-    of that (query point, level)'s axis gap tables
-    (:meth:`GridLevel.axis_gaps`, built on the level's first expansion)
-    indexed by the cell coordinates the entry carries, combined the way
-    :func:`~repro.geometry.primitives.min_dist_to_box` combines them —
-    bit-identical to the ``Rect`` path, so heap order, ``cells_popped``
-    and ``rounds`` are those of the per-cell ``frozenset`` walk kept in
-    ``tests/property`` as the oracle (counted HICL reads too, unless the
-    list cache evicts inside a query).  The frontier of ``q_i`` that feeds
-    Algorithm 2 is the queue's entries carrying ``qi``; :meth:`frontiers`
-    reads it off the heap when the termination test needs the exact bound.
+    The walk runs in C (``gat_walk_run`` in ``repro/native/gat.c``).  A
+    child expansion reads one nibble of the query's HICL union at the
+    child level (:class:`~repro.index.gat.hicl.QueryBitmaps`: ``q.Φ``'s
+    bitmaps ORed once per query point and level) and, per surviving child,
+    two entries of that (query point, level)'s axis gap tables
+    (:meth:`GridLevel.axis_gaps`), combined the way
+    :func:`~repro.geometry.primitives.min_dist_to_box` combines them — with
+    a port of ``math.hypot`` — so MINDIST, heap order, ``cells_popped`` and
+    ``rounds`` are bit for bit those of the Python walk kept in
+    ``tests/property/python_walk_oracle.py``.  A level's tables are built
+    on its first expansion: the walk returns here, :meth:`_load_tables`
+    loads the union through the view's own load path — so HICL reads land
+    exactly where they did — and the walk resumes.  The frontier of
+    ``q_i`` that feeds Algorithm 2 is the queue's entries carrying ``qi``:
+    :meth:`queue_sums` reads its two cheap bounds in C, :meth:`frontiers`
+    reads it whole when the exact bound is needed.
+
+    The ITL arrays, the ``seen`` row bitmap and the harvested (leaf,
+    activity) bitmap are taken when the query starts: an insert publishes
+    new ITL arrays, and this query keeps reading the old ones.
     """
 
-    __slots__ = (
-        "index", "query", "stats", "heap", "bitmaps", "seen", "exhausted", "_tick", "_done",
-        "_tables", "_parents",
-    )
+    __slots__ = ("index", "query", "stats", "bitmaps", "exhausted", "_walk", "_n_rows", "_keep")
 
     def __init__(self, index: GATIndex, query: Query, stats: SearchStats) -> None:
         self.index = index
         self.query = query
         self.stats = stats
-        self.heap: List[Tuple[float, int, int, int, int, int, int]] = []
         self.bitmaps = QueryBitmaps(index.hicl, query)
-        self.seen: Set[int] = set()  # APL rows handed out so far
-        # Per query point: (activity, leaf codes whose list of it was harvested).
-        done: Dict[int, Set[int]] = {}
-        self._done = [
-            tuple((a, done.setdefault(a, set())) for a in acts) for acts in self.bitmaps.activities
+        keys, offsets, rows, self._n_rows = index.itl.arrays
+        acts = self.bitmaps.activities
+        walk = lib.gat_walk_new()
+        if walk == ffi.NULL:
+            raise MemoryError("best-first walk")
+        walk = self._walk = ffi.gc(walk, lib.gat_walk_free)
+        walk.n_points, walk.depth, walk.n_keys = len(query), index.grid.depth, len(keys)
+        # Everything the walk points into, kept alive with it (tables join on load).
+        self._keep = [
+            ffi.new("gat_table[]", len(query) * (index.grid.depth + 1)),
+            ffi.from_buffer("int64_t[]", keys),
+            ffi.from_buffer("int64_t[]", offsets),
+            ffi.from_buffer("int64_t[]", rows),
+            ffi.new("int64_t[]", [a for point in acts for a in point]),
+            ffi.new("int64_t[]", list(itertools.accumulate(map(len, acts), initial=0))),
+            ffi.new("uint8_t[]", (len(keys) + 7) >> 3),  # harvested (leaf, activity) lists
+            ffi.new("uint8_t[]", (self._n_rows + 7) >> 3),  # rows handed out
+            ffi.new("int64_t[]", self._n_rows),  # ... in the order they were
         ]
-        self._tables: List[list] = [[None] * (index.grid.depth + 1) for _ in query]
-        self._tick = itertools.count()
+        (walk.tables, walk.keys, walk.offsets, walk.rows, walk.acts, walk.act_start,
+         walk.done, walk.seen, walk.out) = self._keep
         # The level-1 cells: a zero-batch walk expands each query point's root
         # (level 0, code 0, cell (0, 0)), q_0's first, and pops nothing.
-        self._parents = [(qi, 0, 0, 0, 0) for qi in reversed(range(len(query)))]
         self.retrieve(0)
 
-    def _level_tables(self, qi: int, level: int) -> tuple:
-        """Build ``_tables[qi][level]``: ``q_i``'s HICL union bytes, column
-        gaps and row gaps at *level*.  The union bytes come through the
-        view's own load path (read directly, like the ITL's lists in
-        :meth:`retrieve`, to keep method calls out of the walk), so its HICL
-        reads land exactly when a ``child_nibble`` probe would make them."""
+    def _load_tables(self, qi: int, level: int) -> None:
+        """Give the walk ``q_i``'s HICL union bytes, column gaps and row gaps
+        at *level*.  The union bytes come through the view's own load path,
+        so its HICL reads land exactly when a ``child_nibble`` probe would
+        make them."""
         bitmaps = self.bitmaps
         union = (bitmaps._maps[qi][level] or bitmaps._load(qi, level))[0]
-        gaps = self.index.grid.levels[level - 1].axis_gaps(self.query[qi].coord)
-        tables = self._tables[qi][level] = (union, *gaps)
-        return tables
+        gx, gy = self.index.grid.levels[level - 1].axis_gaps(self.query[qi].coord)
+        buffers = (ffi.from_buffer("uint8_t[]", union), ffi.new("double[]", gx), ffi.new("double[]", gy))
+        self._keep.append(buffers)
+        table = self._walk.tables[qi * (self._walk.depth + 1) + level]
+        table.bits, table.gx, table.gy = buffers
+
+    def queue(self) -> List[tuple]:
+        """The queued entries, ``(mdist, tick, code, level, qi, cx, cy)``, in
+        heap order."""
+        walk = self._walk
+        if not walk.size:
+            return []
+        heap = ffi.buffer(walk.heap, walk.size * _ENTRY.itemsize)
+        return np.frombuffer(heap, dtype=_ENTRY).tolist()
 
     def queue_top_mdist(self) -> float:
-        return self.heap[0][0] if self.heap else INFINITY
+        walk = self._walk
+        return walk.heap[0].mdist if walk.size else INFINITY
+
+    def queue_sums(self, m: int) -> Optional[Tuple[float, float]]:
+        """``(Σ d_1, Σ d_m)`` over the query points in query order — each
+        point's nearest queued ``mdist`` and its ``m``-th (``inf`` below
+        ``m`` entries) — or ``None`` when some point has nothing queued."""
+        sums = ffi.new("double[2]")
+        status = lib.gat_walk_sums(self._walk, m, sums)
+        if status < 0:
+            raise MemoryError("best-first walk")
+        return None if status else (sums[0], sums[1])
 
     def frontiers(self) -> List[Frontier]:
         """Each query point's not-yet-visited cells, read off the queue."""
         cells: List[list] = [[] for _ in self.query]
-        for mdist, _tick, level, code, qi, _cx, _cy in self.heap:
+        for mdist, _tick, code, level, qi, _cx, _cy in self.queue():
             cells[qi].append((mdist, level, code))
         return [Frontier(entries) for entries in cells]
 
@@ -140,11 +178,10 @@ class CandidateRetriever:
         counted reads and cache hit rate whenever that LRU evicts — the
         only two order-dependent counts.
 
-        Each ITL list is read once per query: its first visit puts every
-        row in ``seen``, so another query point reaching the same (leaf,
-        activity) — two visits in three on ``cpu_heavy`` — skips it on a set
-        probe.  A first visit is one ``seen.issuperset(list)``; only a leaf
-        holding something new (under one in ten) sorts ``union − seen``.
+        Each ITL list is read once per query (a harvested-list bitmap), and
+        a row is handed out once (a ``seen`` row bitmap): another query
+        point reaching the same (leaf, activity) — two visits in three on
+        ``cpu_heavy`` — skips it on one bit.
 
         *stop_mdist* bounds the expansion: popping stops (entries stay
         queued) once the queue top's MINDIST exceeds it.  Exact whenever
@@ -155,51 +192,19 @@ class CandidateRetriever:
         passes the cross-shard merged k-th here; the single-index path
         leaves it at ``inf`` (the paper's loop shape, untouched).
         """
-        heap, tick, tables, parents = self.heap, self._tick, self._tables, self._parents
-        lists = self.index.itl._lists.get  # ITL.rows_with without the call
-        harvested = self._done
-        depth = self.index.grid.depth
-        seen = self.seen
-        all_seen = seen.issuperset
-        new_candidates: List[int] = []
-        popped = leaves = 0
-
-        while True:
-            if parents:  # only the roots, on the zero-batch round __init__ runs
-                qi, level, code, cx, cy = parents.pop()
-            elif heap and len(new_candidates) < batch and heap[0][0] <= stop_mdist:
-                _mdist, _tick, level, code, qi, cx, cy = heappop(heap)
-                popped += 1
-                if level == depth:
-                    leaves += 1
-                    fresh: Set[int] = set()
-                    for activity, done in harvested[qi]:
-                        if code not in done:  # else harvested under another query point
-                            done.add(code)
-                            rows = lists((code << ACTIVITY_BITS) | activity, ())
-                            if not all_seen(rows):
-                                fresh.update(rows)
-                    if fresh:
-                        ascending = sorted(fresh - seen)  # ``-=`` would walk all of ``seen``
-                        seen.update(ascending)
-                        new_candidates += ascending
-                    continue
-            else:
-                break
-            level += 1  # push the children holding one of q_i's activities
-            union, gx, gy = tables[qi][level] or self._level_tables(qi, level)
-            base, cx, cy = code << 2, cx << 1, cy << 1
-            for j, dx, dy in _NIBBLE_CHILDREN[(union[code >> 1] >> ((code & 1) << 2)) & 15]:
-                x, y = gx[cx + dx], gy[cy + dy]
-                mdist = y if x == 0.0 else x if y == 0.0 else hypot(x, y)
-                heappush(heap, (mdist, next(tick), level, base + j, qi, cx + dx, cy + dy))
-
-        self.exhausted = not heap
+        walk = self._walk
+        start, popped, leaves = walk.n_out, walk.popped, walk.leaves
+        limit = start + min(batch, self._n_rows + 1)  # past every row there is
+        while status := lib.gat_walk_run(walk, limit, stop_mdist):
+            if status < 0:
+                raise MemoryError("best-first walk")
+            self._load_tables(walk.need_qi, walk.need_level)
+        self.exhausted = not walk.size
         stats = self.stats
-        stats.cells_popped += popped
-        stats.leaf_cells_visited += leaves
-        stats.candidates_retrieved += len(new_candidates)
-        return new_candidates
+        stats.cells_popped += walk.popped - popped
+        stats.leaf_cells_visited += walk.leaves - leaves
+        stats.candidates_retrieved += walk.n_out - start
+        return ffi.unpack(walk.out + start, walk.n_out - start)
 
 
 # ----------------------------------------------------------------------

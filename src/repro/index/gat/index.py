@@ -20,6 +20,9 @@ from repro.index.gat.tas import SketchTable, sketch_memory_bytes
 from repro.model.database import TrajectoryDatabase
 from repro.storage.disk import SimulatedDisk
 
+#: Deepest grid whose ITL keys fit ``int64``.
+MAX_DEPTH = 15
+
 
 @dataclass(frozen=True, slots=True)
 class GATConfig:
@@ -32,6 +35,11 @@ class GATConfig:
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise ValueError("grid depth must be >= 1")
+        if self.depth > MAX_DEPTH:
+            raise ValueError(
+                f"grid depth must be <= {MAX_DEPTH}: an ITL key (leaf code << 32 | "
+                "activity) is an int64, and a depth-16 leaf code << 32 overflows it"
+            )
         if not 0 <= self.memory_levels <= self.depth:
             raise ValueError("memory_levels must be within [0, depth]")
         if self.sketch_intervals < 1:
@@ -129,13 +137,14 @@ class GATIndex:
         self.db.add(trajectory)  # validates ID freshness first
         row = len(self.apl)  # the row the store gives it below
         leaf = self.grid.leaf_level
+        postings = []
         for point in trajectory:
             if not point.activities:
                 continue
             code = leaf.locate(point.coord)
             self.hicl.add_point(code, point.activities)
-            for activity in point.activities:
-                self.itl.add_posting(code, activity, row)
+            postings += [(code, activity) for activity in point.activities]
+        self.itl.add_row(postings, row)
         self.apl.store(trajectory)  # the next row of the store …
         self.sketches.extend()  # … and of the sketch table over it
         self.version += 1

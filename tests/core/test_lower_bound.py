@@ -44,15 +44,15 @@ class TestFrontier:
         retriever.retrieve(batch=1)  # walks the nearest chain down to a leaf
         (after,) = retriever.frontiers()
         assert nearest not in after.nearest(len(after))
-        assert len(after) == len(retriever.heap)
+        assert len(after) == len(retriever.queue())
         assert after.nearest(1)[0][0] > 0.0
 
     def test_remove_absent_is_noop(self):
         """Reading the frontier does not disturb the heap."""
         retriever = self._retriever()
-        heap_before = list(retriever.heap)
+        queue_before = retriever.queue()
         first = retriever.frontiers()[0].nearest(10)
-        assert retriever.heap == heap_before
+        assert retriever.queue() == queue_before
         assert retriever.frontiers()[0].nearest(10) == first
 
     def test_mth_distance(self):

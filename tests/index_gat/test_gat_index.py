@@ -20,6 +20,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             GATConfig(sketch_intervals=0)
 
+    def test_depth_limit_keeps_itl_keys_in_int64(self):
+        """An ITL key is ``(leaf code << 32) | activity``: at depth 16 a leaf
+        code reaches 4**16 - 1, and shifting it by 32 overflows int64."""
+        assert GATConfig(depth=15, memory_levels=6).depth == 15
+        assert ((4**15 - 1) << 32 | (2**32 - 1)) < 2**63 <= (4**16 - 1) << 32
+        with pytest.raises(ValueError, match="<= 15"):
+            GATConfig(depth=16, memory_levels=6)
+
 
 class TestBuild:
     def test_components_present(self, small_db):

@@ -68,15 +68,26 @@ class TestITL:
 
     def test_memory_cost_positive(self, itl):
         # a in the (1, 1) leaf, c beside it, b at (9, 9): 8 per entry, 16 per list
-        assert len(itl._lists) == 3
+        assert len(itl) == 3
         assert itl.memory_cost_bytes() == 8 * 4 + 16 * 3
 
     def test_add_posting_appends_the_newest_row_once(self, db, grid, itl):
         a = db.vocabulary.id_of("a")
         leaf = grid.leaf_level.locate((1.0, 1.0))
-        itl.add_posting(leaf, a, 2)
-        itl.add_posting(leaf, a, 2)  # a second point of row 2 in the same cell
+        itl.add_row([(leaf, a), (leaf, a)], 2)  # two points of row 2 in the same cell
         assert itl.rows_with(leaf, a) == (0, 1, 2)
+
+    def test_add_row_publishes_new_arrays(self, db, grid, itl):
+        """A new (cell, activity) opens a list; the arrays a query started
+        with are replaced, never changed."""
+        b = db.vocabulary.id_of("b")
+        leaf = grid.leaf_level.locate((1.0, 1.0))
+        before = itl.arrays
+        itl.add_row([(leaf, b)], 2)
+        assert itl.rows_with(leaf, b) == (2,)
+        assert len(itl) == 4 and itl.arrays.n_rows == 3
+        assert len(before.keys) == 3 and before.n_rows == 2 and itl.arrays is not before
+        assert itl.memory_cost_bytes() == 8 * 5 + 16 * 4
 
 
 class TestAPL:

@@ -14,12 +14,7 @@ below the threshold; this one leaves out nothing.
 
 from typing import List
 
-from repro.core.kernels import (
-    INFINITY,
-    CandidateArrays,
-    QueryKernel,
-    _dmom_all_single_np,
-)
+from repro.core.kernels import INFINITY, CandidateArrays, QueryKernel
 
 
 def _dense_row_single(prev: List[float], row: List[float], mrow: List[int]) -> List[float]:
@@ -58,13 +53,11 @@ def dense_dmom_prepared(
     ``G(i, j)`` is ``A[full]`` after the fold.  When a finished row's last
     entry exceeds *threshold* the scan aborts (Lemma 4).
     """
-    if cand.mask_matrix is not None:
-        return _dmom_all_single_np(qk, cand, threshold)
     n = len(cand.positions)
     prev = [0.0] * (n + 1)  # G(0, *) = 0 — guardian row
     for i in range(qk.m):
-        row = cand.dist_rows[i]
-        mrow = cand.mask_rows[i]
+        row = cand.dist_matrix[i].tolist()
+        mrow = cand.mask_matrix[i].tolist()
         if qk.n_bits[i] == 1:
             cur = _dense_row_single(prev, row, mrow)
         else:

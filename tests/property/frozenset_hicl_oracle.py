@@ -2,7 +2,8 @@
 the HICL became bitmaps — kept (bar names, and reading the lists through
 ``HICL.cells_with_activity``, the decoded view of the bitmap with the same
 cache/disk accounting) as the oracle ``test_retrieval_differential.py``
-compares the production path against, pop by pop.
+compares the bitmap walk against, pop by pop (the Python one in
+``python_walk_oracle.py``; the C walk is compared with that one).
 
 What lives here and nowhere in ``src/`` any more:
 

@@ -36,6 +36,7 @@ import pytest
 from dict_block_oracle import dict_prepare_block
 from group_loop_dmm_oracle import loop_block_dmm
 from hypothesis import example, given, settings, strategies as st
+from python_fold_oracle import python_block_dmom
 
 from repro.core import kernels
 from repro.core.evaluator import MatchEvaluator
@@ -117,8 +118,8 @@ class _Stats:
 def _assert_same_block(got, want):
     assert got.n == want.n
     assert got.total == want.total
-    assert got.lengths == want.lengths
-    assert got.seg_of == want.seg_of
+    assert got.lengths.tolist() == want.lengths
+    assert got.seg_of.tolist() == want.seg_of
     assert got.flat_ids == want.flat_ids
     assert got.seg_starts == want.seg_starts
     for c in range(want.n):
@@ -351,6 +352,52 @@ def test_block_dmom_matches_gated_per_candidate_path(qraw, raws, threshold):
     assert block_eval.stats.dmm_evaluations == cand_eval.stats.dmm_evaluations
     assert (
         block_eval.stats.point_match_points == cand_eval.stats.point_match_points
+    )
+
+
+@given(
+    st.one_of(query_st, single_query_st.map(lambda raw: [(x, y, {a}) for x, y, a in raw])),
+    round_st,
+    threshold_st,
+    st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+)
+@settings(max_examples=150, deadline=None)
+# Two candidates tied on Dmom with k = 1: the tie must not abandon either.
+@example([(0.0, 0.0, {1})], [[_pt({1}, 3.0, 0.0)], [_pt({1}, 0.0, 3.0)]], INFINITY, 1)
+# Equal gates (Dmm 0); the first candidate's Dmom 0 tightens the threshold,
+# so the second (Dmom 5: its only activity-1 point comes after its first
+# {2, 3} point) is abandoned mid-DP.
+@example(
+    [(0.0, 0.0, {1}), (10.0, 0.0, {2, 3})],
+    [
+        [_pt({1}, 0.0, 0.0), _pt({2, 3}, 10.0, 0.0)],
+        [_pt({2, 3}, 10.0, 0.0), _pt({1}, 0.0, 0.0), _pt({2, 3}, 10.0, 5.0)],
+    ],
+    INFINITY,
+    1,
+)
+def test_block_dmom_equals_the_python_fold(qraw, raws, threshold, k):
+    """The C fold against ``block_dmom`` as it ran in Python: without *k*
+    every value is ``==``; with *k* the C fold also tightens the threshold
+    on all-single-activity queries (which the Python version ran untightened,
+    batched), so there the k smallest ``(value, candidate)`` pairs — the
+    ranking the top-k collector keeps — must be ``==`` and everything else
+    must stay above the k-th value."""
+    query = _query(qraw)
+    qk = QueryKernel(query, EUCLID)
+    block = kernels.prepare_block(qk, _posted(query, _round(raws)))
+    got_stats, want_stats = _Stats(), _Stats()
+    got = kernels.block_dmom(qk, block, got_stats, threshold, k=k)
+    want = python_block_dmom(qk, block, want_stats, threshold, k=k)
+    assert got_stats.point_match_points == want_stats.point_match_points
+    if k is None or not qk.all_single:
+        assert got.tolist() == want.tolist()
+        return
+    top = sorted((v, c) for c, v in enumerate(want.tolist()) if v != INFINITY)[:k]
+    assert sorted((v, c) for c, v in enumerate(got.tolist()) if v != INFINITY)[:k] == top
+    assert all(
+        v == want[c] or (v == INFINITY and len(top) == k and want[c] >= top[-1][0])
+        for c, v in enumerate(got.tolist())
     )
 
 

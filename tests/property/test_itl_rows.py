@@ -49,7 +49,7 @@ def _assert_same_lists(index: GATIndex) -> None:
             assert list(rows) == sorted(set(rows))  # ascending, no duplicate row
             want = oracle.trajectories_with(code, activity)
             assert sorted(ids[row] for row in rows) == list(want)
-    assert len(index.itl._lists) == n_lists
+    assert len(index.itl) == n_lists
     assert index.itl.memory_cost_bytes() == oracle.memory_cost_bytes()
 
 

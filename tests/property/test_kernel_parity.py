@@ -14,14 +14,10 @@ import math
 import pytest
 from dense_dmom_oracle import dense_dmom_prepared
 from hypothesis import example, given, settings, strategies as st
+from python_fold_oracle import dmom_all_single_np, list_form, python_dmom_prepared
 
 from repro.core import kernels
-from repro.core.kernels import (
-    CandidateArrays,
-    QueryKernel,
-    min_cover_cost,
-    resolve_kernel,
-)
+from repro.core.kernels import QueryKernel, min_cover_cost, resolve_kernel
 from repro.core.evaluator import MatchEvaluator
 from repro.core.match import INFINITY, PointMatchTable
 from repro.core.order_match import minimum_order_match_distance
@@ -88,7 +84,7 @@ def test_euclidean_matrix_matches_metric(qraw, traw):
     query, trajectory = _query(qraw), _trajectory(traw)
     qk = QueryKernel(query, EUCLID)
     positions = list(range(len(trajectory)))
-    rows = qk.distance_rows(trajectory, positions)
+    rows = qk.distance_matrix(trajectory, positions).tolist()
     for i, q in enumerate(query):
         for j, p in enumerate(trajectory.points):
             want = EUCLID(q.coord, p.coord)
@@ -232,12 +228,14 @@ def _pt(x, y, *acts):
 # Row 2 is never coverable: activity 5 occurs nowhere.
 @example([_pt(0, 0, 1, 2), _pt(1, 0, 2, 5)], [_pt(0, 1, 1, 2), _pt(1, 1, 2), _pt(2, 1, 1)], 50.0)
 def test_dmom_prepared_equals_dense_scan_at_every_threshold(qraw, traw, arbitrary):
-    """``dmom_prepared`` leaves out the folds that cannot matter; the dense
-    scan performs them all.  The two must return ``==`` values — not close
-    ones — at every threshold: none, the value itself (which must survive),
-    one ulp either side of it, every row's own last entry and its
-    neighbours (the Lemma-4 exit's boundary), the ``Dmm`` gate the engine
-    actually passes first, zero, and an arbitrary float."""
+    """``dmom_prepared`` (the C fold) leaves out the folds that cannot
+    matter; the dense scan performs them all.  The two must return ``==``
+    values — not close ones — at every threshold: none, the value itself
+    (which must survive), one ulp either side of it, every row's own last
+    entry and its neighbours (the Lemma-4 exit's boundary), the ``Dmm`` gate
+    the engine actually passes first, zero, and an arbitrary float.  So
+    must the Python fold the C one replaced, and — on queries of
+    single-activity points — the all-array DP that ran there."""
     query, trajectory = _query(qraw), _trajectory(traw)
     qk = QueryKernel(query, EUCLID)
     cand = kernels.prepare_candidate(qk, trajectory)
@@ -261,17 +259,22 @@ def test_dmom_prepared_equals_dense_scan_at_every_threshold(qraw, traw, arbitrar
             math.nextafter(pivot, -INFINITY),
             math.nextafter(pivot, INFINITY),
         }
+    rows = list_form(cand.dist_matrix, cand.mask_matrix)
     for threshold in thresholds:
         got = kernels.dmom_prepared(qk, cand, threshold)
         want = dense_dmom_prepared(qk, cand, threshold)
         assert got == want, (threshold, got, want)
+        assert python_dmom_prepared(qk, *rows, threshold) == want, threshold
+        if qk.all_single:
+            assert dmom_all_single_np(qk, cand.dist_matrix, cand.mask_matrix, threshold) == want
 
 
 def test_dmom_prepared_single_rows_in_a_mixed_query_are_the_scalar_dp():
-    """No width-1 special case is left in the mixed DP: a single-activity
-    row between multi-activity ones still scores exactly like the scalar
-    Algorithm 4 on shared distances (and a query of *only* single-activity
-    points, pushed through the list-form DP, like its array fast path)."""
+    """No width-1 special case is left in the DP: a single-activity row
+    between multi-activity ones still scores exactly like the scalar
+    Algorithm 4 on shared distances, and so does a query of *only*
+    single-activity points — through the C fold, the Python fold it
+    replaced and the all-array DP that query shape used to take."""
     metric = _TabulatedEuclid()
     trajectory = _trajectory(
         [_pt(0, 1, 1), _pt(0, 2, 2, 3), _pt(1, 2, 3), _pt(2, 3, 4, 2), _pt(3, 3, 2)]
@@ -279,7 +282,7 @@ def test_dmom_prepared_single_rows_in_a_mixed_query_are_the_scalar_dp():
     mixed = _query([_pt(0, 0, 1, 2), _pt(1, 1, 3), _pt(2, 2, 2, 4)])
     qk = QueryKernel(mixed, metric)
     cand = kernels.prepare_candidate(qk, trajectory)
-    assert cand.mask_matrix is None and 1 in qk.n_bits
+    assert not qk.all_single and 1 in qk.n_bits
     assert _close(
         kernels.dmom_prepared(qk, cand),
         minimum_order_match_distance(mixed, trajectory, metric),
@@ -287,16 +290,12 @@ def test_dmom_prepared_single_rows_in_a_mixed_query_are_the_scalar_dp():
 
     single = _query([_pt(0, 0, 1), _pt(1, 1, 3), _pt(2, 2, 2)])
     sqk = QueryKernel(single, metric)
-    array_form = kernels.prepare_candidate(sqk, trajectory)
-    assert array_form.mask_matrix is not None
-    list_form = CandidateArrays(
-        array_form.positions,
-        dist_rows=array_form.dist_matrix.tolist(),
-        mask_rows=array_form.mask_matrix.astype(int).tolist(),
-    )
+    cand = kernels.prepare_candidate(sqk, trajectory)
+    assert sqk.all_single
     want = minimum_order_match_distance(single, trajectory, metric)
-    assert kernels.dmom_prepared(sqk, list_form) == want
-    assert kernels.dmom_prepared(sqk, array_form) == want
+    assert kernels.dmom_prepared(sqk, cand) == want
+    assert python_dmom_prepared(sqk, *list_form(cand.dist_matrix, cand.mask_matrix)) == want
+    assert dmom_all_single_np(sqk, cand.dist_matrix, cand.mask_matrix) == want
 
 
 # ----------------------------------------------------------------------

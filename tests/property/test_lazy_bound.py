@@ -6,8 +6,10 @@ state — before the first round and after each — for every ``τ`` that can
 sit on a decision edge: ``inf``, ``Σ d_1``, ``Σ d_m``, ``D_lb`` and its two
 float neighbours, ``0.0`` and a random value.  The states come from
 ``test_retrieval_differential``'s generated databases, grids, queries and
-round bounds.  It must also run Algorithm 2 exactly when ``Σ d_1 ≤ τ <
-Σ d_m``, and the two sums must bracket ``D_lb``.
+round bounds (grids up to depth 8).  It must also run Algorithm 2 exactly
+when ``Σ d_1 ≤ τ < Σ d_m``, and the two sums — which the C walk computes
+(``CandidateRetriever.queue_sums``) — must equal the ones summed here from
+the frontiers and bracket ``D_lb``.
 """
 
 import math
@@ -38,6 +40,7 @@ def _sums(frontiers, m):
 def _check_state(retriever, m, rng):
     lower = lower_bound_distance(retriever.frontiers(), retriever.bitmaps, m)
     sums = _sums(retriever.frontiers(), m)
+    assert retriever.queue_sums(m) == sums  # the C pass over the queue, exactly
     taus = [
         INFINITY,
         lower,

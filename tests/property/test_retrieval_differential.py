@@ -1,29 +1,31 @@
-"""Differential test: the bitmap best-first retrieval against the per-cell
-``frozenset`` walk it replaced (``frozenset_hicl_oracle.py``).
+"""Differential test: the C best-first walk against the Python walk it
+replaced (``python_walk_oracle.py``), and that one against the per-cell
+``frozenset`` walk before it (``frozenset_hicl_oracle.py``).
 
-Both sides are driven through the engine's round loop — ``retrieve`` then
-Algorithm 2 — over random databases, grids, queries and round bounds, and
-must agree on the **full pop sequence** ``(mdist, level, code, qi)``
-(``==`` on the floats: MINDIST is bit-identical or the heap order drifts),
-on every round's ``new_candidates`` list in order (production hands out APL
-rows, the oracle the trajectory ids of its own id-keyed ITL, sorted by row
-within a leaf pop — the defined order), on every round's ``D_lb``, and on
-the counted disk reads and pages of each query.  Each side runs on its own
-freshly built index (own disk, own list cache) so the accounting is
-independent.  Trajectory ids *descend* as rows ascend, so an id-ordered or
-set-ordered harvest cannot pass for a row-ordered one.
+All three are driven through the engine's round loop — ``retrieve`` then
+Algorithm 2 — over random databases, grids (depths 1–8), queries, round
+bounds and inserts.  The two bitmap walks must agree round by round on the
+rows handed out, in order, on ``cells_popped`` and leaves, on each query
+point's frontier, on ``queue_top_mdist`` and ``exhausted`` (``==`` on the
+floats: MINDIST is bit-identical or the heap order drifts).  The Python
+walk and the ``frozenset`` walk must agree on the **full pop sequence**
+``(mdist, level, code, qi)``.  All three must agree on every round's
+``D_lb``, on the round's candidates (the oracle hands out the trajectory
+ids of its own id-keyed ITL, sorted by row within a leaf pop — the defined
+order), and on the counted disk reads and pages of each query.  Each side
+runs on its own freshly built index (own disk, own list cache) so the
+accounting is independent.  Trajectory ids *descend* as rows ascend, so an
+id-ordered or set-ordered harvest cannot pass for a row-ordered one.
 """
 
-import heapq
 import random
-from contextlib import contextmanager
 from typing import List, NamedTuple, Optional, Tuple
-from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
 import frozenset_hicl_oracle as oracle_walk
 from frozenset_hicl_oracle import OracleRetriever
+from python_walk_oracle import PythonWalkRetriever
 from repro.core import pipeline
 from repro.core.context import SearchStats
 from repro.core.lower_bound import lower_bound_distance
@@ -85,43 +87,53 @@ def _trajectory(row: int, raw: List[RawPoint]) -> ActivityTrajectory:
     )
 
 
-@contextmanager
-def _recorded_pops():
-    """Record what the production retriever pops, from outside."""
-    pops = []
-
-    def recording_heappop(heap):
-        entry = heapq.heappop(heap)
-        pops.append((entry[0], entry[2], entry[3], entry[4]))
-        return entry
-
-    with mock.patch.object(pipeline, "heappop", recording_heappop):
-        yield pops
-
-
-def _run_rounds(case: Case, retriever, lower_bound):
+def _run_rounds(case: Case, retriever, lower_bound, state=lambda: ()):
     rounds = []
     for r in range(MAX_ROUNDS):
         stop = case.stops[r % len(case.stops)]
         new = retriever.retrieve(case.batch, INFINITY if stop is None else stop)
-        rounds.append((new, lower_bound()))
+        rounds.append((new, lower_bound(), *state()))
         if retriever.exhausted:
             break
     return rounds
 
 
-def _drive_production(case: Case, index: GATIndex, query: Query):
-    with _recorded_pops() as pops, index.disk.track() as disk:
-        retriever = pipeline.CandidateRetriever(index, query, SearchStats())
+def _walk_state(retriever, counters):
+    """What the two bitmap walks must agree on after every round."""
+    return lambda: (
+        counters.cells_popped,
+        counters.leaf_cells_visited,
+        [f.nearest(len(f)) for f in retriever.frontiers()],
+        retriever.queue_top_mdist(),
+        retriever.exhausted,
+    )
+
+
+def _drive_c_walk(case: Case, index: GATIndex, query: Query):
+    with index.disk.track() as disk:
+        stats = SearchStats()
+        retriever = pipeline.CandidateRetriever(index, query, stats)
         rounds = _run_rounds(
             case,
             retriever,
             lambda: lower_bound_distance(retriever.frontiers(), retriever.bitmaps, case.m),
+            _walk_state(retriever, stats),
         )
-    assert retriever.stats.cells_popped == len(pops)
-    ids = index.apl.image.ids
-    rounds = [(ids[new].tolist() if new else [], bound) for new, bound in rounds]
-    return pops, rounds, (disk.reads, disk.pages_read)
+    assert stats.candidates_retrieved == sum(len(r[0]) for r in rounds)
+    return rounds, (disk.reads, disk.pages_read)
+
+
+def _drive_python_walk(case: Case, index: GATIndex, query: Query):
+    with index.disk.track() as disk:
+        retriever = PythonWalkRetriever(index, query)
+        rounds = _run_rounds(
+            case,
+            retriever,
+            lambda: lower_bound_distance(retriever.frontiers(), retriever.bitmaps, case.m),
+            _walk_state(retriever, retriever),
+        )
+    assert retriever.cells_popped == len(retriever.pops)
+    return retriever.pops, rounds, (disk.reads, disk.pages_read)
 
 
 def _drive_oracle(case: Case, index: GATIndex, query: Query):
@@ -132,20 +144,24 @@ def _drive_oracle(case: Case, index: GATIndex, query: Query):
 
 
 def _check(case: Case) -> None:
-    production = _build_index(case, case.trajectories)
-    oracle = _build_index(case, case.trajectories)
+    c_index, py_index, oracle = (_build_index(case, case.trajectories) for _ in range(3))
     for n, raw in enumerate(case.queries):
         query = Query([QueryPoint(x, y, frozenset(acts)) for x, y, acts in raw])
         if case.clear_cache:
-            production.hicl.clear_cache()
-            oracle.hicl.clear_cache()
-        got_pops, got_rounds, got_io = _drive_production(case, production, query)
+            for index in (c_index, py_index, oracle):
+                index.hicl.clear_cache()
+        got_rounds, got_io = _drive_c_walk(case, c_index, query)
+        py_pops, py_rounds, py_io = _drive_python_walk(case, py_index, query)
         want_pops, want_rounds, want_io = _drive_oracle(case, oracle, query)
-        assert got_pops == want_pops
-        assert got_rounds == want_rounds
-        assert got_io == want_io
+        assert got_rounds == py_rounds
+        assert py_pops == want_pops
+        ids = c_index.apl.image.ids
+        assert [(ids[new].tolist() if new else [], bound) for new, bound, *_ in got_rounds] == want_rounds
+        assert got_io == py_io == want_io
         if n == 0 and case.insert is not None:
-            production.insert_trajectory(_trajectory(len(case.trajectories), case.insert))
+            inserted = _trajectory(len(case.trajectories), case.insert)
+            c_index.insert_trajectory(inserted)
+            py_index.insert_trajectory(inserted)
             oracle = _build_index(case, case.trajectories + [case.insert])
 
 
@@ -160,7 +176,7 @@ _query_acts = st.sets(
 
 
 @st.composite
-def _cases(draw) -> Case:
+def _cases(draw, max_depth: int = 8) -> Case:
     trajectories = draw(
         st.lists(
             st.lists(st.tuples(_coord, _coord, _known_acts), min_size=1, max_size=5),
@@ -168,7 +184,7 @@ def _cases(draw) -> Case:
             max_size=6,
         )
     )
-    depth = draw(st.integers(1, 5))
+    depth = draw(st.integers(1, max_depth))
     # Query points inside, on the edge of, and well outside the box.
     query_coord = st.integers(-8, 48).map(lambda v: v * 2.5)
     queries = draw(
@@ -239,6 +255,18 @@ assert list(set(_CROWD_IDS)) not in (sorted(_CROWD_IDS), sorted(_CROWD_IDS, reve
 @example(Case(_SPREAD, depth=1, memory_levels=0, queries=[_TWO_POINT_QUERY]))
 # depth 8 with the paper's split: levels 7 and 8 are disk-resident
 @example(Case(_SPREAD, depth=8, memory_levels=6, queries=[_TWO_POINT_QUERY, _TWO_POINT_QUERY]))
+# depth 8, finite bounds, and an insert between the queries
+@example(
+    Case(
+        _SPREAD,
+        depth=8,
+        memory_levels=6,
+        queries=[_TWO_POINT_QUERY, _TWO_POINT_QUERY],
+        batch=1,
+        stops=(3.0, None, 40.0),
+        insert=[(10.0, 10.0, (0, 1)), (90.0, 70.0, (2,))],
+    )
+)
 # an activity no list holds, alone and beside a present one
 @example(Case(_SPREAD, depth=4, memory_levels=2, queries=[[(50.0, 50.0, (GHOST,))]]))
 @example(Case(_SPREAD, depth=4, memory_levels=2, queries=[[(50.0, 50.0, (0, GHOST))]]))
@@ -265,7 +293,7 @@ def test_bitmap_retrieval_equals_frozenset_walk(case):
     _check(case)
 
 
-@given(_cases())
+@given(_cases(max_depth=5))
 @settings(max_examples=60, deadline=None)
 @example(Case(_SPREAD, depth=4, memory_levels=2, queries=[[(50.0, 50.0, (0, GHOST)), (0.0, 0.0, (2, 3, 4))]]))
 def test_bitmap_probes_equal_frozenset_walkers(case):
