@@ -142,7 +142,7 @@ def test_fault_tolerance_scenarios(benchmark, la_db, workload):
             fault_policy=FaultPolicy(max_retries=4),
             breaker=BreakerConfig(failure_threshold=2, probation_after_s=60.0),
         ) as replicated:
-            served = [engine.index for engine in replicated.placement.engines()]
+            served = [engine.index for bank in replicated.placement.banks for engine in bank]
             wall, responses = _serve(replicated, workload, served)
             stats = replicated.stats()
         exact = _rankings(responses) == truth

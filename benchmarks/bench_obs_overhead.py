@@ -1,10 +1,14 @@
-"""Observability overhead — instrumented-but-disabled must be ~free.
+"""Observability overhead — a passed-in disabled handle must be ~free.
 
-The unified observability layer promises pay-for-what-you-use: a service
-built with ``Observability.disabled()`` (metrics registry live, tracer a
-:class:`~repro.obs.trace.NullTracer`) must serve within 5% of the same
-service built with no ``obs`` at all.  This benchmark measures exactly
-that contract on the :class:`QueryService` hot path:
+Every service counts into a metric registry whether or not it is handed
+one: with ``obs=None`` (the default) it keeps a private
+:class:`~repro.obs.MetricRegistry`, so both arms here pay the same
+counters.  What the ratio measures is the rest of the contract — a
+service built with a passed-in ``Observability.disabled()`` handle (its
+registry shared and exported, disks bound to a
+:class:`~repro.obs.trace.NullTracer`, every span site asking that tracer
+whether it is on) must serve within 5% of the default service.  This
+benchmark measures exactly that on the :class:`QueryService` hot path:
 
 * **alternating pairs** — baseline and instrumented runs interleave
   (``A B A B ...``) so thermal drift or a noisy neighbour biases both
@@ -22,7 +26,7 @@ that contract on the :class:`QueryService` hot path:
 * **cold result cache** — ``result_cache_size=0``, otherwise the second
   rep would serve memoized tuples and measure nothing.
 
-The throughput ratio (baseline CPU over disabled CPU) is emitted as
+The throughput ratio (default CPU over disabled-handle CPU) is emitted as
 ``BENCH_obs.json`` — written *before* the assert, so a failing run still
 leaves its evidence and the all-files gate never reports the file
 missing — asserted ``>= 0.95`` here, and gated by
@@ -87,8 +91,8 @@ def test_disabled_observability_overhead(benchmark, la_db, gat_index):
     def run():
         obs = Observability.disabled()
         pairs = [(serve_once(None), serve_once(obs)) for _ in range(PAIRS)]
-        # Throughput ratio per pair: disabled-instrumentation over
-        # uninstrumented.
+        # Throughput ratio per pair: a passed-in disabled handle over the
+        # default (obs=None, a private registry).
         ratios = [baseline / disabled for baseline, disabled in pairs]
         baseline_s = statistics.median(b for b, _ in pairs)
         disabled_s = statistics.median(d for _, d in pairs)

@@ -115,7 +115,7 @@ def test_replica_scaling_speedup_and_parity(benchmark, la_db, workload):
                 result_cache_size=0,
             )
             try:
-                served = [engine.index for engine in service.placement.engines()]
+                served = [engine.index for bank in service.placement.banks for engine in bank]
                 wall, responses = _run(service, served, workload)
             finally:
                 service.close()

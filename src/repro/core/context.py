@@ -35,6 +35,15 @@ class SearchStats:
     distance_computations: int = 0
     disk_reads: int = 0
     disk_pages_read: int = 0
+    #: Lookups of the shared HICL list cache this query made — one per
+    #: (query point, disk-resident level, activity) it loaded — and how
+    #: many hit; a miss is a counted read.
+    hicl_cache_hits: int = 0
+    hicl_cache_lookups: int = 0
+    #: Lookups of the engine's APL residency LRU — one per candidate
+    #: reaching the APL filter — and how many hit; a miss is a counted read.
+    apl_cache_hits: int = 0
+    apl_cache_lookups: int = 0
 
     def merge(self, other: "SearchStats") -> None:
         """Accumulate another execution's counters into this one.

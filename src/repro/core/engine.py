@@ -59,7 +59,7 @@ from repro.core.query import Query
 from repro.core.results import SearchResult
 from repro.index.gat.index import GATIndex
 from repro.model.distance import DistanceMetric
-from repro.storage.cache import CacheStats, LRUCache
+from repro.storage.cache import LRUCache
 
 __all__ = ["EngineConfig", "GATSearchEngine", "SearchStats", "ExecutionContext"]
 
@@ -167,10 +167,6 @@ class GATSearchEngine:
     def oatsq(self, query: Query, k: int, explain: bool = False) -> List[SearchResult]:
         """Top-k trajectories by minimum order-sensitive match distance."""
         return self.execute(query, k, order_sensitive=True, explain=explain).ranked
-
-    def apl_cache_stats(self) -> Optional[CacheStats]:
-        """Hit/miss accounting of the engine's APL LRU (None if disabled)."""
-        return self.apl_cache.stats() if self.apl_cache is not None else None
 
     # ------------------------------------------------------------------
     # Pipeline assembly

@@ -99,7 +99,7 @@ class CandidateRetriever:
         self.index = index
         self.query = query
         self.stats = stats
-        self.bitmaps = QueryBitmaps(index.hicl, query)
+        self.bitmaps = QueryBitmaps(index.hicl, query, stats)
         keys, offsets, rows, self._n_rows = index.itl.arrays
         acts = self.bitmaps.activities
         walk = lib.gat_walk_new()
@@ -243,7 +243,9 @@ class APLFilter:
         self.cache = cache
 
     def admits(self, ctx: ExecutionContext, candidates: PostingRound):
-        self.apl.fetch_many(candidates.ids.tolist(), self.cache)
+        hits, lookups = self.apl.fetch_many(candidates.ids.tolist(), self.cache)
+        ctx.stats.apl_cache_hits += hits
+        ctx.stats.apl_cache_lookups += lookups
         return (candidates.lookup() != candidates.image.n_keys).all(axis=1)
 
 

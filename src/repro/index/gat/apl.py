@@ -272,27 +272,30 @@ class APLStore:
 
     def fetch_many(
         self, trajectory_ids: Iterable[int], cache: Optional[LRUCache] = None
-    ) -> None:
-        """Make a whole validation round's records resident in one call.
+    ) -> Tuple[int, int]:
+        """Make a whole validation round's records resident in one call;
+        returns the round's ``(hits, lookups)`` on *cache* (``(0, 0)``
+        without one).
 
         One pass over *cache* (an LRU of resident records, keyed by
         trajectory id) splits the round into hits and misses, the misses go
         to the simulated disk as a single grouped read
-        (:meth:`SimulatedDisk.get_many`) and become resident.  Nothing is
-        returned: a resident record is read from :attr:`image` by row.
-        Records are written once at build/insert time and immutable
-        afterwards, so a shared cache is safe across concurrent queries; a
-        hit skips the counted disk read entirely.  Counted reads and cache
-        hit/miss accounting are identical to fetching each trajectory
-        individually.
+        (:meth:`SimulatedDisk.get_many`) and become resident.  A resident
+        record is read from :attr:`image` by row.  Records are written once
+        at build/insert time and immutable afterwards, so a shared cache is
+        safe across concurrent queries; a hit skips the counted disk read
+        entirely.  Counted reads and the hit count are identical to
+        fetching each trajectory individually.
         """
-        missing = list(dict.fromkeys(trajectory_ids))
-        if cache is not None:
-            missing = cache.missing(missing)
+        wanted = list(dict.fromkeys(trajectory_ids))
+        missing = wanted if cache is None else cache.missing(wanted)
         if missing:
             rows = self.disk.get_many([("apl", tid) for tid in missing])
             if cache is not None:
                 cache.put_many(missing, rows)
+        if cache is None:
+            return 0, 0
+        return len(wanted) - len(missing), len(wanted)
 
     def round(self, rows: Sequence[int], activities) -> PostingRound:
         """The trajectories at *rows*, in that order, as a :class:`PostingRound`

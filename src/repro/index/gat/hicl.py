@@ -37,7 +37,7 @@ import math
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry.grid import HierarchicalGrid
-from repro.storage.cache import CacheStats, LRUCache
+from repro.storage.cache import LRUCache
 from repro.storage.disk import SimulatedDisk
 
 #: Default bound on the shared cache of disk-resident (level, activity)
@@ -145,10 +145,12 @@ class HICL:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def bitmap(self, activity: int, level: int) -> int:
+    def bitmap(self, activity: int, level: int, stats=None) -> int:
         """Bitmap of the cells at *level* containing *activity* (bit ``c`` =
         Morton code ``c``; ``0`` when there are none).  A disk-resident
-        list is one cache lookup, and one counted read on a miss."""
+        list is one cache lookup, and one counted read on a miss; *stats*
+        (the asking query's :class:`~repro.core.context.SearchStats`)
+        counts the lookup and whether it hit."""
         if not 1 <= level <= self.grid.depth:
             raise ValueError(f"level {level} outside [1, {self.grid.depth}]")
         if level <= self.memory_levels:
@@ -161,7 +163,11 @@ class HICL:
 
         if self._cache is None:
             return _load()
-        return self._cache.get_or_load((level, activity), _load)
+        bitmap, hit = self._cache.get_or_load((level, activity), _load)
+        if stats is not None:
+            stats.hicl_cache_lookups += 1
+            stats.hicl_cache_hits += hit
+        return bitmap
 
     def cells_with_activity(self, activity: int, level: int) -> FrozenSet[int]:
         """Cell codes at *level* containing *activity* (possibly empty) —
@@ -177,13 +183,6 @@ class HICL:
         back to counted disk reads — useful for cold-cache measurements)."""
         if self._cache is not None:
             self._cache.clear()
-
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss accounting of the shared disk-list cache (all zeros
-        when caching is disabled)."""
-        if self._cache is None:
-            return CacheStats(hits=0, misses=0, size=0, capacity=0)
-        return self._cache.stats()
 
     # ------------------------------------------------------------------
     # Dynamic maintenance (extension; the paper only builds statically)
@@ -260,10 +259,13 @@ class QueryBitmaps:
     query's lifetime can only save reads.
     """
 
-    __slots__ = ("hicl", "activities", "_maps")
+    __slots__ = ("hicl", "stats", "activities", "_maps")
 
-    def __init__(self, hicl: HICL, query: Sequence) -> None:
+    def __init__(self, hicl: HICL, query: Sequence, stats=None) -> None:
         self.hicl = hicl
+        #: The query's :class:`~repro.core.context.SearchStats`, which
+        #: counts the view's HICL cache lookups (``None``: uncounted).
+        self.stats = stats
         #: Per query point, ``q_i.Φ`` in a fixed order: bit ``j`` of an
         #: overlap mask stands for ``activities[qi][j]``.
         self.activities: List[Tuple[int, ...]] = [tuple(q.activities) for q in query]
@@ -274,7 +276,7 @@ class QueryBitmaps:
 
     def _load(self, qi: int, level: int) -> Tuple[bytes, Tuple[bytes, ...]]:
         n_bytes = (4**level + 7) // 8
-        layers = [self.hicl.bitmap(a, level) for a in self.activities[qi]]
+        layers = [self.hicl.bitmap(a, level, self.stats) for a in self.activities[qi]]
         union = 0
         for bitmap in layers:
             union |= bitmap

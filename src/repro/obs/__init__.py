@@ -4,7 +4,10 @@ One small package gives the serving stack a single pair of primitives:
 
 * a :class:`MetricRegistry` of :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` metrics (per-thread shards, log-spaced latency
-  buckets) that the existing stats objects *feed*;
+  buckets) — the one accumulator of every serving count: a service's
+  ``stats()`` is its registry counters minus the snapshot its last
+  ``reset_stats()`` took, and exact percentiles come from a
+  :class:`LatencyWindow`;
 * a :class:`Tracer` producing per-query span trees — ``query`` roots,
   ``retrieve``/``validate``/``score`` stage spans from the engine,
   ``shard_task`` spans carrying shard/replica/attempt/hedge/breaker
@@ -15,9 +18,11 @@ plus exporters (:func:`prometheus_text`, :func:`write_spans_jsonl`) and
 the :class:`Observability` handle that wires both into a service.
 
 Pay-for-what-you-use: ``Observability.disabled()`` carries a
-:class:`NullTracer` (every span method a no-op) and a live registry; not
-attaching an ``obs`` object at all costs a single ``is None`` check per
-query.  ``Observability.enabled()`` turns on span collection.
+:class:`NullTracer` (every span method a no-op) and a live registry.  A
+service built without an ``obs`` object counts into a private registry of
+its own — the same counters, so ``stats()`` means the same either way —
+and binds no disk and opens no span.  ``Observability.enabled()`` turns on
+span collection.
 
 >>> from repro.obs import Observability
 >>> obs = Observability.enabled()
@@ -44,6 +49,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    LatencyWindow,
     MetricRegistry,
     nearest_rank,
 )
@@ -62,6 +68,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "LatencyWindow",
     "nearest_rank",
     "Tracer",
     "NullTracer",
@@ -82,36 +89,19 @@ __all__ = [
 class Observability:
     """The handle a service is constructed with: one tracer + one registry.
 
-    The registry handles the serving stack feeds are created eagerly so
-    the hot path pays cached-attribute increments, never registry
-    lookups.  Pass ``obs=None`` (every service's default) for zero
-    instrumentation, :meth:`disabled` for metrics without traces, or
+    The services count into :attr:`registry` directly (each takes its
+    counter handles once, at construction, so the hot path pays
+    cached-attribute increments, never registry lookups).  Services
+    sharing one handle share its counters: each one's ``stats()`` reports
+    the handle's totals since that service's own epoch.  Pass ``obs=None``
+    (every service's default) for no tracing and a private registry,
+    :meth:`disabled` for a shared registry without traces, or
     :meth:`enabled` for both.
     """
 
     def __init__(self, tracer=None, registry: Optional[MetricRegistry] = None) -> None:
         self.tracer = tracer if tracer is not None else NullTracer()
         self.registry = registry if registry is not None else MetricRegistry()
-        reg = self.registry
-        self._queries = reg.counter("repro_queries_total")
-        self._latency = reg.histogram("repro_query_latency_seconds")
-        self._disk_reads = reg.counter("repro_disk_reads_total")
-        self._partials = reg.counter("repro_partial_responses_total")
-        self._retries = reg.counter("repro_task_retries_total")
-        self._hedges = reg.counter("repro_task_hedges_total")
-        self._hedges_denied = reg.counter("repro_task_hedges_denied_total")
-        self._cache_hits = reg.counter("repro_result_cache_hits_total")
-        self._cache_lookups = reg.counter("repro_result_cache_lookups_total")
-        # Admission-control surface (fed by repro.serving's front-end).
-        self._queue_depth = reg.gauge("repro_admission_queue_depth")
-        self._queue_wait = reg.histogram("repro_admission_queue_wait_seconds")
-        self._admission_outcomes = {
-            "rejected": reg.counter("repro_admission_rejected_total"),
-            "shed": reg.counter("repro_admission_shed_total"),
-            "expired": reg.counter("repro_admission_expired_total"),
-            "completed": reg.counter("repro_admission_completed_total"),
-            "failed": reg.counter("repro_admission_failed_total"),
-        }
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -121,51 +111,10 @@ class Observability:
 
     @classmethod
     def disabled(cls) -> "Observability":
-        """Metrics only: the tracer is the no-op object (the
-        'instrumented but disabled' configuration the overhead bench
-        gates within 5% of an un-instrumented service)."""
+        """Metrics only: the tracer is the no-op object (the passed-in
+        disabled handle the overhead bench gates within 5% of the default
+        ``obs=None`` service)."""
         return cls(tracer=NullTracer())
-
-    # -- feeding hooks (called by the services) -------------------------
-    def observe_response(self, response) -> None:
-        """Absorb one answered :class:`QueryResponse` into the metrics."""
-        self._queries.inc()
-        self._latency.observe(response.latency_s)
-        reads = response.stats.disk_reads
-        if reads:
-            self._disk_reads.inc(reads)
-        if not response.complete:
-            self._partials.inc()
-
-    def observe_fanout(self, retries: int, hedges: int, hedges_denied: int = 0) -> None:
-        if retries:
-            self._retries.inc(retries)
-        if hedges:
-            self._hedges.inc(hedges)
-        if hedges_denied:
-            self._hedges_denied.inc(hedges_denied)
-
-    def observe_cache(self, hit: bool) -> None:
-        self._cache_lookups.inc()
-        if hit:
-            self._cache_hits.inc()
-
-    # -- admission-control hooks (called by repro.serving) --------------
-    def observe_queue_depth(self, depth: int) -> None:
-        """Current admission-queue depth (waiting + executing requests)."""
-        self._queue_depth.set(depth)
-
-    def observe_queue_wait(self, wait_s: float) -> None:
-        """One admitted request's time from admission to dispatch."""
-        self._queue_wait.observe(wait_s)
-
-    def observe_admission(self, outcome: str) -> None:
-        """Count one terminal admission outcome (``rejected`` /``shed`` /
-        ``expired`` / ``completed`` / ``failed``); unknown outcome names
-        are ignored rather than raising on a hot path."""
-        counter = self._admission_outcomes.get(outcome)
-        if counter is not None:
-            counter.inc()
 
     # -- tracer binding -------------------------------------------------
     def bind_disk(self, disk) -> None:

@@ -1,11 +1,13 @@
-"""Metric primitives: counters, gauges, and log-bucketed histograms.
+"""Metric primitives: counters, gauges, log-bucketed histograms, and the
+exact latency window.
 
-The serving stack already *measures* plenty — ``SearchStats``,
-``DiskStats``, ``CacheStats``, ``ServiceStats`` — but each is an ad-hoc
-structure with its own locking and reset story.  This module gives those
-signals one export surface without replacing them: the existing stats
-objects **feed** a :class:`MetricRegistry`, which renders uniformly to a
-Prometheus text snapshot (:func:`repro.obs.export.prometheus_text`) or a
+The registry's instruments are the serving stack's *only* accumulators:
+every count a ``ServiceStats`` or ``FrontendStats`` reports is a
+:class:`Counter` of a :class:`MetricRegistry` (the passed
+``Observability`` handle's, or one the service keeps privately), and
+``reset_stats()`` is an epoch — a snapshot of those counters that later
+reads subtract — never a second set of ints.  The same registry renders to
+a Prometheus text snapshot (:func:`repro.obs.export.prometheus_text`) or a
 plain dict for ``BENCH_*.json`` embedding.
 
 Hot-path cost is the design constraint.  :class:`Counter` and
@@ -16,10 +18,10 @@ after which updates are plain attribute arithmetic on thread-owned state
 :class:`Histogram` keeps fixed log-spaced latency buckets, so p50/p95/p99
 come from ~30 integers instead of an unbounded sample list.
 
-:func:`nearest_rank` is the one shared quantile definition — the serving
-layer's ``ServingMetrics.fill`` and the fault supervisor's
-``TaskLatencyTracker.quantile`` both delegate here, so the two can never
-drift apart again.
+Where a percentile must be an exact sample — the stats objects' latency
+and queue-wait percentiles, the fault supervisor's adaptive hedge delay —
+it comes from a :class:`LatencyWindow` over the most recent samples, and
+every window ranks with :func:`nearest_rank`, the one quantile definition.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
+from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "nearest_rank",
+    "LatencyWindow",
     "Counter",
     "Gauge",
     "Histogram",
@@ -44,7 +48,7 @@ def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     The single quantile definition shared by every latency window in the
     repo: index ``ceil(q * n) - 1`` into the ascending sequence, clamped
     to the ends.  Returns ``0.0`` for an empty sequence — the "no data
-    yet" convention of both ``ServiceStats`` and ``TaskLatencyTracker``.
+    yet" convention of every stats object.
     """
     n = len(sorted_values)
     if n == 0:
@@ -54,6 +58,45 @@ def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     rank = math.ceil(q * n)
     idx = min(max(rank - 1, 0), n - 1)
     return sorted_values[idx]
+
+
+class LatencyWindow:
+    """The most recent *size* samples, ranked exactly by :func:`nearest_rank`.
+
+    Thread-safe.  A window sorts at most once per change: a poll between
+    recordings reuses the sorted copy it made last, so a monitoring loop
+    polling an idle service pays no sort.  Reset is :meth:`clear` (a window
+    has no lifetime total to take an epoch of).
+    """
+
+    __slots__ = ("_lock", "_samples", "_sorted")
+
+    def __init__(self, size: int = 10_000) -> None:
+        self._lock = threading.Lock()
+        self._samples: deque = deque(maxlen=size)
+        self._sorted: Optional[List[float]] = []
+
+    def record(self, value: float) -> None:
+        with self._lock:
+            self._samples.append(value)
+            self._sorted = None
+
+    def clear(self) -> None:
+        with self._lock:
+            self._samples.clear()
+            self._sorted = []
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._samples)
+
+    def quantile(self, q: float) -> float:
+        """Nearest-rank quantile *q* of the window (``0.0`` while empty)."""
+        with self._lock:
+            if self._sorted is None:
+                self._sorted = sorted(self._samples)
+            ordered = self._sorted
+        return nearest_rank(ordered, q)
 
 
 def _render_labels(labels: Tuple[Tuple[str, str], ...]) -> str:

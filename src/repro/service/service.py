@@ -2,9 +2,9 @@
 
 Everything a query service does *around* executing a query lives in one
 object, :class:`ServingFront`: the query-signature result cache, the
-index-version guard that invalidates it, the hit/lookup counters, the
-:class:`ServingMetrics` busy-wall / latency accounting, the observability
-feed and the closed flag.  A service hands it a list of requests and an
+index-version guard that invalidates it, the serving counters (registry
+instruments, with ``reset_stats()`` as an epoch), the latency window, the
+busy wall clock and the closed flag.  A service hands it a list of requests and an
 ``execute`` callable and gets the responses back in request order
 (:meth:`ServingFront.serve`); the front decides which requests reach
 ``execute`` at all.
@@ -46,22 +46,16 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.context import SearchStats
 from repro.core.engine import GATSearchEngine
 from repro.core.query import Query
 from repro.core.results import SearchResult
-from repro.obs.metrics import nearest_rank
-from repro.storage.cache import CacheStats, LRUCache
-
-#: Latency percentiles are computed over the most recent window of
-#: queries; a long-lived service must not hoard one float per query
-#: forever (nor re-sort an unbounded history on every stats() call).
-LATENCY_WINDOW = 10_000
+from repro.obs.metrics import LatencyWindow, MetricRegistry
+from repro.storage.cache import LRUCache
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,15 +112,20 @@ class QueryResponse:
 class ServiceStats:
     """Aggregate serving statistics since construction (or `reset_stats`).
 
-    Latency percentiles use the nearest-rank method over the most recent
-    ``LATENCY_WINDOW`` queries (the mean covers everything); ``qps``
-    divides queries by the busy wall time — the union of intervals with
-    at least one ``search``/``search_many`` call in flight, so neither
-    summed per-query latency nor overlapping concurrent calls inflate
-    the denominator.  Cache hit rates are the *delta* since this
-    service's construction/reset, excluding everything that happened
-    before then; the underlying counters live on the shared engine/index,
-    so concurrent non-service use of the same engine still moves them.
+    Every count is a registry counter's movement since the service's
+    epoch — the snapshot construction and each ``reset_stats()`` take (see
+    :class:`ServingFront`); services sharing one ``Observability`` handle
+    share its counters.  Latency percentiles are nearest-rank over the
+    most recent 10 000 queries (a :class:`~repro.obs.metrics.LatencyWindow`;
+    the mean covers everything); ``qps`` divides queries by the busy wall
+    time — the union of intervals with at least one
+    ``search``/``search_many`` call in flight, so neither summed per-query
+    latency nor overlapping concurrent calls inflate the denominator.
+    Cache hit rates are hits over lookups summed over the answered
+    responses' :class:`~repro.core.context.SearchStats` — each lookup
+    counted by the query that made it, on whatever engine ran it (a
+    process-fleet worker's included) — so nothing outside the service
+    moves them.
     """
 
     queries: int = 0
@@ -160,8 +159,8 @@ class ServiceStats:
     partial_responses: int = 0
     #: Circuit-breaker activity (replicated services only; always zero
     #: elsewhere): replica ejections, restores to the healthy pool, and
-    #: probation probes — deltas since construction/``reset_stats`` like
-    #: every other field here.
+    #: probation probes — the breaker's lifetime counts, read into the same
+    #: epoch snapshot as every other field here.
     breaker_ejections: int = 0
     breaker_restores: int = 0
     breaker_probes: int = 0
@@ -179,28 +178,6 @@ def as_request(item: Union[QueryRequest, Query], **defaults) -> QueryRequest:
     return QueryRequest(query=item, **defaults)
 
 
-def delta_hit_rate(now: Optional[CacheStats], base: Optional[CacheStats]) -> float:
-    """Hit rate of the lookups that happened since *base* was snapshotted
-    (0.0 for disabled caches or when nothing has been looked up since)."""
-    if now is None or base is None:
-        return 0.0
-    hits = now.hits - base.hits
-    lookups = now.lookups - base.lookups
-    return hits / lookups if lookups > 0 else 0.0
-
-
-def engine_cache_stats(
-    engines: Sequence[GATSearchEngine],
-) -> Tuple[Optional[CacheStats], Optional[CacheStats]]:
-    """Combined ``(HICL, APL)`` cache accounting of *engines* — hits and
-    lookups sum without double-counting, since each lookup happened on
-    exactly one engine's caches."""
-    return (
-        CacheStats.combined([engine.index.hicl.cache_stats() for engine in engines]),
-        CacheStats.combined([engine.apl_cache_stats() for engine in engines]),
-    )
-
-
 def request_cache_key(request: QueryRequest) -> tuple:
     """The query signature the result cache keys on: the (hashable,
     frozen) query points plus every option that changes the answer.
@@ -214,103 +191,43 @@ def request_cache_key(request: QueryRequest) -> tuple:
     )
 
 
-class ServingMetrics:
-    """Thread-safe serving accounting, owned by :class:`ServingFront`.
+#: The registry counter that is the one accumulator of each count
+#: :class:`ServiceStats` reports, keyed by the count's name.  The rates are
+#: ratios of two of them; ``latency_mean_s`` is the latency histogram's
+#: sum over ``queries``.
+SERVICE_COUNTERS: Dict[str, str] = {
+    "queries": "repro_queries_total",
+    "wall_seconds": "repro_busy_seconds_total",
+    "disk_reads": "repro_disk_reads_total",
+    "hicl_cache_hits": "repro_hicl_cache_hits_total",
+    "hicl_cache_lookups": "repro_hicl_cache_lookups_total",
+    "apl_cache_hits": "repro_apl_cache_hits_total",
+    "apl_cache_lookups": "repro_apl_cache_lookups_total",
+    "result_cache_hits": "repro_result_cache_hits_total",
+    "result_cache_lookups": "repro_result_cache_lookups_total",
+    "partial_responses": "repro_partial_responses_total",
+    "task_retries": "repro_task_retries_total",
+    "task_hedges": "repro_task_hedges_total",
+    "task_hedges_denied": "repro_task_hedges_denied_total",
+}
 
-    Holds the latency window, the query/disk-read totals, and the
-    busy-interval wall clock (overlapping calls must not double-count wall
-    time: ``qps = queries / busy wall``).
-    """
 
-    __slots__ = (
-        "_lock",
-        "_latencies",
-        "_n_queries",
-        "_latency_sum",
-        "_wall_seconds",
-        "_disk_reads",
-        "_busy_depth",
-        "_busy_since",
-        "_generation",
-        "_sorted_gen",
-        "_sorted_window",
-    )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._latencies: deque = deque(maxlen=LATENCY_WINDOW)
-        self._n_queries = 0
-        self._latency_sum = 0.0
-        self._wall_seconds = 0.0
-        self._disk_reads = 0
-        self._busy_depth = 0
-        self._busy_since = 0.0
-        # Window generation counter + the sorted window it last produced:
-        # stats() used to re-sort the full latency window on *every* poll;
-        # now a poll between recordings reuses the memoized sort and only
-        # a moved window pays O(n log n) again.
-        self._generation = 0
-        self._sorted_gen = -1
-        self._sorted_window: List[float] = []
-
-    def enter_busy(self) -> None:
-        with self._lock:
-            if self._busy_depth == 0:
-                self._busy_since = time.perf_counter()
-            self._busy_depth += 1
-
-    def exit_busy(self) -> None:
-        with self._lock:
-            self._busy_depth -= 1
-            if self._busy_depth == 0:
-                self._wall_seconds += time.perf_counter() - self._busy_since
-
-    def record(self, samples: Iterable[tuple]) -> None:
-        """Absorb ``(latency_s, disk_reads)`` pairs, one per answered query."""
-        with self._lock:
-            for latency_s, disk_reads in samples:
-                self._latencies.append(latency_s)
-                self._n_queries += 1
-                self._latency_sum += latency_s
-                self._disk_reads += disk_reads
-                self._generation += 1
-
-    def reset(self) -> None:
-        with self._lock:
-            self._latencies.clear()
-            self._n_queries = 0
-            self._latency_sum = 0.0
-            self._wall_seconds = 0.0
-            self._disk_reads = 0
-            self._generation += 1
-            # Queries may be in flight while stats are being zeroed: the
-            # open busy interval must restart *now*, or the first
-            # exit_busy() after the reset would fold the entire pre-reset
-            # busy stretch back into wall_seconds and deflate qps.
-            if self._busy_depth > 0:
-                self._busy_since = time.perf_counter()
-
-    def fill(self, stats: ServiceStats) -> ServiceStats:
-        """Write the timing/volume fields into *stats* and return it."""
-        with self._lock:
-            if self._sorted_gen != self._generation:
-                self._sorted_window = sorted(self._latencies)
-                self._sorted_gen = self._generation
-            latencies = self._sorted_window
-            stats.queries = self._n_queries
-            stats.wall_seconds = self._wall_seconds
-            stats.latency_mean_s = (
-                self._latency_sum / self._n_queries if self._n_queries else 0.0
-            )
-            stats.disk_reads = self._disk_reads
-        stats.latency_p50_s = nearest_rank(latencies, 0.50)
-        stats.latency_p95_s = nearest_rank(latencies, 0.95)
-        stats.latency_p99_s = nearest_rank(latencies, 0.99)
-        return stats
+def _rate(hits: float, lookups: float) -> float:
+    return hits / lookups if lookups > 0 else 0.0
 
 
 class ServingFront:
     """The request front both query services serve through.
+
+    Accounting: every count is a registry :class:`~repro.obs.metrics.Counter`
+    (:data:`SERVICE_COUNTERS`) of the passed handle's registry, or of a
+    private one.  A count is incremented once, where it happens — a result
+    cache lookup in :meth:`_lookup`, a response's work (its
+    :class:`~repro.core.context.SearchStats`: disk reads and HICL / APL
+    cache lookups, summed over the shards that answered) when
+    :meth:`serve` returns it, the backend's fan-out counts through
+    :meth:`count`.  :meth:`stats` reports the counters minus the epoch
+    snapshot that construction and every :meth:`reset_stats` take.
 
     Parameters
     ----------
@@ -319,19 +236,20 @@ class ServingFront:
         ``ShardedGATIndex``; only its ``version`` is read (for the sharded
         index the composite tuple of per-shard versions, so an insert into
         any shard moves it).
-    engines:
-        Zero-arg callable returning the engines whose HICL/APL caches back
-        the hit rates *right now* (a sharded backend swaps engines on
-        resync).
     result_cache_size:
         Capacity of the query-signature result cache; ``0`` disables it.
     obs:
-        Optional :class:`~repro.obs.Observability` handle, bound to the
-        index's disks here and fed per lookup and per answered query.
-        ``None`` costs one ``is None`` check at each of those two points.
+        Optional :class:`~repro.obs.Observability` handle: the front
+        counts into its registry and binds the index's disks to its
+        tracer.  ``None`` counts into a private registry and traces
+        nothing.
     shards:
         Coverage stamped on cache hits (only full-coverage responses are
         ever cached, so a hit is complete by construction).
+    health:
+        Zero-arg callable returning the backend's lifetime circuit-breaker
+        counts ``(ejections, restores, probes)``, read into the same epoch
+        snapshot as the counters (a backend without replicas has none).
     """
 
     #: Sentinel distinguishing "cached empty result" from "cache miss".
@@ -340,10 +258,10 @@ class ServingFront:
     def __init__(
         self,
         index,
-        engines: Callable[[], Sequence[GATSearchEngine]],
         result_cache_size: int,
         obs=None,
         shards: int = 1,
+        health: Callable[[], Tuple[int, int, int]] = lambda: (0, 0, 0),
     ) -> None:
         if result_cache_size < 0:
             raise ValueError("result_cache_size must be >= 0")
@@ -351,26 +269,29 @@ class ServingFront:
         self.obs = obs
         if obs is not None:
             obs.bind_index(index)
-        self._engines = engines
         self._shards = shards
+        self._health = health
         self._cache: Optional[LRUCache] = (
             LRUCache(result_cache_size) if result_cache_size > 0 else None
         )
-        # Guards the published version, the cache sweep/put pair, the
-        # hit/lookup counters and the hit-rate baselines.  on_stale
-        # callbacks run under it, so they must not call back into the
-        # front; backends keep their own state under their own lock and
-        # never hold that one while calling serve()/stats().
+        # Guards the published version and the cache sweep/put pair.
+        # on_stale callbacks run under it, so they must not call back into
+        # the front; backends keep their own state under their own lock
+        # and never hold that one while calling serve().
         self._lock = threading.Lock()
         self.version = index.version
-        self._hits = 0
-        self._lookups = 0
-        self._metrics = ServingMetrics()
-        self._cache_base = engine_cache_stats(engines())
-        # Final (HICL, APL) counters of engines discarded since the last
-        # reset: their lookups happened, so they stay in the hit-rate
-        # deltas after the caches themselves are gone.
-        self._cache_retired: Tuple[Optional[CacheStats], ...] = (None, None)
+        registry = obs.registry if obs is not None else MetricRegistry()
+        self._counters = {
+            name: registry.counter(metric) for name, metric in SERVICE_COUNTERS.items()
+        }
+        self._latency = registry.histogram("repro_query_latency_seconds")
+        self._window = LatencyWindow()
+        # The busy wall clock: open while at least one serve() is in
+        # flight, folded into the wall_seconds counter as it closes.
+        self._busy_lock = threading.Lock()
+        self._busy_depth = 0
+        self._busy_since = 0.0
+        self._epoch = self._totals()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -380,20 +301,19 @@ class ServingFront:
         self,
         requests: Sequence[QueryRequest],
         execute: Callable[[Sequence[QueryRequest]], List[QueryResponse]],
-        on_stale: Optional[Callable[[], Sequence[GATSearchEngine]]] = None,
+        on_stale: Optional[Callable[[], object]] = None,
     ) -> List[QueryResponse]:
         """Answer *requests* in order: sync the index version, answer what
         the result cache holds, hand the misses to the backend's *execute*
         (one response per request it is given, same order), cache the
-        complete ones, then record and feed obs.
+        complete ones, then count them.
 
         *on_stale* is the backend's reaction to a version move — rebuild
-        whatever was derived from the old index and return the engines it
-        discarded (see :meth:`_sync_version`)."""
+        whatever was derived from the old index (see
+        :meth:`_sync_version`)."""
         if self._closed:
             raise RuntimeError("query service used after close()")
-        metrics = self._metrics
-        metrics.enter_busy()
+        self._busy(+1)
         try:
             version = self._sync_version(on_stale)
             if self._cache is None:
@@ -410,13 +330,46 @@ class ServingFront:
                         if response.complete:
                             self._put(response, version)
         finally:
-            metrics.exit_busy()
-        metrics.record((r.latency_s, r.stats.disk_reads) for r in responses)
-        obs = self.obs
-        if obs is not None:
-            for response in responses:
-                obs.observe_response(response)
+            self._busy(-1)
+        self._record(responses)
         return responses
+
+    def _record(self, responses: Sequence[QueryResponse]) -> None:
+        """Count answered responses: one query, one latency sample and the
+        response's own work counts each."""
+        counters = self._counters
+        counters["queries"].inc(len(responses))
+        for response in responses:
+            stats = response.stats
+            self._latency.observe(response.latency_s)
+            self._window.record(response.latency_s)
+            if stats.disk_reads:
+                counters["disk_reads"].inc(stats.disk_reads)
+            if stats.hicl_cache_lookups:
+                counters["hicl_cache_hits"].inc(stats.hicl_cache_hits)
+                counters["hicl_cache_lookups"].inc(stats.hicl_cache_lookups)
+            if stats.apl_cache_lookups:
+                counters["apl_cache_hits"].inc(stats.apl_cache_hits)
+                counters["apl_cache_lookups"].inc(stats.apl_cache_lookups)
+            if not response.complete:
+                counters["partial_responses"].inc()
+
+    def count(self, name: str, n: int) -> None:
+        """Add *n* to the :data:`SERVICE_COUNTERS` count *name* — the
+        backend's door for what only it sees (fan-out retries, hedges)."""
+        if n:
+            self._counters[name].inc(n)
+
+    def _busy(self, step: int) -> None:
+        """Enter (``+1``) or leave (``-1``) the busy interval: the wall
+        time with at least one ``serve`` in flight, so overlapping calls
+        never double-count it (``qps = queries / busy wall``)."""
+        with self._busy_lock:
+            if step > 0 and self._busy_depth == 0:
+                self._busy_since = time.perf_counter()
+            self._busy_depth += step
+            if self._busy_depth == 0:
+                self.count("wall_seconds", time.perf_counter() - self._busy_since)
 
     def _sync_version(self, on_stale) -> object:
         """Invalidate on version movement (``insert_trajectory`` bumps
@@ -433,16 +386,7 @@ class ServingFront:
                     if self._cache is not None:
                         self._cache.clear()
                     if on_stale is not None:
-                        # The discarded engines' caches vanish from the
-                        # "now" side of stats()' hit-rate deltas, so their
-                        # counters must move to the retired side — under
-                        # the lock stats() reads all three under — or the
-                        # deltas read outside [0, 1].
-                        gone = engine_cache_stats(on_stale())
-                        self._cache_retired = tuple(
-                            CacheStats.combined([retired, g])
-                            for retired, g in zip(self._cache_retired, gone)
-                        )
+                        on_stale()
                     self.version = version
         return self.version
 
@@ -450,24 +394,20 @@ class ServingFront:
         t0 = time.perf_counter()
         cached = self._cache.get(request_cache_key(request), self._MISS)
         hit = cached is not self._MISS
-        with self._lock:
-            self._lookups += 1
-            if hit:
-                self._hits += 1
-        obs = self.obs
-        if obs is not None:
-            obs.observe_cache(hit)
-            if hit and obs.tracer.enabled:
-                obs.tracer.start_span(
-                    "query",
-                    attrs={
-                        "k": request.k,
-                        "order_sensitive": request.order_sensitive,
-                        "cache_hit": True,
-                    },
-                ).end()
+        self._counters["result_cache_lookups"].inc()
         if not hit:
             return None
+        self._counters["result_cache_hits"].inc()
+        obs = self.obs
+        if obs is not None and obs.tracer.enabled:
+            obs.tracer.start_span(
+                "query",
+                attrs={
+                    "k": request.k,
+                    "order_sensitive": request.order_sensitive,
+                    "cache_hit": True,
+                },
+            ).end()
         # A fresh list per response (callers may mutate), zeroed counters
         # (no engine work happened).
         return QueryResponse(
@@ -500,41 +440,62 @@ class ServingFront:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
+    def _totals(self) -> Dict[str, float]:
+        """Every lifetime total :meth:`stats` reports a movement of."""
+        totals = {name: counter.value() for name, counter in self._counters.items()}
+        totals["latency_seconds"] = self._latency.snapshot()["sum"]
+        (
+            totals["breaker_ejections"],
+            totals["breaker_restores"],
+            totals["breaker_probes"],
+        ) = self._health()
+        return totals
+
     def stats(self) -> ServiceStats:
-        """Timing, volume, result-cache and HICL/APL hit-rate fields (the
-        fan-out fields stay zero; a sharded backend fills its own)."""
-        with self._lock:
-            # Every side of each delta under one lock: _sync_version swaps
-            # zero-counter caches in and retires the old ones' counters
-            # atomically under this same lock, so a reader must never pair
-            # the new "now" with the old retired totals (or vice versa) —
-            # that torn diff reads outside [0, 1].
-            hicl_rate, apl_rate = (
-                delta_hit_rate(CacheStats.combined([now, retired]), base)
-                for now, retired, base in zip(
-                    engine_cache_stats(self._engines()),
-                    self._cache_retired,
-                    self._cache_base,
+        """Every :class:`ServiceStats` field: the totals' movement since
+        the epoch, and the latency window's percentiles."""
+        epoch = self._epoch
+        now = {name: total - epoch[name] for name, total in self._totals().items()}
+        queries = int(now["queries"])
+        window = self._window
+        return ServiceStats(
+            queries=queries,
+            wall_seconds=now["wall_seconds"],
+            latency_p50_s=window.quantile(0.50),
+            latency_p95_s=window.quantile(0.95),
+            latency_p99_s=window.quantile(0.99),
+            latency_mean_s=now["latency_seconds"] / queries if queries else 0.0,
+            hicl_cache_hit_rate=_rate(now["hicl_cache_hits"], now["hicl_cache_lookups"]),
+            apl_cache_hit_rate=_rate(now["apl_cache_hits"], now["apl_cache_lookups"]),
+            **{
+                name: int(now[name])
+                for name in (
+                    "disk_reads",
+                    "result_cache_hits",
+                    "result_cache_lookups",
+                    "task_retries",
+                    "task_hedges",
+                    "task_hedges_denied",
+                    "partial_responses",
+                    "breaker_ejections",
+                    "breaker_restores",
+                    "breaker_probes",
                 )
-            )
-            hits, lookups = self._hits, self._lookups
-        stats = self._metrics.fill(ServiceStats())
-        stats.hicl_cache_hit_rate = hicl_rate
-        stats.apl_cache_hit_rate = apl_rate
-        stats.result_cache_hits = hits
-        stats.result_cache_lookups = lookups
-        return stats
+            },
+        )
 
     def reset_stats(self) -> None:
-        """Zero the front's own accounting and re-baseline the engine
-        cache counters (which live on the engines/indexes and keep
-        running)."""
-        self._metrics.reset()
-        with self._lock:
-            self._hits = 0
-            self._lookups = 0
-            self._cache_base = engine_cache_stats(self._engines())
-            self._cache_retired = (None, None)
+        """Start a new epoch: snapshot the totals and clear the latency
+        window.  A busy interval still open is closed at the epoch and
+        reopened, so queries in flight count only their post-reset wall
+        time."""
+        with self._busy_lock:
+            if self._busy_depth:
+                now = time.perf_counter()
+                self.count("wall_seconds", now - self._busy_since)
+                self._busy_since = now
+            self._epoch = self._totals()
+        self._window.clear()
 
 
 class QueryService:
@@ -556,10 +517,10 @@ class QueryService:
         service, as the index requires).  ``0`` disables the cache.
     obs:
         An optional :class:`~repro.obs.Observability` handle.  When set,
-        every answered query feeds the metric registry, the engine's
-        disks report read events, and — if the handle's tracer is enabled
-        — each request produces a ``query`` span tree.  ``None`` (the
-        default) keeps the serving path free of instrumentation.
+        the service counts into its registry, the engine's disks report
+        read events, and — if the handle's tracer is enabled — each
+        request produces a ``query`` span tree.  ``None`` (the default)
+        counts into a private registry and traces nothing.
     """
 
     def __init__(
@@ -574,9 +535,7 @@ class QueryService:
         self.engine = engine
         self.obs = obs
         self.max_workers = max_workers
-        self._front = ServingFront(
-            engine.index, lambda: (engine,), result_cache_size, obs
-        )
+        self._front = ServingFront(engine.index, result_cache_size, obs)
         # One pool for the service's lifetime — per-batch pool setup and
         # teardown would rival the query work for small batches.  Created
         # lazily so a sequential-only service never spawns threads.
@@ -680,8 +639,7 @@ class QueryService:
         return self._front.stats()
 
     def reset_stats(self) -> None:
-        """Zero the service's own accounting and re-baseline the shared
-        cache counters (which live on the engine/index and keep running)."""
+        """Start a new stats epoch (see :meth:`ServingFront.reset_stats`)."""
         self._front.reset_stats()
 
     def close(self) -> None:

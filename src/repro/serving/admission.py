@@ -29,6 +29,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.obs.metrics import MetricRegistry
+
 __all__ = [
     "AdmissionError",
     "RejectedError",
@@ -45,7 +47,9 @@ class AdmissionError(RuntimeError):
     """Base of every typed refusal the serving front-end raises.
 
     :attr:`outcome` is the accounting bucket (``rejected`` / ``shed`` /
-    ``expired``) — the same names the metrics registry counts under.
+    ``expired``) — the same names the metrics registry counts under.  The
+    base class's own ``error`` names no bucket: the front-end counts it as
+    ``failed``.
     """
 
     outcome = "error"
@@ -219,7 +223,9 @@ class AdmissionController:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.config = config
-        self.obs = obs
+        registry = obs.registry if obs is not None else MetricRegistry()
+        #: Waiting + executing requests, exported as it moves.
+        self._depth = registry.gauge("repro_admission_queue_depth")
         self._clock = clock
         self.ewma = ServiceTimeEWMA(config.ewma_alpha)
         self._lock = threading.Lock()
@@ -268,8 +274,7 @@ class AdmissionController:
                     raise ShedError(estimate, deadline_s, stage="admission")
             self._queued = queued + 1
             depth = self._queued
-        if self.obs is not None:
-            self.obs.observe_queue_depth(depth)
+        self._depth.set(depth)
         return AdmissionTicket(
             admitted_at=now,
             deadline_at=now + deadline_s if deadline_s is not None else None,
@@ -287,8 +292,6 @@ class AdmissionController:
         now = self._clock()
         self._release()
         wait_s = max(0.0, now - ticket.admitted_at)
-        if self.obs is not None:
-            self.obs.observe_queue_wait(wait_s)
         if ticket.deadline_at is None:
             return None
         remaining = ticket.deadline_at - now
@@ -307,8 +310,7 @@ class AdmissionController:
         with self._lock:
             self._queued -= 1
             depth = self._queued
-        if self.obs is not None:
-            self.obs.observe_queue_depth(depth)
+        self._depth.set(depth)
 
     def observe_service(self, service_s: float) -> None:
         self.ewma.record(service_s)

@@ -29,16 +29,14 @@ same query served closed-loop.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from dataclasses import replace as dc_replace
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.core.query import Query
-from repro.obs.metrics import nearest_rank
+from repro.obs.metrics import LatencyWindow, MetricRegistry
 from repro.serving.admission import (
     AdmissionController,
     AdmissionError,
@@ -49,9 +47,10 @@ from repro.service.service import QueryRequest, QueryResponse, as_request
 
 __all__ = ["ServingFrontend", "FrontendStats"]
 
-#: Latency/queue-wait percentiles cover the most recent window only —
-#: same policy as the backend services' ServingMetrics.
-_WINDOW = 10_000
+#: The terminal outcomes of a submitted request, each counted by the
+#: registry counter ``repro_admission_<outcome>_total``.  An outcome name
+#: outside this tuple counts as ``failed``.
+OUTCOMES = ("completed", "rejected", "shed", "expired", "failed")
 
 
 @dataclass(slots=True)
@@ -59,8 +58,11 @@ class FrontendStats:
     """Admission-layer accounting since construction (or ``reset_stats``).
 
     ``submitted = completed + rejected + shed + expired + failed`` once
-    the stream drains.  Queue-wait percentiles cover admitted requests;
-    latency percentiles cover completed ones (admission → response).
+    the stream drains, also across a reset taken mid-burst: a request in
+    flight at the reset counts as submitted in the new epoch, where its
+    outcome lands.  Queue-wait percentiles (exact, over the most recent
+    10 000 samples) cover admitted requests; latency percentiles cover
+    completed ones (admission → response).
     """
 
     submitted: int = 0
@@ -99,16 +101,17 @@ class ServingFrontend:
         )
         self._sem: Optional[asyncio.Semaphore] = None
         self._sem_loop: Optional[asyncio.AbstractEventLoop] = None
-        self._lock = threading.Lock()
         self._closed = False
-        self._submitted = 0
-        self._completed = 0
-        self._rejected = 0
-        self._shed = 0
-        self._expired = 0
-        self._failed = 0
-        self._queue_waits: deque = deque(maxlen=_WINDOW)
-        self._latencies: deque = deque(maxlen=_WINDOW)
+        registry = obs.registry if obs is not None else MetricRegistry()
+        self._submitted = registry.counter("repro_admission_submitted_total")
+        self._outcomes = {
+            outcome: registry.counter(f"repro_admission_{outcome}_total")
+            for outcome in OUTCOMES
+        }
+        self._queue_wait = registry.histogram("repro_admission_queue_wait_seconds")
+        self._queue_waits = LatencyWindow()
+        self._latencies = LatencyWindow()
+        self._epoch = self._totals()
 
     # ------------------------------------------------------------------
     def _semaphore(self) -> asyncio.Semaphore:
@@ -118,20 +121,13 @@ class ServingFrontend:
             self._sem_loop = loop
         return self._sem
 
-    def _count(self, outcome: str) -> None:
-        with self._lock:
-            if outcome == "completed":
-                self._completed += 1
-            elif outcome == "rejected":
-                self._rejected += 1
-            elif outcome == "shed":
-                self._shed += 1
-            elif outcome == "expired":
-                self._expired += 1
-            else:
-                self._failed += 1
-        if self.obs is not None:
-            self.obs.observe_admission(outcome)
+    def _count(self, outcome: str) -> str:
+        """Count one terminal outcome and return its name — ``failed`` for
+        a name outside :data:`OUTCOMES`."""
+        if outcome not in self._outcomes:
+            outcome = "failed"
+        self._outcomes[outcome].inc()
+        return outcome
 
     # ------------------------------------------------------------------
     async def submit(
@@ -159,8 +155,7 @@ class ServingFrontend:
         )
         if deadline_s is None:
             deadline_s = request.deadline_s
-        with self._lock:
-            self._submitted += 1
+        self._submitted.inc()
         tracing = self.obs is not None and self.obs.tracer.enabled
         span = (
             self.obs.tracer.start_span(
@@ -172,11 +167,13 @@ class ServingFrontend:
         try:
             response = await self._submit_admitted(request, deadline_s, span)
         except AdmissionError as exc:
-            self._count(exc.outcome)
+            outcome = self._count(exc.outcome)
             if span is not None:
-                span.set_attrs(outcome=exc.outcome, error=True)
+                span.set_attrs(outcome=outcome, error=True)
             raise
-        except Exception:
+        except BaseException:
+            # Anything else — a backend error, a cancelled wait — is a
+            # failure: every submitted request gets exactly one outcome.
             self._count("failed")
             if span is not None:
                 span.set_attrs(outcome="failed", error=True)
@@ -206,8 +203,8 @@ class ServingFrontend:
             # ShedError(stage='dispatch') when the budget drained in queue.
             remaining = self.admission.dispatch(ticket)
             wait_s = max(0.0, time.monotonic() - ticket.admitted_at)
-            with self._lock:
-                self._queue_waits.append(wait_s)
+            self._queue_wait.observe(wait_s)
+            self._queue_waits.record(wait_s)
             if span is not None:
                 span.set_attr("queue_wait_s", wait_s)
             backend_request = request
@@ -232,8 +229,7 @@ class ServingFrontend:
                 raise ExpiredError(
                     latency_s, ticket.deadline_s, response=response, reason="late"
                 )
-            with self._lock:
-                self._latencies.append(latency_s)
+            self._latencies.record(latency_s)
             self._count("completed")
             if span is not None:
                 span.set_attr("latency_s", latency_s)
@@ -247,39 +243,38 @@ class ServingFrontend:
         the first burst is shed against a real estimate."""
         self.admission.ewma.prime(service_time_s)
 
+    def _totals(self) -> Dict[str, float]:
+        totals = {outcome: counter.value() for outcome, counter in self._outcomes.items()}
+        totals["submitted"] = self._submitted.value()
+        return totals
+
     def stats(self) -> FrontendStats:
-        with self._lock:
-            waits = sorted(self._queue_waits)
-            lats = sorted(self._latencies)
-            stats = FrontendStats(
-                submitted=self._submitted,
-                completed=self._completed,
-                rejected=self._rejected,
-                shed=self._shed,
-                expired=self._expired,
-                failed=self._failed,
-            )
-        stats.queue_depth = self.admission.queue_depth
-        stats.service_time_ewma_s = self.admission.ewma.value
-        if waits:
-            stats.queue_wait_p50_s = nearest_rank(waits, 0.50)
-            stats.queue_wait_p99_s = nearest_rank(waits, 0.99)
-        if lats:
-            stats.latency_p50_s = nearest_rank(lats, 0.50)
-            stats.latency_p95_s = nearest_rank(lats, 0.95)
-            stats.latency_p99_s = nearest_rank(lats, 0.99)
-        return stats
+        """The counters' movement since the epoch, the windows' exact
+        percentiles, and the admission controller's live state."""
+        epoch = self._epoch
+        counts = {name: int(total - epoch[name]) for name, total in self._totals().items()}
+        waits, lats = self._queue_waits, self._latencies
+        return FrontendStats(
+            **counts,
+            queue_depth=self.admission.queue_depth,
+            queue_wait_p50_s=waits.quantile(0.50),
+            queue_wait_p99_s=waits.quantile(0.99),
+            latency_p50_s=lats.quantile(0.50),
+            latency_p95_s=lats.quantile(0.95),
+            latency_p99_s=lats.quantile(0.99),
+            service_time_ewma_s=self.admission.ewma.value,
+        )
 
     def reset_stats(self) -> None:
-        with self._lock:
-            self._submitted = 0
-            self._completed = 0
-            self._rejected = 0
-            self._shed = 0
-            self._expired = 0
-            self._failed = 0
-            self._queue_waits.clear()
-            self._latencies.clear()
+        """Start a new epoch: snapshot the counters and clear the windows.
+        ``submitted``'s snapshot is the sum of the outcomes', not its own
+        reading, so requests still in flight are submitted in the new
+        epoch — the one that counts their outcomes."""
+        epoch = self._totals()
+        epoch["submitted"] = sum(epoch[outcome] for outcome in OUTCOMES)
+        self._epoch = epoch
+        self._queue_waits.clear()
+        self._latencies.clear()
 
     def close(self) -> None:
         """Shut down the bridge pool (idempotent).  The backend service

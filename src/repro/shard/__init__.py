@@ -44,7 +44,6 @@ from repro.shard.resilience import (
     FanoutOutcome,
     FanoutSupervisor,
     FaultPolicy,
-    TaskLatencyTracker,
 )
 from repro.shard.router import ShardRouter
 from repro.shard.service import ShardedQueryService
@@ -59,7 +58,6 @@ __all__ = [
     "FaultPolicy",
     "FanoutSupervisor",
     "FanoutOutcome",
-    "TaskLatencyTracker",
     "DeadlineExceeded",
     "ShardTask",
     "ShardResult",

@@ -279,8 +279,8 @@ class ReplicaRouter:
     def health_counters(self) -> Tuple[int, int, int]:
         """One consistent ``(ejections, restores, probes)`` snapshot of
         the breaker's lifetime counters, read under the router lock.  The
-        serving tier diffs these against a reset-time baseline — the
-        counters themselves are monotonic and never rewind."""
+        serving front reads them into its stats epoch — the counters
+        themselves are monotonic and never rewind."""
         with self._lock:
             health = self.health
             return (health.ejections, health.restores, health.probes)
@@ -362,15 +362,9 @@ class ReplicaPlacement:
         except (IndexError, TypeError):
             return None
 
-    def engines(self) -> List[GATSearchEngine]:
-        """Every in-process engine a task can be routed to."""
-        return [engine for bank in self.banks for engine in bank]
-
-    def resync(self) -> List[GATSearchEngine]:
+    def resync(self) -> None:
         """Catch the banks up with a mutated primary (inserts quiesce the
-        service, so no task is mid-flight on a stale bank) and return the
-        engines discarded on the way, for the caller to shed their cache
-        counters.
+        service, so no task is mid-flight on a stale bank).
 
         Bank 0 rebinds, in place, only the engines whose
         :class:`GATIndex` object was *replaced* — an overflow insert
@@ -381,13 +375,8 @@ class ReplicaPlacement:
         read-only snapshots of the primary, so they are rebuilt
         wholesale.
         """
-        discarded: List[GATSearchEngine] = []
         primary = self.banks[0]
         for sid, shard in enumerate(self.index.shards):
             if primary[sid].index is not shard:
-                discarded.append(primary[sid])
                 primary[sid] = self._engine(shard)
-        for bank in self.banks[1:]:
-            discarded.extend(bank)
         self.banks[1:] = [self._replica_bank() for _ in self.banks[1:]]
-        return discarded

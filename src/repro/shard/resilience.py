@@ -17,7 +17,8 @@ retries, no hedges, any shard failure raises):
   not the one that just failed (while another is routable), which is
   what turns a retry into failover.
 * **hedges** — when an attempt has been running longer than the fleet's
-  observed latency quantile (:class:`TaskLatencyTracker`; the fixed
+  observed latency quantile (a :class:`~repro.obs.metrics.LatencyWindow`
+  of shard-task latencies; the fixed
   :attr:`FaultPolicy.hedge_after_s` until enough samples exist), a single
   backup attempt is launched on a sibling of the straggler's copy.  First
   completion wins; the loser's result is discarded (result offers dedup
@@ -65,16 +66,14 @@ backend.
 from __future__ import annotations
 
 import math
-import threading
 import time
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.obs.metrics import nearest_rank
+from repro.obs.metrics import LatencyWindow
 from repro.shard.executor import ShardResult, ShardTask
 
 #: Hedge delays below this would fire backup attempts faster than the pool
@@ -146,34 +145,6 @@ class FaultPolicy:
 #: leaves ``QueryRequest.deadline_s`` advisory — it finishes late rather
 #: than dropping a shard.)
 ALL_OR_NOTHING = FaultPolicy(max_retries=0, allow_partial=False)
-
-
-class TaskLatencyTracker:
-    """Sliding window of completed shard-task latencies; the hedging
-    trigger reads its quantile, so the hedge delay adapts to what the
-    fleet is actually doing instead of a guessed constant."""
-
-    def __init__(self, window: int = 512) -> None:
-        self._lock = threading.Lock()
-        self._window: deque = deque(maxlen=window)
-
-    def record(self, latency_s: float) -> None:
-        with self._lock:
-            self._window.append(latency_s)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._window)
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Nearest-rank quantile over the window; ``None`` when empty.
-        Delegates to :func:`repro.obs.metrics.nearest_rank` — the one
-        quantile definition shared with ``ServingMetrics``."""
-        with self._lock:
-            values = sorted(self._window)
-        if not values:
-            return None
-        return nearest_rank(values, q)
 
 
 @dataclass
@@ -256,7 +227,7 @@ class FanoutSupervisor:
         policy: FaultPolicy,
         bind: Callable[[int, Optional[int]], int],
         on_outcome: Callable[[int, int, bool], None],
-        tracker: Optional[TaskLatencyTracker] = None,
+        tracker: Optional[LatencyWindow] = None,
         heal: Optional[Callable[[], object]] = None,
         max_pool_repairs: int = 0,
     ) -> None:
@@ -282,9 +253,7 @@ class FanoutSupervisor:
         if policy.hedge_after_s is None:
             return None
         if self._tracker is not None and len(self._tracker) >= policy.hedge_min_samples:
-            q = self._tracker.quantile(policy.hedge_quantile)
-            if q is not None:
-                return max(q, _MIN_HEDGE_DELAY_S)
+            return max(self._tracker.quantile(policy.hedge_quantile), _MIN_HEDGE_DELAY_S)
         return policy.hedge_after_s
 
     # ------------------------------------------------------------------

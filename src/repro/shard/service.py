@@ -1,8 +1,8 @@
 """ShardedQueryService — the fan-out/merge backend of the request front.
 
 One front, two backends: everything *around* executing a query — result
-cache, index-version guard, serving metrics, obs feed, use-after-close
-refusal — is the :class:`~repro.service.service.ServingFront` this service
+cache, index-version guard, serving counters and their stats epoch,
+use-after-close refusal — is the :class:`~repro.service.service.ServingFront` this service
 holds, the same one :class:`~repro.service.service.QueryService` holds.
 What lives here is what runs a cache miss (:meth:`ShardedQueryService._fan_out`)
 and what a version move must rebuild (:meth:`ShardedQueryService._resync`).
@@ -32,8 +32,9 @@ fleet minimum upper-bounds the merged k-th, so pruning stays exact; see
 
 Statistics aggregate without double-counting: each shard runs on its own
 disk, caches, and counters, so a query's :class:`SearchStats` is the plain
-field-wise sum over its shards (``SearchStats.merge``), and the service's
-cache hit rates sum hits/lookups across the per-shard caches.  A query's
+field-wise sum over its shards (``SearchStats.merge``) — HICL / APL cache
+lookups and hits included, which is where the service's hit rates come
+from, process-fleet workers' caches as much as in-process ones.  A query's
 ``latency_s`` is its *critical path* — the slowest shard's engine time.
 Per-shard work counters under a concurrent backend depend on pruning
 timing and are therefore not run-to-run deterministic (rankings always
@@ -53,13 +54,14 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.context import SearchStats
-from repro.core.engine import EngineConfig, GATSearchEngine
+from repro.core.engine import EngineConfig
 from repro.core.query import Query
 from repro.core.results import TopKCollector
 from repro.model.distance import DistanceMetric
+from repro.obs.metrics import LatencyWindow
 from repro.service.service import (
     QueryRequest,
     QueryResponse,
@@ -85,7 +87,6 @@ from repro.shard.resilience import (
     FanoutOutcome,
     FanoutSupervisor,
     FaultPolicy,
-    TaskLatencyTracker,
 )
 from repro.storage.disk import SimulatedDisk
 
@@ -154,13 +155,14 @@ class ShardedQueryService:
         nothing can preempt them.
     obs:
         An optional :class:`~repro.obs.Observability` handle.  Metrics:
-        every answered query feeds the registry.  Traces (handle with an
-        enabled tracer): each request gets a ``query`` root span with one
-        ``shard_task`` child per attempt — in-process attempts span
-        directly (shard/replica/attempt/hedge/breaker attributes, disk
-        and fault events), process-fleet attempts record spans worker-side
-        and ship them home in :attr:`ShardResult.spans` for re-parenting
-        under the root.  ``None`` (default) = no instrumentation.
+        the service counts into its registry (``None``: a private one).
+        Traces (handle with an enabled tracer): each request gets a
+        ``query`` root span with one ``shard_task`` child per attempt —
+        in-process attempts span directly (shard/replica/attempt/hedge/
+        breaker attributes, disk and fault events), process-fleet
+        attempts record spans worker-side and ship them home in
+        :attr:`ShardResult.spans` for re-parenting under the root.
+        ``None`` (default) = no tracing.
     n_replicas:
         Copies of each shard (default 1).  Every attempt is bound at
         submission, round-robin over the copies the circuit breaker calls
@@ -226,10 +228,10 @@ class ShardedQueryService:
         )
         self._front = ServingFront(
             index,
-            self.placement.engines,
             result_cache_size,
             obs,
             shards=index.n_shards,
+            health=self.placement.router.health_counters,
         )
         if executor == "serial":
             self._executor = SerialShardExecutor(self._run_task)
@@ -259,15 +261,8 @@ class ShardedQueryService:
         self._group_ids = itertools.count(1)
         self.fault_policy = fault_policy
         self._policy = fault_policy if fault_policy is not None else ALL_OR_NOTHING
-        self._task_latency = TaskLatencyTracker()
-        self._task_retries = 0
-        self._task_hedges = 0
-        self._task_hedges_denied = 0
-        self._partial_responses = 0
-        # Breaker counters are monotonic on ReplicaHealth; stats() diffs
-        # them against this reset-time baseline so reset_stats() actually
-        # zeroes the reported trip counts.
-        self._breaker_base: Tuple[int, int, int] = (0, 0, 0)
+        # Completed shard-task latencies: the adaptive hedge delay's window.
+        self._task_latency = LatencyWindow(512)
 
     # ------------------------------------------------------------------
     # Executor plumbing
@@ -348,16 +343,14 @@ class ShardedQueryService:
             concurrent_reads=shard0.disk.concurrent_reads,
         )
 
-    def _resync(self) -> List[GATSearchEngine]:
+    def _resync(self) -> None:
         """The front's ``on_stale`` callback, run under its lock before
         the moved composite version is published: catch the engine banks
         up with the mutated primary and, with the process backend,
-        schedule a worker-snapshot refresh.  Returns the engines it
-        discarded so the front can retire their cache counters."""
-        discarded = self.placement.resync()
+        schedule a worker-snapshot refresh."""
+        self.placement.resync()
         if not self._in_process:
             self._executor.refresh(self._make_spec())
-        return discarded
 
     # ------------------------------------------------------------------
     # Fan-out / merge
@@ -538,15 +531,10 @@ class ShardedQueryService:
             max_pool_repairs=0 if self._in_process else executor.max_pool_repairs,
         )
         outcomes = supervisor.run(fanouts, deadlines=deadlines)
-        retries = sum(o.retries for o in outcomes)
-        hedges = sum(o.hedges for o in outcomes)
-        hedges_denied = sum(o.hedges_denied for o in outcomes)
-        with self._lock:
-            self._task_retries += retries
-            self._task_hedges += hedges
-            self._task_hedges_denied += hedges_denied
-        if self.obs is not None:
-            self.obs.observe_fanout(retries, hedges, hedges_denied)
+        count = self._front.count
+        count("task_retries", sum(o.retries for o in outcomes))
+        count("task_hedges", sum(o.hedges for o in outcomes))
+        count("task_hedges_denied", sum(o.hedges_denied for o in outcomes))
         return outcomes
 
     def _assemble(
@@ -570,8 +558,6 @@ class ShardedQueryService:
                             raise exc
                         raise ShardTaskError(task, exc) from exc
                 raise RuntimeError("fan-out incomplete without a recorded failure")
-            with self._lock:
-                self._partial_responses += 1
         collector = TopKCollector(request.k)
         for shard_result in answered:
             for result in shard_result.results:
@@ -642,30 +628,13 @@ class ShardedQueryService:
     def stats(self) -> ServiceStats:
         """Fleet-wide :class:`ServiceStats`.
 
-        Cache hit rates sum hits/lookups across every bank's HICL caches
-        and engine APL caches (each lookup happened on exactly one copy of
-        one shard).  With the process backend the in-process caches are
-        bypassed — worker processes own their engines — so those rates
-        read 0.
+        Cache hit rates sum hits/lookups over the answered responses,
+        whose stats sum their shards' — every copy's HICL and APL caches,
+        process-fleet workers' included.  The breaker fields are the
+        router's ejections, restores and probes since the epoch.
         """
-        stats = self._front.stats()
-        with self._lock:
-            stats.task_retries = self._task_retries
-            stats.task_hedges = self._task_hedges
-            stats.task_hedges_denied = self._task_hedges_denied
-            stats.partial_responses = self._partial_responses
-            ejections, restores, probes = self.placement.router.health_counters()
-            stats.breaker_ejections = ejections - self._breaker_base[0]
-            stats.breaker_restores = restores - self._breaker_base[1]
-            stats.breaker_probes = probes - self._breaker_base[2]
-        return stats
+        return self._front.stats()
 
     def reset_stats(self) -> None:
-        """Zero the service accounting and re-baseline the shard caches."""
+        """Start a new stats epoch (see :meth:`ServingFront.reset_stats`)."""
         self._front.reset_stats()
-        with self._lock:
-            self._task_retries = 0
-            self._task_hedges = 0
-            self._task_hedges_denied = 0
-            self._partial_responses = 0
-            self._breaker_base = self.placement.router.health_counters()

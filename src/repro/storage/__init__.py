@@ -9,7 +9,7 @@ then report logical I/O alongside wall-clock time, which is the faithful
 signal for the paper's memory-budget discussion.
 """
 
-from repro.storage.cache import CacheStats, LRUCache
+from repro.storage.cache import LRUCache
 from repro.storage.disk import DiskStats, SimulatedDisk
 from repro.storage.serialization import deserialize_obj, serialize_obj
 
@@ -17,7 +17,6 @@ __all__ = [
     "SimulatedDisk",
     "DiskStats",
     "LRUCache",
-    "CacheStats",
     "serialize_obj",
     "deserialize_obj",
 ]

@@ -1,4 +1,4 @@
-"""A thread-safe bounded LRU cache with hit/miss accounting.
+"""A thread-safe bounded LRU cache.
 
 Shared by the concurrency-safe layers of the index: HICL uses one for its
 disk-resident inverted cell lists (replacing the old per-query cache that
@@ -7,47 +7,17 @@ posting-list fetches.  Both caches are shared across concurrent queries,
 so every operation takes an internal lock; ``get_or_load`` releases the
 lock while the loader runs so a slow (counted) disk read never serialises
 unrelated queries.
+
+The cache keeps no hit/miss totals: a shared cache cannot say which query
+a lookup served, so the callers report each lookup's outcome to the query
+that made it (``SearchStats.hicl_cache_*`` / ``apl_cache_*``).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, List, Optional, Sequence
-
-
-@dataclass(frozen=True, slots=True)
-class CacheStats:
-    """Immutable snapshot of a cache's accounting."""
-
-    hits: int
-    misses: int
-    size: int
-    capacity: int
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @classmethod
-    def combined(cls, parts: "list[Optional[CacheStats]]") -> Optional["CacheStats"]:
-        """Sum several caches' accounting into one snapshot.
-
-        Used by the sharded layers to report fleet-wide hit rates: each
-        shard owns its own cache, so hits/misses/sizes/capacities add up
-        without double-counting.  ``None`` entries (disabled caches) are
-        skipped; all-``None`` input returns ``None``.
-        """
-        present = [p for p in parts if p is not None]
-        if not present:
-            return None
-        return cls(
-            hits=sum(p.hits for p in present),
-            misses=sum(p.misses for p in present),
-            size=sum(p.size for p in present),
-            capacity=sum(p.capacity for p in present),
-        )
+from typing import Any, Callable, Hashable, Iterable, List, Sequence, Tuple
 
 
 class LRUCache:
@@ -60,7 +30,7 @@ class LRUCache:
         evicted when a new key would exceed it.
     """
 
-    __slots__ = ("capacity", "_lock", "_entries", "_hits", "_misses")
+    __slots__ = ("capacity", "_lock", "_entries")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -68,8 +38,6 @@ class LRUCache:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
 
     # ------------------------------------------------------------------
     # Core operations
@@ -80,10 +48,8 @@ class LRUCache:
             try:
                 value = self._entries[key]
             except KeyError:
-                self._misses += 1
                 return default
             self._entries.move_to_end(key)
-            self._hits += 1
             return value
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -97,8 +63,8 @@ class LRUCache:
 
     def missing(self, keys: Sequence[Hashable]) -> List[Hashable]:
         """The keys of *keys* (distinct) that are not cached, in order —
-        one :meth:`get` per key (recency refreshed, a hit or a miss
-        counted) under a single lock acquisition."""
+        one :meth:`get` per key (recency refreshed) under a single lock
+        acquisition."""
         with self._lock:
             entries = self._entries
             absent = []
@@ -107,8 +73,6 @@ class LRUCache:
                     entries.move_to_end(key)
                 else:
                     absent.append(key)
-            self._hits += len(keys) - len(absent)
-            self._misses += len(absent)
         return absent
 
     def put_many(self, keys: Iterable[Hashable], values: Iterable[Any]) -> None:
@@ -125,9 +89,9 @@ class LRUCache:
 
     _MISS = object()
 
-    def get_or_load(self, key: Hashable, loader: Callable[[], Any]) -> Any:
-        """Return the cached value, calling *loader* (outside the lock) on
-        a miss and caching its result.
+    def get_or_load(self, key: Hashable, loader: Callable[[], Any]) -> Tuple[Any, bool]:
+        """``(value, hit)``: the cached value, or — on a miss — *loader*'s
+        result (called outside the lock), which is cached.
 
         Two threads racing on the same cold key may both invoke *loader*;
         the loaders used here are idempotent reads, so the only cost is a
@@ -135,13 +99,13 @@ class LRUCache:
         """
         value = self.get(key, self._MISS)
         if value is not self._MISS:
-            return value
+            return value, True
         value = loader()
         self.put(key, value)
-        return value
+        return value, False
 
     def clear(self) -> None:
-        """Drop every entry (accounting counters are preserved)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
 
@@ -155,7 +119,3 @@ class LRUCache:
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._entries
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(self._hits, self._misses, len(self._entries), self.capacity)

@@ -73,7 +73,9 @@ class TestKernelParity:
                 ctx = engine.execute(q, 5, order_sensitive=(i % 2 == 1))
                 answers.append([(r.trajectory_id, r.distance) for r in ctx.ranked])
                 stats.append(_stat_dict(ctx.stats))
-            return answers, stats, _stat_dict(index.disk.stats), engine.apl_cache.stats()
+            hits = sum(s["apl_cache_hits"] for s in stats)
+            lookups = sum(s["apl_cache_lookups"] for s in stats)
+            return answers, stats, _stat_dict(index.disk.stats), (hits, lookups)
 
         scalar_ans, scalar_stats, scalar_disk, scalar_cache = run("scalar")
         block_ans, block_stats, block_disk, block_cache = run("block")
@@ -81,7 +83,26 @@ class TestKernelParity:
         assert scalar_stats == block_stats
         assert scalar_disk == block_disk
         assert scalar_cache == block_cache
-        assert scalar_cache.hits and scalar_cache.misses > scalar_cache.capacity
+        hits, lookups = scalar_cache
+        assert hits and lookups - hits > 2  # misses beyond the LRU's capacity
+
+    def test_block_vs_scalar_cache_counts(self, index, queries):
+        """The four per-query cache counts, warm caches shared across the
+        run: equal under both kernels query by query, and not vacuous."""
+        counts = ("hicl_cache_hits", "hicl_cache_lookups", "apl_cache_hits", "apl_cache_lookups")
+
+        def run(kernel):
+            engine = GATSearchEngine(index, kernel=kernel)
+            index.hicl.clear_cache()
+            return [
+                {name: getattr(engine.execute(q, 5).stats, name) for name in counts}
+                for q in queries + queries
+            ]
+
+        scalar, block = run("scalar"), run("block")
+        assert scalar == block
+        for name in counts:
+            assert sum(row[name] for row in block) > 0, name
 
 
 class TestEngineConfig:

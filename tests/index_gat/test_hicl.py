@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.context import SearchStats
 from repro.geometry.grid import HierarchicalGrid
 from repro.core.query import Query, QueryPoint
 from repro.index.gat.apl import APLStore
@@ -135,19 +136,24 @@ class TestDiskResidence:
         for _ in range(3):
             hicl.cells_with_activity(a, 4)
         assert disk.stats.reads == 3
-        stats = hicl.cache_stats()
-        assert (stats.hits, stats.misses, stats.capacity) == (0, 0, 0)
+        # No cache, no cache lookups to count.
+        stats = SearchStats()
+        hicl.bitmap(a, 4, stats)
+        assert (stats.hicl_cache_hits, stats.hicl_cache_lookups) == (0, 0)
         hicl.clear_cache()  # no-op, must not raise
 
     def test_cache_stats_exposed(self, db, grid):
+        """A lookup of a disk-resident list counts on the asking query's
+        stats; memory-resident levels make no cache lookup."""
         disk = SimulatedDisk()
         hicl = build_hicl(db, grid, memory_levels=2, disk=disk)
         a = db.vocabulary.id_of("a")
-        hicl.cells_with_activity(a, 4)
-        hicl.cells_with_activity(a, 4)
-        stats = hicl.cache_stats()
-        assert stats.hits == 1
-        assert stats.misses == 1
+        stats = SearchStats()
+        hicl.bitmap(a, 4, stats)
+        hicl.bitmap(a, 4, stats)
+        hicl.bitmap(a, 2, stats)
+        assert stats.hicl_cache_hits == 1
+        assert stats.hicl_cache_lookups - stats.hicl_cache_hits == 1
 
 
 class TestWarmCacheAcrossQueries:
@@ -173,16 +179,15 @@ class TestWarmCacheAcrossQueries:
     def test_back_to_back_queries_reuse_warm_cells(self, small_db):
         engine, query = self._engine_and_query(small_db)
         first = engine.execute(query, k=3).stats
-        warm_before = engine.index.hicl.cache_stats()
         second = engine.execute(query, k=3).stats
-        warm_after = engine.index.hicl.cache_stats()
         # Identical answers and pruning work either way...
         assert second.tas_pruned == first.tas_pruned
         assert second.apl_pruned == first.apl_pruned
-        # ...but the repeat query is served from the warm caches.
+        # ...but the repeat query is served from the warm caches: every
+        # one of its HICL lookups hits.
         assert second.disk_reads < first.disk_reads
-        assert warm_after.hits > warm_before.hits
-        assert warm_after.misses == warm_before.misses
+        assert second.hicl_cache_lookups == first.hicl_cache_lookups > 0
+        assert second.hicl_cache_hits == second.hicl_cache_lookups
 
     def test_cold_cache_restores_seed_io(self, small_db):
         """clear_cache() + a cache-less engine reproduces the seed's

@@ -135,6 +135,33 @@ class TestQueryServiceTracing:
         assert samples["repro_disk_reads_total"] > 0
 
 
+class TestSharedRegistry:
+    def test_fresh_service_on_a_reused_handle_reports_zero(self, db, queries):
+        """The registry outlives the services counting into it; a service
+        built on a used handle starts its own epoch at construction."""
+        obs = Observability.disabled()
+        index = GATIndex.build(db, CONFIG)
+
+        def service():
+            return QueryService(GATSearchEngine(index), result_cache_size=8, obs=obs)
+
+        with service() as first:
+            first.search_many(queries, k=K)
+            first.search(queries[0], k=K)  # a result-cache hit
+        with service() as second:
+            stats = second.stats()
+            assert (stats.queries, stats.disk_reads, stats.wall_seconds) == (0, 0, 0.0)
+            assert (stats.result_cache_hits, stats.result_cache_lookups) == (0, 0)
+            assert stats.hicl_cache_hit_rate == stats.apl_cache_hit_rate == 0.0
+            assert stats.latency_p50_s == stats.latency_mean_s == 0.0
+            second.search(queries[1], k=K)
+            stats = second.stats()
+            assert (stats.queries, stats.result_cache_lookups) == (1, 1)
+        samples = parse_prometheus_text(obs.prometheus())
+        assert samples["repro_queries_total"] == float(len(queries) + 2)
+        assert samples["repro_result_cache_lookups_total"] == float(len(queries) + 2)
+
+
 # ----------------------------------------------------------------------
 # In-process sharded fan-out under injected faults
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from heapq import heappop, heappush
 from math import hypot
 from typing import Dict, List, Set, Tuple
 
+from repro.core.context import SearchStats
 from repro.core.lower_bound import Frontier
 from repro.core.match import INFINITY
 from repro.index.gat.apl import ACTIVITY_BITS
@@ -31,7 +32,8 @@ _NIBBLE_CHILDREN = tuple(
 
 class PythonWalkRetriever:
     """``CandidateRetriever`` as it was, with a ``stats``-like pair of
-    counters (``cells_popped``, ``leaf_cells_visited``) of its own."""
+    counters (``cells_popped``, ``leaf_cells_visited``) of its own, and a
+    :class:`SearchStats` its HICL view counts cache lookups on."""
 
     def __init__(self, index, query) -> None:
         self.index = index
@@ -39,7 +41,8 @@ class PythonWalkRetriever:
         self.cells_popped = self.leaf_cells_visited = 0
         self.pops: List[Tuple[float, int, int, int]] = []
         self.heap: List[Tuple[float, int, int, int, int, int, int]] = []
-        self.bitmaps = QueryBitmaps(index.hicl, query)
+        self.stats = SearchStats()
+        self.bitmaps = QueryBitmaps(index.hicl, query, self.stats)
         self.seen: Set[int] = set()
         keys, offsets, rows, _n_rows = index.itl.arrays
         bounds = offsets.tolist()

@@ -109,6 +109,10 @@ def _walk_state(retriever, counters):
     )
 
 
+def _hicl_cache(stats):
+    return stats.hicl_cache_hits, stats.hicl_cache_lookups
+
+
 def _drive_c_walk(case: Case, index: GATIndex, query: Query):
     with index.disk.track() as disk:
         stats = SearchStats()
@@ -120,7 +124,7 @@ def _drive_c_walk(case: Case, index: GATIndex, query: Query):
             _walk_state(retriever, stats),
         )
     assert stats.candidates_retrieved == sum(len(r[0]) for r in rounds)
-    return rounds, (disk.reads, disk.pages_read)
+    return rounds, (disk.reads, disk.pages_read), _hicl_cache(stats)
 
 
 def _drive_python_walk(case: Case, index: GATIndex, query: Query):
@@ -133,7 +137,7 @@ def _drive_python_walk(case: Case, index: GATIndex, query: Query):
             _walk_state(retriever, retriever),
         )
     assert retriever.cells_popped == len(retriever.pops)
-    return retriever.pops, rounds, (disk.reads, disk.pages_read)
+    return retriever.pops, rounds, (disk.reads, disk.pages_read), _hicl_cache(retriever.stats)
 
 
 def _drive_oracle(case: Case, index: GATIndex, query: Query):
@@ -150,14 +154,20 @@ def _check(case: Case) -> None:
         if case.clear_cache:
             for index in (c_index, py_index, oracle):
                 index.hicl.clear_cache()
-        got_rounds, got_io = _drive_c_walk(case, c_index, query)
-        py_pops, py_rounds, py_io = _drive_python_walk(case, py_index, query)
+        got_rounds, got_io, got_hicl = _drive_c_walk(case, c_index, query)
+        py_pops, py_rounds, py_io, py_hicl = _drive_python_walk(case, py_index, query)
         want_pops, want_rounds, want_io = _drive_oracle(case, oracle, query)
         assert got_rounds == py_rounds
         assert py_pops == want_pops
         ids = c_index.apl.image.ids
         assert [(ids[new].tolist() if new else [], bound) for new, bound, *_ in got_rounds] == want_rounds
         assert got_io == py_io == want_io
+        # Both bitmap walks load a (query point, level) once per query, so
+        # their HICL cache counts agree.  The frozenset oracle is left out
+        # of this one comparison: it looks a list up per popped cell by
+        # design, so its hit and lookup counts are its own (its reads,
+        # compared above, are not).
+        assert got_hicl == py_hicl
         if n == 0 and case.insert is not None:
             inserted = _trajectory(len(case.trajectories), case.insert)
             c_index.insert_trajectory(inserted)

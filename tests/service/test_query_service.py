@@ -158,7 +158,29 @@ class TestServiceStats:
 
 
 class TestServingMetricsReset:
-    def test_reset_mid_flight_reanchors_busy_interval(self, monkeypatch):
+    """The front's busy wall clock against a reset: driven through
+    ``ServingFront.serve`` with a fake clock and a backend that resets the
+    stats while its request is in flight."""
+
+    @staticmethod
+    def _front():
+        from types import SimpleNamespace
+
+        from repro.service.service import ServingFront
+
+        return ServingFront(SimpleNamespace(version=0), result_cache_size=0)
+
+    @staticmethod
+    def _answer(requests, latency_s, disk_reads=0):
+        from repro.core.context import SearchStats
+        from repro.service.service import QueryResponse
+
+        return [
+            QueryResponse(request, [], SearchStats(disk_reads=disk_reads), latency_s)
+            for request in requests
+        ]
+
+    def test_reset_mid_flight_reanchors_busy_interval(self, monkeypatch, mixed_requests):
         """Regression: reset() while queries are in flight must restart
         the open busy interval.  Pre-fix, the first exit_busy() after a
         reset folded the entire *pre-reset* busy stretch back into
@@ -173,28 +195,26 @@ class TestServingMetricsReset:
                 return clock["now"]
 
         monkeypatch.setattr(service_mod, "time", _FakeTime)
-        metrics = service_mod.ServingMetrics()
-        metrics.enter_busy()
-        clock["now"] += 50.0  # long pre-reset busy stretch
-        metrics.reset()  # stats zeroed while the query is still in flight
-        clock["now"] += 2.0  # post-reset serving time
-        metrics.exit_busy()
-        metrics.record([(2.0, 0)])
-        stats = metrics.fill(service_mod.ServiceStats())
+        front = self._front()
+
+        def execute(requests):
+            clock["now"] += 50.0  # long pre-reset busy stretch
+            front.reset_stats()  # stats zeroed while the query is still in flight
+            clock["now"] += 2.0  # post-reset serving time
+            return self._answer(requests, 2.0)
+
+        front.serve(mixed_requests[:1], execute)
+        stats = front.stats()
         assert stats.queries == 1
         # Only the post-reset 2 s count; the 50 s before reset must not.
         assert stats.wall_seconds == pytest.approx(2.0)
         assert stats.qps == pytest.approx(0.5)
 
-    def test_reset_while_idle_still_zeroes(self, monkeypatch):
-        from repro.service import service as service_mod
-
-        metrics = service_mod.ServingMetrics()
-        metrics.enter_busy()
-        metrics.exit_busy()
-        metrics.record([(0.5, 3)])
-        metrics.reset()
-        stats = metrics.fill(service_mod.ServiceStats())
+    def test_reset_while_idle_still_zeroes(self, mixed_requests):
+        front = self._front()
+        front.serve(mixed_requests[:1], lambda requests: self._answer(requests, 0.5, 3))
+        front.reset_stats()
+        stats = front.stats()
         assert stats.queries == 0
         assert stats.wall_seconds == 0.0
         assert stats.disk_reads == 0

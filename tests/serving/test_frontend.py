@@ -2,6 +2,7 @@
 expiry, parity with the closed-loop path, metrics."""
 
 import asyncio
+import itertools
 import time
 
 import pytest
@@ -9,8 +10,9 @@ import pytest
 from repro.core.context import SearchStats
 from repro.core.engine import GATSearchEngine
 from repro.index.gat.index import GATIndex
-from repro.obs import Observability
+from repro.obs import Observability, parse_prometheus_text
 from repro.serving import (
+    AdmissionError,
     ExpiredError,
     RejectedError,
     ServingConfig,
@@ -18,6 +20,7 @@ from repro.serving import (
     ShedError,
 )
 from repro.service import QueryResponse, QueryService
+from repro.serving.frontend import OUTCOMES
 from repro.service.service import QueryRequest, as_request
 
 
@@ -45,6 +48,21 @@ class StubService:
             shards_answered=self.shards_answered,
             shards_total=self.shards_total,
         )
+
+
+class RefusingService(StubService):
+    """Every other call raises the bare :class:`AdmissionError`, whose
+    outcome (``error``) names no counter of its own."""
+
+    def __init__(self, service_s=0.0):
+        super().__init__(service_s)
+        self._calls = itertools.count()
+
+    def search(self, request: QueryRequest) -> QueryResponse:
+        if next(self._calls) % 2:
+            self.requests.append(request)
+            raise AdmissionError("backend refused")
+        return super().search(request)
 
 
 def make_request(workload_queries, i=0, **kwargs) -> QueryRequest:
@@ -239,6 +257,57 @@ class TestObservability:
         text = obs.prometheus()
         assert "repro_admission_shed_total" in text
         assert "repro_admission_rejected_total" in text
+
+    def test_bare_admission_error_counts_as_failed_across_a_reset(self, workload_queries):
+        """A backend raising the bare base class (outcome ``error``) is a
+        failure in the one counter set: ``submitted`` equals the outcomes'
+        sum in ``FrontendStats`` — also after a reset taken mid-burst, with
+        requests still in flight — and in the Prometheus series."""
+        backend = RefusingService(service_s=0.005)
+        obs = Observability.disabled()
+        n, reset_after = 12, 4
+        config = ServingConfig(max_concurrency=2, queue_capacity=64, shed=False)
+
+        async def burst(fe):
+            done = []
+
+            async def one():
+                try:
+                    await fe.submit(make_request(workload_queries), deadline_s=30.0)
+                except AdmissionError:
+                    pass
+                done.append(1)
+                if len(done) == reset_after:
+                    fe.reset_stats()
+
+            await asyncio.gather(*(one() for _ in range(n)))
+
+        with ServingFrontend(backend, config, obs=obs) as fe:
+            asyncio.run(burst(fe))
+            stats = fe.stats()
+        outcomes = (stats.completed, stats.rejected, stats.shed, stats.expired, stats.failed)
+        # The requests in flight at the reset are submitted in the new epoch.
+        assert stats.submitted == sum(outcomes) == n - reset_after
+        assert stats.failed >= 1
+        samples = parse_prometheus_text(obs.prometheus())
+        assert samples["repro_admission_submitted_total"] == n
+        assert samples["repro_admission_failed_total"] == n // 2
+        assert samples["repro_admission_submitted_total"] == sum(
+            samples[f"repro_admission_{outcome}_total"] for outcome in OUTCOMES
+        )
+
+    def test_idle_poll_does_not_resort(self, workload_queries):
+        with ServingFrontend(StubService(), ServingConfig()) as fe:
+            for _ in range(2):
+                submit_one(fe, make_request(workload_queries))
+            fe.stats()
+            # Tampered sorted copies are served verbatim: no re-sort.
+            fe._latencies._sorted = [9.0]
+            fe._queue_waits._sorted = [7.0]
+            stats = fe.stats()
+            assert (stats.latency_p50_s, stats.queue_wait_p50_s) == (9.0, 7.0)
+            submit_one(fe, make_request(workload_queries))
+            assert fe.stats().latency_p50_s < 9.0
 
     def test_admission_spans_on_trace(self, workload_queries):
         obs = Observability.enabled()

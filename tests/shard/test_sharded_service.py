@@ -150,6 +150,24 @@ class TestAggregatedStats:
         assert stats.latency_p95_s >= stats.latency_p50_s >= 0.0
         assert stats.qps > 0.0
 
+    def test_process_fleet_hit_rates_come_from_the_workers(self, db):
+        """The workers' engines own the caches; their lookups reach the
+        service through the responses, so a repeated batch reads a real
+        APL hit rate (it read 0 while rates polled in-process caches)."""
+        sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG)
+        queries = [_query_for(db, seed=s) for s in (1, 2, 3)]
+        with ShardedQueryService(
+            sharded, executor="process", result_cache_size=0
+        ) as service:
+            first = service.search_many(queries, k=3)
+            second = service.search_many(queries, k=3)
+            stats = service.stats()
+        assert 0.0 < stats.apl_cache_hit_rate <= 1.0
+        responses = first + second
+        hits = sum(r.stats.apl_cache_hits for r in responses)
+        lookups = sum(r.stats.apl_cache_lookups for r in responses)
+        assert stats.apl_cache_hit_rate == hits / lookups
+
 
 class TestLifecycle:
     def test_close_is_idempotent(self, db):

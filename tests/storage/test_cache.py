@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.storage.cache import CacheStats, LRUCache
+from repro.storage.cache import LRUCache
 
 
 class TestBasics:
@@ -37,8 +37,8 @@ class TestBasics:
             calls.append(1)
             return "value"
 
-        assert cache.get_or_load("k", loader) == "value"
-        assert cache.get_or_load("k", loader) == "value"
+        assert cache.get_or_load("k", loader) == ("value", False)
+        assert cache.get_or_load("k", loader) == ("value", True)
         assert len(calls) == 1
 
     def test_get_or_load_caches_none(self):
@@ -50,48 +50,34 @@ class TestBasics:
             calls.append(1)
             return None
 
-        assert cache.get_or_load("k", loader) is None
-        assert cache.get_or_load("k", loader) is None
+        assert cache.get_or_load("k", loader) == (None, False)
+        assert cache.get_or_load("k", loader) == (None, True)
         assert len(calls) == 1
 
-    def test_clear_keeps_accounting(self):
+    def test_clear_forces_a_miss(self):
         cache = LRUCache(4)
         cache.put("a", 1)
-        cache.get("a")
         cache.clear()
         assert len(cache) == 0
-        stats = cache.stats()
-        assert stats.hits == 1
+        assert cache.get_or_load("a", lambda: 2) == (2, False)
 
 
 class TestAccounting:
+    """The cache keeps no totals; each lookup reports its own outcome to
+    the caller, which counts it for the query that made it."""
+
     def test_hit_miss_counters(self):
         cache = LRUCache(4)
-        cache.get("a")  # miss
-        cache.put("a", 1)
-        cache.get("a")  # hit
-        cache.get("b")  # miss
-        stats = cache.stats()
-        assert stats.hits == 1
-        assert stats.misses == 2
-        assert stats.lookups == 3
-
-    def test_combined_sums_present_parts(self):
-        a = CacheStats(hits=3, misses=1, size=2, capacity=4)
-        b = CacheStats(hits=0, misses=5, size=5, capacity=8)
-        total = CacheStats.combined([a, None, b])
-        assert total == CacheStats(hits=3, misses=6, size=7, capacity=12)
-        assert total.lookups == a.lookups + b.lookups
-
-    @pytest.mark.parametrize("parts", [[], [None], [None, None]])
-    def test_combined_without_caches_is_none(self, parts):
-        assert CacheStats.combined(parts) is None
+        assert cache.get_or_load("a", lambda: 1) == (1, False)  # miss
+        assert cache.get_or_load("a", lambda: 9) == (1, True)  # hit
+        assert cache.missing(["a", "b"]) == ["b"]  # one hit, one miss
+        assert not hasattr(cache, "stats")
 
 
 class TestBatchedPass:
     def test_missing_and_put_many_equal_the_per_key_calls(self):
-        """A round's LRU pass under one lock lands every entry, its
-        recency, and both counters where get / put per key would."""
+        """A round's LRU pass under one lock lands every entry and its
+        recency where get / put per key would, and misses the same keys."""
         import random
 
         rng = random.Random(7)
@@ -106,7 +92,6 @@ class TestBatchedPass:
             batched.put_many(got, [-k for k in got])
             assert got == want
             assert list(batched._entries.items()) == list(looped._entries.items())
-            assert batched.stats() == looped.stats()
 
 
 class TestConcurrency:

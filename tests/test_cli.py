@@ -202,6 +202,12 @@ class TestMetrics:
         samples = parse_prometheus_text(out)
         assert samples["repro_queries_total"] == 3.0
         assert samples["repro_query_latency_seconds_count"] == 3.0
+        # The per-response cache counts: a series each, hits never above
+        # lookups.
+        for cache in ("hicl", "apl"):
+            hits = samples[f"repro_{cache}_cache_hits_total"]
+            assert 0.0 <= hits <= samples[f"repro_{cache}_cache_lookups_total"]
+        assert samples["repro_apl_cache_lookups_total"] > 0.0
         assert samples["repro_disk_reads_total"] > 0
 
 
