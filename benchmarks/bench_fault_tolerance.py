@@ -45,7 +45,7 @@ from repro.shard import (
 )
 from repro.storage.disk import SimulatedDisk
 
-from conftest import bench_gat_config, bench_scale
+from conftest import bench_gat_config, bench_scale, usable_cores
 
 N_QUERIES = 12
 K = 8
@@ -243,6 +243,7 @@ def test_fault_tolerance_scenarios(benchmark, la_db, workload):
                 "k": K,
                 "n_shards": N_SHARDS,
                 "error_rate": ERROR_RATE,
+                "cores": usable_cores(),
                 "rows": rows,
             },
             fh,

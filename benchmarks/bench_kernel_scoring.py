@@ -113,7 +113,9 @@ def test_kernel_speedup_and_parity(benchmark, gat_index, la_queries):
         json.dump(payload, fh, indent=2)
     print(f"  wrote {JSON_PATH}")
 
-    assert speedup >= 2.0, f"block kernel only {speedup:.2f}x faster"
+    # Timing gate: off under --benchmark-disable, as benchmarks/reach.py runs it.
+    if not benchmark.disabled:
+        assert speedup >= 2.0, f"block kernel only {speedup:.2f}x faster"
 
 
 @pytest.mark.benchmark(group="kernel-scoring-each")

@@ -124,7 +124,9 @@ def test_disabled_observability_overhead(benchmark, la_db, gat_index):
         f"{report['disabled_cpu_ms_per_query']}, ratio {ratio:.3f} "
         f"(pairs {report['pair_ratios']})"
     )
-    assert ratio >= 0.95, (
-        f"disabled observability costs more than 5% throughput "
-        f"(median pair ratio {ratio:.3f})"
-    )
+    # Timing gate: off under --benchmark-disable, as benchmarks/reach.py runs it.
+    if not benchmark.disabled:
+        assert ratio >= 0.95, (
+            f"disabled observability costs more than 5% throughput "
+            f"(median pair ratio {ratio:.3f})"
+        )

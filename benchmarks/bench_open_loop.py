@@ -43,7 +43,7 @@ from repro.service.service import as_request
 from repro.shard import FaultPolicy, ShardedGATIndex, ShardedQueryService
 from repro.storage.disk import SimulatedDisk
 
-from conftest import bench_gat_config, bench_scale
+from conftest import bench_gat_config, bench_scale, usable_cores
 
 N_QUERIES = 8
 K = 8
@@ -252,19 +252,22 @@ def test_open_loop_overload_envelope(benchmark, la_db, workload):
         assert exact_frac == 1.0, (
             "overload served rankings diverged from the closed-loop oracle"
         )
-        assert shed_ratio >= 0.7, (
-            f"shedding goodput collapsed under 2x overload: {shed_ratio:.2f} "
-            f"of peak ({shed_report.goodput_qps:.1f} vs {peak_goodput:.1f} QPS)"
-        )
-        assert noshed_ratio < shed_ratio, (
-            "the no-shedding baseline out-served the shedding front-end; "
-            "shedding is not earning its keep"
-        )
+        # Timing gate: off under --benchmark-disable, as benchmarks/reach.py runs it.
+        if not benchmark.disabled:
+            assert shed_ratio >= 0.7, (
+                f"shedding goodput collapsed under 2x overload: {shed_ratio:.2f} "
+                f"of peak ({shed_report.goodput_qps:.1f} vs {peak_goodput:.1f} QPS)"
+            )
+            assert noshed_ratio < shed_ratio, (
+                "the no-shedding baseline out-served the shedding front-end; "
+                "shedding is not earning its keep"
+            )
         report["data"] = {
             "n_queries": N_QUERIES,
             "k": K,
             "n_shards": N_SHARDS,
             "concurrency": CONCURRENCY,
+            "cores": usable_cores(),
             "mean_service_ms": round(mean_service_s * 1e3, 3),
             "capacity_qps": round(capacity_qps, 2),
             "slo_ms": round(slo_s * 1e3, 2),

@@ -162,5 +162,7 @@ def test_replica_scaling_speedup_and_parity(benchmark, la_db, workload):
               f"{row['wall_s']:6.2f} s  {row['qps']:7.1f} QPS  "
               f"{row['speedup_vs_1replica']:.2f}x vs 1 replica  "
               f"({row['disk_reads']} reads)")
-    speedup = rows[-1]["speedup_vs_1replica"]
-    assert speedup >= 1.3, f"2-replica speedup {speedup:.2f}x < 1.3x"
+    # Timing gate: off under --benchmark-disable, as benchmarks/reach.py runs it.
+    if not benchmark.disabled:
+        speedup = rows[-1]["speedup_vs_1replica"]
+        assert speedup >= 1.3, f"2-replica speedup {speedup:.2f}x < 1.3x"

@@ -98,7 +98,9 @@ def test_batched_vs_sequential_throughput(benchmark, la_db, workload):
           f"APL {stats.apl_cache_hit_rate:.1%} hit rate")
     print(f"  speedup         : {speedup:.2f}x")
     assert len(report["responses"]) == N_QUERIES
-    assert speedup > 1.5
+    # Timing gate: off under --benchmark-disable, as benchmarks/reach.py runs it.
+    if not benchmark.disabled:
+        assert speedup > 1.5
 
 
 @pytest.mark.benchmark(group="service-throughput-workers")

@@ -182,6 +182,7 @@ def test_sharded_scaling_speedup_and_parity(benchmark, la_db, workload):
                 "k": K,
                 "read_latency_s": READ_LATENCY_S,
                 "n_warm": N_WARM,
+                "cores": usable_cores(),
                 "rows": rows,
             },
             fh,
@@ -194,8 +195,10 @@ def test_sharded_scaling_speedup_and_parity(benchmark, la_db, workload):
               f"setup {row['setup_s']:5.2f} s  steady {row['wall_s']:6.2f} s  "
               f"{row['qps']:7.1f} QPS  {row['speedup_vs_1shard']:.2f}x vs 1 shard  "
               f"({row['disk_reads']} reads)")
-    speedup = rows[-1]["speedup_vs_1shard"]
-    assert speedup >= 1.5, f"4-shard speedup {speedup:.2f}x < 1.5x"
+    # Timing gate: off under --benchmark-disable, as benchmarks/reach.py runs it.
+    if not benchmark.disabled:
+        speedup = rows[-1]["speedup_vs_1shard"]
+        assert speedup >= 1.5, f"4-shard speedup {speedup:.2f}x < 1.5x"
 
 
 @pytest.mark.benchmark(group="process-fleet")
@@ -270,11 +273,12 @@ def test_process_fleet_cpu_bound(benchmark, la_db):
     print(f"  process vs thread: {vs_thread:.2f}x   "
           f"process vs single engine: {vs_single:.2f}x")
 
-    if cores >= 2:
+    if cores < 2:
+        print("  (single-core machine: the >=1.5x process-vs-thread gate "
+              "needs >=2 cores and is enforced on CI)")
+    # Timing gate: off under --benchmark-disable, as benchmarks/reach.py runs it.
+    elif not benchmark.disabled:
         assert vs_thread >= 1.5, (
             f"process fleet {vs_thread:.2f}x vs thread fan-out < 1.5x on "
             f"CPU-bound work with {cores} cores — the fleet is not scaling"
         )
-    else:
-        print("  (single-core machine: the >=1.5x process-vs-thread gate "
-              "needs >=2 cores and is enforced on CI)")

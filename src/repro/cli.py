@@ -5,8 +5,7 @@ Seven subcommands cover the library's end-to-end workflow:
 * ``generate`` — synthesise a dataset (preset or custom) to JSON-lines;
 * ``stats``    — print a dataset's Table IV statistics;
 * ``query``    — run one ATSQ/OATSQ against a dataset file, or a whole
-  workload batch through the concurrent :class:`QueryService`
-  (``--batch N --workers W``);
+  workload batch through the serving stack (``--batch N --workers W``);
 * ``trace``    — serve queries with the tracer on and print (or dump as
   JSONL) the per-query span trees;
 * ``metrics``  — serve queries and print a Prometheus text-exposition
@@ -22,7 +21,7 @@ Usage examples::
     python -m repro.cli generate --preset la --scale 0.02 -o la.jsonl
     python -m repro.cli stats la.jsonl
     python -m repro.cli query la.jsonl --k 5 --order-sensitive --seed 3
-    python -m repro.cli query la.jsonl --k 5 --batch 50 --workers 8
+    python -m repro.cli query la.jsonl --k 5 --batch 50 --workers 8 --task-retries 2
     python -m repro.cli query la.jsonl --k 5 --batch 50 --shards 4 --executor process
     python -m repro.cli query la.jsonl --k 5 --batch 50 --shards 4 \
         --replicas 2 --deadline-ms 200 --task-retries 2 --hedge-ms 50
@@ -50,13 +49,13 @@ from repro.bench.experiments import (
 )
 from repro.bench.reporting import format_series_table, format_stat_table
 from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
-from repro.core.engine import EngineConfig, GATSearchEngine
+from repro.core.engine import EngineConfig
 from repro.core.kernels import KERNELS
 from repro.data.generator import CheckInGenerator, GeneratorConfig
 from repro.data.loader import load_database_jsonl, save_database_jsonl
 from repro.data.presets import dataset_from_preset
-from repro.index.gat.index import GATConfig, GATIndex
-from repro.service import QueryRequest, QueryService
+from repro.index.gat.index import GATConfig
+from repro.service import QueryRequest
 from repro.serving import (
     ARRIVAL_KINDS,
     ServingConfig,
@@ -209,30 +208,29 @@ def _add_query_args(p_query: argparse.ArgumentParser) -> None:
         "--batch",
         type=int,
         default=0,
-        help="serve N workload queries through the QueryService instead of one",
+        help="serve N workload queries as one batch instead of one",
     )
     p_query.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="fan-out width: QueryService thread-pool width for --batch "
-        "(default 8), or the shard executor's worker budget with "
-        "--shards > 1 (default: 4 threads per shard, or one process per "
-        "shard with --executor process)",
+        help="the fan-out executor's worker budget (default: 4 threads "
+        "per shard copy, or one process per shard copy with --executor "
+        "process)",
     )
     p_query.add_argument(
         "--shards",
         type=int,
         default=1,
-        help="partition the index over N shards and serve through the "
-        "ShardedQueryService (1 = the plain single index)",
+        help="partition the index over N shards (default 1: the whole "
+        "index, served as a one-shard fan-out)",
     )
     p_query.add_argument(
         "--executor",
         choices=["serial", "thread", "process"],
         default="thread",
-        help="shard fan-out backend for --shards > 1 (process pools bypass "
-        "the GIL for CPU-bound workloads)",
+        help="shard fan-out backend (process pools bypass the GIL for "
+        "CPU-bound workloads)",
     )
     p_query.add_argument(
         "--shard-strategy",
@@ -247,24 +245,22 @@ def _add_query_args(p_query: argparse.ArgumentParser) -> None:
         "--replicas",
         type=int,
         default=1,
-        help="copies of each shard served by the ShardedQueryService, "
-        "round-robin over the healthy ones (read scaling beyond one "
-        "device per shard; 1 = unreplicated)",
+        help="copies of each shard, round-robin over the healthy ones "
+        "(read scaling beyond one device per shard; 1 = unreplicated)",
     )
     p_query.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
-        help="per-query deadline for the sharded stack: shards still "
-        "pending at the deadline are dropped and the response degrades "
-        "to partial coverage (requires --shards > 1 or --replicas > 1)",
+        help="per-query deadline: shards still pending at the deadline "
+        "are dropped and the response degrades to partial coverage",
     )
     p_query.add_argument(
         "--task-retries",
         type=int,
         default=None,
         help="bounded retries per shard task before that shard counts as "
-        "failed (sharded stack; default 2 when any fault flag is set)",
+        "failed (default 2 when any fault flag is set)",
     )
     p_query.add_argument(
         "--hedge-ms",
@@ -307,23 +303,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serving_stack(args: argparse.Namespace):
-    """One place decides which stack serves and how output labels it:
-    ``(on_sharded_stack, label)``.  ``--replicas > 1`` promotes even a
-    1-shard run onto the sharded stack, since replication lives there."""
-    sharded = args.shards > 1 or args.replicas > 1
-    if not sharded:
-        return False, ""
+def _stack_label(args: argparse.Namespace) -> str:
+    """How output names the serving stack: shards, executor, replicas."""
     label = f"{args.shards} shards/{args.executor}"
     if args.replicas > 1:
         label += f"×{args.replicas} replicas"
-    return True, label
+    return label
 
 
 def _fault_policy_from_args(args: argparse.Namespace) -> Optional[FaultPolicy]:
-    """Build the sharded stack's :class:`FaultPolicy` from the CLI fault
-    flags; ``None`` (all flags unset) keeps the historical all-or-nothing
-    fan-out."""
+    """Build the stack's :class:`FaultPolicy` from the CLI fault flags;
+    ``None`` (all flags unset) keeps the all-or-nothing fan-out."""
     if args.deadline_ms is None and args.task_retries is None and args.hedge_ms is None:
         return None
     return FaultPolicy(
@@ -335,35 +325,26 @@ def _fault_policy_from_args(args: argparse.Namespace) -> Optional[FaultPolicy]:
 
 def _build_query_service(db, args: argparse.Namespace, obs=None, result_cache_size=None):
     """The serving stack the ``query``/``trace``/``metrics``/
-    ``serve-bench`` subcommands run against: a plain
-    :class:`QueryService` for ``--shards 1``, a sharded fleet (of
-    ``--replicas`` copies per shard) otherwise.  ``result_cache_size``
-    overrides each service's default (``serve-bench`` passes 0: a cycled open-loop
-    workload would otherwise be answered from the result cache and never
-    load the backend)."""
+    ``serve-bench`` subcommands run against: a fleet of ``--shards``
+    shards (one is the whole index) and ``--replicas`` copies of each.
+    ``result_cache_size`` overrides the service's default (``serve-bench``
+    passes 0: a cycled open-loop workload would otherwise be answered
+    from the result cache and never load the backend)."""
     cache_kw = {} if result_cache_size is None else {
         "result_cache_size": result_cache_size
     }
     gat_config = GATConfig(depth=args.depth, memory_levels=min(6, args.depth))
-    if _serving_stack(args)[0]:
-        fault_policy = _fault_policy_from_args(args)
-        sharded = ShardedGATIndex.build(
-            db, n_shards=args.shards, config=gat_config,
-            strategy=args.shard_strategy,
-        )
-        return ShardedQueryService(
-            sharded,
-            engine_config=EngineConfig(kernel=args.kernel),
-            executor=args.executor,
-            n_replicas=args.replicas,
-            max_workers=args.workers,  # None -> the executor's default
-            fault_policy=fault_policy,
-            obs=obs,
-            **cache_kw,
-        )
-    engine = GATSearchEngine(GATIndex.build(db, gat_config), kernel=args.kernel)
-    return QueryService(
-        engine, max_workers=args.workers if args.workers else 8, obs=obs,
+    sharded = ShardedGATIndex.build(
+        db, n_shards=args.shards, config=gat_config, strategy=args.shard_strategy
+    )
+    return ShardedQueryService(
+        sharded,
+        engine_config=EngineConfig(kernel=args.kernel),
+        executor=args.executor,
+        n_replicas=args.replicas,
+        max_workers=args.workers,  # None -> the executor's default
+        fault_policy=_fault_policy_from_args(args),
+        obs=obs,
         **cache_kw,
     )
 
@@ -372,7 +353,6 @@ def _check_query_args(args: argparse.Namespace) -> bool:
     """Validate the :func:`_add_query_args` flags — every serving
     subcommand calls this before the expensive load + index build and
     exits 2 on ``False`` (the reason is on stderr)."""
-    fault_flags = (args.deadline_ms, args.task_retries, args.hedge_ms)
     if args.batch < 0:
         problem = "--batch must be >= 0"
     elif args.workers is not None and args.workers < 1:
@@ -381,11 +361,6 @@ def _check_query_args(args: argparse.Namespace) -> bool:
         problem = "--shards must be >= 1"
     elif args.replicas < 1:
         problem = "--replicas must be >= 1"
-    elif any(f is not None for f in fault_flags) and not _serving_stack(args)[0]:
-        problem = (
-            "--deadline-ms/--task-retries/--hedge-ms need the sharded stack "
-            "(--shards > 1 or --replicas > 1)"
-        )
     else:
         return True
     print(problem, file=sys.stderr)
@@ -418,11 +393,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     elapsed = time.perf_counter() - t0
     label = "Dmom" if args.order_sensitive else "Dmm"
-    # The sharded path annotates the header; the default path keeps the
-    # seed's exact format.
-    on_sharded, stack_label = _serving_stack(args)
-    where = f", {stack_label}" if on_sharded else ""
-    print(f"\ntop-{args.k} ({label}{where}), {elapsed * 1000:.1f} ms:")
+    print(f"\ntop-{args.k} ({label}, {_stack_label(args)}), {elapsed * 1000:.1f} ms:")
     for rank, r in enumerate(response.results, start=1):
         line = f"  #{rank}: trajectory {r.trajectory_id}  {label}={r.distance:.3f}"
         if args.explain and r.matches is not None:
@@ -436,8 +407,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _run_query_batch(service, workload, args: argparse.Namespace) -> int:
-    """Serve ``args.batch`` workload queries through the (possibly
-    sharded) query service."""
+    """Serve ``args.batch`` workload queries through the query service."""
     requests = [
         QueryRequest(
             q, k=args.k, order_sensitive=args.order_sensitive, explain=args.explain
@@ -446,9 +416,7 @@ def _run_query_batch(service, workload, args: argparse.Namespace) -> int:
     ]
     responses = service.search_many(requests)
     label = "Dmom" if args.order_sensitive else "Dmm"
-    on_sharded, stack_label = _serving_stack(args)
-    spread = stack_label if on_sharded else f"{args.workers if args.workers else 8} workers"
-    print(f"batch of {len(responses)} queries ({label}, {spread}):")
+    print(f"batch of {len(responses)} queries ({label}, {_stack_label(args)}):")
     for i, resp in enumerate(responses):
         best = resp.results[0] if resp.results else None
         head = (
@@ -582,12 +550,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if not _check_query_args(args):
         return 2
     db = load_database_jsonl(args.dataset)
-    # The sharded stack needs a FaultPolicy for per-request deadline
-    # propagation to bite; default one in when no fault flag was given.
-    if (
-        _serving_stack(args)[0]
-        and _fault_policy_from_args(args) is None
-    ):
+    # Per-request deadline propagation needs a FaultPolicy to bite;
+    # default one in when no fault flag was given.
+    if _fault_policy_from_args(args) is None:
         args.task_retries = 2
     service = _build_query_service(db, args, result_cache_size=0)
     workload = QueryWorkloadGenerator(db, WorkloadConfig(seed=args.seed))
@@ -619,7 +584,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             row = report.row()
     finally:
         service.close()
-    sharded = _serving_stack(args)[0]
     stats = service.stats()
     print(
         f"open-loop {args.arrivals} @ {args.rate:.1f} QPS for "
@@ -638,12 +602,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         f"{row['latency_p50_ms']:.1f} ms  p95 {row['latency_p95_ms']:.1f} ms  "
         f"p99 {row['latency_p99_ms']:.1f} ms"
     )
-    if sharded:
-        print(
-            f"  backend: retries {stats.task_retries}, hedges "
-            f"{stats.task_hedges} (denied {stats.task_hedges_denied}), "
-            f"partials {stats.partial_responses}"
-        )
+    print(
+        f"  backend: retries {stats.task_retries}, hedges "
+        f"{stats.task_hedges} (denied {stats.task_hedges_denied}), "
+        f"partials {stats.partial_responses}"
+    )
     return 0
 
 

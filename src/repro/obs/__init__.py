@@ -127,16 +127,10 @@ class Observability:
             injector.tracer = self.tracer
 
     def bind_index(self, index) -> None:
-        """Bind every disk reachable from a :class:`GATIndex`, a
-        :class:`ShardedGATIndex`, or any nesting of shard lists."""
-        shards = getattr(index, "shards", None)
-        if shards is not None:
-            for shard in shards:
-                self.bind_index(shard)
-            return
-        disk = getattr(index, "disk", None)
-        if disk is not None:
-            self.bind_disk(disk)
+        """Bind the disk of every shard of a :class:`ShardedGATIndex` (the
+        index behind every query service)."""
+        for shard in index.shards:
+            self.bind_disk(shard.disk)
 
     # -- export ---------------------------------------------------------
     def prometheus(self) -> str:

@@ -1,4 +1,4 @@
-"""One request front, two backends.
+"""One request front, one backend.
 
 Everything a query service does *around* executing a query lives in one
 object, :class:`ServingFront`: the query-signature result cache, the
@@ -9,22 +9,13 @@ busy wall clock and the closed flag.  A service hands it a list of requests and 
 (:meth:`ServingFront.serve`); the front decides which requests reach
 ``execute`` at all.
 
-Two backends serve through it, by composition:
+One backend serves through it:
+:class:`~repro.shard.service.ShardedQueryService` fans each request out
+over a shard fleet and merges; :class:`QueryService` is its one-shard
+case (defined in :mod:`repro.shard.service`, which imports this module,
+and resolved here on first use so the import graph stays acyclic).
 
-* :class:`QueryService` (here) runs
-  :meth:`GATSearchEngine.execute <repro.core.engine.GATSearchEngine.execute>`
-  — on the calling thread for ``search``, on a thread pool for
-  ``search_many``.  One engine is shared by all workers: the engine is
-  stateless per query (each call builds its own
-  :class:`~repro.core.context.ExecutionContext`), the HICL and APL caches
-  are thread-safe LRUs, and disk I/O is attributed per query through
-  thread-local trackers, so fan-out needs no per-worker engine copies and
-  every worker warms the same caches.
-* :class:`~repro.shard.service.ShardedQueryService` fans each request out
-  over a shard fleet, merges, and resyncs its replica banks when the
-  front reports a version move.
-
-What the front guarantees to both: response ``i`` answers request ``i``;
+What the front guarantees: response ``i`` answers request ``i``;
 a repeated request — same query points, ``k``, ``order_sensitive`` and
 ``explain`` — costs one LRU lookup and comes back as a fresh list with
 zeroed :class:`~repro.core.context.SearchStats`; only complete responses
@@ -46,12 +37,10 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.context import SearchStats
-from repro.core.engine import GATSearchEngine
 from repro.core.query import Query
 from repro.core.results import SearchResult
 from repro.obs.metrics import LatencyWindow, MetricRegistry
@@ -64,7 +53,7 @@ class QueryRequest:
 
     ``deadline_s`` is the caller's *remaining* latency budget at the
     moment the request reaches the service (seconds of ``time.monotonic``
-    from now, not a wall-clock instant).  A sharded service running under
+    from now, not a wall-clock instant).  A service running under
     a :class:`~repro.shard.resilience.FaultPolicy` tightens its fan-out
     deadline to it, so backend retries/hedges never outlive the caller;
     everywhere else it is advisory metadata.  It deliberately does not
@@ -85,8 +74,8 @@ class QueryResponse:
 
     ``shards_answered`` / ``shards_total`` are the response's *coverage*:
     how many of the index partitions behind the service contributed to
-    the ranking.  The single-engine service and every non-degraded
-    sharded response have full coverage; only a sharded service running
+    the ranking (``QueryService``: its one shard).  Every non-degraded
+    response has full coverage; only a service running
     under a :class:`~repro.shard.resilience.FaultPolicy` with
     ``allow_partial=True`` can return less — a best-effort merge of the
     shards that answered before the deadline (exactness holds per
@@ -147,20 +136,20 @@ class ServiceStats:
     disk_reads: int = 0
     result_cache_hits: int = 0
     result_cache_lookups: int = 0
-    #: Fault-tolerance accounting (sharded services under a FaultPolicy;
-    #: always zero elsewhere): extra shard-task attempts after failures,
-    #: hedged backup attempts, and responses that went out with partial
-    #: shard coverage.
+    #: Fault-tolerance accounting: extra shard-task attempts after
+    #: failures, hedged backup attempts, and responses that went out with
+    #: partial shard coverage.  Only a service built with a
+    #: :class:`~repro.shard.resilience.FaultPolicy` retries, hedges or
+    #: answers partially; ``QueryService`` has none.
     task_retries: int = 0
     task_hedges: int = 0
     #: Hedges that came due but were denied by the global
     #: :attr:`~repro.shard.resilience.FaultPolicy.hedge_budget`.
     task_hedges_denied: int = 0
     partial_responses: int = 0
-    #: Circuit-breaker activity (replicated services only; always zero
-    #: elsewhere): replica ejections, restores to the healthy pool, and
-    #: probation probes — the breaker's lifetime counts, read into the same
-    #: epoch snapshot as every other field here.
+    #: Circuit-breaker activity: replica ejections, restores to the
+    #: healthy pool, and probation probes — the breaker's lifetime counts,
+    #: read into the same epoch snapshot as every other field here.
     breaker_ejections: int = 0
     breaker_restores: int = 0
     breaker_probes: int = 0
@@ -191,6 +180,20 @@ def request_cache_key(request: QueryRequest) -> tuple:
     )
 
 
+def query_root_attrs(response: QueryResponse) -> dict:
+    """Every ``query`` root span's attributes (cache hits add ``cache_hit``)."""
+    request, stats = response.request, response.stats
+    return {
+        "k": request.k,
+        "order_sensitive": request.order_sensitive,
+        "shards": response.shards_total,
+        "latency_s": response.latency_s,
+        "disk_reads": stats.disk_reads,
+        "rounds": stats.rounds,
+        "complete": response.complete,
+    }
+
+
 #: The registry counter that is the one accumulator of each count
 #: :class:`ServiceStats` reports, keyed by the count's name.  The rates are
 #: ratios of two of them; ``latency_mean_s`` is the latency histogram's
@@ -217,7 +220,7 @@ def _rate(hits: float, lookups: float) -> float:
 
 
 class ServingFront:
-    """The request front both query services serve through.
+    """The request front every query service serves through.
 
     Accounting: every count is a registry :class:`~repro.obs.metrics.Counter`
     (:data:`SERVICE_COUNTERS`) of the passed handle's registry, or of a
@@ -232,10 +235,8 @@ class ServingFront:
     Parameters
     ----------
     index:
-        Whatever the backend searches — a ``GATIndex`` or a
-        ``ShardedGATIndex``; only its ``version`` is read (for the sharded
-        index the composite tuple of per-shard versions, so an insert into
-        any shard moves it).
+        The backend's ``ShardedGATIndex``; only its ``version`` is read
+        (the tuple of per-shard versions: an insert into any shard moves it).
     result_cache_size:
         Capacity of the query-signature result cache; ``0`` disables it.
     obs:
@@ -398,19 +399,9 @@ class ServingFront:
         if not hit:
             return None
         self._counters["result_cache_hits"].inc()
-        obs = self.obs
-        if obs is not None and obs.tracer.enabled:
-            obs.tracer.start_span(
-                "query",
-                attrs={
-                    "k": request.k,
-                    "order_sensitive": request.order_sensitive,
-                    "cache_hit": True,
-                },
-            ).end()
         # A fresh list per response (callers may mutate), zeroed counters
         # (no engine work happened).
-        return QueryResponse(
+        response = QueryResponse(
             request=request,
             results=list(cached),
             stats=SearchStats(),
@@ -418,6 +409,11 @@ class ServingFront:
             shards_answered=self._shards,
             shards_total=self._shards,
         )
+        obs = self.obs
+        if obs is not None and obs.tracer.enabled:
+            attrs = {**query_root_attrs(response), "cache_hit": True}
+            obs.tracer.start_span("query", attrs=attrs).end()
+        return response
 
     def _put(self, response: QueryResponse, version: object) -> None:
         # Version-guarded: an insert that landed while this query executed
@@ -498,162 +494,11 @@ class ServingFront:
         self._window.clear()
 
 
-class QueryService:
-    """Batched, concurrent query serving over one shared engine.
+def __getattr__(name: str):
+    # QueryService subclasses the sharded backend, whose module imports
+    # this one; it is resolved on first use instead of at import time.
+    if name == "QueryService":
+        from repro.shard.service import QueryService
 
-    Parameters
-    ----------
-    engine:
-        The (stateless) search engine; shared by every worker thread.
-    max_workers:
-        Thread-pool width for :meth:`search_many`.
-    result_cache_size:
-        Capacity of the query-signature result cache: identical requests
-        — same query points, ``k``, ``order_sensitive`` and ``explain`` —
-        are answered from a thread-safe LRU without touching the engine.
-        Entries are invalidated wholesale whenever
-        :meth:`~repro.index.gat.index.GATIndex.insert_trajectory` bumps
-        the index's version counter (inserts must still quiesce the
-        service, as the index requires).  ``0`` disables the cache.
-    obs:
-        An optional :class:`~repro.obs.Observability` handle.  When set,
-        the service counts into its registry, the engine's disks report
-        read events, and — if the handle's tracer is enabled — each
-        request produces a ``query`` span tree.  ``None`` (the default)
-        counts into a private registry and traces nothing.
-    """
-
-    def __init__(
-        self,
-        engine: GATSearchEngine,
-        max_workers: int = 8,
-        result_cache_size: int = 1024,
-        obs=None,
-    ) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.engine = engine
-        self.obs = obs
-        self.max_workers = max_workers
-        self._front = ServingFront(engine.index, result_cache_size, obs)
-        # One pool for the service's lifetime — per-batch pool setup and
-        # teardown would rival the query work for small batches.  Created
-        # lazily so a sequential-only service never spawns threads.
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Backend: engine.execute
-    # ------------------------------------------------------------------
-    def _run_one(self, request: QueryRequest) -> QueryResponse:
-        obs = self.obs
-        span = None
-        if obs is not None and obs.tracer.enabled:
-            span = obs.tracer.start_span(
-                "query",
-                attrs={"k": request.k, "order_sensitive": request.order_sensitive},
-            )
-        try:
-            ctx = self.engine.execute(
-                request.query,
-                request.k,
-                order_sensitive=request.order_sensitive,
-                explain=request.explain,
-                trace_span=span,
-            )
-        except BaseException as exc:
-            if span is not None:
-                span.set_attr("error", repr(exc))
-                span.end()
-            raise
-        if span is not None:
-            span.set_attrs(
-                latency_s=ctx.latency_s,
-                disk_reads=ctx.stats.disk_reads,
-                rounds=ctx.stats.rounds,
-            )
-            span.end()
-        return QueryResponse(
-            request=request,
-            results=ctx.ranked if ctx.ranked is not None else [],
-            stats=ctx.stats,
-            latency_s=ctx.latency_s,
-        )
-
-    def _run_inline(self, requests: Sequence[QueryRequest]) -> List[QueryResponse]:
-        return [self._run_one(request) for request in requests]
-
-    def _shared_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-query",
-                )
-            return self._pool
-
-    # ------------------------------------------------------------------
-    # Serving API
-    # ------------------------------------------------------------------
-    def search(
-        self,
-        query: Union[QueryRequest, Query],
-        k: int = 10,
-        order_sensitive: bool = False,
-        explain: bool = False,
-    ) -> QueryResponse:
-        """Answer one query (a :class:`Query` plus options, or a prebuilt
-        :class:`QueryRequest`) on the calling thread."""
-        request = as_request(
-            query, k=k, order_sensitive=order_sensitive, explain=explain
-        )
-        return self._front.serve((request,), self._run_inline)[0]
-
-    def search_many(
-        self,
-        queries: Sequence[Union[QueryRequest, Query]],
-        k: int = 10,
-        order_sensitive: bool = False,
-        *,
-        explain: bool = False,
-    ) -> List[QueryResponse]:
-        """Answer a batch concurrently; response ``i`` answers request ``i``.
-
-        Bare :class:`Query` items take the shared ``k``/``order_sensitive``
-        /``explain`` options; :class:`QueryRequest` items keep their own.
-        ``explain`` is keyword-only.
-        """
-        requests = [
-            as_request(q, k=k, order_sensitive=order_sensitive, explain=explain)
-            for q in queries
-        ]
-
-        def run_pooled(misses: Sequence[QueryRequest]) -> List[QueryResponse]:
-            if self.max_workers == 1 or len(misses) <= 1:
-                return self._run_inline(misses)
-            return list(self._shared_pool().map(self._run_one, misses))
-
-        return self._front.serve(requests, run_pooled)
-
-    def stats(self) -> ServiceStats:
-        return self._front.stats()
-
-    def reset_stats(self) -> None:
-        """Start a new stats epoch (see :meth:`ServingFront.reset_stats`)."""
-        self._front.reset_stats()
-
-    def close(self) -> None:
-        """Refuse further work and shut down the worker pool (idempotent;
-        the service can be garbage-collected without calling this, but
-        long-running hosts should close explicitly)."""
-        self._front.close()
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "QueryService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        return QueryService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

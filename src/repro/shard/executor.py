@@ -50,7 +50,7 @@ import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.context import SearchStats
 from repro.core.engine import EngineConfig, GATSearchEngine
@@ -62,11 +62,11 @@ from repro.model.database import TrajectoryDatabase
 EXECUTOR_KINDS = ("serial", "thread", "process")
 
 
-@dataclass(frozen=True, slots=True)
-class ShardTask:
+class ShardTask(NamedTuple):
     """One shard's share of one query: the request options plus the shard
-    to run them on.  Frozen and picklable — the same object crosses thread
-    and process boundaries.
+    to run them on.  An immutable, picklable record — the same object
+    crosses thread and process boundaries, and the supervisor derives each
+    attempt's task from it with ``_replace``.
 
     ``group`` labels all tasks of one fan-out.  In-process backends use it
     to find the query's shared merged-top-k (the distributed-top-k

@@ -299,7 +299,8 @@ class ReplicaPlacement:
     process backend) only bank 0 is built: the worker processes are the
     copies there, and in-process banks would double memory for engines
     nothing ever runs on — the replica id stamped on a task is then a
-    label the breaker and the worker's span key on.
+    label the breaker and the worker's span key on.  *primary* is bank 0
+    when the caller already holds it (``QueryService``'s engine).
     """
 
     def __init__(
@@ -313,6 +314,7 @@ class ReplicaPlacement:
         engine_config: EngineConfig,
         in_process: bool,
         obs,
+        primary: Optional[List[GATSearchEngine]] = None,
     ) -> None:
         if replica_disk_factory is not None and not in_process:
             raise ValueError(
@@ -326,9 +328,9 @@ class ReplicaPlacement:
         self._engine_config = engine_config
         self._disk_factory = replica_disk_factory
         self._obs = obs
-        self.banks: List[List[GATSearchEngine]] = [
-            [self._engine(shard) for shard in index.shards]
-        ]
+        if primary is None:
+            primary = [self._engine(shard) for shard in index.shards]
+        self.banks: List[List[GATSearchEngine]] = [primary]
         for _ in range(n_replicas - 1 if in_process else 0):
             self.banks.append(self._replica_bank())
 

@@ -60,7 +60,11 @@ The supervisor is deliberately executor-agnostic: it sees only
 optional ``heal`` to retire a broken process pool.  The serial backend's
 inline futures degenerate it to a plain loop — correct, but nothing can
 preempt an inline task, so policies only bite under a concurrent
-backend.
+backend.  **Caller runs:** given the in-process runner (``run_inline``)
+and nothing that could preempt a running attempt — no effective deadline
+in the batch, no hedging; :data:`ALL_OR_NOTHING` and ``FaultPolicy()``
+qualify — the calling thread runs the batch's last first launch itself
+instead of idling in ``wait``.  Retries still go to the pool.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from dataclasses import replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.obs.metrics import LatencyWindow
@@ -219,6 +222,9 @@ class FanoutSupervisor:
         one).  Such attempts are resubmitted at once without spending
         ``max_retries`` while the run has healed at most
         *max_pool_repairs* pools; past that they fail like any other.
+    run_inline:
+        The in-process backends' ``task -> ShardResult`` runner, for the
+        caller-runs rule (module docstring); ``None`` submits every attempt.
     """
 
     def __init__(
@@ -230,8 +236,10 @@ class FanoutSupervisor:
         tracker: Optional[LatencyWindow] = None,
         heal: Optional[Callable[[], object]] = None,
         max_pool_repairs: int = 0,
+        run_inline: Optional[Callable[[ShardTask], ShardResult]] = None,
     ) -> None:
         self._submit = submit
+        self._run_inline = run_inline
         self._policy = policy
         self._bind = bind
         self._on_outcome = on_outcome
@@ -289,6 +297,11 @@ class FanoutSupervisor:
         deadline_at = [
             start + d if d is not None else math.inf for d in effective
         ]
+        caller_runs = (
+            self._run_inline is not None
+            and policy.hedge_after_s is None
+            and all(d is None for d in effective)
+        )
         attempts: Dict[Future, _Attempt] = {}
         pools_healed = 0
 
@@ -324,19 +337,40 @@ class FanoutSupervisor:
                 state.resolved = True
                 outcomes[state.qi].failures[state.task.shard_id] = exc
 
+        def handle_result(state: _ShardState, task: ShardTask, started: float, result) -> None:
+            if self._tracker is not None:
+                self._tracker.record(time.monotonic() - started)
+            self._report(task, None)
+            if not state.resolved:
+                state.resolved = True
+                state.retry_due = None
+                outcomes[state.qi].results[state.task.shard_id] = result
+
         def launch(
-            state: _ShardState, *, avoid: Optional[int] = None, hedge: bool = False
+            state: _ShardState,
+            *,
+            avoid: Optional[int] = None,
+            hedge: bool = False,
+            here: bool = False,
         ) -> None:
             # Bind the attempt to a replica, and stamp the attempt ordinal
             # and hedge flag so the span of whichever attempt wins says
             # which attempt it was (trace metadata — no backend keys on
             # those two).
-            task = dc_replace(
-                state.task,
+            task = state.task._replace(
                 replica=self._bind(state.task.shard_id, avoid),
                 attempt=state.failures,
                 hedge=hedge,
             )
+            started = time.monotonic()
+            if here:  # the caller runs it: done before launch returns
+                try:
+                    result = self._run_inline(task)
+                except Exception as exc:
+                    handle_failure(state, task, exc)
+                else:
+                    handle_result(state, task, started, result)
+                return
             try:
                 future = self._submit(task)
             except Exception as exc:
@@ -346,7 +380,7 @@ class FanoutSupervisor:
                 return
             state.live += 1
             attempts[future] = _Attempt(
-                state=state, task=task, started=time.monotonic(), hedge=hedge
+                state=state, task=task, started=started, hedge=hedge
             )
 
         for qi, tasks in enumerate(fanouts):
@@ -357,9 +391,10 @@ class FanoutSupervisor:
                 query_states.append(state)
             by_query.append(query_states)
         # Submit after registering every state: an inline (serial) backend
-        # completes each attempt synchronously inside launch().
-        for state in states:
-            launch(state)
+        # completes each attempt synchronously inside launch(), and a
+        # caller-run last attempt starts once the others are on the pool.
+        for i, state in enumerate(states, start=1):
+            launch(state, here=caller_runs and i == len(states))
 
         while True:
             now = time.monotonic()
@@ -475,11 +510,7 @@ class FanoutSupervisor:
                 except Exception as exc:
                     handle_failure(state, attempt.task, exc)
                 else:
-                    if self._tracker is not None:
-                        self._tracker.record(time.monotonic() - attempt.started)
-                    self._report(attempt.task, None)
-                    if not state.resolved:
-                        state.resolved = True
-                        state.retry_due = None
-                        outcomes[state.qi].results[state.task.shard_id] = result
+                    handle_result(state, attempt.task, attempt.started, result)
+        # launch and handle_failure call each other: break the cycle.
+        launch = handle_failure = None
         return outcomes

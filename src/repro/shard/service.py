@@ -1,11 +1,11 @@
-"""ShardedQueryService — the fan-out/merge backend of the request front.
+"""ShardedQueryService — the one backend of the request front.
 
-One front, two backends: everything *around* executing a query — result
+One front, one backend: everything *around* executing a query — result
 cache, index-version guard, serving counters and their stats epoch,
 use-after-close refusal — is the :class:`~repro.service.service.ServingFront` this service
-holds, the same one :class:`~repro.service.service.QueryService` holds.
-What lives here is what runs a cache miss (:meth:`ShardedQueryService._fan_out`)
+holds.  What lives here is what runs a cache miss (:meth:`ShardedQueryService._fan_out`)
 and what a version move must rebuild (:meth:`ShardedQueryService._resync`).
+:class:`QueryService` is its one-shard case over the caller's engine.
 
 Fan-out: every query becomes ``n_shards`` independent :class:`ShardTask`
 units; one :class:`~repro.shard.resilience.FanoutSupervisor` submits them
@@ -57,7 +57,7 @@ import threading
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.context import SearchStats
-from repro.core.engine import EngineConfig
+from repro.core.engine import EngineConfig, GATSearchEngine
 from repro.core.query import Query
 from repro.core.results import TopKCollector
 from repro.model.distance import DistanceMetric
@@ -68,6 +68,7 @@ from repro.service.service import (
     ServiceStats,
     ServingFront,
     as_request,
+    query_root_attrs,
 )
 from repro.shard.executor import (
     EXECUTOR_KINDS,
@@ -88,6 +89,7 @@ from repro.shard.resilience import (
     FanoutSupervisor,
     FaultPolicy,
 )
+from repro.shard.router import ShardRouter
 from repro.storage.disk import SimulatedDisk
 
 
@@ -157,7 +159,8 @@ class ShardedQueryService:
         An optional :class:`~repro.obs.Observability` handle.  Metrics:
         the service counts into its registry (``None``: a private one).
         Traces (handle with an enabled tracer): each request gets a
-        ``query`` root span with one ``shard_task`` child per attempt —
+        ``query`` root span (:func:`~repro.service.service.query_root_attrs`)
+        with one ``shard_task`` child per attempt, engine stages under it —
         in-process attempts span directly (shard/replica/attempt/hedge/
         breaker attributes, disk and fault events), process-fleet
         attempts record spans worker-side and ship them home in
@@ -225,6 +228,7 @@ class ShardedQueryService:
             engine_config=self.engine_config,
             in_process=self._in_process,
             obs=obs,
+            primary=self._primary_bank(),
         )
         self._front = ServingFront(
             index,
@@ -271,6 +275,10 @@ class ShardedQueryService:
     def n_shards(self) -> int:
         return self.index.n_shards
 
+    def _primary_bank(self) -> Optional[List[GATSearchEngine]]:
+        """Bank 0 if the caller already holds it (``None``: build it)."""
+        return None
+
     def _run_task(self, task: ShardTask) -> ShardResult:
         """In-process task runner (serial and thread backends): runs the
         task on the replica the supervisor bound it to; shard tasks of
@@ -307,7 +315,7 @@ class ShardedQueryService:
                 },
             )
         try:
-            if shared is None:  # defensive: run standalone, still exact
+            if shared is None:  # a one-shard query: its own top-k is the merge
                 return run_shard_task(engine, task, trace_span=span)
             return run_shard_task(
                 engine,
@@ -366,13 +374,15 @@ class ShardedQueryService:
         partition, where the far shards can then terminate after a few
         cell pops; a pure ordering heuristic — results never depend on it.
         """
-        centroids = self.index.shard_centroids
-        qx = sum(q.x for q in request.query) / len(request.query)
-        qy = sum(q.y for q in request.query) / len(request.query)
-        order = sorted(
-            range(self.n_shards),
-            key=lambda sid: math.hypot(centroids[sid][0] - qx, centroids[sid][1] - qy),
-        )
+        order = range(self.n_shards)
+        if self.n_shards > 1:
+            centroids = self.index.shard_centroids
+            qx = sum(q.x for q in request.query) / len(request.query)
+            qy = sum(q.y for q in request.query) / len(request.query)
+            order = sorted(
+                order,
+                key=lambda sid: math.hypot(centroids[sid][0] - qx, centroids[sid][1] - qy),
+            )
         # Only process-fleet tasks carry the trace flag: a worker cannot
         # reach the parent's tracer, so it must be asked to record spans
         # and ship them home.  In-process attempts span in _run_task.
@@ -413,16 +423,14 @@ class ShardedQueryService:
                 group = next(self._group_ids)
                 groups.append(group)
                 if tracing:
-                    root = self.obs.tracer.start_span(
-                        "query",
-                        attrs={"k": request.k, "shards": self.n_shards, "group": group},
-                    )
+                    root = self.obs.tracer.start_span("query")
                     with self._lock:
                         self._trace_roots[group] = root
                 slot = None
                 if in_process:
-                    with self._lock:
-                        self._shared[group] = _SharedTopK(request.k)
+                    if self.n_shards > 1:  # one shard has nobody to share with
+                        with self._lock:
+                            self._shared[group] = _SharedTopK(request.k)
                 else:
                     # Process backend: lease a shared threshold slot so the
                     # query's shard tasks prune against the fleet minimum.
@@ -503,12 +511,7 @@ class ShardedQueryService:
             root = self._trace_roots.pop(group, None)
         if root is None:
             return
-        root.set_attrs(
-            latency_s=response.latency_s,
-            shards_answered=response.shards_answered,
-            shards_total=response.shards_total,
-            complete=response.complete,
-        )
+        root.set_attrs(**query_root_attrs(response))
         root.end()
 
     def _supervised_fanout(
@@ -529,6 +532,7 @@ class ShardedQueryService:
             tracker=self._task_latency,
             heal=executor.heal,
             max_pool_repairs=0 if self._in_process else executor.max_pool_repairs,
+            run_inline=self._run_task if self._in_process else None,
         )
         outcomes = supervisor.run(fanouts, deadlines=deadlines)
         count = self._front.count
@@ -558,14 +562,19 @@ class ShardedQueryService:
                             raise exc
                         raise ShardTaskError(task, exc) from exc
                 raise RuntimeError("fan-out incomplete without a recorded failure")
-        collector = TopKCollector(request.k)
-        for shard_result in answered:
-            for result in shard_result.results:
-                collector.offer(result)
+        if len(answered) == 1:  # one shard's answer is the query's
+            results, stats = list(answered[0].results), answered[0].stats
+        else:
+            collector = TopKCollector(request.k)
+            for shard_result in answered:
+                for result in shard_result.results:
+                    collector.offer(result)
+            results = collector.results()
+            stats = SearchStats.merged([r.stats for r in answered])
         return QueryResponse(
             request=request,
-            results=collector.results(),
-            stats=SearchStats.merged([r.stats for r in answered]),
+            results=results,
+            stats=stats,
             latency_s=max((r.latency_s for r in answered), default=0.0),
             shards_answered=len(answered),
             shards_total=len(fanout),
@@ -638,3 +647,53 @@ class ShardedQueryService:
     def reset_stats(self) -> None:
         """Start a new stats epoch (see :meth:`ServingFront.reset_stats`)."""
         self._front.reset_stats()
+
+
+class QueryService(ShardedQueryService):
+    """Serving over one :class:`GATSearchEngine`: the one-shard case.
+
+    ``engine.index`` becomes a fleet of one shard whose only bank is
+    *engine* (stateless per query, so every pool thread shares it and its
+    caches), and a miss runs the same supervised fan-out as any sharded
+    query.  With no fault policy the calling thread runs the last task of
+    each batch, so ``search`` runs ``engine.execute`` on the caller's
+    thread.  *max_workers* is the pool width for ``search_many``;
+    *result_cache_size* and *obs* are as for :class:`ShardedQueryService`.
+    Engine errors reach callers as :class:`ShardTaskError`, with the
+    engine's exception as ``.original``.
+    """
+
+    def __init__(
+        self,
+        engine: GATSearchEngine,
+        max_workers: int = 8,
+        result_cache_size: int = 1024,
+        obs=None,
+    ) -> None:
+        self.engine = engine
+        index = engine.index
+        super().__init__(
+            ShardedGATIndex(index.db, ShardRouter(1), [index]),
+            metric=engine.metric,
+            engine_config=engine.config,
+            max_workers=max_workers,
+            result_cache_size=result_cache_size,
+            obs=obs,
+        )
+
+    def _primary_bank(self) -> List[GATSearchEngine]:
+        return [self.engine]
+
+    def search(
+        self,
+        query: Union[QueryRequest, Query],
+        k: int = 10,
+        order_sensitive: bool = False,
+        explain: bool = False,
+    ) -> QueryResponse:
+        """Answer one query on the calling thread.  Its own method, on the
+        front directly: ``benchmarks/e2e/spans.py`` times both searches."""
+        request = as_request(
+            query, k=k, order_sensitive=order_sensitive, explain=explain
+        )
+        return self._front.serve((request,), self._fan_out, self._resync)[0]

@@ -2,8 +2,9 @@
 
 Three layers, matching how a query actually travels:
 
-* the single-engine :class:`QueryService` — ``query`` roots with stage
-  children and disk events;
+* the single-engine :class:`QueryService` — the one-shard fan-out:
+  ``query`` roots over one ``shard_task``, its stage children and disk
+  events;
 * the in-process replicated sharded service under injected disk errors —
   one connected tree per query with retried ``shard_task`` spans;
 * the acceptance scenario — a process-fleet query that survives a
@@ -30,6 +31,9 @@ from repro.storage.disk import SimulatedDisk
 CONFIG = GATConfig(depth=4, memory_levels=3)
 K = 5
 N_SHARDS = 2
+#: The attributes every ``query`` root carries, on either constructor; a
+#: result-cache hit adds ``cache_hit``.
+ROOT_KEYS = {"k", "order_sensitive", "shards", "latency_s", "disk_reads", "rounds", "complete"}
 
 
 @pytest.fixture()
@@ -65,10 +69,16 @@ class TestQueryServiceTracing:
         roots = [r for r in records if r["parent_id"] is None]
         assert len(roots) == 1 and roots[0]["name"] == "query"
         root = roots[0]
+        assert set(root["attrs"]) == ROOT_KEYS
         assert root["attrs"]["k"] == K
+        assert root["attrs"]["shards"] == 1 and root["attrs"]["complete"] is True
         assert root["attrs"]["rounds"] == response.stats.rounds
         assert root["attrs"]["disk_reads"] == response.stats.disk_reads
-        stages = {r["name"] for r in records if r["parent_id"] == root["span_id"]}
+        # query -> shard_task -> stages: the single index is a one-shard fan-out.
+        (task,) = [r for r in records if r["parent_id"] == root["span_id"]]
+        assert task["name"] == "shard_task"
+        assert (task["attrs"]["shard"], task["attrs"]["attempt"]) == (0, 0)
+        stages = {r["name"] for r in records if r["parent_id"] == task["span_id"]}
         assert {"retrieve", "validate", "score", "lower_bound"} <= stages
         # The termination test: tested rounds, the min-cover runs among them.
         (bound,) = [r for r in records if r["name"] == "lower_bound"]
@@ -113,7 +123,8 @@ class TestQueryServiceTracing:
             records = _records(obs)
             roots = [r for r in records if r["parent_id"] is None]
             assert len(roots) == 2, build.__name__
-            assert "cache_hit" not in roots[0]["attrs"]
+            assert set(roots[0]["attrs"]) == ROOT_KEYS, build.__name__
+            assert set(roots[1]["attrs"]) == ROOT_KEYS | {"cache_hit"}
             assert roots[1]["attrs"]["cache_hit"] is True
             assert roots[1]["attrs"]["k"] == K
             assert not [r for r in records if r["parent_id"] == roots[1]["span_id"]]
@@ -197,7 +208,7 @@ class TestShardedTracing:
         root = roots[0]
         assert {r["trace_id"] for r in records} == {root["trace_id"]}
         assert root["attrs"]["complete"] is True
-        assert root["attrs"]["shards_total"] == N_SHARDS
+        assert root["attrs"]["shards"] == N_SHARDS
 
         shard_tasks = [r for r in records if r["name"] == "shard_task"]
         assert len(shard_tasks) >= N_SHARDS + stats.task_retries

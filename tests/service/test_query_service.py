@@ -2,7 +2,10 @@
 sequential loop over the engine — bitwise-identical results, any worker
 count, any batch order — plus thread-safety of one shared engine."""
 
+import os
 import random
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -11,6 +14,7 @@ from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
 from repro.core.engine import GATSearchEngine
 from repro.index.gat.index import GATConfig, GATIndex
 from repro.service import QueryRequest, QueryService
+from repro.shard import ShardedQueryService, ShardTaskError
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +250,84 @@ class TestBatchedExplain:
             for response in service.search_many(queries, k=3):
                 assert response.request.explain is False
                 assert all(r.matches is None for r in response.results)
+
+
+class TestOneShardFanout:
+    """QueryService is the one-shard case of the sharded backend."""
+
+    def test_search_runs_the_engine_on_the_calling_thread(self, index, mixed_requests):
+        engine = GATSearchEngine(index)
+        threads = []
+        execute = engine.execute
+
+        def recording_execute(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return execute(*args, **kwargs)
+
+        engine.execute = recording_execute
+        with QueryService(engine, result_cache_size=0) as service:
+            assert service.placement.banks == [[engine]]  # no second engine
+            for request in mixed_requests[:3]:
+                service.search(request)
+        assert threads == [threading.get_ident()] * 3
+
+    def test_search_many_runs_its_last_request_on_the_caller(self, index, mixed_requests):
+        engine = GATSearchEngine(index)
+        threads = []
+        execute = engine.execute
+
+        def recording_execute(query, *args, **kwargs):
+            threads.append((query, threading.get_ident()))
+            return execute(query, *args, **kwargs)
+
+        engine.execute = recording_execute
+        batch = mixed_requests[:6]
+        with QueryService(engine, max_workers=2, result_cache_size=0) as service:
+            service.search_many(batch)
+        on_caller = [q for q, ident in threads if ident == threading.get_ident()]
+        assert on_caller == [batch[-1].query]
+        assert len(threads) == len(batch)
+
+    def test_engine_errors_arrive_wrapped(self, index, mixed_requests):
+        engine = GATSearchEngine(index)
+        boom = ValueError("engine failure")
+
+        def failing_execute(*args, **kwargs):
+            raise boom
+
+        engine.execute = failing_execute
+        with QueryService(engine, result_cache_size=0) as service:
+            with pytest.raises(ShardTaskError) as info:
+                service.search(mixed_requests[0])
+        assert info.value.original is boom
+        assert info.value.shard_id == 0
+
+    def test_is_a_sharded_service_with_its_own_search(self):
+        assert issubclass(QueryService, ShardedQueryService)
+        assert "search" in vars(QueryService)
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "from repro.service.service import QueryRequest, QueryResponse, QueryService",
+        "import repro.shard.service",
+    ],
+    ids=["service-first", "shard-first"],
+)
+def test_public_names_import_in_either_order(first):
+    """A fresh interpreter imports the public names whichever module it
+    meets first: the subclass adds no import cycle."""
+    code = (
+        f"{first}\n"
+        "from repro.service.service import QueryRequest, QueryResponse, QueryService\n"
+        "from repro.service import QueryService as exported\n"
+        "from repro.shard.service import QueryService as defined, ShardedQueryService\n"
+        "assert QueryService is exported is defined\n"
+        "assert issubclass(QueryService, ShardedQueryService)\n"
+    )
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env=env)

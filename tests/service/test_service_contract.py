@@ -216,7 +216,9 @@ def test_backend_resyncs_before_version_publish(make_service, db, queries):
 
     assert front.serve((), lambda requests: [], on_stale) == []
     assert seen == [old_version]
-    assert front.version == index.version != old_version
+    # The front watches the fleet's composite version (one shard's, for
+    # QueryService), which the insert into the index moved.
+    assert front.version == service.index.version != old_version
 
 
 def test_put_refused_when_an_insert_lands_mid_query(make_service, db, queries, monkeypatch):

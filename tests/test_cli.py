@@ -62,8 +62,27 @@ class TestQuery:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "top-3 (Dmm)" in out
+        assert "top-3 (Dmm, 1 shards/thread)" in out
         assert "work:" in out
+
+    def test_fault_flags_apply_to_one_shard(self, dataset_path, capsys):
+        """One backend for every ``--shards``: a fault policy on the whole
+        index is a one-shard fan-out under that policy, not a refusal."""
+        code = main(
+            [
+                "query", str(dataset_path),
+                "--k", "3",
+                "--query-points", "2",
+                "--activities", "1",
+                "--depth", "4",
+                "--shards", "1",
+                "--task-retries", "1",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "top-3 (Dmm, 1 shards/thread)" in out
+        assert "#1: trajectory" in out
 
     def test_oatsq_with_explain(self, dataset_path, capsys):
         code = main(
@@ -281,9 +300,6 @@ class TestServingFlagValidation:
             ["--replicas", "0"],
             ["--workers", "0"],
             ["--batch", "-3"],
-            ["--deadline-ms", "50"],
-            ["--task-retries", "1"],
-            ["--hedge-ms", "5"],
         ],
         ids=lambda flags: flags[0].lstrip("-"),
     )
@@ -314,7 +330,8 @@ class TestServeBench:
         out = capsys.readouterr().out
         assert "open-loop poisson @ 30.0 QPS" in out
         assert "offered" in out and "goodput" in out
-        assert "backend:" not in out  # single-node stack, no fan-out stats
+        # One index is a one-shard fan-out: the same backend line.
+        assert "backend: retries" in out
 
     def test_open_loop_smoke_sharded_with_shedding(self, dataset_path, capsys):
         code = main(
