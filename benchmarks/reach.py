@@ -159,8 +159,7 @@ def entries(work: Path) -> List[Entry]:
         ("query-thread-shards", ("query", *batch, "--shards", "2")),
         ("query-process-shards", ("query", *batch, "--shards", "2", "--executor", "process",
                                   "--shard-strategy", "spatial")),
-        ("query-serial-shards", ("query", *batch, "--shards", "2", "--executor", "serial",
-                                 "--shard-strategy", "range")),
+        ("query-serial-shards", ("query", *batch, "--shards", "2", "--executor", "serial")),
         ("query-replicas", ("query", *batch, "--shards", "2", "--replicas", "2")),
         ("query-fault-policy", ("query", *batch, "--shards", "2", "--deadline-ms", "2000",
                                 "--task-retries", "1")),

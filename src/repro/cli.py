@@ -63,7 +63,13 @@ from repro.serving import (
     arrival_process,
     run_open_loop,
 )
-from repro.shard import FaultPolicy, ShardedGATIndex, ShardedQueryService
+from repro.shard import (
+    EXECUTOR_KINDS,
+    FaultPolicy,
+    ShardedGATIndex,
+    ShardedQueryService,
+)
+from repro.shard.router import STRATEGIES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -227,19 +233,18 @@ def _add_query_args(p_query: argparse.ArgumentParser) -> None:
     )
     p_query.add_argument(
         "--executor",
-        choices=["serial", "thread", "process"],
+        choices=EXECUTOR_KINDS,
         default="thread",
         help="shard fan-out backend (process pools bypass the GIL for "
         "CPU-bound workloads)",
     )
     p_query.add_argument(
         "--shard-strategy",
-        choices=["hash", "range", "spatial"],
+        choices=STRATEGIES,
         default="hash",
-        help="trajectory partitioning for --shards > 1: hash (id mod n), "
-        "range (contiguous id chunks), or spatial (Morton-ordered "
-        "centroids — compact shard regions that pair with the "
-        "shard-local grids)",
+        help="trajectory partitioning for --shards > 1: hash (id mod n) "
+        "or spatial (Morton-ordered centroids — compact shard regions "
+        "that pair with the shard-local grids)",
     )
     p_query.add_argument(
         "--replicas",
@@ -353,7 +358,9 @@ def _check_query_args(args: argparse.Namespace) -> bool:
     """Validate the :func:`_add_query_args` flags — every serving
     subcommand calls this before the expensive load + index build and
     exits 2 on ``False`` (the reason is on stderr)."""
-    if args.batch < 0:
+    if args.k < 1:
+        problem = "--k must be >= 1"
+    elif args.batch < 0:
         problem = "--batch must be >= 0"
     elif args.workers is not None and args.workers < 1:
         problem = "--workers must be >= 1"
@@ -361,6 +368,12 @@ def _check_query_args(args: argparse.Namespace) -> bool:
         problem = "--shards must be >= 1"
     elif args.replicas < 1:
         problem = "--replicas must be >= 1"
+    elif args.deadline_ms is not None and args.deadline_ms <= 0:
+        problem = "--deadline-ms must be > 0"
+    elif args.hedge_ms is not None and args.hedge_ms <= 0:
+        problem = "--hedge-ms must be > 0"
+    elif args.task_retries is not None and args.task_retries < 0:
+        problem = "--task-retries must be >= 0"
     else:
         return True
     print(problem, file=sys.stderr)
@@ -604,8 +617,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     )
     print(
         f"  backend: retries {stats.task_retries}, hedges "
-        f"{stats.task_hedges} (denied {stats.task_hedges_denied}), "
-        f"partials {stats.partial_responses}"
+        f"{stats.task_hedges}, partials {stats.partial_responses}"
     )
     return 0
 

@@ -137,15 +137,13 @@ class ServiceStats:
     result_cache_hits: int = 0
     result_cache_lookups: int = 0
     #: Fault-tolerance accounting: extra shard-task attempts after
-    #: failures, hedged backup attempts, and responses that went out with
-    #: partial shard coverage.  Only a service built with a
+    #: failures (pool repairs included), hedged backup attempts (at most
+    #: one per shard task), and responses that went out with partial
+    #: shard coverage.  Only a service built with a
     #: :class:`~repro.shard.resilience.FaultPolicy` retries, hedges or
     #: answers partially; ``QueryService`` has none.
     task_retries: int = 0
     task_hedges: int = 0
-    #: Hedges that came due but were denied by the global
-    #: :attr:`~repro.shard.resilience.FaultPolicy.hedge_budget`.
-    task_hedges_denied: int = 0
     partial_responses: int = 0
     #: Circuit-breaker activity: replica ejections, restores to the
     #: healthy pool, and probation probes — the breaker's lifetime counts,
@@ -211,7 +209,6 @@ SERVICE_COUNTERS: Dict[str, str] = {
     "partial_responses": "repro_partial_responses_total",
     "task_retries": "repro_task_retries_total",
     "task_hedges": "repro_task_hedges_total",
-    "task_hedges_denied": "repro_task_hedges_denied_total",
 }
 
 
@@ -471,7 +468,6 @@ class ServingFront:
                     "result_cache_lookups",
                     "task_retries",
                     "task_hedges",
-                    "task_hedges_denied",
                     "partial_responses",
                     "breaker_ejections",
                     "breaker_restores",

@@ -13,9 +13,10 @@ work happens — whether a request can still be served within its budget:
   consuming a permit and backend work.  A second, cheaper check fires at
   dispatch (permit acquired, budget already gone).
 * **Expiry** (:class:`ExpiredError`): a request that was admitted and
-  executed but finished past its deadline (or returned partial coverage
-  when the front-end requires complete answers).  The late response rides
-  on the error for callers that want a degraded answer anyway.
+  executed but finished past its deadline, or returned partial shard
+  coverage — the front-end only ever answers with complete rankings.
+  The late or partial response rides on the error for callers that want
+  a degraded answer anyway.
 
 All bookkeeping runs on an injectable monotonic clock
 (``time.monotonic`` by default) — wall-clock jumps can never expire a
@@ -88,8 +89,8 @@ class ShedError(AdmissionError):
 
 class ExpiredError(AdmissionError):
     """The request was served but its answer arrived past the deadline
-    (or with partial shard coverage when complete answers are required).
-    ``response`` carries the late/partial answer when one exists."""
+    or with partial shard coverage.  ``response`` carries the
+    late/partial answer when one exists."""
 
     outcome = "expired"
 
@@ -132,13 +133,6 @@ class ServingConfig:
         ``QueryRequest.deadline_s`` so a ``FaultPolicy``-supervised
         backend tightens its fan-out deadline to the caller's — retries
         and hedges never outlive the caller.
-    require_complete:
-        Treat a partial-coverage backend response as expired
-        (:class:`ExpiredError` with ``reason='partial'``).  Keeps every
-        answer the front-end returns byte-identical to the exact,
-        full-coverage ranking.
-    ewma_alpha:
-        Weight of the newest sample in the service-time EWMA.
     shed_headroom:
         Safety factor on the shedding estimate: shed when
         ``estimated_wait × shed_headroom > remaining``.  Above 1.0 sheds
@@ -152,8 +146,6 @@ class ServingConfig:
     default_deadline_s: Optional[float] = None
     shed: bool = True
     propagate_deadline: bool = True
-    require_complete: bool = True
-    ewma_alpha: float = 0.2
     shed_headroom: float = 1.0
 
     def __post_init__(self) -> None:
@@ -163,18 +155,20 @@ class ServingConfig:
             raise ValueError("max_concurrency must be >= 1")
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
             raise ValueError("default_deadline_s must be > 0 (or None)")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         if self.shed_headroom <= 0:
             raise ValueError("shed_headroom must be > 0")
 
 
+#: Weight of the newest sample in the service-time EWMA.
+EWMA_ALPHA = 0.2
+
+
 class ServiceTimeEWMA:
     """Thread-safe exponentially weighted moving average of backend
-    service times — the one-number model behind the shedding estimate."""
+    service times (newest sample weighted :data:`EWMA_ALPHA`) — the
+    one-number model behind the shedding estimate."""
 
-    def __init__(self, alpha: float = 0.2) -> None:
-        self._alpha = alpha
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._value: Optional[float] = None
 
@@ -183,7 +177,7 @@ class ServiceTimeEWMA:
             if self._value is None:
                 self._value = service_s
             else:
-                self._value += self._alpha * (service_s - self._value)
+                self._value += EWMA_ALPHA * (service_s - self._value)
 
     def prime(self, service_s: float) -> None:
         """Seed the average (e.g. from a closed-loop warmup measurement)
@@ -227,7 +221,7 @@ class AdmissionController:
         #: Waiting + executing requests, exported as it moves.
         self._depth = registry.gauge("repro_admission_queue_depth")
         self._clock = clock
-        self.ewma = ServiceTimeEWMA(config.ewma_alpha)
+        self.ewma = ServiceTimeEWMA()
         self._lock = threading.Lock()
         self._queued = 0  # admitted, not yet finished dispatching
 

@@ -20,10 +20,10 @@ exactly ``max_concurrency`` threads — the semaphore guarantees a permit
 holder never waits for a pool thread.
 
 Exactness: admission decides *whether* a query runs, never *how*.  Every
-response the front-end returns is a complete, full-coverage answer
-(``require_complete=True`` converts partials into
-:class:`~repro.serving.admission.ExpiredError`), byte-identical to the
-same query served closed-loop.
+response the front-end returns is a complete, full-coverage answer — a
+partial one is raised as :class:`~repro.serving.admission.ExpiredError`
+(``reason='partial'``, the response riding along) — byte-identical to
+the same query served closed-loop.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ class ServingFrontend:
             finished = time.monotonic()
             self.admission.observe_service(finished - started)
             latency_s = finished - ticket.admitted_at
-            if self.config.require_complete and not response.complete:
+            if not response.complete:
                 raise ExpiredError(
                     latency_s,
                     ticket.deadline_s if ticket.deadline_s is not None else 0.0,

@@ -3,8 +3,8 @@
 The scale-out layer above the single-machine engine:
 
 * :class:`~repro.shard.router.ShardRouter` — trajectory-id partitioning
-  (hash or contiguous ranges); whole trajectories per shard, so per-shard
-  top-k is exact.
+  (``id mod n``, or a spatial directory with ``mod`` for ids outside
+  it); whole trajectories per shard, so per-shard top-k is exact.
 * :class:`~repro.shard.index.ShardedGATIndex` — one complete GAT index
   (own database subset, own simulated disk) per shard, with routed
   inserts and a composite version for cache invalidation.

@@ -165,9 +165,8 @@ class ShardEngineSpec:
     Carries data, never live objects: the shared vocabulary, each shard
     grid's bounding box and build config (per-shard since the
     shard-local-grid build depth-adapts each grid to its own box — all
-    equal under ``shard_box='global'``), and the engine config.  The
-    metric rides along too (the stock metrics are stateless
-    ``__slots__ = ()`` classes, so they pickle for free).
+    equal under ``shard_box='global'``), and the engine config.  Worker
+    engines score with the default metric, as the service's own do.
 
     The trajectory set travels as a snapshot: ``shard_trajectories``
     holds per-shard tuples of :class:`ActivityTrajectory`.
@@ -182,7 +181,6 @@ class ShardEngineSpec:
     bounding_boxes: Tuple[object, ...]
     gat_configs: Tuple[GATConfig, ...]
     engine_config: EngineConfig
-    metric: Optional[object] = None
     #: Per-read latency and device command depth of the worker-side
     #: simulated disks, carried over from the parent's shard disks so the
     #: process backend reproduces the same I/O cost model as the
@@ -209,7 +207,7 @@ def build_shard_engine(spec: ShardEngineSpec, shard_id: int) -> GATSearchEngine:
         ),
         bounding_box=spec.bounding_boxes[shard_id],
     )
-    return GATSearchEngine(index, metric=spec.metric, config=spec.engine_config)
+    return GATSearchEngine(index, config=spec.engine_config)
 
 
 def run_shard_task(
@@ -467,7 +465,7 @@ class ProcessShardExecutor:
     spec (every worker then rebuilds its engines on first touch).
     :meth:`submit` heals through breakage it meets at submission; futures
     that die mid-flight are the fan-out supervisor's to heal and resubmit
-    — at most :attr:`max_pool_repairs` times per fan-out, after which the
+    — at most :attr:`MAX_POOL_REPAIRS` times per fan-out, after which the
     breakage surfaces as a :class:`ShardTaskError`.  Threshold slots are
     parent-owned ``mp.Value``s inherited by every pool generation, so
     leases survive a repair; a dead worker's last published threshold
@@ -477,19 +475,16 @@ class ProcessShardExecutor:
     #: Shared threshold slots per executor — bounds the number of
     #: concurrently *pruning* queries, not the number of queries.
     N_SLOTS = 64
+    #: Broken pools one fan-out (or one submission) heals through before
+    #: the breakage surfaces as a task failure.
+    MAX_POOL_REPAIRS = 3
 
     def __init__(
-        self,
-        spec: ShardEngineSpec,
-        max_workers: Optional[int] = None,
-        max_pool_repairs: int = 3,
+        self, spec: ShardEngineSpec, max_workers: Optional[int] = None
     ) -> None:
         self.max_workers = max_workers if max_workers is not None else len(spec.shard_trajectories)
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if max_pool_repairs < 0:
-            raise ValueError("max_pool_repairs must be >= 0")
-        self.max_pool_repairs = max_pool_repairs
         #: Broken pools retired so far (chaos tests assert recovery here).
         self.pool_repairs = 0
         self._spec = spec
@@ -610,7 +605,7 @@ class ProcessShardExecutor:
         :class:`BrokenProcessPool` if the kill lands mid-flight — that is
         the supervisor's resubmission to make."""
         last_exc: Optional[BaseException] = None
-        for _ in range(self.max_pool_repairs + 1):
+        for _ in range(self.MAX_POOL_REPAIRS + 1):
             pool = self._shared_pool()
             try:
                 return pool.submit(_worker_search, task)

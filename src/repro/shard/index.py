@@ -7,6 +7,13 @@ Each shard owns a full vertical slice of the storage stack: its own
 built over that subset.  Nothing is shared between shards except the
 vocabulary.
 
+Partition: :meth:`ShardedGATIndex.build` derives its
+:class:`~repro.shard.router.ShardRouter` from the database —
+``strategy='hash'`` (``id mod n_shards``) or ``'spatial'`` (a Morton
+directory of compact regions).  A fleet assembled directly from prebuilt
+shards takes any router; ``QueryService``'s one-shard fleet wraps the
+caller's :class:`GATIndex` and shares its database.
+
 Shard grids: by default (``shard_box='local'``) every shard's grid spans
 its **own** trajectories' bounding box, so per-shard retrieval cost scales
 with the shard's spatial footprint instead of the fleet's.  MINDIST
@@ -101,7 +108,6 @@ class ShardedGATIndex:
         n_shards: int = 2,
         config: Optional[GATConfig] = None,
         strategy: str = "hash",
-        router: Optional[ShardRouter] = None,
         disk_factory: Optional[Callable[[], SimulatedDisk]] = None,
         shard_box: str = "local",
     ) -> "ShardedGATIndex":
@@ -109,10 +115,10 @@ class ShardedGATIndex:
 
         Parameters
         ----------
-        n_shards / strategy / router:
-            Either pass a prebuilt :class:`ShardRouter` or let one be
-            derived from the database (``hash`` by default; ``spatial``
-            keeps each shard's data in a compact region).
+        n_shards / strategy:
+            The :class:`ShardRouter` derived from the database: ``hash``
+            (default; ``id mod n_shards``) or ``spatial`` (each shard's
+            data in a compact region).
         config:
             The per-shard :class:`GATConfig` (every shard uses the same
             build knobs so merged rankings compare like for like).
@@ -133,22 +139,22 @@ class ShardedGATIndex:
         Every shard must end up non-empty: a GAT index needs at least one
         trajectory, and an accidentally empty shard almost always means the
         shard count outgrew the dataset (or a pathological id distribution
-        defeated hash routing) — fail loudly instead of serving a silently
+        defeated hash routing, which spatial routing's equal-cardinality
+        cut cannot suffer) — fail loudly instead of serving a silently
         degraded fleet.
         """
         if shard_box not in SHARD_BOXES:
             raise ValueError(
                 f"unknown shard_box {shard_box!r}; expected one of {SHARD_BOXES}"
             )
-        if router is None:
-            router = ShardRouter.for_database(db, n_shards, strategy)
+        router = ShardRouter.for_database(db, n_shards, strategy)
         parts = router.partition(tr.trajectory_id for tr in db)
         empty = [sid for sid, part in enumerate(parts) if not part]
         if empty:
             raise ValueError(
                 f"shards {empty} would be empty ({len(db)} trajectories over "
-                f"{router.n_shards} {router.strategy!r} shards); lower n_shards "
-                "or use range routing"
+                f"{n_shards} {strategy!r} shards); lower n_shards "
+                "or use spatial routing"
             )
         global_box = db.bounding_box
         base_config = config if config is not None else GATConfig()
@@ -303,7 +309,10 @@ class ShardedGATIndex:
         ):
             shard = self.shards[sid] = self._rebuild_expanded(shard, trajectory)
         shard.insert_trajectory(trajectory)  # validates the bounding box
-        self.db.add(trajectory)
+        # QueryService's one-shard fleet shares its shard's database, which
+        # the line above already appended to.
+        if shard.db is not self.db:
+            self.db.add(trajectory)
         sums = self._centroid_sums[sid]
         for p in trajectory:
             sums[0] += p.x
@@ -353,7 +362,4 @@ class ShardedGATIndex:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = "+".join(str(len(shard.db)) for shard in self.shards)
-        return (
-            f"ShardedGATIndex({self.n_shards} shards [{sizes}], "
-            f"strategy={self.router.strategy!r})"
-        )
+        return f"ShardedGATIndex({self.n_shards} shards [{sizes}], {self.router!r})"

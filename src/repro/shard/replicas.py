@@ -66,7 +66,6 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.core.engine import EngineConfig, GATSearchEngine
 from repro.index.gat.index import GATIndex
-from repro.model.distance import DistanceMetric
 from repro.shard.index import ShardedGATIndex
 from repro.storage.disk import SimulatedDisk
 
@@ -310,7 +309,6 @@ class ReplicaPlacement:
         n_replicas: int,
         replica_disk_factory: Optional[Callable[[], SimulatedDisk]],
         breaker: Optional[BreakerConfig],
-        metric: Optional[DistanceMetric],
         engine_config: EngineConfig,
         in_process: bool,
         obs,
@@ -324,7 +322,6 @@ class ReplicaPlacement:
             )
         self.router = ReplicaRouter(index.n_shards, n_replicas, breaker=breaker)
         self.index = index
-        self._metric = metric
         self._engine_config = engine_config
         self._disk_factory = replica_disk_factory
         self._obs = obs
@@ -335,7 +332,7 @@ class ReplicaPlacement:
             self.banks.append(self._replica_bank())
 
     def _engine(self, shard: GATIndex) -> GATSearchEngine:
-        return GATSearchEngine(shard, metric=self._metric, config=self._engine_config)
+        return GATSearchEngine(shard, config=self._engine_config)
 
     def _replica_bank(self) -> List[GATSearchEngine]:
         replicas = self.index.replicate(self._disk_factory)
@@ -373,12 +370,16 @@ class ReplicaPlacement:
         (:meth:`ShardedGATIndex._rebuild_expanded`) swaps a new index
         into ``index.shards[sid]``, and the old engine would otherwise
         keep serving the orphaned pre-insert snapshot; an ordinary insert
-        mutates the shard the engine already holds.  Replica banks are
-        read-only snapshots of the primary, so they are rebuilt
-        wholesale.
+        mutates the shard the engine already holds.  The new engine takes
+        the metric and config of the one it replaces (bank 0 may be the
+        caller's own engine).  Replica banks are read-only snapshots of
+        the primary, so they are rebuilt wholesale.
         """
         primary = self.banks[0]
         for sid, shard in enumerate(self.index.shards):
-            if primary[sid].index is not shard:
-                primary[sid] = self._engine(shard)
+            old = primary[sid]
+            if old.index is not shard:
+                primary[sid] = GATSearchEngine(
+                    shard, metric=old.metric, config=old.config
+                )
         self.banks[1:] = [self._replica_bank() for _ in self.banks[1:]]

@@ -11,22 +11,20 @@ retries, no hedges, any shard failure raises):
   attempts keep running in the pool; nothing waits on them) and the query
   resolves with whatever coverage it has.
 * **retries** — a failed attempt is retried after exponential backoff
-  (:attr:`FaultPolicy.retry_backoff_s` doubling per failure), at most
+  (:data:`_RETRY_BACKOFF_S`, 10 ms, doubling per failure), at most
   :attr:`FaultPolicy.max_retries` times per shard, never past the
   deadline.  Each retry is *re-routed* — bound to a fresh copy that is
   not the one that just failed (while another is routable), which is
   what turns a retry into failover.
 * **hedges** — when an attempt has been running longer than the fleet's
-  observed latency quantile (a :class:`~repro.obs.metrics.LatencyWindow`
-  of shard-task latencies; the fixed
-  :attr:`FaultPolicy.hedge_after_s` until enough samples exist), a single
-  backup attempt is launched on a sibling of the straggler's copy.  First
-  completion wins; the loser's result is discarded (result offers dedup
-  by trajectory id, so a straggler finishing later is harmless).  An
-  optional global budget (:attr:`FaultPolicy.hedge_budget`) caps live
-  hedges as a fraction of in-flight attempts so hedging cuts tails
-  without amplifying overload; denied hedges are counted
-  (:attr:`FanoutOutcome.hedges_denied`).
+  observed p95 (:data:`_HEDGE_QUANTILE` of a
+  :class:`~repro.obs.metrics.LatencyWindow` of shard-task latencies; the
+  fixed :attr:`FaultPolicy.hedge_after_s` until it holds
+  :data:`_HEDGE_MIN_SAMPLES` samples), a single backup attempt is
+  launched on a sibling of the straggler's copy.  First completion wins;
+  the loser's result is discarded (result offers dedup by trajectory id,
+  so a straggler finishing later is harmless).  One backup per shard and
+  never a hedge of a hedge bound what hedging adds.
 
 Exactness: retried and hedged attempts run the *same* frozen task against
 byte-identical replicas, and the shared top-k collector dedups offers by
@@ -37,8 +35,9 @@ to the single-index engine's.
 A dead worker process is a *fleet* event, not a task failure: attempts
 that die with :class:`BrokenProcessPool` are healed around and
 resubmitted without spending the retry budget (bounded per fan-out by
-``max_pool_repairs``), so a process fleet keeps answering through a
-SIGKILL even under :data:`ALL_OR_NOTHING`.
+:attr:`~repro.shard.executor.ProcessShardExecutor.MAX_POOL_REPAIRS`), so
+a process fleet keeps answering through a SIGKILL even under
+:data:`ALL_OR_NOTHING`.
 
 Replica binding and the breaker contract.  Every attempt — first launch,
 retry, hedge, on every backend — is bound to a replica by the supervisor
@@ -77,11 +76,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.obs.metrics import LatencyWindow
-from repro.shard.executor import ShardResult, ShardTask
+from repro.shard.executor import ProcessShardExecutor, ShardResult, ShardTask
 
 #: Hedge delays below this would fire backup attempts faster than the pool
 #: can drain them on fast workloads; the quantile is floored here.
 _MIN_HEDGE_DELAY_S = 1e-3
+#: The shard-task latency quantile a straggler must outlast to be hedged,
+#: and the samples the window needs before it replaces ``hedge_after_s``.
+_HEDGE_QUANTILE = 0.95
+_HEDGE_MIN_SAMPLES = 20
+#: Backoff before a shard's first retry; it doubles per further failure.
+_RETRY_BACKOFF_S = 0.01
 
 
 class DeadlineExceeded(RuntimeError):
@@ -107,23 +112,14 @@ class FaultPolicy:
     turning it on changes availability, never rankings.
     ``allow_partial=False`` turns an unanswered shard into a raised
     :class:`~repro.shard.executor.ShardTaskError` instead of a partial
-    response.
+    response.  The retry backoff and the learned hedge delay's quantile
+    and warm-up are module constants (:data:`_RETRY_BACKOFF_S`,
+    :data:`_HEDGE_QUANTILE`, :data:`_HEDGE_MIN_SAMPLES`).
     """
 
     deadline_s: Optional[float] = None
     max_retries: int = 2
-    retry_backoff_s: float = 0.01
     hedge_after_s: Optional[float] = None
-    hedge_quantile: float = 0.95
-    hedge_min_samples: int = 20
-    #: Global hedge budget: a hedge may launch only while the number of
-    #: live hedge attempts (across the whole supervised batch) stays
-    #: under ``hedge_budget × live attempts``.  A denied hedge consumes
-    #: the shard's one hedge opportunity and is counted in
-    #: :attr:`FanoutOutcome.hedges_denied` — under overload hedging must
-    #: amplify tail-cutting, not the overload itself.  ``None`` leaves
-    #: hedging unbudgeted; ``0.0`` denies every hedge.
-    hedge_budget: Optional[float] = None
     allow_partial: bool = True
 
     def __post_init__(self) -> None:
@@ -131,16 +127,8 @@ class FaultPolicy:
             raise ValueError("deadline_s must be > 0 (or None)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         if self.hedge_after_s is not None and self.hedge_after_s <= 0:
             raise ValueError("hedge_after_s must be > 0 (or None)")
-        if not 0.0 < self.hedge_quantile <= 1.0:
-            raise ValueError("hedge_quantile must be in (0, 1]")
-        if self.hedge_min_samples < 1:
-            raise ValueError("hedge_min_samples must be >= 1")
-        if self.hedge_budget is not None and self.hedge_budget < 0:
-            raise ValueError("hedge_budget must be >= 0 (or None)")
 
 
 #: What a service built with ``fault_policy=None`` runs under: no retries,
@@ -160,7 +148,6 @@ class FanoutOutcome:
     failures: Dict[int, BaseException] = field(default_factory=dict)
     retries: int = 0
     hedges: int = 0
-    hedges_denied: int = 0
     #: Attempts still running when the query resolved — abandoned at the
     #: deadline, or a hedge race's loser.  Nobody reads their results,
     #: but they keep writing to whatever the query leased for its tasks
@@ -215,13 +202,13 @@ class FanoutSupervisor:
         ``(shard_id, replica, ok) -> None``: the breaker's feed
         (:meth:`~repro.shard.replicas.ReplicaPlacement.note_outcome`),
         called under the contract in the module docstring.
-    heal / max_pool_repairs:
-        *heal* is called when an attempt dies with
-        :class:`BrokenProcessPool` (retire the broken pool so
-        resubmission lands on a fresh fleet; returns whether it retired
-        one).  Such attempts are resubmitted at once without spending
-        ``max_retries`` while the run has healed at most
-        *max_pool_repairs* pools; past that they fail like any other.
+    heal:
+        Called when an attempt dies with :class:`BrokenProcessPool`
+        (retire the broken pool so resubmission lands on a fresh fleet;
+        returns whether it retired one).  Such attempts are resubmitted at
+        once without spending ``max_retries`` while the run has healed at
+        most :attr:`ProcessShardExecutor.MAX_POOL_REPAIRS` pools; past
+        that they fail like any other.
     run_inline:
         The in-process backends' ``task -> ShardResult`` runner, for the
         caller-runs rule (module docstring); ``None`` submits every attempt.
@@ -235,7 +222,6 @@ class FanoutSupervisor:
         on_outcome: Callable[[int, int, bool], None],
         tracker: Optional[LatencyWindow] = None,
         heal: Optional[Callable[[], object]] = None,
-        max_pool_repairs: int = 0,
         run_inline: Optional[Callable[[ShardTask], ShardResult]] = None,
     ) -> None:
         self._submit = submit
@@ -245,7 +231,6 @@ class FanoutSupervisor:
         self._on_outcome = on_outcome
         self._tracker = tracker
         self._heal = heal
-        self._max_pool_repairs = max_pool_repairs
 
     def _report(self, task: ShardTask, exc: Optional[BaseException]) -> None:
         """One attempt's outcome, to the breaker (``exc=None``: it
@@ -260,8 +245,8 @@ class FanoutSupervisor:
         policy = self._policy
         if policy.hedge_after_s is None:
             return None
-        if self._tracker is not None and len(self._tracker) >= policy.hedge_min_samples:
-            return max(self._tracker.quantile(policy.hedge_quantile), _MIN_HEDGE_DELAY_S)
+        if self._tracker is not None and len(self._tracker) >= _HEDGE_MIN_SAMPLES:
+            return max(self._tracker.quantile(_HEDGE_QUANTILE), _MIN_HEDGE_DELAY_S)
         return policy.hedge_after_s
 
     # ------------------------------------------------------------------
@@ -318,13 +303,13 @@ class FanoutSupervisor:
             state.failures += 1
             state.last_error = exc
             state.failed_on = task.replica
-            if fleet_event and pools_healed <= self._max_pool_repairs:
+            if fleet_event and pools_healed <= ProcessShardExecutor.MAX_POOL_REPAIRS:
                 outcomes[state.qi].retries += 1
                 launch(state)
                 return
             state.charged += 1
             if state.charged <= policy.max_retries:
-                backoff = policy.retry_backoff_s * (2 ** (state.charged - 1))
+                backoff = _RETRY_BACKOFF_S * (2 ** (state.charged - 1))
                 due = time.monotonic() + backoff
                 if due <= deadline_at[state.qi]:
                     if state.retry_due is None or due < state.retry_due:
@@ -434,12 +419,6 @@ class FanoutSupervisor:
                     outcomes[state.qi].retries += 1
                     launch(state, avoid=state.failed_on)
             # Fire due hedges (one backup per shard, never hedge a hedge).
-            # The global budget caps live hedge attempts at
-            # hedge_budget × live attempts; a denied hedge permanently
-            # consumes the shard's hedge opportunity (its timer leaves
-            # the wait set — no busy-looping on a perpetually-due hedge)
-            # so under saturation hedging stops adding load instead of
-            # doubling it.
             hedge_delay = self._hedge_delay()
             if hedge_delay is not None:
                 for attempt in list(attempts.values()):
@@ -448,14 +427,6 @@ class FanoutSupervisor:
                         continue
                     if now - attempt.started >= hedge_delay:
                         state.hedged = True
-                        if policy.hedge_budget is not None:
-                            live_hedges = sum(
-                                1 for a in attempts.values() if a.hedge
-                            )
-                            allowed = policy.hedge_budget * len(attempts)
-                            if live_hedges + 1 > allowed:
-                                outcomes[state.qi].hedges_denied += 1
-                                continue
                         outcomes[state.qi].hedges += 1
                         launch(state, avoid=attempt.task.replica, hedge=True)
             # Next timer: earliest deadline / retry / hedge trigger.

@@ -8,118 +8,50 @@ Partitioning the *grid* instead would split one trajectory's points
 across shards and turn per-shard scores into partial sums — every merge
 would need a cross-shard repair pass.
 
-Three strategies:
+A router is an optional id→shard directory; any id the directory does
+not hold routes to ``trajectory_id mod n_shards``.  Two strategies
+choose the directory:
 
-* ``hash`` — ``trajectory_id mod n_shards``.  Stateless, uniform for the
-  dense sequential ids our generators produce, and inserts route without
-  consulting any directory.
-* ``range`` — contiguous id ranges, computed once from the ids present at
-  build time.  Keeps id-adjacent trajectories (often crawled together)
-  co-resident, which matters when shards are rebuilt or migrated in id
-  order; inserts route by binary search over the range starts, with ids
-  beyond the last boundary landing on the last shard.
+* ``hash`` — no directory.  Stateless, uniform for the dense sequential
+  ids our generators produce, and inserts route without consulting
+  anything.
 * ``spatial`` — trajectories sorted by the Morton code of their centroid
-  and cut into ``n_shards`` equal-cardinality chunks, recorded as an
-  explicit id→shard directory.  Spatially-close trajectories land on the
-  same shard, so each shard's data occupies a compact region: combined
-  with shard-local grids (``ShardedGATIndex.build(shard_box='local')``)
-  a query's best-first expansion does real work only on the shards whose
-  region it touches, instead of every shard re-traversing the same cells
-  at ``1/n_shards`` density.  Ids unknown to the directory (inserted
-  later) fall back to ``hash`` routing — the sharded index's
-  insert-overflow handling rebuilds the target shard's grid when the
-  newcomer lies outside its local box.
+  and cut into ``n_shards`` equal-cardinality chunks, recorded as the
+  directory.  Spatially-close trajectories land on the same shard, so
+  each shard's data occupies a compact region: combined with shard-local
+  grids (``ShardedGATIndex.build(shard_box='local')``) a query's
+  best-first expansion does real work only on the shards whose region it
+  touches, instead of every shard re-traversing the same cells at
+  ``1/n_shards`` density.  Ids inserted later are not in the directory
+  and route by ``mod`` — the sharded index's insert-overflow handling
+  rebuilds the target shard's grid when the newcomer lies outside its
+  local box.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
-STRATEGIES = ("hash", "range", "spatial")
+STRATEGIES = ("hash", "spatial")
 
 
 class ShardRouter:
     """Maps a trajectory id to the shard that owns it.
 
-    Build through :meth:`for_ids` / :meth:`for_database` for the ``range``
-    strategy (it needs the build-time id population); ``hash`` routers can
-    be constructed directly.
+    A router with a directory is ``spatial`` and is built through
+    :meth:`for_database`; one without is ``hash``.
     """
 
-    __slots__ = ("n_shards", "strategy", "_range_starts", "_assignments")
+    __slots__ = ("n_shards", "_assignments")
 
-    def __init__(
-        self,
-        n_shards: int,
-        strategy: str = "hash",
-        range_starts: Optional[Sequence[int]] = None,
-        assignments: Optional[Dict[int, int]] = None,
-    ) -> None:
+    def __init__(self, n_shards: int, assignments: Optional[Dict[int, int]] = None) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-        if strategy == "range":
-            if range_starts is None:
-                raise ValueError(
-                    "range routing needs range_starts (build via ShardRouter.for_ids)"
-                )
-            if len(range_starts) != n_shards:
-                raise ValueError("range_starts must hold one start per shard")
-            if list(range_starts) != sorted(set(range_starts)):
-                raise ValueError("range_starts must be strictly increasing")
-        elif range_starts is not None:
-            raise ValueError("range_starts only applies to the range strategy")
-        if strategy == "spatial":
-            if assignments is None:
-                raise ValueError(
-                    "spatial routing needs assignments (build via "
-                    "ShardRouter.for_database)"
-                )
-            bad = [s for s in assignments.values() if not 0 <= s < n_shards]
-            if bad:
-                raise ValueError(f"assignments reference unknown shards: {bad[:3]}")
-        elif assignments is not None:
-            raise ValueError("assignments only apply to the spatial strategy")
+        bad = [s for s in (assignments or {}).values() if not 0 <= s < n_shards]
+        if bad:
+            raise ValueError(f"assignments reference unknown shards: {bad[:3]}")
         self.n_shards = n_shards
-        self.strategy = strategy
-        self._range_starts: Optional[List[int]] = (
-            list(range_starts) if range_starts is not None else None
-        )
-        self._assignments: Optional[Dict[int, int]] = (
-            dict(assignments) if assignments is not None else None
-        )
-
-    # ------------------------------------------------------------------
-    # Construction from data
-    # ------------------------------------------------------------------
-    @classmethod
-    def for_ids(
-        cls, trajectory_ids: Iterable[int], n_shards: int, strategy: str = "hash"
-    ) -> "ShardRouter":
-        """A router sized to the ids present at build time.
-
-        ``range`` cuts the sorted ids into ``n_shards`` contiguous chunks
-        of near-equal cardinality and records each chunk's first id as the
-        shard boundary.  ``hash`` ignores the ids (kept in the signature so
-        callers can switch strategies without changing call sites).
-        """
-        if strategy == "spatial":
-            raise ValueError(
-                "spatial routing needs trajectory geometry (build via "
-                "ShardRouter.for_database)"
-            )
-        if strategy != "range":
-            return cls(n_shards, strategy)
-        ids = sorted(set(trajectory_ids))
-        if len(ids) < n_shards:
-            raise ValueError(
-                f"range routing needs at least one trajectory per shard "
-                f"({len(ids)} ids for {n_shards} shards)"
-            )
-        starts = [ids[(len(ids) * s) // n_shards] for s in range(n_shards)]
-        return cls(n_shards, "range", range_starts=starts)
+        self._assignments: Dict[int, int] = dict(assignments or {})
 
     @classmethod
     def for_database(cls, db, n_shards: int, strategy: str = "hash") -> "ShardRouter":
@@ -130,10 +62,12 @@ class ShardRouter:
         the order into ``n_shards`` equal-cardinality chunks — balanced
         shard sizes with spatially compact shard regions.  Centroid ties
         (and everything else) break by trajectory id, so the directory is
-        deterministic.
+        deterministic.  ``hash`` needs nothing from *db*.
         """
-        if strategy != "spatial":
-            return cls.for_ids((tr.trajectory_id for tr in db), n_shards, strategy)
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        if strategy == "hash":
+            return cls(n_shards)
         if len(db) < n_shards:
             raise ValueError(
                 f"spatial routing needs at least one trajectory per shard "
@@ -159,25 +93,14 @@ class ShardRouter:
             tid: min(n_shards - 1, (i * n_shards) // n)
             for i, (_code, tid) in enumerate(keyed)
         }
-        return cls(n_shards, "spatial", assignments=assignments)
+        return cls(n_shards, assignments)
 
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
     def shard_of(self, trajectory_id: int) -> int:
-        """The shard owning *trajectory_id* (total: every id routes, so
-        freshly inserted trajectories always have a home)."""
-        if self.strategy == "hash":
-            return trajectory_id % self.n_shards
-        if self.strategy == "spatial":
-            # Directory hit for build-time ids; unknown (inserted) ids fall
-            # back to hash so they always have a home — the sharded index
-            # rebuilds/expands the target shard's grid when needed.
-            shard = self._assignments.get(trajectory_id)
-            return shard if shard is not None else trajectory_id % self.n_shards
-        # Range: the last shard whose start is <= id; ids below the first
-        # boundary clamp to shard 0, ids beyond the last to the last shard.
-        return max(0, bisect_right(self._range_starts, trajectory_id) - 1)
+        """The shard owning *trajectory_id*: its directory entry, else
+        ``trajectory_id mod n_shards`` (total: every id routes, so freshly
+        inserted trajectories always have a home)."""
+        shard = self._assignments.get(trajectory_id)
+        return shard if shard is not None else trajectory_id % self.n_shards
 
     def partition(self, trajectory_ids: Iterable[int]) -> List[List[int]]:
         """Split ids into per-shard lists (input order preserved per shard)."""
@@ -187,4 +110,5 @@ class ShardRouter:
         return parts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShardRouter(n_shards={self.n_shards}, strategy={self.strategy!r})"
+        strategy = "spatial" if self._assignments else "hash"
+        return f"ShardRouter(n_shards={self.n_shards}, strategy={strategy!r})"

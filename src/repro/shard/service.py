@@ -60,7 +60,6 @@ from repro.core.context import SearchStats
 from repro.core.engine import EngineConfig, GATSearchEngine
 from repro.core.query import Query
 from repro.core.results import TopKCollector
-from repro.model.distance import DistanceMetric
 from repro.obs.metrics import LatencyWindow
 from repro.service.service import (
     QueryRequest,
@@ -127,9 +126,10 @@ class ShardedQueryService:
     ----------
     index:
         The sharded index fleet.
-    metric / engine_config:
+    engine_config:
         Shared by every per-shard :class:`GATSearchEngine` (and shipped to
-        process workers), so all shards score identically.
+        process workers), so all shards score identically — under the
+        default metric.
     executor:
         ``'thread'`` (default), ``'process'``, or ``'serial'``.
     max_workers:
@@ -191,7 +191,6 @@ class ShardedQueryService:
     def __init__(
         self,
         index: ShardedGATIndex,
-        metric: Optional[DistanceMetric] = None,
         engine_config: Optional[EngineConfig] = None,
         executor: str = "thread",
         max_workers: Optional[int] = None,
@@ -207,7 +206,6 @@ class ShardedQueryService:
                 f"unknown executor {executor!r}; expected one of {EXECUTOR_KINDS}"
             )
         self.index = index
-        self.metric = metric
         self.obs = obs
         self.engine_config = (
             engine_config if engine_config is not None else EngineConfig()
@@ -224,7 +222,6 @@ class ShardedQueryService:
             n_replicas=n_replicas,
             replica_disk_factory=replica_disk_factory,
             breaker=breaker,
-            metric=metric,
             engine_config=self.engine_config,
             in_process=self._in_process,
             obs=obs,
@@ -346,7 +343,6 @@ class ShardedQueryService:
             bounding_boxes=self.index.shard_boxes,
             gat_configs=tuple(shard.config for shard in self.index.shards),
             engine_config=self.engine_config,
-            metric=self.metric,
             read_latency_s=shard0.disk.read_latency_s,
             concurrent_reads=shard0.disk.concurrent_reads,
         )
@@ -531,14 +527,12 @@ class ShardedQueryService:
             on_outcome=self.placement.note_outcome,
             tracker=self._task_latency,
             heal=executor.heal,
-            max_pool_repairs=0 if self._in_process else executor.max_pool_repairs,
             run_inline=self._run_task if self._in_process else None,
         )
         outcomes = supervisor.run(fanouts, deadlines=deadlines)
         count = self._front.count
         count("task_retries", sum(o.retries for o in outcomes))
         count("task_hedges", sum(o.hedges for o in outcomes))
-        count("task_hedges_denied", sum(o.hedges_denied for o in outcomes))
         return outcomes
 
     def _assemble(
@@ -654,8 +648,9 @@ class QueryService(ShardedQueryService):
 
     ``engine.index`` becomes a fleet of one shard whose only bank is
     *engine* (stateless per query, so every pool thread shares it and its
-    caches), and a miss runs the same supervised fan-out as any sharded
-    query.  With no fault policy the calling thread runs the last task of
+    caches; it keeps its own metric and config, which an engine rebuilt
+    after an overflow insert inherits), and a miss runs the same
+    supervised fan-out as any sharded query.  With no fault policy the calling thread runs the last task of
     each batch, so ``search`` runs ``engine.execute`` on the caller's
     thread.  *max_workers* is the pool width for ``search_many``;
     *result_cache_size* and *obs* are as for :class:`ShardedQueryService`.
@@ -674,7 +669,6 @@ class QueryService(ShardedQueryService):
         index = engine.index
         super().__init__(
             ShardedGATIndex(index.db, ShardRouter(1), [index]),
-            metric=engine.metric,
             engine_config=engine.config,
             max_workers=max_workers,
             result_cache_size=result_cache_size,

@@ -302,6 +302,50 @@ class TestOneShardFanout:
         assert info.value.original is boom
         assert info.value.shard_id == 0
 
+    def test_overflow_rebuild_keeps_the_engines_metric_and_config(self, tiny_db):
+        """An overflow insert through the one-shard fleet replaces bank 0's
+        index; the engine rebuilt over it keeps the caller's metric and
+        :class:`EngineConfig` (the service holds neither of its own)."""
+        import copy
+
+        from repro.core.engine import EngineConfig
+        from repro.core.query import Query, QueryPoint
+        from repro.model.distance import EuclideanDistance
+        from repro.model.point import TrajectoryPoint
+        from repro.model.trajectory import ActivityTrajectory
+
+        class SentinelMetric(EuclideanDistance):
+            __slots__ = ()
+
+        db = copy.deepcopy(tiny_db)
+        metric = SentinelMetric()
+        config = EngineConfig(kernel="scalar", apl_cache_size=7)
+        engine = GATSearchEngine(
+            GATIndex.build(db, GATConfig(depth=4, memory_levels=3)),
+            metric=metric,
+            config=config,
+        )
+        box = db.bounding_box
+        anchor = next(p for tr in db for p in tr if p.activities)
+        outside = ActivityTrajectory(
+            max(tr.trajectory_id for tr in db) + 1,
+            [TrajectoryPoint(box.max_x + 2.0, box.max_y + 2.0, frozenset(anchor.activities))],
+        )
+        query = Query(
+            [QueryPoint(outside[0].x, outside[0].y, frozenset(list(anchor.activities)[:1]))]
+        )
+        with QueryService(engine, result_cache_size=0) as service:
+            service.search(query, k=1)
+            service.index.insert_trajectory(outside)  # overflow rebuild
+            assert service.index.shards[0] is not engine.index
+            response = service.search(query, k=1)
+            (rebuilt,) = service.placement.banks[0]
+        assert rebuilt is not engine
+        assert rebuilt.index is service.index.shards[0]
+        assert rebuilt.metric is metric
+        assert rebuilt.config == config
+        assert response.results[0].trajectory_id == outside.trajectory_id
+
     def test_is_a_sharded_service_with_its_own_search(self):
         assert issubclass(QueryService, ShardedQueryService)
         assert "search" in vars(QueryService)

@@ -153,21 +153,21 @@ class TestDispatch:
 
 class TestEWMA:
     def test_first_sample_initialises(self):
-        ewma = ServiceTimeEWMA(alpha=0.5)
+        ewma = ServiceTimeEWMA()
         assert ewma.value is None
         ewma.record(0.2)
         assert ewma.value == pytest.approx(0.2)
 
     def test_exponential_smoothing(self):
-        ewma = ServiceTimeEWMA(alpha=0.5)
+        ewma = ServiceTimeEWMA()
         ewma.record(0.2)
-        ewma.record(0.4)
+        ewma.record(0.7)
         assert ewma.value == pytest.approx(0.3)
         ewma.record(0.3)
         assert ewma.value == pytest.approx(0.3)
 
     def test_prime_overrides(self):
-        ewma = ServiceTimeEWMA(alpha=0.1)
+        ewma = ServiceTimeEWMA()
         ewma.record(1.0)
         ewma.prime(0.05)
         assert ewma.value == pytest.approx(0.05)
@@ -180,8 +180,6 @@ class TestConfigValidation:
             {"queue_capacity": 0},
             {"max_concurrency": 0},
             {"default_deadline_s": 0.0},
-            {"ewma_alpha": 0.0},
-            {"ewma_alpha": 1.5},
             {"shed_headroom": 0.0},
         ],
     )

@@ -142,13 +142,6 @@ class TestAdmissionFlow:
             assert err.value.reason == "partial"
             assert not err.value.response.complete
 
-    def test_partial_coverage_returned_when_allowed(self, workload_queries):
-        backend = StubService(shards_answered=1, shards_total=2)
-        config = ServingConfig(require_complete=False)
-        with ServingFrontend(backend, config) as fe:
-            response = submit_one(fe, make_request(workload_queries), deadline_s=5.0)
-            assert not response.complete
-
     def test_backend_failure_counted_and_raised(self, workload_queries):
         backend = StubService(error=RuntimeError("backend down"))
         with ServingFrontend(backend, ServingConfig()) as fe:

@@ -114,7 +114,7 @@ def test_preemptible_fanouts_never_run_inline(pool, policy, deadlines):
 
 def test_inline_failure_is_retried_on_the_pool(pool):
     runner = ThreadLog(fail_on_caller=1)
-    (outcome,) = supervisor(pool, runner, FaultPolicy(retry_backoff_s=0.0)).run(
+    (outcome,) = supervisor(pool, runner, FaultPolicy()).run(
         [[make_task(0)]]
     )
     assert sorted(outcome.results) == [0] and not outcome.failures

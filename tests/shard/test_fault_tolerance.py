@@ -393,7 +393,7 @@ def test_retry_never_lands_on_the_copy_that_just_failed():
             future.set_result(_ANSWER)
 
     supervisor, launched = _scripted_supervisor(
-        FaultPolicy(max_retries=1, retry_backoff_s=0.0), run_attempt
+        FaultPolicy(max_retries=1), run_attempt
     )
     first, second = supervisor.run(_one_shard_queries(2))
     assert [(t.group, t.replica, t.attempt) for t in launched] == [
@@ -537,7 +537,6 @@ def test_broken_pool_is_never_a_replica_failure():
         bind=lambda shard_id, avoid: 0,
         on_outcome=lambda *outcome: reported.append(outcome),
         heal=lambda: True,
-        max_pool_repairs=1,
     )
     (outcome,) = supervisor.run([[ShardTask(0, query, k=1)]])
     assert sorted(outcome.results) == [0] and outcome.retries == 1

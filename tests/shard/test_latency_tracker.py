@@ -3,14 +3,20 @@
 A :class:`~repro.obs.metrics.LatencyWindow` of completed shard-task
 latencies feeds :meth:`FanoutSupervisor._hedge_delay`, so its window
 semantics (empty, single-sample, eviction) and the interaction between
-the learned quantile, the ``_MIN_HEDGE_DELAY_S`` floor, and the
+the learned quantile (``_HEDGE_QUANTILE`` once ``_HEDGE_MIN_SAMPLES``
+latencies are in), the ``_MIN_HEDGE_DELAY_S`` floor, and the
 ``hedge_after_s`` fallback are pinned here.
 """
 
 import pytest
 
 from repro.obs import LatencyWindow, nearest_rank
-from repro.shard.resilience import _MIN_HEDGE_DELAY_S, FanoutSupervisor, FaultPolicy
+from repro.shard.resilience import (
+    _HEDGE_MIN_SAMPLES,
+    _MIN_HEDGE_DELAY_S,
+    FanoutSupervisor,
+    FaultPolicy,
+)
 
 
 class TestWindowSemantics:
@@ -69,27 +75,26 @@ class TestHedgeDelay:
         assert sup._hedge_delay() is None
 
     def test_cold_tracker_falls_back_to_policy_constant(self):
-        policy = FaultPolicy(hedge_after_s=0.25, hedge_min_samples=20)
+        policy = FaultPolicy(hedge_after_s=0.25)
         tracker = LatencyWindow(512)
         sup = _supervisor(policy, tracker)
-        for _ in range(19):  # one short of the confidence threshold
+        for _ in range(_HEDGE_MIN_SAMPLES - 1):  # one short of the threshold
             tracker.record(0.001)
         assert sup._hedge_delay() == 0.25
 
     def test_warm_tracker_uses_the_learned_quantile(self):
-        policy = FaultPolicy(
-            hedge_after_s=0.25, hedge_quantile=0.95, hedge_min_samples=5
-        )
+        policy = FaultPolicy(hedge_after_s=0.25)
         tracker = LatencyWindow(512)
-        for v in (0.01, 0.02, 0.03, 0.04, 0.05):
+        values = [0.01 * (i + 1) for i in range(_HEDGE_MIN_SAMPLES)]
+        for v in values:
             tracker.record(v)
         sup = _supervisor(policy, tracker)
-        assert sup._hedge_delay() == pytest.approx(0.05)
+        assert sup._hedge_delay() == pytest.approx(0.19)  # the 19th of 20
 
     def test_learned_quantile_is_floored(self):
         """A fleet of microsecond tasks must not hedge faster than the
         pool can context-switch: the floor wins over the quantile."""
-        policy = FaultPolicy(hedge_after_s=0.25, hedge_min_samples=5)
+        policy = FaultPolicy(hedge_after_s=0.25)
         tracker = LatencyWindow(512)
         for _ in range(50):
             tracker.record(1e-6)

@@ -78,17 +78,11 @@ class TestSpatialRouter:
         fresh = max(tr.trajectory_id for tr in tiny_db) + 17
         assert router.shard_of(fresh) == fresh % 3
 
-    def test_for_ids_rejects_spatial(self):
-        with pytest.raises(ValueError, match="geometry"):
-            ShardRouter.for_ids(range(10), 2, "spatial")
-
     def test_assignments_validated(self):
-        with pytest.raises(ValueError, match="assignments"):
-            ShardRouter(2, "spatial")
         with pytest.raises(ValueError, match="unknown shards"):
-            ShardRouter(2, "spatial", assignments={1: 5})
-        with pytest.raises(ValueError, match="only apply"):
-            ShardRouter(2, "hash", assignments={1: 0})
+            ShardRouter(2, {1: 5})
+        with pytest.raises(ValueError, match="unknown shards"):
+            ShardRouter(2, {1: -1})
 
     def test_spatial_shards_are_more_compact_than_hash(self, tiny_db):
         """The point of spatial routing: smaller per-shard footprints.
@@ -108,7 +102,7 @@ class TestSpatialRouter:
 # Local grid boxes
 # ----------------------------------------------------------------------
 class TestLocalGrids:
-    @pytest.mark.parametrize("strategy", ["hash", "range", "spatial"])
+    @pytest.mark.parametrize("strategy", ["hash", "spatial"])
     @pytest.mark.parametrize("shard_box", ["local", "global"])
     def test_parity_with_single_index(
         self, tiny_db, queries, expected, strategy, shard_box

@@ -5,40 +5,32 @@ import pytest
 from repro.shard.router import ShardRouter
 
 
+def _router(strategy, ids, n_shards):
+    """A router of either strategy over *ids*; the spatial one gets a
+    directory that is not ``mod`` (consecutive ids share a shard)."""
+    if strategy == "hash":
+        return ShardRouter(n_shards)
+    ids = sorted(ids)
+    directory = {tid: (i * n_shards) // len(ids) for i, tid in enumerate(ids)}
+    return ShardRouter(n_shards, directory)
+
+
 class TestConstruction:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
             ShardRouter(0)
 
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            ShardRouter(2, strategy="rendezvous")
-
-    def test_range_needs_starts(self):
-        with pytest.raises(ValueError):
-            ShardRouter(2, strategy="range")
-
-    def test_range_starts_must_match_shards_and_increase(self):
-        with pytest.raises(ValueError):
-            ShardRouter(2, strategy="range", range_starts=[0])
-        with pytest.raises(ValueError):
-            ShardRouter(2, strategy="range", range_starts=[5, 5])
-
-    def test_hash_rejects_starts(self):
-        with pytest.raises(ValueError):
-            ShardRouter(2, strategy="hash", range_starts=[0, 5])
-
-    def test_range_needs_enough_ids(self):
-        with pytest.raises(ValueError):
-            ShardRouter.for_ids([1, 2], 3, strategy="range")
+    def test_rejects_unknown_strategy(self, tiny_db):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            ShardRouter.for_database(tiny_db, 2, "rendezvous")
 
 
 class TestRouting:
-    @pytest.mark.parametrize("strategy", ["hash", "range"])
+    @pytest.mark.parametrize("strategy", ["hash", "spatial"])
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 7])
     def test_partition_is_total_and_disjoint(self, strategy, n_shards):
         ids = list(range(0, 100, 3))
-        router = ShardRouter.for_ids(ids, n_shards, strategy)
+        router = _router(strategy, ids, n_shards)
         parts = router.partition(ids)
         assert len(parts) == n_shards
         flat = [tid for part in parts for tid in part]
@@ -50,27 +42,14 @@ class TestRouting:
         router = ShardRouter(4)
         assert [router.shard_of(t) for t in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
 
-    def test_range_partitions_are_contiguous_and_balanced(self):
-        ids = list(range(40))
-        router = ShardRouter.for_ids(ids, 4, "range")
-        parts = router.partition(ids)
-        assert [len(p) for p in parts] == [10, 10, 10, 10]
-        for part in parts:
-            assert part == list(range(part[0], part[0] + len(part)))
-
-    def test_range_routes_fresh_ids(self):
-        """Inserted ids beyond (or between) the build-time population
-        still route deterministically: below the first boundary to shard
-        0, above the last to the final shard, gaps to the covering range."""
-        router = ShardRouter.for_ids([10, 20, 30, 40], 2, "range")
-        assert router.shard_of(5) == 0
-        assert router.shard_of(25) == 0
-        assert router.shard_of(35) == 1
-        assert router.shard_of(10_000) == 1
+    def test_ids_outside_the_directory_route_by_modulo(self):
+        router = ShardRouter(3, {10: 2, 11: 2})
+        assert [router.shard_of(t) for t in (10, 11)] == [2, 2]
+        assert [router.shard_of(t) for t in (9, 12, 1000)] == [0, 0, 1]
 
     def test_stability(self):
         """shard_of never changes for a given router — the whole exactness
         argument rests on a trajectory living in exactly one shard."""
-        router = ShardRouter.for_ids(range(50), 3, "range")
+        router = _router("spatial", range(50), 3)
         first = [router.shard_of(t) for t in range(80)]
         assert first == [router.shard_of(t) for t in range(80)]

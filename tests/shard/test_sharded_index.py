@@ -24,7 +24,7 @@ def _fresh_trajectory(db, tid=None):
 
 
 class TestBuild:
-    @pytest.mark.parametrize("strategy", ["hash", "range"])
+    @pytest.mark.parametrize("strategy", ["hash", "spatial"])
     def test_shards_cover_database_disjointly(self, tiny_db, strategy):
         sharded = ShardedGATIndex.build(
             tiny_db, n_shards=4, config=CONFIG, strategy=strategy
@@ -91,7 +91,7 @@ class TestBuild:
 
 
 class TestInsertRouting:
-    @pytest.mark.parametrize("strategy", ["hash", "range"])
+    @pytest.mark.parametrize("strategy", ["hash", "spatial"])
     def test_insert_lands_on_exactly_the_routed_shard(self, tiny_db, strategy):
         import copy
 

@@ -63,7 +63,7 @@ def test_sharded_topk_identical_to_single_index(
             assert got == expected[i], (n_shards, executor, i)
 
 
-@pytest.mark.parametrize("strategy", ["hash", "range"])
+@pytest.mark.parametrize("strategy", ["hash", "spatial"])
 def test_parity_independent_of_routing_strategy(
     tiny_db, queries, single_engine, strategy
 ):

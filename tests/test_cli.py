@@ -300,6 +300,10 @@ class TestServingFlagValidation:
             ["--replicas", "0"],
             ["--workers", "0"],
             ["--batch", "-3"],
+            ["--k", "0"],
+            ["--deadline-ms", "0"],
+            ["--hedge-ms", "0"],
+            ["--task-retries", "-1"],
         ],
         ids=lambda flags: flags[0].lstrip("-"),
     )
@@ -310,6 +314,28 @@ class TestServingFlagValidation:
         # The path does not exist: validation must come before the load.
         assert main([command, str(tmp_path / "never-loaded.jsonl"), *flags]) == 2
         assert flags[0] in capsys.readouterr().err
+
+    def test_zero_retries_passes_validation(self, tmp_path):
+        """``--task-retries 0`` is a real setting: it gets past validation
+        to the (missing) dataset load."""
+        with pytest.raises(FileNotFoundError):
+            main(["query", str(tmp_path / "never-loaded.jsonl"), "--task-retries", "0"])
+
+    def test_choices_come_from_the_library(self, capsys):
+        from repro.cli import _build_parser
+        from repro.shard import EXECUTOR_KINDS
+        from repro.shard.router import STRATEGIES
+
+        parser = _build_parser()
+        for kind in EXECUTOR_KINDS:
+            assert parser.parse_args(["query", "x.jsonl", "--executor", kind]).executor == kind
+        for strategy in STRATEGIES:
+            args = parser.parse_args(["query", "x.jsonl", "--shard-strategy", strategy])
+            assert args.shard_strategy == strategy
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args(["query", "x.jsonl", "--shard-strategy", "range"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'range'" in capsys.readouterr().err
 
 
 class TestServeBench:
