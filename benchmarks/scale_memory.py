@@ -1,0 +1,83 @@
+"""Build time and memory at scale: one preset, one depth-8 GAT index.
+
+    PYTHONPATH=src python benchmarks/scale_memory.py --preset la --scale 0.25
+
+Generates the preset at the given scale, builds one ``GATIndex`` with
+``GATConfig(depth=8)``, and prints ROADMAP's "building at scale" row:
+generation and build wall seconds, the process's resident set size after
+generation and after the build, and the size of the APL image.  The last
+line of standard output is the row as one JSON object.
+
+RSS is the current resident set (``VmRSS``), read after a
+``gc.collect()``; the APL figure is the ``nbytes`` of every array of
+``index.apl.image``, including the coordinate, offset and id columns it
+shares with the database.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from repro.data.presets import dataset_from_preset  # noqa: E402
+from repro.index.gat.index import GATConfig, GATIndex  # noqa: E402
+
+
+def rss_mb() -> float:
+    """Current resident set size in MB (Linux ``/proc``)."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmRSS line in /proc/self/status")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--preset", default="la", choices=("la", "ny"))
+    parser.add_argument("--scale", type=float, default=0.25)
+    args = parser.parse_args(argv)
+
+    t0 = time.perf_counter()
+    db = dataset_from_preset(args.preset, scale=args.scale)
+    generate_s = time.perf_counter() - t0
+    gc.collect()
+    rss_generated = rss_mb()
+
+    t0 = time.perf_counter()
+    index = GATIndex.build(db, GATConfig(depth=8))
+    build_s = time.perf_counter() - t0
+    gc.collect()
+    rss_built = rss_mb()
+    apl_mb = sum(array.nbytes for array in index.apl.image) / 2**20
+
+    row = {
+        "preset": args.preset,
+        "scale": args.scale,
+        "trajectories": len(db),
+        "points": db.n_points(),
+        "generate_s": round(generate_s, 2),
+        "build_s": round(build_s, 2),
+        "rss_generated_mb": round(rss_generated, 1),
+        "rss_built_mb": round(rss_built, 1),
+        "apl_mb": round(apl_mb, 1),
+    }
+    print("| preset | scale | trajectories | points | generate | GAT build "
+          "| RSS after generation | RSS after build | APL image |")
+    print(
+        f"| {args.preset} | {args.scale:g} | {len(db)} | {row['points']} "
+        f"| {generate_s:.1f} s | {build_s:.1f} s | {rss_generated:.1f} MB "
+        f"| {rss_built:.1f} MB | {apl_mb:.1f} MB |"
+    )
+    print(json.dumps(row))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -117,7 +117,8 @@ class MatchEvaluator:
         for activity in q.activities:
             positions.update(posting.get(activity, ()))
         self.stats.point_match_points += len(positions)
-        return [(pos, trajectory.points[pos]) for pos in sorted(positions)]
+        points = trajectory.points  # a view builds them once per access
+        return [(pos, points[pos]) for pos in sorted(positions)]
 
     # ------------------------------------------------------------------
     # Distances

@@ -261,17 +261,13 @@ class QueryKernel:
         metric = self.metric
         return [[metric(q.coord, c) for c in coords] for q in self.query]
 
-    def _generic_rows(self, trajectory, positions: List[int]) -> List[List[float]]:
-        pts = trajectory.points
-        return self._pairwise_rows([pts[p].coord for p in positions])
-
     def distance_matrix(self, trajectory, positions: List[int]):
         """The ``|Q| x len(positions)`` distance matrix as a NumPy array
         (non-stock metrics go through per-pair Python calls, then one
         ``asarray`` — the combinatorial kernels downstream are identical)."""
-        if self._mode == "generic":
-            return _np.asarray(self._generic_rows(trajectory, positions), dtype=float)
         sub = trajectory.coord_array()[positions]
+        if self._mode == "generic":
+            return _np.asarray(self._pairwise_rows(list(map(tuple, sub.tolist()))), dtype=float)
         return euclidean_matrix(self._q0, self._q1, sub[:, 0], sub[:, 1])
 
     def distance_matrix_for(self, coords):

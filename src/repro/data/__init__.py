@@ -16,15 +16,14 @@ synthesises the closest equivalent:
 statistics mirror the *ratios* of Table IV at a configurable scale.
 """
 
-from repro.data.checkin import CheckIn, group_checkins_into_trajectories
+from repro.data.checkin import checkin_columns
 from repro.data.generator import CheckInGenerator, GeneratorConfig
 from repro.data.loader import load_database_jsonl, save_database_jsonl
 from repro.data.presets import dataset_from_preset, PRESETS
 from repro.data.zipf import ZipfSampler
 
 __all__ = [
-    "CheckIn",
-    "group_checkins_into_trajectories",
+    "checkin_columns",
     "CheckInGenerator",
     "GeneratorConfig",
     "load_database_jsonl",

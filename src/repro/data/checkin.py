@@ -1,4 +1,4 @@
-"""Check-in records and their grouping into activity trajectories.
+"""Check-ins and their grouping into activity trajectories.
 
 Section VII-A: "Each check-in record of Foursquare contains the user ID,
 venue with geo-location (place of interest), time of check-in, and the tips
@@ -7,72 +7,45 @@ the chronological order to form the trajectory of this user.  The activity
 set for each place of a trajectory is generated by the words/phrases in the
 tips associated with the location."
 
-This module models exactly that pipeline for both synthetic and imported
-data: a flat list of :class:`CheckIn` records becomes one trajectory per
-user via :func:`group_checkins_into_trajectories`.
+This module models exactly that rule on flat check-in arrays (the
+generator's output): :func:`checkin_columns` turns them into the
+database's columns, one row per user.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List
+import numpy as np
 
-from repro.model.point import TrajectoryPoint
-from repro.model.trajectory import ActivityTrajectory
+from repro.model.trajectory import TrajectoryColumns
 
 
-@dataclass(frozen=True, slots=True)
-class CheckIn:
-    """One check-in record.
+def checkin_columns(
+    users, xy, timestamps, venues, activity_counts, activities
+) -> TrajectoryColumns:
+    """Group check-ins per user in chronological order (the paper's rule),
+    as the database's columns.
 
-    ``activities`` carries the already-extracted activity names (the paper
-    treats tip-to-activity extraction as orthogonal, and so do we — the
-    generator directly emits activity names).
+    Check-in ``i`` is user ``users[i]`` at venue ``venues[i]`` (located at
+    ``xy[i]``) at ``timestamps[i]``, with the next ``activity_counts[i]``
+    entries of *activities* (distinct activity ids, check-ins in order).
+
+    Returns one row per distinct user, with trajectory IDs assigned densely
+    in ascending user-ID order so output is deterministic; a user's
+    check-ins are ordered by timestamp, ties by venue, and each check-in's
+    activity ids ascending.
     """
-
-    user_id: int
-    venue_id: int
-    x: float
-    y: float
-    timestamp: float
-    activities: FrozenSet[str] = field(default_factory=frozenset)
-
-
-def group_checkins_into_trajectories(
-    checkins: Iterable[CheckIn],
-    encode,
-) -> List[ActivityTrajectory]:
-    """Group check-ins per user in chronological order (the paper's rule).
-
-    Parameters
-    ----------
-    checkins:
-        Flat iterable of check-in records, any order.
-    encode:
-        Callable mapping an iterable of activity *names* to a frozenset of
-        activity *IDs* (normally ``vocabulary.encode``).
-
-    Returns
-    -------
-    One :class:`ActivityTrajectory` per distinct user, with trajectory IDs
-    assigned densely in ascending user-ID order so output is deterministic.
-    """
-    per_user: Dict[int, List[CheckIn]] = {}
-    for record in checkins:
-        per_user.setdefault(record.user_id, []).append(record)
-
-    trajectories: List[ActivityTrajectory] = []
-    for tid, user_id in enumerate(sorted(per_user)):
-        records = sorted(per_user[user_id], key=lambda r: (r.timestamp, r.venue_id))
-        points = [
-            TrajectoryPoint(
-                r.x,
-                r.y,
-                encode(r.activities),
-                timestamp=r.timestamp,
-                venue_id=r.venue_id,
-            )
-            for r in records
-        ]
-        trajectories.append(ActivityTrajectory(tid, points))
-    return trajectories
+    users, timestamps, venues, counts, activities = map(
+        np.asarray, (users, timestamps, venues, activity_counts, activities)
+    )
+    order = np.lexsort((venues, timestamps, users))
+    by_point = np.lexsort((activities, np.repeat(np.argsort(order), counts)))
+    per_user = np.unique(users, return_counts=True)[1]
+    return TrajectoryColumns(
+        np.arange(len(per_user), dtype=np.int64),
+        np.concatenate(([0], np.cumsum(per_user))),
+        np.asarray(xy, dtype=np.float64)[order],
+        timestamps[order].astype(np.float64),
+        venues[order].astype(np.int64),
+        np.concatenate(([0], np.cumsum(counts[order]))),
+        activities[by_point].astype(np.int64),
+    )

@@ -34,10 +34,13 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.data.checkin import CheckIn, group_checkins_into_trajectories
+import numpy as np
+
+from repro.data.checkin import checkin_columns
 from repro.data.zipf import ZipfSampler
 from repro.model.database import TrajectoryDatabase
 from repro.model.vocabulary import Vocabulary
@@ -99,7 +102,12 @@ class _Venue:
 
 class CheckInGenerator:
     """Generates check-ins and packages them into a
-    :class:`~repro.model.database.TrajectoryDatabase`."""
+    :class:`~repro.model.database.TrajectoryDatabase`.
+
+    Check-ins are kept as flat arrays (user, venue, time, activity ranks)
+    and grouped into the database's columns at the end
+    (:func:`~repro.data.checkin.checkin_columns`): generation builds no
+    per-check-in object."""
 
     def __init__(self, config: GeneratorConfig) -> None:
         self.config = config
@@ -110,6 +118,11 @@ class CheckInGenerator:
         self._venues: List[_Venue] = []
         self._venue_grid: dict[Tuple[int, int], List[int]] = {}
         self._venue_cumulative: List[float] = []
+        #: home venue id -> its :meth:`_home_pool` span of the two flat
+        #: arrays below (the pool draws nothing random, so it is memoised).
+        self._home_pools: dict[int, Tuple[int, int]] = {}
+        self._pool_venues = array("q")
+        self._pool_cumulative = array("d")
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -118,10 +131,16 @@ class CheckInGenerator:
         """Generate the full database."""
         self._venues = self._make_venues()
         self._build_venue_grid()
-        checkins = self._make_checkins()
-        vocabulary = Vocabulary.from_activity_sets(c.activities for c in checkins)
-        trajectories = group_checkins_into_trajectories(checkins, vocabulary.encode)
-        return TrajectoryDatabase(trajectories, vocabulary, name=name)
+        users, venues, timestamps, counts, ranks = map(np.asarray, self._make_checkins())
+        self._home_pools, self._pool_venues, self._pool_cumulative = {}, array("q"), array("d")
+        present, frequencies = np.unique(ranks, return_counts=True)
+        names = [_activity_name(rank) for rank in present.tolist()]
+        vocabulary = Vocabulary.from_frequencies(dict(zip(names, frequencies.tolist())))
+        ids = np.array([vocabulary.id_of(n) for n in names], dtype=np.int64)
+        xy = np.array([(v.x, v.y) for v in self._venues])[venues]
+        activities = ids[np.searchsorted(present, ranks)]
+        columns = checkin_columns(users, xy, timestamps, venues, counts, activities)
+        return TrajectoryDatabase(columns, vocabulary, name=name)
 
     # ------------------------------------------------------------------
     # Venues
@@ -195,51 +214,57 @@ class CheckInGenerator:
     # ------------------------------------------------------------------
     # Check-ins
     # ------------------------------------------------------------------
-    def _make_checkins(self) -> List[CheckIn]:
+    def _make_checkins(self) -> Tuple[array, array, array, array, array]:
+        """Every check-in as flat arrays: user, venue and timestamp per
+        check-in, its number of activities, and all activity ranks in
+        check-in order."""
         cfg = self.config
         rng = self._rng
-        checkins: List[CheckIn] = []
+        users, venues, counts, ranks = array("q"), array("q"), array("q"), array("q")
+        timestamps = array("d")
         for user_id in range(cfg.n_users):
             n = max(
                 cfg.checkins_per_user_min,
                 int(rng.expovariate(1.0 / cfg.checkins_per_user_mean)) + 1,
             )
             home = self._popular_venue()
-            pool, cumulative = self._home_pool(home)
+            lo, hi = self._home_pool(home)
+            pool, cumulative = self._pool_venues, self._pool_cumulative
             t = float(rng.randrange(0, 10_000))
             for _step in range(n):
-                if not pool or rng.random() < cfg.long_jump_probability:
+                if lo == hi or rng.random() < cfg.long_jump_probability:
                     venue = self._popular_venue()
                 else:
-                    idx = bisect.bisect_left(cumulative, rng.random() * cumulative[-1])
-                    venue = self._venues[pool[min(idx, len(pool) - 1)]]
+                    idx = bisect.bisect_left(cumulative, rng.random() * cumulative[hi - 1], lo, hi)
+                    venue = self._venues[pool[min(idx, hi - 1)]]
                 activities = self._activities_for(venue)
-                checkins.append(
-                    CheckIn(
-                        user_id=user_id,
-                        venue_id=venue.venue_id,
-                        x=venue.x,
-                        y=venue.y,
-                        timestamp=t,
-                        activities=activities,
-                    )
-                )
+                users.append(user_id)
+                venues.append(venue.venue_id)
+                timestamps.append(t)
+                counts.append(len(activities))
+                ranks.extend(activities)
                 t += rng.uniform(1.0, 100.0)
-        return checkins
+        return users, venues, timestamps, counts, ranks
 
-    def _home_pool(self, home: _Venue) -> Tuple[List[int], List[float]]:
+    def _home_pool(self, home: _Venue) -> Tuple[int, int]:
         """The user's habitual venue pool: venues within ~2.5 ranges of
         home, weighted by popularity x Gaussian distance decay.
 
-        Returns the pool plus *cumulative* weights so per-check-in draws
-        are a single binary search.
+        Returns the pool's span ``lo, hi`` of ``_pool_venues`` and of
+        ``_pool_cumulative``, its *cumulative* weights, so per-check-in
+        draws are a single binary search.  Memoised by home venue: the
+        pool depends on no random draw, so users sharing a home share it.
+        The memo is two flat arrays, freed whole when generation ends.
         """
+        span = self._home_pools.get(home.venue_id)
+        if span is not None:
+            return span
         sigma = max(self.config.user_range_km, 1e-6)
         cell = max(self.config.walk_locality_km, 1e-6)
         reach = int(2.5 * sigma / cell) + 1
         cx, cy = int(home.x / cell), int(home.y / cell)
-        pool: List[int] = []
-        cumulative: List[float] = []
+        pool, cumulative = self._pool_venues, self._pool_cumulative
+        lo = len(pool)
         acc = 0.0
         two_sigma_sq = 2.0 * sigma * sigma
         cutoff_sq = (2.5 * sigma) ** 2
@@ -253,10 +278,12 @@ class CheckInGenerator:
                     pool.append(venue_id)
                     acc += venue.weight * math.exp(-d_sq / two_sigma_sq)
                     cumulative.append(acc)
-        return pool, cumulative
+        span = self._home_pools[home.venue_id] = lo, len(pool)
+        return span
 
-    def _activities_for(self, venue: _Venue) -> frozenset[str]:
-        """Activity names for one check-in at *venue*.
+    def _activities_for(self, venue: _Venue) -> set[int]:
+        """Activity ranks for one check-in at *venue* (the vocabulary later
+        names rank ``r`` :func:`_activity_name` ``(r)``).
 
         With probability ``empty_activity_fraction`` the check-in has no
         tips at all (the paper allows empty activity sets).  Otherwise each
@@ -273,7 +300,7 @@ class CheckInGenerator:
         cfg = self.config
         rng = self._rng
         if rng.random() < cfg.empty_activity_fraction:
-            return frozenset()
+            return set()
         k = max(1, int(rng.expovariate(1.0 / cfg.activities_per_checkin_mean)) + 1)
         ranks: set[int] = set()
         for _ in range(k):
@@ -283,7 +310,7 @@ class CheckInGenerator:
                 ranks.add(venue.topic[rng.randrange(len(venue.topic))])
             else:
                 ranks.add(self._zipf.sample(rng))
-        return frozenset(_activity_name(rank) for rank in ranks)
+        return ranks
 
 
 def _activity_name(rank: int) -> str:

@@ -7,28 +7,32 @@ high space requirement, and will be retrieved only when the distance with
 the query needs to be evaluated."
 
 The store is that structure as one CSR image in **row** order
-(:class:`APLArrays`): a trajectory's row is its position in the database —
-dense, append-only under insert — and every ``(row, activity)`` pair that
-has a posting list is one sorted ``int64`` key with the list's first and
-last position and its slice of one concatenated positions array.  One
-trajectory's *record* is its row range of the image; the simulated disk
-holds it as an extent sized like the pickled ``activity -> positions``
-mapping the seed persisted, so fetching a trajectory's APL is still one
-counted read of the same pages and bytes (Figure 8's disk series does not
-move) — but nothing is decoded on the way: validation and block assembly
-read the image by row (:class:`PostingRound`).  Rows are how the whole index
-addresses a trajectory: the ITL posts them, the retriever hands a round out
-as rows (ascending within one leaf pop), and the ids — what disk keys, the
-LRU and results speak — are one gather from ``ids``.
+(:class:`APLArrays`) that indexes the database's columns instead of
+copying them: a trajectory's row is its row in the database — dense,
+append-only under insert — and ``xy``, ``point_offsets`` and ``ids`` *are*
+the database's arrays.  What the store adds is the key CSR: every
+``(row, activity)`` pair that has a posting list is one sorted ``int64``
+key with the list's first and last position and its slice of one
+concatenated positions array, derived from the database's per-point
+activity CSR with array work.  One trajectory's *record* is its row range
+of the image; the simulated disk holds it as an extent sized like the
+pickled ``activity -> positions`` mapping the seed persisted, so fetching
+a trajectory's APL is still one counted read of the same pages and bytes
+(Figure 8's disk series does not move) — but nothing is decoded on the
+way: validation and block assembly read the image by row
+(:class:`PostingRound`).  Rows are how the whole index addresses a
+trajectory: the ITL posts them, the retriever hands a round out as rows
+(ascending within one leaf pop), and the ids — what disk keys, the LRU
+and results speak — are one gather from ``ids``.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.model.trajectory import ACTIVITY_BITS, TrajectoryColumns
 from repro.storage.cache import LRUCache
 from repro.storage.disk import SimulatedDisk
 from repro.storage.serialization import serialize_obj
@@ -36,7 +40,6 @@ from repro.storage.serialization import serialize_obj
 PostingLists = Dict[int, Tuple[int, ...]]
 
 #: A key is ``(row << ACTIVITY_BITS) | activity``.
-ACTIVITY_BITS = 32
 ACTIVITY_MASK = (1 << ACTIVITY_BITS) - 1
 _SENTINEL = np.iinfo(np.int64).max
 
@@ -50,6 +53,9 @@ class APLArrays(NamedTuple):
     int64 max and ``last`` = -1.  A lookup that misses lands there, so
     "absent" needs no masking downstream — it gathers nothing, and it
     loses every ``min`` over ``first`` and every ``max`` over ``last``.
+
+    ``point_offsets``, ``xy`` and ``ids`` are the database's own column
+    arrays (:class:`~repro.model.trajectory.TrajectoryColumns`), shared.
     """
 
     keys: np.ndarray  #: ``(K+1,)`` sorted ``(row << 32) | activity``
@@ -86,78 +92,19 @@ class APLArrays(NamedTuple):
         return codes[new_list], activities[new_list], np.flatnonzero(new_list[keep]), rows[keep]
 
 
-def _freeze(trajectories: Sequence, first_row: int) -> APLArrays:
-    """The image of *trajectories* as rows ``first_row, first_row + 1, …``.
-
-    One Python step per trajectory flattens its posting dict; sorting the
-    keys and regrouping the positions behind them is array work."""
-    activities: list = []
-    keys_per_row: list = []
-    lengths: list = []
-    flat: list = []
-    points_per_row: list = []
-    coords: list = []
-    for trajectory in trajectories:
-        posting = trajectory.posting_lists
-        activities.extend(posting)
-        keys_per_row.append(len(posting))
-        lists = posting.values()
-        lengths.extend(map(len, lists))
-        flat.extend(chain.from_iterable(lists))
-        points = trajectory.points
-        points_per_row.append(len(points))
-        for p in points:  # flat x, y, x, y, …: one float list converts fastest
-            coords.append(p.x)
-            coords.append(p.y)
-
-    activities = np.array(activities, dtype=np.int64)
-    if len(activities) and not 0 <= activities.min() <= activities.max() <= ACTIVITY_MASK:
-        raise ValueError(f"activity ids must fit {ACTIVITY_BITS} unsigned bits")
-    rows = np.repeat(
-        np.arange(first_row, first_row + len(keys_per_row)),
-        np.array(keys_per_row, dtype=np.int64),
-    )
-    keys = (rows << ACTIVITY_BITS) | activities
-    order = np.argsort(keys)
-    lengths = np.array(lengths, dtype=np.int64)
-    sorted_lengths = lengths[order]
-    offsets = np.zeros(len(keys) + 2, dtype=np.int64)
-    np.cumsum(sorted_lengths, out=offsets[1:-1])
-    offsets[-1] = offsets[-2]
-    # Key k's list sat at ``lengths.cumsum()[k] - lengths[k]`` in walk order.
-    moved_from = (lengths.cumsum() - lengths)[order] - offsets[:-2]
-    positions = np.array(flat, dtype=np.int64)[
-        np.repeat(moved_from, sorted_lengths) + np.arange(len(flat))
-    ]
-    point_offsets = np.zeros(len(points_per_row) + 1, dtype=np.int64)
-    np.cumsum(points_per_row, out=point_offsets[1:])
-    return APLArrays(
-        keys=np.append(keys[order], _SENTINEL),
-        first=np.append(positions[offsets[:-2]], _SENTINEL),
-        last=np.append(positions[offsets[1:-1] - 1], -1),
-        offsets=offsets,
-        positions=positions,
-        point_offsets=point_offsets,
-        xy=np.array(coords, dtype=np.float64).reshape(-1, 2),
-        ids=np.array([t.trajectory_id for t in trajectories], dtype=np.int64),
-    )
-
-
-def _extend(image: APLArrays, chunk: APLArrays) -> APLArrays:
-    """*image* with *chunk*'s rows appended (they sort last by construction);
-    built aside, so a reader holding *image* never sees it change."""
-    return APLArrays(
-        keys=np.concatenate([image.keys[:-1], chunk.keys]),
-        first=np.concatenate([image.first[:-1], chunk.first]),
-        last=np.concatenate([image.last[:-1], chunk.last]),
-        offsets=np.concatenate([image.offsets[:-2], chunk.offsets + len(image.positions)]),
-        positions=np.concatenate([image.positions, chunk.positions]),
-        point_offsets=np.concatenate(
-            [image.point_offsets[:-1], chunk.point_offsets + len(image.xy)]
-        ),
-        xy=np.concatenate([image.xy, chunk.xy]),
-        ids=np.concatenate([image.ids, chunk.ids]),
-    )
+def _record(image: APLArrays, row: int) -> PostingLists:
+    """Row *row*'s posting lists decoded from *image*: ``activity ->
+    positions``, the mapping a record stands for."""
+    lo, hi = np.searchsorted(image.keys, [row << ACTIVITY_BITS, (row + 1) << ACTIVITY_BITS])
+    offsets = image.offsets[lo : hi + 1].tolist()
+    positions = image.positions[offsets[0] : offsets[-1]].tolist()
+    base = offsets[0]
+    return {
+        activity: tuple(positions[start - base : stop - base])
+        for activity, start, stop in zip(
+            (image.keys[lo:hi] & ACTIVITY_MASK).tolist(), offsets, offsets[1:]
+        )
+    }
 
 
 class PostingRound:
@@ -207,43 +154,60 @@ class PostingRound:
 
 
 class APLStore:
-    """Disk-resident activity posting lists, one record per trajectory.
+    """Disk-resident activity posting lists, one record per trajectory,
+    indexing the rows of one database.
 
-    ``image`` is replaced — never edited — when a trajectory is stored, so
-    a query that picked it up keeps a consistent view.
+    ``image`` is replaced — never edited — when the store indexes new
+    rows, so a query that picked it up keeps a consistent view.
     """
 
-    __slots__ = ("disk", "image", "_row_of")
+    __slots__ = ("db", "disk", "image")
 
-    def __init__(self, disk: SimulatedDisk) -> None:
+    def __init__(self, db, disk: SimulatedDisk) -> None:
+        """Store every trajectory of the database *db*, in order: row ``i``
+        is the ``i``-th trajectory."""
+        self.db = db
         self.disk = disk
-        self.image = _freeze((), 0)
-        self._row_of: Dict[int, int] = {}
+        empty = TrajectoryColumns.concat(())
+        self.image = APLArrays(
+            *(np.array([v]) for v in (_SENTINEL, _SENTINEL, -1)),
+            *(np.zeros(n, dtype=np.int64) for n in (2, 0)),  # offsets, positions
+            empty.point_offsets, empty.xy, empty.ids,
+        )
+        self.extend()
 
-    @classmethod
-    def build(cls, trajectories: Iterable, disk: SimulatedDisk) -> "APLStore":
-        """Store every trajectory of a database (or any iterable of them),
-        in order: row ``i`` is the ``i``-th trajectory."""
-        store = cls(disk)
-        store._append(tuple(trajectories))
-        return store
-
-    def store(self, trajectory) -> None:
-        """Persist one trajectory's posting lists as the next row (dynamic
-        insertion)."""
-        self._append((trajectory,))
-
-    def _append(self, trajectories: Sequence) -> None:
-        first_row = len(self._row_of)
-        self.image = _extend(self.image, _freeze(trajectories, first_row))
-        for row, trajectory in enumerate(trajectories, first_row):
+    def extend(self) -> None:
+        """Index the rows the database gained since the last call (dynamic
+        insertion appends one) and persist their records."""
+        image, columns = self.image, self.db.columns
+        first_row = len(image.ids)
+        # Every new activity occurrence as a (key, position) pair in point
+        # order: a stable sort by key keeps each list's positions ascending.
+        point_offsets, activity_offsets = columns.point_offsets, columns.activity_offsets
+        first_point = point_offsets[first_row]
+        points = np.repeat(
+            np.arange(first_point, len(columns.xy)), np.diff(activity_offsets[first_point:])
+        )
+        rows = np.searchsorted(point_offsets, points, side="right") - 1
+        keys = (rows << ACTIVITY_BITS) | columns.activities[activity_offsets[first_point] :]
+        order = np.argsort(keys, kind="stable")
+        keys, positions = keys[order], (points - point_offsets[rows])[order]
+        firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # each key's first occurrence
+        lasts = np.flatnonzero(np.diff(keys, append=_SENTINEL))
+        base = len(image.positions)
+        self.image = image = APLArrays(
+            keys=np.concatenate([image.keys[:-1], keys[firsts], [_SENTINEL]]),
+            first=np.concatenate([image.first[:-1], positions[firsts], [_SENTINEL]]),
+            last=np.concatenate([image.last[:-1], positions[lasts], [-1]]),
+            offsets=np.concatenate([image.offsets[:-2], firsts + base, [base + len(keys)] * 2]),
+            positions=np.concatenate([image.positions, positions]),
+            point_offsets=point_offsets,
+            xy=columns.xy,
+            ids=columns.ids,
+        )
+        for row, tid in enumerate(columns.ids[first_row:].tolist(), first_row):
             # The extent is charged as the pickled mapping it stands for.
-            self.disk.put_extent(
-                ("apl", trajectory.trajectory_id),
-                row,
-                len(serialize_obj(trajectory.posting_lists)),
-            )
-            self._row_of[trajectory.trajectory_id] = row
+            self.disk.put_extent(("apl", tid), row, len(serialize_obj(_record(image, row))))
 
     # ------------------------------------------------------------------
     # Reads
@@ -257,18 +221,7 @@ class APLStore:
         KeyError
             If the trajectory was never stored.
         """
-        row = self.disk.get(("apl", trajectory_id))
-        image = self.image
-        lo, hi = np.searchsorted(image.keys, [row << ACTIVITY_BITS, (row + 1) << ACTIVITY_BITS])
-        offsets = image.offsets[lo : hi + 1].tolist()
-        positions = image.positions[offsets[0] : offsets[-1]].tolist()
-        base = offsets[0]
-        return {
-            activity: tuple(positions[start - base : stop - base])
-            for activity, start, stop in zip(
-                (image.keys[lo:hi] & ACTIVITY_MASK).tolist(), offsets, offsets[1:]
-            )
-        }
+        return _record(self.image, self.disk.get(("apl", trajectory_id)))
 
     def fetch_many(
         self, trajectory_ids: Iterable[int], cache: Optional[LRUCache] = None
@@ -303,12 +256,5 @@ class APLStore:
         rows = np.fromiter(rows, dtype=np.int64, count=len(rows))
         return PostingRound(self.image, activities, rows)
 
-    def row_of(self, trajectory_id: int) -> int:
-        """The trajectory's row (``KeyError`` if it was never stored)."""
-        return self._row_of[trajectory_id]
-
-    def __contains__(self, trajectory_id: int) -> bool:
-        return trajectory_id in self._row_of
-
     def __len__(self) -> int:
-        return len(self._row_of)
+        return len(self.image.ids)

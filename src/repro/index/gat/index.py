@@ -12,16 +12,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.geometry.grid import HierarchicalGrid
 from repro.index.gat.apl import APLStore
 from repro.index.gat.hicl import HICL
 from repro.index.gat.itl import ITL
 from repro.index.gat.tas import SketchTable, sketch_memory_bytes
 from repro.model.database import TrajectoryDatabase
+from repro.model.trajectory import TrajectoryColumns
 from repro.storage.disk import SimulatedDisk
 
 #: Deepest grid whose ITL keys fit ``int64``.
 MAX_DEPTH = 15
+
+
+def points_outside(box, xy: np.ndarray) -> np.ndarray:
+    """Per row of the ``(n, 2)`` coordinates *xy*: does it lie outside *box*?"""
+    x, y = xy[:, 0], xy[:, 1]
+    return (x < box.min_x) | (x > box.max_x) | (y < box.min_y) | (y > box.max_y)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +112,7 @@ class GATIndex:
         grid = HierarchicalGrid(
             db.bounding_box if bounding_box is None else bounding_box, config.depth
         )
-        apl = APLStore.build(db, disk)
+        apl = APLStore(db, disk)
         codes, activities, starts, rows = apl.image.leaf_lists(grid.leaf_level)
         hicl = HICL.build(codes, activities, grid, config.memory_levels, disk)
         itl = ITL.build(codes, activities, starts, rows)
@@ -128,25 +137,24 @@ class GATIndex:
         point distance, breaking the lower bound's soundness — rebuild the
         index instead when the spatial universe grows.
         """
-        box = self.grid.box
-        for p in trajectory:
-            if not (box.min_x <= p.x <= box.max_x and box.min_y <= p.y <= box.max_y):
-                raise ValueError(
-                    f"point {p.coord} outside the index bounding box; rebuild required"
-                )
-        self.db.add(trajectory)  # validates ID freshness first
-        row = len(self.apl)  # the row the store gives it below
+        columns = TrajectoryColumns.of([trajectory])
+        columns.check()  # before anything reads the coordinates
+        outside = np.flatnonzero(points_outside(self.grid.box, columns.xy))
+        if len(outside):
+            point = tuple(columns.xy[outside[0]].tolist())
+            raise ValueError(f"point {point} outside the index bounding box; rebuild required")
+        self.db.append(columns)  # validates ID freshness first
         leaf = self.grid.leaf_level
         postings = []
-        for point in trajectory:
-            if not point.activities:
+        for x, y, activities, _timestamp, _venue in columns.point_records(0):
+            if not activities:
                 continue
-            code = leaf.locate(point.coord)
-            self.hicl.add_point(code, point.activities)
-            postings += [(code, activity) for activity in point.activities]
-        self.itl.add_row(postings, row)
-        self.apl.store(trajectory)  # the next row of the store …
-        self.sketches.extend()  # … and of the sketch table over it
+            code = leaf.locate((x, y))
+            self.hicl.add_point(code, activities)
+            postings += [(code, activity) for activity in activities]
+        self.itl.add_row(postings, len(self.db) - 1)  # the new row
+        self.apl.extend()  # the database's new row in the store …
+        self.sketches.extend()  # … and in the sketch table over it
         self.version += 1
 
     # ------------------------------------------------------------------

@@ -167,7 +167,7 @@ class SketchTable:
         return len(self.intervals)
 
     def __getitem__(self, trajectory_id: int) -> TrajectorySketch:
-        intervals = self.intervals[self.apl.row_of(trajectory_id)].tolist()
+        intervals = self.intervals[self.apl.db.row_of(trajectory_id)].tolist()
         return TrajectorySketch(tuple((lo, hi) for lo, hi in intervals if lo <= hi))
 
 

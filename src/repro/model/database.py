@@ -1,20 +1,27 @@
-"""In-memory activity-trajectory database.
+"""In-memory activity-trajectory database: the one image of the data.
 
-The database owns the trajectories, the vocabulary, and the derived global
-facts everything else needs (bounding box, activity frequencies, dataset
-statistics a la Table IV).  Indexes are built *over* a database; they never
-mutate it.
+The database owns the data as append-only columns
+(:class:`~repro.model.trajectory.TrajectoryColumns`) plus an id -> row
+dict, the vocabulary, and the derived global facts everything else needs
+(bounding box, activity frequencies, dataset statistics a la Table IV),
+each an array reduction.  Producers (the generator, the loader,
+:meth:`TrajectoryDatabase.from_raw`) append columns; trajectory objects
+handed to the constructor or :meth:`TrajectoryDatabase.add` are converted
+once on the way in.  Readers get :class:`ActivityTrajectory` views built
+on access, and nothing caches them.  Indexes are built *over* a database
+and read its arrays in place; they never mutate it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.geometry.primitives import BoundingBox
-from repro.model.point import TrajectoryPoint
-from repro.model.trajectory import ActivityTrajectory
+from repro.model.trajectory import NO_VENUE, ActivityTrajectory, TrajectoryColumns
 from repro.model.vocabulary import Vocabulary
 
 RawPoint = Tuple[float, float, Iterable[str]]
@@ -42,27 +49,28 @@ class TrajectoryDatabase:
     """A set ``D`` of activity trajectories plus shared metadata.
 
     Construction normally goes through :meth:`from_raw` (names -> IDs with a
-    frequency-ordered vocabulary) or :meth:`from_trajectories` when the
-    caller already has encoded trajectories and a vocabulary.
+    frequency-ordered vocabulary) or the constructor when the caller
+    already has encoded columns (or trajectories) and a vocabulary.  Row ``r`` is the
+    ``r``-th trajectory appended: ``db[r]`` (or ``db.trajectories[r]``) is
+    its view, :meth:`get` finds it by id.
     """
 
     def __init__(
         self,
-        trajectories: Sequence[ActivityTrajectory],
+        trajectories: Union[TrajectoryColumns, Sequence[ActivityTrajectory]],
         vocabulary: Vocabulary,
         name: str = "dataset",
     ) -> None:
-        if not trajectories:
+        """*trajectories* are the rows: columns (adopted, not copied) or
+        trajectory objects and views (converted once)."""
+        if not isinstance(trajectories, TrajectoryColumns):
+            trajectories = TrajectoryColumns.of(trajectories)
+        if not len(trajectories):
             raise ValueError("a trajectory database cannot be empty")
         self.name = name
         self.vocabulary = vocabulary
-        self.trajectories: Tuple[ActivityTrajectory, ...] = tuple(trajectories)
-        self._by_id: Dict[int, ActivityTrajectory] = {
-            tr.trajectory_id: tr for tr in self.trajectories
-        }
-        if len(self._by_id) != len(self.trajectories):
-            raise ValueError("duplicate trajectory IDs in database")
-        self._bounding_box: Optional[BoundingBox] = None
+        self._row_of: Dict[int, int] = {}
+        self.append(trajectories)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -79,67 +87,81 @@ class TrajectoryDatabase:
         vocabulary is frequency-ordered (required by the TAS sketch); the
         second encodes the points.
         """
-        counts: Counter[str] = Counter()
-        for raw in raw_trajectories:
-            for _x, _y, names in raw:
-                counts.update(names)
-        vocabulary = Vocabulary.from_frequencies(counts)
-        trajectories = []
-        for tid, raw in enumerate(raw_trajectories):
-            points = [
-                TrajectoryPoint(x, y, vocabulary.encode(names)) for x, y, names in raw
-            ]
-            trajectories.append(ActivityTrajectory(tid, points))
-        return cls(trajectories, vocabulary, name=name)
-
-    @classmethod
-    def from_trajectories(
-        cls,
-        trajectories: Sequence[ActivityTrajectory],
-        vocabulary: Vocabulary,
-        name: str = "dataset",
-    ) -> "TrajectoryDatabase":
-        return cls(trajectories, vocabulary, name=name)
+        vocabulary = Vocabulary.from_frequencies(
+            Counter(name for raw in raw_trajectories for _x, _y, names in raw for name in names)
+        )
+        records = [[(x, y, vocabulary.encode(names), None, None) for x, y, names in raw] for raw in raw_trajectories]
+        return cls(TrajectoryColumns.from_points(range(len(records)), records), vocabulary, name=name)
 
     # ------------------------------------------------------------------
     # Lookup / iteration
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[ActivityTrajectory]:
-        return iter(self.trajectories)
+        columns = self.columns
+        for row, tid in enumerate(columns.ids.tolist()):
+            yield ActivityTrajectory.view(columns, row, tid)
+
+    def __getitem__(self, row):
+        """The view of row *row* (a list of views for a slice)."""
+        rows = range(len(self))[row]  # negative rows count from the end
+        if isinstance(rows, range):
+            return [self[r] for r in rows]
+        return ActivityTrajectory.view(self.columns, rows, int(self.columns.ids[rows]))
+
+    @property
+    def trajectories(self) -> "TrajectoryDatabase":
+        """The rows as a sequence of views (the database itself)."""
+        return self
 
     def get(self, trajectory_id: int) -> ActivityTrajectory:
-        """Fetch a trajectory by ID (KeyError when absent)."""
-        return self._by_id[trajectory_id]
+        """Fetch a trajectory's view by ID (KeyError when absent)."""
+        return ActivityTrajectory.view(self.columns, self._row_of[trajectory_id], trajectory_id)
+
+    def row_of(self, trajectory_id: int) -> int:
+        """The trajectory's row (KeyError when absent)."""
+        return self._row_of[trajectory_id]
 
     def __contains__(self, trajectory_id: object) -> bool:
-        return trajectory_id in self._by_id
+        return trajectory_id in self._row_of
 
     def add(self, trajectory: ActivityTrajectory) -> None:
         """Append one trajectory (extension for dynamic index maintenance).
 
-        The trajectory's ID must be fresh.  The cached bounding box is
-        invalidated; indexes built over the
+        The trajectory's ID must be fresh.  Indexes built over the
         database are NOT updated automatically — use
         :meth:`repro.index.gat.index.GATIndex.insert_trajectory`.
         """
-        if trajectory.trajectory_id in self._by_id:
-            raise ValueError(f"trajectory id {trajectory.trajectory_id} already present")
-        self.trajectories = (*self.trajectories, trajectory)
-        self._by_id[trajectory.trajectory_id] = trajectory
-        self._bounding_box = None
+        self.append(TrajectoryColumns.of([trajectory]))
+
+    def append(self, columns: TrajectoryColumns) -> None:
+        """Append *columns*' rows after validating them
+        (:meth:`TrajectoryColumns.check`, fresh unique ids); the new arrays
+        replace the old, so a reader holding the old ones never sees them
+        change."""
+        ids, first = columns.ids.tolist(), len(self._row_of)
+        rows = dict(zip(ids, range(first, first + len(ids))))
+        if len(rows) != len(ids):
+            raise ValueError("duplicate trajectory IDs in database")
+        present = rows.keys() & self._row_of.keys()
+        if present:
+            raise ValueError(f"trajectory id {min(present)} already present")
+        columns.check()
+        self.columns = TrajectoryColumns.concat([self.columns, columns]) if first else columns
+        self._row_of.update(rows)
 
     def sample(self, n: int, rng) -> "TrajectoryDatabase":
         """A database over a random *n*-trajectory subset (for Figure 7's
         scalability sweep).  IDs are preserved so results remain comparable.
         """
-        if n >= len(self.trajectories):
+        if n >= len(self):
             return self
-        picked = rng.sample(range(len(self.trajectories)), n)
-        subset = [self.trajectories[i] for i in sorted(picked)]
-        return TrajectoryDatabase(subset, self.vocabulary, name=f"{self.name}[{n}]")
+        picked = rng.sample(range(len(self)), n)
+        return TrajectoryDatabase(
+            self.columns.take(sorted(picked)), self.vocabulary, name=f"{self.name}[{n}]"
+        )
 
     # ------------------------------------------------------------------
     # Derived global facts
@@ -147,30 +169,21 @@ class TrajectoryDatabase:
     @property
     def bounding_box(self) -> BoundingBox:
         """Padded bounding box of all points (the grid's universe)."""
-        if self._bounding_box is None:
-            coords = [p.coord for tr in self.trajectories for p in tr]
-            self._bounding_box = BoundingBox.from_points(coords)
-        return self._bounding_box
+        xy = self.columns.xy
+        return BoundingBox.from_points([tuple(xy.min(axis=0).tolist()), tuple(xy.max(axis=0).tolist())])
 
     def statistics(self) -> DatasetStatistics:
-        """Table IV's row set for this database."""
-        venues = set()
-        n_activity_occurrences = 0
-        distinct: set[int] = set()
-        for tr in self.trajectories:
-            for point in tr:
-                if point.venue_id is not None:
-                    venues.add(point.venue_id)
-                else:
-                    venues.add(point.coord)
-                n_activity_occurrences += len(point.activities)
-                distinct |= point.activities
+        """Table IV's row set for this database.  A point without a venue
+        id counts its coordinate as the venue."""
+        columns = self.columns
+        has_venue = columns.venues != NO_VENUE
+        anonymous = set(map(tuple, columns.xy[~has_venue].tolist()))
         return DatasetStatistics(
-            n_trajectories=len(self.trajectories),
-            n_venues=len(venues),
-            n_activities=n_activity_occurrences,
-            n_distinct_activities=len(distinct),
+            n_trajectories=len(self),
+            n_venues=len(np.unique(columns.venues[has_venue])) + len(anonymous),
+            n_activities=len(columns.activities),
+            n_distinct_activities=len(np.unique(columns.activities)),
         )
 
     def n_points(self) -> int:
-        return sum(len(tr) for tr in self.trajectories)
+        return len(self.columns.xy)

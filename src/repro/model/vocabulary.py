@@ -17,7 +17,6 @@ constructor enumerates names in first-seen order for tests and ad-hoc data.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence
 
 
@@ -45,15 +44,6 @@ class Vocabulary:
         """
         ordered = sorted(frequencies.items(), key=lambda kv: (-kv[1], kv[0]))
         return cls(name for name, _count in ordered)
-
-    @classmethod
-    def from_activity_sets(cls, activity_sets: Iterable[Iterable[str]]) -> "Vocabulary":
-        """Build a frequency-ordered vocabulary by counting occurrences in
-        an iterable of per-point activity-name sets (one pass)."""
-        counts: Counter[str] = Counter()
-        for activities in activity_sets:
-            counts.update(activities)
-        return cls.from_frequencies(counts)
 
     def add(self, name: str) -> int:
         """Register *name* (idempotent) and return its ID."""

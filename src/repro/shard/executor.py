@@ -21,9 +21,9 @@ deployment's choice:
   build a shard's engine lazily on the first task that touches it, and
   the pool hands any task to any idle worker, so a fleet of ``W`` workers
   converges to **every** worker holding every shard's engine:
-  ``W × n_shards`` index builds (the fleet's ``setup_s``) and, once each
-  worker has touched its inherited trajectories, ``W`` copies of the
-  points (its RSS).
+  ``W × n_shards`` index builds (the fleet's ``setup_s``); the points
+  themselves are the inherited column arrays, which the builds only
+  read.
 
 Process-pool consistency: worker processes hold *snapshots* of the index.
 They cannot observe :meth:`ShardedGATIndex.insert_trajectory`, so the
@@ -36,7 +36,7 @@ compares equal to the live pool's costs nothing.
 
 Everything shipped across the process boundary (tasks, specs, ranked
 results, stats) is plain picklable data; engines, disks, and locks never
-cross.  The spec carries each shard's trajectories by value; under the
+cross.  The spec carries each shard database's column arrays by value; under the
 ``fork`` start method the pool initializer's arguments are inherited
 copy-on-write, so nothing is actually pickled.
 """
@@ -58,6 +58,7 @@ from repro.core.query import Query
 from repro.core.results import SearchResult
 from repro.index.gat.index import GATConfig, GATIndex
 from repro.model.database import TrajectoryDatabase
+from repro.model.trajectory import TrajectoryColumns
 
 EXECUTOR_KINDS = ("serial", "thread", "process")
 
@@ -168,16 +169,18 @@ class ShardEngineSpec:
     equal under ``shard_box='global'``), and the engine config.  Worker
     engines score with the default metric, as the service's own do.
 
-    The trajectory set travels as a snapshot: ``shard_trajectories``
-    holds per-shard tuples of :class:`ActivityTrajectory`.
+    The data travels by value: ``shard_columns`` holds each shard
+    database's :class:`~repro.model.trajectory.TrajectoryColumns` — its
+    arrays — and a worker adopts them as its shard's database.
 
-    Specs compare by value (trajectory tuples by element identity), which
-    is what :meth:`ProcessShardExecutor.refresh` coalesces on: an
-    unchanged fleet produces an equal spec and no pool re-init."""
+    Specs compare by value (column snapshots by identity: an append
+    replaces a database's snapshot), which is what
+    :meth:`ProcessShardExecutor.refresh` coalesces on: an unchanged fleet
+    produces an equal spec and no pool re-init."""
 
     db_name: str
     vocabulary: object
-    shard_trajectories: Tuple[tuple, ...]
+    shard_columns: Tuple[TrajectoryColumns, ...]
     bounding_boxes: Tuple[object, ...]
     gat_configs: Tuple[GATConfig, ...]
     engine_config: EngineConfig
@@ -193,8 +196,8 @@ def build_shard_engine(spec: ShardEngineSpec, shard_id: int) -> GATSearchEngine:
     """Rebuild one shard's database, GAT index, and engine from a spec."""
     from repro.storage.disk import SimulatedDisk
 
-    shard_db = TrajectoryDatabase.from_trajectories(
-        spec.shard_trajectories[shard_id],
+    shard_db = TrajectoryDatabase(
+        spec.shard_columns[shard_id],
         spec.vocabulary,
         name=f"{spec.db_name}/shard{shard_id}",
     )
@@ -482,7 +485,7 @@ class ProcessShardExecutor:
     def __init__(
         self, spec: ShardEngineSpec, max_workers: Optional[int] = None
     ) -> None:
-        self.max_workers = max_workers if max_workers is not None else len(spec.shard_trajectories)
+        self.max_workers = max_workers if max_workers is not None else len(spec.shard_columns)
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         #: Broken pools retired so far (chaos tests assert recovery here).

@@ -51,9 +51,12 @@ import math
 from dataclasses import replace
 from typing import Callable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.geometry.primitives import BoundingBox
-from repro.index.gat.index import GATConfig, GATIndex
+from repro.index.gat.index import GATConfig, GATIndex, points_outside
 from repro.model.database import TrajectoryDatabase
+from repro.model.trajectory import TrajectoryColumns
 from repro.shard.router import ShardRouter
 from repro.storage.disk import SimulatedDisk
 
@@ -77,26 +80,17 @@ class ShardedGATIndex:
         # Running (sum_x, sum_y, n) per shard — the locality signal behind
         # the service's nearest-shard-first fan-out ordering.  A heuristic
         # (it moves retrieval order and work, never results); inserts fold
-        # the newcomer's point sums in incrementally.
+        # the newcomer's point sums in incrementally — left to right, as
+        # the cumulative sum adds them here.
         self._centroid_sums: List[List[float]] = [
-            self._point_sums(shard.db) for shard in self.shards
+            [*np.cumsum(shard.db.columns.xy, axis=0)[-1].tolist(), float(shard.db.n_points())]
+            for shard in self.shards
         ]
         #: The un-adapted build config, kept so an overflow rebuild can
         #: re-derive the depth for the expanded box; ``None`` for fleets
         #: assembled directly from prebuilt shards (those rebuild with the
         #: shard's current config).
         self._base_config: Optional[GATConfig] = None
-
-    @staticmethod
-    def _point_sums(shard_db) -> List[float]:
-        sx = sy = 0.0
-        n = 0
-        for trajectory in shard_db:
-            for p in trajectory:
-                sx += p.x
-                sy += p.y
-                n += 1
-        return [sx, sy, float(n)]
 
     # ------------------------------------------------------------------
     # Construction
@@ -148,7 +142,7 @@ class ShardedGATIndex:
                 f"unknown shard_box {shard_box!r}; expected one of {SHARD_BOXES}"
             )
         router = ShardRouter.for_database(db, n_shards, strategy)
-        parts = router.partition(tr.trajectory_id for tr in db)
+        parts = router.partition(db.columns.ids.tolist())
         empty = [sid for sid, part in enumerate(parts) if not part]
         if empty:
             raise ValueError(
@@ -160,8 +154,8 @@ class ShardedGATIndex:
         base_config = config if config is not None else GATConfig()
         shards: List[GATIndex] = []
         for part in parts:
-            shard_db = TrajectoryDatabase.from_trajectories(
-                [db.get(tid) for tid in part],
+            shard_db = TrajectoryDatabase(
+                db.columns.take([db.row_of(tid) for tid in part]),
                 db.vocabulary,
                 name=f"{db.name}/shard{len(shards)}",
             )
@@ -300,28 +294,24 @@ class ShardedGATIndex:
         tid = trajectory.trajectory_id
         if tid in self.db:
             raise ValueError(f"trajectory id {tid} already present")
+        columns = TrajectoryColumns.of([trajectory])
+        columns.check()  # before the coordinates can move a box
         sid = self.router.shard_of(tid)
         shard = self.shards[sid]
-        box = shard.grid.box
-        if not all(
-            box.min_x <= p.x <= box.max_x and box.min_y <= p.y <= box.max_y
-            for p in trajectory
-        ):
-            shard = self.shards[sid] = self._rebuild_expanded(shard, trajectory)
+        if points_outside(shard.grid.box, columns.xy).any():
+            shard = self.shards[sid] = self._rebuild_expanded(shard, columns.xy)
         shard.insert_trajectory(trajectory)  # validates the bounding box
         # QueryService's one-shard fleet shares its shard's database, which
         # the line above already appended to.
         if shard.db is not self.db:
-            self.db.add(trajectory)
+            self.db.append(columns)
         sums = self._centroid_sums[sid]
-        for p in trajectory:
-            sums[0] += p.x
-            sums[1] += p.y
-            sums[2] += 1.0
+        for x, y in columns.xy.tolist():  # point by point, left to right
+            sums[:] = sums[0] + x, sums[1] + y, sums[2] + 1.0
 
-    def _rebuild_expanded(self, shard: GATIndex, trajectory) -> GATIndex:
-        """Rebuild one shard's index over its box expanded to cover
-        *trajectory* (same database subset, same disk — the APL/HICL
+    def _rebuild_expanded(self, shard: GATIndex, xy: np.ndarray) -> GATIndex:
+        """Rebuild one shard's index over its box expanded to cover the
+        points *xy* (same database subset, same disk — the APL/HICL
         records are simply rewritten).  The grid depth is re-derived from
         the base config for the expanded box (see :meth:`_local_config`),
         so leaf cells keep the global physical size as the footprint
@@ -330,9 +320,9 @@ class ShardedGATIndex:
         strictly moving.
         """
         old = shard.grid.box
-        xs = [p.x for p in trajectory] + [old.min_x, old.max_x]
-        ys = [p.y for p in trajectory] + [old.min_y, old.max_y]
-        expanded = BoundingBox.from_points(list(zip(xs, ys)))
+        expanded = BoundingBox.from_points(
+            [(old.min_x, old.min_y), (old.max_x, old.max_y), *map(tuple, xy.tolist())]
+        )
         if self._base_config is not None:
             config = self._local_config(
                 self._base_config, self.db.bounding_box, expanded

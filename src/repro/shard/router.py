@@ -76,17 +76,17 @@ class ShardRouter:
         from repro.geometry.grid import GridLevel
 
         leaf = GridLevel(db.bounding_box, 10)
+        columns = db.columns
+        xs, ys = columns.xy.T.tolist()
+        bounds = columns.point_offsets.tolist()
         keyed = sorted(
             (
                 leaf.locate(
-                    (
-                        sum(p.x for p in tr) / len(tr),
-                        sum(p.y for p in tr) / len(tr),
-                    )
+                    (sum(xs[lo:hi]) / (hi - lo), sum(ys[lo:hi]) / (hi - lo))
                 ),
-                tr.trajectory_id,
+                tid,
             )
-            for tr in db
+            for tid, lo, hi in zip(columns.ids.tolist(), bounds, bounds[1:])
         )
         n = len(keyed)
         assignments = {

@@ -337,9 +337,7 @@ class ShardedQueryService:
         return ShardEngineSpec(
             db_name=self.index.db.name,
             vocabulary=self.index.db.vocabulary,
-            shard_trajectories=tuple(
-                tuple(shard.db.trajectories) for shard in self.index.shards
-            ),
+            shard_columns=tuple(shard.db.columns for shard in self.index.shards),
             bounding_boxes=self.index.shard_boxes,
             gat_configs=tuple(shard.config for shard in self.index.shards),
             engine_config=self.engine_config,

@@ -1,5 +1,7 @@
 """Unit tests for JSON-lines persistence."""
 
+import re
+
 import pytest
 
 from repro.data.loader import load_database_jsonl, save_database_jsonl
@@ -82,3 +84,35 @@ class TestMalformedFiles:
         path.write_text(content)
         loaded = load_database_jsonl(path)
         assert len(loaded) == len(db)
+
+
+HEADER = '{"type": "header", "name": "x", "vocabulary": ["a"]}\n'
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"type": "trajectory", "id": 0}',  # no "points"
+        '{"type": "trajectory", "id": 0, "points": [[0.0, 1.0]]}',  # 2-field point
+        '{"type": "trajectory", "id": 0, "points": [[0.0, 0.0, [5], null, null]]}',  # not in vocab
+        '{"type": "trajectory", "id": "7", "points": [[0.0, 0.0, [0], null, null]]}',  # string id
+        '{"type": "trajectory", "id": 0, "points": [[0.0, 0.0, [-1], null, null]]}',  # negative
+    ],
+    ids=["no-points", "two-field-point", "activity-outside-vocabulary", "string-id", "negative-activity"],
+)
+def test_malformed_trajectory_line_names_file_and_line(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(HEADER + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 2")):
+        load_database_jsonl(path)
+
+
+def test_non_finite_coordinate_names_the_trajectory(tmp_path):
+    path = tmp_path / "nan.jsonl"
+    path.write_text(
+        HEADER
+        + '{"type": "trajectory", "id": 0, "points": [[0.0, 0.0, [0], null, null]]}\n'
+        + '{"type": "trajectory", "id": 9, "points": [[NaN, 0.0, [0], null, null]]}\n'
+    )
+    with pytest.raises(ValueError, match="trajectory 9: non-finite"):
+        load_database_jsonl(path)

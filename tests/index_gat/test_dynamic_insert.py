@@ -107,6 +107,17 @@ class TestInsertTrajectory:
         results = engine.atsq(q, 3)
         assert any(r.trajectory_id == 99_999 for r in results)
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
+    def test_non_finite_point_rejected_before_any_change(self, small_db, x):
+        db = TrajectoryDatabase(list(small_db.trajectories), small_db.vocabulary)
+        index = GATIndex.build(db, GATConfig(depth=5, memory_levels=3))
+        image = index.apl.image
+        bad = ActivityTrajectory(88_888, [TrajectoryPoint(x, 0.0, frozenset({0}))])
+        with pytest.raises(ValueError, match="trajectory 88888: non-finite"):
+            index.insert_trajectory(bad)
+        assert 88_888 not in db
+        assert (index.version, index.apl.image, len(db)) == (0, image, len(small_db))
+
     def test_insert_updates_disk_components(self, small_db):
         db = TrajectoryDatabase(
             list(small_db.trajectories), small_db.vocabulary, name="copy2"
@@ -118,7 +129,7 @@ class TestInsertTrajectory:
             [TrajectoryPoint((box.min_x + box.max_x) / 2, (box.min_y + box.max_y) / 2, frozenset({0}))],
         )
         index.insert_trajectory(new_tr)
-        assert 77_777 in index.apl
+        assert index.db.row_of(77_777) == len(index.apl) - 1  # the store's last row
         assert index.apl.fetch(77_777) == new_tr.posting_lists
         assert index.sketches[77_777].covers(0)
 
@@ -208,7 +219,7 @@ class TestInsertAppendsARow:
             index.insert_trajectory(trajectory)
         assert index.apl.image is not image_before  # published, not edited
         assert len(image_before.point_offsets) - 1 == len(db) - 3  # N + 1 offsets
-        assert [index.apl.row_of(tr.trajectory_id) for tr in newcomers] == [
+        assert [index.db.row_of(tr.trajectory_id) for tr in newcomers] == [
             len(db) - 3,
             len(db) - 2,
             len(db) - 1,
@@ -257,6 +268,7 @@ class TestInsertAppendsARow:
 
         too_wide = ActivityTrajectory(1, [TrajectoryPoint(0.0, 0.0, frozenset({1 << 32}))])
         with pytest.raises(ValueError, match="32"):
-            APLStore.build([too_wide], SimulatedDisk())
+            TrajectoryDatabase([too_wide], tiny_db.vocabulary)
         widest = ActivityTrajectory(1, [TrajectoryPoint(0.0, 0.0, frozenset({(1 << 32) - 1}))])
-        assert APLStore.build([widest], SimulatedDisk()).fetch(1) == widest.posting_lists
+        db = TrajectoryDatabase([widest], tiny_db.vocabulary)
+        assert APLStore(db, SimulatedDisk()).fetch(1) == widest.posting_lists

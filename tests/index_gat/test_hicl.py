@@ -13,7 +13,7 @@ from repro.storage.disk import SimulatedDisk
 
 def build_hicl(db, grid, **kwargs):
     """``HICL.build`` over *db*'s leaf postings, as ``GATIndex.build`` feeds it."""
-    image = APLStore.build(db, SimulatedDisk()).image
+    image = APLStore(db, SimulatedDisk()).image
     codes, activities, _starts, _rows = image.leaf_lists(grid.leaf_level)
     return HICL.build(codes, activities, grid, **kwargs)
 

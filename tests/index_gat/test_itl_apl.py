@@ -27,7 +27,7 @@ def grid(db):
 
 @pytest.fixture
 def itl(db, grid):
-    image = APLStore.build(db, SimulatedDisk()).image
+    image = APLStore(db, SimulatedDisk()).image
     return ITL.build(*image.leaf_lists(grid.leaf_level))
 
 
@@ -93,38 +93,34 @@ class TestITL:
 class TestAPL:
     def test_build_and_fetch(self, db):
         disk = SimulatedDisk()
-        apl = APLStore.build(db, disk)
+        apl = APLStore(db, disk)
         assert len(apl) == 2
         posting = apl.fetch(0)
         a = db.vocabulary.id_of("a")
         assert posting[a] == (0, 2)
 
     def test_fetch_matches_trajectory_posting_lists(self, db):
-        apl = APLStore.build(db, SimulatedDisk())
+        apl = APLStore(db, SimulatedDisk())
         for tr in db:
             assert apl.fetch(tr.trajectory_id) == tr.posting_lists
 
     def test_fetch_counts_disk_reads(self, db):
         disk = SimulatedDisk()
-        apl = APLStore.build(db, disk)
+        apl = APLStore(db, disk)
         disk.reset_stats()
         apl.fetch(0)
         apl.fetch(1)
         assert disk.stats.reads == 2
 
     def test_fetch_unknown_raises(self, db):
-        apl = APLStore.build(db, SimulatedDisk())
+        apl = APLStore(db, SimulatedDisk())
         with pytest.raises(KeyError):
             apl.fetch(42)
-
-    def test_contains(self, db):
-        apl = APLStore.build(db, SimulatedDisk())
-        assert 0 in apl and 1 in apl and 7 not in apl
 
     def test_covers_query(self, db):
         """The exact validation of Section V-C: a posting list must exist
         for every query activity — no lookup may land on the sentinel."""
-        apl = APLStore.build(db, SimulatedDisk())
+        apl = APLStore(db, SimulatedDisk())
         ids = db.vocabulary
 
         def covers(activities):
@@ -137,7 +133,7 @@ class TestAPL:
     def test_candidate_positions_sorted_union(self, db):
         """``CP`` for one query point: the union of the position slices its
         activities look up (Algorithm 3, line 1)."""
-        apl = APLStore.build(db, SimulatedDisk())
+        apl = APLStore(db, SimulatedDisk())
         ids = db.vocabulary
 
         def positions(activities):

@@ -120,7 +120,7 @@ class TestSketchCoverage:
 
 class TestBuildAndCost:
     def test_build_sketches_covers_unions(self, small_db):
-        sketches = SketchTable(APLStore.build(small_db, SimulatedDisk()), 2)
+        sketches = SketchTable(APLStore(small_db, SimulatedDisk()), 2)
         assert len(sketches) == len(small_db)
         for tr in small_db:
             sketch = sketches[tr.trajectory_id]

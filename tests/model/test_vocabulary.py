@@ -44,13 +44,6 @@ class TestFrequencyOrdering:
         v = Vocabulary.from_frequencies({"b": 5, "a": 5, "c": 5})
         assert [v.name_of(i) for i in range(3)] == ["a", "b", "c"]
 
-    def test_from_activity_sets_counts_occurrences(self):
-        sets = [{"x", "y"}, {"x"}, {"x", "z"}, {"y"}]
-        v = Vocabulary.from_activity_sets(sets)
-        assert v.id_of("x") == 0  # 3 occurrences
-        assert v.id_of("y") == 1  # 2
-        assert v.id_of("z") == 2  # 1
-
 
 class TestEncodeDecode:
     def test_encode_roundtrip(self):

@@ -65,9 +65,7 @@ def dict_prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> CandidateBloc
         big = _np.empty((m, total))
         for c in flat_ids:
             s = seg_of[c]
-            big[:, s : s + lengths[c]] = qk._generic_rows(
-                items[c][0], list(positions[c])
-            )
+            big[:, s : s + lengths[c]] = qk.distance_matrix(items[c][0], list(positions[c]))
     else:
         big = qk.distance_matrix_for(
             _np.concatenate(

@@ -164,7 +164,7 @@ class OracleRetriever:
     def retrieve(self, batch: int, stop_mdist: float = INFINITY) -> List[int]:
         """The round's new candidates as trajectory **ids**."""
         hicl = self.index.hicl
-        row_of = self.index.apl.row_of
+        row_of = self.index.db.row_of
         grid = self.index.grid
         new_candidates: List[int] = []
         while self.heap and len(new_candidates) < batch:

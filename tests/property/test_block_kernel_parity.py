@@ -44,8 +44,10 @@ from repro.core.kernels import INFINITY, QueryKernel
 from repro.core.query import Query, QueryPoint
 from repro.index.gat.apl import APLStore
 from repro.model.distance import EuclideanDistance
+from repro.model.database import TrajectoryDatabase
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
+from repro.model.vocabulary import Vocabulary
 from repro.storage.disk import SimulatedDisk
 
 EUCLID = EuclideanDistance()
@@ -89,14 +91,14 @@ def _posted(query, items, grown=False):
     trajectories, against the query's sorted activities.  *grown* builds
     the store from the first trajectory and inserts the rest one by one."""
     trajectories = [trajectory for trajectory, _p in items]
+    db = TrajectoryDatabase(trajectories[:1] if grown else trajectories, Vocabulary())
+    store = APLStore(db, SimulatedDisk())
     if grown:
-        store = APLStore.build(trajectories[:1], SimulatedDisk())
         for trajectory in trajectories[1:]:
-            store.store(trajectory)
-    else:
-        store = APLStore.build(trajectories, SimulatedDisk())
+            db.add(trajectory)
+            store.extend()
     return store.round(
-        [store.row_of(trajectory.trajectory_id) for trajectory in trajectories],
+        [db.row_of(trajectory.trajectory_id) for trajectory in trajectories],
         np.array(sorted(query.all_activities), dtype=np.int64),
     )
 

@@ -24,8 +24,10 @@ from repro.core.pipeline import APLFilter, MIBFilter, TASFilter, ValidationStage
 from repro.core.query import Query, QueryPoint
 from repro.index.gat.apl import APLStore
 from repro.index.gat.tas import SketchTable, optimal_intervals
+from repro.model.database import TrajectoryDatabase
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
+from repro.model.vocabulary import Vocabulary
 from repro.storage.disk import SimulatedDisk
 
 #: The ablation bench's four chains, then MIB without an APL filter before
@@ -67,12 +69,14 @@ def _assert_chains_agree(raws, qraw, m, picks):
     round_ids = list(dict.fromkeys(ids[p % len(ids)] for p in picks))
 
     disk, oracle_disk = SimulatedDisk(), SimulatedDisk()
-    # Built in two steps, so rows past the first arrive through ``store``.
-    apl = APLStore.build(trajectories[:1], disk)
+    # Built in two steps, so rows past the first arrive through ``extend``.
+    db = TrajectoryDatabase(trajectories[:1], Vocabulary())
+    apl = APLStore(db, disk)
     for trajectory in trajectories[1:]:
-        apl.store(trajectory)
+        db.add(trajectory)
+        apl.extend()
     sketches = SketchTable(apl, m)
-    oracle_apl = APLStore.build(trajectories, oracle_disk)
+    oracle_apl = APLStore(TrajectoryDatabase(trajectories, Vocabulary()), oracle_disk)
     array_filters = {
         "tas": TASFilter(sketches),
         "apl": APLFilter(apl, None),

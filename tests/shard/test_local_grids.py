@@ -178,7 +178,7 @@ class TestOverflowInsert:
         assert new_box.max_y >= trajectory[0].y
         assert new_box.min_x <= old_box.min_x  # expansion, never shrink
         assert trajectory.trajectory_id in sharded.shards[sid].db
-        assert trajectory.trajectory_id in sharded.shards[sid].apl
+        assert sharded.shards[sid].apl.fetch(trajectory.trajectory_id) == trajectory.posting_lists
 
         # A query at the newcomer's location finds it — the rebuilt shard
         # is live and exact.

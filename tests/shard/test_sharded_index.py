@@ -91,6 +91,21 @@ class TestBuild:
 
 
 class TestInsertRouting:
+    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
+    def test_non_finite_insert_leaves_the_fleet_unchanged(self, tiny_db, x):
+        import copy
+
+        db = copy.deepcopy(tiny_db)
+        sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG, strategy="spatial")
+        version, boxes = sharded.version, sharded.shard_boxes
+        fresh = _fresh_trajectory(db)
+        tid = fresh.trajectory_id
+        bad = ActivityTrajectory(tid, [*fresh.points, TrajectoryPoint(x, 0.0, frozenset({0}))])
+        with pytest.raises(ValueError, match=f"trajectory {tid}: non-finite"):
+            sharded.insert_trajectory(bad)
+        assert (sharded.version, sharded.shard_boxes) == (version, boxes)
+        assert all(tid not in d for d in [db, *(shard.db for shard in sharded.shards)])
+
     @pytest.mark.parametrize("strategy", ["hash", "spatial"])
     def test_insert_lands_on_exactly_the_routed_shard(self, tiny_db, strategy):
         import copy
@@ -105,7 +120,7 @@ class TestInsertRouting:
         sharded.insert_trajectory(trajectory)
 
         assert tid in sharded.shards[owner].db
-        assert tid in sharded.shards[owner].apl
+        assert sharded.shards[owner].apl.fetch(tid) == trajectory.posting_lists
         for sid, shard in enumerate(sharded.shards):
             if sid != owner:
                 assert tid not in shard.db
