@@ -109,14 +109,15 @@ class ExecutionContext:
     def point_slots(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(slots, starts)``: the columns of :attr:`activities` holding
         ``q_1.Φ, q_2.Φ, …`` back to back, and where each query point's run
-        starts — the ``reduceat`` layout of a per-query-point reduction
-        over a round's lookup (built on first use: only OATSQ asks)."""
+        starts (``starts[m]`` closes the last) — the layout of a
+        per-query-point reduction over a round's lookup (built on first
+        use: only OATSQ asks)."""
         if self._point_slots is None:
             sizes = [len(q.activities) for q in self.query]
             wanted = [a for q in self.query for a in q.activities]
             self._point_slots = (
                 np.searchsorted(self.activities, wanted),
-                np.cumsum([0] + sizes[:-1]),
+                np.cumsum([0] + sizes),
             )
         return self._point_slots
 

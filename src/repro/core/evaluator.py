@@ -74,9 +74,10 @@ class MatchEvaluator:
         Distance strategy; defaults to Euclidean.
     kernel:
         One of :data:`repro.core.kernels.KERNELS`: ``'block'`` (the
-        default: NumPy arrays — one flat tensor per validation round
-        through the ``*_batch`` entries, one matrix per candidate through
-        :meth:`dmm` / :meth:`dmom`) or ``'scalar'`` (the seed oracles).
+        default: one flat tensor per validation round, built and scored in
+        C, through the ``*_batch`` entries; one NumPy matrix per candidate
+        through :meth:`dmm` / :meth:`dmom`) or ``'scalar'`` (the seed
+        oracles).
     """
 
     def __init__(

@@ -1,4 +1,4 @@
-"""Array scoring kernels — NumPy distance matrices feeding array DPs.
+"""Array scoring kernels — distance matrices feeding array DPs.
 
 The scalar hot path of the engine spends almost all of its time inside
 Algorithm 3's minimum-point-match and Algorithm 4's order-sensitive DP:
@@ -35,25 +35,25 @@ On top of the per-candidate kernels sits the *block* kernel
 (``kernel='block'``, the default): a whole validation round's
 admitted candidates go into one :class:`CandidateBlock` — a flat
 ``[|Q|, N]`` distance matrix over every candidate's concatenated relevant
-points, built by a **single** Euclidean evaluation per round,
-plus a same-shape activity bitmask and per-candidate column segments,
-all gathered by :func:`prepare_block` from the candidates' rows of the
-APL array store (:mod:`repro.index.gat.apl`) through the key lookup
-validation already computed, with array ops only — and are scored
-together:
+points, plus a same-shape activity bitmask, per-candidate column
+segments and missing-row flags — and are scored together.  A round is C
+code over the APL image (section (d) of ``repro/native/gat.c``), one call
+per entry, reading the candidates' rows of the APL array store
+(:mod:`repro.index.gat.apl`) through the key lookup validation already
+computed:
 
-* :func:`block_dmm` computes every candidate's exact ``Dmm`` in
-  whole-round array ops: per-row masked minima via one
-  segment-``reduceat`` for single-activity rows, and the *set-partition
-  decomposition* of the minimum cover for multi-activity rows (the
-  optimal cover equals, over all partitions of the row's activity bits,
-  the cheapest sum of per-group nearest-covering-point minima — for all
-  rows of one width at once: a scatter-min per exact bitmask, a
-  superset-min transform, and the partitions summed through one padded
-  index table, :func:`_partition_covers`).  All-single-activity
-  queries take :func:`block_dmm_all_single`, a dedup-free layout — one
-  column per posted position, the same gather — with no per-candidate
-  array work at all.
+* :func:`prepare_block` gathers each candidate's looked-up posting lists,
+  dedups their positions into columns, ORs the bitmasks, flags the
+  missing rows and evaluates the Euclidean distances (libm ``hypot``,
+  which equals ``np.hypot``; a generic metric fills them pair by pair).
+* :func:`block_dmm` computes every candidate's exact ``Dmm``: per row,
+  the *set-partition decomposition* of the minimum cover (the optimal
+  cover equals, over all partitions of the row's activity bits, the
+  cheapest sum of per-group nearest-covering-point minima — a scatter-min
+  per exact bitmask and a superset-min transform over ``2^b`` states; a
+  single-activity row is its masked minimum).  All-single-activity
+  queries take :func:`block_dmm_all_single`, which reads each row's one
+  posting list straight from the image — no block at all.
 * :func:`block_dmom` gates on the block ``Dmm`` (Lemma 3) and the C fold
   walks the survivors cheapest-gate-first with a running k-th threshold,
   reading their columns of the block in place, so most candidates are
@@ -81,21 +81,22 @@ kernels against them on randomized inputs.  The combinatorics are
 float-identical by construction: given the same distances, the cover DP
 performs the same additions in the same order as ``PointMatchTable``
 (each entry is ``best(remainder) + dist``).  Two last-ulp (≲2e-16
-relative) discrepancy sources remain: NumPy's elementwise ``hypot``
-can round differently from ``libm``'s on ~0.5% of inputs, and the
+relative) discrepancy sources remain: ``np.hypot`` / libm's ``hypot``
+can round differently from ``math.hypot`` on ~0.6% of inputs, and the
 ``Dmom`` row scan folds multi-point cover sums in ascending-position
 instead of descending-position order (the block cover's partition sums
-likewise follow their table's order, not the scan's).  Neither moves a
+likewise follow the partitions' order, not the scan's).  Neither moves a
 ranking or a pruning counter except on exact distance ties, which the
 engine-level parity suite checks never happens on real workloads (ids
 and counters are compared exactly, distances to 1e-9 relative).
 
 The kernels' *own* shortcuts are not in that class — they are exact.
 The dense row scan :func:`dmom_prepared` ran before it skipped folds, the
-Python fold it ran before the fold moved to C, and the per-group loop
-:func:`block_dmm` ran before its covers became one transform live on as
-oracles in ``tests/property/`` (``dense_dmom_oracle.py``,
-``python_fold_oracle.py``, ``group_loop_dmm_oracle.py``) and are compared
+Python fold it ran before the fold moved to C, the per-group loop
+:func:`block_dmm` ran before its covers became one transform, and the
+NumPy round the C round replaced live on as oracles in
+``tests/property/`` (``dense_dmom_oracle.py``, ``python_fold_oracle.py``,
+``group_loop_dmm_oracle.py``, ``numpy_round_oracle.py``) and are compared
 with ``==`` / ``np.array_equal``, thresholds included.
 
 NumPy and cffi are hard dependencies (``setup.py``).
@@ -114,7 +115,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from repro.model.distance import DistanceMetric, EuclideanDistance, euclidean_matrix
-from repro.native import ffi, lib
+from repro.native import c_array, ffi, lib
 
 INFINITY = math.inf
 
@@ -217,6 +218,9 @@ class QueryKernel:
         "bit_table",
         "metric",
         "fold_bits",
+        "c_bits",
+        "c_slots",
+        "xy",
         "_mode",
         "_q0",
         "_q1",
@@ -247,14 +251,21 @@ class QueryKernel:
             row[_np.searchsorted(self.sorted_activities, list(bit_values))] = list(
                 bit_values.values()
             )
+        #: ``bit_table`` and, per row, the slot of its highest bit — an
+        #: all-single row's one activity — as the C round reads them.
+        self.c_bits = c_array("int64_t", self.bit_table)
+        self.c_slots = ffi.new("int64_t[]", self.bit_table.argmax(axis=1).tolist())
 
         if type(metric) is EuclideanDistance:
             self._mode = "euclidean"
             self._q0 = _np.array([q.x for q in query], dtype=float)
             self._q1 = _np.array([q.y for q in query], dtype=float)
+            #: ``(x, y)`` per query point: the C round evaluates distances.
+            self.xy = ffi.new("double[]", [c for q in query for c in q.coord])
         else:
             self._mode = "generic"
             self._q0 = self._q1 = None
+            self.xy = ffi.NULL
 
     def _pairwise_rows(self, coords: Sequence[Tuple[float, float]]) -> List[List[float]]:
         """Per-pair metric calls — the only form a non-stock metric has."""
@@ -262,26 +273,16 @@ class QueryKernel:
         return [[metric(q.coord, c) for c in coords] for q in self.query]
 
     def distance_matrix(self, trajectory, positions: List[int]):
-        """The ``|Q| x len(positions)`` distance matrix as a NumPy array
-        (non-stock metrics go through per-pair Python calls, then one
-        ``asarray`` — the combinatorial kernels downstream are identical)."""
-        sub = trajectory.coord_array()[positions]
-        if self._mode == "generic":
-            return _np.asarray(self._pairwise_rows(list(map(tuple, sub.tolist()))), dtype=float)
-        return euclidean_matrix(self._q0, self._q1, sub[:, 0], sub[:, 1])
+        """The ``|Q| x len(positions)`` distance matrix of one candidate, as
+        a NumPy array (:meth:`distance_matrix_for` its points)."""
+        return self.distance_matrix_for(trajectory.coord_array()[positions])
 
     def distance_matrix_for(self, coords):
         """The ``|Q| x N`` distance matrix against a raw ``(N, 2)`` float
-        array of point coordinates.
-
-        This is the block kernel's single per-round distance evaluation:
-        the concatenated relevant points of *every* candidate go through
-        one elementwise NumPy call, so each entry is bit-identical to the
-        per-candidate :meth:`distance_matrix` value for the same pair
-        (elementwise ufuncs do not round differently with array size).
-        Generic metrics have no array formula: they are called pair by
-        pair, like everywhere else.
-        """
+        array of point coordinates: one elementwise ``np.hypot`` — which
+        the C round's libm ``hypot`` equals bit for bit — or, for a
+        generic metric, which has no array formula, per-pair calls (the
+        block fills its distances this way then)."""
         if self._mode == "generic":
             rows = self._pairwise_rows(list(map(tuple, coords.tolist())))
             return _np.asarray(rows, dtype=float).reshape(self.m, len(coords))
@@ -366,6 +367,12 @@ def dmm_prepared(qk: QueryKernel, cand: CandidateArrays, stats=None) -> float:
 # ----------------------------------------------------------------------
 # Dmom — Algorithm 4 as a single left-to-right scan per row
 # ----------------------------------------------------------------------
+def _checked(status: int, what: str) -> None:
+    """Raise :class:`MemoryError` on a C entry's out-of-memory return."""
+    if status:
+        raise MemoryError(what)
+
+
 def _fold(qk, dist, mask, order, gates, seg_of, lengths, threshold, k, out) -> None:
     """``gat_dmom_block``: the ``Dmom`` of candidates *order* (column
     segment ``seg_of[c]``, ``lengths[c]`` long, of the ``[|Q|, N]`` *dist*
@@ -374,16 +381,12 @@ def _fold(qk, dist, mask, order, gates, seg_of, lengths, threshold, k, out) -> N
     threshold to the k-th smallest ``Dmom`` when ``k > 0``."""
     if not (dist.dtype == _np.float64 and mask.dtype == _np.int64 and dist.shape == mask.shape):
         raise TypeError("the Dmom fold reads float64 distances and int64 masks of one shape")
-    status = lib.gat_dmom_block(
-        qk.m, qk.fold_bits,
-        ffi.from_buffer("double[]", dist), ffi.from_buffer("int64_t[]", mask), dist.shape[1],
-        ffi.from_buffer("int64_t[]", order), len(order),
-        ffi.NULL if gates is None else ffi.from_buffer("double[]", gates),
-        ffi.from_buffer("int64_t[]", seg_of), ffi.from_buffer("int64_t[]", lengths),
-        threshold, k, ffi.from_buffer("double[]", out, require_writable=True),
-    )
-    if status:
-        raise MemoryError("Dmom fold")
+    _checked(lib.gat_dmom_block(
+        qk.m, qk.fold_bits, c_array("double", dist), c_array("int64_t", mask), dist.shape[1],
+        c_array("int64_t", order), len(order),
+        ffi.NULL if gates is None else c_array("double", gates), c_array("int64_t", seg_of),
+        c_array("int64_t", lengths), threshold, k, c_array("double", out, True),
+    ), "Dmom fold")
 
 
 _ONE_SEGMENT = _np.zeros(1, dtype=_np.int64)  # order [0], segment start 0
@@ -438,304 +441,131 @@ class CandidateBlock:
     """One validation round's candidates in flat concatenated form.
 
     ``big`` is the ``[|Q|, N]`` distance matrix over the concatenation of
-    every candidate's relevant positions — built by a **single**
-    Euclidean evaluation per round — and ``mask`` the same-shape
-    per-query-point activity-overlap bitmasks (``rel`` caches ``mask !=
-    0``).  ``seg_of``/``lengths`` (``int64`` arrays; ``seg_of`` is -1 for an
-    empty segment) map a candidate to its column segment
-    (and to its slice of ``positions``, the columns' trajectory positions
-    as one flat int array); candidates with no relevant position keep an
-    empty segment so outputs align with the input order.  ``missing_rows``
-    is a ``[K, 2]`` array of ``(candidate, row)`` pairs where some query
-    activity of the row never occurs in the candidate — recorded during
-    the build, where the candidate × activity presence matrix is in hand,
-    because such a row can never be covered (Algorithm 3 returns ``inf``)
-    even when other activities give it relevant points.
+    every candidate's relevant positions and ``mask`` the same-shape
+    per-query-point activity-overlap bitmasks.  ``seg_of``/``lengths``
+    (``int64`` arrays; ``seg_of`` is -1 for an empty segment) map a
+    candidate to its column segment (and to its slice of ``positions``, the
+    columns' trajectory positions as one flat int array); candidates with
+    no relevant position keep an empty segment so outputs align with the
+    input order.  ``missing`` is a ``[C, |Q|]`` bool array flagging the
+    rows some query activity of which never occurs in the candidate —
+    recorded during the build, where the candidate × activity lookup is in
+    hand, because such a row can never be covered (Algorithm 3 returns
+    ``inf``) even when other activities give it relevant points; only
+    candidates with columns are flagged.
     """
 
-    __slots__ = (
-        "n",
-        "lengths",
-        "positions",
-        "seg_of",
-        "flat_ids",
-        "seg_starts",
-        "total",
-        "big",
-        "mask",
-        "rel",
-        "missing_rows",
-    )
+    __slots__ = ("n", "lengths", "seg_of", "positions", "total", "big", "mask", "missing")
 
-    def __init__(
-        self, n, lengths, positions, seg_of, flat_ids, seg_starts, total,
-        big, mask, missing_rows,
-    ) -> None:
+    def __init__(self, n, lengths, seg_of, positions, total, big, mask, missing) -> None:
         self.n = n
         self.lengths = lengths
-        self.positions = positions
         self.seg_of = seg_of
-        self.flat_ids = flat_ids
-        self.seg_starts = seg_starts
+        self.positions = positions
         self.total = total
         self.big = big
         self.mask = mask
-        self.rel = mask != 0
-        self.missing_rows = missing_rows
+        self.missing = missing
 
 
-def _gather_hits(candidates):
-    """One round's posted positions of ``Q.Φ``, gathered from the APL image
-    — the first step of both round builds (:func:`prepare_block`,
-    :func:`block_dmm_all_single`).
+def _round_args(candidates):
+    """The round's image arrays, rows and lookup, as the C round reads them."""
+    image, lookup = candidates.image, candidates.lookup()
+    return (
+        c_array("int64_t", image.offsets), c_array("int64_t", image.positions),
+        c_array("int64_t", image.point_offsets), c_array("double", image.xy),
+        c_array("int64_t", candidates.rows), c_array("int64_t", lookup),
+        len(candidates), lookup.shape[1],
+    )
 
-    *candidates* is the round as a
-    :class:`~repro.index.gat.apl.PostingRound` whose activity columns are
-    the query kernel's ``sorted_activities`` (the lookup validation
-    computed is reused as is).  A **hit** is one position of one
-    (candidate, query activity) posting list, in candidate-major,
-    activity-major, ascending-position order; a missed lookup is the
-    image's empty sentinel slice and gathers nothing.  Returns ``(lengths,
-    hit_slots, hit_points, base, shift)``: the ``[C, |Q.Φ|]`` list
-    lengths; per hit its activity's column and its point's index in the
-    round (the candidates' points — all of them — laid end to end);
-    ``base[c]`` where candidate *c*'s points start in that numbering
-    (``base[C]`` closes it); ``shift[c]`` what to add to one of its round
-    indices to get the point's row in ``image.xy``.
-    """
-    image = candidates.image
-    lookup = candidates.lookup()
-    starts = image.offsets[lookup]
-    lengths = image.offsets[lookup + 1] - starts
-    n_items, n_slots = lengths.shape
-    flat_lengths = lengths.ravel()
-    ends = flat_lengths.cumsum()
-    first_point = image.point_offsets[candidates.rows]
-    base = _np.zeros(n_items + 1, dtype=_np.int64)
-    _np.cumsum(image.point_offsets[candidates.rows + 1] - first_point, out=base[1:])
-    # Hit h of list l reads positions[starts[l] + (h - first hit of l)].
-    hit_points = image.positions[
-        _np.repeat(starts.ravel() - (ends - flat_lengths), flat_lengths)
-        + _np.arange(ends[-1] if len(ends) else 0)
-    ]
-    hit_points += _np.repeat(_np.repeat(base[:-1], n_slots), flat_lengths)
-    hit_slots = _np.repeat(_np.tile(_np.arange(n_slots), n_items), flat_lengths)
-    return lengths, hit_slots, hit_points, base, first_point - base[:-1]
+
+def _block_args(qk: QueryKernel, block: CandidateBlock):
+    """The block's arrays, as the C covers and fold read them."""
+    return (
+        qk.m, qk.fold_bits, c_array("double", block.big), c_array("int64_t", block.mask),
+        block.total, block.n, c_array("int64_t", block.seg_of),
+        c_array("int64_t", block.lengths), c_array("uint8_t", block.missing),
+    )
+
+
+def _scores(n: int, stats, what: str, entry, *args):
+    """``entry(*args, out, points)`` into a fresh ``[n]`` float array, adding
+    the ``point_match_points`` it counts to *stats*."""
+    out = _np.empty(n)
+    points = ffi.new("int64_t *")
+    _checked(entry(*args, c_array("double", out, True), points), what)
+    if stats is not None:
+        stats.point_match_points += points[0]
+    return out
 
 
 def prepare_block(qk: QueryKernel, candidates) -> CandidateBlock:
-    """Stack one round's candidates into a :class:`CandidateBlock`.
+    """Stack one round's candidates into a :class:`CandidateBlock`
+    (``gat_round_block``).
 
     *candidates* is a non-empty
     :class:`~repro.index.gat.apl.PostingRound` against
-    ``qk.sorted_activities``.  The block's columns are the round's points
-    that took at least one hit (:func:`_gather_hits`) — flagged in one
-    scatter, so they come out candidate by candidate in position order —
-    and a column's bitmask sums, per row, the bits of the activities that
-    hit it (a posting list names a point once, so the sum is the OR).
+    ``qk.sorted_activities``.  A candidate's columns are its points that
+    one of its looked-up posting lists names, in position order, and a
+    column's bitmask ORs, per row, the bits of the activities listing it.
+    The C build evaluates the Euclidean distances itself; a generic metric
+    fills them afterwards, pair by pair, from the columns' coordinates.
     """
-    lengths, hit_slots, hit_points, base, shift = _gather_hits(candidates)
-    n_items, n_slots = lengths.shape
-    hit = _np.zeros(base[-1], dtype=bool)
-    hit[hit_points] = True
-    relevant = _np.flatnonzero(hit)
-    total = len(relevant)
-
-    cand_of_column = _np.searchsorted(base, relevant, side="right") - 1
-    positions = relevant - base[cand_of_column]
-    counts = _np.bincount(cand_of_column, minlength=n_items)
-    starts = counts.cumsum() - counts
-    empty = counts == 0
-    starts[empty] = -1
-    flat_ids = _np.flatnonzero(counts).tolist()
-    seg_starts = starts[flat_ids].tolist()
-
-    big = qk.distance_matrix_for(candidates.image.xy[relevant + shift[cand_of_column]])
-    column_of_point = hit.cumsum() - 1
-    carries = _np.zeros((total, n_slots), dtype=_np.int64)  # column × activity
-    carries.reshape(-1)[column_of_point[hit_points] * n_slots + hit_slots] = 1
-    mask = qk.bit_table @ carries.T
-
-    # A row is missing from a candidate when one of its activities never
-    # occurs there; recorded only for candidates that have columns (the
-    # others are infeasible on their zero counts already).
-    absent = lengths == 0
-    absent[empty] = False
-    missing_rows = _np.argwhere(absent @ (qk.bit_table.T != 0))
-    return CandidateBlock(
-        n_items, counts, positions, starts, flat_ids, seg_starts, total,
-        big, mask, missing_rows,
-    )
-
-
-def _fold_rows(rowvals, counts, invalid, stats):
-    """Per-candidate ``Dmm`` from the ``[C, |Q|]`` per-row values, plus the
-    ``point_match_points`` accounting — a pure function of the relevance
-    pattern, identical to the per-candidate scan's, which adds each row's
-    candidate count up to and including the first infeasible row."""
-    n, m = rowvals.shape
-    if stats is not None:
-        has_invalid = invalid.any(axis=1)
-        limit = _np.where(has_invalid, invalid.argmax(axis=1), m - 1)
-        cumulative = counts.cumsum(axis=1)
-        stats.point_match_points += int(cumulative[_np.arange(n), limit].sum())
-    # Left-to-right row fold: the scalar path's float addition order.
-    dmm = rowvals[:, 0].copy()
-    for i in range(1, m):
-        dmm = dmm + rowvals[:, i]
-    return dmm
+    n, m = len(candidates), qk.m
+    seg_of = _np.empty(n, dtype=_np.int64)
+    lengths = _np.empty(n, dtype=_np.int64)
+    missing = _np.empty((n, m), dtype=bool)
+    out = ffi.new("gat_columns *")
+    _checked(lib.gat_round_block(
+        *_round_args(candidates), m, qk.c_bits, qk.xy, c_array("int64_t", seg_of, True),
+        c_array("int64_t", lengths, True), c_array("uint8_t", missing, True), out,
+    ), "block build")
+    total = out.total
+    # The block's arrays live in one malloc'd buffer, freed with the last of them.
+    data = ffi.buffer(ffi.gc(out.data, lib.gat_free), (2 * m + 1) * total * 8)
+    big = _np.frombuffer(data, _np.float64, m * total).reshape(m, total)
+    mask = _np.frombuffer(data, _np.int64, m * total, 8 * m * total).reshape(m, total)
+    positions = _np.frombuffer(data, _np.int64, total, 16 * m * total)
+    if qk.xy == ffi.NULL:
+        image = candidates.image
+        points = _np.repeat(image.point_offsets[candidates.rows], lengths) + positions
+        big = qk.distance_matrix_for(image.xy[points])
+    return CandidateBlock(n, lengths, seg_of, positions, total, big, mask, missing)
 
 
 def block_dmm_all_single(qk: QueryKernel, candidates, stats=None):
-    """``Dmm`` for one round of an all-single-activity query, without ever
-    materialising a :class:`CandidateBlock`.
-
-    ``Dmm`` is order-free, so the candidate columns need no position
-    dedup: every hit of :func:`_gather_hits` is a column **as-is** (a point
-    carrying two query activities simply appears once per activity —
-    duplicates never move a minimum).  Relevance is then a single slot
-    comparison (``row activity == column activity``) instead of a bitmask
-    scatter, a row's candidate count is the length of its activity's
-    posting list in the candidate, and the per-row minima fall out of one
-    masked segment-``reduceat``.  Values and counter accounting are
-    bit-identical to the per-candidate all-single path.  (The
-    order-sensitive DP cannot ride this layout — duplicated columns break
-    its prefix semantics — so :func:`block_dmom` keeps the deduplicated
-    block.)
-    """
-    lengths, hit_slots, hit_points, _base, shift = _gather_hits(candidates)
-    n_items = len(lengths)
-    row_slots = qk.bit_table.argmax(axis=1)  # each row asks one activity
-
-    counts = lengths[:, row_slots]
-    columns = lengths.sum(axis=1)
-    flat_ids = _np.flatnonzero(columns)
-    seg_starts = (columns.cumsum() - columns)[flat_ids]
-
-    coords = candidates.image.xy[hit_points + _np.repeat(shift, columns)]
-    masked = _np.where(
-        row_slots[:, None] == hit_slots, qk.distance_matrix_for(coords), INFINITY
+    """``Dmm`` for one round of an all-single-activity query straight from
+    the APL image (``gat_round_dmm_single``), without a
+    :class:`CandidateBlock`: ``Dmm`` is order-free, so a row's value is the
+    nearest point of its one activity's posting list, and its candidate
+    count that list's length — no column dedup.  Values and counter
+    accounting are bit-identical to the per-candidate all-single path.  A
+    generic metric goes through the block instead (the same values)."""
+    if qk.xy == ffi.NULL:
+        return block_dmm(qk, prepare_block(qk, candidates), stats)
+    return _scores(
+        len(candidates), stats, "all-single Dmm", lib.gat_round_dmm_single,
+        *_round_args(candidates), qk.m, qk.c_slots, qk.xy,
     )
-    rowvals = _np.full((n_items, qk.m), INFINITY)
-    rowvals[flat_ids] = _np.minimum.reduceat(masked, seg_starts, axis=1).T
-    return _fold_rows(rowvals, counts, counts == 0, stats)
-
-
-@functools.lru_cache(maxsize=None)
-def _set_partitions(n_bits: int):
-    """All partitions of ``n_bits`` bits into non-empty groups, as a
-    ``[Bell(n_bits), n_bits]`` integer table (Bell: 1, 2, 5, 15, 52 for
-    1..5 bits — the paper bounds ``|q.Φ|`` at 5).  A row lists one
-    partition's group bitmasks in generation order, padded with 0 — the
-    slot :func:`_partition_covers` keeps all-zero, so a padded sum adds
-    ``0.0`` after the partition's own groups.  Memoised.
-    """
-    parts: List[List[int]] = [[]]
-    for b in range(n_bits):
-        bit = 1 << b
-        grown: List[List[int]] = []
-        for part in parts:
-            for g in range(len(part)):
-                grown.append(part[:g] + [part[g] | bit] + part[g + 1 :])
-            grown.append(part + [bit])
-        parts = grown
-    padded = [part + [0] * (n_bits - len(part)) for part in parts]
-    return _np.array(padded, dtype=_np.intp)
-
-
-#: Element budget of one :func:`_partition_covers` temporary: columns are
-#: scattered and candidates' partitions summed in chunks of at most this many
-#: (a first round has ~10^4 columns; Bell(b) explodes past 5 activities).
-_COVER_CHUNK_ELEMENTS = 1 << 14
-
-
-def _partition_covers(mask, dist, rows, segment, n_segments: int, n_bits: int):
-    """Minimum covers of the ``n_bits``-activity *rows* of a block over
-    every column segment, as a ``[len(rows), n_segments]`` array: *mask* /
-    *dist* are the block's ``[|Q|, N]`` bitmasks and distances, *segment*
-    each column's segment index.
-
-    The cheapest point *carrying exactly* bitmask ``pm`` in each (row,
-    segment) is a scatter-``minimum.at``; ``b`` halving passes of the
-    superset-min transform (``M[g] ← min(M[g], M[g | bit])``) turn those
-    into the group minima ``M[g]`` (nearest point whose bitmask *covers*
-    ``g``) — minima are order-free, so bit-identical to one masked
-    segment-min per group, and no temporary is wider than ``2^b`` per
-    candidate.  The partitions are then summed slot by slot, left to
-    right, through :func:`_set_partitions`' padded index table: the fold
-    order of a per-partition loop, with ``x + 0.0 == x`` on the padding.
-    """
-    n_rows = len(rows)
-    size = 1 << n_bits
-    group_min = _np.full((n_rows, n_segments, size), INFINITY)
-    flat_min = group_min.reshape(-1)
-    row_base = _np.arange(n_rows)[:, None] * n_segments
-    step = max(1, _COVER_CHUNK_ELEMENTS // n_rows)
-    for lo in range(0, len(segment), step):
-        cols = slice(lo, lo + step)
-        slot = (row_base + segment[cols]) * size + mask[rows, cols]
-        _np.minimum.at(flat_min, slot.reshape(-1), dist[rows, cols].reshape(-1))
-    for bit in range(n_bits):
-        pairs = group_min.reshape(n_rows * n_segments, -1, 2, 1 << bit)
-        _np.minimum(pairs[:, :, 0], pairs[:, :, 1], out=pairs[:, :, 0])
-    group_min[:, :, 0] = 0.0  # the padding slot's addend
-    partitions = _set_partitions(n_bits)
-    covers = _np.empty((n_rows, n_segments))
-    step = max(1, _COVER_CHUNK_ELEMENTS // (n_rows * len(partitions)))
-    for lo in range(0, n_segments, step):
-        groups = _np.moveaxis(group_min[:, lo : lo + step, partitions], -1, 0)
-        value = functools.reduce(_np.add, groups)  # left fold: slot by slot
-        covers[:, lo : lo + step] = value.min(axis=2)
-    return covers
 
 
 def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None):
     """Exact ``Dmm`` for every block candidate, as a ``[C]`` float array
-    (``inf`` only where ``Dmm`` truly is ``inf``) — also the Lemma-3 gate
-    of :func:`block_dmom`.
+    (``inf`` only where ``Dmm`` truly is ``inf``) — ``gat_block_dmm``.
 
-    Single-activity rows are one masked segment-min (bit-identical to the
-    per-candidate path).  Multi-activity rows use the set-partition
-    decomposition of the minimum cover: the optimal cover equals, over all
-    partitions of the row's activity bits into groups, the cheapest sum of
-    per-group minima (``M[g]`` = nearest relevant point whose bitmask
-    covers group ``g``) — any cover induces the partition that assigns
-    each bit to the point covering it, and conversely each partition's
-    group minima form a cover.  Rows of equal bit-width go through one
-    :func:`_partition_covers` call, so the whole round's covers need no
-    per-candidate work at all — and nothing would be saved by abandoning
-    candidates against a threshold here.  Sums over 3+ groups may
-    re-associate relative to the per-candidate *scan's* fold order — the
-    same last-ulp class as the documented array-vs-scalar sources.
+    Each row's cover uses the set-partition decomposition of the minimum
+    cover: the optimal cover equals, over all partitions of the row's
+    activity bits into groups, the cheapest sum of per-group minima
+    (``M[g]`` = nearest relevant point whose bitmask covers group ``g``) —
+    any cover induces the partition that assigns each bit to the point
+    covering it, and conversely each partition's group minima form a cover.
+    ``M`` is a scatter-min per exact bitmask and a superset-min transform
+    over ``2^b`` states; a single-activity row is the one-partition case,
+    its masked minimum.  Sums over 3+ groups may re-associate relative to
+    the per-candidate *scan's* fold order — the same last-ulp class as the
+    documented array-vs-scalar sources.
     """
-    m = qk.m
-    C = block.n
-    rowvals = _np.full((C, m), INFINITY)
-    counts = _np.zeros((C, m), dtype=_np.intp)
-    if block.total:
-        starts = block.seg_starts
-        flat = block.flat_ids
-        counts[flat] = _np.add.reduceat(block.rel, starts, axis=1, dtype=_np.intp).T
-        if 1 in qk.n_bits:  # a single-activity row's cover: its masked segment-min
-            masked = _np.where(block.rel, block.big, INFINITY)
-            covers = _np.minimum.reduceat(masked, starts, axis=1)
-        else:
-            covers = _np.empty((m, len(flat)))
-        if not qk.all_single:
-            segment = _np.zeros(block.total, dtype=_np.intp)
-            segment[starts[1:]] = 1
-            segment = segment.cumsum()  # each column's index into ``flat``
-            widths = _np.asarray(qk.n_bits)
-            for n_bits in set(qk.n_bits) - {1}:
-                rows = _np.flatnonzero(widths == n_bits)
-                covers[rows] = _partition_covers(
-                    block.mask, block.big, rows, segment, len(flat), n_bits
-                )
-        rowvals[flat] = covers.T
-    invalid = counts == 0
-    invalid[block.missing_rows[:, 0], block.missing_rows[:, 1]] = True
-    rowvals[invalid] = INFINITY
-    return _fold_rows(rowvals, counts, invalid, stats)
+    return _scores(block.n, stats, "block Dmm", lib.gat_block_dmm, *_block_args(qk, block))
 
 
 def block_dmom(
@@ -745,16 +575,17 @@ def block_dmom(
     threshold: float = INFINITY,
     k: Optional[int] = None,
 ):
-    """``Dmom`` for every block candidate — blockwise gate, then the DP.
+    """``Dmom`` for every block candidate — blockwise gate, then the DP
+    (``gat_block_dmom``).
 
     The Lemma-3 gate is the whole-round :func:`block_dmm`; candidates whose
     gate exceeds the abandonment threshold are ``inf`` before any
     per-candidate work, exactly like the per-candidate gate.  The C fold
-    then walks the survivors in ascending-gate order, reading each one's
-    columns of ``block.big`` / ``block.mask`` in place — the computation
-    :func:`dmom_prepared` performs — so that, with *k* set, the
-    abandonment threshold tightens to the k-th smallest ``Dmom`` seen so
-    far and later candidates (whose gates are lower bounds on their
+    then walks the survivors in ascending-gate order (ties by candidate),
+    reading each one's columns of ``block.big`` / ``block.mask`` in place —
+    the computation :func:`dmom_prepared` performs — so that, with *k* set,
+    the abandonment threshold tightens to the k-th smallest ``Dmom`` seen
+    so far and later candidates (whose gates are lower bounds on their
     ``Dmom``) are abandoned against it.  Tightening only ever happens on
     ``Dmom`` values — the ranked metric — never on the ``Dmm`` gate
     values, whose k-th could undercut the final ``Dmom`` k-th and cost a
@@ -763,10 +594,7 @@ def block_dmom(
     Counter accounting (``point_match_points``) covers every candidate,
     exactly as the per-candidate gate would have counted it.
     """
-    gates = block_dmm(qk, block, stats)
-    out = _np.full(block.n, INFINITY)
-    if block.total:
-        order = _np.argsort(gates, kind="stable")
-        _fold(qk, block.big, block.mask, order, gates, block.seg_of, block.lengths,
-              threshold, k or 0, out)
-    return out
+    return _scores(
+        block.n, stats, "block Dmom", lib.gat_block_dmom, *_block_args(qk, block),
+        threshold, k or 0,
+    )

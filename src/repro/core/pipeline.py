@@ -22,12 +22,16 @@ into the per-query :class:`~repro.core.context.ExecutionContext`:
 Validation runs one retrieval round at a time
 (:meth:`ValidationStage.admit_batch`) over those rows, as they come
 (:class:`~repro.index.gat.apl.PostingRound`): each filter answers one bool
-mask for the round — TAS a broadcast interval test, APL a key lookup, MIB
-a reduction over first / last positions — and the ``[candidates, |Q.Φ|]``
-lookup the APL filter computes rides along to the MIB filter and to block
-assembly.  The APL filter's I/O is one ``fetch_many`` per round.  Counters
-and counted reads are those of a candidate-by-candidate walk of the chain
-(the oracle in ``tests/property/object_chain_oracle.py``).
+mask for the round from one C pass over the APL image (section (d) of
+``repro/native/gat.c``) — TAS an interval test, APL "no key lookup
+missed", MIB a min / max over first / last positions — and the
+``[candidates, |Q.Φ|]`` lookup the APL filter computes (also C: a binary
+search inside each row's key range) rides along to the MIB filter and to
+block assembly.  The APL filter's I/O is one ``fetch_many`` per round, in
+Python, before its pass.  Counters and counted reads are those of a
+candidate-by-candidate walk of the chain (the oracle in
+``tests/property/object_chain_oracle.py``; the NumPy masks the C passes
+replaced are ``tests/property/numpy_round_oracle.py``).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from repro.index.gat.hicl import QueryBitmaps
 from repro.index.gat.index import GATIndex
 from repro.index.gat.tas import SketchTable
 from repro.model.trajectory import ActivityTrajectory
-from repro.native import ffi, lib
+from repro.native import c_array, ffi, lib
 from repro.storage.cache import LRUCache
 
 
@@ -246,7 +250,13 @@ class APLFilter:
         hits, lookups = self.apl.fetch_many(candidates.ids.tolist(), self.cache)
         ctx.stats.apl_cache_hits += hits
         ctx.stats.apl_cache_lookups += lookups
-        return (candidates.lookup() != candidates.image.n_keys).all(axis=1)
+        lookup = candidates.lookup()
+        out = np.empty(len(candidates), dtype=bool)
+        lib.gat_round_covered(
+            c_array("int64_t", lookup), len(candidates), lookup.shape[1],
+            candidates.image.n_keys, c_array("uint8_t", out, True),
+        )
+        return out
 
 
 class MIBFilter:
@@ -264,14 +274,15 @@ class MIBFilter:
 
     def admits(self, ctx: ExecutionContext, candidates: PostingRound):
         slots, starts = ctx.point_slots()
-        keys = candidates.lookup()[:, slots]
-        lb = np.minimum.reduceat(candidates.image.first[keys], starts, axis=1)
-        ub = np.maximum.reduceat(candidates.image.last[keys], starts, axis=1)
-        # The largest lb before each query point: -1 before the first.
-        reached = np.maximum.accumulate(lb, axis=1)
-        feasible = (ub >= 0).all(axis=1)
-        feasible &= (reached[:, :-1] <= ub[:, 1:]).all(axis=1)
-        return feasible
+        lookup, image = candidates.lookup(), candidates.image
+        out = np.empty(len(candidates), dtype=bool)
+        lib.gat_round_mib(
+            c_array("int64_t", image.first), c_array("int64_t", image.last),
+            c_array("int64_t", lookup), len(candidates), lookup.shape[1],
+            c_array("int64_t", slots), c_array("int64_t", starts),
+            len(ctx.query), c_array("uint8_t", out, True),
+        )
+        return out
 
 
 class ValidationStage:

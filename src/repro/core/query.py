@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Iterator, Sequence, Tuple
 
 from repro.model.distance import DistanceMetric, EuclideanDistance
+from repro.model.trajectory import ACTIVITY_BITS
 from repro.model.vocabulary import Vocabulary
 
 Coord = Tuple[float, float]
@@ -24,7 +25,10 @@ class QueryPoint:
     The activity set must be non-empty: a query point without activities
     has no point match by Definition 3 (the empty union can never be a
     superset of nothing meaningfully — the paper always issues 1–5
-    activities per location, Table V).
+    activities per location, Table V).  Activity ids must fit the
+    :data:`~repro.model.trajectory.ACTIVITY_BITS` unsigned bits a stored
+    id fits: the index keys ``(row << 32) | activity`` and ``(cell << 32)
+    | activity`` would otherwise read another row's or cell's lists.
     """
 
     x: float
@@ -34,6 +38,8 @@ class QueryPoint:
     def __post_init__(self) -> None:
         if not self.activities:
             raise ValueError("a query point needs at least one activity")
+        if not all(0 <= a < 1 << ACTIVITY_BITS for a in self.activities):
+            raise ValueError(f"activity ids must fit {ACTIVITY_BITS} unsigned bits")
 
     @property
     def coord(self) -> Coord:

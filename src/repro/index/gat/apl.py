@@ -33,6 +33,7 @@ from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.model.trajectory import ACTIVITY_BITS, TrajectoryColumns
+from repro.native import c_array, lib
 from repro.storage.cache import LRUCache
 from repro.storage.disk import SimulatedDisk
 from repro.storage.serialization import serialize_obj
@@ -136,13 +137,17 @@ class PostingRound:
         return self.image.ids[self.rows]
 
     def lookup(self):
-        """``[C, |Q.Φ|]`` key indices (``image.n_keys`` = absent)."""
+        """``[C, |Q.Φ|]`` key indices (``image.n_keys`` = absent), by a
+        binary search inside each row's key range (``gat_round_lookup``)."""
         if self._lookup is None:
-            keys = self.image.keys
-            wanted = (self.rows[:, None] << ACTIVITY_BITS) | self.activities
-            slots = np.searchsorted(keys, wanted)
-            slots[keys[slots] != wanted] = len(keys) - 1
-            self._lookup = slots
+            lookup = np.empty((len(self.rows), len(self.activities)), dtype=np.int64)
+            lib.gat_round_lookup(
+                c_array("int64_t", self.image.keys), self.image.n_keys,
+                c_array("int64_t", self.rows), len(self.rows),
+                c_array("int64_t", self.activities), len(self.activities),
+                c_array("int64_t", lookup, True),
+            )
+            self._lookup = lookup
         return self._lookup
 
     def keep(self, mask) -> "PostingRound":

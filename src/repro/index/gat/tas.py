@@ -19,8 +19,10 @@ at ``8 * M * N`` bytes for N trajectories; :func:`sketch_memory_bytes`
 reproduces that accounting.
 
 The index holds all sketches as one ``[N, M, 2]`` array in APL row order
-(:class:`SketchTable`), so a validation round's superset test is one
-broadcast comparison; :class:`TrajectorySketch` is the one-trajectory view.
+(:class:`SketchTable`), so a validation round's superset test is one C
+pass over the round's rows of it (``gat_round_tas`` in
+``repro/native/gat.c``); :class:`TrajectorySketch` is the one-trajectory
+view.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.index.gat.apl import ACTIVITY_BITS, ACTIVITY_MASK, APLStore
+from repro.native import c_array, lib
 
 
 def optimal_intervals(sorted_ids: Sequence[int], m: int) -> Tuple[Tuple[int, int], ...]:
@@ -155,13 +158,17 @@ class SketchTable:
             self.intervals = np.concatenate([self.intervals, fresh])
 
     def covers_all(self, rows, activities):
-        """Per row of *rows*, the superset test for *activities* (an
-        ``int64`` array): every id inside one of the row's intervals."""
-        intervals = self.intervals[rows]
-        inside = (intervals[:, :, 0, None] <= activities) & (
-            activities <= intervals[:, :, 1, None]
+        """Per row of *rows* (an ``int64`` array), the superset test for
+        *activities* (another): every id inside one of the row's intervals
+        (``gat_round_tas``)."""
+        out = np.empty(len(rows), dtype=bool)
+        lib.gat_round_tas(
+            c_array("int64_t", self.intervals), self.m,
+            c_array("int64_t", rows), len(rows),
+            c_array("int64_t", activities), len(activities),
+            c_array("uint8_t", out, True),
         )
-        return inside.any(axis=1).all(axis=1)
+        return out
 
     def __len__(self) -> int:
         return len(self.intervals)

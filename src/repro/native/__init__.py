@@ -1,11 +1,15 @@
 """The engine's C kernels (``gat.c``), compiled with cffi on first import.
 
-Three pieces live in C: the best-first cell walk of Algorithm 1
+Four pieces live in C: the best-first cell walk of Algorithm 1
 (:class:`repro.core.pipeline.CandidateRetriever` drives it), the ``Dmom``
 row fold of Algorithm 4 (:func:`repro.core.kernels.dmom_prepared` and
-:func:`~repro.core.kernels.block_dmom`), and a port of CPython's
-two-argument ``math.hypot`` the walk orders its heap by.  There is no
-Python fallback: the retired Python loops are test oracles under
+:func:`~repro.core.kernels.block_dmom`), a port of CPython's two-argument
+``math.hypot`` the walk orders its heap by, and the validation round over
+the APL image — the key lookup, the TAS / APL / MIB masks
+(:class:`~repro.core.pipeline.ValidationStage`), the block build and the
+``Dmm`` covers (:func:`~repro.core.kernels.prepare_block`,
+:func:`~repro.core.kernels.block_dmm`, ...).  There is no Python fallback:
+the retired Python and NumPy loops are test oracles under
 ``tests/property/``.
 
 The artifact is named for the SHA-256 of ``gat.c`` and ``build.py`` and
@@ -21,7 +25,10 @@ runs) may each build, and every one of them loads a whole file.
 rounded ``vector_norm``, which differs from libm on about 0.6 % of pairs.
 A MINDIST that differs in its last bit can reorder the heap and move every
 count, so the import checks the C port against ``math.hypot`` on a fixed
-probe set and raises :class:`ImportError` on any mismatch.
+probe set and raises :class:`ImportError` on any mismatch.  The round's
+distances are libm's ``hypot`` (``gat_libm_hypot``), which is what NumPy's
+``np.hypot`` computes; the same probes check that pair, so a libm that
+disagrees with NumPy fails the import instead of moving a distance.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 _HERE = Path(__file__).resolve().parent
 _BUILD = _HERE / "build.py"
@@ -65,6 +74,8 @@ def load(directory: Path):
         x, y = (rng.random() * 10.0 ** rng.randint(-6, 6) for _ in range(2))
         if module.lib.gat_hypot(x, y) != math.hypot(x, y):
             raise ImportError(f"gat_hypot({x!r}, {y!r}) differs from math.hypot")
+        if module.lib.gat_libm_hypot(x, y) != np.hypot(x, y):
+            raise ImportError(f"gat_libm_hypot({x!r}, {y!r}) differs from np.hypot")
     return module.ffi, module.lib
 
 
@@ -72,3 +83,9 @@ _directory = _HERE
 if not (_HERE / ARTIFACT).exists() and not os.access(_HERE, os.W_OK):
     _directory = Path(tempfile.gettempdir())
 ffi, lib = load(_directory)
+
+
+def c_array(ctype: str, array, writable: bool = False):
+    """*array*'s buffer (contiguous, not copied) as a cffi ``ctype[]``;
+    *writable* for an output the C code fills."""
+    return ffi.from_buffer(ctype + "[]", array, require_writable=writable)

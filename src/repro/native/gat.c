@@ -1,4 +1,4 @@
-/* The two interpreter-bound loops of the GAT engine, in C.
+/* The interpreter-bound loops of the GAT engine, in C.
  *
  * (a) The best-first cell walk of Algorithm 1 (Section V-A): one heap over
  *     every query point's cells, keyed by (mdist, tick) exactly like the
@@ -11,9 +11,18 @@
  *     walking the candidates in ascending Dmm-gate order with a running
  *     k-th threshold.
  * (c) CPython's two-argument math.hypot (vector_norm), so that every
- *     MINDIST — and so the heap order — is bit-identical to the Python
+ *     MINDIST -- and so the heap order -- is bit-identical to the Python
  *     walk's.  Compile with -ffp-contract=off: a fused multiply-add would
  *     break the error-free products.
+ * (d) The validation round over the APL image (Sections V-C, V-D, VI-B):
+ *     the [C, |Q.Phi|] key lookup, the TAS / APL-coverage / MIB masks, the
+ *     block build (columns, bitmasks, missing rows, distances) and the Dmm
+ *     covers (Algorithm 3 as set partitions over superset minima).  Block
+ *     distances are libm's hypot, which is NumPy's np.hypot bit for bit
+ *     (the import checks that); only the walk needs the math.hypot port.
+ *
+ * Every entry is reentrant: scratch memory is malloc'd per call and freed
+ * before it returns, and -1 means out of memory.
  */
 #include <float.h>
 #include <math.h>
@@ -397,4 +406,321 @@ int gat_dmom_block(int32_t m, const int32_t *n_bits, const double *dist, const i
     }
     free(prev);
     return 0;
+}
+
+/* ---------------------------------------------------------------------
+ * (d) The validation round
+ *
+ * A round is C candidates, APL rows rows[0..C), looked up against the
+ * query's activities acts[0..A) (ascending): lookup[c * A + a] is the
+ * index of key (rows[c] << 32) | acts[a] in the image's sorted keys, or
+ * n_keys -- the sentinel slot, whose position slice is empty, whose
+ * first is INT64_MAX and whose last is -1 -- when the row lacks it.
+ * ------------------------------------------------------------------- */
+double gat_libm_hypot(double x, double y) { return hypot(x, y); }
+
+void gat_round_lookup(const int64_t *keys, int64_t n_keys, const int64_t *rows, int64_t n,
+                      const int64_t *acts, int64_t n_acts, int64_t *lookup) {
+    for (int64_t c = 0; c < n; c++) {
+        int64_t lo = 0; /* activities ascend, so each search starts at the last */
+        for (int64_t a = 0; a < n_acts; a++) {
+            int64_t key = (rows[c] << 32) | acts[a], hi = n_keys;
+            while (lo < hi) {
+                int64_t mid = (lo + hi) >> 1;
+                if (keys[mid] < key)
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            lookup[c * n_acts + a] = lo < n_keys && keys[lo] == key ? lo : n_keys;
+        }
+    }
+}
+
+/* TAS: every activity inside one of the row's m intervals [lo, hi]. */
+void gat_round_tas(const int64_t *intervals, int64_t m, const int64_t *rows, int64_t n,
+                   const int64_t *acts, int64_t n_acts, uint8_t *out) {
+    for (int64_t c = 0; c < n; c++) {
+        const int64_t *iv = intervals + rows[c] * m * 2;
+        int ok = 1;
+        for (int64_t a = 0; a < n_acts && ok; a++) {
+            ok = 0;
+            for (int64_t j = 0; j < m && !ok; j++)
+                ok = iv[2 * j] <= acts[a] && acts[a] <= iv[2 * j + 1];
+        }
+        out[c] = (uint8_t)ok;
+    }
+}
+
+/* APL coverage: no activity missed the lookup. */
+void gat_round_covered(const int64_t *lookup, int64_t n, int64_t n_acts, int64_t n_keys,
+                       uint8_t *out) {
+    for (int64_t c = 0; c < n; c++) {
+        int ok = 1;
+        for (int64_t a = 0; a < n_acts && ok; a++)
+            ok = lookup[c * n_acts + a] != n_keys;
+        out[c] = (uint8_t)ok;
+    }
+}
+
+/* MIB: q_i's lb / ub are the smallest first / largest last position over
+ * the lists of its activities, columns slots[starts[i]..starts[i + 1]); a
+ * candidate is order-feasible when every q_i has one (ub >= 0) and no lb
+ * before q_i exceeds its ub. */
+void gat_round_mib(const int64_t *first, const int64_t *last, const int64_t *lookup, int64_t n,
+                   int64_t n_acts, const int64_t *slots, const int64_t *starts, int32_t m,
+                   uint8_t *out) {
+    for (int64_t c = 0; c < n; c++) {
+        const int64_t *keys = lookup + c * n_acts;
+        int64_t reached = -1; /* the largest lb so far */
+        int ok = 1;
+        for (int32_t i = 0; i < m && ok; i++) {
+            int64_t lb = INT64_MAX, ub = -1;
+            for (int64_t s = starts[i]; s < starts[i + 1]; s++) {
+                int64_t k = keys[slots[s]];
+                lb = first[k] < lb ? first[k] : lb;
+                ub = last[k] > ub ? last[k] : ub;
+            }
+            ok = ub >= 0 && (i == 0 || reached <= ub);
+            reached = lb > reached ? lb : reached;
+        }
+        out[c] = (uint8_t)ok;
+    }
+}
+
+/* The columns of a block: `data` holds dist [m, total] (float64), then
+ * mask [m, total] and positions [total] (int64); free it with gat_free. */
+typedef struct {
+    int64_t total;
+    double *data;
+} gat_columns;
+
+void gat_free(void *p) { free(p); }
+
+/* Candidate c's columns are the positions of its points that some list of
+ * the lookup names, ascending; seg_of[c] / lengths[c] place them in the
+ * block (-1 / 0 when there are none).  A column's mask in row i ORs the
+ * bits (bits[i * A + a]) of the activities listing it; missing[c * m + i]
+ * flags a row one of whose activities candidate c lacks (only candidates
+ * with columns).  With qxy (x, y per query point), dist[i, j] is the
+ * distance from q_i to column j's point; without, it is left unset. */
+int gat_round_block(const int64_t *offsets, const int64_t *positions,
+                    const int64_t *point_offsets, const double *xy, const int64_t *rows,
+                    const int64_t *lookup, int64_t n, int64_t n_acts, int32_t m,
+                    const int64_t *bits, const double *qxy, int64_t *seg_of, int64_t *lengths,
+                    uint8_t *missing, gat_columns *out) {
+    int64_t hits = 0, longest = 0, total = 0;
+    for (int64_t c = 0; c < n; c++) {
+        int64_t points = point_offsets[rows[c] + 1] - point_offsets[rows[c]];
+        longest = points > longest ? points : longest;
+        for (int64_t a = 0; a < n_acts; a++)
+            hits += offsets[lookup[c * n_acts + a] + 1] - offsets[lookup[c * n_acts + a]];
+    }
+    int64_t *col = malloc((longest + hits + 1) * sizeof(int64_t)); /* per point, then columns */
+    if (!col)
+        return -1;
+    int64_t *pos = col + longest;
+    for (int64_t c = 0; c < n; c++) {
+        const int64_t *keys = lookup + c * n_acts;
+        int64_t points = point_offsets[rows[c] + 1] - point_offsets[rows[c]], start = total;
+        for (int64_t p = 0; p < points; p++)
+            col[p] = 0;
+        for (int64_t a = 0; a < n_acts; a++)
+            for (int64_t h = offsets[keys[a]]; h < offsets[keys[a] + 1]; h++)
+                col[positions[h]] = 1;
+        for (int64_t p = 0; p < points; p++)
+            if (col[p])
+                pos[total++] = p;
+        lengths[c] = total - start;
+        seg_of[c] = lengths[c] ? start : -1;
+        for (int32_t i = 0; i < m; i++) {
+            int miss = 0;
+            for (int64_t a = 0; a < n_acts && lengths[c]; a++)
+                miss |= bits[i * n_acts + a] && offsets[keys[a]] == offsets[keys[a] + 1];
+            missing[c * m + i] = (uint8_t)miss;
+        }
+    }
+    double *data = malloc(((2 * (int64_t)m + 1) * total + 1) * sizeof(double));
+    if (!data) {
+        free(col);
+        return -1;
+    }
+    double *dist = data;
+    int64_t *mask = (int64_t *)(data + m * total), *columns = mask + m * total;
+    for (int64_t j = 0; j < m * total; j++)
+        mask[j] = 0;
+    for (int64_t c = 0; c < n; c++) {
+        const int64_t *keys = lookup + c * n_acts;
+        const double *pxy = xy + 2 * point_offsets[rows[c]];
+        for (int64_t j = seg_of[c]; j >= 0 && j < seg_of[c] + lengths[c]; j++) {
+            col[pos[j]] = j;
+            const double *p = pxy + 2 * pos[j];
+            for (int32_t i = 0; qxy && i < m; i++)
+                dist[i * total + j] = gat_libm_hypot(qxy[2 * i] - p[0], qxy[2 * i + 1] - p[1]);
+        }
+        for (int64_t a = 0; a < n_acts; a++)
+            for (int64_t h = offsets[keys[a]]; h < offsets[keys[a] + 1]; h++)
+                for (int32_t i = 0; i < m; i++)
+                    mask[i * total + col[positions[h]]] |= bits[i * n_acts + a];
+    }
+    for (int64_t j = 0; j < total; j++)
+        columns[j] = pos[j];
+    free(col);
+    out->total = total;
+    out->data = data;
+    return 0;
+}
+
+/* The cheapest sum of group minima M[g] over the set partitions of b bits:
+ * restricted growth strings in lexicographic order, each partition's groups
+ * summed in the order they open -- kernels' former _set_partitions table. */
+static double min_partition(const double *M, int32_t b, int32_t *rgs, int64_t *groups) {
+    double best = INFINITY;
+    for (int32_t j = 0; j < b; j++)
+        rgs[j] = 0;
+    for (;;) {
+        int32_t n_groups = 0, j;
+        for (j = 0; j < b; j++)
+            groups[j] = 0;
+        for (j = 0; j < b; j++) {
+            groups[rgs[j]] |= (int64_t)1 << j;
+            n_groups = rgs[j] >= n_groups ? rgs[j] + 1 : n_groups;
+        }
+        double sum = M[groups[0]];
+        for (int32_t g = 1; g < n_groups; g++)
+            sum += M[groups[g]];
+        best = sum < best ? sum : best;
+        for (j = b - 1; j > 0; j--) { /* the last digit that may still grow */
+            int32_t top = 0;
+            for (int32_t i = 0; i < j; i++)
+                top = rgs[i] > top ? rgs[i] : top;
+            if (rgs[j] <= top)
+                break;
+        }
+        if (j == 0)
+            return best;
+        rgs[j]++;
+        for (int32_t i = j + 1; i < b; i++)
+            rgs[i] = 0;
+    }
+}
+
+/* Dmm of every block candidate into out[c] (inf without columns), adding
+ * each one's point_match_points to *points: per row, the relevant columns
+ * (mask != 0) scattered into their exact bitmask's minimum, the superset-min
+ * transform M[g] = min over masks covering g, M[0] = 0, and the cheapest set
+ * partition; a row without relevant columns or with missing set is inf.
+ * Rows are summed left to right, and the count of each row up to the first
+ * such one is added. */
+int gat_block_dmm(int32_t m, const int32_t *n_bits, const double *dist, const int64_t *mask,
+                  int64_t total, int64_t n, const int64_t *seg_of, const int64_t *lengths,
+                  const uint8_t *missing, double *out, int64_t *points) {
+    int32_t widest = 1;
+    for (int32_t i = 0; i < m; i++)
+        widest = n_bits[i] > widest ? n_bits[i] : widest;
+    if (widest > 62)
+        return -1;
+    int64_t states = (int64_t)1 << widest;
+    double *M = malloc(states * sizeof(double) + widest * (sizeof(int64_t) + sizeof(int32_t)));
+    if (!M)
+        return -1;
+    int64_t *groups = (int64_t *)(M + states);
+    int32_t *rgs = (int32_t *)(groups + widest);
+    for (int64_t c = 0; c < n; c++) {
+        double dmm = 0.0;
+        int counting = 1;
+        for (int32_t i = 0; i < m; i++) {
+            int64_t size = (int64_t)1 << n_bits[i], count = 0;
+            const double *row = dist + i * total;
+            const int64_t *mrow = mask + i * total;
+            for (int64_t t = 0; t < size; t++)
+                M[t] = INFINITY;
+            for (int64_t j = seg_of[c]; j >= 0 && j < seg_of[c] + lengths[c]; j++) {
+                if (mrow[j]) {
+                    count++;
+                    M[mrow[j]] = row[j] < M[mrow[j]] ? row[j] : M[mrow[j]];
+                }
+            }
+            for (int64_t bit = 1; bit < size; bit <<= 1)
+                for (int64_t g = 0; g < size; g++)
+                    if (!(g & bit) && M[g | bit] < M[g])
+                        M[g] = M[g | bit];
+            M[0] = 0.0;
+            int invalid = !count || missing[c * m + i];
+            double v = invalid ? INFINITY : min_partition(M, n_bits[i], rgs, groups);
+            dmm = i ? dmm + v : v;
+            *points += counting ? count : 0;
+            counting &= !invalid;
+        }
+        out[c] = dmm;
+    }
+    free(M);
+    return 0;
+}
+
+/* Dmm of an all-single-activity round straight from the image: row i asks
+ * activity slot row_slot[i], its value is the nearest point of that list,
+ * its count the list's length; rows fold and count as in gat_block_dmm.
+ * Allocates nothing: returns 0. */
+int gat_round_dmm_single(const int64_t *offsets, const int64_t *positions,
+                          const int64_t *point_offsets, const double *xy, const int64_t *rows,
+                          const int64_t *lookup, int64_t n, int64_t n_acts, int32_t m,
+                          const int64_t *row_slot, const double *qxy, double *out,
+                          int64_t *points) {
+    for (int64_t c = 0; c < n; c++) {
+        const double *pxy = xy + 2 * point_offsets[rows[c]];
+        double dmm = 0.0;
+        int counting = 1;
+        for (int32_t i = 0; i < m; i++) {
+            int64_t k = lookup[c * n_acts + row_slot[i]], count = offsets[k + 1] - offsets[k];
+            double v = INFINITY;
+            for (int64_t h = offsets[k]; h < offsets[k + 1]; h++) {
+                const double *p = pxy + 2 * positions[h];
+                double d = gat_libm_hypot(qxy[2 * i] - p[0], qxy[2 * i + 1] - p[1]);
+                v = d < v ? d : v;
+            }
+            dmm = i ? dmm + v : v;
+            *points += counting ? count : 0;
+            counting &= count != 0;
+        }
+        out[c] = dmm;
+    }
+    return 0;
+}
+
+typedef struct { double gate; int64_t c; } gat_gate;
+
+static int cmp_gates(const void *a, const void *b) {
+    const gat_gate *x = a, *y = b;
+    if (x->gate != y->gate)
+        return x->gate < y->gate ? -1 : 1;
+    return (x->c > y->c) - (x->c < y->c);
+}
+
+/* Dmom of every block candidate into out[c] (inf unless computed): the Dmm
+ * gates (gat_block_dmm, counting *points), then the fold over the
+ * candidates in ascending (gate, candidate) order. */
+int gat_block_dmom(int32_t m, const int32_t *n_bits, const double *dist, const int64_t *mask,
+                   int64_t total, int64_t n, const int64_t *seg_of, const int64_t *lengths,
+                   const uint8_t *missing, double threshold, int64_t k, double *out,
+                   int64_t *points) {
+    double *gates = malloc((n + 1) * (sizeof(double) + sizeof(gat_gate) + sizeof(int64_t)));
+    if (!gates)
+        return -1;
+    gat_gate *sorted = (gat_gate *)(gates + n + 1);
+    int64_t *order = (int64_t *)(sorted + n + 1);
+    int status = gat_block_dmm(m, n_bits, dist, mask, total, n, seg_of, lengths, missing, gates,
+                               points);
+    for (int64_t c = 0; c < n; c++) {
+        out[c] = INFINITY;
+        sorted[c] = (gat_gate){gates[c], c};
+    }
+    qsort(sorted, n, sizeof(gat_gate), cmp_gates);
+    for (int64_t c = 0; c < n; c++)
+        order[c] = sorted[c].c;
+    if (!status && total)
+        status = gat_dmom_block(m, n_bits, dist, mask, total, order, n, gates, seg_of, lengths,
+                                threshold, k, out);
+    free(gates);
+    return status;
 }

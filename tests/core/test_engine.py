@@ -140,6 +140,32 @@ class TestAblationSwitches:
         b = [(r.trajectory_id, round(r.distance, 9)) for r in without.atsq(q, 5)]
         assert a == b
 
+    @pytest.mark.parametrize("order_sensitive", [False, True])
+    def test_no_tas_block_equals_the_scalar_oracle(self, small_db, order_sensitive):
+        """Without the sketch in front, the key lookup alone decides the
+        APL filter: a query pairing an activity with the widest id the
+        database holds answers like the scalar kernel, counters and all."""
+        from dataclasses import asdict
+
+        index = GATIndex.build(small_db, GATConfig(depth=5, memory_levels=4))
+        widest = int(small_db.columns.activities.max())
+        tr = next(tr for tr in small_db if widest in tr.activity_union)
+        p = next(p for p in tr if p.activities)
+        q = Query([
+            QueryPoint(p.x, p.y, frozenset({min(p.activities)})),
+            QueryPoint(p.x + 0.1, p.y, frozenset({widest})),
+        ])
+        runs = {}
+        for kernel in ("block", "scalar"):
+            engine = GATSearchEngine(index, use_tas=False, apl_cache_size=0, kernel=kernel)
+            index.hicl.clear_cache()
+            ctx = engine.execute(q, 5, order_sensitive=order_sensitive)
+            runs[kernel] = ([(r.trajectory_id, r.distance) for r in ctx.ranked], asdict(ctx.stats))
+        (block, block_stats), (scalar, scalar_stats) = runs["block"], runs["scalar"]
+        assert block and [t for t, _ in block] == [t for t, _ in scalar]
+        assert all(math.isclose(a, b, rel_tol=1e-9) for (_, a), (_, b) in zip(block, scalar))
+        assert block_stats == scalar_stats
+
     def test_loose_lower_bound_same_results(self, small_db):
         index = GATIndex.build(small_db, GATConfig(depth=5, memory_levels=4))
         tight = GATSearchEngine(index, use_tight_lower_bound=True)

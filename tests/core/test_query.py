@@ -71,3 +71,16 @@ class TestQuery:
     def test_diameter_single_point_zero(self):
         q = Query([QueryPoint(5, 5, frozenset({1}))])
         assert q.diameter() == 0.0
+
+
+@pytest.mark.parametrize("activity", [-1, 2**32, 2**32 + 3])
+def test_activity_ids_outside_32_bits_are_rejected(activity):
+    """An id outside ``[0, 2^32)`` would be ORed into another row's APL key
+    (``(row << 32) | activity``) or another cell's ITL key: ``2^32 + a``
+    reads the next row's list for ``a``.  Rejected like a stored id."""
+    with pytest.raises(ValueError, match="32 unsigned bits"):
+        QueryPoint(0.0, 0.0, frozenset({3, activity}))
+
+
+def test_the_widest_activity_id_is_accepted():
+    assert QueryPoint(0.0, 0.0, frozenset({0, 2**32 - 1})).activities == {0, 2**32 - 1}

@@ -1,11 +1,13 @@
-"""The C module (``repro/native``): its ``math.hypot`` port, and the build
-that runs when its artifact is missing.
+"""The C module (``repro/native``): its two ``hypot``s, and the build that
+runs when its artifact is missing.
 
 The walk orders its heap by MINDIST, the last step of which is
 ``math.hypot`` — CPython's own correctly rounded routine, not libm's.  One
 differing last bit can reorder the heap and move every count, so the port
 must equal ``math.hypot`` on every input the walk can meet, and on a wide
-sample besides.
+sample besides.  The validation round's distances are libm's ``hypot``,
+which must equal NumPy's ``np.hypot`` — what the block distances were
+before they moved to C — on the same sample, and through the block build.
 """
 
 import math
@@ -53,6 +55,60 @@ def test_hypot_edge_values():
         assert native.lib.gat_hypot(x, y) == math.hypot(x, y)
     assert math.isnan(native.lib.gat_hypot(math.nan, 1.0))
     assert native.lib.gat_hypot(math.inf, math.nan) == math.inf  # as CPython
+
+
+def _decade_pairs(n, seed=20130408):
+    """*n* seeded pairs whose magnitudes span 12 decades, random signs."""
+    rng = np.random.default_rng(seed)
+    xs, ys = (
+        rng.choice([-1.0, 1.0], n) * rng.random(n) * 10.0 ** rng.integers(-6, 7, n)
+        for _ in range(2)
+    )
+    return xs, ys
+
+
+EDGE_PAIRS = [(3.0, 4.0), (0.0, 0.0), (-3.0, 4.0), (5e-324, 5e-324), (1e308, 1e308),
+              (math.inf, 1.0), (1.0, -math.inf), (math.nan, 1.0), (math.inf, math.nan)]
+
+
+def test_round_hypot_equals_np_hypot_on_a_million_pairs():
+    xs, ys = _decade_pairs(1_000_000)
+    libm_hypot = native.lib.gat_libm_hypot
+    got = np.array([libm_hypot(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
+    assert np.array_equal(got, np.hypot(xs, ys))
+
+
+def test_round_hypot_edge_values():
+    for x, y in EDGE_PAIRS:
+        got, want = native.lib.gat_libm_hypot(x, y), float(np.hypot(x, y))
+        assert got == want or (math.isnan(got) and math.isnan(want)), (x, y)
+
+
+def test_block_distances_equal_np_hypot():
+    """The distances the C block build evaluates — query minus point, then
+    ``hypot`` — equal ``np.hypot`` over the same differences bit for bit,
+    for coordinates across 12 decades."""
+    from repro.core.kernels import QueryKernel, prepare_block
+    from repro.core.query import Query, QueryPoint
+    from repro.index.gat.apl import APLStore
+    from repro.model.database import TrajectoryDatabase
+    from repro.model.distance import EuclideanDistance
+    from repro.model.trajectory import TrajectoryColumns
+    from repro.model.vocabulary import Vocabulary
+    from repro.storage.disk import SimulatedDisk
+
+    xs, ys = _decade_pairs(40_000, seed=7)
+    rows = [list(zip(xs[i::4].tolist(), ys[i::4].tolist())) for i in range(4)]
+    columns = TrajectoryColumns.from_points(
+        range(4), [[(x, y, (0,), None, None) for x, y in row] for row in rows]
+    )
+    store = APLStore(TrajectoryDatabase(columns, Vocabulary()), SimulatedDisk())
+    qx, qy = _decade_pairs(3, seed=11)
+    query = Query([QueryPoint(x, y, frozenset({0})) for x, y in zip(qx.tolist(), qy.tolist())])
+    qk = QueryKernel(query, EuclideanDistance())
+    block = prepare_block(qk, store.round(range(4), qk.sorted_activities))
+    px, py = np.concatenate([xs[i::4] for i in range(4)]), np.concatenate([ys[i::4] for i in range(4)])
+    assert np.array_equal(block.big, np.hypot(qx[:, None] - px, qy[:, None] - py))
 
 
 def test_build_into_an_empty_directory_and_import(tmp_path):

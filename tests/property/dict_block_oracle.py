@@ -8,20 +8,21 @@ It reads the candidate's posting lists (the APL record, or the
 trajectory's in-memory image of it) and resolves positions and bitmask
 columns per candidate through sets and dicts; ``positions`` is a list of
 per-candidate tuples and ``missing_rows`` a list of ``(candidate, row)``
-tuples, where the production block holds flat arrays.
+tuples, where the array builds hold flat arrays.
 """
 
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as _np
 
+from numpy_round_oracle import NumpyBlock
 from object_chain_oracle import union_positions
 
-from repro.core.kernels import CandidateBlock, QueryKernel
+from repro.core.kernels import QueryKernel
 
 
-def dict_prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> CandidateBlock:
-    """Stack one round's candidates into a :class:`CandidateBlock`.
+def dict_prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> NumpyBlock:
+    """Stack one round's candidates into a :class:`NumpyBlock`.
 
     *items* is a sequence of ``(trajectory, posting)`` pairs where
     *posting* is the candidate's APL record from the round's batched fetch
@@ -56,7 +57,7 @@ def dict_prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> CandidateBloc
             total += n
 
     if total == 0:
-        return CandidateBlock(
+        return NumpyBlock(
             n_items, lengths, positions, seg_of, flat_ids, seg_starts, total,
             _np.zeros((m, 0)), _np.zeros((m, 0), dtype=_np.int64), [],
         )
@@ -105,7 +106,7 @@ def dict_prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> CandidateBloc
         weights=_np.asarray(flat_bit, dtype=float),
         minlength=m * total,
     ).astype(_np.int64).reshape(m, total)
-    return CandidateBlock(
+    return NumpyBlock(
         n_items, lengths, positions, seg_of, flat_ids, seg_starts, total,
         big, mask, missing_rows,
     )

@@ -1,7 +1,8 @@
 """The per-row / per-group ``repro.core.kernels.block_dmm`` loop as it ran
 before the partition covers became one tensor per bit-width — kept
 verbatim (bar the names) as the oracle ``test_block_kernel_parity.py``
-compares the production function against with ``np.array_equal``.
+compares the C covers against with ``np.array_equal``, over the block as
+``numpy_round_oracle.py`` builds it.
 
 Each multi-activity row computes its ``2^b - 1`` group minima one masked
 ``reduceat`` at a time and folds every set partition's groups left to
@@ -15,7 +16,9 @@ from typing import Dict, List, Tuple
 
 import numpy as _np
 
-from repro.core.kernels import INFINITY, CandidateBlock, QueryKernel, _fold_rows
+from numpy_round_oracle import NumpyBlock, _fold_rows
+
+from repro.core.kernels import INFINITY, QueryKernel
 
 
 def loop_set_partitions(n_bits: int) -> List[Tuple[int, ...]]:
@@ -39,7 +42,7 @@ def loop_set_partitions(n_bits: int) -> List[Tuple[int, ...]]:
 _PARTITIONS: Dict[int, List[Tuple[int, ...]]] = {}
 
 
-def loop_block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None):
+def loop_block_dmm(qk: QueryKernel, block: NumpyBlock, stats=None):
     """Exact ``Dmm`` for every block candidate, as a ``[C]`` float array.
 
     Single-activity rows are one masked segment-min.  Multi-activity rows

@@ -21,7 +21,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.kernels import INFINITY, _cover_steps, block_dmm
+from numpy_round_oracle import numpy_block_dmm
+
+from repro.core.kernels import INFINITY, _cover_steps
 
 
 def list_form(dist, mask):
@@ -116,7 +118,7 @@ def block_dmom_all_single(qk, block, todo: List[int], threshold: float):
 
 def python_block_dmom(qk, block, stats=None, threshold: float = INFINITY, k: Optional[int] = None):
     """``block_dmom`` before the C fold."""
-    gates = block_dmm(qk, block, stats)
+    gates = numpy_block_dmm(qk, block, stats)
     if qk.all_single:
         todo = np.nonzero(np.isfinite(gates) & (gates <= threshold))[0]
         return block_dmom_all_single(qk, block, todo.tolist(), threshold)

@@ -22,11 +22,14 @@ k-th threshold, a block value may flip to ``inf`` but only when the exact
 value exceeds the threshold — never the other way around.
 
 The block *build* has an oracle of its own: ``prepare_block`` gathers the
-round from the APL row store with array ops, and must equal — field by
-field — the dict-walking builder it replaced, kept verbatim in
-``dict_block_oracle.py``.  So has the block ``Dmm``: ``block_dmm`` must
+round from the APL row store in C, and must equal — field by field — the
+dict-walking ``dict_prepare_block`` that preceded the array build, kept
+verbatim in ``dict_block_oracle.py``.  So has the block ``Dmm``: ``block_dmm`` must
 equal — ``np.array_equal``, same ``point_match_points`` — the per-row /
-per-group loop it replaced, kept verbatim in ``group_loop_dmm_oracle.py``.
+per-group loop that came before the partition covers, kept verbatim in
+``group_loop_dmm_oracle.py`` (both read the block as
+``numpy_round_oracle.py`` builds it; ``test_round_differential.py``
+compares the C round with that NumPy round).
 """
 
 import math
@@ -36,6 +39,7 @@ import pytest
 from dict_block_oracle import dict_prepare_block
 from group_loop_dmm_oracle import loop_block_dmm
 from hypothesis import example, given, settings, strategies as st
+from numpy_round_oracle import numpy_prepare_block
 from python_fold_oracle import python_block_dmom
 
 from repro.core import kernels
@@ -122,8 +126,6 @@ def _assert_same_block(got, want):
     assert got.total == want.total
     assert got.lengths.tolist() == want.lengths
     assert got.seg_of.tolist() == want.seg_of
-    assert got.flat_ids == want.flat_ids
-    assert got.seg_starts == want.seg_starts
     for c in range(want.n):
         s, n = got.seg_of[c], got.lengths[c]
         assert got.positions[s : s + n].tolist() == list(want.positions[c])
@@ -131,8 +133,7 @@ def _assert_same_block(got, want):
     assert np.array_equal(got.big, want.big)  # bit-identical, not close
     assert got.mask.dtype == want.mask.dtype
     assert np.array_equal(got.mask, want.mask)
-    assert np.array_equal(got.rel, want.rel)
-    assert {(c, i) for c, i in got.missing_rows.tolist()} == set(want.missing_rows)
+    assert {(c, i) for c, i in np.argwhere(got.missing).tolist()} == set(want.missing_rows)
 
 
 def _pt(acts, x=1.0, y=2.0):
@@ -227,9 +228,10 @@ wide_query_st = st.lists(
 def _assert_block_dmm_equals_group_loop(qraw, raws):
     query = _query(qraw)
     qk = QueryKernel(query, EUCLID)
-    block = kernels.prepare_block(qk, _posted(query, _round(raws)))
+    posted = _posted(query, _round(raws))
+    block = numpy_prepare_block(qk, posted)
     got_stats, want_stats = _Stats(), _Stats()
-    got = kernels.block_dmm(qk, block, got_stats)
+    got = kernels.block_dmm(qk, kernels.prepare_block(qk, posted), got_stats)
     want = loop_block_dmm(qk, block, want_stats)
     assert np.array_equal(got, want), (got.tolist(), want.tolist())  # bits, not close
     assert got_stats.point_match_points == want_stats.point_match_points
@@ -277,7 +279,7 @@ def test_block_dmm_equals_the_group_loop(qraw, raws):
 def test_block_dmm_wide_row_equals_the_group_loop():
     """A nine-activity row — 511 groups, Bell(9) = 21 147 partitions —
     beside a two-activity one: bitmasks above 255 (nothing may narrow them
-    to a byte), and the partition sums go through in candidate chunks."""
+    to a byte), and every partition summed in the group loop's order."""
     wide = frozenset(range(9))
     raws = [
         [_pt({a, (a + 4) % 9}, float(a), 1.0) for a in range(9)],
@@ -289,8 +291,6 @@ def test_block_dmm_wide_row_equals_the_group_loop():
     qraw = [_pt(wide, 0.5, 0.5), _pt({8, 0}, 1.5, -2.0)]
     qk, block, got = _assert_block_dmm_equals_group_loop(qraw, raws)
     assert max(qk.n_bits) == 9 and int(block.mask.max()) > 255
-    chunk = kernels._COVER_CHUNK_ELEMENTS // len(kernels._set_partitions(9))
-    assert chunk < len(block.flat_ids)  # more than one chunk of candidates
     assert np.isfinite(got).tolist() == [True, True, False, False, True] * 2
 
 
@@ -387,10 +387,10 @@ def test_block_dmom_equals_the_python_fold(qraw, raws, threshold, k):
     must stay above the k-th value."""
     query = _query(qraw)
     qk = QueryKernel(query, EUCLID)
-    block = kernels.prepare_block(qk, _posted(query, _round(raws)))
+    posted = _posted(query, _round(raws))
     got_stats, want_stats = _Stats(), _Stats()
-    got = kernels.block_dmom(qk, block, got_stats, threshold, k=k)
-    want = python_block_dmom(qk, block, want_stats, threshold, k=k)
+    got = kernels.block_dmom(qk, kernels.prepare_block(qk, posted), got_stats, threshold, k=k)
+    want = python_block_dmom(qk, numpy_prepare_block(qk, posted), want_stats, threshold, k=k)
     assert got_stats.point_match_points == want_stats.point_match_points
     if k is None or not qk.all_single:
         assert got.tolist() == want.tolist()
