@@ -38,7 +38,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.bench.experiments import (
     ExperimentScale,
@@ -360,6 +360,12 @@ def _check_query_args(args: argparse.Namespace) -> bool:
     exits 2 on ``False`` (the reason is on stderr)."""
     if args.k < 1:
         problem = "--k must be >= 1"
+    elif args.query_points < 1:
+        problem = "--query-points must be >= 1"
+    elif args.activities < 1:
+        problem = "--activities must be >= 1"
+    elif args.depth < 1:
+        problem = "--depth must be >= 1"
     elif args.batch < 0:
         problem = "--batch must be >= 0"
     elif args.workers is not None and args.workers < 1:
@@ -380,11 +386,11 @@ def _check_query_args(args: argparse.Namespace) -> bool:
     return False
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
-    if not _check_query_args(args):
-        return 2
-    db = load_database_jsonl(args.dataset)
-    service = _build_query_service(db, args)
+def _workload_requests(db, args: argparse.Namespace, n: int) -> List[QueryRequest]:
+    """*n* seeded workload queries of ``--query-points`` points and
+    ``--activities`` activities each, as requests carrying ``--k``,
+    ``--order-sensitive`` and ``--explain`` — what every serving
+    subcommand submits."""
     workload = QueryWorkloadGenerator(
         db,
         WorkloadConfig(
@@ -393,17 +399,26 @@ def _cmd_query(args: argparse.Namespace) -> int:
             seed=args.seed,
         ),
     )
+    return [
+        QueryRequest(q, k=args.k, order_sensitive=args.order_sensitive, explain=args.explain)
+        for q in workload.queries(n)
+    ]
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
+    if not _check_query_args(args):
+        return 2
+    db = load_database_jsonl(args.dataset)
+    service = _build_query_service(db, args)
     if args.batch > 0:
-        return _run_query_batch(service, workload, args)
-    query = workload.query()
+        return _run_query_batch(service, _workload_requests(db, args, args.batch), args)
+    request = _workload_requests(db, args, 1)[0]
     print("query:")
-    for i, q in enumerate(query, start=1):
+    for i, q in enumerate(request.query, start=1):
         names = sorted(db.vocabulary.decode(q.activities))
         print(f"  q{i}: ({q.x:.2f}, {q.y:.2f})  {names}")
     t0 = time.perf_counter()
-    response = service.search(
-        query, k=args.k, order_sensitive=args.order_sensitive, explain=args.explain
-    )
+    response = service.search(request)
     elapsed = time.perf_counter() - t0
     label = "Dmom" if args.order_sensitive else "Dmm"
     print(f"\ntop-{args.k} ({label}, {_stack_label(args)}), {elapsed * 1000:.1f} ms:")
@@ -419,14 +434,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_query_batch(service, workload, args: argparse.Namespace) -> int:
-    """Serve ``args.batch`` workload queries through the query service."""
-    requests = [
-        QueryRequest(
-            q, k=args.k, order_sensitive=args.order_sensitive, explain=args.explain
-        )
-        for q in workload.queries(args.batch)
-    ]
+def _run_query_batch(service, requests, args: argparse.Namespace) -> int:
+    """Serve the ``--batch`` workload *requests* through the query service."""
     responses = service.search_many(requests)
     label = "Dmom" if args.order_sensitive else "Dmm"
     print(f"batch of {len(responses)} queries ({label}, {_stack_label(args)}):")
@@ -464,21 +473,8 @@ def _drive_workload(args: argparse.Namespace, obs) -> int:
     queries (one when the flag is unset)."""
     db = load_database_jsonl(args.dataset)
     service = _build_query_service(db, args, obs=obs)
-    workload = QueryWorkloadGenerator(
-        db,
-        WorkloadConfig(
-            n_query_points=args.query_points,
-            n_activities_per_point=args.activities,
-            seed=args.seed,
-        ),
-    )
     n = args.batch if args.batch > 0 else 1
-    requests = [
-        QueryRequest(
-            q, k=args.k, order_sensitive=args.order_sensitive, explain=args.explain
-        )
-        for q in workload.queries(n)
-    ]
+    requests = _workload_requests(db, args, n)
     try:
         service.search_many(requests)
     finally:
@@ -541,6 +537,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.queries < 1:
+        print("--queries must be >= 1", file=sys.stderr)
+        return 2
     db = load_database_jsonl(args.dataset)
     scale = ExperimentScale(dataset_scale=1.0, n_queries=args.queries, seed=args.seed)
     sweeps = {
@@ -560,6 +559,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.rate <= 0 or args.duration <= 0:
         print("--rate and --duration must be > 0", file=sys.stderr)
         return 2
+    if args.workload < 1:
+        print("--workload must be >= 1", file=sys.stderr)
+        return 2
     if not _check_query_args(args):
         return 2
     db = load_database_jsonl(args.dataset)
@@ -568,8 +570,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if _fault_policy_from_args(args) is None:
         args.task_retries = 2
     service = _build_query_service(db, args, result_cache_size=0)
-    workload = QueryWorkloadGenerator(db, WorkloadConfig(seed=args.seed))
-    queries = workload.queries(args.workload)
+    requests = _workload_requests(db, args, args.workload)
     slo_s = args.slo_ms / 1000.0
     deadline_s = (
         args.deadline_ms / 1000.0 if args.deadline_ms is not None else slo_s
@@ -587,12 +588,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     try:
         with ServingFrontend(service, config) as frontend:
             report = run_open_loop(
-                frontend,
-                queries,
-                arrivals,
-                duration_s=args.duration,
-                slo_s=slo_s,
-                k=args.k,
+                frontend, requests, arrivals, duration_s=args.duration, slo_s=slo_s
             )
             row = report.row()
     finally:

@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.evaluator import MatchEvaluator
+from repro.core.kernels import point_slots
 from repro.core.query import Query
 from repro.core.results import SearchResult, TopKCollector
 
@@ -107,18 +108,11 @@ class ExecutionContext:
         self.activities = np.array(sorted(self.query.all_activities), dtype=np.int64)
 
     def point_slots(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(slots, starts)``: the columns of :attr:`activities` holding
-        ``q_1.Φ, q_2.Φ, …`` back to back, and where each query point's run
-        starts (``starts[m]`` closes the last) — the layout of a
-        per-query-point reduction over a round's lookup (built on first
-        use: only OATSQ asks)."""
+        """:func:`~repro.core.kernels.point_slots` of the query over
+        :attr:`activities` — the MIB filter's layout (built on first use:
+        only OATSQ asks)."""
         if self._point_slots is None:
-            sizes = [len(q.activities) for q in self.query]
-            wanted = [a for q in self.query for a in q.activities]
-            self._point_slots = (
-                np.searchsorted(self.activities, wanted),
-                np.cumsum([0] + sizes),
-            )
+            self._point_slots = point_slots(self.query, self.activities)
         return self._point_slots
 
     @property

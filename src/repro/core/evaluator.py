@@ -17,13 +17,15 @@ The evaluator fronts the two kernels of
 * ``'block'`` — :mod:`repro.core.kernels` (the default): a whole
   validation round is gathered from the candidates' rows of the APL
   array store into one :class:`~repro.core.kernels.CandidateBlock` and
-  scored through
-  :meth:`MatchEvaluator.dmm_batch` / :meth:`dmom_batch` — one
-  distance evaluation, block set-cover lower bounds, and early
-  per-candidate abandonment against the running k-th threshold.  The
-  per-candidate entry points (:meth:`dmm` / :meth:`dmom`, what RT/IRT
-  call once per pop) run the same module's one-matrix-per-candidate
-  functions.
+  scored through :meth:`MatchEvaluator.dmm_batch` / :meth:`dmom_batch` —
+  one distance evaluation, block set-cover lower bounds, and early
+  per-candidate abandonment against the running k-th threshold, all in
+  C.  The per-candidate entry points (:meth:`dmm` / :meth:`dmom`, what
+  IL / RT / IRT call once per candidate) score a one-candidate round over
+  the one-row image of the trajectory's own columns
+  (:func:`~repro.index.gat.apl.trajectory_round`) through the same
+  entries, so every searcher reports the same distance, bit for bit, for
+  the same trajectory.
 
 Both kernels produce the same distances (to the last ulp — see the
 kernels module docstring for the rounding sources) and bump the same
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core import kernels
-from repro.core.kernels import QueryKernel, dmm_prepared, dmom_prepared, resolve_kernel
+from repro.core.kernels import QueryKernel, resolve_kernel
 from repro.core.match import (
     INFINITY,
     minimum_point_match,
@@ -52,6 +54,7 @@ from repro.core.order_match import (
     order_feasible,
 )
 from repro.core.query import Query, QueryPoint
+from repro.index.gat.apl import trajectory_round
 from repro.model.distance import DistanceMetric, EuclideanDistance
 from repro.model.trajectory import ActivityTrajectory
 
@@ -75,8 +78,8 @@ class MatchEvaluator:
     kernel:
         One of :data:`repro.core.kernels.KERNELS`: ``'block'`` (the
         default: one flat tensor per validation round, built and scored in
-        C, through the ``*_batch`` entries; one NumPy matrix per candidate
-        through :meth:`dmm` / :meth:`dmom`) or ``'scalar'`` (the seed
+        C, through the ``*_batch`` entries; :meth:`dmm` / :meth:`dmom`
+        score a one-candidate round the same way) or ``'scalar'`` (the seed
         oracles).
     """
 
@@ -135,13 +138,10 @@ class MatchEvaluator:
 
         Returns ``inf`` as soon as any query point has no point match.
         """
-        self.stats.dmm_evaluations += 1
         qkernel = self._kernel_for(query)
         if qkernel is not None:
-            cand = kernels.prepare_candidate(qkernel, trajectory)
-            if cand is None:
-                return INFINITY
-            return dmm_prepared(qkernel, cand, self.stats)
+            return self.dmm_batch(query, trajectory_round(trajectory, qkernel.sorted_activities))[0]
+        self.stats.dmm_evaluations += 1
         return self._dmm_scalar(query, trajectory)
 
     def _dmm_scalar(self, query: Query, trajectory: ActivityTrajectory) -> float:
@@ -186,22 +186,20 @@ class MatchEvaluator:
            ``Dmom`` can skip the expensive DP entirely;
         3. the DP's own row-level threshold early-exit (Lemma 4).
 
-        The block kernel prepares the candidate's distance matrix once
-        and reuses it for both the ``Dmm`` gate and the DP.
+        The block kernel scores the trajectory as a one-candidate round
+        (the MIB pass, then :meth:`dmom_batch`), building its block once
+        for both the ``Dmm`` gate and the DP.
         """
+        qkernel = self._kernel_for(query)
+        if qkernel is not None:
+            candidates = trajectory_round(trajectory, qkernel.sorted_activities)
+            if not check_order or candidates.mib(*qkernel.point_slots)[0]:
+                return self.dmom_batch(query, candidates, threshold)[0]
+            self.stats.dmom_evaluations += 1
+            return INFINITY
         self.stats.dmom_evaluations += 1
         if check_order and not order_feasible(trajectory, query):
             return INFINITY
-        qkernel = self._kernel_for(query)
-        if qkernel is not None:
-            cand = kernels.prepare_candidate(qkernel, trajectory)
-            self.stats.dmm_evaluations += 1  # the gate is a Dmm evaluation
-            if cand is None:
-                return INFINITY
-            lower = dmm_prepared(qkernel, cand, self.stats)
-            if lower == INFINITY or lower > threshold:
-                return INFINITY
-            return dmom_prepared(qkernel, cand, threshold)
         self.stats.dmm_evaluations += 1
         lower = self._dmm_scalar(query, trajectory)
         if lower == INFINITY or lower > threshold:

@@ -1,46 +1,37 @@
-"""Array scoring kernels — distance matrices feeding array DPs.
+"""Array scoring kernels — a validation round's candidates, scored in C.
 
 The scalar hot path of the engine spends almost all of its time inside
 Algorithm 3's minimum-point-match and Algorithm 4's order-sensitive DP:
 profiling one cold-cache mixed workload shows >95% of query latency in
 per-point ``DistanceMetric`` calls and per-``(i, j, k)``
 :class:`~repro.core.match.PointMatchTable` updates.  This module replaces
-both with a *prepare once, scan arrays* scheme:
+both with a *prepare once, scan arrays* scheme (``kernel='block'``, the
+default):
 
-1. :class:`QueryKernel` precomputes the per-query-point activity→bit
-   assignment and the query-side half of the distance formula (the
-   planar coordinates, gathered once per query instead of once per metric
-   call).
-2. :func:`prepare_candidate` computes, per surviving candidate, the full
-   ``|Q| x |rel(Tr)|`` query-point→trajectory-point distance matrix in one
-   vectorized NumPy call (``rel(Tr)`` being the points carrying at least
-   one query activity — exactly the sub-sequence the compressed scalar DP
-   runs over), plus the per-query-point activity-overlap bitmask of every
-   relevant point, scattered from the trajectory's in-memory posting
-   lists.
-3. :func:`dmm_prepared` / :func:`dmom_prepared` run the combinatorics over
-   those arrays: the set-cover of Algorithm 3 becomes an in-place DP over
-   ``2^|q.Φ|`` floats (|q.Φ| ≤ 5 in the paper), and Algorithm 4's row
-   recurrence collapses from O(n²) incremental table rebuilds to a single
-   left-to-right scan — at most O(n · 2^|q.Φ|), and in practice far less:
-   a point is folded only when it could still lower the row's best cover
-   without exceeding the threshold (see :func:`dmom_prepared`).  That scan
-   is C (``gat_dmom_block`` in ``repro/native/gat.c``), whatever the
-   rows' widths.  Every Python cover relaxation — :func:`min_cover_cost`,
-   Algorithm 3's scan — walks one per-mask transition table
-   (:class:`_CoverSteps`); the C fold visits the same pairs in the same
-   ascending order.
+1. :class:`QueryKernel` precomputes, once per query, the per-query-point
+   activity→bit assignment, ``Q.Φ`` ascending with each row's bit for
+   every activity in it, the activity slots of the MIB check
+   (:func:`point_slots`) and the query points' coordinates.
+2. :func:`prepare_block` stacks a round's candidates — a
+   :class:`~repro.index.gat.apl.PostingRound`: rows of an APL image,
+   looked up against ``Q.Φ`` — into one :class:`CandidateBlock`: a flat
+   ``[|Q|, N]`` distance matrix over every candidate's concatenated
+   relevant points (``rel(Tr)``: the points carrying a query activity —
+   exactly the sub-sequence the compressed scalar DP runs over), a
+   same-shape activity bitmask, per-candidate column segments and
+   missing-row flags.
+3. :func:`block_dmm` / :func:`block_dmom` run the combinatorics over the
+   block: Algorithm 3's set cover as a set-partition decomposition over
+   ``2^|q.Φ|`` states (|q.Φ| ≤ 5 in the paper), and Algorithm 4's row
+   recurrence collapsed from O(n²) incremental table rebuilds to one
+   left-to-right scan per row (the C fold ``gat_dmom_block``), at most
+   O(n · 2^|q.Φ|) and in practice far less: a point is folded only when
+   it could still lower the row's best cover without exceeding the
+   threshold.
 
-On top of the per-candidate kernels sits the *block* kernel
-(``kernel='block'``, the default): a whole validation round's
-admitted candidates go into one :class:`CandidateBlock` — a flat
-``[|Q|, N]`` distance matrix over every candidate's concatenated relevant
-points, plus a same-shape activity bitmask, per-candidate column
-segments and missing-row flags — and are scored together.  A round is C
-code over the APL image (section (d) of ``repro/native/gat.c``), one call
-per entry, reading the candidates' rows of the APL array store
-(:mod:`repro.index.gat.apl`) through the key lookup validation already
-computed:
+All of it is C over the APL image (section (d) of
+``repro/native/gat.c``), one call per entry, reading the candidates' rows
+through the key lookup validation already computed:
 
 * :func:`prepare_block` gathers each candidate's looked-up posting lists,
   dedups their positions into columns, ORs the bitmasks, flags the
@@ -62,48 +53,53 @@ computed:
 Abandonment never moves a ranking or a counter: the values it replaces
 with ``inf`` all exceed the final k-th distance (so the top-k collector
 would reject them anyway), and every pruning counter is derived from the
-relevance pattern exactly as the per-candidate scans would have counted
-them — the block-vs-scalar engine parity suites compare ids and
+relevance pattern exactly as a candidate-by-candidate scan would have
+counted them — the block-vs-scalar engine parity suites compare ids and
 counters exactly.
 
-The per-candidate functions are also what :class:`MatchEvaluator`'s
-``dmm`` / ``dmom`` run under ``kernel='block'`` (RT/IRT score one
-candidate per pop); a candidate is laid out like one segment of a block,
-so :func:`dmom_prepared` is the same C fold.  ``kernel='scalar'`` bypasses
-this module entirely.
+Every searcher scores through these entries.  The GAT engine hands over
+one validation round at a time; :class:`MatchEvaluator`'s per-candidate
+``dmm`` / ``dmom`` (what IL / RT / IRT call) score a one-candidate round
+over the one-row image of the trajectory's own columns
+(:func:`repro.index.gat.apl.trajectory_round`), so a trajectory gets the
+same distance, bit for bit, whichever searcher found it.
+``kernel='scalar'`` bypasses this module entirely.
 
 Exactness
 ---------
 The scalar implementations in :mod:`repro.core.match` and
 :mod:`repro.core.order_match` are kept untouched as oracles; the
-property-based suite (``tests/property/test_kernel_parity.py``) checks the
-kernels against them on randomized inputs.  The combinatorics are
-float-identical by construction: given the same distances, the cover DP
+property-based suites (``tests/property/test_kernel_parity.py``,
+``test_block_kernel_parity.py``) check the kernels against them on
+randomized inputs.  Given the same distances, :func:`min_cover_cost`
 performs the same additions in the same order as ``PointMatchTable``
-(each entry is ``best(remainder) + dist``).  Two last-ulp (≲2e-16
-relative) discrepancy sources remain: ``np.hypot`` / libm's ``hypot``
-can round differently from ``math.hypot`` on ~0.6% of inputs, and the
-``Dmom`` row scan folds multi-point cover sums in ascending-position
-instead of descending-position order (the block cover's partition sums
-likewise follow the partitions' order, not the scan's).  Neither moves a
-ranking or a pruning counter except on exact distance ties, which the
-engine-level parity suite checks never happens on real workloads (ids
+(each entry is ``best(remainder) + dist``), and a single-activity row's
+``Dmm`` is the same minimum.  Three last-ulp (≲2e-16 relative)
+discrepancy sources remain: ``np.hypot`` /
+libm's ``hypot`` can round differently from ``math.hypot`` on ~0.6% of
+inputs, the ``Dmom`` row scan folds multi-point cover sums in
+ascending-position instead of descending-position order, and the block
+cover's partition sums follow the partitions' order, not a scan's.  None
+moves a ranking or a pruning counter except on exact distance ties, which
+the engine-level parity suite checks never happens on real workloads (ids
 and counters are compared exactly, distances to 1e-9 relative).
 
 The kernels' *own* shortcuts are not in that class — they are exact.
-The dense row scan :func:`dmom_prepared` ran before it skipped folds, the
-Python fold it ran before the fold moved to C, the per-group loop
-:func:`block_dmm` ran before its covers became one transform, and the
-NumPy round the C round replaced live on as oracles in
-``tests/property/`` (``dense_dmom_oracle.py``, ``python_fold_oracle.py``,
-``group_loop_dmm_oracle.py``, ``numpy_round_oracle.py``) and are compared
-with ``==`` / ``np.array_equal``, thresholds included.
+The dense row scan the fold ran before it skipped folds, the Python fold
+it ran before it moved to C, the per-group loop :func:`block_dmm` ran
+before its covers became one transform and the NumPy round the C round
+replaced live on as oracles in ``tests/property/``
+(``dense_dmom_oracle.py``, ``python_fold_oracle.py``,
+``group_loop_dmm_oracle.py``, ``numpy_round_oracle.py``) and are
+compared with ``==`` / ``np.array_equal``, thresholds included.  The
+per-candidate NumPy path the evaluator ran before it scored one-row
+rounds (``per_candidate_oracle.py``: Algorithm 3's scan per candidate)
+is the reference for the block ``Dmm`` up to the partition-order ulp
+above, and for its counters exactly.
 
-NumPy and cffi are hard dependencies (``setup.py``).
-
-The round builds read positions and coordinates from the APL image and
-touch no trajectory object; the per-candidate functions read the object
-model (``trajectory.posting_lists``, ``trajectory.coord_array()``).
+NumPy and cffi are hard dependencies (``setup.py``).  The round builds
+read positions and coordinates from an APL image and touch no trajectory
+object.
 """
 
 from __future__ import annotations
@@ -150,8 +146,8 @@ class _CoverSteps(dict):
 
 
 #: One shared table per state-space size — the transition structure behind
-#: :func:`min_cover_cost` and :func:`_mpm_scan` (the C fold of
-#: :func:`dmom_prepared` loops over the same pairs in the same order).
+#: :func:`min_cover_cost` (the C fold loops over the same pairs in the same
+#: order).
 _cover_steps = functools.lru_cache(maxsize=None)(_CoverSteps)
 
 
@@ -174,36 +170,27 @@ def min_cover_cost(entries: Sequence[Tuple[float, int]], n_bits: int) -> float:
     return dp[-1]
 
 
-def _mpm_scan(
-    row: List[float], mrow: List[int], order: Sequence[int], n_bits: int
-) -> float:
-    """Algorithm 3 over precomputed arrays: ascending-distance scan with the
-    paper's early termination (stop as soon as the best full cover is at
-    most the next unprocessed point's distance)."""
-    steps = _cover_steps(n_bits)
-    dp = [0.0] + [INFINITY] * ((1 << n_bits) - 1)
-    best = INFINITY
-    for c in order:
-        d = row[c]
-        if best <= d:
-            break
-        for t, rest in steps[mrow[c]]:
-            v = dp[rest] + d
-            if v < dp[t]:
-                dp[t] = v
-        best = dp[-1]
-    return best
-
-
 # ----------------------------------------------------------------------
 # Per-query preparation
 # ----------------------------------------------------------------------
+def point_slots(query, activities) -> Tuple[_np.ndarray, _np.ndarray]:
+    """``(slots, starts)``: the columns of *activities* (``Q.Φ`` ascending)
+    holding ``q_1.Φ, q_2.Φ, …`` back to back, and where each query point's
+    run starts (``starts[m]`` closes the last) — the layout of a
+    per-query-point reduction over a round's lookup, which is what the MIB
+    check (:meth:`~repro.index.gat.apl.PostingRound.mib`) reads."""
+    sizes = [len(q.activities) for q in query]
+    wanted = [a for q in query for a in q.activities]
+    return _np.searchsorted(activities, wanted), _np.cumsum([0] + sizes)
+
+
 class QueryKernel:
     """Query-side precomputation shared by every candidate of one query.
 
     Holds the per-query-point bit assignment (same iteration order as
-    ``PointMatchTable`` uses, so masks are comparable in tests) and the
-    query half of the array distance formula.  Metrics other than
+    ``PointMatchTable`` uses, so masks are comparable in tests), the MIB
+    check's activity slots and the query half of the array distance
+    formula.  Metrics other than
     Euclidean fall back to per-pair Python calls — still through one
     matrix, so the combinatorial kernels stay identical.
     """
@@ -220,6 +207,7 @@ class QueryKernel:
         "fold_bits",
         "c_bits",
         "c_slots",
+        "_point_slots",
         "xy",
         "_mode",
         "_q0",
@@ -255,6 +243,7 @@ class QueryKernel:
         #: all-single row's one activity — as the C round reads them.
         self.c_bits = c_array("int64_t", self.bit_table)
         self.c_slots = ffi.new("int64_t[]", self.bit_table.argmax(axis=1).tolist())
+        self._point_slots = None
 
         if type(metric) is EuclideanDistance:
             self._mode = "euclidean"
@@ -267,15 +256,19 @@ class QueryKernel:
             self._q0 = self._q1 = None
             self.xy = ffi.NULL
 
+    @property
+    def point_slots(self) -> Tuple[_np.ndarray, _np.ndarray]:
+        """:func:`point_slots` over :attr:`sorted_activities` — the MIB
+        check's layout (built on first use: only a per-candidate ``dmom``
+        asks)."""
+        if self._point_slots is None:
+            self._point_slots = point_slots(self.query, self.sorted_activities)
+        return self._point_slots
+
     def _pairwise_rows(self, coords: Sequence[Tuple[float, float]]) -> List[List[float]]:
         """Per-pair metric calls — the only form a non-stock metric has."""
         metric = self.metric
         return [[metric(q.coord, c) for c in coords] for q in self.query]
-
-    def distance_matrix(self, trajectory, positions: List[int]):
-        """The ``|Q| x len(positions)`` distance matrix of one candidate, as
-        a NumPy array (:meth:`distance_matrix_for` its points)."""
-        return self.distance_matrix_for(trajectory.coord_array()[positions])
 
     def distance_matrix_for(self, coords):
         """The ``|Q| x N`` distance matrix against a raw ``(N, 2)`` float
@@ -289,149 +282,10 @@ class QueryKernel:
         return euclidean_matrix(self._q0, self._q1, coords[:, 0], coords[:, 1])
 
 
-class CandidateArrays:
-    """Everything the kernels need about one (query, trajectory) pair: the
-    trajectory positions of its relevant columns, the ``[|Q|, n]`` distance
-    matrix over them and the same-shape ``int64`` activity-overlap
-    bitmasks — the layout of one candidate's columns of a
-    :class:`CandidateBlock`, which the C fold reads either way."""
-
-    __slots__ = ("positions", "dist_matrix", "mask_matrix")
-
-    def __init__(self, positions: List[int], dist_matrix, mask_matrix) -> None:
-        self.positions = positions
-        self.dist_matrix = dist_matrix
-        self.mask_matrix = mask_matrix
-
-
-def prepare_candidate(qk: QueryKernel, trajectory) -> Optional[CandidateArrays]:
-    """Build the distance matrix and overlap masks for one candidate.
-
-    Relevant positions are the union of the trajectory's posting lists over
-    all query activities — the same compressed sub-sequence the scalar DP
-    runs over (:func:`repro.core.order_match.relevant_points`).  Returns
-    ``None`` when the trajectory carries no query activity at all.
-    """
-    posting = trajectory.posting_lists
-    pos_set: set = set()
-    for activity in qk.query.all_activities:
-        ps = posting.get(activity)
-        if ps:
-            pos_set.update(ps)
-    if not pos_set:
-        return None
-    positions = sorted(pos_set)
-    col_of = {p: c for c, p in enumerate(positions)}
-    mask = _np.zeros((qk.m, len(positions)), dtype=_np.int64)
-    for mrow, bit_values in zip(mask, qk.bit_values):
-        for activity, bit in bit_values.items():
-            ps = posting.get(activity)
-            if ps:
-                mrow[[col_of[p] for p in ps]] |= bit
-    return CandidateArrays(positions, qk.distance_matrix(trajectory, positions), mask)
-
-
-# ----------------------------------------------------------------------
-# Dmm — Lemma 1 over the prepared arrays
-# ----------------------------------------------------------------------
-def dmm_prepared(qk: QueryKernel, cand: CandidateArrays, stats=None) -> float:
-    """``Dmm(Q, Tr)``: per-query-point Algorithm 3 over the distance rows.
-
-    Single-activity query points (the common case) reduce to a masked
-    ``min`` over the candidate columns — no cover DP at all.  Each row's
-    candidate count goes to ``point_match_points`` *before* the empty-row
-    early exit, as in the scalar fold.
-    """
-    total = 0.0
-    for i, n_bits in enumerate(qk.n_bits):
-        mrow = cand.mask_matrix[i]
-        cols = _np.flatnonzero(mrow)
-        if stats is not None:
-            stats.point_match_points += len(cols)
-        if not len(cols):
-            return INFINITY
-        row = cand.dist_matrix[i]
-        if n_bits == 1:
-            d = float(row[cols].min())
-        else:
-            # Stable sort on distance keeps equal-distance columns in
-            # ascending position order — the scalar (dist, pos) tie-break.
-            order = cols[_np.argsort(row[cols], kind="stable")]
-            d = _mpm_scan(row.tolist(), mrow.tolist(), order.tolist(), n_bits)
-        if d == INFINITY:
-            return INFINITY
-        total += d
-    return total
-
-
-# ----------------------------------------------------------------------
-# Dmom — Algorithm 4 as a single left-to-right scan per row
-# ----------------------------------------------------------------------
 def _checked(status: int, what: str) -> None:
     """Raise :class:`MemoryError` on a C entry's out-of-memory return."""
     if status:
         raise MemoryError(what)
-
-
-def _fold(qk, dist, mask, order, gates, seg_of, lengths, threshold, k, out) -> None:
-    """``gat_dmom_block``: the ``Dmom`` of candidates *order* (column
-    segment ``seg_of[c]``, ``lengths[c]`` long, of the ``[|Q|, N]`` *dist*
-    / *mask*) into ``out[c]``, in that order; stopping at the first gate
-    above the running threshold when *gates* is given, and tightening the
-    threshold to the k-th smallest ``Dmom`` when ``k > 0``."""
-    if not (dist.dtype == _np.float64 and mask.dtype == _np.int64 and dist.shape == mask.shape):
-        raise TypeError("the Dmom fold reads float64 distances and int64 masks of one shape")
-    _checked(lib.gat_dmom_block(
-        qk.m, qk.fold_bits, c_array("double", dist), c_array("int64_t", mask), dist.shape[1],
-        c_array("int64_t", order), len(order),
-        ffi.NULL if gates is None else c_array("double", gates), c_array("int64_t", seg_of),
-        c_array("int64_t", lengths), threshold, k, c_array("double", out, True),
-    ), "Dmom fold")
-
-
-_ONE_SEGMENT = _np.zeros(1, dtype=_np.int64)  # order [0], segment start 0
-
-
-def dmom_prepared(
-    qk: QueryKernel, cand: CandidateArrays, threshold: float = INFINITY
-) -> float:
-    """``Dmom(Q, Tr)`` over the prepared arrays (the C fold).
-
-    The scalar Algorithm 4 evaluates ``G(i, j) = min_k G(i-1, k) +
-    Dmpm(q_i, Tr[k, j])`` by rebuilding an incremental point-match table
-    per cell — O(n²) table updates per row.  Here each row is one
-    left-to-right scan: ``A[t]`` is the cheapest ``G(i-1, k) + (cover of
-    mask t by points k..j)`` over all segment starts ``k ≤ j``.  Folding
-    point ``j`` in sets ``A[0]`` to ``G(i-1, j)`` (a finished row is
-    non-increasing in ``j``, so the cheapest segment start up to ``j`` is
-    the entry itself) and relaxes ``A[t] ← A[t & ~mask_j] + d_j`` for every
-    ``t`` sharing a bit with the mask, in ascending ``t`` (the
-    :func:`_cover_steps` pairs); ``G(i, j)`` is ``A[full]`` after the fold.
-    This is the same min-cost-cover relaxation as the table (a point used
-    twice can never beat using it once, costs being non-negative); a
-    single-activity row is the two-state case.
-
-    Most folds are skipped, exactly.  Every cover through point ``j``
-    starts from a base ``≥ G(i-1, j)`` and float addition of non-negatives
-    is monotone, so everything the fold could write — and anything later
-    derived from it — is ``≥ G(i-1, j) + d_j``.  When that is not below
-    the row's best full cover so far it can never win the strict ``<``
-    into ``A[full]``; when it is above *threshold* it can only ever reach
-    the result as a value the Lemma-4 exit turns into ``inf``.  Entries of
-    ``G`` above the threshold may therefore differ from the dense scan's
-    (they stay above it); every entry at or below it — and the returned
-    value — is bit-identical (``tests/property/dense_dmom_oracle.py``; the
-    Python fold the C one replaced is ``python_fold_oracle.py``).
-
-    The paper's row-level threshold early-exit (Lemma 4) is preserved:
-    when a finished row's last entry exceeds *threshold* the candidate can
-    never beat the current k-th best, and the scan aborts.
-    """
-    out = _np.full(1, INFINITY)
-    lengths = _np.array([len(cand.positions)], dtype=_np.int64)
-    _fold(qk, cand.dist_matrix, cand.mask_matrix, _ONE_SEGMENT, None, _ONE_SEGMENT,
-          lengths, threshold, 0, out)
-    return float(out[0])
 
 
 # ----------------------------------------------------------------------
@@ -539,8 +393,8 @@ def block_dmm_all_single(qk: QueryKernel, candidates, stats=None):
     :class:`CandidateBlock`: ``Dmm`` is order-free, so a row's value is the
     nearest point of its one activity's posting list, and its candidate
     count that list's length — no column dedup.  Values and counter
-    accounting are bit-identical to the per-candidate all-single path.  A
-    generic metric goes through the block instead (the same values)."""
+    accounting are bit-identical to :func:`block_dmm` on the round's block,
+    which a generic metric goes through instead."""
     if qk.xy == ffi.NULL:
         return block_dmm(qk, prepare_block(qk, candidates), stats)
     return _scores(
@@ -562,8 +416,8 @@ def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None):
     ``M`` is a scatter-min per exact bitmask and a superset-min transform
     over ``2^b`` states; a single-activity row is the one-partition case,
     its masked minimum.  Sums over 3+ groups may re-associate relative to
-    the per-candidate *scan's* fold order — the same last-ulp class as the
-    documented array-vs-scalar sources.
+    the scalar Algorithm 3's scan order — one of the documented last-ulp
+    array-vs-scalar sources.
     """
     return _scores(block.n, stats, "block Dmm", lib.gat_block_dmm, *_block_args(qk, block))
 
@@ -580,19 +434,35 @@ def block_dmom(
 
     The Lemma-3 gate is the whole-round :func:`block_dmm`; candidates whose
     gate exceeds the abandonment threshold are ``inf`` before any
-    per-candidate work, exactly like the per-candidate gate.  The C fold
-    then walks the survivors in ascending-gate order (ties by candidate),
-    reading each one's columns of ``block.big`` / ``block.mask`` in place —
-    the computation :func:`dmom_prepared` performs — so that, with *k* set,
-    the abandonment threshold tightens to the k-th smallest ``Dmom`` seen
-    so far and later candidates (whose gates are lower bounds on their
+    per-candidate work.  The C fold then walks the survivors in
+    ascending-gate order (ties by candidate), reading each one's columns of
+    ``block.big`` / ``block.mask`` in place, so that, with *k* set, the
+    abandonment threshold tightens to the k-th smallest ``Dmom`` seen so
+    far and later candidates (whose gates are lower bounds on their
     ``Dmom``) are abandoned against it.  Tightening only ever happens on
     ``Dmom`` values — the ranked metric — never on the ``Dmm`` gate
     values, whose k-th could undercut the final ``Dmom`` k-th and cost a
     true top-k member.
 
+    The scalar Algorithm 4 evaluates ``G(i, j) = min_k G(i-1, k) +
+    Dmpm(q_i, Tr[k, j])`` by rebuilding an incremental point-match table
+    per cell.  The fold scans each row once, left to right: ``A[t]`` is
+    the cheapest ``G(i-1, k) + (cover of mask t by points k..j)`` over all
+    segment starts ``k ≤ j``.  Folding column ``j`` in sets ``A[0]`` to
+    ``G(i-1, j)`` (a finished row is non-increasing in ``j``) and relaxes
+    ``A[t] ← A[t & ~mask_j] + d_j`` for every ``t`` sharing a bit with the
+    mask, in ascending ``t`` (the :func:`_cover_steps` pairs); ``G(i, j)``
+    is ``A[full]`` after the fold.  Most folds are skipped, exactly: every
+    cover through column ``j`` is ``≥ G(i-1, j) + d_j``, so when that is
+    not below the row's best full cover so far, or is above the
+    threshold, the fold cannot change the result — entries at or below
+    the threshold, and the returned value, are bit-identical to the dense
+    scan's (``tests/property/dense_dmom_oracle.py``).  When a finished
+    row's last entry exceeds the threshold the candidate can never beat
+    the current k-th best, and its scan aborts (Lemma 4).
+
     Counter accounting (``point_match_points``) covers every candidate,
-    exactly as the per-candidate gate would have counted it.
+    exactly as a candidate-by-candidate gate would have counted it.
     """
     return _scores(
         block.n, stats, "block Dmom", lib.gat_block_dmom, *_block_args(qk, block),

@@ -22,9 +22,11 @@ implemented:
 The module also implements the *matching index bound* (MIB) validation of
 Section VI-B — a cheap necessary condition that rejects candidates whose
 activity positions cannot possibly be ordered correctly — per candidate,
-from the object model: what the per-candidate ``dmom`` entry (RT / IRT)
-checks first, and the oracle of the GAT engine's whole-round array form
-(:class:`repro.core.pipeline.MIBFilter`).
+from the object model: what the scalar kernel's ``dmom`` and
+``dmom_explained`` check first, and the oracle of the C pass every block
+scorer runs (:meth:`repro.index.gat.apl.PostingRound.mib`, behind
+:class:`repro.core.pipeline.MIBFilter` and the block kernel's
+per-candidate ``dmom``).
 """
 
 from __future__ import annotations

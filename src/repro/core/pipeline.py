@@ -273,16 +273,7 @@ class MIBFilter:
     __slots__ = ()
 
     def admits(self, ctx: ExecutionContext, candidates: PostingRound):
-        slots, starts = ctx.point_slots()
-        lookup, image = candidates.lookup(), candidates.image
-        out = np.empty(len(candidates), dtype=bool)
-        lib.gat_round_mib(
-            c_array("int64_t", image.first), c_array("int64_t", image.last),
-            c_array("int64_t", lookup), len(candidates), lookup.shape[1],
-            c_array("int64_t", slots), c_array("int64_t", starts),
-            len(ctx.query), c_array("uint8_t", out, True),
-        )
-        return out
+        return candidates.mib(*ctx.point_slots())
 
 
 class ValidationStage:

@@ -93,6 +93,39 @@ class APLArrays(NamedTuple):
         return codes[new_list], activities[new_list], np.flatnonzero(new_list[keep]), rows[keep]
 
 
+def image_of(columns: TrajectoryColumns, lo: int, hi: int) -> APLArrays:
+    """The image of rows ``lo:hi`` of *columns*: their keys, with the
+    closing sentinel slot and offsets into their own positions, and the
+    columns' own ``point_offsets`` / ``xy`` / ``ids`` (nothing is copied).
+    :meth:`APLStore.extend` appends one for the rows it gains; the
+    per-candidate scorers build one for a single row."""
+    # Every activity occurrence as a (key, position) pair in point order: a
+    # stable sort by key keeps each list's positions ascending.
+    point_offsets, activity_offsets = columns.point_offsets, columns.activity_offsets
+    first_point, stop_point = point_offsets[lo], point_offsets[hi]
+    points = np.repeat(
+        np.arange(first_point, stop_point),
+        np.diff(activity_offsets[first_point : stop_point + 1]),
+    )
+    rows = np.searchsorted(point_offsets, points, side="right") - 1
+    activities = columns.activities[activity_offsets[first_point] : activity_offsets[stop_point]]
+    keys = (rows << ACTIVITY_BITS) | activities
+    order = np.argsort(keys, kind="stable")
+    keys, positions = keys[order], (points - point_offsets[rows])[order]
+    firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # each key's first occurrence
+    lasts = np.flatnonzero(np.diff(keys, append=_SENTINEL))
+    return APLArrays(
+        keys=np.concatenate([keys[firsts], [_SENTINEL]]),
+        first=np.concatenate([positions[firsts], [_SENTINEL]]),
+        last=np.concatenate([positions[lasts], [-1]]),
+        offsets=np.concatenate([firsts, [len(keys)] * 2]),
+        positions=positions,
+        point_offsets=point_offsets,
+        xy=columns.xy,
+        ids=columns.ids,
+    )
+
+
 def _record(image: APLArrays, row: int) -> PostingLists:
     """Row *row*'s posting lists decoded from *image*: ``activity ->
     positions``, the mapping a record stands for."""
@@ -150,12 +183,36 @@ class PostingRound:
             self._lookup = lookup
         return self._lookup
 
+    def mib(self, slots, starts):
+        """Per candidate, whether the MIB order check admits it
+        (``gat_round_mib``): query point ``i`` asks the activity columns
+        ``slots[starts[i]:starts[i + 1]]`` of the lookup."""
+        lookup, image = self.lookup(), self.image
+        out = np.empty(len(self), dtype=bool)
+        lib.gat_round_mib(
+            c_array("int64_t", image.first), c_array("int64_t", image.last),
+            c_array("int64_t", lookup), len(self), lookup.shape[1],
+            c_array("int64_t", slots), c_array("int64_t", starts),
+            len(starts) - 1, c_array("uint8_t", out, True),
+        )
+        return out
+
     def keep(self, mask) -> "PostingRound":
         """The round restricted to the candidates *mask* admits, in order."""
         lookup = self._lookup
         return PostingRound(
             self.image, self.activities, self.rows[mask], None if lookup is None else lookup[mask]
         )
+
+
+def trajectory_round(trajectory, activities) -> PostingRound:
+    """*trajectory* — a database view or a standalone record — as a
+    one-candidate round against *activities*, over the one-row image of its
+    own columns: no disk extent, no counted read."""
+    row = trajectory.row
+    return PostingRound(
+        image_of(trajectory.columns, row, row + 1), activities, np.array([row], dtype=np.int64)
+    )
 
 
 class APLStore:
@@ -173,12 +230,7 @@ class APLStore:
         is the ``i``-th trajectory."""
         self.db = db
         self.disk = disk
-        empty = TrajectoryColumns.concat(())
-        self.image = APLArrays(
-            *(np.array([v]) for v in (_SENTINEL, _SENTINEL, -1)),
-            *(np.zeros(n, dtype=np.int64) for n in (2, 0)),  # offsets, positions
-            empty.point_offsets, empty.xy, empty.ids,
-        )
+        self.image = image_of(TrajectoryColumns.concat(()), 0, 0)
         self.extend()
 
     def extend(self) -> None:
@@ -186,29 +238,17 @@ class APLStore:
         insertion appends one) and persist their records."""
         image, columns = self.image, self.db.columns
         first_row = len(image.ids)
-        # Every new activity occurrence as a (key, position) pair in point
-        # order: a stable sort by key keeps each list's positions ascending.
-        point_offsets, activity_offsets = columns.point_offsets, columns.activity_offsets
-        first_point = point_offsets[first_row]
-        points = np.repeat(
-            np.arange(first_point, len(columns.xy)), np.diff(activity_offsets[first_point:])
-        )
-        rows = np.searchsorted(point_offsets, points, side="right") - 1
-        keys = (rows << ACTIVITY_BITS) | columns.activities[activity_offsets[first_point] :]
-        order = np.argsort(keys, kind="stable")
-        keys, positions = keys[order], (points - point_offsets[rows])[order]
-        firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # each key's first occurrence
-        lasts = np.flatnonzero(np.diff(keys, append=_SENTINEL))
+        new = image_of(columns, first_row, len(columns))
         base = len(image.positions)
         self.image = image = APLArrays(
-            keys=np.concatenate([image.keys[:-1], keys[firsts], [_SENTINEL]]),
-            first=np.concatenate([image.first[:-1], positions[firsts], [_SENTINEL]]),
-            last=np.concatenate([image.last[:-1], positions[lasts], [-1]]),
-            offsets=np.concatenate([image.offsets[:-2], firsts + base, [base + len(keys)] * 2]),
-            positions=np.concatenate([image.positions, positions]),
-            point_offsets=point_offsets,
-            xy=columns.xy,
-            ids=columns.ids,
+            keys=np.concatenate([image.keys[:-1], new.keys]),
+            first=np.concatenate([image.first[:-1], new.first]),
+            last=np.concatenate([image.last[:-1], new.last]),
+            offsets=np.concatenate([image.offsets[:-2], new.offsets + base]),
+            positions=np.concatenate([image.positions, new.positions]),
+            point_offsets=new.point_offsets,
+            xy=new.xy,
+            ids=new.ids,
         )
         for row, tid in enumerate(columns.ids[first_row:].tolist(), first_row):
             # The extent is charged as the pickled mapping it stands for.

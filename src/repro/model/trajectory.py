@@ -13,9 +13,9 @@ reader asks for it and holding nothing but the row's address.  Its points,
 ``activity_union`` (what the IL baseline and the TAS sketch summarise) and
 ``posting_lists`` (per activity, the positions of the points that contain
 it — the in-memory form of the paper's Activity Posting List) are computed
-from the columns on each access.  The scalar kernel and the RT / IRT
-baselines score from views, one trajectory at a time; the block kernel
-reads the arrays.
+from the columns on each access.  The scalar kernel scores from views;
+the block kernel reads the arrays — a view's own row of its columns when
+a baseline scores one trajectory at a time.
 """
 
 from __future__ import annotations

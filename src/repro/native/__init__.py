@@ -2,15 +2,16 @@
 
 Four pieces live in C: the best-first cell walk of Algorithm 1
 (:class:`repro.core.pipeline.CandidateRetriever` drives it), the ``Dmom``
-row fold of Algorithm 4 (:func:`repro.core.kernels.dmom_prepared` and
-:func:`~repro.core.kernels.block_dmom`), a port of CPython's two-argument
-``math.hypot`` the walk orders its heap by, and the validation round over
-the APL image — the key lookup, the TAS / APL / MIB masks
-(:class:`~repro.core.pipeline.ValidationStage`), the block build and the
-``Dmm`` covers (:func:`~repro.core.kernels.prepare_block`,
-:func:`~repro.core.kernels.block_dmm`, ...).  There is no Python fallback:
-the retired Python and NumPy loops are test oracles under
-``tests/property/``.
+row fold of Algorithm 4 (:func:`~repro.core.kernels.block_dmom`), a port
+of CPython's two-argument ``math.hypot`` the walk orders its heap by, and
+the validation round over the APL image — the key lookup, the TAS / APL /
+MIB masks (:class:`~repro.core.pipeline.ValidationStage`), the block
+build and the ``Dmm`` covers (:func:`~repro.core.kernels.prepare_block`,
+:func:`~repro.core.kernels.block_dmm`, ...).  The GAT engine runs the
+round once per validation round; ``MatchEvaluator``'s per-candidate
+entries (the IL / RT / IRT baselines) run it on a one-candidate round.
+There is no Python fallback: the retired Python and NumPy loops are test
+oracles under ``tests/property/``.
 
 The artifact is named for the SHA-256 of ``gat.c`` and ``build.py`` and
 carries the interpreter's extension suffix (its ABI tag), so a changed

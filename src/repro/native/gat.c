@@ -320,7 +320,7 @@ int gat_walk_sums(const gat_walk *w, int64_t m, double *sums) {
  * (b) The Dmom fold
  * ------------------------------------------------------------------- */
 /* One candidate's Dmom over columns [start, start + n) of the [m, stride]
- * distance / bitmask arrays; see repro.core.kernels.dmom_prepared. */
+ * distance / bitmask arrays; see repro.core.kernels.block_dmom. */
 static double dmom_one(int32_t m, const int32_t *n_bits, const double *dist,
                        const int64_t *mask, int64_t stride, int64_t start, int64_t n,
                        double threshold, double *prev, double *a) {

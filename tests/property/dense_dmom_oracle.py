@@ -1,7 +1,9 @@
-"""The dense ``Dmom`` row scan ``repro.core.kernels.dmom_prepared`` ran
-before its cover relaxation learned to skip columns — kept verbatim (bar
-the names) as the oracle ``test_kernel_parity.py`` compares the
-production DP against with ``==``, at every threshold.
+"""The dense ``Dmom`` row scan the C fold (``gat_dmom_block``, behind
+``repro.core.kernels.block_dmom``) ran before its cover relaxation learned
+to skip columns — kept verbatim (bar the names) as the oracle
+``test_kernel_parity.py`` compares the production DP against with ``==``,
+at every threshold, over one candidate's arrays
+(``per_candidate_oracle.CandidateArrays``).
 
 Every relevant point is folded into every cover state it touches
 (``for t in range(1, size): if t & pm``), the segment base ``A[0]`` is a
@@ -14,7 +16,9 @@ below the threshold; this one leaves out nothing.
 
 from typing import List
 
-from repro.core.kernels import INFINITY, CandidateArrays, QueryKernel
+from per_candidate_oracle import CandidateArrays
+
+from repro.core.kernels import INFINITY, QueryKernel
 
 
 def _dense_row_single(prev: List[float], row: List[float], mrow: List[int]) -> List[float]:

@@ -1,6 +1,7 @@
 """The dict-walking block builder ``repro.core.kernels.prepare_block`` had
 before it became array work (today a gather from the APL row store) — kept
-verbatim (bar the name and the hoisted imports) as the oracle the array
+verbatim (bar the name, the hoisted imports and the generic metric's
+distance call) as the oracle the array
 build is compared against, field by field, in
 ``test_block_kernel_parity.py``.
 
@@ -66,7 +67,9 @@ def dict_prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> NumpyBlock:
         big = _np.empty((m, total))
         for c in flat_ids:
             s = seg_of[c]
-            big[:, s : s + lengths[c]] = qk.distance_matrix(items[c][0], list(positions[c]))
+            big[:, s : s + lengths[c]] = qk.distance_matrix_for(
+                items[c][0].coord_array()[list(positions[c])]
+            )
     else:
         big = qk.distance_matrix_for(
             _np.concatenate(

@@ -20,8 +20,8 @@
 * :func:`numpy_block_dmm_all_single` — ``block_dmm_all_single`` over the
   duplicated hit layout;
 * :func:`numpy_block_dmom` — ``block_dmom``: those gates, a stable
-  ``argsort`` and the C fold (``repro.core.kernels._fold``), which has not
-  changed.
+  ``argsort`` and the C fold (:func:`c_fold`: ``gat_dmom_block``, which
+  has not changed).
 """
 
 import functools
@@ -29,8 +29,26 @@ from typing import List
 
 import numpy as _np
 
-from repro.core.kernels import INFINITY, QueryKernel, _fold
+from repro.core.kernels import INFINITY, QueryKernel
 from repro.index.gat.apl import ACTIVITY_BITS
+from repro.native import c_array, ffi, lib
+
+
+def c_fold(qk, dist, mask, order, gates, seg_of, lengths, threshold, k, out) -> None:
+    """``gat_dmom_block``: the ``Dmom`` of candidates *order* (column
+    segment ``seg_of[c]``, ``lengths[c]`` long, of the ``[|Q|, N]`` *dist*
+    / *mask*) into ``out[c]``, in that order; stopping at the first gate
+    above the running threshold when *gates* is given, and tightening the
+    threshold to the k-th smallest ``Dmom`` when ``k > 0``."""
+    if not (dist.dtype == _np.float64 and mask.dtype == _np.int64 and dist.shape == mask.shape):
+        raise TypeError("the Dmom fold reads float64 distances and int64 masks of one shape")
+    if lib.gat_dmom_block(
+        qk.m, qk.fold_bits, c_array("double", dist), c_array("int64_t", mask), dist.shape[1],
+        c_array("int64_t", order), len(order),
+        ffi.NULL if gates is None else c_array("double", gates), c_array("int64_t", seg_of),
+        c_array("int64_t", lengths), threshold, k, c_array("double", out, True),
+    ):
+        raise MemoryError("Dmom fold")
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +332,6 @@ def numpy_block_dmom(qk: QueryKernel, block: NumpyBlock, stats=None, threshold=I
     out = _np.full(block.n, INFINITY)
     if block.total:
         order = _np.argsort(gates, kind="stable")
-        _fold(qk, block.big, block.mask, order, gates, block.seg_of, block.lengths,
-              threshold, k or 0, out)
+        c_fold(qk, block.big, block.mask, order, gates, block.seg_of, block.lengths,
+               threshold, k or 0, out)
     return out

@@ -33,7 +33,7 @@ def list_form(dist, mask):
 
 def python_dmom_prepared(qk, dist_rows, mask_rows, threshold: float = INFINITY) -> float:
     """The row fold that skips folds which cannot matter (see
-    ``repro.core.kernels.dmom_prepared``), in Python over list rows."""
+    ``repro.core.kernels.block_dmom``), in Python over list rows."""
     prev = [0.0] * len(dist_rows[0])  # G(0, *) = 0 — guardian row
     for row, mrow, n_bits in zip(dist_rows, mask_rows, qk.n_bits):
         steps = _cover_steps(n_bits)

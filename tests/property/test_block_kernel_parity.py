@@ -3,7 +3,9 @@
 Randomized trajectories and queries drive whole validation rounds through
 the round-batched block entries (``prepare_block`` + ``block_dmm`` /
 ``block_dmom`` / ``block_dmm_all_single``) and through the per-candidate
-array and scalar paths, and require:
+NumPy path the evaluator ran before it scored one-row rounds
+(``per_candidate_oracle.py``), the evaluator's per-candidate entries and
+the scalar path, and require:
 
 * identical ``Dmm`` / ``Dmom`` values — exact where the block performs
   the same float operations (single-activity rows, the batched DP, the
@@ -40,11 +42,14 @@ from dict_block_oracle import dict_prepare_block
 from group_loop_dmm_oracle import loop_block_dmm
 from hypothesis import example, given, settings, strategies as st
 from numpy_round_oracle import numpy_prepare_block
+from per_candidate_oracle import dmm_prepared, prepare_candidate
 from python_fold_oracle import python_block_dmom
 
 from repro.core import kernels
+from repro.core.context import ExecutionContext
 from repro.core.evaluator import MatchEvaluator
 from repro.core.kernels import INFINITY, QueryKernel
+from repro.core.pipeline import MIBFilter
 from repro.core.query import Query, QueryPoint
 from repro.index.gat.apl import APLStore
 from repro.model.distance import EuclideanDistance
@@ -195,11 +200,11 @@ def test_block_dmm_values_and_counts(qraw, raws):
 
     cand_stats = _Stats()
     for c, (trajectory, _p) in enumerate(items):
-        cand = kernels.prepare_candidate(qk, trajectory)
+        cand = prepare_candidate(qk, trajectory)
         want = (
             INFINITY
             if cand is None
-            else kernels.dmm_prepared(qk, cand, cand_stats)
+            else dmm_prepared(qk, cand, cand_stats)
         )
         assert _close(float(got[c]), want), (c, float(got[c]), want)
     assert block_stats.point_match_points == cand_stats.point_match_points
@@ -316,9 +321,9 @@ def test_all_single_fast_dmm_is_bit_identical(qraw, raws):
     cand_stats = _Stats()
     want = []
     for trajectory, _p in items:
-        cand = kernels.prepare_candidate(qk, trajectory)
+        cand = prepare_candidate(qk, trajectory)
         want.append(
-            INFINITY if cand is None else kernels.dmm_prepared(qk, cand, cand_stats)
+            INFINITY if cand is None else dmm_prepared(qk, cand, cand_stats)
         )
 
     for grown in (False, True):
@@ -420,6 +425,61 @@ def test_dmm_batch_counters_match_per_candidate_loop(qraw, raws):
     assert (
         batch_eval.stats.point_match_points == loop_eval.stats.point_match_points
     )
+
+
+@given(
+    st.one_of(wide_query_st, single_query_st.map(lambda raw: [(x, y, {a}) for x, y, a in raw])),
+    wide_round_st,
+    st.integers(min_value=0, max_value=7),
+    threshold_st,
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+# A five-activity row covered by three points: the partition covers and
+# Algorithm 3's scan add the three distances in different orders, and the
+# sums differ in the last bit — so must the evaluator follow the round.
+@example(
+    [(-19.44, 20.93, frozenset({0, 1, 2, 3, 4}))],
+    [[(-47.85, -49.01, frozenset({3, 4})), (36.26, -34.58, frozenset({0, 1})),
+      (-32.04, -35.04, frozenset({2}))]],
+    0, INFINITY, True, False,
+)
+# The same at row 1 of the database, and as a standalone record.
+@example(
+    [(49.44, -45.38, frozenset({1, 2, 3})), (2.0, 1.0, frozenset({4}))],
+    [[_pt({1, 2, 3, 4})],
+     [(-40.48, -10.03, frozenset({3, 4})), (25.06, 47.34, frozenset({2})),
+      (-3.74, 7.99, frozenset({3})), (21.49, -16.99, frozenset({1}))]],
+    1, 500.0, False, True,
+)
+def test_per_candidate_entries_are_the_engine_round(
+    qraw, raws, pick, threshold, check_order, standalone
+):
+    """``MatchEvaluator().dmm`` / ``.dmom`` on one trajectory — a database
+    view at any row, or a standalone record of the same points — return
+    ``==`` what the engine's round returns for that trajectory's row
+    (``dmm_batch`` / ``dmom_batch`` over the store's image, the MIB filter
+    first when *check_order*), with equal :class:`EvaluatorStats`: every
+    searcher reports the same distance for the same trajectory."""
+    query = _query(qraw)
+    items = _round(raws)
+    db = TrajectoryDatabase([trajectory for trajectory, _p in items], Vocabulary())
+    store = APLStore(db, SimulatedDisk())
+    row = pick % len(items)
+    trajectory = items[row][0] if standalone else db[row]
+    ctx = ExecutionContext(query, 3, True, MatchEvaluator())
+    posted = store.round([row], ctx.activities)
+
+    single, engine = MatchEvaluator(), MatchEvaluator()
+    assert single.dmm(query, trajectory) == engine.dmm_batch(query, posted)[0]
+    if not check_order or MIBFilter().admits(ctx, posted)[0]:
+        want = engine.dmom_batch(query, posted, threshold)[0]
+    else:  # the filter drops it; the evaluator counts the evaluation
+        want = INFINITY
+        engine.stats.dmom_evaluations += 1
+    assert single.dmom(query, trajectory, threshold, check_order) == want
+    assert single.stats == engine.stats
 
 
 # ----------------------------------------------------------------------

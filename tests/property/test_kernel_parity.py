@@ -14,6 +14,7 @@ import math
 import pytest
 from dense_dmom_oracle import dense_dmom_prepared
 from hypothesis import example, given, settings, strategies as st
+from per_candidate_oracle import CandidateArrays, c_dmom
 from python_fold_oracle import dmom_all_single_np, list_form, python_dmom_prepared
 
 from repro.core import kernels
@@ -22,6 +23,7 @@ from repro.core.evaluator import MatchEvaluator
 from repro.core.match import INFINITY, PointMatchTable
 from repro.core.order_match import minimum_order_match_distance
 from repro.core.query import Query, QueryPoint
+from repro.index.gat.apl import trajectory_round
 from repro.model.distance import EuclideanDistance
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
@@ -48,6 +50,12 @@ def _trajectory(raw, tid=0):
 
 def _query(raw):
     return Query([QueryPoint(x, y, acts) for x, y, acts in raw])
+
+
+def _one_row(qk, trajectory):
+    """*trajectory* as a one-candidate block — what ``MatchEvaluator``
+    scores per candidate."""
+    return kernels.prepare_block(qk, trajectory_round(trajectory, qk.sorted_activities))
 
 
 def _close(a, b):
@@ -83,8 +91,7 @@ def test_resolve_kernel(capsys):
 def test_euclidean_matrix_matches_metric(qraw, traw):
     query, trajectory = _query(qraw), _trajectory(traw)
     qk = QueryKernel(query, EUCLID)
-    positions = list(range(len(trajectory)))
-    rows = qk.distance_matrix(trajectory, positions).tolist()
+    rows = qk.distance_matrix_for(trajectory.coord_array()).tolist()
     for i, q in enumerate(query):
         for j, p in enumerate(trajectory.points):
             want = EUCLID(q.coord, p.coord)
@@ -159,14 +166,13 @@ def test_dmom_threshold_parity(qraw, traw, threshold):
 
 @given(query_st, trajectory_st)
 @settings(max_examples=100, deadline=None)
-def test_dmom_prepared_matches_scalar_dp(qraw, traw):
-    """dmom_prepared against the raw Algorithm 4 (no gates), including
-    trajectories with no relevant points."""
+def test_one_row_block_dmom_matches_scalar_dp(qraw, traw):
+    """block_dmom on a one-candidate round against the raw Algorithm 4,
+    including trajectories with no relevant points."""
     query, trajectory = _query(qraw), _trajectory(traw)
     want = minimum_order_match_distance(query, trajectory, EUCLID)
     qk = QueryKernel(query, EUCLID)
-    cand = kernels.prepare_candidate(qk, trajectory)
-    got = INFINITY if cand is None else kernels.dmom_prepared(qk, cand)
+    got = float(kernels.block_dmom(qk, _one_row(qk, trajectory))[0])
     assert _close(got, want)
 
 
@@ -227,31 +233,39 @@ def _pt(x, y, *acts):
 )
 # Row 2 is never coverable: activity 5 occurs nowhere.
 @example([_pt(0, 0, 1, 2), _pt(1, 0, 2, 5)], [_pt(0, 1, 1, 2), _pt(1, 1, 2), _pt(2, 1, 1)], 50.0)
-def test_dmom_prepared_equals_dense_scan_at_every_threshold(qraw, traw, arbitrary):
-    """``dmom_prepared`` (the C fold) leaves out the folds that cannot
-    matter; the dense scan performs them all.  The two must return ``==``
-    values — not close ones — at every threshold: none, the value itself
-    (which must survive), one ulp either side of it, every row's own last
-    entry and its neighbours (the Lemma-4 exit's boundary), the ``Dmm`` gate
-    the engine actually passes first, zero, and an arbitrary float.  So
-    must the Python fold the C one replaced, and — on queries of
-    single-activity points — the all-array DP that ran there."""
+def test_one_row_fold_equals_dense_scan_at_every_threshold(qraw, traw, arbitrary):
+    """The C fold leaves out the folds that cannot matter; the dense scan
+    performs them all.  Over a one-candidate block's columns the two must
+    return ``==`` values — not close ones — at every threshold: none, the
+    value itself (which must survive), one ulp either side of it, every
+    row's own last entry and its neighbours (the Lemma-4 exit's boundary),
+    the ``Dmm`` gate the engine actually passes first, zero, and an
+    arbitrary float.  So must the Python fold the C one replaced, and — on
+    queries of single-activity points — the all-array DP that ran there;
+    and ``block_dmom`` must be the gate (``inf`` above the threshold)
+    followed by that fold."""
     query, trajectory = _query(qraw), _trajectory(traw)
     qk = QueryKernel(query, EUCLID)
-    cand = kernels.prepare_candidate(qk, trajectory)
-    if cand is None:
+    block = _one_row(qk, trajectory)
+    if not block.total:
         return
+    cand = CandidateArrays(block.positions.tolist(), block.big, block.mask)
     exact = dense_dmom_prepared(qk, cand)
-    assert kernels.dmom_prepared(qk, cand) == exact
+    assert c_dmom(qk, block.big, block.mask) == exact
     if exact != INFINITY:
-        assert kernels.dmom_prepared(qk, cand, exact) == exact
+        assert c_dmom(qk, block.big, block.mask, exact) == exact
 
-    pivots = {exact, kernels.dmm_prepared(qk, cand), arbitrary, 0.0}
+    gate = float(kernels.block_dmm(qk, block)[0])
+    pivots = {exact, gate, arbitrary, 0.0}
     for rows in range(1, len(query)):  # G(i, n): where row i's exit flips
         prefix_qk = QueryKernel(Query(query.points[:rows]), EUCLID)
-        prefix_cand = kernels.prepare_candidate(prefix_qk, trajectory)
-        if prefix_cand is not None:
-            pivots.add(dense_dmom_prepared(prefix_qk, prefix_cand))
+        prefix = _one_row(prefix_qk, trajectory)
+        if prefix.total:
+            pivots.add(
+                dense_dmom_prepared(
+                    prefix_qk, CandidateArrays(prefix.positions.tolist(), prefix.big, prefix.mask)
+                )
+            )
     thresholds = {INFINITY}
     for pivot in pivots:
         thresholds |= {
@@ -259,17 +273,19 @@ def test_dmom_prepared_equals_dense_scan_at_every_threshold(qraw, traw, arbitrar
             math.nextafter(pivot, -INFINITY),
             math.nextafter(pivot, INFINITY),
         }
-    rows = list_form(cand.dist_matrix, cand.mask_matrix)
+    rows = list_form(block.big, block.mask)
     for threshold in thresholds:
-        got = kernels.dmom_prepared(qk, cand, threshold)
+        got = c_dmom(qk, block.big, block.mask, threshold)
         want = dense_dmom_prepared(qk, cand, threshold)
         assert got == want, (threshold, got, want)
         assert python_dmom_prepared(qk, *rows, threshold) == want, threshold
         if qk.all_single:
-            assert dmom_all_single_np(qk, cand.dist_matrix, cand.mask_matrix, threshold) == want
+            assert dmom_all_single_np(qk, block.big, block.mask, threshold) == want
+        gated = INFINITY if gate == INFINITY or gate > threshold else want
+        assert float(kernels.block_dmom(qk, block, threshold=threshold)[0]) == gated
 
 
-def test_dmom_prepared_single_rows_in_a_mixed_query_are_the_scalar_dp():
+def test_one_row_block_dmom_single_rows_in_a_mixed_query_are_the_scalar_dp():
     """No width-1 special case is left in the DP: a single-activity row
     between multi-activity ones still scores exactly like the scalar
     Algorithm 4 on shared distances, and so does a query of *only*
@@ -281,21 +297,20 @@ def test_dmom_prepared_single_rows_in_a_mixed_query_are_the_scalar_dp():
     )
     mixed = _query([_pt(0, 0, 1, 2), _pt(1, 1, 3), _pt(2, 2, 2, 4)])
     qk = QueryKernel(mixed, metric)
-    cand = kernels.prepare_candidate(qk, trajectory)
     assert not qk.all_single and 1 in qk.n_bits
     assert _close(
-        kernels.dmom_prepared(qk, cand),
+        float(kernels.block_dmom(qk, _one_row(qk, trajectory))[0]),
         minimum_order_match_distance(mixed, trajectory, metric),
     )
 
     single = _query([_pt(0, 0, 1), _pt(1, 1, 3), _pt(2, 2, 2)])
     sqk = QueryKernel(single, metric)
-    cand = kernels.prepare_candidate(sqk, trajectory)
+    block = _one_row(sqk, trajectory)
     assert sqk.all_single
     want = minimum_order_match_distance(single, trajectory, metric)
-    assert kernels.dmom_prepared(sqk, cand) == want
-    assert python_dmom_prepared(sqk, *list_form(cand.dist_matrix, cand.mask_matrix)) == want
-    assert dmom_all_single_np(sqk, cand.dist_matrix, cand.mask_matrix) == want
+    assert float(kernels.block_dmom(sqk, block)[0]) == want
+    assert python_dmom_prepared(sqk, *list_form(block.big, block.mask)) == want
+    assert dmom_all_single_np(sqk, block.big, block.mask) == want
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +344,5 @@ def test_dmom_single_activity_queries_exact_vs_scalar_oracle(qraw, traw):
     trajectory = _trajectory(traw)
     want = minimum_order_match_distance(query, trajectory, metric)
     qk = QueryKernel(query, metric)
-    cand = kernels.prepare_candidate(qk, trajectory)
-    got = INFINITY if cand is None else kernels.dmom_prepared(qk, cand)
+    got = float(kernels.block_dmom(qk, _one_row(qk, trajectory))[0])
     assert got == want  # exact, not approximate

@@ -37,7 +37,7 @@ from repro.core.evaluator import MatchEvaluator
 from repro.core.kernels import INFINITY, QueryKernel
 from repro.core.pipeline import APLFilter, MIBFilter, TASFilter
 from repro.core.query import Query, QueryPoint
-from repro.index.gat.apl import APLStore
+from repro.index.gat.apl import APLStore, trajectory_round
 from repro.index.gat.tas import SketchTable
 from repro.model.database import TrajectoryDatabase
 from repro.model.distance import EuclideanDistance
@@ -218,17 +218,19 @@ def test_every_out_of_memory_return_raises_memory_error(monkeypatch):
     caller turns that into :class:`MemoryError`."""
     store, _sketches, _ctx, qk, posted = _round([[_pt({1, 2}), _pt({2})]], [0], [_pt({1, 2})], 1)
     block = kernels.prepare_block(qk, posted)
-    candidate = kernels.prepare_candidate(qk, store.db[0])
+    trajectory = store.db[0]
+    one_row = kernels.prepare_block(qk, trajectory_round(trajectory, qk.sorted_activities))
     failing = SimpleNamespace(**{
-        name: (lambda *args: -1)
-        for name in ("gat_round_block", "gat_block_dmm", "gat_block_dmom", "gat_dmom_block")
+        name: (lambda *args: -1) for name in ("gat_round_block", "gat_block_dmm", "gat_block_dmom")
     })
     monkeypatch.setattr(kernels, "lib", failing)
     for call in (
         lambda: kernels.prepare_block(qk, posted),
         lambda: kernels.block_dmm(qk, block),
         lambda: kernels.block_dmom(qk, block),
-        lambda: kernels.dmom_prepared(qk, candidate),
+        lambda: kernels.block_dmom(qk, one_row),
+        lambda: MatchEvaluator().dmm(qk.query, trajectory),
+        lambda: MatchEvaluator().dmom(qk.query, trajectory),
     ):
         with pytest.raises(MemoryError):
             call()

@@ -304,6 +304,9 @@ class TestServingFlagValidation:
             ["--deadline-ms", "0"],
             ["--hedge-ms", "0"],
             ["--task-retries", "-1"],
+            ["--query-points", "0"],
+            ["--activities", "0"],
+            ["--depth", "0"],
         ],
         ids=lambda flags: flags[0].lstrip("-"),
     )
@@ -314,6 +317,12 @@ class TestServingFlagValidation:
         # The path does not exist: validation must come before the load.
         assert main([command, str(tmp_path / "never-loaded.jsonl"), *flags]) == 2
         assert flags[0] in capsys.readouterr().err
+
+    def test_sweep_rejects_zero_queries(self, tmp_path, capsys):
+        """A sweep of no queries has nothing to time: exit 2 before the
+        load instead of printing a table of zeros."""
+        assert main(["sweep", str(tmp_path / "never-loaded.jsonl"), "--queries", "0"]) == 2
+        assert "--queries" in capsys.readouterr().err
 
     def test_zero_retries_passes_validation(self, tmp_path):
         """``--task-retries 0`` is a real setting: it gets past validation
@@ -380,6 +389,41 @@ class TestServeBench:
         assert "open-loop square @ 120.0 QPS" in out
         assert "shed=on" in out
         assert "backend: retries" in out  # sharded stack surfaces fan-out stats
+
+    def test_query_shape_flags_reach_the_requests(self, dataset_path, monkeypatch, capsys):
+        """``--order-sensitive``, ``--query-points``, ``--activities`` and
+        ``--k`` shape every request the open loop submits."""
+        import repro.cli as cli
+
+        submitted = []
+
+        def recording(frontend, requests, *args, **kwargs):
+            submitted.extend(requests)
+            return run_open_loop(frontend, requests, *args, **kwargs)
+
+        run_open_loop = cli.run_open_loop
+        monkeypatch.setattr(cli, "run_open_loop", recording)
+        code = main(
+            [
+                "serve-bench", str(dataset_path),
+                "--rate", "20",
+                "--duration", "0.3",
+                "--workload", "3",
+                "--k", "2",
+                "--query-points", "2",
+                "--activities", "1",
+                "--order-sensitive",
+                "--depth", "4",
+            ]
+        )
+        assert code == 0
+        assert len(submitted) == 3
+        for request in submitted:
+            assert request.order_sensitive and request.k == 2
+            assert [len(q.activities) for q in request.query] == [1, 1]
+
+    def test_bad_workload_rejected(self, tmp_path):
+        assert main(["serve-bench", str(tmp_path / "never-loaded.jsonl"), "--workload", "0"]) == 2
 
     def test_bad_rate_rejected(self, dataset_path):
         assert main(["serve-bench", str(dataset_path), "--rate", "0"]) == 2
