@@ -5,8 +5,10 @@
 Generates the preset at the given scale, builds one ``GATIndex`` with
 ``GATConfig(depth=8)``, and prints ROADMAP's "building at scale" row:
 generation and build wall seconds, the process's resident set size after
-generation and after the build, and the size of the APL image.  The last
-line of standard output is the row as one JSON object.
+generation and after the build, the size of the APL image, and then —
+measured after the RSS, each searcher dropped before the next — the
+wall seconds of building the IL, RT and IRT baselines.  The last line of
+standard output is the row as one JSON object.
 
 RSS is the current resident set (``VmRSS``), read after a
 ``gc.collect()``; the APL figure is the ``nbytes`` of every array of
@@ -25,6 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.baselines import InvertedListSearch, IRTreeSearch, RTreeSearch  # noqa: E402
 from repro.data.presets import dataset_from_preset  # noqa: E402
 from repro.index.gat.index import GATConfig, GATIndex  # noqa: E402
 
@@ -57,6 +60,13 @@ def main(argv=None) -> int:
     rss_built = rss_mb()
     apl_mb = sum(array.nbytes for array in index.apl.image) / 2**20
 
+    baseline_s = {}
+    for name, searcher in (("il", InvertedListSearch), ("rt", RTreeSearch), ("irt", IRTreeSearch)):
+        t0 = time.perf_counter()
+        searcher(db)
+        baseline_s[name] = time.perf_counter() - t0
+        gc.collect()
+
     row = {
         "preset": args.preset,
         "scale": args.scale,
@@ -67,13 +77,16 @@ def main(argv=None) -> int:
         "rss_generated_mb": round(rss_generated, 1),
         "rss_built_mb": round(rss_built, 1),
         "apl_mb": round(apl_mb, 1),
+        **{f"{name}_build_s": round(seconds, 2) for name, seconds in baseline_s.items()},
     }
     print("| preset | scale | trajectories | points | generate | GAT build "
-          "| RSS after generation | RSS after build | APL image |")
+          "| RSS after generation | RSS after build | APL image "
+          "| IL build | RT build | IRT build |")
     print(
         f"| {args.preset} | {args.scale:g} | {len(db)} | {row['points']} "
         f"| {generate_s:.1f} s | {build_s:.1f} s | {rss_generated:.1f} MB "
-        f"| {rss_built:.1f} MB | {apl_mb:.1f} MB |"
+        f"| {rss_built:.1f} MB | {apl_mb:.1f} MB "
+        f"| {baseline_s['il']:.2f} s | {baseline_s['rt']:.2f} s | {baseline_s['irt']:.2f} s |"
     )
     print(json.dumps(row))
     return 0

@@ -97,7 +97,7 @@ from repro.serving import (
     ServingFrontend,
     ShedError,
 )
-from repro.index import GATIndex, InvertedIndex, IRTree, RTree
+from repro.index import GATIndex, InvertedIndex, RTree
 from repro.index.gat.index import GATConfig
 from repro.baselines import InvertedListSearch, IRTreeSearch, RTreeSearch
 from repro.data import dataset_from_preset, CheckInGenerator, GeneratorConfig
@@ -140,7 +140,6 @@ __all__ = [
     "ExpiredError",
     "InvertedIndex",
     "RTree",
-    "IRTree",
     "InvertedListSearch",
     "RTreeSearch",
     "IRTreeSearch",

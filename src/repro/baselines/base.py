@@ -40,7 +40,14 @@ class BaselineExecution(NamedTuple):
 
 
 class Searcher(ABC):
-    """Abstract ATSQ/OATSQ searcher over one database."""
+    """Abstract ATSQ/OATSQ searcher over one database.
+
+    *metric* scores candidates (default Euclidean).  RT's and IRT's
+    ``Dbm`` bound is planar, so their rankings are exact only for a metric
+    never below the Euclidean distance;
+    :class:`~repro.model.distance.MatrixDistance` exists to replay the
+    paper's worked examples.
+    """
 
     def __init__(self, db: TrajectoryDatabase, metric: Optional[DistanceMetric] = None):
         self.db = db

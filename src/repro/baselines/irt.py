@@ -1,9 +1,11 @@
 """IRT — the IR-tree baseline (Section III-C).
 
-Identical search skeleton to the RT baseline, with one extra pruning rule:
-"before probing the entries in a node of IR-tree, we first check its
-inverted file to see if it contains any activity of the query.  If not,
-all the places enclosed in this node can be pruned directly."
+The RT search with one extra pruning rule: "before probing the entries in
+a node of IR-tree, we first check its inverted file to see if it contains
+any activity of the query.  If not, all the places enclosed in this node
+can be pruned directly."  The tree is RT's, packed with each point's
+activity set (so each node carries its subtree's union — the term set of
+its inverted file), and every nearest-point stream carries ``Q.Φ``.
 
 The per-query-point stream therefore only surfaces points that carry at
 least one *whole-query* activity.  The sum of stream tops still
@@ -14,122 +16,30 @@ an unseen trajectory is still in some unexplored, unpruned subtree.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List
 
-from repro.baselines.base import Searcher
-from repro.core.match import INFINITY
+from repro.baselines.rt import RTreeSearch, point_items
 from repro.core.query import Query
-from repro.core.results import SearchResult, TopKCollector
-from repro.index.irtree import IRTree
-from repro.index.rtree import RTreeEntry, RTreeNode
-from repro.model.database import TrajectoryDatabase
-from repro.model.distance import DistanceMetric
+from repro.index.rtree import RTree
+from repro.model.trajectory import TrajectoryColumns
 
 
-class _FilteredStream:
-    """Best-first nearest-point stream that skips subtrees and points with
-    no query activity (the IR-tree inverted-file check)."""
-
-    __slots__ = ("coord", "activities", "heap", "_tick", "stats")
-
-    def __init__(
-        self,
-        tree: IRTree,
-        coord: Tuple[float, float],
-        activities: FrozenSet[int],
-        stats,
-    ) -> None:
-        self.coord = coord
-        self.activities = activities
-        self.heap: List[Tuple[float, int, object]] = []
-        self._tick = itertools.count()
-        self.stats = stats
-        if tree.size and IRTree.node_has_any(tree.root, activities):
-            heapq.heappush(self.heap, (tree.root.min_dist(coord), next(self._tick), tree.root))
-
-    def top_distance(self) -> float:
-        return self.heap[0][0] if self.heap else INFINITY
-
-    def pop_point(self) -> Optional[Tuple[float, RTreeEntry]]:
-        while self.heap:
-            dist, _tick, item = heapq.heappop(self.heap)
-            if isinstance(item, RTreeEntry):
-                self.stats.points_popped += 1
-                return dist, item
-            node: RTreeNode = item
-            self.stats.nodes_accessed += 1
-            # One batched key computation per expanded node (point
-            # distances for leaves, MINDIST for internal nodes — NumPy
-            # when available, scalar fallback inside), then the
-            # inverted-file admission filter over the zipped pairs.
-            dists = node.child_min_dists(self.coord)
-            if node.is_leaf:
-                for entry, d in zip(node.children, dists):
-                    if IRTree.entry_activities(entry).isdisjoint(self.activities):
-                        continue  # point carries no query activity
-                    heapq.heappush(self.heap, (d, next(self._tick), entry))
-            else:
-                for child, d in zip(node.children, dists):
-                    if not IRTree.node_has_any(child, self.activities):
-                        continue  # inverted-file pruning (Section III-C)
-                    heapq.heappush(self.heap, (d, next(self._tick), child))
-        return None
+def point_activities(columns: TrajectoryColumns) -> List[FrozenSet[int]]:
+    """Every point's activity set, in row and position order."""
+    activities = columns.activities.tolist()
+    bounds = columns.activity_offsets.tolist()
+    return [frozenset(activities[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-class IRTreeSearch(Searcher):
+class IRTreeSearch(RTreeSearch):
     """ATSQ/OATSQ over the IR-tree with whole-query activity pruning."""
 
-    def __init__(
-        self,
-        db: TrajectoryDatabase,
-        metric: Optional[DistanceMetric] = None,
-        max_entries: int = 32,
-    ) -> None:
-        super().__init__(db, metric)
-        items = [
-            (p.x, p.y, (tr.trajectory_id, pos), p.activities)
-            for tr in db
-            for pos, p in enumerate(tr)
-        ]
-        self.tree = IRTree.bulk_load(items, max_entries=max_entries)
+    @staticmethod
+    def _pack(columns: TrajectoryColumns) -> RTree:
+        """The tree over every point of *columns*, with its inverted files."""
+        return RTree.bulk_load(point_items(columns), activities=point_activities(columns))
 
-    def _search(self, query: Query, k: int, order_sensitive: bool) -> List[SearchResult]:
+    def _stream_activities(self, query: Query) -> FrozenSet[int]:
         # The paper prunes with "any activity of the query" — the union
         # over all query points — not per-query-point activity sets.
-        query_activities = query.all_activities
-        streams = [
-            _FilteredStream(self.tree, q.coord, query_activities, self.stats)
-            for q in query
-        ]
-        results = TopKCollector(k)
-        seen: set[int] = set()
-
-        while True:
-            best_idx = -1
-            best_top = INFINITY
-            for idx, stream in enumerate(streams):
-                top = stream.top_distance()
-                if top < best_top:
-                    best_top = top
-                    best_idx = idx
-            if best_idx < 0:
-                break
-            popped = streams[best_idx].pop_point()
-            if popped is None:
-                continue
-            _dist, entry = popped
-            tid, _pos = IRTree.entry_payload(entry)
-            if tid not in seen:
-                seen.add(tid)
-                self.stats.candidates_retrieved += 1
-                distance = self.score_candidate(
-                    query, tid, order_sensitive, results.kth_distance()
-                )
-                if distance != INFINITY:
-                    results.offer(SearchResult(tid, distance))
-            lower = sum(s.top_distance() for s in streams)
-            if results.kth_distance() < lower:
-                break
-        return results.results()
+        return query.all_activities

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
+
+import numpy as np
 
 from repro.baselines.base import Searcher
 from repro.core.match import INFINITY
@@ -28,21 +30,45 @@ from repro.core.results import SearchResult, TopKCollector
 from repro.index.rtree import RTree, RTreeEntry, RTreeNode
 from repro.model.database import TrajectoryDatabase
 from repro.model.distance import DistanceMetric
+from repro.model.trajectory import TrajectoryColumns
+
+
+def point_items(columns: TrajectoryColumns) -> List[Tuple[float, float, Tuple[int, int]]]:
+    """Every point of *columns* as ``(x, y, (trajectory id, position))``,
+    in row and position order."""
+    offsets = columns.point_offsets
+    counts = np.diff(offsets)
+    ids = np.repeat(columns.ids, counts).tolist()
+    positions = (np.arange(len(columns.xy)) - np.repeat(offsets[:-1], counts)).tolist()
+    return [(x, y, (tid, pos)) for (x, y), tid, pos in zip(columns.xy.tolist(), ids, positions)]
 
 
 class _NearestStream:
     """Incremental nearest-point iterator over an R-tree for one query
-    point (the classic best-first MINDIST traversal)."""
+    point (the classic best-first MINDIST traversal).
 
-    __slots__ = ("coord", "heap", "_tick", "stats")
+    Given *activities* (IRT), the stream queues a node or point only when
+    its activity set meets them — the IR-tree's inverted-file check — so
+    it surfaces only points carrying one of *activities*.
+    """
 
-    def __init__(self, tree: RTree, coord: Tuple[float, float], stats) -> None:
+    __slots__ = ("coord", "activities", "heap", "_tick", "stats")
+
+    def __init__(
+        self,
+        tree: RTree,
+        coord: Tuple[float, float],
+        stats,
+        activities: Optional[FrozenSet[int]] = None,
+    ) -> None:
         self.coord = coord
+        self.activities = activities
         self.heap: List[Tuple[float, int, object]] = []
         self._tick = itertools.count()
         self.stats = stats
-        if tree.size:
-            heapq.heappush(self.heap, (tree.root.min_dist(coord), next(self._tick), tree.root))
+        root = tree.root
+        if tree.size and (activities is None or not activities.isdisjoint(root.activities)):
+            heapq.heappush(self.heap, (root.min_dist(coord), next(self._tick), root))
 
     def top_distance(self) -> float:
         """Lower bound on the distance of every not-yet-returned point."""
@@ -56,6 +82,7 @@ class _NearestStream:
         leaves, MINDIST for internal nodes — instead of one Python metric
         call per child.
         """
+        activities = self.activities
         while self.heap:
             dist, _tick, item = heapq.heappop(self.heap)
             if isinstance(item, RTreeEntry):
@@ -64,32 +91,31 @@ class _NearestStream:
             node: RTreeNode = item
             self.stats.nodes_accessed += 1
             for d, child in zip(node.child_min_dists(self.coord), node.children):
-                heapq.heappush(self.heap, (d, next(self._tick), child))
+                if activities is None or not activities.isdisjoint(child.activities):
+                    heapq.heappush(self.heap, (d, next(self._tick), child))
         return None
 
 
 class RTreeSearch(Searcher):
     """ATSQ/OATSQ via incremental spatial retrieval (k-BCT style)."""
 
-    def __init__(
-        self,
-        db: TrajectoryDatabase,
-        metric: Optional[DistanceMetric] = None,
-        max_entries: int = 32,
-    ) -> None:
+    def __init__(self, db: TrajectoryDatabase, metric: Optional[DistanceMetric] = None) -> None:
         super().__init__(db, metric)
-        items = [
-            (p.x, p.y, (tr.trajectory_id, pos))
-            for tr in db
-            for pos, p in enumerate(tr)
-        ]
-        self.tree = RTree.bulk_load(items, max_entries=max_entries)
+        self.tree = self._pack(db.columns)
 
-    def _make_streams(self, query: Query) -> List[_NearestStream]:
-        return [_NearestStream(self.tree, q.coord, self.stats) for q in query]
+    @staticmethod
+    def _pack(columns: TrajectoryColumns) -> RTree:
+        """The tree over every point of *columns*."""
+        return RTree.bulk_load(point_items(columns))
+
+    def _stream_activities(self, query: Query) -> Optional[FrozenSet[int]]:
+        """The activities a stream's nodes and points must meet: RT
+        retrieves by space alone."""
+        return None
 
     def _search(self, query: Query, k: int, order_sensitive: bool) -> List[SearchResult]:
-        streams = self._make_streams(query)
+        activities = self._stream_activities(query)
+        streams = [_NearestStream(self.tree, q.coord, self.stats, activities) for q in query]
         results = TopKCollector(k)
         seen: set[int] = set()
 
@@ -109,8 +135,7 @@ class RTreeSearch(Searcher):
             popped = streams[best_idx].pop_point()
             if popped is None:
                 continue
-            _dist, entry = popped
-            tid = self._entry_tid(entry)
+            tid, _pos = popped[1].payload
             if tid not in seen:
                 seen.add(tid)
                 self.stats.candidates_retrieved += 1
@@ -123,8 +148,3 @@ class RTreeSearch(Searcher):
             if results.kth_distance() < lower:
                 break  # Lemma 2 (and Lemma 3 for OATSQ): unseen can't win
         return results.results()
-
-    @staticmethod
-    def _entry_tid(entry: RTreeEntry) -> int:
-        tid, _pos = entry.payload
-        return tid

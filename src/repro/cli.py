@@ -235,8 +235,9 @@ def _add_query_args(p_query: argparse.ArgumentParser) -> None:
         "--executor",
         choices=EXECUTOR_KINDS,
         default="thread",
-        help="shard fan-out backend (process pools bypass the GIL for "
-        "CPU-bound workloads)",
+        help="shard fan-out backend; thread is the default because "
+        "threads overlap simulated-disk waits, while CPU-bound runs on "
+        ">= 2 cores want process (its pools bypass the GIL)",
     )
     p_query.add_argument(
         "--shard-strategy",
@@ -278,16 +279,29 @@ def _add_query_args(p_query: argparse.ArgumentParser) -> None:
     )
 
 
+def _check_generate_args(args: argparse.Namespace) -> bool:
+    """Validate the ``generate`` flags before generating; ``False`` means
+    exit 2 (the reason is on stderr)."""
+    sizes = {"--users": args.users, "--venues": args.venues, "--vocabulary": args.vocabulary}
+    bad = [flag for flag, value in sizes.items() if value is not None and value < 1]
+    if not 0 < args.scale <= 1:
+        problem = "--scale must be in (0, 1]"
+    elif bad:
+        problem = f"{bad[0]} must be >= 1"
+    elif not args.preset and None in sizes.values():
+        problem = "either --preset or all of --users/--venues/--vocabulary required"
+    else:
+        return True
+    print(problem, file=sys.stderr)
+    return False
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if not _check_generate_args(args):
+        return 2
     if args.preset:
         db = dataset_from_preset(args.preset, args.scale, seed=args.seed)
     else:
-        if not (args.users and args.venues and args.vocabulary):
-            print(
-                "either --preset or all of --users/--venues/--vocabulary required",
-                file=sys.stderr,
-            )
-            return 2
         config = GeneratorConfig(
             n_users=args.users,
             n_venues=args.venues,

@@ -33,7 +33,6 @@ class SearchStats:
     apl_pruned: int = 0
     mib_pruned: int = 0
     validated: int = 0
-    distance_computations: int = 0
     disk_reads: int = 0
     disk_pages_read: int = 0
     #: Lookups of the shared HICL list cache this query made — one per

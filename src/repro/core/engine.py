@@ -125,7 +125,11 @@ class GATSearchEngine:
     index:
         A built GAT index (owns the database it indexes).
     metric:
-        Distance strategy; defaults to the evaluator's Euclidean.
+        Distance strategy for scoring; defaults to the evaluator's
+        Euclidean.  Every pruning bound (cell MINDIST, ``D_lb``) is planar,
+        so rankings are exact only for a metric never below the Euclidean
+        distance; :class:`~repro.model.distance.MatrixDistance` exists to
+        replay the paper's worked examples.
     config:
         The :class:`EngineConfig` to run under (default: its defaults).
     **overrides:
@@ -364,9 +368,7 @@ class GATSearchEngine:
                 "mib_pruned": stats.mib_pruned,
                 "validated": stats.validated,
             },
-            "score": {
-                "distance_computations": stats.distance_computations,
-            },
+            "score": {},
             "lower_bound": {
                 "evaluated": stage_clock["lower_bound"][3],
                 "exact": stage_clock["lower_bound"][4],

@@ -333,7 +333,6 @@ class ScoringStage:
         """One candidate through the per-candidate evaluator entries, from
         the object model (``kernel='scalar'``, the oracle)."""
         ctx.stats.validated += 1
-        ctx.stats.distance_computations += 1
         if ctx.order_sensitive:
             return ctx.evaluator.dmom(
                 ctx.query, trajectory, ctx.threshold(), check_order=False
@@ -344,12 +343,12 @@ class ScoringStage:
         """Score one validation round's admitted candidates in a single
         block-kernel call (``kernel='block'``), in candidate order.
 
-        Each candidate bumps the same ``validated`` / work counters as
-        :meth:`score`.  The block is gathered from the candidates' row
-        ranges of the APL image through the lookup validation already
-        computed — the counted read each record cost there is the
-        candidate's only one.  OATSQ's running k-th threshold is read once
-        at round start and then tightened *inside* the round:
+        Each candidate bumps ``validated``, as in :meth:`score`.  The
+        block is gathered from the candidates' row ranges of the APL
+        image through the lookup validation already computed — the
+        counted read each record cost there is the candidate's only one.
+        OATSQ's running k-th threshold is read once at round start and
+        then tightened *inside* the round:
         :func:`~repro.core.kernels.block_dmom` walks the round's survivors
         cheapest-gate-first and lowers the abandonment threshold to the
         k-th smallest ``Dmom`` seen so far, candidate by candidate.  Its
@@ -360,7 +359,6 @@ class ScoringStage:
         this down).
         """
         ctx.stats.validated += len(candidates)
-        ctx.stats.distance_computations += len(candidates)
         if ctx.order_sensitive:
             return ctx.evaluator.dmom_batch(ctx.query, candidates, ctx.threshold(), k=ctx.k)
         return ctx.evaluator.dmm_batch(ctx.query, candidates)

@@ -18,7 +18,7 @@ Results are identical: both compute exact set intersection/union.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 import numpy as _np
 
@@ -39,16 +39,26 @@ class InvertedIndex:
 
     @classmethod
     def build(cls, db: TrajectoryDatabase) -> "InvertedIndex":
+        """Post *db*'s columns with one ``np.unique`` over a key per
+        activity occurrence: the activity id in the high 32 bits beside
+        its trajectory's rank in id order, so the unique keys are the
+        (activity, id) pairs, sorted."""
         index = cls()
-        accum: Dict[int, List[int]] = {}
-        for trajectory in db:  # trajectories arrive in ascending-ID order
-            tid = trajectory.trajectory_id
-            for activity in trajectory.activity_union:
-                accum.setdefault(activity, []).append(tid)
-        index._lists = {a: tuple(sorted(tids)) for a, tids in accum.items()}
-        index._arrays = {
-            a: _np.asarray(tids, dtype=_np.int64) for a, tids in index._lists.items()
-        }
+        columns = db.columns
+        by_id = _np.argsort(columns.ids, kind="stable")
+        rank = _np.empty_like(by_id)
+        rank[by_id] = _np.arange(len(by_id), dtype=by_id.dtype)
+        point_rank = _np.repeat(rank, _np.diff(columns.point_offsets))
+        occurrence_rank = _np.repeat(point_rank, _np.diff(columns.activity_offsets))
+        keys = _np.unique(
+            columns.activities.astype(_np.uint64) << _np.uint64(32)
+            | occurrence_rank.astype(_np.uint64)
+        )
+        activities = (keys >> _np.uint64(32)).astype(_np.int64)
+        ids = columns.ids[by_id][(keys & _np.uint64(0xFFFFFFFF)).astype(_np.int64)]
+        starts = _np.flatnonzero(_np.diff(activities, prepend=-1))
+        index._arrays = dict(zip(activities[starts].tolist(), _np.split(ids, starts[1:])))
+        index._lists = {a: tuple(p.tolist()) for a, p in index._arrays.items()}
         return index
 
     def posting(self, activity: int) -> Tuple[int, ...]:

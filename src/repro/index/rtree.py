@@ -8,13 +8,19 @@ trees are also built once over a static database).
 
 Leaf entries carry an opaque payload — the searchers store
 ``(trajectory_id, position)`` so a popped point immediately identifies its
-trajectory.
+trajectory.  Packed with a per-point activity column, the tree is the
+IR-tree of Section III-C (after Cong et al., VLDB 2009): each entry keeps
+its point's activity set and each node the union over its subtree — the
+term set of the node's inverted file, which is all the IRT search asks of
+it ("does this node contain any activity of the query?").
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from functools import reduce
+from itertools import repeat
+from typing import Any, Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -28,41 +34,42 @@ MIN_BATCH = 8
 
 
 class RTreeEntry:
-    """A leaf entry: a point (degenerate rectangle) plus payload."""
+    """A leaf entry: a point plus payload, and the point's activity set
+    (``None`` in a tree packed without activities)."""
 
-    __slots__ = ("x", "y", "payload")
+    __slots__ = ("x", "y", "payload", "activities")
 
-    def __init__(self, x: float, y: float, payload: Any) -> None:
+    def __init__(
+        self, x: float, y: float, payload: Any, activities: Optional[FrozenSet[int]] = None
+    ) -> None:
         self.x = x
         self.y = y
         self.payload = payload
-
-    def rect(self) -> Rect:
-        return Rect(self.x, self.y, self.x, self.y)
+        self.activities = activities
 
 
 class RTreeNode:
     """Internal or leaf node.  ``children`` holds nodes (internal) or
-    :class:`RTreeEntry` objects (leaf)."""
+    :class:`RTreeEntry` objects (leaf); ``activities`` is the union of the
+    children's sets (``None`` in a tree packed without activities)."""
 
     __slots__ = ("rect", "children", "is_leaf", "activities")
 
-    def __init__(self, is_leaf: bool) -> None:
-        self.rect: Optional[Rect] = None
-        self.children: List[Any] = []
+    def __init__(self, is_leaf: bool, children: Sequence[Any] = ()) -> None:
+        self.children: List[Any] = list(children)
         self.is_leaf = is_leaf
-        # Used by the IR-tree subclass/annotator; None for a plain R-tree.
-        self.activities: Optional[frozenset] = None
-
-    def recompute_rect(self) -> None:
-        rects = [
-            child.rect() if isinstance(child, RTreeEntry) else child.rect
-            for child in self.children
-        ]
-        rect = rects[0]
-        for r in rects[1:]:
-            rect = rect.union(r)
-        self.rect = rect
+        self.rect: Optional[Rect] = None
+        self.activities: Optional[FrozenSet[int]] = None
+        if not self.children:
+            return
+        if is_leaf:
+            xs = [e.x for e in self.children]
+            ys = [e.y for e in self.children]
+            self.rect = Rect(min(xs), min(ys), max(xs), max(ys))
+        else:
+            self.rect = reduce(Rect.union, [child.rect for child in self.children])
+        if self.children[0].activities is not None:
+            self.activities = frozenset().union(*[c.activities for c in self.children])
 
     def min_dist(self, point: Coord) -> float:
         assert self.rect is not None
@@ -76,9 +83,10 @@ class RTreeNode:
     def child_min_dists(self, point: Coord) -> List[float]:
         """MINDIST from *point* to every child rectangle, in child order.
 
-        Batched via NumPy when available and worthwhile; otherwise the
-        scalar :meth:`Rect.min_dist` per child.  ``np.hypot`` can differ
-        from ``math.hypot`` in the last ulp on a small fraction of inputs.
+        Batched via NumPy for nodes of at least :data:`MIN_BATCH`
+        children; narrower nodes take the scalar :meth:`Rect.min_dist` (or
+        ``math.hypot``) per child.  ``np.hypot`` can differ from
+        ``math.hypot`` in the last ulp on a small fraction of inputs.
         The values returned here feed heap ordering and the RT baseline's
         Lemma-2 termination bound, so a 1-ulp overestimate could in
         principle terminate one pop early and miss a candidate whose true
@@ -135,50 +143,37 @@ class RTree:
         cls,
         items: Sequence[Tuple[float, float, Any]],
         max_entries: int = DEFAULT_MAX_ENTRIES,
+        activities: Optional[Sequence[FrozenSet[int]]] = None,
     ) -> "RTree":
         """Pack ``(x, y, payload)`` items into a balanced tree with STR.
 
         Sort by x, cut into vertical slabs of ~sqrt(P) leaves each, sort
         each slab by y, pack leaves; repeat one level up until a single
-        root remains.
+        root remains.  Both sorts are stable, so ties keep *items* order.
+
+        *activities*, when given, is each item's activity set: the
+        entries carry them and every node the union over its subtree
+        (the IR-tree's inverted files).
         """
         tree = cls(max_entries=max_entries)
         if not items:
             return tree
-        entries = [RTreeEntry(x, y, payload) for x, y, payload in items]
-        leaves = cls._str_pack(
-            entries,
-            max_entries,
-            key_x=lambda e: e.x,
-            key_y=lambda e: e.y,
-            make_node=lambda chunk: cls._make_leaf(chunk),
+        sets = repeat(None) if activities is None else activities
+        entries = [RTreeEntry(x, y, payload, acts) for (x, y, payload), acts in zip(items, sets)]
+        level = cls._str_pack(
+            entries, max_entries, lambda e: e.x, lambda e: e.y, is_leaf=True
         )
-        level = leaves
         while len(level) > 1:
             level = cls._str_pack(
                 level,
                 max_entries,
-                key_x=lambda n: n.rect.center[0],
-                key_y=lambda n: n.rect.center[1],
-                make_node=lambda chunk: cls._make_internal(chunk),
+                lambda n: n.rect.center[0],
+                lambda n: n.rect.center[1],
+                is_leaf=False,
             )
         tree.root = level[0]
         tree.size = len(entries)
         return tree
-
-    @staticmethod
-    def _make_leaf(entries: List[RTreeEntry]) -> RTreeNode:
-        node = RTreeNode(is_leaf=True)
-        node.children = list(entries)
-        node.recompute_rect()
-        return node
-
-    @staticmethod
-    def _make_internal(children: List[RTreeNode]) -> RTreeNode:
-        node = RTreeNode(is_leaf=False)
-        node.children = list(children)
-        node.recompute_rect()
-        return node
 
     @staticmethod
     def _str_pack(
@@ -186,7 +181,7 @@ class RTree:
         max_entries: int,
         key_x: Callable[[Any], float],
         key_y: Callable[[Any], float],
-        make_node: Callable[[List[Any]], RTreeNode],
+        is_leaf: bool,
     ) -> List[RTreeNode]:
         n_nodes = math.ceil(len(items) / max_entries)
         n_slabs = max(1, math.ceil(math.sqrt(n_nodes)))
@@ -196,5 +191,5 @@ class RTree:
         for s in range(0, len(by_x), per_slab):
             slab = sorted(by_x[s : s + per_slab], key=key_y)
             for c in range(0, len(slab), max_entries):
-                nodes.append(make_node(slab[c : c + max_entries]))
+                nodes.append(RTreeNode(is_leaf, slab[c : c + max_entries]))
         return nodes

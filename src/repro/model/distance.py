@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, Protocol, Tuple
 
+import numpy as np
+
 Coord = Tuple[float, float]
 
 
@@ -36,8 +38,7 @@ class EuclideanDistance:
 
 
 # ----------------------------------------------------------------------
-# NumPy fast paths (used by repro.core.kernels; numpy imported lazily so
-# the scalar library keeps working without it)
+# NumPy fast path (used by repro.core.kernels)
 # ----------------------------------------------------------------------
 def euclidean_matrix(qx, qy, px, py):
     """Pairwise planar distances: rows = query points, columns = points.
@@ -46,8 +47,6 @@ def euclidean_matrix(qx, qy, px, py):
     elementwise loop can round differently on a fraction of inputs), so
     each entry matches ``EuclideanDistance()(q, p)`` to ≲2e-16 relative.
     """
-    import numpy as np
-
     return np.hypot(qx[:, None] - px[None, :], qy[:, None] - py[None, :])
 
 

@@ -10,7 +10,7 @@ same arrays instead of holding a copy.
 
 :class:`ActivityTrajectory` is the record view of one row, built when a
 reader asks for it and holding nothing but the row's address.  Its points,
-``activity_union`` (what the IL baseline and the TAS sketch summarise) and
+``activity_union`` (what a baseline checks each candidate against) and
 ``posting_lists`` (per activity, the positions of the points that contain
 it — the in-memory form of the paper's Activity Posting List) are computed
 from the columns on each access.  The scalar kernel scores from views;
@@ -207,8 +207,12 @@ class ActivityTrajectory:
 
     @property
     def activity_union(self) -> FrozenSet[int]:
-        """Union of the activity sets of all points."""
-        return frozenset(chain.from_iterable(r[2] for r in self.columns.point_records(self.row)))
+        """Union of the activity sets of all points: the row's slice of the
+        activity column, as a set."""
+        columns = self.columns
+        lo, hi = columns.point_offsets[self.row : self.row + 2]
+        bounds = columns.activity_offsets
+        return frozenset(columns.activities[bounds[lo] : bounds[hi]].tolist())
 
     @property
     def posting_lists(self) -> Dict[int, Tuple[int, ...]]:

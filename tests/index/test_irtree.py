@@ -1,63 +1,68 @@
-"""Unit tests for the IR-tree (R-tree + per-node inverted activity files)."""
+"""Unit tests for the IR-tree: the R-tree packed with per-point activity
+sets, each node carrying its subtree's union (its inverted file)."""
 
 import random
 
-import pytest
-
-from repro.index.irtree import IRTree
+from repro.index.rtree import RTree
 
 
 def _items(n, seed=0, n_acts=6):
     rng = random.Random(seed)
-    out = []
+    items, activities = [], []
     for i in range(n):
-        acts = frozenset(rng.sample(range(n_acts), rng.randint(0, 3)))
-        out.append((rng.uniform(0, 50), rng.uniform(0, 50), i, acts))
-    return out
+        items.append((rng.uniform(0, 50), rng.uniform(0, 50), i))
+        activities.append(frozenset(rng.sample(range(n_acts), rng.randint(0, 3))))
+    return items, activities
 
 
-class TestAnnotation:
+def _nodes(tree):
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack.extend(node.children)
+
+
+class TestInvertedFiles:
     def test_root_union_is_total_union(self):
-        items = _items(200, seed=1)
-        tree = IRTree.bulk_load(items, max_entries=8)
-        want = frozenset().union(*(acts for _x, _y, _p, acts in items))
-        assert tree.root.activities == want
+        items, activities = _items(200, seed=1)
+        tree = RTree.bulk_load(items, max_entries=8, activities=activities)
+        assert tree.root.activities == frozenset().union(*activities)
 
     def test_node_unions_cover_children(self):
-        tree = IRTree.bulk_load(_items(300, seed=2), max_entries=8)
+        items, activities = _items(300, seed=2)
+        tree = RTree.bulk_load(items, max_entries=8, activities=activities)
+        for node in _nodes(tree):
+            assert node.activities == frozenset().union(*(c.activities for c in node.children))
 
-        def walk(node):
+    def test_entries_carry_their_point_sets(self):
+        items, activities = _items(120, seed=3)
+        tree = RTree.bulk_load(items, max_entries=8, activities=activities)
+        entries = [e for node in _nodes(tree) if node.is_leaf for e in node.children]
+        assert sorted((e.payload, e.activities) for e in entries) == sorted(
+            (payload, acts) for (_x, _y, payload), acts in zip(items, activities)
+        )
+
+    def test_activities_do_not_change_the_packing(self):
+        items, activities = _items(257, seed=4)
+        plain = RTree.bulk_load(items, max_entries=8)
+        inverted = RTree.bulk_load(items, max_entries=8, activities=activities)
+        shape = lambda tree: [  # noqa: E731
+            (node.rect, [getattr(c, "payload", None) for c in node.children])
+            for node in _nodes(tree)
+        ]
+        assert shape(plain) == shape(inverted)
+
+    def test_tree_packed_without_activities_has_none_sets(self):
+        items, _activities = _items(100, seed=5)
+        tree = RTree.bulk_load(items, max_entries=8)
+        for node in _nodes(tree):
+            assert node.activities is None
             if node.is_leaf:
-                for entry in node.children:
-                    assert IRTree.entry_activities(entry) <= node.activities
-            else:
-                for child in node.children:
-                    assert child.activities <= node.activities
-                    walk(child)
+                assert all(e.activities is None for e in node.children)
 
-        walk(tree.root)
-
-    def test_payload_accessors(self):
-        tree = IRTree.bulk_load([(1.0, 2.0, "traj7", frozenset({3}))])
-        entry = tree.root.children[0]
-        assert IRTree.entry_payload(entry) == "traj7"
-        assert IRTree.entry_activities(entry) == frozenset({3})
-
-
-class TestPruningCheck:
-    def test_node_has_any(self):
-        tree = IRTree.bulk_load(_items(100, seed=3))
-        present = next(iter(tree.root.activities))
-        assert IRTree.node_has_any(tree.root, [present])
-        assert not IRTree.node_has_any(tree.root, [999])
-        assert IRTree.node_has_any(tree.root, [999, present])
-
-    def test_unannotated_node_never_pruned(self):
-        from repro.index.rtree import RTreeNode
-
-        node = RTreeNode(is_leaf=True)
-        assert IRTree.node_has_any(node, [1])
-
-    def test_size_delegates(self):
-        tree = IRTree.bulk_load(_items(42, seed=4))
-        assert tree.size == 42
+    def test_empty_tree(self):
+        tree = RTree.bulk_load([], activities=[])
+        assert tree.size == 0
+        assert tree.root.activities is None

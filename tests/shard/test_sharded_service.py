@@ -133,7 +133,6 @@ class TestAggregatedStats:
             "cells_popped",
             "candidates_retrieved",
             "validated",
-            "distance_computations",
         ):
             assert 0 < getattr(merged, field) <= getattr(standalone, field), field
 

@@ -39,6 +39,26 @@ class TestGenerate:
         code = main(["generate", "-o", str(tmp_path / "x.jsonl")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scale", "0", "--preset", "la"],
+            ["--scale", "1.5", "--preset", "la"],
+            ["--scale", "-0.1", "--preset", "la"],
+            ["--scale", "nan", "--preset", "la"],
+            ["--users", "-3", "--venues", "150", "--vocabulary", "80"],
+            ["--venues", "0", "--users", "60", "--vocabulary", "80"],
+            ["--vocabulary", "0", "--users", "60", "--venues", "150"],
+            ["--users", "0", "--preset", "la"],
+        ],
+        ids=lambda flags: f"{flags[0].lstrip('-')}={flags[1]}",
+    )
+    def test_bad_values_rejected_before_generating(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.jsonl"
+        assert main(["generate", *flags, "-o", str(out)]) == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStats:
     def test_prints_table4(self, dataset_path, capsys):
