@@ -5,9 +5,9 @@ one: with ``obs=None`` (the default) it keeps a private
 :class:`~repro.obs.MetricRegistry`, so both arms here pay the same
 counters.  What the ratio measures is the rest of the contract — a
 service built with a passed-in ``Observability.disabled()`` handle (its
-registry shared and exported, disks bound to a
-:class:`~repro.obs.trace.NullTracer`, every span site asking that tracer
-whether it is on) must serve within 5% of the default service.  This
+registry shared and exported, no tracer, so every span site finds
+``obs.tracer is None`` and every disk read finds no active span) must
+serve within 5% of the default service.  This
 benchmark measures exactly that on the :class:`QueryService` hot path:
 
 * **alternating pairs** — baseline and instrumented runs interleave

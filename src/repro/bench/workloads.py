@@ -22,21 +22,20 @@ from repro.core.query import Query, QueryPoint
 from repro.model.database import TrajectoryDatabase
 
 
+#: Query activities come from the ``HEAD_SIZE`` most frequent activity IDs.
+#: The paper's queries ask for common activity *types* (Definition 1 lists
+#: "sport, dining and entertaining"; the motivating example queries
+#: categories, not long-tail tip words), and its flat, large IL timings
+#: imply query activities that occur in a sizeable share of trajectories.
+HEAD_SIZE = 50
+
+
 @dataclass(frozen=True, slots=True)
 class WorkloadConfig:
-    """Default query shape — the paper's Table V defaults.
-
-    ``head_size`` restricts query activities to the most frequent activity
-    IDs.  The paper's queries ask for common activity *types* (Definition 1
-    lists "sport, dining and entertaining"; the motivating example queries
-    categories, not long-tail tip words), and its flat, large IL timings
-    imply query activities that occur in a sizeable share of trajectories.
-    Set ``head_size=None`` to sample from the full vocabulary instead.
-    """
+    """Default query shape — the paper's Table V defaults."""
 
     n_query_points: int = 4
     n_activities_per_point: int = 3
-    head_size: Optional[int] = 50
     seed: int = 20130408  # ICDE'13 dates; any fixed seed works
 
     def __post_init__(self) -> None:
@@ -44,8 +43,6 @@ class WorkloadConfig:
             raise ValueError("a query needs at least one point")
         if self.n_activities_per_point < 1:
             raise ValueError("each query point needs at least one activity")
-        if self.head_size is not None and self.head_size < 1:
-            raise ValueError("head_size must be positive (or None)")
 
 
 class QueryWorkloadGenerator:
@@ -66,18 +63,11 @@ class QueryWorkloadGenerator:
 
     def _queryable(self, activities) -> bool:
         """Does this activity set contribute at least one query activity?"""
-        head = self.config.head_size
-        if head is None:
-            return bool(activities)
-        return any(a < head for a in activities)
+        return any(a < HEAD_SIZE for a in activities)
 
     def _head_activities(self, activities) -> List[int]:
         """The point's query-eligible activities, most popular first."""
-        head = self.config.head_size
-        eligible = sorted(activities)
-        if head is not None:
-            eligible = [a for a in eligible if a < head]
-        return eligible
+        return sorted(a for a in activities if a < HEAD_SIZE)
 
     # ------------------------------------------------------------------
     # Basic sampling

@@ -527,6 +527,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if not _check_query_args(args):
         return 2
+    if args.max_spans < 1:
+        print("--max-spans must be >= 1", file=sys.stderr)
+        return 2
     obs = Observability.enabled(max_spans=args.max_spans)
     n = _drive_workload(args, obs)
     payloads = [span.to_dict() for span in obs.tracer.drain()]
@@ -544,7 +547,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     if not _check_query_args(args):
         return 2
-    obs = Observability.disabled()  # registry only; tracing stays a no-op
+    obs = Observability.disabled()  # registry only, no tracer
     _drive_workload(args, obs)
     sys.stdout.write(obs.prometheus())
     return 0
@@ -569,14 +572,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_serve_args(args: argparse.Namespace) -> bool:
+    """Validate the ``serve-bench`` flags beyond :func:`_add_query_args`'
+    before the load; ``False`` means exit 2 (the reason is on stderr)."""
+    positive = {
+        "--rate": args.rate,
+        "--duration": args.duration,
+        "--period": args.period,
+        "--slo-ms": args.slo_ms,
+        "--shed-headroom": args.shed_headroom,
+    }
+    at_least_one = {
+        "--workload": args.workload,
+        "--queue-capacity": args.queue_capacity,
+        "--concurrency": args.concurrency,
+    }
+    for flag, value in positive.items():
+        if not value > 0:
+            print(f"{flag} must be > 0", file=sys.stderr)
+            return False
+    for flag, value in at_least_one.items():
+        if value < 1:
+            print(f"{flag} must be >= 1", file=sys.stderr)
+            return False
+    return True
+
+
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    if args.rate <= 0 or args.duration <= 0:
-        print("--rate and --duration must be > 0", file=sys.stderr)
-        return 2
-    if args.workload < 1:
-        print("--workload must be >= 1", file=sys.stderr)
-        return 2
-    if not _check_query_args(args):
+    if not _check_serve_args(args) or not _check_query_args(args):
         return 2
     db = load_database_jsonl(args.dataset)
     # Per-request deadline propagation needs a FaultPolicy to bite;

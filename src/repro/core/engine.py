@@ -45,7 +45,7 @@ from repro.obs.trace import activate
 from repro.core.context import ExecutionContext, SearchStats
 from repro.core.evaluator import MatchEvaluator
 from repro.core.kernels import resolve_kernel
-from repro.core.lower_bound import beats_unseen, lower_bound_distance
+from repro.core.lower_bound import LB_CELLS, beats_unseen, lower_bound_distance
 from repro.core.match import INFINITY
 from repro.core.pipeline import (
     APLFilter,
@@ -75,8 +75,6 @@ class EngineConfig:
         ``λ`` of Algorithm 1 — minimum *new* candidates per retrieval
         round.  The paper leaves it unspecified; 32 balances round
         overhead against over-retrieval (see the ablation benchmark).
-    lb_cells:
-        ``m`` of Algorithm 2 — frontier cells per virtual trajectory.
     use_tas / use_tight_lower_bound:
         Ablation switches (both on = the paper's design).  Disabling TAS
         drops the sketch filter from the validation chain; disabling the
@@ -101,7 +99,6 @@ class EngineConfig:
     """
 
     retrieval_batch: int = 32
-    lb_cells: int = 8
     use_tas: bool = True
     use_tight_lower_bound: bool = True
     apl_cache_size: int = 2048
@@ -110,8 +107,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.retrieval_batch < 1:
             raise ValueError("retrieval_batch (λ) must be >= 1")
-        if self.lb_cells < 1:
-            raise ValueError("lb_cells (m) must be >= 1")
         if self.apl_cache_size < 0:
             raise ValueError("apl_cache_size must be >= 0")
         resolve_kernel(self.kernel)  # fail fast on an unknown kernel
@@ -151,7 +146,6 @@ class GATSearchEngine:
         self.metric = metric
         self.kernel = resolve_kernel(self.config.kernel)
         self.retrieval_batch = self.config.retrieval_batch
-        self.lb_cells = self.config.lb_cells
         self.use_tas = self.config.use_tas
         self.use_tight_lower_bound = self.config.use_tight_lower_bound
         self.apl_cache: Optional[LRUCache] = (
@@ -314,7 +308,7 @@ class GATSearchEngine:
                 threshold = ctx.threshold()
                 if threshold != INFINITY:  # inf < D_lb never holds
                     if self.use_tight_lower_bound:
-                        beaten = beats_unseen(threshold, retriever, self.lb_cells, exact)
+                        beaten = beats_unseen(threshold, retriever, LB_CELLS, exact)
                     else:  # ablation: the loose queue-top bound the paper rejects
                         beaten = threshold < retriever.queue_top_mdist()
                     if span is not None:

@@ -110,7 +110,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.model.distance import DistanceMetric, EuclideanDistance, euclidean_matrix
+from repro.model.distance import DistanceMetric, EuclideanDistance
 from repro.native import c_array, ffi, lib
 
 INFINITY = math.inf
@@ -209,9 +209,6 @@ class QueryKernel:
         "c_slots",
         "_point_slots",
         "xy",
-        "_mode",
-        "_q0",
-        "_q1",
     )
 
     def __init__(self, query, metric: DistanceMetric) -> None:
@@ -245,16 +242,14 @@ class QueryKernel:
         self.c_slots = ffi.new("int64_t[]", self.bit_table.argmax(axis=1).tolist())
         self._point_slots = None
 
-        if type(metric) is EuclideanDistance:
-            self._mode = "euclidean"
-            self._q0 = _np.array([q.x for q in query], dtype=float)
-            self._q1 = _np.array([q.y for q in query], dtype=float)
-            #: ``(x, y)`` per query point: the C round evaluates distances.
-            self.xy = ffi.new("double[]", [c for q in query for c in q.coord])
-        else:
-            self._mode = "generic"
-            self._q0 = self._q1 = None
-            self.xy = ffi.NULL
+        #: ``(x, y)`` per query point, from which the C round evaluates
+        #: Euclidean distances; ``NULL`` for any other metric, whose block
+        #: :meth:`distance_matrix_for` fills.
+        self.xy = (
+            ffi.new("double[]", [c for q in query for c in q.coord])
+            if type(metric) is EuclideanDistance
+            else ffi.NULL
+        )
 
     @property
     def point_slots(self) -> Tuple[_np.ndarray, _np.ndarray]:
@@ -265,21 +260,15 @@ class QueryKernel:
             self._point_slots = point_slots(self.query, self.sorted_activities)
         return self._point_slots
 
-    def _pairwise_rows(self, coords: Sequence[Tuple[float, float]]) -> List[List[float]]:
-        """Per-pair metric calls — the only form a non-stock metric has."""
-        metric = self.metric
-        return [[metric(q.coord, c) for c in coords] for q in self.query]
-
     def distance_matrix_for(self, coords):
         """The ``|Q| x N`` distance matrix against a raw ``(N, 2)`` float
-        array of point coordinates: one elementwise ``np.hypot`` — which
-        the C round's libm ``hypot`` equals bit for bit — or, for a
-        generic metric, which has no array formula, per-pair calls (the
-        block fills its distances this way then)."""
-        if self._mode == "generic":
-            rows = self._pairwise_rows(list(map(tuple, coords.tolist())))
-            return _np.asarray(rows, dtype=float).reshape(self.m, len(coords))
-        return euclidean_matrix(self._q0, self._q1, coords[:, 0], coords[:, 1])
+        array of point coordinates, one metric call per pair — the block's
+        distances under a metric other than Euclidean, which has no array
+        formula (the C round evaluates Euclidean ones itself)."""
+        metric = self.metric
+        points = list(map(tuple, coords.tolist()))
+        rows = [[metric(q.coord, p) for p in points] for q in self.query]
+        return _np.asarray(rows, dtype=float).reshape(self.m, len(points))
 
 
 def _checked(status: int, what: str) -> None:

@@ -48,6 +48,11 @@ from repro.core.kernels import min_cover_cost
 from repro.core.match import INFINITY
 from repro.index.gat.hicl import QueryBitmaps
 
+#: ``m`` of Algorithm 2 — frontier cells per virtual trajectory, as the
+#: engine runs it.  :func:`lower_bound_distance` / :func:`beats_unseen`
+#: take ``m`` as an argument so the property tests can vary it.
+LB_CELLS = 8
+
 # A frontier entry: (mdist, level, cell code).
 FrontierEntry = Tuple[float, int, int]
 

@@ -89,6 +89,8 @@ class FaultInjector:
     whose stall or error draw fires wins (stall takes precedence — a hung
     controller never gets to report the media error).  Flip :attr:`enabled`
     off to turn the same disk healthy again without rebuilding anything.
+    An injected fault on a thread inside an active span (a traced engine
+    query) attaches a ``fault_*`` event to it.
     """
 
     def __init__(
@@ -117,10 +119,6 @@ class FaultInjector:
         self.errors_injected = 0
         self.stalls_injected = 0
         self.delays_injected = 0
-        #: Optional :class:`repro.obs.trace.Tracer`; when set and enabled,
-        #: each injected fault attaches a ``fault_*`` event to the
-        #: thread's active span (see :meth:`Observability.bind_disk`).
-        self.tracer = None
 
     # ------------------------------------------------------------------
     # Stall control
@@ -175,16 +173,14 @@ class FaultInjector:
                     delay += rule.extra_latency_s
         # Effects happen outside the lock: a stalled or sleeping reader
         # must never block other readers' draws (or lift_stalls itself).
-        tracer = self.tracer
-        if (stall or error or delay > 0.0) and tracer is not None and tracer.enabled:
-            span = current_span()
-            if span is not None:
-                if stall:
-                    span.add_event("fault_stall", key=str(key))
-                elif error:
-                    span.add_event("fault_error", key=str(key))
-                else:
-                    span.add_event("fault_delay", key=str(key), delay_s=delay)
+        span = current_span() if stall or error or delay > 0.0 else None
+        if span is not None:
+            if stall:
+                span.add_event("fault_stall", key=str(key))
+            elif error:
+                span.add_event("fault_error", key=str(key))
+            else:
+                span.add_event("fault_delay", key=str(key), delay_s=delay)
         if stall:
             self._stall_gate.wait(self.stall_timeout_s)
             return

@@ -40,11 +40,11 @@ from repro.geometry.grid import HierarchicalGrid
 from repro.storage.cache import LRUCache
 from repro.storage.disk import SimulatedDisk
 
-#: Default bound on the shared cache of disk-resident (level, activity)
-#: lists.  A cached list is a bitmap of at most ``4^level / 8`` bytes (8 KB at
-#: the paper's level 8), so a full cache is a few MB to ~32 MB; the bound only
+#: Bound on the shared cache of disk-resident (level, activity) lists.  A
+#: cached list is a bitmap of at most ``4^level / 8`` bytes (8 KB at the
+#: paper's level 8), so a full cache is a few MB to ~32 MB; the bound only
 #: matters for huge vocabularies, where LRU keeps the query-hot head resident.
-DEFAULT_CACHE_CAPACITY = 4096
+CACHE_CAPACITY = 4096
 
 
 def memory_level_budget(budget_bytes: int, vocabulary_size: int) -> int:
@@ -73,14 +73,14 @@ class HICL:
     disk:
         The simulated disk for the low levels (required when
         ``memory_levels < grid.depth``).
-    cache_capacity:
-        Bound on the shared LRU cache of disk-resident lists; ``0``
-        disables caching entirely (every lookup is a counted disk read —
-        the paper-faithful cold accounting, matching the engine's
-        ``apl_cache_size=0`` convention).  The paper's own remedy for
-        limited memory is to "retrieve the block(s) around the query
-        location into main memory at query time"; the bounded LRU keeps
-        those lists warm across queries and across concurrent queries.
+
+    Disk-resident lists go through a shared LRU cache of
+    :data:`CACHE_CAPACITY` entries.  The paper's own remedy for limited
+    memory is to "retrieve the block(s) around the query location into
+    main memory at query time"; the bounded LRU keeps those lists warm
+    across queries and across concurrent queries.  :meth:`clear_cache`
+    empties it — the paper-faithful cold accounting, where every first
+    lookup of a query is a counted disk read.
     """
 
     def __init__(
@@ -88,7 +88,6 @@ class HICL:
         grid: HierarchicalGrid,
         memory_levels: int,
         disk: Optional[SimulatedDisk] = None,
-        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
     ) -> None:
         if not 0 <= memory_levels <= grid.depth:
             raise ValueError(
@@ -106,9 +105,7 @@ class HICL:
         # costs one counted read per eviction cycle, not one per query.
         # Bitmaps are immutable ints, so sharing them can never change a
         # result; add_point invalidates the cache after its writes.
-        self._cache: Optional[LRUCache] = (
-            LRUCache(cache_capacity) if cache_capacity > 0 else None
-        )
+        self._cache = LRUCache(CACHE_CAPACITY)
 
     # ------------------------------------------------------------------
     # Construction
@@ -121,11 +118,10 @@ class HICL:
         grid: HierarchicalGrid,
         memory_levels: int,
         disk: Optional[SimulatedDisk] = None,
-        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
     ) -> "HICL":
         """Build the full hierarchy from two parallel ``int64`` arrays: each (leaf
         code, activity) a cell holds (:meth:`~repro.index.gat.apl.APLArrays.leaf_lists`)."""
-        hicl = cls(grid, memory_levels, disk, cache_capacity)
+        hicl = cls(grid, memory_levels, disk)
         sets: Dict[int, Set[int]] = {}
         for activity, code in zip(activities.tolist(), leaf_codes.tolist()):
             sets.setdefault(activity, set()).add(code)
@@ -161,8 +157,6 @@ class HICL:
             stored = self.disk.get_or_none(("hicl", level, activity))
             return _encode(stored) if stored else 0
 
-        if self._cache is None:
-            return _load()
         bitmap, hit = self._cache.get_or_load((level, activity), _load)
         if stats is not None:
             stats.hicl_cache_lookups += 1
@@ -181,8 +175,7 @@ class HICL:
     def clear_cache(self) -> None:
         """Drop the cache of disk-resident lists (forces every next lookup
         back to counted disk reads — useful for cold-cache measurements)."""
-        if self._cache is not None:
-            self._cache.clear()
+        self._cache.clear()
 
     # ------------------------------------------------------------------
     # Dynamic maintenance (extension; the paper only builds statically)
@@ -255,8 +248,8 @@ class QueryBitmaps:
     cache does not evict *inside* a query (the default 4 096-entry cache,
     every committed bench) the counted HICL reads per query are identical;
     the cache sees the same misses and fewer hits.  Under eviction
-    pressure, or with ``cache_capacity=0``, holding the level for the
-    query's lifetime can only save reads.
+    pressure holding the level for the query's lifetime can only save
+    reads.
     """
 
     __slots__ = ("hicl", "stats", "activities", "_maps")

@@ -26,10 +26,12 @@ import numpy as _np
 
 from repro.geometry.primitives import Coord, Rect
 
-DEFAULT_MAX_ENTRIES = 32
+#: Node fan-out ``M``: STR packs at most ``M`` children per node.
+MAX_ENTRIES = 32
 
 #: Below this fan-out the scalar loop beats NumPy's fixed call overhead;
-#: the default node size (32) sits comfortably above it.
+#: a full node (32) sits comfortably above it, and only a tree's short
+#: last nodes (or a tree of fewer points) fall below it.
 MIN_BATCH = 8
 
 
@@ -120,18 +122,10 @@ class RTreeNode:
 
 
 class RTree:
-    """The tree proper.
+    """The tree proper: a root and a point count, with at most
+    :data:`MAX_ENTRIES` children per node."""
 
-    Parameters
-    ----------
-    max_entries:
-        Node fan-out ``M``: STR packs at most ``M`` children per node.
-    """
-
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
-        if max_entries < 2:
-            raise ValueError("max_entries must be >= 2")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self.root = RTreeNode(is_leaf=True)
         self.size = 0
 
@@ -142,7 +136,6 @@ class RTree:
     def bulk_load(
         cls,
         items: Sequence[Tuple[float, float, Any]],
-        max_entries: int = DEFAULT_MAX_ENTRIES,
         activities: Optional[Sequence[FrozenSet[int]]] = None,
     ) -> "RTree":
         """Pack ``(x, y, payload)`` items into a balanced tree with STR.
@@ -155,18 +148,15 @@ class RTree:
         entries carry them and every node the union over its subtree
         (the IR-tree's inverted files).
         """
-        tree = cls(max_entries=max_entries)
+        tree = cls()
         if not items:
             return tree
         sets = repeat(None) if activities is None else activities
         entries = [RTreeEntry(x, y, payload, acts) for (x, y, payload), acts in zip(items, sets)]
-        level = cls._str_pack(
-            entries, max_entries, lambda e: e.x, lambda e: e.y, is_leaf=True
-        )
+        level = cls._str_pack(entries, lambda e: e.x, lambda e: e.y, is_leaf=True)
         while len(level) > 1:
             level = cls._str_pack(
                 level,
-                max_entries,
                 lambda n: n.rect.center[0],
                 lambda n: n.rect.center[1],
                 is_leaf=False,
@@ -178,18 +168,17 @@ class RTree:
     @staticmethod
     def _str_pack(
         items: List[Any],
-        max_entries: int,
         key_x: Callable[[Any], float],
         key_y: Callable[[Any], float],
         is_leaf: bool,
     ) -> List[RTreeNode]:
-        n_nodes = math.ceil(len(items) / max_entries)
+        n_nodes = math.ceil(len(items) / MAX_ENTRIES)
         n_slabs = max(1, math.ceil(math.sqrt(n_nodes)))
         per_slab = math.ceil(len(items) / n_slabs)
         by_x = sorted(items, key=key_x)
         nodes: List[RTreeNode] = []
         for s in range(0, len(by_x), per_slab):
             slab = sorted(by_x[s : s + per_slab], key=key_y)
-            for c in range(0, len(slab), max_entries):
-                nodes.append(RTreeNode(is_leaf, slab[c : c + max_entries]))
+            for c in range(0, len(slab), MAX_ENTRIES):
+                nodes.append(RTreeNode(is_leaf, slab[c : c + MAX_ENTRIES]))
         return nodes

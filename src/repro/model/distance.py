@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from typing import Mapping, Protocol, Tuple
 
-import numpy as np
-
 Coord = Tuple[float, float]
 
 
@@ -35,19 +33,6 @@ class EuclideanDistance:
 
     def __repr__(self) -> str:  # pragma: no cover
         return "EuclideanDistance()"
-
-
-# ----------------------------------------------------------------------
-# NumPy fast path (used by repro.core.kernels)
-# ----------------------------------------------------------------------
-def euclidean_matrix(qx, qy, px, py):
-    """Pairwise planar distances: rows = query points, columns = points.
-
-    ``np.hypot`` agrees with ``math.hypot`` to the last ulp (its
-    elementwise loop can round differently on a fraction of inputs), so
-    each entry matches ``EuclideanDistance()(q, p)`` to ≲2e-16 relative.
-    """
-    return np.hypot(qx[:, None] - px[None, :], qy[:, None] - py[None, :])
 
 
 class MatrixDistance:

@@ -17,12 +17,15 @@ One small package gives the serving stack a single pair of primitives:
 plus exporters (:func:`prometheus_text`, :func:`write_spans_jsonl`) and
 the :class:`Observability` handle that wires both into a service.
 
-Pay-for-what-you-use: ``Observability.disabled()`` carries a
-:class:`NullTracer` (every span method a no-op) and a live registry.  A
-service built without an ``obs`` object counts into a private registry of
-its own — the same counters, so ``stats()`` means the same either way —
-and binds no disk and opens no span.  ``Observability.enabled()`` turns on
-span collection.
+Off is one state.  ``Observability.tracer`` is a :class:`Tracer` or
+``None``: :meth:`Observability.disabled` keeps a live registry and no
+tracer, and a service built without an ``obs`` object counts into a
+private registry of its own — the same counters, so ``stats()`` means the
+same either way — and opens no span.  ``Observability.enabled()`` turns
+on span collection.  Disk reads and injected faults attach to whatever
+span is active on the reading thread (:func:`current_span`), and only a
+traced ``GATSearchEngine.execute`` activates one, so nothing is bound to
+a tracer.
 
 >>> from repro.obs import Observability
 >>> obs = Observability.enabled()
@@ -54,8 +57,6 @@ from repro.obs.metrics import (
     nearest_rank,
 )
 from repro.obs.trace import (
-    NULL_SPAN,
-    NullTracer,
     Span,
     Tracer,
     activate,
@@ -71,9 +72,7 @@ __all__ = [
     "LatencyWindow",
     "nearest_rank",
     "Tracer",
-    "NullTracer",
     "Span",
-    "NULL_SPAN",
     "current_span",
     "activate",
     "prometheus_text",
@@ -87,7 +86,8 @@ __all__ = [
 
 
 class Observability:
-    """The handle a service is constructed with: one tracer + one registry.
+    """The handle a service is constructed with: one tracer (or ``None``)
+    + one registry.
 
     The services count into :attr:`registry` directly (each takes its
     counter handles once, at construction, so the hot path pays
@@ -99,9 +99,9 @@ class Observability:
     :meth:`enabled` for both.
     """
 
-    def __init__(self, tracer=None, registry: Optional[MetricRegistry] = None) -> None:
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.registry = registry if registry is not None else MetricRegistry()
+    def __init__(self, tracer: Optional[Tracer] = None) -> None:
+        self.tracer = tracer
+        self.registry = MetricRegistry()
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -111,26 +111,10 @@ class Observability:
 
     @classmethod
     def disabled(cls) -> "Observability":
-        """Metrics only: the tracer is the no-op object (the passed-in
-        disabled handle the overhead bench gates within 5% of the default
-        ``obs=None`` service)."""
-        return cls(tracer=NullTracer())
-
-    # -- tracer binding -------------------------------------------------
-    def bind_disk(self, disk) -> None:
-        """Attach the tracer to a :class:`SimulatedDisk` (and its fault
-        injector, if any) so reads and injected faults surface as events
-        on the active span."""
-        disk.tracer = self.tracer
-        injector = getattr(disk, "fault_injector", None)
-        if injector is not None:
-            injector.tracer = self.tracer
-
-    def bind_index(self, index) -> None:
-        """Bind the disk of every shard of a :class:`ShardedGATIndex` (the
-        index behind every query service)."""
-        for shard in index.shards:
-            self.bind_disk(shard.disk)
+        """Metrics only: no tracer (the passed-in disabled handle the
+        overhead bench gates within 5% of the default ``obs=None``
+        service)."""
+        return cls()
 
     # -- export ---------------------------------------------------------
     def prometheus(self) -> str:

@@ -24,7 +24,7 @@ import math
 import re
 from typing import Any, Dict, Iterable, List, Union
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
+from repro.obs.metrics import BOUNDS, Counter, Gauge, Histogram, MetricRegistry
 from repro.obs.trace import Span
 
 __all__ = [
@@ -120,18 +120,12 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def _sample_name(name: str, labels, extra: str = "") -> str:
-    parts = [f'{k}="{v}"' for k, v in labels]
-    if extra:
-        parts.append(extra)
-    return name + ("{" + ",".join(parts) + "}" if parts else "")
-
-
 def prometheus_text(registry: MetricRegistry) -> str:
     """Render every registered metric in Prometheus text exposition
-    format, stable-ordered so snapshots diff cleanly."""
+    format, stable-ordered so snapshots diff cleanly: one ``# TYPE``
+    line per metric, then its samples (a histogram's carry the ``le``
+    bucket label the format requires)."""
     lines: List[str] = []
-    typed: set = set()
     for metric in registry.metrics():
         if not _NAME_OK.match(metric.name):
             raise ValueError(f"invalid metric name {metric.name!r}")
@@ -143,29 +137,18 @@ def prometheus_text(registry: MetricRegistry) -> str:
             kind = "histogram"
         else:  # pragma: no cover - registry only makes the three
             raise TypeError(f"unknown metric type {type(metric).__name__}")
-        if metric.name not in typed:
-            lines.append(f"# TYPE {metric.name} {kind}")
-            typed.add(metric.name)
+        lines.append(f"# TYPE {metric.name} {kind}")
         if isinstance(metric, Histogram):
             counts, count, total, _peak = metric._merged()
-            bucket_name = metric.name + "_bucket"
             seen = 0
-            for bound, c in zip(metric.bounds, counts):
+            for bound, c in zip(BOUNDS, counts):
                 seen += c
-                le = 'le="' + _fmt(bound) + '"'
-                lines.append(f"{_sample_name(bucket_name, metric.labels, le)} {seen}")
-            inf_le = 'le="+Inf"'
-            lines.append(f"{_sample_name(bucket_name, metric.labels, inf_le)} {count}")
-            lines.append(
-                f"{_sample_name(metric.name + '_sum', metric.labels)} {_fmt(total)}"
-            )
-            lines.append(
-                f"{_sample_name(metric.name + '_count', metric.labels)} {count}"
-            )
+                lines.append(f'{metric.name}_bucket{{le="{_fmt(bound)}"}} {seen}')
+            lines.append(f'{metric.name}_bucket{{le="+Inf"}} {count}')
+            lines.append(f"{metric.name}_sum {_fmt(total)}")
+            lines.append(f"{metric.name}_count {count}")
         else:
-            lines.append(
-                f"{_sample_name(metric.name, metric.labels)} {_fmt(metric.value())}"
-            )
+            lines.append(f"{metric.name} {_fmt(metric.value())}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -99,21 +99,13 @@ class LatencyWindow:
         return nearest_rank(ordered, q)
 
 
-def _render_labels(labels: Tuple[Tuple[str, str], ...]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in labels)
-    return "{" + inner + "}"
-
-
 class _Metric:
-    """Shared shape: a name, sorted label pairs, and per-thread cells."""
+    """Shared shape: a name and per-thread cells."""
 
-    __slots__ = ("name", "labels", "_lock", "_cells", "_local")
+    __slots__ = ("name", "_lock", "_cells", "_local")
 
-    def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...]) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.labels = labels
         self._lock = threading.Lock()
         self._cells: List[object] = []
         self._local = threading.local()
@@ -129,10 +121,6 @@ class _Metric:
 
     def _new_cell(self):  # pragma: no cover - overridden
         raise NotImplementedError
-
-    @property
-    def full_name(self) -> str:
-        return self.name + _render_labels(self.labels)
 
 
 class _CounterCell:
@@ -171,8 +159,8 @@ class Gauge(_Metric):
 
     __slots__ = ("_value",)
 
-    def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...]) -> None:
-        super().__init__(name, labels)
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
         self._value = 0.0
 
     def set(self, value: float) -> None:
@@ -184,12 +172,11 @@ class Gauge(_Metric):
             return self._value
 
 
-def _default_bounds() -> Tuple[float, ...]:
-    # 10 µs .. ~56 s in quarter-decade steps: log-spaced so one fixed
-    # bucket set covers both a cache hit and a deadline-length straggler
-    # with <78% relative quantile error, the histogram trade everyone
-    # makes.  29 buckets + overflow.
-    return tuple(10.0 ** (e / 4.0) for e in range(-20, 9))
+#: Every histogram's bucket upper bounds: 10 µs .. ~56 s in quarter-decade
+#: steps, log-spaced so one fixed bucket set covers both a cache hit and a
+#: deadline-length straggler with <78% relative quantile error, the
+#: histogram trade everyone makes.  29 buckets + overflow.
+BOUNDS: Tuple[float, ...] = tuple(10.0 ** (e / 4.0) for e in range(-20, 9))
 
 
 class _HistogramCell:
@@ -212,25 +199,14 @@ class Histogram(_Metric):
     never rounded to infinity).
     """
 
-    __slots__ = ("bounds",)
-
-    def __init__(
-        self,
-        name: str,
-        labels: Tuple[Tuple[str, str], ...],
-        bounds: Optional[Sequence[float]] = None,
-    ) -> None:
-        super().__init__(name, labels)
-        self.bounds = tuple(bounds) if bounds is not None else _default_bounds()
-        if list(self.bounds) != sorted(self.bounds):
-            raise ValueError("histogram bounds must be ascending")
+    __slots__ = ()
 
     def _new_cell(self) -> _HistogramCell:
-        return _HistogramCell(len(self.bounds) + 1)
+        return _HistogramCell(len(BOUNDS) + 1)
 
     def observe(self, value: float) -> None:
         cell = self._cell()
-        cell.counts[bisect_left(self.bounds, value)] += 1
+        cell.counts[bisect_left(BOUNDS, value)] += 1
         cell.count += 1
         cell.sum += value
         if value > cell.max:
@@ -239,7 +215,7 @@ class Histogram(_Metric):
     # -- merged views ---------------------------------------------------
     def _merged(self) -> Tuple[List[int], int, float, float]:
         with self._lock:
-            counts = [0] * (len(self.bounds) + 1)
+            counts = [0] * (len(BOUNDS) + 1)
             count = 0
             total = 0.0
             peak = 0.0
@@ -269,14 +245,14 @@ class Histogram(_Metric):
                 for i, c in enumerate(counts):
                     seen += c
                     if seen >= rank:
-                        snap[key] = min(self.bounds[i], peak) if i < len(self.bounds) else peak
+                        snap[key] = min(BOUNDS[i], peak) if i < len(BOUNDS) else peak
                         break
         snap["buckets"] = counts
         return snap
 
 
 class MetricRegistry:
-    """Named metric store: get-or-create by ``(name, labels)``.
+    """Named metric store: get-or-create by name.
 
     ``counter``/``gauge``/``histogram`` are idempotent — asking twice
     returns the same object, so callers cache handles freely.  Asking for
@@ -286,15 +262,13 @@ class MetricRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], _Metric] = {}
+        self._metrics: Dict[str, _Metric] = {}
 
-    def _get(self, cls, name: str, labels: Dict[str, str], **kwargs) -> _Metric:
-        key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+    def _get(self, cls, name: str) -> _Metric:
         with self._lock:
-            metric = self._metrics.get(key)
+            metric = self._metrics.get(name)
             if metric is None:
-                metric = cls(name, key[1], **kwargs)
-                self._metrics[key] = metric
+                metric = self._metrics[name] = cls(name)
             elif type(metric) is not cls:
                 raise ValueError(
                     f"metric {name!r} already registered as "
@@ -302,31 +276,26 @@ class MetricRegistry:
                 )
             return metric
 
-    def counter(self, name: str, **labels: str) -> Counter:
-        return self._get(Counter, name, labels)
+    def counter(self, name: str) -> Counter:
+        return self._get(Counter, name)
 
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._get(Gauge, name, labels)
+    def gauge(self, name: str) -> Gauge:
+        return self._get(Gauge, name)
 
-    def histogram(
-        self, name: str, bounds: Optional[Sequence[float]] = None, **labels: str
-    ) -> Histogram:
-        return self._get(Histogram, name, labels, bounds=bounds)
+    def histogram(self, name: str) -> Histogram:
+        return self._get(Histogram, name)
 
     def metrics(self) -> List[_Metric]:
-        """Every registered metric, sorted by (name, labels) for stable
-        export order."""
+        """Every registered metric, sorted by name for stable export
+        order."""
         with self._lock:
-            return [self._metrics[key] for key in sorted(self._metrics)]
+            return [self._metrics[name] for name in sorted(self._metrics)]
 
     def snapshot(self) -> Dict[str, object]:
         """A plain-dict view for embedding in ``BENCH_*.json`` rows:
         counters and gauges map to numbers, histograms to their
         count/sum/percentile summaries."""
-        out: Dict[str, object] = {}
-        for metric in self.metrics():
-            if isinstance(metric, Histogram):
-                out[metric.full_name] = metric.snapshot()
-            else:
-                out[metric.full_name] = metric.value()
-        return out
+        return {
+            metric.name: metric.snapshot() if isinstance(metric, Histogram) else metric.value()
+            for metric in self.metrics()
+        }

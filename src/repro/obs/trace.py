@@ -7,12 +7,13 @@ shard/replica/attempt/hedge/breaker attributes from the supervised
 fan-out, with disk reads and injected faults attached as bounded
 **events** on whichever span is active on the current thread.
 
-Three design rules keep this pay-for-what-you-use:
+Three design rules keep tracing cheap:
 
-* **Disabled is a no-op object, not a flag check tree.**
-  :class:`NullTracer` returns the shared :data:`NULL_SPAN`, whose every
-  method is ``pass``; hot paths guard on ``tracer.enabled`` (one
-  attribute load) before doing any real work.
+* **Off is one state: no tracer, no active span.**  A handle traces
+  when it carries a :class:`Tracer` (``Observability.tracer is None``
+  otherwise), and only a traced ``GATSearchEngine.execute`` activates a
+  span; the serving layer checks the tracer once per query and the
+  disk checks :func:`current_span` once per read.
 * **Bounded everywhere.**  Finished spans land in a ``deque(maxlen=...)``
   and each span caps its event list (``events_dropped`` counts the
   spill), so a pathological query can't turn the tracer into a leak.
@@ -42,26 +43,32 @@ from typing import Any, Dict, Iterable, List, Optional
 __all__ = [
     "Span",
     "Tracer",
-    "NullTracer",
-    "NULL_SPAN",
     "current_span",
     "activate",
 ]
 
 MAX_EVENTS_PER_SPAN = 128
 
-_ACTIVE = threading.local()
+
+class _Active(threading.local):
+    #: The class default makes an unset thread read ``None`` without the
+    #: ``AttributeError`` a bare ``getattr(local, name, None)`` raises and
+    #: swallows (~1 µs, paid on every disk read).
+    span: Optional["Span"] = None
+
+
+_ACTIVE = _Active()
 
 
 def current_span() -> Optional["Span"]:
     """The span the calling thread is currently inside (or ``None``)."""
-    return getattr(_ACTIVE, "span", None)
+    return _ACTIVE.span
 
 
 @contextmanager
 def activate(span: Optional["Span"]):
     """Make *span* the calling thread's active span for the block."""
-    prev = getattr(_ACTIVE, "span", None)
+    prev = _ACTIVE.span
     _ACTIVE.span = span
     try:
         yield span
@@ -181,47 +188,6 @@ class Span:
         )
 
 
-class _NullSpan:
-    """The do-nothing span: every recording method is a ``pass`` so
-    instrumented code never branches on 'is tracing on?'."""
-
-    __slots__ = ()
-
-    name = "null"
-    span_id = ""
-    trace_id = ""
-    parent_id = None
-    start_s = 0.0
-    end_s = 0.0
-    attrs: Dict[str, Any] = {}
-    events: List[Dict[str, Any]] = []
-    events_dropped = 0
-
-    def set_attr(self, key: str, value: Any) -> None:
-        pass
-
-    def set_attrs(self, **attrs: Any) -> None:
-        pass
-
-    def add_event(self, name: str, **attrs: Any) -> None:
-        pass
-
-    def child(self, name: str, attrs: Optional[Dict[str, Any]] = None) -> "_NullSpan":
-        return NULL_SPAN
-
-    def end(self, at: Optional[float] = None) -> None:
-        pass
-
-    def to_dict(self) -> Dict[str, Any]:  # pragma: no cover - not exported
-        return {}
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """Creates spans and retains the finished ones in a bounded buffer.
 
@@ -229,8 +195,6 @@ class Tracer:
     finished spans are evicted (``spans_dropped`` counts them).  Exporters
     take them with :meth:`drain`.
     """
-
-    enabled = True
 
     def __init__(self, max_spans: int = 10_000) -> None:
         self._lock = threading.Lock()
@@ -244,7 +208,7 @@ class Tracer:
         parent: Optional[Span] = None,
         attrs: Optional[Dict[str, Any]] = None,
     ) -> Span:
-        if parent is not None and not isinstance(parent, _NullSpan):
+        if parent is not None:
             trace_id = parent.trace_id
             parent_id = parent.span_id
         else:
@@ -267,7 +231,7 @@ class Tracer:
         whole batch joins the parent's trace.  The rebuilt spans are filed
         as finished."""
         spans = [Span.from_dict(p) for p in payloads]
-        if parent is not None and not isinstance(parent, _NullSpan):
+        if parent is not None:
             remap = {span.span_id for span in spans}
             for span in spans:
                 span.trace_id = parent.trace_id
@@ -286,20 +250,3 @@ class Tracer:
             spans = list(self._finished)
             self._finished.clear()
             return spans
-
-
-class NullTracer:
-    """The disabled tracer: hands out :data:`NULL_SPAN`, retains nothing.
-    ``enabled`` is ``False`` so hot paths can skip attribute assembly
-    entirely; code that doesn't check simply records into the void."""
-
-    enabled = False
-
-    def start_span(self, name, parent=None, attrs=None) -> _NullSpan:
-        return NULL_SPAN
-
-    def adopt(self, payloads, parent) -> List[Span]:
-        return []
-
-    def drain(self) -> List[Span]:
-        return []

@@ -238,9 +238,9 @@ class ServingFront:
         Capacity of the query-signature result cache; ``0`` disables it.
     obs:
         Optional :class:`~repro.obs.Observability` handle: the front
-        counts into its registry and binds the index's disks to its
-        tracer.  ``None`` counts into a private registry and traces
-        nothing.
+        counts into its registry and, when it carries a tracer, records
+        a ``query`` span per cache hit.  ``None`` counts into a private
+        registry and traces nothing.
     shards:
         Coverage stamped on cache hits (only full-coverage responses are
         ever cached, so a hit is complete by construction).
@@ -265,8 +265,6 @@ class ServingFront:
             raise ValueError("result_cache_size must be >= 0")
         self.index = index
         self.obs = obs
-        if obs is not None:
-            obs.bind_index(index)
         self._shards = shards
         self._health = health
         self._cache: Optional[LRUCache] = (
@@ -407,7 +405,7 @@ class ServingFront:
             shards_total=self._shards,
         )
         obs = self.obs
-        if obs is not None and obs.tracer.enabled:
+        if obs is not None and obs.tracer is not None:
             attrs = {**query_root_attrs(response), "cache_hit": True}
             obs.tracer.start_span("query", attrs=attrs).end()
         return response

@@ -156,7 +156,7 @@ class ServingFrontend:
         if deadline_s is None:
             deadline_s = request.deadline_s
         self._submitted.inc()
-        tracing = self.obs is not None and self.obs.tracer.enabled
+        tracing = self.obs is not None and self.obs.tracer is not None
         span = (
             self.obs.tracer.start_span(
                 "admission", attrs={"deadline_s": deadline_s}

@@ -326,9 +326,7 @@ def _worker_search(task: ShardTask) -> ShardResult:
     # Traced: a throwaway worker-local tracer collects this task's span
     # tree (shard_task root + engine stage children + disk events); the
     # spans ride home as plain dicts in ShardResult.spans and the parent
-    # re-parents them under the query root (Tracer.adopt).  The disk
-    # tracer binding is per-call because the same worker serves traced
-    # and untraced tasks alike.
+    # re-parents them under the query root (Tracer.adopt).
     from repro.obs.trace import Tracer
 
     tracer = Tracer(max_spans=256)
@@ -342,9 +340,6 @@ def _worker_search(task: ShardTask) -> ShardResult:
             "pid": os.getpid(),
         },
     )
-    disk = engine.index.disk
-    prev_tracer = disk.tracer
-    disk.tracer = tracer
     try:
         result = run_shard_task(
             engine,
@@ -354,7 +349,6 @@ def _worker_search(task: ShardTask) -> ShardResult:
             trace_span=span,
         )
     finally:
-        disk.tracer = prev_tracer
         span.end()
     result.spans = tuple(s.to_dict() for s in tracer.drain())
     return result

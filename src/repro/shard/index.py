@@ -231,7 +231,6 @@ class ShardedGATIndex:
                 disk = disk_factory()
             else:
                 disk = SimulatedDisk(
-                    page_size=shard.disk.page_size,
                     read_latency_s=shard.disk.read_latency_s,
                     concurrent_reads=shard.disk.concurrent_reads,
                 )

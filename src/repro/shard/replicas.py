@@ -311,7 +311,6 @@ class ReplicaPlacement:
         breaker: Optional[BreakerConfig],
         engine_config: EngineConfig,
         in_process: bool,
-        obs,
         primary: Optional[List[GATSearchEngine]] = None,
     ) -> None:
         if replica_disk_factory is not None and not in_process:
@@ -324,7 +323,6 @@ class ReplicaPlacement:
         self.index = index
         self._engine_config = engine_config
         self._disk_factory = replica_disk_factory
-        self._obs = obs
         if primary is None:
             primary = [self._engine(shard) for shard in index.shards]
         self.banks: List[List[GATSearchEngine]] = [primary]
@@ -335,13 +333,7 @@ class ReplicaPlacement:
         return GATSearchEngine(shard, config=self._engine_config)
 
     def _replica_bank(self) -> List[GATSearchEngine]:
-        replicas = self.index.replicate(self._disk_factory)
-        if self._obs is not None:
-            # Replica disks must report into the same tracer as the
-            # primaries (which the service's bind_index covers).
-            for shard in replicas:
-                self._obs.bind_disk(shard.disk)
-        return [self._engine(shard) for shard in replicas]
+        return [self._engine(shard) for shard in self.index.replicate(self._disk_factory)]
 
     def note_outcome(self, shard_id: int, replica: int, ok: bool) -> None:
         """Feed one attempt's outcome to the router's circuit breaker."""

@@ -158,7 +158,7 @@ class ShardedQueryService:
     obs:
         An optional :class:`~repro.obs.Observability` handle.  Metrics:
         the service counts into its registry (``None``: a private one).
-        Traces (handle with an enabled tracer): each request gets a
+        Traces (a handle with a tracer): each request gets a
         ``query`` root span (:func:`~repro.service.service.query_root_attrs`)
         with one ``shard_task`` child per attempt, engine stages under it —
         in-process attempts span directly (shard/replica/attempt/hedge/
@@ -224,7 +224,6 @@ class ShardedQueryService:
             breaker=breaker,
             engine_config=self.engine_config,
             in_process=self._in_process,
-            obs=obs,
             primary=self._primary_bank(),
         )
         self._front = ServingFront(
@@ -288,7 +287,7 @@ class ShardedQueryService:
         backend's.)
         """
         obs = self.obs
-        tracing = obs is not None and obs.tracer.enabled
+        tracing = obs is not None and obs.tracer is not None
         # _run_many mutates _shared from other threads (registering and
         # popping groups of concurrent batches), so even the read-side
         # lookup must hold the lock — an unlocked dict read races the
@@ -382,7 +381,7 @@ class ShardedQueryService:
         # and ship them home.  In-process attempts span in _run_task.
         trace = (
             self.obs is not None
-            and self.obs.tracer.enabled
+            and self.obs.tracer is not None
             and not self._in_process
         )
         return [
@@ -408,7 +407,7 @@ class ShardedQueryService:
         slots: List[Optional[int]] = []
         outcomes: List[FanoutOutcome] = []
         in_process = self._in_process
-        tracing = self.obs is not None and self.obs.tracer.enabled
+        tracing = self.obs is not None and self.obs.tracer is not None
         # Everything a query registers or leases is taken inside the try so
         # *every* failure path hands it back (a half-built batch used to
         # leak the earlier queries' slots).

@@ -28,7 +28,9 @@ from typing import Any, Dict, Hashable, List, Optional
 from repro.obs.trace import current_span
 from repro.storage.serialization import deserialize_obj, serialize_obj
 
-DEFAULT_PAGE_SIZE = 4096
+#: Logical page size in bytes; every object occupies a whole number of
+#: pages (minimum one).
+PAGE_SIZE = 4096
 
 
 @dataclass(slots=True)
@@ -67,11 +69,12 @@ class _Record:
 class SimulatedDisk:
     """Keyed byte store with page-granular accounting.
 
+    Objects occupy whole :data:`PAGE_SIZE` pages.  A read whose thread
+    is inside an active span (a traced engine query) attaches a
+    ``disk_read`` / ``disk_read_batch`` event to it.
+
     Parameters
     ----------
-    page_size:
-        Logical page size in bytes; every object occupies a whole number of
-        pages (minimum one).
     read_latency_s:
         Optional artificial latency injected per *read call* (not per page).
         Zero by default so tests and benchmarks stay fast and deterministic.
@@ -100,16 +103,12 @@ class SimulatedDisk:
 
     def __init__(
         self,
-        page_size: int = DEFAULT_PAGE_SIZE,
         read_latency_s: float = 0.0,
         concurrent_reads: Optional[int] = None,
         fault_injector=None,
     ) -> None:
-        if page_size <= 0:
-            raise ValueError("page size must be positive")
         if concurrent_reads is not None and concurrent_reads < 1:
             raise ValueError("concurrent_reads must be >= 1 (or None for unbounded)")
-        self.page_size = page_size
         self.read_latency_s = read_latency_s
         self.concurrent_reads = concurrent_reads
         self.fault_injector = fault_injector
@@ -122,11 +121,6 @@ class SimulatedDisk:
         self._records: Dict[Hashable, _Record] = {}
         self._stats_lock = threading.Lock()
         self._local = threading.local()
-        #: Optional :class:`repro.obs.trace.Tracer`; when set and enabled,
-        #: each read attaches a ``disk_read`` event to the thread's active
-        #: span (see :meth:`Observability.bind_disk`).  ``None`` keeps the
-        #: read path at one attribute load of overhead.
-        self.tracer = None
 
     def _pay_read_latency(self, n_reads: int = 1) -> None:
         """Sleep out *n_reads* worth of read latency, queueing on the
@@ -213,7 +207,7 @@ class SimulatedDisk:
         return self._store(key, _Record(handle, n_bytes, self._pages(n_bytes), extent=True))
 
     def _pages(self, n_bytes: int) -> int:
-        return max(1, -(-n_bytes // self.page_size))
+        return max(1, -(-n_bytes // PAGE_SIZE))
 
     def _store(self, key: Hashable, record: _Record) -> int:
         self._records[key] = record
@@ -230,11 +224,9 @@ class SimulatedDisk:
         """
         record = self._records[key]
         self._account_read(record.n_pages, record.n_bytes)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            span = current_span()
-            if span is not None:
-                span.add_event("disk_read", key=str(key), pages=record.n_pages)
+        span = current_span()
+        if span is not None:
+            span.add_event("disk_read", key=str(key), pages=record.n_pages)
         if self.fault_injector is not None:
             self.fault_injector.on_read(key)
         self._pay_read_latency()
@@ -261,13 +253,11 @@ class SimulatedDisk:
         self._account_read(
             n_pages, sum([record.n_bytes for record in records]), len(records)
         )
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            span = current_span()
-            if span is not None:
-                # One event per grouped round, not per key — events are
-                # bounded per span, and the batch is the I/O unit here.
-                span.add_event("disk_read_batch", n=len(records), pages=n_pages)
+        span = current_span()
+        if span is not None:
+            # One event per grouped round, not per key — events are
+            # bounded per span, and the batch is the I/O unit here.
+            span.add_event("disk_read_batch", n=len(records), pages=n_pages)
         if self.fault_injector is not None:
             # Per-key, like len(keys) individual gets — a batch aborts on
             # its first injected error, after all accounting (the seeks

@@ -17,7 +17,7 @@ def harness(tiny_db):
 def queries(tiny_db):
     gen = QueryWorkloadGenerator(
         tiny_db,
-        WorkloadConfig(n_query_points=2, n_activities_per_point=1, head_size=None, seed=2),
+        WorkloadConfig(n_query_points=2, n_activities_per_point=1, seed=2),
     )
     return gen.queries(2)
 

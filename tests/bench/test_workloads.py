@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.workloads import (
+    HEAD_SIZE,
     QueryWorkloadGenerator,
     WorkloadConfig,
     mixed_order_requests,
@@ -25,8 +26,6 @@ class TestConfig:
             WorkloadConfig(n_query_points=0)
         with pytest.raises(ValueError):
             WorkloadConfig(n_activities_per_point=0)
-        with pytest.raises(ValueError):
-            WorkloadConfig(head_size=0)
 
 
 class TestQueryShape:
@@ -45,18 +44,11 @@ class TestQueryShape:
         assert len(qs) == 5
 
     def test_head_restriction(self, small_db):
-        head = 30
-        gen = QueryWorkloadGenerator(
-            small_db, WorkloadConfig(head_size=head, seed=1)
-        )
+        assert HEAD_SIZE == 50
+        gen = QueryWorkloadGenerator(small_db, WorkloadConfig(seed=1))
         for q in gen.queries(10):
             for p in q:
-                assert all(a < head for a in p.activities)
-
-    def test_no_head_restriction(self, small_db):
-        gen = QueryWorkloadGenerator(small_db, WorkloadConfig(head_size=None, seed=1))
-        q = gen.query()
-        assert len(q) == 4  # shape still honoured
+                assert all(a < HEAD_SIZE for a in p.activities)
 
     def test_deterministic_for_seed(self, small_db):
         a = QueryWorkloadGenerator(small_db, WorkloadConfig(seed=11)).queries(3)

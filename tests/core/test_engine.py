@@ -36,8 +36,6 @@ class TestParameters:
         index = GATIndex.build(small_db, GATConfig(depth=4, memory_levels=4))
         with pytest.raises(ValueError):
             GATSearchEngine(index, retrieval_batch=0)
-        with pytest.raises(ValueError):
-            GATSearchEngine(index, lb_cells=0)
 
 
 class TestATSQ:

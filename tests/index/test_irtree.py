@@ -26,28 +26,28 @@ def _nodes(tree):
 
 class TestInvertedFiles:
     def test_root_union_is_total_union(self):
-        items, activities = _items(200, seed=1)
-        tree = RTree.bulk_load(items, max_entries=8, activities=activities)
+        items, activities = _items(800, seed=1)
+        tree = RTree.bulk_load(items, activities=activities)
         assert tree.root.activities == frozenset().union(*activities)
 
     def test_node_unions_cover_children(self):
-        items, activities = _items(300, seed=2)
-        tree = RTree.bulk_load(items, max_entries=8, activities=activities)
+        items, activities = _items(1200, seed=2)
+        tree = RTree.bulk_load(items, activities=activities)
         for node in _nodes(tree):
             assert node.activities == frozenset().union(*(c.activities for c in node.children))
 
     def test_entries_carry_their_point_sets(self):
-        items, activities = _items(120, seed=3)
-        tree = RTree.bulk_load(items, max_entries=8, activities=activities)
+        items, activities = _items(480, seed=3)
+        tree = RTree.bulk_load(items, activities=activities)
         entries = [e for node in _nodes(tree) if node.is_leaf for e in node.children]
         assert sorted((e.payload, e.activities) for e in entries) == sorted(
             (payload, acts) for (_x, _y, payload), acts in zip(items, activities)
         )
 
     def test_activities_do_not_change_the_packing(self):
-        items, activities = _items(257, seed=4)
-        plain = RTree.bulk_load(items, max_entries=8)
-        inverted = RTree.bulk_load(items, max_entries=8, activities=activities)
+        items, activities = _items(1025, seed=4)
+        plain = RTree.bulk_load(items)
+        inverted = RTree.bulk_load(items, activities=activities)
         shape = lambda tree: [  # noqa: E731
             (node.rect, [getattr(c, "payload", None) for c in node.children])
             for node in _nodes(tree)
@@ -55,8 +55,8 @@ class TestInvertedFiles:
         assert shape(plain) == shape(inverted)
 
     def test_tree_packed_without_activities_has_none_sets(self):
-        items, _activities = _items(100, seed=5)
-        tree = RTree.bulk_load(items, max_entries=8)
+        items, _activities = _items(400, seed=5)
+        tree = RTree.bulk_load(items)
         for node in _nodes(tree):
             assert node.activities is None
             if node.is_leaf:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.index.rtree import RTree
+from repro.index.rtree import MAX_ENTRIES, MIN_BATCH, RTree
 
 from rect_oracle import contains_point, contains_rect
 
@@ -72,22 +72,19 @@ class TestBulkLoad:
 
     def test_all_entries_present(self):
         pts = _points(500)
-        tree = RTree.bulk_load(pts, max_entries=16)
+        tree = RTree.bulk_load(pts)
         assert tree.size == 500
         assert sorted(e.payload for e in _entries(tree)) == list(range(500))
 
     def test_invariants(self):
-        tree = RTree.bulk_load(_points(300, seed=3), max_entries=8)
+        tree = RTree.bulk_load(_points(2000, seed=3))
+        assert _height(tree) == 3
         _check_invariants(tree)
 
     def test_balanced_height(self):
-        tree = RTree.bulk_load(_points(1000, seed=1), max_entries=16)
-        # STR packs tightly: height ~ ceil(log16(1000/16)) + 1.
-        assert _height(tree) <= 4
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            RTree(max_entries=1)
+        tree = RTree.bulk_load(_points(5000, seed=1))
+        # STR packs tightly: height ~ ceil(log32(5000/32)) + 1.
+        assert _height(tree) <= 3
 
 
 class TestNodeGeometry:
@@ -98,7 +95,7 @@ class TestNodeGeometry:
     def test_min_dist_monotone_down_the_tree(self):
         """MINDIST of a child is >= MINDIST of its parent: required for
         best-first search correctness."""
-        tree = RTree.bulk_load(_points(400, seed=10), max_entries=8)
+        tree = RTree.bulk_load(_points(2000, seed=10))
         q = (-10.0, -10.0)
 
         def walk(node):
@@ -114,15 +111,15 @@ class TestNodeGeometry:
         walk(tree.root)
 
     def test_node_count_reasonable(self):
-        tree = RTree.bulk_load(_points(256, seed=11), max_entries=16)
-        # At least ceil(256/16) leaves plus internal nodes, far fewer than entries.
-        assert 17 <= _node_count(tree) <= 64
+        tree = RTree.bulk_load(_points(1024, seed=11))
+        # At least ceil(1024/32) leaves plus internal nodes, far fewer than entries.
+        assert 33 <= _node_count(tree) <= 128
 
     def test_child_min_dists_match_scalar(self):
         """The batched NumPy candidate distances agree with the per-child
         scalar computation on every node, leaf and internal, for query
         points inside, outside, and axis-aligned with the rects."""
-        tree = RTree.bulk_load(_points(400, seed=12), max_entries=16)
+        tree = RTree.bulk_load(_points(2000, seed=12))
         rng = random.Random(13)
         queries = [(rng.uniform(-120, 220), rng.uniform(-120, 220)) for _ in range(6)]
         # Axis-aligned with a node edge: exercises the dx==0 / dy==0 exact
@@ -157,12 +154,9 @@ def _leaf_depths(tree):
 
 
 class TestSTRPacking:
-    @pytest.mark.parametrize(
-        "n, max_entries",
-        [(1, 2), (7, 2), (33, 4), (100, 8), (257, 16), (1000, 32)],
-    )
-    def test_packed_tree_is_complete_balanced_and_bounded(self, n, max_entries):
-        tree = RTree.bulk_load(_points(n, seed=n), max_entries=max_entries)
+    @pytest.mark.parametrize("n", [1, 7, 33, 100, 1025, 5000])
+    def test_packed_tree_is_complete_balanced_and_bounded(self, n):
+        tree = RTree.bulk_load(_points(n, seed=n))
         assert tree.size == n
         assert sorted(e.payload for e in _entries(tree)) == list(range(n))
         _check_invariants(tree)
@@ -171,18 +165,18 @@ class TestSTRPacking:
         stack = [tree.root]
         while stack:
             node = stack.pop()
-            assert 1 <= len(node.children) <= max_entries
+            assert 1 <= len(node.children) <= MAX_ENTRIES
             if not node.is_leaf:
                 stack.extend(node.children)
 
     def test_duplicate_coordinates_kept_apart(self):
-        tree = RTree.bulk_load([(1.0, 1.0, i) for i in range(20)], max_entries=4)
-        assert sorted(e.payload for e in _entries(tree)) == list(range(20))
+        tree = RTree.bulk_load([(1.0, 1.0, i) for i in range(100)])
+        assert sorted(e.payload for e in _entries(tree)) == list(range(100))
         assert tree.root.rect.width == tree.root.rect.height == 0.0
 
     def test_root_rect_is_tight_over_points(self):
         pts = _points(200, seed=21)
-        tree = RTree.bulk_load(pts, max_entries=8)
+        tree = RTree.bulk_load(pts)
         r = tree.root.rect
         assert r.min_x == min(x for x, _, _ in pts)
         assert r.max_x == max(x for x, _, _ in pts)
@@ -191,18 +185,26 @@ class TestSTRPacking:
 
 
 class TestScalarChildMinDists:
-    @pytest.mark.parametrize("max_entries", [2, 4, 7])
-    def test_below_batch_threshold_uses_exact_scalar_distances(self, max_entries):
-        """Nodes narrower than the NumPy batch threshold take the scalar
-        path, which must equal ``math.hypot`` / ``Rect.min_dist`` exactly."""
-        tree = RTree.bulk_load(_points(60, seed=max_entries), max_entries=max_entries)
+    @pytest.mark.parametrize("n", [2, 5, 7, 40, 200])
+    def test_below_batch_threshold_uses_exact_scalar_distances(self, n):
+        """Nodes narrower than the NumPy batch threshold — a small tree's
+        one leaf, a short last leaf, a root over few children — take the
+        scalar path, which must equal ``math.hypot`` / ``Rect.min_dist``
+        exactly."""
+        tree = RTree.bulk_load(_points(n, seed=n))
         q = (130.0, -7.5)
+        checked = 0
         stack = [tree.root]
         while stack:
             node = stack.pop()
+            if not node.is_leaf:
+                stack.extend(node.children)
+            if len(node.children) >= MIN_BATCH:
+                continue
+            checked += 1
             got = node.child_min_dists(q)
             if node.is_leaf:
                 assert got == [math.hypot(q[0] - e.x, q[1] - e.y) for e in node.children]
             else:
                 assert got == [c.rect.min_dist(q) for c in node.children]
-                stack.extend(node.children)
+        assert checked

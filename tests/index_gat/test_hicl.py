@@ -6,6 +6,7 @@ from repro.core.context import SearchStats
 from repro.geometry.grid import HierarchicalGrid
 from repro.core.query import Query, QueryPoint
 from repro.index.gat.apl import APLStore
+import repro.index.gat.hicl as hicl_module
 from repro.index.gat.hicl import HICL, QueryBitmaps, memory_level_budget
 from repro.model.database import TrajectoryDatabase
 from repro.storage.disk import SimulatedDisk
@@ -116,31 +117,17 @@ class TestDiskResidence:
         hicl.cells_with_activity(db.vocabulary.id_of("a"), 2)
         assert disk.stats.reads == 0
 
-    def test_cache_is_lru_bounded(self, db, grid):
+    def test_cache_is_lru_bounded(self, db, grid, monkeypatch):
+        assert hicl_module.CACHE_CAPACITY == 4096
+        monkeypatch.setattr(hicl_module, "CACHE_CAPACITY", 1)
         disk = SimulatedDisk()
-        hicl = build_hicl(db, grid, memory_levels=2, disk=disk, cache_capacity=1)
+        hicl = build_hicl(db, grid, memory_levels=2, disk=disk)
         disk.reset_stats()
         a, b = db.vocabulary.id_of("a"), db.vocabulary.id_of("b")
         hicl.cells_with_activity(a, 4)  # load a
         hicl.cells_with_activity(b, 4)  # evicts a (capacity 1)
         hicl.cells_with_activity(a, 4)  # re-read from disk
         assert disk.stats.reads == 3
-
-    def test_cache_capacity_zero_disables_caching(self, db, grid):
-        """cache_capacity=0 = every lookup is a counted read (mirrors the
-        engine's apl_cache_size=0 convention)."""
-        disk = SimulatedDisk()
-        hicl = build_hicl(db, grid, memory_levels=2, disk=disk, cache_capacity=0)
-        disk.reset_stats()
-        a = db.vocabulary.id_of("a")
-        for _ in range(3):
-            hicl.cells_with_activity(a, 4)
-        assert disk.stats.reads == 3
-        # No cache, no cache lookups to count.
-        stats = SearchStats()
-        hicl.bitmap(a, 4, stats)
-        assert (stats.hicl_cache_hits, stats.hicl_cache_lookups) == (0, 0)
-        hicl.clear_cache()  # no-op, must not raise
 
     def test_cache_stats_exposed(self, db, grid):
         """A lookup of a disk-resident list counts on the asking query's

@@ -5,7 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.model.distance import EuclideanDistance, MatrixDistance, euclidean_matrix
+from distance_oracle import euclidean_matrix
+
+from repro.model.distance import EuclideanDistance, MatrixDistance
 
 
 class TestEuclidean:

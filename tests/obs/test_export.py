@@ -85,8 +85,8 @@ class TestPrometheus:
     def _registry(self):
         reg = MetricRegistry()
         reg.counter("repro_queries_total").inc(6)
-        reg.gauge("repro_window", shard="0").set(3.5)
-        h = reg.histogram("repro_latency_seconds", bounds=(0.01, 0.1))
+        reg.gauge("repro_window").set(3.5)
+        h = reg.histogram("repro_latency_seconds")
         for v in (0.005, 0.05, 5.0):
             h.observe(v)
         return reg
@@ -98,13 +98,24 @@ class TestPrometheus:
         assert "# TYPE repro_latency_seconds histogram" in text
         samples = parse_prometheus_text(text)
         assert samples["repro_queries_total"] == 6.0
-        assert samples['repro_window{shard="0"}'] == 3.5
+        assert samples["repro_window"] == 3.5
         # Buckets are cumulative and +Inf equals _count.
         assert samples['repro_latency_seconds_bucket{le="0.01"}'] == 1.0
         assert samples['repro_latency_seconds_bucket{le="0.1"}'] == 2.0
         assert samples['repro_latency_seconds_bucket{le="+Inf"}'] == 3.0
         assert samples["repro_latency_seconds_count"] == 3.0
         assert samples["repro_latency_seconds_sum"] == pytest.approx(5.055)
+
+    def test_one_type_line_and_one_sample_per_counter(self):
+        reg = MetricRegistry()
+        for name in ("repro_b_total", "repro_a_total", "repro_b_total"):
+            reg.counter(name).inc()
+        assert prometheus_text(reg).splitlines() == [
+            "# TYPE repro_a_total counter",
+            "repro_a_total 1",
+            "# TYPE repro_b_total counter",
+            "repro_b_total 2",
+        ]
 
     def test_empty_registry_renders_empty(self):
         assert prometheus_text(MetricRegistry()) == ""

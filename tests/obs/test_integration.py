@@ -21,9 +21,16 @@ import pytest
 
 from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
 from repro.core.engine import GATSearchEngine
-from repro.faults import FaultInjector, FaultRule, kill_fleet_workers
+from repro.faults import FaultInjector, FaultRule, InjectedDiskError, kill_fleet_workers
 from repro.index.gat.index import GATConfig, GATIndex
-from repro.obs import Observability, parse_prometheus_text, validate_spans
+from repro.obs import (
+    Observability,
+    Span,
+    Tracer,
+    current_span,
+    parse_prometheus_text,
+    validate_spans,
+)
 from repro.service import QueryService
 from repro.shard import FaultPolicy, ShardedGATIndex, ShardedQueryService
 from repro.storage.disk import SimulatedDisk
@@ -139,7 +146,7 @@ class TestQueryServiceTracing:
             GATSearchEngine(index), result_cache_size=0, obs=obs
         ) as service:
             service.search_many(queries, k=K)
-        assert obs.tracer.drain() == []
+        assert obs.tracer is None
         samples = parse_prometheus_text(obs.prometheus())
         assert samples["repro_queries_total"] == float(len(queries))
         assert samples["repro_query_latency_seconds_count"] == float(len(queries))
@@ -171,6 +178,62 @@ class TestSharedRegistry:
         samples = parse_prometheus_text(obs.prometheus())
         assert samples["repro_queries_total"] == float(len(queries) + 2)
         assert samples["repro_result_cache_lookups_total"] == float(len(queries) + 2)
+
+
+# ----------------------------------------------------------------------
+# The engine alone: its span is the one disk and fault events land on
+# ----------------------------------------------------------------------
+class TestEngineSpanEvents:
+    """Disk reads and injected faults attach to the thread's active span,
+    and only a traced ``execute`` activates one: no tracer is bound to
+    the disk or its injector anywhere."""
+
+    def _index(self, db):
+        # The first read errors; the HICL's level 4 and the APL are on disk.
+        injector = FaultInjector(FaultRule(error_rate=1.0, max_errors=1))
+        return GATIndex.build(db, CONFIG, disk=SimulatedDisk(fault_injector=injector))
+
+    def test_traced_execute_records_reads_and_faults_on_its_span(self, db, queries):
+        engine = GATSearchEngine(self._index(db), apl_cache_size=0)
+        tracer = Tracer()
+        failed = tracer.start_span("shard_task")
+        with pytest.raises(InjectedDiskError):
+            engine.execute(queries[0], K, trace_span=failed)
+        assert {"disk_read", "fault_error"} <= {ev["name"] for ev in failed.events}
+        span = tracer.start_span("shard_task")
+        engine.execute(queries[0], K, trace_span=span)
+        names = [ev["name"] for ev in span.events]
+        assert "disk_read" in names and "disk_read_batch" in names
+        assert "fault_error" not in names
+
+    def test_untraced_execute_records_nothing_and_starts_no_span(
+        self, db, queries, monkeypatch
+    ):
+        engine = GATSearchEngine(self._index(db), apl_cache_size=0)
+        started = []
+        init = Span.__init__
+
+        def counting_init(span, *args, **kwargs):
+            started.append(args[0] if args else kwargs["name"])
+            init(span, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting_init)
+        disk = engine.index.disk
+        seen = []
+        for name in ("get", "get_many"):
+            read = getattr(disk, name)
+
+            def spy(*args, _read=read):
+                seen.append(current_span())
+                return _read(*args)
+
+            monkeypatch.setattr(disk, name, spy)
+        with pytest.raises(InjectedDiskError):
+            engine.execute(queries[0], K)
+        for query in queries:
+            engine.execute(query, K)
+        assert seen and seen == [None] * len(seen)
+        assert started == []
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,6 @@
 import threading
 
 from repro.obs import (
-    NULL_SPAN,
-    NullTracer,
     Span,
     Tracer,
     activate,
@@ -144,19 +142,3 @@ class TestAdopt:
         tracer = Tracer()
         adopted = tracer.adopt(payloads, None)
         assert [s.to_dict() for s in adopted] == payloads
-
-
-class TestNullTracer:
-    def test_disabled_and_inert(self):
-        tracer = NullTracer()
-        assert tracer.enabled is False
-        span = tracer.start_span("query", attrs={"k": 5})
-        assert span is NULL_SPAN
-        assert not span  # falsy, so `if span:` guards work
-        span.set_attr("a", 1)
-        span.set_attrs(b=2)
-        span.add_event("disk_read")
-        assert span.child("stage") is NULL_SPAN
-        span.end()
-        assert tracer.drain() == []
-        assert tracer.adopt([{"name": "x"}], None) == []

@@ -16,6 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as _np
 
+from distance_oracle import distance_matrix, is_generic
 from numpy_round_oracle import NumpyBlock
 from object_chain_oracle import union_positions
 
@@ -63,18 +64,19 @@ def dict_prepare_block(qk: QueryKernel, items: Sequence[tuple]) -> NumpyBlock:
             _np.zeros((m, 0)), _np.zeros((m, 0), dtype=_np.int64), [],
         )
 
-    if qk._mode == "generic":
+    if is_generic(qk):
         big = _np.empty((m, total))
         for c in flat_ids:
             s = seg_of[c]
-            big[:, s : s + lengths[c]] = qk.distance_matrix_for(
-                items[c][0].coord_array()[list(positions[c])]
+            big[:, s : s + lengths[c]] = distance_matrix(
+                qk, items[c][0].coord_array()[list(positions[c])]
             )
     else:
-        big = qk.distance_matrix_for(
+        big = distance_matrix(
+            qk,
             _np.concatenate(
                 [items[c][0].coord_array()[list(positions[c])] for c in flat_ids]
-            )
+            ),
         )
 
     # Bitmask scatter: flat (row * N + column, bit) pairs for the whole

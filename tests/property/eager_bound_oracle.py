@@ -15,7 +15,7 @@ both must see the same rounds, rankings and counters.
 
 from repro.core.context import ExecutionContext
 from repro.core.evaluator import MatchEvaluator
-from repro.core.lower_bound import lower_bound_distance
+from repro.core.lower_bound import LB_CELLS, lower_bound_distance
 from repro.core.match import INFINITY
 from repro.core.pipeline import CandidateRetriever, ScoringStage, ValidationStage
 from repro.core.results import SearchResult
@@ -41,9 +41,7 @@ def eager_execute(engine, query, k, order_sensitive=False, external_threshold=No
             stop_mdist = ctx.threshold() if shared_mode else INFINITY
             new_candidates = retriever.retrieve(engine.retrieval_batch, stop_mdist=stop_mdist)
             if engine.use_tight_lower_bound:
-                lower = lower_bound_distance(
-                    retriever.frontiers(), retriever.bitmaps, engine.lb_cells
-                )
+                lower = lower_bound_distance(retriever.frontiers(), retriever.bitmaps, LB_CELLS)
             else:
                 lower = retriever.queue_top_mdist()
             admitted = validation.admit_batch(ctx, new_candidates)

@@ -28,6 +28,7 @@ import functools
 from typing import List
 
 import numpy as _np
+from distance_oracle import distance_matrix
 
 from repro.core.kernels import INFINITY, QueryKernel
 from repro.index.gat.apl import ACTIVITY_BITS
@@ -174,7 +175,7 @@ def numpy_prepare_block(qk: QueryKernel, candidates) -> NumpyBlock:
     flat_ids = _np.flatnonzero(counts).tolist()
     seg_starts = starts[flat_ids].tolist()
 
-    big = qk.distance_matrix_for(candidates.image.xy[relevant + shift[cand_of_column]])
+    big = distance_matrix(qk, candidates.image.xy[relevant + shift[cand_of_column]])
     column_of_point = hit.cumsum() - 1
     carries = _np.zeros((total, n_slots), dtype=_np.int64)  # column × activity
     carries.reshape(-1)[column_of_point[hit_points] * n_slots + hit_slots] = 1
@@ -229,7 +230,7 @@ def numpy_block_dmm_all_single(qk: QueryKernel, candidates, stats=None):
 
     coords = candidates.image.xy[hit_points + _np.repeat(shift, columns)]
     masked = _np.where(
-        row_slots[:, None] == hit_slots, qk.distance_matrix_for(coords), INFINITY
+        row_slots[:, None] == hit_slots, distance_matrix(qk, coords), INFINITY
     )
     rowvals = _np.full((n_items, qk.m), INFINITY)
     rowvals[flat_ids] = _np.minimum.reduceat(masked, seg_starts, axis=1).T

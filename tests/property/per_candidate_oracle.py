@@ -18,6 +18,7 @@ as the candidate layout ``dense_dmom_oracle.py`` reads:
 from typing import List, Optional, Sequence
 
 import numpy as _np
+from distance_oracle import distance_matrix
 from numpy_round_oracle import c_fold
 
 from repro.core.kernels import INFINITY, QueryKernel, _cover_steps
@@ -83,7 +84,7 @@ def prepare_candidate(qk: QueryKernel, trajectory) -> Optional[CandidateArrays]:
             ps = posting.get(activity)
             if ps:
                 mrow[[col_of[p] for p in ps]] |= bit
-    dist = qk.distance_matrix_for(trajectory.coord_array()[positions])
+    dist = distance_matrix(qk, trajectory.coord_array()[positions])
     return CandidateArrays(positions, dist, mask)
 
 

@@ -4,7 +4,9 @@ test against the eager round order it replaced (``eager_bound_oracle.py``).
 Generated databases and queries (``test_retrieval_differential``'s cases)
 run through both on their own freshly built indexes, for ATSQ and OATSQ,
 both kernels, both ``use_tight_lower_bound`` settings, and with and without
-an external threshold (the sharded fan-out's merged k-th).  Rankings and
+an external threshold (the sharded fan-out's merged k-th), at the engine's
+``m`` (``LB_CELLS``; ``test_lazy_bound`` varies ``m`` under the bound
+itself).  Rankings and
 every ``SearchStats`` field — rounds, pops, candidates, the pruning
 counters, counted reads and pages — must be ``==``.
 """
@@ -36,7 +38,6 @@ def _check(case: Case, k: int, external: float) -> None:
     for order_sensitive, kernel, tight in CONFIGS:
         knobs = dict(
             retrieval_batch=case.batch,
-            lb_cells=case.m,
             kernel=kernel,
             use_tight_lower_bound=tight,
         )
@@ -57,11 +58,11 @@ _TWO_POINTS = [(10.0, 10.0, (0, 1)), (90.0, 70.0, (2,))]
 @settings(max_examples=40, deadline=None)
 # The round that scores the k-th result harvests the whole index: the test
 # must see that round's threshold (stop now), not the round-start ``inf``.
-@example(Case([[(0.0, 0.0, (0,))]], depth=1, memory_levels=0, queries=[[(0.0, 0.0, (0,))]], batch=1, m=1), 1, 5.0)
+@example(Case([[(0.0, 0.0, (0,))]], depth=1, memory_levels=0, queries=[[(0.0, 0.0, (0,))]], batch=1), 1, 5.0)
 # Many rounds with finite thresholds: a spread database, batch 1.
-@example(Case(_SPREAD, depth=5, memory_levels=3, queries=[_TWO_POINTS], batch=1, m=3), 3, 40.0)
-@example(Case(_SPREAD, depth=4, memory_levels=2, queries=[[(50.0, 50.0, (0,))]], batch=2, m=1), 5, 10.0)
+@example(Case(_SPREAD, depth=5, memory_levels=3, queries=[_TWO_POINTS], batch=1), 3, 40.0)
+@example(Case(_SPREAD, depth=4, memory_levels=2, queries=[[(50.0, 50.0, (0,))]], batch=2), 5, 10.0)
 # An external threshold below every distance: the shard stops on it.
-@example(Case(_SPREAD, depth=4, memory_levels=4, queries=[_TWO_POINTS], batch=2, m=4), 2, 0.0)
+@example(Case(_SPREAD, depth=4, memory_levels=4, queries=[_TWO_POINTS], batch=2), 2, 0.0)
 def test_lazy_engine_equals_eager_rounds(case, k, external):
     _check(case, k, external)

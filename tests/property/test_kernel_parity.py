@@ -13,6 +13,7 @@ import math
 
 import pytest
 from dense_dmom_oracle import dense_dmom_prepared
+from distance_oracle import distance_matrix
 from hypothesis import example, given, settings, strategies as st
 from per_candidate_oracle import CandidateArrays, c_dmom
 from python_fold_oracle import dmom_all_single_np, list_form, python_dmom_prepared
@@ -91,7 +92,7 @@ def test_resolve_kernel(capsys):
 def test_euclidean_matrix_matches_metric(qraw, traw):
     query, trajectory = _query(qraw), _trajectory(traw)
     qk = QueryKernel(query, EUCLID)
-    rows = qk.distance_matrix_for(trajectory.coord_array()).tolist()
+    rows = distance_matrix(qk, trajectory.coord_array()).tolist()
     for i, q in enumerate(query):
         for j, p in enumerate(trajectory.points):
             want = EUCLID(q.coord, p.coord)

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.storage.disk import SimulatedDisk
+from repro.storage.disk import PAGE_SIZE, SimulatedDisk
 from repro.storage.serialization import deserialize_obj, serialize_obj
 
 
@@ -47,13 +47,13 @@ class TestStoreLoad:
 
 class TestAccounting:
     def test_page_rounding_minimum_one(self):
-        disk = SimulatedDisk(page_size=4096)
+        disk = SimulatedDisk()
         pages = disk.put("small", 1)
         assert pages == 1
 
     def test_page_rounding_large_object(self):
-        disk = SimulatedDisk(page_size=100)
-        payload = list(range(1000))  # serialises to well over 100 bytes
+        disk = SimulatedDisk()
+        payload = list(range(5000))  # serialises to well over one page
         pages = disk.put("big", payload)
         assert pages > 1
         with disk.track() as read:
@@ -61,8 +61,8 @@ class TestAccounting:
         assert read.pages_read == pages
 
     def test_read_counters(self):
-        disk = SimulatedDisk(page_size=64)
-        pages = disk.put("k", list(range(100)))
+        disk = SimulatedDisk()
+        pages = disk.put("k", list(range(5000)))
         with disk.track() as delta:
             disk.get("k")
             disk.get("k")
@@ -85,9 +85,11 @@ class TestAccounting:
         assert disk.stats.reads == 0
         assert disk.stats.writes == 0
 
-    def test_bad_page_size_rejected(self):
-        with pytest.raises(ValueError):
-            SimulatedDisk(page_size=0)
+    def test_pages_are_page_size_bytes(self):
+        disk = SimulatedDisk()
+        assert PAGE_SIZE == 4096
+        assert disk.put_extent("one", None, PAGE_SIZE) == 1
+        assert disk.put_extent("two", None, PAGE_SIZE + 1) == 2
 
 
 class TestExtents:

@@ -338,6 +338,31 @@ class TestServingFlagValidation:
         assert main([command, str(tmp_path / "never-loaded.jsonl"), *flags]) == 2
         assert flags[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("trace", ["--max-spans", "-1"]),
+            ("trace", ["--max-spans", "0"]),
+            ("serve-bench", ["--slo-ms", "0"]),
+            ("serve-bench", ["--slo-ms", "-5", "--deadline-ms", "100"]),
+            ("serve-bench", ["--queue-capacity", "0"]),
+            ("serve-bench", ["--concurrency", "0"]),
+            ("serve-bench", ["--shed-headroom", "0"]),
+            ("serve-bench", ["--arrivals", "square", "--period", "0"]),
+            ("serve-bench", ["--rate", "0"]),
+            ("serve-bench", ["--duration", "-1"]),
+            ("serve-bench", ["--workload", "0"]),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "_".join(value),
+    )
+    def test_subcommand_flags_rejected_before_the_load(self, tmp_path, capsys, command, flags):
+        """Flags only one serving subcommand reads are checked before the
+        load too: exit 2 naming the flag, never a traceback after the
+        index build."""
+        assert main([command, str(tmp_path / "never-loaded.jsonl"), *flags]) == 2
+        bad = flags[-2] if flags[0] == "--arrivals" else flags[0]
+        assert bad in capsys.readouterr().err
+
     def test_sweep_rejects_zero_queries(self, tmp_path, capsys):
         """A sweep of no queries has nothing to time: exit 2 before the
         load instead of printing a table of zeros."""
