@@ -220,9 +220,9 @@ def _add_query_args(p_query: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="the fan-out executor's worker budget (default: 4 threads "
+        help="the fan-out pool's worker budget (default: 4 threads "
         "per shard copy, or one process per shard copy with --executor "
-        "process)",
+        "process; --executor serial has no pool and refuses it)",
     )
     p_query.add_argument(
         "--shards",
@@ -384,6 +384,8 @@ def _check_query_args(args: argparse.Namespace) -> bool:
         problem = "--batch must be >= 0"
     elif args.workers is not None and args.workers < 1:
         problem = "--workers must be >= 1"
+    elif args.workers is not None and args.executor == "serial":
+        problem = "--executor serial has no pool: --workers does not apply"
     elif args.shards < 1:
         problem = "--shards must be >= 1"
     elif args.replicas < 1:

@@ -9,12 +9,13 @@ The scale-out layer above the single-machine engine:
   (own database subset, own simulated disk) per shard, with routed
   inserts and a composite version for cache invalidation.
 * :class:`~repro.shard.service.ShardedQueryService` — the one sharded
-  service: fans each query out across shards through a pluggable executor
-  (serial / thread / process) and k-way merges the ranked lists; results
-  are byte-identical to the unsharded engine.
+  service: fans each query out across shards on the calling thread
+  (``serial``), a thread pool (``thread``) or a process fleet
+  (:class:`~repro.shard.executor.ProcessShardExecutor`) and k-way merges
+  the ranked lists; results are byte-identical to the unsharded engine.
 * :mod:`~repro.shard.replicas` — ``n_replicas`` copies of every shard
   behind one :class:`~repro.shard.replicas.ReplicaRouter` (round-robin
-  over the copies the per-replica circuit breakers call healthy, bound at
+  over the copies its per-replica circuit breakers call healthy, bound at
   submission on every backend), for read scaling beyond one device per
   shard (``ShardedQueryService(..., n_replicas=2)``); rankings stay
   byte-identical.
@@ -29,16 +30,14 @@ The scale-out layer above the single-machine engine:
 from repro.shard.executor import (
     EXECUTOR_KINDS,
     ProcessShardExecutor,
-    SerialShardExecutor,
     ShardEngineSpec,
     ShardResult,
     ShardTask,
     ShardTaskError,
-    ThreadShardExecutor,
     build_shard_engine,
 )
 from repro.shard.index import ShardedGATIndex
-from repro.shard.replicas import BreakerConfig, ReplicaHealth, ReplicaRouter
+from repro.shard.replicas import BreakerConfig, ReplicaRouter
 from repro.shard.resilience import (
     DeadlineExceeded,
     FanoutOutcome,
@@ -54,7 +53,6 @@ __all__ = [
     "ShardedQueryService",
     "ReplicaRouter",
     "BreakerConfig",
-    "ReplicaHealth",
     "FaultPolicy",
     "FanoutSupervisor",
     "FanoutOutcome",
@@ -63,8 +61,6 @@ __all__ = [
     "ShardResult",
     "ShardTaskError",
     "ShardEngineSpec",
-    "SerialShardExecutor",
-    "ThreadShardExecutor",
     "ProcessShardExecutor",
     "EXECUTOR_KINDS",
     "build_shard_engine",

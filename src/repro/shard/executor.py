@@ -1,29 +1,28 @@
-"""Pluggable shard fan-out executors: serial, threads, and processes.
+"""Shard fan-out backends: the caller, a thread pool, or worker processes.
 
 The sharded service expresses one query as ``n_shards`` independent
 :class:`ShardTask` units; its fan-out supervisor
-(:class:`~repro.shard.resilience.FanoutSupervisor`) submits them one by
-one through the executor's ``submit(task) -> Future`` — the whole
-executor API besides ``heal`` and ``close``.  How they run is the
-deployment's choice:
+(:class:`~repro.shard.resilience.FanoutSupervisor`) launches them one by
+one, and :func:`run_shard_task` runs each against a shard engine.  Where
+they run is the deployment's choice (``ShardedQueryService(executor=)``):
 
-* :class:`SerialShardExecutor` — inline, in submission order.  The
-  debugging / profiling baseline, and the reference the parity suite
-  compares the concurrent backends against.
-* :class:`ThreadShardExecutor` — a shared :class:`ThreadPoolExecutor`.
+* ``'serial'`` — no pool: the calling thread runs every attempt in
+  submission order.  The debugging / profiling baseline, and the
+  reference the parity suite compares the pooled backends against.
+* ``'thread'`` — a plain :class:`ThreadPoolExecutor` held by the service.
   The default: threads overlap the shards' simulated-disk latencies and
-  the NumPy kernel sections that release the GIL, and they can run
-  against the service's own in-process engines directly.
-* :class:`ProcessShardExecutor` — a :class:`ProcessPoolExecutor` whose
-  workers each rebuild shard engines from a picklable
-  :class:`ShardEngineSpec`.  This closes the residual GIL-bound share:
-  pure-Python retrieval/validation work runs truly in parallel.  Workers
-  build a shard's engine lazily on the first task that touches it, and
-  the pool hands any task to any idle worker, so a fleet of ``W`` workers
-  converges to **every** worker holding every shard's engine:
-  ``W × n_shards`` index builds (the fleet's ``setup_s``); the points
-  themselves are the inherited column arrays, which the builds only
-  read.
+  the kernel sections that release the GIL, and they run against the
+  service's own in-process engines directly.
+* ``'process'`` — :class:`ProcessShardExecutor`, a
+  :class:`ProcessPoolExecutor` whose workers each rebuild shard engines
+  from a picklable :class:`ShardEngineSpec`.  This closes the residual
+  GIL-bound share: pure-Python retrieval/validation work runs truly in
+  parallel.  Workers build a shard's engine lazily on the first task
+  that touches it, and the pool hands any task to any idle worker, so a
+  fleet of ``W`` workers converges to **every** worker holding every
+  shard's engine: ``W × n_shards`` index builds (the fleet's
+  ``setup_s``); the points themselves are the inherited column arrays,
+  which the builds only read.
 
 Process-pool consistency: worker processes hold *snapshots* of the index.
 They cannot observe :meth:`ShardedGATIndex.insert_trajectory`, so the
@@ -47,10 +46,10 @@ import math
 import multiprocessing
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.context import SearchStats
 from repro.core.engine import EngineConfig, GATSearchEngine
@@ -69,15 +68,16 @@ class ShardTask(NamedTuple):
     crosses thread and process boundaries, and the supervisor derives each
     attempt's task from it with ``_replace``.
 
-    ``group`` labels all tasks of one fan-out.  In-process backends use it
+    ``group`` labels all tasks of one fan-out.  In-process runners use it
     to find the query's shared merged-top-k (the distributed-top-k
-    threshold).  Process workers instead use ``threshold_slot`` — the
-    index of a ``multiprocessing.Value`` allocated at pool start-up (the
-    slots are inherited by the workers; synchronised objects cannot ride
-    the task queue itself).  Each worker publishes its shard's local k-th
-    distance into the slot and prunes against the fleet-wide minimum — an
-    upper bound on the merged k-th, hence sound — polled between
-    validation rounds via the engine's external-threshold hook.
+    threshold) and root span among their batch's.  Process workers
+    instead use ``threshold_slot`` — the index of a
+    ``multiprocessing.Value`` allocated at pool start-up (the slots are
+    inherited by the workers; synchronised objects cannot ride the task
+    queue itself).  Each worker publishes its shard's local k-th distance
+    into the slot and prunes against the fleet-wide minimum — an upper
+    bound on the merged k-th, hence sound — polled between validation
+    rounds via the engine's external-threshold hook.
     ``threshold_slot=None`` (serial/thread backends, or slot exhaustion)
     keeps the run-to-local-completion behaviour.
 
@@ -91,13 +91,14 @@ class ShardTask(NamedTuple):
     n_replicas`` workers rather than duplicating engines inside each
     worker.
 
-    Observability fields: ``trace`` asks the runner (in-process or a
-    process-fleet worker) to build a ``shard_task`` span for this task —
-    worker-side spans ride home serialized in :attr:`ShardResult.spans`
-    and are re-parented under the query root.  ``attempt`` counts prior
-    failures of this fan-out slot (0 = first launch) and ``hedge`` marks
-    a speculative duplicate; both are stamped alongside ``replica`` so
-    the span of whichever attempt *wins* says which attempt it was.
+    Observability fields: ``trace`` asks a process-fleet worker to build
+    a ``shard_task`` span for this task — worker-side spans ride home
+    serialized in :attr:`ShardResult.spans` and are re-parented under the
+    query root (in-process runners span into the service's tracer).
+    ``attempt`` counts prior failures of this fan-out slot (0 = first
+    launch) and ``hedge`` marks a speculative duplicate; both are stamped
+    alongside ``replica`` so the span of whichever attempt *wins* says
+    which attempt it was.
     """
 
     shard_id: int
@@ -128,9 +129,6 @@ class ShardResult:
     #: (``ShardTask.trace``) and the runner was a process-fleet worker;
     #: in-process runners file spans directly with the service's tracer.
     spans: Tuple[dict, ...] = ()
-
-
-ShardRunner = Callable[[ShardTask], ShardResult]
 
 
 class ShardTaskError(RuntimeError):
@@ -216,25 +214,51 @@ def build_shard_engine(spec: ShardEngineSpec, shard_id: int) -> GATSearchEngine:
 def run_shard_task(
     engine: GATSearchEngine,
     task: ShardTask,
-    external_threshold=None,
-    result_sink=None,
-    trace_span=None,
+    shared=None,
+    tracer=None,
+    parent=None,
+    **attrs,
 ) -> ShardResult:
     """Execute one shard task against *engine* — the single code path every
-    backend funnels through, in-process or in a worker.  The optional
-    hooks carry the cross-shard merged-top-k (see
-    :meth:`GATSearchEngine.execute`); process workers run without them.
-    *trace_span* is the ``shard_task`` span the engine reports its stage
-    spans and disk events into (``None`` = untraced)."""
-    ctx = engine.execute(
-        task.query,
-        task.k,
-        order_sensitive=task.order_sensitive,
-        explain=task.explain,
-        external_threshold=external_threshold,
-        result_sink=result_sink,
-        trace_span=trace_span,
-    )
+    backend funnels through, in-process or in a worker.
+
+    *shared* is the query's cross-shard merged top-k (anything with
+    ``threshold()`` and ``offer(result)``, see
+    :meth:`GATSearchEngine.execute`); ``None`` runs to local completion.
+    With a *tracer* the task runs inside a ``shard_task`` span under
+    *parent*, stamped with the task's shard / replica / attempt / hedge,
+    the caller's extra *attrs*, and ``error`` when the engine raises; the
+    engine reports its stage spans and disk events into it."""
+    span = None
+    if tracer is not None:
+        span = tracer.start_span(
+            "shard_task",
+            parent=parent,
+            attrs={
+                "shard": task.shard_id,
+                "replica": task.replica,
+                "attempt": task.attempt,
+                "hedge": task.hedge,
+                **attrs,
+            },
+        )
+    try:
+        ctx = engine.execute(
+            task.query,
+            task.k,
+            order_sensitive=task.order_sensitive,
+            explain=task.explain,
+            external_threshold=shared.threshold if shared is not None else None,
+            result_sink=shared.offer if shared is not None else None,
+            trace_span=span,
+        )
+    except Exception as exc:
+        if span is not None:
+            span.set_attr("error", f"{type(exc).__name__}: {exc}")
+        raise
+    finally:
+        if span is not None:
+            span.end()
     return ShardResult(
         shard_id=task.shard_id,
         results=tuple(ctx.ranked if ctx.ranked is not None else ()),
@@ -313,16 +337,11 @@ def _worker_search(task: ShardTask) -> ShardResult:
         engine = _WORKER_ENGINES[task.shard_id] = build_shard_engine(
             _WORKER_SPEC, task.shard_id
         )
-    if task.threshold_slot is None or task.threshold_slot >= len(_WORKER_SLOTS):
-        external_threshold = result_sink = None
-    else:
+    shared = None
+    if task.threshold_slot is not None and task.threshold_slot < len(_WORKER_SLOTS):
         shared = _SlotThreshold(_WORKER_SLOTS[task.threshold_slot], task.k)
-        external_threshold = shared.threshold
-        result_sink = shared.offer
     if not task.trace:
-        return run_shard_task(
-            engine, task, external_threshold=external_threshold, result_sink=result_sink
-        )
+        return run_shard_task(engine, task, shared)
     # Traced: a throwaway worker-local tracer collects this task's span
     # tree (shard_task root + engine stage children + disk events); the
     # spans ride home as plain dicts in ShardResult.spans and the parent
@@ -330,110 +349,9 @@ def _worker_search(task: ShardTask) -> ShardResult:
     from repro.obs.trace import Tracer
 
     tracer = Tracer(max_spans=256)
-    span = tracer.start_span(
-        "shard_task",
-        attrs={
-            "shard": task.shard_id,
-            "replica": task.replica,
-            "attempt": task.attempt,
-            "hedge": task.hedge,
-            "pid": os.getpid(),
-        },
-    )
-    try:
-        result = run_shard_task(
-            engine,
-            task,
-            external_threshold=external_threshold,
-            result_sink=result_sink,
-            trace_span=span,
-        )
-    finally:
-        span.end()
+    result = run_shard_task(engine, task, shared, tracer, pid=os.getpid())
     result.spans = tuple(s.to_dict() for s in tracer.drain())
     return result
-
-
-# ----------------------------------------------------------------------
-# Backends
-# ----------------------------------------------------------------------
-class SerialShardExecutor:
-    """Runs shard tasks inline on the calling thread."""
-
-    def __init__(self, run_task: ShardRunner) -> None:
-        self._run_task = run_task
-        self._closed = False
-
-    def submit(self, task: ShardTask) -> Future:
-        """Run *task* inline and return an already-completed future — the
-        fan-out supervisor speaks one submission API across backends.
-        Deadlines/hedges cannot preempt an inline task, of course; the
-        serial backend is the debugging baseline, not a serving tier."""
-        if self._closed:
-            # No pool to leak, but use-after-close raising is the serving
-            # front's contract.  Same invariant as the pooled backends.
-            raise RuntimeError("SerialShardExecutor used after close()")
-        future: Future = Future()
-        try:
-            future.set_result(self._run_task(task))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-    def heal(self) -> bool:
-        """Nothing to heal in-process; the supervisor calls this blindly."""
-        return False
-
-    def close(self) -> None:
-        self._closed = True
-
-
-class ThreadShardExecutor:
-    """Fan-out over a lazily created, long-lived thread pool.
-
-    The pool is shared by every concurrent ``search``/``search_many`` call,
-    so *max_workers* bounds the whole service's in-flight shard tasks —
-    size it to ``n_shards × batch concurrency`` to keep every shard busy.
-    """
-
-    def __init__(self, run_task: ShardRunner, max_workers: int) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self._run_task = run_task
-        self.max_workers = max_workers
-        self._lock = threading.Lock()
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._closed = False
-
-    def _shared_pool(self) -> ThreadPoolExecutor:
-        # Locked: concurrent first submissions (several clients hitting a
-        # fresh service) must not each create a pool and leak all but one.
-        with self._lock:
-            if self._closed:
-                # A lazily created pool must not be silently resurrected
-                # after close() — the leaked pool would outlive the closed
-                # service.  Fail loudly instead.
-                raise RuntimeError("ThreadShardExecutor used after close()")
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix="repro-shard"
-                )
-            return self._pool
-
-    def submit(self, task: ShardTask) -> Future:
-        """Submit one task to the shared pool (the supervisor's API)."""
-        return self._shared_pool().submit(self._run_task, task)
-
-    def heal(self) -> bool:
-        """Thread pools do not break; the supervisor calls this blindly."""
-        return False
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-            self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=True)
 
 
 class ProcessShardExecutor:

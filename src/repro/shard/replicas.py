@@ -24,7 +24,7 @@ single-copy fleet's.  ``n_replicas=1`` is not a special case: a router
 over one replica always picks replica 0.
 
 Routing: one strategy — round-robin per shard over the copies the
-circuit breaker (:class:`ReplicaHealth`) calls routable.  It is
+router's per-replica circuit breakers call routable.  It is
 perfectly balanced for uniform tasks, keeps no load table, and is the
 one setting that fails over on the *first* retry: a load-aware pick ties
 back onto the copy that just failed (its depth dropped to zero the
@@ -39,7 +39,8 @@ asks the router for a copy as it launches each attempt — first launch,
 retry or hedge — and stamps it on the task; in-process runners then use
 ``banks[task.replica][task.shard_id]``, process workers carry the stamp
 as span metadata.  The supervisor is also the one place outcomes flow
-back from (:meth:`ReplicaPlacement.note_outcome`).
+back from (:meth:`ReplicaRouter.record`): routing and health are one
+object under one lock.
 
 Mutation: replicas are read-only snapshots.  An insert goes through the
 primary :class:`~repro.shard.index.ShardedGATIndex` (quiesce the service,
@@ -93,8 +94,8 @@ class BreakerConfig:
             raise ValueError("probation_after_s must be > 0")
 
 
-#: Breaker states (`ReplicaHealth.state`): serving normally, ejected, or
-#: serving a single probation probe.
+#: Breaker states (`ReplicaRouter.replica_state`): serving normally,
+#: ejected, or serving a single probation probe.
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_PROBING = "probing"
@@ -110,121 +111,28 @@ class _ReplicaBreaker:
         self.probe_in_flight = False
 
 
-class ReplicaHealth:
-    """Per-(shard, replica) circuit breakers.
-
-    **Not** self-locking: every method runs under the owning router's
-    lock, which already serialises routing decisions — a second lock here
-    would only add an ordering hazard.  The *clock* is injectable so the
-    eject → probation → restore timeline is unit-testable without
-    sleeping.
-
-    Health degrades routing, never availability: when every replica of a
-    shard is ejected, :meth:`candidates` returns empty and the router
-    falls back to considering all of them (a guess at a dead replica
-    beats refusing to serve — retries and partial coverage handle the
-    rest).
-    """
-
-    def __init__(
-        self,
-        n_shards: int,
-        n_replicas: int,
-        config: Optional[BreakerConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.config = config if config is not None else BreakerConfig()
-        self._clock = clock
-        self._breakers = [
-            [_ReplicaBreaker() for _ in range(n_replicas)] for _ in range(n_shards)
-        ]
-        self.ejections = 0
-        self.restores = 0
-        self.probes = 0
-
-    def candidates(self, shard_id: int) -> List[int]:
-        """Replica ids currently routable for *shard_id*: closed breakers,
-        plus open ones whose probation timer expired and have no probe in
-        flight (routing one *is* the probe)."""
-        now = self._clock()
-        out: List[int] = []
-        for replica, breaker in enumerate(self._breakers[shard_id]):
-            if breaker.state == BREAKER_OPEN:
-                if (
-                    not breaker.probe_in_flight
-                    and now - breaker.opened_at >= self.config.probation_after_s
-                ):
-                    out.append(replica)
-            elif breaker.state == BREAKER_PROBING:
-                # Re-eligible when the probe concluded — or when it has
-                # been outstanding a whole probation interval (an
-                # abandoned/stalled probe must not wedge the replica in
-                # probing forever).
-                if (
-                    not breaker.probe_in_flight
-                    or now - breaker.opened_at >= self.config.probation_after_s
-                ):
-                    out.append(replica)
-            else:
-                out.append(replica)
-        return out
-
-    def note_leased(self, shard_id: int, replica: int) -> None:
-        """An attempt was routed to *replica*; routing an
-        expired-probation replica is its probe."""
-        breaker = self._breakers[shard_id][replica]
-        if breaker.state == BREAKER_OPEN:
-            now = self._clock()
-            if now - breaker.opened_at >= self.config.probation_after_s:
-                breaker.state = BREAKER_PROBING
-                breaker.probe_in_flight = True
-                breaker.opened_at = now  # the probe's own timeout clock
-                self.probes += 1
-        elif breaker.state == BREAKER_PROBING:
-            breaker.probe_in_flight = True
-            breaker.opened_at = self._clock()
-            self.probes += 1
-
-    def record_success(self, shard_id: int, replica: int) -> None:
-        breaker = self._breakers[shard_id][replica]
-        if breaker.state == BREAKER_PROBING:
-            breaker.state = BREAKER_CLOSED
-            breaker.probe_in_flight = False
-            breaker.consecutive_failures = 0
-            self.restores += 1
-        elif breaker.state == BREAKER_CLOSED:
-            breaker.consecutive_failures = 0
-        # BREAKER_OPEN: a straggler from before the ejection — ignored.
-
-    def record_failure(self, shard_id: int, replica: int) -> None:
-        breaker = self._breakers[shard_id][replica]
-        if breaker.state == BREAKER_PROBING:
-            breaker.state = BREAKER_OPEN
-            breaker.opened_at = self._clock()
-            breaker.probe_in_flight = False
-            self.ejections += 1
-        elif breaker.state == BREAKER_CLOSED:
-            breaker.consecutive_failures += 1
-            if breaker.consecutive_failures >= self.config.failure_threshold:
-                breaker.state = BREAKER_OPEN
-                breaker.opened_at = self._clock()
-                self.ejections += 1
-
-    def state(self, shard_id: int, replica: int) -> str:
-        return self._breakers[shard_id][replica].state
-
-
 class ReplicaRouter:
-    """Names the replica each shard-task attempt runs on: round-robin per
-    shard over the copies :class:`ReplicaHealth` calls routable (the scan
-    continues from the shard's cursor to the next routable copy).
+    """Names the replica each shard-task attempt runs on, and holds the
+    per-(shard, replica) circuit breakers that steer it.
 
-    Thread-safe; the lock also serialises the breaker, which the serving
-    tier feeds through :meth:`record_success` / :meth:`record_failure`.
-    When every copy of a shard is ejected the pick falls back to all of
-    them — health degrades routing, never availability — and while every
-    copy is healthy the pick sequence is the plain cycle: health tracking
-    is free until something actually fails.
+    Routing is round-robin per shard over the routable copies: the scan
+    continues from the shard's cursor to the next one.  A copy is
+    routable while its breaker is closed; an ejected (open) one becomes
+    routable again once ``probation_after_s`` has passed with no probe in
+    flight, and routing it *is* its one probe, whose outcome restores or
+    re-ejects it.  A probe that never reports (abandoned, or its pool
+    died) re-admits the copy after another probation interval instead of
+    wedging it in probing.
+
+    Thread-safe: one lock serialises the cursors and the breakers, which
+    the fan-out supervisor feeds through :meth:`record`.  Health degrades
+    routing, never availability: when every copy of a shard is ejected
+    the pick falls back to all of them (a guess at a dead replica beats
+    refusing to serve — retries and partial coverage handle the rest).
+    While every copy is healthy the pick sequence is the plain cycle:
+    health tracking is free until something actually fails.  The *clock*
+    is injectable so the eject → probation → restore timeline is
+    testable without sleeping.
     """
 
     def __init__(
@@ -240,49 +148,91 @@ class ReplicaRouter:
             raise ValueError("n_replicas must be >= 1")
         self.n_shards = n_shards
         self.n_replicas = n_replicas
+        self.config = breaker if breaker is not None else BreakerConfig()
+        self._clock = clock
         self._lock = threading.Lock()
         self._next = [0] * n_shards
-        self.health = ReplicaHealth(n_shards, n_replicas, breaker, clock)
+        self._breakers = [
+            [_ReplicaBreaker() for _ in range(n_replicas)] for _ in range(n_shards)
+        ]
+        self.ejections = 0
+        self.restores = 0
+        self.probes = 0
+
+    def _routable(self, breaker: _ReplicaBreaker, now: float) -> bool:
+        if breaker.state == BREAKER_CLOSED:
+            return True
+        expired = now - breaker.opened_at >= self.config.probation_after_s
+        if breaker.state == BREAKER_OPEN:
+            return expired and not breaker.probe_in_flight
+        # Probing: re-eligible when the probe concluded, or when it has
+        # been outstanding a whole probation interval.
+        return expired or not breaker.probe_in_flight
 
     def route(self, shard_id: int, avoid: Optional[int] = None) -> int:
         """Pick a replica of *shard_id* for one attempt.  *avoid* is the
         copy a retry or hedge replaces: it is skipped unless it is the
         only routable one."""
         with self._lock:
-            candidates = self.health.candidates(shard_id)
-            if not candidates:
-                candidates = list(range(self.n_replicas))
+            now = self._clock()
+            breakers = self._breakers[shard_id]
+            candidates = [
+                r for r, breaker in enumerate(breakers) if self._routable(breaker, now)
+            ] or list(range(self.n_replicas))
             if avoid is not None and len(candidates) > 1:
                 candidates = [r for r in candidates if r != avoid]
             start = self._next[shard_id]
             replica = min(candidates, key=lambda r: (r - start) % self.n_replicas)
             self._next[shard_id] = (replica + 1) % self.n_replicas
-            self.health.note_leased(shard_id, replica)
+            breaker = breakers[replica]
+            # Routing an expired-probation copy is its probe.
+            if breaker.state == BREAKER_PROBING or (
+                breaker.state == BREAKER_OPEN
+                and now - breaker.opened_at >= self.config.probation_after_s
+            ):
+                breaker.state = BREAKER_PROBING
+                breaker.probe_in_flight = True
+                breaker.opened_at = now  # the probe's own timeout clock
+                self.probes += 1
             return replica
 
-    def record_success(self, shard_id: int, replica: int) -> None:
-        """A task served by *replica* completed (breaker feedback)."""
+    def record(self, shard_id: int, replica: int, ok: bool) -> None:
+        """Feed one attempt's outcome on *replica* to its breaker."""
         with self._lock:
-            self.health.record_success(shard_id, replica)
-
-    def record_failure(self, shard_id: int, replica: int) -> None:
-        """A task served by *replica* failed (breaker feedback)."""
-        with self._lock:
-            self.health.record_failure(shard_id, replica)
+            breaker = self._breakers[shard_id][replica]
+            if breaker.state == BREAKER_PROBING:
+                breaker.probe_in_flight = False
+                if ok:
+                    breaker.state = BREAKER_CLOSED
+                    breaker.consecutive_failures = 0
+                    self.restores += 1
+                else:
+                    breaker.state = BREAKER_OPEN
+                    breaker.opened_at = self._clock()
+                    self.ejections += 1
+            elif breaker.state == BREAKER_CLOSED:
+                if ok:
+                    breaker.consecutive_failures = 0
+                else:
+                    breaker.consecutive_failures += 1
+                    if breaker.consecutive_failures >= self.config.failure_threshold:
+                        breaker.state = BREAKER_OPEN
+                        breaker.opened_at = self._clock()
+                        self.ejections += 1
+            # BREAKER_OPEN: a straggler from before the ejection — ignored.
 
     def replica_state(self, shard_id: int, replica: int) -> str:
         """Breaker state (``closed`` / ``open`` / ``probing``) of a copy."""
         with self._lock:
-            return self.health.state(shard_id, replica)
+            return self._breakers[shard_id][replica].state
 
     def health_counters(self) -> Tuple[int, int, int]:
         """One consistent ``(ejections, restores, probes)`` snapshot of
-        the breaker's lifetime counters, read under the router lock.  The
+        the breakers' lifetime counters, read under the router lock.  The
         serving front reads them into its stats epoch — the counters
         themselves are monotonic and never rewind."""
         with self._lock:
-            health = self.health
-            return (health.ejections, health.restores, health.probes)
+            return (self.ejections, self.restores, self.probes)
 
 
 class ReplicaPlacement:
@@ -334,13 +284,6 @@ class ReplicaPlacement:
 
     def _replica_bank(self) -> List[GATSearchEngine]:
         return [self._engine(shard) for shard in self.index.replicate(self._disk_factory)]
-
-    def note_outcome(self, shard_id: int, replica: int, ok: bool) -> None:
-        """Feed one attempt's outcome to the router's circuit breaker."""
-        if ok:
-            self.router.record_success(shard_id, replica)
-        else:
-            self.router.record_failure(shard_id, replica)
 
     def breaker_state(self, shard_id, replica) -> Optional[str]:
         """Breaker state for a shard-task span's attributes.  Tolerant of

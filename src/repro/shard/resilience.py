@@ -56,14 +56,16 @@ outcomes (``on_outcome``):
 
 The supervisor is deliberately executor-agnostic: it sees only
 ``submit(task) -> Future``, the ``bind`` / ``on_outcome`` pair, and an
-optional ``heal`` to retire a broken process pool.  The serial backend's
-inline futures degenerate it to a plain loop — correct, but nothing can
-preempt an inline task, so policies only bite under a concurrent
-backend.  **Caller runs:** given the in-process runner (``run_inline``)
-and nothing that could preempt a running attempt — no effective deadline
-in the batch, no hedging; :data:`ALL_OR_NOTHING` and ``FaultPolicy()``
-qualify — the calling thread runs the batch's last first launch itself
-instead of idling in ``wait``.  Retries still go to the pool.
+optional ``heal`` to retire a broken process pool.  **Caller runs:**
+given the in-process runner (``run_inline``) and nothing that could
+preempt a running attempt — no effective deadline in the batch, no
+hedging; :data:`ALL_OR_NOTHING` and ``FaultPolicy()`` qualify — the
+calling thread runs the batch's last first launch itself instead of
+idling in ``wait``; retries still go to the pool.  No pool
+(``submit=None``, the serial backend): the caller runs every attempt,
+first launches and retries alike, in submission order.  Nothing can
+preempt an attempt the caller runs, so a deadline only stops retries
+and nothing is ever hedged.
 """
 
 from __future__ import annotations
@@ -187,7 +189,9 @@ class FanoutSupervisor:
     Parameters
     ----------
     submit:
-        ``task -> Future`` on the serving executor.
+        ``task -> Future`` on the serving executor's pool; ``None`` when
+        there is no pool and the caller runs every attempt through
+        *run_inline*.
     policy / tracker:
         The budget and the shared latency window (owned by the service so
         the hedge quantile learns across batches).
@@ -200,7 +204,7 @@ class FanoutSupervisor:
         ``None`` for a first launch or a fleet-event resubmission.
     on_outcome:
         ``(shard_id, replica, ok) -> None``: the breaker's feed
-        (:meth:`~repro.shard.replicas.ReplicaPlacement.note_outcome`),
+        (:meth:`~repro.shard.replicas.ReplicaRouter.record`),
         called under the contract in the module docstring.
     heal:
         Called when an attempt dies with :class:`BrokenProcessPool`
@@ -211,12 +215,14 @@ class FanoutSupervisor:
         that they fail like any other.
     run_inline:
         The in-process backends' ``task -> ShardResult`` runner, for the
-        caller-runs rule (module docstring); ``None`` submits every attempt.
+        caller-runs rule (module docstring); ``None`` submits every
+        attempt.  Required when *submit* is ``None``: it then runs them
+        all.
     """
 
     def __init__(
         self,
-        submit: Callable[[ShardTask], Future],
+        submit: Optional[Callable[[ShardTask], Future]],
         policy: FaultPolicy,
         bind: Callable[[int, Optional[int]], int],
         on_outcome: Callable[[int, int, bool], None],
@@ -348,7 +354,7 @@ class FanoutSupervisor:
                 hedge=hedge,
             )
             started = time.monotonic()
-            if here:  # the caller runs it: done before launch returns
+            if here or self._submit is None:  # done before launch returns
                 try:
                     result = self._run_inline(task)
                 except Exception as exc:
@@ -375,9 +381,9 @@ class FanoutSupervisor:
                 states.append(state)
                 query_states.append(state)
             by_query.append(query_states)
-        # Submit after registering every state: an inline (serial) backend
-        # completes each attempt synchronously inside launch(), and a
-        # caller-run last attempt starts once the others are on the pool.
+        # Submit after registering every state: an attempt the caller
+        # runs completes inside launch(), and a caller-run last attempt
+        # starts once the others are on the pool.
         for i, state in enumerate(states, start=1):
             launch(state, here=caller_runs and i == len(states))
 
@@ -418,12 +424,14 @@ class FanoutSupervisor:
                     state.retry_due = None
                     outcomes[state.qi].retries += 1
                     launch(state, avoid=state.failed_on)
-            # Fire due hedges (one backup per shard, never hedge a hedge).
+            # Fire due hedges (one backup per shard, never hedge a hedge,
+            # never back up an attempt that already finished: wait below
+            # collects it).
             hedge_delay = self._hedge_delay()
             if hedge_delay is not None:
-                for attempt in list(attempts.values()):
+                for future, attempt in list(attempts.items()):
                     state = attempt.state
-                    if state.resolved or state.hedged or attempt.hedge:
+                    if state.resolved or state.hedged or attempt.hedge or future.done():
                         continue
                     if now - attempt.started >= hedge_delay:
                         state.hedged = True

@@ -8,8 +8,8 @@ and what a version move must rebuild (:meth:`ShardedQueryService._resync`).
 :class:`QueryService` is its one-shard case over the caller's engine.
 
 Fan-out: every query becomes ``n_shards`` independent :class:`ShardTask`
-units; one :class:`~repro.shard.resilience.FanoutSupervisor` submits them
-through a pluggable executor (serial / thread / process, see
+units; one :class:`~repro.shard.resilience.FanoutSupervisor` launches
+them on the calling thread, a thread pool or a process fleet (see
 :mod:`repro.shard.executor`), each bound at submission to one of the
 ``n_replicas`` copies of its shard
 (:class:`~repro.shard.replicas.ReplicaPlacement`), and the
@@ -24,7 +24,8 @@ sits idle while another query's slowest shard finishes.
 
 Distributed top-k: shard tasks of one query prune and terminate against a
 cross-shard threshold on every backend — the in-process backends share a
-merged :class:`TopKCollector` (:class:`_SharedTopK`), and the process
+merged :class:`TopKCollector` (:class:`_SharedTopK`, one per query, held
+by the batch that owns the query), and the process
 backend leases a shared-memory ``multiprocessing.Value`` slot per query
 into which each worker publishes its shard's local k-th distance (the
 fleet minimum upper-bounds the merged k-th, so pruning stays exact; see
@@ -51,9 +52,11 @@ service.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.context import SearchStats
@@ -72,12 +75,10 @@ from repro.service.service import (
 from repro.shard.executor import (
     EXECUTOR_KINDS,
     ProcessShardExecutor,
-    SerialShardExecutor,
     ShardEngineSpec,
     ShardResult,
     ShardTask,
     ShardTaskError,
-    ThreadShardExecutor,
     run_shard_task,
 )
 from repro.shard.index import ShardedGATIndex
@@ -114,7 +115,7 @@ class _SharedTopK:
         with self._lock:
             self._collector.offer(result)
 
-    def kth_distance(self) -> float:
+    def threshold(self) -> float:
         with self._lock:
             return self._collector.kth_distance()
 
@@ -131,13 +132,18 @@ class ShardedQueryService:
         process workers), so all shards score identically — under the
         default metric.
     executor:
-        ``'thread'`` (default), ``'process'``, or ``'serial'``.
+        ``'thread'`` (default): a :class:`ThreadPoolExecutor` of
+        *max_workers* threads, started on the first submission.
+        ``'process'``: a :class:`~repro.shard.executor.ProcessShardExecutor`
+        fleet.  ``'serial'``: no pool — the calling thread runs every
+        attempt, first launches and retries alike.
     max_workers:
         Width of the fan-out pool.  Thread default is ``4 × n_shards ×
         n_replicas`` (four queries' worth of shard tasks in flight per
         replica fleet); process default is one worker per shard copy,
         ``n_shards × n_replicas`` — capacity grows with the copies, which
-        is the point of replication.  Ignored by the serial backend.
+        is the point of replication.  The serial backend has no pool, so
+        passing a width with ``executor='serial'`` raises.
     result_cache_size:
         Query-signature result cache capacity (``0`` disables), shared
         across shards and invalidated on the composite index version.
@@ -153,8 +159,8 @@ class ShardedQueryService:
         whenever every shard answers.  Replicas are what make retries and
         hedges *useful*: a retried or hedged attempt is bound to a healthy
         sibling of the copy it replaces.  Deadlines and hedges need
-        a concurrent backend; the serial executor runs tasks inline where
-        nothing can preempt them.
+        a pool: under ``'serial'`` nothing can preempt the caller's
+        attempt, so a deadline only stops retries and nothing is hedged.
     obs:
         An optional :class:`~repro.obs.Observability` handle.  Metrics:
         the service counts into its registry (``None``: a private one).
@@ -205,6 +211,11 @@ class ShardedQueryService:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {EXECUTOR_KINDS}"
             )
+        if executor == "serial" and max_workers is not None:
+            raise ValueError(
+                "max_workers sizes a pool; executor='serial' has none "
+                "(the caller runs every attempt)"
+            )
         self.index = index
         self.obs = obs
         self.engine_config = (
@@ -233,31 +244,19 @@ class ShardedQueryService:
             shards=index.n_shards,
             health=self.placement.router.health_counters,
         )
-        if executor == "serial":
-            self._executor = SerialShardExecutor(self._run_task)
-        elif executor == "thread":
+        self._executor: Union[None, ThreadPoolExecutor, ProcessShardExecutor] = None
+        if executor == "thread":
             if max_workers is None:
                 max_workers = 4 * index.n_shards * n_replicas
-            self._executor = ThreadShardExecutor(self._run_task, max_workers)
-        else:
+            self._executor = ThreadPoolExecutor(
+                max_workers, thread_name_prefix="repro-shard"
+            )
+        elif executor == "process":
             if max_workers is None:
                 max_workers = index.n_shards * n_replicas
             self._executor = ProcessShardExecutor(
                 self._make_spec(), max_workers=max_workers
             )
-        # Guards the fan-out state below; never held across a call into
-        # the front, and _resync (which the front calls under *its* lock)
-        # never takes it.
-        self._lock = threading.Lock()
-        # Per-in-flight-query shared merged top-k, keyed by task group
-        # (thread/serial backends; the process backend shares thresholds
-        # through leased multiprocessing.Value slots instead).
-        self._shared: Dict[int, _SharedTopK] = {}
-        # Per-in-flight-query "query" root spans, keyed by task group
-        # (group ids are unique across concurrent batches, so no reuse
-        # races); shard-task spans parent here from worker threads, and
-        # process-fleet spans are adopted under it after the fan-out.
-        self._trace_roots: Dict[int, object] = {}
         self._group_ids = itertools.count(1)
         self.fault_policy = fault_policy
         self._policy = fault_policy if fault_policy is not None else ALL_OR_NOTHING
@@ -275,10 +274,17 @@ class ShardedQueryService:
         """Bank 0 if the caller already holds it (``None``: build it)."""
         return None
 
-    def _run_task(self, task: ShardTask) -> ShardResult:
-        """In-process task runner (serial and thread backends): runs the
-        task on the replica the supervisor bound it to; shard tasks of
-        one query prune against their shared merged top-k.
+    def _run_task(
+        self,
+        shared: Dict[int, _SharedTopK],
+        roots: Dict[int, object],
+        task: ShardTask,
+    ) -> ShardResult:
+        """In-process task runner (serial and thread backends), bound by
+        :meth:`_fan_out` to its batch's ``{group: merged top-k}`` and
+        ``{group: query root span}``: runs the task on the replica the
+        supervisor bound it to, pruning against its query's shared top-k
+        (none for a one-shard query: its own top-k is the merge).
 
         Failure contract: any exception leaves wrapped in a
         :class:`ShardTaskError` naming the shard, replica, and query —
@@ -286,49 +292,23 @@ class ShardedQueryService:
         breaker hears about the outcome from the supervisor, like every
         backend's.)
         """
-        obs = self.obs
-        tracing = obs is not None and obs.tracer is not None
-        # _run_many mutates _shared from other threads (registering and
-        # popping groups of concurrent batches), so even the read-side
-        # lookup must hold the lock — an unlocked dict read races the
-        # writers' rehash on free-threaded builds.
-        with self._lock:
-            shared = self._shared.get(task.group)
-            root = self._trace_roots.get(task.group) if tracing else None
+        tracer = self.obs.tracer if self.obs is not None else None
         placement = self.placement
-        engine = placement.banks[task.replica][task.shard_id]
-        span = None
-        if tracing:
-            span = obs.tracer.start_span(
-                "shard_task",
-                parent=root,
-                attrs={
-                    "shard": task.shard_id,
-                    "replica": task.replica,
-                    "attempt": task.attempt,
-                    "hedge": task.hedge,
-                    "breaker": placement.breaker_state(task.shard_id, task.replica),
-                },
-            )
         try:
-            if shared is None:  # a one-shard query: its own top-k is the merge
-                return run_shard_task(engine, task, trace_span=span)
             return run_shard_task(
-                engine,
+                placement.banks[task.replica][task.shard_id],
                 task,
-                external_threshold=shared.kth_distance,
-                result_sink=shared.offer,
-                trace_span=span,
+                shared.get(task.group),
+                tracer,
+                parent=roots.get(task.group),
+                breaker=(
+                    placement.breaker_state(task.shard_id, task.replica)
+                    if tracer is not None
+                    else None
+                ),
             )
         except Exception as exc:
-            if span is not None:
-                span.set_attr("error", f"{type(exc).__name__}: {exc}")
-            if isinstance(exc, ShardTaskError):
-                raise
             raise ShardTaskError(task, exc) from exc
-        finally:
-            if span is not None:
-                span.end()
 
     def _make_spec(self) -> ShardEngineSpec:
         """A picklable snapshot of the current fleet for process workers."""
@@ -400,30 +380,33 @@ class ShardedQueryService:
 
     def _fan_out(self, requests: Sequence[QueryRequest]) -> List[QueryResponse]:
         """The front's ``execute``: one flattened supervisor run over every
-        (request, shard) task, merged back into one response per request."""
+        (request, shard) task, merged back into one response per request.
+
+        The batch owns its queries' shared state: ``shared`` (each query's
+        merged top-k, in-process) and ``roots`` (each query's root span)
+        are locals the runner is bound to.  A root leaves ``roots`` when
+        it ends, so a straggler starting after its query resolved spans
+        with no parent."""
         responses: List[QueryResponse] = []
         fanouts: List[List[ShardTask]] = []
-        groups: List[int] = []
+        shared: Dict[int, _SharedTopK] = {}
+        roots: Dict[int, object] = {}
         slots: List[Optional[int]] = []
         outcomes: List[FanoutOutcome] = []
         in_process = self._in_process
-        tracing = self.obs is not None and self.obs.tracer is not None
-        # Everything a query registers or leases is taken inside the try so
+        tracer = self.obs.tracer if self.obs is not None else None
+        # Everything a query leases or opens is taken inside the try so
         # *every* failure path hands it back (a half-built batch used to
         # leak the earlier queries' slots).
         try:
             for request in requests:
                 group = next(self._group_ids)
-                groups.append(group)
-                if tracing:
-                    root = self.obs.tracer.start_span("query")
-                    with self._lock:
-                        self._trace_roots[group] = root
+                if tracer is not None:
+                    roots[group] = tracer.start_span("query")
                 slot = None
                 if in_process:
                     if self.n_shards > 1:  # one shard has nobody to share with
-                        with self._lock:
-                            self._shared[group] = _SharedTopK(request.k)
+                        shared[group] = _SharedTopK(request.k)
                 else:
                     # Process backend: lease a shared threshold slot so the
                     # query's shard tasks prune against the fleet minimum.
@@ -437,22 +420,21 @@ class ShardedQueryService:
                 if self.fault_policy is not None
                 else None
             )
-            outcomes = self._supervised_fanout(fanouts, deadlines)
+            outcomes = self._supervised_fanout(
+                fanouts, functools.partial(self._run_task, shared, roots), deadlines
+            )
             for outcome, request, fanout in zip(outcomes, requests, fanouts):
-                if tracing:
-                    self._adopt_worker_spans(
-                        fanout[0].group, list(outcome.results.values())
-                    )
+                root = roots.get(fanout[0].group)
+                if root is not None:
+                    self._adopt_worker_spans(root, outcome.results.values())
                 response = self._assemble(request, fanout, outcome)
                 responses.append(response)
-                if tracing:
-                    self._end_trace_root(fanout[0].group, response)
+                if root is not None:
+                    del roots[fanout[0].group]
+                    root.set_attrs(**query_root_attrs(response))
+                    root.end()
         finally:
-            if in_process:
-                with self._lock:
-                    for group in groups:
-                        self._shared.pop(group, None)
-            else:
+            if not in_process:
                 # A slot goes back only once the query's abandoned attempts
                 # — still publishing into it from their workers — are done
                 # (at once when the fan-out never ran or left none behind).
@@ -460,29 +442,18 @@ class ShardedQueryService:
                     self._executor.release_slot(
                         slot, after=outcome.in_flight if outcome else ()
                     )
-            if tracing:
-                # Roots still registered here belong to queries that died
-                # mid-fan-out; end them so the trace buffer never
-                # accumulates open spans.
-                with self._lock:
-                    leftovers = [
-                        self._trace_roots.pop(group, None) for group in groups
-                    ]
-                for root in leftovers:
-                    if root is not None:
-                        root.set_attr("error", True)
-                        root.end()
+            # Roots left here belong to queries that died mid-fan-out; end
+            # them so the trace buffer never accumulates open spans.
+            for root in roots.values():
+                root.set_attr("error", True)
+                root.end()
         return responses
 
-    def _adopt_worker_spans(
-        self, group: int, shard_results: Sequence[ShardResult]
-    ) -> None:
+    def _adopt_worker_spans(self, root, shard_results) -> None:
         """Re-parent spans recorded inside fleet workers under this
         query's root span.  Breaker state is stamped here, parent-side:
         the worker cannot see the router, and the adoption moment is the
         first time both the span and the breaker live in one process."""
-        with self._lock:
-            root = self._trace_roots.get(group)
         payloads: List[dict] = []
         for result in shard_results:
             payloads.extend(result.spans)
@@ -497,34 +468,32 @@ class ShardedQueryService:
             if breaker is not None:
                 span.set_attr("breaker", breaker)
 
-    def _end_trace_root(self, group: int, response: QueryResponse) -> None:
-        """Close one query's root span with its response-level attributes
-        and deregister it (idempotent per group)."""
-        with self._lock:
-            root = self._trace_roots.pop(group, None)
-        if root is None:
-            return
-        root.set_attrs(**query_root_attrs(response))
-        root.end()
-
     def _supervised_fanout(
         self,
         fanouts: List[List[ShardTask]],
+        run_task: Callable[[ShardTask], ShardResult],
         deadlines: Optional[List[Optional[float]]] = None,
     ) -> List[FanoutOutcome]:
         """Run the batch's fan-outs under the service's fault policy.
-        ``deadlines[i]`` optionally tightens fan-out *i*'s budget below
-        ``fault_policy.deadline_s`` (per-request remaining budgets from
-        the serving front-end)."""
+        *run_task* is the batch's in-process runner (unused by the process
+        backend).  ``deadlines[i]`` optionally tightens fan-out *i*'s
+        budget below ``fault_policy.deadline_s`` (per-request remaining
+        budgets from the serving front-end)."""
         executor = self._executor
+        if not self._in_process:
+            submit, heal, run_task = executor.submit, executor.heal, None
+        elif executor is not None:
+            submit, heal = functools.partial(executor.submit, run_task), None
+        else:  # serial: no pool, the caller runs every attempt
+            submit = heal = None
         supervisor = FanoutSupervisor(
-            executor.submit,
+            submit,
             self._policy,
             bind=self.placement.router.route,
-            on_outcome=self.placement.note_outcome,
+            on_outcome=self.placement.router.record,
             tracker=self._task_latency,
-            heal=executor.heal,
-            run_inline=self._run_task if self._in_process else None,
+            heal=heal,
+            run_inline=run_task,
         )
         outcomes = supervisor.run(fanouts, deadlines=deadlines)
         count = self._front.count
@@ -611,10 +580,13 @@ class ShardedQueryService:
         return self._front.serve(requests, self._fan_out, self._resync)
 
     def close(self) -> None:
-        """Refuse further work, then shut down the fan-out executor
+        """Refuse further work, then shut down the fan-out pool
         (idempotent)."""
         self._front.close()
-        self._executor.close()
+        if not self._in_process:
+            self._executor.close()
+        elif self._executor is not None:
+            self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "ShardedQueryService":
         return self

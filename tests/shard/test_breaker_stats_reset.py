@@ -1,6 +1,6 @@
 """Regression: breaker lifecycle counters must honour reset_stats().
 
-``ReplicaHealth.ejections/restores/probes`` are lifetime-monotonic by
+``ReplicaRouter.ejections/restores/probes`` are lifetime-monotonic by
 design (the router's health logic diffs nothing and must never rewind).
 The serving tier surfaces them through ``stats()``, which *is* a
 windowed view — ``reset_stats()`` zeroes queries, latencies, retries.
@@ -38,15 +38,15 @@ def service(tiny_db):
 
 def test_ejections_surface_in_stats(service):
     assert service.stats().breaker_ejections == 0
-    service.placement.router.record_failure(0, 0)  # threshold 1: instant ejection
+    service.placement.router.record(0, 0, False)  # threshold 1: instant ejection
     stats = service.stats()
     assert stats.breaker_ejections == 1
     assert stats.breaker_restores == 0
 
 
 def test_reset_stats_zeroes_breaker_counters(service):
-    service.placement.router.record_failure(0, 0)
-    service.placement.router.record_failure(1, 1)
+    service.placement.router.record(0, 0, False)
+    service.placement.router.record(1, 1, False)
     assert service.stats().breaker_ejections == 2
 
     service.reset_stats()
@@ -57,13 +57,13 @@ def test_reset_stats_zeroes_breaker_counters(service):
     assert stats.breaker_probes == 0
 
     # New trips after the reset count from zero, not from history.
-    service.placement.router.record_failure(0, 1)
+    service.placement.router.record(0, 1, False)
     assert service.stats().breaker_ejections == 1
 
 
 def test_probe_and_restore_count_within_the_window(service):
     router = service.placement.router
-    router.record_failure(0, 0)  # eject replica (0, 0)
+    router.record(0, 0, False)  # eject replica (0, 0)
     service.reset_stats()
     time.sleep(0.06)  # probation expires
     # Routing shard 0 onto the probation candidate is its probe;
@@ -75,7 +75,7 @@ def test_probe_and_restore_count_within_the_window(service):
             probed = replica
             break
     assert probed is not None
-    router.record_success(0, probed)  # the probe heals the replica
+    router.record(0, probed, True)  # the probe heals the replica
     stats = service.stats()
     assert stats.breaker_probes == 1
     assert stats.breaker_restores == 1

@@ -1,11 +1,13 @@
 """The caller-runs rule of the fan-out supervisor.
 
-On an in-process backend, when nothing could preempt a running attempt —
+On the thread backend, when nothing could preempt a running attempt —
 no effective deadline for any query of the batch and no hedging — the
 calling thread runs the batch's last first-launch attempt itself.
 Whenever a deadline or a hedge could bite, every attempt goes to the
 pool, so a stalled shard still expires on budget; and a retry always goes
-to the pool, even when the attempt it replaces ran on the caller.
+to the pool, even when the attempt it replaces ran on the caller.  With
+no pool at all (``submit=None``, the serial backend) the caller runs
+every attempt, first launches and retries alike.
 """
 
 import gc
@@ -129,6 +131,48 @@ def test_inline_failure_without_retries_fails_the_shard(pool):
     (outcome,) = supervisor(pool, runner, ALL_OR_NOTHING).run([[make_task(0)]])
     assert not outcome.results
     assert isinstance(outcome.failures[0], RuntimeError)
+
+
+@pytest.mark.parametrize(
+    "policy", [ALL_OR_NOTHING, FaultPolicy(deadline_s=30.0, hedge_after_s=1e-4)],
+    ids=["none", "deadline-hedge"],
+)
+def test_without_a_pool_the_caller_runs_every_attempt(policy):
+    runner = ThreadLog()
+    sup = FanoutSupervisor(submit=None, policy=policy, run_inline=runner, **UNREPLICATED)
+    fanouts = [[make_task(0, group=1), make_task(1, group=1)], [make_task(0, group=2)]]
+    outcomes = sup.run(fanouts)
+    assert [sorted(o.results) for o in outcomes] == [[0, 1], [0]]
+    assert runner.on_caller() == [(1, 0), (1, 1), (2, 0)]  # in submission order
+    assert all(o.hedges == 0 for o in outcomes)
+
+
+def test_without_a_pool_a_retry_runs_on_the_caller():
+    runner = ThreadLog(fail_on_caller=1)
+    sup = FanoutSupervisor(
+        submit=None, policy=FaultPolicy(), run_inline=runner, **UNREPLICATED
+    )
+    (outcome,) = sup.run([[make_task(0)]])
+    assert sorted(outcome.results) == [0] and outcome.retries == 1
+    assert runner.on_caller() == [(0, 0), (0, 0)]
+
+
+def test_without_a_pool_an_answer_past_the_deadline_still_counts():
+    """Nothing preempts the caller: an attempt that answers after its
+    query's deadline is kept, not thrown away as missed."""
+
+    def slow(task):
+        time.sleep(0.03)
+        return ThreadLog()(task)
+
+    sup = FanoutSupervisor(
+        submit=None,
+        policy=FaultPolicy(deadline_s=0.05, max_retries=0),
+        run_inline=slow,
+        **UNREPLICATED,
+    )
+    (outcome,) = sup.run([[make_task(0), make_task(1)]])
+    assert sorted(outcome.results) == [0, 1] and not outcome.failures
 
 
 def test_stalled_one_shard_query_expires_on_budget(tiny_db):

@@ -1,9 +1,10 @@
 """Supervised fan-out under injected faults: the serving-tier contract.
 
 Parity when healthy, failover on errors, graceful degradation on dead
-shards and missed deadlines, hedging on stragglers, the breaker contract
-on the thread backend — and the leak regressions: every failure path
-must hand back its threshold slots and registrations.
+shards and missed deadlines, hedging on stragglers (and never on an
+attempt that already finished), the breaker contract on the thread
+backend — and the leak regressions: every failure path must hand back
+its threshold slots.
 """
 
 import copy
@@ -140,12 +141,10 @@ def test_supervised_parity_with_no_faults(
     ) as service:
         responses = service.search_many(queries, k=K)
         stats = service.stats()
-        # Nothing leased or registered outlives the batch.
+        # No threshold slot stays leased after the batch.
         if executor == "process":
             pool = service._executor
             assert sorted(pool._free_slots) == list(range(pool.N_SLOTS))
-        assert not service._shared
-        assert not service._trace_roots
     assert _rankings(responses) == rankings
     if executor == "serial":
         assert [
@@ -337,8 +336,6 @@ def test_total_failure_degrades_to_zero_coverage(db, queries):
     ) as service:
         responses = service.search_many(queries, k=K)
         assert all(r.shards_answered == 0 for r in responses)
-        assert not service._shared
-        assert not service._trace_roots
     # Each retry moved to the sibling: both copies saw every shard's reads.
     assert injector.errors_injected > 0 and replica_injector.errors_injected > 0
 
@@ -429,6 +426,46 @@ def test_hedge_never_lands_on_the_copy_it_backs_up():
     assert backup == {1: 1, 2: 0}
 
 
+def test_finished_attempts_are_never_hedged():
+    """An attempt whose future is already done when the hedge sweep runs
+    has nothing left to back up: every attempt here runs 5 ms and is
+    done before the sweep, ten times the hedge delay — one run per
+    shard, no hedge."""
+    import time
+
+    def run_attempt(task, future):
+        time.sleep(0.005)
+        future.set_result(_ANSWER)
+
+    supervisor, launched = _scripted_supervisor(
+        FaultPolicy(max_retries=0, hedge_after_s=0.0005), run_attempt
+    )
+    outcomes = supervisor.run(_one_shard_queries(3))
+    assert [o.hedges for o in outcomes] == [0, 0, 0]
+    assert all(0 in o.results for o in outcomes)
+    assert [(t.group, t.hedge) for t in launched] == [(1, False), (2, False), (3, False)]
+
+
+def test_serial_backend_never_hedges(db, queries):
+    """No pool, nothing to back up: the caller runs each attempt to the
+    end, so a hedge policy leaves the serial backend's answers and work
+    as they are."""
+    sharded = _build(db)
+    with ShardedQueryService(sharded, executor="serial", result_cache_size=0) as base:
+        expected = base.search_many(queries, k=K)
+    with ShardedQueryService(
+        sharded,
+        executor="serial",
+        result_cache_size=0,
+        fault_policy=FaultPolicy(hedge_after_s=0.0005),
+    ) as service:
+        responses = service.search_many(queries, k=K)
+        assert service.stats().task_hedges == 0
+    assert _rankings(responses) == _rankings(expected)
+    pruning = lambda r: (r.stats.tas_pruned, r.stats.apl_pruned, r.stats.mib_pruned)
+    assert list(map(pruning, responses)) == list(map(pruning, expected))
+
+
 # ----------------------------------------------------------------------
 # The breaker contract (shard/resilience.py), on the thread backend
 # ----------------------------------------------------------------------
@@ -436,13 +473,13 @@ def _spy_on_outcomes(service):
     """Record every (shard, replica, ok) the supervisor reports, still
     feeding the real breaker."""
     seen = []
-    real = service.placement.note_outcome
+    real = service.placement.router.record
 
     def spying(shard_id, replica, ok):
         seen.append((shard_id, replica, ok))
         real(shard_id, replica, ok)
 
-    service.placement.note_outcome = spying
+    service.placement.router.record = spying
     return seen
 
 

@@ -208,22 +208,25 @@ class TestUseAfterClose:
         with pytest.raises(RuntimeError, match="after close"):
             service.search(_query_for(db), k=2)
 
-    def test_executor_close_stays_idempotent(self, db):
-        from repro.shard import ThreadShardExecutor
-
-        executor = ThreadShardExecutor(lambda task: task, max_workers=2)
-        executor.close()
-        executor.close()
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_executor_close_stays_idempotent(self, db, executor):
+        sharded = ShardedGATIndex.build(db, n_shards=2, config=CONFIG)
+        service = ShardedQueryService(
+            sharded, executor=executor, result_cache_size=0
+        )
+        service.search(_query_for(db), k=2)
+        service.close()
+        service.close()
         with pytest.raises(RuntimeError, match="after close"):
-            executor.submit(None)
+            service.search(_query_for(db), k=2)
 
 
 class TestSharedStateHammer:
     def test_concurrent_batches_race_shared_topk_registry(self, db):
-        """Hammer the _shared group registry: many client threads register
-        and pop groups while pool workers look their tasks' groups up.
-        The lookup now locks (an unlocked dict read races the writers'
-        rehash); rankings must stay byte-identical to a serial run."""
+        """Concurrent batches on one service: many client threads run
+        batches at once over one shared pool, each batch's tasks pruning
+        against their own batch's merged top-k.  Rankings must stay
+        byte-identical to a serial run."""
         import threading as _threading
 
         sharded = ShardedGATIndex.build(db, n_shards=3, config=CONFIG)

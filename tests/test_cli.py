@@ -327,6 +327,7 @@ class TestServingFlagValidation:
             ["--query-points", "0"],
             ["--activities", "0"],
             ["--depth", "0"],
+            ["--executor", "serial", "--workers", "2"],
         ],
         ids=lambda flags: flags[0].lstrip("-"),
     )
