@@ -144,14 +144,14 @@ def entries(work: Path) -> List[Entry]:
     """The fixed sweep.  *work* is a scratch directory for the CLI's
     dataset and outputs; every entry runs with it as the working
     directory, so files a bench writes to the cwd land there."""
-    db = str(work / "db.jsonl")
+    db = str(work / "db.npz")
     small = (db, "--depth", "4")
     batch = (*small, "--batch", "8")
     cli = [
         ("generate", ("generate", "--users", "80", "--venues", "200",
                       "--vocabulary", "100", "--seed", "3", "-o", db)),
         ("generate-preset", ("generate", "--preset", "la", "--scale", "0.005",
-                             "-o", str(work / "la.jsonl"))),
+                             "-o", str(work / "la.npz"))),
         ("stats", ("stats", db)),
         ("query", ("query", *small, "--k", "3", "--explain")),
         ("query-ordered", ("query", *small, "--order-sensitive", "--kernel", "scalar")),

@@ -100,7 +100,8 @@ from repro.serving import (
 from repro.index import GATIndex, InvertedIndex, RTree
 from repro.index.gat.index import GATConfig
 from repro.baselines import InvertedListSearch, IRTreeSearch, RTreeSearch
-from repro.data import dataset_from_preset, CheckInGenerator, GeneratorConfig
+from repro.data import CheckInGenerator, GeneratorConfig, dataset_from_preset
+from repro.data import load_database, save_database
 
 __version__ = "1.0.0"
 
@@ -146,5 +147,7 @@ __all__ = [
     "dataset_from_preset",
     "CheckInGenerator",
     "GeneratorConfig",
+    "load_database",
+    "save_database",
     "__version__",
 ]

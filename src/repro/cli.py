@@ -2,7 +2,8 @@
 
 Seven subcommands cover the library's end-to-end workflow:
 
-* ``generate`` — synthesise a dataset (preset or custom) to JSON-lines;
+* ``generate`` — synthesise a dataset (preset or custom) to an ``.npz``
+  of the database's columns (:mod:`repro.data.loader`);
 * ``stats``    — print a dataset's Table IV statistics;
 * ``query``    — run one ATSQ/OATSQ against a dataset file, or a whole
   workload batch through the serving stack (``--batch N --workers W``);
@@ -18,18 +19,18 @@ Seven subcommands cover the library's end-to-end workflow:
 
 Usage examples::
 
-    python -m repro.cli generate --preset la --scale 0.02 -o la.jsonl
-    python -m repro.cli stats la.jsonl
-    python -m repro.cli query la.jsonl --k 5 --order-sensitive --seed 3
-    python -m repro.cli query la.jsonl --k 5 --batch 50 --workers 8 --task-retries 2
-    python -m repro.cli query la.jsonl --k 5 --batch 50 --shards 4 --executor process
-    python -m repro.cli query la.jsonl --k 5 --batch 50 --shards 4 \
+    python -m repro.cli generate --preset la --scale 0.02 -o la.npz
+    python -m repro.cli stats la.npz
+    python -m repro.cli query la.npz --k 5 --order-sensitive --seed 3
+    python -m repro.cli query la.npz --k 5 --batch 50 --workers 8 --task-retries 2
+    python -m repro.cli query la.npz --k 5 --batch 50 --shards 4 --executor process
+    python -m repro.cli query la.npz --k 5 --batch 50 --shards 4 \
         --replicas 2 --deadline-ms 200 --task-retries 2 --hedge-ms 50
-    python -m repro.cli trace la.jsonl --k 5 --shards 2 --replicas 2 \
+    python -m repro.cli trace la.npz --k 5 --shards 2 --replicas 2 \
         --task-retries 2 -o spans.jsonl
-    python -m repro.cli metrics la.jsonl --k 5 --batch 20 --shards 2
-    python -m repro.cli sweep la.jsonl --figure k
-    python -m repro.cli serve-bench la.jsonl --rate 50 --duration 5 \
+    python -m repro.cli metrics la.npz --k 5 --batch 20 --shards 2
+    python -m repro.cli sweep la.npz --figure k
+    python -m repro.cli serve-bench la.npz --rate 50 --duration 5 \
         --arrivals square --slo-ms 250 --shards 2
 """
 
@@ -52,7 +53,7 @@ from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
 from repro.core.engine import EngineConfig
 from repro.core.kernels import KERNELS
 from repro.data.generator import CheckInGenerator, GeneratorConfig
-from repro.data.loader import load_database_jsonl, save_database_jsonl
+from repro.data.loader import load_database, save_database
 from repro.data.presets import dataset_from_preset
 from repro.index.gat.index import GATConfig
 from repro.service import QueryRequest
@@ -85,11 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--users", type=int, help="custom: number of users")
     p_gen.add_argument("--venues", type=int, help="custom: number of venues")
     p_gen.add_argument("--vocabulary", type=int, help="custom: vocabulary size")
-    p_gen.add_argument("--seed", type=int, default=7)
-    p_gen.add_argument("-o", "--output", required=True, help="output .jsonl path")
+    p_gen.add_argument("--seed", type=int, help="default: the preset's own, or 7 for custom sizes")
+    p_gen.add_argument("-o", "--output", required=True, help="output .npz path (written as given)")
 
     p_stats = sub.add_parser("stats", help="print Table IV statistics")
-    p_stats.add_argument("dataset", help=".jsonl dataset path")
+    p_stats.add_argument("dataset", help=".npz dataset path")
 
     p_query = sub.add_parser("query", help="run one ATSQ/OATSQ")
     _add_query_args(p_query)
@@ -116,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_query_args(p_metrics)
 
     p_sweep = sub.add_parser("sweep", help="run a paper figure sweep")
-    p_sweep.add_argument("dataset", help=".jsonl dataset path")
+    p_sweep.add_argument("dataset", help=".npz dataset path")
     p_sweep.add_argument(
         "--figure",
         choices=["k", "qpoints", "activities", "diameter"],
@@ -195,7 +196,7 @@ def _add_query_args(p_query: argparse.ArgumentParser) -> None:
     """The serving-stack flags shared by ``query``/``trace``/``metrics``/
     ``serve-bench`` (they all build and drive the same stack; each
     validates them with :func:`_check_query_args`)."""
-    p_query.add_argument("dataset", help=".jsonl dataset path")
+    p_query.add_argument("dataset", help=".npz dataset path")
     p_query.add_argument("--k", type=int, default=9)
     p_query.add_argument("--query-points", type=int, default=4)
     p_query.add_argument("--activities", type=int, default=3)
@@ -306,18 +307,33 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             n_users=args.users,
             n_venues=args.venues,
             vocabulary_size=args.vocabulary,
-            seed=args.seed,
+            seed=7 if args.seed is None else args.seed,
         )
         db = CheckInGenerator(config).generate(name="custom")
-    save_database_jsonl(db, args.output)
+    save_database(db, args.output)
     stats = db.statistics()
     print(f"wrote {args.output}: {stats.n_trajectories} trajectories, "
           f"{stats.n_activities} activity occurrences")
     return 0
 
 
+class _BadDataset(Exception):
+    """A dataset argument that cannot be read or is not a valid image:
+    :func:`main` prints it as one stderr line and exits 2, as for a bad
+    flag."""
+
+
+def _load(path: str):
+    """The database saved at *path* (:class:`_BadDataset` when it cannot
+    be loaded; an error later in the command is not caught)."""
+    try:
+        return load_database(path)
+    except (OSError, ValueError) as exc:
+        raise _BadDataset(f"cannot load dataset: {exc}") from exc
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
-    db = load_database_jsonl(args.dataset)
+    db = _load(args.dataset)
     print(format_stat_table(f"Table IV — {db.name}", db.statistics().as_rows()))
     return 0
 
@@ -424,7 +440,7 @@ def _workload_requests(db, args: argparse.Namespace, n: int) -> List[QueryReques
 def _cmd_query(args: argparse.Namespace) -> int:
     if not _check_query_args(args):
         return 2
-    db = load_database_jsonl(args.dataset)
+    db = _load(args.dataset)
     service = _build_query_service(db, args)
     if args.batch > 0:
         return _run_query_batch(service, _workload_requests(db, args, args.batch), args)
@@ -487,7 +503,7 @@ def _drive_workload(args: argparse.Namespace, obs) -> int:
     """Shared driver for ``trace``/``metrics``: load the dataset, build
     the serving stack with *obs* attached, and serve ``--batch`` workload
     queries (one when the flag is unset)."""
-    db = load_database_jsonl(args.dataset)
+    db = _load(args.dataset)
     service = _build_query_service(db, args, obs=obs)
     n = args.batch if args.batch > 0 else 1
     requests = _workload_requests(db, args, n)
@@ -559,7 +575,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.queries < 1:
         print("--queries must be >= 1", file=sys.stderr)
         return 2
-    db = load_database_jsonl(args.dataset)
+    db = _load(args.dataset)
     scale = ExperimentScale(dataset_scale=1.0, n_queries=args.queries, seed=args.seed)
     sweeps = {
         "k": (effect_of_k, "Figure 3 — effect of k"),
@@ -603,7 +619,7 @@ def _check_serve_args(args: argparse.Namespace) -> bool:
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if not _check_serve_args(args) or not _check_query_args(args):
         return 2
-    db = load_database_jsonl(args.dataset)
+    db = _load(args.dataset)
     # Per-request deadline propagation needs a FaultPolicy to bite;
     # default one in when no fault flag was given.
     if _fault_policy_from_args(args) is None:
@@ -670,7 +686,11 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _BadDataset as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

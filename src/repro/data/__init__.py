@@ -13,12 +13,14 @@ synthesises the closest equivalent:
   Zipf-skewed — with venue-topic bias so co-located activities correlate.
 
 :mod:`repro.data.presets` provides ``la`` and ``ny`` presets whose
-statistics mirror the *ratios* of Table IV at a configurable scale.
+statistics mirror the *ratios* of Table IV at a configurable scale, and
+:mod:`repro.data.loader` saves and loads a database as one ``.npz`` of its
+columns.
 """
 
 from repro.data.checkin import checkin_columns
 from repro.data.generator import CheckInGenerator, GeneratorConfig
-from repro.data.loader import load_database_jsonl, save_database_jsonl
+from repro.data.loader import load_database, save_database
 from repro.data.presets import dataset_from_preset, PRESETS
 from repro.data.zipf import ZipfSampler
 
@@ -26,8 +28,8 @@ __all__ = [
     "checkin_columns",
     "CheckInGenerator",
     "GeneratorConfig",
-    "load_database_jsonl",
-    "save_database_jsonl",
+    "load_database",
+    "save_database",
     "dataset_from_preset",
     "PRESETS",
     "ZipfSampler",

@@ -1,105 +1,75 @@
-"""Persistence: save/load a trajectory database as JSON-lines.
+"""Persistence: a trajectory database on disk is its columns.
 
-Format (one JSON object per line):
-
-* line 1 — header: ``{"type": "header", "name": ..., "vocabulary": [names in
-  ID order]}``
-* following lines — one per trajectory: ``{"type": "trajectory", "id": ...,
-  "points": [[x, y, [activity ids], timestamp|null, venue|null], ...]}``
-
-JSON-lines keeps files streamable and diff-able; activity IDs (not names)
-are stored per point so files stay compact, with the vocabulary in the
-header making them self-contained.  Both directions work on the
-database's columns: saving reads them row by row, loading validates each
-line and appends the file's rows as columns — no trajectory or point
-object is built either way.
+One uncompressed ``.npz`` holds the seven
+:class:`~repro.model.trajectory.TrajectoryColumns` arrays under their
+field names, the vocabulary's names in id order (a unicode array) under
+``vocabulary`` and the database's name under ``name``.  Saving writes
+the arrays as they are; loading reads them without unpickling anything
+and builds the database through its constructor, so a file passes the
+checks every append runs (:meth:`TrajectoryColumns.check`, fresh unique
+ids) plus the one only a file needs: every activity id names an entry
+of the file's vocabulary.
 """
 
 from __future__ import annotations
 
-import json
+import zipfile
+from dataclasses import fields
 from pathlib import Path
-from typing import List, Union
+from typing import Union
+
+import numpy as np
 
 from repro.model.database import TrajectoryDatabase
-from repro.model.trajectory import PointRecord, TrajectoryColumns
+from repro.model.trajectory import TrajectoryColumns
 from repro.model.vocabulary import Vocabulary
 
 PathLike = Union[str, Path]
 
-
-def save_database_jsonl(db: TrajectoryDatabase, path: PathLike) -> None:
-    """Write *db* to *path* in the JSON-lines format described above."""
-    path = Path(path)
-    columns = db.columns
-    with path.open("w", encoding="utf-8") as fh:
-        header = {
-            "type": "header",
-            "name": db.name,
-            "vocabulary": list(db.vocabulary.names()),
-        }
-        fh.write(json.dumps(header) + "\n")
-        for row, tid in enumerate(columns.ids.tolist()):
-            record = {"type": "trajectory", "id": tid, "points": columns.point_records(row)}
-            fh.write(json.dumps(record) + "\n")
+COLUMNS = tuple(field.name for field in fields(TrajectoryColumns))
 
 
-def _points(record: dict, n_activities: int, where: str) -> List[PointRecord]:
-    """The point records of one trajectory line, checked for shape, an
-    integer id and activity ids inside the vocabulary."""
-    tid, points = record.get("id"), record.get("points")
-    if type(tid) is not int:
-        raise ValueError(f"{where}: trajectory id {tid!r} is not an integer")
-    if not isinstance(points, list) or not points:
-        raise ValueError(f'{where}: trajectory {tid} has no "points" list')
-    for point in points:
-        if not isinstance(point, list) or len(point) != 5 or not isinstance(point[2], list):
-            raise ValueError(f"{where}: point {point!r} is not [x, y, [activity ids], time, venue]")
-        for activity in point[2]:
-            if type(activity) is not int or not 0 <= activity < n_activities:
-                raise ValueError(f"{where}: activity id {activity!r} is not in the vocabulary")
-    return points
+def save_database(db: TrajectoryDatabase, path: PathLike) -> None:
+    """Write *db* to exactly *path* (``np.savez`` given a bare name would
+    append ``.npz``; an open file keeps the name as given)."""
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            **{name: getattr(db.columns, name) for name in COLUMNS},
+            vocabulary=np.array(list(db.vocabulary.names()), dtype=str),
+            name=np.array(db.name),
+        )
 
 
-def load_database_jsonl(path: PathLike) -> TrajectoryDatabase:
-    """Read a database previously written by :func:`save_database_jsonl`.
+def load_database(path: PathLike) -> TrajectoryDatabase:
+    """Read a database written by :func:`save_database`.
 
     Raises
     ------
+    OSError
+        If *path* cannot be read.
     ValueError
-        If the file is empty, lacks a header, or contains malformed rows
-        (the message names the file and line), or if the rows do not make
-        a database (:meth:`TrajectoryDatabase.append`'s checks).
+        If the file is not such an image: not an ``.npz``, an array
+        missing or holding objects, or columns that fail the append's
+        checks or name an activity outside the vocabulary.  The message
+        starts with *path*.
     """
-    path = Path(path)
-    ids: List[int] = []
-    trajectories: List[List[PointRecord]] = []
-    vocabulary: Vocabulary | None = None
-    name = "dataset"
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("type")
-            if kind == "header":
-                vocabulary = Vocabulary(record["vocabulary"])
-                name = record.get("name", name)
-            elif kind == "trajectory":
-                if vocabulary is None:
-                    raise ValueError(f"{path}: trajectory before header (line {line_no})")
-                trajectories.append(_points(record, len(vocabulary), f"{path}, line {line_no}"))
-                ids.append(record["id"])
-            else:
-                raise ValueError(f"{path}: unknown record type {kind!r} (line {line_no})")
-    if vocabulary is None:
-        raise ValueError(f"{path}: missing header line")
-    if not trajectories:
-        raise ValueError(f"{path}: no trajectories")
     try:
-        return TrajectoryDatabase(
-            TrajectoryColumns.from_points(ids, trajectories), vocabulary, name=name
-        )
-    except ValueError as exc:
+        image = np.load(path, allow_pickle=False)
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not an .npz image") from exc
+    if not isinstance(image, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not an .npz image (one bare array)")
+    try:
+        with image:
+            columns = TrajectoryColumns(**{name: image[name] for name in COLUMNS})
+            names, name = image["vocabulary"], str(image["name"])
+        if names.dtype.kind != "U" or names.ndim != 1 or len(np.unique(names)) != len(names):
+            raise ValueError("the vocabulary must be a 1-d array of distinct names")
+        vocabulary = Vocabulary(names.tolist())
+        db = TrajectoryDatabase(columns, vocabulary, name=name)
+        if len(columns.activities) and columns.activities.max() >= len(vocabulary):
+            raise ValueError(f"activity id {columns.activities.max()} is not in the vocabulary")
+        return db
+    except (KeyError, ValueError, zipfile.BadZipFile) as exc:  # KeyError: an array is missing
         raise ValueError(f"{path}: {exc}") from exc

@@ -65,12 +65,12 @@ class TrajectoryDatabase:
         trajectory objects and views (converted once)."""
         if not isinstance(trajectories, TrajectoryColumns):
             trajectories = TrajectoryColumns.of(trajectories)
-        if not len(trajectories):
-            raise ValueError("a trajectory database cannot be empty")
         self.name = name
         self.vocabulary = vocabulary
         self._row_of: Dict[int, int] = {}
         self.append(trajectories)
+        if not len(self):
+            raise ValueError("a trajectory database cannot be empty")
 
     # ------------------------------------------------------------------
     # Constructors
@@ -141,6 +141,7 @@ class TrajectoryDatabase:
         (:meth:`TrajectoryColumns.check`, fresh unique ids); the new arrays
         replace the old, so a reader holding the old ones never sees them
         change."""
+        columns.check()
         ids, first = columns.ids.tolist(), len(self._row_of)
         rows = dict(zip(ids, range(first, first + len(ids))))
         if len(rows) != len(ids):
@@ -148,7 +149,6 @@ class TrajectoryDatabase:
         present = rows.keys() & self._row_of.keys()
         if present:
             raise ValueError(f"trajectory id {min(present)} already present")
-        columns.check()
         self.columns = TrajectoryColumns.concat([self.columns, columns]) if first else columns
         self._row_of.update(rows)
 

@@ -34,7 +34,7 @@ ACTIVITY_BITS = 32
 NO_VENUE = np.iinfo(np.int64).min
 
 #: One point as producers hand it over: ``(x, y, activity ids, timestamp |
-#: None, venue | None)`` — also the JSON-lines point layout.
+#: None, venue | None)``.
 PointRecord = Tuple[float, float, Iterable[int], object, object]
 
 
@@ -127,10 +127,25 @@ class TrajectoryColumns:
         return len(self.ids)
 
     def check(self) -> None:
-        """Raise ``ValueError`` unless every row has a point, every
-        coordinate is finite and every activity id fits
+        """Raise ``ValueError`` unless every array has its documented dtype
+        and shape, each offsets array starts at 0, never decreases and
+        ends at the length of the column it indexes, every row has a
+        point, every coordinate is finite and every activity id fits
         :data:`ACTIVITY_BITS` unsigned bits — the one validation every
-        append runs."""
+        append (and so every load from disk) runs."""
+        n, t, a = (c.shape[0] if c.ndim else -1 for c in (self.ids, self.xy, self.activities))
+        shapes = {"ids": (n,), "point_offsets": (n + 1,), "xy": (t, 2), "timestamps": (t,),
+                  "venues": (t,), "activity_offsets": (t + 1,), "activities": (a,)}
+        for name, shape in shapes.items():
+            array = getattr(self, name)
+            dtype = np.float64 if name in ("xy", "timestamps") else np.int64
+            if array.dtype != dtype or array.shape != shape:
+                raise ValueError(f"{name} must be {np.dtype(dtype)} of shape {shape}, "
+                                 f"not {array.dtype} of shape {array.shape}")
+        for name, end in (("point_offsets", t), ("activity_offsets", a)):
+            offsets = getattr(self, name)
+            if offsets[0] != 0 or offsets[-1] != end or (np.diff(offsets) < 0).any():
+                raise ValueError(f"{name} must rise from 0 to {end} without decreasing")
         empty = np.flatnonzero(np.diff(self.point_offsets) == 0)
         if len(empty):
             raise ValueError(f"trajectory {self.ids[empty[0]]}: a trajectory needs a point")

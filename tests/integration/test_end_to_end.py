@@ -18,7 +18,7 @@ from repro import (
     Query,
 )
 from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
-from repro.data.loader import load_database_jsonl, save_database_jsonl
+from repro.data.loader import load_database, save_database
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +34,9 @@ def pipeline(tmp_path_factory):
             seed=314,
         )
     ).generate(name="e2e")
-    path = tmp_path_factory.mktemp("data") / "e2e.jsonl"
-    save_database_jsonl(db, path)
-    reloaded = load_database_jsonl(path)
+    path = tmp_path_factory.mktemp("data") / "e2e.npz"
+    save_database(db, path)
+    reloaded = load_database(path)
     return db, reloaded
 
 

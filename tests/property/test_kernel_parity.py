@@ -80,7 +80,7 @@ def test_resolve_kernel(capsys):
     from repro.cli import main
 
     with pytest.raises(SystemExit):  # rejected by the parser, before any I/O
-        main(["query", "unread.jsonl", "--kernel", "vectorized"])
+        main(["query", "unread.npz", "--kernel", "vectorized"])
     assert "choose from 'scalar', 'block'" in capsys.readouterr().err
 
 

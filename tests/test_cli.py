@@ -1,14 +1,28 @@
 """Tests for the command-line interface."""
 
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.data.loader import load_database_jsonl
+from repro.data.generator import CheckInGenerator, GeneratorConfig
+from repro.data.loader import load_database
+from repro.data.presets import dataset_from_preset
+from repro.model.trajectory import TrajectoryColumns
+
+
+def assert_same_columns(a, b):
+    for field in fields(TrajectoryColumns):
+        name = field.name
+        assert np.array_equal(
+            getattr(a.columns, name), getattr(b.columns, name), equal_nan=name == "timestamps"
+        ), name
 
 
 @pytest.fixture(scope="module")
 def dataset_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "db.jsonl"
+    path = tmp_path_factory.mktemp("cli") / "db.npz"
     code = main(
         [
             "generate",
@@ -25,18 +39,27 @@ def dataset_path(tmp_path_factory):
 
 class TestGenerate:
     def test_custom_generation(self, dataset_path):
-        db = load_database_jsonl(dataset_path)
+        db = load_database(dataset_path)
         assert len(db) == 60
 
     def test_preset_generation(self, tmp_path, capsys):
-        out = tmp_path / "la.jsonl"
-        code = main(["generate", "--preset", "la", "--scale", "0.002", "-o", str(out)])
+        """``--preset`` without ``--seed`` writes the preset itself: the
+        dataset the benches, the e2e run and the pins generate."""
+        out = tmp_path / "la.npz"
+        code = main(["generate", "--preset", "la", "--scale", "0.01", "-o", str(out)])
         assert code == 0
         assert "wrote" in capsys.readouterr().out
-        assert out.exists()
+        assert_same_columns(load_database(out), dataset_from_preset("la", 0.01))
+
+    def test_custom_sizes_default_to_seed_7(self, tmp_path):
+        out = tmp_path / "custom.npz"
+        sizes = ["--users", "6", "--venues", "20", "--vocabulary", "10"]
+        assert main(["generate", *sizes, "-o", str(out)]) == 0
+        config = GeneratorConfig(n_users=6, n_venues=20, vocabulary_size=10, seed=7)
+        assert_same_columns(load_database(out), CheckInGenerator(config).generate())
 
     def test_missing_parameters_rejected(self, tmp_path):
-        code = main(["generate", "-o", str(tmp_path / "x.jsonl")])
+        code = main(["generate", "-o", str(tmp_path / "x.npz")])
         assert code == 2
 
     @pytest.mark.parametrize(
@@ -54,7 +77,7 @@ class TestGenerate:
         ids=lambda flags: f"{flags[0].lstrip('-')}={flags[1]}",
     )
     def test_bad_values_rejected_before_generating(self, tmp_path, capsys, flags):
-        out = tmp_path / "x.jsonl"
+        out = tmp_path / "x.npz"
         assert main(["generate", *flags, "-o", str(out)]) == 2
         assert flags[0] in capsys.readouterr().err
         assert not out.exists()
@@ -336,7 +359,7 @@ class TestServingFlagValidation:
         self, tmp_path, capsys, command, flags
     ):
         # The path does not exist: validation must come before the load.
-        assert main([command, str(tmp_path / "never-loaded.jsonl"), *flags]) == 2
+        assert main([command, str(tmp_path / "never-loaded.npz"), *flags]) == 2
         assert flags[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -360,21 +383,23 @@ class TestServingFlagValidation:
         """Flags only one serving subcommand reads are checked before the
         load too: exit 2 naming the flag, never a traceback after the
         index build."""
-        assert main([command, str(tmp_path / "never-loaded.jsonl"), *flags]) == 2
+        assert main([command, str(tmp_path / "never-loaded.npz"), *flags]) == 2
         bad = flags[-2] if flags[0] == "--arrivals" else flags[0]
         assert bad in capsys.readouterr().err
 
     def test_sweep_rejects_zero_queries(self, tmp_path, capsys):
         """A sweep of no queries has nothing to time: exit 2 before the
         load instead of printing a table of zeros."""
-        assert main(["sweep", str(tmp_path / "never-loaded.jsonl"), "--queries", "0"]) == 2
+        assert main(["sweep", str(tmp_path / "never-loaded.npz"), "--queries", "0"]) == 2
         assert "--queries" in capsys.readouterr().err
 
-    def test_zero_retries_passes_validation(self, tmp_path):
+    def test_zero_retries_passes_validation(self, tmp_path, capsys):
         """``--task-retries 0`` is a real setting: it gets past validation
         to the (missing) dataset load."""
-        with pytest.raises(FileNotFoundError):
-            main(["query", str(tmp_path / "never-loaded.jsonl"), "--task-retries", "0"])
+        path = tmp_path / "never-loaded.npz"
+        assert main(["query", str(path), "--task-retries", "0"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "--task-retries" not in err
 
     def test_choices_come_from_the_library(self, capsys):
         from repro.cli import _build_parser
@@ -383,12 +408,12 @@ class TestServingFlagValidation:
 
         parser = _build_parser()
         for kind in EXECUTOR_KINDS:
-            assert parser.parse_args(["query", "x.jsonl", "--executor", kind]).executor == kind
+            assert parser.parse_args(["query", "x.npz", "--executor", kind]).executor == kind
         for strategy in STRATEGIES:
-            args = parser.parse_args(["query", "x.jsonl", "--shard-strategy", strategy])
+            args = parser.parse_args(["query", "x.npz", "--shard-strategy", strategy])
             assert args.shard_strategy == strategy
         with pytest.raises(SystemExit) as exit_:
-            parser.parse_args(["query", "x.jsonl", "--shard-strategy", "range"])
+            parser.parse_args(["query", "x.npz", "--shard-strategy", "range"])
         assert exit_.value.code == 2
         assert "invalid choice: 'range'" in capsys.readouterr().err
 
@@ -469,7 +494,37 @@ class TestServeBench:
             assert [len(q.activities) for q in request.query] == [1, 1]
 
     def test_bad_workload_rejected(self, tmp_path):
-        assert main(["serve-bench", str(tmp_path / "never-loaded.jsonl"), "--workload", "0"]) == 2
+        assert main(["serve-bench", str(tmp_path / "never-loaded.npz"), "--workload", "0"]) == 2
 
     def test_bad_rate_rejected(self, dataset_path):
         assert main(["serve-bench", str(dataset_path), "--rate", "0"]) == 2
+
+
+def _not_an_npz(path):
+    path.write_text("not an image\n")
+
+
+def _invalid_image(path):
+    db = dataset_from_preset("la", 0.002)
+    arrays = {field.name: getattr(db.columns, field.name) for field in fields(TrajectoryColumns)}
+    np.savez(path, **arrays, vocabulary=np.array(["only"]), name=np.array("bad"))
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("stats", []), ("query", ["--depth", "4"]), ("sweep", ["--queries", "1"])],
+    ids=["stats", "query", "sweep"],
+)
+@pytest.mark.parametrize(
+    "make", [None, _not_an_npz, _invalid_image], ids=["missing", "not-npz", "invalid"]
+)
+def test_unreadable_dataset_is_one_stderr_line(tmp_path, capsys, command, flags, make):
+    """A dataset that cannot be loaded exits 2 with one line naming it,
+    as a bad flag does — never a traceback."""
+    path = tmp_path / "db.npz"
+    if make is not None:
+        make(path)
+    assert main([command, str(path), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert len(err.splitlines()) == 1 and str(path) in err
