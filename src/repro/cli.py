@@ -514,6 +514,16 @@ def _drive_workload(args: argparse.Namespace, obs) -> int:
     return n
 
 
+def _attr_text(key: str, value) -> str:
+    """``key=value``, a float second count (``*_s``) as ``*_ms`` with two
+    decimals like the span durations, any other float to 4 digits."""
+    if isinstance(value, float):
+        if key.endswith("_s"):
+            return f"{key[:-2]}_ms={value * 1000:.2f}"
+        return f"{key}={value:.4g}"
+    return f"{key}={value}"
+
+
 def _print_span_tree(spans) -> None:
     """Render span dicts as indented per-trace trees, children under
     parents, siblings in start order."""
@@ -527,7 +537,7 @@ def _print_span_tree(spans) -> None:
         end = span.get("end_s")
         dur = f"{(end - span['start_s']) * 1000:.2f} ms" if end else "open"
         attrs = span.get("attrs") or {}
-        noted = ", ".join(f"{k}={v}" for k, v in attrs.items())
+        noted = ", ".join(_attr_text(k, v) for k, v in attrs.items())
         events = len(span.get("events") or ())
         tail = f"  [{noted}]" if noted else ""
         if events:

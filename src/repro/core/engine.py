@@ -217,9 +217,10 @@ class GATSearchEngine:
         events) and retrieve/validate/score/lower_bound stage children are
         emitted under it, each covering that stage's first entry to last
         exit with the accumulated in-stage time as a ``busy_s`` attribute;
-        under the block kernel ``score`` gets an ``assemble`` child for
-        the rounds' block builds (``busy_s``, and ``columns`` = Σ block
-        widths).  ``lower_bound`` is the termination test, present once a
+        ``score`` carries ``distances``, the hypot evaluations the block
+        entries made (0 under the scalar kernel), and under the block
+        kernel gets an ``assemble`` child for the rounds' block builds
+        (``busy_s``, and ``columns`` = Σ block widths).  ``lower_bound`` is the termination test, present once a
         round ran it: ``evaluated`` counts the rounds with a finite
         threshold, ``exact`` those that ran Algorithm 2's min-cover.
         ``None`` — the default — skips every instrumentation branch.
@@ -283,9 +284,10 @@ class GATSearchEngine:
                     t_stage = self._stage_tick(stage_clock["validate"], t_stage)
                 if ctx.block_scoring:
                     # Block kernel: the whole round in one scoring call —
-                    # one distance evaluation, block lower bounds, early
-                    # abandonment against the k-th threshold (read at round
-                    # start, tightened per candidate inside block_dmom).
+                    # distances evaluated only while a candidate's partial
+                    # Dmm is within the k-th threshold (read at round start,
+                    # tightened per candidate inside block_dmom), block
+                    # lower bounds, early abandonment.
                     distances = self._scoring.score_batch(ctx, admitted)
                 else:
                     # The scalar kernel keeps the interleaved loop over the
@@ -362,7 +364,7 @@ class GATSearchEngine:
                 "mib_pruned": stats.mib_pruned,
                 "validated": stats.validated,
             },
-            "score": {},
+            "score": {"distances": ctx.evaluator.stats.distances},
             "lower_bound": {
                 "evaluated": stage_clock["lower_bound"][3],
                 "exact": stage_clock["lower_bound"][4],

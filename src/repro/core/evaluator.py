@@ -66,6 +66,10 @@ class EvaluatorStats:
     dmm_evaluations: int = 0
     dmom_evaluations: int = 0
     point_match_points: int = 0
+    #: Distances the block entries evaluated (libm ``hypot`` calls) — the
+    #: work early abandoning saves, which :class:`SearchStats` leaves out
+    #: because the scalar kernel counts none.
+    distances: int = 0
 
 
 class MatchEvaluator:
@@ -235,21 +239,22 @@ class MatchEvaluator:
         clock[3] += block.total
         return block
 
-    def dmm_batch(self, query: Query, candidates) -> List[float]:
+    def dmm_batch(self, query: Query, candidates, threshold: float = INFINITY) -> List[float]:
         """``Dmm`` for one validation round's candidates in one shot.
 
         *candidates* is the round as a
         :class:`~repro.index.gat.apl.PostingRound` against the query's
         sorted activities — what validation hands on, lookup included;
         scoring gathers the posted positions and coordinates it needs
-        from the round's APL image.  Counter
-        semantics match calling :meth:`dmm` once per candidate exactly,
-        and so do the values — the whole-round array formulations
-        (:func:`~repro.core.kernels.block_dmm` /
-        :func:`~repro.core.kernels.block_dmm_all_single`) compute every
-        candidate's exact ``Dmm``, so there is nothing to abandon against
-        a threshold here (:meth:`dmom_batch` does gate real per-candidate
-        work).
+        from the round's APL image.  Counter semantics match calling
+        :meth:`dmm` once per candidate exactly.  A candidate's value is its
+        exact ``Dmm`` when that is at most *threshold*, else ``inf``:
+        :func:`~repro.core.kernels.block_dmm` stops evaluating a
+        candidate's rows once their partial sum exceeds *threshold* (early
+        abandoning; the kernels module's Exactness section says why no
+        ranking moves).  The all-single-activity path
+        (:func:`~repro.core.kernels.block_dmm_all_single`) evaluates every
+        row, as does the default ``threshold = inf``.
         """
         self.stats.dmm_evaluations += len(candidates)
         if not len(candidates):
@@ -260,7 +265,7 @@ class MatchEvaluator:
             # activity-segment layout skips block preparation entirely.
             return kernels.block_dmm_all_single(qkernel, candidates, self.stats).tolist()
         block = self._assemble(qkernel, candidates)
-        return kernels.block_dmm(qkernel, block, self.stats).tolist()
+        return kernels.block_dmm(qkernel, block, self.stats, threshold).tolist()
 
     def dmom_batch(
         self,
@@ -300,13 +305,3 @@ class MatchEvaluator:
         if not order_feasible(trajectory, query):
             return INFINITY, ()
         return minimum_order_match(query, trajectory, self.metric)
-
-    def best_match_distance(self, query: Query, trajectory: ActivityTrajectory) -> float:
-        """``Dbm(Q, Tr)`` — the activity-blind best match distance of the
-        RT baseline (Section III-B): sum over query points of the distance
-        to the nearest trajectory point.  Lower-bounds ``Dmm`` (Lemma 2)."""
-        metric = self.metric
-        total = 0.0
-        for q in query:
-            total += min(metric(q.coord, p.coord) for p in trajectory)
-        return total

@@ -14,12 +14,12 @@ default):
    (:func:`point_slots`) and the query points' coordinates.
 2. :func:`prepare_block` stacks a round's candidates — a
    :class:`~repro.index.gat.apl.PostingRound`: rows of an APL image,
-   looked up against ``Q.Φ`` — into one :class:`CandidateBlock`: a flat
-   ``[|Q|, N]`` distance matrix over every candidate's concatenated
-   relevant points (``rel(Tr)``: the points carrying a query activity —
-   exactly the sub-sequence the compressed scalar DP runs over), a
-   same-shape activity bitmask, per-candidate column segments and
-   missing-row flags.
+   looked up against ``Q.Φ`` — into one :class:`CandidateBlock`: the
+   coordinates of every candidate's concatenated relevant points
+   (``rel(Tr)``: the points carrying a query activity — exactly the
+   sub-sequence the compressed scalar DP runs over), a flat ``[|Q|, N]``
+   distance matrix over them that the covers fill, a same-shape activity
+   bitmask, per-candidate column segments and missing-row flags.
 3. :func:`block_dmm` / :func:`block_dmom` run the combinatorics over the
    block: Algorithm 3's set cover as a set-partition decomposition over
    ``2^|q.Φ|`` states (|q.Φ| ≤ 5 in the paper), and Algorithm 4's row
@@ -34,10 +34,16 @@ All of it is C over the APL image (section (d) of
 through the key lookup validation already computed:
 
 * :func:`prepare_block` gathers each candidate's looked-up posting lists,
-  dedups their positions into columns, ORs the bitmasks, flags the
-  missing rows and evaluates the Euclidean distances (libm ``hypot``,
-  which equals ``np.hypot``; a generic metric fills them pair by pair).
-* :func:`block_dmm` computes every candidate's exact ``Dmm``: per row,
+  dedups their positions into columns, copies the columns' coordinates,
+  ORs the bitmasks and flags the missing rows; it evaluates no Euclidean
+  distance (a generic metric fills the matrix here, pair by pair).
+* :func:`block_dmm` computes every candidate's exact ``Dmm`` up to the
+  pruning threshold τ, evaluating a row's distances (libm ``hypot``,
+  which equals ``np.hypot``) only at the columns that row can use and
+  only while the candidate's partial sum is still ``<= τ`` — the
+  early-abandoning rule of the UCR suite (Rakthanmanon et al., KDD 2012)
+  applied to ``Dmm = Σ_i Dmpm(q_i, Tr)``; a candidate whose sum passes
+  τ is ``inf``.  Per row,
   the *set-partition decomposition* of the minimum cover (the optimal
   cover equals, over all partitions of the row's activity bits, the
   cheapest sum of per-group nearest-covering-point minima — a scatter-min
@@ -45,7 +51,7 @@ through the key lookup validation already computed:
   single-activity row is its masked minimum).  All-single-activity
   queries take :func:`block_dmm_all_single`, which reads each row's one
   posting list straight from the image — no block at all.
-* :func:`block_dmom` gates on the block ``Dmm`` (Lemma 3) and the C fold
+* :func:`block_dmom` gates on the block ``Dmm`` at τ (Lemma 3) and the C fold
   walks the survivors cheapest-gate-first with a running k-th threshold,
   reading their columns of the block in place, so most candidates are
   **abandoned** before the per-candidate DP — every query shape alike.
@@ -91,11 +97,34 @@ before its covers became one transform and the NumPy round the C round
 replaced live on as oracles in ``tests/property/``
 (``dense_dmom_oracle.py``, ``python_fold_oracle.py``,
 ``group_loop_dmm_oracle.py``, ``numpy_round_oracle.py``) and are
-compared with ``==`` / ``np.array_equal``, thresholds included.  The
+compared with ``==`` / ``np.array_equal``, thresholds included (the
+block distances after a ``threshold = inf`` cover, where every entry some
+cover reads is written).  The
 per-candidate NumPy path the evaluator ran before it scored one-row
 rounds (``per_candidate_oracle.py``: Algorithm 3's scan per candidate)
 is the reference for the block ``Dmm`` up to the partition-order ulp
 above, and for its counters exactly.
+
+Early abandoning in :func:`block_dmm` (and in the gate of
+:func:`block_dmom`) is exact too:
+
+* adding a non-negative float never lowers a float sum, so a partial sum
+  ``> τ`` implies a final ``Dmm > τ``: the rows it skips cannot bring the
+  candidate back under τ;
+* the test is strict ``>`` because :class:`~repro.core.results.TopKCollector`
+  breaks distance ties by id: a candidate at exactly τ with a smaller id
+  than the current k-th still enters;
+* τ is read at round start, and it only tightens before the candidate is
+  offered, so a value above it is above the k-th at the offer too;
+* only finite values above τ become ``inf``, and ``offer`` rejects those
+  anyway.  On a sharded fan-out τ is ``min(local, merged)`` k-th, so the
+  ``result_sink`` only loses results worse than that, which cannot enter
+  the merged top-k.
+
+Evaluated values are the same bits as without abandoning: ``hypot`` gets
+the same doubles, and the rows sum in query order.  ``point_match_points``
+is counted from the masks of every row, so no counter moves; the hypot
+calls saved show only in ``EvaluatorStats.distances``.
 
 NumPy and cffi are hard dependencies (``setup.py``).  The round builds
 read positions and coordinates from an APL image and touch no trajectory
@@ -284,7 +313,9 @@ class CandidateBlock:
     """One validation round's candidates in flat concatenated form.
 
     ``big`` is the ``[|Q|, N]`` distance matrix over the concatenation of
-    every candidate's relevant positions and ``mask`` the same-shape
+    every candidate's relevant positions — ``inf`` until a cover writes the
+    entries it reads, full under a generic metric — ``cxy`` those
+    positions' ``(x, y)`` and ``mask`` the same-shape
     per-query-point activity-overlap bitmasks.  ``seg_of``/``lengths``
     (``int64`` arrays; ``seg_of`` is -1 for an empty segment) map a
     candidate to its column segment (and to its slice of ``positions``, the
@@ -298,9 +329,9 @@ class CandidateBlock:
     candidates with columns are flagged.
     """
 
-    __slots__ = ("n", "lengths", "seg_of", "positions", "total", "big", "mask", "missing")
+    __slots__ = ("n", "lengths", "seg_of", "positions", "total", "big", "mask", "missing", "cxy")
 
-    def __init__(self, n, lengths, seg_of, positions, total, big, mask, missing) -> None:
+    def __init__(self, n, lengths, seg_of, positions, total, big, mask, missing, cxy) -> None:
         self.n = n
         self.lengths = lengths
         self.seg_of = seg_of
@@ -309,6 +340,7 @@ class CandidateBlock:
         self.big = big
         self.mask = mask
         self.missing = missing
+        self.cxy = cxy
 
 
 def _round_args(candidates):
@@ -322,23 +354,26 @@ def _round_args(candidates):
     )
 
 
-def _block_args(qk: QueryKernel, block: CandidateBlock):
-    """The block's arrays, as the C covers and fold read them."""
+def _block_args(qk: QueryKernel, block: CandidateBlock, threshold: float):
+    """The block's arrays and the query's coordinates, as the C covers and
+    fold read them (the covers write the distances they evaluate)."""
     return (
-        qk.m, qk.fold_bits, c_array("double", block.big), c_array("int64_t", block.mask),
+        qk.m, qk.fold_bits, c_array("double", block.big, True), c_array("int64_t", block.mask),
         block.total, block.n, c_array("int64_t", block.seg_of),
         c_array("int64_t", block.lengths), c_array("uint8_t", block.missing),
+        qk.xy, c_array("double", block.cxy), threshold,
     )
 
 
 def _scores(n: int, stats, what: str, entry, *args):
-    """``entry(*args, out, points)`` into a fresh ``[n]`` float array, adding
-    the ``point_match_points`` it counts to *stats*."""
+    """``entry(*args, out, counts)`` into a fresh ``[n]`` float array, adding
+    the ``point_match_points`` and ``distances`` it counts to *stats*."""
     out = _np.empty(n)
-    points = ffi.new("int64_t *")
-    _checked(entry(*args, c_array("double", out, True), points), what)
+    counts = ffi.new("int64_t[2]")
+    _checked(entry(*args, c_array("double", out, True), counts), what)
     if stats is not None:
-        stats.point_match_points += points[0]
+        stats.point_match_points += counts[0]
+        stats.distances += counts[1]
     return out
 
 
@@ -350,9 +385,11 @@ def prepare_block(qk: QueryKernel, candidates) -> CandidateBlock:
     :class:`~repro.index.gat.apl.PostingRound` against
     ``qk.sorted_activities``.  A candidate's columns are its points that
     one of its looked-up posting lists names, in position order, and a
-    column's bitmask ORs, per row, the bits of the activities listing it.
-    The C build evaluates the Euclidean distances itself; a generic metric
-    fills them afterwards, pair by pair, from the columns' coordinates.
+    column's bitmask ORs, per row, the bits of the activities listing it;
+    ``cxy`` holds the columns' coordinates.  The build evaluates no
+    Euclidean distance: ``big`` is ``inf`` until :func:`block_dmm` /
+    :func:`block_dmom` write the entries they need.  A generic metric fills
+    ``big`` here in full, pair by pair, from ``cxy``.
     """
     n, m = len(candidates), qk.m
     seg_of = _np.empty(n, dtype=_np.int64)
@@ -360,20 +397,19 @@ def prepare_block(qk: QueryKernel, candidates) -> CandidateBlock:
     missing = _np.empty((n, m), dtype=bool)
     out = ffi.new("gat_columns *")
     _checked(lib.gat_round_block(
-        *_round_args(candidates), m, qk.c_bits, qk.xy, c_array("int64_t", seg_of, True),
+        *_round_args(candidates), m, qk.c_bits, c_array("int64_t", seg_of, True),
         c_array("int64_t", lengths, True), c_array("uint8_t", missing, True), out,
     ), "block build")
     total = out.total
     # The block's arrays live in one malloc'd buffer, freed with the last of them.
-    data = ffi.buffer(ffi.gc(out.data, lib.gat_free), (2 * m + 1) * total * 8)
+    data = ffi.buffer(ffi.gc(out.data, lib.gat_free), (2 * m + 3) * total * 8)
     big = _np.frombuffer(data, _np.float64, m * total).reshape(m, total)
     mask = _np.frombuffer(data, _np.int64, m * total, 8 * m * total).reshape(m, total)
     positions = _np.frombuffer(data, _np.int64, total, 16 * m * total)
+    cxy = _np.frombuffer(data, _np.float64, 2 * total, (2 * m + 1) * total * 8).reshape(total, 2)
     if qk.xy == ffi.NULL:
-        image = candidates.image
-        points = _np.repeat(image.point_offsets[candidates.rows], lengths) + positions
-        big = qk.distance_matrix_for(image.xy[points])
-    return CandidateBlock(n, lengths, seg_of, positions, total, big, mask, missing)
+        big = qk.distance_matrix_for(cxy)
+    return CandidateBlock(n, lengths, seg_of, positions, total, big, mask, missing, cxy)
 
 
 def block_dmm_all_single(qk: QueryKernel, candidates, stats=None):
@@ -392,9 +428,18 @@ def block_dmm_all_single(qk: QueryKernel, candidates, stats=None):
     )
 
 
-def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None):
-    """Exact ``Dmm`` for every block candidate, as a ``[C]`` float array
-    (``inf`` only where ``Dmm`` truly is ``inf``) — ``gat_block_dmm``.
+def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None, threshold: float = INFINITY):
+    """Exact ``Dmm`` for every block candidate whose ``Dmm`` is at most
+    *threshold*, as a ``[C]`` float array, ``inf`` for the others —
+    ``gat_block_dmm``.
+
+    Rows are evaluated left to right, and a row only while the partial sum
+    of the rows before it is ``<= threshold`` (early abandoning): an
+    evaluated row writes ``hypot(q_i - column)`` into ``block.big`` at its
+    columns with ``mask != 0`` and counts each in ``stats.distances``.  At
+    ``threshold = inf`` every row is evaluated and the result is the exact
+    ``Dmm`` of every candidate.  ``point_match_points`` is counted from the
+    masks of every row, evaluated or not.
 
     Each row's cover uses the set-partition decomposition of the minimum
     cover: the optimal cover equals, over all partitions of the row's
@@ -408,7 +453,9 @@ def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None):
     the scalar Algorithm 3's scan order — one of the documented last-ulp
     array-vs-scalar sources.
     """
-    return _scores(block.n, stats, "block Dmm", lib.gat_block_dmm, *_block_args(qk, block))
+    return _scores(
+        block.n, stats, "block Dmm", lib.gat_block_dmm, *_block_args(qk, block, threshold)
+    )
 
 
 def block_dmom(
@@ -421,9 +468,10 @@ def block_dmom(
     """``Dmom`` for every block candidate — blockwise gate, then the DP
     (``gat_block_dmom``).
 
-    The Lemma-3 gate is the whole-round :func:`block_dmm`; candidates whose
-    gate exceeds the abandonment threshold are ``inf`` before any
-    per-candidate work.  The C fold then walks the survivors in
+    The Lemma-3 gate is the whole-round :func:`block_dmm` at the
+    abandonment threshold; candidates whose gate exceeds it are ``inf``
+    before any per-candidate work, and the survivors' rows were all
+    evaluated.  The C fold then walks the survivors in
     ascending-gate order (ties by candidate), reading each one's columns of
     ``block.big`` / ``block.mask`` in place, so that, with *k* set, the
     abandonment threshold tightens to the k-th smallest ``Dmom`` seen so
@@ -454,6 +502,6 @@ def block_dmom(
     exactly as a candidate-by-candidate gate would have counted it.
     """
     return _scores(
-        block.n, stats, "block Dmom", lib.gat_block_dmom, *_block_args(qk, block),
-        threshold, k or 0,
+        block.n, stats, "block Dmom", lib.gat_block_dmom, *_block_args(qk, block, threshold),
+        k or 0,
     )

@@ -335,7 +335,7 @@ static double dmom_one(int32_t m, const int32_t *n_bits, const double *dist,
             a[t] = INFINITY;
         for (int64_t j = 0; j < n; j++) {
             int64_t pm = mrow[j];
-            double base = prev[j], d = row[j], floor = base + d;
+            double base = prev[j], d = pm ? row[j] : INFINITY, floor = base + d;
             if (pm && floor < best && floor <= threshold) {
                 a[0] = base;
                 for (int64_t t = 1; t < size; t++) {
@@ -489,7 +489,8 @@ void gat_round_mib(const int64_t *first, const int64_t *last, const int64_t *loo
 }
 
 /* The columns of a block: `data` holds dist [m, total] (float64), then
- * mask [m, total] and positions [total] (int64); free it with gat_free. */
+ * mask [m, total] and positions [total] (int64), then cxy [total, 2]
+ * (float64); free it with gat_free. */
 typedef struct {
     int64_t total;
     double *data;
@@ -502,13 +503,13 @@ void gat_free(void *p) { free(p); }
  * block (-1 / 0 when there are none).  A column's mask in row i ORs the
  * bits (bits[i * A + a]) of the activities listing it; missing[c * m + i]
  * flags a row one of whose activities candidate c lacks (only candidates
- * with columns).  With qxy (x, y per query point), dist[i, j] is the
- * distance from q_i to column j's point; without, it is left unset. */
+ * with columns).  cxy[j] is column j's (x, y); every dist entry is inf,
+ * for the covers to evaluate. */
 int gat_round_block(const int64_t *offsets, const int64_t *positions,
                     const int64_t *point_offsets, const double *xy, const int64_t *rows,
                     const int64_t *lookup, int64_t n, int64_t n_acts, int32_t m,
-                    const int64_t *bits, const double *qxy, int64_t *seg_of, int64_t *lengths,
-                    uint8_t *missing, gat_columns *out) {
+                    const int64_t *bits, int64_t *seg_of, int64_t *lengths, uint8_t *missing,
+                    gat_columns *out) {
     int64_t hits = 0, longest = 0, total = 0;
     for (int64_t c = 0; c < n; c++) {
         int64_t points = point_offsets[rows[c] + 1] - point_offsets[rows[c]];
@@ -540,23 +541,24 @@ int gat_round_block(const int64_t *offsets, const int64_t *positions,
             missing[c * m + i] = (uint8_t)miss;
         }
     }
-    double *data = malloc(((2 * (int64_t)m + 1) * total + 1) * sizeof(double));
+    double *data = malloc(((2 * (int64_t)m + 3) * total + 1) * sizeof(double));
     if (!data) {
         free(col);
         return -1;
     }
-    double *dist = data;
     int64_t *mask = (int64_t *)(data + m * total), *columns = mask + m * total;
-    for (int64_t j = 0; j < m * total; j++)
+    double *cxy = (double *)(columns + total);
+    for (int64_t j = 0; j < m * total; j++) {
+        data[j] = INFINITY;
         mask[j] = 0;
+    }
     for (int64_t c = 0; c < n; c++) {
         const int64_t *keys = lookup + c * n_acts;
         const double *pxy = xy + 2 * point_offsets[rows[c]];
         for (int64_t j = seg_of[c]; j >= 0 && j < seg_of[c] + lengths[c]; j++) {
             col[pos[j]] = j;
-            const double *p = pxy + 2 * pos[j];
-            for (int32_t i = 0; qxy && i < m; i++)
-                dist[i * total + j] = gat_libm_hypot(qxy[2 * i] - p[0], qxy[2 * i + 1] - p[1]);
+            cxy[2 * j] = pxy[2 * pos[j]];
+            cxy[2 * j + 1] = pxy[2 * pos[j] + 1];
         }
         for (int64_t a = 0; a < n_acts; a++)
             for (int64_t h = offsets[keys[a]]; h < offsets[keys[a] + 1]; h++)
@@ -606,15 +608,20 @@ static double min_partition(const double *M, int32_t b, int32_t *rgs, int64_t *g
 }
 
 /* Dmm of every block candidate into out[c] (inf without columns), adding
- * each one's point_match_points to *points: per row, the relevant columns
+ * each one's point_match_points to counts[0]: per row, the relevant columns
  * (mask != 0) scattered into their exact bitmask's minimum, the superset-min
  * transform M[g] = min over masks covering g, M[0] = 0, and the cheapest set
  * partition; a row without relevant columns or with missing set is inf.
  * Rows are summed left to right, and the count of each row up to the first
- * such one is added. */
-int gat_block_dmm(int32_t m, const int32_t *n_bits, const double *dist, const int64_t *mask,
+ * such one is added.  A row is evaluated only while the sum of the rows
+ * before it is <= threshold, and a candidate whose sum ends above it is inf
+ * (early abandoning).  With qxy, an evaluated row first writes dist[i, j] =
+ * hypot(q_i - cxy[j]) at its relevant columns, counting each in counts[1];
+ * without, dist is read as given. */
+int gat_block_dmm(int32_t m, const int32_t *n_bits, double *dist, const int64_t *mask,
                   int64_t total, int64_t n, const int64_t *seg_of, const int64_t *lengths,
-                  const uint8_t *missing, double *out, int64_t *points) {
+                  const uint8_t *missing, const double *qxy, const double *cxy, double threshold,
+                  double *out, int64_t *counts) {
     int32_t widest = 1;
     for (int32_t i = 0; i < m; i++)
         widest = n_bits[i] > widest ? n_bits[i] : widest;
@@ -631,28 +638,38 @@ int gat_block_dmm(int32_t m, const int32_t *n_bits, const double *dist, const in
         int counting = 1;
         for (int32_t i = 0; i < m; i++) {
             int64_t size = (int64_t)1 << n_bits[i], count = 0;
-            const double *row = dist + i * total;
+            int evaluating = !i || dmm <= threshold;
+            double *row = dist + i * total;
             const int64_t *mrow = mask + i * total;
-            for (int64_t t = 0; t < size; t++)
+            for (int64_t t = 0; evaluating && t < size; t++)
                 M[t] = INFINITY;
             for (int64_t j = seg_of[c]; j >= 0 && j < seg_of[c] + lengths[c]; j++) {
                 if (mrow[j]) {
                     count++;
+                    if (!evaluating)
+                        continue;
+                    if (qxy) {
+                        const double *p = cxy + 2 * j;
+                        row[j] = gat_libm_hypot(qxy[2 * i] - p[0], qxy[2 * i + 1] - p[1]);
+                        counts[1]++;
+                    }
                     M[mrow[j]] = row[j] < M[mrow[j]] ? row[j] : M[mrow[j]];
                 }
             }
+            int invalid = !count || missing[c * m + i];
+            counts[0] += counting ? count : 0;
+            counting &= !invalid;
+            if (!evaluating)
+                continue;
             for (int64_t bit = 1; bit < size; bit <<= 1)
                 for (int64_t g = 0; g < size; g++)
                     if (!(g & bit) && M[g | bit] < M[g])
                         M[g] = M[g | bit];
             M[0] = 0.0;
-            int invalid = !count || missing[c * m + i];
             double v = invalid ? INFINITY : min_partition(M, n_bits[i], rgs, groups);
             dmm = i ? dmm + v : v;
-            *points += counting ? count : 0;
-            counting &= !invalid;
         }
-        out[c] = dmm;
+        out[c] = dmm > threshold ? INFINITY : dmm;
     }
     free(M);
     return 0;
@@ -660,13 +677,14 @@ int gat_block_dmm(int32_t m, const int32_t *n_bits, const double *dist, const in
 
 /* Dmm of an all-single-activity round straight from the image: row i asks
  * activity slot row_slot[i], its value is the nearest point of that list,
- * its count the list's length; rows fold and count as in gat_block_dmm.
- * Allocates nothing: returns 0. */
+ * its count the list's length (also its hypot count, counts[1]); rows fold
+ * and count as in gat_block_dmm at threshold inf.  Allocates nothing:
+ * returns 0. */
 int gat_round_dmm_single(const int64_t *offsets, const int64_t *positions,
                           const int64_t *point_offsets, const double *xy, const int64_t *rows,
                           const int64_t *lookup, int64_t n, int64_t n_acts, int32_t m,
                           const int64_t *row_slot, const double *qxy, double *out,
-                          int64_t *points) {
+                          int64_t *counts) {
     for (int64_t c = 0; c < n; c++) {
         const double *pxy = xy + 2 * point_offsets[rows[c]];
         double dmm = 0.0;
@@ -680,7 +698,8 @@ int gat_round_dmm_single(const int64_t *offsets, const int64_t *positions,
                 v = d < v ? d : v;
             }
             dmm = i ? dmm + v : v;
-            *points += counting ? count : 0;
+            counts[0] += counting ? count : 0;
+            counts[1] += count;
             counting &= count != 0;
         }
         out[c] = dmm;
@@ -698,19 +717,20 @@ static int cmp_gates(const void *a, const void *b) {
 }
 
 /* Dmom of every block candidate into out[c] (inf unless computed): the Dmm
- * gates (gat_block_dmm, counting *points), then the fold over the
- * candidates in ascending (gate, candidate) order. */
-int gat_block_dmom(int32_t m, const int32_t *n_bits, const double *dist, const int64_t *mask,
+ * gates (gat_block_dmm at the threshold, counting into counts), then the
+ * fold over the candidates in ascending (gate, candidate) order.  The fold
+ * reaches only gates <= threshold, whose rows were all evaluated. */
+int gat_block_dmom(int32_t m, const int32_t *n_bits, double *dist, const int64_t *mask,
                    int64_t total, int64_t n, const int64_t *seg_of, const int64_t *lengths,
-                   const uint8_t *missing, double threshold, int64_t k, double *out,
-                   int64_t *points) {
+                   const uint8_t *missing, const double *qxy, const double *cxy, double threshold,
+                   int64_t k, double *out, int64_t *counts) {
     double *gates = malloc((n + 1) * (sizeof(double) + sizeof(gat_gate) + sizeof(int64_t)));
     if (!gates)
         return -1;
     gat_gate *sorted = (gat_gate *)(gates + n + 1);
     int64_t *order = (int64_t *)(sorted + n + 1);
-    int status = gat_block_dmm(m, n_bits, dist, mask, total, n, seg_of, lengths, missing, gates,
-                               points);
+    int status = gat_block_dmm(m, n_bits, dist, mask, total, n, seg_of, lengths, missing, qxy, cxy,
+                               threshold, gates, counts);
     for (int64_t c = 0; c < n; c++) {
         out[c] = INFINITY;
         sorted[c] = (gat_gate){gates[c], c};

@@ -13,6 +13,7 @@ baseline searcher.
 """
 
 import pytest
+from best_match_oracle import best_match_distance
 
 from repro.baselines import InvertedListSearch, IRTreeSearch, RTreeSearch
 from repro.core.engine import GATSearchEngine
@@ -22,10 +23,8 @@ from repro.index.gat.index import GATConfig, GATIndex
 
 class TestDistanceClaims:
     def test_best_match_prefers_tr1(self, fig1):
-        ev = MatchEvaluator(fig1.metric)
-        assert ev.best_match_distance(fig1.query, fig1.tr1) < ev.best_match_distance(
-            fig1.query, fig1.tr2
-        )
+        tr1 = best_match_distance(fig1.query, fig1.tr1, fig1.metric)
+        assert tr1 < best_match_distance(fig1.query, fig1.tr2, fig1.metric)
 
     def test_minimum_match_prefers_tr2(self, fig1):
         ev = MatchEvaluator(fig1.metric)

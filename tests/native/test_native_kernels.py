@@ -85,10 +85,12 @@ def test_round_hypot_edge_values():
 
 
 def test_block_distances_equal_np_hypot():
-    """The distances the C block build evaluates — query minus point, then
+    """The distances the C block covers evaluate — query minus point, then
     ``hypot`` — equal ``np.hypot`` over the same differences bit for bit,
-    for coordinates across 12 decades."""
-    from repro.core.kernels import QueryKernel, prepare_block
+    for coordinates across 12 decades: a ``threshold = inf`` cover writes
+    every entry with ``mask != 0`` (here all of them: every point carries
+    the one activity)."""
+    from repro.core.kernels import QueryKernel, block_dmm, prepare_block
     from repro.core.query import Query, QueryPoint
     from repro.index.gat.apl import APLStore
     from repro.model.database import TrajectoryDatabase
@@ -107,6 +109,8 @@ def test_block_distances_equal_np_hypot():
     query = Query([QueryPoint(x, y, frozenset({0})) for x, y in zip(qx.tolist(), qy.tolist())])
     qk = QueryKernel(query, EuclideanDistance())
     block = prepare_block(qk, store.round(range(4), qk.sorted_activities))
+    block_dmm(qk, block)
+    assert np.all(block.mask != 0)
     px, py = np.concatenate([xs[i::4] for i in range(4)]), np.concatenate([ys[i::4] for i in range(4)])
     assert np.array_equal(block.big, np.hypot(qx[:, None] - px, qy[:, None] - py))
 

@@ -1,6 +1,6 @@
 """The NumPy distance matrices the tests/property oracles score with.
 
-The C round evaluates Euclidean distances itself (libm ``hypot``, which
+The C covers evaluate Euclidean distances themselves (libm ``hypot``, which
 equals ``np.hypot`` bit for bit); the oracles build the same values as
 one elementwise ``np.hypot``.  A metric other than Euclidean has no
 array formula, so :func:`distance_matrix` hands it to the kernel's

@@ -57,6 +57,7 @@ from repro.model.database import TrajectoryDatabase
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
 from repro.model.vocabulary import Vocabulary
+from repro.native import ffi
 from repro.storage.disk import SimulatedDisk
 
 EUCLID = EuclideanDistance()
@@ -121,12 +122,18 @@ def _close(a, b):
 class _Stats:
     def __init__(self):
         self.point_match_points = 0
+        self.distances = 0
 
 
 # ----------------------------------------------------------------------
 # The columnar block build vs the dict-walking builder it replaced
 # ----------------------------------------------------------------------
-def _assert_same_block(got, want):
+def _assert_same_block(qk, got, want):
+    """*got* (a C build) equals *want* (a full-matrix builder) in every
+    array; its distances after a ``threshold = inf`` cover, which writes
+    every entry some cover reads (``mask != 0``) and leaves the rest
+    ``inf`` — unless a generic metric filled them all in the build."""
+    kernels.block_dmm(qk, got)
     assert got.n == want.n
     assert got.total == want.total
     assert got.lengths.tolist() == want.lengths
@@ -135,7 +142,10 @@ def _assert_same_block(got, want):
         s, n = got.seg_of[c], got.lengths[c]
         assert got.positions[s : s + n].tolist() == list(want.positions[c])
     assert got.big.shape == want.big.shape
-    assert np.array_equal(got.big, want.big)  # bit-identical, not close
+    read = want.mask != 0
+    assert np.array_equal(got.big[read], want.big[read])  # bit-identical, not close
+    if qk.xy != ffi.NULL:
+        assert np.all(got.big[~read] == INFINITY)
     assert got.mask.dtype == want.mask.dtype
     assert np.array_equal(got.mask, want.mask)
     assert {(c, i) for c, i in np.argwhere(got.missing).tolist()} == set(want.missing_rows)
@@ -169,8 +179,8 @@ def test_columnar_build_equals_dict_builder(qraw, raws):
     items = _round(raws)
     qk = QueryKernel(query, EUCLID)
     want = dict_prepare_block(qk, items)
-    _assert_same_block(kernels.prepare_block(qk, _posted(query, items)), want)
-    _assert_same_block(kernels.prepare_block(qk, _posted(query, items, grown=True)), want)
+    _assert_same_block(qk, kernels.prepare_block(qk, _posted(query, items)), want)
+    _assert_same_block(qk, kernels.prepare_block(qk, _posted(query, items, grown=True)), want)
 
 
 def test_columnar_build_keeps_the_generic_metric_fill(fig1):
@@ -178,10 +188,9 @@ def test_columnar_build_keeps_the_generic_metric_fill(fig1):
     per-pair Python calls, over positions from the same array build."""
     qk = QueryKernel(fig1.query, fig1.metric)
     items = [(fig1.tr1, None), (fig1.tr2, None)]
-    _assert_same_block(
-        kernels.prepare_block(qk, _posted(fig1.query, items)),
-        dict_prepare_block(qk, items),
-    )
+    got, want = kernels.prepare_block(qk, _posted(fig1.query, items)), dict_prepare_block(qk, items)
+    _assert_same_block(qk, got, want)
+    assert np.array_equal(got.big, want.big)  # every entry, read or not
 
 
 # ----------------------------------------------------------------------

@@ -55,8 +55,11 @@ def _query(raw):
 
 def _one_row(qk, trajectory):
     """*trajectory* as a one-candidate block — what ``MatchEvaluator``
-    scores per candidate."""
-    return kernels.prepare_block(qk, trajectory_round(trajectory, qk.sorted_activities))
+    scores per candidate — after a ``threshold = inf`` cover, which writes
+    every distance a fold reads (``mask != 0``)."""
+    block = kernels.prepare_block(qk, trajectory_round(trajectory, qk.sorted_activities))
+    kernels.block_dmm(qk, block)
+    return block
 
 
 def _close(a, b):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -214,6 +215,22 @@ class TestTrace:
         assert "query " in out
         for stage in ("retrieve", "validate", "score", "lower_bound"):
             assert f"  {stage}" in out
+
+    def test_span_tree_floats_carry_at_most_four_significant_digits(
+        self, dataset_path, capsys
+    ):
+        """Second counts print as ms with two decimals, other floats to 4
+        digits — never a raw repr like ``busy_s=0.0005197525024414062``."""
+        code = main(["trace", str(dataset_path), "--k", "3", "--depth", "4"])
+        assert code == 0
+        out = capsys.readouterr().out
+        floats = re.findall(r"(\w+)=(-?[\d.]+(?:e[-+]?\d+)?)[,\]]", out)
+        floats = [(key, text) for key, text in floats if "." in text or "e" in text]
+        assert any(key == "busy_ms" for key, _ in floats)
+        for key, text in floats:
+            assert not key.endswith("_s"), key
+            digits = text.split("e")[0].lstrip("-").replace(".", "").lstrip("0")
+            assert len(digits) <= 4, (key, text)
 
     def test_sharded_trace_dumps_validating_jsonl(
         self, dataset_path, tmp_path, capsys
