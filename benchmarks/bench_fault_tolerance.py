@@ -18,9 +18,12 @@ contract it exists to protect and emitting one JSON row:
   partial with coverage ``(n_shards - 1)/n_shards`` and correct
   ``shards_answered/shards_total`` metadata, never an exception.
 * ``worker-kill`` — the process fleet is warmed up, its workers are
-  SIGKILLed (once before the batch, once mid-batch): the executor must
-  retire the broken pools, re-initialise from the spec, replay the dead
-  futures, and still return full-coverage exact rankings.
+  SIGKILLed once before the batch (the pool breaks while idle) and once
+  right after a submission whose future is still pending (it breaks with
+  a task in flight): the executor must retire the broken pools — at
+  submission, and through the supervisor's ``heal`` — re-initialise from
+  the spec, replay the dead futures, and still return full-coverage
+  exact rankings.
 
 The gate (``check_bench_regressions.py``) pins the *correctness ratios*
 (rankings-exact, completion fraction, partial coverage) — deterministic
@@ -30,7 +33,6 @@ printed report.
 """
 
 import json
-import threading
 import time
 
 import pytest
@@ -199,28 +201,34 @@ def test_fault_tolerance_scenarios(benchmark, la_db, workload):
             result_cache_size=0,
             fault_policy=FaultPolicy(max_retries=4),
         ) as fleet:
-            fleet._executor.warm_up()
-            kill_fleet_workers(fleet._executor, count=N_SHARDS, seed=1)
+            executor = fleet._executor
+            executor.warm_up()
+            kill_fleet_workers(executor, count=executor.max_workers, seed=1)
+            submit, heal = executor.submit, executor.heal
+            kills, heals = [], []
 
-            def kill_one_quietly():
-                try:
-                    kill_fleet_workers(fleet._executor, count=1, seed=2)
-                except RuntimeError:
-                    pass  # fleet mid-repair: no live pids this instant
+            def submit_then_kill(task):
+                # The second kill lands while a task is in flight: its
+                # future is pending when every live worker dies, so it
+                # fails with BrokenProcessPool and the supervisor heals.
+                future = submit(task)
+                if not kills and not future.done() and executor.worker_pids():
+                    kills.append(kill_fleet_workers(executor, count=executor.max_workers, seed=2))
+                return future
 
-            killer = threading.Timer(0.2, kill_one_quietly)
-            killer.start()
-            try:
-                wall, responses = _serve(fleet, workload)
-            finally:
-                killer.cancel()
-                killer.join()
+            def counted_heal():
+                heals.append(heal())
+                return heals[-1]
+
+            executor.submit, executor.heal = submit_then_kill, counted_heal
+            wall, responses = _serve(fleet, workload)
             stats = fleet.stats()
-            repairs = fleet._executor.pool_repairs
+            repairs = executor.pool_repairs
         exact = _rankings(responses) == truth
         assert exact, "post-kill rankings diverged from the healthy fleet"
         assert all(r.complete for r in responses)
-        assert repairs >= 1, "the kill must have retired at least one pool"
+        assert kills and any(heals), "the in-flight kill must be healed by the supervisor"
+        assert repairs >= 2, "both kills must have retired a pool"
         rows.append(
             _row(
                 "worker-kill",

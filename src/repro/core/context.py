@@ -11,12 +11,10 @@ queries: two contexts never touch the same mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional
 
 from repro.core.evaluator import MatchEvaluator
-from repro.core.kernels import point_slots
+from repro.core.kernels import QueryKernel
 from repro.core.query import Query
 from repro.core.results import SearchResult, TopKCollector
 
@@ -96,23 +94,16 @@ class ExecutionContext:
     #: tracing; the engine then skips every stage-timing branch, keeping
     #: the untraced hot path free of instrumentation cost.
     trace_span: Optional[object] = None
-    #: ``Q.Φ`` — the union of activities over all query points — as an
-    #: ascending ``int64`` array: the columns of every validation round's
-    #: key lookup (and of the block kernel's, which sorts the same set).
-    activities: np.ndarray = field(init=False)
-    _point_slots: Optional[Tuple[np.ndarray, np.ndarray]] = field(init=False, default=None)
+    #: The query prepared once for the C round (the evaluator's, shared
+    #: with its block scorers): ``Q.Φ`` — the union of activities over all
+    #: query points — ascending as ``sorted_activities``, the columns of
+    #: every validation round's key lookup, and the ``gat_query`` handle
+    #: every round entry reads.
+    query_kernel: QueryKernel = field(init=False)
 
     def __post_init__(self) -> None:
         self.results = TopKCollector(self.k)
-        self.activities = np.array(sorted(self.query.all_activities), dtype=np.int64)
-
-    def point_slots(self) -> Tuple[np.ndarray, np.ndarray]:
-        """:func:`~repro.core.kernels.point_slots` of the query over
-        :attr:`activities` — the MIB filter's layout (built on first use:
-        only OATSQ asks)."""
-        if self._point_slots is None:
-            self._point_slots = point_slots(self.query, self.activities)
-        return self._point_slots
+        self.query_kernel = self.evaluator.query_kernel(self.query)
 
     @property
     def block_scoring(self) -> bool:

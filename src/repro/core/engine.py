@@ -59,7 +59,7 @@ from repro.core.query import Query
 from repro.core.results import SearchResult
 from repro.index.gat.index import GATIndex
 from repro.model.distance import DistanceMetric
-from repro.storage.cache import LRUCache
+from repro.storage.cache import RowLRU
 
 __all__ = ["EngineConfig", "GATSearchEngine", "SearchStats", "ExecutionContext"]
 
@@ -83,10 +83,12 @@ class EngineConfig:
     apl_cache_size:
         Capacity of the engine-level LRU of *resident* APL records: a
         trajectory whose record was fetched recently skips the counted
-        disk read (the LRU holds residency, keyed by trajectory id — the
-        record itself is a row range of the store, never a decoded
-        copy).  ``0`` disables it, restoring the seed behaviour of one
-        APL read per surviving candidate per query.
+        disk read (the LRU holds residency, keyed by APL row — one per
+        trajectory — as a recency list in C,
+        :class:`~repro.storage.cache.RowLRU`; the record itself is a row
+        range of the store, never a decoded copy).  ``0`` disables it,
+        restoring the seed behaviour of one APL read per surviving
+        candidate per query.
     kernel:
         Scoring kernel, one of :data:`repro.core.kernels.KERNELS`:
         ``'block'`` (the default: one flat tensor per validation
@@ -148,8 +150,8 @@ class GATSearchEngine:
         self.retrieval_batch = self.config.retrieval_batch
         self.use_tas = self.config.use_tas
         self.use_tight_lower_bound = self.config.use_tight_lower_bound
-        self.apl_cache: Optional[LRUCache] = (
-            LRUCache(self.config.apl_cache_size)
+        self.apl_cache: Optional[RowLRU] = (
+            RowLRU(self.config.apl_cache_size)
             if self.config.apl_cache_size > 0
             else None
         )

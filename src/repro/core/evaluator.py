@@ -93,7 +93,7 @@ class MatchEvaluator:
         self.metric: DistanceMetric = metric or EuclideanDistance()
         self.kernel = resolve_kernel(kernel)
         self.stats = EvaluatorStats()
-        # (query, QueryKernel | None) — rebuilt when the query object
+        # (query, QueryKernel) — rebuilt when the query object
         # changes.  Stored as one tuple so concurrent use
         # of a shared evaluator can at worst rebuild redundantly, never mix
         # one query's preparation with another's.
@@ -106,13 +106,17 @@ class MatchEvaluator:
     # ------------------------------------------------------------------
     # Per-query preparation
     # ------------------------------------------------------------------
-    def _kernel_for(self, query: Query) -> Optional[QueryKernel]:
-        """The query's :class:`QueryKernel`; ``None`` under the scalar kernel."""
+    def query_kernel(self, query: Query) -> QueryKernel:
+        """The query's :class:`QueryKernel`, built once per query: the
+        validation round reads it under either kernel."""
         state = self._qstate
         if state is None or state[0] is not query:
-            state = (query, QueryKernel(query, self.metric) if self.kernel == "block" else None)
-            self._qstate = state
+            state = self._qstate = (query, QueryKernel(query, self.metric))
         return state[1]
+
+    def _kernel_for(self, query: Query) -> Optional[QueryKernel]:
+        """The query's :class:`QueryKernel`; ``None`` under the scalar kernel."""
+        return self.query_kernel(query) if self.kernel == "block" else None
 
     # ------------------------------------------------------------------
     # Candidate point sets (the in-memory view of the APL)
@@ -144,7 +148,7 @@ class MatchEvaluator:
         """
         qkernel = self._kernel_for(query)
         if qkernel is not None:
-            return self.dmm_batch(query, trajectory_round(trajectory, qkernel.sorted_activities))[0]
+            return self.dmm_batch(query, trajectory_round(trajectory, qkernel))[0]
         self.stats.dmm_evaluations += 1
         return self._dmm_scalar(query, trajectory)
 
@@ -196,8 +200,8 @@ class MatchEvaluator:
         """
         qkernel = self._kernel_for(query)
         if qkernel is not None:
-            candidates = trajectory_round(trajectory, qkernel.sorted_activities)
-            if not check_order or candidates.mib(*qkernel.point_slots)[0]:
+            candidates = trajectory_round(trajectory, qkernel)
+            if not check_order or candidates.mib()[0]:
                 return self.dmom_batch(query, candidates, threshold)[0]
             self.stats.dmom_evaluations += 1
             return INFINITY

@@ -31,7 +31,12 @@ default):
 
 All of it is C over the APL image (section (d) of
 ``repro/native/gat.c``), one call per entry, reading the candidates' rows
-through the key lookup validation already computed:
+through the key lookup validation already computed.  Each entry takes
+handles: the image's (published with it), the query's
+(:attr:`QueryKernel.handle`, built once per query) and, for the covers
+and the fold, the block's own ``gat_columns`` buffer
+(:attr:`CandidateBlock.columns`); only the round's rows and lookup and
+the entry's output are wrapped per call:
 
 * :func:`prepare_block` gathers each candidate's looked-up posting lists,
   dedups their positions into columns, copies the columns' coordinates,
@@ -140,7 +145,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from repro.model.distance import DistanceMetric, EuclideanDistance
-from repro.native import c_array, ffi, lib
+from repro.native import c_array, ffi, lib, struct
 
 INFINITY = math.inf
 
@@ -219,8 +224,9 @@ class QueryKernel:
     Holds the per-query-point bit assignment (same iteration order as
     ``PointMatchTable`` uses, so masks are comparable in tests), the MIB
     check's activity slots and the query half of the array distance
-    formula.  Metrics other than
-    Euclidean fall back to per-pair Python calls — still through one
+    formula — and :attr:`handle`, the ``gat_query`` struct pointing into
+    them that every C round entry reads, built once here.  Metrics other
+    than Euclidean fall back to per-pair Python calls — still through one
     matrix, so the combinatorial kernels stay identical.
     """
 
@@ -233,11 +239,10 @@ class QueryKernel:
         "sorted_activities",
         "bit_table",
         "metric",
-        "fold_bits",
-        "c_bits",
-        "c_slots",
-        "_point_slots",
-        "xy",
+        "euclidean",
+        "point_slots",
+        "handle",
+        "_c_arrays",
     )
 
     def __init__(self, query, metric: DistanceMetric) -> None:
@@ -253,8 +258,8 @@ class QueryKernel:
         #: Every query point carries one activity — the common query shape,
         #: whose ``Dmm`` needs no position dedup (block_dmm_all_single).
         self.all_single = all(b == 1 for b in self.n_bits)
-        #: ``n_bits`` as the C fold reads it.
-        self.fold_bits = ffi.new("int32_t[]", self.n_bits)
+        #: Whether the C round evaluates the distances itself.
+        self.euclidean = type(metric) is EuclideanDistance
 
         #: The block builder's lookup side: ``Q.Φ`` ascending (what a round's
         #: activity occurrences are ``searchsorted`` against) and, per row,
@@ -265,29 +270,27 @@ class QueryKernel:
             row[_np.searchsorted(self.sorted_activities, list(bit_values))] = list(
                 bit_values.values()
             )
-        #: ``bit_table`` and, per row, the slot of its highest bit — an
-        #: all-single row's one activity — as the C round reads them.
-        self.c_bits = c_array("int64_t", self.bit_table)
-        self.c_slots = ffi.new("int64_t[]", self.bit_table.argmax(axis=1).tolist())
-        self._point_slots = None
-
-        #: ``(x, y)`` per query point, from which the C round evaluates
-        #: Euclidean distances; ``NULL`` for any other metric, whose block
-        #: :meth:`distance_matrix_for` fills.
-        self.xy = (
-            ffi.new("double[]", [c for q in query for c in q.coord])
-            if type(metric) is EuclideanDistance
-            else ffi.NULL
+        #: :func:`point_slots` over :attr:`sorted_activities` — the MIB
+        #: check's layout.
+        self.point_slots = point_slots(query, self.sorted_activities)
+        slots, starts = self.point_slots
+        # What the handle points at beyond the arrays above: ``n_bits``, per
+        # row the slot of its highest bit (an all-single row's one
+        # activity), and the ``(x, y)`` per query point from which the C
+        # round evaluates Euclidean distances — ``NULL`` for any other
+        # metric, whose block :meth:`distance_matrix_for` fills.
+        self._c_arrays = (
+            ffi.new("int32_t[]", self.n_bits),
+            ffi.new("int64_t[]", self.bit_table.argmax(axis=1).tolist()),
+            ffi.new("double[]", [c for q in query for c in q.coord]) if self.euclidean else ffi.NULL,
         )
-
-    @property
-    def point_slots(self) -> Tuple[_np.ndarray, _np.ndarray]:
-        """:func:`point_slots` over :attr:`sorted_activities` — the MIB
-        check's layout (built on first use: only a per-candidate ``dmom``
-        asks)."""
-        if self._point_slots is None:
-            self._point_slots = point_slots(self.query, self.sorted_activities)
-        return self._point_slots
+        n_bits, row_slot, xy = self._c_arrays
+        #: The ``gat_query *`` the C round reads.
+        self.handle = struct(
+            "gat_query", m=self.m, n_bits=n_bits, acts=self.sorted_activities,
+            n_acts=len(self.sorted_activities), bits=self.bit_table, row_slot=row_slot,
+            slots=slots, starts=starts, xy=xy,
+        )
 
     def distance_matrix_for(self, coords):
         """The ``|Q| x N`` distance matrix against a raw ``(N, 2)`` float
@@ -309,6 +312,10 @@ def _checked(status: int, what: str) -> None:
 # ----------------------------------------------------------------------
 # Block kernel — one flat tensor per validation round
 # ----------------------------------------------------------------------
+#: The arrays of a :class:`CandidateBlock`, views of its C buffer.
+_VIEWS = ("big", "mask", "positions", "cxy", "seg_of", "lengths", "missing")
+
+
 class CandidateBlock:
     """One validation round's candidates in flat concatenated form.
 
@@ -327,42 +334,37 @@ class CandidateBlock:
     hand, because such a row can never be covered (Algorithm 3 returns
     ``inf``) even when other activities give it relevant points; only
     candidates with columns are flagged.
+
+    All of them live in the one buffer the C build allocates (freed with
+    the last reference to it); the covers and the fold read them through
+    :attr:`columns`, one ``gat_columns`` pointer, and the NumPy views above
+    are made on the first read of one.
     """
 
-    __slots__ = ("n", "lengths", "seg_of", "positions", "total", "big", "mask", "missing", "cxy")
+    __slots__ = ("columns", "n", "total", "m", "_data") + _VIEWS
 
-    def __init__(self, n, lengths, seg_of, positions, total, big, mask, missing, cxy) -> None:
-        self.n = n
-        self.lengths = lengths
-        self.seg_of = seg_of
-        self.positions = positions
-        self.total = total
-        self.big = big
-        self.mask = mask
-        self.missing = missing
-        self.cxy = cxy
+    def __init__(self, columns, m: int) -> None:
+        self.columns = columns
+        self.n, self.total, self.m = columns.n, columns.total, m
+        self._data = ffi.gc(columns.dist, lib.gat_free)
 
-
-def _round_args(candidates):
-    """The round's image arrays, rows and lookup, as the C round reads them."""
-    image, lookup = candidates.image, candidates.lookup()
-    return (
-        c_array("int64_t", image.offsets), c_array("int64_t", image.positions),
-        c_array("int64_t", image.point_offsets), c_array("double", image.xy),
-        c_array("int64_t", candidates.rows), c_array("int64_t", lookup),
-        len(candidates), lookup.shape[1],
-    )
-
-
-def _block_args(qk: QueryKernel, block: CandidateBlock, threshold: float):
-    """The block's arrays and the query's coordinates, as the C covers and
-    fold read them (the covers write the distances they evaluate)."""
-    return (
-        qk.m, qk.fold_bits, c_array("double", block.big, True), c_array("int64_t", block.mask),
-        block.total, block.n, c_array("int64_t", block.seg_of),
-        c_array("int64_t", block.lengths), c_array("uint8_t", block.missing),
-        qk.xy, c_array("double", block.cxy), threshold,
-    )
+    def __getattr__(self, name: str):
+        """The block's arrays as NumPy views of its C buffer, made together
+        on the first read of one (``gat_columns``' layout)."""
+        if name not in _VIEWS:
+            raise AttributeError(name)
+        n, m, total = self.n, self.m, self.total
+        data = ffi.buffer(self._data, ((2 * m + 3) * total + 2 * n) * 8 + n * m)
+        arrays = _np.frombuffer(data, _np.int64, (2 * m + 3) * total + 2 * n)
+        floats = arrays.view(_np.float64)
+        self.big = floats[: m * total].reshape(m, total)
+        self.mask = arrays[m * total : 2 * m * total].reshape(m, total)
+        self.positions = arrays[2 * m * total : (2 * m + 1) * total]
+        self.cxy = floats[(2 * m + 1) * total : (2 * m + 3) * total].reshape(total, 2)
+        self.seg_of = arrays[(2 * m + 3) * total :][:n]
+        self.lengths = arrays[(2 * m + 3) * total + n :]
+        self.missing = _np.frombuffer(data, _np.bool_, n * m, len(arrays) * 8).reshape(n, m)
+        return getattr(self, name)
 
 
 def _scores(n: int, stats, what: str, entry, *args):
@@ -391,25 +393,15 @@ def prepare_block(qk: QueryKernel, candidates) -> CandidateBlock:
     :func:`block_dmom` write the entries they need.  A generic metric fills
     ``big`` here in full, pair by pair, from ``cxy``.
     """
-    n, m = len(candidates), qk.m
-    seg_of = _np.empty(n, dtype=_np.int64)
-    lengths = _np.empty(n, dtype=_np.int64)
-    missing = _np.empty((n, m), dtype=bool)
-    out = ffi.new("gat_columns *")
+    columns = ffi.new("gat_columns *")
     _checked(lib.gat_round_block(
-        *_round_args(candidates), m, qk.c_bits, c_array("int64_t", seg_of, True),
-        c_array("int64_t", lengths, True), c_array("uint8_t", missing, True), out,
+        candidates.image.handle, qk.handle, candidates.c_rows, candidates.c_lookup(),
+        len(candidates), columns,
     ), "block build")
-    total = out.total
-    # The block's arrays live in one malloc'd buffer, freed with the last of them.
-    data = ffi.buffer(ffi.gc(out.data, lib.gat_free), (2 * m + 3) * total * 8)
-    big = _np.frombuffer(data, _np.float64, m * total).reshape(m, total)
-    mask = _np.frombuffer(data, _np.int64, m * total, 8 * m * total).reshape(m, total)
-    positions = _np.frombuffer(data, _np.int64, total, 16 * m * total)
-    cxy = _np.frombuffer(data, _np.float64, 2 * total, (2 * m + 1) * total * 8).reshape(total, 2)
-    if qk.xy == ffi.NULL:
-        big = qk.distance_matrix_for(cxy)
-    return CandidateBlock(n, lengths, seg_of, positions, total, big, mask, missing, cxy)
+    block = CandidateBlock(columns, qk.m)
+    if not qk.euclidean:
+        block.big[...] = qk.distance_matrix_for(block.cxy)
+    return block
 
 
 def block_dmm_all_single(qk: QueryKernel, candidates, stats=None):
@@ -420,11 +412,12 @@ def block_dmm_all_single(qk: QueryKernel, candidates, stats=None):
     count that list's length — no column dedup.  Values and counter
     accounting are bit-identical to :func:`block_dmm` on the round's block,
     which a generic metric goes through instead."""
-    if qk.xy == ffi.NULL:
+    if not qk.euclidean:
         return block_dmm(qk, prepare_block(qk, candidates), stats)
     return _scores(
         len(candidates), stats, "all-single Dmm", lib.gat_round_dmm_single,
-        *_round_args(candidates), qk.m, qk.c_slots, qk.xy,
+        candidates.image.handle, qk.handle, candidates.c_rows, candidates.c_lookup(),
+        len(candidates),
     )
 
 
@@ -453,9 +446,7 @@ def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None, threshold: flo
     the scalar Algorithm 3's scan order — one of the documented last-ulp
     array-vs-scalar sources.
     """
-    return _scores(
-        block.n, stats, "block Dmm", lib.gat_block_dmm, *_block_args(qk, block, threshold)
-    )
+    return _scores(block.n, stats, "block Dmm", lib.gat_block_dmm, qk.handle, block.columns, threshold)
 
 
 def block_dmom(
@@ -502,6 +493,6 @@ def block_dmom(
     exactly as a candidate-by-candidate gate would have counted it.
     """
     return _scores(
-        block.n, stats, "block Dmom", lib.gat_block_dmom, *_block_args(qk, block, threshold),
+        block.n, stats, "block Dmom", lib.gat_block_dmom, qk.handle, block.columns, threshold,
         k or 0,
     )

@@ -26,9 +26,13 @@ mask for the round from one C pass over the APL image (section (d) of
 ``repro/native/gat.c``) — TAS an interval test, APL "no key lookup
 missed", MIB a min / max over first / last positions — and the
 ``[candidates, |Q.Φ|]`` lookup the APL filter computes (also C: a binary
-search inside each row's key range) rides along to the MIB filter and to
-block assembly.  The APL filter's I/O is one ``fetch_many`` per round, in
-Python, before its pass.  Counters and counted reads are those of a
+search inside each row's key range, which writes the coverage mask
+beside it) rides along to the MIB filter and to block assembly.  The
+entries read the image and the query through their handles
+(:attr:`~repro.index.gat.apl.APLArrays.handle`,
+:attr:`~repro.core.kernels.QueryKernel.handle`).  The APL filter's I/O is
+one ``fetch_many`` per round before its pass: a touch and an insert of
+the C residency list and one grouped disk read.  Counters and counted reads are those of a
 candidate-by-candidate walk of the chain (the oracle in
 ``tests/property/object_chain_oracle.py``; the NumPy masks the C passes
 replaced are ``tests/property/numpy_round_oracle.py``).
@@ -50,8 +54,8 @@ from repro.index.gat.hicl import QueryBitmaps
 from repro.index.gat.index import GATIndex
 from repro.index.gat.tas import SketchTable
 from repro.model.trajectory import ActivityTrajectory
-from repro.native import c_array, ffi, lib
-from repro.storage.cache import LRUCache
+from repro.native import ffi, lib
+from repro.storage.cache import RowLRU
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +229,7 @@ class TASFilter:
         self.sketches = sketches
 
     def admits(self, ctx: ExecutionContext, candidates: PostingRound):
-        return self.sketches.covers_all(candidates.rows, candidates.activities)
+        return self.sketches.covers_all(candidates)
 
 
 class APLFilter:
@@ -234,29 +238,24 @@ class APLFilter:
     skipped when the record is resident in the engine's LRU (Section V-C).
 
     The reads of a whole round go through
-    :meth:`~repro.index.gat.apl.APLStore.fetch_many` — one cache pass in
-    candidate order, one grouped simulated-disk read — and coverage is
-    "no query activity missed the key lookup".
+    :meth:`~repro.index.gat.apl.APLStore.fetch_many` — one touch of the
+    residency LRU in candidate order, one grouped simulated-disk read of
+    the misses — and coverage is "no query activity missed the key
+    lookup", which the lookup pass writes beside it.
     """
 
     stat_field = "apl_pruned"
     __slots__ = ("apl", "cache")
 
-    def __init__(self, apl: APLStore, cache: Optional[LRUCache] = None) -> None:
+    def __init__(self, apl: APLStore, cache: Optional[RowLRU] = None) -> None:
         self.apl = apl
         self.cache = cache
 
     def admits(self, ctx: ExecutionContext, candidates: PostingRound):
-        hits, lookups = self.apl.fetch_many(candidates.ids.tolist(), self.cache)
+        hits, lookups = self.apl.fetch_many(candidates, self.cache)
         ctx.stats.apl_cache_hits += hits
         ctx.stats.apl_cache_lookups += lookups
-        lookup = candidates.lookup()
-        out = np.empty(len(candidates), dtype=bool)
-        lib.gat_round_covered(
-            c_array("int64_t", lookup), len(candidates), lookup.shape[1],
-            candidates.image.n_keys, c_array("uint8_t", out, True),
-        )
-        return out
+        return candidates.covered()
 
 
 class MIBFilter:
@@ -273,7 +272,7 @@ class MIBFilter:
     __slots__ = ()
 
     def admits(self, ctx: ExecutionContext, candidates: PostingRound):
-        return candidates.mib(*ctx.point_slots())
+        return candidates.mib()
 
 
 class ValidationStage:
@@ -301,7 +300,7 @@ class ValidationStage:
         candidate walk, so every pruning counter and every counted read
         lands on the same value.
         """
-        survivors = self.apl.round(rows, ctx.activities)
+        survivors = self.apl.round(rows, ctx.query_kernel)
         for f in self.filters:
             if not len(survivors):
                 break

@@ -20,15 +20,13 @@ iv.  :class:`~repro.index.gat.apl.APLStore` — Activity Posting List: per
 
 from repro.index.gat.hicl import HICL
 from repro.index.gat.itl import ITL
-from repro.index.gat.tas import SketchTable, TrajectorySketch, optimal_intervals
+from repro.index.gat.tas import SketchTable
 from repro.index.gat.apl import APLStore
 from repro.index.gat.index import GATIndex
 
 __all__ = [
     "HICL",
     "ITL",
-    "TrajectorySketch",
-    "optimal_intervals",
     "SketchTable",
     "APLStore",
     "GATIndex",

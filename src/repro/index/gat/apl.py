@@ -22,19 +22,29 @@ a trajectory's APL is still one counted read of the same pages and bytes
 way: validation and block assembly read the image by row
 (:class:`PostingRound`).  Rows are how the whole index addresses a
 trajectory: the ITL posts them, the retriever hands a round out as rows
-(ascending within one leaf pop), and the ids — what disk keys, the LRU
-and results speak — are one gather from ``ids``.
+(ascending within one leaf pop), the engine's residency LRU keeps rows,
+and the ids — what disk keys, fault injection and results speak — are one
+gather from ``ids``.
+
+Each image carries its C handle (:attr:`APLArrays.handle`, a
+``gat_image`` of ``repro/native/gat.c``): the column pointers the round's
+C entries read, built once when the image is published, so a round wraps
+no image array per call and keeps the image it started with across an
+insert.  The records are one extent table on the simulated disk
+(:meth:`~repro.storage.disk.SimulatedDisk.put_extents`): per-row pages
+and bytes written once in :meth:`APLStore.extend`, so a round's misses are
+charged as one gathered sum.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.model.trajectory import ACTIVITY_BITS, TrajectoryColumns
-from repro.native import c_array, lib
-from repro.storage.cache import LRUCache
+from repro.native import c_array, lib, struct
+from repro.storage.cache import RowLRU
 from repro.storage.disk import SimulatedDisk
 from repro.storage.serialization import serialize_obj
 
@@ -57,6 +67,7 @@ class APLArrays(NamedTuple):
 
     ``point_offsets``, ``xy`` and ``ids`` are the database's own column
     arrays (:class:`~repro.model.trajectory.TrajectoryColumns`), shared.
+    Build one with :func:`published`, which adds the handle.
     """
 
     keys: np.ndarray  #: ``(K+1,)`` sorted ``(row << 32) | activity``
@@ -67,6 +78,9 @@ class APLArrays(NamedTuple):
     point_offsets: np.ndarray  #: ``(N+1,)`` row r owns ``xy[point_offsets[r]:point_offsets[r+1]]``
     xy: np.ndarray  #: ``(T, 2)`` point coordinates
     ids: np.ndarray  #: ``(N,)`` trajectory id of each row
+    #: The ``gat_image *`` pointing into the arrays above (which the tuple
+    #: keeps alive): what the C round reads.
+    handle: object
 
     @property
     def n_keys(self) -> int:
@@ -93,6 +107,15 @@ class APLArrays(NamedTuple):
         return codes[new_list], activities[new_list], np.flatnonzero(new_list[keep]), rows[keep]
 
 
+def published(keys, first, last, offsets, positions, point_offsets, xy, ids) -> APLArrays:
+    """The image of these arrays, with its C handle."""
+    handle = struct(
+        "gat_image", keys=keys, first=first, last=last, offsets=offsets, positions=positions,
+        point_offsets=point_offsets, xy=xy, n_keys=len(keys) - 1,
+    )
+    return APLArrays(keys, first, last, offsets, positions, point_offsets, xy, ids, handle)
+
+
 def image_of(columns: TrajectoryColumns, lo: int, hi: int) -> APLArrays:
     """The image of rows ``lo:hi`` of *columns*: their keys, with the
     closing sentinel slot and offsets into their own positions, and the
@@ -114,7 +137,7 @@ def image_of(columns: TrajectoryColumns, lo: int, hi: int) -> APLArrays:
     keys, positions = keys[order], (points - point_offsets[rows])[order]
     firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # each key's first occurrence
     lasts = np.flatnonzero(np.diff(keys, append=_SENTINEL))
-    return APLArrays(
+    return published(
         keys=np.concatenate([keys[firsts], [_SENTINEL]]),
         first=np.concatenate([positions[firsts], [_SENTINEL]]),
         last=np.concatenate([positions[lasts], [-1]]),
@@ -126,7 +149,7 @@ def image_of(columns: TrajectoryColumns, lo: int, hi: int) -> APLArrays:
     )
 
 
-def _record(image: APLArrays, row: int) -> PostingLists:
+def posting_lists(image: APLArrays, row: int) -> PostingLists:
     """Row *row*'s posting lists decoded from *image*: ``activity ->
     positions``, the mapping a record stands for."""
     lo, hi = np.searchsorted(image.keys, [row << ACTIVITY_BITS, (row + 1) << ACTIVITY_BITS])
@@ -147,19 +170,26 @@ class PostingRound:
 
     :meth:`lookup` — per (candidate, query activity) the index of that key
     in the image, the sentinel slot where the trajectory lacks the
-    activity — is computed once and shared by the APL coverage test, the
-    MIB check and block assembly; :meth:`keep` carries it to the survivors
-    of a filter.
+    activity — is computed once, with the APL coverage mask, and shared by
+    the MIB check and block assembly; :meth:`keep` carries both to the
+    survivors of a filter.  The C entries read :attr:`c_rows` and
+    :meth:`c_lookup`, each wrapped once per round.  The rows of a round
+    are distinct (the retriever hands each row out once per query).
     """
 
-    __slots__ = ("image", "activities", "rows", "_lookup")
+    __slots__ = ("image", "query", "rows", "c_rows", "_lookup", "_c_lookup", "_covered")
 
-    def __init__(self, image: APLArrays, activities, rows, lookup=None) -> None:
+    def __init__(self, image: APLArrays, query, rows, lookup=None, covered=None) -> None:
         self.image = image
-        #: ``Q.Φ`` ascending, ``int64``.
-        self.activities = activities
+        #: The query's prepared arrays (a
+        #: :class:`~repro.core.kernels.QueryKernel`): ``Q.Φ`` ascending as
+        #: ``sorted_activities`` and the ``handle`` the C round reads.
+        self.query = query
         self.rows = rows
+        self.c_rows = c_array("int64_t", rows)
         self._lookup = lookup
+        self._c_lookup = None
+        self._covered = covered
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -171,47 +201,64 @@ class PostingRound:
 
     def lookup(self):
         """``[C, |Q.Φ|]`` key indices (``image.n_keys`` = absent), by a
-        binary search inside each row's key range (``gat_round_lookup``)."""
+        binary search inside each row's key range (``gat_round_lookup``,
+        which also writes :meth:`covered`)."""
         if self._lookup is None:
-            lookup = np.empty((len(self.rows), len(self.activities)), dtype=np.int64)
+            n = len(self.rows)
+            lookup = np.empty((n, len(self.query.sorted_activities)), dtype=np.int64)
+            covered = np.empty(n, dtype=bool)
+            self._c_lookup = c_array("int64_t", lookup, True)
             lib.gat_round_lookup(
-                c_array("int64_t", self.image.keys), self.image.n_keys,
-                c_array("int64_t", self.rows), len(self.rows),
-                c_array("int64_t", self.activities), len(self.activities),
-                c_array("int64_t", lookup, True),
+                self.image.handle, self.query.handle, self.c_rows, n, self._c_lookup,
+                c_array("uint8_t", covered, True),
             )
-            self._lookup = lookup
+            self._lookup, self._covered = lookup, covered
         return self._lookup
 
-    def mib(self, slots, starts):
+    def c_lookup(self):
+        """:meth:`lookup` as the C round reads it."""
+        if self._c_lookup is None:
+            self._c_lookup = c_array("int64_t", self.lookup())
+        return self._c_lookup
+
+    def covered(self):
+        """Per candidate, whether no query activity missed the lookup — the
+        APL filter's exact coverage test."""
+        self.lookup()
+        return self._covered
+
+    def mib(self):
         """Per candidate, whether the MIB order check admits it
         (``gat_round_mib``): query point ``i`` asks the activity columns
-        ``slots[starts[i]:starts[i + 1]]`` of the lookup."""
-        lookup, image = self.lookup(), self.image
+        ``slots[starts[i]:starts[i + 1]]`` of the lookup (the query
+        handle's)."""
         out = np.empty(len(self), dtype=bool)
         lib.gat_round_mib(
-            c_array("int64_t", image.first), c_array("int64_t", image.last),
-            c_array("int64_t", lookup), len(self), lookup.shape[1],
-            c_array("int64_t", slots), c_array("int64_t", starts),
-            len(starts) - 1, c_array("uint8_t", out, True),
+            self.image.handle, self.query.handle, self.c_lookup(), len(self),
+            c_array("uint8_t", out, True),
         )
         return out
 
     def keep(self, mask) -> "PostingRound":
-        """The round restricted to the candidates *mask* admits, in order."""
-        lookup = self._lookup
+        """The round restricted to the candidates *mask* admits, in order
+        (the round itself when it admits them all)."""
+        if np.count_nonzero(mask) == len(mask):
+            return self
+        lookup, covered = self._lookup, self._covered
         return PostingRound(
-            self.image, self.activities, self.rows[mask], None if lookup is None else lookup[mask]
+            self.image, self.query, self.rows[mask],
+            None if lookup is None else lookup[mask], None if covered is None else covered[mask],
         )
 
 
-def trajectory_round(trajectory, activities) -> PostingRound:
+def trajectory_round(trajectory, query) -> PostingRound:
     """*trajectory* — a database view or a standalone record — as a
-    one-candidate round against *activities*, over the one-row image of its
-    own columns: no disk extent, no counted read."""
+    one-candidate round against *query* (a prepared query, as for
+    :class:`PostingRound`), over the one-row image of its own columns: no
+    disk extent, no counted read."""
     row = trajectory.row
     return PostingRound(
-        image_of(trajectory.columns, row, row + 1), activities, np.array([row], dtype=np.int64)
+        image_of(trajectory.columns, row, row + 1), query, np.array([row], dtype=np.int64)
     )
 
 
@@ -235,12 +282,13 @@ class APLStore:
 
     def extend(self) -> None:
         """Index the rows the database gained since the last call (dynamic
-        insertion appends one) and persist their records."""
+        insertion appends one), publish the grown image with its handle and
+        persist the new rows' records."""
         image, columns = self.image, self.db.columns
         first_row = len(image.ids)
         new = image_of(columns, first_row, len(columns))
         base = len(image.positions)
-        self.image = image = APLArrays(
+        self.image = image = published(
             keys=np.concatenate([image.keys[:-1], new.keys]),
             first=np.concatenate([image.first[:-1], new.first]),
             last=np.concatenate([image.last[:-1], new.last]),
@@ -250,56 +298,50 @@ class APLStore:
             xy=new.xy,
             ids=new.ids,
         )
-        for row, tid in enumerate(columns.ids[first_row:].tolist(), first_row):
-            # The extent is charged as the pickled mapping it stands for.
-            self.disk.put_extent(("apl", tid), row, len(serialize_obj(_record(image, row))))
+        # Each extent is charged as the pickled mapping it stands for.
+        sizes = [
+            len(serialize_obj(posting_lists(image, row))) for row in range(first_row, len(columns))
+        ]
+        self.disk.put_extents("apl", first_row, columns.ids[first_row:], sizes)
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def fetch(self, trajectory_id: int) -> PostingLists:
-        """Read the posting lists of one trajectory (a counted disk read),
-        decoded from its row range of the image.
-
-        Raises
-        ------
-        KeyError
-            If the trajectory was never stored.
-        """
-        return _record(self.image, self.disk.get(("apl", trajectory_id)))
-
-    def fetch_many(
-        self, trajectory_ids: Iterable[int], cache: Optional[LRUCache] = None
-    ) -> Tuple[int, int]:
+    def fetch_many(self, candidates: PostingRound, cache: Optional[RowLRU] = None) -> Tuple[int, int]:
         """Make a whole validation round's records resident in one call;
         returns the round's ``(hits, lookups)`` on *cache* (``(0, 0)``
         without one).
 
-        One pass over *cache* (an LRU of resident records, keyed by
-        trajectory id) splits the round into hits and misses, the misses go
-        to the simulated disk as a single grouped read
-        (:meth:`SimulatedDisk.get_many`) and become resident.  A resident
-        record is read from :attr:`image` by row.  Records are written once
-        at build/insert time and immutable afterwards, so a shared cache is
-        safe across concurrent queries; a hit skips the counted disk read
-        entirely.  Counted reads and the hit count are identical to
-        fetching each trajectory individually.
+        One touch of *cache* (the engine's residency LRU over image rows)
+        refreshes the round's resident rows and returns the others, in
+        candidate order; they go to the simulated disk as a single grouped
+        read (:meth:`SimulatedDisk.get_many` on the ``"apl"`` extent table)
+        and then become resident, one insert for the lot.  No lock is held
+        during the read, and a read that raises makes nothing resident.  A
+        resident record is read from :attr:`image` by row.  Records are
+        written once at build/insert time and immutable afterwards, so a
+        shared cache is safe across concurrent queries; a hit skips the
+        counted disk read entirely.  Counted reads and the hit count are
+        identical to fetching each trajectory individually through an LRU
+        keyed by trajectory id.
         """
-        wanted = list(dict.fromkeys(trajectory_ids))
-        missing = wanted if cache is None else cache.missing(wanted)
-        if missing:
-            rows = self.disk.get_many([("apl", tid) for tid in missing])
-            if cache is not None:
-                cache.put_many(missing, rows)
+        rows = candidates.rows
         if cache is None:
+            if len(rows):
+                self.disk.get_many("apl", rows[np.sort(np.unique(rows, return_index=True)[1])])
             return 0, 0
-        return len(wanted) - len(missing), len(wanted)
+        misses, asked = cache.missing(candidates.c_rows, len(rows), len(candidates.image.ids))
+        if len(misses):
+            self.disk.get_many("apl", misses)
+            cache.put_many(misses)
+        return asked - len(misses), asked
 
-    def round(self, rows: Sequence[int], activities) -> PostingRound:
+    def round(self, rows: Sequence[int], query) -> PostingRound:
         """The trajectories at *rows*, in that order, as a :class:`PostingRound`
-        against *activities* (``Q.Φ`` as an ascending ``int64`` array)."""
+        against *query* (a prepared query: its ``sorted_activities`` are
+        ``Q.Φ``)."""
         rows = np.fromiter(rows, dtype=np.int64, count=len(rows))
-        return PostingRound(self.image, activities, rows)
+        return PostingRound(self.image, query, rows)
 
     def __len__(self) -> int:
         return len(self.image.ids)

@@ -12,7 +12,8 @@ consecutive gaps, and split at the ``M - 1`` largest gaps.  That choice
 minimises the total interval span — "relocating any split point (with gap
 g) to other places (with gap g') will result in increase by g - g' on the
 overall size of the intervals" — and is verified against brute force in the
-test suite.
+test suite, through the one-trajectory reference sketch kept there
+(``tests/property/sketch_oracle.py``).
 
 Each interval costs two integers, so the paper prices the whole structure
 at ``8 * M * N`` bytes for N trajectories; :func:`sketch_memory_bytes`
@@ -21,13 +22,12 @@ reproduces that accounting.
 The index holds all sketches as one ``[N, M, 2]`` array in APL row order
 (:class:`SketchTable`), so a validation round's superset test is one C
 pass over the round's rows of it (``gat_round_tas`` in
-``repro/native/gat.c``); :class:`TrajectorySketch` is the one-trajectory
-view.
+``repro/native/gat.c``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,74 +35,11 @@ from repro.index.gat.apl import ACTIVITY_BITS, ACTIVITY_MASK, APLStore
 from repro.native import c_array, lib
 
 
-def optimal_intervals(sorted_ids: Sequence[int], m: int) -> Tuple[Tuple[int, int], ...]:
-    """Partition ascending *sorted_ids* into at most *m* intervals with
-    minimum total span, by splitting at the ``m - 1`` largest gaps.
-
-    Returns ``((lo, hi), ...)`` intervals in ascending order.  Fewer than
-    *m* intervals come back when there are fewer than *m* distinct IDs.
-    """
-    if m <= 0:
-        raise ValueError("the number of intervals must be positive")
-    ids = list(dict.fromkeys(sorted_ids))  # dedupe, keep sorted order
-    if not ids:
-        return ()
-    if any(ids[i] > ids[i + 1] for i in range(len(ids) - 1)):
-        raise ValueError("activity IDs must be sorted ascending")
-    if len(ids) <= m:
-        return tuple((v, v) for v in ids)
-
-    # Gaps between consecutive IDs; split at the m-1 largest.
-    gaps = [(ids[i + 1] - ids[i], i) for i in range(len(ids) - 1)]
-    gaps.sort(key=lambda g: (-g[0], g[1]))
-    split_after = sorted(i for _gap, i in gaps[: m - 1])
-
-    intervals: List[Tuple[int, int]] = []
-    start = 0
-    for cut in split_after:
-        intervals.append((ids[start], ids[cut]))
-        start = cut + 1
-    intervals.append((ids[start], ids[-1]))
-    return tuple(intervals)
-
-
-class TrajectorySketch:
-    """The interval sketch of one trajectory."""
-
-    __slots__ = ("intervals",)
-
-    def __init__(self, intervals: Tuple[Tuple[int, int], ...]) -> None:
-        self.intervals = intervals
-
-    @classmethod
-    def from_activities(cls, activities: Iterable[int], m: int) -> "TrajectorySketch":
-        return cls(optimal_intervals(sorted(activities), m))
-
-    def covers(self, activity_id: int) -> bool:
-        """Is *activity_id* inside some interval?  (May be a false positive.)"""
-        for lo, hi in self.intervals:
-            if lo <= activity_id <= hi:
-                return True
-            if activity_id < lo:
-                return False  # intervals are ascending and disjoint
-        return False
-
-    def covers_all(self, activity_ids: Iterable[int]) -> bool:
-        """Superset test for the whole query activity set ``Q.Φ`` — the
-        candidate-validation filter of Section V-C."""
-        return all(self.covers(a) for a in activity_ids)
-
-    def total_span(self) -> int:
-        """``sum |I_a|`` — the objective the split placement minimises."""
-        return sum(hi - lo for lo, hi in self.intervals)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "TrajectorySketch(" + " ".join(f"[{lo},{hi}]" for lo, hi in self.intervals) + ")"
-
-
 def row_intervals(keys, first_row: int, n_rows: int, m: int):
-    """:func:`optimal_intervals` for rows ``first_row … first_row + n_rows``
-    of an APL image at once, as an ``[n_rows, m, 2]`` array: a row's
+    """The paper's optimal intervals (at most *m*, split at the ``m - 1``
+    largest gaps, earliest first on ties) for rows ``first_row …
+    first_row + n_rows`` of an APL image at once, as an ``[n_rows, m, 2]``
+    array: a row's
     distinct activity ids are already ascending in the image's sorted
     ``(row << 32) | activity`` *keys*.  Rows with fewer than *m* intervals
     are padded with the empty interval ``(1, 0)``."""
@@ -138,7 +75,7 @@ class SketchTable:
     """Every trajectory's sketch, one ``[N, M, 2]`` interval array in the
     row order of the :class:`~repro.index.gat.apl.APLStore` it summarises."""
 
-    __slots__ = ("apl", "m", "intervals")
+    __slots__ = ("apl", "m", "intervals", "_c_intervals")
 
     def __init__(self, apl: APLStore, m: int) -> None:
         if m <= 0:
@@ -150,32 +87,32 @@ class SketchTable:
 
     def extend(self) -> None:
         """Sketch the rows the store has gained (built aside, then
-        published with one assignment)."""
+        published with one assignment, with the pointer the C test
+        reads)."""
         first_row = len(self.intervals)
-        n_rows = len(self.apl) - first_row
-        if n_rows:
-            fresh = row_intervals(self.apl.image.keys, first_row, n_rows, self.m)
-            self.intervals = np.concatenate([self.intervals, fresh])
+        fresh = row_intervals(self.apl.image.keys, first_row, len(self.apl) - first_row, self.m)
+        intervals = np.concatenate([self.intervals, fresh])
+        self.intervals, self._c_intervals = intervals, c_array("int64_t", intervals)
 
-    def covers_all(self, rows, activities):
-        """Per row of *rows* (an ``int64`` array), the superset test for
-        *activities* (another): every id inside one of the row's intervals
+    def covers_all(self, candidates):
+        """Per candidate of the round *candidates* (a
+        :class:`~repro.index.gat.apl.PostingRound`), the superset test for
+        its query's activities: every id inside one of the row's intervals
         (``gat_round_tas``)."""
-        out = np.empty(len(rows), dtype=bool)
+        out = np.empty(len(candidates), dtype=bool)
         lib.gat_round_tas(
-            c_array("int64_t", self.intervals), self.m,
-            c_array("int64_t", rows), len(rows),
-            c_array("int64_t", activities), len(activities),
-            c_array("uint8_t", out, True),
+            self._c_intervals, self.m, candidates.query.handle, candidates.c_rows,
+            len(candidates), c_array("uint8_t", out, True),
         )
         return out
 
     def __len__(self) -> int:
         return len(self.intervals)
 
-    def __getitem__(self, trajectory_id: int) -> TrajectorySketch:
+    def __getitem__(self, trajectory_id: int) -> Tuple[Tuple[int, int], ...]:
+        """The intervals of one trajectory's sketch, ascending."""
         intervals = self.intervals[self.apl.db.row_of(trajectory_id)].tolist()
-        return TrajectorySketch(tuple((lo, hi) for lo, hi in intervals if lo <= hi))
+        return tuple((lo, hi) for lo, hi in intervals if lo <= hi)
 
 
 def sketch_memory_bytes(n_trajectories: int, m: int) -> int:

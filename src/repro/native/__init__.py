@@ -1,17 +1,28 @@
 """The engine's C kernels (``gat.c``), compiled with cffi on first import.
 
-Four pieces live in C: the best-first cell walk of Algorithm 1
+Five pieces live in C: the best-first cell walk of Algorithm 1
 (:class:`repro.core.pipeline.CandidateRetriever` drives it), the ``Dmom``
 row fold of Algorithm 4 (:func:`~repro.core.kernels.block_dmom`), a port
-of CPython's two-argument ``math.hypot`` the walk orders its heap by, and
-the validation round over the APL image — the key lookup, the TAS / APL /
-MIB masks (:class:`~repro.core.pipeline.ValidationStage`), the block
-build and the ``Dmm`` covers (:func:`~repro.core.kernels.prepare_block`,
-:func:`~repro.core.kernels.block_dmm`, ...).  The GAT engine runs the
-round once per validation round; ``MatchEvaluator``'s per-candidate
-entries (the IL / RT / IRT baselines) run it on a one-candidate round.
-There is no Python fallback: the retired Python and NumPy loops are test
-oracles under ``tests/property/``.
+of CPython's two-argument ``math.hypot`` the walk orders its heap by,
+the validation round over the APL image — the key lookup with the APL
+coverage, the TAS and MIB masks
+(:class:`~repro.core.pipeline.ValidationStage`), the block build and the
+``Dmm`` covers (:func:`~repro.core.kernels.prepare_block`,
+:func:`~repro.core.kernels.block_dmm`, ...) — and the engine's APL
+residency LRU, a recency list over image rows
+(:class:`~repro.storage.cache.RowLRU`).  The GAT engine runs the round
+once per validation round; ``MatchEvaluator``'s per-candidate entries
+(the IL / RT / IRT baselines) run it on a one-candidate round.  There is
+no Python fallback: the retired Python and NumPy loops are test oracles
+under ``tests/property/``.
+
+The round's entries take handles, not arrays: a ``gat_image`` per APL
+image (published with it, :attr:`repro.index.gat.apl.APLArrays.handle`),
+a ``gat_query`` per query (:attr:`repro.core.kernels.QueryKernel.handle`)
+and a block's ``gat_columns``, each a struct of pointers built once by
+:func:`struct` beside the arrays its owner keeps.  Only a round's rows,
+its lookup and the outputs are wrapped per call (:func:`c_array`): every
+wrap is an ``ffi.from_buffer`` call, about half a microsecond of Python.
 
 The artifact is named for the SHA-256 of ``gat.c`` and ``build.py`` and
 carries the interpreter's extension suffix (its ABI tag), so a changed
@@ -90,3 +101,18 @@ def c_array(ctype: str, array, writable: bool = False):
     """*array*'s buffer (contiguous, not copied) as a cffi ``ctype[]``;
     *writable* for an output the C code fills."""
     return ffi.from_buffer(ctype + "[]", array, require_writable=writable)
+
+
+_CTYPES = {np.dtype(np.int64): "int64_t[]", np.dtype(np.float64): "double[]"}
+
+
+def struct(ctype: str, **fields):
+    """A new ``ctype`` struct (freed with the returned pointer) with
+    *fields* set.  A NumPy array field points into the array's buffer
+    (contiguous, not copied) and does **not** keep it alive: the struct is
+    a handle its owner builds once beside the arrays it holds."""
+    return ffi.new(ctype + " *", {
+        name: ffi.from_buffer(_CTYPES[value.dtype], value)
+        if isinstance(value, np.ndarray) else value
+        for name, value in fields.items()
+    })

@@ -20,6 +20,9 @@
  *     covers (Algorithm 3 as set partitions over superset minima).  Block
  *     distances are libm's hypot, which is NumPy's np.hypot bit for bit
  *     (the import checks that); only the walk needs the math.hypot port.
+ *     Its entries read the image and the query through one handle each.
+ * (e) APL residency: the engine's LRU of resident records as an intrusive
+ *     recency list over image rows, one touch and one insert per round.
  *
  * Every entry is reentrant: scratch memory is malloc'd per call and freed
  * before it returns, and -1 means out of memory.
@@ -407,22 +410,47 @@ int gat_dmom_block(int32_t m, const int32_t *n_bits, const double *dist, const i
     free(prev);
     return 0;
 }
-
 /* ---------------------------------------------------------------------
  * (d) The validation round
  *
- * A round is C candidates, APL rows rows[0..C), looked up against the
- * query's activities acts[0..A) (ascending): lookup[c * A + a] is the
- * index of key (rows[c] << 32) | acts[a] in the image's sorted keys, or
- * n_keys -- the sentinel slot, whose position slice is empty, whose
- * first is INT64_MAX and whose last is -1 -- when the row lacks it.
+ * A round is C candidates, APL rows rows[0..C) of one image, looked up
+ * against its query's activities acts[0..A) (ascending): lookup[c * A + a]
+ * is the index of key (rows[c] << 32) | acts[a] in the image's sorted
+ * keys, or n_keys -- the sentinel slot, whose position slice is empty,
+ * whose first is INT64_MAX and whose last is -1 -- when the row lacks it.
+ *
+ * The entries read the image and the query through two handles, each
+ * built once: gat_image by the APL store when it publishes an image,
+ * gat_query once per query.  A handle's arrays belong to its owner.
  * ------------------------------------------------------------------- */
+typedef struct {
+    const int64_t *keys, *first, *last, *offsets, *positions; /* the key CSR, sentinel included */
+    const int64_t *point_offsets; /* row r owns points point_offsets[r]..point_offsets[r + 1] */
+    const double *xy;             /* [points, 2] */
+    int64_t n_keys;               /* also the sentinel slot */
+} gat_image;
+
+typedef struct {
+    int32_t m;                     /* query points, the rows of a block */
+    const int32_t *n_bits;         /* [m] |q_i.Phi| */
+    const int64_t *acts;           /* [A] Q.Phi ascending */
+    int64_t n_acts;                /* A */
+    const int64_t *bits;           /* [m, A] the bit activity a holds in row i, 0 when none */
+    const int64_t *row_slot;       /* [m] the activity slot of row i's highest bit */
+    const int64_t *slots, *starts; /* MIB: row i asks slots[starts[i]..starts[i + 1]) */
+    const double *xy;              /* [m, 2] query points; NULL when a generic metric fills dist */
+} gat_query;
+
 double gat_libm_hypot(double x, double y) { return hypot(x, y); }
 
-void gat_round_lookup(const int64_t *keys, int64_t n_keys, const int64_t *rows, int64_t n,
-                      const int64_t *acts, int64_t n_acts, int64_t *lookup) {
+/* The lookup, and per candidate whether no activity missed it (APL
+ * coverage). */
+void gat_round_lookup(const gat_image *im, const gat_query *q, const int64_t *rows, int64_t n,
+                      int64_t *lookup, uint8_t *covered) {
+    const int64_t *keys = im->keys, *acts = q->acts, n_keys = im->n_keys, n_acts = q->n_acts;
     for (int64_t c = 0; c < n; c++) {
         int64_t lo = 0; /* activities ascend, so each search starts at the last */
+        int ok = 1;
         for (int64_t a = 0; a < n_acts; a++) {
             int64_t key = (rows[c] << 32) | acts[a], hi = n_keys;
             while (lo < hi) {
@@ -433,48 +461,39 @@ void gat_round_lookup(const int64_t *keys, int64_t n_keys, const int64_t *rows, 
                     hi = mid;
             }
             lookup[c * n_acts + a] = lo < n_keys && keys[lo] == key ? lo : n_keys;
+            ok &= lookup[c * n_acts + a] != n_keys;
         }
+        covered[c] = (uint8_t)ok;
     }
 }
 
 /* TAS: every activity inside one of the row's m intervals [lo, hi]. */
-void gat_round_tas(const int64_t *intervals, int64_t m, const int64_t *rows, int64_t n,
-                   const int64_t *acts, int64_t n_acts, uint8_t *out) {
+void gat_round_tas(const int64_t *intervals, int64_t m, const gat_query *q, const int64_t *rows,
+                   int64_t n, uint8_t *out) {
     for (int64_t c = 0; c < n; c++) {
         const int64_t *iv = intervals + rows[c] * m * 2;
         int ok = 1;
-        for (int64_t a = 0; a < n_acts && ok; a++) {
+        for (int64_t a = 0; a < q->n_acts && ok; a++) {
             ok = 0;
             for (int64_t j = 0; j < m && !ok; j++)
-                ok = iv[2 * j] <= acts[a] && acts[a] <= iv[2 * j + 1];
+                ok = iv[2 * j] <= q->acts[a] && q->acts[a] <= iv[2 * j + 1];
         }
-        out[c] = (uint8_t)ok;
-    }
-}
-
-/* APL coverage: no activity missed the lookup. */
-void gat_round_covered(const int64_t *lookup, int64_t n, int64_t n_acts, int64_t n_keys,
-                       uint8_t *out) {
-    for (int64_t c = 0; c < n; c++) {
-        int ok = 1;
-        for (int64_t a = 0; a < n_acts && ok; a++)
-            ok = lookup[c * n_acts + a] != n_keys;
         out[c] = (uint8_t)ok;
     }
 }
 
 /* MIB: q_i's lb / ub are the smallest first / largest last position over
- * the lists of its activities, columns slots[starts[i]..starts[i + 1]); a
- * candidate is order-feasible when every q_i has one (ub >= 0) and no lb
- * before q_i exceeds its ub. */
-void gat_round_mib(const int64_t *first, const int64_t *last, const int64_t *lookup, int64_t n,
-                   int64_t n_acts, const int64_t *slots, const int64_t *starts, int32_t m,
+ * the lists of its activities, lookup columns slots[starts[i]..starts[i +
+ * 1]); a candidate is order-feasible when every q_i has one (ub >= 0) and
+ * no lb before q_i exceeds its ub. */
+void gat_round_mib(const gat_image *im, const gat_query *q, const int64_t *lookup, int64_t n,
                    uint8_t *out) {
+    const int64_t *first = im->first, *last = im->last, *slots = q->slots, *starts = q->starts;
     for (int64_t c = 0; c < n; c++) {
-        const int64_t *keys = lookup + c * n_acts;
+        const int64_t *keys = lookup + c * q->n_acts;
         int64_t reached = -1; /* the largest lb so far */
         int ok = 1;
-        for (int32_t i = 0; i < m && ok; i++) {
+        for (int32_t i = 0; i < q->m && ok; i++) {
             int64_t lb = INT64_MAX, ub = -1;
             for (int64_t s = starts[i]; s < starts[i + 1]; s++) {
                 int64_t k = keys[slots[s]];
@@ -488,12 +507,17 @@ void gat_round_mib(const int64_t *first, const int64_t *last, const int64_t *loo
     }
 }
 
-/* The columns of a block: `data` holds dist [m, total] (float64), then
- * mask [m, total] and positions [total] (int64), then cxy [total, 2]
- * (float64); free it with gat_free. */
+/* A block's arrays, all in the one malloc'd buffer `dist` starts (free it
+ * with gat_free): dist [m, total] and cxy [total, 2] (float64), mask
+ * [m, total], positions [total], seg_of [n] and lengths [n] (int64), and
+ * missing [n, m] (one byte each), in the order of the fields. */
 typedef struct {
-    int64_t total;
-    double *data;
+    int64_t n, total;
+    double *dist;
+    int64_t *mask, *positions;
+    double *cxy;
+    int64_t *seg_of, *lengths;
+    uint8_t *missing;
 } gat_columns;
 
 void gat_free(void *p) { free(p); }
@@ -505,22 +529,23 @@ void gat_free(void *p) { free(p); }
  * flags a row one of whose activities candidate c lacks (only candidates
  * with columns).  cxy[j] is column j's (x, y); every dist entry is inf,
  * for the covers to evaluate. */
-int gat_round_block(const int64_t *offsets, const int64_t *positions,
-                    const int64_t *point_offsets, const double *xy, const int64_t *rows,
-                    const int64_t *lookup, int64_t n, int64_t n_acts, int32_t m,
-                    const int64_t *bits, int64_t *seg_of, int64_t *lengths, uint8_t *missing,
-                    gat_columns *out) {
-    int64_t hits = 0, longest = 0, total = 0;
+int gat_round_block(const gat_image *im, const gat_query *q, const int64_t *rows,
+                    const int64_t *lookup, int64_t n, gat_columns *out) {
+    const int64_t *offsets = im->offsets, *positions = im->positions;
+    const int64_t *point_offsets = im->point_offsets, *bits = q->bits;
+    int64_t n_acts = q->n_acts, hits = 0, longest = 0, total = 0;
+    int32_t m = q->m;
     for (int64_t c = 0; c < n; c++) {
         int64_t points = point_offsets[rows[c] + 1] - point_offsets[rows[c]];
         longest = points > longest ? points : longest;
         for (int64_t a = 0; a < n_acts; a++)
             hits += offsets[lookup[c * n_acts + a] + 1] - offsets[lookup[c * n_acts + a]];
     }
-    int64_t *col = malloc((longest + hits + 1) * sizeof(int64_t)); /* per point, then columns */
+    /* per point, then the columns, then each candidate's column count */
+    int64_t *col = malloc((longest + hits + n + 1) * sizeof(int64_t));
     if (!col)
         return -1;
-    int64_t *pos = col + longest;
+    int64_t *pos = col + longest, *count = pos + hits;
     for (int64_t c = 0; c < n; c++) {
         const int64_t *keys = lookup + c * n_acts;
         int64_t points = point_offsets[rows[c] + 1] - point_offsets[rows[c]], start = total;
@@ -532,29 +557,36 @@ int gat_round_block(const int64_t *offsets, const int64_t *positions,
         for (int64_t p = 0; p < points; p++)
             if (col[p])
                 pos[total++] = p;
-        lengths[c] = total - start;
-        seg_of[c] = lengths[c] ? start : -1;
-        for (int32_t i = 0; i < m; i++) {
-            int miss = 0;
-            for (int64_t a = 0; a < n_acts && lengths[c]; a++)
-                miss |= bits[i * n_acts + a] && offsets[keys[a]] == offsets[keys[a] + 1];
-            missing[c * m + i] = (uint8_t)miss;
-        }
+        count[c] = total - start;
     }
-    double *data = malloc(((2 * (int64_t)m + 3) * total + 1) * sizeof(double));
+    double *data = malloc(((2 * (int64_t)m + 3) * total + 2 * n) * sizeof(double) + n * m + 1);
     if (!data) {
         free(col);
         return -1;
     }
     int64_t *mask = (int64_t *)(data + m * total), *columns = mask + m * total;
     double *cxy = (double *)(columns + total);
+    int64_t *seg_of = (int64_t *)(cxy + 2 * total), *lengths = seg_of + n;
+    uint8_t *missing = (uint8_t *)(lengths + n);
+    *out = (gat_columns){n, total, data, mask, columns, cxy, seg_of, lengths, missing};
+    for (int64_t c = 0, start = 0; c < n; start += count[c++]) {
+        const int64_t *keys = lookup + c * n_acts;
+        lengths[c] = count[c];
+        seg_of[c] = count[c] ? start : -1;
+        for (int32_t i = 0; i < m; i++) {
+            int miss = 0;
+            for (int64_t a = 0; a < n_acts && count[c]; a++)
+                miss |= bits[i * n_acts + a] && offsets[keys[a]] == offsets[keys[a] + 1];
+            missing[c * m + i] = (uint8_t)miss;
+        }
+    }
     for (int64_t j = 0; j < m * total; j++) {
         data[j] = INFINITY;
         mask[j] = 0;
     }
     for (int64_t c = 0; c < n; c++) {
         const int64_t *keys = lookup + c * n_acts;
-        const double *pxy = xy + 2 * point_offsets[rows[c]];
+        const double *pxy = im->xy + 2 * point_offsets[rows[c]];
         for (int64_t j = seg_of[c]; j >= 0 && j < seg_of[c] + lengths[c]; j++) {
             col[pos[j]] = j;
             cxy[2 * j] = pxy[2 * pos[j]];
@@ -568,8 +600,6 @@ int gat_round_block(const int64_t *offsets, const int64_t *positions,
     for (int64_t j = 0; j < total; j++)
         columns[j] = pos[j];
     free(col);
-    out->total = total;
-    out->data = data;
     return 0;
 }
 
@@ -615,14 +645,15 @@ static double min_partition(const double *M, int32_t b, int32_t *rgs, int64_t *g
  * Rows are summed left to right, and the count of each row up to the first
  * such one is added.  A row is evaluated only while the sum of the rows
  * before it is <= threshold, and a candidate whose sum ends above it is inf
- * (early abandoning).  With qxy, an evaluated row first writes dist[i, j] =
- * hypot(q_i - cxy[j]) at its relevant columns, counting each in counts[1];
- * without, dist is read as given. */
-int gat_block_dmm(int32_t m, const int32_t *n_bits, double *dist, const int64_t *mask,
-                  int64_t total, int64_t n, const int64_t *seg_of, const int64_t *lengths,
-                  const uint8_t *missing, const double *qxy, const double *cxy, double threshold,
-                  double *out, int64_t *counts) {
-    int32_t widest = 1;
+ * (early abandoning).  With the query's xy, an evaluated row first writes
+ * dist[i, j] = hypot(q_i - cxy[j]) at its relevant columns, counting each
+ * in counts[1]; without, dist is read as given. */
+int gat_block_dmm(const gat_query *q, const gat_columns *b, double threshold, double *out,
+                  int64_t *counts) {
+    int32_t m = q->m, widest = 1;
+    const int32_t *n_bits = q->n_bits;
+    const double *qxy = q->xy;
+    int64_t total = b->total;
     for (int32_t i = 0; i < m; i++)
         widest = n_bits[i] > widest ? n_bits[i] : widest;
     if (widest > 62)
@@ -633,30 +664,31 @@ int gat_block_dmm(int32_t m, const int32_t *n_bits, double *dist, const int64_t 
         return -1;
     int64_t *groups = (int64_t *)(M + states);
     int32_t *rgs = (int32_t *)(groups + widest);
-    for (int64_t c = 0; c < n; c++) {
+    for (int64_t c = 0; c < b->n; c++) {
+        int64_t seg = b->seg_of[c], length = b->lengths[c];
         double dmm = 0.0;
         int counting = 1;
         for (int32_t i = 0; i < m; i++) {
             int64_t size = (int64_t)1 << n_bits[i], count = 0;
             int evaluating = !i || dmm <= threshold;
-            double *row = dist + i * total;
-            const int64_t *mrow = mask + i * total;
+            double *row = b->dist + i * total;
+            const int64_t *mrow = b->mask + i * total;
             for (int64_t t = 0; evaluating && t < size; t++)
                 M[t] = INFINITY;
-            for (int64_t j = seg_of[c]; j >= 0 && j < seg_of[c] + lengths[c]; j++) {
+            for (int64_t j = seg; j >= 0 && j < seg + length; j++) {
                 if (mrow[j]) {
                     count++;
                     if (!evaluating)
                         continue;
                     if (qxy) {
-                        const double *p = cxy + 2 * j;
+                        const double *p = b->cxy + 2 * j;
                         row[j] = gat_libm_hypot(qxy[2 * i] - p[0], qxy[2 * i + 1] - p[1]);
                         counts[1]++;
                     }
                     M[mrow[j]] = row[j] < M[mrow[j]] ? row[j] : M[mrow[j]];
                 }
             }
-            int invalid = !count || missing[c * m + i];
+            int invalid = !count || b->missing[c * m + i];
             counts[0] += counting ? count : 0;
             counting &= !invalid;
             if (!evaluating)
@@ -680,17 +712,16 @@ int gat_block_dmm(int32_t m, const int32_t *n_bits, double *dist, const int64_t 
  * its count the list's length (also its hypot count, counts[1]); rows fold
  * and count as in gat_block_dmm at threshold inf.  Allocates nothing:
  * returns 0. */
-int gat_round_dmm_single(const int64_t *offsets, const int64_t *positions,
-                          const int64_t *point_offsets, const double *xy, const int64_t *rows,
-                          const int64_t *lookup, int64_t n, int64_t n_acts, int32_t m,
-                          const int64_t *row_slot, const double *qxy, double *out,
-                          int64_t *counts) {
+int gat_round_dmm_single(const gat_image *im, const gat_query *q, const int64_t *rows,
+                         const int64_t *lookup, int64_t n, double *out, int64_t *counts) {
+    const int64_t *offsets = im->offsets, *positions = im->positions;
+    const double *qxy = q->xy;
     for (int64_t c = 0; c < n; c++) {
-        const double *pxy = xy + 2 * point_offsets[rows[c]];
+        const double *pxy = im->xy + 2 * im->point_offsets[rows[c]];
         double dmm = 0.0;
         int counting = 1;
-        for (int32_t i = 0; i < m; i++) {
-            int64_t k = lookup[c * n_acts + row_slot[i]], count = offsets[k + 1] - offsets[k];
+        for (int32_t i = 0; i < q->m; i++) {
+            int64_t k = lookup[c * q->n_acts + q->row_slot[i]], count = offsets[k + 1] - offsets[k];
             double v = INFINITY;
             for (int64_t h = offsets[k]; h < offsets[k + 1]; h++) {
                 const double *p = pxy + 2 * positions[h];
@@ -720,17 +751,15 @@ static int cmp_gates(const void *a, const void *b) {
  * gates (gat_block_dmm at the threshold, counting into counts), then the
  * fold over the candidates in ascending (gate, candidate) order.  The fold
  * reaches only gates <= threshold, whose rows were all evaluated. */
-int gat_block_dmom(int32_t m, const int32_t *n_bits, double *dist, const int64_t *mask,
-                   int64_t total, int64_t n, const int64_t *seg_of, const int64_t *lengths,
-                   const uint8_t *missing, const double *qxy, const double *cxy, double threshold,
-                   int64_t k, double *out, int64_t *counts) {
+int gat_block_dmom(const gat_query *q, const gat_columns *b, double threshold, int64_t k,
+                   double *out, int64_t *counts) {
+    int64_t n = b->n;
     double *gates = malloc((n + 1) * (sizeof(double) + sizeof(gat_gate) + sizeof(int64_t)));
     if (!gates)
         return -1;
     gat_gate *sorted = (gat_gate *)(gates + n + 1);
     int64_t *order = (int64_t *)(sorted + n + 1);
-    int status = gat_block_dmm(m, n_bits, dist, mask, total, n, seg_of, lengths, missing, qxy, cxy,
-                               threshold, gates, counts);
+    int status = gat_block_dmm(q, b, threshold, gates, counts);
     for (int64_t c = 0; c < n; c++) {
         out[c] = INFINITY;
         sorted[c] = (gat_gate){gates[c], c};
@@ -738,9 +767,132 @@ int gat_block_dmom(int32_t m, const int32_t *n_bits, double *dist, const int64_t
     qsort(sorted, n, sizeof(gat_gate), cmp_gates);
     for (int64_t c = 0; c < n; c++)
         order[c] = sorted[c].c;
-    if (!status && total)
-        status = gat_dmom_block(m, n_bits, dist, mask, total, order, n, gates, seg_of, lengths,
-                                threshold, k, out);
+    if (!status && b->total)
+        status = gat_dmom_block(q->m, q->n_bits, b->dist, b->mask, b->total, order, n, gates,
+                                b->seg_of, b->lengths, threshold, k, out);
     free(gates);
     return status;
+}
+
+/* ---------------------------------------------------------------------
+ * (e) APL residency: a recency list over the rows of an image
+ *
+ * The engine's LRU of resident APL records, keyed by row (one row per
+ * trajectory).  prev / next link the resident rows from the least (lru) to
+ * the most (mru) recently used, -1 past either end; state[r] bit 0 marks r
+ * resident, bit 1 marks it asked during one touch.  The two operations are
+ * exactly an OrderedDict's per-key missing / put_many passes.  The caller
+ * serialises every call on one list and grows it before a row past its
+ * end is named.
+ * ------------------------------------------------------------------- */
+typedef struct {
+    int64_t *prev, *next;
+    uint8_t *state;
+    int64_t rows, capacity, size, lru, mru;
+} gat_lru;
+
+gat_lru *gat_lru_new(int64_t capacity) {
+    gat_lru *l = calloc(1, sizeof(gat_lru));
+    if (l) {
+        l->capacity = capacity;
+        l->lru = l->mru = -1;
+    }
+    return l;
+}
+
+void gat_lru_free(gat_lru *l) {
+    free(l->prev);
+    free(l->next);
+    free(l->state);
+    free(l);
+}
+
+/* Room for rows 0..rows (no-op when there is); -1 out of memory. */
+int gat_lru_grow(gat_lru *l, int64_t rows) {
+    if (rows <= l->rows)
+        return 0;
+    int64_t *prev = realloc(l->prev, rows * sizeof(int64_t));
+    if (prev)
+        l->prev = prev;
+    int64_t *next = realloc(l->next, rows * sizeof(int64_t));
+    if (next)
+        l->next = next;
+    uint8_t *state = realloc(l->state, rows);
+    if (state)
+        l->state = state;
+    if (!prev || !next || !state)
+        return -1;
+    for (int64_t r = l->rows; r < rows; r++)
+        state[r] = 0;
+    l->rows = rows;
+    return 0;
+}
+
+static void lru_unlink(gat_lru *l, int64_t r) {
+    int64_t p = l->prev[r], n = l->next[r];
+    if (p >= 0)
+        l->next[p] = n;
+    else
+        l->lru = n;
+    if (n >= 0)
+        l->prev[n] = p;
+    else
+        l->mru = p;
+}
+
+static void lru_append(gat_lru *l, int64_t r) {
+    l->prev[r] = l->mru;
+    l->next[r] = -1;
+    if (l->mru >= 0)
+        l->next[l->mru] = r;
+    else
+        l->lru = r;
+    l->mru = r;
+}
+
+/* Each distinct row of rows[0..n), in first-occurrence order: a resident
+ * one becomes the most recent, another is appended to misses.  Returns the
+ * number of misses and sets *asked to the number of distinct rows. */
+int64_t gat_lru_touch(gat_lru *l, const int64_t *rows, int64_t n, int64_t *misses,
+                      int64_t *asked) {
+    int64_t n_misses = 0, distinct = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t r = rows[i];
+        if (l->state[r] & 2)
+            continue;
+        l->state[r] |= 2;
+        distinct++;
+        if (l->state[r] & 1) {
+            lru_unlink(l, r);
+            lru_append(l, r);
+        } else {
+            misses[n_misses++] = r;
+        }
+    }
+    for (int64_t i = 0; i < n; i++)
+        l->state[rows[i]] &= 1;
+    *asked = distinct;
+    return n_misses;
+}
+
+/* Each row of rows[0..n) in order becomes the most recent -- resident
+ * already (a racing insert put it there) or added -- and the least recent
+ * row is evicted whenever the list then exceeds its capacity. */
+void gat_lru_insert(gat_lru *l, const int64_t *rows, int64_t n) {
+    for (int64_t i = 0; i < n; i++) {
+        int64_t r = rows[i];
+        if (l->state[r] & 1) {
+            lru_unlink(l, r);
+        } else {
+            l->state[r] = 1;
+            l->size++;
+        }
+        lru_append(l, r);
+        if (l->size > l->capacity) {
+            int64_t old = l->lru;
+            lru_unlink(l, old);
+            l->state[old] = 0;
+            l->size--;
+        }
+    }
 }

@@ -1,12 +1,21 @@
-"""A thread-safe bounded LRU cache.
+"""Thread-safe bounded LRU caches.
 
-Shared by the concurrency-safe layers of the index: HICL uses one for its
-disk-resident inverted cell lists (replacing the old per-query cache that
-was cleared between queries), and the search engine uses one for hot APL
-posting-list fetches.  Both caches are shared across concurrent queries,
-so every operation takes an internal lock; ``get_or_load`` releases the
-lock while the loader runs so a slow (counted) disk read never serialises
-unrelated queries.
+Two, both shared across concurrent queries, so every operation takes an
+internal lock:
+
+* :class:`LRUCache`, a keyed mapping: HICL keeps its disk-resident
+  inverted cell lists in one (replacing the old per-query cache that was
+  cleared between queries); the query service its result cache.
+  ``get_or_load`` releases the lock while the loader runs so a slow
+  (counted) disk read never serialises unrelated queries.
+* :class:`RowLRU`, the search engine's APL residency: which rows of the
+  APL image have their record resident, as a recency list over rows in C
+  (section (e) of ``repro/native/gat.c``).  A validation round costs two
+  calls — a touch that refreshes its hits and returns its misses, and an
+  insert of the misses once they are read — where a keyed LRU costs a
+  dictionary operation per row.  The order of hits, misses and evictions
+  is exactly that of a keyed LRU driven row by row (the ``OrderedDict``
+  oracle in ``tests/property/lru_oracle.py``).
 
 The cache keeps no hit/miss totals: a shared cache cannot say which query
 a lookup served, so the callers report each lookup's outcome to the query
@@ -17,7 +26,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Hashable, Tuple
+
+import numpy as np
+
+from repro.native import c_array, ffi, lib
 
 
 class LRUCache:
@@ -61,32 +74,6 @@ class LRUCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
-    def missing(self, keys: Sequence[Hashable]) -> List[Hashable]:
-        """The keys of *keys* (distinct) that are not cached, in order —
-        one :meth:`get` per key (recency refreshed) under a single lock
-        acquisition."""
-        with self._lock:
-            entries = self._entries
-            absent = []
-            for key in keys:
-                if key in entries:
-                    entries.move_to_end(key)
-                else:
-                    absent.append(key)
-        return absent
-
-    def put_many(self, keys: Iterable[Hashable], values: Iterable[Any]) -> None:
-        """One :meth:`put` per ``(key, value)`` pair, in order, under a
-        single lock acquisition."""
-        with self._lock:
-            entries = self._entries
-            for key, value in zip(keys, values):
-                if key in entries:
-                    entries.move_to_end(key)
-                entries[key] = value
-                if len(entries) > self.capacity:
-                    entries.popitem(last=False)
-
     _MISS = object()
 
     def get_or_load(self, key: Hashable, loader: Callable[[], Any]) -> Tuple[Any, bool]:
@@ -119,3 +106,52 @@ class LRUCache:
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._entries
+
+
+class RowLRU:
+    """A bounded least-recently-used set of rows — ``0 … n`` of an append-only
+    image — as an intrusive doubly-linked list in C (``gat_lru``).
+
+    Every call holds the lock for its one C call (cffi releases the GIL,
+    so two threads could otherwise enter the list at once), and the list
+    grows there, under the lock, when a round names rows past its end.
+
+    Parameters
+    ----------
+    capacity:
+        Maximum number of resident rows; the least recently used one is
+        evicted when an insert would exceed it.
+    """
+
+    __slots__ = ("capacity", "_lock", "_list")
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("cache capacity must be >= 1")
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        rows = lib.gat_lru_new(capacity)
+        if rows == ffi.NULL:
+            raise MemoryError("row LRU")
+        self._list = ffi.gc(rows, lib.gat_lru_free)
+
+    def missing(self, rows, n: int, n_rows: int) -> Tuple[np.ndarray, int]:
+        """``(misses, asked)`` for the *n* rows of the cffi ``int64_t[]``
+        *rows* (each ``< n_rows``): every distinct row in first-occurrence
+        order either becomes the most recent (a hit) or joins *misses*;
+        *asked* counts the distinct rows (``gat_lru_touch``)."""
+        misses = np.empty(n, dtype=np.int64)
+        asked = ffi.new("int64_t *")
+        with self._lock:
+            if n_rows > self._list.rows and lib.gat_lru_grow(self._list, n_rows):
+                raise MemoryError("row LRU")
+            n_misses = lib.gat_lru_touch(self._list, rows, n, c_array("int64_t", misses, True), asked)
+        return misses[:n_misses], asked[0]
+
+    def put_many(self, rows: np.ndarray) -> None:
+        """Make each of *rows* (``int64``, from :meth:`missing`) the most
+        recent in order — a row a racing insert made resident meanwhile
+        just moves — evicting the least recent whenever the list then
+        exceeds its capacity (``gat_lru_insert``)."""
+        with self._lock:
+            lib.gat_lru_insert(self._list, c_array("int64_t", rows), len(rows))

@@ -1,0 +1,69 @@
+"""``benchmarks/ab.py``: alternating pairs, medians, IQR, pairs won and the
+exit status, on a stub runner (no worktree, no benchmark run)."""
+
+import importlib.util
+import itertools
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+SCRIPT = ROOT / "benchmarks" / "ab.py"
+
+
+@pytest.fixture(scope="module")
+def ab():
+    spec = importlib.util.spec_from_file_location("ab", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _stub(values, correct=None):
+    """A runner returning, per side, the next of *values[side]* for every
+    end-to-end metric (``qps`` as its inverse), and recording the order."""
+    names = [e["name"] for e in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    streams = {side: iter(v) for side, v in values.items()}
+    flags = {side: iter(correct[side]) if correct else itertools.repeat(True) for side in values}
+    order = []
+
+    def run(side):
+        order.append(side)
+        value = next(streams[side])
+        metrics = {name: {"value": 1.0 / value if name == "qps" else value} for name in names}
+        return {"correct": next(flags[side]), "metrics": metrics}
+
+    return run, order
+
+
+def test_pairs_alternate_which_side_runs_first(ab):
+    run, order = _stub({"parent": [1.0] * 4, "change": [1.0] * 4})
+    ab.run_pairs(run, 4)
+    assert order == ["parent", "change", "change", "parent"] * 2
+
+
+def test_medians_iqr_and_pairs_won(ab, capsys):
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0]
+    change = [9.0, 12.5, 8.0, 9.5, 9.0]
+    run, _order = _stub({"parent": parent, "change": change})
+    assert ab.main(["P", "C", "--workload", "cpu_default", "--pairs", "5"], runner=run) == 0
+    rows = {row["metric"]: row for row in ab.summarize(
+        ab.run_pairs(_stub({"parent": parent, "change": change})[0], 5),
+        json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"],
+    )}
+    cpu = rows["cpu_ms_per_query"]
+    assert (cpu["parent"], cpu["change"], cpu["parent_iqr"]) == (12.0, 9.0, 2.0)
+    assert (cpu["won"], cpu["pairs"]) == (4, 5)  # lower is better: all but 12.5 vs 11
+    assert rows["qps"]["won"] == 4  # higher is better, and qps is the inverse here
+    out = capsys.readouterr().out
+    assert "cpu_ms_per_query" in out and "4/5" in out
+
+
+def test_a_run_that_is_not_correct_fails(ab, capsys):
+    run, _order = _stub(
+        {"parent": [1.0, 1.0], "change": [1.0, 1.0]},
+        correct={"parent": [True, True], "change": [True, False]},
+    )
+    assert ab.main(["P", "C", "--workload", "cpu_default", "--pairs", "2"], runner=run) == 1
+    assert "change run 2 is not correct" in capsys.readouterr().out

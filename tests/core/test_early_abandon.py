@@ -57,7 +57,7 @@ def _store(ids):
 
 
 def _block(qk, store):
-    return kernels.prepare_block(qk, store.round([0], qk.sorted_activities))
+    return kernels.prepare_block(qk, store.round([0], qk))
 
 
 @pytest.mark.parametrize(
@@ -90,11 +90,11 @@ def test_a_dmm_equal_to_tau_with_a_smaller_id_enters_the_top_k():
     place of id 9."""
     store = _store([2, 9])
     ctx = ExecutionContext(QUERY, 1, False, MatchEvaluator())
-    kth = MatchEvaluator().dmm_batch(QUERY, store.round([1], ctx.activities))[0]
+    kth = MatchEvaluator().dmm_batch(QUERY, store.round([1], ctx.query_kernel))[0]
     assert kth == DMM
     ctx.results.offer(SearchResult(9, kth))
     assert ctx.threshold() == DMM
-    (distance,) = ScoringStage().score_batch(ctx, store.round([0], ctx.activities))
+    (distance,) = ScoringStage().score_batch(ctx, store.round([0], ctx.query_kernel))
     assert distance == DMM
     assert ctx.results.offer(SearchResult(2, distance))
     assert [r.trajectory_id for r in ctx.results.results()] == [2]
@@ -116,7 +116,7 @@ def test_an_inf_cover_writes_np_hypot_where_the_mask_is_set_and_inf_elsewhere():
         for acts in ({0, 1}, {2}, {3, 4, 5})
     ])
     qk = QueryKernel(query, EuclideanDistance())
-    posted = store.round(range(8), qk.sorted_activities)
+    posted = store.round(range(8), qk)
     block = kernels.prepare_block(qk, posted)
     assert np.all(block.big == INFINITY)  # the build evaluates no distance
     kernels.block_dmm(qk, block, threshold=INFINITY)

@@ -8,10 +8,13 @@ returns.
 import random
 
 import pytest
+from fetch_oracle import fetch
+from sketch_oracle import TrajectorySketch
 
 from repro.core.engine import GATSearchEngine
 from repro.core.query import Query, QueryPoint
 from repro.data.generator import CheckInGenerator, GeneratorConfig
+from repro.index.gat.apl import APLArrays
 from repro.index.gat.index import GATConfig, GATIndex
 from repro.model.database import TrajectoryDatabase
 from repro.model.point import TrajectoryPoint
@@ -130,8 +133,8 @@ class TestInsertTrajectory:
         )
         index.insert_trajectory(new_tr)
         assert index.db.row_of(77_777) == len(index.apl) - 1  # the store's last row
-        assert index.apl.fetch(77_777) == new_tr.posting_lists
-        assert index.sketches[77_777].covers(0)
+        assert fetch(index.apl, 77_777) == new_tr.posting_lists
+        assert TrajectorySketch(index.sketches[77_777]).covers(0)
 
 
 # ----------------------------------------------------------------------
@@ -185,8 +188,8 @@ def _assert_equals_rebuild(grown: GATIndex, queries):
 
     fresh_db = TrajectoryDatabase(grown.db.trajectories, grown.db.vocabulary)
     fresh = GATIndex.build(fresh_db, grown.config, bounding_box=grown.grid.box)
-    for name, mine, theirs in zip(grown.apl.image._fields, grown.apl.image, fresh.apl.image):
-        assert np.array_equal(mine, theirs), name
+    for name in APLArrays._fields[:-1]:  # the arrays; the handle points into them
+        assert np.array_equal(getattr(grown.apl.image, name), getattr(fresh.apl.image, name)), name
     assert np.array_equal(grown.sketches.intervals, fresh.sketches.intervals)
     assert len(grown.disk) == len(fresh.disk)
     engines = [GATSearchEngine(index, apl_cache_size=0) for index in (grown, fresh)]
@@ -224,7 +227,7 @@ class TestInsertAppendsARow:
             len(db) - 2,
             len(db) - 1,
         ]
-        assert index.apl.fetch(50_001) == newcomers[1].posting_lists
+        assert fetch(index.apl, 50_001) == newcomers[1].posting_lists
         top = engine.atsq(_queries_over(newcomers[:1])[0], 1)
         assert (top[0].trajectory_id, top[0].distance) == (50_000, 0.0)
         _assert_equals_rebuild(
@@ -271,4 +274,4 @@ class TestInsertAppendsARow:
             TrajectoryDatabase([too_wide], tiny_db.vocabulary)
         widest = ActivityTrajectory(1, [TrajectoryPoint(0.0, 0.0, frozenset({(1 << 32) - 1}))])
         db = TrajectoryDatabase([widest], tiny_db.vocabulary)
-        assert APLStore(db, SimulatedDisk()).fetch(1) == widest.posting_lists
+        assert fetch(APLStore(db, SimulatedDisk()), 1) == widest.posting_lists

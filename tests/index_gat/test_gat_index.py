@@ -1,6 +1,7 @@
 """Unit tests for the assembled GAT index."""
 
 import pytest
+from sketch_oracle import TrajectorySketch
 
 from repro.index.gat.index import GATConfig, GATIndex
 from repro.storage.disk import SimulatedDisk
@@ -56,4 +57,5 @@ class TestBuild:
     def test_sketches_cover_unions(self, small_db):
         index = GATIndex.build(small_db, GATConfig(depth=5, memory_levels=4))
         for tr in small_db:
-            assert index.sketches[tr.trajectory_id].covers_all(tr.activity_union)
+            sketch = TrajectorySketch(index.sketches[tr.trajectory_id])
+            assert sketch.covers_all(tr.activity_union)

@@ -1,13 +1,21 @@
 """Unit tests for the Inverted Trajectory List and Activity Posting List."""
 
-import numpy as np
 import pytest
+from fetch_oracle import fetch
 
+from repro.core.kernels import QueryKernel
+from repro.core.query import Query, QueryPoint
 from repro.geometry.grid import HierarchicalGrid
 from repro.index.gat.apl import APLStore
 from repro.index.gat.itl import ITL
 from repro.model.database import TrajectoryDatabase
+from repro.model.distance import EuclideanDistance
 from repro.storage.disk import SimulatedDisk
+
+
+def _prepared(activities):
+    """A one-point query asking *activities*, prepared for the C round."""
+    return QueryKernel(Query([QueryPoint(0.0, 0.0, frozenset(activities))]), EuclideanDistance())
 
 
 @pytest.fixture
@@ -95,27 +103,27 @@ class TestAPL:
         disk = SimulatedDisk()
         apl = APLStore(db, disk)
         assert len(apl) == 2
-        posting = apl.fetch(0)
+        posting = fetch(apl, 0)
         a = db.vocabulary.id_of("a")
         assert posting[a] == (0, 2)
 
     def test_fetch_matches_trajectory_posting_lists(self, db):
         apl = APLStore(db, SimulatedDisk())
         for tr in db:
-            assert apl.fetch(tr.trajectory_id) == tr.posting_lists
+            assert fetch(apl, tr.trajectory_id) == tr.posting_lists
 
     def test_fetch_counts_disk_reads(self, db):
         disk = SimulatedDisk()
         apl = APLStore(db, disk)
         disk.reset_stats()
-        apl.fetch(0)
-        apl.fetch(1)
+        fetch(apl, 0)
+        fetch(apl, 1)
         assert disk.stats.reads == 2
 
     def test_fetch_unknown_raises(self, db):
         apl = APLStore(db, SimulatedDisk())
         with pytest.raises(KeyError):
-            apl.fetch(42)
+            fetch(apl, 42)
 
     def test_covers_query(self, db):
         """The exact validation of Section V-C: a posting list must exist
@@ -124,7 +132,7 @@ class TestAPL:
         ids = db.vocabulary
 
         def covers(activities):
-            candidates = apl.round([0], np.array(sorted(activities)))
+            candidates = apl.round([0], _prepared(activities))
             return bool((candidates.lookup() != candidates.image.n_keys).all())
 
         assert covers([ids.id_of("a"), ids.id_of("b")])
@@ -137,7 +145,7 @@ class TestAPL:
         ids = db.vocabulary
 
         def positions(activities):
-            candidates = apl.round([0], np.array(sorted(activities)))
+            candidates = apl.round([0], _prepared(activities))
             image = candidates.image
             slices = [
                 image.positions[image.offsets[key] : image.offsets[key + 1]].tolist()

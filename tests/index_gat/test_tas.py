@@ -4,13 +4,10 @@ import itertools
 
 import pytest
 
+from sketch_oracle import TrajectorySketch, optimal_intervals
+
 from repro.index.gat.apl import APLStore
-from repro.index.gat.tas import (
-    SketchTable,
-    TrajectorySketch,
-    optimal_intervals,
-    sketch_memory_bytes,
-)
+from repro.index.gat.tas import SketchTable, sketch_memory_bytes
 from repro.storage.disk import SimulatedDisk
 
 
@@ -123,7 +120,7 @@ class TestBuildAndCost:
         sketches = SketchTable(APLStore(small_db, SimulatedDisk()), 2)
         assert len(sketches) == len(small_db)
         for tr in small_db:
-            sketch = sketches[tr.trajectory_id]
+            sketch = TrajectorySketch(sketches[tr.trajectory_id])
             assert sketch.covers_all(tr.activity_union)
             # The table's rows are the per-trajectory construction, exactly.
             assert sketch.intervals == optimal_intervals(sorted(tr.activity_union), 2)

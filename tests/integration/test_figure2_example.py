@@ -9,7 +9,7 @@ neither a nor d.
 
 import pytest
 
-from repro.index.gat.tas import TrajectorySketch
+from sketch_oracle import TrajectorySketch
 
 A, B, C, D, E, F = range(6)
 

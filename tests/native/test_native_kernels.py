@@ -108,7 +108,7 @@ def test_block_distances_equal_np_hypot():
     qx, qy = _decade_pairs(3, seed=11)
     query = Query([QueryPoint(x, y, frozenset({0})) for x, y in zip(qx.tolist(), qy.tolist())])
     qk = QueryKernel(query, EuclideanDistance())
-    block = prepare_block(qk, store.round(range(4), qk.sorted_activities))
+    block = prepare_block(qk, store.round(range(4), qk))
     block_dmm(qk, block)
     assert np.all(block.mask != 0)
     px, py = np.concatenate([xs[i::4] for i in range(4)]), np.concatenate([ys[i::4] for i in range(4)])

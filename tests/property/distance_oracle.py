@@ -9,7 +9,6 @@ per-pair fill, :meth:`QueryKernel.distance_matrix_for`.
 
 import numpy as np
 
-from repro.native import ffi
 
 
 def euclidean_matrix(qx, qy, px, py):
@@ -24,7 +23,7 @@ def euclidean_matrix(qx, qy, px, py):
 
 def is_generic(qk) -> bool:
     """Does *qk*'s metric lack the C round's Euclidean formula?"""
-    return qk.xy == ffi.NULL
+    return not qk.euclidean
 
 
 def distance_matrix(qk, coords):

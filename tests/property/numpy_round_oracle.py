@@ -44,7 +44,7 @@ def c_fold(qk, dist, mask, order, gates, seg_of, lengths, threshold, k, out) -> 
     if not (dist.dtype == _np.float64 and mask.dtype == _np.int64 and dist.shape == mask.shape):
         raise TypeError("the Dmom fold reads float64 distances and int64 masks of one shape")
     if lib.gat_dmom_block(
-        qk.m, qk.fold_bits, c_array("double", dist), c_array("int64_t", mask), dist.shape[1],
+        qk.m, qk.handle.n_bits, c_array("double", dist), c_array("int64_t", mask), dist.shape[1],
         c_array("int64_t", order), len(order),
         ffi.NULL if gates is None else c_array("double", gates), c_array("int64_t", seg_of),
         c_array("int64_t", lengths), threshold, k, c_array("double", out, True),
@@ -58,7 +58,7 @@ def c_fold(qk, dist, mask, order, gates, seg_of, lengths, threshold, k, out) -> 
 def numpy_lookup(candidates):
     """``[C, |Q.Φ|]`` key indices (``image.n_keys`` = absent)."""
     keys = candidates.image.keys
-    wanted = (candidates.rows[:, None] << ACTIVITY_BITS) | candidates.activities
+    wanted = (candidates.rows[:, None] << ACTIVITY_BITS) | candidates.query.sorted_activities
     slots = _np.searchsorted(keys, wanted)
     slots[keys[slots] != wanted] = len(keys) - 1
     return slots

@@ -18,8 +18,10 @@ builds its blocks with ``union_positions``.
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from fetch_oracle import fetch
+from sketch_oracle import TrajectorySketch
+
 from repro.core.order_match import order_feasible
-from repro.index.gat.tas import TrajectorySketch
 
 PostingLists = Dict[int, Tuple[int, ...]]
 
@@ -76,7 +78,7 @@ class ObjectAPLFilter:
         self.apl = apl
 
     def admits(self, query, candidate: Candidate) -> bool:
-        candidate.posting = self.apl.fetch(candidate.trajectory_id)
+        candidate.posting = fetch(self.apl, candidate.trajectory_id)
         return covers_query(candidate.posting, query.all_activities)
 
 

@@ -57,7 +57,6 @@ from repro.model.database import TrajectoryDatabase
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
 from repro.model.vocabulary import Vocabulary
-from repro.native import ffi
 from repro.storage.disk import SimulatedDisk
 
 EUCLID = EuclideanDistance()
@@ -109,7 +108,7 @@ def _posted(query, items, grown=False):
             store.extend()
     return store.round(
         [db.row_of(trajectory.trajectory_id) for trajectory in trajectories],
-        np.array(sorted(query.all_activities), dtype=np.int64),
+        QueryKernel(query, EUCLID),
     )
 
 
@@ -144,7 +143,7 @@ def _assert_same_block(qk, got, want):
     assert got.big.shape == want.big.shape
     read = want.mask != 0
     assert np.array_equal(got.big[read], want.big[read])  # bit-identical, not close
-    if qk.xy != ffi.NULL:
+    if qk.euclidean:
         assert np.all(got.big[~read] == INFINITY)
     assert got.mask.dtype == want.mask.dtype
     assert np.array_equal(got.mask, want.mask)
@@ -478,7 +477,7 @@ def test_per_candidate_entries_are_the_engine_round(
     row = pick % len(items)
     trajectory = items[row][0] if standalone else db[row]
     ctx = ExecutionContext(query, 3, True, MatchEvaluator())
-    posted = store.round([row], ctx.activities)
+    posted = store.round([row], ctx.query_kernel)
 
     single, engine = MatchEvaluator(), MatchEvaluator()
     assert single.dmm(query, trajectory) == engine.dmm_batch(query, posted)[0]

@@ -17,13 +17,14 @@ from object_chain_oracle import (
     ObjectTASFilter,
     object_admit_batch,
 )
+from sketch_oracle import optimal_intervals
 
 from repro.core.context import ExecutionContext
 from repro.core.evaluator import MatchEvaluator
 from repro.core.pipeline import APLFilter, MIBFilter, TASFilter, ValidationStage
 from repro.core.query import Query, QueryPoint
 from repro.index.gat.apl import APLStore
-from repro.index.gat.tas import SketchTable, optimal_intervals
+from repro.index.gat.tas import SketchTable
 from repro.model.database import TrajectoryDatabase
 from repro.model.point import TrajectoryPoint
 from repro.model.trajectory import ActivityTrajectory
@@ -88,7 +89,7 @@ def _assert_chains_agree(raws, qraw, m, picks):
         "mib": ObjectMIBFilter(trajectories),
     }
     for trajectory in trajectories:
-        assert sketches[trajectory.trajectory_id].intervals == optimal_intervals(
+        assert sketches[trajectory.trajectory_id] == optimal_intervals(
             sorted(trajectory.activity_union), m
         )
 
@@ -112,7 +113,7 @@ def _assert_chains_agree(raws, qraw, m, picks):
         assert got_pruned == want_pruned, chain
         assert disk.stats == oracle_disk.stats, chain
         if survivors._lookup is not None:  # what block assembly will reuse
-            fresh = apl.round(survivors.rows.tolist(), ctx.activities).lookup()
+            fresh = apl.round(survivors.rows.tolist(), ctx.query_kernel).lookup()
             assert np.array_equal(survivors.lookup(), fresh), chain
 
 

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geometry.primitives import BoundingBox, Rect
 from repro.geometry.zcurve import z_decode, z_encode, z_parent
-from repro.index.gat.tas import TrajectorySketch, optimal_intervals
-
 from rect_oracle import contains_point, contains_rect
+from sketch_oracle import TrajectorySketch, optimal_intervals
 
 
 class TestZCurveProperties:

@@ -57,7 +57,7 @@ def _one_row(qk, trajectory):
     """*trajectory* as a one-candidate block — what ``MatchEvaluator``
     scores per candidate — after a ``threshold = inf`` cover, which writes
     every distance a fold reads (``mask != 0``)."""
-    block = kernels.prepare_block(qk, trajectory_round(trajectory, qk.sorted_activities))
+    block = kernels.prepare_block(qk, trajectory_round(trajectory, qk))
     kernels.block_dmm(qk, block)
     return block
 

@@ -89,7 +89,7 @@ def _round(db_raw, picks, qraw, m):
     query = Query([QueryPoint(x, y, acts) for x, y, acts in qraw])
     ctx = ExecutionContext(query, 3, True, MatchEvaluator())
     rows = list(dict.fromkeys(p % len(db_raw) for p in picks))
-    posted = store.round(rows, ctx.activities)
+    posted = store.round(rows, ctx.query_kernel)
     return store, SketchTable(store, m), ctx, QueryKernel(query, EUCLID), posted
 
 
@@ -166,10 +166,10 @@ def test_the_c_round_equals_the_numpy_round(db_raw, picks, qraw, m):
     assert np.array_equal(lookup, numpy_lookup(posted))
     assert np.array_equal(
         TASFilter(sketches).admits(ctx, posted),
-        numpy_covers_all(sketches.intervals, posted.rows, posted.activities),
+        numpy_covers_all(sketches.intervals, posted.rows, posted.query.sorted_activities),
     )
     assert np.array_equal(APLFilter(store).admits(ctx, posted), numpy_apl_covered(posted, lookup))
-    slots, starts = ctx.point_slots()
+    slots, starts = ctx.query_kernel.point_slots
     mib = numpy_mib(posted, lookup, slots, starts[:-1])
     assert np.array_equal(MIBFilter().admits(ctx, posted), mib)
 
@@ -224,7 +224,7 @@ def test_every_out_of_memory_return_raises_memory_error(monkeypatch):
     store, _sketches, _ctx, qk, posted = _round([[_pt({1, 2}), _pt({2})]], [0], [_pt({1, 2})], 1)
     block = kernels.prepare_block(qk, posted)
     trajectory = store.db[0]
-    one_row = kernels.prepare_block(qk, trajectory_round(trajectory, qk.sorted_activities))
+    one_row = kernels.prepare_block(qk, trajectory_round(trajectory, qk))
     failing = SimpleNamespace(**{
         name: (lambda *args: -1) for name in ("gat_round_block", "gat_block_dmm", "gat_block_dmom")
     })

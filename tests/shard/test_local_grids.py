@@ -11,6 +11,7 @@ import copy
 import math
 
 import pytest
+from fetch_oracle import fetch
 
 from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
 from repro.core.engine import GATSearchEngine
@@ -178,7 +179,7 @@ class TestOverflowInsert:
         assert new_box.max_y >= trajectory[0].y
         assert new_box.min_x <= old_box.min_x  # expansion, never shrink
         assert trajectory.trajectory_id in sharded.shards[sid].db
-        assert sharded.shards[sid].apl.fetch(trajectory.trajectory_id) == trajectory.posting_lists
+        assert fetch(sharded.shards[sid].apl, trajectory.trajectory_id) == trajectory.posting_lists
 
         # A query at the newcomer's location finds it — the rebuilt shard
         # is live and exact.

@@ -1,6 +1,7 @@
 """ShardedGATIndex construction, insert routing, and aggregate accounting."""
 
 import pytest
+from fetch_oracle import fetch
 
 from repro.index.gat.index import GATConfig
 from repro.model.point import TrajectoryPoint
@@ -120,7 +121,7 @@ class TestInsertRouting:
         sharded.insert_trajectory(trajectory)
 
         assert tid in sharded.shards[owner].db
-        assert sharded.shards[owner].apl.fetch(tid) == trajectory.posting_lists
+        assert fetch(sharded.shards[owner].apl, tid) == trajectory.posting_lists
         for sid, shard in enumerate(sharded.shards):
             if sid != owner:
                 assert tid not in shard.db

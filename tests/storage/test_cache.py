@@ -70,28 +70,7 @@ class TestAccounting:
         cache = LRUCache(4)
         assert cache.get_or_load("a", lambda: 1) == (1, False)  # miss
         assert cache.get_or_load("a", lambda: 9) == (1, True)  # hit
-        assert cache.missing(["a", "b"]) == ["b"]  # one hit, one miss
         assert not hasattr(cache, "stats")
-
-
-class TestBatchedPass:
-    def test_missing_and_put_many_equal_the_per_key_calls(self):
-        """A round's LRU pass under one lock lands every entry and its
-        recency where get / put per key would, and misses the same keys."""
-        import random
-
-        rng = random.Random(7)
-        batched, looped = LRUCache(5), LRUCache(5)
-        miss = object()
-        for _ in range(200):
-            keys = rng.sample(range(12), rng.randrange(0, 9))
-            want = [k for k in keys if looped.get(k, miss) is miss]
-            for k in want:
-                looped.put(k, -k)
-            got = batched.missing(keys)
-            batched.put_many(got, [-k for k in got])
-            assert got == want
-            assert list(batched._entries.items()) == list(looped._entries.items())
 
 
 class TestConcurrency:

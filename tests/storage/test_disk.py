@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.storage.disk import PAGE_SIZE, SimulatedDisk
@@ -88,32 +89,70 @@ class TestAccounting:
     def test_pages_are_page_size_bytes(self):
         disk = SimulatedDisk()
         assert PAGE_SIZE == 4096
-        assert disk.put_extent("one", None, PAGE_SIZE) == 1
-        assert disk.put_extent("two", None, PAGE_SIZE + 1) == 2
+        assert disk.put_extents("t", 0, [1], [PAGE_SIZE]) == 1
+        assert disk.put_extents("t", 1, [2], [PAGE_SIZE + 1]) == 2
+
+
+class _Recorder:
+    """A fault injector that injects nothing and records every key asked."""
+
+    def __init__(self) -> None:
+        self.keys = []
+
+    def on_read(self, key) -> None:
+        self.keys.append(key)
 
 
 class TestExtents:
     def test_extent_is_charged_like_the_record_it_stands_for(self):
-        """``put_extent(key, handle, n)`` costs what ``put`` of an
-        ``n``-byte record costs — writes, reads, pages, bytes —
-        and a read hands the handle back undecoded, alone or in a group."""
+        """An extent of ``n`` bytes costs what ``put`` of an ``n``-byte
+        record costs — writes, reads, pages, bytes — and a read hands its
+        row back undecoded, alone or in a group."""
         value = {a: tuple(range(a)) for a in range(300)}
         n_bytes = len(serialize_obj(value))
         assert n_bytes > 4096  # more than one page
         pickled, extent = SimulatedDisk(), SimulatedDisk()
-        pickled.put("k", value)
-        pickled.put("small", 1)
-        handle = object()
-        extent.put_extent("k", handle, n_bytes)
-        extent.put_extent("small", 7, len(serialize_obj(1)))
+        pickled.put(("t", 5), value)
+        pickled.put(("t", 9), 1)
+        extent.put_extents("t", 0, np.array([5, 9]), [n_bytes, len(serialize_obj(1))])
         assert extent.stats == pickled.stats
+        assert len(extent) == 2 and ("t", 9) in extent and ("t", 7) not in extent
         with pickled.track() as want, extent.track() as got:
-            pickled.get("k")
-            pickled.get_many(["small", "k", "small"])
-            assert extent.get("k") is handle
-            assert extent.get_many(["small", "k", "small"]) == [7, handle, 7]
+            pickled.get(("t", 5))
+            pickled.get_many([("t", 9), ("t", 5), ("t", 9)])
+            assert extent.get(("t", 5)) == 0
+            assert extent.get_many([("t", 9), ("t", 5), ("t", 9)]) == [1, 0, 1]
         assert got == want and got.reads == 4
         assert extent.stats == pickled.stats
+
+    def test_grouped_rows_equal_per_key_gets(self):
+        """``get_many(table, rows)`` — one gathered sum — charges the reads,
+        pages and bytes of one ``get`` per row, asks the injector about the
+        same keys in the same order, and hands the rows back."""
+        rng = np.random.default_rng(3)
+        ids = rng.permutation(100)[:40] + 1000
+        sizes = rng.integers(1, 3 * PAGE_SIZE, len(ids))
+        grouped, single = SimulatedDisk(), SimulatedDisk()
+        for disk in (grouped, single):
+            disk.put_extents("apl", 0, ids[:25], sizes[:25])
+            disk.put_extents("apl", 25, ids[25:], sizes[25:])  # grown by an insert
+            disk.fault_injector = _Recorder()
+            disk.reset_stats()
+        rows = rng.permutation(len(ids))[:17]
+        assert grouped.get_many("apl", rows) is rows
+        assert [single.get(("apl", tid)) for tid in ids[rows].tolist()] == rows.tolist()
+        assert grouped.stats == single.stats and grouped.stats.reads == len(rows)
+        assert grouped.fault_injector.keys == single.fault_injector.keys
+        assert grouped.fault_injector.keys == [("apl", tid) for tid in ids[rows].tolist()]
+
+    def test_restoring_rows_replaces_them(self):
+        """A store rebuilt over the same disk stores its rows afresh:
+        nothing past them lingers and rows keep their ids."""
+        disk = SimulatedDisk()
+        disk.put_extents("apl", 0, np.array([7, 8, 9]), [10, 20, 30])
+        disk.put_extents("apl", 0, np.array([8, 7]), [20, 10])
+        assert len(disk) == 2 and ("apl", 9) not in disk
+        assert disk.get(("apl", 7)) == 1
 
 
 class TestPerContextTracking:
