@@ -323,12 +323,12 @@ class APLStore:
         shared cache is safe across concurrent queries; a hit skips the
         counted disk read entirely.  Counted reads and the hit count are
         identical to fetching each trajectory individually through an LRU
-        keyed by trajectory id.
+        keyed by trajectory id (a round's rows are distinct).
         """
         rows = candidates.rows
         if cache is None:
             if len(rows):
-                self.disk.get_many("apl", rows[np.sort(np.unique(rows, return_index=True)[1])])
+                self.disk.get_many("apl", rows)
             return 0, 0
         misses, asked = cache.missing(candidates.c_rows, len(rows), len(candidates.image.ids))
         if len(misses):
