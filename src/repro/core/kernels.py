@@ -282,7 +282,9 @@ class QueryKernel:
         self._c_arrays = (
             ffi.new("int32_t[]", self.n_bits),
             ffi.new("int64_t[]", self.bit_table.argmax(axis=1).tolist()),
-            ffi.new("double[]", [c for q in query for c in q.coord]) if self.euclidean else ffi.NULL,
+            ffi.new("double[]", [c for q in query for c in q.coord])
+            if self.euclidean
+            else ffi.NULL,
         )
         n_bits, row_slot, xy = self._c_arrays
         #: The ``gat_query *`` the C round reads.
@@ -446,7 +448,9 @@ def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None, threshold: flo
     the scalar Algorithm 3's scan order — one of the documented last-ulp
     array-vs-scalar sources.
     """
-    return _scores(block.n, stats, "block Dmm", lib.gat_block_dmm, qk.handle, block.columns, threshold)
+    return _scores(
+        block.n, stats, "block Dmm", lib.gat_block_dmm, qk.handle, block.columns, threshold
+    )
 
 
 def block_dmom(

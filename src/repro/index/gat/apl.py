@@ -307,7 +307,9 @@ class APLStore:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def fetch_many(self, candidates: PostingRound, cache: Optional[RowLRU] = None) -> Tuple[int, int]:
+    def fetch_many(
+        self, candidates: PostingRound, cache: Optional[RowLRU] = None
+    ) -> Tuple[int, int]:
         """Make a whole validation round's records resident in one call;
         returns the round's ``(hits, lookups)`` on *cache* (``(0, 0)``
         without one).

@@ -145,7 +145,9 @@ class RowLRU:
         with self._lock:
             if n_rows > self._list.rows and lib.gat_lru_grow(self._list, n_rows):
                 raise MemoryError("row LRU")
-            n_misses = lib.gat_lru_touch(self._list, rows, n, c_array("int64_t", misses, True), asked)
+            n_misses = lib.gat_lru_touch(
+                self._list, rows, n, c_array("int64_t", misses, True), asked
+            )
         return misses[:n_misses], asked[0]
 
     def put_many(self, rows: np.ndarray) -> None:

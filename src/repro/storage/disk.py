@@ -228,7 +228,8 @@ class SimulatedDisk:
             extents.row_of = dict(zip(extents.ids.tolist(), range(first_row)))
         n_bytes = np.asarray(n_bytes, dtype=np.int64).reshape(-1)
         pages = np.maximum(1, -(-n_bytes // PAGE_SIZE))
-        extents.row_of.update(zip(np.asarray(ids).tolist(), range(first_row, first_row + len(n_bytes))))
+        rows = range(first_row, first_row + len(n_bytes))
+        extents.row_of.update(zip(np.asarray(ids).tolist(), rows))
         extents.ids = np.concatenate([extents.ids, ids])
         extents.sizes = np.concatenate([extents.sizes, np.stack([pages, n_bytes], axis=1)])
         self._account_write(int(pages.sum()), int(n_bytes.sum()), len(n_bytes))
