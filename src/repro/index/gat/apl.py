@@ -82,11 +82,6 @@ class APLArrays(NamedTuple):
     #: keeps alive): what the C round reads.
     handle: object
 
-    @property
-    def n_keys(self) -> int:
-        """``K`` — also the index of the sentinel slot."""
-        return len(self.keys) - 1
-
     def leaf_lists(self, leaf_level) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The posted positions regrouped by place: ``(codes, activities,
         starts, rows)`` — for each (cell of *leaf_level*, a ``GridLevel``;
@@ -200,7 +195,7 @@ class PostingRound:
         return self.image.ids[self.rows]
 
     def lookup(self):
-        """``[C, |Q.Φ|]`` key indices (``image.n_keys`` = absent), by a
+        """``[C, |Q.Φ|]`` key indices (the sentinel slot ``K`` = absent), by a
         binary search inside each row's key range (``gat_round_lookup``,
         which also writes :meth:`covered`)."""
         if self._lookup is None:

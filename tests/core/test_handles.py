@@ -53,7 +53,7 @@ def test_a_round_keeps_the_image_it_started_with(small_db):
     )
     index.insert_trajectory(newcomer)
     assert before.image is image and index.apl.image is not image
-    assert index.apl.image.n_keys > image.n_keys
+    assert index.apl.image.handle.n_keys > image.handle.n_keys
     got = _scored(index, ctx, before)
     for mine, theirs in zip(got, want):
         assert np.array_equal(mine, theirs)

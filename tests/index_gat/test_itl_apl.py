@@ -133,7 +133,7 @@ class TestAPL:
 
         def covers(activities):
             candidates = apl.round([0], _prepared(activities))
-            return bool((candidates.lookup() != candidates.image.n_keys).all())
+            return bool((candidates.lookup() != candidates.image.handle.n_keys).all())
 
         assert covers([ids.id_of("a"), ids.id_of("b")])
         assert not covers([ids.id_of("a"), 999])

@@ -56,7 +56,7 @@ def c_fold(qk, dist, mask, order, gates, seg_of, lengths, threshold, k, out) -> 
 # Validation: lookup, TAS, APL coverage, MIB
 # ----------------------------------------------------------------------
 def numpy_lookup(candidates):
-    """``[C, |Q.Φ|]`` key indices (``image.n_keys`` = absent)."""
+    """``[C, |Q.Φ|]`` key indices (the sentinel slot = absent)."""
     keys = candidates.image.keys
     wanted = (candidates.rows[:, None] << ACTIVITY_BITS) | candidates.query.sorted_activities
     slots = _np.searchsorted(keys, wanted)
@@ -73,7 +73,7 @@ def numpy_covers_all(intervals, rows, activities):
 
 
 def numpy_apl_covered(candidates, lookup):
-    return (lookup != candidates.image.n_keys).all(axis=1)
+    return (lookup != candidates.image.handle.n_keys).all(axis=1)
 
 
 def numpy_mib(candidates, lookup, slots, starts):
