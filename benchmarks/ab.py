@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """A/B pairs of the end-to-end benchmark: a parent commit against a change.
 
-    python benchmarks/ab.py PARENT CHANGE --workload W --pairs N [--seed S] [--seconds T]
+    python benchmarks/ab.py PARENT CHANGE --workload W --pairs N [--seed S]
 
 Checks each commit out into its own temporary ``git worktree`` (removed
 afterwards) and runs ``benchmarks/e2e/run.py --trace 0`` there — the
-command ``BENCHMARK.json`` declares — once per side per pair, alternating
+command ``BENCHMARK.json`` declares, for its ``run_seconds`` — once per side per pair, alternating
 which side runs first so that drift in the machine's speed does not
 favour one side.  Prints, per end-to-end metric, each side's median, the
 parent's interquartile range, the change's median gap and the pairs the
@@ -123,12 +123,11 @@ def main(argv=None, runner=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=20130408)
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     command = spec["command"] + [
         "--workload", args.workload, "--seed", str(args.seed),
-        "--seconds", str(args.seconds or spec["run_seconds"]), "--trace", "0",
+        "--seconds", str(spec["run_seconds"]), "--trace", "0",
     ]
     if runner is None:
         with worktree(args.parent) as parent, worktree(args.change) as change:
