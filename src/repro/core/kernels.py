@@ -352,20 +352,25 @@ class CandidateBlock:
 
     def __getattr__(self, name: str):
         """The block's arrays as NumPy views of its C buffer, made together
-        on the first read of one (``gat_columns``' layout)."""
+        on the first read of one, each from its ``gat_columns`` field."""
         if name not in _VIEWS:
             raise AttributeError(name)
-        n, m, total = self.n, self.m, self.total
-        data = ffi.buffer(self._data, ((2 * m + 3) * total + 2 * n) * 8 + n * m)
-        arrays = _np.frombuffer(data, _np.int64, (2 * m + 3) * total + 2 * n)
-        floats = arrays.view(_np.float64)
-        self.big = floats[: m * total].reshape(m, total)
-        self.mask = arrays[m * total : 2 * m * total].reshape(m, total)
-        self.positions = arrays[2 * m * total : (2 * m + 1) * total]
-        self.cxy = floats[(2 * m + 1) * total : (2 * m + 3) * total].reshape(total, 2)
-        self.seg_of = arrays[(2 * m + 3) * total :][:n]
-        self.lengths = arrays[(2 * m + 3) * total + n :]
-        self.missing = _np.frombuffer(data, _np.bool_, n * m, len(arrays) * 8).reshape(n, m)
+        columns, n, m, total, owner = self.columns, self.n, self.m, self.total, self._data
+
+        def view(field, dtype, *shape):
+            # The no-op destructor holds the buffer's owner: the buffer is
+            # freed once the block and every view of it are gone.
+            field = ffi.gc(field, lambda _field: owner)
+            nbytes = _np.dtype(dtype).itemsize * int(_np.prod(shape))
+            return _np.frombuffer(ffi.buffer(field, nbytes), dtype).reshape(shape)
+
+        self.big = view(columns.dist, _np.float64, m, total)
+        self.mask = view(columns.mask, _np.int64, m, total)
+        self.positions = view(columns.positions, _np.int64, total)
+        self.cxy = view(columns.cxy, _np.float64, total, 2)
+        self.seg_of = view(columns.seg_of, _np.int64, n)
+        self.lengths = view(columns.lengths, _np.int64, n)
+        self.missing = view(columns.missing, _np.bool_, n, m)
         return getattr(self, name)
 
 

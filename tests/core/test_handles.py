@@ -67,6 +67,30 @@ def test_a_round_keeps_the_image_it_started_with(small_db):
         assert [r.distance for r in got] == pytest.approx([r.distance for r in want], rel=1e-9)
 
 
+def test_block_views_outlive_the_block(small_db):
+    """A block's NumPy views are made from its ``gat_columns`` fields, and
+    each keeps the C buffer alive: reading one after the block is gone
+    reads what the block held."""
+    import gc
+
+    index = GATIndex.build(small_db, GATConfig(depth=5, memory_levels=3))
+    query, other = QueryWorkloadGenerator(
+        small_db, WorkloadConfig(n_query_points=2, n_activities_per_point=2, seed=4)
+    ).queries(2)
+    rows = list(range(len(small_db)))
+    qk = ExecutionContext(query, 3, False, MatchEvaluator()).query_kernel
+    block = kernels.prepare_block(qk, index.apl.round(rows, qk))
+    views = [getattr(block, name) for name in kernels._VIEWS]
+    want = [view.copy() for view in views]
+    del block
+    gc.collect()
+    qk = ExecutionContext(other, 3, False, MatchEvaluator()).query_kernel
+    for _ in range(50):  # other blocks reuse freed memory, if any was freed
+        kernels.prepare_block(qk, index.apl.round(rows[::-1], qk)).big[...] = -1.0
+    for view, copy in zip(views, want):
+        assert np.array_equal(view, copy)
+
+
 class _CountingFFI:
     """``ffi`` with its ``from_buffer`` calls counted."""
 
