@@ -12,10 +12,10 @@ injected for demonstrations but defaults to zero.
 Records come two ways.  :meth:`SimulatedDisk.put` serialises a value and
 :meth:`~SimulatedDisk.get` decodes it (the HICL's disk-resident lists).
 An *extent table* (:meth:`~SimulatedDisk.put_extents`) holds records whose
-content lives in their owner's own arrays — the APL's rows: each one is
-charged like a serialised record of its stated size, keyed ``(table,
-id)``, and a read hands its row back.  The table keeps its rows' pages
-and bytes as one array, so a grouped read of many rows
+content lives in their owner's own arrays — the APL's rows: each row is
+charged like a serialised record of its stated size, and its fault
+injector key is ``(table, id)``.  The table keeps its rows' pages and
+bytes as one array, so a grouped read of many rows
 (:meth:`~SimulatedDisk.get_many`) is charged as one gathered sum.
 
 Concurrency: the global :class:`DiskStats` counters are updated under a
@@ -32,7 +32,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional
 
 import numpy as np
 
@@ -74,12 +74,11 @@ class _Record:
 class _Extents:
     """One extent table: per row its id and its ``(pages, bytes)``."""
 
-    __slots__ = ("ids", "sizes", "row_of")
+    __slots__ = ("ids", "sizes")
 
     def __init__(self) -> None:
         self.ids = np.empty(0, dtype=np.int64)
         self.sizes = np.empty((0, 2), dtype=np.int64)
-        self.row_of: Dict[Hashable, int] = {}
 
 
 class SimulatedDisk:
@@ -219,17 +218,12 @@ class SimulatedDisk:
         """Store rows ``first_row …`` of the extent table *table*, one per id
         of *ids*, the ``i``-th of ``n_bytes[i]`` bytes (rows from
         *first_row* on that the table held are replaced): each is charged,
-        written and read, exactly like a serialised record of that size
-        stored under ``(table, id)``, and a read hands back its row.
-        Returns pages written."""
+        written and read (:meth:`get_many`), exactly like a serialised
+        record of that size.  Returns pages written."""
         extents = self._extents.setdefault(table, _Extents())
-        if first_row < len(extents.ids):
-            extents.ids, extents.sizes = extents.ids[:first_row], extents.sizes[:first_row]
-            extents.row_of = dict(zip(extents.ids.tolist(), range(first_row)))
+        extents.ids, extents.sizes = extents.ids[:first_row], extents.sizes[:first_row]
         n_bytes = np.asarray(n_bytes, dtype=np.int64).reshape(-1)
         pages = np.maximum(1, -(-n_bytes // PAGE_SIZE))
-        rows = range(first_row, first_row + len(n_bytes))
-        extents.row_of.update(zip(np.asarray(ids).tolist(), rows))
         extents.ids = np.concatenate([extents.ids, ids])
         extents.sizes = np.concatenate([extents.sizes, np.stack([pages, n_bytes], axis=1)])
         self._account_write(int(pages.sum()), int(n_bytes.sum()), len(n_bytes))
@@ -243,95 +237,59 @@ class SimulatedDisk:
         self._account_write(record.n_pages, record.n_bytes)
         return record.n_pages
 
-    def _find(self, key: Hashable) -> Optional[Tuple[int, int, Any]]:
-        """``(pages, bytes, record)`` of what is stored under *key* — the
-        record of an extent is its row — or ``None``."""
-        record = self._records.get(key)
-        if record is not None:
-            return record.n_pages, record.n_bytes, record
-        if isinstance(key, tuple) and len(key) == 2 and key[0] in self._extents:
-            extents = self._extents[key[0]]
-            row = extents.row_of.get(key[1])
-            if row is not None:
-                pages, n_bytes = extents.sizes[row].tolist()
-                return pages, n_bytes, row
-        return None
-
-    def _found(self, key: Hashable) -> Tuple[int, int, Any]:
-        found = self._find(key)
-        if found is None:
-            raise KeyError(key)
-        return found
-
-    @staticmethod
-    def _load(record) -> Any:
-        return deserialize_obj(record.payload) if isinstance(record, _Record) else record
-
     def get(self, key: Hashable) -> Any:
-        """Load and deserialise the value stored under *key* (an extent's
-        row).
+        """Load and deserialise the value stored under *key*.
 
         Raises
         ------
         KeyError
             If nothing was stored under *key*.
         """
-        n_pages, n_bytes, record = self._found(key)
-        self._account_read(n_pages, n_bytes)
+        record = self._records[key]
+        self._account_read(record.n_pages, record.n_bytes)
         span = current_span()
         if span is not None:
-            span.add_event("disk_read", key=str(key), pages=n_pages)
+            span.add_event("disk_read", key=str(key), pages=record.n_pages)
         if self.fault_injector is not None:
             self.fault_injector.on_read(key)
         self._pay_read_latency()
-        return self._load(record)
+        return deserialize_obj(record.payload)
 
-    def get_many(self, keys, rows=None) -> List[Any]:
-        """Load several records as one grouped I/O round: the *keys* (a
-        list), or — given *rows* — the rows *rows* (an ``int64`` array) of
-        the extent table named *keys*, charged by one gathered sum of the
-        table's sizes and handed back as they are.
+    def get_many(self, table: str, rows: np.ndarray) -> np.ndarray:
+        """Read the rows *rows* (an ``int64`` array) of the extent table
+        *table* as one grouped I/O round, charged by one gathered sum of
+        the table's sizes; returns *rows*.
 
-        Accounting is identical to one :meth:`get` per record, in order —
-        every read is counted, on the calling thread, under the caller's
-        :meth:`track` attribution — and the latencies are paid back to
-        back, exactly like sequential gets.  A traced read adds one
-        ``disk_read_batch`` event.  A fault injector is asked once per
-        record, with its key, in order: a batch aborts on its first
-        injected error, after all accounting (the seeks happened) and
-        before any latency is paid.  Under a bounded device
-        (``concurrent_reads``) the gather holds the gate once for its
-        whole latency train: one contiguous burst, like a sequential read
-        of a sorted batch.
+        Accounting is identical to one read per row, in order — every read
+        is counted, on the calling thread, under the caller's :meth:`track`
+        attribution — and the latencies are paid back to back, exactly like
+        sequential reads.  A traced read adds one ``disk_read_batch``
+        event.  A fault injector is asked once per row, with its key
+        ``(table, id)``, in order: a batch aborts on its first injected
+        error, after all accounting (the seeks happened) and before any
+        latency is paid.  Under a bounded device (``concurrent_reads``)
+        the gather holds the gate once for its whole latency train: one
+        contiguous burst, like a sequential read of a sorted batch.
 
         Raises
         ------
         KeyError
-            If any key was never stored (before any latency is paid).
+            If *table* was never stored.
         """
-        if rows is None:
-            found = [self._found(key) for key in keys]
-            n_pages = sum([pages for pages, _n_bytes, _record in found])
-            n_bytes = sum([n_bytes for _pages, n_bytes, _record in found])
-        else:
-            extents = self._extents[keys]
-            n_pages, n_bytes = extents.sizes[rows].sum(axis=0).tolist()
-        n = len(keys) if rows is None else len(rows)
+        extents = self._extents[table]
+        n_pages, n_bytes = extents.sizes[rows].sum(axis=0).tolist()
+        n = len(rows)
         self._account_read(n_pages, n_bytes, n)
         span = current_span()
         if span is not None:
-            # One event per grouped round, not per key — events are
+            # One event per grouped round, not per row — events are
             # bounded per span, and the batch is the I/O unit here.
             span.add_event("disk_read_batch", n=n, pages=n_pages)
         if self.fault_injector is not None:
-            if rows is not None:
-                keys = [(keys, tid) for tid in extents.ids[rows].tolist()]
-            for key in keys:
-                self.fault_injector.on_read(key)
+            for tid in extents.ids[rows].tolist():
+                self.fault_injector.on_read((table, tid))
         self._pay_read_latency(n)
-        if rows is not None:
-            return rows
-        return [self._load(record) for _pages, _n_bytes, record in found]
+        return rows
 
     def get_or_none(self, key: Hashable) -> Optional[Any]:
         """Like :meth:`get` but returns ``None`` for a missing key.
@@ -345,7 +303,7 @@ class SimulatedDisk:
         return self.get(key)
 
     def __contains__(self, key: Hashable) -> bool:
-        return self._find(key) is not None
+        return key in self._records
 
     def __len__(self) -> int:
         return len(self._records) + sum(len(extents.ids) for extents in self._extents.values())

@@ -10,6 +10,7 @@ import pickle
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.faults import FaultInjector, FaultRule, InjectedDiskError
@@ -94,9 +95,10 @@ def test_get_many_aborts_on_first_injected_error():
     injector = FaultInjector(
         FaultRule(error_rate=1.0, key_pattern=r"'apl', 1"), seed=0
     )
-    disk = _disk_with(injector)
+    disk = SimulatedDisk(fault_injector=injector)
+    disk.put_extents("apl", 0, np.array([0, 1, 2]), [8, 8, 8])
     with pytest.raises(InjectedDiskError):
-        disk.get_many([("apl", 0), ("apl", 1), ("apl", 2)])
+        disk.get_many("apl", np.array([0, 1, 2]))
     # All three reads were accounted (the batch's seeks happened) even
     # though the middle key aborted the gather.
     assert disk.stats.reads == 3

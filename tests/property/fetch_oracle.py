@@ -7,6 +7,8 @@ trajectory's posting lists through this to compare them with the
 trajectory's own.
 """
 
+import numpy as np
+
 from repro.index.gat.apl import APLStore, PostingLists, posting_lists
 
 
@@ -19,4 +21,6 @@ def fetch(apl: APLStore, trajectory_id: int) -> PostingLists:
     KeyError
         If the trajectory was never stored.
     """
-    return posting_lists(apl.image, apl.disk.get(("apl", trajectory_id)))
+    row = apl.db.row_of(trajectory_id)
+    apl.disk.get_many("apl", np.array([row]))
+    return posting_lists(apl.image, row)

@@ -106,8 +106,8 @@ class _Recorder:
 class TestExtents:
     def test_extent_is_charged_like_the_record_it_stands_for(self):
         """An extent of ``n`` bytes costs what ``put`` of an ``n``-byte
-        record costs — writes, reads, pages, bytes — and a read hands its
-        row back undecoded, alone or in a group."""
+        record costs — writes, reads, pages, bytes — and a grouped read
+        hands its rows back undecoded."""
         value = {a: tuple(range(a)) for a in range(300)}
         n_bytes = len(serialize_obj(value))
         assert n_bytes > 4096  # more than one page
@@ -116,43 +116,50 @@ class TestExtents:
         pickled.put(("t", 9), 1)
         extent.put_extents("t", 0, np.array([5, 9]), [n_bytes, len(serialize_obj(1))])
         assert extent.stats == pickled.stats
-        assert len(extent) == 2 and ("t", 9) in extent and ("t", 7) not in extent
+        assert len(extent) == 2
         with pickled.track() as want, extent.track() as got:
-            pickled.get(("t", 5))
-            pickled.get_many([("t", 9), ("t", 5), ("t", 9)])
-            assert extent.get(("t", 5)) == 0
-            assert extent.get_many([("t", 9), ("t", 5), ("t", 9)]) == [1, 0, 1]
+            for key in [("t", 5), ("t", 9), ("t", 5), ("t", 9)]:
+                pickled.get(key)
+            rows = np.array([0, 1, 0, 1])
+            assert extent.get_many("t", rows) is rows
         assert got == want and got.reads == 4
         assert extent.stats == pickled.stats
 
     def test_grouped_rows_equal_per_key_gets(self):
         """``get_many(table, rows)`` — one gathered sum — charges the reads,
-        pages and bytes of one ``get`` per row, asks the injector about the
+        pages and bytes of one ``get`` per row of a record of the row's
+        size stored under ``(table, id)``, asks the injector about the
         same keys in the same order, and hands the rows back."""
         rng = np.random.default_rng(3)
         ids = rng.permutation(100)[:40] + 1000
-        sizes = rng.integers(1, 3 * PAGE_SIZE, len(ids))
+        values = [bytes(int(n)) for n in rng.integers(1, 3 * PAGE_SIZE, len(ids))]
+        sizes = [len(serialize_obj(value)) for value in values]
         grouped, single = SimulatedDisk(), SimulatedDisk()
+        grouped.put_extents("apl", 0, ids[:25], sizes[:25])
+        grouped.put_extents("apl", 25, ids[25:], sizes[25:])  # grown by an insert
+        for tid, value in zip(ids.tolist(), values):
+            single.put(("apl", tid), value)
         for disk in (grouped, single):
-            disk.put_extents("apl", 0, ids[:25], sizes[:25])
-            disk.put_extents("apl", 25, ids[25:], sizes[25:])  # grown by an insert
             disk.fault_injector = _Recorder()
             disk.reset_stats()
         rows = rng.permutation(len(ids))[:17]
         assert grouped.get_many("apl", rows) is rows
-        assert [single.get(("apl", tid)) for tid in ids[rows].tolist()] == rows.tolist()
+        for tid, row in zip(ids[rows].tolist(), rows.tolist()):
+            assert single.get(("apl", tid)) == values[row]
         assert grouped.stats == single.stats and grouped.stats.reads == len(rows)
         assert grouped.fault_injector.keys == single.fault_injector.keys
         assert grouped.fault_injector.keys == [("apl", tid) for tid in ids[rows].tolist()]
 
     def test_restoring_rows_replaces_them(self):
         """A store rebuilt over the same disk stores its rows afresh:
-        nothing past them lingers and rows keep their ids."""
-        disk = SimulatedDisk()
+        nothing past them lingers and rows keep their ids and sizes."""
+        disk = SimulatedDisk(fault_injector=_Recorder())
         disk.put_extents("apl", 0, np.array([7, 8, 9]), [10, 20, 30])
         disk.put_extents("apl", 0, np.array([8, 7]), [20, 10])
-        assert len(disk) == 2 and ("apl", 9) not in disk
-        assert disk.get(("apl", 7)) == 1
+        assert len(disk) == 2
+        disk.get_many("apl", np.array([1, 0]))
+        assert disk.fault_injector.keys == [("apl", 7), ("apl", 8)]
+        assert disk.stats.bytes_read == 30
 
 
 class TestPerContextTracking:
@@ -284,9 +291,10 @@ class TestConcurrentReadsGate:
     def test_gate_leaves_accounting_untouched(self):
         disk = SimulatedDisk(concurrent_reads=1)
         disk.put("k", list(range(50)))
+        disk.put_extents("t", 0, np.array([1]), [400])
         with disk.track() as tracker:
             disk.get("k")
-            disk.get_many(["k", "k"])
+            disk.get_many("t", np.array([0, 0]))
         assert tracker.reads == 3
         assert disk.stats.reads == 3
 
@@ -294,8 +302,8 @@ class TestConcurrentReadsGate:
         import time as _time
 
         disk = SimulatedDisk(read_latency_s=0.02, concurrent_reads=1)
-        disk.put("a", 1)
-        disk.put("b", 2)
+        disk.put_extents("t", 0, np.array([1, 2]), [10, 10])
+        rows = np.array([0, 1])
         t0 = _time.perf_counter()
-        assert disk.get_many(["a", "b"]) == [1, 2]
+        assert disk.get_many("t", rows) is rows
         assert _time.perf_counter() - t0 >= 0.04 * 0.95
