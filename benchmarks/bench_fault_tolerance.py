@@ -87,14 +87,6 @@ def _row(scenario, wall, responses, stats, **extra):
     return row
 
 
-def _until(condition, timeout_s=30.0):
-    """Poll *condition* until it holds; fail after *timeout_s*."""
-    deadline = time.monotonic() + timeout_s
-    while not condition():
-        assert time.monotonic() < deadline, "condition not met in time"
-        time.sleep(0.001)
-
-
 def _serve(service, workload, indexes=()):
     for index in indexes:
         index.hicl.clear_cache()
@@ -211,13 +203,12 @@ def test_fault_tolerance_scenarios(benchmark, la_db, workload):
         ) as fleet:
             executor = fleet._executor
             executor.warm_up()
+            # Both kills race the batch's submissions: the idle pool's
+            # breakage may surface at a submission or on a future, and a
+            # future submitted while the pool's manager thread fails its
+            # work can be left pending, for the executor to fail when the
+            # pool is retired.
             kill_fleet_workers(executor, count=executor.max_workers, seed=1)
-            # Neither kill may race a submission: CPython 3.11's process
-            # pool can leave a future submitted while its manager thread
-            # fails a broken pool's pending work unresolved forever.  So
-            # the batch starts once the idle pool is marked broken, and
-            # the in-flight kill returns once its task has failed.
-            _until(lambda: getattr(executor._pool, "_broken", False))
             submit, heal = executor.submit, executor.heal
             kills, heals = [], []
 
@@ -225,14 +216,14 @@ def test_fault_tolerance_scenarios(benchmark, la_db, workload):
                 # The second kill lands on the pool that replaced the first
                 # one, while a task is in flight there: its future is
                 # pending when every live worker dies, so it fails with
-                # BrokenProcessPool and the supervisor calls heal.
+                # BrokenProcessPool — at once, or when the pool is retired
+                # — and the supervisor calls heal.
                 future = submit(task)
                 if (
                     not kills and executor.pool_repairs and not future.done()
                     and executor.worker_pids()
                 ):
                     kills.append(kill_fleet_workers(executor, count=executor.max_workers, seed=2))
-                    _until(future.done)
                 return future
 
             def counted_heal():

@@ -46,7 +46,8 @@ import math
 import multiprocessing
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+import weakref
+from concurrent.futures import Future, InvalidStateError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -381,7 +382,12 @@ class ProcessShardExecutor:
     :meth:`submit` heals through breakage it meets at submission; futures
     that die mid-flight are the fan-out supervisor's to heal and resubmit
     — at most :attr:`MAX_POOL_REPAIRS` times per fan-out, after which the
-    breakage surfaces as a :class:`ShardTaskError`.  Threshold slots are
+    breakage surfaces as a :class:`ShardTaskError`.  A broken pool's
+    manager thread fails the pool's pending futures without locking out
+    a submission that races it (CPython 3.11), so it can exit and leave a
+    future pending with nothing left to resolve it, and a worker alive;
+    retiring the pool ends the one and fails the other with
+    :class:`BrokenProcessPool`, so it is healed around like the rest.  Threshold slots are
     parent-owned ``mp.Value``s inherited by every pool generation, so
     leases survive a repair; a dead worker's last published threshold
     stays a sound (real-result) upper bound for the resubmitted task.
@@ -412,6 +418,10 @@ class ProcessShardExecutor:
         self.pool_inits = 0
         self._lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: Submitted futures not yet done, by the pool that issued them,
+        #: and the pools retired since (whose leftovers fail at once).
+        self._pending: Dict[Future, ProcessPoolExecutor] = {}
+        self._retired: "weakref.WeakSet[ProcessPoolExecutor]" = weakref.WeakSet()
         self._closed = False
         self._slots = [
             multiprocessing.Value("d", math.inf) for _ in range(self.N_SLOTS)
@@ -497,11 +507,45 @@ class ProcessShardExecutor:
                 self._pool = None
                 self.pool_repairs += 1
                 retired = True
+        processes = list((getattr(pool, "_processes", None) or {}).values())
         try:
             pool.shutdown(wait=True)
         except Exception:  # pragma: no cover - defensive
             pass
+        # The pool's manager thread has exited: what it left is ours.
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+                process.join()
+        self._fail_left(pool)
         return retired
+
+    def _fail_left(self, pool: ProcessPoolExecutor) -> None:
+        """Fail every future the retired *pool* left pending."""
+        with self._lock:
+            self._retired.add(pool)
+            left = [future for future, owner in self._pending.items() if owner is pool]
+        for future in left:
+            try:
+                future.set_exception(
+                    BrokenProcessPool("the process pool broke and left this task pending")
+                )
+            except InvalidStateError:  # a concurrent retirement failed it first
+                pass
+
+    def _track(self, pool: ProcessPoolExecutor, future: Future) -> None:
+        """Remember *future* as *pool*'s until it is done; a pool retired
+        since it issued *future* fails it now."""
+        with self._lock:
+            self._pending[future] = pool
+            retired = pool in self._retired
+        future.add_done_callback(self._untrack)
+        if retired:
+            self._fail_left(pool)
+
+    def _untrack(self, future: Future) -> None:
+        with self._lock:
+            self._pending.pop(future, None)
 
     def heal(self) -> bool:
         """Retire the live pool if it is broken (the supervisor calls this
@@ -523,10 +567,13 @@ class ProcessShardExecutor:
         for _ in range(self.MAX_POOL_REPAIRS + 1):
             pool = self._shared_pool()
             try:
-                return pool.submit(_worker_search, task)
+                future = pool.submit(_worker_search, task)
             except BrokenProcessPool as exc:
                 last_exc = exc
                 self._retire_broken(pool)
+                continue
+            self._track(pool, future)
+            return future
         raise ShardTaskError(task, last_exc)
 
     def worker_pids(self) -> List[int]:

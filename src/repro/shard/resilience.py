@@ -89,6 +89,10 @@ _HEDGE_QUANTILE = 0.95
 _HEDGE_MIN_SAMPLES = 20
 #: Backoff before a shard's first retry; it doubles per further failure.
 _RETRY_BACKOFF_S = 0.01
+#: With a process fleet, the longest a fan-out waits before it asks the
+#: executor to heal: a broken pool can leave a future pending that no
+#: failure will ever report (:class:`ProcessShardExecutor`).
+_HEAL_POLL_S = 1.0
 
 
 class DeadlineExceeded(RuntimeError):
@@ -207,9 +211,10 @@ class FanoutSupervisor:
         (:meth:`~repro.shard.replicas.ReplicaRouter.record`),
         called under the contract in the module docstring.
     heal:
-        Called when an attempt dies with :class:`BrokenProcessPool`
-        (retire the broken pool so resubmission lands on a fresh fleet;
-        returns whether it retired one).  Such attempts are resubmitted at
+        Called when an attempt dies with :class:`BrokenProcessPool`, and
+        whenever a wait for attempts sees none finish within
+        ``_HEAL_POLL_S`` (retire the broken pool so resubmission lands on
+        a fresh fleet; returns whether it retired one).  Such attempts are resubmitted at
         once without spending ``max_retries`` while the run has healed at
         most :attr:`ProcessShardExecutor.MAX_POOL_REPAIRS` pools; past
         that they fail like any other.
@@ -477,7 +482,13 @@ class FanoutSupervisor:
                         )
                 break
             timeout = max(0.0, min(timers) - time.monotonic()) if timers else None
+            if self._heal is not None and (timeout is None or timeout > _HEAL_POLL_S):
+                timeout = _HEAL_POLL_S
             done, _ = wait(set(attempts), timeout=timeout, return_when=FIRST_COMPLETED)
+            if not done and self._heal is not None and self._heal():
+                # A broken pool no failure reported: retiring it fails
+                # the futures its manager thread left pending.
+                pools_healed += 1
             for future in done:
                 attempt = attempts.pop(future, None)
                 if attempt is None:  # pragma: no cover - defensive

@@ -8,6 +8,10 @@ pool break must neither raise nor leak threshold slots.
 """
 
 import copy
+import threading
+import time
+from concurrent.futures import process
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -102,6 +106,50 @@ def test_whole_fleet_killed_heals_and_serves(db, queries, fleet):
     # The healed fleet runs on fresh workers.
     survivors = executor.worker_pids()
     assert survivors and not set(survivors) & set(pids)
+
+
+def test_future_a_broken_pool_left_pending_is_healed(db, queries, fleet, monkeypatch):
+    """CPython 3.11 fails a broken pool's pending futures without locking
+    out a submission that races it, so the pool's manager thread can exit
+    with a future still pending and nothing left to resolve it.  That
+    outcome, forced here: the manager marks the pool broken and exits.  No
+    failure reports the breakage, yet the fan-out retires the pool after a
+    bounded wait, which fails the futures it left; they are resubmitted
+    and the answers stay exact."""
+    service, executor = fleet
+    truth = _truth(db, queries)
+    executor.warm_up()
+
+    def mark_broken_and_exit(manager, cause):
+        manager.executor_reference()._broken = "broken; its futures left pending"
+
+    monkeypatch.setattr(process._ExecutorManagerThread, "terminate_broken", mark_broken_and_exit)
+    # Every worker busy, so the first shard task is still pending when
+    # they all die.
+    pool = executor._pool
+    for _ in range(executor.max_workers):
+        pool.submit(time.sleep, 30)
+    submit, first = executor.submit, []
+
+    def submit_then_kill(task):
+        future = submit(task)
+        if not first:
+            first.append(future)
+            kill_fleet_workers(executor, count=executor.max_workers, seed=7)
+        return future
+
+    executor.submit = submit_then_kill
+    responses = []
+    searcher = threading.Thread(
+        target=lambda: responses.extend(service.search_many(queries, k=K)), daemon=True
+    )
+    searcher.start()
+    searcher.join(60)
+    assert not searcher.is_alive(), "the fan-out waits forever on a future the pool left"
+    assert isinstance(first[0].exception(), BrokenProcessPool)
+    got = [[(r.trajectory_id, r.distance) for r in resp.results] for resp in responses]
+    assert got == truth
+    assert executor.pool_repairs >= 1 and all(r.complete for r in responses)
 
 
 def test_close_while_degraded_neither_raises_nor_leaks_slots(fleet):
