@@ -387,10 +387,11 @@ class ProcessShardExecutor:
     a submission that races it (CPython 3.11), so it can exit and leave a
     future pending with nothing left to resolve it, and a worker alive;
     retiring the pool ends the one and fails the other with
-    :class:`BrokenProcessPool`, so it is healed around like the rest.  Threshold slots are
-    parent-owned ``mp.Value``s inherited by every pool generation, so
-    leases survive a repair; a dead worker's last published threshold
-    stays a sound (real-result) upper bound for the resubmitted task.
+    :class:`BrokenProcessPool`, so it is healed around like the rest.
+    Threshold slots are parent-owned ``mp.Value``s inherited by every pool
+    generation, so leases survive a repair; a dead worker's last published
+    threshold stays a sound (real-result) upper bound for the resubmitted
+    task.
     """
 
     #: Shared threshold slots per executor — bounds the number of

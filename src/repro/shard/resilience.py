@@ -214,10 +214,10 @@ class FanoutSupervisor:
         Called when an attempt dies with :class:`BrokenProcessPool`, and
         whenever a wait for attempts sees none finish within
         ``_HEAL_POLL_S`` (retire the broken pool so resubmission lands on
-        a fresh fleet; returns whether it retired one).  Such attempts are resubmitted at
-        once without spending ``max_retries`` while the run has healed at
-        most :attr:`ProcessShardExecutor.MAX_POOL_REPAIRS` pools; past
-        that they fail like any other.
+        a fresh fleet; returns whether it retired one).  Such attempts are
+        resubmitted at once without spending ``max_retries`` while the run
+        has healed at most :attr:`ProcessShardExecutor.MAX_POOL_REPAIRS`
+        pools; past that they fail like any other.
     run_inline:
         The in-process backends' ``task -> ShardResult`` runner, for the
         caller-runs rule (module docstring); ``None`` submits every
