@@ -2,6 +2,7 @@
 """A/B pairs of the end-to-end benchmark: a parent commit against a change.
 
     python benchmarks/ab.py PARENT CHANGE --workload W --pairs N [--seed S]
+                            [--trace] [--record PR]
 
 Checks each commit out into its own temporary ``git worktree`` (removed
 afterwards) and runs ``benchmarks/e2e/run.py --trace 0`` there — the
@@ -13,6 +14,18 @@ change won (better by the metric's direction in ``BENCHMARK.json``, read
 from the current checkout).  A claimed gain needs the change to win
 nearly every pair by a median gap larger than the parent's IQR.
 
+With ``--trace``, each side also runs ``run.py --trace 1`` once, on the
+same seed: the per-layer split of both is printed, and their count and
+ratio metrics are compared with ``same_counts.py`` (exit 1 if any
+differs).  ``--pairs 0 --trace`` is that check alone.
+
+With ``--record PR``, one JSON line is appended to
+``benchmarks/trajectory.jsonl``: the PR, both commits, the workload, the
+seed, the pairs, per end-to-end metric the medians, the parent's IQR and
+the pairs won, whether every run read ``correct: true``, the traced runs'
+median yardstick ratio and stage split (``--trace``), and the box
+(``nproc``, the CPU model).
+
 Exits 1 when any run does not read ``correct: true``, and stops at once
 on a run that prints no result.
 """
@@ -20,18 +33,22 @@ on a run that prints no result.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+#: The committed perf record: one JSON line per claim (``--record``).
+TRAJECTORY = ROOT / "benchmarks" / "trajectory.jsonl"
 
 
 def run_pairs(run: Callable[[str], dict], pairs: int) -> Dict[str, List[dict]]:
@@ -116,31 +133,111 @@ def e2e_runner(trees: Dict[str, Path], command: List[str]) -> Callable[[str], di
     return run
 
 
-def main(argv=None, runner=None) -> int:
+def same_counts_module():
+    """``benchmarks/same_counts.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("same_counts", ROOT / "benchmarks" / "same_counts.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def compare_traces(traces: Dict[str, dict]) -> List[str]:
+    """Print both traced runs' per-layer split; return ``same_counts``'
+    lines (empty when every count and ratio is equal)."""
+    same_counts = same_counts_module()
+    parent, change = (traces[side]["metrics"] for side in SIDES)
+    print(f"{'layer':34s} {'parent':>10s} {'change':>10s}")
+    for name, entry in parent.items():
+        if entry["unit"] in ("ms", "s"):
+            theirs = change.get(name, {}).get("value", float("nan"))
+            print(f"{name:34s} {entry['value']:10.4g} {theirs:10.4g}")
+    lines = same_counts.differences(traces["parent"], traces["change"])
+    for line in lines:
+        print(line)
+    if not lines:
+        print(f"same counts: {len(same_counts.counted(traces['parent']))} metrics")
+    return lines
+
+
+def commit_id(name: str) -> str:
+    """*name*'s full commit id in this repository (*name* when git cannot
+    resolve it)."""
+    done = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "-q", name + "^{commit}"],
+                          capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else name
+
+
+def cpu_model() -> Optional[str]:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return None
+    return next((line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")), None)
+
+
+def record_line(args, rows: List[dict], correct: bool, traces: Optional[Dict[str, dict]],
+                same: Optional[bool]) -> dict:
+    """The ``--record`` line for these pairs (and traced runs)."""
+    line = {
+        "pr": args.record, "parent": commit_id(args.parent), "change": commit_id(args.change),
+        "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+        "metrics": {row["metric"]: {key: row[key] for key in ("parent", "change", "parent_iqr", "won")}
+                    for row in rows},
+        "correct": correct, "yardstick_ratio": None, "same_counts": same, "stages": None,
+        "nproc": os.cpu_count(), "cpu_model": cpu_model(), "backfilled": False,
+    }
+    if traces is not None:
+        metrics = {side: traces[side]["metrics"] for side in SIDES}
+        line["yardstick_ratio"] = statistics.median(
+            metrics[side]["bench.yardstick_ratio"]["value"] for side in SIDES
+        )
+        line["stages"] = {
+            name: [metrics["parent"][name]["value"], metrics["change"].get(name, {}).get("value")]
+            for name, entry in metrics["parent"].items() if entry["unit"] == "ms"
+        }
+    return line
+
+
+def main(argv=None, runner=None, tracer=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=20130408)
+    parser.add_argument("--trace", action="store_true",
+                        help="also one run.py --trace 1 per side: stage split and same_counts.py")
+    parser.add_argument("--record", type=int, metavar="PR",
+                        help="append the result to benchmarks/trajectory.jsonl as PR's line")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     command = spec["command"] + [
-        "--workload", args.workload, "--seed", str(args.seed),
-        "--seconds", str(spec["run_seconds"]), "--trace", "0",
+        "--workload", args.workload, "--seed", str(args.seed), "--seconds", str(spec["run_seconds"]),
     ]
-    if runner is None:
-        with worktree(args.parent) as parent, worktree(args.change) as change:
-            runs = run_pairs(e2e_runner({"parent": parent, "change": change}, command), args.pairs)
-    else:
+    with ExitStack() as stack:
+        if runner is None or (args.trace and tracer is None):
+            trees = {side: stack.enter_context(worktree(getattr(args, side))) for side in SIDES}
+            runner = runner or e2e_runner(trees, command + ["--trace", "0"])
+            tracer = tracer or e2e_runner(trees, command + ["--trace", "1"])
         runs = run_pairs(runner, args.pairs)
-    print(f"# {args.workload}, seed {args.seed}: {args.parent} -> {args.change}, "
-          f"{args.pairs} alternating pairs")
-    print(report(summarize(runs, spec["end_to_end"])))
+        traces = {side: tracer(side) for side in SIDES} if args.trace else None
+    rows = []
+    if args.pairs:
+        print(f"# {args.workload}, seed {args.seed}: {args.parent} -> {args.change}, "
+              f"{args.pairs} alternating pairs")
+        rows = summarize(runs, spec["end_to_end"])
+        print(report(rows))
     wrong = [(side, i) for side in SIDES for i, r in enumerate(runs[side]) if not r["correct"]]
     for side, i in wrong:
         print(f"# {side} run {i + 1} is not correct")
-    return 1 if wrong else 0
+    same = None
+    if traces is not None:
+        print(f"# {args.workload}, seed {args.seed}: run.py --trace 1, once per side")
+        same = not compare_traces(traces)
+    if args.record is not None:
+        with TRAJECTORY.open("a") as out:
+            out.write(json.dumps(record_line(args, rows, not wrong, traces, same)) + "\n")
+    return 1 if wrong or same is False else 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ line of standard output is the row as one JSON object.
 RSS is the current resident set (``VmRSS``), read after a
 ``gc.collect()``; the APL figure is the ``nbytes`` of every array of
 ``index.apl.image``, including the coordinate, offset and id columns it
-shares with the database.
+shares with the database; the HICL figure is the ``nbytes`` of the
+in-memory levels' byte rows (``index.hicl.levels``).
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def main(argv=None) -> int:
     build_s = time.perf_counter() - t0
     gc.collect()
     rss_built = rss_mb()
-    apl_mb = sum(array.nbytes for array in index.apl.image) / 2**20
+    apl_mb = sum(array.nbytes for array in index.apl.image if isinstance(array, np.ndarray)) / 2**20
+    hicl_mb = sum(rows.nbytes for rows in index.hicl.levels.rows if rows is not None) / 2**20
 
     baseline_s = {}
     for name, searcher in (("il", InvertedListSearch), ("rt", RTreeSearch), ("irt", IRTreeSearch)):
@@ -101,17 +103,18 @@ def main(argv=None) -> int:
         "rss_generated_mb": round(rss_generated, 1),
         "rss_built_mb": round(rss_built, 1),
         "apl_mb": round(apl_mb, 1),
+        "hicl_mb": round(hicl_mb, 2),
         **{f"{name}_build_s": round(seconds, 2) for name, seconds in baseline_s.items()},
         "save_s": round(save_s, 3),
         "load_s": round(load_s, 3),
     }
     print("| preset | scale | trajectories | points | generate | GAT build "
-          "| RSS after generation | RSS after build | APL image "
+          "| RSS after generation | RSS after build | APL image | HICL rows "
           "| IL build | RT build | IRT build | save | load |")
     print(
         f"| {args.preset} | {args.scale:g} | {len(db)} | {row['points']} "
         f"| {generate_s:.1f} s | {build_s:.1f} s | {rss_generated:.1f} MB "
-        f"| {rss_built:.1f} MB | {apl_mb:.1f} MB "
+        f"| {rss_built:.1f} MB | {apl_mb:.1f} MB | {hicl_mb:.2f} MB "
         f"| {baseline_s['il']:.2f} s | {baseline_s['rt']:.2f} s | {baseline_s['irt']:.2f} s "
         f"| {save_s:.3f} s | {load_s:.3f} s |"
     )

@@ -82,9 +82,10 @@ The scalar implementations in :mod:`repro.core.match` and
 :mod:`repro.core.order_match` are kept untouched as oracles; the
 property-based suites (``tests/property/test_kernel_parity.py``,
 ``test_block_kernel_parity.py``) check the kernels against them on
-randomized inputs.  Given the same distances, :func:`min_cover_cost`
-performs the same additions in the same order as ``PointMatchTable``
-(each entry is ``best(remainder) + dist``), and a single-activity row's
+randomized inputs.  Given the same distances, a cover fold (Algorithm 2's
+in ``gat_walk_bound``, the ``Dmom`` row fold's) performs the same
+additions in the same order as ``PointMatchTable`` (each entry is
+``best(remainder) + dist``), and a single-activity row's
 ``Dmm`` is the same minimum.  Three last-ulp (≲2e-16 relative)
 discrepancy sources remain: ``np.hypot`` /
 libm's ``hypot`` can round differently from ``math.hypot`` on ~0.6% of
@@ -138,9 +139,8 @@ object.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as _np
 
@@ -157,51 +157,6 @@ def resolve_kernel(kernel: str) -> str:
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
     return kernel
-
-
-# ----------------------------------------------------------------------
-# Array set-cover — the kernel equivalent of PointMatchTable
-# ----------------------------------------------------------------------
-class _CoverSteps(dict):
-    """The relaxation table over ``2^n_bits`` cover states, built mask by
-    mask on first use: ``steps[pm]`` lists the ``(t, t & ~pm)`` pairs —
-    every state ``t`` a point with overlap mask ``pm`` helps cover, beside
-    the remainder it is relaxed from — in ascending ``t``.  A remainder
-    never shares a bit with ``pm``, so no pair reads a state the same fold
-    writes, and ``steps[0]`` is empty (an irrelevant point folds nothing).
-    """
-
-    def __init__(self, n_bits: int) -> None:
-        self.size = 1 << n_bits
-
-    def __missing__(self, pm: int) -> Tuple[Tuple[int, int], ...]:
-        steps = self[pm] = tuple((t, t & ~pm) for t in range(1, self.size) if t & pm)
-        return steps
-
-
-#: One shared table per state-space size — the transition structure behind
-#: :func:`min_cover_cost` (the C fold loops over the same pairs in the same
-#: order).
-_cover_steps = functools.lru_cache(maxsize=None)(_CoverSteps)
-
-
-def min_cover_cost(entries: Sequence[Tuple[float, int]], n_bits: int) -> float:
-    """Exact min-cost set cover over ``(dist, mask)`` entries.
-
-    ``dp[t]`` is the cheapest cost of a point set whose mask union covers
-    ``t``; folding one entry in performs exactly the additions
-    ``dp[t & ~mask] + dist`` that :class:`~repro.core.match.PointMatchTable`
-    performs (best remainder plus the new distance), so the result is
-    bit-identical to adding the same entries to a table in the same order.
-    """
-    steps = _cover_steps(n_bits)
-    dp = [0.0] + [INFINITY] * ((1 << n_bits) - 1)
-    for dist, pm in entries:
-        for t, rest in steps[pm]:
-            v = dp[rest] + dist
-            if v < dp[t]:
-                dp[t] = v
-    return dp[-1]
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +443,7 @@ def block_dmom(
     segment starts ``k ≤ j``.  Folding column ``j`` in sets ``A[0]`` to
     ``G(i-1, j)`` (a finished row is non-increasing in ``j``) and relaxes
     ``A[t] ← A[t & ~mask_j] + d_j`` for every ``t`` sharing a bit with the
-    mask, in ascending ``t`` (the :func:`_cover_steps` pairs); ``G(i, j)``
+    mask, in ascending ``t``; ``G(i, j)``
     is ``A[full]`` after the fold.  Most folds are skipped, exactly: every
     cover through column ``j`` is ``≥ G(i-1, j) + d_j``, so when that is
     not below the row's best full cover so far, or is above the

@@ -23,9 +23,19 @@ Soundness at the edges (where the paper's prose is silent):
   ``mdist``; ``+inf`` is both sound and tighter, and makes termination on
   exhausted frontiers immediate).
 
+Where it runs.  ``q_i``'s frontier is the best-first queue's entries
+carrying ``q_i``, so the bound is read off the C walk's heap
+(``gat_walk_bound`` in ``repro/native/gat.c``): per query point the ``m``
+nearest entries in frontier order ``(mdist, level, code)``, each cell's
+overlap with ``q_i.Φ`` read from the HICL rows the walk expanded it from,
+the min-cost cover folded over them in that order (the additions a
+:class:`~repro.core.match.PointMatchTable` fed the same entries performs),
+the cap, and the sum in query-point order.  The Python frontier and
+min-cover it replaced are the oracle in ``tests/property/bound_oracle.py``.
+
 When Algorithm 2 runs.  Algorithm 1 reads ``D_lb`` only through its
 termination test ``τ < D_lb`` (``τ`` the current k-th best distance), so
-:func:`beats_unseen` answers that test and runs the min-cover of
+:func:`beats_unseen` answers that test and runs
 :func:`lower_bound_distance` only when cheaper bounds cannot.  An infinite
 ``τ`` never stops the search.  Otherwise one pass over the queue (in C,
 :meth:`~repro.core.pipeline.CandidateRetriever.queue_sums`) buckets each
@@ -42,96 +52,34 @@ continues it, and only a ``τ`` between them needs the exact value.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable
 
-from repro.core.kernels import min_cover_cost
 from repro.core.match import INFINITY
-from repro.index.gat.hicl import QueryBitmaps
+from repro.native import ffi, lib
 
 #: ``m`` of Algorithm 2 — frontier cells per virtual trajectory, as the
 #: engine runs it.  :func:`lower_bound_distance` / :func:`beats_unseen`
 #: take ``m`` as an argument so the property tests can vary it.
 LB_CELLS = 8
 
-# A frontier entry: (mdist, level, cell code).
-FrontierEntry = Tuple[float, int, int]
 
-
-class Frontier:
-    """The not-yet-visited cells of one query point (the paper's
-    ``cellsn(q_i)``), nearest first, ties by ``(level, code)``.
-
-    A per-round snapshot: ``q_i``'s frontier is exactly the best-first
-    queue's entries carrying ``q_i``, so the retriever reads it off the
-    heap when Algorithm 2 asks (:meth:`CandidateRetriever.frontiers`)
-    instead of booking every push and pop a second time.
-
-    Built from the *complete* entry set (not truncated to ``m``): dropping
-    far cells would make the cap unsound once nearer cells are consumed.
-    ``m`` only limits how many cells feed the virtual trajectory.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Iterable[FrontierEntry] = ()) -> None:
-        self._entries: List[FrontierEntry] = sorted(entries)
-
-    def nearest(self, m: int) -> List[FrontierEntry]:
-        return self._entries[:m]
-
-    def mth_distance(self, m: int) -> float:
-        """Distance of the ``m``-th nearest frontier cell, ``+inf`` when the
-        frontier is shorter than ``m`` (no dropped cells to guard against)."""
-        if len(self._entries) >= m:
-            return self._entries[m - 1][0]
-        return INFINITY
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def lower_bound_distance(
-    frontiers: Sequence[Frontier], bitmaps: QueryBitmaps, m: int
-) -> float:
-    """``D_lb`` — Algorithm 2 summed over all query points.
-
-    Parameters
-    ----------
-    frontiers:
-        One :class:`Frontier` per query point, in query order.
-    bitmaps:
-        The query's HICL view: supplies each cell's query-activity overlap
-        (the virtual points' activity sets, line 6 of Algorithm 2) as a
-        mask over ``bitmaps.activities[qi]``.
-    m:
-        Number of nearest frontier cells forming the virtual trajectory.
-    """
-    total = 0.0
-    for qi, frontier in enumerate(frontiers):
-        if not frontier:
-            return INFINITY  # no unseen trajectory can match q_i at all
-        # The virtual trajectory's point match, via the kernel set-cover
-        # (identical values to a PointMatchTable fed the same entries;
-        # cells without overlap carry an empty mask, which it skips).
-        entries = [
-            (mdist, bitmaps.overlap_mask(qi, level, code))
-            for mdist, level, code in frontier.nearest(m)
-        ]
-        cover = min_cover_cost(entries, len(bitmaps.activities[qi]))
-        contribution = min(cover, frontier.mth_distance(m))
-        if contribution == INFINITY:
-            return INFINITY
-        total += contribution
-    return total
+def lower_bound_distance(retriever, m: int) -> float:
+    """``D_lb`` — Algorithm 2 summed over all query points, from the queue
+    of a :class:`~repro.core.pipeline.CandidateRetriever` and the ``m``
+    nearest frontier cells of each point (see the module notes)."""
+    bound = ffi.new("double *")
+    if lib.gat_walk_bound(retriever.walk, m, bound) < 0:
+        raise MemoryError("Algorithm 2's bound")
+    return bound[0]
 
 
 def beats_unseen(
     threshold: float, retriever, m: int, exact: Callable[..., float] = lower_bound_distance
 ) -> bool:
-    """``threshold < lower_bound_distance(retriever.frontiers(),
-    retriever.bitmaps, m)`` — Algorithm 1's termination test against the
-    queue of a :class:`~repro.core.pipeline.CandidateRetriever` — deciding
-    from ``Σ d_1`` / ``Σ d_m`` where they suffice (see the module notes).
+    """``threshold < lower_bound_distance(retriever, m)`` — Algorithm 1's
+    termination test against the queue of a
+    :class:`~repro.core.pipeline.CandidateRetriever` — deciding from
+    ``Σ d_1`` / ``Σ d_m`` where they suffice (see the module notes).
 
     *exact* is the bound called for the undecided case; the engine passes
     its own module-level ``lower_bound_distance`` so that wrapping that
@@ -144,5 +92,5 @@ def beats_unseen(
         return True  # D_lb = +inf, and threshold is finite
     low, high = sums
     return threshold < low or (
-        threshold < high and threshold < exact(retriever.frontiers(), retriever.bitmaps, m)
+        threshold < high and threshold < exact(retriever, m)
     )

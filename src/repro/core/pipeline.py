@@ -8,9 +8,9 @@ into the per-query :class:`~repro.core.context.ExecutionContext`:
   HICL hierarchy and the leaf ITL lists (Section V-A).  One instance per
   query: it owns the walk — heap, which is also the per-query-point
   frontiers that feed Algorithm 2, and seen-row bitmap, both in C
-  (``repro/native/gat.c``) — and the query's HICL bitmaps, which it loads
-  for the walk level by level.  It hands out candidates as **rows** of the
-  APL array store.
+  (``repro/native/gat.c``) — and loads the disk-resident HICL rows the
+  walk asks for.  It hands out candidates as **rows** of the APL array
+  store.
 * :class:`ValidationStage` — an ordered chain of candidate filters, each
   with its own pruning counter on :class:`SearchStats`.  The paper's
   chain is TAS (cheap superset sketch, Section V-C) → APL (exact, one
@@ -43,14 +43,10 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.context import ExecutionContext, SearchStats
-from repro.core.lower_bound import Frontier
 from repro.core.match import INFINITY
 from repro.core.query import Query
 from repro.index.gat.apl import APLStore, PostingRound
-from repro.index.gat.hicl import QueryBitmaps
 from repro.index.gat.index import GATIndex
 from repro.index.gat.tas import SketchTable
 from repro.model.trajectory import ActivityTrajectory
@@ -61,14 +57,6 @@ from repro.storage.cache import RowLRU
 # ----------------------------------------------------------------------
 # Stage 1 — candidate retrieval (Section V-A)
 # ----------------------------------------------------------------------
-#: The C walk's heap entry as a NumPy record, for reading the queue in place.
-_ENTRY = np.dtype(
-    [("mdist", "f8"), ("tick", "i8"), ("code", "i8"),
-     ("level", "i4"), ("qi", "i4"), ("cx", "i4"), ("cy", "i4")]
-)
-assert _ENTRY.itemsize == ffi.sizeof("gat_entry")
-
-
 class CandidateRetriever:
     """Best-first traversal state for one query.
 
@@ -80,44 +68,50 @@ class CandidateRetriever:
     state.
 
     The walk runs in C (``gat_walk_run`` in ``repro/native/gat.c``).  A
-    child expansion reads one nibble of the query's HICL union at the
-    child level (:class:`~repro.index.gat.hicl.QueryBitmaps`: ``q.Φ``'s
-    bitmaps ORed once per query point and level) and, per surviving child,
-    two entries of that (query point, level)'s axis gap tables
-    (:meth:`GridLevel.axis_gaps`), combined the way
-    :func:`~repro.geometry.primitives.min_dist_to_box` combines them — with
-    a port of ``math.hypot`` — so MINDIST, heap order, ``cells_popped`` and
-    ``rounds`` are bit for bit those of the Python walk kept in
-    ``tests/property/python_walk_oracle.py``.  A level's tables are built
-    on its first expansion: the walk returns here, :meth:`_load_tables`
-    loads the union through the view's own load path — so HICL reads land
-    exactly where they did — and the walk resumes.  The frontier of
-    ``q_i`` that feeds Algorithm 2 is the queue's entries carrying ``qi``:
-    :meth:`queue_sums` reads its two cheap bounds in C, :meth:`frontiers`
-    reads it whole when the exact bound is needed.
+    child expansion reads one nibble of ``q_i``'s HICL union at the child
+    level — the OR of ``q_i.Φ``'s byte rows, made on the level's first
+    expansion — and computes the child's ``dx`` / ``dy`` from the grid's
+    column and row extents (:meth:`HierarchicalGrid.extents`) with
+    :func:`~repro.geometry.primitives.min_dist_to_box`'s comparisons,
+    combined the way it combines them — with a port of ``math.hypot`` — so
+    MINDIST, heap order, ``cells_popped`` and ``rounds`` are bit for bit
+    those of the Python walk kept in ``tests/property/python_walk_oracle.py``.
+    An in-memory level's rows come from the HICL publication the query
+    took (:attr:`HICL.levels`).  A disk-resident level suspends the walk on
+    its first expansion: it returns here, :meth:`_load_rows` fetches
+    ``q_i``'s rows through :meth:`HICL.bitmap` and its cache — so counted
+    HICL reads land where and in the order they always did — and the walk
+    resumes.  The frontier of ``q_i`` that feeds Algorithm 2 is the queue's
+    entries carrying ``qi``: :meth:`queue_sums` reads its two cheap bounds
+    in C, :func:`~repro.core.lower_bound.lower_bound_distance` the exact
+    one.
 
-    The ITL arrays, the ``seen`` row bitmap and the harvested (leaf,
-    activity) bitmap are taken when the query starts: an insert publishes
-    new ITL arrays, and this query keeps reading the old ones.
+    The HICL rows, the ITL arrays, the ``seen`` row bitmap and the
+    harvested (leaf, activity) bitmap are taken when the query starts: an
+    insert publishes new HICL and ITL arrays, and this query keeps reading
+    the old ones.
     """
 
-    __slots__ = ("index", "query", "stats", "bitmaps", "exhausted", "_walk", "_n_rows", "_keep")
+    __slots__ = ("index", "query", "stats", "activities", "exhausted", "walk", "_n_rows", "_keep")
 
     def __init__(self, index: GATIndex, query: Query, stats: SearchStats) -> None:
         self.index = index
         self.query = query
         self.stats = stats
-        self.bitmaps = QueryBitmaps(index.hicl, query, stats)
+        levels = index.hicl.levels
         keys, offsets, rows, self._n_rows = index.itl.arrays
-        acts = self.bitmaps.activities
-        walk = lib.gat_walk_new()
+        #: Per query point, ``q_i.Φ`` in a fixed order: bit ``j`` of an
+        #: overlap mask stands for ``activities[qi][j]``.
+        acts = self.activities = [tuple(q.activities) for q in query]
+        walk = lib.gat_walk_new(len(query), index.grid.depth)
         if walk == ffi.NULL:
             raise MemoryError("best-first walk")
-        walk = self._walk = ffi.gc(walk, lib.gat_walk_free)
-        walk.n_points, walk.depth, walk.n_keys = len(query), index.grid.depth, len(keys)
-        # Everything the walk points into, kept alive with it (tables join on load).
+        walk = self.walk = ffi.gc(walk, lib.gat_walk_free)
+        walk.n_keys = len(keys)
+        # Everything the walk points into, kept alive with it (disk rows join on load).
         self._keep = [
-            ffi.new("gat_table[]", len(query) * (index.grid.depth + 1)),
+            levels,
+            ffi.new("double[]", [c for q in query for c in q.coord]),
             ffi.from_buffer("int64_t[]", keys),
             ffi.from_buffer("int64_t[]", offsets),
             ffi.from_buffer("int64_t[]", rows),
@@ -127,36 +121,26 @@ class CandidateRetriever:
             ffi.new("uint8_t[]", (self._n_rows + 7) >> 3),  # rows handed out
             ffi.new("int64_t[]", self._n_rows),  # ... in the order they were
         ]
-        (walk.tables, walk.keys, walk.offsets, walk.rows, walk.acts, walk.act_start,
-         walk.done, walk.seen, walk.out) = self._keep
+        walk.levels = levels.handle
+        (walk.qxy, walk.keys, walk.offsets, walk.rows, walk.acts, walk.act_start,
+         walk.done, walk.seen, walk.out) = self._keep[1:]
         # The level-1 cells: a zero-batch walk expands each query point's root
         # (level 0, code 0, cell (0, 0)), q_0's first, and pops nothing.
         self.retrieve(0)
 
-    def _load_tables(self, qi: int, level: int) -> None:
-        """Give the walk ``q_i``'s HICL union bytes, column gaps and row gaps
-        at *level*.  The union bytes come through the view's own load path,
-        so its HICL reads land exactly when a ``child_nibble`` probe would
-        make them."""
-        bitmaps = self.bitmaps
-        union = (bitmaps._maps[qi][level] or bitmaps._load(qi, level))[0]
-        gx, gy = self.index.grid.levels[level - 1].axis_gaps(self.query[qi].coord)
-        buffers = (ffi.from_buffer("uint8_t[]", union), ffi.new("double[]", gx), ffi.new("double[]", gy))
-        self._keep.append(buffers)
-        table = self._walk.tables[qi * (self._walk.depth + 1) + level]
-        table.bits, table.gx, table.gy = buffers
-
-    def queue(self) -> List[tuple]:
-        """The queued entries, ``(mdist, tick, code, level, qi, cx, cy)``, in
-        heap order."""
-        walk = self._walk
-        if not walk.size:
-            return []
-        heap = ffi.buffer(walk.heap, walk.size * _ENTRY.itemsize)
-        return np.frombuffer(heap, dtype=_ENTRY).tolist()
+    def _load_rows(self, qi: int, level: int) -> None:
+        """Give the walk ``q_i``'s rows at the disk-resident *level*, one per
+        activity back to back, each through the HICL cache (a counted read
+        on a miss)."""
+        hicl, stats = self.index.hicl, self.stats
+        given = ffi.from_buffer(
+            "uint8_t[]", b"".join([hicl.bitmap(a, level, stats) for a in self.activities[qi]])
+        )
+        self._keep.append(given)
+        self.walk.tables[qi * (self.index.grid.depth + 1) + level].given = given
 
     def queue_top_mdist(self) -> float:
-        walk = self._walk
+        walk = self.walk
         return walk.heap[0].mdist if walk.size else INFINITY
 
     def queue_sums(self, m: int) -> Optional[Tuple[float, float]]:
@@ -164,17 +148,10 @@ class CandidateRetriever:
         point's nearest queued ``mdist`` and its ``m``-th (``inf`` below
         ``m`` entries) — or ``None`` when some point has nothing queued."""
         sums = ffi.new("double[2]")
-        status = lib.gat_walk_sums(self._walk, m, sums)
+        status = lib.gat_walk_sums(self.walk, m, sums)
         if status < 0:
             raise MemoryError("best-first walk")
         return None if status else (sums[0], sums[1])
-
-    def frontiers(self) -> List[Frontier]:
-        """Each query point's not-yet-visited cells, read off the queue."""
-        cells: List[list] = [[] for _ in self.query]
-        for mdist, _tick, code, level, qi, _cx, _cy in self.queue():
-            cells[qi].append((mdist, level, code))
-        return [Frontier(entries) for entries in cells]
 
     def retrieve(self, batch: int, stop_mdist: float = INFINITY) -> List[int]:
         """Pop cells best-first until ``batch`` *new* candidate trajectories
@@ -200,13 +177,13 @@ class CandidateRetriever:
         passes the cross-shard merged k-th here; the single-index path
         leaves it at ``inf`` (the paper's loop shape, untouched).
         """
-        walk = self._walk
+        walk = self.walk
         start, popped, leaves = walk.n_out, walk.popped, walk.leaves
         limit = start + min(batch, self._n_rows + 1)  # past every row there is
         while status := lib.gat_walk_run(walk, limit, stop_mdist):
             if status < 0:
                 raise MemoryError("best-first walk")
-            self._load_tables(walk.need_qi, walk.need_level)
+            self._load_rows(walk.need_qi, walk.need_level)
         self.exhausted = not walk.size
         stats = self.stats
         stats.cells_popped += walk.popped - popped

@@ -57,7 +57,7 @@ class GridLevel:
         #: Per column / row ``k``, the cell extent ``(lo, hi)`` along that
         #: axis, ``lo = box.min + k·w``, ``hi = lo + w`` (``w`` = cell size):
         #: the one corner arithmetic behind :meth:`rect`, :meth:`min_dist`
-        #: and :meth:`axis_gaps`.
+        #: and the C walk's gaps (:meth:`HierarchicalGrid.extents`).
         self._columns = _extents(box.min_x, box.width / self.side, self.side)
         self._rows = _extents(box.min_y, box.height / self.side, self.side)
 
@@ -95,25 +95,6 @@ class GridLevel:
         (min_x, max_x), (min_y, max_y) = self._columns[cx], self._rows[cy]
         return min_dist_to_box(point, min_x, min_y, max_x, max_y)
 
-    def axis_gaps(self, point: Coord) -> Tuple[List[float], List[float]]:
-        """``(column gaps, row gaps)``: per column ``k``, the ``dx`` that
-        :func:`min_dist_to_box` computes from *point* to the column's extent
-        ``[lo, hi]`` (``lo - x`` left of it, ``x - hi`` right of it, ``0.0``
-        inside) — and per row the same ``dy``.
-
-        The cell in column ``cx``, row ``cy`` then has ``MINDIST`` ``dy if
-        dx == 0 else dx if dy == 0 else hypot(dx, dy)`` — the combine
-        :func:`min_dist_to_box` ends with, on the same two floats, so the
-        value is bit-identical to :meth:`min_dist` (it orders the
-        best-first heap).  A walk that carries cell coordinates reads two
-        list entries per child instead of recomputing the corners.
-        """
-        x, y = point
-        return (
-            [lo - x if x < lo else x - hi if x > hi else 0.0 for lo, hi in self._columns],
-            [lo - y if y < lo else y - hi if y > hi else 0.0 for lo, hi in self._rows],
-        )
-
 
 def _extents(origin: float, width: float, n: int) -> List[Tuple[float, float]]:
     return [(lo, lo + width) for lo in (origin + k * width for k in range(n))]
@@ -143,6 +124,17 @@ class HierarchicalGrid:
         if not 1 <= lvl <= self.depth:
             raise ValueError(f"level {lvl} outside [1, {self.depth}]")
         return self.levels[lvl - 1]
+
+    def extents(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(columns, rows)``: every level's column and row extents
+        ``(lo, hi)``, levels back to back from level 1 (level ``l``'s
+        ``2^l`` start at pair ``2^l - 2``) — what the C walk computes each
+        child's gaps from, with :func:`min_dist_to_box`'s comparisons, so
+        its MINDIST is :meth:`GridLevel.min_dist` bit for bit."""
+        return (
+            np.array([e for level in self.levels for e in level._columns], dtype=np.float64),
+            np.array([e for level in self.levels for e in level._rows], dtype=np.float64),
+        )
 
     @property
     def leaf_level(self) -> GridLevel:

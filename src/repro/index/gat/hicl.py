@@ -6,13 +6,19 @@ bottom-up: leaf-cell membership comes straight from the points; each higher
 level aggregates four children into their parent (a two-bit shift of the
 Morton code).
 
-Representation: each (level, activity) list is a **bitmap** over the
-level's Morton codes — a Python ``int`` whose bit ``c`` is set iff cell
-``c`` holds the activity.  Union over ``q.Φ`` is ``|``, the list length a
-popcount, and — because the four children of cell ``c`` are codes
-``4c … 4c+3`` — "which children of ``c`` hold any of these activities"
-is the four bits ``4c … 4c+3`` of the child level's bitmap: one nibble
-read instead of a set probe per activity per child (:class:`QueryBitmaps`).
+Representation: each (level, activity) list is a **byte row** over the
+level's Morton codes — ``(4^level + 7) // 8`` bytes, bit ``c & 7`` of byte
+``c >> 3`` set iff cell ``c`` holds the activity.  An in-memory level is one
+dense ``uint8`` array with a row per activity that occurs, built once from
+the leaf lists; :attr:`HICL.levels` publishes the arrays together with the
+C handle the best-first walk reads them through (``repro/native/gat.c``,
+section (a)).  Union over ``q_i.Φ`` is a byte-wise OR of ``q_i``'s rows;
+because the four children of cell ``c`` are codes ``4c … 4c+3``, "which
+children of ``c`` hold any of these activities" is one nibble of the child
+level's union; and a cell's overlap with ``q_i.Φ`` (Algorithm 2's virtual
+points) is one bit per row.  An insert publishes new arrays
+(:meth:`HICL.add_point`) and never writes into the ones a running walk
+reads.
 
 Memory split: "we can just keep the high levels of the structure within
 main memory and the low levels on the secondary storage".  The paper's
@@ -23,8 +29,8 @@ level) inverted list) so lookups are counted as logical I/O.  The disk
 record stays the list itself — a ``frozenset`` of codes under the key
 ``("hicl", level, activity)``, charged by its own serialised size — so a
 counted read costs the bytes and pages the paper's I/O model charges for an
-inverted list, not for a ``4^level``-bit map; the bitmap is decoded from
-it once per cache load.
+inverted list, not for a ``4^level``-bit map; its byte row is decoded from
+it once per cache load (:meth:`HICL.bitmap`, the walk's one Python load).
 
 The paper's memory-budget formula — the largest ``h`` with
 ``sum_{i=1..h} 4^i * C <= B`` i.e. ``h = log4(3B/(4C) + 1)`` — is exposed
@@ -34,14 +40,17 @@ as :func:`memory_level_budget`.
 from __future__ import annotations
 
 import math
-from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Set
+
+import numpy as np
 
 from repro.geometry.grid import HierarchicalGrid
+from repro.native import ffi, struct
 from repro.storage.cache import LRUCache
 from repro.storage.disk import SimulatedDisk
 
 #: Bound on the shared cache of disk-resident (level, activity) lists.  A
-#: cached list is a bitmap of at most ``4^level / 8`` bytes (8 KB at the
+#: cached list is a byte row of ``(4^level + 7) // 8`` bytes (8 KB at the
 #: paper's level 8), so a full cache is a few MB to ~32 MB; the bound only
 #: matters for huge vocabularies, where LRU keeps the query-hot head resident.
 CACHE_CAPACITY = 4096
@@ -58,6 +67,25 @@ def memory_level_budget(budget_bytes: int, vocabulary_size: int) -> int:
         raise ValueError("budget and vocabulary size must be positive")
     h = math.log(3.0 * budget_bytes / (4.0 * vocabulary_size) + 1.0, 4.0)
     return max(0, int(h))
+
+
+def row_bytes(level: int) -> int:
+    """Bytes of one *level* row: a bit per Morton code ``0 … 4^level``."""
+    return ((1 << 2 * level) + 7) >> 3
+
+
+class LevelRows(NamedTuple):
+    """One publication of the in-memory levels: what a walk reads, whole."""
+
+    #: ``(A,)`` ``int64``, ascending: the activities that have a row.
+    activities: np.ndarray
+    #: Per level ``0 … depth``: ``[A, row_bytes(level)]`` ``uint8`` for the
+    #: in-memory levels ``1 … memory_levels`` (read-only), else ``None``.
+    rows: tuple
+    #: The ``gat_levels *`` pointing into the arrays above and the grid's
+    #: extents (``keep`` holds what nothing else does).
+    handle: object
+    keep: tuple
 
 
 class HICL:
@@ -98,14 +126,35 @@ class HICL:
         self.grid = grid
         self.memory_levels = memory_levels
         self.disk = disk
-        # _memory[level][activity] -> bitmap of cell codes (levels 1-based)
-        self._memory: Dict[int, Dict[int, int]] = {}
+        self._extents = grid.extents()
+        #: The in-memory levels and their C handle, replaced (never written
+        #: into) by :meth:`add_point`: a walk reads the publication it took.
+        self.levels = self._publish(
+            np.zeros(0, dtype=np.int64),
+            [None] + [np.zeros((0, row_bytes(level)), dtype=np.uint8) if level <= memory_levels
+                      else None for level in range(1, grid.depth + 1)],
+        )
         # Shared, thread-safe LRU of disk-resident lists, held decoded (as
-        # bitmaps): query-hot lists stay warm *across* queries, so each
+        # byte rows): query-hot lists stay warm *across* queries, so each
         # costs one counted read per eviction cycle, not one per query.
-        # Bitmaps are immutable ints, so sharing them can never change a
+        # Rows are immutable bytes, so sharing them can never change a
         # result; add_point invalidates the cache after its writes.
         self._cache = LRUCache(CACHE_CAPACITY)
+
+    def _publish(self, activities: np.ndarray, rows: List[Optional[np.ndarray]]) -> LevelRows:
+        for table in rows:
+            if table is not None:
+                table.setflags(write=False)
+        pointers = ffi.new("const uint8_t *[]", [
+            ffi.NULL if table is None else ffi.from_buffer("uint8_t[]", table) for table in rows
+        ])
+        columns, grid_rows = self._extents
+        handle = struct(
+            "gat_levels", depth=self.grid.depth, memory_levels=self.memory_levels,
+            acts=activities, n_acts=len(activities), bits=pointers, columns=columns,
+            rows=grid_rows,
+        )
+        return LevelRows(activities, tuple(rows), handle, (pointers, self._extents))
 
     # ------------------------------------------------------------------
     # Construction
@@ -122,55 +171,55 @@ class HICL:
         """Build the full hierarchy from two parallel ``int64`` arrays: each (leaf
         code, activity) a cell holds (:meth:`~repro.index.gat.apl.APLArrays.leaf_lists`)."""
         hicl = cls(grid, memory_levels, disk)
+        present = np.unique(activities)
+        slots = np.searchsorted(present, activities)
         sets: Dict[int, Set[int]] = {}
-        for activity, code in zip(activities.tolist(), leaf_codes.tolist()):
-            sets.setdefault(activity, set()).add(code)
-
+        if memory_levels < grid.depth:
+            for activity, code in zip(activities.tolist(), leaf_codes.tolist()):
+                sets.setdefault(activity, set()).add(code)
+        rows: List[Optional[np.ndarray]] = [None] * (grid.depth + 1)
+        codes = leaf_codes
         for level in range(grid.depth, 0, -1):
             if level <= memory_levels:
-                hicl._memory[level] = {
-                    activity: _encode(codes) for activity, codes in sets.items()
-                }
+                table = rows[level] = np.zeros((len(present), row_bytes(level)), dtype=np.uint8)
+                bytes_at = slots * row_bytes(level) + (codes >> 3)
+                np.bitwise_or.at(table.reshape(-1), bytes_at, np.left_shift(1, codes & 7).astype(np.uint8))
             else:
                 assert disk is not None
-                for activity, codes in sets.items():
-                    disk.put(("hicl", level, activity), frozenset(codes))
-            sets = {activity: {code >> 2 for code in codes} for activity, codes in sets.items()}
+                for activity, cell_codes in sets.items():
+                    disk.put(("hicl", level, activity), frozenset(cell_codes))
+                sets = {activity: {c >> 2 for c in cell_codes} for activity, cell_codes in sets.items()}
+            codes = codes >> 2
+        hicl.levels = hicl._publish(present, rows)
         return hicl
 
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def bitmap(self, activity: int, level: int, stats=None) -> int:
-        """Bitmap of the cells at *level* containing *activity* (bit ``c`` =
-        Morton code ``c``; ``0`` when there are none).  A disk-resident
-        list is one cache lookup, and one counted read on a miss; *stats*
-        (the asking query's :class:`~repro.core.context.SearchStats`)
-        counts the lookup and whether it hit."""
+    def bitmap(self, activity: int, level: int, stats=None) -> bytes:
+        """Byte row of the cells at *level* containing *activity* (all zero
+        when there are none).  A disk-resident list is one cache lookup,
+        and one counted read on a miss; *stats* (the asking query's
+        :class:`~repro.core.context.SearchStats`) counts the lookup and
+        whether it hit."""
         if not 1 <= level <= self.grid.depth:
             raise ValueError(f"level {level} outside [1, {self.grid.depth}]")
         if level <= self.memory_levels:
-            return self._memory.get(level, {}).get(activity, 0)
+            levels = self.levels
+            slot = int(np.searchsorted(levels.activities, activity))
+            if slot < len(levels.activities) and levels.activities[slot] == activity:
+                return levels.rows[level][slot].tobytes()
+            return bytes(row_bytes(level))
 
-        def _load() -> int:
+        def _load() -> bytes:
             assert self.disk is not None
-            stored = self.disk.get_or_none(("hicl", level, activity))
-            return _encode(stored) if stored else 0
+            return _encode(self.disk.get_or_none(("hicl", level, activity)) or (), level)
 
-        bitmap, hit = self._cache.get_or_load((level, activity), _load)
+        row, hit = self._cache.get_or_load((level, activity), _load)
         if stats is not None:
             stats.hicl_cache_lookups += 1
             stats.hicl_cache_hits += hit
-        return bitmap
-
-    def cells_with_activity(self, activity: int, level: int) -> FrozenSet[int]:
-        """Cell codes at *level* containing *activity* (possibly empty) —
-        the decoded view of :meth:`bitmap`, same lookup accounting."""
-        bitmap = self.bitmap(activity, level)
-        data = bitmap.to_bytes((bitmap.bit_length() + 7) >> 3, "little")
-        return frozenset(
-            (i << 3) + j for i, byte in enumerate(data) if byte for j in range(8) if byte >> j & 1
-        )
+        return row
 
     def clear_cache(self) -> None:
         """Drop the cache of disk-resident lists (forces every next lookup
@@ -182,23 +231,32 @@ class HICL:
     # ------------------------------------------------------------------
     def add_point(self, leaf_code: int, activities: Iterable[int]) -> None:
         """Register a new point's activities in its leaf cell and all
-        ancestors.  Disk-resident levels are read-modified-written (counted
-        I/O); the shared list cache is invalidated *after* the writes so a
-        subsequent lookup can only load the updated lists.
+        ancestors.  The in-memory levels are copied, set and published as
+        new arrays with a new handle, so a walk that started before keeps
+        reading the rows it took.  Disk-resident levels are
+        read-modified-written (counted I/O); the shared list cache is
+        invalidated *after* the writes so a subsequent lookup can only load
+        the updated lists.
 
         Dynamic maintenance requires exclusive access: like the rest of
-        the index's mutators it updates plain dicts, so it must not run
-        concurrently with queries (build once, serve many — or quiesce
-        the service around inserts).
+        the index's mutators it must not run concurrently with queries
+        (build once, serve many — or quiesce the service around inserts).
         """
         depth = self.grid.depth
         activity_list = list(activities)
+        levels = self.levels
+        present = np.union1d(levels.activities, np.asarray(activity_list, dtype=np.int64))
+        old_slots = np.searchsorted(present, levels.activities)
+        new_slots = np.searchsorted(present, activity_list).tolist()
+        rows = list(levels.rows)
         code = leaf_code
         for level in range(depth, 0, -1):
             if level <= self.memory_levels:
-                table = self._memory.setdefault(level, {})
-                for activity in activity_list:
-                    table[activity] = table.get(activity, 0) | (1 << code)
+                grown = np.zeros((len(present), row_bytes(level)), dtype=np.uint8)
+                grown[old_slots] = rows[level]
+                for slot in new_slots:
+                    grown[slot, code >> 3] |= 1 << (code & 7)
+                rows[level] = grown
             else:
                 assert self.disk is not None
                 for activity in activity_list:
@@ -207,6 +265,7 @@ class HICL:
                     if code not in stored:
                         self.disk.put(key, stored | {code})
             code >>= 2
+        self.levels = self._publish(present, rows)
         self.clear_cache()
 
     # ------------------------------------------------------------------
@@ -216,83 +275,17 @@ class HICL:
         """The paper's in-memory footprint model: 8 bytes per (activity,
         cell) entry of the memory-resident levels (a popcount) plus 16 per
         list — comparable across granularities, which is what Figure 8
-        plots (not the resident size of the bitmaps themselves)."""
+        plots (not the resident size of the rows themselves)."""
         return sum(
-            8 * bitmap.bit_count() + 16
-            for table in self._memory.values()
-            for bitmap in table.values()
+            8 * int(np.bitwise_count(table).sum()) + 16 * len(table)
+            for table in self.levels.rows
+            if table is not None
         )
 
 
-def _encode(codes: Collection[int]) -> int:
-    """Cell codes (at least one) -> bitmap, linear in the list's length."""
-    buf = bytearray((max(codes) >> 3) + 1)
+def _encode(codes: Collection[int], level: int) -> bytes:
+    """Cell codes -> the *level* byte row, linear in the list's length."""
+    row = bytearray(row_bytes(level))
     for code in codes:
-        buf[code >> 3] |= 1 << (code & 7)
-    return int.from_bytes(buf, "little")
-
-
-class QueryBitmaps:
-    """One query's read view of the HICL, built per query by the retriever.
-
-    Per (query point ``q_i``, level) it holds the OR of the bitmaps of
-    ``q_i.Φ`` and each activity's own bitmap, as ``bytes`` so a probe is
-    O(1) whatever the level's size.  A level is loaded on first use — the
-    retriever asks for level ``l + 1`` when it first pops a level-``l``
-    cell of ``q_i`` — through :meth:`HICL.bitmap`, once per activity, so a
-    query makes one cache lookup per (level, activity) of each query
-    point instead of one per popped cell.
-
-    Counted reads: the (level, activity) lists a query loads are exactly
-    those the per-cell ``frozenset`` walk loaded, so as long as the list
-    cache does not evict *inside* a query (the default 4 096-entry cache,
-    every committed bench) the counted HICL reads per query are identical;
-    the cache sees the same misses and fewer hits.  Under eviction
-    pressure holding the level for the query's lifetime can only save
-    reads.
-    """
-
-    __slots__ = ("hicl", "stats", "activities", "_maps")
-
-    def __init__(self, hicl: HICL, query: Sequence, stats=None) -> None:
-        self.hicl = hicl
-        #: The query's :class:`~repro.core.context.SearchStats`, which
-        #: counts the view's HICL cache lookups (``None``: uncounted).
-        self.stats = stats
-        #: Per query point, ``q_i.Φ`` in a fixed order: bit ``j`` of an
-        #: overlap mask stands for ``activities[qi][j]``.
-        self.activities: List[Tuple[int, ...]] = [tuple(q.activities) for q in query]
-        #: ``_maps[qi][level]`` = (OR of the layers, one layer per activity).
-        self._maps: List[List[Optional[Tuple[bytes, Tuple[bytes, ...]]]]] = [
-            [None] * (hicl.grid.depth + 1) for _ in query
-        ]
-
-    def _load(self, qi: int, level: int) -> Tuple[bytes, Tuple[bytes, ...]]:
-        n_bytes = (4**level + 7) // 8
-        layers = [self.hicl.bitmap(a, level, self.stats) for a in self.activities[qi]]
-        union = 0
-        for bitmap in layers:
-            union |= bitmap
-        maps = self._maps[qi][level] = (
-            union.to_bytes(n_bytes, "little"),
-            tuple(b.to_bytes(n_bytes, "little") for b in layers),
-        )
-        return maps
-
-    def child_nibble(self, qi: int, level: int, parent: int) -> int:
-        """Which of the four *level* cells under cell *parent* (at
-        ``level - 1``; ``0`` for the root) contain at least one of
-        ``q_i``'s activities: bit ``j`` stands for child ``4·parent + j`` —
-        the pruned child expansion of Section V-A in one read."""
-        union = (self._maps[qi][level] or self._load(qi, level))[0]
-        return (union[parent >> 1] >> ((parent & 1) << 2)) & 15
-
-    def overlap_mask(self, qi: int, level: int, code: int) -> int:
-        """``c.Φ ∩ q_i.Φ`` of cell *code* as a mask over
-        ``activities[qi]`` — what equips Algorithm 2's virtual points."""
-        layers = (self._maps[qi][level] or self._load(qi, level))[1]
-        byte, bit = code >> 3, code & 7
-        mask = 0
-        for j, layer in enumerate(layers):
-            mask |= ((layer[byte] >> bit) & 1) << j
-        return mask
+        row[code >> 3] |= 1 << (code & 7)
+    return bytes(row)

@@ -1,12 +1,18 @@
 /* The interpreter-bound loops of the GAT engine, in C.
  *
- * (a) The best-first cell walk of Algorithm 1 (Section V-A): one heap over
- *     every query point's cells, keyed by (mdist, tick) exactly like the
- *     tuples it replaced, the pruned child expansion from the query's HICL
- *     union bitmaps and per-(query point, level) axis gap tables, and the
- *     leaf harvest over the ITL's CSR arrays.  A missing table suspends the
- *     walk: gat_walk_run returns 1 with need_qi / need_level set, the caller
- *     loads the table (counted HICL reads) and calls again.
+ * (a) The best-first cell walk of Algorithm 1 (Section V-A) and Algorithm
+ *     2's bound (Section V-B): one heap over every query point's cells,
+ *     keyed by (mdist, tick) exactly like the tuples it replaced; the pruned
+ *     child expansion from q_i's HICL union -- the OR of q_i's byte rows,
+ *     made on the level's first expansion -- with each child's gaps computed
+ *     from the grid's column and row extents (gat_levels, one handle per
+ *     HICL publication); and the leaf harvest over the ITL's CSR arrays.  An
+ *     in-memory level's rows come from the handle; a disk-resident level
+ *     suspends the walk: gat_walk_run returns 1 with need_qi / need_level
+ *     set, the caller fetches q_i's rows (counted HICL reads) into the
+ *     table's `given` and calls again.  The bound reads each point's m
+ *     nearest queued cells and their overlap masks off the same heap and
+ *     rows (gat_walk_bound), beside the two cheap sums (gat_walk_sums).
  * (b) The Dmom row fold of Algorithm 4 over a candidate block's columns,
  *     walking the candidates in ascending Dmm-gate order with a running
  *     k-th threshold.
@@ -22,10 +28,14 @@
  *     (the import checks that); only the walk needs the math.hypot port.
  *     Its entries read the image and the query through one handle each.
  * (e) APL residency: the engine's LRU of resident records as an intrusive
- *     recency list over image rows, one touch and one insert per round.
+ *     recency list over image rows, one touch and one insert per round,
+ *     every call under the caller's lock.
  *
  * Every entry is reentrant: scratch memory is malloc'd per call and freed
- * before it returns, and -1 means out of memory.
+ * before it returns -- a walk's heap and level tables belong to its
+ * gat_walk, an LRU's lists to its gat_lru, each freed with it -- and -1
+ * means out of memory.  What a handle points into is never written: an
+ * insert publishes new arrays and a new handle.
  */
 #include <float.h>
 #include <math.h>
@@ -110,15 +120,28 @@ typedef struct {
     int32_t level, qi, cx, cy;
 } gat_entry;
 
+/* One HICL publication, what the walk reads per level: level l's cells are
+ * Morton codes 0..4^l, a row holds bit c at byte c >> 3, bit c & 7. */
 typedef struct {
-    const uint8_t *bits; /* q_i's HICL union at the level, one bit per cell */
-    const double *gx;    /* column gaps */
-    const double *gy;    /* row gaps */
+    int32_t depth, memory_levels;
+    const int64_t *acts;   /* the activities with a row, ascending */
+    int64_t n_acts;
+    const uint8_t **bits;  /* [depth + 1]: level l <= memory_levels's [n_acts] rows */
+    const double *columns; /* level l's 2^l column extents (lo, hi) from pair 2^l - 2 */
+    const double *rows;    /* ... and its row extents */
+} gat_levels;
+
+typedef struct {
+    const uint8_t *given;   /* a disk level: q_i's rows back to back, from the caller */
+    const uint8_t **layers; /* q_i's rows, one per activity (NULL: none), then ... */
+    uint8_t *bits;          /* ... their union: built on the level's first expansion */
 } gat_table;
 
 typedef struct {
     int32_t n_points, depth;
+    const gat_levels *levels;
     gat_table *tables; /* [n_points * (depth + 1)], index qi * (depth + 1) + level */
+    const double *qxy; /* q_i's coordinates at qxy[2 * qi], qxy[2 * qi + 1] */
     const int64_t *keys, *offsets, *rows; /* the ITL: key k owns rows[offsets[k]:offsets[k+1]] */
     int64_t n_keys;
     const int64_t *acts, *act_start; /* q_i's activities: acts[act_start[qi]:act_start[qi+1]] */
@@ -129,15 +152,30 @@ typedef struct {
     gat_entry *heap;
     int64_t size, cap, tick;
     int32_t next_root; /* query points whose root is not expanded yet start here */
-    int32_t pending;   /* 1 while `parent` waits for its child level's table */
+    int32_t pending;   /* 1 while `parent` waits for its child level's rows */
     gat_entry parent;
     int32_t need_qi, need_level;
     int64_t popped, leaves;
 } gat_walk;
 
-gat_walk *gat_walk_new(void) { return calloc(1, sizeof(gat_walk)); }
+gat_walk *gat_walk_new(int32_t n_points, int32_t depth) {
+    gat_walk *w = calloc(1, sizeof(gat_walk));
+    gat_table *tables = calloc((int64_t)n_points * (depth + 1), sizeof(gat_table));
+    if (!w || !tables) {
+        free(w);
+        free(tables);
+        return NULL;
+    }
+    w->tables = tables;
+    w->n_points = n_points;
+    w->depth = depth;
+    return w;
+}
 
 void gat_walk_free(gat_walk *w) {
+    for (int64_t i = 0; i < (int64_t)w->n_points * (w->depth + 1); i++)
+        free(w->tables[i].layers);
+    free(w->tables);
     free(w->heap);
     free(w);
 }
@@ -186,22 +224,71 @@ static gat_entry pop(gat_walk *w) {
     return top;
 }
 
-/* Push the children of *p that hold one of q_i's activities: 0 done, 1 the
- * child level's table is missing, -1 out of memory. */
-static int expand(gat_walk *w, const gat_entry *p) {
-    int32_t level = p->level + 1;
-    const gat_table *t = &w->tables[(int64_t)p->qi * (w->depth + 1) + level];
-    if (!t->bits) {
-        w->need_qi = p->qi;
+/* The gap min_dist_to_box computes from v to the extent [lo, hi] along one
+ * axis: its comparisons and its one subtraction (+0.0 on an edge). */
+double gat_axis_gap(double v, double lo, double hi) { return v < lo ? lo - v : v > hi ? v - hi : 0.0; }
+
+/* q_i's rows at *level* and their union: an in-memory level's from the
+ * levels' rows, a disk level's from the caller's (1 asks for them); -1 out
+ * of memory. */
+static int load_table(gat_walk *w, gat_table *t, int32_t qi, int32_t level) {
+    const gat_levels *lv = w->levels;
+    int64_t a0 = w->act_start[qi], k = w->act_start[qi + 1] - a0;
+    int64_t n = (((int64_t)1 << (2 * level)) + 7) >> 3;
+    int in_memory = level <= lv->memory_levels;
+    if (!in_memory && !t->given) {
+        w->need_qi = qi;
         w->need_level = level;
         return 1;
     }
+    const uint8_t **layers = calloc(1, k * sizeof(uint8_t *) + n);
+    if (!layers)
+        return -1;
+    uint8_t *bits = (uint8_t *)(layers + k);
+    for (int64_t j = 0; j < k; j++) {
+        const uint8_t *row = NULL;
+        if (!in_memory) {
+            row = t->given + j * n;
+        } else {
+            int64_t lo = 0, hi = lv->n_acts, a = w->acts[a0 + j];
+            while (lo < hi) {
+                int64_t mid = (lo + hi) >> 1;
+                if (lv->acts[mid] < a)
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            if (lo < lv->n_acts && lv->acts[lo] == a)
+                row = lv->bits[level] + lo * n;
+        }
+        layers[j] = row;
+        if (row)
+            for (int64_t i = 0; i < n; i++)
+                bits[i] |= row[i];
+    }
+    t->layers = layers;
+    t->bits = bits;
+    return 0;
+}
+
+/* Push the children of *p that hold one of q_i's activities: 0 done, 1 the
+ * child level is disk-resident and its rows are missing, -1 out of memory. */
+static int expand(gat_walk *w, const gat_entry *p) {
+    int32_t level = p->level + 1;
+    gat_table *t = &w->tables[(int64_t)p->qi * (w->depth + 1) + level];
+    int status;
+    if (!t->bits && (status = load_table(w, t, p->qi, level)))
+        return status;
+    int64_t first = ((int64_t)1 << level) - 2;
+    const double *col = w->levels->columns + 2 * first, *row = w->levels->rows + 2 * first;
+    double qx = w->qxy[2 * p->qi], qy = w->qxy[2 * p->qi + 1];
     int nibble = (t->bits[p->code >> 1] >> ((p->code & 1) << 2)) & 15;
     for (int j = 0; j < 4; j++) {
         if (!(nibble >> j & 1))
             continue;
         int32_t cx = 2 * p->cx + (j & 1), cy = 2 * p->cy + (j >> 1);
-        double x = t->gx[cx], y = t->gy[cy];
+        double x = gat_axis_gap(qx, col[2 * cx], col[2 * cx + 1]);
+        double y = gat_axis_gap(qy, row[2 * cy], row[2 * cy + 1]);
         gat_entry e = {y, w->tick++, 4 * p->code + j, level, p->qi, cx, cy};
         if (x != 0.0)
             e.mdist = y == 0.0 ? x : gat_hypot(x, y);
@@ -249,8 +336,8 @@ static void harvest(gat_walk *w, const gat_entry *e) {
 }
 
 /* Pop until n_out reaches *limit*, the queue top passes *stop*, or the queue
- * runs dry (0); 1 when a table is missing (resume after loading it); -1 out
- * of memory. */
+ * runs dry (0); 1 when a disk level's rows are missing (resume after setting
+ * the table's `given`); -1 out of memory. */
 int gat_walk_run(gat_walk *w, int64_t limit, double stop) {
     for (;;) {
         int status = 0;
@@ -317,6 +404,91 @@ int gat_walk_sums(const gat_walk *w, int64_t m, double *sums) {
     free(best);
     free(count);
     return empty;
+}
+
+/* Frontier order: nearest first, ties by (level, code). */
+static int nearer(const gat_entry *a, const gat_entry *b) {
+    if (a->mdist != b->mdist)
+        return a->mdist < b->mdist;
+    return a->level != b->level ? a->level < b->level : a->code < b->code;
+}
+
+/* Algorithm 2's D_lb into *out: per query point its m nearest queued cells
+ * (frontier order), their overlap masks with q_i's activities read off the
+ * rows its table holds, the min-cost cover of them folded in that order
+ * (ascending t, strict <: a PointMatchTable's additions), capped by the m-th
+ * cell's mdist (+inf below m cells); the contributions summed in query-point
+ * order, +inf as soon as one is.  Returns -1 when out of memory. */
+int gat_walk_bound(const gat_walk *w, int64_t m, double *out) {
+    int64_t n = w->n_points, widest = 1;
+    for (int64_t qi = 0; qi < n; qi++) {
+        int64_t k = w->act_start[qi + 1] - w->act_start[qi];
+        if (k > 40)
+            return -1; /* 2^k cover states cannot be allocated */
+        if (((int64_t)1 << k) > widest)
+            widest = (int64_t)1 << k;
+    }
+    const gat_entry **best = malloc(n * m * sizeof(gat_entry *)); /* per qi, ascending */
+    int64_t *count = calloc(n, sizeof(int64_t));
+    double *dp = malloc(widest * sizeof(double));
+    if (!best || !count || !dp) {
+        free(best);
+        free(count);
+        free(dp);
+        return -1;
+    }
+    for (int64_t i = 0; i < w->size; i++) {
+        const gat_entry *e = &w->heap[i], **b = best + e->qi * m;
+        int64_t j;
+        if (count[e->qi] < m)
+            j = count[e->qi]++;
+        else if (nearer(e, b[m - 1]))
+            j = m - 1;
+        else
+            continue;
+        for (; j > 0 && nearer(e, b[j - 1]); j--)
+            b[j] = b[j - 1];
+        b[j] = e;
+    }
+    double total = 0.0;
+    for (int64_t qi = 0; qi < n; qi++) {
+        const gat_entry **b = best + qi * m;
+        int64_t k = w->act_start[qi + 1] - w->act_start[qi], size = (int64_t)1 << k;
+        if (!count[qi]) {
+            total = INFINITY; /* no unseen trajectory can match q_i at all */
+            break;
+        }
+        dp[0] = 0.0;
+        for (int64_t t = 1; t < size; t++)
+            dp[t] = INFINITY;
+        for (int64_t i = 0; i < count[qi]; i++) {
+            const gat_entry *e = b[i];
+            const uint8_t **layers = w->tables[(int64_t)qi * (w->depth + 1) + e->level].layers;
+            int64_t pm = 0;
+            for (int64_t j = 0; j < k; j++)
+                if (layers[j] && (layers[j][e->code >> 3] >> (e->code & 7) & 1))
+                    pm |= (int64_t)1 << j;
+            for (int64_t t = 1; t < size; t++) {
+                if (t & pm) {
+                    double v = dp[t & ~pm] + e->mdist;
+                    if (v < dp[t])
+                        dp[t] = v;
+                }
+            }
+        }
+        double cap = count[qi] == m ? b[m - 1]->mdist : INFINITY;
+        double contribution = cap < dp[size - 1] ? cap : dp[size - 1];
+        if (contribution == INFINITY) {
+            total = INFINITY;
+            break;
+        }
+        total += contribution;
+    }
+    *out = total;
+    free(best);
+    free(count);
+    free(dp);
+    return 0;
 }
 
 /* ---------------------------------------------------------------------

@@ -67,3 +67,32 @@ def test_a_run_that_is_not_correct_fails(ab, capsys):
     )
     assert ab.main(["P", "C", "--workload", "cpu_default", "--pairs", "2"], runner=run) == 1
     assert "change run 2 is not correct" in capsys.readouterr().out
+
+
+def _traced(counts):
+    """A tracer returning, per side, a ``run.py --trace 1`` record whose
+    ``core.cells_popped_per_query`` is ``counts[side]``."""
+
+    def trace(side):
+        return {"correct": True, "metrics": {
+            "core.retrieve_ms": {"value": 0.5, "unit": "ms"},
+            "core.cells_popped_per_query": {"value": counts[side], "unit": "count"},
+            "bench.yardstick_ratio": {"value": 1.0, "unit": "ratio"},
+        }}
+
+    return trace
+
+
+def test_trace_alone_passes_on_equal_counts(ab, capsys):
+    run, order = _stub({"parent": [], "change": []})
+    argv = ["P", "C", "--workload", "cpu_default", "--pairs", "0", "--trace"]
+    assert ab.main(argv, runner=run, tracer=_traced({"parent": 457.0, "change": 457.0})) == 0
+    out = capsys.readouterr().out
+    assert order == [] and "core.retrieve_ms" in out and "same counts: 1 metrics" in out
+
+
+def test_trace_fails_on_a_count_that_moved(ab, capsys):
+    run, _order = _stub({"parent": [1.0] * 2, "change": [1.0] * 2})
+    argv = ["P", "C", "--workload", "cpu_default", "--pairs", "2", "--trace"]
+    assert ab.main(argv, runner=run, tracer=_traced({"parent": 457.0, "change": 458.0})) == 1
+    assert "core.cells_popped_per_query: parent 457.0 != change 458.0" in capsys.readouterr().out

@@ -11,6 +11,7 @@ from repro.geometry.grid import Cell, GridLevel, HierarchicalGrid
 from repro.geometry.primitives import BoundingBox
 from repro.geometry.zcurve import z_decode
 
+from python_walk_oracle import axis_gaps, c_axis_gaps
 from rect_oracle import area, contains_point, contains_rect
 
 
@@ -155,11 +156,16 @@ def _combine(dx, dy):
     return dy if dx == 0.0 else dx if dy == 0.0 else math.hypot(dx, dy)
 
 
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
 class TestCellMinDist:
-    """Cell MINDIST — :meth:`GridLevel.min_dist` and the walk's
-    :meth:`GridLevel.axis_gaps` combine — is the ``Rect`` MINDIST: equal
-    with ``==``, never ``isclose`` — it orders the best-first heap, and a
-    last-bit difference reorders pops."""
+    """Cell MINDIST — :meth:`GridLevel.min_dist` and the C walk's gaps
+    (``gat_axis_gap`` over :meth:`HierarchicalGrid.extents`), combined — is
+    the ``Rect`` MINDIST: equal with ``==``, never ``isclose`` — it orders
+    the best-first heap, and a last-bit difference reorders pops.  The C
+    gaps equal the oracle's ``axis_gaps`` bit for bit."""
 
     finite = st.floats(-1e4, 1e4, allow_nan=False)
     extent = st.floats(1e-3, 1e4, allow_nan=False)
@@ -188,12 +194,14 @@ class TestCellMinDist:
     @example(0.0, 0.0, 1.0, 1.0, 8, random.Random(0), "edge")
     def test_equals_rect_min_dist_exactly(self, min_x, min_y, width, height, level, rng, where):
         box = BoundingBox(min_x, min_y, min_x + width, min_y + height)
-        grid_level = GridLevel(box, level)
+        grid = HierarchicalGrid(box, level)
+        grid_level = grid.levels[-1]
         code = rng.randrange(grid_level.n_cells)
         point = self._point(box, grid_level, rng, where)
         expected = grid_level.rect(code).min_dist(point)
         assert grid_level.min_dist(point, code) == expected
-        gx, gy = grid_level.axis_gaps(point)
+        gx, gy = c_axis_gaps(grid, level, point)
+        assert [_bits(gx), _bits(gy)] == [_bits(g) for g in axis_gaps(grid_level, point)]
         cx, cy = z_decode(code, level)
         assert _combine(gx[cx], gy[cy]) == expected
 
@@ -202,16 +210,38 @@ class TestCellMinDist:
     @example(0.0, 0.0, 1.0, 1.0, 5, random.Random(0), "edge")
     @example(-3.7, 11.1, 0.3, 1e4, 5, random.Random(1), "edge")
     def test_axis_gaps_at_every_cell_of_every_level(self, min_x, min_y, width, height, depth, rng, where):
-        """The gap tables of each level, combined, at every one of its cells."""
+        """The gaps of each level, combined, at every one of its cells."""
         box = BoundingBox(min_x, min_y, min_x + width, min_y + height)
         grid = HierarchicalGrid(box, depth)
         point = self._point(box, rng.choice(grid.levels), rng, where)
         for grid_level in grid.levels:
-            gx, gy = grid_level.axis_gaps(point)
+            gx, gy = c_axis_gaps(grid, grid_level.level, point)
             assert len(gx) == len(gy) == grid_level.side
             for code in range(grid_level.n_cells):
                 cx, cy = z_decode(code, grid_level.level)
                 assert _combine(gx[cx], gy[cy]) == grid_level.rect(code).min_dist(point)
+
+    @pytest.mark.parametrize("box", [
+        BoundingBox(0.0, 0.0, 64.0, 64.0),
+        BoundingBox(-3.7, 12.25, 41.9, 77.0),  # extents that do not add up exactly
+    ])
+    def test_c_gaps_on_extent_edges_and_outside_the_box(self, box):
+        """Points exactly on every column's and row's ``lo`` and ``hi`` at
+        every level, and outside the box on each side: the C gaps equal
+        ``axis_gaps`` bit for bit (``+0.0`` on an edge, never ``-0.0``)."""
+        grid = HierarchicalGrid(box, 4)
+        columns, rows = grid.extents()
+        mid_x, mid_y = (box.min_x + box.max_x) / 2, (box.min_y + box.max_y) / 2
+        points = [(x, mid_y) for x in columns.ravel().tolist()]
+        points += [(mid_x, y) for y in rows.ravel().tolist()]
+        points += [(box.min_x - 5.5, mid_y), (box.max_x + 5.5, mid_y),
+                   (mid_x, box.min_y - 5.5), (mid_x, box.max_y + 5.5),
+                   (box.min_x - 1.0, box.max_y + 2.0), (box.max_x + 3.0, box.min_y - 4.0)]
+        for point in points:
+            for grid_level in grid.levels:
+                got = c_axis_gaps(grid, grid_level.level, point)
+                want = axis_gaps(grid_level, point)
+                assert [_bits(g) for g in got] == [_bits(g) for g in want], (point, grid_level.level)
 
     def test_children_share_parent_coordinates(self, grid):
         # Child 4·code + j of cell (cx, cy) sits at (2cx + (j & 1), 2cy + (j >> 1)).

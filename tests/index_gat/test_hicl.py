@@ -1,13 +1,16 @@
 """Unit tests for the Hierarchical Inverted Cell List (HICL)."""
 
+import numpy as np
 import pytest
+from frozenset_hicl_oracle import cells_with_activity
+from python_walk_oracle import QueryBitmaps
 
 from repro.core.context import SearchStats
 from repro.geometry.grid import HierarchicalGrid
 from repro.core.query import Query, QueryPoint
 from repro.index.gat.apl import APLStore
 import repro.index.gat.hicl as hicl_module
-from repro.index.gat.hicl import HICL, QueryBitmaps, memory_level_budget
+from repro.index.gat.hicl import HICL, memory_level_budget, row_bytes
 from repro.model.database import TrajectoryDatabase
 from repro.storage.disk import SimulatedDisk
 
@@ -39,7 +42,7 @@ class TestBuild:
     def test_all_in_memory(self, db, grid):
         hicl = build_hicl(db, grid, memory_levels=4)
         a = db.vocabulary.id_of("a")
-        cells = hicl.cells_with_activity(a, 4)
+        cells = cells_with_activity(hicl, a, 4)
         assert cells  # a exists somewhere at leaf level
         # Both 'a' points are near (1,1): one or two leaf cells.
         assert 1 <= len(cells) <= 2
@@ -48,7 +51,7 @@ class TestBuild:
         hicl = build_hicl(db, grid, memory_levels=4)
         a = db.vocabulary.id_of("a")
         leaf = grid.leaf_level.locate((1.0, 1.0))
-        assert leaf in hicl.cells_with_activity(a, 4)
+        assert leaf in cells_with_activity(hicl, a, 4)
 
     def test_parent_aggregation(self, db, grid):
         """A cell contains alpha at level L-1 iff one of its children does."""
@@ -56,8 +59,8 @@ class TestBuild:
         for name in ("a", "b"):
             act = db.vocabulary.id_of(name)
             for level in range(1, 4):
-                parents = hicl.cells_with_activity(act, level)
-                children = hicl.cells_with_activity(act, level + 1)
+                parents = cells_with_activity(hicl, act, level)
+                children = cells_with_activity(hicl, act, level + 1)
                 assert parents == {code >> 2 for code in children}
 
     def test_empty_activity_points_ignored(self, db, grid):
@@ -65,19 +68,19 @@ class TestBuild:
         mid_leaf = grid.leaf_level.locate((5.0, 5.0))
         a = db.vocabulary.id_of("a")
         b = db.vocabulary.id_of("b")
-        assert mid_leaf not in hicl.cells_with_activity(a, 4)
-        assert mid_leaf not in hicl.cells_with_activity(b, 4)
+        assert mid_leaf not in cells_with_activity(hicl, a, 4)
+        assert mid_leaf not in cells_with_activity(hicl, b, 4)
 
     def test_unknown_activity_empty(self, db, grid):
         hicl = build_hicl(db, grid, memory_levels=4)
-        assert hicl.cells_with_activity(999, 4) == frozenset()
+        assert cells_with_activity(hicl, 999, 4) == frozenset()
 
     def test_level_bounds_checked(self, db, grid):
         hicl = build_hicl(db, grid, memory_levels=4)
         with pytest.raises(ValueError):
-            hicl.cells_with_activity(0, 0)
+            cells_with_activity(hicl, 0, 0)
         with pytest.raises(ValueError):
-            hicl.cells_with_activity(0, 5)
+            cells_with_activity(hicl, 0, 5)
 
 
 class TestDiskResidence:
@@ -92,29 +95,27 @@ class TestDiskResidence:
         for name in ("a", "b"):
             act = db.vocabulary.id_of(name)
             for level in (3, 4):
-                assert hicl.cells_with_activity(act, level) == full.cells_with_activity(
-                    act, level
-                )
+                assert cells_with_activity(hicl, act, level) == cells_with_activity(full, act, level)
 
     def test_disk_reads_counted_once_per_query_with_cache(self, db, grid):
         disk = SimulatedDisk()
         hicl = build_hicl(db, grid, memory_levels=2, disk=disk)
         disk.reset_stats()
         a = db.vocabulary.id_of("a")
-        hicl.cells_with_activity(a, 4)
-        hicl.cells_with_activity(a, 4)
-        hicl.cells_with_activity(a, 4)
+        cells_with_activity(hicl, a, 4)
+        cells_with_activity(hicl, a, 4)
+        cells_with_activity(hicl, a, 4)
         assert disk.stats.reads == 1  # cached after the first read
         hicl.clear_cache()
-        hicl.cells_with_activity(a, 4)
+        cells_with_activity(hicl, a, 4)
         assert disk.stats.reads == 2
 
     def test_memory_levels_do_not_touch_disk(self, db, grid):
         disk = SimulatedDisk()
         hicl = build_hicl(db, grid, memory_levels=2, disk=disk)
         disk.reset_stats()
-        hicl.cells_with_activity(db.vocabulary.id_of("a"), 1)
-        hicl.cells_with_activity(db.vocabulary.id_of("a"), 2)
+        cells_with_activity(hicl, db.vocabulary.id_of("a"), 1)
+        cells_with_activity(hicl, db.vocabulary.id_of("a"), 2)
         assert disk.stats.reads == 0
 
     def test_cache_is_lru_bounded(self, db, grid, monkeypatch):
@@ -124,9 +125,9 @@ class TestDiskResidence:
         hicl = build_hicl(db, grid, memory_levels=2, disk=disk)
         disk.reset_stats()
         a, b = db.vocabulary.id_of("a"), db.vocabulary.id_of("b")
-        hicl.cells_with_activity(a, 4)  # load a
-        hicl.cells_with_activity(b, 4)  # evicts a (capacity 1)
-        hicl.cells_with_activity(a, 4)  # re-read from disk
+        cells_with_activity(hicl, a, 4)  # load a
+        cells_with_activity(hicl, b, 4)  # evicts a (capacity 1)
+        cells_with_activity(hicl, a, 4)  # re-read from disk
         assert disk.stats.reads == 3
 
     def test_cache_stats_exposed(self, db, grid):
@@ -141,6 +142,39 @@ class TestDiskResidence:
         hicl.bitmap(a, 2, stats)
         assert stats.hicl_cache_hits == 1
         assert stats.hicl_cache_lookups - stats.hicl_cache_hits == 1
+
+
+class TestByteRows:
+    """In-memory levels are dense read-only ``uint8`` arrays, a row per
+    activity that occurs; an insert publishes new ones."""
+
+    def test_levels_are_dense_byte_rows(self, db, grid):
+        hicl = build_hicl(db, grid, memory_levels=3, disk=SimulatedDisk())
+        levels = hicl.levels
+        present = sorted(db.vocabulary.id_of(name) for name in ("a", "b"))
+        assert levels.activities.tolist() == present
+        assert levels.rows[0] is None and levels.rows[4] is None  # level 4 is on disk
+        for level in (1, 2, 3):
+            rows = levels.rows[level]
+            assert rows.dtype == np.uint8 and rows.shape == (2, row_bytes(level))
+            assert not rows.flags.writeable
+            for slot, activity in enumerate(present):
+                assert hicl.bitmap(activity, level) == rows[slot].tobytes()
+        assert hicl.bitmap(999, 2) == bytes(row_bytes(2))
+        assert len(hicl.bitmap(present[0], 4)) == row_bytes(4) == 32
+
+    def test_add_point_publishes_new_rows(self, db, grid):
+        hicl = build_hicl(db, grid, memory_levels=4)
+        old = hicl.levels
+        before = [None if rows is None else rows.copy() for rows in old.rows]
+        leaf = grid.leaf_level.locate((5.0, 5.0))
+        hicl.add_point(leaf, [db.vocabulary.id_of("a"), 7])
+        assert hicl.levels is not old and hicl.levels.handle != old.handle
+        for was, rows in zip(before, old.rows):  # the old arrays are untouched
+            assert (was is None and rows is None) or np.array_equal(was, rows)
+        assert 7 in hicl.levels.activities.tolist()
+        for level in range(1, 5):
+            assert leaf >> 2 * (4 - level) in cells_with_activity(hicl, 7, level)
 
 
 class TestWarmCacheAcrossQueries:
@@ -191,8 +225,9 @@ class TestWarmCacheAcrossQueries:
 
 
 class TestQueries:
-    """The per-query bitmap view (``QueryBitmaps``) — what the retriever
-    and Algorithm 2 read.  The ``frozenset`` walkers it replaced live in
+    """The per-query bitmap view (``python_walk_oracle.QueryBitmaps``) —
+    what the Python walk and the oracle bound read — over ``HICL.bitmap``'s
+    byte rows.  The ``frozenset`` walkers it replaced live in
     ``tests/property/frozenset_hicl_oracle.py``; the differential test
     there compares the two over whole retrievals."""
 
@@ -206,8 +241,9 @@ class TestQueries:
         hicl = build_hicl(db, grid, memory_levels=4)
         a, b = db.vocabulary.id_of("a"), db.vocabulary.id_of("b")
         view = self._view(hicl, {a, b})
-        union = hicl.cells_with_activity(a, 4) | hicl.cells_with_activity(b, 4)
-        assert hicl.bitmap(a, 4) | hicl.bitmap(b, 4) == sum(1 << code for code in union)
+        union = cells_with_activity(hicl, a, 4) | cells_with_activity(hicl, b, 4)
+        as_int = [int.from_bytes(hicl.bitmap(act, 4), "little") for act in (a, b)]
+        assert as_int[0] | as_int[1] == sum(1 << code for code in union)
         # Every leaf cell shows up in its parent's nibble, and nothing else does.
         children = {
             (parent << 2) + j
@@ -239,7 +275,7 @@ class TestQueries:
             nibble = view.child_nibble(0, level + 1, code)
             assert nibble
             kids = [(code << 2) + j for j in range(4) if nibble >> j & 1]
-            assert set(kids) <= hicl.cells_with_activity(a, level + 1)
+            assert set(kids) <= cells_with_activity(hicl, a, level + 1)
             code, level = kids[0], level + 1
 
     def test_cell_has_any(self, db, grid):

@@ -14,6 +14,7 @@ import math
 import random
 
 import numpy as np
+from python_walk_oracle import c_axis_gaps
 
 import repro.native as native
 from repro.geometry.primitives import BoundingBox
@@ -33,16 +34,16 @@ def test_hypot_equals_math_hypot_on_a_million_pairs():
 
 
 def test_hypot_equals_math_hypot_on_every_depth8_gap_pair():
-    """Every nonzero (column gap, row gap) pair of a depth-8 grid, seen from
-    query points inside, on the edge of and outside the box."""
+    """Every nonzero (column gap, row gap) pair of a depth-8 grid — the gaps
+    the walk computes from the grid's extents — seen from query points
+    inside, on the edge of and outside the box."""
     grid = HierarchicalGrid(BoundingBox(-3.7, 12.25, 41.9, 77.0), 8)
-    leaf = grid.leaf_level
     rng = random.Random(7)
     points = [(-3.7, 12.25), (41.9, 77.0), (-50.0, 200.0), (17.3, 44.1)]
     points += [(rng.uniform(-10, 50), rng.uniform(0, 90)) for _ in range(4)]
     c_hypot = native.lib.gat_hypot
     for point in points:
-        gx, gy = leaf.axis_gaps(point)
+        gx, gy = c_axis_gaps(grid, 8, point)
         xs = [x for x in gx if x]
         ys = [y for y in gy if y]
         bad = [(x, y) for x in xs for y in ys if c_hypot(x, y) != math.hypot(x, y)]

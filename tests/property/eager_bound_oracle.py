@@ -4,8 +4,11 @@ oracle ``test_eager_bound_differential.py`` compares the lazy termination
 test against.
 
 Every round computes ``D_lb`` in full right after retrieval, before
-validation: Algorithm 2's min-cover over every query point's frontier (or,
-under the loose-bound ablation, the queue top), whatever the threshold.
+validation: Algorithm 2's min-cover over every query point's frontier — in
+Python, ``bound_oracle.lower_bound_distance`` over the frontiers read off
+the C heap and a ``QueryBitmaps`` view, whose loads are cache hits on
+levels the walk already loaded (or, under the loose-bound ablation, the
+queue top), whatever the threshold.
 After scoring the search stops once the k-th best distance beats it.  The
 production engine tests the same ``τ < D_lb`` after scoring but computes
 ``D_lb`` only when ``τ`` is finite and two sums read off the queue cannot
@@ -13,9 +16,12 @@ decide it; since nothing moves the queue between retrieval and that test,
 both must see the same rounds, rankings and counters.
 """
 
+import bound_oracle
+from python_walk_oracle import QueryBitmaps
+
 from repro.core.context import ExecutionContext
 from repro.core.evaluator import MatchEvaluator
-from repro.core.lower_bound import LB_CELLS, lower_bound_distance
+from repro.core.lower_bound import LB_CELLS
 from repro.core.match import INFINITY
 from repro.core.pipeline import CandidateRetriever, ScoringStage, ValidationStage
 from repro.core.results import SearchResult
@@ -35,13 +41,16 @@ def eager_execute(engine, query, k, order_sensitive=False, external_threshold=No
     scoring = ScoringStage()
     with engine.index.disk.track() as disk:
         retriever = CandidateRetriever(engine.index, query, ctx.stats)
+        view = QueryBitmaps(engine.index.hicl, query)
         shared_mode = external_threshold is not None
         while True:
             ctx.stats.rounds += 1
             stop_mdist = ctx.threshold() if shared_mode else INFINITY
             new_candidates = retriever.retrieve(engine.retrieval_batch, stop_mdist=stop_mdist)
             if engine.use_tight_lower_bound:
-                lower = lower_bound_distance(retriever.frontiers(), retriever.bitmaps, LB_CELLS)
+                lower = bound_oracle.lower_bound_distance(
+                    bound_oracle.frontiers(retriever), view, LB_CELLS
+                )
             else:
                 lower = retriever.queue_top_mdist()
             admitted = validation.admit_batch(ctx, new_candidates)

@@ -1,7 +1,7 @@
 """The per-cell ``frozenset`` walk the best-first retrieval ran on before
 the HICL became bitmaps — kept (bar names, and reading the lists through
-``HICL.cells_with_activity``, the decoded view of the bitmap with the same
-cache/disk accounting) as the oracle ``test_retrieval_differential.py``
+:func:`cells_with_activity`, the decoded view of ``HICL.bitmap``'s byte
+row with the same cache/disk accounting) as the oracle ``test_retrieval_differential.py``
 compares the bitmap walk against, pop by pop (the Python one in
 ``python_walk_oracle.py``; the C walk is compared with that one).
 
@@ -28,9 +28,18 @@ import heapq
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
+import numpy as np
+
+from bound_oracle import min_cover_cost
 from itl_oracle import ITL
-from repro.core.kernels import min_cover_cost
 from repro.core.match import INFINITY
+
+
+def cells_with_activity(hicl, activity: int, level: int) -> FrozenSet[int]:
+    """Cell codes at *level* containing *activity* (possibly empty): the
+    decoded :meth:`HICL.bitmap` row, same lookup accounting."""
+    row = np.frombuffer(hicl.bitmap(activity, level), dtype=np.uint8)
+    return frozenset(np.flatnonzero(np.unpackbits(row, bitorder="little")).tolist())
 
 
 # ----------------------------------------------------------------------
@@ -40,14 +49,14 @@ def cells_with_any(hicl, activities: Iterable[int], level: int) -> FrozenSet[int
     """Union of the per-activity cell lists."""
     out: Set[int] = set()
     for activity in activities:
-        out |= hicl.cells_with_activity(activity, level)
+        out |= cells_with_activity(hicl, activity, level)
     return frozenset(out)
 
 
 def cell_has_any(hicl, code: int, activities: Iterable[int], level: int) -> bool:
     """Does the cell contain at least one of *activities*?"""
     return any(
-        code in hicl.cells_with_activity(activity, level) for activity in activities
+        code in cells_with_activity(hicl, activity, level) for activity in activities
     )
 
 
@@ -58,7 +67,7 @@ def cell_activity_overlap(
     return frozenset(
         activity
         for activity in activities
-        if code in hicl.cells_with_activity(activity, level)
+        if code in cells_with_activity(hicl, activity, level)
     )
 
 
@@ -66,7 +75,7 @@ def children_with_any(hicl, code: int, level: int, activities: Iterable[int]) ->
     """The (up to four) children of cell *code* at ``level + 1`` that
     contain at least one of *activities*."""
     child_level = level + 1
-    lists = [hicl.cells_with_activity(a, child_level) for a in list(activities)]
+    lists = [cells_with_activity(hicl, a, child_level) for a in list(activities)]
     base = code << 2
     out = []
     for child in (base, base + 1, base + 2, base + 3):

@@ -18,10 +18,11 @@ as the candidate layout ``dense_dmom_oracle.py`` reads:
 from typing import List, Optional, Sequence
 
 import numpy as _np
+from bound_oracle import _cover_steps
 from distance_oracle import distance_matrix
 from numpy_round_oracle import c_fold
 
-from repro.core.kernels import INFINITY, QueryKernel, _cover_steps
+from repro.core.kernels import INFINITY, QueryKernel
 
 
 def _mpm_scan(

@@ -21,9 +21,10 @@ from typing import List, Optional
 
 import numpy as np
 
+from bound_oracle import _cover_steps
 from numpy_round_oracle import numpy_block_dmm
 
-from repro.core.kernels import INFINITY, _cover_steps
+from repro.core.kernels import INFINITY
 
 
 def list_form(dist, mask):

@@ -11,18 +11,106 @@ child MINDIST combined from the per-(query point, level) axis gap tables
 with ``math.hypot`` — the values the C port of ``math.hypot`` must equal.
 It also records its pop sequence ``(mdist, level, code, qi)`` — what the
 ``frozenset`` oracle is checked against.
+
+Also here, because only this walk uses them: :class:`QueryBitmaps`, the
+per-query read view of the HICL the walk's tables came from (the C walk
+ORs the rows itself), and :func:`axis_gaps`, the per-level gap tables (the
+C walk computes each child's gaps from the grid's extents).
 """
 
 import itertools
+from functools import reduce
 from heapq import heappop, heappush
 from math import hypot
-from typing import Dict, List, Set, Tuple
+from operator import or_
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from bound_oracle import Frontier
 from repro.core.context import SearchStats
-from repro.core.lower_bound import Frontier
 from repro.core.match import INFINITY
 from repro.index.gat.apl import ACTIVITY_BITS
-from repro.index.gat.hicl import QueryBitmaps
+from repro.index.gat.hicl import row_bytes
+from repro.native import lib
+
+
+def axis_gaps(grid_level, point) -> Tuple[List[float], List[float]]:
+    """``(column gaps, row gaps)`` of a ``GridLevel``: per column ``k``, the
+    ``dx`` that :func:`~repro.geometry.primitives.min_dist_to_box` computes
+    from *point* to the column's extent ``[lo, hi]`` (``lo - x`` left of
+    it, ``x - hi`` right of it, ``0.0`` inside) — and per row the same
+    ``dy``.
+
+    The cell in column ``cx``, row ``cy`` then has ``MINDIST`` ``dy if
+    dx == 0 else dx if dy == 0 else hypot(dx, dy)`` — the combine
+    ``min_dist_to_box`` ends with, on the same two floats, so the value is
+    bit-identical to ``GridLevel.min_dist``.
+    """
+    x, y = point
+    return (
+        [lo - x if x < lo else x - hi if x > hi else 0.0 for lo, hi in grid_level._columns],
+        [lo - y if y < lo else y - hi if y > hi else 0.0 for lo, hi in grid_level._rows],
+    )
+
+
+def c_axis_gaps(grid, level: int, point) -> Tuple[List[float], List[float]]:
+    """The gaps the C walk computes at *level* (``gat_axis_gap`` over
+    ``grid.extents()``, the arrays it reads), in :func:`axis_gaps`' layout."""
+    first, side = (1 << level) - 2, 1 << level
+    x, y = point
+    columns, rows = (extents[first:first + side].tolist() for extents in grid.extents())
+    gap = lib.gat_axis_gap
+    return [gap(x, lo, hi) for lo, hi in columns], [gap(y, lo, hi) for lo, hi in rows]
+
+
+class QueryBitmaps:
+    """One query's read view of the HICL.
+
+    Per (query point ``q_i``, level) it holds the OR of the byte rows of
+    ``q_i.Φ`` and each activity's own row (``bytes``, so a probe is O(1)
+    whatever the level's size).  A level is loaded on first use through
+    :meth:`HICL.bitmap`, once per activity, so a query makes one cache
+    lookup per (level, activity) of each query point — the loads, and
+    their order, the C walk makes for its disk-resident levels.
+    """
+
+    __slots__ = ("hicl", "stats", "activities", "_maps")
+
+    def __init__(self, hicl, query: Sequence, stats=None) -> None:
+        self.hicl = hicl
+        #: The query's :class:`SearchStats`, which counts the view's HICL
+        #: cache lookups (``None``: uncounted).
+        self.stats = stats
+        #: Per query point, ``q_i.Φ`` in a fixed order: bit ``j`` of an
+        #: overlap mask stands for ``activities[qi][j]``.
+        self.activities: List[Tuple[int, ...]] = [tuple(q.activities) for q in query]
+        #: ``_maps[qi][level]`` = (OR of the rows, one row per activity).
+        self._maps: List[List[Optional[Tuple[bytes, Tuple[bytes, ...]]]]] = [
+            [None] * (hicl.grid.depth + 1) for _ in query
+        ]
+
+    def _load(self, qi: int, level: int) -> Tuple[bytes, Tuple[bytes, ...]]:
+        layers = tuple(self.hicl.bitmap(a, level, self.stats) for a in self.activities[qi])
+        union = reduce(or_, (int.from_bytes(row, "little") for row in layers), 0)
+        maps = self._maps[qi][level] = (union.to_bytes(row_bytes(level), "little"), layers)
+        return maps
+
+    def child_nibble(self, qi: int, level: int, parent: int) -> int:
+        """Which of the four *level* cells under cell *parent* (at
+        ``level - 1``; ``0`` for the root) contain at least one of
+        ``q_i``'s activities: bit ``j`` stands for child ``4·parent + j`` —
+        the pruned child expansion of Section V-A in one read."""
+        union = (self._maps[qi][level] or self._load(qi, level))[0]
+        return (union[parent >> 1] >> ((parent & 1) << 2)) & 15
+
+    def overlap_mask(self, qi: int, level: int, code: int) -> int:
+        """``c.Φ ∩ q_i.Φ`` of cell *code* as a mask over
+        ``activities[qi]`` — what equips Algorithm 2's virtual points."""
+        layers = (self._maps[qi][level] or self._load(qi, level))[1]
+        byte, bit = code >> 3, code & 7
+        mask = 0
+        for j, layer in enumerate(layers):
+            mask |= ((layer[byte] >> bit) & 1) << j
+        return mask
 
 #: Per child-occupancy nibble, ``(j, dx, dy)`` of its set bits, ascending.
 _NIBBLE_CHILDREN = tuple(
@@ -62,7 +150,7 @@ class PythonWalkRetriever:
     def _level_tables(self, qi: int, level: int) -> tuple:
         bitmaps = self.bitmaps
         union = (bitmaps._maps[qi][level] or bitmaps._load(qi, level))[0]
-        gaps = self.index.grid.levels[level - 1].axis_gaps(self.query[qi].coord)
+        gaps = axis_gaps(self.index.grid.levels[level - 1], self.query[qi].coord)
         tables = self._tables[qi][level] = (union, *gaps)
         return tables
 

@@ -12,6 +12,7 @@ Dmom scan's re-association can differ from the scalar fold.
 import math
 
 import pytest
+from bound_oracle import min_cover_cost
 from dense_dmom_oracle import dense_dmom_prepared
 from distance_oracle import distance_matrix
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +20,7 @@ from per_candidate_oracle import CandidateArrays, c_dmom
 from python_fold_oracle import dmom_all_single_np, list_form, python_dmom_prepared
 
 from repro.core import kernels
-from repro.core.kernels import QueryKernel, min_cover_cost, resolve_kernel
+from repro.core.kernels import QueryKernel, resolve_kernel
 from repro.core.evaluator import MatchEvaluator
 from repro.core.match import INFINITY, PointMatchTable
 from repro.core.order_match import minimum_order_match_distance

@@ -1,21 +1,25 @@
-"""The lazy termination test equals the exact one.
+"""The lazy termination test equals the exact one, and the C bound equals
+the Python one it replaced.
 
 ``beats_unseen(τ, retriever, m)`` must answer ``τ < lower_bound_distance(
-retriever.frontiers(), retriever.bitmaps, m)`` on every real retriever
-state — before the first round and after each — for every ``τ`` that can
+retriever, m)`` on every real retriever state — before the first round and after each — for every ``τ`` that can
 sit on a decision edge: ``inf``, ``Σ d_1``, ``Σ d_m``, ``D_lb`` and its two
 float neighbours, ``0.0`` and a random value.  The states come from
 ``test_retrieval_differential``'s generated databases, grids, queries and
 round bounds (grids up to depth 8).  It must also run Algorithm 2 exactly
 when ``Σ d_1 ≤ τ < Σ d_m``, and the two sums — which the C walk computes
 (``CandidateRetriever.queue_sums``) — must equal the ones summed here from
-the frontiers and bracket ``D_lb``.
+the frontiers and bracket ``D_lb``.  On every state the C bound
+(``gat_walk_bound``) must equal ``bound_oracle.lower_bound_distance`` over
+the frontiers read off the heap, with ``==``.
 """
 
 import math
 import random
 
+import bound_oracle
 from hypothesis import example, given, settings, strategies as st
+from python_walk_oracle import QueryBitmaps
 from test_retrieval_differential import _SPREAD, GHOST, MAX_ROUNDS, Case, _build_index, _cases
 
 from repro.core import pipeline
@@ -37,9 +41,11 @@ def _sums(frontiers, m):
     return low, high
 
 
-def _check_state(retriever, m, rng):
-    lower = lower_bound_distance(retriever.frontiers(), retriever.bitmaps, m)
-    sums = _sums(retriever.frontiers(), m)
+def _check_state(retriever, view, m, rng):
+    lower = lower_bound_distance(retriever, m)
+    frontiers = bound_oracle.frontiers(retriever)
+    assert lower == bound_oracle.lower_bound_distance(frontiers, view, m)
+    sums = _sums(frontiers, m)
     assert retriever.queue_sums(m) == sums  # the C pass over the queue, exactly
     taus = [
         INFINITY,
@@ -70,11 +76,12 @@ def _check(case: Case, rng) -> None:
     for raw in case.queries:
         query = Query([QueryPoint(x, y, frozenset(acts)) for x, y, acts in raw])
         retriever = pipeline.CandidateRetriever(index, query, SearchStats())
-        _check_state(retriever, case.m, rng)
+        view = QueryBitmaps(index.hicl, query)
+        _check_state(retriever, view, case.m, rng)
         for r in range(MAX_ROUNDS):
             stop = case.stops[r % len(case.stops)]
             retriever.retrieve(case.batch, INFINITY if stop is None else stop)
-            _check_state(retriever, case.m, rng)
+            _check_state(retriever, view, case.m, rng)
             if retriever.exhausted:
                 break
 

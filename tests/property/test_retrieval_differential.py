@@ -1,6 +1,7 @@
-"""Differential test: the C best-first walk against the Python walk it
-replaced (``python_walk_oracle.py``), and that one against the per-cell
-``frozenset`` walk before it (``frozenset_hicl_oracle.py``).
+"""Differential test: the C best-first walk and its Algorithm 2 bound
+against the Python walk and bound they replaced (``python_walk_oracle.py``,
+``bound_oracle.py``), and those against the per-cell ``frozenset`` walk
+before them (``frozenset_hicl_oracle.py``).
 
 All three are driven through the engine's round loop — ``retrieve`` then
 Algorithm 2 — over random databases, grids (depths 1–8), queries, round
@@ -23,15 +24,15 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from hypothesis import example, given, settings, strategies as st
 
+import bound_oracle
 import frozenset_hicl_oracle as oracle_walk
 from frozenset_hicl_oracle import OracleRetriever
-from python_walk_oracle import PythonWalkRetriever
+from python_walk_oracle import PythonWalkRetriever, QueryBitmaps
 from repro.core import pipeline
 from repro.core.context import SearchStats
 from repro.core.lower_bound import lower_bound_distance
 from repro.core.match import INFINITY
 from repro.core.query import Query, QueryPoint
-from repro.index.gat.hicl import QueryBitmaps
 from repro.index.gat.index import GATConfig, GATIndex
 from repro.model.database import TrajectoryDatabase
 from repro.model.point import TrajectoryPoint
@@ -98,12 +99,12 @@ def _run_rounds(case: Case, retriever, lower_bound, state=lambda: ()):
     return rounds
 
 
-def _walk_state(retriever, counters):
+def _walk_state(retriever, counters, frontiers):
     """What the two bitmap walks must agree on after every round."""
     return lambda: (
         counters.cells_popped,
         counters.leaf_cells_visited,
-        [f.nearest(len(f)) for f in retriever.frontiers()],
+        [f.nearest(len(f)) for f in frontiers()],
         retriever.queue_top_mdist(),
         retriever.exhausted,
     )
@@ -120,8 +121,8 @@ def _drive_c_walk(case: Case, index: GATIndex, query: Query):
         rounds = _run_rounds(
             case,
             retriever,
-            lambda: lower_bound_distance(retriever.frontiers(), retriever.bitmaps, case.m),
-            _walk_state(retriever, stats),
+            lambda: lower_bound_distance(retriever, case.m),
+            _walk_state(retriever, stats, lambda: bound_oracle.frontiers(retriever)),
         )
     assert stats.candidates_retrieved == sum(len(r[0]) for r in rounds)
     return rounds, (disk.reads, disk.pages_read), _hicl_cache(stats)
@@ -133,8 +134,10 @@ def _drive_python_walk(case: Case, index: GATIndex, query: Query):
         rounds = _run_rounds(
             case,
             retriever,
-            lambda: lower_bound_distance(retriever.frontiers(), retriever.bitmaps, case.m),
-            _walk_state(retriever, retriever),
+            lambda: bound_oracle.lower_bound_distance(
+                retriever.frontiers(), retriever.bitmaps, case.m
+            ),
+            _walk_state(retriever, retriever, retriever.frontiers),
         )
     assert retriever.cells_popped == len(retriever.pops)
     return retriever.pops, rounds, (disk.reads, disk.pages_read), _hicl_cache(retriever.stats)
