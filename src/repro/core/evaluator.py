@@ -243,7 +243,13 @@ class MatchEvaluator:
         clock[3] += block.total
         return block
 
-    def dmm_batch(self, query: Query, candidates, threshold: float = INFINITY) -> List[float]:
+    def dmm_batch(
+        self,
+        query: Query,
+        candidates,
+        threshold: float = INFINITY,
+        k: Optional[int] = None,
+    ) -> List[float]:
         """``Dmm`` for one validation round's candidates in one shot.
 
         *candidates* is the round as a
@@ -256,9 +262,12 @@ class MatchEvaluator:
         :func:`~repro.core.kernels.block_dmm` stops evaluating a
         candidate's rows once their partial sum exceeds *threshold* (early
         abandoning; the kernels module's Exactness section says why no
-        ranking moves).  The all-single-activity path
+        ranking moves).  With *k* set, that threshold tightens within the
+        round to the k-th smallest ``Dmm`` so far — the ATSQ engine's
+        running k-th, exact because ``Dmm`` is what it ranks.  The
+        all-single-activity path
         (:func:`~repro.core.kernels.block_dmm_all_single`) evaluates every
-        row, as does the default ``threshold = inf``.
+        row, as does the default ``threshold = inf`` without *k*.
         """
         self.stats.dmm_evaluations += len(candidates)
         if not len(candidates):
@@ -269,7 +278,7 @@ class MatchEvaluator:
             # activity-segment layout skips block preparation entirely.
             return kernels.block_dmm_all_single(qkernel, candidates, self.stats).tolist()
         block = self._assemble(qkernel, candidates)
-        return kernels.block_dmm(qkernel, block, self.stats, threshold).tolist()
+        return kernels.block_dmm(qkernel, block, self.stats, threshold, k=k).tolist()
 
     def dmom_batch(
         self,

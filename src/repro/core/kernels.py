@@ -151,6 +151,11 @@ INFINITY = math.inf
 
 KERNELS = ("scalar", "block")
 
+#: The most activities one query point's row may carry under the block
+#: covers (``GAT_WIDEST_ROW`` in ``gat.c``): :func:`block_dmm` sums a
+#: table of every set partition of the row's activity bits.
+WIDEST_ROW = 10
+
 
 def resolve_kernel(kernel: str) -> str:
     """Return *kernel* if it names one of :data:`KERNELS`; raise otherwise."""
@@ -383,18 +388,27 @@ def block_dmm_all_single(qk: QueryKernel, candidates, stats=None):
     )
 
 
-def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None, threshold: float = INFINITY):
+def block_dmm(
+    qk: QueryKernel,
+    block: CandidateBlock,
+    stats=None,
+    threshold: float = INFINITY,
+    k: Optional[int] = None,
+):
     """Exact ``Dmm`` for every block candidate whose ``Dmm`` is at most
-    *threshold*, as a ``[C]`` float array, ``inf`` for the others —
-    ``gat_block_dmm``.
+    the abandonment threshold, as a ``[C]`` float array, ``inf`` for the
+    others — ``gat_block_dmm``.
 
-    Rows are evaluated left to right, and a row only while the partial sum
-    of the rows before it is ``<= threshold`` (early abandoning): an
+    The threshold starts at *threshold*; with *k* set (ATSQ, where ``Dmm``
+    is the ranked metric) it tightens, candidate by candidate in block
+    order, to the k-th smallest finite ``Dmm`` of the block so far.  Rows
+    are evaluated left to right, and a row only while the partial sum of
+    the rows before it is ``<=`` the threshold (early abandoning): an
     evaluated row writes ``hypot(q_i - column)`` into ``block.big`` at its
     columns with ``mask != 0`` and counts each in ``stats.distances``.  At
-    ``threshold = inf`` every row is evaluated and the result is the exact
-    ``Dmm`` of every candidate.  ``point_match_points`` is counted from the
-    masks of every row, evaluated or not.
+    ``threshold = inf`` without *k* every row is evaluated and the result
+    is the exact ``Dmm`` of every candidate.  ``point_match_points`` is
+    counted from the masks of every row, evaluated or not.
 
     Each row's cover uses the set-partition decomposition of the minimum
     cover: the optimal cover equals, over all partitions of the row's
@@ -404,12 +418,18 @@ def block_dmm(qk: QueryKernel, block: CandidateBlock, stats=None, threshold: flo
     covering it, and conversely each partition's group minima form a cover.
     ``M`` is a scatter-min per exact bitmask and a superset-min transform
     over ``2^b`` states; a single-activity row is the one-partition case,
-    its masked minimum.  Sums over 3+ groups may re-associate relative to
-    the scalar Algorithm 3's scan order — one of the documented last-ulp
+    its masked minimum.  The partitions of each row width the query uses
+    are enumerated once per call into a table (restricted growth strings,
+    each partition's groups in the order they open) that every row sums
+    ``M`` down, so a row holds at most :data:`WIDEST_ROW` activities — the
+    width-10 table is Bell(11) = 678 570 ``int32``; a wider row raises
+    ``MemoryError``.  Sums over 3+ groups may re-associate relative to the
+    scalar Algorithm 3's scan order — one of the documented last-ulp
     array-vs-scalar sources.
     """
     return _scores(
-        block.n, stats, "block Dmm", lib.gat_block_dmm, qk.handle, block.columns, threshold
+        block.n, stats, "block Dmm", lib.gat_block_dmm, qk.handle, block.columns, threshold,
+        k or 0,
     )
 
 

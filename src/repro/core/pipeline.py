@@ -324,20 +324,21 @@ class ScoringStage:
         image through the lookup validation already computed — the
         counted read each record cost there is the candidate's only one.
         The running k-th threshold is read once at round start and passed
-        to both queries' covers: ATSQ's
-        :func:`~repro.core.kernels.block_dmm` stops evaluating a
-        candidate's rows once their partial ``Dmm`` exceeds it, and OATSQ's
-        :func:`~repro.core.kernels.block_dmom` gates on that ``Dmm``, then
-        walks the round's survivors cheapest-gate-first and lowers the
-        abandonment threshold to the k-th smallest ``Dmom`` seen so far,
-        candidate by candidate.  A candidate that comes back ``inf`` rather
-        than as a finite value above the threshold is one the top-k
-        collector would reject anyway (it only tightens between round start
-        and the offers), and OATSQ's visiting order differs from the
-        per-candidate loop's — rankings and counters are identical (the
+        to both queries' covers, each of which lowers it, candidate by
+        candidate, to the k-th smallest value of its ranked metric the round
+        has scored so far.  ATSQ's :func:`~repro.core.kernels.block_dmm`
+        stops evaluating a candidate's rows once their partial ``Dmm``
+        exceeds it.  OATSQ's :func:`~repro.core.kernels.block_dmom` gates
+        on ``Dmm`` at the round-start threshold, then walks the round's
+        survivors cheapest-gate-first and tightens on ``Dmom``.  A
+        candidate that comes back ``inf`` rather than as a finite value
+        above the threshold is one the top-k collector would reject anyway
+        (it only tightens between round start and the offers, and k of the
+        round's candidates beat it), and OATSQ's visiting order differs from
+        the per-candidate loop's — rankings and counters are identical (the
         engine parity suite pins this down).
         """
         ctx.stats.validated += len(candidates)
         if ctx.order_sensitive:
             return ctx.evaluator.dmom_batch(ctx.query, candidates, ctx.threshold(), k=ctx.k)
-        return ctx.evaluator.dmm_batch(ctx.query, candidates, ctx.threshold())
+        return ctx.evaluator.dmm_batch(ctx.query, candidates, ctx.threshold(), k=ctx.k)

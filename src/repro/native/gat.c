@@ -228,6 +228,18 @@ static gat_entry pop(gat_walk *w) {
  * axis: its comparisons and its one subtraction (+0.0 on an edge). */
 double gat_axis_gap(double v, double lo, double hi) { return v < lo ? lo - v : v > hi ? v - hi : 0.0; }
 
+/* The first of keys[lo..hi) at or above key (hi when none is). */
+static int64_t lower_key(const int64_t *keys, int64_t lo, int64_t hi, int64_t key) {
+    while (lo < hi) {
+        int64_t mid = (lo + hi) >> 1;
+        if (keys[mid] < key)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 /* q_i's rows at *level* and their union: an in-memory level's from the
  * levels' rows, a disk level's from the caller's (1 asks for them); -1 out
  * of memory. */
@@ -250,14 +262,7 @@ static int load_table(gat_walk *w, gat_table *t, int32_t qi, int32_t level) {
         if (!in_memory) {
             row = t->given + j * n;
         } else {
-            int64_t lo = 0, hi = lv->n_acts, a = w->acts[a0 + j];
-            while (lo < hi) {
-                int64_t mid = (lo + hi) >> 1;
-                if (lv->acts[mid] < a)
-                    lo = mid + 1;
-                else
-                    hi = mid;
-            }
+            int64_t a = w->acts[a0 + j], lo = lower_key(lv->acts, 0, lv->n_acts, a);
             if (lo < lv->n_acts && lv->acts[lo] == a)
                 row = lv->bits[level] + lo * n;
         }
@@ -298,30 +303,27 @@ static int expand(gat_walk *w, const gat_entry *p) {
     return 0;
 }
 
-static int64_t find_key(const gat_walk *w, int64_t key) {
-    int64_t lo = 0, hi = w->n_keys;
-    while (lo < hi) {
-        int64_t mid = (lo + hi) >> 1;
-        if (w->keys[mid] < key)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo < w->n_keys && w->keys[lo] == key ? lo : -1;
-}
-
 static int cmp_rows(const void *a, const void *b) {
     int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
     return (x > y) - (x < y);
 }
 
 /* Hand out the rows of leaf e's lists of q_i's activities not handed out
- * yet, ascending; a (leaf, activity) list is read once per query. */
+ * yet, ascending; a (leaf, activity) list is read once per query.  The
+ * leaf's keys are one range of the sorted ITL keys, found once; an
+ * activity is searched for inside it only when q_i's leaf row (loaded
+ * when the leaf was pushed) has the leaf's bit, which it has exactly when
+ * the ITL posts that (leaf, activity) list. */
 static void harvest(gat_walk *w, const gat_entry *e) {
-    int64_t first = w->n_out;
-    for (int64_t a = w->act_start[e->qi]; a < w->act_start[e->qi + 1]; a++) {
-        int64_t k = find_key(w, (e->code << 32) | w->acts[a]);
-        if (k < 0 || (w->done[k >> 3] >> (k & 7) & 1))
+    int64_t first = w->n_out, a0 = w->act_start[e->qi], n_acts = w->act_start[e->qi + 1] - a0;
+    const uint8_t **layers = w->tables[(int64_t)e->qi * (w->depth + 1) + w->depth].layers;
+    int64_t lo = lower_key(w->keys, 0, w->n_keys, e->code << 32);
+    int64_t hi = lower_key(w->keys, lo, w->n_keys, (e->code + 1) << 32);
+    for (int64_t j = 0; j < n_acts; j++) {
+        if (!layers[j] || !(layers[j][e->code >> 3] >> (e->code & 7) & 1))
+            continue;
+        int64_t key = (e->code << 32) | w->acts[a0 + j], k = lower_key(w->keys, lo, hi, key);
+        if (k == hi || w->keys[k] != key || (w->done[k >> 3] >> (k & 7) & 1))
             continue;
         w->done[k >> 3] |= (uint8_t)(1 << (k & 7));
         for (int64_t i = w->offsets[k]; i < w->offsets[k + 1]; i++) {
@@ -530,6 +532,29 @@ static double dmom_one(int32_t m, const int32_t *n_bits, const double *dist,
     return n ? prev[n - 1] : INFINITY;
 }
 
+/* Offer v to top, a max-heap of the k smallest values so far (*kept of
+ * them), and return tau tightened to its largest once it holds k. */
+static double keep_kth(double *top, int64_t k, int64_t *kept, double v, double tau) {
+    int64_t i;
+    if (*kept < k) { /* sift up */
+        for (i = (*kept)++; i > 0 && top[(i - 1) >> 1] < v; i = (i - 1) >> 1)
+            top[i] = top[(i - 1) >> 1];
+        top[i] = v;
+    } else if (v < top[0]) { /* replace the largest, sift down */
+        for (i = 0;;) {
+            int64_t child = 2 * i + 1;
+            if (child + 1 < k && top[child + 1] > top[child])
+                child++;
+            if (child >= k || !(top[child] > v))
+                break;
+            top[i] = top[child];
+            i = child;
+        }
+        top[i] = v;
+    }
+    return *kept == k && top[0] < tau ? top[0] : tau;
+}
+
 /* Dmom of the candidates order[0..n_order) into out[c], in that order; with
  * gates, stop at the first gate above the running threshold (or infinite);
  * with k > 0, tighten the threshold to the k-th smallest Dmom so far.
@@ -557,27 +582,8 @@ int gat_dmom_block(int32_t m, const int32_t *n_bits, const double *dist, const i
         if (!lengths[c])
             continue;
         double v = out[c] = dmom_one(m, n_bits, dist, mask, stride, seg_of[c], lengths[c], tau, prev, a);
-        if (k <= 0 || isinf(v))
-            continue;
-        int64_t i;
-        if (kept < k) { /* sift up */
-            for (i = kept++; i > 0 && top[(i - 1) >> 1] < v; i = (i - 1) >> 1)
-                top[i] = top[(i - 1) >> 1];
-            top[i] = v;
-        } else if (v < top[0]) { /* replace the largest, sift down */
-            for (i = 0;;) {
-                int64_t child = 2 * i + 1;
-                if (child + 1 < k && top[child + 1] > top[child])
-                    child++;
-                if (child >= k || !(top[child] > v))
-                    break;
-                top[i] = top[child];
-                i = child;
-            }
-            top[i] = v;
-        }
-        if (kept == k && top[0] < tau)
-            tau = top[0];
+        if (k > 0 && !isinf(v))
+            tau = keep_kth(top, k, &kept, v, tau);
     }
     free(prev);
     return 0;
@@ -624,14 +630,8 @@ void gat_round_lookup(const gat_image *im, const gat_query *q, const int64_t *ro
         int64_t lo = 0; /* activities ascend, so each search starts at the last */
         int ok = 1;
         for (int64_t a = 0; a < n_acts; a++) {
-            int64_t key = (rows[c] << 32) | acts[a], hi = n_keys;
-            while (lo < hi) {
-                int64_t mid = (lo + hi) >> 1;
-                if (keys[mid] < key)
-                    lo = mid + 1;
-                else
-                    hi = mid;
-            }
+            int64_t key = (rows[c] << 32) | acts[a];
+            lo = lower_key(keys, lo, n_keys, key);
             lookup[c * n_acts + a] = lo < n_keys && keys[lo] == key ? lo : n_keys;
             ok &= lookup[c * n_acts + a] != n_keys;
         }
@@ -775,25 +775,33 @@ int gat_round_block(const gat_image *im, const gat_query *q, const int64_t *rows
     return 0;
 }
 
-/* The cheapest sum of group minima M[g] over the set partitions of b bits:
- * restricted growth strings in lexicographic order, each partition's groups
- * summed in the order they open -- kernels' former _set_partitions table. */
-static double min_partition(const double *M, int32_t b, int32_t *rgs, int64_t *groups) {
-    double best = INFINITY;
+/* The widest row the covers take: its partition table holds Bell(11) =
+ * 678 570 int32 (2.7 MB), and one more bit would take Bell(12) = 4 213 597. */
+#define GAT_WIDEST_ROW 10
+
+/* BELL[b]: the set partitions of b bits; a width-b table holds BELL[b + 1]
+ * int32, the partitions' group counts and their Bell(b + 1) - Bell(b)
+ * groups. */
+static const int64_t BELL[GAT_WIDEST_ROW + 2] = {1,     1,     2,      5,      15,     52,
+                                                 203,   877,   4140,   21147,  115975, 678570};
+
+/* The set partitions of b bits into table: restricted growth strings in
+ * lexicographic order, each written as its group count and then its
+ * groups' bitmasks in the order they open -- kernels' former
+ * _set_partitions table. */
+static void partition_table(int32_t b, int32_t *rgs, int32_t *table) {
     for (int32_t j = 0; j < b; j++)
         rgs[j] = 0;
     for (;;) {
         int32_t n_groups = 0, j;
         for (j = 0; j < b; j++)
-            groups[j] = 0;
-        for (j = 0; j < b; j++) {
-            groups[rgs[j]] |= (int64_t)1 << j;
             n_groups = rgs[j] >= n_groups ? rgs[j] + 1 : n_groups;
-        }
-        double sum = M[groups[0]];
-        for (int32_t g = 1; g < n_groups; g++)
-            sum += M[groups[g]];
-        best = sum < best ? sum : best;
+        *table = n_groups;
+        for (int32_t g = 1; g <= n_groups; g++)
+            table[g] = 0;
+        for (j = 0; j < b; j++)
+            table[1 + rgs[j]] |= (int32_t)1 << j;
+        table += 1 + n_groups;
         for (j = b - 1; j > 0; j--) { /* the last digit that may still grow */
             int32_t top = 0;
             for (int32_t i = 0; i < j; i++)
@@ -802,47 +810,76 @@ static double min_partition(const double *M, int32_t b, int32_t *rgs, int64_t *g
                 break;
         }
         if (j == 0)
-            return best;
+            return;
         rgs[j]++;
         for (int32_t i = j + 1; i < b; i++)
             rgs[i] = 0;
     }
 }
 
+/* The cheapest sum of group minima M[g] over the n partitions of a table,
+ * each partition's groups summed in table order. */
+static double min_partition(const double *M, const int32_t *table, int64_t n) {
+    double best = INFINITY;
+    for (int64_t p = 0; p < n; p++) {
+        int32_t n_groups = *table++;
+        double sum = M[*table++];
+        for (int32_t g = 1; g < n_groups; g++)
+            sum += M[*table++];
+        best = sum < best ? sum : best;
+    }
+    return best;
+}
+
 /* Dmm of every block candidate into out[c] (inf without columns), adding
  * each one's point_match_points to counts[0]: per row, the relevant columns
  * (mask != 0) scattered into their exact bitmask's minimum, the superset-min
  * transform M[g] = min over masks covering g, M[0] = 0, and the cheapest set
- * partition; a row without relevant columns or with missing set is inf.
- * Rows are summed left to right, and the count of each row up to the first
- * such one is added.  A row is evaluated only while the sum of the rows
- * before it is <= threshold, and a candidate whose sum ends above it is inf
- * (early abandoning).  With the query's xy, an evaluated row first writes
- * dist[i, j] = hypot(q_i - cxy[j]) at its relevant columns, counting each
- * in counts[1]; without, dist is read as given. */
-int gat_block_dmm(const gat_query *q, const gat_columns *b, double threshold, double *out,
-                  int64_t *counts) {
+ * partition, read off the partition table of the row's width (built once
+ * per call for each width the query uses; rows wider than GAT_WIDEST_ROW
+ * make the call return -1); a row without relevant columns or with missing
+ * set is inf.  Rows are summed left to right, and the count of each row up
+ * to the first such one is added.  A row is evaluated only while the sum of
+ * the rows before it is <= tau, and a candidate whose sum ends above tau is
+ * inf (early abandoning).  tau starts at threshold; with k > 0 it tightens,
+ * candidate by candidate, to the k-th smallest finite Dmm so far (ATSQ,
+ * where Dmm is the ranked metric).  With the query's xy, an evaluated row
+ * first writes dist[i, j] = hypot(q_i - cxy[j]) at its relevant columns,
+ * counting each in counts[1]; without, dist is read as given. */
+int gat_block_dmm(const gat_query *q, const gat_columns *b, double threshold, int64_t k,
+                  double *out, int64_t *counts) {
     int32_t m = q->m, widest = 1;
     const int32_t *n_bits = q->n_bits;
     const double *qxy = q->xy;
-    int64_t total = b->total;
+    int64_t total = b->total, at[GAT_WIDEST_ROW + 1] = {0}, ints = 0, kept = 0;
     for (int32_t i = 0; i < m; i++)
         widest = n_bits[i] > widest ? n_bits[i] : widest;
-    if (widest > 62)
+    if (widest > GAT_WIDEST_ROW)
         return -1;
-    int64_t states = (int64_t)1 << widest;
-    double *M = malloc(states * sizeof(double) + widest * (sizeof(int64_t) + sizeof(int32_t)));
+    for (int32_t i = 0; i < m; i++) /* at[w]: where the width-w table goes, 1 + that */
+        at[n_bits[i]] = 1;
+    for (int32_t w = 1; w <= widest; w++)
+        if (at[w]) {
+            at[w] = 1 + ints;
+            ints += BELL[w + 1];
+        }
+    int64_t states = (int64_t)1 << widest, kth = k > 0 ? k : 0;
+    double *M = malloc((states + kth) * sizeof(double) + (ints + widest) * sizeof(int32_t));
     if (!M)
         return -1;
-    int64_t *groups = (int64_t *)(M + states);
-    int32_t *rgs = (int32_t *)(groups + widest);
+    double *top = M + states; /* a max-heap of the k smallest Dmm */
+    int32_t *tables = (int32_t *)(top + kth), *rgs = tables + ints;
+    for (int32_t w = 1; w <= widest; w++)
+        if (at[w])
+            partition_table(w, rgs, tables + at[w] - 1);
+    double tau = threshold;
     for (int64_t c = 0; c < b->n; c++) {
         int64_t seg = b->seg_of[c], length = b->lengths[c];
         double dmm = 0.0;
         int counting = 1;
         for (int32_t i = 0; i < m; i++) {
             int64_t size = (int64_t)1 << n_bits[i], count = 0;
-            int evaluating = !i || dmm <= threshold;
+            int evaluating = !i || dmm <= tau;
             double *row = b->dist + i * total;
             const int64_t *mrow = b->mask + i * total;
             for (int64_t t = 0; evaluating && t < size; t++)
@@ -870,10 +907,13 @@ int gat_block_dmm(const gat_query *q, const gat_columns *b, double threshold, do
                     if (!(g & bit) && M[g | bit] < M[g])
                         M[g] = M[g | bit];
             M[0] = 0.0;
-            double v = invalid ? INFINITY : min_partition(M, n_bits[i], rgs, groups);
+            double v = invalid ? INFINITY
+                               : min_partition(M, tables + at[n_bits[i]] - 1, BELL[n_bits[i]]);
             dmm = i ? dmm + v : v;
         }
-        out[c] = dmm > threshold ? INFINITY : dmm;
+        out[c] = dmm > tau ? INFINITY : dmm;
+        if (k > 0 && !isinf(out[c]))
+            tau = keep_kth(top, k, &kept, out[c], tau);
     }
     free(M);
     return 0;
@@ -931,7 +971,7 @@ int gat_block_dmom(const gat_query *q, const gat_columns *b, double threshold, i
         return -1;
     gat_gate *sorted = (gat_gate *)(gates + n + 1);
     int64_t *order = (int64_t *)(sorted + n + 1);
-    int status = gat_block_dmm(q, b, threshold, gates, counts);
+    int status = gat_block_dmm(q, b, threshold, 0, gates, counts);
     for (int64_t c = 0; c < n; c++) {
         out[c] = INFINITY;
         sorted[c] = (gat_gate){gates[c], c};

@@ -199,3 +199,37 @@ def test_the_score_span_counts_fewer_distances_than_pairs(tiny_db, queries, monk
     assert [r.trajectory_id for r in traced.ranked] == [
         r.trajectory_id for r in engine.execute(query, K).ranked
     ]
+
+
+def test_atsq_in_round_kth_equals_the_scalar_kernel(small_db, monkeypatch):
+    """ATSQ rounds of 32 whose first one fills the top-k at ``τ = inf``:
+    the block covers tighten to the round's k-th ``Dmm`` as they go and hand
+    back ``inf`` for candidates they abandon against it — some candidate of
+    these queries is one — yet the rankings, their distances and every
+    ``SearchStats`` field are the scalar oracle's."""
+    queries = QueryWorkloadGenerator(
+        small_db, WorkloadConfig(n_query_points=3, n_activities_per_point=2, seed=5)
+    ).queries(6)
+    abandoned = []
+    block_dmm = kernels.block_dmm
+
+    def spy(qk, block, stats=None, threshold=INFINITY, k=None):
+        got = block_dmm(qk, block, stats, threshold, k)
+        if k:
+            plain = block_dmm(qk, block, None, threshold).tolist()
+            abandoned.append(sum(g == INFINITY != p for g, p in zip(got.tolist(), plain)))
+        return got
+
+    monkeypatch.setattr(kernels, "block_dmm", spy)
+
+    def run(kernel):
+        engine = GATSearchEngine(GATIndex.build(small_db, CONFIG), kernel=kernel)
+        return [engine.execute(q, K, order_sensitive=False) for q in queries]
+
+    for scalar, block in zip(run("scalar"), run("block")):
+        assert [r.trajectory_id for r in block.ranked] == [r.trajectory_id for r in scalar.ranked]
+        assert [r.distance for r in block.ranked] == pytest.approx(
+            [r.distance for r in scalar.ranked], rel=1e-9
+        )
+        assert asdict(block.stats) == asdict(scalar.stats)
+    assert sum(abandoned) > 0

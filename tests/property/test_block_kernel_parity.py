@@ -271,6 +271,16 @@ def _assert_block_dmm_equals_group_loop(qraw, raws):
         [_pt({4, 3}, 1.0), _pt({1}, 2.0), _pt({2}, 3.0), _pt({0}, 4.0)],
     ],
 )
+# A six-activity row (203 partitions, the first width past the paper's
+# five) beside a one-activity row.
+@example(
+    [_pt({0, 1, 2, 3, 4, 5}, 1.0, -1.0), _pt({6}, 4.0, 2.0)],
+    [
+        [_pt({0, 3}, 2.0), _pt({1, 4, 6}, -1.0), _pt({2, 5}, 0.5), _pt({0, 1, 2}, 3.0)],
+        [_pt({0, 1, 2, 3, 4, 5}, 6.0), _pt({5, 4}, 1.0), _pt({3}, 1.5), _pt({6}, 0.0)],
+        [_pt({0}), _pt({1}, 1.0), _pt({2}, 2.0), _pt({3}, 3.0), _pt({4}, 4.0), _pt({5, 6}, 5.0)],
+    ],
+)
 # Candidates without any relevant point, first, in the middle and last.
 @example(
     [_pt({1, 2}), _pt({2, 3}, 3.0)],
@@ -305,6 +315,63 @@ def test_block_dmm_wide_row_equals_the_group_loop():
     qk, block, got = _assert_block_dmm_equals_group_loop(qraw, raws)
     assert max(qk.n_bits) == 9 and int(block.mask.max()) > 255
     assert np.isfinite(got).tolist() == [True, True, False, False, True] * 2
+
+
+def test_the_widest_row_is_pinned():
+    """A row of :data:`~repro.core.kernels.WIDEST_ROW` activities — Bell(10)
+    = 115 975 partitions, read off a Bell(11)-int32 table — equals the group
+    loop; one activity more is a table the covers refuse to allocate."""
+    assert kernels.WIDEST_ROW == 10
+    wide = frozenset(range(kernels.WIDEST_ROW))
+    raws = [
+        [_pt({a, (a + 3) % 10}, float(a), 0.5) for a in range(10)],
+        [_pt(wide, 3.0), _pt({9}, 0.25)],
+    ]
+    qk, _block, got = _assert_block_dmm_equals_group_loop([_pt(wide, 0.5, 0.5)], raws)
+    assert max(qk.n_bits) == 10 and np.isfinite(got).all()
+    wider = frozenset(range(kernels.WIDEST_ROW + 1))
+    query = _query([_pt(wider)])
+    qk = QueryKernel(query, EUCLID)
+    block = kernels.prepare_block(qk, _posted(query, _round([[_pt(wider)]])))
+    with pytest.raises(MemoryError):
+        kernels.block_dmm(qk, block)
+    with pytest.raises(MemoryError):
+        kernels.block_dmom(qk, block)
+
+
+def _in_round_kth(values, threshold, k):
+    """What ``block_dmm`` at *k* returns, from its exact values at ``k = 0``
+    and ``τ = inf``: a candidate keeps its value while it is ``<=`` the
+    threshold, which tightens to the k-th smallest finite value so far."""
+    tau, kept, out = threshold, [], []
+    for value in values:
+        out.append(value if value <= tau else INFINITY)
+        if out[-1] != INFINITY:
+            kept = sorted(kept + [value])[:k]
+            if len(kept) == k:
+                tau = min(tau, kept[-1])
+    return out
+
+
+@given(query_st, round_st, threshold_st, st.integers(min_value=1, max_value=4))
+@settings(max_examples=150, deadline=None)
+# Three candidates with one Dmm: a tie at the k-th survives (strict >).
+@example([_pt({1, 2})], [[_pt({1, 2}, 4.0)]] * 3, INFINITY, 1)
+def test_in_round_kth_abandons_only_what_k_candidates_beat(qraw, raws, threshold, k):
+    """With *k* set, a candidate above the k-th smallest ``Dmm`` the round
+    has scored before it comes back ``inf``; every other value is the
+    ``k = 0`` value bit for bit, and the counter does not move."""
+    query = _query(qraw)
+    qk = QueryKernel(query, EUCLID)
+    posted = _posted(query, _round(raws))
+    exact = kernels.block_dmm(qk, kernels.prepare_block(qk, posted)).tolist()
+    plain_stats, kth_stats = _Stats(), _Stats()
+    plain = kernels.block_dmm(qk, kernels.prepare_block(qk, posted), plain_stats, threshold)
+    got = kernels.block_dmm(qk, kernels.prepare_block(qk, posted), kth_stats, threshold, k=k)
+    assert got.tolist() == _in_round_kth(exact, threshold, k)
+    assert all(g == p for g, p in zip(got.tolist(), plain.tolist()) if g != INFINITY)
+    assert kth_stats.point_match_points == plain_stats.point_match_points
+    assert kth_stats.distances <= plain_stats.distances
 
 
 @given(single_query_st, round_st)

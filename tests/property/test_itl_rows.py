@@ -92,3 +92,39 @@ def test_memory_cost_is_the_oracles_on_the_la_preset():
         + oracle.memory_cost_bytes()
         + sketch_memory_bytes(len(db), index.config.sketch_intervals)
     )
+
+
+def _assert_leaf_bits_are_the_itl_keys(index: GATIndex) -> None:
+    """The leaf harvest skips an activity whose bit in the query point's
+    HICL leaf row is clear: that is exact only while a leaf row has bit
+    ``code`` exactly when the ITL posts the ``(code, activity)`` list."""
+    depth = index.grid.depth
+    keys = set(index.itl.arrays.keys.tolist())
+    for activity in range(N_ACTIVITIES):
+        row = index.hicl.bitmap(activity, depth)
+        for code in range(index.grid.leaf_level.n_cells):
+            bit = row[code >> 3] >> (code & 7) & 1
+            assert bit == ((code << 32 | activity) in keys), (activity, code)
+
+
+@given(
+    st.lists(_trajectory, max_size=6),
+    st.lists(_trajectory, max_size=4),
+    st.integers(1, 4),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+# a leaf holding some of the activities a neighbouring leaf holds, then an
+# insert adding one of the missing ones to it
+@example([[(50.0, 50.0, (1,)), (75.0, 75.0, (1, 2))]], [[(50.0, 50.0, (2,))]], 3, False)
+# a point without activities (posted nowhere), leaf level on disk
+@example([[(50.0, 50.0, ()), (50.0, 50.0, (1,))]], [[(25.0, 25.0, ())]], 3, True)
+def test_hicl_leaf_bits_are_the_itl_keys(built, inserted, depth, leaf_on_disk):
+    config = GATConfig(depth=depth, memory_levels=depth - 1 if leaf_on_disk else depth)
+    index = GATIndex.build(_database([_CORNERS] + built), config)
+    _assert_leaf_bits_are_the_itl_keys(index)
+    for raw in inserted:
+        row = len(index.db)
+        points = [TrajectoryPoint(x, y, frozenset(a)) for x, y, a in raw]
+        index.insert_trajectory(ActivityTrajectory(500 - 7 * row, points))
+    _assert_leaf_bits_are_the_itl_keys(index)

@@ -22,6 +22,7 @@ id-ordered or set-ordered harvest cannot pass for a row-ordered one.
 import random
 from typing import List, NamedTuple, Optional, Tuple
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bound_oracle
@@ -304,6 +305,39 @@ assert list(set(_CROWD_IDS)) not in (sorted(_CROWD_IDS), sorted(_CROWD_IDS, reve
 @example(Case(_CROWD, depth=3, memory_levels=2, queries=[[(40.0, 40.0, (0, 1))]], batch=3))
 def test_bitmap_retrieval_equals_frozenset_walk(case):
     _check(case)
+
+
+#: Leaves holding activity 0 alone, 1 alone, both, and 2 with 4: a point
+#: asking (0, 1, 2) pops leaves holding one or two of its three activities.
+_PARTIAL = [
+    [(0.0, 0.0, (3,)), (100.0, 100.0, (3,))],
+    [(20.0, 20.0, (0,)), (80.0, 80.0, (1,))],
+    [(40.0, 20.0, (1,)), (60.0, 60.0, (0, 1))],
+    [(80.0, 20.0, (0, 3)), (60.0, 60.0, (1,))],
+    [(20.0, 80.0, (2, 4)), (45.0, 55.0, (0, 2))],
+]
+
+
+@pytest.mark.parametrize("memory_levels", [4, 2])
+def test_leaves_holding_some_of_a_points_activities(memory_levels):
+    """The C harvest searches only the activities a popped leaf's row
+    holds: candidates, rounds and reads equal the Python walk's, on leaves
+    that hold some, but not all, of a query point's activities."""
+    query = [(50.0, 50.0, (0, 1, 2)), (10.0, 90.0, (1, 4))]
+    case = Case(_PARTIAL, depth=4, memory_levels=memory_levels, queries=[query, query], batch=1)
+    _check(case)
+    index = _build_index(case, case.trajectories)
+    retriever = PythonWalkRetriever(
+        index, Query([QueryPoint(x, y, frozenset(acts)) for x, y, acts in query])
+    )
+    while not retriever.exhausted:
+        retriever.retrieve(1)
+    partial = 0
+    for _mdist, level, code, qi in retriever.pops:
+        if level == case.depth:
+            held = [a for a in query[qi][2] if index.itl.rows_with(code, a)]
+            partial += 0 < len(held) < len(query[qi][2])
+    assert partial >= 3
 
 
 @given(_cases(max_depth=5))
