@@ -22,9 +22,10 @@ differs).  ``--pairs 0 --trace`` is that check alone.
 With ``--record PR``, one JSON line is appended to
 ``benchmarks/trajectory.jsonl``: the PR, both commits, the workload, the
 seed, the pairs, per end-to-end metric the medians, the parent's IQR and
-the pairs won, whether every run read ``correct: true``, the traced runs'
-median yardstick ratio and stage split (``--trace``), and the box
-(``nproc``, the CPU model).
+the pairs won, whether every run read ``correct: true``, the median
+yardstick ratio over every run (each ``run.py`` prints one, as a
+``# yardstick:`` comment line), the traced runs' stage split
+(``--trace``), and the box (``nproc``, the CPU model).
 
 Exits 1 when any run does not read ``correct: true``, and stops at once
 on a run that prints no result.
@@ -36,6 +37,7 @@ import argparse
 import importlib.util
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -118,17 +120,26 @@ def worktree(commit: str) -> Iterator[Path]:
         shutil.rmtree(path, ignore_errors=True)
 
 
+#: ``run.py``'s box-speed comment, printed at either ``--trace`` setting.
+YARDSTICK = re.compile(r"^# yardstick: .*?([0-9.]+)x its nominal", re.MULTILINE)
+
+
 def e2e_runner(trees: Dict[str, Path], command: List[str]) -> Callable[[str], dict]:
     """``run(side)``: *command* in that side's tree, its last output line
-    as the result."""
+    as the result, with the ratio of its ``# yardstick:`` line (when it
+    prints one) as ``yardstick_ratio``."""
 
     def run(side: str) -> dict:
         done = subprocess.run(command, cwd=trees[side], capture_output=True, text=True)
         lines = done.stdout.strip().splitlines()
         try:
-            return json.loads(lines[-1])
+            result = json.loads(lines[-1])
         except (IndexError, ValueError):
             sys.exit(f"{side}: {' '.join(command)} printed no result:\n{done.stdout}{done.stderr}")
+        match = YARDSTICK.search(done.stdout)
+        if match:
+            result["yardstick_ratio"] = float(match.group(1))
+        return result
 
     return run
 
@@ -175,9 +186,11 @@ def cpu_model() -> Optional[str]:
     return next((line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")), None)
 
 
-def record_line(args, rows: List[dict], correct: bool, traces: Optional[Dict[str, dict]],
-                same: Optional[bool]) -> dict:
-    """The ``--record`` line for these pairs (and traced runs)."""
+def record_line(args, rows: List[dict], correct: bool, runs: Dict[str, List[dict]],
+                traces: Optional[Dict[str, dict]], same: Optional[bool]) -> dict:
+    """The ``--record`` line for these pairs (and traced runs); its
+    yardstick ratio is the median over every run that reported one."""
+    ratios = [run["yardstick_ratio"] for side in SIDES for run in runs[side] if "yardstick_ratio" in run]
     line = {
         "pr": args.record, "parent": commit_id(args.parent), "change": commit_id(args.change),
         "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
@@ -188,13 +201,13 @@ def record_line(args, rows: List[dict], correct: bool, traces: Optional[Dict[str
     }
     if traces is not None:
         metrics = {side: traces[side]["metrics"] for side in SIDES}
-        line["yardstick_ratio"] = statistics.median(
-            metrics[side]["bench.yardstick_ratio"]["value"] for side in SIDES
-        )
+        ratios += [metrics[side]["bench.yardstick_ratio"]["value"] for side in SIDES]
         line["stages"] = {
             name: [metrics["parent"][name]["value"], metrics["change"].get(name, {}).get("value")]
             for name, entry in metrics["parent"].items() if entry["unit"] == "ms"
         }
+    if ratios:
+        line["yardstick_ratio"] = statistics.median(ratios)
     return line
 
 
@@ -236,7 +249,7 @@ def main(argv=None, runner=None, tracer=None) -> int:
         same = not compare_traces(traces)
     if args.record is not None:
         with TRAJECTORY.open("a") as out:
-            out.write(json.dumps(record_line(args, rows, not wrong, traces, same)) + "\n")
+            out.write(json.dumps(record_line(args, rows, not wrong, runs, traces, same)) + "\n")
     return 1 if wrong or same is False else 0
 
 

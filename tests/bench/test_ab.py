@@ -1,9 +1,11 @@
 """``benchmarks/ab.py``: alternating pairs, medians, IQR, pairs won and the
-exit status, on a stub runner (no worktree, no benchmark run)."""
+exit status, on a stub runner (no worktree, no benchmark run), and the
+runner's reading of a ``run.py``-shaped output."""
 
 import importlib.util
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +98,32 @@ def test_trace_fails_on_a_count_that_moved(ab, capsys):
     argv = ["P", "C", "--workload", "cpu_default", "--pairs", "2", "--trace"]
     assert ab.main(argv, runner=run, tracer=_traced({"parent": 457.0, "change": 458.0})) == 1
     assert "core.cells_popped_per_query: parent 457.0 != change 458.0" in capsys.readouterr().out
+
+
+def test_the_runner_reads_the_yardstick_line_and_record_takes_the_median(ab, tmp_path, monkeypatch):
+    """``run.py --trace 0`` prints its box speed only as a ``# yardstick:``
+    comment: the runner reads it into the result, and a ``--record`` line
+    made without ``--trace`` carries the median over every run."""
+    program = (
+        "import sys; print('# cpu_heavy (CPU result): 42 trajectories'); "
+        "print('# yardstick: median 1.800 ms over 97 readings, ' + sys.argv[1] + 'x its nominal "
+        "1.50 ms; times below are at nominal speed'); "
+        "print('{\"correct\": true, \"metrics\": {}}')"
+    )
+    run = ab.e2e_runner({"parent": tmp_path, "change": tmp_path}, [sys.executable, "-c", program, "1.20"])
+    assert run("parent") == {"correct": True, "metrics": {}, "yardstick_ratio": 1.2}
+    silent = ab.e2e_runner({"parent": tmp_path}, [sys.executable, "-c", "print('{\"correct\": true}')"])
+    assert silent("parent") == {"correct": True}
+
+    monkeypatch.setattr(ab, "TRAJECTORY", tmp_path / "trajectory.jsonl")
+    names = [e["name"] for e in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    ratios = {"parent": iter([1.1, 1.3, 1.2, 1.4, 1.5]), "change": iter([1.0, 1.6, 1.7, 1.2, 1.3])}
+
+    def stub(side):
+        metrics = {name: {"value": 1.0} for name in names}
+        return {"correct": True, "metrics": metrics, "yardstick_ratio": next(ratios[side])}
+
+    argv = ["P", "C", "--workload", "cpu_heavy", "--pairs", "5", "--record", "47"]
+    assert ab.main(argv, runner=stub) == 0
+    (line,) = (tmp_path / "trajectory.jsonl").read_text().splitlines()
+    assert json.loads(line)["yardstick_ratio"] == pytest.approx(1.3)
