@@ -51,7 +51,7 @@ from repro.bench.experiments import (
 from repro.bench.reporting import format_series_table, format_stat_table
 from repro.bench.workloads import QueryWorkloadGenerator, WorkloadConfig
 from repro.core.engine import EngineConfig
-from repro.core.kernels import KERNELS
+from repro.core.kernels import KERNELS, WIDEST_ROW
 from repro.data.generator import CheckInGenerator, GeneratorConfig
 from repro.data.loader import load_database, save_database
 from repro.data.presets import dataset_from_preset
@@ -394,6 +394,8 @@ def _check_query_args(args: argparse.Namespace) -> bool:
         problem = "--query-points must be >= 1"
     elif args.activities < 1:
         problem = "--activities must be >= 1"
+    elif args.activities > WIDEST_ROW and args.kernel == "block":
+        problem = f"--activities above {WIDEST_ROW} needs --kernel scalar (the block covers' limit)"
     elif args.depth < 1:
         problem = "--depth must be >= 1"
     elif args.batch < 0:

@@ -127,6 +127,27 @@ Early abandoning in :func:`block_dmm` (and in the gate of
   ``result_sink`` only loses results worse than that, which cannot enter
   the merged top-k.
 
+ATSQ's covers also tighten τ *within* the round (``block_dmm(..., k=k)``):
+after each candidate, τ drops to the k-th smallest finite ``Dmm`` the
+round has scored so far, held in a max-heap as the ``Dmom`` fold holds its
+running k-th.  That is exact too:
+
+* a candidate abandoned against it has a ``Dmm`` strictly above k values
+  of the same round, all of which are offered to the collector (finite,
+  distinct trajectories), so k results beat it on distance alone and it
+  could not enter the top-k whatever its id;
+* a tie with the round's k-th survives (strict ``>``, as above), so id
+  tie-breaking is left to the collector;
+* on a sharded fan-out those k values reach the ``result_sink`` too, so
+  the merged top-k loses nothing either.
+
+It is never used on OATSQ's gate: there the ranked metric is ``Dmom``,
+and a ``Dmm`` k-th is only a lower bound on the ``Dmom`` of the
+candidates that set it — a candidate whose ``Dmm`` exceeds the round's
+``Dmm`` k-th can still have a smaller ``Dmom`` than all of them, so
+abandoning it could cost a true top-k member.  :func:`block_dmom` passes
+``k = 0`` to its gate and tightens only on ``Dmom`` values.
+
 Evaluated values are the same bits as without abandoning: ``hypot`` gets
 the same doubles, and the rows sum in query order.  ``point_match_points``
 is counted from the masks of every row, so no counter moves; the hypot
@@ -154,7 +175,7 @@ KERNELS = ("scalar", "block")
 #: The most activities one query point's row may carry under the block
 #: covers (``GAT_WIDEST_ROW`` in ``gat.c``): :func:`block_dmm` sums a
 #: table of every set partition of the row's activity bits.
-WIDEST_ROW = 10
+WIDEST_ROW = lib.gat_widest_row()
 
 
 def resolve_kernel(kernel: str) -> str:

@@ -6,7 +6,9 @@
  *     child expansion from q_i's HICL union -- the OR of q_i's byte rows,
  *     made on the level's first expansion -- with each child's gaps computed
  *     from the grid's column and row extents (gat_levels, one handle per
- *     HICL publication); and the leaf harvest over the ITL's CSR arrays.  An
+ *     HICL publication); and the leaf harvest over the ITL's CSR arrays,
+ *     which finds a popped leaf's key range once and searches inside it
+ *     only the activities whose bit q_i's leaf row sets.  An
  *     in-memory level's rows come from the handle; a disk-resident level
  *     suspends the walk: gat_walk_run returns 1 with need_qi / need_level
  *     set, the caller fetches q_i's rows (counted HICL reads) into the
@@ -23,7 +25,9 @@
  * (d) The validation round over the APL image (Sections V-C, V-D, VI-B):
  *     the [C, |Q.Phi|] key lookup, the TAS / APL-coverage / MIB masks, the
  *     block build (columns, bitmasks, missing rows, distances) and the Dmm
- *     covers (Algorithm 3 as set partitions over superset minima).  Block
+ *     covers (Algorithm 3 as set partitions over superset minima, read off
+ *     one partition table per row width and call; ATSQ's covers tighten
+ *     their threshold to the round's running k-th Dmm).  Block
  *     distances are libm's hypot, which is NumPy's np.hypot bit for bit
  *     (the import checks that); only the walk needs the math.hypot port.
  *     Its entries read the image and the query through one handle each.
@@ -779,9 +783,11 @@ int gat_round_block(const gat_image *im, const gat_query *q, const int64_t *rows
  * 678 570 int32 (2.7 MB), and one more bit would take Bell(12) = 4 213 597. */
 #define GAT_WIDEST_ROW 10
 
-/* BELL[b]: the set partitions of b bits; a width-b table holds BELL[b + 1]
- * int32, the partitions' group counts and their Bell(b + 1) - Bell(b)
- * groups. */
+int32_t gat_widest_row(void) { return GAT_WIDEST_ROW; }
+
+/* BELL[b]: the number of set partitions of b bits; a width-b table holds
+ * BELL[b + 1] int32, the partitions' group counts and their
+ * Bell(b + 1) - Bell(b) groups. */
 static const int64_t BELL[GAT_WIDEST_ROW + 2] = {1,     1,     2,      5,      15,     52,
                                                  203,   877,   4140,   21147,  115975, 678570};
 

@@ -379,6 +379,17 @@ class TestServingFlagValidation:
         assert main([command, str(tmp_path / "never-loaded.npz"), *flags]) == 2
         assert flags[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["query", "trace", "metrics", "serve-bench"])
+    def test_rows_past_the_block_covers_need_the_scalar_kernel(self, tmp_path, capsys, command):
+        """The block covers take query points of at most ``WIDEST_ROW``
+        activities: one more is refused before the load, unless the
+        scalar kernel scores it."""
+        assert main([command, str(tmp_path / "never-loaded.npz"), "--activities", "11"]) == 2
+        assert "--activities" in capsys.readouterr().err
+        flags = ["--activities", "11", "--kernel", "scalar"]
+        assert main([command, str(tmp_path / "never-loaded.npz"), *flags]) == 2  # the load
+        assert "--activities" not in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, flags",
         [
